@@ -1,6 +1,6 @@
 # Convenience wrapper; everything below is plain dune.
 
-.PHONY: check build test test-checked lint certify kernels-smoke bench bench-rounds bench-bitpack bench-join bench-join-quick bench-scale bench-scale-quick bench-service bench-service-quick bench-net bench-net-quick serve party-demo clean
+.PHONY: check build test test-checked lint certify kernels-smoke bench bench-rounds bench-bitpack bench-join bench-join-quick bench-scale bench-scale-quick bench-service bench-service-quick bench-net bench-net-quick bench-e2e bench-e2e-compare serve party-demo clean
 
 # Query-service knobs (flags win; see DESIGN.md "Query service")
 ORQ_SOCKET ?= /tmp/orq-service.sock
@@ -123,6 +123,17 @@ bench-net:
 
 bench-net-quick:
 	ORQ_NET_QUICK=1 dune exec bench/net.exe
+
+# The repository benchmark (bench/e2e/README.md): every workload, 5 runs
+# from seed 1, medians and spreads -> .bench_out/run.json (~11 min).
+bench-e2e:
+	bash bench/e2e/run.sh run --seed 1
+
+# Judge two bench-e2e result files metric by metric; exits 1 if anything
+# got worse. Usage: make bench-e2e-compare OLD=old.json NEW=new.json
+bench-e2e-compare:
+	@test -n "$(OLD)" -a -n "$(NEW)" || { echo "usage: make bench-e2e-compare OLD=old.json NEW=new.json" >&2; exit 2; }
+	bash bench/e2e/run.sh compare $(OLD) $(NEW)
 
 clean:
 	dune clean

@@ -236,7 +236,7 @@ let aggregate (t : Table.t) ~(keys : string list) ~(aggs : agg list) : Table.t =
             let c = Table.find t (a.dst ^ "#count") in
             let w = s.Column.width in
             let q, _ =
-              Orq_circuits.Divide.udiv ctx ~w (Column.data s)
+              Orq_circuits.Divide.udiv ctx ~w ~wd:c.Column.width (Column.data s)
                 (Column.as_bool ctx c)
             in
             Table.drop_cols
@@ -411,7 +411,10 @@ let global_aggregate (t : Table.t) ~(aggs : agg list) : Table.t =
         | `Sum' (a, w, signed, si) ->
             (a.dst, Column.of_shared ~signed ~width:w conv.(si))
         | `Avg' (a, ws, si, ci) ->
-            let q, _ = Orq_circuits.Divide.udiv ctx ~w:ws conv.(si) conv.(ci) in
+            let q, _ =
+              Orq_circuits.Divide.udiv ctx ~w:ws ~wd:(count_width t) conv.(si)
+                conv.(ci)
+            in
             (a.dst, Column.of_shared ~width:ws q)
         | `Minmax (a, _, w, _) ->
             let v = mm_vals.(!mmi) in

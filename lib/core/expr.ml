@@ -121,18 +121,17 @@ let rec eval_num (t : Table.t) (e : num) : value =
   | Div (a, b) ->
       let va = eval_num t a and vb = eval_num t b in
       let w = cap_width (max va.width vb.width) in
+      (* a signed divisor sign-extends to the full width *)
+      let wd = if vb.signed then w else vb.width in
       let q, _ =
-        Orq_circuits.Divide.udiv ctx ~w (as_bool_at ctx va w)
+        Orq_circuits.Divide.udiv ctx ~w ~wd (as_bool_at ctx va w)
           (as_bool_at ctx vb w)
       in
       { data = q; width = w; signed = false }
   | Div_pub (a, d) ->
       let va = eval_num t a in
       let w = cap_width va.width in
-      let q, _ =
-        Orq_circuits.Divide.udiv_pub ctx ~w (as_bool_at ctx va w)
-          (Array.make (Table.nrows t) d)
-      in
+      let q, _ = Orq_circuits.Divide.udiv_pub ctx ~w (as_bool_at ctx va w) d in
       { data = q; width = w; signed = false }
   | If (p, a, b) ->
       let bit = eval_pred t p in

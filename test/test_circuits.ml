@@ -278,7 +278,7 @@ let test_div_known () =
       let x = [| 7; 7; 5; 4; 2; 0; 100; 99 |] in
       let d = [| 3; 2; 3; 3; 3; 5; 10; 10 |] in
       let q, r =
-        Divide.udiv ctx ~w:8 (Mpc.share_b ctx x) (Mpc.share_b ctx d)
+        Divide.udiv ctx ~w:8 ~wd:4 (Mpc.share_b ctx x) (Mpc.share_b ctx d)
       in
       Alcotest.(check vec) "quotients" [| 2; 3; 1; 1; 0; 0; 10; 9 |]
         (Share.reconstruct q);
@@ -296,7 +296,7 @@ let test_div_qcheck =
         (fun k ->
           let ctx = Ctx.create ~seed:12 k in
           let q, r =
-            Divide.udiv ctx ~w:16 (Mpc.share_b ctx x) (Mpc.share_b ctx d)
+            Divide.udiv ctx ~w:16 ~wd:13 (Mpc.share_b ctx x) (Mpc.share_b ctx d)
           in
           let q = Share.reconstruct q and r = Share.reconstruct r in
           Array.for_all2
@@ -307,13 +307,69 @@ let test_div_qcheck =
 
 let test_div_pub () =
   for_all_kinds (fun ctx ->
-      let x = [| 1000; 12345; 77; 64 |] in
-      let d = [| 7; 100; 11; 64 |] in
-      let q, r = Divide.udiv_pub ctx ~w:16 (Mpc.share_b ctx x) d in
-      let expect_q = Array.map2 (fun a b -> a / b) x d in
-      let expect_r = Array.map2 (fun a b -> a mod b) x d in
-      Alcotest.(check vec) "pub quotients" expect_q (Share.reconstruct q);
-      Alcotest.(check vec) "pub remainders" expect_r (Share.reconstruct r))
+      let x = [| 1000; 12345; 77; 64; 0; 65535 |] in
+      List.iter
+        (fun d ->
+          let q, r = Divide.udiv_pub ctx ~w:16 (Mpc.share_b ctx x) d in
+          let name what = Printf.sprintf "pub %s by %d" what d in
+          Alcotest.(check vec) (name "quotients") (Array.map (fun a -> a / d) x)
+            (Share.reconstruct q);
+          Alcotest.(check vec) (name "remainders") (Array.map (fun a -> a mod d) x)
+            (Share.reconstruct r))
+        [ 1; 7; 11; 64; 100; 365; 65535; 65536; 100_000 ])
+
+let div_pub_tally ctx ~w x d =
+  let sx = Mpc.share_b ctx x in
+  let before = Orq_net.Comm.snapshot ctx.Ctx.comm in
+  let q, r = Divide.udiv_pub ctx ~w sx d in
+  (Share.reconstruct q, Share.reconstruct r, Orq_net.Comm.since ctx.Ctx.comm before)
+
+(* Exact quotient and remainder over the whole supported width range, with
+   the extreme dividends forced in; every run also meets the closed-form
+   round count. *)
+let test_div_pub_qcheck =
+  let gen =
+    QCheck.Gen.(
+      int_range 1 61 >>= fun w ->
+      int_range 1 5000 >>= fun d ->
+      array_size (return 6) (map (fun v -> v land Ring.mask w) int) >>= fun x ->
+      return (w, d, Array.append [| 0; Ring.mask w |] x))
+  in
+  QCheck.Test.make ~name:"public-divisor division (exact q, r, rounds)" ~count:60
+    (QCheck.make
+       ~print:(fun (w, d, x) ->
+         Printf.sprintf "w=%d d=%d x=[%s]" w d
+           (String.concat ";" (Array.to_list (Array.map string_of_int x))))
+       gen)
+    (fun (w, d, x) ->
+      List.for_all
+        (fun k ->
+          let q, r, tl = div_pub_tally (Ctx.create ~seed:13 k) ~w x d in
+          Vec.equal q (Array.map (fun v -> v / d) x)
+          && Vec.equal r (Array.map (fun v -> v mod d) x)
+          && tl.Orq_net.Comm.t_rounds = Divide.pub_rounds ~w d)
+        kinds)
+
+let test_div_pub_rounds () =
+  List.iter
+    (fun (w, d, expect) ->
+      let name = Printf.sprintf "(w=%d, d=%d)" w d in
+      Alcotest.(check int) (name ^ " closed form") expect (Divide.pub_rounds ~w d);
+      for_all_kinds (fun ctx ->
+          let _, _, tl = div_pub_tally ctx ~w [| 1; 2; 3 |] d in
+          Alcotest.(check int) (name ^ " measured") expect tl.Orq_net.Comm.t_rounds))
+    [ (36, 100, 45); (46, 100, 52); (12, 365, 25); (20, 7, 34); (16, 1, 0); (16, 64, 0); (8, 300, 0) ]
+
+let test_div_pub_oblivious () =
+  (* the transcript shape is a function of (w, d, n) alone *)
+  for_all_kinds (fun ctx ->
+      let w = 40 and d = 100 in
+      let _, _, t1 = div_pub_tally ctx ~w [| 0; 0; 0; 0 |] d in
+      let _, _, t2 = div_pub_tally ctx ~w [| Ring.mask w; 12345; 99; 100 |] d in
+      Alcotest.(check int) "rounds" t1.Orq_net.Comm.t_rounds t2.Orq_net.Comm.t_rounds;
+      Alcotest.(check int) "bits" t1.Orq_net.Comm.t_bits t2.Orq_net.Comm.t_bits;
+      Alcotest.(check int) "messages" t1.Orq_net.Comm.t_messages
+        t2.Orq_net.Comm.t_messages)
 
 let suite =
   [
@@ -340,6 +396,9 @@ let suite =
     Alcotest.test_case "division known cases" `Quick test_div_known;
     QCheck_alcotest.to_alcotest test_div_qcheck;
     Alcotest.test_case "division by public divisor" `Quick test_div_pub;
+    QCheck_alcotest.to_alcotest test_div_pub_qcheck;
+    Alcotest.test_case "public division round counts" `Quick test_div_pub_rounds;
+    Alcotest.test_case "public division is oblivious" `Quick test_div_pub_oblivious;
   ]
 
 let () = Alcotest.run "orq_circuits" [ ("circuits", suite) ]

@@ -59,6 +59,26 @@ let test_prg_int_below () =
   done;
   Array.iter (fun c -> Alcotest.(check bool) "all residues hit" true (c > 0)) counts
 
+let test_prg_golden () =
+  (* pins the splitmix64 stream: shares, dealer correlations and the
+     certified transcripts all derive from it, so any drift must show *)
+  let words = [|
+    2264624435582397653; 1793612131670815442; -3715614006285982337;
+    2143266886397966425; -3125285500173794438; 967002254848908011;
+  |] in
+  let p = Prg.create 2024 in
+  Alcotest.(check vec) "word stream" words (Array.init 6 (fun _ -> Prg.word p));
+  Alcotest.(check vec) "fill_words stream" words (Prg.words (Prg.create 2024) 6);
+  let q = Prg.create 2024 in
+  ignore (Prg.words q 3);
+  Alcotest.(check int) "fill_words advances the state" words.(3) (Prg.word q);
+  Alcotest.(check int64) "next64" 7191089600892374487L
+    (Prg.next64 (Prg.create 7));
+  Alcotest.(check int) "split" words.(4) (Prg.word (Prg.split (Prg.create 2024) 3));
+  let r = Prg.create 9 in
+  Alcotest.(check bool) "bool" false (Prg.bool r);
+  Alcotest.(check int) "int_below" 394 (Prg.int_below r 1000)
+
 (* ---------------- Vec ---------------- *)
 
 let test_vec_ops () =
@@ -206,6 +226,7 @@ let suite =
     Alcotest.test_case "prg determinism" `Quick test_prg_deterministic;
     Alcotest.test_case "prg split/copy" `Quick test_prg_split_copy;
     Alcotest.test_case "prg int_below" `Quick test_prg_int_below;
+    Alcotest.test_case "prg golden stream" `Quick test_prg_golden;
     Alcotest.test_case "vec ops" `Quick test_vec_ops;
     Alcotest.test_case "vec gather/scatter" `Quick test_vec_gather_scatter;
     Alcotest.test_case "vec concat/split" `Quick test_vec_concat_split;
