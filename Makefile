@@ -14,16 +14,17 @@ build:
 test:
 	dune runtest
 
-# Static lints (see DESIGN.md "Leakage analysis" and "Concurrency
-# discipline"): the audited tree must be clean under both the leakage
-# lint and the concurrency-discipline lint, and each deliberately-bad
-# fixture must trip its pass's rules (self-tests that the lints still
-# catch what they claim to).
+# Static lints (see DESIGN.md "Leakage analysis", "Concurrency
+# discipline" and "Dead-export audit"): the audited tree must be clean
+# under the leakage lint, the concurrency-discipline lint and the
+# dead-export audit, and each deliberately-bad fixture must trip its
+# pass's rules (self-tests that the lints still catch what they claim to).
 lint:
 	dune exec bin/orq_lint.exe -- lint lib
 	dune exec bin/orq_lint.exe -- lint --expect-violations test/lint_fixtures
 	dune exec bin/orq_lint.exe -- concur lib
 	dune exec bin/orq_lint.exe -- concur --expect-violations test/lint_fixtures
+	dune exec bin/orq_lint.exe -- exports lib
 
 # Full test suite with the runtime lock checker on: every Locked
 # acquisition the tests perform is checked against the declared rank

@@ -85,7 +85,7 @@ let sort_algo_ablation ~n () =
             measure ctx (fun () ->
                 ignore
                   (Orq_sort.Sortwrap.sort ctx ~algo ~dir:Orq_sort.Sortwrap.Asc
-                     ~w x []))
+                     ~w (Share.wrap x) []))
           in
           row "%-8d %-12s %12s %12s %12s %8.2f" w label (pretty_time m.wall_s)
             (pretty_time (estimate Netsim.lan m))

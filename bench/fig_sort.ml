@@ -43,7 +43,7 @@ let table1 () =
         (fun ctx ->
           let x = Mpc.share_b ctx (rand_vec ctx.Ctx.prg n 1000) in
           let p = Shardedperm.gen ctx n in
-          ignore (Shardedperm.apply ctx x p));
+          ignore (Shardedperm.apply ctx [ Share.wrap x ] p));
       run "shuffle" "= applySharded" (fun ctx ->
           ignore (Permops.shuffle ctx (Mpc.share_b ctx (rand_vec ctx.Ctx.prg n 1000))));
       run "applyElementwise"
@@ -56,7 +56,7 @@ let table1 () =
           let rho =
             Mpc.share_a ctx (Orq_shuffle.Localperm.random ctx.Ctx.prg n)
           in
-          ignore (Permops.apply_elementwise ctx x rho));
+          ignore (Permops.apply_elementwise_table ctx [ Share.wrap x ] rho));
       run "compose"
         (match kind with
         | Ctx.Sh_dm -> "5l_s n, 5r"
@@ -190,7 +190,7 @@ let fig10 ~sizes () =
             measure ctx (fun () ->
                 ignore
                   (Orq_sort.Sortwrap.sort ctx ~algo:Orq_sort.Sortwrap.Quicksort
-                     ~dir:Orq_sort.Sortwrap.Asc ~w:32 x []))
+                     ~dir:Orq_sort.Sortwrap.Asc ~w:32 (Share.wrap x) []))
           in
           let run_r () =
             let ctx = Ctx.create ~seed:19 kind in
@@ -200,7 +200,7 @@ let fig10 ~sizes () =
             measure ctx (fun () ->
                 ignore
                   (Orq_sort.Sortwrap.sort ctx ~algo:Orq_sort.Sortwrap.Radixsort
-                     ~dir:Orq_sort.Sortwrap.Asc ~w:32 x []))
+                     ~dir:Orq_sort.Sortwrap.Asc ~w:32 (Share.wrap x) []))
           in
           let _, mq = run_q () in
           let _, mr = run_r () in

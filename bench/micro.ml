@@ -81,7 +81,7 @@ let tests =
            in
            ignore
              (Orq_sort.Sortwrap.sort ctx ~algo:Orq_sort.Sortwrap.Quicksort
-                ~dir:Orq_sort.Sortwrap.Asc ~w:16 x [])));
+                ~dir:Orq_sort.Sortwrap.Asc ~w:16 (Share.wrap x) [])));
   ]
 
 let run () =

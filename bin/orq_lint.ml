@@ -4,9 +4,10 @@
      orq_lint lint   --expect-violations p self-test: fixture must trip rules
      orq_lint concur [--json] [paths...]   concurrency-discipline lint
      orq_lint concur --expect-violations p self-test: fixture must trip rules
+     orq_lint exports [--json] [paths...]  dead-export audit of .mli vals
      orq_lint certify [options]            predicted-vs-measured transcripts
 
-   Exit codes (both lint passes and certify):
+   Exit codes (the three lint passes and certify):
      0  clean — no violations / all pairs certified
      1  violations found (or, with --expect-violations, expected
         violations missing)
@@ -15,6 +16,7 @@
 module Lint = Orq_analysis.Lint
 module Declass = Orq_analysis.Declass
 module Concur = Orq_analysis.Concur
+module Exports = Orq_analysis.Exports
 module Lockmap = Orq_analysis.Lockmap
 module Certify = Orq_analysis.Certify
 
@@ -173,6 +175,31 @@ let run_concur ~expect_violations ~json paths =
     exit (if violations = [] then 0 else 1)
   end
 
+(* ---------------- dead-export audit ---------------- *)
+
+let run_exports ~json paths =
+  let paths = if paths = [] then [ "lib" ] else paths in
+  let findings =
+    try Exports.audit_paths paths
+    with (Sys_error _ | Syntaxerr.Error _) as e ->
+      say "orq_lint: %s" (Printexc.to_string e);
+      exit 2
+  in
+  if json then
+    emit_json ~pass:"exports"
+      (List.map
+         (fun (f : Exports.finding) ->
+           json_finding ~pass:"exports" ~file:f.Exports.x_file
+             ~line:f.Exports.x_line ~rule:"dead-export" ~site:f.Exports.x_site
+             ~detail:"no use outside its module")
+         findings)
+  else begin
+    List.iter (fun f -> say "UNUSED: %a" Exports.pp_finding f) findings;
+    say "exports: %d audited keep-list entries, %d unused exports"
+      (List.length Exports.keep) (List.length findings)
+  end;
+  exit (if findings = [] then 0 else 1)
+
 (* ---------------- certify ---------------- *)
 
 (* Quick mode mirrors the round-fusion bench's representative subset, one
@@ -210,6 +237,7 @@ let usage () =
   say
     "usage: orq_lint [lint [--json] [--expect-violations] [paths...]]\n\
     \       orq_lint concur [--json] [--expect-violations] [paths...]\n\
+    \       orq_lint exports [--json] [paths...]\n\
     \       orq_lint certify [--quick] [--sf F] [--n N] [--out FILE]\n\
      exit codes: 0 clean, 1 violations, 2 usage/input error";
   exit 2
@@ -239,6 +267,10 @@ let () =
       in
       parse rest;
       run_certify ~quick:!quick ~sf:!sf ~other_n:!n ~out:!out
+  | _ :: "exports" :: rest -> (
+      match lint_flags rest with
+      | false, json, paths -> run_exports ~json paths
+      | true, _, _ -> usage ())
   | _ :: "concur" :: rest -> (
       match rest with
       | "--help" :: _ | "-h" :: _ -> usage ()

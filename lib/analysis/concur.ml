@@ -537,14 +537,7 @@ let lint_string ~filename src : finding list =
 
 let lint_file path : finding list =
   if exempt_file path then []
-  else
-    let ic = open_in_bin path in
-    let src =
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () -> really_input_string ic (in_channel_length ic))
-    in
-    lint_string ~filename:path src
+  else lint_string ~filename:path (Lint.read_file path)
 
 let lint_paths paths : finding list =
   List.concat_map (fun p -> List.concat_map lint_file (Lint.ml_files p)) paths

@@ -63,19 +63,14 @@ let all : entry list =
     ok "Convert.a2b_many" Declass "open_many"
       "opens x + r with r a fresh edaBit mask; uniform in the ring (§2.3)";
     (* --- permutation protocols: openings behind a fresh random shuffle --- *)
-    ok "Permops.apply_elementwise" Declass "open_"
+    ok "Permops.apply_elementwise_table" Declass "open_"
       "Protocol 5: opens rho routed through a fresh random sharded \
        permutation pi — the opened vector is rho o pi^{-1}, uniform for \
-       uniform pi (Appendix A.4)";
+       uniform pi (Appendix A.4); one opening whatever the number of data \
+       columns or their chunking";
     ok "Permops.apply_elementwise_flags" Declass "open_"
-      "packed-flag Protocol 5; identical opening to apply_elementwise";
-    ok "Permops.apply_elementwise_table" Declass "open_"
-      "multi-column Protocol 5; the single opened vector is uniform as in \
-       apply_elementwise";
-    ok "Permops.apply_elementwise_table_c" Declass "open_"
-      "chunked multi-column Protocol 5; rho's shuffle-then-open is the \
-       same single monolithic opening as apply_elementwise_table — only \
-       the data columns stream chunk-at-a-time";
+      "packed-flag Protocol 5; identical opening to \
+       apply_elementwise_table";
     ok "Permops.compose" Declass "open_"
       "Protocol 6: opens sigma behind a fresh sharded permutation; uniform \
        (Appendix A.4)";

@@ -292,22 +292,19 @@ let lint_string ~filename src : finding list =
   Lexing.set_filename lexbuf filename;
   lint_structure ~file:filename (Parse.implementation lexbuf)
 
-let lint_file path : finding list =
-  let ic = open_in_bin path in
-  let src =
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  lint_string ~filename:path src
+let read_file path = In_channel.with_open_bin path In_channel.input_all
 
-(* Walk directories for .ml files (sorted for stable reports). *)
-let rec ml_files path =
+let lint_file path : finding list = lint_string ~filename:path (read_file path)
+
+(* Walk directories for files with [suffix] (sorted for stable reports). *)
+let rec files ~suffix path =
   if Sys.is_directory path then
     Sys.readdir path |> Array.to_list |> List.sort compare
-    |> List.concat_map (fun f -> ml_files (Filename.concat path f))
-  else if Filename.check_suffix path ".ml" then [ path ]
+    |> List.concat_map (fun f -> files ~suffix (Filename.concat path f))
+  else if Filename.check_suffix path suffix then [ path ]
   else []
+
+let ml_files = files ~suffix:".ml"
 
 let lint_paths paths : finding list =
   List.concat_map (fun p -> List.concat_map lint_file (ml_files p)) paths

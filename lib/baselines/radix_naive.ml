@@ -63,7 +63,10 @@ let sort (ctx : Ctx.t) ~bits (key : Share.shared)
   for i = 0 to bits - 1 do
     let b = Mpc.and_mask (Mpc.rshift !y i) 1 in
     let sigma = gen_bit_perm_rowwise ctx b in
-    match Permops.apply_elementwise_table ctx (!y :: !rest) sigma with
+    let cols = List.map Share.wrap (!y :: !rest) in
+    match
+      List.map Share.unpark (Permops.apply_elementwise_table ctx cols sigma)
+    with
     | y' :: rest' ->
         y := y';
         rest := rest'

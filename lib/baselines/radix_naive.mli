@@ -7,9 +7,6 @@
 
 open Orq_proto
 
-val overhead_bits : int
-(** Modeled per-message protocol framing of a general-purpose MPC VM. *)
-
 val sort :
   Ctx.t -> bits:int -> Share.shared -> Share.shared list ->
   Share.shared * Share.shared list

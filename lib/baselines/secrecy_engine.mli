@@ -8,8 +8,6 @@
 open Orq_proto
 open Orq_core
 
-val product_indices : int -> int -> int array * int array
-
 val nested_join : Ctx.t -> Table.t -> Table.t -> on:string list -> Table.t
 (** Quadratic oblivious inner join: the output physically holds all n·m
     pairs, each with a secret equality bit as validity. *)

@@ -63,8 +63,6 @@ let prefix_gp_many (ctx : Ctx.t)
   loop ();
   Array.init k (fun i -> (g.(i), p.(i)))
 
-let prefix_gp (ctx : Ctx.t) ~w g p = (prefix_gp_many ctx [| (g, p, w) |]).(0)
-
 (* Finish an addition from (x xor y), prefix (G, P) and a public carry-in. *)
 let finish ~w ~cin xy g p =
   let carries = Mpc.lshift g 1 in

@@ -7,16 +7,6 @@
 
 open Orq_proto
 
-val prefix_gp :
-  Ctx.t -> w:int -> Share.shared -> Share.shared ->
-  Share.shared * Share.shared
-(** Full-prefix (G, P) from initial generate/propagate words. *)
-
-val prefix_gp_many :
-  Ctx.t -> (Share.shared * Share.shared * int) array ->
-  (Share.shared * Share.shared) array
-(** Lockstep prefix (G, P) over (g, p, width) lanes. *)
-
 val add :
   ?cin:bool -> Ctx.t -> w:int -> Share.shared -> Share.shared ->
   Share.shared
@@ -35,11 +25,6 @@ val add_pub :
   ?cin:bool -> Ctx.t -> w:int -> Share.shared -> Orq_util.Vec.t ->
   Share.shared
 (** Addition with a public operand (saves the initial AND round). *)
-
-val add_pub_many :
-  ?cin:bool -> Ctx.t -> (Share.shared * Orq_util.Vec.t * int) array ->
-  Share.shared array
-(** k independent public-operand additions (lanes are (x, c, width)). *)
 
 val sub_pub_minuend :
   Ctx.t -> w:int -> Orq_util.Vec.t -> Share.shared -> Share.shared

@@ -69,9 +69,6 @@ let eq_many (ctx : Ctx.t) (lanes : (Share.shared * Share.shared * int) array) :
     [w] bits. [log2 w] AND rounds. *)
 let eq (ctx : Ctx.t) ~w x y = (eq_many ctx [| (x, y, w) |]).(0)
 
-(** Pairwise-adjacent equality against a shifted copy, used by DISTINCT. *)
-let neq ctx ~w x y = Mpc.xor_pub (eq ctx ~w x y) 1
-
 (* Core of less-than, over lanes: each lane maintains per-block (lt, eq)
    summary flags packed in its word and merges adjacent blocks level by
    level:

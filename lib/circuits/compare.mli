@@ -12,9 +12,6 @@
 
 open Orq_proto
 
-val stride_mask : int -> int
-(** Bit mask with ones at positions [0, s, 2s, ...] below the word size. *)
-
 val eq : Ctx.t -> w:int -> Share.shared -> Share.shared -> Share.shared
 (** [eq ctx ~w x y]: single-bit sharing of [x = y] over the low [w] bits;
     [log2 w] AND rounds. *)
@@ -23,8 +20,6 @@ val eq_many :
   Ctx.t -> (Share.shared * Share.shared * int) array -> Share.shared array
 (** k independent equalities (lanes are (x, y, width) triples) in
     max-lane-depth fused rounds; lanes drop out as their strides expire. *)
-
-val neq : Ctx.t -> w:int -> Share.shared -> Share.shared -> Share.shared
 
 val lt :
   ?signed:bool -> Ctx.t -> w:int -> Share.shared -> Share.shared ->
@@ -36,13 +31,6 @@ val lt_many :
   ?signed:bool -> Ctx.t -> (Share.shared * Share.shared * int) array ->
   Share.shared array
 (** k independent less-than tests in max-lane-depth fused rounds. *)
-
-val lt_eq_many :
-  ?signed:bool -> Ctx.t -> (Share.shared * Share.shared * int) array ->
-  (Share.shared * Share.shared) array
-(** Per lane, the ([x < y], [x = y]) bit pair for the price of the fused
-    less-than ladder alone — its block-equality word terminates holding
-    full-width equality, so the second bit is free. *)
 
 val gt :
   ?signed:bool -> Ctx.t -> w:int -> Share.shared -> Share.shared ->

@@ -8,66 +8,42 @@
     two's-complement values at its width (e.g. a profit computed by
     subtraction); conversions and comparisons respect the flag.
 
-    A column's payload lives in one of two representations: [Live] — the
-    classic monolithic {!Share.shared}; [Parked] — chunks owned by the
-    budget-managed {!Orq_util.Chunkvec} store, evictable to disk.
-    {!data} materializes a parked column (and caches the result);
-    chunk-aware operators use {!chunked}, under which a live column flows
-    through as a single zero-copy chunk. *)
+    The payload is one {!Share.chunked}: either a whole vector as a single
+    untracked chunk, or ("parked") chunks owned by the budget-managed
+    {!Orq_util.Chunkvec} store, evictable to disk. {!data} materializes a
+    parked column and caches the result as an untracked chunk. *)
 
 open Orq_proto
 
-type repr = Live of Share.shared | Parked of Share.chunked
+type t = { mutable payload : Share.chunked; width : int; signed : bool }
 
-type t = { mutable repr : repr; width : int; signed : bool }
-
-let length c =
-  match c.repr with
-  | Live s -> Share.length s
-  | Parked ck -> Share.chunked_length ck
-
-let enc c =
-  match c.repr with
-  | Live s -> s.Share.enc
-  | Parked ck -> ck.Share.cenc
-
-let of_plaintext (ctx : Ctx.t) ~width (values : int array) : t =
-  { repr = Live (Share.share ctx Bool values); width; signed = false }
-
-let of_public (ctx : Ctx.t) ~width (values : int array) : t =
-  { repr = Live (Share.public_vec ctx Bool values); width; signed = false }
+let length c = Share.chunked_length c.payload
+let enc c = Share.chunked_enc c.payload
 
 let of_shared ?(signed = false) ~width data : t =
-  { repr = Live data; width; signed }
+  { payload = Share.wrap data; width; signed }
 
-let of_chunked ?(signed = false) ~width ck : t =
-  { repr = Parked ck; width; signed }
+let of_plaintext (ctx : Ctx.t) ~width (values : int array) : t =
+  of_shared ~width (Share.share ctx Bool values)
 
-(** The monolithic sharing: materializes a parked column (caching the
-    result, so repeated access pays the faults once). *)
+let of_chunked ?(signed = false) ~width ck : t = { payload = ck; width; signed }
+
+(** The whole sharing: materializes a parked column (caching the result,
+    so repeated access pays the faults once). *)
 let data c =
-  match c.repr with
-  | Live s -> s
-  | Parked ck ->
-      let s = Share.unpark ck in
-      c.repr <- Live s;
-      s
+  let s = Share.unpark c.payload in
+  if Share.chunked_tracked c.payload then c.payload <- Share.wrap s;
+  s
 
 (** Functional payload replacement, preserving width/signedness. *)
-let with_data c s = { c with repr = Live s }
+let with_data c s = { c with payload = Share.wrap s }
 
-(** Chunked view: a parked column's chunks, or a live column wrapped as a
-    single untracked chunk (zero copy). *)
-let chunked c =
-  match c.repr with Parked ck -> ck | Live s -> Share.wrap s
+let chunked c = c.payload
 
-let is_parked c = match c.repr with Parked _ -> true | Live _ -> false
-
-(** Move a live column into budget-managed (evictable) chunks in place. *)
+(** Move a whole payload into budget-managed (evictable) chunks in place. *)
 let park c =
-  match c.repr with
-  | Parked _ -> ()
-  | Live s -> c.repr <- Parked (Share.park s)
+  if not (Share.chunked_tracked c.payload) then
+    c.payload <- Share.park (Share.unpark c.payload)
 
 (** Boolean view of a column (identity for boolean-encoded columns). *)
 let as_bool (ctx : Ctx.t) (c : t) : Share.shared =
@@ -81,24 +57,10 @@ let as_arith (ctx : Ctx.t) (c : t) : Share.shared =
   | Arith -> data c
   | Bool -> Orq_circuits.Convert.b2a ~w:c.width ~signed:c.signed ctx (data c)
 
-let reconstruct c =
-  match c.repr with
-  | Live s -> Share.reconstruct s
-  | Parked ck -> Share.reconstruct_c ck
-
-let gather c idx =
-  match c.repr with
-  | Live s -> { c with repr = Live (Share.gather s idx) }
-  | Parked ck -> { c with repr = Parked (Share.gather_c ck idx) }
-
+let reconstruct c = Share.reconstruct_c c.payload
 let sub_range c pos len =
-  match c.repr with
-  | Live s -> { c with repr = Live (Share.sub_range s pos len) }
-  | Parked ck -> { c with repr = Parked (Share.sub_range_c ck pos len) }
+  { c with payload = Share.sub_range_c c.payload pos len }
 
 (* Appending parked columns reuses aligned chunks (refcounted) instead of
    copying, keeping incremental table building linear. *)
-let append a b =
-  match (a.repr, b.repr) with
-  | Live sa, Live sb -> { a with repr = Live (Share.append sa sb) }
-  | _ -> { a with repr = Parked (Share.append_c (chunked a) (chunked b)) }
+let append a b = { a with payload = Share.append_c a.payload b.payload }

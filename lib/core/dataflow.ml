@@ -31,8 +31,6 @@ let map (t : Table.t) ~dst ?width (e : Expr.num) : Table.t =
   let c = match width with Some w -> { c with Column.width = w } | None -> c in
   parked (Table.set_col t dst c)
 
-let project = Table.project
-
 (* ------------------------------------------------------------------ *)
 (* Sort / limit / distinct                                             *)
 (* ------------------------------------------------------------------ *)

@@ -16,8 +16,6 @@ val filter : Table.t -> Expr.pred -> Table.t
 val map : Table.t -> dst:string -> ?width:int -> Expr.num -> Table.t
 (** Attach a derived column (e.g. Revenue = Price * (100 - Disc) / 100). *)
 
-val project : Table.t -> string list -> Table.t
-
 (** {2 Sort / limit / distinct} *)
 
 val order_by : Table.t -> (string * order) list -> Table.t

@@ -45,12 +45,6 @@ val not_ : pred -> pred
 
 type value = { data : Share.shared; width : int; signed : bool }
 
-val cap_width : int -> int
-
-val sign_extend : Share.shared -> from_w:int -> to_w:int -> Share.shared
-(** Local two's-complement sign extension of a boolean sharing. *)
-
-val eval_num : Table.t -> num -> value
 val eval_pred : Table.t -> pred -> Share.shared
 (** A single-bit sharing of the predicate per row. *)
 

@@ -147,7 +147,9 @@ let prepare (ctx : Ctx.t) ~(left : Table.t) ~(right : Table.t)
     @ List.map snd agg_cols
   in
   let sorted_keys, sorted_payload =
-    Tablesort.sort_cols ctx ~keys:sort_keys payload
+    let keys = List.map (fun (k, w, o) -> (Share.wrap k, w, o)) sort_keys in
+    let k, p = Tablesort.sort_cols ctx ~keys (List.map Share.wrap payload) in
+    (List.map Share.unpark k, List.map Share.unpark p)
   in
   let v_lr', keys', tid' =
     match sorted_keys with
@@ -199,17 +201,19 @@ let finalize (ctx : Ctx.t) ~name ~(valid : Share.shared)
   if not do_trim then result
   else begin
     (* single-bit valid sort (descending) then drop the spare rows *)
-    let data_cols = List.map (fun (_, c) -> Column.data c) result.Table.cols in
+    let data_cols =
+      List.map (fun (_, c) -> Share.wrap (Column.data c)) result.Table.cols
+    in
     let sorted_v, sorted_data =
       Tablesort.sort_cols ctx
-        ~keys:[ (result.Table.valid, 1, Tablesort.Desc) ]
+        ~keys:[ (Share.wrap result.Table.valid, 1, Tablesort.Desc) ]
         data_cols
     in
-    let v = List.hd sorted_v in
+    let v = Share.unpark (List.hd sorted_v) in
     let cols =
       List.map2
         (fun (name, c) d ->
-          (name, Column.with_data c (Share.sub_range d 0 bound)))
+          (name, Column.with_data c (Share.sub_range (Share.unpark d) 0 bound)))
         result.Table.cols sorted_data
     in
     Table.of_columns ctx result.Table.name

@@ -60,7 +60,6 @@ let the_profile = ref (profile_of_env ())
 let mode () = !the_mode
 let set_mode m = the_mode := m
 let profile () = !the_profile
-let set_profile p = the_profile := p
 
 let cache_tag () =
   Printf.sprintf "%s:%s" (mode_label !the_mode) !the_profile.Netsim.label

@@ -27,7 +27,6 @@ module Netsim = Orq_net.Netsim
 type op = Sort | Linear | Quad
 
 val op_label : op -> string
-val op_of_label : string -> op option
 
 type mode = Auto | Force of op
 
@@ -45,8 +44,6 @@ val set_mode : mode -> unit
 val profile : unit -> Netsim.profile
 (** The pacing profile candidate costs are compared under (initially from
     [ORQ_JOIN_PROFILE], default LAN). *)
-
-val set_profile : Netsim.profile -> unit
 
 val cache_tag : unit -> string
 (** ["<mode>:<profile>"] — the physical-plan component of the service's

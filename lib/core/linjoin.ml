@@ -107,12 +107,14 @@ let join (ctx : Ctx.t) (variant : [ `Inner | `Anti ])
   let probe_data =
     List.map (fun (_, c) -> Column.as_bool ctx c) right.Table.cols
   in
+  let shuffle cols =
+    List.map Share.unpark (Permops.shuffle_table ctx (List.map Share.wrap cols))
+  in
   let shuffled =
     Mpc.fuse_rounds ctx
       [|
-        (fun () -> Permops.shuffle_table ctx (f_build :: copy_cols));
-        (fun () ->
-          Permops.shuffle_table ctx (f_probe :: right.Table.valid :: probe_data));
+        (fun () -> shuffle (f_build :: copy_cols));
+        (fun () -> shuffle (f_probe :: right.Table.valid :: probe_data));
       |]
   in
   let build', probe' = (shuffled.(0), shuffled.(1)) in

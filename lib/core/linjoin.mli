@@ -23,10 +23,6 @@
 
 open Orq_proto
 
-val packable : Ctx.t -> left:Table.t -> right:Table.t -> on:string list -> bool
-(** Whether the composite key packs into one ring word (sum of maxed key
-    widths <= ell - 1) — the operator's applicability bound. *)
-
 val join :
   Ctx.t ->
   [ `Inner | `Anti ] ->

@@ -155,7 +155,11 @@ let reveal (t : t) : (string * int array) list =
         let all = Mpc.band ctx (Share.concat exts) (Share.concat datas) in
         List.mapi (fun i _ -> Share.sub_range all (i * n) n) datas
   in
-  let shuffled = Orq_shuffle.Permops.shuffle_table ctx (t.valid :: masked) in
+  let shuffled =
+    List.map Share.wrap (t.valid :: masked)
+    |> Orq_shuffle.Permops.shuffle_table ctx
+    |> List.map Share.unpark
+  in
   match shuffled with
   | [] -> []
   | v :: cols ->

@@ -18,9 +18,12 @@ let to_dir = function Asc -> Sortwrap.Asc | Desc -> Sortwrap.Desc
 
 (** [sort_cols ctx ~keys others] sorts rows lexicographically by the key
     columns (each with width and direction); returns (sorted keys, sorted
-    others). *)
-let sort_cols (ctx : Ctx.t) ~(keys : (Share.shared * int * order) list)
-    (others : Share.shared list) : Share.shared list * Share.shared list =
+    others). Tracked columns stream chunk at a time through the base sort
+    and the final table-wide permutation application; the multi-key
+    sigma-extraction pipeline works on one whole key column at a time (a
+    bounded single-column working set). *)
+let sort_cols (ctx : Ctx.t) ~(keys : (Share.chunked * int * order) list)
+    (others : Share.chunked list) : Share.chunked list * Share.chunked list =
   match keys with
   | [] -> invalid_arg "Tablesort.sort_cols: no keys"
   | [ (k, w, o) ] ->
@@ -31,10 +34,12 @@ let sort_cols (ctx : Ctx.t) ~(keys : (Share.shared * int * order) list)
       let pi = ref None in
       List.iter
         (fun (k, w, o) ->
+          let k = Share.wrap (Share.unpark k) in
           let t =
             match !pi with
             | None -> k
-            | Some p -> Permops.apply_elementwise ~width:w ctx k p
+            | Some p ->
+                List.hd (Permops.apply_elementwise_table ~width:w ctx [ k ] p)
           in
           let _, _, sigma =
             Sortwrap.sort_with_perm ctx ~dir:(to_dir o) ~w t []
@@ -51,49 +56,10 @@ let sort_cols (ctx : Ctx.t) ~(keys : (Share.shared * int * order) list)
       let all = Permops.apply_elementwise_table ctx (key_cols @ others) p in
       (Orq_sort.Quicksort.take nk all, Orq_sort.Quicksort.drop nk all)
 
-(** Chunked {!sort_cols}: key/other columns stream chunk-at-a-time through
-    the base sort and the final table-wide permutation application. The
-    multi-key sigma-extraction pipeline works one monolithic key column at
-    a time (a bounded single-column working set); wire cost is identical
-    to {!sort_cols} in both shapes. *)
-let sort_cols_c (ctx : Ctx.t) ~(keys : (Share.chunked * int * order) list)
-    (others : Share.chunked list) : Share.chunked list * Share.chunked list =
-  match keys with
-  | [] -> invalid_arg "Tablesort.sort_cols: no keys"
-  | [ (k, w, o) ] ->
-      let k', others' = Sortwrap.sort_c ctx ~dir:(to_dir o) ~w k others in
-      ([ k' ], others')
-  | _ ->
-      (* compose sorting permutations from the least-significant key *)
-      let pi = ref None in
-      List.iter
-        (fun (k, w, o) ->
-          let km = Share.unpark k in
-          let t =
-            match !pi with
-            | None -> km
-            | Some p -> Permops.apply_elementwise ~width:w ctx km p
-          in
-          let _, _, sigma =
-            Sortwrap.sort_with_perm ctx ~dir:(to_dir o) ~w t []
-          in
-          pi :=
-            Some
-              (match !pi with
-              | None -> sigma
-              | Some p -> Permops.compose ctx p sigma))
-        (List.rev keys);
-      let p = Option.get !pi in
-      let key_cols = List.map (fun (k, _, _) -> k) keys in
-      let nk = List.length key_cols in
-      let all = Permops.apply_elementwise_table_c ctx (key_cols @ others) p in
-      (Orq_sort.Quicksort.take nk all, Orq_sort.Quicksort.drop nk all)
-
 (** Sort a whole table by named columns; [lead] prepends extra key columns
-    (e.g. the validity bit) ahead of the named ones. Runs on the chunked
-    core: parked columns stream chunk-at-a-time, live columns flow through
-    as single zero-copy chunks with values, PRG order and metering
-    identical to the pre-chunking engine. *)
+    (e.g. the validity bit) ahead of the named ones. Parked columns stream
+    chunk at a time and stay parked; whole columns flow through as single
+    untracked chunks. *)
 let sort ?(lead : (Share.shared * int * order) list = []) (t : Table.t)
     (specs : (string * order) list) : Table.t =
   let ctx = Table.ctx t in
@@ -104,7 +70,7 @@ let sort ?(lead : (Share.shared * int * order) list = []) (t : Table.t)
     let c = Table.find t name in
     if c.Column.signed then 1 lsl (c.Column.width - 1) else 0
   in
-  (* chunked boolean view; arithmetic columns convert monolithically *)
+  (* boolean payload; arithmetic columns convert as whole vectors *)
   let chunked_bool c =
     match Column.enc c with
     | Share.Bool -> Column.chunked c
@@ -129,16 +95,11 @@ let sort ?(lead : (Share.shared * int * order) list = []) (t : Table.t)
       t.Table.cols
   in
   let sorted_keys, sorted_others =
-    sort_cols_c ctx ~keys (Share.wrap t.Table.valid :: List.map snd others)
+    sort_cols ctx ~keys (Share.wrap t.Table.valid :: List.map snd others)
   in
   let nlead = List.length lead in
   let sorted_named = Orq_sort.Quicksort.drop nlead sorted_keys in
-  (* parked in, parked out: tracked results stay chunked *)
-  let recol c (res : Share.chunked) =
-    if Share.chunked_tracked res then
-      Column.of_chunked ~signed:c.Column.signed ~width:c.Column.width res
-    else Column.with_data c (Share.unpark res)
-  in
+  let recol c res = { c with Column.payload = res } in
   match sorted_others with
   | valid' :: rest ->
       let cols' =

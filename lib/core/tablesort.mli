@@ -10,21 +10,15 @@ open Orq_proto
 type order = Asc | Desc
 
 val sort_cols :
-  Ctx.t -> keys:(Share.shared * int * order) list -> Share.shared list ->
-  Share.shared list * Share.shared list
-(** Sort rows lexicographically by the key columns (width and direction
-    each); returns (sorted keys, sorted others). *)
-
-val sort_cols_c :
   Ctx.t -> keys:(Share.chunked * int * order) list -> Share.chunked list ->
   Share.chunked list * Share.chunked list
-(** Chunked {!sort_cols}: columns stream chunk-at-a-time; wire cost
-    identical. *)
+(** Sort rows lexicographically by the key columns (width and direction
+    each); returns (sorted keys, sorted others). Tracked columns stream
+    chunk at a time; whole ({!Share.wrap}ped) columns are single chunks.
+    The wire cost does not depend on the chunking. *)
 
 val sort :
   ?lead:(Share.shared * int * order) list -> Table.t ->
   (string * order) list -> Table.t
 (** Sort a table by named columns; [lead] prepends extra key columns
-    (e.g. the validity bit). Runs on the chunked core — parked columns
-    stream, live columns are single zero-copy chunks with identical
-    values, PRG order and metering. *)
+    (e.g. the validity bit). Parked columns stream and stay parked. *)

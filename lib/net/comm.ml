@@ -90,11 +90,6 @@ let create ~parties =
 let set_channel t ch = t.channel <- ch
 let channel t = t.channel
 
-let reset t =
-  t.rounds <- 0;
-  t.bits <- 0;
-  t.messages <- 0
-
 (* ------------------------------------------------------------------ *)
 (* Transcript recording                                                *)
 (* ------------------------------------------------------------------ *)

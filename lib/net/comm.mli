@@ -58,7 +58,6 @@ type t = {
 type tally = { t_rounds : int; t_bits : int; t_messages : int }
 
 val create : parties:int -> t
-val reset : t -> unit
 
 val set_channel : t -> channel option -> unit
 (** Install ([Some]) or remove ([None]) the transport channel. *)
@@ -130,7 +129,6 @@ val snapshot : t -> tally
 val since : t -> tally -> tally
 val add_tally : tally -> tally -> tally
 val zero_tally : tally
-val bytes_total : tally -> float
 
 val bytes_per_party : t -> tally -> float
 (** Bytes sent per computing party — the paper's Table 7 normalization. *)

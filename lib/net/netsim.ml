@@ -70,7 +70,3 @@ let geo_four_regions =
 (** [estimate p ~compute_s tally] combines measured compute with modeled
     network time. *)
 let estimate p ~compute_s (tl : Comm.tally) = compute_s +. network_time p tl
-
-let pp_profile ppf p =
-  Fmt.pf ppf "%s(rtt=%.1fms bw=%.1fGbps)" p.label (p.rtt_s *. 1e3)
-    (p.bandwidth_bps /. 1e9)

@@ -42,5 +42,3 @@ val of_links : string -> link list -> profile
 val geo_four_regions : profile
 (** The paper's four-region AWS deployment, built from per-link figures;
     equals {!geo}. *)
-
-val pp_profile : Format.formatter -> profile -> unit

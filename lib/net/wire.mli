@@ -18,9 +18,6 @@ exception Wire_error of string
     tag, or payload that does not decode. Clean EOF at a frame boundary is
     not an error — the [recv_*] functions return [None] there. *)
 
-val max_frame : int
-(** Maximum accepted frame body size in bytes (16 MiB). *)
-
 val protocol_version : int
 (** Wire-protocol version carried in {!request.Hello}. The server rejects
     a mismatching client with a clear error instead of mis-decoding later
@@ -174,7 +171,6 @@ val write_frame : Unix.file_descr -> bytes -> unit
 val read_frame : Unix.file_descr -> bytes option
 
 val encode_request : request -> bytes
-val decode_request : bytes -> request
 
 val encode_response : response -> bytes
 (** The canonical encoding — what the party runtime digests for its

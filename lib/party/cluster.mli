@@ -48,8 +48,6 @@ val run : config -> unit
 
 (** {2 Handshake (exposed for tests)} *)
 
-val my_hello : config -> ell:int -> Pwire.hello
-
 val verify_hello :
   mine:Pwire.hello -> theirs:Pwire.hello -> (unit, string) result
 (** Everything except the party id must agree — version, party count,
@@ -67,10 +65,6 @@ val dial_handshake : mine:Pwire.hello -> expect:int -> Unix.file_descr ->
 (** Dialer side: send our hello, verify the acceptor's reply. *)
 
 (** {2 Query execution internals (exposed for tests)} *)
-
-val digest_of_response : Orq_net.Wire.response -> int
-(** FNV-1a over the response's canonical wire encoding — the per-query
-    cross-party agreement check exchanged in fences. *)
 
 (** {2 Local cluster launcher (coordinator mode, bench, CI)} *)
 

@@ -122,21 +122,6 @@ let anti_join (l : t) (r : t) ~on : t =
     rows = List.filter (fun lr -> not (Hashtbl.mem rkeys (key_of l on lr))) l.rows;
   }
 
-let left_outer_join (l : t) (r : t) ~on : t =
-  let joined = inner_join l r ~on in
-  let unmatched = anti_join l r ~on in
-  let l_rest = List.filter (fun n -> not (List.mem n on)) l.schema in
-  let r_rest = List.filter (fun n -> not (List.mem n on)) r.schema in
-  let null_rows =
-    List.map
-      (fun lr ->
-        key_of l on lr
-        @ List.map (fun n -> get l n lr) l_rest
-        @ List.map (fun _ -> 0) r_rest)
-      unmatched.rows
-  in
-  { joined with rows = joined.rows @ null_rows }
-
 (* ------------------------------------------------------------------ *)
 (* Aggregation                                                         *)
 (* ------------------------------------------------------------------ *)
@@ -191,7 +176,3 @@ let rows_sorted (t : t) (names : string list) : int list list =
 let concat (a : t) (b : t) : t =
   if a.schema <> b.schema then invalid_arg "Ptable.concat: schema mismatch";
   { a with rows = a.rows @ b.rows }
-
-let pp ppf t =
-  Fmt.pf ppf "%a@." Fmt.(list ~sep:(any " | ") string) t.schema;
-  List.iter (fun r -> Fmt.pf ppf "%a@." Fmt.(list ~sep:(any " | ") int) r) t.rows

@@ -35,15 +35,12 @@ val inner_join : t -> t -> on:string list -> t
 
 val semi_join : t -> t -> on:string list -> t
 val anti_join : t -> t -> on:string list -> t
-val left_outer_join : t -> t -> on:string list -> t
 
 (** {2 Aggregation} *)
 
 type aggfn = Sum | Count | Min | Max | Avg
 
 type agg = { src : string; dst : string; fn : aggfn }
-
-val apply_agg : aggfn -> int list -> int
 
 val group_by : t -> keys:string list -> aggs:agg list -> t
 (** Output schema is keys @ agg destinations. *)
@@ -52,4 +49,3 @@ val rows_sorted : t -> string list -> int list list
 (** Canonical multiset of rows over [names], sorted. *)
 
 val concat : t -> t -> t
-val pp : Format.formatter -> t -> unit

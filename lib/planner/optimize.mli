@@ -5,9 +5,5 @@
     pre-aggregation + one-to-many join + multiplicity product +
     post-aggregation — the Figure 3 evaluation, derived mechanically). *)
 
-val pushdown : Plan.node -> Plan.node
-val orient : Plan.node -> Plan.node
-val preagg : Plan.node -> Plan.node
-
 val run : Plan.node -> Plan.node
 (** The full pipeline: pushdown, then pre-aggregation, then orientation. *)

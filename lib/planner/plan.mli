@@ -61,5 +61,4 @@ val conjoin : Expr.pred list -> Expr.pred
 
 (** {2 EXPLAIN} *)
 
-val pp : Format.formatter -> node -> unit
 val explain : node -> string

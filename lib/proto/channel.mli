@@ -18,8 +18,6 @@ val attach : Ctx.t -> t -> unit
 
 val detach : Ctx.t -> unit
 
-val attached : Ctx.t -> bool
-
 val with_channel : Ctx.t -> t -> (unit -> 'a) -> 'a
 (** Run a thunk with the channel installed, detaching on exit
     (exception-safe). @raise Invalid_argument if one is already attached —

@@ -15,8 +15,6 @@ module Comm = Orq_net.Comm
 
 type shared = Share.shared
 
-let reconstruct = Share.reconstruct
-
 (* ------------------------------------------------------------------ *)
 (* Cross-lane round fusion toggle                                      *)
 (* ------------------------------------------------------------------ *)
@@ -106,9 +104,6 @@ let fuse_rounds (ctx : Ctx.t) (thunks : (unit -> 'a) array) : 'a array =
 let share_a ctx x = Share.share ctx Arith x
 let share_b ctx x = Share.share ctx Bool x
 let public_a ctx n c = Share.public ctx Arith n c
-let public_b ctx n c = Share.public ctx Bool n c
-let public_a_vec ctx x = Share.public_vec ctx Arith x
-let public_b_vec ctx x = Share.public_vec ctx Bool x
 
 (* ------------------------------------------------------------------ *)
 (* Local linear operations                                             *)

@@ -11,8 +11,6 @@
 
 type shared = Share.shared
 
-val reconstruct : shared -> Orq_util.Vec.t
-
 (** {2 Cross-lane round fusion}
 
     The [_many] primitives execute k independent interactive operations as
@@ -49,9 +47,6 @@ val fuse_rounds : Ctx.t -> (unit -> 'a) array -> 'a array
 val share_a : Ctx.t -> Orq_util.Vec.t -> shared
 val share_b : Ctx.t -> Orq_util.Vec.t -> shared
 val public_a : Ctx.t -> int -> int -> shared
-val public_b : Ctx.t -> int -> int -> shared
-val public_a_vec : Ctx.t -> Orq_util.Vec.t -> shared
-val public_b_vec : Ctx.t -> Orq_util.Vec.t -> shared
 
 (** {2 Local linear operations} *)
 
@@ -92,9 +87,6 @@ val extend_bit : shared -> shared
     vector; turns a single-bit condition into a mux mask. *)
 
 (** {2 Opening (reveal to all computing parties)} *)
-
-val hash_bits : int
-(** Digest size metered for Mal-HM redundant delivery. *)
 
 val open_ : ?width:int -> Ctx.t -> shared -> Orq_util.Vec.t
 (** Open a shared vector to all parties. Under [Mal_hm] every
@@ -187,10 +179,6 @@ val band1 : Ctx.t -> shared -> shared -> shared
 val bor1 : Ctx.t -> shared -> shared -> shared
 
 (** {2 Resharing and reductions} *)
-
-val zero_sharing : Ctx.t -> Share.enc -> int -> Orq_util.Vec.t array
-(** Fresh vectors summing (or xoring) to zero — the rerandomization noise
-    real protocols derive from pairwise PRG seeds. *)
 
 val reshare_unmetered : Ctx.t -> shared -> shared
 (** Rerandomize a sharing without changing the secret; traffic is metered

@@ -24,7 +24,6 @@ type shared = { enc : enc; v : Vec.t array }
 
 let length s = Vec.length s.v.(0)
 let nvec s = Array.length s.v
-let enc s = s.enc
 
 let check_same_len a b =
   if length a <> length b then
@@ -100,8 +99,6 @@ let map3_vectors f a b c =
   check_same_len a c;
   { enc = a.enc; v = Array.init (nvec a) (fun k -> f a.v.(k) b.v.(k) c.v.(k)) }
 
-let copy s = map_vectors Vec.copy s
-
 (** Concatenate two shared vectors of the same encoding (used to batch
     independent secure operations into a single round). *)
 let append a b =
@@ -159,10 +156,6 @@ let sub_range s pos len =
     index map, as after an opened shuffle-comparison). *)
 let gather s idx = { s with v = Array.map (fun vk -> Vec.gather vk idx) s.v }
 
-let scatter s idx = { s with v = Array.map (fun vk -> Vec.scatter vk idx) s.v }
-
-let rev s = { s with v = Array.map Vec.rev s.v }
-
 (* ------------------------------------------------------------------ *)
 (* Packed single-bit sharings (flag lanes)                             *)
 (* ------------------------------------------------------------------ *)
@@ -219,18 +212,6 @@ let share_flags (ctx : Ctx.t) (x : Bits.t) : flags =
   fv.(0) <- acc;
   { fv }
 
-let public_flags (ctx : Ctx.t) (x : Bits.t) : flags =
-  {
-    fv =
-      Array.init ctx.nvec (fun k ->
-          if k = 0 then Bits.copy x else Bits.create (Bits.length x));
-  }
-
-let copy_flags f = { fv = Array.map Bits.copy f.fv }
-
-let flags_append a b =
-  { fv = Array.init (flags_nvec a) (fun k -> Bits.append a.fv.(k) b.fv.(k)) }
-
 let flags_concat_many (fs : flags array) : flags =
   match Array.length fs with
   | 0 -> invalid_arg "Share.flags_concat_many: empty"
@@ -242,10 +223,6 @@ let flags_concat_many (fs : flags array) : flags =
               Bits.concat_many (Array.map (fun f -> f.fv.(k)) fs));
       }
 
-let flags_sub_range f pos len =
-  { fv = Array.map (fun bk -> Bits.sub bk pos len) f.fv }
-
-let flags_gather f idx = { fv = Array.map (fun bk -> Bits.gather bk idx) f.fv }
 let flags_scatter f idx = { fv = Array.map (fun bk -> Bits.scatter bk idx) f.fv }
 
 (** [update_rows dst idx src] returns [dst] with row [idx.(t)] replaced by
@@ -263,7 +240,7 @@ let update_rows (dst : shared) (idx : int array) (src : shared) : shared =
   { dst with v }
 
 (* ------------------------------------------------------------------ *)
-(* Chunked (out-of-core) sharings                                      *)
+(* Chunked sharings: whole vectors as one untracked chunk, or tracked  *)
 (* ------------------------------------------------------------------ *)
 
 type chunked = { cenc : enc; cn : int; cv : Chunkvec.t array }
@@ -273,7 +250,6 @@ let chunked_enc c = c.cenc
 let chunked_nvec c = Array.length c.cv
 let chunked_nchunks c = if c.cn = 0 then 0 else Chunkvec.nchunks c.cv.(0)
 let chunked_tracked c = c.cn > 0 && Chunkvec.tracked c.cv.(0)
-let chunked_chunk_len c i = Chunkvec.chunk_len c.cv.(0) i
 let chunked_chunk_base c i = Chunkvec.chunk_base c.cv.(0) i
 
 let check_enc_c e c =
@@ -282,23 +258,19 @@ let check_enc_c e c =
       (Printf.sprintf "expected %s-shared value, got %s" (enc_label e)
          (enc_label c.cenc))
 
-(** Wrap a monolithic sharing as one untracked chunk — no copy, no store
+(** Wrap a whole sharing as one untracked chunk — no copy, no store
     accounting. A wrapped sharing visits every chunk-aware kernel exactly
-    once, so the monolithic code path is a special case of the chunked
-    one (identical values, PRG draw order and metered traffic). *)
+    once, so a whole vector is just the one-chunk case of every operator
+    (same values, PRG draw order and metered traffic). *)
 let wrap (s : shared) : chunked =
   { cenc = s.enc; cn = length s; cv = Array.map Chunkvec.alias s.v }
 
-(** Copy a monolithic sharing into budget-managed chunks. *)
+(** Copy a whole sharing into budget-managed chunks. *)
 let park (s : shared) : chunked =
-  let n = length s in
-  let cv =
-    Array.map (fun vk -> Chunkvec.of_array vk) s.v
-  in
-  { cenc = s.enc; cn = n; cv }
+  { cenc = s.enc; cn = length s; cv = Array.map Chunkvec.of_array s.v }
 
-(** Materialize a chunked sharing as monolithic vectors (zero-copy when
-    the input is a single untracked chunk, i.e. a {!wrap} round trip). *)
+(** Materialize a chunked sharing as whole vectors (zero-copy for an
+    untracked vector, e.g. a {!wrap} round trip). *)
 let unpark (c : chunked) : shared =
   { enc = c.cenc; v = Array.map Chunkvec.to_array c.cv }
 
@@ -312,76 +284,43 @@ let with_chunk_c (c : chunked) i (f : shared -> 'a) : 'a =
   in
   go 0 []
 
-(** [build_chunked ~like f] builds a chunked sharing with [like]'s length,
-    chunk granularity and tracking; [f base len] must return a fresh
-    [shared] of length [len] whose vectors are consumed as chunk payloads.
-    Chunks become evictable as soon as they are produced. *)
-let build_chunked ~(like : chunked) (f : int -> int -> shared) : chunked =
-  let n = like.cn in
-  let nv = Array.length like.cv in
-  let rows = if n = 0 then 1 else Chunkvec.rows_of like.cv.(0) in
-  let tracked = chunked_tracked like in
+(* The one chunk-building loop: [f pos len] returns a fresh sharing of
+   rows [pos, pos + len) whose vectors become the chunk payloads, produced
+   in order and evictable as soon as pushed. An untracked build is a
+   single chunk. *)
+let build ~rows ~tracked ~nvec enc n (f : int -> int -> shared) : chunked =
   let builders =
-    Array.init nv (fun _ -> Chunkvec.Builder.create ~rows ~tracked n)
+    Array.init nvec (fun _ -> Chunkvec.Builder.create ~rows ~tracked n)
   in
   let step = if tracked then rows else max 1 n in
-  let enc_ref = ref like.cenc in
+  let enc_ref = ref enc in
   let pos = ref 0 in
   while !pos < n do
     let l = min step (n - !pos) in
     let s = f !pos l in
-    if length s <> l then invalid_arg "Share.build_chunked: chunk length";
+    if length s <> l then invalid_arg "Share.build: chunk length";
     enc_ref := s.enc;
     Array.iteri (fun k vk -> Chunkvec.Builder.push builders.(k) vk) s.v;
     pos := !pos + l
   done;
   { cenc = !enc_ref; cn = n; cv = Array.map Chunkvec.Builder.finish builders }
 
-(** Chunkwise local map (e.g. a public xor): [f] must preserve length and
-    must not communicate. *)
+(** Chunkwise local map (e.g. a public xor), keeping [c]'s length, chunk
+    granularity and tracking: [f] must preserve length and must not
+    communicate. Chunks become evictable as they are produced. *)
 let map_chunks (f : shared -> shared) (c : chunked) : chunked =
-  build_chunked ~like:c (fun pos len ->
-      ignore pos;
-      let i = pos / (if chunked_tracked c then Chunkvec.rows_of c.cv.(0) else max 1 c.cn) in
-      with_chunk_c c i (fun s ->
-          let o = f s in
-          if length o <> len then invalid_arg "Share.map_chunks: length";
-          o))
+  let rows = if c.cn = 0 then 1 else Chunkvec.rows_of c.cv.(0) in
+  build ~rows ~tracked:(chunked_tracked c) ~nvec:(chunked_nvec c) c.cenc c.cn
+    (fun pos _ -> with_chunk_c c (pos / rows) f)
 
-(** Secret-share a stream of plaintext chunks into budget-managed chunks:
-    [get pos len] returns the plaintext slice. Sharing draws are
-    element-major, so the result is byte-identical to sharing the whole
-    vector at once. *)
-let share_chunked (ctx : Ctx.t) enc ~n (get : int -> int -> Vec.t) : chunked =
-  let rows = Chunkvec.chunk_rows () in
-  let nv = ctx.Ctx.nvec in
-  let builders =
-    Array.init nv (fun _ -> Chunkvec.Builder.create ~rows ~tracked:true n)
-  in
-  let pos = ref 0 in
-  while !pos < n do
-    let l = min rows (n - !pos) in
-    let s = share ctx enc (get !pos l) in
-    Array.iteri (fun k vk -> Chunkvec.Builder.push builders.(k) vk) s.v;
-    pos := !pos + l
-  done;
-  { cenc = enc; cn = n; cv = Array.map Chunkvec.Builder.finish builders }
-
-(** Tracked sharing of a public value stream (no randomness). *)
-let public_chunked (ctx : Ctx.t) enc ~n (get : int -> int -> Vec.t) : chunked =
-  let rows = Chunkvec.chunk_rows () in
-  let nv = ctx.Ctx.nvec in
-  let builders =
-    Array.init nv (fun _ -> Chunkvec.Builder.create ~rows ~tracked:true n)
-  in
-  let pos = ref 0 in
-  while !pos < n do
-    let l = min rows (n - !pos) in
-    let s = public_vec ctx enc (get !pos l) in
-    Array.iteri (fun k vk -> Chunkvec.Builder.push builders.(k) vk) s.v;
-    pos := !pos + l
-  done;
-  { cenc = enc; cn = n; cv = Array.map Chunkvec.Builder.finish builders }
+(** Secret-share a stream of plaintext slices ([get pos len]) into
+    [ORQ_CHUNK_ROWS]-row budget-managed chunks, or into one untracked
+    chunk when [tracked] is false. Sharing draws are element-major, so the
+    shares are byte-identical to sharing the whole vector at once. *)
+let share_chunked (ctx : Ctx.t) enc ~tracked ~n (get : int -> int -> Vec.t) :
+    chunked =
+  build ~rows:(Chunkvec.chunk_rows ()) ~tracked ~nvec:ctx.Ctx.nvec enc n
+    (fun pos len -> share ctx enc (get pos len))
 
 let append_c (a : chunked) (b : chunked) : chunked =
   if a.cenc <> b.cenc then invalid_arg "Share.append_c: encoding mismatch";

@@ -13,13 +13,9 @@
 
 type enc = Arith | Bool
 
-val enc_label : enc -> string
-
 type shared = { enc : enc; v : Orq_util.Vec.t array }
 
 val length : shared -> int
-val nvec : shared -> int
-val enc : shared -> enc
 val check_same_len : shared -> shared -> unit
 val check_enc : enc -> shared -> unit
 
@@ -47,8 +43,6 @@ val map3_vectors :
 (** Combine three sharings per share vector — used to drive fused kernels
     such as {!Orq_util.Vec.xor3} and {!Orq_util.Vec.add_sub}. *)
 
-val copy : shared -> shared
-
 val append : shared -> shared -> shared
 (** Concatenate two shared vectors of the same encoding (used to batch
     independent secure operations into a single round). *)
@@ -69,9 +63,6 @@ val sub_range : shared -> int -> int -> shared
 val gather : shared -> int array -> shared
 (** Gather rows by public indices — local, e.g. after an opened
     shuffled comparison. *)
-
-val scatter : shared -> int array -> shared
-val rev : shared -> shared
 
 val update_rows : shared -> int array -> shared -> shared
 (** [update_rows dst idx src]: [dst] with row [idx.(t)] replaced by row
@@ -108,59 +99,56 @@ val reconstruct_flags : flags -> Orq_util.Bits.t
 val share_flags : Ctx.t -> Orq_util.Bits.t -> flags
 (** Secret-share a packed bit vector with per-word mask draws. *)
 
-val public_flags : Ctx.t -> Orq_util.Bits.t -> flags
-val copy_flags : flags -> flags
-val flags_append : flags -> flags -> flags
 val flags_concat_many : flags array -> flags
-val flags_sub_range : flags -> int -> int -> flags
-val flags_gather : flags -> int array -> flags
 val flags_scatter : flags -> int array -> flags
 
-(** {2 Chunked (out-of-core) sharings}
+(** {2 Chunked sharings}
 
-    A [chunked] value stores each share vector as an {!Orq_util.Chunkvec}:
-    fixed-size chunks owned by the process-wide budget-managed store,
-    spilled to disk under memory pressure. {!wrap} lifts a monolithic
-    sharing into the chunked world as a single untracked chunk with no
-    copy — the monolithic engine is the single-chunk special case of every
-    chunk-aware operator, with identical values, PRG draw order and
-    metered traffic. *)
+    A [chunked] value stores each share vector as an {!Orq_util.Chunkvec}.
+    It is the one representation the shuffle/sort stack and table columns
+    operate on. Two kinds exist:
+
+    - {e untracked}: a whole vector as one chunk, outside the store's
+      accounting. {!wrap} makes one from a [shared] with no copy, and
+      {!unpark} turns it back with no copy;
+    - {e tracked}: fixed-size chunks owned by the process-wide
+      budget-managed store, spilled to disk under memory pressure
+      ({!park}, {!share_chunked}).
+
+    Every chunk-aware operator visits a whole vector's single chunk
+    exactly once, so a wrapped vector gives the same values, PRG draw
+    order and metered traffic as a [shared] one. *)
 
 type chunked = { cenc : enc; cn : int; cv : Orq_util.Chunkvec.t array }
 
 val chunked_length : chunked -> int
 val chunked_enc : chunked -> enc
-val chunked_nvec : chunked -> int
 val chunked_nchunks : chunked -> int
 val chunked_tracked : chunked -> bool
-val chunked_chunk_len : chunked -> int -> int
-val chunked_chunk_base : chunked -> int -> int
 val check_enc_c : enc -> chunked -> unit
 
 val wrap : shared -> chunked
-(** One untracked chunk, no copy (the monolithic fast path). *)
+(** One untracked chunk, no copy. *)
 
 val park : shared -> chunked
 (** Copy into budget-managed (evictable) chunks. *)
 
 val unpark : chunked -> shared
-(** Materialize monolithic vectors (zero-copy for a {!wrap} round trip). *)
+(** Materialize whole vectors (zero-copy for an untracked vector). *)
 
 val with_chunk_c : chunked -> int -> (shared -> 'a) -> 'a
 (** Pinned read-only access to one chunk as an ordinary [shared]. *)
 
-val build_chunked : like:chunked -> (int -> int -> shared) -> chunked
-(** Build with [like]'s length/granularity/tracking from fresh per-chunk
-    sharings [f base len]; chunks become evictable as produced. *)
-
 val map_chunks : (shared -> shared) -> chunked -> chunked
 (** Chunkwise local map ([f] must preserve length and not communicate). *)
 
-val share_chunked : Ctx.t -> enc -> n:int -> (int -> int -> Orq_util.Vec.t) -> chunked
-(** Secret-share a plaintext chunk stream; draws are element-major, so the
-    shares are byte-identical to sharing the whole vector at once. *)
-
-val public_chunked : Ctx.t -> enc -> n:int -> (int -> int -> Orq_util.Vec.t) -> chunked
+val share_chunked :
+  Ctx.t -> enc -> tracked:bool -> n:int -> (int -> int -> Orq_util.Vec.t) ->
+  chunked
+(** Secret-share a plaintext slice stream [get pos len]: into tracked
+    [ORQ_CHUNK_ROWS]-row chunks, or into one untracked chunk. Draws are
+    element-major, so the shares are byte-identical to {!share} on the
+    whole vector. *)
 
 val append_c : chunked -> chunked -> chunked
 (** Chunk-reusing concatenation: aligned input chunks are shared, not

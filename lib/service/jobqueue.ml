@@ -168,7 +168,6 @@ let finish t =
 let wake t = with_lock t (fun () -> Condition.broadcast t.nonempty)
 
 let in_flight t = with_lock t (fun () -> depth_unlocked t + t.running)
-let depth t = with_lock t (fun () -> depth_unlocked t)
 
 let counts t =
   with_lock t (fun () ->
@@ -177,9 +176,6 @@ let counts t =
         c_running = t.running;
         c_by_class = Array.map (fun c -> c.cls_depth) t.classes;
       })
-
-let set_capacity t n =
-  with_lock t (fun () -> t.capacity <- max 0 n)
 
 let capacity t = with_lock t (fun () -> t.capacity)
 

@@ -24,9 +24,6 @@
 
 type prio = High | Normal | Low
 
-val prio_index : prio -> int
-(** [High] = 0, [Normal] = 1, [Low] = 2 (the wire encoding). *)
-
 val prio_of_int : int -> prio option
 val prio_label : prio -> string
 
@@ -68,17 +65,11 @@ val wake : 'a t -> unit
 val in_flight : 'a t -> int
 (** Queued + executing jobs (admission-control view). *)
 
-val depth : 'a t -> int
-(** Queued (not yet executing) jobs. *)
-
 val counts : 'a t -> counts
 
 val wait_percentiles : 'a t -> float * float
 (** (p50, p95) of recent queue-wait times in seconds, over a sliding
     window of the last 512 pops; (0, 0) before any pop. *)
-
-val set_capacity : 'a t -> int -> unit
-(** Live-adjust the in-flight bound (existing jobs are never evicted). *)
 
 val capacity : 'a t -> int
 

@@ -73,17 +73,6 @@ let key ~proto ~version ~sql =
     (Joincost.cache_tag ())
     (normalize sql)
 
-let find t ~proto ~version ~sql =
-  let k = key ~proto ~version ~sql in
-  with_lock t (fun () ->
-      match Hashtbl.find_opt t.tbl k with
-      | Some v ->
-          t.hits <- t.hits + 1;
-          Some v
-      | None ->
-          t.misses <- t.misses + 1;
-          None)
-
 let store_unlocked t k v =
   if t.capacity > 0 && not (Hashtbl.mem t.tbl k) then begin
     if Queue.length t.order >= t.capacity then
@@ -91,11 +80,6 @@ let store_unlocked t k v =
     Hashtbl.replace t.tbl k v;
     Queue.push k t.order
   end
-
-let add t ~proto ~version ~sql v =
-  if t.capacity > 0 then
-    let k = key ~proto ~version ~sql in
-    with_lock t (fun () -> store_unlocked t k v)
 
 (* Single-flight acquisition. With caching disabled (capacity 0) every
    caller is a leader on a private, unregistered ticket: cache-off means
@@ -160,4 +144,3 @@ let resolve t ~proto ~version ~sql (f : 'a flight) (v : 'a option) =
 let hits t = with_lock t (fun () -> t.hits)
 let misses t = with_lock t (fun () -> t.misses)
 let coalesced t = with_lock t (fun () -> t.coalesced)
-let length t = with_lock t (fun () -> Hashtbl.length t.tbl)

@@ -55,15 +55,8 @@ val resolve :
     every follower; [None] aborts the flight (followers retry). Must be
     called exactly once per [Execute] ticket. *)
 
-val find : 'a t -> proto:string -> version:int -> sql:string -> 'a option
-(** Plain lookup, counting a hit or miss (no single-flight). *)
-
-val add : 'a t -> proto:string -> version:int -> sql:string -> 'a -> unit
-
 val hits : 'a t -> int
 val misses : 'a t -> int
 
 val coalesced : 'a t -> int
 (** Queries served by replaying another session's in-flight execution. *)
-
-val length : 'a t -> int

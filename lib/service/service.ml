@@ -141,8 +141,6 @@ let logf t fmt =
     (fun s -> if t.cfg.verbose then Printf.eprintf "[orq-service] %s\n%!" s)
     fmt
 
-let socket_path t = t.cfg.socket_path
-
 (* ------------------------------------------------------------------ *)
 (* Query execution (worker domains)                                    *)
 (* ------------------------------------------------------------------ *)
@@ -369,8 +367,6 @@ let set_workers t n =
   if grow > 0 then spawn_workers t grow;
   Jobqueue.wake t.jobs;
   logf t "workers resized to %d" n
-
-let workers t = with_lock t (fun () -> t.desired_workers)
 
 (* ------------------------------------------------------------------ *)
 (* Sessions (one handler thread per connection)                        *)

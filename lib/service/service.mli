@@ -78,18 +78,8 @@ val stop : t -> unit
 val wait : t -> unit
 (** Block until the server is stopped (for a foreground [serve]). *)
 
-val set_workers : t -> int -> unit
-(** Live-resize the execution pool (clamped to 1..64). Growing spawns
-    fresh domains; shrinking retires the newest workers after their
-    current job. *)
-
-val workers : t -> int
-(** Currently configured worker count. *)
-
 val stats : t -> Orq_net.Wire.stats
 (** The same snapshot a [Stats_req] frame returns. *)
-
-val socket_path : t -> string
 
 val proto_of_label : string -> (Orq_proto.Ctx.kind, string) result
 (** "sh-dm" | "2pc" | "sh-hm" | "3pc" | "mal-hm" | "4pc". *)
@@ -103,12 +93,6 @@ val proto_of_label : string -> (Orq_proto.Ctx.kind, string) result
 val query_seed_for : seed:int -> proto_label:string -> sql:string -> int
 (** The per-query session seed: a pure function of (service seed,
     protocol label, normalized SQL) — never of execution history. *)
-
-val canonical_rows :
-  (string * int array) list -> string list -> string list * int list list
-(** Project the revealed columns onto the SELECT list and sort rows
-    lexicographically ([Table.reveal] shuffles before opening, so the
-    arrival order carries no information). *)
 
 val execute_sql :
   ctx:Orq_proto.Ctx.t ->

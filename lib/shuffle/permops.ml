@@ -13,111 +13,39 @@ open Orq_proto
 
 let perm_width (ctx : Ctx.t) = ctx.perm_bits
 
-(** Protocol 4: oblivious shuffle — generate and apply a random sharded
-    permutation. *)
-let shuffle ?width (ctx : Ctx.t) (x : Share.shared) : Share.shared =
-  Ctx.with_label ctx "shuffle" @@ fun () ->
-  let p = Permmgr.gen ctx (Share.length x) in
-  Shardedperm.apply ?width ctx x p
+(* A whole vector through a column-list operator: wrapped as one
+   untracked chunk and unwrapped again, both without a copy. *)
+let on_whole f (x : Share.shared) : Share.shared =
+  match f [ Share.wrap x ] with [ c ] -> Share.unpark c | _ -> assert false
 
-(** Shuffle several columns under one common permutation. *)
-let shuffle_table ?width (ctx : Ctx.t) (cols : Share.shared list) :
-    Share.shared list =
-  match cols with
-  | [] -> []
-  | c :: _ ->
-      Ctx.with_label ctx "shuffle" @@ fun () ->
-      let p = Permmgr.gen ctx (Share.length c) in
-      Shardedperm.apply_table ?width ctx cols p
+(* A whole index column, [perm_width] bits wide, through a sharded
+   permutation or its inverse. *)
+let apply_index ?inverse (ctx : Ctx.t) p (s : Share.shared) =
+  on_whole
+    (fun cs -> Shardedperm.apply ~width:(perm_width ctx) ?inverse ctx cs p)
+    s
 
-(** Chunked Protocol 4 over a table: columns stream chunk-at-a-time
-    through the sharded application; metering identical to
-    {!shuffle_table}. *)
-let shuffle_table_c ?width (ctx : Ctx.t) (cols : Share.chunked list) :
+(** Protocol 4: oblivious shuffle of several columns under one common
+    random sharded permutation. *)
+let shuffle_table ?width (ctx : Ctx.t) (cols : Share.chunked list) :
     Share.chunked list =
   match cols with
   | [] -> []
   | c :: _ ->
       Ctx.with_label ctx "shuffle" @@ fun () ->
       let p = Permmgr.gen ctx (Share.chunked_length c) in
-      Shardedperm.apply_table_c ?width ctx cols p
+      Shardedperm.apply ?width ctx cols p
 
-(** Protocol 5: apply a secret elementwise permutation [rho] to [x]. The
-    two sharded applications act on independent inputs under independent
-    permutations, so their rounds are fused (their traffic is untouched). *)
-let apply_elementwise ?width (ctx : Ctx.t) (x : Share.shared)
-    (rho : Share.shared) : Share.shared =
-  let n = Share.length x in
-  if Share.length rho <> n then invalid_arg "apply_elementwise: length";
-  Ctx.with_label ctx "applyperm" @@ fun () ->
-  let p1, p2 = Permmgr.gen_pair ctx n in
-  let pair =
-    Mpc.fuse_rounds ctx
-      [|
-        (fun () -> Shardedperm.apply ?width ctx x p1);
-        (fun () -> Shardedperm.apply ~width:(perm_width ctx) ctx rho p2);
-      |]
-  in
-  let c = Mpc.open_ ~width:(perm_width ctx) ctx pair.(1) in
-  Share.scatter pair.(0) c
+(** Protocol 4 on one whole vector. *)
+let shuffle ?width ctx x = on_whole (shuffle_table ?width ctx) x
 
-(** Protocol 5 for a packed flag column: the data being permuted is a
-    single bit per row, so the first sharded application moves packed
-    words ({!Shardedperm.apply_flags}) and the final local rearrangement
-    is a packed scatter. Wire cost identical to
-    [apply_elementwise ~width:1] on the unpacked 0/1 column — which is
-    exactly what it falls back to under [ORQ_NO_BITPACK]. *)
-let apply_elementwise_flags (ctx : Ctx.t) (x : Share.flags)
-    (rho : Share.shared) : Share.flags =
-  let n = Share.flags_length x in
-  if Share.length rho <> n then invalid_arg "apply_elementwise: length";
-  if not (Mpc.bitpack_enabled ()) then
-    Share.pack_flags (apply_elementwise ~width:1 ctx (Share.unpack_flags x) rho)
-  else begin
-    Ctx.with_label ctx "applyperm" @@ fun () ->
-    let p1, p2 = Permmgr.gen_pair ctx n in
-    let pair =
-      Mpc.fuse_rounds ctx
-        [|
-          (fun () -> `F (Shardedperm.apply_flags ctx x p1));
-          (fun () ->
-            `S (Shardedperm.apply ~width:(perm_width ctx) ctx rho p2));
-        |]
-    in
-    let xf = match pair.(0) with `F f -> f | `S _ -> assert false in
-    let rs = match pair.(1) with `S s -> s | `F _ -> assert false in
-    let c = Mpc.open_ ~width:(perm_width ctx) ctx rs in
-    Share.flags_scatter xf c
-  end
-
-(** Protocol 5 over a table: several columns move under the same secret
-    elementwise permutation, paying the shuffle of [rho] and its opening
-    once. Used by radixsort to carry the data and padding columns. *)
-let apply_elementwise_table ?width (ctx : Ctx.t) (cols : Share.shared list)
-    (rho : Share.shared) : Share.shared list =
-  match cols with
-  | [] -> []
-  | c0 :: _ ->
-      Ctx.with_label ctx "applyperm" @@ fun () ->
-      let n = Share.length c0 in
-      let p1, p2 = Permmgr.gen_pair ctx n in
-      let pair =
-        Mpc.fuse_rounds ctx
-          [|
-            (fun () -> Shardedperm.apply_table ?width ctx cols p1);
-            (fun () -> [ Shardedperm.apply ~width:(perm_width ctx) ctx rho p2 ]);
-          |]
-      in
-      let rs = match pair.(1) with [ rs ] -> rs | _ -> assert false in
-      let c = Mpc.open_ ~width:(perm_width ctx) ctx rs in
-      List.map (fun x -> Share.scatter x c) pair.(0)
-
-(** Chunked Protocol 5 over a table: the data columns stream chunk-at-a-
-    time (sharded application and final scatter both chunk-aware); [rho]
-    itself stays monolithic — it is a single index column, and its shuffle
-    and opening are paid once for all columns exactly as in
-    {!apply_elementwise_table}. *)
-let apply_elementwise_table_c ?width (ctx : Ctx.t) (cols : Share.chunked list)
+(** Protocol 5: apply a secret elementwise permutation [rho] to several
+    columns, paying the shuffle of [rho] and its opening once. The two
+    sharded applications act on independent inputs under independent
+    permutations, so their rounds are fused (their traffic is untouched).
+    The data columns stream chunk at a time (sharded application and
+    final scatter); [rho] is a single whole index column. *)
+let apply_elementwise_table ?width (ctx : Ctx.t) (cols : Share.chunked list)
     (rho : Share.shared) : Share.chunked list =
   match cols with
   | [] -> []
@@ -129,9 +57,8 @@ let apply_elementwise_table_c ?width (ctx : Ctx.t) (cols : Share.chunked list)
       let pair =
         Mpc.fuse_rounds ctx
           [|
-            (fun () -> `C (Shardedperm.apply_table_c ?width ctx cols p1));
-            (fun () ->
-              `S (Shardedperm.apply ~width:(perm_width ctx) ctx rho p2));
+            (fun () -> `C (Shardedperm.apply ?width ctx cols p1));
+            (fun () -> `S (apply_index ctx p2 rho));
           |]
       in
       let cs = match pair.(0) with `C l -> l | `S _ -> assert false in
@@ -144,6 +71,37 @@ let apply_elementwise_table_c ?width (ctx : Ctx.t) (cols : Share.chunked list)
           out)
         cs
 
+(** Protocol 5 for a packed flag column: the data being permuted is a
+    single bit per row, so the first sharded application moves packed
+    words ({!Shardedperm.apply_flags}) and the final local rearrangement
+    is a packed scatter. Wire cost identical to
+    [apply_elementwise_table ~width:1] on the unpacked 0/1 column — which
+    is exactly what it falls back to under [ORQ_NO_BITPACK]. *)
+let apply_elementwise_flags (ctx : Ctx.t) (x : Share.flags)
+    (rho : Share.shared) : Share.flags =
+  let n = Share.flags_length x in
+  if Share.length rho <> n then invalid_arg "apply_elementwise: length";
+  if not (Mpc.bitpack_enabled ()) then
+    Share.pack_flags
+      (on_whole
+         (fun cs -> apply_elementwise_table ~width:1 ctx cs rho)
+         (Share.unpack_flags x))
+  else begin
+    Ctx.with_label ctx "applyperm" @@ fun () ->
+    let p1, p2 = Permmgr.gen_pair ctx n in
+    let pair =
+      Mpc.fuse_rounds ctx
+        [|
+          (fun () -> `F (Shardedperm.apply_flags ctx x p1));
+          (fun () -> `S (apply_index ctx p2 rho));
+        |]
+    in
+    let xf = match pair.(0) with `F f -> f | `S _ -> assert false in
+    let rs = match pair.(1) with `S s -> s | `F _ -> assert false in
+    let c = Mpc.open_ ~width:(perm_width ctx) ctx rs in
+    Share.flags_scatter xf c
+  end
+
 (** Protocol 6: compose two secret elementwise permutations, returning
     [rho o sigma] (apply [sigma] first). *)
 let compose (ctx : Ctx.t) (sigma : Share.shared) (rho : Share.shared) :
@@ -152,11 +110,9 @@ let compose (ctx : Ctx.t) (sigma : Share.shared) (rho : Share.shared) :
   if Share.length rho <> n then invalid_arg "compose: length";
   Ctx.with_label ctx "permcompose" @@ fun () ->
   let p = Permmgr.gen ctx n in
-  let ps = Shardedperm.apply ~width:(perm_width ctx) ctx sigma p in
-  let c = Mpc.open_ ~width:(perm_width ctx) ctx ps in
+  let c = Mpc.open_ ~width:(perm_width ctx) ctx (apply_index ctx p sigma) in
   (* localApplyPerm(rho, c^{-1}) is a gather by c *)
-  let v = Share.gather rho c in
-  Shardedperm.apply_inverse ~width:(perm_width ctx) ctx v p
+  apply_index ~inverse:true ctx p (Share.gather rho c)
 
 (** Protocol 8: invert a secret elementwise permutation by obliviously
     applying it to the shared identity vector (Fact 1). *)
@@ -165,7 +121,9 @@ let invert ?enc (ctx : Ctx.t) (pi : Share.shared) : Share.shared =
   let enc = Option.value enc ~default:pi.Share.enc in
   Ctx.with_label ctx "perminvert" @@ fun () ->
   let identity = Share.public_vec ctx enc (Localperm.identity n) in
-  apply_elementwise ~width:(perm_width ctx) ctx identity pi
+  on_whole
+    (fun cs -> apply_elementwise_table ~width:(perm_width ctx) ctx cs pi)
+    identity
 
 (** Protocol 7: convert an elementwise permutation between arithmetic and
     boolean sharings. Honest-majority: shuffle, open, reshare under the
@@ -185,8 +143,6 @@ let convert (ctx : Ctx.t) (x : Share.shared) (target : Share.enc) :
     | Ctx.Sh_hm | Ctx.Mal_hm ->
         let p = Permmgr.gen ctx (Share.length x) in
         let opened =
-          Mpc.open_ ~width:(perm_width ctx) ctx
-            (Shardedperm.apply ~width:(perm_width ctx) ctx x p)
+          Mpc.open_ ~width:(perm_width ctx) ctx (apply_index ctx p x)
         in
-        let re = Share.public_vec ctx target opened in
-        Shardedperm.apply_inverse ~width:(perm_width ctx) ctx re p
+        apply_index ~inverse:true ctx p (Share.public_vec ctx target opened)

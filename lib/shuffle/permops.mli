@@ -6,38 +6,27 @@
 
 open Orq_proto
 
-val perm_width : Ctx.t -> int
+val shuffle_table :
+  ?width:int -> Ctx.t -> Share.chunked list -> Share.chunked list
+(** Protocol 4: generate one random sharded permutation and apply it to
+    every column. Tracked columns stream chunk at a time; a whole
+    ({!Share.wrap}ped) column is one chunk. *)
 
 val shuffle : ?width:int -> Ctx.t -> Share.shared -> Share.shared
-(** Protocol 4: generate and apply a random sharded permutation. *)
+(** {!shuffle_table} on one whole vector. *)
 
-val shuffle_table : ?width:int -> Ctx.t -> Share.shared list -> Share.shared list
-
-val apply_elementwise :
-  ?width:int -> Ctx.t -> Share.shared -> Share.shared -> Share.shared
-(** Protocol 5: apply a secret elementwise permutation to a shared vector. *)
+val apply_elementwise_table :
+  ?width:int -> Ctx.t -> Share.chunked list -> Share.shared ->
+  Share.chunked list
+(** Protocol 5: apply a secret elementwise permutation to several columns;
+    the shuffle of [rho] and its opening are paid once for all of them.
+    The data columns stream; the index column [rho] is whole. *)
 
 val apply_elementwise_flags :
   Ctx.t -> Share.flags -> Share.shared -> Share.flags
 (** Protocol 5 for a packed flag column — the single-bit payload moves as
-    packed words; wire cost identical to [apply_elementwise ~width:1] on
-    the unpacked column. *)
-
-val apply_elementwise_table :
-  ?width:int -> Ctx.t -> Share.shared list -> Share.shared -> Share.shared list
-(** Protocol 5 over a table: the shuffle of [rho] and its opening are paid
-    once for all columns (radixsort's carry). *)
-
-val shuffle_table_c :
-  ?width:int -> Ctx.t -> Share.chunked list -> Share.chunked list
-(** Chunked Protocol 4 over a table — columns stream chunk-at-a-time;
-    metering identical to {!shuffle_table}. *)
-
-val apply_elementwise_table_c :
-  ?width:int -> Ctx.t -> Share.chunked list -> Share.shared -> Share.chunked list
-(** Chunked Protocol 5 over a table — the data columns stream, the index
-    column [rho] stays monolithic; wire cost identical to
-    {!apply_elementwise_table}. *)
+    packed words; wire cost identical to [apply_elementwise_table
+    ~width:1] on the unpacked column. *)
 
 val compose : Ctx.t -> Share.shared -> Share.shared -> Share.shared
 (** Protocol 6: [compose sigma rho] = [rho ∘ sigma] (apply [sigma] first). *)

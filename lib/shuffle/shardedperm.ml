@@ -63,11 +63,10 @@ let plaintext (t : t) =
    The permute runs chunk-at-a-time through the store ([Chunkvec.scatter] /
    [Chunkvec.gather]) and the resharing noise is drawn per chunk in
    ascending order, so a multi-chunk column streams with a working set of
-   one column instead of one table. On a single-chunk (wrapped monolithic)
-   input every step degenerates to exactly the pre-chunking code path:
-   same values, same PRG draw order. [owned] marks an intermediate whose
-   chunks we must release deterministically. *)
-let apply_component_c (ctx : Ctx.t) (c : Share.chunked) (p : int array)
+   one column instead of one table. On an untracked (whole-vector) input
+   every step runs once over the whole vector. [owned] marks an
+   intermediate whose chunks we must release deterministically. *)
+let apply_component (ctx : Ctx.t) (c : Share.chunked) (p : int array)
     ~inverse ~owned =
   (* Localperm.apply places x.(i) at p.(i) (a scatter); its inverse is a
      gather by p. *)
@@ -82,33 +81,27 @@ let apply_component_c (ctx : Ctx.t) (c : Share.chunked) (p : int array)
           raise (Ctx.Abort "shuffle: reshare verification failed")
       done
   | Ctx.Sh_dm | Ctx.Sh_hm -> ());
-  let rows = if Share.chunked_length permuted = 0 then 1
-    else Orq_util.Chunkvec.rows_of permuted.Share.cv.(0) in
-  let reshared =
-    Share.build_chunked ~like:permuted (fun pos _len ->
-        Share.with_chunk_c permuted (pos / rows) (fun s ->
-            Mpc.reshare_unmetered ctx s))
-  in
+  let reshared = Share.map_chunks (Mpc.reshare_unmetered ctx) permuted in
   Share.dispose_c permuted;
   reshared
 
 (* Unmetered component fold over all components (forward or reverse). *)
-let fold_components_c (ctx : Ctx.t) (c : Share.chunked) (t : t) ~inverse =
+let fold_components (ctx : Ctx.t) (c : Share.chunked) (t : t) ~inverse =
   if inverse then begin
     let acc = ref c in
     for i = Array.length t.components - 1 downto 0 do
       acc :=
-        apply_component_c ctx !acc t.components.(i) ~inverse:true
+        apply_component ctx !acc t.components.(i) ~inverse:true
           ~owned:(!acc != c)
     done;
     !acc
   end
   else
     Array.fold_left
-      (fun acc p -> apply_component_c ctx acc p ~inverse:false ~owned:(acc != c))
+      (fun acc p -> apply_component ctx acc p ~inverse:false ~owned:(acc != c))
       c t.components
 
-(* Packed-lane twin of {!apply_component}: the local permutation moves
+(* Packed-lane form of [apply_component]: the local permutation moves
    flags bit-granularly inside the packed words and the rerandomization
    noise is drawn per word. *)
 let apply_flags_component (ctx : Ctx.t) (f : Share.flags) (p : int array) =
@@ -135,78 +128,22 @@ let apply_flags (ctx : Ctx.t) (f : Share.flags) (t : t) : Share.flags =
   Comm.rounds_only ctx.comm (rounds - 1);
   Array.fold_left (fun acc p -> apply_flags_component ctx acc p) f t.components
 
-(** Apply a sharded permutation to a chunked sharing, streaming
-    chunk-at-a-time; metered exactly like the monolithic {!apply} (the
-    interactive exchange is one whole-column reshare per component —
-    chunking only reorders local evaluation, never the wire protocol). *)
-let apply_c ?width (ctx : Ctx.t) (c : Share.chunked) (t : t) : Share.chunked =
-  if Share.chunked_length c <> t.n then invalid_arg "Shardedperm.apply: length";
-  let w = Option.value width ~default:ctx.ell in
-  let bits, rounds, messages = apply_cost ctx ~w t.n in
-  Comm.round ctx.comm ~bits ~messages;
-  Comm.rounds_only ctx.comm (rounds - 1);
-  fold_components_c ctx c t ~inverse:false
-
-(** Apply the inverse (components undone in reverse order); same cost. *)
-let apply_inverse_c ?width (ctx : Ctx.t) (c : Share.chunked) (t : t) :
-    Share.chunked =
-  if Share.chunked_length c <> t.n then
-    invalid_arg "Shardedperm.apply_inverse: length";
-  let w = Option.value width ~default:ctx.ell in
-  let bits, rounds, messages = apply_cost ctx ~w t.n in
-  Comm.round ctx.comm ~bits ~messages;
-  Comm.rounds_only ctx.comm (rounds - 1);
-  fold_components_c ctx c t ~inverse:true
-
-(** One permutation over several chunked columns: rounds of a single
-    application (columns travel together), bytes scaling with data volume;
-    columns stream one at a time, so the working set is one column. *)
-let apply_table_c ?width (ctx : Ctx.t) (cols : Share.chunked list) (t : t) :
-    Share.chunked list =
-  match cols with
-  | [] -> []
-  | _ ->
-      let w = Option.value width ~default:ctx.ell in
-      let per_col =
-        List.map (fun c -> apply_cost ctx ~w (Share.chunked_length c)) cols
-      in
-      let bits = List.fold_left (fun a (b, _, _) -> a + b) 0 per_col in
-      let _, rounds, messages = List.hd per_col in
-      Comm.round ctx.comm ~bits ~messages;
-      Comm.rounds_only ctx.comm (rounds - 1);
-      List.map (fun c -> fold_components_c ctx c t ~inverse:false) cols
-
-let apply_table_inverse_c ?width (ctx : Ctx.t) (cols : Share.chunked list)
+(** Apply a sharded permutation, or with [~inverse:true] its inverse
+    (components undone in reverse order), to several columns at once.
+    Metered as one application: the rounds of a single column (the
+    columns travel together) and bits scaling with the data volume. The
+    columns stream one after another, chunk at a time, so a tracked
+    table's working set is one column; chunking only reorders local
+    evaluation, never the wire protocol. *)
+let apply ?width ?(inverse = false) (ctx : Ctx.t) (cols : Share.chunked list)
     (t : t) : Share.chunked list =
   match cols with
   | [] -> []
   | _ ->
+      if List.exists (fun c -> Share.chunked_length c <> t.n) cols then
+        invalid_arg "Shardedperm.apply: length";
       let w = Option.value width ~default:ctx.ell in
-      let per_col =
-        List.map (fun c -> apply_cost ctx ~w (Share.chunked_length c)) cols
-      in
-      let bits = List.fold_left (fun a (b, _, _) -> a + b) 0 per_col in
-      let _, rounds, messages = List.hd per_col in
-      Comm.round ctx.comm ~bits ~messages;
+      let bits, rounds, messages = apply_cost ctx ~w t.n in
+      Comm.round ctx.comm ~bits:(bits * List.length cols) ~messages;
       Comm.rounds_only ctx.comm (rounds - 1);
-      List.map (fun c -> fold_components_c ctx c t ~inverse:true) cols
-
-(* Monolithic API: the single-chunk special case of the streaming core
-   (wrap is copy-free, and on one chunk the core replays the pre-chunking
-   computation exactly — values, PRG order and metering all identical). *)
-
-let apply ?width (ctx : Ctx.t) (s : Share.shared) (t : t) : Share.shared =
-  Share.unpark (apply_c ?width ctx (Share.wrap s) t)
-
-let apply_inverse ?width (ctx : Ctx.t) (s : Share.shared) (t : t) :
-    Share.shared =
-  Share.unpark (apply_inverse_c ?width ctx (Share.wrap s) t)
-
-let apply_table ?width (ctx : Ctx.t) (cols : Share.shared list) (t : t) :
-    Share.shared list =
-  List.map Share.unpark (apply_table_c ?width ctx (List.map Share.wrap cols) t)
-
-let apply_table_inverse ?width (ctx : Ctx.t) (cols : Share.shared list) (t : t)
-    : Share.shared list =
-  List.map Share.unpark
-    (apply_table_inverse_c ?width ctx (List.map Share.wrap cols) t)
+      List.map (fun c -> fold_components ctx c t ~inverse) cols

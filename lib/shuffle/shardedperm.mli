@@ -13,11 +13,6 @@ type t = {
   components : int array array;  (** applied left to right *)
 }
 
-val components_of_kind : Ctx.kind -> int
-
-val apply_cost : Ctx.t -> w:int -> int -> int * int * int
-(** (bits, rounds, messages) of one application over n elements of w bits. *)
-
 val gen : Ctx.t -> int -> t
 (** Random sharded permutation of [n] elements (2PC correlations charged
     to preprocessing). *)
@@ -25,38 +20,19 @@ val gen : Ctx.t -> int -> t
 val plaintext : t -> int array
 (** The underlying permutation — test-only; no party could compute it. *)
 
-val apply : ?width:int -> Ctx.t -> Share.shared -> t -> Share.shared
-val apply_inverse : ?width:int -> Ctx.t -> Share.shared -> t -> Share.shared
+val apply :
+  ?width:int -> ?inverse:bool -> Ctx.t -> Share.chunked list -> t ->
+  Share.chunked list
+(** Apply the permutation (or with [~inverse:true] its inverse) to several
+    columns under one application: the rounds of a single column, bytes
+    scaling with data volume — what lets TableSort permute a whole table
+    once. The permute and per-component resharing run chunk at a time, a
+    column after another, so a tracked column streams through the
+    {!Orq_util.Chunkvec} store with cold chunks evictable, and a whole
+    ({!Share.wrap}ped) vector is one chunk. Metering is charged once at
+    the logical-vector level, whatever the chunking. *)
 
 val apply_flags : Ctx.t -> Share.flags -> t -> Share.flags
 (** Apply to a packed flag sharing: the flags travel as single bits
     (width-1 {!apply_cost}), the local permutes and resharing noise run
     over packed words. *)
-
-val apply_table :
-  ?width:int -> Ctx.t -> Share.shared list -> t -> Share.shared list
-(** One permutation over several columns: rounds of a single application,
-    bytes scaling with data volume — what lets TableSort permute a whole
-    table once. *)
-
-val apply_table_inverse :
-  ?width:int -> Ctx.t -> Share.shared list -> t -> Share.shared list
-
-(** {2 Chunked (out-of-core) application}
-
-    Streaming twins of the above: the local permute and per-component
-    resharing run chunk-at-a-time through the {!Orq_util.Chunkvec} store,
-    so a multi-chunk column's working set is one column (with cold chunks
-    evictable), while the metered rounds/bits/messages are charged once at
-    the whole-logical-vector level and are byte-identical to the
-    monolithic path. The monolithic functions are the single-chunk special
-    case of these. *)
-
-val apply_c : ?width:int -> Ctx.t -> Share.chunked -> t -> Share.chunked
-val apply_inverse_c : ?width:int -> Ctx.t -> Share.chunked -> t -> Share.chunked
-
-val apply_table_c :
-  ?width:int -> Ctx.t -> Share.chunked list -> t -> Share.chunked list
-
-val apply_table_inverse_c :
-  ?width:int -> Ctx.t -> Share.chunked list -> t -> Share.chunked list

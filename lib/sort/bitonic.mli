@@ -8,9 +8,6 @@ type dir = Asc | Desc
 
 type key = { col : Share.shared; width : int; dir : dir }
 
-val take : int -> 'a list -> 'a list
-val drop : int -> 'a list -> 'a list
-
 val sort :
   Ctx.t -> keys:key list -> Share.shared list ->
   Share.shared list * Share.shared list

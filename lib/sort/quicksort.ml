@@ -38,7 +38,8 @@ let sort (ctx : Ctx.t) ~(keys : key list) (carry : Share.shared list) :
   else begin
     let all =
       Orq_shuffle.Permops.shuffle_table ctx
-        (List.map (fun k -> k.col) keys @ carry)
+        (List.map Share.wrap (List.map (fun k -> k.col) keys @ carry))
+      |> List.map Share.unpark
     in
     let key_cols = ref (take nk all) and carry_cols = ref (drop nk all) in
     let segs = ref [ (0, n) ] in

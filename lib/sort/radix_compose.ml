@@ -39,7 +39,10 @@ let sort_with_perm (ctx : Ctx.t) ~bits ?(skip = 0) ?(dir = Asc)
   match !sigma with
   | None -> ((key, carry), Share.public_vec ctx Share.Arith (Orq_shuffle.Localperm.identity (Share.length key)))
   | Some s -> (
-      match Permops.apply_elementwise_table ctx (key :: carry) s with
+      let cols = List.map Share.wrap (key :: carry) in
+      match
+        List.map Share.unpark (Permops.apply_elementwise_table ctx cols s)
+      with
       | y :: rest -> ((y, rest), s)
       | [] -> assert false)
 

@@ -17,48 +17,33 @@ open Orq_proto
 
 type dir = Asc | Desc
 
-(** [sort ctx ~bits ?skip ~dir key carry] stably sorts the rows
+(** [sort_c ctx ~bits ?skip ~dir key carry] stably sorts the rows
     [(key, carry...)] on the [bits] key bits starting at bit [skip],
-    returning the rearranged columns. *)
-let sort (ctx : Ctx.t) ~bits ?(skip = 0) ?(dir = Asc) (key : Share.shared)
-    (carry : Share.shared list) : Share.shared * Share.shared list =
-  Share.check_enc Bool key;
-  let y = ref key and rest = ref carry in
-  for i = skip to skip + bits - 1 do
-    (* fused bit extraction straight into packed flag lanes: one pass per
-       share vector, no 0/1 word intermediate *)
-    let b = Mpc.extract_bit_f !y i in
-    let b = match dir with Asc -> b | Desc -> Mpc.bnot_f b in
-    let sigma = Genbitperm.gen_f ctx b in
-    match Orq_shuffle.Permops.apply_elementwise_table ctx (!y :: !rest) sigma with
-    | y' :: rest' ->
-        y := y';
-        rest := rest'
-    | [] -> assert false
-  done;
-  (!y, !rest)
-
-(** Chunked twin of {!sort}: the key and carry columns stream
-    chunk-at-a-time through bit extraction and the table-wide permutation
-    application. The per-bit ranking ({!Genbitperm}) stays monolithic over
-    the packed flag column — a 1-bit-per-row working set, 63x smaller than
-    the table it ranks. Wire cost identical to {!sort}. *)
+    returning the rearranged columns. Key and carry stream chunk at a time
+    through bit extraction and the table-wide permutation application;
+    the per-bit ranking ({!Genbitperm}) runs over one whole packed flag
+    column, a 1-bit-per-row working set 63x smaller than the table it
+    ranks. A whole ({!Share.wrap}ped) input is one chunk. *)
 let sort_c (ctx : Ctx.t) ~bits ?(skip = 0) ?(dir = Asc) (key : Share.chunked)
     (carry : Share.chunked list) : Share.chunked * Share.chunked list =
   Share.check_enc_c Bool key;
   let y = ref key and rest = ref carry in
   let owned = ref false in
   for i = skip to skip + bits - 1 do
-    (* per-chunk extraction, repacked bit-granularly into one flag column *)
+    (* fused bit extraction straight into packed flag lanes, one pass per
+       chunk and share vector, repacked bit-granularly into one column *)
     let b =
-      Share.flags_concat_many
-        (Array.init (Share.chunked_nchunks !y) (fun k ->
-             Share.with_chunk_c !y k (fun s -> Mpc.extract_bit_f s i)))
+      match Share.chunked_nchunks !y with
+      | 0 -> Mpc.extract_bit_f (Share.unpark !y) i
+      | nc ->
+          Share.flags_concat_many
+            (Array.init nc (fun k ->
+                 Share.with_chunk_c !y k (fun s -> Mpc.extract_bit_f s i)))
     in
     let b = match dir with Asc -> b | Desc -> Mpc.bnot_f b in
     let sigma = Genbitperm.gen_f ctx b in
     let cols =
-      Orq_shuffle.Permops.apply_elementwise_table_c ctx (!y :: !rest) sigma
+      Orq_shuffle.Permops.apply_elementwise_table ctx (!y :: !rest) sigma
     in
     if !owned then List.iter Share.dispose_c (!y :: !rest);
     owned := true;
@@ -69,3 +54,10 @@ let sort_c (ctx : Ctx.t) ~bits ?(skip = 0) ?(dir = Asc) (key : Share.chunked)
     | [] -> assert false
   done;
   (!y, !rest)
+
+(** {!sort_c} on whole vectors. *)
+let sort ctx ~bits ?skip ?dir key carry =
+  let k, c =
+    sort_c ctx ~bits ?skip ?dir (Share.wrap key) (List.map Share.wrap carry)
+  in
+  (Share.unpark k, List.map Share.unpark c)

@@ -10,15 +10,16 @@ open Orq_proto
 
 type dir = Asc | Desc
 
-val sort :
-  Ctx.t -> bits:int -> ?skip:int -> ?dir:dir -> Share.shared ->
-  Share.shared list -> Share.shared * Share.shared list
-(** [sort ctx ~bits ?skip ~dir key carry] stably sorts rows
-    [(key, carry...)] on the [bits] key bits starting at bit [skip]. *)
-
 val sort_c :
   Ctx.t -> bits:int -> ?skip:int -> ?dir:dir -> Share.chunked ->
   Share.chunked list -> Share.chunked * Share.chunked list
-(** Chunked twin of {!sort}: key/carry columns stream chunk-at-a-time;
-    only the packed 1-bit-per-row flag column and the ranking permutation
-    are materialized whole. Wire cost identical to {!sort}. *)
+(** [sort_c ctx ~bits ?skip ~dir key carry] stably sorts rows
+    [(key, carry...)] on the [bits] key bits starting at bit [skip]. The
+    columns stream chunk at a time; only the packed 1-bit-per-row flag
+    column and the ranking permutation are whole. The wire cost does not
+    depend on the chunking. *)
+
+val sort :
+  Ctx.t -> bits:int -> ?skip:int -> ?dir:dir -> Share.shared ->
+  Share.shared list -> Share.shared * Share.shared list
+(** {!sort_c} on whole vectors. *)

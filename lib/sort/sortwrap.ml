@@ -19,129 +19,81 @@ type dir = Asc | Desc
 
 let default_algo_for_width w = if w <= 32 then Radixsort else Quicksort
 
+(* Rematerialize a whole-vector result with the tracking of the input it
+   replaces. *)
+let repack_like (like : Share.chunked) (s : Share.shared) =
+  if Share.chunked_tracked like then Share.park s else Share.wrap s
+
 (* Shared index column 0..n-1 (the publicShare padding step). *)
 let index_column (ctx : Ctx.t) n =
   Share.public_vec ctx Share.Bool (Localperm.identity n)
 
-let run_base (ctx : Ctx.t) algo dir ~w key carry =
+(* Base-sort dispatch. Returns the sorted key and carry and, when [perm]
+   is set, the sorted index column [sigma^{-1}] as a whole vector.
+   Radixsort streams the columns and carries the index as data, tracked
+   like the key, so a whole-vector sort never charges the chunk store.
+   Quicksort always sorts on (key, index) for uniqueness and stability; its
+   shuffle-then-open control flow keys on whole opened vectors, so it
+   unparks its input and repacks the result like the key. *)
+let run_base (ctx : Ctx.t) algo dir ~w ~perm key carry =
   match algo with
   | Radixsort ->
       Ctx.with_label ctx "radixsort" @@ fun () ->
       let rdir = match dir with Asc -> Radixsort.Asc | Desc -> Radixsort.Desc in
-      Radixsort.sort ctx ~bits:w ~dir:rdir key carry
+      let n = Share.chunked_length key and ncarry = List.length carry in
+      let index =
+        if perm then [ repack_like key (index_column ctx n) ] else []
+      in
+      let key', cols' =
+        Radixsort.sort_c ctx ~bits:w ~dir:rdir key (carry @ index)
+      in
+      let pi =
+        if not perm then None
+        else begin
+          let pi = List.nth cols' ncarry in
+          let s = Share.unpark pi in
+          Share.dispose_c pi;
+          Some s
+        end
+      in
+      (key', Quicksort.take ncarry cols', pi)
   | Quicksort -> (
       Ctx.with_label ctx "quicksort" @@ fun () ->
-      let n = Share.length key in
-      (* the index is part of the composite key: uniqueness + stability *)
-      let idx = index_column ctx n in
+      let n = Share.chunked_length key in
       let qdir = match dir with Asc -> Quicksort.Asc | Desc -> Quicksort.Desc in
       let keys =
         [
-          { Quicksort.col = key; width = w; dir = qdir };
-          { Quicksort.col = idx; width = ctx.perm_bits; dir = Quicksort.Asc };
+          { Quicksort.col = Share.unpark key; width = w; dir = qdir };
+          {
+            Quicksort.col = index_column ctx n;
+            width = ctx.perm_bits;
+            dir = Quicksort.Asc;
+          };
         ]
       in
-      match Quicksort.sort ctx ~keys carry with
-      | [ key'; idx' ], carry' -> (key', carry' @ [ idx' ])
+      match Quicksort.sort ctx ~keys (List.map Share.unpark carry) with
+      | [ key'; idx' ], carry' ->
+          ( repack_like key key',
+            List.map (repack_like key) carry',
+            if perm then Some idx' else None )
       | _ -> assert false)
-
-(* For radixsort the index must be appended to the carried columns so the
-   permutation can be extracted; quicksort already returns it. *)
-let with_index ctx algo n carry =
-  match algo with
-  | Radixsort -> carry @ [ index_column ctx n ]
-  | Quicksort -> carry
 
 (** [sort_with_perm ctx ?algo ~dir ~w key carry] sorts rows by the single
     key column (plus index tiebreak), returning the sorted key, the sorted
     carry columns, and the elementwise sorting permutation [sigma]. *)
-let sort_with_perm (ctx : Ctx.t) ?algo ~(dir : dir) ~w (key : Share.shared)
-    (carry : Share.shared list) :
-    Share.shared * Share.shared list * Share.shared =
+let sort_with_perm (ctx : Ctx.t) ?algo ~(dir : dir) ~w (key : Share.chunked)
+    (carry : Share.chunked list) :
+    Share.chunked * Share.chunked list * Share.shared =
   let algo = Option.value algo ~default:(default_algo_for_width w) in
-  let n = Share.length key in
-  let ncarry = List.length carry in
-  let key', cols' = run_base ctx algo dir ~w key (with_index ctx algo n carry) in
-  let carry' = Quicksort.take ncarry cols' in
-  let pi =
-    match Quicksort.drop ncarry cols' with
-    | [ pi ] -> pi
-    | _ -> assert false
-  in
-  let sigma = Permops.invert ctx pi in
-  (key', carry', sigma)
+  match run_base ctx algo dir ~w ~perm:true key carry with
+  | key', carry', Some pi -> (key', carry', Permops.invert ctx pi)
+  | _, _, None -> assert false
 
 (** [sort ctx ?algo ~dir ~w key carry] as above but without extracting the
     sorting permutation (single-key sorts that carry all their columns
     through the base sort do not need it). *)
-let sort (ctx : Ctx.t) ?algo ~(dir : dir) ~w (key : Share.shared)
-    (carry : Share.shared list) : Share.shared * Share.shared list =
-  let algo = Option.value algo ~default:(default_algo_for_width w) in
-  match algo with
-  | Radixsort -> run_base ctx Radixsort dir ~w key carry
-  | Quicksort ->
-      let ncarry = List.length carry in
-      let key', cols' = run_base ctx Quicksort dir ~w key carry in
-      (key', Quicksort.take ncarry cols')
-
-(* Shared 0..n-1 index column, chunk-by-chunk. *)
-let index_column_c (ctx : Ctx.t) n =
-  Share.public_chunked ctx Share.Bool ~n (fun pos len ->
-      Array.init len (fun i -> pos + i))
-
-(* Rematerialize a monolithic fallback result with the tracking of the
-   chunked input it replaces. *)
-let repack_like (like : Share.chunked) (s : Share.shared) =
-  if Share.chunked_tracked like then Share.park s else Share.wrap s
-
-(** Chunked {!sort_with_perm}: radixsort streams the key/carry columns
-    chunk-at-a-time; quicksort (wide keys) is a documented monolithic
-    fallback — its shuffle-then-open control flow keys on whole opened
-    vectors, so the columns are unparked around it. The extracted sigma
-    stays monolithic (a single index column). *)
-let sort_with_perm_c (ctx : Ctx.t) ?algo ~(dir : dir) ~w (key : Share.chunked)
-    (carry : Share.chunked list) :
-    Share.chunked * Share.chunked list * Share.shared =
-  let algo = Option.value algo ~default:(default_algo_for_width w) in
-  match algo with
-  | Quicksort ->
-      let k, c, sigma =
-        sort_with_perm ctx ~algo:Quicksort ~dir ~w (Share.unpark key)
-          (List.map Share.unpark carry)
-      in
-      (repack_like key k, List.map (repack_like key) c, sigma)
-  | Radixsort ->
-      let n = Share.chunked_length key in
-      let ncarry = List.length carry in
-      let rdir = match dir with Asc -> Radixsort.Asc | Desc -> Radixsort.Desc in
-      let key', cols' =
-        Ctx.with_label ctx "radixsort" @@ fun () ->
-        Radixsort.sort_c ctx ~bits:w ~dir:rdir key
-          (carry @ [ index_column_c ctx n ])
-      in
-      let carry' = Quicksort.take ncarry cols' in
-      let pi_c =
-        match Quicksort.drop ncarry cols' with
-        | [ pi ] -> pi
-        | _ -> assert false
-      in
-      let pi = Share.unpark pi_c in
-      Share.dispose_c pi_c;
-      let sigma = Permops.invert ctx pi in
-      (key', carry', sigma)
-
-(** Chunked {!sort} (no permutation extraction). *)
-let sort_c (ctx : Ctx.t) ?algo ~(dir : dir) ~w (key : Share.chunked)
+let sort (ctx : Ctx.t) ?algo ~(dir : dir) ~w (key : Share.chunked)
     (carry : Share.chunked list) : Share.chunked * Share.chunked list =
   let algo = Option.value algo ~default:(default_algo_for_width w) in
-  match algo with
-  | Radixsort ->
-      Ctx.with_label ctx "radixsort" @@ fun () ->
-      let rdir = match dir with Asc -> Radixsort.Asc | Desc -> Radixsort.Desc in
-      Radixsort.sort_c ctx ~bits:w ~dir:rdir key carry
-  | Quicksort ->
-      let k, c =
-        sort ctx ~algo:Quicksort ~dir ~w (Share.unpark key)
-          (List.map Share.unpark carry)
-      in
-      (repack_like key k, List.map (repack_like key) c)
+  let key', carry', _ = run_base ctx algo dir ~w ~perm:false key carry in
+  (key', carry')

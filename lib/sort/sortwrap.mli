@@ -14,29 +14,18 @@ val default_algo_for_width : int -> algo
 (** Radixsort for narrow keys (≤ 32 bits), quicksort above — the engine
     default (§3.2). *)
 
-val index_column : Ctx.t -> int -> Share.shared
-(** The shared 0..n-1 index column (the publicShare padding step). *)
-
 val sort_with_perm :
-  Ctx.t -> ?algo:algo -> dir:dir -> w:int -> Share.shared ->
-  Share.shared list -> Share.shared * Share.shared list * Share.shared
-(** Sort by a single key column (index tiebreak), returning the sorted
-    key, the sorted carry columns, and the sorting permutation sigma. *)
-
-val sort :
-  Ctx.t -> ?algo:algo -> dir:dir -> w:int -> Share.shared ->
-  Share.shared list -> Share.shared * Share.shared list
-(** As above without extracting the permutation (single-key sorts that
-    carry all their columns need none). *)
-
-val sort_with_perm_c :
   Ctx.t -> ?algo:algo -> dir:dir -> w:int -> Share.chunked ->
   Share.chunked list -> Share.chunked * Share.chunked list * Share.shared
-(** Chunked {!sort_with_perm}: radixsort streams the columns
-    chunk-at-a-time; quicksort is a monolithic fallback (columns unparked
-    around it). Sigma stays monolithic. Wire cost identical. *)
+(** Sort by a single key column (index tiebreak), returning the sorted
+    key, the sorted carry columns, and the sorting permutation sigma as a
+    whole vector. Radixsort streams tracked columns chunk at a time and
+    carries an index column tracked like the key; quicksort (wide keys)
+    works on whole vectors and repacks its result like the key. A whole
+    ({!Share.wrap}ped) input never touches the chunk store. *)
 
-val sort_c :
+val sort :
   Ctx.t -> ?algo:algo -> dir:dir -> w:int -> Share.chunked ->
   Share.chunked list -> Share.chunked * Share.chunked list
-(** Chunked {!sort}. *)
+(** As above without extracting the permutation (single-key sorts that
+    carry all their columns need none). *)

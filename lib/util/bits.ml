@@ -231,12 +231,3 @@ let scatter t (idx : int array) =
     if (t.w.(i / bpw) lsr (i mod bpw)) land 1 = 1 then set out idx.(i) 1
   done;
   out
-
-let pp ppf t =
-  Format.fprintf ppf "bits[%d]" t.n;
-  if t.n <= 128 then begin
-    Format.pp_print_char ppf ':';
-    for i = 0 to t.n - 1 do
-      Format.pp_print_char ppf (if get t i = 1 then '1' else '0')
-    done
-  end

@@ -12,21 +12,16 @@ type t = { n : int; w : int array }
 val bpw : int
 (** Flags per word (= {!Ring.word_bits} = 63 on 64-bit platforms). *)
 
-val words_for : int -> int
-(** Number of words backing [n] flags. *)
-
 val length : t -> int
 val words : t -> int array
 val num_words : t -> int
-val create : int -> t
 val of_words : int -> int array -> t
 (** Wrap a raw word array (takes ownership; tail re-masked to canonical
-    form). The array must have exactly [words_for n] words. *)
+    form). The array must have exactly ⌈n / bpw⌉ words. *)
 
 val copy : t -> t
 val equal : t -> t -> bool
 val get : t -> int -> int
-val set : t -> int -> int -> unit
 
 val pack : int array -> t
 (** Pack the LSB of each element of a word vector. *)
@@ -51,7 +46,7 @@ val xor3 : t -> t -> t -> t
 val popcount : t -> int
 
 val random : Prg.t -> int -> t
-(** [random prg n]: n uniform flags from [words_for n] PRG draws (one call
+(** [random prg n]: n uniform flags from ⌈n / bpw⌉ PRG draws (one call
     per 63 flags instead of one per flag). *)
 
 val append : t -> t -> t
@@ -64,5 +59,3 @@ val gather : t -> int array -> t
 val scatter : t -> int array -> t
 (** Input flag [i] lands at [idx.(i)]; [idx] must be a permutation
     (validated under {!Debug.set_checks}). *)
-
-val pp : Format.formatter -> t -> unit

@@ -11,11 +11,10 @@
     what makes incremental table building linear instead of quadratic.
 
     *Untracked* vectors ({!alias}) wrap an existing array as one chunk with
-    no copy, no accounting and no spilling — they are how the monolithic
-    code path flows through the chunk-aware operators unchanged: a
-    single-chunk vector visits every kernel exactly once, so values, PRG
-    draw order and metered traffic are byte-identical to the pre-chunking
-    engine.
+    no copy, no accounting, no lock and no spilling — a whole vector is
+    just this one-chunk case of every chunk-aware operator: it visits
+    every kernel exactly once, so values, PRG draw order and metered
+    traffic are those of a plain array.
 
     Thread safety: all store bookkeeping (pin/unpin/register/evict/fault)
     holds one global mutex; chunk payloads are only read or written while
@@ -250,49 +249,56 @@ let rec evict_until_within () =
         evict_until_within ()
   end
 
+(* Untracked chunks are never charged, evicted or released, so they skip
+   the store and its lock entirely (id 0, no pin count). *)
 let register_chunk ~tracked (a : int array) =
-  locked (fun () ->
-      incr next_id;
-      incr clock;
-      let c =
-        {
-          id = !next_id;
-          clen = Array.length a;
-          tracked;
-          data = Some a;
-          slot = -1;
-          pins = 0;
-          tick = !clock;
-          refs = 1;
-          dead = false;
-        }
-      in
-      charge c;
-      evict_until_within ();
-      c)
+  let chunk id tick =
+    {
+      id;
+      clen = Array.length a;
+      tracked;
+      data = Some a;
+      slot = -1;
+      pins = 0;
+      tick;
+      refs = 1;
+      dead = false;
+    }
+  in
+  if not tracked then chunk 0 0
+  else
+    locked (fun () ->
+        incr next_id;
+        incr clock;
+        let c = chunk !next_id !clock in
+        charge c;
+        evict_until_within ();
+        c)
 
 (* Pin: fault the payload back in if spilled; while pinned the chunk
    cannot be evicted. *)
 let pin_chunk c =
-  locked (fun () ->
-      if c.dead then invalid_arg "Chunkvec: access to disposed chunk";
-      incr clock;
-      c.tick <- !clock;
-      match c.data with
-      | Some a ->
-          c.pins <- c.pins + 1;
-          a
-      | None ->
-          let a = read_slot c.slot c.clen in
-          c.data <- Some a;
-          charge c;
-          incr fault_count;
-          faulted_bytes := !faulted_bytes + bytes_of c;
-          c.pins <- c.pins + 1;
-          evict_until_within ();
-          a)
+  if not c.tracked then Option.get c.data
+  else
+    locked (fun () ->
+        if c.dead then invalid_arg "Chunkvec: access to disposed chunk";
+        incr clock;
+        c.tick <- !clock;
+        match c.data with
+        | Some a ->
+            c.pins <- c.pins + 1;
+            a
+        | None ->
+            let a = read_slot c.slot c.clen in
+            c.data <- Some a;
+            charge c;
+            incr fault_count;
+            faulted_bytes := !faulted_bytes + bytes_of c;
+            c.pins <- c.pins + 1;
+            evict_until_within ();
+            a)
 
-let unpin_chunk c = locked (fun () -> c.pins <- c.pins - 1)
+let unpin_chunk c = if c.tracked then locked (fun () -> c.pins <- c.pins - 1)
 
 (* requires the store mutex *)
 let release_chunk_locked c =
@@ -401,7 +407,7 @@ module Builder = struct
 end
 
 (** Wrap an existing array as a single untracked chunk — no copy, no
-    accounting, never spilled. The monolithic fast path. *)
+    accounting, never spilled: a whole vector. *)
 let alias (a : int array) =
   let n = Array.length a in
   mk ~rows:(max 1 n) ~tracked:false
@@ -428,10 +434,12 @@ let with_chunk t i f =
 let iter_chunks t f =
   Array.iteri (fun i _ -> with_chunk t i (fun a -> f i a)) t.chunks
 
-(** Materialize as one array (zero-copy for an untracked single chunk). *)
+(* The payload of an untracked vector: at most one chunk, never evicted. *)
+let single t = if t.n = 0 then [||] else Option.get t.chunks.(0).data
+
+(** Materialize as one array (zero-copy for an untracked vector). *)
 let to_array t =
-  if t.n = 0 then [||]
-  else if nchunks t = 1 && not t.vtracked then with_chunk t 0 (fun a -> a)
+  if not t.vtracked then single t
   else begin
     let out = Array.make t.n 0 in
     iter_chunks t (fun i a ->
@@ -456,7 +464,7 @@ let equal a b =
   !ok
 
 (* Derived vectors keep the source's granularity and tracking, so the
-   wrapped-monolithic path stays single-chunk end to end. *)
+   whole-vector path stays single-chunk end to end. *)
 let like_builder t total =
   Builder.create ~rows:t.rows ~tracked:t.vtracked total
 
@@ -493,11 +501,10 @@ let map2 f x y =
     if x.vtracked then of_array o else alias o
   end
 
-(** [gather t idx]: out.(i) = t.(idx.(i)) under a public index vector.
-    Output chunks are produced (and become evictable) one at a time; the
-    source faults chunks in on demand, so the resident working set is one
-    output chunk plus the touched source chunks. *)
-let gather t (idx : int array) =
+(* Tracked gather: output chunks are produced (and become evictable) one
+   at a time; the source faults chunks in on demand, so the resident
+   working set is one output chunk plus the touched source chunks. *)
+let gather_chunks t (idx : int array) =
   if Debug.enabled () then
     Debug.validate_indices ~op:"Chunkvec.gather" idx t.n;
   let m = Array.length idx in
@@ -535,13 +542,17 @@ let gather t (idx : int array) =
   done;
   Builder.finish b
 
-(** [scatter t idx]: out.(idx.(i)) = t.(i); [idx] must be a permutation.
-    Destination chunks are all materialized while the source streams
-    through, so the working set is one full output column. *)
-let scatter t (idx : int array) =
-  if Array.length idx <> t.n then invalid_arg "Chunkvec.scatter: length";
+(** [gather t idx]: out.(i) = t.(idx.(i)) under a public index vector. An
+    untracked (single-chunk) vector goes straight to the domain-parallel
+    {!Vec.gather}; a tracked one streams chunk by chunk. *)
+let gather t idx =
+  if t.vtracked then gather_chunks t idx else alias (Vec.gather (single t) idx)
+
+(* Tracked scatter: destination chunks are all materialized while the
+   source streams through, so the working set is one full output column. *)
+let scatter_chunks t (idx : int array) =
   if Debug.enabled () then Debug.validate_perm ~op:"Chunkvec.scatter" idx t.n;
-  let rows = if t.vtracked then t.rows else max 1 t.n in
+  let rows = t.rows in
   let nout = (t.n + rows - 1) / rows in
   let outs =
     Array.init nout (fun i -> Array.make (min rows (t.n - (i * rows))) 0)
@@ -555,6 +566,13 @@ let scatter t (idx : int array) =
   let b = like_builder t t.n in
   Array.iter (fun o -> Builder.push b o) outs;
   Builder.finish b
+
+(** [scatter t idx]: out.(idx.(i)) = t.(i); [idx] must be a permutation.
+    Single-chunk fast path as in {!gather}. *)
+let scatter t (idx : int array) =
+  if Array.length idx <> t.n then invalid_arg "Chunkvec.scatter: length";
+  if t.vtracked then scatter_chunks t idx
+  else alias (Vec.scatter (single t) idx)
 
 (** [sub t pos len]: interior chunks are shared (refcounted), only the
     unaligned boundary chunks are copied. *)
@@ -598,8 +616,9 @@ let sub t pos len =
 let append a b =
   if a.n = 0 then b
   else if b.n = 0 then a
+  else if not (a.vtracked || b.vtracked) then
+    alias (Vec.concat2 (single a) (single b))
   else begin
-    let tracked = a.vtracked || b.vtracked in
     let rows = if a.vtracked then a.rows else b.rows in
     if a.vtracked && b.vtracked && a.rows = rows && b.rows = rows
        && a.n mod rows = 0
@@ -610,11 +629,8 @@ let append a b =
     end
     else begin
       (* share a's aligned prefix, repack the boundary + b *)
-      let keep =
-        if tracked && a.vtracked && a.rows = rows then (a.n / rows) * rows
-        else 0
-      in
-      let bld = Builder.create ~rows ~tracked (a.n + b.n) in
+      let keep = if a.vtracked then (a.n / rows) * rows else 0 in
+      let bld = Builder.create ~rows ~tracked:true (a.n + b.n) in
       let prefix = if keep > 0 then Array.sub a.chunks 0 (keep / rows) else [||] in
       locked (fun () -> Array.iter (fun c -> c.refs <- c.refs + 1) prefix);
       Array.iter

@@ -37,9 +37,6 @@ type t = { l_name : string; l_rank : int; l_m : Mutex.t }
 let create ~name ~rank () =
   { l_name = name; l_rank = rank; l_m = Mutex.create () }
 
-let name l = l.l_name
-let rank l = l.l_rank
-
 (* ---------------- per-thread checker state ---------------- *)
 
 (* Mutated only by the owning thread; other threads never read it. The

@@ -19,9 +19,6 @@ val create : name:string -> rank:int -> unit -> t
 (** Create a registered lock. The static lint requires [name] and
     [rank] to be literals matching an entry in the lock registry. *)
 
-val name : t -> string
-val rank : t -> int
-
 val with_lock : t -> (unit -> 'a) -> 'a
 (** Run [f] with the lock held; always released, even on exceptions.
     The only sanctioned way to hold a registered lock. *)
@@ -30,12 +27,6 @@ val wait : t -> Condition.t -> unit
 (** [wait l c] blocks on [c], atomically releasing [l] (which must be
     the innermost lock held) and re-acquiring it before returning. The
     only sanctioned way to block on a condition variable. *)
-
-val lock : t -> unit
-(** Unstructured acquisition — for the checker's own tests only; the
-    static lint rejects it outside [lib/util/locked.ml] fixtures. *)
-
-val unlock : t -> unit
 
 val finaliser_guard : ('a -> unit) -> 'a -> unit
 (** Wrap a GC-finaliser body: under checks, any registered-lock

@@ -23,10 +23,6 @@ val set_lanes : int -> unit
     budget among themselves with this — intra-query data parallelism and
     inter-query concurrency then compose without oversubscription. *)
 
-val effective_lanes : unit -> int
-(** The lane budget in force on the calling domain: its {!set_lanes}
-    override if any, else the global default. *)
-
 val set_min_chunk : int -> unit
 (** Minimum elements per span for a parallel dispatch to be worthwhile;
     inputs smaller than twice this run sequentially. Default 1024. *)
@@ -52,11 +48,6 @@ val run_tasks : int -> (int -> unit) -> unit
 (** [run_tasks k f] runs indexed tasks [f 0 .. f (k-1)] on the pool — for
     blocked algorithms needing an explicit decomposition shared across
     phases (e.g. the two-pass prefix sum). *)
-
-val shutdown_pool : unit -> unit
-(** Join and discard the calling domain's worker domains (also registered
-    via [Domain.at_exit]). The pool respawns automatically on the next
-    parallel dispatch in that domain. *)
 
 val map : (int -> int) -> int array -> int array
 val map2 : (int -> int -> int) -> int array -> int array -> int array

@@ -37,8 +37,5 @@ val bool : t -> bool
 val int_below : t -> int -> int
 (** Uniform integer in [0, bound) (rejection-sampled; [bound] > 0). *)
 
-val fill_words : t -> int array -> unit
-(** Fill an array with uniform ring words. *)
-
 val words : t -> int -> int array
 (** [words t n] is a fresh array of [n] uniform ring words. *)

@@ -23,9 +23,6 @@ let mask ell =
 (** [truncate ell x] keeps only the low [ell] bits of [x]. *)
 let truncate ell x = x land mask ell
 
-(** Sign bit position for signed comparison: the top bit of the word. *)
-let sign_bit = 1 lsl (word_bits - 1)
-
 (** [to_signed x] reinterprets the ring element as a signed integer, which
     for native ints is the identity. Kept for documentation symmetry. *)
 let to_signed (x : int) = x

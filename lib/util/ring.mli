@@ -19,9 +19,6 @@ val mask : int -> int
 val truncate : int -> int -> int
 (** [truncate ell x] keeps only the low [ell] bits of [x]. *)
 
-val sign_bit : int
-(** The top bit of the word (sign position for signed comparison). *)
-
 val to_signed : int -> int
 (** Reinterpret a ring element as a signed integer (the identity for
     native ints; kept for documentation symmetry). *)

@@ -15,10 +15,7 @@ type t = int array
 let length = Array.length
 let make n x : t = Array.make n x
 let zeros n : t = Array.make n 0
-let init = Array.init
 let copy = Array.copy
-let of_list = Array.of_list
-let to_list = Array.to_list
 
 let check2 (a : t) (b : t) =
   if Array.length b <> Array.length a then
@@ -39,30 +36,6 @@ let map f (a : t) : t =
         Array.unsafe_set out i (f (Array.unsafe_get a i))
       done);
   out
-
-let map2 f (a : t) (b : t) : t =
-  check2 a b;
-  let n = Array.length a in
-  let out = Array.make n 0 in
-  Parallel.run_spans n (fun pos len ->
-      for i = pos to pos + len - 1 do
-        Array.unsafe_set out i (f (Array.unsafe_get a i) (Array.unsafe_get b i))
-      done);
-  out
-
-let map3 f (a : t) (b : t) (c : t) : t =
-  check3 a b c;
-  let n = Array.length a in
-  let out = Array.make n 0 in
-  Parallel.run_spans n (fun pos len ->
-      for i = pos to pos + len - 1 do
-        Array.unsafe_set out i
-          (f (Array.unsafe_get a i) (Array.unsafe_get b i)
-             (Array.unsafe_get c i))
-      done);
-  out
-
-let iteri = Array.iteri
 
 (* Ring (mod 2^63) elementwise operations — specialized loops. *)
 
@@ -490,8 +463,6 @@ let concat2 (a : t) (b : t) : t = Array.append a b
 let split2 (v : t) n : t * t =
   (Array.sub v 0 n, Array.sub v n (Array.length v - n))
 
-let concat = Array.concat
-
 (** n-way generalization of {!concat2}: one offset-table pass, one output
     allocation, per-lane blits dispatched to the domain pool (each lane
     writes a disjoint output range). *)
@@ -511,22 +482,6 @@ let concat_many (vs : t array) : t =
         Array.blit vs.(i) 0 out offs.(i) (Array.length vs.(i)));
     out
   end
-
-(** n-way generalization of {!split2}: cut [v] into pieces of the given
-    lengths (which must sum to the input length). *)
-let split_many (v : t) (ns : int array) : t array =
-  let total = Array.fold_left ( + ) 0 ns in
-  if total <> Array.length v then
-    invalid_arg
-      (Printf.sprintf "Vec.split_many: lengths sum to %d, vector has %d"
-         total (Array.length v));
-  let off = ref 0 in
-  Array.map
-    (fun n ->
-      let p = Array.sub v !off n in
-      off := !off + n;
-      p)
-    ns
 
 (** [gather a idx] builds [|a.(idx.(0)); a.(idx.(1)); ...|]; reads may
     repeat, so each worker only needs read access plus its disjoint output
@@ -573,6 +528,3 @@ let equal (a : t) (b : t) =
   &&
   let rec go i = i >= Array.length a || (a.(i) = b.(i) && go (i + 1)) in
   go 0
-
-let pp ppf (a : t) =
-  Fmt.pf ppf "[|%a|]" Fmt.(array ~sep:(any "; ") int) a

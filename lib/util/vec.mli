@@ -12,14 +12,8 @@ type t = int array
 val length : t -> int
 val make : int -> int -> t
 val zeros : int -> t
-val init : int -> (int -> int) -> t
 val copy : t -> t
-val of_list : int list -> t
-val to_list : t -> int list
 val map : (int -> int) -> t -> t
-val map2 : (int -> int -> int) -> t -> t -> t
-val map3 : (int -> int -> int -> int) -> t -> t -> t -> t
-val iteri : (int -> int -> unit) -> t -> unit
 
 (** {2 Ring (mod 2^63) elementwise operations} *)
 
@@ -115,15 +109,10 @@ val concat2 : t -> t -> t
     single communication round. *)
 
 val split2 : t -> int -> t * t
-val concat : t list -> t
 
 val concat_many : t array -> t
 (** n-way {!concat2}: offset-table based, one output allocation, per-lane
     blits in parallel. The backbone of cross-lane round fusion. *)
-
-val split_many : t -> int array -> t array
-(** n-way {!split2}: cut into pieces of the given lengths (must sum to the
-    input length). *)
 
 val gather : t -> int array -> t
 (** [gather a idx] builds [|a.(idx.(0)); a.(idx.(1)); ...|]. Validates
@@ -137,4 +126,3 @@ val scatter : t -> int array -> t
 val sub_range : t -> int -> int -> t
 val rev : t -> t
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit

@@ -6,10 +6,7 @@
 module P = Orq_plaintext.Ptable
 
 val w_id : int
-val w_code : int
 val w_time : int
-val w_score : int
-val w_price : int
 
 val diag_hd : int
 (** Diagnosis code for heart disease (Aspirin). *)

@@ -252,41 +252,32 @@ let generate ?(seed = 2024) (sf : float) : plain =
 (* Sharing the database                                                *)
 (* ------------------------------------------------------------------ *)
 
+(* Columns are shared in schema order, then the validity column. Under
+   streaming each column's share vectors enter the budget-managed store
+   chunk by chunk (evictable immediately), so the peak resident share data
+   of catalog loading is bounded by the budget, not the table size;
+   otherwise each column is one whole untracked vector. Draws are
+   element-major either way, identical to sharing the whole column. *)
 let share_table (ctx : Orq_proto.Ctx.t) name (cols : (string * int) list)
     (p : Orq_plaintext.Ptable.t) : Orq_core.Table.t =
   let n = Orq_plaintext.Ptable.nrows p in
-  if not (Orq_util.Chunkvec.streaming_enabled ()) then
-    Orq_core.Table.create ctx name
-      (List.map
-         (fun (cname, w) ->
-           let get = Orq_plaintext.Ptable.get p cname in
-           (cname, w, Array.of_list (List.map get p.Orq_plaintext.Ptable.rows)))
-         cols)
-    |> fun t ->
-    assert (Orq_core.Table.nrows t = n);
-    t
-  else begin
-    (* chunk-by-chunk sharing: each column's share vectors enter the
-       budget-managed store as they are produced (evictable immediately),
-       so the peak resident share data of catalog loading is bounded by
-       the budget, not the table size. Draws are element-major, identical
-       to sharing the whole column at once. *)
-    let rows = Array.of_list p.Orq_plaintext.Ptable.rows in
-    let shared_cols =
-      List.map
-        (fun (cname, w) ->
-          let ci = Orq_plaintext.Ptable.col_idx p cname in
-          let ck =
-            Orq_proto.Share.share_chunked ctx Orq_proto.Share.Bool ~n
-              (fun pos len ->
-                Array.init len (fun i -> List.nth rows.(pos + i) ci))
-          in
-          (cname, Orq_core.Column.of_chunked ~width:w ck))
-        cols
-    in
-    let valid = Orq_proto.Share.share ctx Orq_proto.Share.Bool (Array.make n 1) in
-    Orq_core.Table.of_columns ctx name ~valid shared_cols
-  end
+  let tracked = Orq_util.Chunkvec.streaming_enabled () in
+  let rows = Array.of_list p.Orq_plaintext.Ptable.rows in
+  let shared_cols =
+    List.map
+      (fun (cname, w) ->
+        let ci = Orq_plaintext.Ptable.col_idx p cname in
+        let get pos len =
+          Array.init len (fun i -> List.nth rows.(pos + i) ci)
+        in
+        let ck =
+          Orq_proto.Share.share_chunked ctx Orq_proto.Share.Bool ~tracked ~n get
+        in
+        (cname, Orq_core.Column.of_chunked ~width:w ck))
+      cols
+  in
+  let valid = Orq_proto.Share.share ctx Orq_proto.Share.Bool (Array.make n 1) in
+  Orq_core.Table.of_columns ctx name ~valid shared_cols
 
 (** Secret-share a generated database for the computing parties. *)
 let share (ctx : Orq_proto.Ctx.t) (db : plain) : mpc =

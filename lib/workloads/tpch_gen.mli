@@ -9,13 +9,6 @@
 
 (** {2 Schema constants} *)
 
-val w_key : int
-val w_small : int
-val w_date : int
-val w_price : int
-val w_qty : int
-val date_range : int
-
 val day_of : year:int -> month:int -> day:int -> int
 (** Civil date -> day offset, used to define query parameters. *)
 

@@ -6,6 +6,7 @@ open Orq_proto
 module Comm = Orq_net.Comm
 module Lint = Orq_analysis.Lint
 module Declass = Orq_analysis.Declass
+module Exports = Orq_analysis.Exports
 module Costmodel = Orq_analysis.Costmodel
 module Certify = Orq_analysis.Certify
 
@@ -80,6 +81,32 @@ let test_lint_audited_tree_is_registered () =
         true
         (String.length e.Declass.d_why > 20))
     Declass.all
+
+(* ---------------- dead-export audit ---------------- *)
+
+let test_exports_flags_unused () =
+  let mli =
+    ( "lib/x/stack.mli",
+      "val push : int -> unit\nval pop : unit -> int\nval peek : unit -> int\n\
+       val dead : int\n" )
+  in
+  let impls =
+    [
+      (* its own module's uses do not count *)
+      ("lib/x/stack.ml", "let dead = 1\nlet peek () = dead\n");
+      (* a qualified use through a library prefix *)
+      ("lib/y/a.ml", "let f () = Orq_x.Stack.push 1\n");
+      (* an alias declared in one file, opened from another *)
+      ("lib/y/util.ml", "module S = Orq_x.Stack\n");
+      ("lib/y/b.ml", "open Util\nlet g () = S.pop ()\n");
+      (* a bare name under a local open *)
+      ("bench/c.ml", "let h () = Stack.(peek ())\n");
+    ]
+  in
+  let found =
+    List.map (fun f -> f.Exports.x_site) (Exports.audit ~interfaces:[ mli ] ~impls)
+  in
+  Alcotest.(check (list string)) "only the unused export" [ "Stack.dead" ] found
 
 (* ---------------- recorder mechanics ---------------- *)
 
@@ -261,6 +288,8 @@ let suite =
       test_lint_clean_code_passes;
     Alcotest.test_case "allowlist entries are justified" `Quick
       test_lint_audited_tree_is_registered;
+    Alcotest.test_case "exports flags unused vals" `Quick
+      test_exports_flags_unused;
     Alcotest.test_case "recorder ring + label stack" `Quick
       test_recorder_ring_and_labels;
     Alcotest.test_case "transcript diff localizes" `Quick test_transcript_diff;

@@ -1,9 +1,11 @@
-(** Out-of-core chunked share vectors: the chunked layer and the chunked
-    pipelines must be value- and traffic-identical to the monolithic
-    engine — at chunk sizes that do and do not divide the row count, and
+(** Out-of-core chunked share vectors. Each operator of the shuffle/sort
+    stack has one body over chunked vectors; driven with whole (wrapped)
+    input and with parked input it must give identical values and
+    traffic — at chunk sizes that do and do not divide the row count, and
     under a spill-forcing tiny memory budget. *)
 
 module Chunkvec = Orq_util.Chunkvec
+module Parallel = Orq_util.Parallel
 module Vec = Orq_util.Vec
 module Comm = Orq_net.Comm
 module Permops = Orq_shuffle.Permops
@@ -139,9 +141,62 @@ let test_spill () =
       Alcotest.(check bool) "faulted back from disk" true
         (after2.Chunkvec.st_faults > before.Chunkvec.st_faults))
 
+(* Single untracked chunks take the domain-parallel Vec kernels: same
+   results as calling them directly, sequential or on the pool. *)
+let test_alias_fast_path () =
+  let mc0 = Parallel.get_min_chunk () and d0 = Parallel.get_num_domains () in
+  Fun.protect
+    ~finally:(fun () ->
+      Parallel.set_min_chunk mc0;
+      Parallel.set_num_domains d0)
+  @@ fun () ->
+  Parallel.set_min_chunk 64;
+  let n = 8 * Parallel.get_min_chunk () in
+  let st = Random.State.make [| 12 |] in
+  let a = rand_array st n in
+  let p = test_perm n in
+  List.iter
+    (fun d ->
+      Parallel.set_num_domains d;
+      let tag s = Printf.sprintf "%s domains=%d" s d in
+      let g = Chunkvec.gather (Chunkvec.alias a) p in
+      let sc = Chunkvec.scatter (Chunkvec.alias a) p in
+      Alcotest.(check vec) (tag "gather") (Vec.gather a p) (Chunkvec.to_array g);
+      Alcotest.(check vec) (tag "scatter") (Vec.scatter a p)
+        (Chunkvec.to_array sc);
+      Alcotest.(check bool) (tag "stays one untracked chunk") true
+        ((not (Chunkvec.tracked g)) && Chunkvec.nchunks sc = 1))
+    [ 1; 4 ]
+
 (* ------------------------------------------------------------------ *)
-(* Share-level: chunked == monolithic, values and tallies              *)
+(* One operator, two inputs: whole (wrapped) vs parked chunks          *)
 (* ------------------------------------------------------------------ *)
+
+(* Run [f] twice from the same seed: on whole vectors wrapped as single
+   untracked chunks, then with streaming on over the same sharings parked
+   into [rows]-row chunks. Returns each run's reconstructed outputs and
+   tally; [f] returns the chunked outputs to compare. *)
+let wrapped_vs_parked ?(rows = 7) kind ~seed inputs f =
+  let run mk =
+    let ctx = Ctx.create ~seed kind in
+    let ins = List.map (fun x -> mk (Mpc.share_b ctx x)) inputs in
+    let before = Comm.snapshot ctx.Ctx.comm in
+    let outs = f ctx ins in
+    let tal = Comm.since ctx.Ctx.comm before in
+    (List.map Share.reconstruct_c outs, List.map Share.chunked_tracked outs, tal)
+  in
+  let whole = run Share.wrap in
+  let parked = with_streaming ~rows (fun () -> run Share.park) in
+  (whole, parked)
+
+(* values and tallies equal; whole stays whole, parked stays parked *)
+let check_same tag ((r1, t1, tal1), (r2, t2, tal2)) =
+  List.iter2 (fun a b -> Alcotest.(check vec) (tag "values") a b) r1 r2;
+  tally_eq (tag "tally") tal1 tal2;
+  Alcotest.(check bool) (tag "whole outputs untracked") true
+    (List.for_all not t1);
+  Alcotest.(check bool) (tag "parked outputs tracked") true
+    (List.for_all Fun.id t2)
 
 let test_share_gather_scatter () =
   for_all_kinds @@ fun kind ->
@@ -149,22 +204,20 @@ let test_share_gather_scatter () =
   let st = Random.State.make [| 5 |] in
   let x = rand_array st n in
   let p = test_perm n in
-  let ctx = Ctx.create ~seed:11 kind in
-  let s = Mpc.share_b ctx x in
-  let g1 = Share.reconstruct (Share.gather s p) in
-  let sc1 = Share.reconstruct (Share.scatter s p) in
-  with_streaming ~rows:7 (fun () ->
-      let before = Comm.snapshot ctx.Ctx.comm in
-      let c = Share.park s in
-      let g2 = Share.reconstruct_c (Share.gather_c c p) in
-      let sc2 = Share.reconstruct_c (Share.scatter_c c p) in
-      let tal = Comm.since ctx.Ctx.comm before in
-      let tag s = Printf.sprintf "%s %s" s (kind_name kind) in
-      Alcotest.(check vec) (tag "gather_c") g1 g2;
-      Alcotest.(check vec) (tag "scatter_c") sc1 sc2;
-      (* gather/scatter are local: no traffic in either shape *)
-      tally_eq (tag "local ops silent") Comm.zero_tally tal)
+  let tag s = Printf.sprintf "%s %s" s (kind_name kind) in
+  let res =
+    wrapped_vs_parked kind ~seed:11 [ x ] (fun _ cs ->
+        let c = List.hd cs in
+        [ Share.gather_c c p; Share.scatter_c c p ])
+  in
+  check_same tag res;
+  (* gather/scatter are local: no traffic in either shape *)
+  let (_, _, tal), _ = res in
+  tally_eq (tag "local ops silent") Comm.zero_tally tal
 
+(* same seed => same sampled permutation; per-chunk resharing draws the
+   same amount of zero-sum noise in a different order, so reconstructions
+   and tallies must match exactly *)
 let test_shuffle_table () =
   for_all_kinds @@ fun kind ->
   (* 56 divides into 7-row chunks; 53 does not *)
@@ -173,59 +226,102 @@ let test_shuffle_table () =
       let tag s = Printf.sprintf "%s %s n=%d" s (kind_name kind) n in
       let st = Random.State.make [| 6; n |] in
       let x = rand_array st n and y = rand_array st n in
-      let ctx1 = Ctx.create ~seed:21 kind in
-      let sx = Mpc.share_b ctx1 x and sy = Mpc.share_b ctx1 y in
-      let before1 = Comm.snapshot ctx1.Ctx.comm in
-      let out1 = Permops.shuffle_table ctx1 [ sx; sy ] in
-      let tal1 = Comm.since ctx1.Ctx.comm before1 in
-      let r1 = List.map Share.reconstruct out1 in
-      with_streaming ~rows:7 (fun () ->
-          (* same seed => same sampled permutation; per-chunk resharing
-             draws the same amount of zero-sum noise in a different
-             order, so reconstructions and tallies must match exactly *)
-          let ctx2 = Ctx.create ~seed:21 kind in
-          let cx = Share.park (Mpc.share_b ctx2 x) in
-          let cy = Share.park (Mpc.share_b ctx2 y) in
-          let before2 = Comm.snapshot ctx2.Ctx.comm in
-          let out2 = Permops.shuffle_table_c ctx2 [ cx; cy ] in
-          let tal2 = Comm.since ctx2.Ctx.comm before2 in
-          let r2 = List.map Share.reconstruct_c out2 in
-          List.iter2
-            (fun a b -> Alcotest.(check vec) (tag "shuffle values") a b)
-            r1 r2;
-          tally_eq (tag "shuffle tally") tal1 tal2))
+      check_same tag
+        (wrapped_vs_parked kind ~seed:21 [ x; y ] (fun ctx cs ->
+             Permops.shuffle_table ctx cs)))
     [ 56; 53 ]
 
+(* radixsort (w = 8) and the whole-vector quicksort fallback (w = 40) *)
 let test_sort () =
+  for_all_kinds @@ fun kind ->
+  List.iter
+    (fun (n, w) ->
+      let tag s = Printf.sprintf "%s %s n=%d w=%d" s (kind_name kind) n w in
+      let st = Random.State.make [| 8; n |] in
+      let key = Array.init n (fun _ -> Random.State.int st 256) in
+      let pay = rand_array st n in
+      check_same tag
+        (wrapped_vs_parked kind ~seed:33 [ key; pay ] (fun ctx cs ->
+             let k', ps' =
+               Sortwrap.sort ctx ~dir:Sortwrap.Asc ~w (List.hd cs) (List.tl cs)
+             in
+             k' :: ps'));
+      (* the permutation-extracting form: sigma is a whole vector *)
+      let ((r1, _, tal1), (r2, _, tal2)), sigmas =
+        let sigmas = ref [] in
+        let res =
+          wrapped_vs_parked kind ~seed:34 [ key ] (fun ctx cs ->
+              let k', _, sigma =
+                Sortwrap.sort_with_perm ctx ~dir:Sortwrap.Desc ~w (List.hd cs) []
+              in
+              sigmas := Share.reconstruct sigma :: !sigmas;
+              [ k' ])
+        in
+        (res, !sigmas)
+      in
+      List.iter2 (fun a b -> Alcotest.(check vec) (tag "perm key") a b) r1 r2;
+      tally_eq (tag "perm tally") tal1 tal2;
+      match sigmas with
+      | [ s2; s1 ] -> Alcotest.(check vec) (tag "sigma") s1 s2
+      | _ -> Alcotest.fail "arity")
+    [ (56, 8); (53, 8); (56, 40); (53, 40) ]
+
+(* a 2-key TableSort (the sigma-extraction pipeline), whole vs parked
+   table: equal values and tallies, and parked columns stay parked *)
+let test_tablesort () =
   for_all_kinds @@ fun kind ->
   List.iter
     (fun n ->
       let tag s = Printf.sprintf "%s %s n=%d" s (kind_name kind) n in
-      let st = Random.State.make [| 8; n |] in
-      let key = Array.init n (fun _ -> Random.State.int st 256) in
-      let pay = rand_array st n in
-      let ctx1 = Ctx.create ~seed:33 kind in
-      let k1 = Mpc.share_b ctx1 key and p1 = Mpc.share_b ctx1 pay in
-      let before1 = Comm.snapshot ctx1.Ctx.comm in
-      let k1', ps1 = Sortwrap.sort ctx1 ~dir:Sortwrap.Asc ~w:8 k1 [ p1 ] in
-      let tal1 = Comm.since ctx1.Ctx.comm before1 in
-      let rk1 = Share.reconstruct k1' in
-      let rp1 = List.map Share.reconstruct ps1 in
-      with_streaming ~rows:7 (fun () ->
-          let ctx2 = Ctx.create ~seed:33 kind in
-          let k2 = Share.park (Mpc.share_b ctx2 key) in
-          let p2 = Share.park (Mpc.share_b ctx2 pay) in
-          let before2 = Comm.snapshot ctx2.Ctx.comm in
-          let k2', ps2 = Sortwrap.sort_c ctx2 ~dir:Sortwrap.Asc ~w:8 k2 [ p2 ] in
-          let tal2 = Comm.since ctx2.Ctx.comm before2 in
-          Alcotest.(check vec) (tag "sorted key") rk1 (Share.reconstruct_c k2');
-          List.iter2
-            (fun a b ->
-              Alcotest.(check vec) (tag "sorted carry") a
-                (Share.reconstruct_c b))
-            rp1 ps2;
-          tally_eq (tag "sort tally") tal1 tal2))
+      let st = Random.State.make [| 9; n |] in
+      let col () = Array.init n (fun _ -> Random.State.int st 16) in
+      let a = col () and b = col () and c = rand_array st n in
+      let run park =
+        let ctx = Ctx.create ~seed:44 kind in
+        let t =
+          Orq_core.Table.create ctx "t" [ ("a", 4, a); ("b", 4, b); ("c", 20, c) ]
+        in
+        if park then Orq_core.Table.park t;
+        let before = Comm.snapshot ctx.Ctx.comm in
+        let t' =
+          Orq_core.Tablesort.sort t
+            [ ("a", Orq_core.Tablesort.Asc); ("b", Orq_core.Tablesort.Desc) ]
+        in
+        let tal = Comm.since ctx.Ctx.comm before in
+        let tracked =
+          List.map
+            (fun (_, col) -> Share.chunked_tracked (Orq_core.Column.chunked col))
+            t'.Orq_core.Table.cols
+        in
+        (Orq_core.Table.peek t', tracked, tal)
+      in
+      let (v1, tr1, tal1) = run false in
+      let (v2, tr2, tal2) = with_streaming ~rows:7 (fun () -> run true) in
+      Alcotest.(check (list (pair string vec))) (tag "columns") (fst v1) (fst v2);
+      Alcotest.(check vec) (tag "valid") (snd v1) (snd v2);
+      tally_eq (tag "tally") tal1 tal2;
+      Alcotest.(check bool) (tag "whole stays whole") true
+        (List.for_all not tr1);
+      Alcotest.(check bool) (tag "parked stays parked") true
+        (List.for_all Fun.id tr2))
     [ 56; 53 ]
+
+(* A whole-vector sort never charges the chunk store: the index column
+   the radixsort carries and the quicksort fallback's repack both follow
+   the key's tracking. *)
+let test_whole_sort_untracked () =
+  Gc.full_major ();
+  Chunkvec.reset_peak ();
+  let live0 = Chunkvec.live_bytes () in
+  for_all_kinds (fun kind ->
+      List.iter
+        (fun w ->
+          let ctx = Ctx.create ~seed:55 kind in
+          let st = Random.State.make [| 10 |] in
+          let key = Share.wrap (Mpc.share_b ctx (rand_array st 300)) in
+          ignore (Sortwrap.sort_with_perm ctx ~dir:Sortwrap.Asc ~w key []))
+        [ 16; 40 ]);
+  Alcotest.(check int) "no tracked bytes" live0 (Chunkvec.peak_live_bytes ())
 
 (* ------------------------------------------------------------------ *)
 (* Query-level: full TPC-H plans, streaming + tiny budget              *)
@@ -265,6 +361,8 @@ let test_queries () =
 
 let suite =
   [
+    Alcotest.test_case "whole-vector sort leaves the store alone" `Quick
+      test_whole_sort_untracked;
     Alcotest.test_case "parse_bytes" `Quick test_parse_bytes;
     Alcotest.test_case "roundtrip" `Quick test_roundtrip;
     Alcotest.test_case "local ops == monolithic" `Quick test_local_ops;
@@ -273,6 +371,9 @@ let suite =
     Alcotest.test_case "share gather/scatter" `Quick test_share_gather_scatter;
     Alcotest.test_case "shuffle_table values+tally" `Quick test_shuffle_table;
     Alcotest.test_case "sort values+tally" `Quick test_sort;
+    Alcotest.test_case "tablesort values+tally" `Quick test_tablesort;
+    Alcotest.test_case "alias gather/scatter fast path" `Quick
+      test_alias_fast_path;
     Alcotest.test_case "tpch queries streamed" `Slow test_queries;
   ]
 

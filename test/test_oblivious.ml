@@ -154,12 +154,12 @@ let test_quicksort_adversarial_orders () =
           let ctx = Ctx.create ~seed:77 kind in
           let y, _ =
             Orq_sort.Sortwrap.sort ctx ~algo:Orq_sort.Sortwrap.Quicksort
-              ~dir:Orq_sort.Sortwrap.Asc ~w:8 (Mpc.share_b ctx x) []
+              ~dir:Orq_sort.Sortwrap.Asc ~w:8 (Share.wrap (Mpc.share_b ctx x)) []
           in
           let expect = Array.copy x in
           Array.sort compare expect;
           Alcotest.(check (array int)) "adversarial order sorts" expect
-            (Share.reconstruct y);
+            (Share.reconstruct_c y);
           (* partitioning rounds bounded well below the B.4 comparison
              budget's implied depth *)
           let rounds = (Orq_net.Comm.snapshot ctx.Ctx.comm).Orq_net.Comm.t_rounds in

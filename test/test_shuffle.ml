@@ -53,11 +53,17 @@ let qcheck_localperm_compose =
 
 (* ---------------- sharded permutations ---------------- *)
 
+(* one whole vector through the column-list application *)
+let apply1 ?inverse ctx s p =
+  match Shardedperm.apply ?inverse ctx [ Share.wrap s ] p with
+  | [ c ] -> Share.unpark c
+  | _ -> Alcotest.fail "arity"
+
 let test_sharded_apply () =
   for_all_kinds (fun ctx ->
       let x = Prg.words ctx.Ctx.prg 64 in
       let p = Shardedperm.gen ctx 64 in
-      let y = Shardedperm.apply ctx (Mpc.share_b ctx x) p |> Share.reconstruct in
+      let y = apply1 ctx (Mpc.share_b ctx x) p |> Share.reconstruct in
       Alcotest.(check vec) "is plaintext perm"
         (Localperm.apply x (Shardedperm.plaintext p))
         y;
@@ -67,8 +73,8 @@ let test_sharded_inverse () =
   for_all_kinds (fun ctx ->
       let x = Prg.words ctx.Ctx.prg 40 in
       let p = Shardedperm.gen ctx 40 in
-      let y = Shardedperm.apply ctx (Mpc.share_a ctx x) p in
-      let z = Shardedperm.apply_inverse ctx y p |> Share.reconstruct in
+      let y = apply1 ctx (Mpc.share_a ctx x) p in
+      let z = apply1 ~inverse:true ctx y p |> Share.reconstruct in
       Alcotest.(check vec) "inverse undoes apply" x z)
 
 let test_sharded_metering () =
@@ -82,7 +88,7 @@ let test_sharded_metering () =
       let x = Mpc.share_b ctx (Array.make n 5) in
       let p = Shardedperm.gen ctx n in
       let before = Orq_net.Comm.snapshot ctx.Ctx.comm in
-      ignore (Shardedperm.apply ctx x p);
+      ignore (apply1 ctx x p);
       let tl = Orq_net.Comm.since ctx.Ctx.comm before in
       Alcotest.(check int)
         (Ctx.kind_label k ^ " bits")
@@ -98,11 +104,11 @@ let test_sharded_table_rounds () =
       let cols = List.init 5 (fun i -> Mpc.share_b ctx (Array.make n i)) in
       let p = Shardedperm.gen ctx n in
       let before = Orq_net.Comm.snapshot ctx.Ctx.comm in
-      let single = Shardedperm.apply ctx (List.hd cols) p in
+      let single = apply1 ctx (List.hd cols) p in
       let tl1 = Orq_net.Comm.since ctx.Ctx.comm before in
       ignore single;
       let before2 = Orq_net.Comm.snapshot ctx.Ctx.comm in
-      ignore (Shardedperm.apply_table ctx cols p);
+      ignore (Shardedperm.apply ctx (List.map Share.wrap cols) p);
       let tl2 = Orq_net.Comm.since ctx.Ctx.comm before2 in
       Alcotest.(check int) "table apply same rounds as single"
         tl1.Orq_net.Comm.t_rounds tl2.Orq_net.Comm.t_rounds;
@@ -116,7 +122,7 @@ let test_sharded_malicious_abort () =
   let tampered ~party ~op = if party = 1 && op = "shuffle" then Some 1 else None in
   Alcotest.check_raises "tampered reshare aborts"
     (Ctx.Abort "shuffle: reshare verification failed") (fun () ->
-      Ctx.with_tamper ctx tampered (fun () -> ignore (Shardedperm.apply ctx x p)))
+      Ctx.with_tamper ctx tampered (fun () -> ignore (apply1 ctx x p)))
 
 (* ---------------- Protocols 4-8 ---------------- *)
 
@@ -132,10 +138,11 @@ let test_shuffle_table_consistent () =
       let x = Array.init 30 (fun i -> i) in
       let y = Array.init 30 (fun i -> 100 + i) in
       match
-        Permops.shuffle_table ctx [ Mpc.share_b ctx x; Mpc.share_b ctx y ]
+        Permops.shuffle_table ctx
+          [ Share.wrap (Mpc.share_b ctx x); Share.wrap (Mpc.share_b ctx y) ]
       with
       | [ sx; sy ] ->
-          let x' = Share.reconstruct sx and y' = Share.reconstruct sy in
+          let x' = Share.reconstruct_c sx and y' = Share.reconstruct_c sy in
           Array.iteri
             (fun i xi ->
               Alcotest.(check int) "rows move together" (xi + 100) y'.(i))
@@ -148,9 +155,10 @@ let test_apply_elementwise () =
       let x = Prg.words ctx.Ctx.prg n in
       let rho = Localperm.random ctx.Ctx.prg n in
       let y =
-        Permops.apply_elementwise ctx (Mpc.share_b ctx x)
+        Permops.apply_elementwise_table ctx
+          [ Share.wrap (Mpc.share_b ctx x) ]
           (Mpc.share_a ctx rho)
-        |> Share.reconstruct
+        |> List.hd |> Share.reconstruct_c
       in
       Alcotest.(check vec) "rho(x)" (Localperm.apply x rho) y)
 
@@ -162,14 +170,14 @@ let test_apply_elementwise_table () =
       let rho = Localperm.random ctx.Ctx.prg n in
       match
         Permops.apply_elementwise_table ctx
-          [ Mpc.share_b ctx x; Mpc.share_b ctx y ]
+          [ Share.wrap (Mpc.share_b ctx x); Share.wrap (Mpc.share_b ctx y) ]
           (Mpc.share_b ctx rho)
       with
       | [ sx; sy ] ->
           Alcotest.(check vec) "col x" (Localperm.apply x rho)
-            (Share.reconstruct sx);
+            (Share.reconstruct_c sx);
           Alcotest.(check vec) "col y" (Localperm.apply y rho)
-            (Share.reconstruct sy)
+            (Share.reconstruct_c sy)
       | _ -> Alcotest.fail "arity")
 
 let test_compose () =

@@ -252,12 +252,12 @@ let check_wrapper ctx algo dir x =
   let expected =
     match dir with Sortwrap.Asc -> sorted_asc x | Sortwrap.Desc -> sorted_desc x
   in
-  let key = Mpc.share_b ctx x in
-  let tag = Mpc.share_b ctx (Array.mapi (fun i _ -> 100 + i) x) in
+  let key = Share.wrap (Mpc.share_b ctx x) in
+  let tag = Share.wrap (Mpc.share_b ctx (Array.mapi (fun i _ -> 100 + i) x)) in
   let key', carry', sigma =
     Sortwrap.sort_with_perm ctx ~algo ~dir ~w:8 key [ tag ]
   in
-  Alcotest.(check vec) "wrapper sorts" expected (Share.reconstruct key');
+  Alcotest.(check vec) "wrapper sorts" expected (Share.reconstruct_c key');
   (* sigma must send the original rows to their sorted positions *)
   let s = Share.reconstruct sigma in
   Alcotest.(check bool) "sigma is a permutation" true
@@ -267,7 +267,7 @@ let check_wrapper ctx algo dir x =
   (* carried column moved under the same permutation *)
   match carry' with
   | [ t ] ->
-      let tags = Share.reconstruct t in
+      let tags = Share.reconstruct_c t in
       Alcotest.(check vec) "carry consistent"
         (Orq_shuffle.Localperm.apply (Array.mapi (fun i _ -> 100 + i) x) s)
         tags
@@ -290,13 +290,13 @@ let test_wrapper_stability () =
           let pos = [| 0; 1; 2; 3; 4 |] in
           let _, carry', _ =
             Sortwrap.sort_with_perm ctx ~algo ~dir:Sortwrap.Asc ~w:2
-              (Mpc.share_b ctx x)
-              [ Mpc.share_b ctx pos ]
+              (Share.wrap (Mpc.share_b ctx x))
+              [ Share.wrap (Mpc.share_b ctx pos) ]
           in
           match carry' with
           | [ c ] ->
               Alcotest.(check vec) "stable" [| 1; 3; 0; 2; 4 |]
-                (Share.reconstruct c)
+                (Share.reconstruct_c c)
           | _ -> Alcotest.fail "arity")
         [ Sortwrap.Radixsort; Sortwrap.Quicksort ])
 
