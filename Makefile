@@ -1,6 +1,6 @@
 # Convenience wrapper; everything below is plain dune.
 
-.PHONY: check build test test-checked lint certify kernels-smoke bench bench-rounds bench-bitpack bench-join bench-join-quick bench-scale bench-scale-quick bench-service bench-service-quick bench-net bench-net-quick bench-e2e bench-e2e-compare serve party-demo clean
+.PHONY: check build test test-checked lint certify kernels-smoke bench bench-bitpack bench-join bench-join-quick bench-scale bench-scale-quick bench-service bench-service-quick bench-net bench-net-quick bench-e2e bench-e2e-compare serve party-demo clean
 
 # Query-service knobs (flags win; see DESIGN.md "Query service")
 ORQ_SOCKET ?= /tmp/orq-service.sock
@@ -52,16 +52,10 @@ kernels-smoke:
 bench:
 	dune exec bench/main.exe
 
-# Round-fusion audit: every query fused vs ORQ_NO_FUSION=1, asserting
-# byte-identical traffic and plaintext-validated results; refreshes
-# BENCH_rounds.json. ORQ_ROUNDS_QUICK=1 runs a representative subset.
-bench-rounds:
-	dune exec bench/main.exe -- rounds --sf 0.0002 --n 400
-
-# Bit-packed flag-lane audit: packed-vs-word micro speedup (>= 8x gate),
-# end-to-end sort/group-by wall clock, and the full query suite with
-# packing on vs off asserting identical values and traffic; refreshes
-# BENCH_bitpack.json. ORQ_BITPACK_QUICK=1 runs a representative subset.
+# Bit-packed flag-lane micro benchmark: packed band_f/xor_f/open_f vs the
+# word primitives at width 1 on the same flags (n = 2^20, Sh-HM), exit 1
+# unless the packed AND is >= 8x cheaper per element; refreshes
+# BENCH_bitpack.json. ORQ_BITPACK_QUICK=1 runs it at n = 2^17.
 bench-bitpack:
 	dune exec bench/main.exe -- bitpack
 

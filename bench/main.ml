@@ -16,7 +16,7 @@
 let experiments =
   [ "all"; "fig4"; "fig5"; "fig6"; "fig7"; "fig8"; "fig9"; "fig10"; "fig11";
     "fig12"; "table1"; "table2"; "table7"; "ablation"; "micro";
-    "micro-kernels"; "rounds"; "bitpack"; "join"; "scale" ]
+    "micro-kernels"; "bitpack"; "join"; "scale" ]
 
 let usage () =
   Printf.printf "usage: main.exe [%s] [--sf F] [--n N]\n"
@@ -65,14 +65,11 @@ let () =
   (* explicit-only: the domain sweep over 1M-element vectors is not part of
      the quick "all" pass *)
   if List.mem "micro-kernels" cmds then Kernels.run ();
-  (* explicit-only: fused-vs-unfused round comparison over the query
-     workloads; writes BENCH_rounds.json *)
-  if List.mem "rounds" cmds then Rounds.run ~sf ~other_n:n ();
   (* out-of-core chunked streaming: overhead, budgeted big run, SF ladder;
      writes BENCH_scale.json (named explicitly, never part of "all") *)
   if List.mem "scale" cmds then Scale.run ();
-  (* explicit-only: packed-vs-word flag lanes micro + end-to-end + query
-     suite invariant gate; writes BENCH_bitpack.json *)
+  (* explicit-only: packed-vs-word flag primitive micro benchmark with its
+     >= 8x AND gate; writes BENCH_bitpack.json *)
   if List.mem "bitpack" cmds then Bitpack.run ();
   (* explicit-only: physical-join operator comparison (sort vs linear vs
      quad vs cost-based auto) over the join-heavy queries; writes

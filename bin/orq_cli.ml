@@ -26,11 +26,6 @@ module Service = Orq_service.Service
 module Client = Orq_service.Client
 module Cluster = Orq_party.Cluster
 
-(* Cost lines name the round-counting mode so logs from fused and
-   unfused (ORQ_NO_FUSION=1) runs are distinguishable side by side. *)
-let rounds_label () =
-  if Mpc.fusion_enabled () then "rounds (fused)" else "rounds (unfused)"
-
 (* Out-of-core accounting for batch runs: printed only when streaming is
    on, since otherwise share vectors are untracked monolithic arrays. *)
 let print_local_memory () =
@@ -164,8 +159,8 @@ let run_sql sql proto sf profile =
            quadratic oblivious fallback\n"
           fallbacks;
       let tally = Orq_net.Comm.snapshot ctx.Ctx.comm in
-      Printf.printf "costs: %d %s | %.2f MiB | estimated %s: %.2fs\n"
-        tally.Orq_net.Comm.t_rounds (rounds_label ())
+      Printf.printf "costs: %d rounds | %.2f MiB | estimated %s: %.2fs\n"
+        tally.Orq_net.Comm.t_rounds
         (float_of_int tally.Orq_net.Comm.t_bits /. 8. /. 1024. /. 1024.)
         profile.Netsim.label
         (Netsim.network_time profile tally);
@@ -202,8 +197,9 @@ let run_registered query proto sf n profile validate =
         done;
         if nrows > 20 then Printf.printf "  ... (%d more)\n" (nrows - 20);
         Printf.printf
-          "\ncosts: %d online %s | %.2f MiB online | %.2f MiB preprocessing\n"
-          tally.Orq_net.Comm.t_rounds (rounds_label ())
+          "\ncosts: %d online rounds | %.2f MiB online | %.2f MiB \
+           preprocessing\n"
+          tally.Orq_net.Comm.t_rounds
           (float_of_int tally.Orq_net.Comm.t_bits /. 8. /. 1024. /. 1024.)
           (float_of_int pre.Orq_net.Comm.t_bits /. 8. /. 1024. /. 1024.);
         Printf.printf "simulation compute: %.2fs | estimated %s end-to-end: %.2fs\n"
@@ -461,9 +457,9 @@ let client_query socket proto prio timeout_ms set_workers net_stats explain sql
                 Printf.printf "note: %d quadratic join fallback(s)\n"
                   r.Wire.r_fallbacks;
               Printf.printf
-                "costs: %d online %s | %.2f MiB online | %.2f MiB \
+                "costs: %d online rounds | %.2f MiB online | %.2f MiB \
                  preprocessing | est. LAN %.3fs | est. WAN %.3fs\n"
-                r.Wire.r_tally.Orq_net.Comm.t_rounds (rounds_label ())
+                r.Wire.r_tally.Orq_net.Comm.t_rounds
                 (float_of_int r.Wire.r_tally.Orq_net.Comm.t_bits /. 8.
                 /. 1024. /. 1024.)
                 (float_of_int r.Wire.r_pre.Orq_net.Comm.t_bits /. 8. /. 1024.

@@ -43,20 +43,13 @@ let leaky site rule callee why =
 let all : entry list =
   [
     (* --- protocol layer: the primitives themselves --- *)
-    ok "Mpc.open_many" Declass "open_"
-      "fusion fallback of the batched opening delegates to the single-lane \
-       opening primitive; no extra information revealed (same lanes, same \
-       traffic)";
-    ok "Mpc.open_f_many" Declass "open_f"
-      "fusion fallback of the batched packed-flag opening delegates to the \
-       single-lane packed opening primitive";
+    ok "Mpc.open_f" Declass "open_f_many"
+      "the single packed-flag opening is a one-lane call of the batched \
+       packed opening primitive";
     (* --- share conversions: openings of freshly masked values --- *)
-    ok "Convert.bit_b2a_many_unpacked" Declass "open_many"
-      "opens b xor r with r a fresh dealer daBit; the opened bit is \
-       uniformly random (§2.3 conversion correlations)";
     ok "Convert.bit_b2a_flags_many" Declass "open_f_many"
-      "packed-lane variant of the daBit masking: opens b xor r per packed \
-       word, uniform for uniform r";
+      "opens b xor r per packed word with r a fresh dealer daBit; the \
+       opened bits are uniformly random (§2.3 conversion correlations)";
     ok "Convert.b2a" Declass "open_"
       "opens bit-decomposed x xor r against per-bit daBits; each opened bit \
        is uniform";

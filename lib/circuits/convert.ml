@@ -9,40 +9,15 @@
 open Orq_proto
 open Orq_util
 
-(* Word-based batched single-bit boolean-to-arithmetic conversion: each
-   lane masks with its own daBits (drawn per lane in lane order, matching
-   the unbatched dealer stream) and all [b xor r] openings share one fused
-   round; the recombination [c + [r]_A * (1 - 2c)] is local. This is the
-   [ORQ_NO_BITPACK] fallback; the packed path below is the default. *)
-let bit_b2a_many_unpacked (ctx : Ctx.t) (bs : Share.shared array) :
-    Share.shared array =
-  if Array.length bs = 0 then [||]
-  else begin
-    let das = Array.map (fun b -> Dealer.dabits ctx (Share.length b)) bs in
-    let masked =
-      Array.mapi
-        (fun i b -> Mpc.and_mask (Mpc.xor b das.(i).Dealer.da_bool) 1)
-        bs
-    in
-    let widths = Array.map (fun _ -> 1) bs in
-    let cs = Mpc.open_many ~widths ctx masked in
-    Array.mapi
-      (fun i c ->
-        let coeff = Vec.map (fun ci -> 1 - (2 * ci)) c in
-        Mpc.add_pub_vec (Mpc.mul_pub_vec das.(i).Dealer.da_arith coeff) c)
-      cs
-  end
-
-(** Packed-flag boolean-to-arithmetic conversion: the daBit masks arrive
-    in packed lanes (per-word draws), the [b xor r] masking is a bulk word
-    xor, and the openings reveal packed words — unpacking to 0/1 only at
-    the final local recombination, where the result must become arithmetic
-    words anyway. Traffic identical to the unpacked path at width 1. *)
+(** Batched single-bit boolean-to-arithmetic conversion over packed flag
+    lanes: each lane masks with its own daBits (packed, drawn per word and
+    per lane in lane order), the [b xor r] masking is a bulk word xor, and
+    all openings share one fused round at width 1 — unpacking to 0/1 only
+    at the final local recombination [c + [r]_A * (1 - 2c)], where the
+    result must become arithmetic words anyway. *)
 let bit_b2a_flags_many (ctx : Ctx.t) (bs : Share.flags array) :
     Share.shared array =
   if Array.length bs = 0 then [||]
-  else if not (Mpc.bitpack_enabled ()) then
-    bit_b2a_many_unpacked ctx (Array.map Share.unpack_flags bs)
   else begin
     let das =
       Array.map (fun b -> Dealer.dabits_flags ctx (Share.flags_length b)) bs
@@ -63,13 +38,10 @@ let bit_b2a_flags (ctx : Ctx.t) (b : Share.flags) : Share.shared =
   (bit_b2a_flags_many ctx [| b |]).(0)
 
 (** Batched single-bit boolean-to-arithmetic conversion (word-valued bits
-    in the LSB): routed through the packed path when bit-packing is on —
-    packing drops the irrelevant high bits exactly like the word path's
-    [and_mask 1]. *)
+    in the LSB), routed through the packed path: packing keeps only the
+    LSB plane, so the high bits of each word are ignored. *)
 let bit_b2a_many (ctx : Ctx.t) (bs : Share.shared array) : Share.shared array =
-  if Mpc.bitpack_enabled () then
-    bit_b2a_flags_many ctx (Array.map Share.pack_flags bs)
-  else bit_b2a_many_unpacked ctx bs
+  bit_b2a_flags_many ctx (Array.map Share.pack_flags bs)
 
 (** Convert single-bit boolean sharings (condition bits in the LSB) to
     arithmetic 0/1 sharings. One opening round:

@@ -49,9 +49,10 @@ type t = {
           permutations from common seeds shared by shuffle groups, entirely
           separate from dealer/correlation randomness; splitting the streams
           here mirrors that and keeps data-dependent control flow (e.g.
-          quicksort partition sizes, driven by the random shuffle) identical
-          whether correlations are drawn per element or per packed word
-          (see {!Mpc.set_bitpack}). *)
+          quicksort partition sizes, driven by the random shuffle)
+          independent of how many correlation words the protocols draw
+          (per element for word sharings, per packed word for
+          {!Share.flags}). *)
   mutable tamper : tamper option;
 }
 

@@ -33,8 +33,8 @@ type t = {
   perm_prg : Orq_util.Prg.t;
       (** Dedicated stream for shuffle permutations, split off [prg] at
           creation — keeps shuffle-driven control flow independent of how
-          many correlation words the protocols draw (packed vs unpacked
-          flag lanes). *)
+          many correlation words the protocols draw (per element for word
+          sharings, per packed word for flag lanes). *)
   mutable tamper : tamper option;
 }
 

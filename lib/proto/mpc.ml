@@ -15,51 +15,9 @@ module Comm = Orq_net.Comm
 
 type shared = Share.shared
 
-(* ------------------------------------------------------------------ *)
-(* Cross-lane round fusion toggle                                      *)
-(* ------------------------------------------------------------------ *)
-
-(* When enabled (the default), the [_many] primitives below execute all
-   their lanes as one metered communication round; when disabled (env
-   ORQ_NO_FUSION=1, or {!set_fusion}), they loop lane by lane, paying one
-   round per lane. Gating lives at this level only: the circuits above
-   call the [_many] entry points unconditionally, so the two modes tally
-   *identical* bits and messages — and, because fused execution draws its
-   dealer correlations per lane in lane order, identical PRG streams and
-   opened values — differing only in rounds. *)
-let fusion =
-  ref
-    (match Sys.getenv_opt "ORQ_NO_FUSION" with
-    | Some ("1" | "true" | "yes" | "on") -> false
-    | _ -> true)
-
-let set_fusion b = fusion := b
-let fusion_enabled () = !fusion
-
-(* ------------------------------------------------------------------ *)
-(* Bit-packing toggle                                                  *)
-(* ------------------------------------------------------------------ *)
-
-(* When enabled (the default), the flag primitives below ([band_f] etc.)
-   run over packed single-bit lanes ({!Share.flags}): local work and
-   randomness per 63-flag word instead of per element. When disabled (env
-   ORQ_NO_BITPACK=1, or {!set_bitpack}), they unpack, run the ordinary
-   word-per-flag primitives at width 1, and repack. Both modes charge
-   byte-identical traffic (width-1 metering either way) and produce
-   identical opened values — only the simulation's local compute and PRG
-   draw differ. *)
-let bitpack =
-  ref
-    (match Sys.getenv_opt "ORQ_NO_BITPACK" with
-    | Some ("1" | "true" | "yes" | "on") -> false
-    | _ -> true)
-
-let set_bitpack b = bitpack := b
-let bitpack_enabled () = !bitpack
-
 (* Per-lane metering of a fused round: lane 0 opens the round, the other
    lanes piggyback their traffic on it, so bits/messages equal the sum of
-   the unfused per-lane charges exactly. *)
+   the per-lane charges of separate rounds exactly. *)
 let meter_lane (ctx : Ctx.t) i ~bits ~messages =
   if i = 0 then Comm.round ctx.comm ~bits ~messages
   else Comm.traffic ctx.comm ~bits ~messages
@@ -70,32 +28,29 @@ let meter_lane (ctx : Ctx.t) i ~bits ~messages =
 
 (** [fuse_rounds ctx thunks] runs the thunks in order (so the lockstep
     simulation, dealer draws and opened values are exactly those of the
-    sequential execution) and then — when fusion is enabled — re-meters
-    their online rounds as if the tracks had run concurrently: total
-    rounds charged is the *maximum* track depth rather than the sum, while
-    bits and messages keep their exact sequential tallies. The caller
-    asserts the tracks are data-independent (no thunk reads another's
-    result); under that assumption a real deployment interleaves their
-    messages in shared network rounds. Nests freely. *)
+    sequential execution) and then re-meters their online rounds as if the
+    tracks had run concurrently: total rounds charged is the *maximum*
+    track depth rather than the sum, while bits and messages keep their
+    exact sequential tallies. The caller asserts the tracks are
+    data-independent (no thunk reads another's result); under that
+    assumption a real deployment interleaves their messages in shared
+    network rounds. Nests freely; zero or one track charges nothing
+    extra. *)
 let fuse_rounds (ctx : Ctx.t) (thunks : (unit -> 'a) array) : 'a array =
-  if (not !fusion) || Array.length thunks <= 1 then
-    Array.map (fun f -> f ()) thunks
-  else begin
-    let total = ref 0 and deepest = ref 0 in
-    let res =
-      Array.map
-        (fun f ->
-          let before = ctx.Ctx.comm.Comm.rounds in
-          let r = f () in
-          let d = ctx.Ctx.comm.Comm.rounds - before in
-          total := !total + d;
-          if d > !deepest then deepest := d;
-          r)
-        thunks
-    in
-    Comm.refund_rounds ctx.comm (!total - !deepest);
-    res
-  end
+  let total = ref 0 and deepest = ref 0 in
+  let res =
+    Array.map
+      (fun f ->
+        let before = ctx.Ctx.comm.Comm.rounds in
+        let r = f () in
+        let d = ctx.Ctx.comm.Comm.rounds - before in
+        total := !total + d;
+        if d > !deepest then deepest := d;
+        r)
+      thunks
+  in
+  Comm.refund_rounds ctx.comm (!total - !deepest);
+  res
 
 (* ------------------------------------------------------------------ *)
 (* Input / constants (data-owner side; unmetered)                      *)
@@ -207,37 +162,47 @@ let meter_open_lane (ctx : Ctx.t) i ~w ~n =
           raise (Ctx.Abort "open: share/hash mismatch detected")
       done
 
-(** Open a shared vector to all parties. Under [Mal_hm] every reconstructed
-    vector is delivered redundantly (value + digest from distinct parties);
-    an injected corruption of the sender therefore raises {!Ctx.Abort}. *)
-let open_ ?width (ctx : Ctx.t) (s : shared) : Vec.t =
-  let w = Option.value width ~default:ctx.ell in
-  let x = Share.reconstruct s in
-  meter_open_lane ctx 0 ~w ~n:(Share.length s);
-  x
+(* Lane [i]'s metered width: its entry in [widths], else the call's
+   default [w0]. *)
+let lane_width widths w0 i = match widths with Some ws -> ws.(i) | None -> w0
+
+(* The one opening core: reconstruct every lane, then meter them as one
+   fused round. *)
+let open_lanes (ctx : Ctx.t) ~w0 widths (ss : shared array) : Vec.t array =
+  let outs = Array.map Share.reconstruct ss in
+  for i = 0 to Array.length ss - 1 do
+    meter_open_lane ctx i ~w:(lane_width widths w0 i) ~n:(Share.length ss.(i))
+  done;
+  outs
 
 (** Open several independent shared vectors in one fused round (each lane
-    keeps its own width charge; under [ORQ_NO_FUSION] the lanes open one
-    round apiece, with identical bits/messages). *)
+    keeps its own width charge). Under [Mal_hm] every reconstructed vector
+    is delivered redundantly (value + digest from distinct parties); an
+    injected corruption of a sender therefore raises {!Ctx.Abort}. *)
 let open_many ?widths (ctx : Ctx.t) (ss : shared array) : Vec.t array =
-  let k = Array.length ss in
-  let ws =
-    match widths with
-    | None -> Array.make k ctx.ell
-    | Some ws ->
-        if Array.length ws <> k then invalid_arg "Mpc.open_many: widths length";
-        ws
-  in
-  if k <= 1 || not !fusion then
-    Array.mapi (fun i s -> open_ ~width:ws.(i) ctx s) ss
-  else begin
-    let outs = Array.map Share.reconstruct ss in
-    Array.iteri (fun i s -> meter_open_lane ctx i ~w:ws.(i) ~n:(Share.length s)) ss;
-    outs
-  end
+  (match widths with
+  | Some ws when Array.length ws <> Array.length ss ->
+      invalid_arg "Mpc.open_many: widths length"
+  | _ -> ());
+  open_lanes ctx ~w0:ctx.ell widths ss
+
+(** Open a shared vector to all parties: a one-lane {!open_many}. *)
+let open_ ?width (ctx : Ctx.t) (s : shared) : Vec.t =
+  (open_lanes ctx ~w0:(Option.value width ~default:ctx.ell) None [| s |]).(0)
 
 (* ------------------------------------------------------------------ *)
 (* Multiplication / AND                                                *)
+(*                                                                     *)
+(* One core per protocol runs k independent multiplications as one      *)
+(* metered round; the single-operand entry points are its one-lane      *)
+(* calls. Dealer correlations (and zero-sharing randomness) are drawn   *)
+(* per lane in lane order — exactly the stream k separate calls         *)
+(* consume — then the lanes are packed with {!Share.concat_many} so the *)
+(* local recombination kernels make one pass over one long vector. A    *)
+(* lone lane is not copied: {!Share.concat_many} returns it as is and   *)
+(* [split_lanes] only wraps the result. Metering is per lane            *)
+(* ({!meter_lane}), so bits and messages are the sum of the per-lane    *)
+(* charges and the round count is one.                                  *)
 (* ------------------------------------------------------------------ *)
 
 (* Zero sharing: alpha_k = r_k (-|xor) r_{k+1 mod nvec}, so the alphas sum
@@ -273,17 +238,40 @@ let open_diff (enc : Share.enc) (x : shared) (t : shared) : Vec.t =
   done;
   out
 
+(* Cut the packed result back into lanes of the operands' lengths; a lone
+   lane is returned as is. *)
+let split_lanes (s : shared) (xs : shared array) =
+  if Array.length xs = 1 then [| s |]
+  else Share.split_many s (Array.map Share.length xs)
+
+(* Fresh zero sharings, one per lane in lane order, packed like the
+   operands. *)
+let zero_sharing_lanes (ctx : Ctx.t) enc (xs : shared array) : Vec.t array =
+  (Share.concat_many
+     (Array.map
+        (fun x -> { Share.enc; v = zero_sharing ctx enc (Share.length x) })
+        xs))
+    .Share.v
+
 (* 2PC Beaver multiplication: open d = x - a and e = y - b (one batched
    round), then z = c + d*b + e*a + d*e with the public d*e folded into one
    share vector. The boolean case is identical over GF(2). Recombination is
    the fused one-pass {!Vec.beaver_arith}/{!Vec.beaver_bool} kernel: the
    whole multiplication allocates d, e and the nvec result vectors. *)
-let beaver_mul (ctx : Ctx.t) enc w (x : shared) (y : shared) : shared =
-  let n = Share.length x in
-  let { Dealer.ta; tb; tc } = Dealer.beaver ctx enc n in
-  (* both openings batched: one round, each party sends both its shares *)
-  Comm.round ctx.comm ~bits:(2 * 2 * w * n) ~messages:2;
-  let d = open_diff enc x ta and e = open_diff enc y tb in
+let beaver_lanes (ctx : Ctx.t) enc ~w0 widths (xs : shared array)
+    (ys : shared array) : shared array =
+  let triples = Array.map (fun x -> Dealer.beaver ctx enc (Share.length x)) xs in
+  (* both openings batched: each party sends both its shares *)
+  for i = 0 to Array.length xs - 1 do
+    meter_lane ctx i
+      ~bits:(2 * 2 * lane_width widths w0 i * Share.length xs.(i))
+      ~messages:2
+  done;
+  let ta = Share.concat_many (Array.map (fun t -> t.Dealer.ta) triples) in
+  let tb = Share.concat_many (Array.map (fun t -> t.Dealer.tb) triples) in
+  let tc = Share.concat_many (Array.map (fun t -> t.Dealer.tc) triples) in
+  let d = open_diff enc (Share.concat_many xs) ta
+  and e = open_diff enc (Share.concat_many ys) tb in
   let v =
     Array.init ctx.nvec (fun k ->
         let with_de = k = 0 in
@@ -295,7 +283,7 @@ let beaver_mul (ctx : Ctx.t) enc w (x : shared) (y : shared) : shared =
             Vec.beaver_bool ~tc:tc.Share.v.(k) ~d ~tb:tb.Share.v.(k) ~e
               ~ta:ta.Share.v.(k) ~with_de)
   in
-  { Share.enc; v }
+  split_lanes { Share.enc; v } xs
 
 (* 3PC replicated multiplication (Araki et al.): party i computes
    z_i = x_i y_i + x_i y_{i+1} + x_{i+1} y_i + alpha_i and sends it to its
@@ -303,10 +291,11 @@ let beaver_mul (ctx : Ctx.t) enc w (x : shared) (y : shared) : shared =
    The cross terms are accumulated directly into the (freshly generated)
    alpha vectors by the fused {!Vec.rep3_arith_into} kernel — no
    per-term intermediates. *)
-let rep3_mul (ctx : Ctx.t) enc w (x : shared) (y : shared) : shared =
-  let n = Share.length x in
-  let alpha = zero_sharing ctx enc n in
-  let xv = x.Share.v and yv = y.Share.v in
+let rep3_lanes (ctx : Ctx.t) enc ~w0 widths (xs : shared array)
+    (ys : shared array) : shared array =
+  let alpha = zero_sharing_lanes ctx enc xs in
+  let xv = (Share.concat_many xs).Share.v
+  and yv = (Share.concat_many ys).Share.v in
   for i = 0 to 2 do
     let j = (i + 1) mod 3 in
     match (enc : Share.enc) with
@@ -317,181 +306,46 @@ let rep3_mul (ctx : Ctx.t) enc w (x : shared) (y : shared) : shared =
         Vec.rep3_bool_into alpha.(i) ~xi:xv.(i) ~yi:yv.(i) ~xj:xv.(j)
           ~yj:yv.(j)
   done;
-  Comm.round ctx.comm ~bits:(3 * w * n) ~messages:3;
-  { Share.enc; v = alpha }
+  for i = 0 to Array.length xs - 1 do
+    meter_lane ctx i
+      ~bits:(3 * lane_width widths w0 i * Share.length xs.(i))
+      ~messages:3
+  done;
+  split_lanes { Share.enc; v = alpha } xs
 
 (* 4PC Fantastic-Four-style multiplication. Each cross term x_i y_j is
-   computable by the >= 2 parties holding both shares; the lowest-index
-   eligible party contributes it and the next one verifies it (value vs
-   digest), so a corrupted contribution aborts. Contributions are
-   rerandomized into a fresh 4-vector sharing. Metered at 3 ring elements
-   per party per multiplication (consistent with the paper's Table 7
+   computable by the >= 2 parties holding both shares (everyone except
+   parties i and j); the lowest-index eligible party contributes it and
+   the next one verifies it (value vs digest), so a corrupted contribution
+   aborts. Contributions accumulate straight into the fresh zero-sharing
+   vectors via the fused multiply-accumulate kernels: nvec + 1 allocations
+   per lane, no per-term intermediates. Metered at 3 ring elements per
+   party per multiplication (consistent with the paper's Table 7
    Mal-HM/SH-HM bandwidth ratio). *)
-let rep4_mul (ctx : Ctx.t) enc w (x : shared) (y : shared) : shared =
-  let n = Share.length x in
-  let xv = x.Share.v and yv = y.Share.v in
-  (* contributions accumulate straight into the fresh alpha vectors via the
-     fused multiply-accumulate kernels: zero-sharing noise plus cross terms
-     in nvec + 1 allocations total, no per-term intermediates *)
-  let alpha = zero_sharing ctx enc n in
-  for i = 0 to 3 do
-    for j = 0 to 3 do
-      (* parties eligible for term (i, j): those holding x_i and y_j,
-         i.e. everyone except parties i and j *)
-      let eligible =
-        List.filter (fun p -> p <> i && p <> j) [ 0; 1; 2; 3 ]
-      in
-      match eligible with
-      | assignee :: verifier :: _ ->
-          let delta = Ctx.tamper_delta ctx ~party:assignee ~op:"mul" in
-          if delta <> 0 then
-            (* the verifier recomputes the same term from its own copies of
-               x_i and y_j; any additive corruption mismatches *)
-            raise (Ctx.Abort "mul: cross-term verification failed");
-          ignore verifier;
-          (match (enc : Share.enc) with
-          | Arith -> Vec.mul_add_into alpha.(assignee) xv.(i) yv.(j)
-          | Bool -> Vec.xor_band_into alpha.(assignee) xv.(i) yv.(j))
-      | _ -> assert false
-    done
-  done;
-  Comm.round ctx.comm ~bits:(4 * 3 * w * n) ~messages:12;
-  { Share.enc; v = alpha }
-
-(* ------------------------------------------------------------------ *)
-(* Fused multi-lane multiplication                                     *)
-(*                                                                     *)
-(* Each [_many] core runs k independent multiplications as one metered  *)
-(* round. Dealer correlations (and zero-sharing randomness) are drawn   *)
-(* per lane in lane order — exactly the stream k separate calls would   *)
-(* consume — then the lanes are packed with {!Share.concat_many} so the *)
-(* local recombination kernels make one pass over one long vector.      *)
-(* Metering is per lane ({!meter_lane}), so bits and messages equal the *)
-(* unfused totals and only the round count drops to one.                *)
-(* ------------------------------------------------------------------ *)
-
-let lane_lengths (lanes : (shared * shared * int) array) =
-  Array.map (fun (x, _, _) -> Share.length x) lanes
-
-let beaver_mul_many (ctx : Ctx.t) enc (lanes : (shared * shared * int) array) :
-    shared array =
-  let ns = lane_lengths lanes in
-  let triples =
-    Array.mapi (fun i (_, _, _) -> Dealer.beaver ctx enc ns.(i)) lanes
-  in
-  Array.iteri
-    (fun i (_, _, w) -> meter_lane ctx i ~bits:(2 * 2 * w * ns.(i)) ~messages:2)
-    lanes;
-  let bx = Share.concat_many (Array.map (fun (x, _, _) -> x) lanes) in
-  let by = Share.concat_many (Array.map (fun (_, y, _) -> y) lanes) in
-  let ta = Share.concat_many (Array.map (fun t -> t.Dealer.ta) triples) in
-  let tb = Share.concat_many (Array.map (fun t -> t.Dealer.tb) triples) in
-  let tc = Share.concat_many (Array.map (fun t -> t.Dealer.tc) triples) in
-  let d = open_diff enc bx ta and e = open_diff enc by tb in
-  let v =
-    Array.init ctx.nvec (fun k ->
-        let with_de = k = 0 in
-        match (enc : Share.enc) with
-        | Arith ->
-            Vec.beaver_arith ~tc:tc.Share.v.(k) ~d ~tb:tb.Share.v.(k) ~e
-              ~ta:ta.Share.v.(k) ~with_de
-        | Bool ->
-            Vec.beaver_bool ~tc:tc.Share.v.(k) ~d ~tb:tb.Share.v.(k) ~e
-              ~ta:ta.Share.v.(k) ~with_de)
-  in
-  Share.split_many { Share.enc; v } ns
-
-let rep3_mul_many (ctx : Ctx.t) enc (lanes : (shared * shared * int) array) :
-    shared array =
-  let ns = lane_lengths lanes in
-  let alphas = Array.map (fun n -> zero_sharing ctx enc n) ns in
-  let alpha =
-    Array.init ctx.nvec (fun k ->
-        Vec.concat_many (Array.map (fun a -> a.(k)) alphas))
-  in
-  let bx = Share.concat_many (Array.map (fun (x, _, _) -> x) lanes) in
-  let by = Share.concat_many (Array.map (fun (_, y, _) -> y) lanes) in
-  let xv = bx.Share.v and yv = by.Share.v in
-  for i = 0 to 2 do
-    let j = (i + 1) mod 3 in
-    match (enc : Share.enc) with
-    | Arith ->
-        Vec.rep3_arith_into alpha.(i) ~xi:xv.(i) ~yi:yv.(i) ~xj:xv.(j)
-          ~yj:yv.(j)
-    | Bool ->
-        Vec.rep3_bool_into alpha.(i) ~xi:xv.(i) ~yi:yv.(i) ~xj:xv.(j)
-          ~yj:yv.(j)
-  done;
-  Array.iteri
-    (fun i (_, _, w) -> meter_lane ctx i ~bits:(3 * w * ns.(i)) ~messages:3)
-    lanes;
-  Share.split_many { Share.enc; v = alpha } ns
-
-let rep4_mul_many (ctx : Ctx.t) enc (lanes : (shared * shared * int) array) :
-    shared array =
-  let ns = lane_lengths lanes in
-  let alphas = Array.map (fun n -> zero_sharing ctx enc n) ns in
-  let alpha =
-    Array.init ctx.nvec (fun k ->
-        Vec.concat_many (Array.map (fun a -> a.(k)) alphas))
-  in
-  let bx = Share.concat_many (Array.map (fun (x, _, _) -> x) lanes) in
-  let by = Share.concat_many (Array.map (fun (_, y, _) -> y) lanes) in
-  let xv = bx.Share.v and yv = by.Share.v in
+let rep4_lanes (ctx : Ctx.t) enc ~w0 widths (xs : shared array)
+    (ys : shared array) : shared array =
+  let alpha = zero_sharing_lanes ctx enc xs in
+  let xv = (Share.concat_many xs).Share.v
+  and yv = (Share.concat_many ys).Share.v in
   for i = 0 to 3 do
     for j = 0 to 3 do
       let eligible = List.filter (fun p -> p <> i && p <> j) [ 0; 1; 2; 3 ] in
       match eligible with
-      | assignee :: verifier :: _ ->
-          let delta = Ctx.tamper_delta ctx ~party:assignee ~op:"mul" in
-          if delta <> 0 then
+      | assignee :: _verifier :: _ ->
+          if Ctx.tamper_delta ctx ~party:assignee ~op:"mul" <> 0 then
             raise (Ctx.Abort "mul: cross-term verification failed");
-          ignore verifier;
           (match (enc : Share.enc) with
           | Arith -> Vec.mul_add_into alpha.(assignee) xv.(i) yv.(j)
           | Bool -> Vec.xor_band_into alpha.(assignee) xv.(i) yv.(j))
       | _ -> assert false
     done
   done;
-  Array.iteri
-    (fun i (_, _, w) -> meter_lane ctx i ~bits:(4 * 3 * w * ns.(i)) ~messages:12)
-    lanes;
-  Share.split_many { Share.enc; v = alpha } ns
-
-let mul_core (ctx : Ctx.t) enc w x y =
-  match ctx.kind with
-  | Ctx.Sh_dm -> beaver_mul ctx enc w x y
-  | Ctx.Sh_hm -> rep3_mul ctx enc w x y
-  | Ctx.Mal_hm -> rep4_mul ctx enc w x y
-
-let mul_core_many (ctx : Ctx.t) enc (lanes : (shared * shared * int) array) :
-    shared array =
-  if Array.length lanes <= 1 || not !fusion then
-    Array.map (fun (x, y, w) -> mul_core ctx enc w x y) lanes
-  else
-    match ctx.kind with
-    | Ctx.Sh_dm -> beaver_mul_many ctx enc lanes
-    | Ctx.Sh_hm -> rep3_mul_many ctx enc lanes
-    | Ctx.Mal_hm -> rep4_mul_many ctx enc lanes
-
-let check_lanes name enc (xs : shared array) (ys : shared array) widths =
-  let k = Array.length xs in
-  if Array.length ys <> k then invalid_arg (name ^ ": operand arrays differ");
-  (match widths with
-  | Some ws when Array.length ws <> k -> invalid_arg (name ^ ": widths length")
-  | _ -> ());
-  Array.iteri
-    (fun i x ->
-      Share.check_enc enc x;
-      Share.check_enc enc ys.(i);
-      Share.check_same_len x ys.(i))
-    xs
-
-let make_lanes (ctx : Ctx.t) xs ys widths =
-  Array.mapi
-    (fun i x ->
-      (x, ys.(i), match widths with Some ws -> ws.(i) | None -> ctx.ell))
-    xs
+  for i = 0 to Array.length xs - 1 do
+    meter_lane ctx i
+      ~bits:(4 * 3 * lane_width widths w0 i * Share.length xs.(i))
+      ~messages:12
+  done;
+  split_lanes { Share.enc; v = alpha } xs
 
 (* Debug-mode width-sanity check: an interactive primitive whose width
    defaulted to ell while both operands reconstruct to single-bit vectors
@@ -500,74 +354,81 @@ let make_lanes (ctx : Ctx.t) xs ys widths =
    least one set bit on each side so small or degenerate vectors (e.g. an
    all-invalid mask ANDed with data) cannot trip it. Reconstruction makes
    this O(nvec * n), so it runs only under {!Debug.set_checks}. *)
-let check_width_sane op width (x : shared) (y : shared) =
-  if width = None && Debug.enabled () then begin
-    let single_bit s =
-      let v = Share.reconstruct s in
-      Vec.length v >= 8
-      &&
-      let all01 = ref true and any1 = ref false in
-      Array.iter
-        (fun e -> if e = 1 then any1 := true else if e <> 0 then all01 := false)
-        v;
-      !all01 && !any1
-    in
-    if single_bit x && single_bit y then
-      invalid_arg
-        (op
-       ^ ": width defaulted to ell but both operands are single-bit vectors \
-          — missing ?width:1 at the call site?")
-  end
+let check_width_sane op (xs : shared array) (ys : shared array) =
+  let single_bit s =
+    let v = Share.reconstruct s in
+    Vec.length v >= 8
+    &&
+    let all01 = ref true and any1 = ref false in
+    Array.iter
+      (fun e -> if e = 1 then any1 := true else if e <> 0 then all01 := false)
+      v;
+    !all01 && !any1
+  in
+  Array.iteri
+    (fun i x ->
+      if single_bit x && single_bit ys.(i) then
+        invalid_arg
+          (op
+         ^ ": width defaulted to ell but both operands are single-bit \
+            vectors — missing ?width:1 at the call site?"))
+    xs
 
-let check_width_sane_many op widths (xs : shared array) (ys : shared array) =
-  if widths = None && Debug.enabled () then
-    Array.iteri (fun i x -> check_width_sane op None x ys.(i)) xs
-
-(** Secure elementwise multiplication of arithmetic shares. *)
-let mul ?width (ctx : Ctx.t) (x : shared) (y : shared) : shared =
-  Share.check_enc Arith x;
-  Share.check_enc Arith y;
-  Share.check_same_len x y;
-  check_width_sane "Mpc.mul" width x y;
-  let w = Option.value width ~default:ctx.ell in
-  mul_core ctx Arith w x y
-
-(** Secure elementwise bitwise AND of boolean shares. *)
-let band ?width (ctx : Ctx.t) (x : shared) (y : shared) : shared =
-  Share.check_enc Bool x;
-  Share.check_enc Bool y;
-  Share.check_same_len x y;
-  check_width_sane "Mpc.band" width x y;
-  let w = Option.value width ~default:ctx.ell in
-  mul_core ctx Bool w x y
+(* The one multiplication entry: lane checks, then the protocol's core.
+   [width] is a one-lane call's width, [widths] a batched call's. *)
+let mul_checked name enc ?width ?widths (ctx : Ctx.t) (xs : shared array)
+    (ys : shared array) : shared array =
+  let k = Array.length xs in
+  if Array.length ys <> k then invalid_arg (name ^ ": operand arrays differ");
+  (match widths with
+  | Some ws when Array.length ws <> k -> invalid_arg (name ^ ": widths length")
+  | _ -> ());
+  for i = 0 to k - 1 do
+    Share.check_enc enc xs.(i);
+    Share.check_enc enc ys.(i);
+    Share.check_same_len xs.(i) ys.(i)
+  done;
+  if Debug.enabled () && width = None && widths = None then
+    check_width_sane name xs ys;
+  let w0 = Option.value width ~default:ctx.ell in
+  if k = 0 then [||]
+  else
+    match ctx.kind with
+    | Ctx.Sh_dm -> beaver_lanes ctx enc ~w0 widths xs ys
+    | Ctx.Sh_hm -> rep3_lanes ctx enc ~w0 widths xs ys
+    | Ctx.Mal_hm -> rep4_lanes ctx enc ~w0 widths xs ys
 
 (** [mul_many ctx xs ys] multiplies k independent lane pairs (possibly of
     different lengths and widths) in one metered round. *)
 let mul_many ?widths (ctx : Ctx.t) (xs : shared array) (ys : shared array) :
     shared array =
-  check_lanes "Mpc.mul_many" Arith xs ys widths;
-  check_width_sane_many "Mpc.mul_many" widths xs ys;
-  mul_core_many ctx Arith (make_lanes ctx xs ys widths)
+  mul_checked "Mpc.mul_many" Arith ?widths ctx xs ys
 
 (** [band_many ctx xs ys]: k independent ANDs in one metered round. *)
 let band_many ?widths (ctx : Ctx.t) (xs : shared array) (ys : shared array) :
     shared array =
-  check_lanes "Mpc.band_many" Bool xs ys widths;
-  check_width_sane_many "Mpc.band_many" widths xs ys;
-  mul_core_many ctx Bool (make_lanes ctx xs ys widths)
+  mul_checked "Mpc.band_many" Bool ?widths ctx xs ys
 
-(** OR via De Morgan / inclusion–exclusion: x ∨ y = x ⊕ y ⊕ (x ∧ y); the
-    two local xors are fused into one {!Vec.xor3} pass per share vector. *)
-let bor ?width ctx x y =
-  let z = band ?width ctx x y in
-  Share.map3_vectors Vec.xor3 x y z
+(** Secure elementwise multiplication of arithmetic shares (one lane). *)
+let mul ?width (ctx : Ctx.t) (x : shared) (y : shared) : shared =
+  (mul_checked "Mpc.mul" Arith ?width ctx [| x |] [| y |]).(0)
 
-(** k independent ORs in one metered round (one fused AND plus the local
-    xor3 recombination per lane). *)
+(** Secure elementwise bitwise AND of boolean shares (one lane). *)
+let band ?width (ctx : Ctx.t) (x : shared) (y : shared) : shared =
+  (mul_checked "Mpc.band" Bool ?width ctx [| x |] [| y |]).(0)
+
+(** k independent ORs in one metered round via De Morgan /
+    inclusion–exclusion, x ∨ y = x ⊕ y ⊕ (x ∧ y): one fused AND plus the
+    two local xors fused into one {!Vec.xor3} pass per share vector. *)
 let bor_many ?widths (ctx : Ctx.t) (xs : shared array) (ys : shared array) :
     shared array =
   let zs = band_many ?widths ctx xs ys in
   Array.mapi (fun i z -> Share.map3_vectors Vec.xor3 xs.(i) ys.(i) z) zs
+
+(** OR of one lane: x ⊕ y ⊕ (x ∧ y). *)
+let bor ?width ctx x y =
+  let z = band ?width ctx x y in
+  Share.map3_vectors Vec.xor3 x y z
 
 (* ------------------------------------------------------------------ *)
 (* Packed single-bit flag lanes                                        *)
@@ -579,8 +440,7 @@ let bor_many ?widths (ctx : Ctx.t) (xs : shared array) (ys : shared array) :
 (* material — and the local recombination kernels ({!Vec.beaver_bool},  *)
 (* {!Vec.rep3_bool_into}, {!Vec.xor_band_into}) run unchanged over the  *)
 (* word arrays. Metering stays per *element* at width 1, byte-identical *)
-(* to the unpacked primitives; with the gate off every entry point      *)
-(* falls back to unpack -> width-1 primitive -> pack.                   *)
+(* to the word primitives at [~width:1].                                *)
 (* ------------------------------------------------------------------ *)
 
 (** Lanewise xor of packed flag sharings (local, linear). *)
@@ -685,33 +545,19 @@ let band_f_lane (ctx : Ctx.t) lane (x : Share.flags) (y : Share.flags) :
       meter_lane ctx lane ~bits:(4 * 3 * n) ~messages:12;
       { Share.fv = alpha }
 
-(** Secure AND of packed flag sharings — one round, width-1 charges. *)
-let band_f (ctx : Ctx.t) (x : Share.flags) (y : Share.flags) : Share.flags =
-  Share.check_same_flags_len x y;
-  if not !bitpack then
-    Share.pack_flags
-      (band ~width:1 ctx (Share.unpack_flags x) (Share.unpack_flags y))
-  else band_f_lane ctx 0 x y
-
-(** k independent packed ANDs in one fused round (lane by lane under
-    [ORQ_NO_FUSION], with identical bits/messages). *)
+(** k independent packed ANDs in one fused round. *)
 let band_f_many (ctx : Ctx.t) (xs : Share.flags array)
     (ys : Share.flags array) : Share.flags array =
-  let k = Array.length xs in
-  if Array.length ys <> k then
+  if Array.length ys <> Array.length xs then
     invalid_arg "Mpc.band_f_many: operand arrays differ";
-  Array.iteri (fun i x -> Share.check_same_flags_len x ys.(i)) xs;
-  if k = 0 then [||]
-  else if not !bitpack then
-    Array.map Share.pack_flags
-      (band_many
-         ~widths:(Array.make k 1)
-         ctx
-         (Array.map Share.unpack_flags xs)
-         (Array.map Share.unpack_flags ys))
-  else if k = 1 || not !fusion then
-    Array.map2 (fun x y -> band_f_lane ctx 0 x y) xs ys
-  else Array.mapi (fun i x -> band_f_lane ctx i x ys.(i)) xs
+  for i = 0 to Array.length xs - 1 do
+    Share.check_same_flags_len xs.(i) ys.(i)
+  done;
+  Array.mapi (fun i x -> band_f_lane ctx i x ys.(i)) xs
+
+(** Secure AND of packed flag sharings — one round, width-1 charges. *)
+let band_f (ctx : Ctx.t) (x : Share.flags) (y : Share.flags) : Share.flags =
+  (band_f_many ctx [| x |] [| y |]).(0)
 
 (** OR over packed flags: x ⊕ y ⊕ (x ∧ y), one packed AND plus a fused
     lanewise xor3 over the words. *)
@@ -742,22 +588,17 @@ let mux_f (ctx : Ctx.t) (b : Share.flags) (x : Share.flags)
     (y : Share.flags) : Share.flags =
   xor_f x (band_f ctx b (xor_f x y))
 
-(** Open a packed flag sharing; metered exactly like [open_ ~width:1]. *)
-let open_f (ctx : Ctx.t) (f : Share.flags) : Bits.t =
-  let x = Share.reconstruct_flags f in
-  meter_open_lane ctx 0 ~w:1 ~n:(Share.flags_length f);
-  x
-
-(** Open several packed flag sharings in one fused round. *)
+(** Open several packed flag sharings in one fused round; each lane is
+    metered exactly like [open_ ~width:1]. *)
 let open_f_many (ctx : Ctx.t) (fs : Share.flags array) : Bits.t array =
-  if Array.length fs <= 1 || not !fusion then Array.map (open_f ctx) fs
-  else begin
-    let outs = Array.map Share.reconstruct_flags fs in
-    Array.iteri
-      (fun i f -> meter_open_lane ctx i ~w:1 ~n:(Share.flags_length f))
-      fs;
-    outs
-  end
+  let outs = Array.map Share.reconstruct_flags fs in
+  for i = 0 to Array.length fs - 1 do
+    meter_open_lane ctx i ~w:1 ~n:(Share.flags_length fs.(i))
+  done;
+  outs
+
+(** Open a packed flag sharing: a one-lane {!open_f_many}. *)
+let open_f (ctx : Ctx.t) (f : Share.flags) : Bits.t = (open_f_many ctx [| f |]).(0)
 
 (** Rerandomize packed flag lanes without changing the secret (traffic
     metered by the caller, like {!reshare_unmetered}) — zero-sharing noise

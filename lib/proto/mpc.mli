@@ -13,34 +13,21 @@ type shared = Share.shared
 
 (** {2 Cross-lane round fusion}
 
-    The [_many] primitives execute k independent interactive operations as
-    one metered communication round (lane 0 opens the round, the others
-    piggyback). Disabling fusion (env [ORQ_NO_FUSION=1] at startup, or
-    {!set_fusion}) makes them loop lane by lane instead — with identical
-    [bits]/[messages] tallies, identical PRG consumption and identical
-    opened values, since fused execution draws its correlations per lane
-    in lane order; only the round count changes. *)
-
-val set_fusion : bool -> unit
-(** Toggle cross-lane fusion (tests and the rounds benchmark). *)
-
-val fusion_enabled : unit -> bool
-
-val set_bitpack : bool -> unit
-(** Toggle the packed single-bit flag representation (default on; env
-    [ORQ_NO_BITPACK=1] at startup disables it). With packing off, every
-    flag primitive falls back to unpack -> width-1 word primitive ->
-    pack, with identical opened values and identical [bits]/[messages]
-    tallies; only local work and PRG draws differ. *)
-
-val bitpack_enabled : unit -> bool
+    Each interactive primitive has one core per protocol, written over k
+    independent lanes: the [_many] entry points run their lanes as one
+    metered communication round (lane 0 opens the round, the others
+    piggyback their bits and messages), and the single-operand entry points
+    ([mul], [band], [open_], [band_f], [open_f], ...) are one-lane calls of
+    the same cores. Correlations are drawn per lane in lane order, so a
+    k-lane call consumes exactly the PRG stream and charges exactly the
+    bits and messages of k one-lane calls; only the round count differs. *)
 
 val fuse_rounds : Ctx.t -> (unit -> 'a) array -> 'a array
 (** Run data-independent operation tracks sequentially (identical dealer
     draws and opened values) but meter their online rounds as overlapped:
     the total charged is the deepest track, not the sum. Bits and messages
-    keep their exact sequential tallies. No-op re-metering when fusion is
-    disabled. The caller asserts no track depends on another's result. *)
+    keep their exact sequential tallies. The caller asserts no track
+    depends on another's result. *)
 
 (** {2 Input / constants (data-owner side; unmetered)} *)
 
@@ -89,9 +76,9 @@ val extend_bit : shared -> shared
 (** {2 Opening (reveal to all computing parties)} *)
 
 val open_ : ?width:int -> Ctx.t -> shared -> Orq_util.Vec.t
-(** Open a shared vector to all parties. Under [Mal_hm] every
-    reconstructed vector is delivered redundantly (value + digest from
-    distinct parties), so an injected sender corruption raises
+(** Open a shared vector to all parties (a one-lane {!open_many}). Under
+    [Mal_hm] every reconstructed vector is delivered redundantly (value +
+    digest from distinct parties), so an injected sender corruption raises
     {!Ctx.Abort}. *)
 
 val open_many : ?widths:int array -> Ctx.t -> shared array -> Orq_util.Vec.t array
@@ -131,8 +118,8 @@ val bor_many :
     {!Share.flags} (63 flags per word, {!Orq_util.Bits}). Interactive ones
     draw their correlated randomness per packed *word* instead of per
     element and run the local GF(2) kernels over the word arrays, while
-    metering stays per element at width 1 — byte-identical to the unpacked
-    width-1 primitives. *)
+    metering stays per element at width 1 — byte-identical to the word
+    primitives at [~width:1]. *)
 
 val xor_f : Share.flags -> Share.flags -> Share.flags
 (** Lanewise xor (local, linear). *)

@@ -75,32 +75,24 @@ let apply_elementwise_table ?width (ctx : Ctx.t) (cols : Share.chunked list)
     single bit per row, so the first sharded application moves packed
     words ({!Shardedperm.apply_flags}) and the final local rearrangement
     is a packed scatter. Wire cost identical to
-    [apply_elementwise_table ~width:1] on the unpacked 0/1 column — which
-    is exactly what it falls back to under [ORQ_NO_BITPACK]. *)
+    [apply_elementwise_table ~width:1] on the unpacked 0/1 column. *)
 let apply_elementwise_flags (ctx : Ctx.t) (x : Share.flags)
     (rho : Share.shared) : Share.flags =
   let n = Share.flags_length x in
   if Share.length rho <> n then invalid_arg "apply_elementwise: length";
-  if not (Mpc.bitpack_enabled ()) then
-    Share.pack_flags
-      (on_whole
-         (fun cs -> apply_elementwise_table ~width:1 ctx cs rho)
-         (Share.unpack_flags x))
-  else begin
-    Ctx.with_label ctx "applyperm" @@ fun () ->
-    let p1, p2 = Permmgr.gen_pair ctx n in
-    let pair =
-      Mpc.fuse_rounds ctx
-        [|
-          (fun () -> `F (Shardedperm.apply_flags ctx x p1));
-          (fun () -> `S (apply_index ctx p2 rho));
-        |]
-    in
-    let xf = match pair.(0) with `F f -> f | `S _ -> assert false in
-    let rs = match pair.(1) with `S s -> s | `F _ -> assert false in
-    let c = Mpc.open_ ~width:(perm_width ctx) ctx rs in
-    Share.flags_scatter xf c
-  end
+  Ctx.with_label ctx "applyperm" @@ fun () ->
+  let p1, p2 = Permmgr.gen_pair ctx n in
+  let pair =
+    Mpc.fuse_rounds ctx
+      [|
+        (fun () -> `F (Shardedperm.apply_flags ctx x p1));
+        (fun () -> `S (apply_index ctx p2 rho));
+      |]
+  in
+  let xf = match pair.(0) with `F f -> f | `S _ -> assert false in
+  let rs = match pair.(1) with `S s -> s | `F _ -> assert false in
+  let c = Mpc.open_ ~width:(perm_width ctx) ctx rs in
+  Share.flags_scatter xf c
 
 (** Protocol 6: compose two secret elementwise permutations, returning
     [rho o sigma] (apply [sigma] first). *)

@@ -108,6 +108,83 @@ let test_exports_flags_unused () =
   in
   Alcotest.(check (list string)) "only the unused export" [ "Stack.dead" ] found
 
+(* ---------------- env-knob inventory ---------------- *)
+
+(* Every environment variable the library reads, each with the reason it
+   exists. A knob that forks control flow is a second path that tests
+   must keep equivalent to the first, so a new "ORQ_..." literal under
+   lib/ fails this test until it is audited here. *)
+let audited_env_knobs =
+  [
+    ("ORQ_JOIN", "forces a physical join operator (auto|sort|linear|quad) \
+      for the join audit; forced modes fall back to sort when inapplicable");
+    ("ORQ_JOIN_PROFILE", "network profile (lan|wan|geo|local) the join \
+      cost model prices candidates under: a deployment parameter");
+    ("ORQ_CLIENT_TIMEOUT_MS", "client-side deadline on service requests; \
+      touches no protocol code");
+    ("ORQ_SERVICE_PACE", "paces service rounds to a modeled network \
+      profile for load tests; values and tallies unchanged");
+    ("ORQ_SERVICE_WORKERS", "service worker-domain count: deployment \
+      sizing, tallies identical across counts");
+    ("ORQ_SERVICE_MAX_JOBS", "service admission-queue bound: deployment \
+      sizing");
+    ("ORQ_SERVICE_MAX_ROWS", "row cap on a service result frame: \
+      deployment sizing");
+    ("ORQ_SERVICE_ADMIT_MS", "how long a request may wait for admission: \
+      deployment sizing");
+    ("ORQ_SERVICE_DRAIN_MS", "graceful-stop drain deadline: deployment \
+      sizing");
+    ("ORQ_CHUNK_ROWS", "rows per chunk for out-of-core streaming; \
+      certificates identical with chunking forced on");
+    ("ORQ_MEM_BUDGET", "resident chunk-store budget that turns \
+      out-of-core streaming on: deployment memory sizing");
+    ("ORQ_DEBUG_CHECKS", "runtime invariant checks (lock ranks, width \
+      sanity, index bounds); changes no value or tally");
+    ("ORQ_DOMAINS", "local data-parallel domain count; tallies identical \
+      across counts");
+    ("ORQ_MIN_CHUNK", "smallest span the domain pool splits; tallies \
+      identical across values");
+  ]
+
+(* Quoted "ORQ_..." literals in a source text. *)
+let env_literals src =
+  let n = String.length src in
+  let knob_char c = (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9') || c = '_' in
+  let rec go i acc =
+    if i + 5 > n then acc
+    else if String.sub src i 5 <> "\"ORQ_" then go (i + 1) acc
+    else begin
+      let j = ref (i + 1) in
+      while !j < n && knob_char src.[!j] do incr j done;
+      if !j < n && src.[!j] = '"' then
+        go (!j + 1) (String.sub src (i + 1) (!j - i - 1) :: acc)
+      else go !j acc
+    end
+  in
+  go 0 []
+
+let test_env_knob_inventory () =
+  (* tests run inside the build tree, where lib/ sits next to test/ *)
+  let lib = if Sys.file_exists "../lib/proto" then "../lib" else "lib" in
+  let found =
+    List.concat_map
+      (fun path -> env_literals (Lint.read_file path))
+      (Lint.files ~suffix:".ml" lib)
+    |> List.sort_uniq compare
+  in
+  Alcotest.(check bool) "the scan sees the library" true (found <> []);
+  List.iter
+    (fun k ->
+      if not (List.mem_assoc k audited_env_knobs) then
+        Alcotest.failf "%s is read under lib/ but not in the audited knob list" k)
+    found;
+  List.iter
+    (fun (k, why) ->
+      if not (List.mem k found) then
+        Alcotest.failf "audited knob %s is no longer read under lib/" k;
+      Alcotest.(check bool) (k ^ " has a reason") true (String.length why > 20))
+    audited_env_knobs
+
 (* ---------------- recorder mechanics ---------------- *)
 
 let test_recorder_ring_and_labels () =
@@ -288,6 +365,7 @@ let suite =
       test_lint_clean_code_passes;
     Alcotest.test_case "allowlist entries are justified" `Quick
       test_lint_audited_tree_is_registered;
+    Alcotest.test_case "env knobs are audited" `Quick test_env_knob_inventory;
     Alcotest.test_case "exports flags unused vals" `Quick
       test_exports_flags_unused;
     Alcotest.test_case "recorder ring + label stack" `Quick

@@ -10,9 +10,9 @@
      a2b                      ceil(log2 w) + 1        (one opening + add_pub)
 
    and every [_many] entry point must cost the MAX lane depth, not the
-   sum — that is the whole point of the fusion layer. Disabling fusion
-   must leave bits, messages and opened values byte-identical, changing
-   rounds only. *)
+   sum — that is the whole point of the fusion layer. A k-lane call must
+   give the values, bits and messages of k one-lane calls, changing
+   rounds only; a zero-lane call returns nothing and charges nothing. *)
 
 open Orq_util
 open Orq_proto
@@ -25,11 +25,6 @@ let rounds_of (ctx : Ctx.t) f =
   let before = Comm.snapshot ctx.Ctx.comm in
   let r = f () in
   (r, (Comm.since ctx.Ctx.comm before).Comm.t_rounds)
-
-let with_fusion on f =
-  let prev = Mpc.fusion_enabled () in
-  Mpc.set_fusion on;
-  Fun.protect ~finally:(fun () -> Mpc.set_fusion prev) f
 
 let share2 ctx ~w n seed =
   let x = Array.init n (fun i -> (i * 2654435761) lxor seed) in
@@ -127,82 +122,149 @@ let test_many_max_depth () =
         rcomp)
     kinds
 
-(* Fusing must only merge rounds: bits, messages and every opened value
-   stay byte-identical when fusion is switched off. *)
+(* Fusing must only merge rounds: each batched circuit gives the values,
+   bits and messages of its per-lane single calls, and charges the deepest
+   lane's rounds where the single calls charge the sum. *)
 let test_fused_equals_unfused () =
   List.iter
     (fun k ->
       let lbl = Ctx.kind_label k in
-      let run fused =
-        with_fusion fused (fun () ->
-            let ctx = Ctx.create ~seed:17 k in
-            let before = Comm.snapshot ctx.Ctx.comm in
-            let ws = [| 24; 6; 13 |] in
-            let lanes =
-              Array.map (fun w -> (share2 ctx ~w 11 1, share2 ctx ~w 11 2, w)) ws
-            in
-            let eqs = Compare.eq_many ctx lanes in
-            let lts = Compare.lt_many ctx lanes in
-            let sums = Adder.add_many ctx lanes in
-            let sel =
-              Mux.select_many ctx
-                (Array.map2 (fun b (x, y, _) -> (b, x, y)) eqs lanes)
-            in
-            let b2a = Convert.bit_b2a_many ctx lts in
-            let opened =
-              List.concat_map
-                (fun a -> Array.to_list (Array.map Share.reconstruct a))
-                [ eqs; lts; sums; sel; b2a ]
-            in
-            (opened, Comm.since ctx.Ctx.comm before))
+      let ws = [| 24; 6; 13 |] in
+      let setup () =
+        let ctx = Ctx.create ~seed:17 k in
+        let lanes =
+          Array.map (fun w -> (share2 ctx ~w 11 1, share2 ctx ~w 11 2, w)) ws
+        in
+        (ctx, lanes)
       in
-      let vf, tf = run true in
-      let vu, tu = run false in
-      List.iteri
-        (fun i (a, b) ->
-          Alcotest.(check (array int))
-            (Printf.sprintf "%s opened %d" lbl i)
-            b a)
-        (List.combine vf vu);
-      Alcotest.(check int) (lbl ^ " bits equal") tu.Comm.t_bits tf.Comm.t_bits;
-      Alcotest.(check int) (lbl ^ " messages equal") tu.Comm.t_messages
-        tf.Comm.t_messages;
-      if tf.Comm.t_rounds > tu.Comm.t_rounds then
-        Alcotest.failf "%s fused rounds %d > unfused %d" lbl tf.Comm.t_rounds
-          tu.Comm.t_rounds)
+      (* each stage: name, batched call, per-lane single call *)
+      let stages eqs lts =
+        [
+          ( "eq",
+            (fun ctx lanes -> Compare.eq_many ctx lanes),
+            fun ctx (x, y, w) _ -> Compare.eq ctx ~w x y );
+          ( "lt",
+            (fun ctx lanes -> Compare.lt_many ctx lanes),
+            fun ctx (x, y, w) _ -> Compare.lt ctx ~w x y );
+          ( "add",
+            (fun ctx lanes -> Adder.add_many ctx lanes),
+            fun ctx (x, y, w) _ -> Adder.add ctx ~w x y );
+          ( "select",
+            (fun ctx lanes ->
+              Mux.select_many ctx
+                (Array.map2 (fun b (x, y, _) -> (b, x, y)) !eqs lanes)),
+            fun ctx (x, y, _) i -> Mux.mux_b ctx !eqs.(i) x y );
+          ( "bit_b2a",
+            (fun ctx _ -> Convert.bit_b2a_many ctx !lts),
+            fun ctx _ i -> Convert.bit_b2a ctx !lts.(i) );
+        ]
+      in
+      let run_all batched =
+        let ctx, lanes = setup () in
+        let eqs = ref [||] and lts = ref [||] in
+        List.map
+          (fun (name, many, one) ->
+            let before = Comm.snapshot ctx.Ctx.comm in
+            let out, depths =
+              if batched then (many ctx lanes, [||])
+              else
+                let per_lane =
+                  Array.mapi (fun i l -> rounds_of ctx (fun () -> one ctx l i)) lanes
+                in
+                (Array.map fst per_lane, Array.map snd per_lane)
+            in
+            if name = "eq" then eqs := out;
+            if name = "lt" then lts := out;
+            (name, Array.map Share.reconstruct out, depths,
+             Comm.since ctx.Ctx.comm before))
+          (stages eqs lts)
+      in
+      List.iter2
+        (fun (name, vf, _, tf) (_, vu, depths, tu) ->
+          let l = Printf.sprintf "%s %s" lbl name in
+          Array.iteri
+            (fun i a -> Alcotest.(check (array int)) (l ^ " value") vu.(i) a)
+            vf;
+          Alcotest.(check int) (l ^ " bits") tu.Comm.t_bits tf.Comm.t_bits;
+          Alcotest.(check int) (l ^ " messages") tu.Comm.t_messages
+            tf.Comm.t_messages;
+          Alcotest.(check int) (l ^ " single calls pay the sum")
+            (Array.fold_left ( + ) 0 depths) tu.Comm.t_rounds;
+          Alcotest.(check int) (l ^ " batched pays the max lane depth")
+            (Array.fold_left max 0 depths) tf.Comm.t_rounds)
+        (run_all true) (run_all false))
     kinds
 
-(* The parallel-track combinator charges the deepest track, with traffic
-   unchanged; with fusion off it charges the sum. *)
+(* The parallel-track combinator charges the deepest track, where running
+   the same thunks in sequence charges the sum; traffic and values are
+   those of the sequential run. *)
 let test_fuse_rounds_combinator () =
   List.iter
     (fun k ->
       let lbl = Ctx.kind_label k in
-      let run fused =
-        with_fusion fused (fun () ->
-            let ctx = Ctx.create ~seed:23 k in
-            let x = share2 ctx ~w:8 9 1 and y = share2 ctx ~w:8 9 2 in
-            let before = Comm.snapshot ctx.Ctx.comm in
-            let res =
-              Mpc.fuse_rounds ctx
-                [|
-                  (fun () ->
-                    (* two-round track *)
-                    Mpc.band ctx (Mpc.band ctx x y) y);
-                  (fun () -> Mpc.band ctx x y);
-                |]
-            in
-            ( Array.map Share.reconstruct res,
-              Comm.since ctx.Ctx.comm before ))
+      let run combine =
+        let ctx = Ctx.create ~seed:23 k in
+        let x = share2 ctx ~w:8 9 1 and y = share2 ctx ~w:8 9 2 in
+        let before = Comm.snapshot ctx.Ctx.comm in
+        let res =
+          combine ctx
+            [|
+              (fun () ->
+                (* two-round track *)
+                Mpc.band ctx (Mpc.band ctx x y) y);
+              (fun () -> Mpc.band ctx x y);
+            |]
+        in
+        (Array.map Share.reconstruct res, Comm.since ctx.Ctx.comm before)
       in
-      let vf, tf = run true in
-      let vu, tu = run false in
+      let vf, tf = run Mpc.fuse_rounds in
+      let vs, ts = run (fun _ thunks -> Array.map (fun f -> f ()) thunks) in
       Alcotest.(check int) (lbl ^ " tracks fused to max") 2 tf.Comm.t_rounds;
-      Alcotest.(check int) (lbl ^ " tracks unfused sum") 3 tu.Comm.t_rounds;
-      Alcotest.(check int) (lbl ^ " track bits") tu.Comm.t_bits tf.Comm.t_bits;
+      Alcotest.(check int) (lbl ^ " tracks in sequence sum") 3 ts.Comm.t_rounds;
+      Alcotest.(check int) (lbl ^ " track bits") ts.Comm.t_bits tf.Comm.t_bits;
+      Alcotest.(check int) (lbl ^ " track messages") ts.Comm.t_messages
+        tf.Comm.t_messages;
       Array.iteri
-        (fun i a -> Alcotest.(check (array int)) (lbl ^ " track value") vu.(i) a)
+        (fun i a -> Alcotest.(check (array int)) (lbl ^ " track value") vs.(i) a)
         vf)
+    kinds
+
+(* Every batched entry point accepts zero lanes: nothing in, nothing out,
+   no round, bit, message or dealer draw charged. *)
+let test_zero_lanes () =
+  List.iter
+    (fun k ->
+      let ctx = Ctx.create ~seed:29 k in
+      let on0 = Comm.snapshot ctx.Ctx.comm
+      and pre0 = Comm.snapshot ctx.Ctx.preproc in
+      let empty name n =
+        Alcotest.(check int) (Ctx.kind_label k ^ " " ^ name ^ " lanes") 0 n
+      in
+      let none : Share.shared array = [||] and nonef : Share.flags array = [||] in
+      empty "mul_many" (Array.length (Mpc.mul_many ctx none none));
+      empty "band_many" (Array.length (Mpc.band_many ctx none none));
+      empty "bor_many" (Array.length (Mpc.bor_many ctx none none));
+      empty "open_many" (Array.length (Mpc.open_many ctx none));
+      empty "band_f_many" (Array.length (Mpc.band_f_many ctx nonef nonef));
+      empty "bor_f_many" (Array.length (Mpc.bor_f_many ctx nonef nonef));
+      empty "open_f_many" (Array.length (Mpc.open_f_many ctx nonef));
+      empty "fuse_rounds" (Array.length (Mpc.fuse_rounds ctx [||]));
+      empty "eq_many" (Array.length (Compare.eq_many ctx [||]));
+      empty "lt_many" (Array.length (Compare.lt_many ctx [||]));
+      empty "add_many" (Array.length (Adder.add_many ctx [||]));
+      empty "select_many" (Array.length (Mux.select_many ctx [||]));
+      empty "bit_b2a_many" (Array.length (Convert.bit_b2a_many ctx none));
+      empty "bit_b2a_flags_many"
+        (Array.length (Convert.bit_b2a_flags_many ctx nonef));
+      empty "a2b_many" (Array.length (Convert.a2b_many ctx [||]));
+      Alcotest.(check bool)
+        (Ctx.kind_label k ^ " nothing charged online")
+        true
+        (Comm.since ctx.Ctx.comm on0 = Comm.zero_tally);
+      Alcotest.(check bool)
+        (Ctx.kind_label k ^ " nothing charged in preprocessing")
+        true
+        (Comm.since ctx.Ctx.preproc pre0 = Comm.zero_tally))
     kinds
 
 let () =
@@ -222,5 +284,7 @@ let () =
             test_fused_equals_unfused;
           Alcotest.test_case "fuse_rounds combinator" `Quick
             test_fuse_rounds_combinator;
+          Alcotest.test_case "zero lanes charge nothing" `Quick
+            test_zero_lanes;
         ] );
     ]

@@ -252,6 +252,129 @@ let test_semi_honest_no_detection () =
       Ctx.with_tamper ctx tampered (fun () -> ignore (Mpc.mul ctx x x)))
     [ Ctx.Sh_dm; Ctx.Sh_hm ]
 
+
+(* ---------------- golden share digests ---------------- *)
+
+(* Digests of the output *share vectors* (not only the reconstructed
+   values) of the one-lane interactive primitives, together with the
+   online/preproc tallies, the order of tamper-hook queries and the next
+   PRG words. They pin the exact dealer/zero-sharing draw order of every
+   protocol's multiplication and opening, so a refactor of the protocol
+   cores that moves a PRG stream, a charge or a verification check fails
+   here even when every reconstructed value is still right. *)
+
+let digest_of (parts : int array list) (queries : string list) =
+  let b = Buffer.create 4096 in
+  List.iter
+    (fun a ->
+      Array.iter (fun x -> Buffer.add_string b (string_of_int x ^ ",")) a;
+      Buffer.add_char b ';')
+    parts;
+  List.iter (fun q -> Buffer.add_string b (q ^ ";")) queries;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let shares_of (s : Share.shared) = Array.to_list s.Share.v
+
+let flag_shares_of (f : Share.flags) =
+  Array.to_list (Array.map Bits.words f.Share.fv)
+
+let tally_of (t : Orq_net.Comm.tally) =
+  Orq_net.Comm.[| t.t_rounds; t.t_bits; t.t_messages |]
+
+(* Run [f] on a fresh context: digest its outputs, the tallies it charged,
+   every tamper-hook query (party, op) it made and the next PRG words. *)
+let golden_run kind (f : Ctx.t -> int array list) =
+  let ctx = Ctx.create ~seed:0x601D kind in
+  let x = Array.init 37 (fun i -> (i * 2654435761) land Ring.ones) in
+  ignore (Mpc.share_a ctx x);
+  let c0 = Orq_net.Comm.snapshot ctx.Ctx.comm in
+  let p0 = Orq_net.Comm.snapshot ctx.Ctx.preproc in
+  let queries = ref [] in
+  let hook ~party ~op =
+    queries := Printf.sprintf "%d:%s" party op :: !queries;
+    None
+  in
+  let out = Ctx.with_tamper ctx hook (fun () -> f ctx) in
+  digest_of
+    (out
+    @ [
+        tally_of (Orq_net.Comm.since ctx.Ctx.comm c0);
+        tally_of (Orq_net.Comm.since ctx.Ctx.preproc p0);
+        Prg.words ctx.Ctx.prg 4;
+      ])
+    (List.rev !queries)
+
+let golden_ops : (string * (Ctx.t -> int array list)) list =
+  let words ctx n = Array.map (fun v -> v land Ring.ones) (Prg.words ctx.Ctx.prg n) in
+  let bits ctx n = Array.map (fun v -> v land 1) (Prg.words ctx.Ctx.prg n) in
+  [
+    ( "mul",
+      fun ctx ->
+        let x = Mpc.share_a ctx (words ctx 41) and y = Mpc.share_a ctx (words ctx 41) in
+        shares_of (Mpc.mul ctx x y) );
+    ( "band ~width:8",
+      fun ctx ->
+        let x = Mpc.share_b ctx (words ctx 41) and y = Mpc.share_b ctx (words ctx 41) in
+        shares_of (Mpc.band ~width:8 ctx x y) );
+    ( "band_f n=130",
+      fun ctx ->
+        let x = Share.pack_flags (Mpc.share_b ctx (bits ctx 130)) in
+        let y = Share.pack_flags (Mpc.share_b ctx (bits ctx 130)) in
+        flag_shares_of (Mpc.band_f ctx x y) );
+    ( "open_",
+      fun ctx ->
+        let x = Mpc.share_a ctx (words ctx 41) in
+        [ Mpc.open_ ctx x; Mpc.open_ ~width:5 ctx x ] );
+    ( "open_f",
+      fun ctx ->
+        let x = Share.pack_flags (Mpc.share_b ctx (bits ctx 130)) in
+        [ Bits.words (Mpc.open_f ctx x) ] );
+    ( "mul_many 3 lanes",
+      fun ctx ->
+        let lane n = (Mpc.share_a ctx (words ctx n), Mpc.share_a ctx (words ctx n)) in
+        let l = [| lane 9; lane 1; lane 30 |] in
+        Mpc.mul_many ~widths:[| 64; 7; 33 |] ctx (Array.map fst l) (Array.map snd l)
+        |> Array.to_list |> List.concat_map shares_of );
+  ]
+
+(* Recorded from the dedicated single-lane protocol cores these one-lane
+   calls replaced; they must never move. *)
+let golden =
+  [
+    ("SH-DM", "mul", "0c9e26f95794c5809d3b9b3e5bcc6593");
+    ("SH-DM", "band ~width:8", "9a358e693af6a2e65509071f6c9fe593");
+    ("SH-DM", "band_f n=130", "5f666cad0022d3e53fea574fb463934d");
+    ("SH-DM", "open_", "7bb6e3dff6f0f90b9a7d7f563c7f8849");
+    ("SH-DM", "open_f", "50217734fc393ae729169dc12383b4e0");
+    ("SH-DM", "mul_many 3 lanes", "e24eba1aa0c8169d347900665a12757d");
+    ("SH-HM", "mul", "b0b1027b4676867722ea99266aa530de");
+    ("SH-HM", "band ~width:8", "564bbfd51fabc5bf5ef5cb60afbbcbe7");
+    ("SH-HM", "band_f n=130", "5f2ff2b1180d1dfdc75612a813d3905b");
+    ("SH-HM", "open_", "e2264d3a9bfe0c43326fb21c65d4fa84");
+    ("SH-HM", "open_f", "86390b2b8cfa5c9cb249b84e75040501");
+    ("SH-HM", "mul_many 3 lanes", "8faf911a1b2aaa8e705d321822d1b607");
+    ("Mal-HM", "mul", "1c886b6a8fcbb130ea9bc5dac07e2910");
+    ("Mal-HM", "band ~width:8", "a3166fe33d9a13e302d27dc23b803d2e");
+    ("Mal-HM", "band_f n=130", "51cf3514c6335cc778297f96bd11b187");
+    ("Mal-HM", "open_", "292379db8a51b39acab47aaa28864904");
+    ("Mal-HM", "open_f", "0b2569748266d303cb3234e64dcdd9ff");
+    ("Mal-HM", "mul_many 3 lanes", "0e776a36508a88dc2c834fcd886c85dc");
+  ]
+
+let test_golden_digests () =
+  List.iter
+    (fun k ->
+      List.iter
+        (fun (op, f) ->
+          let want = List.assoc op (List.filter_map
+            (fun (kl, o, d) -> if kl = Ctx.kind_label k then Some (o, d) else None)
+            golden) in
+          Alcotest.(check string)
+            (Printf.sprintf "%s %s" (Ctx.kind_label k) op)
+            want (golden_run k f))
+        golden_ops)
+    kinds
+
 let suite =
   [
     Alcotest.test_case "share roundtrip" `Quick test_share_roundtrip;
@@ -279,6 +402,7 @@ let suite =
       test_malicious_abort_open;
     Alcotest.test_case "semi-honest ignores tamper hook" `Quick
       test_semi_honest_no_detection;
+    Alcotest.test_case "golden share digests" `Quick test_golden_digests;
   ]
 
 let () = Alcotest.run "orq_proto" [ ("proto", suite) ]
