@@ -1,12 +1,12 @@
 # Convenience wrapper; everything below is plain dune.
 
-.PHONY: check build test test-checked lint certify kernels-smoke bench bench-bitpack bench-join bench-join-quick bench-scale bench-scale-quick bench-service bench-service-quick bench-net bench-net-quick bench-e2e bench-e2e-compare serve party-demo clean
+.PHONY: check build test test-checked lint certify certify-quick kernels-smoke bench bench-bitpack bench-join bench-join-quick bench-scale bench-scale-quick bench-service bench-service-quick bench-net bench-net-quick bench-e2e bench-e2e-compare serve party-demo clean
 
 # Query-service knobs (flags win; see DESIGN.md "Query service")
 ORQ_SOCKET ?= /tmp/orq-service.sock
 ORQ_SF ?= 0.001
 
-check: build test lint kernels-smoke
+check: build test lint certify-quick kernels-smoke
 
 build:
 	dune build
@@ -43,6 +43,12 @@ test-checked:
 certify:
 	dune exec bin/orq_lint.exe -- certify
 	ORQ_CHUNK_ROWS=512 ORQ_MEM_BUDGET=4M dune exec bin/orq_lint.exe -- certify --out CERTIFICATE_chunked.json
+
+# Quick transcript certificate (6 queries under sh-dm and mal-hm, seconds):
+# the check that catches a data-dependent transcript in a local `make
+# check`. Writes a git-ignored file, never the committed certificates.
+certify-quick:
+	dune exec bin/orq_lint.exe -- certify --quick --out .certify-quick.json
 
 # Quick micro-kernel benchmark at 2 domains: exercises the pool dispatch
 # path end to end and refreshes BENCH_kernels.json (quick sizes, ~10s).

@@ -63,7 +63,7 @@ let tests =
     Test.make ~name:"genBitPerm"
       (with_ctx Ctx.Sh_hm (fun ctx ->
            let b = Mpc.and_mask (Mpc.share_b ctx (vec ctx)) 1 in
-           ignore (Orq_sort.Genbitperm.gen ctx b)));
+           ignore (Orq_sort.Genbitperm.gen_digit ctx [| Share.pack_flags b |])));
     Test.make ~name:"radixsort16 n=1024"
       (with_ctx Ctx.Sh_hm (fun ctx ->
            let x =

@@ -34,9 +34,6 @@ let bit_b2a_flags_many (ctx : Ctx.t) (bs : Share.flags array) :
       cs
   end
 
-let bit_b2a_flags (ctx : Ctx.t) (b : Share.flags) : Share.shared =
-  (bit_b2a_flags_many ctx [| b |]).(0)
-
 (** Batched single-bit boolean-to-arithmetic conversion (word-valued bits
     in the LSB), routed through the packed path: packing keeps only the
     LSB plane, so the high bits of each word are ignored. *)

@@ -15,8 +15,6 @@ val bit_b2a_flags_many : Ctx.t -> Share.flags array -> Share.shared array
 (** {!bit_b2a_many} over packed flag lanes: per-word daBit masks, bulk
     word xors and packed openings; identical width-1 traffic. *)
 
-val bit_b2a_flags : Ctx.t -> Share.flags -> Share.shared
-
 val b2a : ?w:int -> ?signed:bool -> Ctx.t -> Share.shared -> Share.shared
 (** Full-width boolean-to-arithmetic conversion via per-bit daBits, all
     openings batched into one round. With [~signed:true] the [w]-bit value

@@ -49,6 +49,13 @@ let gen (ctx : Ctx.t) n : t =
   | Ctx.Sh_hm | Ctx.Mal_hm -> ());
   { n; components }
 
+(** Advance the shuffle-permutation stream exactly as {!gen} over [n]
+    elements would, keeping nothing and charging nothing. *)
+let skip (ctx : Ctx.t) n =
+  for _ = 1 to components_of_kind ctx.kind do
+    ignore (Localperm.random ctx.perm_prg n)
+  done
+
 (** The plaintext permutation a sharded permutation represents (test-only:
     no party could compute this). *)
 let plaintext (t : t) =

@@ -17,6 +17,10 @@ val gen : Ctx.t -> int -> t
 (** Random sharded permutation of [n] elements (2PC correlations charged
     to preprocessing). *)
 
+val skip : Ctx.t -> int -> unit
+(** [skip ctx n] advances [ctx.perm_prg] exactly as [gen ctx n] would,
+    without keeping the permutation or charging preprocessing. *)
+
 val plaintext : t -> int array
 (** The underlying permutation — test-only; no party could compute it. *)
 

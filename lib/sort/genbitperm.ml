@@ -1,16 +1,21 @@
-(** [genBitPerm] (Asharov et al., used by both radixsort variants): given a
-    secret single-bit vector, compute the elementwise sharing of its *stable*
-    sorting permutation — zeros first, ones second, original order preserved
-    within each class.
+(** [genBitPerm] (Asharov et al., used by both radixsort variants),
+    generalised to L-bit digits: given a secret digit vector, compute the
+    elementwise sharing of its *stable* sorting permutation — rows ordered
+    by digit value, original order preserved within each value.
 
-    The destination of element i is
+    With the one-hot digit e_0..e_{2^L-1}, the running counts
+    s_d = prefix_sum e_d, the class offsets C_d = N_0 + ... + N_{d-1}
+    (N_d the total count of digit d) and t_d = C_d + s_d, the destination
+    of element i is
 
-      dest_i = (s0_i - 1) + b_i * (Z + s1_i - s0_i)
+      dest_i = t_0,i + sum_{d >= 1} e_d,i * (t_d,i - t_0,i) - 1.
 
-    where s0/s1 are running counts of zeros/ones and Z the total number of
-    zeros. Prefix sums are linear (local on additive shares); the only
-    interactive steps are one bit conversion and one multiplication, so the
-    protocol is agnostic to the number of parties. *)
+    Prefix sums and offsets are linear (local on additive shares). The
+    interactive steps are one fused bit conversion of the L bits, for
+    L = 2 one product a_0 * a_1 forming the one-hot digit, and one fused
+    (2^L - 1)-lane multiplication: 2 rounds for a bit, 3 for a 2-bit
+    digit. At L = 1 this is genBitPerm exactly,
+    dest_i = (s0_i - 1) + b_i * (Z + s1_i - s0_i). *)
 
 open Orq_proto
 
@@ -20,21 +25,36 @@ let broadcast_last (s : Share.shared) =
     (fun vk -> Array.make (Array.length vk) vk.(Array.length vk - 1))
     s
 
-(** [gen_f ctx bit] returns the arithmetic elementwise sorting permutation
-    of the packed flag vector [bit] — the bit conversion consumes the
-    packed lanes directly; everything after it is arithmetic and stays
-    word-based. *)
-let gen_f (ctx : Ctx.t) (bit : Share.flags) : Share.shared =
-  let b_a = Orq_circuits.Convert.bit_b2a_flags ctx bit in
-  let f0 = Mpc.add_pub (Mpc.neg b_a) 1 in
-  let s0 = Mpc.prefix_sum f0 in
-  let s1 = Mpc.prefix_sum b_a in
-  let z = broadcast_last s0 in
-  (* destination offset Z + s1 - s0, fused into one pass per share vector *)
-  let t = Share.map3_vectors Orq_util.Vec.add_sub z s1 s0 in
-  let prod = Mpc.mul ~width:ctx.perm_bits ctx b_a t in
-  Mpc.add_pub (Mpc.add s0 prod) (-1)
-
-(** [gen ctx bit] — same, for a single-bit boolean sharing (LSB). *)
-let gen (ctx : Ctx.t) (bit : Share.shared) : Share.shared =
-  gen_f ctx (Share.pack_flags bit)
+(** [gen_digit ctx flags] returns the arithmetic elementwise stable sorting
+    permutation of the digit whose bits, least significant first, are the
+    packed flag vectors [flags] (one or two of them). The bit conversion
+    consumes the packed lanes directly; everything after it is arithmetic
+    and stays word-based. *)
+let gen_digit (ctx : Ctx.t) (flags : Share.flags array) : Share.shared =
+  let one_hot =
+    match Orq_circuits.Convert.bit_b2a_flags_many ctx flags with
+    | [| a |] -> [| Mpc.add_pub (Mpc.neg a) 1; a |]
+    | [| a0; a1 |] ->
+        (* ranking arithmetic is modulo 2^perm_bits, like the destinations *)
+        let p = Mpc.mul ~width:ctx.perm_bits ctx a0 a1 in
+        let e1 = Mpc.sub a0 p and e2 = Mpc.sub a1 p in
+        [| Mpc.add_pub (Mpc.neg (Mpc.add (Mpc.add e1 e2) p)) 1; e1; e2; p |]
+    | _ -> invalid_arg "Genbitperm.gen_digit: digits are 1 or 2 bits"
+  in
+  let k = Array.length one_hot - 1 in
+  let s = Array.map Mpc.prefix_sum one_hot in
+  (* class offsets C_1..C_k: running totals of the class counts *)
+  let c = Array.make k (broadcast_last s.(0)) in
+  for d = 2 to k do
+    c.(d - 1) <- Mpc.add c.(d - 2) (broadcast_last s.(d - 1))
+  done;
+  (* t_d - t_0 = C_d + s_d - s_0, fused into one pass per share vector *)
+  let diffs =
+    Array.init k (fun j ->
+        Share.map3_vectors Orq_util.Vec.add_sub c.(j) s.(j + 1) s.(0))
+  in
+  let prods =
+    Mpc.mul_many ~widths:(Array.make k ctx.perm_bits) ctx
+      (Array.sub one_hot 1 k) diffs
+  in
+  Mpc.add_pub (Array.fold_left Mpc.add s.(0) prods) (-1)

@@ -1,18 +1,21 @@
-(** [genBitPerm] (Asharov et al.): the elementwise sharing of a secret
-    bit-vector's *stable* sorting permutation — zeros first, ones second,
-    original order preserved within each class. One bit conversion and one
-    multiplication; prefix sums are local, so the protocol is agnostic to
-    the protocol and party count. *)
+(** [genBitPerm] (Asharov et al.) over L-bit digits: the elementwise
+    sharing of a secret digit vector's *stable* sorting permutation — rows
+    ordered by digit value, original order preserved within each value.
+
+    With the one-hot digit e_d, running counts s_d = prefix_sum e_d and
+    class offsets C_d = N_0 + ... + N_{d-1}, the destination is
+    t_0 + sum_{d >= 1} e_d (t_d - t_0) - 1 where t_d = C_d + s_d. Prefix
+    sums and offsets are local; the online cost is one fused bit
+    conversion, for L = 2 one product forming the one-hot digit, and one
+    fused (2^L - 1)-lane multiplication at [ctx.perm_bits]: 2 rounds per
+    bit, 3 per 2-bit digit, under every protocol. *)
 
 open Orq_proto
 
 val broadcast_last : Share.shared -> Share.shared
 (** Broadcast the last element of a sharing to every position (linear). *)
 
-val gen : Ctx.t -> Share.shared -> Share.shared
-(** [gen ctx bit]: arithmetic elementwise sorting permutation of the
-    single-bit boolean sharing [bit]. *)
-
-val gen_f : Ctx.t -> Share.flags -> Share.shared
-(** {!gen} consuming the bit vector as packed flag lanes (the bit
-    conversion runs packed; the rest is arithmetic and word-based). *)
+val gen_digit : Ctx.t -> Share.flags array -> Share.shared
+(** [gen_digit ctx flags]: arithmetic elementwise sorting permutation of
+    the 1- or 2-bit digit whose bits, least significant first, are the
+    packed flag vectors [flags]. With one flag this is genBitPerm. *)

@@ -5,9 +5,11 @@
     Instead of eagerly permuting the working table after every bit, the
     running sorting permutation is kept as an elementwise sharing: each key
     bit is routed through the current permutation, its bit-sorting
-    permutation is generated, and the two are composed. The data moves only
-    once, at the end. This costs [composePerms] per bit — fewer bytes for
-    very wide elements, but more rounds ([18 l - 14] vs [11 l + 7]). *)
+    permutation is generated ({!Genbitperm.gen_digit} on one bit), and
+    the two are composed. The data moves only once, at the end. This costs
+    [composePerms] per bit — fewer bytes for very wide elements, but more
+    rounds: under SH-HM [13 l - 7] against the hybrid's
+    [7 floor(l/2) + 6 (l mod 2)] with its 2-bit digits. *)
 
 open Orq_proto
 module Permops = Orq_shuffle.Permops
@@ -29,7 +31,7 @@ let sort_with_perm (ctx : Ctx.t) ~bits ?(skip = 0) ?(dir = Asc)
       | None -> b
       | Some s -> Permops.apply_elementwise_flags ctx b s
     in
-    let si = Genbitperm.gen_f ctx b in
+    let si = Genbitperm.gen_digit ctx [| b |] in
     sigma :=
       Some
         (match !sigma with

@@ -1,10 +1,14 @@
 (** ORQ's hybrid oblivious radixsort (§3.2, Appendix B, Protocol 10):
-    per-bit stable sorting permutations applied *eagerly* to the whole
+    per-digit stable sorting permutations applied *eagerly* to the whole
     working table (Bogdanov-style) through the efficient
-    elementwise-permutation application of Asharov et al. — trading a
-    little bandwidth for [7(l-1)] fewer rounds than the compose-based
-    protocol (up to 1.44x faster in the paper). Stable; descending order
-    flips each bit, preserving stability. *)
+    elementwise-permutation application of Asharov et al. Digits are 2
+    bits under honest majority and 1 bit under 2PC (the paper's hybrid
+    ranks single bits). Under SH-HM an l-bit sort takes
+    [7 floor(l/2) + 6 (l mod 2)] rounds against the compose-based
+    protocol's [13 l - 7] (up to 1.44x faster in the paper at 1-bit
+    digits). Whatever the digit width, a sort draws one sharded
+    permutation per key bit from the shuffle stream ([Ctx.perm_prg]).
+    Stable; descending order flips each bit, preserving stability. *)
 
 open Orq_proto
 

@@ -19,18 +19,27 @@ let sorted_desc a =
   let b = sorted_asc a in
   Vec.rev b
 
-let is_sorted a = Array.for_all2 ( = ) a (sorted_asc a)
+(* ---------------- genBitPerm over digits ---------------- *)
 
-(* ---------------- genBitPerm ---------------- *)
+let gen_bits ctx bits =
+  Genbitperm.gen_digit ctx [| Share.pack_flags (Mpc.share_b ctx bits) |]
+  |> Share.reconstruct
 
 let test_genbitperm () =
   for_all_kinds (fun ctx ->
       let bits = [| 1; 0; 1; 0; 0; 1; 0 |] in
-      let sigma =
-        Genbitperm.gen ctx (Mpc.share_b ctx bits) |> Share.reconstruct
-      in
       (* stable: zeros keep order at the front, ones after *)
-      Alcotest.(check vec) "destinations" [| 4; 0; 5; 1; 2; 6; 3 |] sigma)
+      Alcotest.(check vec) "destinations" [| 4; 0; 5; 1; 2; 6; 3 |]
+        (gen_bits ctx bits))
+
+(* The destinations of the stable sort of [keys]: the unique permutation
+   that sorts them and keeps equal keys in input order. *)
+let stable_dests keys =
+  let order = Array.init (Array.length keys) Fun.id in
+  Array.stable_sort (fun i j -> compare keys.(i) keys.(j)) order;
+  let dest = Array.make (Array.length keys) 0 in
+  Array.iteri (fun r i -> dest.(i) <- r) order;
+  dest
 
 let qcheck_genbitperm =
   QCheck.Test.make ~name:"genBitPerm is the stable bit-sort permutation"
@@ -39,13 +48,27 @@ let qcheck_genbitperm =
     (fun bl ->
       let bits = Array.of_list (List.map (fun b -> if b then 1 else 0) bl) in
       List.for_all
+        (fun k -> gen_bits (Ctx.create ~seed:17 k) bits = stable_dests bits)
+        kinds)
+
+(* Random 2-bit digits drawn from a random nonempty subset of the four
+   values, so runs repeat values and usually miss some. *)
+let qcheck_gen_digit =
+  QCheck.Test.make ~name:"gen_digit is the stable 2-bit digit-sort permutation"
+    ~count:25
+    QCheck.(
+      pair (int_range 1 15) (list_of_size Gen.(int_range 1 40) (int_bound 3)))
+    (fun (allowed, dl) ->
+      let values = List.filter (fun d -> allowed land (1 lsl d) <> 0) [ 0; 1; 2; 3 ] in
+      let pick i = List.nth values (i mod List.length values) in
+      let digits = Array.of_list (List.map pick dl) in
+      List.for_all
         (fun k ->
-          let ctx = Ctx.create ~seed:17 k in
-          let sigma =
-            Genbitperm.gen ctx (Mpc.share_b ctx bits) |> Share.reconstruct
-          in
-          Orq_shuffle.Localperm.is_permutation sigma
-          && is_sorted (Orq_shuffle.Localperm.apply bits sigma))
+          let ctx = Ctx.create ~seed:37 k in
+          let d = Mpc.share_b ctx digits in
+          let flags = Array.init 2 (fun j -> Mpc.extract_bit_f d j) in
+          Share.reconstruct (Genbitperm.gen_digit ctx flags)
+          = stable_dests digits)
         kinds)
 
 (* ---------------- radixsort ---------------- *)
@@ -102,6 +125,133 @@ let qcheck_radix =
           let y, _ = Radixsort.sort ctx ~bits:10 (Mpc.share_b ctx x) [] in
           Share.reconstruct y = sorted_asc x)
         kinds)
+
+(* Odd and even bit counts (ending on a 1-bit digit or not), nonzero skip
+   and both directions, with a position carry that pins stability. *)
+let test_radix_digits () =
+  let n = 23 in
+  let x = Array.init n (fun i -> (i * 97 + 13) mod 61) in
+  let pos = Array.init n Fun.id in
+  for_all_kinds (fun ctx ->
+      List.iter
+        (fun (bits, skip, dir) ->
+          let field v = (v lsr skip) land ((1 lsl bits) - 1) in
+          let rank v =
+            match dir with Radixsort.Asc -> field v | Radixsort.Desc -> -field v
+          in
+          let order = Array.copy pos in
+          Array.stable_sort (fun i j -> compare (rank x.(i)) (rank x.(j))) order;
+          let y, carry =
+            Radixsort.sort ctx ~bits ~skip ~dir (Mpc.share_b ctx x)
+              [ Mpc.share_b ctx pos ]
+          in
+          let what = Printf.sprintf "%s bits=%d skip=%d %s"
+              (Ctx.kind_label ctx.Ctx.kind) bits skip
+              (match dir with Radixsort.Asc -> "asc" | Radixsort.Desc -> "desc")
+          in
+          Alcotest.(check vec) (what ^ " keys") (Array.map (fun i -> x.(i)) order)
+            (Share.reconstruct y);
+          match carry with
+          | [ c ] ->
+              Alcotest.(check vec) (what ^ " stable carry") order
+                (Share.reconstruct c)
+          | _ -> Alcotest.fail "arity")
+        [
+          (3, 0, Radixsort.Asc); (4, 0, Radixsort.Asc); (5, 1, Radixsort.Asc);
+          (4, 2, Radixsort.Desc); (5, 0, Radixsort.Desc); (1, 3, Radixsort.Desc);
+        ])
+
+let online_rounds kind f =
+  let ctx = Ctx.create ~seed:41 kind in
+  let before = Orq_net.Comm.snapshot ctx.Ctx.comm in
+  f ctx;
+  (Orq_net.Comm.since ctx.Ctx.comm before).Orq_net.Comm.t_rounds
+
+(* Honest majority ranks 2-bit digits: a w-bit sort is floor(w/2) 2-bit
+   digits plus one 1-bit digit when w is odd, and a 2-bit digit costs
+   fewer rounds than two 1-bit digits. 2PC ranks single bits. *)
+let test_radix_round_shape () =
+  let x = Array.init 40 (fun i -> (i * 37) land 127) in
+  List.iter
+    (fun kind ->
+      let sort_rounds w =
+        online_rounds kind (fun ctx ->
+            ignore (Radixsort.sort ctx ~bits:w (Mpc.share_b ctx x) []))
+      in
+      let r1 = sort_rounds 1 and r2 = sort_rounds 2 in
+      let label = Ctx.kind_label kind in
+      (match kind with
+      | Ctx.Sh_dm -> Alcotest.(check int) (label ^ " 1-bit digits") (2 * r1) r2
+      | Ctx.Sh_hm | Ctx.Mal_hm ->
+          Alcotest.(check bool) (label ^ " 2-bit digit beats two bits") true
+            (r2 < 2 * r1));
+      for w = 1 to 7 do
+        let want =
+          match kind with
+          | Ctx.Sh_dm -> w * r1
+          | Ctx.Sh_hm | Ctx.Mal_hm -> (w / 2 * r2) + (w mod 2 * r1)
+        in
+        Alcotest.(check int) (Printf.sprintf "%s w=%d rounds" label w) want
+          (sort_rounds w)
+      done)
+    kinds
+
+(* Whatever the digit width, a radix sort advances the shuffle stream by
+   one sharded permutation per key bit, so the permutations drawn after it
+   (and a later quicksort's data-dependent recursion) do not depend on the
+   digit width. *)
+let test_radix_shuffle_stream () =
+  let n = 40 in
+  let x = Array.init n (fun i -> (i * 37) land 127) in
+  List.iter
+    (fun kind ->
+      for w = 1 to 5 do
+        let sorted = Ctx.create ~seed:71 kind
+        and bitwise = Ctx.create ~seed:71 kind in
+        ignore (Radixsort.sort sorted ~bits:w (Mpc.share_b sorted x) []);
+        for _ = 1 to w do
+          ignore (Orq_shuffle.Shardedperm.gen bitwise n)
+        done;
+        Alcotest.(check int)
+          (Printf.sprintf "%s w=%d next shuffle word" (Ctx.kind_label kind) w)
+          (Prg.word bitwise.Ctx.perm_prg)
+          (Prg.word sorted.Ctx.perm_prg)
+      done)
+    kinds
+
+(* A 2PC radix sort must stay byte-identical to bit-at-a-time ranking:
+   MD5 of the output share vectors plus the online and preprocessing
+   tallies, recorded from the 1-bit generator it replaced. *)
+let sh_dm_radix_digest () =
+  let ctx = Ctx.create ~seed:0x5047 Ctx.Sh_dm in
+  let n = 40 in
+  let x = Array.init n (fun i -> (i * 2654435761) land 63) in
+  let pos = Array.init n (fun i -> 1000 + i) in
+  let key = Mpc.share_b ctx x and carry = Mpc.share_b ctx pos in
+  let c0 = Orq_net.Comm.snapshot ctx.Ctx.comm in
+  let p0 = Orq_net.Comm.snapshot ctx.Ctx.preproc in
+  let y, rest = Radixsort.sort ctx ~bits:6 key [ carry ] in
+  let tally (t : Orq_net.Comm.tally) =
+    Orq_net.Comm.[| t.t_rounds; t.t_bits; t.t_messages |]
+  in
+  let b = Buffer.create 4096 in
+  List.iter
+    (fun (s : Share.shared) ->
+      Array.iter
+        (fun v ->
+          Array.iter (fun e -> Buffer.add_string b (string_of_int e ^ ",")) v;
+          Buffer.add_char b ';')
+        s.Share.v)
+    (y :: rest);
+  ( tally (Orq_net.Comm.since ctx.Ctx.comm c0),
+    tally (Orq_net.Comm.since ctx.Ctx.preproc p0),
+    Digest.to_hex (Digest.string (Buffer.contents b)) )
+
+let test_sh_dm_radix_golden () =
+  let online, preproc, digest = sh_dm_radix_digest () in
+  Alcotest.(check (array int)) "online rounds, bits, messages" [| 30; 123360; 60 |] online;
+  Alcotest.(check (array int)) "preproc rounds, bits, messages" [| 24; 277440; 48 |] preproc;
+  Alcotest.(check string) "output shares" "857651f53b04c5b4468d20b916d4aff8" digest
 
 (* ---------------- compose-based radixsort (Asharov) ---------------- *)
 
@@ -331,12 +481,21 @@ let suite =
   [
     Alcotest.test_case "genBitPerm destinations" `Quick test_genbitperm;
     QCheck_alcotest.to_alcotest qcheck_genbitperm;
+    QCheck_alcotest.to_alcotest qcheck_gen_digit;
     Alcotest.test_case "radixsort basic" `Quick test_radix_basic;
     Alcotest.test_case "radixsort descending" `Quick test_radix_desc;
     Alcotest.test_case "radixsort carry + stability" `Quick
       test_radix_carry_and_stability;
     Alcotest.test_case "radixsort skip bits" `Quick test_radix_skip;
     QCheck_alcotest.to_alcotest qcheck_radix;
+    Alcotest.test_case "radixsort digits: odd/even bits, skip, desc, carry"
+      `Quick test_radix_digits;
+    Alcotest.test_case "radixsort round shape per digit" `Quick
+      test_radix_round_shape;
+    Alcotest.test_case "radixsort shuffle stream per key bit" `Quick
+      test_radix_shuffle_stream;
+    Alcotest.test_case "radixsort SH-DM golden transcript" `Quick
+      test_sh_dm_radix_golden;
     Alcotest.test_case "compose radixsort sorts" `Quick
       test_radix_compose_matches;
     Alcotest.test_case "compose radixsort perm" `Quick test_radix_compose_perm;
