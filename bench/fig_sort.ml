@@ -43,7 +43,7 @@ let table1 () =
         (fun ctx ->
           let x = Mpc.share_b ctx (rand_vec ctx.Ctx.prg n 1000) in
           let p = Shardedperm.gen ctx n in
-          ignore (Shardedperm.apply ctx [ Share.wrap x ] p));
+          ignore (Shardedperm.apply ctx [ (Share.wrap x, ctx.Ctx.ell) ] p));
       run "shuffle" "= applySharded" (fun ctx ->
           ignore (Permops.shuffle ctx (Mpc.share_b ctx (rand_vec ctx.Ctx.prg n 1000))));
       run "applyElementwise"
@@ -56,7 +56,10 @@ let table1 () =
           let rho =
             Mpc.share_a ctx (Orq_shuffle.Localperm.random ctx.Ctx.prg n)
           in
-          ignore (Permops.apply_elementwise_table ctx [ Share.wrap x ] rho));
+          ignore
+            (Permops.apply_elementwise_table ctx
+               [ (Share.wrap x, ctx.Ctx.ell) ]
+               rho));
       run "compose"
         (match kind with
         | Ctx.Sh_dm -> "5l_s n, 5r"

@@ -39,45 +39,28 @@ module Ptable = Orq_plaintext.Ptable
 (* ------------------------------------------------------------------ *)
 
 (** Replace every value of a plaintext table by a deterministic function of
-    its (column, row) coordinate — same schema, same row count, nothing
-    else in common with the data. *)
-let twin_ptable (p : Ptable.t) : Ptable.t =
+    its (column, row) coordinate, masked to the column's width in
+    [schema] — same schema, same row count, nothing else in common with
+    the data. *)
+let twin_ptable (schema : (string * int) list) (p : Ptable.t) : Ptable.t =
+  let masks =
+    List.map
+      (fun name -> Orq_util.Ring.mask (List.assoc name schema))
+      p.Ptable.schema
+  in
   {
     p with
     Ptable.rows =
       List.mapi
-        (fun i row ->
-          List.mapi (fun j _ -> ((i * 31) + (j * 17) + 5) land 0xFFFF) row)
+        (fun i _ ->
+          List.mapi
+            (fun j m -> ((i * 31) + (j * 17) + 5) land 0xFFFF land m)
+            masks)
         p.Ptable.rows;
   }
 
-let twin_tpch (p : Tpch_gen.plain) : Tpch_gen.plain =
-  {
-    Tpch_gen.region = twin_ptable p.Tpch_gen.region;
-    nation = twin_ptable p.Tpch_gen.nation;
-    supplier = twin_ptable p.Tpch_gen.supplier;
-    customer = twin_ptable p.Tpch_gen.customer;
-    part = twin_ptable p.Tpch_gen.part;
-    partsupp = twin_ptable p.Tpch_gen.partsupp;
-    orders = twin_ptable p.Tpch_gen.orders;
-    lineitem = twin_ptable p.Tpch_gen.lineitem;
-  }
-
-let twin_other (p : Other_gen.plain) : Other_gen.plain =
-  {
-    Other_gen.diagnosis = twin_ptable p.Other_gen.diagnosis;
-    medication = twin_ptable p.Other_gen.medication;
-    labs = twin_ptable p.Other_gen.labs;
-    cohort = twin_ptable p.Other_gen.cohort;
-    passwords = twin_ptable p.Other_gen.passwords;
-    credit = twin_ptable p.Other_gen.credit;
-    r_att = twin_ptable p.Other_gen.r_att;
-    s_val = twin_ptable p.Other_gen.s_val;
-    transactions = twin_ptable p.Other_gen.transactions;
-    yr = twin_ptable p.Other_gen.yr;
-    ys = twin_ptable p.Other_gen.ys;
-    yt = twin_ptable p.Other_gen.yt;
-  }
+let twin_tpch = Tpch_gen.map_plain twin_ptable
+let twin_other = Other_gen.map_plain twin_ptable
 
 (* ------------------------------------------------------------------ *)
 (* Certificates                                                        *)

@@ -63,7 +63,7 @@ let sort (ctx : Ctx.t) ~bits (key : Share.shared)
   for i = 0 to bits - 1 do
     let b = Mpc.and_mask (Mpc.rshift !y i) 1 in
     let sigma = gen_bit_perm_rowwise ctx b in
-    let cols = List.map Share.wrap (!y :: !rest) in
+    let cols = List.map (fun c -> (Share.wrap c, ctx.ell)) (!y :: !rest) in
     match
       List.map Share.unpark (Permops.apply_elementwise_table ctx cols sigma)
     with

@@ -23,7 +23,18 @@ let enc c = Share.chunked_enc c.payload
 let of_shared ?(signed = false) ~width data : t =
   { payload = Share.wrap data; width; signed }
 
+(** Share plaintext values as a [width]-bit column. Raises
+    [Invalid_argument] naming the first value with a bit at or above
+    [width]: every column the engine holds fits its declared width, which
+    is what lets the shuffle stack move it at that width. *)
 let of_plaintext (ctx : Ctx.t) ~width (values : int array) : t =
+  Array.iter
+    (fun v ->
+      if width < Orq_util.Ring.word_bits && v lsr width <> 0 then
+        invalid_arg
+          (Printf.sprintf "Column.of_plaintext: value %d does not fit width %d"
+             v width))
+    values;
   of_shared ~width (Share.share ctx Bool values)
 
 let of_chunked ?(signed = false) ~width ck : t = { payload = ck; width; signed }

@@ -16,6 +16,10 @@ type t = { mutable payload : Share.chunked; width : int; signed : bool }
 val length : t -> int
 val enc : t -> Share.enc
 val of_plaintext : Ctx.t -> width:int -> int array -> t
+(** Share plaintext values as a [width]-bit boolean column; raises
+    [Invalid_argument] naming the value and the width if a value has a
+    bit at or above [width]. *)
+
 val of_shared : ?signed:bool -> width:int -> Share.shared -> t
 val of_chunked : ?signed:bool -> width:int -> Share.chunked -> t
 

@@ -120,7 +120,8 @@ let prepare (ctx : Ctx.t) ~(left : Table.t) ~(right : Table.t)
         (name, concat_lr ctx ~n ~m `R (Column.as_bool ctx c) ~fill:0, c.Column.width))
       right_data
   in
-  (* aggregation working columns get identity fill on the absent side *)
+  (* aggregation working columns get identity fill on the absent side,
+     so they are as wide as the wider of the source and the fill *)
   let agg_cols =
     List.map
       (fun a ->
@@ -132,7 +133,12 @@ let prepare (ctx : Ctx.t) ~(left : Table.t) ~(right : Table.t)
         let filled =
           concat_lr ctx ~n ~m side data ~fill:(identity_fill a.a_func)
         in
-        (a, filled))
+        let fill_w =
+          match a.a_func with
+          | Aggnet.Min w | Aggnet.Max w -> w
+          | Aggnet.Sum | Aggnet.Copy | Aggnet.Custom _ -> 0
+        in
+        (a, filled, max c.Column.width fill_w))
       aggs
   in
   (* --- Step 2: sort on K_s = (V_LR, keys, Tid) and mark group heads --- *)
@@ -142,13 +148,12 @@ let prepare (ctx : Ctx.t) ~(left : Table.t) ~(right : Table.t)
     @ [ (tid, 1, Tablesort.Asc) ]
   in
   let payload =
-    List.map (fun (_, d, _) -> d) l_cols
-    @ List.map (fun (_, d, _) -> d) r_cols
-    @ List.map snd agg_cols
+    List.map (fun (_, d, w) -> (Share.wrap d, w)) (l_cols @ r_cols)
+    @ List.map (fun (_, d, w) -> (Share.wrap d, w)) agg_cols
   in
   let sorted_keys, sorted_payload =
     let keys = List.map (fun (k, w, o) -> (Share.wrap k, w, o)) sort_keys in
-    let k, p = Tablesort.sort_cols ctx ~keys (List.map Share.wrap payload) in
+    let k, p = Tablesort.sort_cols ctx ~keys payload in
     (List.map Share.unpark k, List.map Share.unpark p)
   in
   let v_lr', keys', tid' =
@@ -178,7 +183,7 @@ let prepare (ctx : Ctx.t) ~(left : Table.t) ~(right : Table.t)
   in
   let agg_cols' =
     List.map2
-      (fun (a, _) d -> (a, d))
+      (fun (a, _, _) d -> (a, d))
       agg_cols
       (Orq_sort.Quicksort.drop (nl + nr) sorted_payload)
   in
@@ -202,7 +207,9 @@ let finalize (ctx : Ctx.t) ~name ~(valid : Share.shared)
   else begin
     (* single-bit valid sort (descending) then drop the spare rows *)
     let data_cols =
-      List.map (fun (_, c) -> Share.wrap (Column.data c)) result.Table.cols
+      List.map
+        (fun (_, c) -> (Share.wrap (Column.data c), c.Column.width))
+        result.Table.cols
     in
     let sorted_v, sorted_data =
       Tablesort.sort_cols ctx

@@ -241,11 +241,13 @@ let linear_estimate (ctx : Ctx.t) (s : shape) =
     (* one fused round of [x·r; t·u], then two keyed squarings *)
     mul_t kind ~w:ell ~n:(2 * nm) ++ scale 2 (mul_t kind ~w:ell ~n:nm)
   in
-  let build_cols = 1 + List.length s.j_copy_w in
-  let probe_cols = 2 + List.length s.j_key_w + List.length s.j_pay_w in
+  (* each column moves at its width: the fingerprint at ell, validity at
+     1, keys, copies and payload at their schema widths *)
+  let build_w = ell + sum s.j_copy_w in
+  let probe_w = ell + 1 + sum s.j_key_w + sum s.j_pay_w in
   let shuffles =
-    let a = shuffle_t kind ~w:ell ~n:(build_cols * n)
-    and b = shuffle_t kind ~w:ell ~n:(probe_cols * m) in
+    let a = shuffle_t kind ~w:build_w ~n
+    and b = shuffle_t kind ~w:probe_w ~n:m in
     (* independent permutations: traffic adds, rounds overlap *)
     tally ~rounds:a.Comm.t_rounds ~bits:(a.Comm.t_bits + b.Comm.t_bits)
       ~messages:(a.Comm.t_messages + b.Comm.t_messages)

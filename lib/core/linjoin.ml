@@ -102,19 +102,37 @@ let join (ctx : Ctx.t) (variant : [ `Inner | `Anti ])
          carrying each side's payload --- *)
   let f_build, f_probe = Share.split2 f n in
   let copy_cols =
-    List.map (fun c -> Column.as_bool ctx (Table.find left c)) copy
+    List.map
+      (fun name ->
+        let c = Table.find left name in
+        (Column.as_bool ctx c, c.Column.width))
+      copy
+  in
+  (* probe columns travel at their output widths: keys at the width
+     maxed across sides, payload at its own *)
+  let key_w = List.combine on widths in
+  let out_width (name, c) =
+    match List.assoc_opt name key_w with
+    | Some w -> w
+    | None -> c.Column.width
   in
   let probe_data =
-    List.map (fun (_, c) -> Column.as_bool ctx c) right.Table.cols
+    List.map
+      (fun ((_, c) as nc) -> (Column.as_bool ctx c, out_width nc))
+      right.Table.cols
   in
   let shuffle cols =
-    List.map Share.unpark (Permops.shuffle_table ctx (List.map Share.wrap cols))
+    List.map Share.unpark
+      (Permops.shuffle_table ctx
+         (List.map (fun (d, w) -> (Share.wrap d, w)) cols))
   in
   let shuffled =
     Mpc.fuse_rounds ctx
       [|
-        (fun () -> shuffle (f_build :: copy_cols));
-        (fun () -> shuffle (f_probe :: right.Table.valid :: probe_data));
+        (fun () -> shuffle ((f_build, ctx.ell) :: copy_cols));
+        (fun () ->
+          shuffle
+            ((f_probe, ctx.ell) :: (right.Table.valid, 1) :: probe_data));
       |]
   in
   let build', probe' = (shuffled.(0), shuffled.(1)) in
@@ -157,16 +175,10 @@ let join (ctx : Ctx.t) (variant : [ `Inner | `Anti ])
   (* --- 9: assemble — probe columns pass through; copy columns gather
          the matching build rows by public index (garbage on unmatched
          rows, which are invalid) --- *)
-  let key_w = List.combine on widths in
   let out_cols =
     List.map2
-      (fun (name, c) d ->
-        let w =
-          match List.assoc_opt name key_w with
-          | Some w -> w
-          | None -> c.Column.width
-        in
-        (name, Column.of_shared ~width:w d))
+      (fun ((name, _) as nc) d ->
+        (name, Column.of_shared ~width:(out_width nc) d))
       right.Table.cols probe_data'
   in
   let key_cols, pay_cols =

@@ -155,8 +155,9 @@ let reveal (t : t) : (string * int array) list =
         let all = Mpc.band ctx (Share.concat exts) (Share.concat datas) in
         List.mapi (fun i _ -> Share.sub_range all (i * n) n) datas
   in
+  let widths = 1 :: List.map (fun (_, c) -> c.Column.width) t.cols in
   let shuffled =
-    List.map Share.wrap (t.valid :: masked)
+    List.map2 (fun s w -> (Share.wrap s, w)) (t.valid :: masked) widths
     |> Orq_shuffle.Permops.shuffle_table ctx
     |> List.map Share.unpark
   in

@@ -18,12 +18,15 @@ let to_dir = function Asc -> Sortwrap.Asc | Desc -> Sortwrap.Desc
 
 (** [sort_cols ctx ~keys others] sorts rows lexicographically by the key
     columns (each with width and direction); returns (sorted keys, sorted
-    others). Tracked columns stream chunk at a time through the base sort
-    and the final table-wide permutation application; the multi-key
+    others). Every permutation moves each key and each [(column, width)]
+    of [others] at its width. Tracked columns stream chunk at a time
+    through the base sort and the final table-wide permutation
+    application; the multi-key
     sigma-extraction pipeline works on one whole key column at a time (a
     bounded single-column working set). *)
 let sort_cols (ctx : Ctx.t) ~(keys : (Share.chunked * int * order) list)
-    (others : Share.chunked list) : Share.chunked list * Share.chunked list =
+    (others : (Share.chunked * int) list) :
+    Share.chunked list * Share.chunked list =
   match keys with
   | [] -> invalid_arg "Tablesort.sort_cols: no keys"
   | [ (k, w, o) ] ->
@@ -39,7 +42,7 @@ let sort_cols (ctx : Ctx.t) ~(keys : (Share.chunked * int * order) list)
             match !pi with
             | None -> k
             | Some p ->
-                List.hd (Permops.apply_elementwise_table ~width:w ctx [ k ] p)
+                List.hd (Permops.apply_elementwise_table ctx [ (k, w) ] p)
           in
           let _, _, sigma =
             Sortwrap.sort_with_perm ctx ~dir:(to_dir o) ~w t []
@@ -51,7 +54,7 @@ let sort_cols (ctx : Ctx.t) ~(keys : (Share.chunked * int * order) list)
               | Some p -> Permops.compose ctx p sigma))
         (List.rev keys);
       let p = Option.get !pi in
-      let key_cols = List.map (fun (k, _, _) -> k) keys in
+      let key_cols = List.map (fun (k, w, _) -> (k, w)) keys in
       let nk = List.length key_cols in
       let all = Permops.apply_elementwise_table ctx (key_cols @ others) p in
       (Orq_sort.Quicksort.take nk all, Orq_sort.Quicksort.drop nk all)
@@ -91,11 +94,12 @@ let sort ?(lead : (Share.shared * int * order) list = []) (t : Table.t)
   let others =
     List.filter_map
       (fun (n, c) ->
-        if List.mem n key_names then None else Some (n, chunked_bool c))
+        if List.mem n key_names then None
+        else Some (n, (chunked_bool c, c.Column.width)))
       t.Table.cols
   in
   let sorted_keys, sorted_others =
-    sort_cols ctx ~keys (Share.wrap t.Table.valid :: List.map snd others)
+    sort_cols ctx ~keys ((Share.wrap t.Table.valid, 1) :: List.map snd others)
   in
   let nlead = List.length lead in
   let sorted_named = Orq_sort.Quicksort.drop nlead sorted_keys in

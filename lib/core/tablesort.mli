@@ -10,10 +10,12 @@ open Orq_proto
 type order = Asc | Desc
 
 val sort_cols :
-  Ctx.t -> keys:(Share.chunked * int * order) list -> Share.chunked list ->
-  Share.chunked list * Share.chunked list
+  Ctx.t -> keys:(Share.chunked * int * order) list ->
+  (Share.chunked * int) list -> Share.chunked list * Share.chunked list
 (** Sort rows lexicographically by the key columns (width and direction
-    each); returns (sorted keys, sorted others). Tracked columns stream
+    each); returns (sorted keys, sorted others). Keys and the
+    [(column, width)] pairs of others move at their widths (boolean
+    columns are masked to them on receipt). Tracked columns stream
     chunk at a time; whole ({!Share.wrap}ped) columns are single chunks.
     The wire cost does not depend on the chunking. *)
 

@@ -627,14 +627,21 @@ let bor1 (ctx : Ctx.t) (x : shared) (y : shared) : shared =
 (** Rerandomize a sharing without changing the secret; traffic is metered by
     the caller (the shuffle protocols account whole-protocol totals per the
     paper's Table 1). The input's share vectors are folded into the fresh
-    zero-sharing vectors in place, so no further allocation happens. *)
-let reshare_unmetered (ctx : Ctx.t) (s : shared) : shared =
+    zero-sharing vectors in place, so no further allocation happens. A
+    boolean sharing keeps only the share bits under [mask] — the w-bit
+    shares a receiving party gets off a w-bit wire; masking is GF(2)-linear,
+    so the secret is masked alike. An arithmetic sharing takes
+    [Ring.ones] only: its shares cannot be reduced in place. *)
+let reshare_unmetered (ctx : Ctx.t) ~mask (s : shared) : shared =
   let n = Share.length s in
   let alpha = zero_sharing ctx s.Share.enc n in
   for k = 0 to ctx.nvec - 1 do
     match s.Share.enc with
-    | Arith -> Vec.add_into alpha.(k) s.Share.v.(k)
-    | Bool -> Vec.xor_into alpha.(k) s.Share.v.(k)
+    | Arith ->
+        if mask <> Ring.ones then
+          invalid_arg "Mpc.reshare_unmetered: masked arithmetic sharing";
+        Vec.add_into alpha.(k) s.Share.v.(k)
+    | Bool -> Vec.xor_mask_into alpha.(k) s.Share.v.(k) mask
   done;
   { s with Share.v = alpha }
 

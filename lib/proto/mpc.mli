@@ -167,9 +167,13 @@ val bor1 : Ctx.t -> shared -> shared -> shared
 
 (** {2 Resharing and reductions} *)
 
-val reshare_unmetered : Ctx.t -> shared -> shared
+val reshare_unmetered : Ctx.t -> mask:int -> shared -> shared
 (** Rerandomize a sharing without changing the secret; traffic is metered
-    by the caller (the shuffle protocols account whole-protocol totals). *)
+    by the caller (the shuffle protocols account whole-protocol totals). A
+    boolean sharing keeps only the share bits under [mask] (the shares a
+    party receives at a narrower wire width; GF(2)-linear, so the secret
+    is masked alike); an arithmetic sharing takes [Ring.ones] only and
+    raises [Invalid_argument] otherwise. *)
 
 val sum_all : shared -> shared
 (** Sum all elements into a 1-element arithmetic sharing (local). *)

@@ -18,38 +18,44 @@ let perm_width (ctx : Ctx.t) = ctx.perm_bits
 let on_whole f (x : Share.shared) : Share.shared =
   match f [ Share.wrap x ] with [ c ] -> Share.unpark c | _ -> assert false
 
+(* Columns that all travel at width [w]. *)
+let at_width w cs = List.map (fun c -> (c, w)) cs
+
 (* A whole index column, [perm_width] bits wide, through a sharded
    permutation or its inverse. *)
 let apply_index ?inverse (ctx : Ctx.t) p (s : Share.shared) =
   on_whole
-    (fun cs -> Shardedperm.apply ~width:(perm_width ctx) ?inverse ctx cs p)
+    (fun cs -> Shardedperm.apply ?inverse ctx (at_width (perm_width ctx) cs) p)
     s
 
-(** Protocol 4: oblivious shuffle of several columns under one common
-    random sharded permutation. *)
-let shuffle_table ?width (ctx : Ctx.t) (cols : Share.chunked list) :
+(** Protocol 4: oblivious shuffle of several [(column, width)] pairs
+    under one common random sharded permutation. *)
+let shuffle_table (ctx : Ctx.t) (cols : (Share.chunked * int) list) :
     Share.chunked list =
   match cols with
   | [] -> []
-  | c :: _ ->
+  | (c, _) :: _ ->
       Ctx.with_label ctx "shuffle" @@ fun () ->
       let p = Permmgr.gen ctx (Share.chunked_length c) in
-      Shardedperm.apply ?width ctx cols p
+      Shardedperm.apply ctx cols p
 
-(** Protocol 4 on one whole vector. *)
-let shuffle ?width ctx x = on_whole (shuffle_table ?width ctx) x
+(** Protocol 4 on one whole vector, at [width] (default [ctx.ell]). *)
+let shuffle ?width (ctx : Ctx.t) x =
+  let w = Option.value width ~default:ctx.ell in
+  on_whole (fun cs -> shuffle_table ctx (at_width w cs)) x
 
 (** Protocol 5: apply a secret elementwise permutation [rho] to several
-    columns, paying the shuffle of [rho] and its opening once. The two
-    sharded applications act on independent inputs under independent
-    permutations, so their rounds are fused (their traffic is untouched).
-    The data columns stream chunk at a time (sharded application and
-    final scatter); [rho] is a single whole index column. *)
-let apply_elementwise_table ?width (ctx : Ctx.t) (cols : Share.chunked list)
+    [(column, width)] pairs, paying the shuffle of [rho] and its opening
+    once. The two sharded applications act on independent inputs under
+    independent permutations, so their rounds are fused (their traffic is
+    untouched). The data columns stream chunk at a time (sharded
+    application and final scatter); [rho] is a single whole index
+    column. *)
+let apply_elementwise_table (ctx : Ctx.t) (cols : (Share.chunked * int) list)
     (rho : Share.shared) : Share.chunked list =
   match cols with
   | [] -> []
-  | c0 :: _ ->
+  | (c0, _) :: _ ->
       Ctx.with_label ctx "applyperm" @@ fun () ->
       let n = Share.chunked_length c0 in
       if Share.length rho <> n then invalid_arg "apply_elementwise: length";
@@ -57,7 +63,7 @@ let apply_elementwise_table ?width (ctx : Ctx.t) (cols : Share.chunked list)
       let pair =
         Mpc.fuse_rounds ctx
           [|
-            (fun () -> `C (Shardedperm.apply ?width ctx cols p1));
+            (fun () -> `C (Shardedperm.apply ctx cols p1));
             (fun () -> `S (apply_index ctx p2 rho));
           |]
       in
@@ -74,8 +80,8 @@ let apply_elementwise_table ?width (ctx : Ctx.t) (cols : Share.chunked list)
 (** Protocol 5 for a packed flag column: the data being permuted is a
     single bit per row, so the first sharded application moves packed
     words ({!Shardedperm.apply_flags}) and the final local rearrangement
-    is a packed scatter. Wire cost identical to
-    [apply_elementwise_table ~width:1] on the unpacked 0/1 column. *)
+    is a packed scatter. Wire cost identical to [apply_elementwise_table]
+    on the unpacked 0/1 column at width 1. *)
 let apply_elementwise_flags (ctx : Ctx.t) (x : Share.flags)
     (rho : Share.shared) : Share.flags =
   let n = Share.flags_length x in
@@ -114,7 +120,7 @@ let invert ?enc (ctx : Ctx.t) (pi : Share.shared) : Share.shared =
   Ctx.with_label ctx "perminvert" @@ fun () ->
   let identity = Share.public_vec ctx enc (Localperm.identity n) in
   on_whole
-    (fun cs -> apply_elementwise_table ~width:(perm_width ctx) ctx cs pi)
+    (fun cs -> apply_elementwise_table ctx (at_width (perm_width ctx) cs) pi)
     identity
 
 (** Protocol 7: convert an elementwise permutation between arithmetic and

@@ -7,26 +7,32 @@
 open Orq_proto
 
 val shuffle_table :
-  ?width:int -> Ctx.t -> Share.chunked list -> Share.chunked list
+  Ctx.t -> (Share.chunked * int) list -> Share.chunked list
 (** Protocol 4: generate one random sharded permutation and apply it to
-    every column. Tracked columns stream chunk at a time; a whole
+    every [(column, width)] pair, each metered and delivered at its width
+    under {!Shardedperm.apply}'s width contract (boolean columns at any
+    width up to [ctx.ell], masked to it on receipt; arithmetic columns at
+    [ctx.ell]). Tracked columns stream chunk at a time; a whole
     ({!Share.wrap}ped) column is one chunk. *)
 
 val shuffle : ?width:int -> Ctx.t -> Share.shared -> Share.shared
-(** {!shuffle_table} on one whole vector. *)
+(** {!shuffle_table} on one whole vector at [width] (default
+    [ctx.ell]). *)
 
 val apply_elementwise_table :
-  ?width:int -> Ctx.t -> Share.chunked list -> Share.shared ->
-  Share.chunked list
-(** Protocol 5: apply a secret elementwise permutation to several columns;
-    the shuffle of [rho] and its opening are paid once for all of them.
-    The data columns stream; the index column [rho] is whole. *)
+  Ctx.t -> (Share.chunked * int) list -> Share.shared -> Share.chunked list
+(** Protocol 5: apply a secret elementwise permutation to several
+    [(column, width)] pairs; the shuffle of [rho] and its opening are paid
+    once for all of them. Each column moves at its width under
+    {!Shardedperm.apply}'s width contract; [rho] moves at
+    [ctx.perm_bits]. The data columns stream; the index column [rho] is
+    whole. *)
 
 val apply_elementwise_flags :
   Ctx.t -> Share.flags -> Share.shared -> Share.flags
 (** Protocol 5 for a packed flag column — the single-bit payload moves as
-    packed words; wire cost identical to [apply_elementwise_table
-    ~width:1] on the unpacked column. *)
+    packed words; wire cost identical to {!apply_elementwise_table} on
+    the unpacked column at width 1. *)
 
 val compose : Ctx.t -> Share.shared -> Share.shared -> Share.shared
 (** Protocol 6: [compose sigma rho] = [rho ∘ sigma] (apply [sigma] first). *)

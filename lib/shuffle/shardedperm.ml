@@ -65,7 +65,8 @@ let plaintext (t : t) =
 
 (* Permute-and-reshare one component: every shuffle group applies its local
    permutation to all share vectors and rerandomizes before resharing to the
-   excluded party. The Mal-HM redundant resharing verifies sender honesty.
+   excluded party, who keeps the share bits under [mask] (its column's wire
+   width). The Mal-HM redundant resharing verifies sender honesty.
 
    The permute runs chunk-at-a-time through the store ([Chunkvec.scatter] /
    [Chunkvec.gather]) and the resharing noise is drawn per chunk in
@@ -74,7 +75,7 @@ let plaintext (t : t) =
    every step runs once over the whole vector. [owned] marks an
    intermediate whose chunks we must release deterministically. *)
 let apply_component (ctx : Ctx.t) (c : Share.chunked) (p : int array)
-    ~inverse ~owned =
+    ~inverse ~owned ~mask =
   (* Localperm.apply places x.(i) at p.(i) (a scatter); its inverse is a
      gather by p. *)
   let permuted =
@@ -88,24 +89,25 @@ let apply_component (ctx : Ctx.t) (c : Share.chunked) (p : int array)
           raise (Ctx.Abort "shuffle: reshare verification failed")
       done
   | Ctx.Sh_dm | Ctx.Sh_hm -> ());
-  let reshared = Share.map_chunks (Mpc.reshare_unmetered ctx) permuted in
+  let reshared = Share.map_chunks (Mpc.reshare_unmetered ctx ~mask) permuted in
   Share.dispose_c permuted;
   reshared
 
 (* Unmetered component fold over all components (forward or reverse). *)
-let fold_components (ctx : Ctx.t) (c : Share.chunked) (t : t) ~inverse =
+let fold_components (ctx : Ctx.t) (c : Share.chunked) (t : t) ~inverse ~mask =
   if inverse then begin
     let acc = ref c in
     for i = Array.length t.components - 1 downto 0 do
       acc :=
         apply_component ctx !acc t.components.(i) ~inverse:true
-          ~owned:(!acc != c)
+          ~owned:(!acc != c) ~mask
     done;
     !acc
   end
   else
     Array.fold_left
-      (fun acc p -> apply_component ctx acc p ~inverse:false ~owned:(acc != c))
+      (fun acc p ->
+        apply_component ctx acc p ~inverse:false ~owned:(acc != c) ~mask)
       c t.components
 
 (* Packed-lane form of [apply_component]: the local permutation moves
@@ -135,22 +137,69 @@ let apply_flags (ctx : Ctx.t) (f : Share.flags) (t : t) : Share.flags =
   Comm.rounds_only ctx.comm (rounds - 1);
   Array.fold_left (fun acc p -> apply_flags_component ctx acc p) f t.components
 
+(* The share bits a party keeps of column [pos] received at width [w]: a
+   boolean column narrower than the word keeps its low [w] bits. An
+   arithmetic column travels at [ctx.ell] — its shares cannot be reduced
+   in place — except an elementwise-permutation index vector, whose
+   values (< n) live in the [ctx.perm_bits]-bit index ring; it is metered
+   there and left unmasked. Under debug checks every narrowed column is
+   reconstructed and must fit its width, so a wrong declared width fails
+   loudly instead of under-metering the wire. *)
+let receive_mask (ctx : Ctx.t) pos ((c : Share.chunked), w) =
+  let enc = Share.chunked_enc c in
+  (match enc with
+  | Share.Bool ->
+      if w < 1 || w > ctx.ell then
+        invalid_arg
+          (Printf.sprintf "Shardedperm.apply: column %d at width %d" pos w)
+  | Share.Arith ->
+      if w <> ctx.ell && w <> ctx.perm_bits then
+        invalid_arg
+          (Printf.sprintf
+             "Shardedperm.apply: arithmetic column %d at width %d (must be \
+              %d, or %d for a permutation index)"
+             pos w ctx.ell ctx.perm_bits));
+  if w < ctx.ell && Orq_util.Debug.enabled () then
+    Array.iteri
+      (fun i v ->
+        if v lsr w <> 0 then
+          invalid_arg
+            (Printf.sprintf
+               "Shardedperm.apply: column %d holds %d at row %d, above its \
+                width %d"
+               pos v i w))
+      (Share.reconstruct_c c);
+  match enc with
+  | Share.Bool when w < Orq_util.Ring.word_bits -> Orq_util.Ring.mask w
+  | Share.Bool | Share.Arith -> Orq_util.Ring.ones
+
 (** Apply a sharded permutation, or with [~inverse:true] its inverse
-    (components undone in reverse order), to several columns at once.
-    Metered as one application: the rounds of a single column (the
-    columns travel together) and bits scaling with the data volume. The
-    columns stream one after another, chunk at a time, so a tracked
-    table's working set is one column; chunking only reorders local
-    evaluation, never the wire protocol. *)
-let apply ?width ?(inverse = false) (ctx : Ctx.t) (cols : Share.chunked list)
-    (t : t) : Share.chunked list =
+    (components undone in reverse order), to several [(column, width)]
+    pairs at once. Metered as one application: the rounds of a single
+    column (the columns travel together) and Σ {!apply_cost} over the
+    column widths in bits. Each receiving party keeps the low [width] bits
+    of a boolean column's shares (see [receive_mask]); the mask rides the
+    resharing pass. The columns stream one after another, chunk at a
+    time, so a tracked table's working set is one column; chunking only
+    reorders local evaluation, never the wire protocol. *)
+let apply ?(inverse = false) (ctx : Ctx.t)
+    (cols : (Share.chunked * int) list) (t : t) : Share.chunked list =
   match cols with
   | [] -> []
   | _ ->
-      if List.exists (fun c -> Share.chunked_length c <> t.n) cols then
+      if List.exists (fun (c, _) -> Share.chunked_length c <> t.n) cols then
         invalid_arg "Shardedperm.apply: length";
-      let w = Option.value width ~default:ctx.ell in
-      let bits, rounds, messages = apply_cost ctx ~w t.n in
-      Comm.round ctx.comm ~bits:(bits * List.length cols) ~messages;
+      let masks = List.mapi (receive_mask ctx) cols in
+      let bits =
+        List.fold_left
+          (fun acc (_, w) ->
+            let b, _, _ = apply_cost ctx ~w t.n in
+            acc + b)
+          0 cols
+      in
+      let _, rounds, messages = apply_cost ctx ~w:ctx.ell t.n in
+      Comm.round ctx.comm ~bits ~messages;
       Comm.rounds_only ctx.comm (rounds - 1);
-      List.map (fun c -> fold_components ctx c t ~inverse) cols
+      List.map2
+        (fun (c, _) mask -> fold_components ctx c t ~inverse ~mask)
+        cols masks

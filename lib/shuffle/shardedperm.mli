@@ -25,13 +25,30 @@ val plaintext : t -> int array
 (** The underlying permutation — test-only; no party could compute it. *)
 
 val apply :
-  ?width:int -> ?inverse:bool -> Ctx.t -> Share.chunked list -> t ->
+  ?inverse:bool -> Ctx.t -> (Share.chunked * int) list -> t ->
   Share.chunked list
 (** Apply the permutation (or with [~inverse:true] its inverse) to several
-    columns under one application: the rounds of a single column, bytes
-    scaling with data volume — what lets TableSort permute a whole table
-    once. The permute and per-component resharing run chunk at a time, a
-    column after another, so a tracked column streams through the
+    [(column, width)] pairs under one application: the rounds of a single
+    column, bits Σ over the columns of the Table 1 cost at each column's
+    width — what lets TableSort permute a whole table once.
+
+    Width contract: every column states the width it travels at.
+    - A boolean column takes any width in [1, ctx.ell]. Each receiving
+      party keeps the low [width] bits of its shares (a local GF(2)-linear
+      step folded into the resharing pass), so the output holds exactly
+      what a [width]-bit wire delivers: a declared width below the data's
+      true width yields a wrong answer, never silently under-metered
+      traffic. Under [ORQ_DEBUG_CHECKS] each narrowed column is
+      reconstructed first and raises [Invalid_argument] naming its
+      position and width if a value does not fit.
+    - An arithmetic column travels at [ctx.ell]: its shares cannot be
+      reduced in place. The one exception is an elementwise-permutation
+      index vector at [ctx.perm_bits] (values below n, metered in the
+      index ring, left unmasked). Any other width raises
+      [Invalid_argument].
+
+    The permute and per-component resharing run chunk at a time, a column
+    after another, so a tracked column streams through the
     {!Orq_util.Chunkvec} store with cold chunks evictable, and a whole
     ({!Share.wrap}ped) vector is one chunk. Metering is charged once at
     the logical-vector level, whatever the chunking. *)

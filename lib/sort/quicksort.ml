@@ -29,16 +29,20 @@ let rec drop n = function
   | _ :: tl as l -> if n = 0 then l else drop (n - 1) tl
 
 (** [sort ctx ~keys carry] sorts the rows formed by the key columns plus
-    [carry] columns; returns (sorted key columns, sorted carry columns). *)
-let sort (ctx : Ctx.t) ~(keys : key list) (carry : Share.shared list) :
-    Share.shared list * Share.shared list =
+    the [(column, width)] [carry] pairs; returns (sorted key columns,
+    sorted carry columns). The initial shuffle moves every column at its
+    width. *)
+let sort (ctx : Ctx.t) ~(keys : key list) (carry : (Share.shared * int) list)
+    : Share.shared list * Share.shared list =
   let n = Share.length (List.hd keys).col in
   let nk = List.length keys in
-  if n <= 1 then (List.map (fun k -> k.col) keys, carry)
+  if n <= 1 then (List.map (fun k -> k.col) keys, List.map fst carry)
   else begin
     let all =
       Orq_shuffle.Permops.shuffle_table ctx
-        (List.map Share.wrap (List.map (fun k -> k.col) keys @ carry))
+        (List.map
+           (fun (c, w) -> (Share.wrap c, w))
+           (List.map (fun k -> (k.col, k.width)) keys @ carry))
       |> List.map Share.unpark
     in
     let key_cols = ref (take nk all) and carry_cols = ref (drop nk all) in

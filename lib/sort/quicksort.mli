@@ -18,6 +18,8 @@ val take : int -> 'a list -> 'a list
 val drop : int -> 'a list -> 'a list
 
 val sort :
-  Ctx.t -> keys:key list -> Share.shared list ->
+  Ctx.t -> keys:key list -> (Share.shared * int) list ->
   Share.shared list * Share.shared list
-(** [sort ctx ~keys carry] = (sorted key columns, sorted carry columns). *)
+(** [sort ctx ~keys carry] = (sorted key columns, sorted carry columns).
+    [carry] pairs each column with its width; the initial shuffle moves
+    keys at [width] and carries at theirs (see {!Orq_shuffle.Permops}). *)

@@ -41,7 +41,7 @@ let sort_with_perm (ctx : Ctx.t) ~bits ?(skip = 0) ?(dir = Asc)
   match !sigma with
   | None -> ((key, carry), Share.public_vec ctx Share.Arith (Orq_shuffle.Localperm.identity (Share.length key)))
   | Some s -> (
-      let cols = List.map Share.wrap (key :: carry) in
+      let cols = List.map (fun c -> (Share.wrap c, ctx.ell)) (key :: carry) in
       match
         List.map Share.unpark (Permops.apply_elementwise_table ctx cols s)
       with

@@ -46,17 +46,21 @@ let extract_digit (y : Share.chunked) lo l : Share.flags array =
       Array.init l (fun j ->
           Share.flags_concat_many (Array.map (fun c -> c.(j)) per_chunk))
 
-(** [sort_c ctx ~bits ?skip ~dir key carry] stably sorts the rows
+(** [sort_c ctx ~bits ?skip ~dir (key, kw) carry] stably sorts the rows
     [(key, carry...)] on the [bits] key bits starting at bit [skip],
-    returning the rearranged columns. Key and carry stream chunk at a time
+    returning the rearranged columns. Every column is paired with its
+    width: each digit's table application moves the key at [kw] and each
+    carry at its own width. Key and carry stream chunk at a time
     through bit extraction and the table-wide permutation application;
     the per-digit ranking ({!Genbitperm}) runs over whole packed flag
     columns, a 1-bit-per-row working set per digit bit, 63x smaller than
     the table it ranks. A whole ({!Share.wrap}ped) input is one chunk. *)
-let sort_c (ctx : Ctx.t) ~bits ?(skip = 0) ?(dir = Asc) (key : Share.chunked)
-    (carry : Share.chunked list) : Share.chunked * Share.chunked list =
+let sort_c (ctx : Ctx.t) ~bits ?(skip = 0) ?(dir = Asc)
+    ((key : Share.chunked), kw) (carry : (Share.chunked * int) list) :
+    Share.chunked * Share.chunked list =
   Share.check_enc_c Bool key;
-  let y = ref key and rest = ref carry in
+  let widths = kw :: List.map snd carry in
+  let y = ref key and rest = ref (List.map fst carry) in
   let owned = ref false in
   let lo = ref skip and hi = skip + bits in
   while !lo < hi do
@@ -67,7 +71,9 @@ let sort_c (ctx : Ctx.t) ~bits ?(skip = 0) ?(dir = Asc) (key : Share.chunked)
     in
     let sigma = Genbitperm.gen_digit ctx digit in
     let cols =
-      Orq_shuffle.Permops.apply_elementwise_table ctx (!y :: !rest) sigma
+      Orq_shuffle.Permops.apply_elementwise_table ctx
+        (List.combine (!y :: !rest) widths)
+        sigma
     in
     (* advance the shuffle stream by one sharded permutation per key bit,
        as a 1-bit digit does, so the permutations later operators draw —
@@ -87,9 +93,10 @@ let sort_c (ctx : Ctx.t) ~bits ?(skip = 0) ?(dir = Asc) (key : Share.chunked)
   done;
   (!y, !rest)
 
-(** {!sort_c} on whole vectors. *)
-let sort ctx ~bits ?skip ?dir key carry =
+(** {!sort_c} on whole vectors, every column moved at [ctx.ell]. *)
+let sort (ctx : Ctx.t) ~bits ?skip ?dir key carry =
+  let at_ell s = (Share.wrap s, ctx.ell) in
   let k, c =
-    sort_c ctx ~bits ?skip ?dir (Share.wrap key) (List.map Share.wrap carry)
+    sort_c ctx ~bits ?skip ?dir (at_ell key) (List.map at_ell carry)
   in
   (Share.unpark k, List.map Share.unpark c)

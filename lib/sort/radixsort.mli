@@ -15,15 +15,23 @@ open Orq_proto
 type dir = Asc | Desc
 
 val sort_c :
-  Ctx.t -> bits:int -> ?skip:int -> ?dir:dir -> Share.chunked ->
-  Share.chunked list -> Share.chunked * Share.chunked list
-(** [sort_c ctx ~bits ?skip ~dir key carry] stably sorts rows
-    [(key, carry...)] on the [bits] key bits starting at bit [skip]. The
-    columns stream chunk at a time; only the packed 1-bit-per-row flag
-    column and the ranking permutation are whole. The wire cost does not
-    depend on the chunking. *)
+  Ctx.t -> bits:int -> ?skip:int -> ?dir:dir -> Share.chunked * int ->
+  (Share.chunked * int) list -> Share.chunked * Share.chunked list
+(** [sort_c ctx ~bits ?skip ~dir (key, kw) carry] stably sorts rows
+    [(key, carry...)] on the [bits] key bits starting at bit [skip].
+
+    Width contract: every column comes paired with its width, and each
+    digit's table application moves the key at [kw] and each carry at its
+    own width (see {!Orq_shuffle.Shardedperm.apply}): a boolean column is
+    masked to its width on receipt, so a width below the data's true
+    width corrupts it; an arithmetic carry must be at [ctx.ell]. The
+    returned columns are bare, in input order.
+
+    The columns stream chunk at a time; only the packed 1-bit-per-row
+    flag column and the ranking permutation are whole. The wire cost does
+    not depend on the chunking. *)
 
 val sort :
   Ctx.t -> bits:int -> ?skip:int -> ?dir:dir -> Share.shared ->
   Share.shared list -> Share.shared * Share.shared list
-(** {!sort_c} on whole vectors. *)
+(** {!sort_c} on whole vectors with every column at [ctx.ell]. *)

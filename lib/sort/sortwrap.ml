@@ -30,8 +30,9 @@ let index_column (ctx : Ctx.t) n =
 
 (* Base-sort dispatch. Returns the sorted key and carry and, when [perm]
    is set, the sorted index column [sigma^{-1}] as a whole vector.
-   Radixsort streams the columns and carries the index as data, tracked
-   like the key, so a whole-vector sort never charges the chunk store.
+   Radixsort streams the columns and carries the index as data at
+   [ctx.perm_bits], tracked like the key, so a whole-vector sort never
+   charges the chunk store.
    Quicksort always sorts on (key, index) for uniqueness and stability; its
    shuffle-then-open control flow keys on whole opened vectors, so it
    unparks its input and repacks the result like the key. *)
@@ -42,10 +43,11 @@ let run_base (ctx : Ctx.t) algo dir ~w ~perm key carry =
       let rdir = match dir with Asc -> Radixsort.Asc | Desc -> Radixsort.Desc in
       let n = Share.chunked_length key and ncarry = List.length carry in
       let index =
-        if perm then [ repack_like key (index_column ctx n) ] else []
+        if perm then [ (repack_like key (index_column ctx n), ctx.perm_bits) ]
+        else []
       in
       let key', cols' =
-        Radixsort.sort_c ctx ~bits:w ~dir:rdir key (carry @ index)
+        Radixsort.sort_c ctx ~bits:w ~dir:rdir (key, w) (carry @ index)
       in
       let pi =
         if not perm then None
@@ -71,7 +73,10 @@ let run_base (ctx : Ctx.t) algo dir ~w ~perm key carry =
           };
         ]
       in
-      match Quicksort.sort ctx ~keys (List.map Share.unpark carry) with
+      match
+        Quicksort.sort ctx ~keys
+          (List.map (fun (c, cw) -> (Share.unpark c, cw)) carry)
+      with
       | [ key'; idx' ], carry' ->
           ( repack_like key key',
             List.map (repack_like key) carry',
@@ -79,10 +84,11 @@ let run_base (ctx : Ctx.t) algo dir ~w ~perm key carry =
       | _ -> assert false)
 
 (** [sort_with_perm ctx ?algo ~dir ~w key carry] sorts rows by the single
-    key column (plus index tiebreak), returning the sorted key, the sorted
-    carry columns, and the elementwise sorting permutation [sigma]. *)
+    [w]-bit key column (plus index tiebreak), returning the sorted key,
+    the sorted carry columns (given as [(column, width)] pairs), and the
+    elementwise sorting permutation [sigma]. *)
 let sort_with_perm (ctx : Ctx.t) ?algo ~(dir : dir) ~w (key : Share.chunked)
-    (carry : Share.chunked list) :
+    (carry : (Share.chunked * int) list) :
     Share.chunked * Share.chunked list * Share.shared =
   let algo = Option.value algo ~default:(default_algo_for_width w) in
   match run_base ctx algo dir ~w ~perm:true key carry with
@@ -93,7 +99,7 @@ let sort_with_perm (ctx : Ctx.t) ?algo ~(dir : dir) ~w (key : Share.chunked)
     sorting permutation (single-key sorts that carry all their columns
     through the base sort do not need it). *)
 let sort (ctx : Ctx.t) ?algo ~(dir : dir) ~w (key : Share.chunked)
-    (carry : Share.chunked list) : Share.chunked * Share.chunked list =
+    (carry : (Share.chunked * int) list) : Share.chunked * Share.chunked list =
   let algo = Option.value algo ~default:(default_algo_for_width w) in
   let key', carry', _ = run_base ctx algo dir ~w ~perm:false key carry in
   (key', carry')

@@ -215,6 +215,15 @@ let xor_into (dst : t) (a : t) =
           (Array.unsafe_get dst i lxor Array.unsafe_get a i)
       done)
 
+(** [xor_mask_into dst a m]: dst <- (dst ^ a) land m, one pass. *)
+let xor_mask_into (dst : t) (a : t) m =
+  check2 dst a;
+  Parallel.run_spans (Array.length dst) (fun pos len ->
+      for i = pos to pos + len - 1 do
+        Array.unsafe_set dst i
+          ((Array.unsafe_get dst i lxor Array.unsafe_get a i) land m)
+      done)
+
 (** [mul_add_into dst a b]: dst += a * b, one pass, no allocation. *)
 let mul_add_into (dst : t) (a : t) (b : t) =
   check3 dst a b;

@@ -52,6 +52,10 @@ val sub_into : t -> t -> unit
 val xor_into : t -> t -> unit
 (** dst ^= a. *)
 
+val xor_mask_into : t -> t -> int -> unit
+(** [xor_mask_into dst a m]: dst <- (dst ⊕ a) ∧ m in one pass — a
+    rerandomization that keeps only the bits selected by [m]. *)
+
 val mul_add_into : t -> t -> t -> unit
 (** [mul_add_into dst a b]: dst += a·b in one pass. *)
 

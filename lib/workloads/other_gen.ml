@@ -168,40 +168,50 @@ type mpc = {
   m_yt : Orq_core.Table.t;
 }
 
+(* Per-table (column, width) schemas: what {!share} shares each table
+   under. *)
+let diagnosis_cols = [ ("pid", w_id); ("diag", w_code); ("dtime", w_time) ]
+let medication_cols = [ ("pid", w_id); ("med", w_code); ("mtime", w_time) ]
+let labs_cols = [ ("pid", w_id); ("test", w_code); ("ltime", w_time) ]
+let cohort_cols = [ ("pid", w_id) ]
+let passwords_cols = [ ("uid", w_id); ("site", w_code); ("pwd", w_code) ]
+let credit_cols = [ ("cid", w_id); ("agency", 2); ("score", w_score) ]
+let r_att_cols = [ ("id", w_id); ("att", w_code) ]
+let s_val_cols = [ ("id", w_id); ("val", w_score) ]
+let transactions_cols = [ ("company", w_code); ("price", w_price) ]
+let yr_cols = [ ("person", w_id); ("coins", 7) ]
+let ys_cols = [ ("person", w_id); ("disease", w_code); ("cost", 13) ]
+let yt_cols = [ ("disease", w_code); ("class", 3) ]
+
 let share (ctx : Orq_proto.Ctx.t) (db : plain) : mpc =
   {
-    m_diagnosis =
-      share_table ctx "diagnosis"
-        [ ("pid", w_id); ("diag", w_code); ("dtime", w_time) ]
-        db.diagnosis;
-    m_medication =
-      share_table ctx "medication"
-        [ ("pid", w_id); ("med", w_code); ("mtime", w_time) ]
-        db.medication;
-    m_labs =
-      share_table ctx "labs"
-        [ ("pid", w_id); ("test", w_code); ("ltime", w_time) ]
-        db.labs;
-    m_cohort = share_table ctx "cohort" [ ("pid", w_id) ] db.cohort;
-    m_passwords =
-      share_table ctx "passwords"
-        [ ("uid", w_id); ("site", w_code); ("pwd", w_code) ]
-        db.passwords;
-    m_credit =
-      share_table ctx "credit"
-        [ ("cid", w_id); ("agency", 2); ("score", w_score) ]
-        db.credit;
-    m_r_att =
-      share_table ctx "r" [ ("id", w_id); ("att", w_code) ] db.r_att;
-    m_s_val = share_table ctx "s" [ ("id", w_id); ("val", w_score) ] db.s_val;
+    m_diagnosis = share_table ctx "diagnosis" diagnosis_cols db.diagnosis;
+    m_medication = share_table ctx "medication" medication_cols db.medication;
+    m_labs = share_table ctx "labs" labs_cols db.labs;
+    m_cohort = share_table ctx "cohort" cohort_cols db.cohort;
+    m_passwords = share_table ctx "passwords" passwords_cols db.passwords;
+    m_credit = share_table ctx "credit" credit_cols db.credit;
+    m_r_att = share_table ctx "r" r_att_cols db.r_att;
+    m_s_val = share_table ctx "s" s_val_cols db.s_val;
     m_transactions =
-      share_table ctx "transactions"
-        [ ("company", w_code); ("price", w_price) ]
-        db.transactions;
-    m_yr = share_table ctx "yr" [ ("person", w_id); ("coins", 7) ] db.yr;
-    m_ys =
-      share_table ctx "ys"
-        [ ("person", w_id); ("disease", w_code); ("cost", 13) ]
-        db.ys;
-    m_yt = share_table ctx "yt" [ ("disease", w_code); ("class", 3) ] db.yt;
+      share_table ctx "transactions" transactions_cols db.transactions;
+    m_yr = share_table ctx "yr" yr_cols db.yr;
+    m_ys = share_table ctx "ys" ys_cols db.ys;
+    m_yt = share_table ctx "yt" yt_cols db.yt;
+  }
+
+let map_plain f (db : plain) : plain =
+  {
+    diagnosis = f diagnosis_cols db.diagnosis;
+    medication = f medication_cols db.medication;
+    labs = f labs_cols db.labs;
+    cohort = f cohort_cols db.cohort;
+    passwords = f passwords_cols db.passwords;
+    credit = f credit_cols db.credit;
+    r_att = f r_att_cols db.r_att;
+    s_val = f s_val_cols db.s_val;
+    transactions = f transactions_cols db.transactions;
+    yr = f yr_cols db.yr;
+    ys = f ys_cols db.ys;
+    yt = f yt_cols db.yt;
   }

@@ -48,3 +48,7 @@ val generate : ?seed:int -> int -> plain
 (** [generate n]: about [n] rows in each primary table. *)
 
 val share : Orq_proto.Ctx.t -> plain -> mpc
+
+val map_plain : ((string * int) list -> P.t -> P.t) -> plain -> plain
+(** [map_plain f db] replaces every table [t] by [f schema t], [schema]
+    being the (column, width) list {!share} shares [t] under. *)

@@ -292,6 +292,20 @@ let share (ctx : Orq_proto.Ctx.t) (db : plain) : mpc =
     m_lineitem = share_table ctx "lineitem" lineitem_cols db.lineitem;
   }
 
+(** [map_plain f db] replaces every table [t] by [f schema t], [schema]
+    being the (column, width) list {!share} shares it under. *)
+let map_plain f (db : plain) : plain =
+  {
+    region = f region_cols db.region;
+    nation = f nation_cols db.nation;
+    supplier = f supplier_cols db.supplier;
+    customer = f customer_cols db.customer;
+    part = f part_cols db.part;
+    partsupp = f partsupp_cols db.partsupp;
+    orders = f orders_cols db.orders;
+    lineitem = f lineitem_cols db.lineitem;
+  }
+
 (** Total input rows of a database (the paper's query-size metric). *)
 let total_rows (db : plain) =
   let n t = Orq_plaintext.Ptable.nrows t in

@@ -40,6 +40,12 @@ val sizes : float -> int * int * int * int
 val generate : ?seed:int -> float -> plain
 val share : Orq_proto.Ctx.t -> plain -> mpc
 
+val map_plain :
+  ((string * int) list -> Orq_plaintext.Ptable.t -> Orq_plaintext.Ptable.t) ->
+  plain -> plain
+(** [map_plain f db] replaces every table [t] by [f schema t], [schema]
+    being the (column, width) list {!share} shares [t] under. *)
+
 val total_rows : plain -> int
 (** Total input rows — the paper's query-size metric. *)
 

@@ -350,12 +350,20 @@ let test_twin_preserves_shape_only () =
   let p =
     Orq_plaintext.Ptable.create [ "a"; "b" ] [ [ 10; 20 ]; [ 30; 40 ] ]
   in
-  let t = Certify.twin_ptable p in
+  let t = Certify.twin_ptable [ ("b", 3); ("a", 12) ] p in
   Alcotest.(check (list string)) "schema kept" p.Orq_plaintext.Ptable.schema
     t.Orq_plaintext.Ptable.schema;
   Alcotest.(check int) "rows kept" 2 (Orq_plaintext.Ptable.nrows t);
   Alcotest.(check bool) "values replaced" true
-    (p.Orq_plaintext.Ptable.rows <> t.Orq_plaintext.Ptable.rows)
+    (p.Orq_plaintext.Ptable.rows <> t.Orq_plaintext.Ptable.rows);
+  List.iter
+    (fun row ->
+      match row with
+      | [ a; b ] ->
+          Alcotest.(check bool) "a fits 12 bits" true (a lsr 12 = 0);
+          Alcotest.(check bool) "b fits 3 bits" true (b lsr 3 = 0)
+      | _ -> Alcotest.fail "arity")
+    t.Orq_plaintext.Ptable.rows
 
 let suite =
   [

@@ -283,7 +283,9 @@ let test_e2e_quicksort () =
       let kc = Mpc.share_b ctx keys and cc = Mpc.share_b ctx carry in
       let module Q = Orq_sort.Quicksort in
       let ks, cs =
-        Q.sort ctx ~keys:[ { Q.col = kc; width = 8; dir = Q.Asc } ] [ cc ]
+        Q.sort ctx
+          ~keys:[ { Q.col = kc; width = 8; dir = Q.Asc } ]
+          [ (cc, ctx.Ctx.ell) ]
       in
       let order = stable_order keys in
       Alcotest.(check (array int)) (lbl ^ " quicksort keys")

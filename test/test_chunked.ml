@@ -228,7 +228,8 @@ let test_shuffle_table () =
       let x = rand_array st n and y = rand_array st n in
       check_same tag
         (wrapped_vs_parked kind ~seed:21 [ x; y ] (fun ctx cs ->
-             Permops.shuffle_table ctx cs)))
+             Permops.shuffle_table ctx
+               (List.map (fun c -> (c, ctx.Ctx.ell)) cs))))
     [ 56; 53 ]
 
 (* radixsort (w = 8) and the whole-vector quicksort fallback (w = 40) *)
@@ -243,7 +244,8 @@ let test_sort () =
       check_same tag
         (wrapped_vs_parked kind ~seed:33 [ key; pay ] (fun ctx cs ->
              let k', ps' =
-               Sortwrap.sort ctx ~dir:Sortwrap.Asc ~w (List.hd cs) (List.tl cs)
+               Sortwrap.sort ctx ~dir:Sortwrap.Asc ~w (List.hd cs)
+                 (List.map (fun c -> (c, ctx.Ctx.ell)) (List.tl cs))
              in
              k' :: ps'));
       (* the permutation-extracting form: sigma is a whole vector *)
@@ -318,7 +320,8 @@ let test_whole_sort_untracked () =
         (fun w ->
           let ctx = Ctx.create ~seed:55 kind in
           let st = Random.State.make [| 10 |] in
-          let key = Share.wrap (Mpc.share_b ctx (rand_array st 300)) in
+          let keys = Array.init 300 (fun _ -> Random.State.int st 65536) in
+          let key = Share.wrap (Mpc.share_b ctx keys) in
           ignore (Sortwrap.sort_with_perm ctx ~dir:Sortwrap.Asc ~w key []))
         [ 16; 40 ]);
   Alcotest.(check int) "no tracked bytes" live0 (Chunkvec.peak_live_bytes ())

@@ -108,6 +108,60 @@ let test_tablesort_multikey () =
       Alcotest.(check vec) "C moved consistently" [| 1; 3; 4; 0; 2 |]
         (List.assoc "C" cols))
 
+(* Every column moves at its declared width: a TableSort over 1-, 8- and
+   24-bit columns (plus the 1-bit validity) costs exactly these online
+   bits, and the values still sort. *)
+let test_tablesort_width_tally () =
+  List.iter
+    (fun (k, single, multi) ->
+      let ctx = Ctx.create ~seed:51 k in
+      let t =
+        Table.create ctx "w"
+          [
+            ("F", 1, [| 1; 0; 1; 1; 0; 0; 1; 0 |]);
+            ("M", 8, [| 200; 3; 77; 3; 150; 12; 0; 255 |]);
+            ("W", 24, [| 1; 70_000; 3; 16_000_000; 5; 6; 7; 8 |]);
+          ]
+      in
+      let bits specs =
+        let before = Orq_net.Comm.snapshot ctx.Ctx.comm in
+        let t' = Tablesort.sort t specs in
+        (t', (Orq_net.Comm.since ctx.Ctx.comm before).Orq_net.Comm.t_bits)
+      in
+      let tag = Ctx.kind_label k in
+      let t1, b1 = bits [ ("M", Tablesort.Asc) ] in
+      let cols, _ = Table.peek t1 in
+      Alcotest.(check vec) (tag ^ " M sorted")
+        [| 0; 3; 3; 12; 77; 150; 200; 255 |]
+        (List.assoc "M" cols);
+      Alcotest.(check vec) (tag ^ " W follows")
+        [| 7; 70_000; 16_000_000; 6; 3; 5; 1; 8 |]
+        (List.assoc "W" cols);
+      Alcotest.(check int) (tag ^ " single-key bits") single b1;
+      let t2, b2 = bits [ ("F", Tablesort.Desc); ("M", Tablesort.Asc) ] in
+      let cols, _ = Table.peek t2 in
+      Alcotest.(check vec) (tag ^ " F desc") [| 1; 1; 1; 1; 0; 0; 0; 0 |]
+        (List.assoc "F" cols);
+      Alcotest.(check vec) (tag ^ " M within F")
+        [| 0; 3; 77; 200; 3; 12; 150; 255 |]
+        (List.assoc "M" cols);
+      Alcotest.(check int) (tag ^ " multi-key bits") multi b2)
+    [
+      (Ctx.Sh_dm, 20864, 31440);
+      (Ctx.Sh_hm, 28224, 51864);
+      (Ctx.Mal_hm, 116480, 205856);
+    ]
+
+(* A value with bits at or above its column's width is refused at
+   ingress. *)
+let test_create_rejects_out_of_width () =
+  for_all_kinds (fun ctx ->
+      match Table.create ctx "bad" [ ("K", 4, [| 3; 16; 5 |]) ] with
+      | _ -> Alcotest.fail "16 accepted as a 4-bit value"
+      | exception Invalid_argument msg ->
+          Alcotest.(check string) "names value and width"
+            "Column.of_plaintext: value 16 does not fit width 4" msg)
+
 (* ---------------- AggNet ---------------- *)
 
 let test_aggnet_sum_copy () =
@@ -262,7 +316,7 @@ let test_order_by_limit () =
 let customers_orders ctx =
   let c =
     Table.create ctx "C"
-      [ ("CustKey", 8, [| 1; 2; 3; 4 |]); ("Nation", 4, [| 10; 20; 10; 30 |]) ]
+      [ ("CustKey", 8, [| 1; 2; 3; 4 |]); ("Nation", 5, [| 10; 20; 10; 30 |]) ]
   in
   let o =
     Table.create ctx "O"
@@ -792,6 +846,10 @@ let suite =
       test_private_division_expr;
     Alcotest.test_case "TableSort multi-key + stability" `Quick
       test_tablesort_multikey;
+    Alcotest.test_case "tablesort moves columns at their widths" `Quick
+      test_tablesort_width_tally;
+    Alcotest.test_case "Table.create rejects out-of-width values" `Quick
+      test_create_rejects_out_of_width;
     Alcotest.test_case "AggNet sum + copy" `Quick test_aggnet_sum_copy;
     Alcotest.test_case "AggNet min/max" `Quick test_aggnet_minmax;
     Alcotest.test_case "AggNet non-pow2 padding" `Quick

@@ -170,7 +170,7 @@ let test_reshare () =
   for_all_kinds (fun ctx ->
       let x = Prg.words ctx.Ctx.prg 40 in
       let s = Mpc.share_a ctx x in
-      let s' = Mpc.reshare_unmetered ctx s in
+      let s' = Mpc.reshare_unmetered ctx ~mask:Ring.ones s in
       Alcotest.(check vec_testable) "reshare preserves secret" x
         (Share.reconstruct s');
       Alcotest.(check bool) "reshare rerandomizes" false

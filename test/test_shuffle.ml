@@ -55,7 +55,7 @@ let qcheck_localperm_compose =
 
 (* one whole vector through the column-list application *)
 let apply1 ?inverse ctx s p =
-  match Shardedperm.apply ?inverse ctx [ Share.wrap s ] p with
+  match Shardedperm.apply ?inverse ctx [ (Share.wrap s, ctx.Ctx.ell) ] p with
   | [ c ] -> Share.unpark c
   | _ -> Alcotest.fail "arity"
 
@@ -108,7 +108,10 @@ let test_sharded_table_rounds () =
       let tl1 = Orq_net.Comm.since ctx.Ctx.comm before in
       ignore single;
       let before2 = Orq_net.Comm.snapshot ctx.Ctx.comm in
-      ignore (Shardedperm.apply ctx (List.map Share.wrap cols) p);
+      ignore
+        (Shardedperm.apply ctx
+           (List.map (fun c -> (Share.wrap c, ctx.Ctx.ell)) cols)
+           p);
       let tl2 = Orq_net.Comm.since ctx.Ctx.comm before2 in
       Alcotest.(check int) "table apply same rounds as single"
         tl1.Orq_net.Comm.t_rounds tl2.Orq_net.Comm.t_rounds;
@@ -139,7 +142,10 @@ let test_shuffle_table_consistent () =
       let y = Array.init 30 (fun i -> 100 + i) in
       match
         Permops.shuffle_table ctx
-          [ Share.wrap (Mpc.share_b ctx x); Share.wrap (Mpc.share_b ctx y) ]
+          [
+            (Share.wrap (Mpc.share_b ctx x), 5);
+            (Share.wrap (Mpc.share_b ctx y), 8);
+          ]
       with
       | [ sx; sy ] ->
           let x' = Share.reconstruct_c sx and y' = Share.reconstruct_c sy in
@@ -156,7 +162,7 @@ let test_apply_elementwise () =
       let rho = Localperm.random ctx.Ctx.prg n in
       let y =
         Permops.apply_elementwise_table ctx
-          [ Share.wrap (Mpc.share_b ctx x) ]
+          [ (Share.wrap (Mpc.share_b ctx x), ctx.Ctx.ell) ]
           (Mpc.share_a ctx rho)
         |> List.hd |> Share.reconstruct_c
       in
@@ -170,7 +176,10 @@ let test_apply_elementwise_table () =
       let rho = Localperm.random ctx.Ctx.prg n in
       match
         Permops.apply_elementwise_table ctx
-          [ Share.wrap (Mpc.share_b ctx x); Share.wrap (Mpc.share_b ctx y) ]
+          [
+            (Share.wrap (Mpc.share_b ctx x), 4);
+            (Share.wrap (Mpc.share_b ctx y), 8);
+          ]
           (Mpc.share_b ctx rho)
       with
       | [ sx; sy ] ->
@@ -207,6 +216,166 @@ let test_convert () =
       Alcotest.(check vec) "value preserved" pi (Share.reconstruct a);
       let b = Permops.convert ctx a Share.Bool in
       Alcotest.(check vec) "roundtrip" pi (Share.reconstruct b))
+
+(* ---------------- width-aware application ---------------- *)
+
+(* Table 1 bits per element per bit of width: 2PC 2, 3PC 6, 4PC 24. *)
+let table1_factor = function
+  | Ctx.Sh_dm -> 2
+  | Ctx.Sh_hm -> 6
+  | Ctx.Mal_hm -> 24
+
+let sharded_rounds = function Ctx.Sh_dm -> 2 | Ctx.Sh_hm -> 3 | Ctx.Mal_hm -> 4
+
+(* Row i of a mixed-width table: a 1-bit, a 12-bit and a [perm_bits]-bit
+   boolean column, and an arithmetic column at ell. The perm_bits column
+   is unique per row, so it identifies where each row went. *)
+let mixed_table (ctx : Ctx.t) n =
+  let plain =
+    [
+      (Array.init n (fun i -> i land 1), 1, Share.Bool);
+      (Array.init n (fun i -> (i * 37) land 0xFFF), 12, Share.Bool);
+      (Array.init n (fun i -> (i * 1_000_003) land 0xFFFF_FFFF),
+        ctx.Ctx.perm_bits, Share.Bool);
+      (Array.init n (fun i -> (i * 7919) - 500), ctx.Ctx.ell, Share.Arith);
+    ]
+  in
+  let cols =
+    List.map (fun (x, w, enc) -> (Share.wrap (Share.share ctx enc x), w)) plain
+  in
+  (List.map (fun (x, _, _) -> x) plain, cols)
+
+(* Every share vector of a narrowed boolean output stays under its width. *)
+let check_share_widths tag cols outs =
+  List.iter2
+    (fun (_, w) out ->
+      let s = Share.unpark out in
+      if s.Share.enc = Share.Bool && w < Ring.word_bits then
+        Array.iter
+          (fun vk ->
+            Array.iter
+              (fun x ->
+                if x lsr w <> 0 then
+                  Alcotest.failf "%s: a share has bits above width %d" tag w)
+              vk)
+          s.Share.v)
+    cols outs
+
+let tally_of ctx f =
+  let before = Orq_net.Comm.snapshot ctx.Ctx.comm in
+  let r = f () in
+  (r, Orq_net.Comm.since ctx.Ctx.comm before)
+
+let test_mixed_width_shuffle_table () =
+  List.iter
+    (fun k ->
+      let ctx = Ctx.create ~seed:23 k in
+      let n = 40 in
+      let plain, cols = mixed_table ctx n in
+      let outs, tl = tally_of ctx (fun () -> Permops.shuffle_table ctx cols) in
+      let tag = Ctx.kind_label k in
+      let got = List.map Share.reconstruct_c outs in
+      (* rows move together: locate each output row by its unique id *)
+      let ids = List.nth plain 2 in
+      Array.iteri
+        (fun j id ->
+          let i =
+            match Array.find_index (( = ) id) ids with
+            | Some i -> i
+            | None -> Alcotest.failf "%s: id %d lost" tag id
+          in
+          List.iter2
+            (fun x y ->
+              Alcotest.(check int) (tag ^ " row moved whole") x.(i) y.(j))
+            plain got)
+        (List.nth got 2);
+      let wsum = List.fold_left (fun acc (_, w) -> acc + w) 0 cols in
+      Alcotest.(check int) (tag ^ " bits = sum of per-width costs")
+        (table1_factor k * wsum * n) tl.Orq_net.Comm.t_bits;
+      Alcotest.(check int) (tag ^ " rounds") (sharded_rounds k)
+        tl.Orq_net.Comm.t_rounds;
+      check_share_widths tag cols outs)
+    kinds
+
+let test_mixed_width_apply_elementwise () =
+  List.iter
+    (fun k ->
+      let n = 40 in
+      let run cols_of =
+        let ctx = Ctx.create ~seed:29 k in
+        let rho = Localperm.random ctx.Ctx.prg n in
+        let plain, cols = mixed_table ctx n in
+        let cols = cols_of ctx cols in
+        let outs, tl =
+          tally_of ctx (fun () ->
+              Permops.apply_elementwise_table ctx cols (Mpc.share_b ctx rho))
+        in
+        (rho, plain, cols, outs, tl)
+      in
+      let tag = Ctx.kind_label k in
+      let rho, plain, cols, outs, tl = run (fun _ cols -> cols) in
+      List.iter2
+        (fun x out ->
+          Alcotest.(check vec) (tag ^ " rho(x)") (Localperm.apply x rho)
+            (Share.reconstruct_c out))
+        plain outs;
+      check_share_widths tag cols outs;
+      (* against the same call on the 1-bit column alone: the same rounds,
+         and exactly the other columns' per-width costs more bits *)
+      let _, _, _, _, tl1 = run (fun _ cols -> [ List.hd cols ]) in
+      let wrest = List.fold_left (fun acc (_, w) -> acc + w) 0 (List.tl cols) in
+      Alcotest.(check int) (tag ^ " extra bits")
+        (table1_factor k * wrest * n)
+        (tl.Orq_net.Comm.t_bits - tl1.Orq_net.Comm.t_bits);
+      Alcotest.(check int) (tag ^ " rounds unchanged") tl1.Orq_net.Comm.t_rounds
+        tl.Orq_net.Comm.t_rounds;
+      (* and against every column at ell: rounds and messages unchanged *)
+      let _, _, _, _, tl64 =
+        run (fun ctx cols -> List.map (fun (c, _) -> (c, ctx.Ctx.ell)) cols)
+      in
+      Alcotest.(check int) (tag ^ " rounds as at ell")
+        tl64.Orq_net.Comm.t_rounds tl.Orq_net.Comm.t_rounds;
+      Alcotest.(check int) (tag ^ " messages as at ell")
+        tl64.Orq_net.Comm.t_messages tl.Orq_net.Comm.t_messages)
+    kinds
+
+let test_arith_narrow_raises () =
+  for_all_kinds (fun ctx ->
+      let x = Share.wrap (Mpc.share_a ctx (Array.init 8 (fun i -> i))) in
+      let p = Shardedperm.gen ctx 8 in
+      match Shardedperm.apply ctx [ (x, 12) ] p with
+      | _ -> Alcotest.fail "an arithmetic column at 12 bits was accepted"
+      | exception Invalid_argument _ -> ())
+
+let test_out_of_width_debug () =
+  let was = Debug.enabled () in
+  Fun.protect ~finally:(fun () -> Debug.set_checks was) @@ fun () ->
+  for_all_kinds (fun ctx ->
+      let ok = Share.wrap (Mpc.share_b ctx (Array.make 8 3)) in
+      let bad = Share.wrap (Mpc.share_b ctx (Array.init 8 (fun i -> i * 40))) in
+      let p = Shardedperm.gen ctx 8 in
+      Debug.set_checks true;
+      (match Shardedperm.apply ctx [ (ok, 2); (bad, 8) ] p with
+      | _ -> Alcotest.fail "280 passed as an 8-bit value"
+      | exception Invalid_argument msg ->
+          let mentions sub =
+            let ls = String.length msg and lb = String.length sub in
+            let rec go i =
+              i + lb <= ls && (String.sub msg i lb = sub || go (i + 1))
+            in
+            go 0
+          in
+          Alcotest.(check bool) ("names the column: " ^ msg) true
+            (mentions "column 1" && mentions "width 8"));
+      (* without the checks the masked wire simply drops the high bits *)
+      Debug.set_checks false;
+      match Shardedperm.apply ctx [ (bad, 8) ] p with
+      | [ c ] ->
+          Alcotest.(check vec) "masked on receipt"
+            (Localperm.apply (Array.init 8 (fun i -> (i * 40) land 0xFF))
+               (Shardedperm.plaintext p))
+            (Share.reconstruct_c c)
+      | _ -> Alcotest.fail "arity")
 
 let qcheck_perm_protocols_compose_invert =
   QCheck.Test.make ~name:"invert(compose) laws under MPC" ~count:10
@@ -250,6 +419,14 @@ let suite =
     Alcotest.test_case "Protocol 8: invertElementwisePerm" `Quick test_invert;
     Alcotest.test_case "Protocol 7: convertElementwisePerm" `Quick test_convert;
     QCheck_alcotest.to_alcotest qcheck_perm_protocols_compose_invert;
+    Alcotest.test_case "mixed widths: shuffle_table" `Quick
+      test_mixed_width_shuffle_table;
+    Alcotest.test_case "mixed widths: applyElementwisePerm" `Quick
+      test_mixed_width_apply_elementwise;
+    Alcotest.test_case "arithmetic column below ell raises" `Quick
+      test_arith_narrow_raises;
+    Alcotest.test_case "out-of-width column raises under debug checks" `Quick
+      test_out_of_width_debug;
   ]
 
 let () = Alcotest.run "orq_shuffle" [ ("shuffle", suite) ]

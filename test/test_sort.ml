@@ -314,7 +314,7 @@ let test_quicksort_desc_carry () =
       match
         Quicksort.sort ctx
           ~keys:[ { Quicksort.col = Mpc.share_b ctx x; width = 8; dir = Desc } ]
-          [ Mpc.share_b ctx tag ]
+          [ (Mpc.share_b ctx tag, 8) ]
       with
       | [ y ], [ t ] ->
           Alcotest.(check vec) "desc keys" [| 9; 6; 4; 1 |]
@@ -405,7 +405,7 @@ let check_wrapper ctx algo dir x =
   let key = Share.wrap (Mpc.share_b ctx x) in
   let tag = Share.wrap (Mpc.share_b ctx (Array.mapi (fun i _ -> 100 + i) x)) in
   let key', carry', sigma =
-    Sortwrap.sort_with_perm ctx ~algo ~dir ~w:8 key [ tag ]
+    Sortwrap.sort_with_perm ctx ~algo ~dir ~w:8 key [ (tag, 8) ]
   in
   Alcotest.(check vec) "wrapper sorts" expected (Share.reconstruct_c key');
   (* sigma must send the original rows to their sorted positions *)
@@ -441,7 +441,7 @@ let test_wrapper_stability () =
           let _, carry', _ =
             Sortwrap.sort_with_perm ctx ~algo ~dir:Sortwrap.Asc ~w:2
               (Share.wrap (Mpc.share_b ctx x))
-              [ Share.wrap (Mpc.share_b ctx pos) ]
+              [ (Share.wrap (Mpc.share_b ctx pos), 3) ]
           in
           match carry' with
           | [ c ] ->
