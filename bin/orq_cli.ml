@@ -97,11 +97,10 @@ let protocol_of_string s =
   | Ok k -> Ok k
   | Error msg -> Error (`Msg msg)
 
-let profile_of_string = function
-  | "lan" -> Ok Netsim.lan
-  | "wan" -> Ok Netsim.wan
-  | "geo" -> Ok Netsim.geo
-  | s -> Error (`Msg ("unknown profile " ^ s ^ " (lan|wan|geo)"))
+let profile_of_string s =
+  match Netsim.of_label s with
+  | Some p -> Ok p
+  | None -> Error (`Msg ("unknown profile " ^ s ^ " (lan|wan|geo|local)"))
 
 (* ORQ_TRACE=1: record the structural communication transcript while the
    query runs and dump it event-by-event afterwards — the same recorder the
@@ -236,7 +235,7 @@ let run list_only query sql proto sf n profile validate =
 
 let serve socket sf seed workers pace_label max_jobs max_rows cache_cap verbose
     =
-  match Service.pace_of_label (String.lowercase_ascii pace_label) with
+  match Service.pace_of_label pace_label with
   | Error msg ->
       Printf.eprintf "error: %s\n" msg;
       1
@@ -526,7 +525,8 @@ let profile_t =
   Arg.(
     value
     & opt (conv (profile_of_string, fun ppf p -> Fmt.string ppf p.Netsim.label)) Netsim.lan
-    & info [ "profile" ] ~docv:"ENV" ~doc:"Network model: lan, wan or geo.")
+    & info [ "profile" ] ~docv:"ENV"
+        ~doc:"Network model: lan, wan, geo or local.")
 
 let validate_t =
   Arg.(
@@ -583,9 +583,9 @@ let serve_cmd =
       & info [ "pace" ] ~docv:"PROFILE"
           ~doc:
             "Paced execution: each worker holds its slot for the query's \
-             modeled network time under this Netsim profile (off, lan, wan \
-             or geo; default: the ORQ_SERVICE_PACE environment variable, \
-             else off).")
+             modeled network time under this Netsim profile (off, lan, wan, \
+             geo or local; default: the ORQ_SERVICE_PACE environment \
+             variable, else off).")
   in
   let max_jobs_t =
     Arg.(

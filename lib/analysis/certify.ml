@@ -12,7 +12,8 @@
       value has been replaced by a deterministic function of its (table,
       column, row index) coordinate. The twin shares nothing with the data
       but its public shape, so this run is exactly the symbolic evaluation
-      of the {!Costmodel} cost semantics over (rows, widths, protocol).
+      of the {!Orq_proto.Primcost} cost semantics over (rows, widths,
+      protocol).
 
     If the two transcripts are event-for-event identical, no event of the
     trace — round boundary, payload size, message count, operator label —
@@ -137,7 +138,7 @@ let certify_one ~query ~kind ~(measured : Ctx.t -> bool) ~(predicted : Ctx.t -> 
       c_ok = false;
       c_validated = validated;
       c_events = Array.length tr_m;
-      c_tally = Costmodel.tally_of tr_m;
+      c_tally = Primcost.tally_of tr_m;
       c_detail = "";
     }
   in

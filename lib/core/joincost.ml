@@ -1,8 +1,9 @@
 (** Cost-based physical join selection — see the interface for the
-    contract. The closed forms below are planning estimates built from the
-    same per-primitive lane costs the metering layer charges (one
-    multiplication round, one opening, one sharded-permutation pass); they
-    only ever see public shape, so selection is a deterministic function
+    contract. The closed forms below are planning estimates composed from
+    the primitive price list {!Orq_proto.Primcost} (multiplication rounds,
+    openings, conversions, equality ladders, sharded-permutation passes)
+    that the analysis tests check against the meter; they only ever see
+    public shape, so selection is a deterministic function
     of (protocol, shape, mode, profile) and the transcript certifier's
     shape-twin run picks the same operator as the measured run.
 
@@ -37,26 +38,26 @@ let mode_of_label s =
   | "auto" | "" -> Some Auto
   | s -> Option.map (fun o -> Force o) (op_of_label s)
 
-let mode_of_env () =
-  match Sys.getenv_opt "ORQ_JOIN" with
-  | None -> Auto
+(* A knob read once at startup: a value that does not parse is reported
+   on stderr and the default stands. *)
+let from_env var ~want parse default =
+  match Sys.getenv_opt var with
+  | None -> default
   | Some s -> (
-      match mode_of_label s with
-      | Some m -> m
+      match parse s with
+      | Some v -> v
       | None ->
-          Printf.eprintf
-            "[orq] ignoring ORQ_JOIN=%S (want auto|sort|linear|quad)\n%!" s;
-          Auto)
+          Printf.eprintf "[orq] ignoring %s=%S (want %s)\n%!" var s want;
+          default)
 
-let profile_of_env () =
-  match Sys.getenv_opt "ORQ_JOIN_PROFILE" with
-  | Some "wan" -> Netsim.wan
-  | Some "geo" -> Netsim.geo
-  | Some "local" -> Netsim.local
-  | _ -> Netsim.lan
+let the_mode =
+  ref (from_env "ORQ_JOIN" ~want:"auto|sort|linear|quad" mode_of_label Auto)
 
-let the_mode = ref (mode_of_env ())
-let the_profile = ref (profile_of_env ())
+let the_profile =
+  ref
+    (from_env "ORQ_JOIN_PROFILE" ~want:"lan|wan|geo|local" Netsim.of_label
+       Netsim.lan)
+
 let mode () = !the_mode
 let set_mode m = the_mode := m
 let profile () = !the_profile
@@ -84,67 +85,13 @@ type shape = {
 }
 
 (* ------------------------------------------------------------------ *)
-(* Per-primitive lane costs (the metering layer's charges)             *)
+(* Candidate operator estimates                                        *)
 (* ------------------------------------------------------------------ *)
 
 let sum = List.fold_left ( + ) 0
 
-let tally ~rounds ~bits ~messages =
-  { Comm.t_rounds = rounds; t_bits = bits; t_messages = messages }
-
-let ( ++ ) (a : Comm.tally) (b : Comm.tally) =
-  {
-    Comm.t_rounds = a.Comm.t_rounds + b.Comm.t_rounds;
-    t_bits = a.Comm.t_bits + b.Comm.t_bits;
-    t_messages = a.Comm.t_messages + b.Comm.t_messages;
-  }
-
-let scale k (a : Comm.tally) =
-  {
-    Comm.t_rounds = k * a.Comm.t_rounds;
-    t_bits = k * a.Comm.t_bits;
-    t_messages = k * a.Comm.t_messages;
-  }
-
-let hash_bits = 256 (* Mal-HM digest size, matches Mpc.hash_bits *)
-
-(* One fused multiplication/AND round over n elements of w bits. *)
-let mul_t kind ~w ~n =
-  match kind with
-  | Ctx.Sh_dm -> tally ~rounds:1 ~bits:(4 * w * n) ~messages:2
-  | Ctx.Sh_hm -> tally ~rounds:1 ~bits:(3 * w * n) ~messages:3
-  | Ctx.Mal_hm -> tally ~rounds:1 ~bits:(12 * w * n) ~messages:12
-
-(* One opening round over n elements of w bits. *)
-let open_t kind ~w ~n =
-  match kind with
-  | Ctx.Sh_dm -> tally ~rounds:1 ~bits:(2 * w * n) ~messages:2
-  | Ctx.Sh_hm -> tally ~rounds:1 ~bits:(3 * w * n) ~messages:3
-  | Ctx.Mal_hm ->
-      tally ~rounds:1 ~bits:(4 * ((w * n) + hash_bits)) ~messages:8
-
-(* One sharded-permutation application over n elements of w bits
-   (Table 1 totals). *)
-let shuffle_t kind ~w ~n =
-  match kind with
-  | Ctx.Sh_dm -> tally ~rounds:2 ~bits:(2 * w * n) ~messages:2
-  | Ctx.Sh_hm -> tally ~rounds:3 ~bits:(6 * w * n) ~messages:6
-  | Ctx.Mal_hm -> tally ~rounds:4 ~bits:(24 * w * n) ~messages:12
-
-(* The equality ladder over w-bit keys: XOR locally then a logarithmic
-   OR-fold — lg w rounds at halving stride widths (≈ w total bits). *)
-let eq_t kind ~w ~n =
-  let t = ref (tally ~rounds:0 ~bits:0 ~messages:0) in
-  let s = ref (Ring.next_pow2 w / 2) in
-  while !s > 0 do
-    t := !t ++ mul_t kind ~w:(max 1 !s) ~n;
-    s := !s / 2
-  done;
-  !t
-
-(* ------------------------------------------------------------------ *)
-(* Candidate operator estimates                                        *)
-(* ------------------------------------------------------------------ *)
+(* [k] sequential repetitions of one priced step. *)
+let times k evs = Array.concat (List.init k (fun _ -> evs))
 
 (* One TableSort pass over n rows keyed on kw bits carrying cw payload
    bits per row: the initial shuffle of keys + payload + index, the
@@ -152,27 +99,29 @@ let eq_t kind ~w ~n =
    post-shuffle comparison flags), and the two-pass elementwise
    permutation application that routes the payload (Protocol 5). *)
 let sort_pass (ctx : Ctx.t) ~n ~kw ~cw =
-  if n <= 1 then tally ~rounds:0 ~bits:0 ~messages:0
+  if n <= 1 then [||]
   else begin
-    let kind = ctx.Ctx.kind in
+    let kind = ctx.Ctx.kind and pb = ctx.Ctx.perm_bits in
     let ln = max 1 (Ring.log2_ceil n) in
     let lvl =
-      (* a less-than ladder over the composite key plus the shuffled
-         comparison-bit opening of one quicksort level *)
-      mul_t kind ~w:kw ~n
-      ++ scale (Ring.log2_ceil (max 2 kw)) (mul_t kind ~w:(max 1 (kw / 2)) ~n:(2 * n))
-      ++ open_t kind ~w:1 ~n
+      (* the leading terms of a less-than ladder over the composite key
+         plus the shuffled comparison-bit opening of one quicksort level *)
+      Array.concat
+        [
+          Primcost.mul kind ~w:kw ~n;
+          times (Ring.log2_ceil (max 2 kw))
+            (Primcost.mul kind ~w:(max 1 (kw / 2)) ~n:(2 * n));
+          Primcost.open_ kind ~w:1 ~n;
+        ]
     in
-    shuffle_t kind ~w:(kw + cw + ctx.Ctx.perm_bits) ~n
-    ++ scale ln lvl
-    ++ scale 2 (shuffle_t kind ~w:(cw + ctx.Ctx.perm_bits) ~n)
-    ++ open_t kind ~w:ctx.Ctx.perm_bits ~n
+    Array.concat
+      [
+        Primcost.shuffle kind ~w:(kw + cw + pb) ~n;
+        times ln lvl;
+        times 2 (Primcost.shuffle kind ~w:(cw + pb) ~n);
+        Primcost.open_ kind ~w:pb ~n;
+      ]
   end
-
-(* Trimming heuristic, mirroring Joinagg.should_trim. *)
-let trims (ctx : Ctx.t) ~n ~m =
-  let omega = 2 * ctx.Ctx.ell in
-  3 * ctx.Ctx.parties * m < n * Ring.log2_ceil n * Ring.log2_ceil omega
 
 (* Modeled downstream surcharge: one oblivious sort-shaped pass (shuffle
    plus, per halving level, a full-width multiply and the comparison
@@ -182,15 +131,18 @@ let trims (ctx : Ctx.t) ~n ~m =
    cardinality differs; this is what makes the quadratic join's n·m
    output pay for the rows it forces every later operator to process. *)
 let downstream (ctx : Ctx.t) ~rows ~width =
-  if rows <= 0 then tally ~rounds:0 ~bits:0 ~messages:0
+  if rows <= 0 then [||]
   else
-    let kind = ctx.Ctx.kind in
-    let ell = ctx.Ctx.ell in
-    let ln = max 1 (Ring.log2_ceil rows) in
-    shuffle_t kind ~w:width ~n:rows
-    ++ scale ln
-         (mul_t kind ~w:ell ~n:rows
-         ++ scale (Ring.log2_ceil ell) (mul_t kind ~w:(ell / 2) ~n:(2 * rows)))
+    let kind = ctx.Ctx.kind and ell = ctx.Ctx.ell in
+    let level =
+      Array.append
+        (Primcost.mul kind ~w:ell ~n:rows)
+        (times (Ring.log2_ceil ell)
+           (Primcost.mul kind ~w:(ell / 2) ~n:(2 * rows)))
+    in
+    Array.append
+      (Primcost.shuffle kind ~w:width ~n:rows)
+      (times (max 1 (Ring.log2_ceil rows)) level)
 
 let out_width (s : shape) =
   sum s.j_key_w + sum s.j_copy_w + sum s.j_pay_w + 1
@@ -203,62 +155,69 @@ let sort_estimate (ctx : Ctx.t) (s : shape) =
   let kind = ctx.Ctx.kind in
   let n = s.j_n + s.j_m in
   let wk = sum s.j_key_w in
-  let cw = sum s.j_copy_w + sum s.j_pay_w + 1 in
-  let ln = max 1 (Ring.log2_ceil n) in
   let net_level =
     (* one aggregation-network level: group-equality ladder plus the
        copy/valid multiplexes over the carried columns *)
-    eq_t kind ~w:(wk + 1) ~n ++ mul_t kind ~w:(sum s.j_copy_w + 1) ~n
+    Array.append
+      (Primcost.eq kind ~w:(wk + 1) ~n)
+      (Primcost.mul kind ~w:(sum s.j_copy_w + 1) ~n)
   in
-  let base =
-    sort_pass ctx ~n ~kw:(wk + 2) ~cw
-    ++ eq_t kind ~w:(wk + 1) ~n (* DISTINCT bits *)
-    ++ mul_t kind ~w:1 ~n (* validity rule *)
-    ++ scale ln net_level
-  in
-  let trimmed = trims ctx ~n:s.j_n ~m:s.j_m in
-  let base =
-    if trimmed then base ++ sort_pass ctx ~n ~kw:1 ~cw:(out_width s) else base
-  in
-  let rows_out = if trimmed then s.j_m else n in
-  base ++ downstream ctx ~rows:rows_out ~width:(out_width s)
+  let trimmed = Joinagg.should_trim ctx ~left_n:s.j_n ~right_m:s.j_m in
+  let cw = sum s.j_copy_w + sum s.j_pay_w + 1 in
+  Primcost.tally_of
+    (Array.concat
+       [
+         sort_pass ctx ~n ~kw:(wk + 2) ~cw;
+         Primcost.eq kind ~w:(wk + 1) ~n (* DISTINCT bits *);
+         Primcost.mul kind ~w:1 ~n (* validity rule *);
+         times (max 1 (Ring.log2_ceil n)) net_level;
+         (if trimmed then sort_pass ctx ~n ~kw:1 ~cw:(out_width s) else [||]);
+         downstream ctx
+           ~rows:(if trimmed then s.j_m else n)
+           ~width:(out_width s);
+       ])
 
 (* The linear join: fused bit conversions, the keyed-fingerprint rounds,
-   two independent table shuffles (rounds fused) and one fused opening of
-   both fingerprint columns — mirrors Linjoin.join step by step. *)
+   two independent table shuffles and one fused opening of both
+   fingerprint columns — mirrors Linjoin.join step by step. *)
 let linear_estimate (ctx : Ctx.t) (s : shape) =
   let kind = ctx.Ctx.kind and ell = ctx.Ctx.ell in
   let n = s.j_n and m = s.j_m in
   let nm = n + m in
-  let wk = max 1 (sum s.j_key_w) in
+  let side_by_side a b =
+    Primcost.fuse (Primcost.tally_of a) (Primcost.tally_of b)
+  in
   let conv =
     (* b2a of the packed keys fused with bit_b2a of the validity bits *)
-    let a = open_t kind ~w:1 ~n:(wk * nm) and b = open_t kind ~w:1 ~n:nm in
-    tally ~rounds:1 ~bits:(a.Comm.t_bits + b.Comm.t_bits)
-      ~messages:(a.Comm.t_messages + b.Comm.t_messages)
-  in
-  let fingerprint =
-    (* one fused round of [x·r; t·u], then two keyed squarings *)
-    mul_t kind ~w:ell ~n:(2 * nm) ++ scale 2 (mul_t kind ~w:ell ~n:nm)
+    side_by_side
+      (Primcost.b2a kind ~w:(max 1 (sum s.j_key_w)) ~n:nm)
+      (Primcost.b2a kind ~w:1 ~n:nm)
   in
   (* each column moves at its width: the fingerprint at ell, validity at
      1, keys, copies and payload at their schema widths *)
-  let build_w = ell + sum s.j_copy_w in
-  let probe_w = ell + 1 + sum s.j_key_w + sum s.j_pay_w in
   let shuffles =
-    let a = shuffle_t kind ~w:build_w ~n
-    and b = shuffle_t kind ~w:probe_w ~n:m in
-    (* independent permutations: traffic adds, rounds overlap *)
-    tally ~rounds:a.Comm.t_rounds ~bits:(a.Comm.t_bits + b.Comm.t_bits)
-      ~messages:(a.Comm.t_messages + b.Comm.t_messages)
+    side_by_side
+      (Primcost.shuffle kind ~w:(ell + sum s.j_copy_w) ~n)
+      (Primcost.shuffle kind
+         ~w:(ell + 1 + sum s.j_key_w + sum s.j_pay_w)
+         ~n:m)
   in
   let opening =
-    let a = open_t kind ~w:ell ~n and b = open_t kind ~w:ell ~n:m in
-    tally ~rounds:1 ~bits:(a.Comm.t_bits + b.Comm.t_bits)
-      ~messages:(a.Comm.t_messages + b.Comm.t_messages)
+    side_by_side
+      (Primcost.open_ kind ~w:ell ~n)
+      (Primcost.open_ kind ~w:ell ~n:m)
   in
-  conv ++ fingerprint ++ shuffles ++ opening
-  ++ downstream ctx ~rows:m ~width:(out_width s)
+  let sequential =
+    Primcost.tally_of
+      (Array.concat
+         [
+           (* one fused round of [x·r; t·u], then two keyed squarings *)
+           Primcost.mul kind ~w:ell ~n:(2 * nm);
+           times 2 (Primcost.mul kind ~w:ell ~n:nm);
+           downstream ctx ~rows:m ~width:(out_width s);
+         ])
+  in
+  List.fold_left Comm.add_tally sequential [ conv; shuffles; opening ]
 
 (* The quadratic baseline: the composite-equality ladder over all n·m
    pairs plus the two validity ANDs — and an n·m-row output that every
@@ -266,10 +225,13 @@ let linear_estimate (ctx : Ctx.t) (s : shape) =
 let quad_estimate (ctx : Ctx.t) (s : shape) =
   let kind = ctx.Ctx.kind in
   let p = max 1 (s.j_n * s.j_m) in
-  let wk = max 1 (sum s.j_key_w) in
-  eq_t kind ~w:wk ~n:p
-  ++ scale 2 (mul_t kind ~w:1 ~n:p)
-  ++ downstream ctx ~rows:p ~width:(out_width s)
+  Primcost.tally_of
+    (Array.concat
+       [
+         Primcost.eq kind ~w:(max 1 (sum s.j_key_w)) ~n:p;
+         times 2 (Primcost.mul kind ~w:1 ~n:p);
+         downstream ctx ~rows:p ~width:(out_width s);
+       ])
 
 let predict ctx (s : shape) = function
   | Sort -> sort_estimate ctx s
@@ -326,11 +288,14 @@ let cheapest cands =
       in
       op
 
-let choose ctx (s : shape) =
+(* The selection rule over already-priced candidates. *)
+let pick ctx (s : shape) cands =
   match !the_mode with
   | Force op when applicable ctx s op -> op
   | Force _ -> Sort
-  | Auto -> cheapest (candidates ctx s)
+  | Auto -> cheapest cands
+
+let choose ctx (s : shape) = pick ctx s (candidates ctx s)
 
 (* ------------------------------------------------------------------ *)
 (* Decision log (per-domain: service workers never interleave)         *)
@@ -353,12 +318,7 @@ let log () = List.rev !(Domain.DLS.get dls_log)
 let choose_logged ctx ~node (s : shape) =
   let cands = candidates ctx s in
   let forced = match !the_mode with Force _ -> true | Auto -> false in
-  let chosen =
-    match !the_mode with
-    | Force op when applicable ctx s op -> op
-    | Force _ -> Sort
-    | Auto -> cheapest cands
-  in
+  let chosen = pick ctx s cands in
   let r = Domain.DLS.get dls_log in
   r :=
     {

@@ -12,13 +12,16 @@
     Because every input is public shape, the choice is a deterministic
     function of (kind, shape, mode, profile): the transcript certifier's
     shape-twin run selects the same operator as the measured run, and the
-    recorded transcripts stay event-identical. The estimates are planning
+    recorded transcripts stay event-identical. The estimates are composed
+    from the primitive price list {!Orq_proto.Primcost}; they are planning
     costs — ordering-faithful, not byte-exact; the certifier remains the
     ground truth for exactness.
 
     The [ORQ_JOIN] environment variable (auto|sort|linear|quad) forces an
     operator or restores automatic selection; [ORQ_JOIN_PROFILE]
-    (lan|wan|geo|local) sets the pacing regime costs are compared under. *)
+    ({!Orq_net.Netsim.of_label}: lan|wan|geo|local) sets the pacing regime
+    costs are compared under. A value of either that does not parse is
+    reported on stderr and ignored. *)
 
 open Orq_proto
 module Comm = Orq_net.Comm

@@ -31,6 +31,14 @@ let geo = { label = "GEO"; rtt_s = 61e-3; bandwidth_bps = 4.23e9 }
     own wall-clock from the modeled network). *)
 let local = { label = "LOCAL"; rtt_s = 0.; bandwidth_bps = infinity }
 
+let of_label s =
+  match String.lowercase_ascii (String.trim s) with
+  | "lan" -> Some lan
+  | "wan" -> Some wan
+  | "geo" -> Some geo
+  | "local" -> Some local
+  | _ -> None
+
 let network_time p (tl : Comm.tally) =
   (float_of_int tl.t_rounds *. p.rtt_s)
   +. (float_of_int tl.t_bits /. p.bandwidth_bps)

@@ -26,6 +26,11 @@ val geo : profile
 val local : profile
 (** Zero-cost profile: isolates the simulation's own compute time. *)
 
+val of_label : string -> profile option
+(** "lan" | "wan" | "geo" | "local", trimmed and case-insensitive — the
+    one parser behind every profile-valued flag and environment
+    variable. *)
+
 val network_time : profile -> Comm.tally -> float
 
 val estimate : profile -> compute_s:float -> Comm.tally -> float

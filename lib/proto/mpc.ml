@@ -145,18 +145,16 @@ let extend_bit a =
 (* Opening (reveal to all computing parties)                           *)
 (* ------------------------------------------------------------------ *)
 
-let hash_bits = 256 (* digest size for Mal-HM redundant delivery *)
-
 (* One lane's opening charge: value traffic per protocol, plus (Mal-HM)
-   one digest per reconstructed vector and the redundant-delivery check: a
-   tampering sender is caught because the verifier party's digest of the
-   true share vector cannot match. *)
+   one [Primcost.hash_bits]-bit digest per reconstructed vector and the
+   redundant-delivery check: a tampering sender is caught because the
+   verifier party's digest of the true share vector cannot match. *)
 let meter_open_lane (ctx : Ctx.t) i ~w ~n =
   match ctx.kind with
   | Sh_dm -> meter_lane ctx i ~bits:(2 * w * n) ~messages:2
   | Sh_hm -> meter_lane ctx i ~bits:(3 * w * n) ~messages:3
   | Mal_hm ->
-      meter_lane ctx i ~bits:(4 * ((w * n) + hash_bits)) ~messages:8;
+      meter_lane ctx i ~bits:(4 * ((w * n) + Primcost.hash_bits)) ~messages:8;
       for p = 0 to ctx.parties - 1 do
         if Ctx.tamper_delta ctx ~party:p ~op:"open" <> 0 then
           raise (Ctx.Abort "open: share/hash mismatch detected")

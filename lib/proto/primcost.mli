@@ -1,0 +1,63 @@
+(** The primitive price list: the online communication transcript of each
+    MPC primitive as a closed-form function of {b public shape only} —
+    protocol kind, bit width [w] and element count [n]. Nothing here ever
+    sees a share or a value.
+
+    The forms are the protocol analyses of Table 1 and Appendix A (ABY /
+    Araki / Fantastic Four): an opening moves each [w·n]-bit share vector
+    once per receiving party (plus digests under Mal-HM's redundant
+    delivery), a multiplication/AND is one round of masked-difference
+    exchange, comparisons are the fused logarithmic ladders of §B, and a
+    sharded-permutation application pays the Table-1 per-pass totals.
+
+    This is the {e model}; the {e meter} ({!Mpc}'s lane charges,
+    [Shardedperm.apply_cost], {!Dealer}) charges the same traffic from its
+    own code and deliberately does not read this module — only
+    {!hash_bits} is shared. The analysis tests compare the two derivations
+    event for event, so an implementation change that makes a primitive's
+    trace depend on anything beyond (kind, w, n) breaks a test instead of
+    silently moving both sides. The certifier folds transcripts with
+    {!tally_of}, and the physical join planner ([Joincost]) prices its
+    candidates from these forms. *)
+
+module Comm = Orq_net.Comm
+
+val hash_bits : int
+(** Mal-HM digest size: each opened vector travels with one digest per
+    receiving party for redundant delivery. *)
+
+val open_ : Ctx.kind -> w:int -> n:int -> Comm.event array
+(** Opening a [w]-bit vector of [n] elements: one round. *)
+
+val mul : Ctx.kind -> w:int -> n:int -> Comm.event array
+(** Multiplication / bitwise AND / OR / MUX on [w]-bit vectors: one round
+    of masked-difference exchange. *)
+
+val b2a : Ctx.kind -> w:int -> n:int -> Comm.event array
+(** Boolean-to-arithmetic conversion of [n] [w]-bit values via per-bit
+    daBits: the [w·n] masked bits open in one width-1 round (the
+    correlations are preprocessing). [~w:1] is the single-bit
+    conversion. *)
+
+val eq : Ctx.kind -> w:int -> n:int -> Comm.event array
+(** Equality of [w]-bit vectors: XOR locally, then the logarithmic
+    OR-fold — one round per level at halving stride widths, ⌈log₂ w⌉
+    rounds (zero for w = 1). *)
+
+val lt : Ctx.kind -> w:int -> n:int -> Comm.event array
+(** Less-than on [w]-bit vectors: the (lt, eq) block-combination ladder
+    of §B — an initial width-[w] AND, then one level per doubling block
+    size, each AND packing both combination products over doubled-length
+    operands. ⌈log₂ w⌉ + 1 rounds. *)
+
+val shuffle : Ctx.kind -> w:int -> n:int -> Comm.event array
+(** One sharded-permutation application over [n] elements of [w] bits
+    (Table 1): a payload round followed by the remaining passes as one
+    payload-free barrier. *)
+
+val tally_of : Comm.event array -> Comm.tally
+(** Sequential composition: rounds and traffic both add. *)
+
+val fuse : Comm.tally -> Comm.tally -> Comm.tally
+(** Two independent tracks run side by side: their rounds overlap (the
+    maximum) while their traffic adds. *)

@@ -33,18 +33,21 @@ let env_int name default =
       | _ -> default)
   | None -> default
 
-let pace_of_label = function
+let pace_of_label s =
+  match String.lowercase_ascii (String.trim s) with
   | "" | "off" | "none" -> Ok None
-  | "lan" -> Ok (Some Netsim.lan)
-  | "wan" -> Ok (Some Netsim.wan)
-  | "geo" -> Ok (Some Netsim.geo)
-  | s -> Error (Printf.sprintf "unknown pace profile %S (off|lan|wan|geo)" s)
+  | _ -> (
+      match Netsim.of_label s with
+      | Some p -> Ok (Some p)
+      | None ->
+          Error
+            (Printf.sprintf "unknown pace profile %S (off|lan|wan|geo|local)" s))
 
 let env_pace () =
   match Sys.getenv_opt "ORQ_SERVICE_PACE" with
   | None -> None
   | Some s -> (
-      match pace_of_label (String.lowercase_ascii (String.trim s)) with
+      match pace_of_label s with
       | Ok p -> p
       | Error _ -> None)
 

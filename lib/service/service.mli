@@ -107,7 +107,8 @@ val execute_sql :
     LAN/WAN times ride on the [Result]. *)
 
 val pace_of_label : string -> (Orq_net.Netsim.profile option, string) result
-(** "off" | "none" | "" | "lan" | "wan" | "geo". *)
+(** "off" | "none" | "" (no pacing), else a {!Orq_net.Netsim.of_label}
+    profile. *)
 
 val explain_of_log :
   fallbacks:int -> Orq_core.Joincost.decision list -> Orq_net.Wire.explain

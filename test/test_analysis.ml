@@ -7,7 +7,7 @@ module Comm = Orq_net.Comm
 module Lint = Orq_analysis.Lint
 module Declass = Orq_analysis.Declass
 module Exports = Orq_analysis.Exports
-module Costmodel = Orq_analysis.Costmodel
+module Primcost = Orq_proto.Primcost
 module Certify = Orq_analysis.Certify
 
 let event_t = Alcotest.testable Comm.pp_event Comm.event_equal
@@ -262,33 +262,45 @@ let test_costmodel_primitives () =
           check_predicted
             (Printf.sprintf "open w=%d n=%d" w n)
             kind
-            (Costmodel.open_events kind ~w ~n)
+            (Primcost.open_ kind ~w ~n)
             (fun ctx -> ignore (Mpc.open_ ~width:w ctx (Mpc.share_b ctx data)));
           check_predicted
             (Printf.sprintf "band w=%d n=%d" w n)
             kind
-            (Costmodel.mul_events kind ~w ~n)
+            (Primcost.mul kind ~w ~n)
             (fun ctx ->
               let x = Mpc.share_b ctx data in
               ignore (Mpc.band ~width:w ctx x x));
           check_predicted
+            (Printf.sprintf "bit_b2a n=%d" n)
+            kind
+            (Primcost.b2a kind ~w:1 ~n)
+            (fun ctx ->
+              ignore (Orq_circuits.Convert.bit_b2a ctx (Mpc.share_b ctx data)));
+          check_predicted
+            (Printf.sprintf "b2a w=%d n=%d" w n)
+            kind
+            (Primcost.b2a kind ~w ~n)
+            (fun ctx ->
+              ignore (Orq_circuits.Convert.b2a ~w ctx (Mpc.share_b ctx data)));
+          check_predicted
             (Printf.sprintf "eq w=%d n=%d" w n)
             kind
-            (Costmodel.eq_events kind ~w ~n)
+            (Primcost.eq kind ~w ~n)
             (fun ctx ->
               let x = Mpc.share_b ctx data in
               ignore (Orq_circuits.Compare.eq ctx ~w x x));
           check_predicted
             (Printf.sprintf "lt w=%d n=%d" w n)
             kind
-            (Costmodel.lt_events kind ~w ~n)
+            (Primcost.lt kind ~w ~n)
             (fun ctx ->
               let x = Mpc.share_b ctx data in
               ignore (Orq_circuits.Compare.lt ctx ~w x x));
           check_predicted
             (Printf.sprintf "shuffle w=%d n=%d" w n)
             kind
-            (Costmodel.shuffle_events kind ~w ~n)
+            (Primcost.shuffle kind ~w ~n)
             (fun ctx ->
               ignore
                 (Orq_shuffle.Permops.shuffle ~width:w ctx (Mpc.share_b ctx data))))
@@ -300,7 +312,7 @@ let test_costmodel_arith_mul () =
     (fun kind ->
       let n = 50 in
       check_predicted "arith mul" kind
-        (Costmodel.mul_events kind ~w:64 ~n)
+        (Primcost.mul kind ~w:64 ~n)
         (fun ctx ->
           let x = Mpc.share_a ctx (Array.init n (fun i -> i)) in
           ignore (Mpc.mul ctx x x)))

@@ -182,6 +182,41 @@ let test_netsim_links () =
   Alcotest.(check bool) "four-region profile matches geo" true
     (abs_float (Netsim.geo_four_regions.Netsim.rtt_s -. Netsim.geo.Netsim.rtt_s) < 1e-9)
 
+let test_netsim_of_label () =
+  (* one parser behind every profile-valued flag and knob: trimmed and
+     case-insensitive, and a typo is rejected instead of read as LAN *)
+  let label s = Option.map (fun p -> p.Netsim.label) (Netsim.of_label s) in
+  List.iter
+    (fun (s, want) ->
+      Alcotest.(check (option string)) (Printf.sprintf "%S" s) want (label s))
+    [
+      ("lan", Some "LAN");
+      (" WAN ", Some "WAN");
+      ("Geo", Some "GEO");
+      ("local\n", Some "LOCAL");
+      ("wna", None);
+      ("", None);
+      ("off", None);
+    ];
+  (* service pacing layers off/none over the same parser *)
+  let pace s =
+    Orq_service.Service.pace_of_label s
+    |> Result.map (Option.map (fun p -> p.Netsim.label))
+    |> Result.map_error (fun _ -> "rejected")
+  in
+  List.iter
+    (fun (s, want) ->
+      Alcotest.(check (result (option string) string))
+        (Printf.sprintf "pace %S" s) want (pace s))
+    [
+      (" Off", Ok None);
+      ("none", Ok None);
+      ("", Ok None);
+      ("WAN", Ok (Some "WAN"));
+      ("local", Ok (Some "LOCAL"));
+      ("wna", Error "rejected");
+    ]
+
 let test_comm_invariants () =
   (* metering invariants guard the leakage certificate's bookkeeping: under
      ORQ_DEBUG_CHECKS a tally can never go negative and a fusion refund can
@@ -238,6 +273,7 @@ let suite =
     Alcotest.test_case "comm metering invariants" `Quick test_comm_invariants;
     Alcotest.test_case "netsim model" `Quick test_netsim;
     Alcotest.test_case "netsim multi-link profiles" `Quick test_netsim_links;
+    Alcotest.test_case "netsim profile labels" `Quick test_netsim_of_label;
   ]
 
 let () = Alcotest.run "orq_util" [ ("util", suite) ]
