@@ -66,7 +66,7 @@ bench-bitpack:
 	dune exec bench/main.exe -- bitpack
 
 # Physical-join selection audit: the join-heavy TPC-H queries under
-# forced sort/linear/quad and cost-based auto (ORQ_JOIN), every run
+# forced sort, forced linear and cost-based auto, every run
 # plaintext-validated; gates that linear beats sort on measured rounds
 # and/or bits and that auto never loses to a forced mode; refreshes
 # BENCH_join.json. ORQ_JOIN_QUICK=1 runs Q3/Q9 under sh-hm in ~2 min.

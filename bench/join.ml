@@ -1,6 +1,6 @@
 (** Physical-join operator benchmark: the join-heavy TPC-H queries run
-    once per physical-operator mode — forced sort, forced linear, forced
-    quad, and cost-based auto ([Joincost]) — under identical seeds,
+    once per physical-operator mode — forced sort, forced linear and
+    cost-based auto ([Joincost]) — under identical seeds,
     validating every run against the plaintext reference and comparing
     measured rounds/bits/messages plus modeled LAN/WAN/geo network
     times. Writes BENCH_join.json.
@@ -33,7 +33,6 @@ let modes =
   [
     ("sort", Joincost.Force Joincost.Sort);
     ("linear", Joincost.Force Joincost.Linear);
-    ("quad", Joincost.Force Joincost.Quad);
     ("auto", Joincost.Auto);
   ]
 
@@ -120,8 +119,7 @@ let run ~sf () =
   let names = if quick then quick_targets else targets in
   section
     (Printf.sprintf
-       "Physical join selection: sort vs linear vs quad vs auto (TPC-H @ \
-        SF=%g%s)"
+       "Physical join selection: sort vs linear vs auto (TPC-H @ SF=%g%s)"
        sf
        (if quick then ", quick" else ""));
   let plain = Tpch_gen.generate ~seed:99 sf in
@@ -195,8 +193,7 @@ let run ~sf () =
     hdr "AUTO NOT CHEAPEST on: %s" (String.concat ", " auto_lost);
   let oc = open_out "BENCH_join.json" in
   Printf.fprintf oc
-    "{\n  \"sf\": %g,\n  \"quick\": %b,\n  \"mode_env\": \"ORQ_JOIN\",\n\
-    \  \"profile\": \"%s\",\n  \"queries\": [\n%s\n  ],\n\
+    "{\n  \"sf\": %g,\n  \"quick\": %b,\n  \"profile\": \"%s\",\n  \"queries\": [\n%s\n  ],\n\
     \  \"all_validated\": %b,\n  \"linear_beats_sort_gate\": %b,\n\
     \  \"auto_cheapest_gate\": %b\n}\n"
     sf quick

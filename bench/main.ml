@@ -72,8 +72,7 @@ let () =
      >= 8x AND gate; writes BENCH_bitpack.json *)
   if List.mem "bitpack" cmds then Bitpack.run ();
   (* explicit-only: physical-join operator comparison (sort vs linear vs
-     quad vs cost-based auto) over the join-heavy queries; writes
-     BENCH_join.json *)
+     cost-based auto) over the join-heavy queries; writes BENCH_join.json *)
   if List.mem "join" cmds then Join.run ~sf ();
   Printf.printf "\ntotal bench wall time: %.1fs\n"
     (Unix.gettimeofday () -. t0)

@@ -451,8 +451,8 @@ type join_agg = Joinagg.agg_spec = {
 (* The public shape of a join node, handed to the cost-based operator
    selection (Joincost): cardinalities and widths only. *)
 let join_shape (left : Table.t) (right : Table.t) ~(on : string list)
-    ~(copy : string list) ~(aggs : bool) ~(bounded : bool)
-    ~(variant : Joincost.variant) : Joincost.shape =
+    ~(copy : string list) ~(aggs : bool) ~(variant : Joincost.variant) :
+    Joincost.shape =
   let keys_w =
     List.map (fun k -> max (Table.width left k) (Table.width right k)) on
   in
@@ -469,16 +469,14 @@ let join_shape (left : Table.t) (right : Table.t) ~(on : string list)
     j_copy_w = List.map (fun c -> Table.width left c) copy;
     j_pay_w = pay_w;
     j_aggs = aggs;
-    j_bounded = bounded;
     j_variant = variant;
   }
 
 (** INNER JOIN (one-to-many: [left] must have unique keys — pre-aggregate
     first for many-to-many, §3.6). [copy] propagates left columns into the
     matching right rows. The physical operator — sort-based
-    join-aggregation, LINQ-style linear join, or the quadratic baseline —
-    is chosen per node by the {!Joincost} cost model (override with
-    [ORQ_JOIN]). *)
+    join-aggregation or LINQ-style linear join — is chosen per node by the
+    {!Joincost} cost model (override with {!Joincost.set_mode}). *)
 let inner_join ?copy ?aggs ?trim (left : Table.t) (right : Table.t)
     ~(on : string list) : Table.t =
   let ctx = Table.ctx left in
@@ -486,9 +484,7 @@ let inner_join ?copy ?aggs ?trim (left : Table.t) (right : Table.t)
   let shape =
     join_shape left right ~on
       ~copy:(Option.value copy ~default:[])
-      ~aggs:has_aggs
-      ~bounded:(trim = Some `Always)
-      ~variant:Joincost.J_inner
+      ~aggs:has_aggs ~variant:Joincost.J_inner
   in
   let node =
     Printf.sprintf "%s \xe2\x8b\x88 %s" left.Table.name right.Table.name
@@ -496,7 +492,6 @@ let inner_join ?copy ?aggs ?trim (left : Table.t) (right : Table.t)
   parked
     (match Joincost.choose_logged ctx ~node shape with
     | Joincost.Linear -> Linjoin.join ctx `Inner ?copy ~left ~right ~on ()
-    | Joincost.Quad -> Linjoin.quad ctx ?copy ~left ~right ~on ()
     | Joincost.Sort ->
         Joinagg.join ctx Joinagg.V_inner ?copy ?aggs ?trim ~left ~right ~on ())
 
@@ -551,8 +546,7 @@ let semi_join ?trim (left : Table.t) (right : Table.t) ~(on : string list) :
   let ctx = Table.ctx left in
   let right' = Table.project right on in
   let shape =
-    join_shape right' left ~on ~copy:[] ~aggs:false
-      ~bounded:(trim = Some `Always) ~variant:Joincost.J_semi
+    join_shape right' left ~on ~copy:[] ~aggs:false ~variant:Joincost.J_semi
   in
   let node =
     Printf.sprintf "%s \xe2\x8b\x89 %s" left.Table.name right.Table.name
@@ -563,7 +557,7 @@ let semi_join ?trim (left : Table.t) (right : Table.t) ~(on : string list) :
        build keys share one fingerprint *)
     match Joincost.choose_logged ctx ~node shape with
     | Joincost.Linear -> Linjoin.join ctx `Inner ~left:right' ~right:left ~on ()
-    | Joincost.Quad | Joincost.Sort ->
+    | Joincost.Sort ->
         Joinagg.join ctx Joinagg.V_inner ?trim ~left:right' ~right:left ~on ()
   in
   parked (Table.rename (Table.project joined (Table.col_names left)) left.Table.name)
@@ -575,8 +569,7 @@ let anti_join ?trim (left : Table.t) (right : Table.t) ~(on : string list) :
   let ctx = Table.ctx left in
   let right' = Table.project right on in
   let shape =
-    join_shape right' left ~on ~copy:[] ~aggs:false
-      ~bounded:(trim = Some `Always) ~variant:Joincost.J_anti
+    join_shape right' left ~on ~copy:[] ~aggs:false ~variant:Joincost.J_anti
   in
   let node =
     Printf.sprintf "%s \xe2\x96\xb7 %s" left.Table.name right.Table.name
@@ -584,7 +577,7 @@ let anti_join ?trim (left : Table.t) (right : Table.t) ~(on : string list) :
   let joined =
     match Joincost.choose_logged ctx ~node shape with
     | Joincost.Linear -> Linjoin.join ctx `Anti ~left:right' ~right:left ~on ()
-    | Joincost.Quad | Joincost.Sort ->
+    | Joincost.Sort ->
         Joinagg.join ctx Joinagg.V_anti ?trim ~left:right' ~right:left ~on ()
   in
   parked (Table.rename (Table.project joined (Table.col_names left)) left.Table.name)

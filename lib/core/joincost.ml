@@ -10,53 +10,38 @@
     The estimates are ordering-faithful rather than byte-exact: the sort
     estimate models TableSort + aggregation network at the leading-term
     level, and every candidate pays a modeled downstream surcharge of one
-    oblivious pass over its output rows — which is what stops the
-    quadratic join's n·m output from looking cheap at the node while
-    poisoning every operator after it. *)
+    oblivious pass over its output rows — which is what separates the
+    sort join's n+m output rows from the linear join's m. *)
 
 open Orq_proto
 module Comm = Orq_net.Comm
 module Netsim = Orq_net.Netsim
 module Ring = Orq_util.Ring
 
-type op = Sort | Linear | Quad
+type op = Sort | Linear
 
-let op_label = function Sort -> "sort" | Linear -> "linear" | Quad -> "quad"
-
-let op_of_label = function
-  | "sort" -> Some Sort
-  | "linear" -> Some Linear
-  | "quad" -> Some Quad
-  | _ -> None
+let op_label = function Sort -> "sort" | Linear -> "linear"
 
 type mode = Auto | Force of op
 
 let mode_label = function Auto -> "auto" | Force o -> op_label o
 
-let mode_of_label s =
-  match String.lowercase_ascii (String.trim s) with
-  | "auto" | "" -> Some Auto
-  | s -> Option.map (fun o -> Force o) (op_of_label s)
+let the_mode = ref Auto
 
-(* A knob read once at startup: a value that does not parse is reported
-   on stderr and the default stands. *)
-let from_env var ~want parse default =
-  match Sys.getenv_opt var with
-  | None -> default
-  | Some s -> (
-      match parse s with
-      | Some v -> v
-      | None ->
-          Printf.eprintf "[orq] ignoring %s=%S (want %s)\n%!" var s want;
-          default)
-
-let the_mode =
-  ref (from_env "ORQ_JOIN" ~want:"auto|sort|linear|quad" mode_of_label Auto)
-
+(* Read once at startup: a value that does not parse is reported on
+   stderr and LAN stands. *)
 let the_profile =
   ref
-    (from_env "ORQ_JOIN_PROFILE" ~want:"lan|wan|geo|local" Netsim.of_label
-       Netsim.lan)
+    (match Sys.getenv_opt "ORQ_JOIN_PROFILE" with
+    | None -> Netsim.lan
+    | Some s -> (
+        match Netsim.of_label s with
+        | Some p -> p
+        | None ->
+            Printf.eprintf
+              "[orq] ignoring ORQ_JOIN_PROFILE=%S (want lan|wan|geo|local)\n%!"
+              s;
+            Netsim.lan))
 
 let mode () = !the_mode
 let set_mode m = the_mode := m
@@ -80,7 +65,6 @@ type shape = {
   j_copy_w : int list;
   j_pay_w : int list;
   j_aggs : bool;
-  j_bounded : bool;
   j_variant : variant;
 }
 
@@ -128,8 +112,8 @@ let sort_pass (ctx : Ctx.t) ~n ~kw ~cw =
    ladder) over the rows this operator hands to the rest of the plan —
    what the aggregation/ordering that follows a join actually costs to
    first order. Identical formula for every candidate — only the output
-   cardinality differs; this is what makes the quadratic join's n·m
-   output pay for the rows it forces every later operator to process. *)
+   cardinality differs: n+m rows after an untrimmed sort join, m after
+   the linear join. *)
 let downstream (ctx : Ctx.t) ~rows ~width =
   if rows <= 0 then [||]
   else
@@ -219,36 +203,15 @@ let linear_estimate (ctx : Ctx.t) (s : shape) =
   in
   List.fold_left Comm.add_tally sequential [ conv; shuffles; opening ]
 
-(* The quadratic baseline: the composite-equality ladder over all n·m
-   pairs plus the two validity ANDs — and an n·m-row output that every
-   later operator pays for. *)
-let quad_estimate (ctx : Ctx.t) (s : shape) =
-  let kind = ctx.Ctx.kind in
-  let p = max 1 (s.j_n * s.j_m) in
-  Primcost.tally_of
-    (Array.concat
-       [
-         Primcost.eq kind ~w:(max 1 (sum s.j_key_w)) ~n:p;
-         times 2 (Primcost.mul kind ~w:1 ~n:p);
-         downstream ctx ~rows:p ~width:(out_width s);
-       ])
-
 let predict ctx (s : shape) = function
   | Sort -> sort_estimate ctx s
   | Linear -> linear_estimate ctx s
-  | Quad -> quad_estimate ctx s
 
 let seconds t = Netsim.network_time !the_profile t
 
 (* ------------------------------------------------------------------ *)
 (* Applicability and selection                                         *)
 (* ------------------------------------------------------------------ *)
-
-(* The quadratic operator materializes all n*m candidate pairs; past
-   this many pairs the blowup is physically impractical (and cascades:
-   its output inflates every downstream operator's input), so larger
-   nodes are simply outside its applicability class. *)
-let quad_cap = 1 lsl 18
 
 let applicable (ctx : Ctx.t) (s : shape) = function
   | Sort -> true
@@ -262,10 +225,6 @@ let applicable (ctx : Ctx.t) (s : shape) = function
       && (not s.j_aggs)
       && sum s.j_key_w <= ctx.Ctx.ell - 1
       && s.j_n > 0 && s.j_m > 0
-  | Quad ->
-      s.j_variant = J_inner && (not s.j_aggs) && (not s.j_bounded)
-      && s.j_n > 0 && s.j_m > 0
-      && s.j_n * s.j_m <= quad_cap
 
 let candidates ctx (s : shape) =
   List.filter_map
@@ -274,17 +233,21 @@ let candidates ctx (s : shape) =
         let t = predict ctx s op in
         Some (op, t, seconds t)
       else None)
-    [ Sort; Linear; Quad ]
+    [ Sort; Linear ]
+
+(* Ranked by modeled seconds, then rounds, then bits: a profile that
+   prices every tally at zero (local) still prefers the lighter
+   operator. *)
+let rank (_, t, sec) = (sec, t.Comm.t_rounds, t.Comm.t_bits)
 
 let cheapest cands =
   match cands with
   | [] -> Sort
-  | (op0, _, s0) :: rest ->
-      let op, _ =
+  | c0 :: rest ->
+      let op, _, _ =
         List.fold_left
-          (fun (bop, bs) (op, _, sec) ->
-            if sec < bs then (op, sec) else (bop, bs))
-          (op0, s0) rest
+          (fun best c -> if compare (rank c) (rank best) < 0 then c else best)
+          c0 rest
       in
       op
 
@@ -330,16 +293,3 @@ let choose_logged ctx ~node (s : shape) =
     }
     :: !r;
   chosen
-
-let log_fallback ctx ~node (s : shape) =
-  let t = quad_estimate ctx s in
-  let r = Domain.DLS.get dls_log in
-  r :=
-    {
-      jd_node = node;
-      jd_shape = s;
-      jd_chosen = Quad;
-      jd_forced = true;
-      jd_cands = [ (Quad, t, seconds t) ];
-    }
-    :: !r

@@ -1,10 +1,10 @@
 (** Cost-based physical join selection (DESIGN.md, "Cost-based physical
     planning").
 
-    The engine carries three physical equi-join operators — the sort-based
-    join-aggregation ({!Joinagg}, §3.3), the LINQ-style linear join
-    ({!Linjoin}) and the quadratic oblivious baseline — and this module is
-    the planner that picks between them: closed-form (rounds, bits,
+    The engine carries two physical equi-join operators for in-class joins
+    — the sort-based join-aggregation ({!Joinagg}, §3.3) and the
+    LINQ-style linear join ({!Linjoin}) — and this module is the planner
+    that picks between them: closed-form (rounds, bits,
     messages) estimates per candidate as a function of {b public shape
     only} (protocol kind, input cardinalities, column widths), compared as
     modeled network time under the active pacing profile.
@@ -17,17 +17,20 @@
     costs — ordering-faithful, not byte-exact; the certifier remains the
     ground truth for exactness.
 
-    The [ORQ_JOIN] environment variable (auto|sort|linear|quad) forces an
-    operator or restores automatic selection; [ORQ_JOIN_PROFILE]
-    ({!Orq_net.Netsim.of_label}: lan|wan|geo|local) sets the pacing regime
-    costs are compared under. A value of either that does not parse is
-    reported on stderr and ignored. *)
+    Joins outside the tractable class (duplicate keys on both sides) never
+    reach this module: the planner sends them to the quadratic oblivious
+    fallback and reports them as a count, not as a decision.
+
+    {!set_mode} forces an operator or restores automatic selection;
+    [ORQ_JOIN_PROFILE] ({!Orq_net.Netsim.of_label}: lan|wan|geo|local)
+    sets the pacing regime costs are compared under. A value that does
+    not parse is reported on stderr and ignored. *)
 
 open Orq_proto
 module Comm = Orq_net.Comm
 module Netsim = Orq_net.Netsim
 
-type op = Sort | Linear | Quad
+type op = Sort | Linear
 
 val op_label : op -> string
 
@@ -35,12 +38,8 @@ type mode = Auto | Force of op
 
 val mode_label : mode -> string
 
-val mode_of_label : string -> mode option
-(** "auto" | "sort" | "linear" | "quad". *)
-
 val mode : unit -> mode
-(** The active selection mode (initially from [ORQ_JOIN], default
-    [Auto]). *)
+(** The active selection mode (initially [Auto]). *)
 
 val set_mode : mode -> unit
 
@@ -64,10 +63,6 @@ type shape = {
   j_copy_w : int list;  (** widths of left columns copied into matches *)
   j_pay_w : int list;  (** widths of the probe side's non-key columns *)
   j_aggs : bool;  (** the node carries fused aggregations *)
-  j_bounded : bool;
-      (** the caller requires the output bounded by the probe cardinality
-          (an explicit [trim:`Always]) — rules out the materializing
-          quadratic operator *)
   j_variant : variant;
 }
 (** The public shape of one join node — everything the cost forms are
@@ -76,17 +71,14 @@ type shape = {
 val applicable : Ctx.t -> shape -> op -> bool
 (** Whether an operator can implement this node: [Linear] needs an
     inner/semi/anti variant with no fused aggregations, a composite key
-    that packs into one ring word, and nonempty inputs; [Quad] is the
-    inner-only materializing baseline, capped at 2^18 candidate pairs
-    (beyond that the n*m blowup — which also inflates every downstream
-    operator's input — is physically impractical); [Sort] implements
+    that packs into one ring word, and nonempty inputs; [Sort] implements
     everything. *)
 
 val predict : Ctx.t -> shape -> op -> Comm.tally
 (** Closed-form cost of running the node with [op], including a modeled
     downstream surcharge proportional to the operator's output
-    cardinality (what makes the quadratic join's n·m output pay for the
-    rows it forces every later operator to process). *)
+    cardinality (n+m rows after an untrimmed sort join, m after the
+    linear join). *)
 
 val seconds : Comm.tally -> float
 (** Modeled network time of a tally under the active profile. *)
@@ -94,7 +86,7 @@ val seconds : Comm.tally -> float
 val choose : Ctx.t -> shape -> op
 (** The selection rule: a forced mode wins when applicable (falling back
     to [Sort] when not); [Auto] takes the cheapest applicable candidate
-    under {!seconds}. *)
+    under {!seconds}, ties broken by fewer rounds, then fewer bits. *)
 
 (** {2 Decision log}
 
@@ -119,9 +111,3 @@ val log : unit -> decision list
 val choose_logged : Ctx.t -> node:string -> shape -> op
 (** {!choose} plus a log record — what {!Dataflow}'s join operators call
     once per node, immediately before executing the winner. *)
-
-val log_fallback : Ctx.t -> node:string -> shape -> unit
-(** Record a join outside the tractable class (duplicate keys on both
-    sides) that bypassed selection for the baseline quadratic operator —
-    logged as a forced [Quad] decision so explain output stays
-    complete. *)

@@ -196,62 +196,3 @@ let join (ctx : Ctx.t) (variant : [ `Inner | `Anti ])
     (left.Table.name ^ "_join_" ^ right.Table.name)
     ~valid:valid_out
     (key_cols @ pay_cols @ copy_out)
-
-(* ------------------------------------------------------------------ *)
-(* The quadratic candidate                                             *)
-(* ------------------------------------------------------------------ *)
-
-let quad (ctx : Ctx.t) ?(copy : string list = []) ~(left : Table.t)
-    ~(right : Table.t) ~(on : string list) () : Table.t =
-  Ctx.with_label ctx "quadjoin" @@ fun () ->
-  let n = Table.nrows left and m = Table.nrows right in
-  if n = 0 || m = 0 then invalid_arg "Linjoin.quad: empty input";
-  let p = n * m in
-  let li = Array.init p (fun t -> t / m) and ri = Array.init p (fun t -> t mod m) in
-  let widths =
-    List.map (fun k -> max (Table.width left k) (Table.width right k)) on
-  in
-  let eq =
-    Orq_circuits.Compare.eq_composite ctx
-      (List.map2
-         (fun k w ->
-           ( Share.gather (Column.as_bool ctx (Table.find left k)) li,
-             Share.gather (Column.as_bool ctx (Table.find right k)) ri,
-             w ))
-         on widths)
-  in
-  let vv =
-    Mpc.band1 ctx
-      (Share.gather left.Table.valid li)
-      (Share.gather right.Table.valid ri)
-  in
-  let valid_out = Mpc.band1 ctx vv eq in
-  let key_w = List.combine on widths in
-  let right_cols =
-    List.map
-      (fun (name, c) ->
-        let w =
-          match List.assoc_opt name key_w with
-          | Some w -> w
-          | None -> c.Column.width
-        in
-        (name, Column.of_shared ~width:w (Share.gather (Column.as_bool ctx c) ri)))
-      right.Table.cols
-  in
-  let key_cols, pay_cols =
-    List.partition (fun (name, _) -> List.mem name on) right_cols
-  in
-  let key_cols = List.map (fun k -> (k, List.assoc k key_cols)) on in
-  let copy_out =
-    List.map
-      (fun name ->
-        let c = Table.find left name in
-        ( name,
-          Column.of_shared ~width:c.Column.width
-            (Share.gather (Column.as_bool ctx c) li) ))
-      copy
-  in
-  Table.of_columns ctx
-    (left.Table.name ^ "_join_" ^ right.Table.name)
-    ~valid:valid_out
-    (key_cols @ pay_cols @ copy_out)

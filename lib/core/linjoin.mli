@@ -37,16 +37,3 @@ val join :
     matching probe rows. [`Anti]: probe rows valid iff valid and
     unmatched ([copy] must be empty). Metered under the ["linjoin"]
     label. *)
-
-val quad :
-  Ctx.t ->
-  ?copy:string list ->
-  left:Table.t ->
-  right:Table.t ->
-  on:string list ->
-  unit ->
-  Table.t
-(** The quadratic oblivious inner join as an in-class physical candidate:
-    materializes all n x m pairs, one composite equality ladder and two
-    validity ANDs — no openings, no leakage, n x m output rows. Same
-    output schema as [join `Inner]; metered under ["quadjoin"]. *)

@@ -67,7 +67,7 @@ type net_stats = {
 }
 
 type join_cand = {
-  jc_op : string;  (** "sort" | "linear" | "quad" *)
+  jc_op : string;  (** "sort" | "linear" *)
   jc_rounds : int;
   jc_bits : int;
   jc_messages : int;
@@ -85,7 +85,7 @@ type join_decision = {
 }
 
 type explain = {
-  e_mode : string;  (** active ORQ_JOIN mode: auto | sort | linear | quad *)
+  e_mode : string;  (** active join-selection mode: auto | sort | linear *)
   e_profile : string;  (** pacing profile costs were compared under *)
   e_fallbacks : int;  (** out-of-class quadratic fallbacks *)
   e_joins : join_decision list;

@@ -93,7 +93,7 @@ type net_stats = {
     against the plain in-process service yields [Error_r]). *)
 
 type join_cand = {
-  jc_op : string;  (** "sort" | "linear" | "quad" *)
+  jc_op : string;  (** "sort" | "linear" *)
   jc_rounds : int;
   jc_bits : int;
   jc_messages : int;
@@ -114,7 +114,7 @@ type join_decision = {
 (** The physical-operator decision at one join node. *)
 
 type explain = {
-  e_mode : string;  (** active ORQ_JOIN mode: auto | sort | linear | quad *)
+  e_mode : string;  (** active join-selection mode: auto | sort | linear *)
   e_profile : string;  (** pacing profile costs were compared under *)
   e_fallbacks : int;  (** out-of-class quadratic fallbacks *)
   e_joins : join_decision list;

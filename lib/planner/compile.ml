@@ -54,29 +54,9 @@ let rec compile_need (st : stats) (need : string list) (n : node) : Table.t =
         let copy_r = minus (inter need (Table.col_names r)) j.j_on in
         Dataflow.inner_join r l ~on:j.j_on ~copy:copy_r
       else begin
-        (* outside the tractable class: quadratic oblivious fallback —
-           logged as a forced decision so explain output stays complete *)
+        (* outside the tractable class: quadratic oblivious fallback,
+           reported as a count *)
         st.quadratic_fallbacks <- st.quadratic_fallbacks + 1;
-        let shape =
-          {
-            Joincost.j_n = Table.nrows l;
-            j_m = Table.nrows r;
-            j_key_w =
-              List.map
-                (fun k -> max (Table.width l k) (Table.width r k))
-                j.j_on;
-            j_copy_w = [];
-            j_pay_w = [];
-            j_aggs = false;
-            j_bounded = false;
-            j_variant = Joincost.J_inner;
-          }
-        in
-        Joincost.log_fallback (Table.ctx l)
-          ~node:
-            (Printf.sprintf "%s \xe2\x8b\x88 %s (out-of-class)" l.Table.name
-               r.Table.name)
-          shape;
         Orq_baselines.Secrecy_engine.nested_join (Table.ctx l) l r ~on:j.j_on
       end
   | Aggregate a ->

@@ -65,7 +65,7 @@ let normalize (sql : string) : string =
            | Sql.Eof -> None)
       |> String.concat " "
 
-(* The physical-plan configuration (ORQ_JOIN mode + pacing profile) is a
+(* The physical-plan configuration (Joincost mode + pacing profile) is a
    key component: two configurations that could pick different physical
    join operators for the same SQL never alias to one cached response. *)
 let key ~proto ~version ~sql =

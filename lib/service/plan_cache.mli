@@ -5,12 +5,12 @@
     canonically, so whitespace and keyword case do not fragment the
     cache), the session's protocol kind, the server's catalog version,
     and the physical-plan configuration ({!Orq_core.Joincost.cache_tag}:
-    the active ORQ_JOIN mode and pacing profile) — two configurations
-    that could pick different physical join operators never alias to one
-    cached response. A hit returns exactly the value stored by the cold
-    run —
-    the service stores the full response payload, so a cached reply is
-    byte-identical to the uncached one, tallies included.
+    the active join-selection mode and pacing profile) — two
+    configurations that could pick different physical join operators
+    never alias to one cached response. A hit returns exactly the value
+    stored by the cold run — the service stores the full response
+    payload, so a cached reply is byte-identical to the uncached one,
+    tallies included.
 
     {b Single-flight:} when several sessions miss on the same key
     concurrently, {!acquire} elects exactly one leader ([Execute]); the

@@ -116,8 +116,6 @@ let test_exports_flags_unused () =
    lib/ fails this test until it is audited here. *)
 let audited_env_knobs =
   [
-    ("ORQ_JOIN", "forces a physical join operator (auto|sort|linear|quad) \
-      for the join audit; forced modes fall back to sort when inapplicable");
     ("ORQ_JOIN_PROFILE", "network profile (lan|wan|geo|local) the join \
       cost model prices candidates under: a deployment parameter");
     ("ORQ_CLIENT_TIMEOUT_MS", "client-side deadline on service requests; \

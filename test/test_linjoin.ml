@@ -1,9 +1,9 @@
 (* Tests for the LINQ-style linear join and the cost-based physical join
-   selection: the linear and quadratic operators must be value-identical
-   to the sort-based join-aggregation and to the plaintext reference
-   across all three protocols and every planner-reachable variant
-   (inner / inner+copy / composite-key / semi / anti / duplicates), the
-   selection must respect applicability and the ORQ_JOIN override, and
+   selection: the linear operator must be value-identical to the
+   sort-based join-aggregation and to the plaintext reference across all
+   three protocols and every planner-reachable variant (inner /
+   inner+copy / composite-key / semi / anti / duplicates), the selection
+   must respect applicability and a forced mode, and
    on concrete join shapes the predicted-cheapest operator must be the
    measured-cheapest one. *)
 
@@ -70,8 +70,7 @@ let test_linear_inner_vs_sort_and_plaintext () =
             Table.valid_rows_sorted j join_cols)
       in
       Alcotest.(check rows_t) "linear vs plaintext" reference (run Joincost.Linear);
-      Alcotest.(check rows_t) "sort vs plaintext" reference (run Joincost.Sort);
-      Alcotest.(check rows_t) "quad vs plaintext" reference (run Joincost.Quad))
+      Alcotest.(check rows_t) "sort vs plaintext" reference (run Joincost.Sort))
 
 let test_linear_inner_no_copy () =
   for_all_kinds (fun ctx ->
@@ -200,8 +199,8 @@ let test_decision_log_and_auto_pick () =
       match Joincost.log () with
       | [ d ] ->
           Alcotest.(check bool) "not forced" false d.Joincost.jd_forced;
-          Alcotest.(check bool) "all three candidates priced" true
-            (List.length d.Joincost.jd_cands = 3);
+          Alcotest.(check bool) "both candidates priced" true
+            (List.length d.Joincost.jd_cands = 2);
           (* the logged choice is the cheapest candidate by modeled time *)
           let cheapest =
             List.fold_left
@@ -217,13 +216,13 @@ let test_decision_log_and_auto_pick () =
 
 let test_mode_labels_and_cache_tag () =
   List.iter
-    (fun (s, expect) ->
-      match Joincost.mode_of_label s with
-      | Some m -> Alcotest.(check string) s expect (Joincost.mode_label m)
-      | None -> Alcotest.failf "mode_of_label %s" s)
-    [ ("auto", "auto"); ("sort", "sort"); ("linear", "linear"); ("quad", "quad") ];
-  Alcotest.(check bool) "bad label rejected" true
-    (Joincost.mode_of_label "bogus" = None);
+    (fun (m, expect) ->
+      Alcotest.(check string) expect expect (Joincost.mode_label m))
+    [
+      (Joincost.Auto, "auto");
+      (Joincost.Force Joincost.Sort, "sort");
+      (Joincost.Force Joincost.Linear, "linear");
+    ];
   with_mode (Joincost.Force Joincost.Linear) (fun () ->
       let tag = Joincost.cache_tag () in
       Alcotest.(check bool) "tag names the mode" true
@@ -275,7 +274,6 @@ let test_predicted_cheapest_is_measured_cheapest () =
           j_copy_w = [ 8 ];
           j_pay_w = [ 8 ];
           j_aggs = false;
-          j_bounded = false;
           j_variant = Joincost.J_inner;
         }
       in
@@ -298,122 +296,120 @@ let test_predicted_cheapest_is_measured_cheapest () =
    were rewritten over the shared primitive price list (Primcost); the
    table was recorded by running this same grid on that earlier tree.
    Predictions depend only on (protocol, n, m, key columns): the variant
-   and the aggs/bounded flags decide applicability alone, so each row
-   covers all sixteen of those combinations. [None] marks an operator
-   that no shape of the row admits. Rows: protocol, n, m, number of key
-   columns, then the sort, linear and quad predictions. *)
+   and the aggs flag decide applicability alone, so each row covers all
+   eight of those combinations. [None] marks an operator that no shape
+   of the row admits. Rows: protocol, n, m, number of key columns, then
+   the sort and linear predictions. *)
 let golden_predictions =
   [
-    ("SH-DM", 0, 0, 1, Some (10, 0, 20), None, None);
-    ("SH-DM", 0, 0, 2, Some (14, 0, 28), None, None);
-    ("SH-DM", 0, 1, 1, Some (19, 2106, 36), None, None);
-    ("SH-DM", 0, 1, 2, Some (23, 2530, 44), None, None);
-    ("SH-DM", 0, 7, 1, Some (68, 51590, 128), None, None);
-    ("SH-DM", 0, 7, 2, Some (82, 71638, 156), None, None);
-    ("SH-DM", 0, 300, 1, Some (176, 6174600, 344), None, None);
-    ("SH-DM", 0, 300, 2, Some (214, 8589000, 420), None, None);
-    ("SH-DM", 1, 0, 1, Some (19, 2106, 36), None, None);
-    ("SH-DM", 1, 0, 2, Some (23, 2530, 44), None, None);
-    ("SH-DM", 1, 1, 1, Some (32, 5932, 56), Some (16, 4648, 34), Some (15, 1982, 28));
-    ("SH-DM", 1, 1, 2, Some (38, 8204, 68), Some (16, 4808, 34), Some (16, 2086, 30));
-    ("SH-DM", 1, 7, 1, Some (68, 58960, 128), Some (30, 49596, 62), Some (29, 38962, 56));
-    ("SH-DM", 1, 7, 2, Some (82, 81872, 156), Some (30, 50476, 62), Some (30, 39690, 58));
-    ("SH-DM", 1, 300, 1, Some (176, 6195182, 344), Some (72, 5295138, 146), Some (71, 4895400, 140));
-    ("SH-DM", 1, 300, 2, Some (214, 8617630, 420), Some (72, 5331178, 146), Some (72, 4926600, 142));
-    ("SH-DM", 7, 0, 1, Some (61, 17766, 110), None, None);
-    ("SH-DM", 7, 0, 2, Some (75, 38374, 138), None, None);
-    ("SH-DM", 7, 1, 1, Some (70, 22218, 126), Some (16, 12676, 34), Some (29, 38962, 56));
-    ("SH-DM", 7, 1, 2, Some (84, 45810, 154), Some (16, 13076, 34), Some (30, 39690, 58));
-    ("SH-DM", 7, 7, 1, Some (98, 79954, 182), Some (30, 57624, 62), Some (50, 536158, 98));
-    ("SH-DM", 7, 7, 2, Some (116, 133546, 218), Some (30, 58744, 62), Some (51, 541254, 100));
-    ("SH-DM", 7, 300, 1, Some (176, 6318674, 344), Some (72, 5303166, 146), Some (92, 45557400, 182));
-    ("SH-DM", 7, 300, 2, Some (214, 8789410, 420), Some (72, 5339446, 146), Some (93, 45775800, 184));
-    ("SH-DM", 300, 0, 1, Some (145, 1524600, 278), None, None);
-    ("SH-DM", 300, 0, 2, Some (183, 3963000, 354), None, None);
-    ("SH-DM", 300, 1, 1, Some (154, 1531596, 294), Some (16, 404710, 34), Some (71, 4895400, 140));
-    ("SH-DM", 300, 1, 2, Some (192, 3978164, 370), Some (16, 416830, 34), Some (72, 4926600, 142));
-    ("SH-DM", 300, 7, 1, Some (168, 1598660, 322), Some (30, 449658, 62), Some (92, 45557400, 182));
-    ("SH-DM", 300, 7, 2, Some (206, 4094236, 398), Some (30, 462498, 62), Some (93, 45775800, 184));
-    ("SH-DM", 300, 300, 1, Some (224, 8178600, 434), Some (72, 5695200, 146), Some (127, 2758860000, 252));
-    ("SH-DM", 300, 300, 2, Some (266, 13585800, 518), Some (72, 5743200, 146), Some (128, 2768220000, 254));
-    ("SH-HM", 0, 0, 1, Some (10, 0, 30), None, None);
-    ("SH-HM", 0, 0, 2, Some (14, 0, 42), None, None);
-    ("SH-HM", 0, 1, 1, Some (20, 1854, 57), None, None);
-    ("SH-HM", 0, 1, 2, Some (24, 2262, 69), None, None);
-    ("SH-HM", 0, 7, 1, Some (72, 49077, 204), None, None);
-    ("SH-HM", 0, 7, 2, Some (86, 65373, 246), None, None);
-    ("SH-HM", 0, 300, 1, Some (180, 5078700, 528), None, None);
-    ("SH-HM", 0, 300, 2, Some (218, 6943500, 642), None, None);
-    ("SH-HM", 1, 0, 1, Some (20, 1854, 57), None, None);
-    ("SH-HM", 1, 0, 2, Some (24, 2262, 69), None, None);
-    ("SH-HM", 1, 1, 1, Some (36, 7410, 96), Some (18, 4842, 60), Some (16, 1761, 45));
-    ("SH-HM", 1, 1, 2, Some (42, 9474, 114), Some (18, 5202, 60), Some (17, 1929, 48));
-    ("SH-HM", 1, 7, 1, Some (72, 56088, 204), Some (32, 43836, 102), Some (30, 31143, 87));
-    ("SH-HM", 1, 7, 2, Some (86, 74712, 246), Some (32, 45996, 102), Some (31, 32319, 90));
-    ("SH-HM", 1, 300, 1, Some (180, 5095629, 528), Some (74, 4235979, 228), Some (72, 3753900, 213));
-    ("SH-HM", 1, 300, 2, Some (218, 6966645, 642), Some (74, 4326039, 228), Some (73, 3804300, 216));
-    ("SH-HM", 7, 0, 1, Some (67, 30975, 183), None, None);
-    ("SH-HM", 7, 0, 2, Some (81, 48951, 225), None, None);
-    ("SH-HM", 7, 1, 1, Some (77, 37110, 210), Some (18, 13716, 60), Some (30, 31143, 87));
-    ("SH-HM", 7, 1, 2, Some (91, 57774, 252), Some (18, 14436, 60), Some (31, 32319, 90));
-    ("SH-HM", 7, 7, 1, Some (105, 97230, 294), Some (32, 52710, 102), Some (51, 415569, 150));
-    ("SH-HM", 7, 7, 2, Some (123, 143094, 348), Some (32, 55230, 102), Some (52, 423801, 153));
-    ("SH-HM", 7, 300, 1, Some (180, 5197203, 528), Some (74, 4244853, 228), Some (93, 34744500, 276));
-    ("SH-HM", 7, 300, 2, Some (218, 7105515, 642), Some (74, 4335273, 228), Some (94, 35097300, 279));
-    ("SH-HM", 300, 0, 1, Some (151, 1905300, 435), None, None);
-    ("SH-HM", 300, 0, 2, Some (189, 3842100, 549), None, None);
-    ("SH-HM", 300, 1, 1, Some (161, 1913361, 462), Some (18, 447063, 60), Some (72, 3753900, 213));
-    ("SH-HM", 300, 1, 2, Some (199, 3856737, 576), Some (18, 465363, 60), Some (73, 3804300, 216));
-    ("SH-HM", 300, 7, 1, Some (175, 1980543, 504), Some (32, 486057, 102), Some (93, 34744500, 276));
-    ("SH-HM", 300, 7, 2, Some (213, 3963375, 618), Some (32, 506157, 102), Some (94, 35097300, 279));
-    ("SH-HM", 300, 300, 1, Some (231, 7741800, 672), Some (74, 4678200, 228), Some (128, 2093850000, 381));
-    ("SH-HM", 300, 300, 2, Some (273, 12040200, 798), Some (74, 4786200, 228), Some (129, 2108970000, 384));
-    ("Mal-HM", 0, 0, 1, Some (10, 0, 120), None, None);
-    ("Mal-HM", 0, 0, 2, Some (14, 0, 168), None, None);
-    ("Mal-HM", 0, 1, 1, Some (21, 7416, 216), None, None);
-    ("Mal-HM", 0, 1, 2, Some (25, 9048, 264), None, None);
-    ("Mal-HM", 0, 7, 1, Some (76, 198444, 752), None, None);
-    ("Mal-HM", 0, 7, 2, Some (90, 263628, 920), None, None);
-    ("Mal-HM", 0, 300, 1, Some (184, 20226640, 2024), None, None);
-    ("Mal-HM", 0, 300, 2, Some (222, 27685840, 2480), None, None);
-    ("Mal-HM", 1, 0, 1, Some (21, 7416, 216), None, None);
-    ("Mal-HM", 1, 0, 2, Some (25, 9048, 264), None, None);
-    ("Mal-HM", 1, 1, 1, Some (40, 31160, 328), Some (20, 22232, 188), Some (17, 7044, 168));
-    ("Mal-HM", 1, 1, 2, Some (46, 39416, 400), Some (20, 23352, 188), Some (18, 7716, 180));
-    ("Mal-HM", 1, 7, 1, Some (76, 226208, 752), Some (34, 174512, 356), Some (31, 124572, 336));
-    ("Mal-HM", 1, 7, 2, Some (90, 300704, 920), Some (34, 181872, 356), Some (32, 129276, 348));
-    ("Mal-HM", 1, 300, 1, Some (184, 20294028, 2024), Some (76, 16762596, 860), Some (73, 15015600, 840));
-    ("Mal-HM", 1, 300, 2, Some (222, 27778092, 2480), Some (76, 17074676, 860), Some (74, 15217200, 852));
-    ("Mal-HM", 7, 0, 1, Some (73, 128172, 628), None, None);
-    ("Mal-HM", 7, 0, 2, Some (87, 200076, 796), None, None);
-    ("Mal-HM", 7, 1, 1, Some (84, 152152, 724), Some (20, 54032, 188), Some (31, 124572, 336));
-    ("Mal-HM", 7, 1, 2, Some (98, 234808, 892), Some (20, 55632, 188), Some (32, 129276, 348));
-    ("Mal-HM", 7, 7, 1, Some (112, 391096, 1052), Some (34, 206312, 356), Some (52, 1662276, 588));
-    ("Mal-HM", 7, 7, 2, Some (130, 574552, 1268), Some (34, 214152, 356), Some (53, 1695204, 600));
-    ("Mal-HM", 7, 300, 1, Some (184, 20698356, 2024), Some (76, 16794396, 860), Some (94, 138978000, 1092));
-    ("Mal-HM", 7, 300, 2, Some (222, 28331604, 2480), Some (76, 17106956, 860), Some (95, 140389200, 1104));
-    ("Mal-HM", 300, 0, 1, Some (157, 7444880, 1588), None, None);
-    ("Mal-HM", 300, 0, 2, Some (195, 15192080, 2044), None, None);
-    ("Mal-HM", 300, 1, 1, Some (168, 7476468, 1684), Some (20, 1606932, 188), Some (73, 15015600, 840));
-    ("Mal-HM", 300, 1, 2, Some (206, 15249972, 2140), Some (20, 1631972, 188), Some (74, 15217200, 852));
-    ("Mal-HM", 300, 7, 1, Some (182, 7741260, 1852), Some (34, 1759212, 356), Some (94, 138978000, 1092));
-    ("Mal-HM", 300, 7, 2, Some (220, 15672588, 2308), Some (34, 1790492, 356), Some (95, 140389200, 1104));
-    ("Mal-HM", 300, 300, 1, Some (238, 30586528, 2516), Some (76, 18347296, 860), Some (129, 8375400000, 1512));
-    ("Mal-HM", 300, 300, 2, Some (280, 47780128, 3020), Some (76, 18683296, 860), Some (130, 8435880000, 1524));
+    ("SH-DM", 0, 0, 1, Some (10, 0, 20), None);
+    ("SH-DM", 0, 0, 2, Some (14, 0, 28), None);
+    ("SH-DM", 0, 1, 1, Some (19, 2106, 36), None);
+    ("SH-DM", 0, 1, 2, Some (23, 2530, 44), None);
+    ("SH-DM", 0, 7, 1, Some (68, 51590, 128), None);
+    ("SH-DM", 0, 7, 2, Some (82, 71638, 156), None);
+    ("SH-DM", 0, 300, 1, Some (176, 6174600, 344), None);
+    ("SH-DM", 0, 300, 2, Some (214, 8589000, 420), None);
+    ("SH-DM", 1, 0, 1, Some (19, 2106, 36), None);
+    ("SH-DM", 1, 0, 2, Some (23, 2530, 44), None);
+    ("SH-DM", 1, 1, 1, Some (32, 5932, 56), Some (16, 4648, 34));
+    ("SH-DM", 1, 1, 2, Some (38, 8204, 68), Some (16, 4808, 34));
+    ("SH-DM", 1, 7, 1, Some (68, 58960, 128), Some (30, 49596, 62));
+    ("SH-DM", 1, 7, 2, Some (82, 81872, 156), Some (30, 50476, 62));
+    ("SH-DM", 1, 300, 1, Some (176, 6195182, 344), Some (72, 5295138, 146));
+    ("SH-DM", 1, 300, 2, Some (214, 8617630, 420), Some (72, 5331178, 146));
+    ("SH-DM", 7, 0, 1, Some (61, 17766, 110), None);
+    ("SH-DM", 7, 0, 2, Some (75, 38374, 138), None);
+    ("SH-DM", 7, 1, 1, Some (70, 22218, 126), Some (16, 12676, 34));
+    ("SH-DM", 7, 1, 2, Some (84, 45810, 154), Some (16, 13076, 34));
+    ("SH-DM", 7, 7, 1, Some (98, 79954, 182), Some (30, 57624, 62));
+    ("SH-DM", 7, 7, 2, Some (116, 133546, 218), Some (30, 58744, 62));
+    ("SH-DM", 7, 300, 1, Some (176, 6318674, 344), Some (72, 5303166, 146));
+    ("SH-DM", 7, 300, 2, Some (214, 8789410, 420), Some (72, 5339446, 146));
+    ("SH-DM", 300, 0, 1, Some (145, 1524600, 278), None);
+    ("SH-DM", 300, 0, 2, Some (183, 3963000, 354), None);
+    ("SH-DM", 300, 1, 1, Some (154, 1531596, 294), Some (16, 404710, 34));
+    ("SH-DM", 300, 1, 2, Some (192, 3978164, 370), Some (16, 416830, 34));
+    ("SH-DM", 300, 7, 1, Some (168, 1598660, 322), Some (30, 449658, 62));
+    ("SH-DM", 300, 7, 2, Some (206, 4094236, 398), Some (30, 462498, 62));
+    ("SH-DM", 300, 300, 1, Some (224, 8178600, 434), Some (72, 5695200, 146));
+    ("SH-DM", 300, 300, 2, Some (266, 13585800, 518), Some (72, 5743200, 146));
+    ("SH-HM", 0, 0, 1, Some (10, 0, 30), None);
+    ("SH-HM", 0, 0, 2, Some (14, 0, 42), None);
+    ("SH-HM", 0, 1, 1, Some (20, 1854, 57), None);
+    ("SH-HM", 0, 1, 2, Some (24, 2262, 69), None);
+    ("SH-HM", 0, 7, 1, Some (72, 49077, 204), None);
+    ("SH-HM", 0, 7, 2, Some (86, 65373, 246), None);
+    ("SH-HM", 0, 300, 1, Some (180, 5078700, 528), None);
+    ("SH-HM", 0, 300, 2, Some (218, 6943500, 642), None);
+    ("SH-HM", 1, 0, 1, Some (20, 1854, 57), None);
+    ("SH-HM", 1, 0, 2, Some (24, 2262, 69), None);
+    ("SH-HM", 1, 1, 1, Some (36, 7410, 96), Some (18, 4842, 60));
+    ("SH-HM", 1, 1, 2, Some (42, 9474, 114), Some (18, 5202, 60));
+    ("SH-HM", 1, 7, 1, Some (72, 56088, 204), Some (32, 43836, 102));
+    ("SH-HM", 1, 7, 2, Some (86, 74712, 246), Some (32, 45996, 102));
+    ("SH-HM", 1, 300, 1, Some (180, 5095629, 528), Some (74, 4235979, 228));
+    ("SH-HM", 1, 300, 2, Some (218, 6966645, 642), Some (74, 4326039, 228));
+    ("SH-HM", 7, 0, 1, Some (67, 30975, 183), None);
+    ("SH-HM", 7, 0, 2, Some (81, 48951, 225), None);
+    ("SH-HM", 7, 1, 1, Some (77, 37110, 210), Some (18, 13716, 60));
+    ("SH-HM", 7, 1, 2, Some (91, 57774, 252), Some (18, 14436, 60));
+    ("SH-HM", 7, 7, 1, Some (105, 97230, 294), Some (32, 52710, 102));
+    ("SH-HM", 7, 7, 2, Some (123, 143094, 348), Some (32, 55230, 102));
+    ("SH-HM", 7, 300, 1, Some (180, 5197203, 528), Some (74, 4244853, 228));
+    ("SH-HM", 7, 300, 2, Some (218, 7105515, 642), Some (74, 4335273, 228));
+    ("SH-HM", 300, 0, 1, Some (151, 1905300, 435), None);
+    ("SH-HM", 300, 0, 2, Some (189, 3842100, 549), None);
+    ("SH-HM", 300, 1, 1, Some (161, 1913361, 462), Some (18, 447063, 60));
+    ("SH-HM", 300, 1, 2, Some (199, 3856737, 576), Some (18, 465363, 60));
+    ("SH-HM", 300, 7, 1, Some (175, 1980543, 504), Some (32, 486057, 102));
+    ("SH-HM", 300, 7, 2, Some (213, 3963375, 618), Some (32, 506157, 102));
+    ("SH-HM", 300, 300, 1, Some (231, 7741800, 672), Some (74, 4678200, 228));
+    ("SH-HM", 300, 300, 2, Some (273, 12040200, 798), Some (74, 4786200, 228));
+    ("Mal-HM", 0, 0, 1, Some (10, 0, 120), None);
+    ("Mal-HM", 0, 0, 2, Some (14, 0, 168), None);
+    ("Mal-HM", 0, 1, 1, Some (21, 7416, 216), None);
+    ("Mal-HM", 0, 1, 2, Some (25, 9048, 264), None);
+    ("Mal-HM", 0, 7, 1, Some (76, 198444, 752), None);
+    ("Mal-HM", 0, 7, 2, Some (90, 263628, 920), None);
+    ("Mal-HM", 0, 300, 1, Some (184, 20226640, 2024), None);
+    ("Mal-HM", 0, 300, 2, Some (222, 27685840, 2480), None);
+    ("Mal-HM", 1, 0, 1, Some (21, 7416, 216), None);
+    ("Mal-HM", 1, 0, 2, Some (25, 9048, 264), None);
+    ("Mal-HM", 1, 1, 1, Some (40, 31160, 328), Some (20, 22232, 188));
+    ("Mal-HM", 1, 1, 2, Some (46, 39416, 400), Some (20, 23352, 188));
+    ("Mal-HM", 1, 7, 1, Some (76, 226208, 752), Some (34, 174512, 356));
+    ("Mal-HM", 1, 7, 2, Some (90, 300704, 920), Some (34, 181872, 356));
+    ("Mal-HM", 1, 300, 1, Some (184, 20294028, 2024), Some (76, 16762596, 860));
+    ("Mal-HM", 1, 300, 2, Some (222, 27778092, 2480), Some (76, 17074676, 860));
+    ("Mal-HM", 7, 0, 1, Some (73, 128172, 628), None);
+    ("Mal-HM", 7, 0, 2, Some (87, 200076, 796), None);
+    ("Mal-HM", 7, 1, 1, Some (84, 152152, 724), Some (20, 54032, 188));
+    ("Mal-HM", 7, 1, 2, Some (98, 234808, 892), Some (20, 55632, 188));
+    ("Mal-HM", 7, 7, 1, Some (112, 391096, 1052), Some (34, 206312, 356));
+    ("Mal-HM", 7, 7, 2, Some (130, 574552, 1268), Some (34, 214152, 356));
+    ("Mal-HM", 7, 300, 1, Some (184, 20698356, 2024), Some (76, 16794396, 860));
+    ("Mal-HM", 7, 300, 2, Some (222, 28331604, 2480), Some (76, 17106956, 860));
+    ("Mal-HM", 300, 0, 1, Some (157, 7444880, 1588), None);
+    ("Mal-HM", 300, 0, 2, Some (195, 15192080, 2044), None);
+    ("Mal-HM", 300, 1, 1, Some (168, 7476468, 1684), Some (20, 1606932, 188));
+    ("Mal-HM", 300, 1, 2, Some (206, 15249972, 2140), Some (20, 1631972, 188));
+    ("Mal-HM", 300, 7, 1, Some (182, 7741260, 1852), Some (34, 1759212, 356));
+    ("Mal-HM", 300, 7, 2, Some (220, 15672588, 2308), Some (34, 1790492, 356));
+    ("Mal-HM", 300, 300, 1, Some (238, 30586528, 2516), Some (76, 18347296, 860));
+    ("Mal-HM", 300, 300, 2, Some (280, 47780128, 3020), Some (76, 18683296, 860));
   ]
 
 let test_golden_predictions () =
-  let flags v =
-    [ (v, false, false); (v, false, true); (v, true, false); (v, true, true) ]
-  in
+  let flags v = [ (v, false); (v, true) ] in
   List.iter
     (fun kind ->
       let ctx = Ctx.create ~seed:51 kind in
       List.iter
-        (fun (label, n, m, nkeys, sort, linear, quad) ->
+        (fun (label, n, m, nkeys, sort, linear) ->
           if label = Ctx.kind_label kind then
             List.iter
-              (fun (variant, aggs, bounded) ->
+              (fun (variant, aggs) ->
                 let shape =
                   {
                     Joincost.j_n = n;
@@ -422,7 +418,6 @@ let test_golden_predictions () =
                     j_copy_w = [ 16 ];
                     j_pay_w = [ 24; 8 ];
                     j_aggs = aggs;
-                    j_bounded = bounded;
                     j_variant = variant;
                   }
                 in
@@ -431,9 +426,9 @@ let test_golden_predictions () =
                     if Joincost.applicable ctx shape op then begin
                       let name =
                         Printf.sprintf
-                          "%s %s %s n=%d m=%d keys=%d aggs=%b bounded=%b" label
+                          "%s %s %s n=%d m=%d keys=%d aggs=%b" label
                           (Joincost.op_label op)
-                          (Joincost.variant_label variant) n m nkeys aggs bounded
+                          (Joincost.variant_label variant) n m nkeys aggs
                       in
                       match pinned with
                       | None -> Alcotest.failf "%s: applicable but not pinned" name
@@ -442,7 +437,7 @@ let test_golden_predictions () =
                           Alcotest.(check (triple int int int)) name want
                             (t.Comm.t_rounds, t.Comm.t_bits, t.Comm.t_messages)
                     end)
-                  [ (Joincost.Sort, sort); (Linear, linear); (Quad, quad) ])
+                  [ (Joincost.Sort, sort); (Linear, linear) ])
               (List.concat_map flags
                  [ Joincost.J_inner; J_semi; J_anti; J_outer ]))
         golden_predictions;
@@ -450,7 +445,7 @@ let test_golden_predictions () =
       Alcotest.(check int) "every grid cell pinned" 32
         (List.length
            (List.filter
-              (fun (l, _, _, _, _, _, _) -> l = Ctx.kind_label kind)
+              (fun (l, _, _, _, _, _) -> l = Ctx.kind_label kind)
               golden_predictions)))
     kinds
 

@@ -58,6 +58,7 @@ let test_wire_requests () =
       Wire.Stats_req;
       Wire.Set_workers 8;
       Wire.Net_stats_req;
+      Wire.Explain "SELECT a FROM t JOIN u ON a = b";
     ]
 
 let test_wire_responses () =
@@ -104,6 +105,49 @@ let test_wire_responses () =
           s_mem_peak_bytes = 1 lsl 40;
           s_mem_spilled_bytes = 987_654_321;
           s_rss_peak_kb = 204_800;
+        };
+      Wire.Explain_r
+        {
+          e_mode = "auto";
+          e_profile = "LAN";
+          e_fallbacks = 1;
+          e_joins =
+            [
+              {
+                je_node = "customer \xe2\x8b\x88 orders";
+                je_variant = "inner";
+                je_n = 150;
+                je_m = 1500;
+                je_chosen = "linear";
+                je_forced = false;
+                je_cands =
+                  [
+                    {
+                      jc_op = "sort";
+                      jc_rounds = 159;
+                      jc_bits = 7_682_436;
+                      jc_messages = 744;
+                      jc_est_s = 0.048;
+                    };
+                    {
+                      jc_op = "linear";
+                      jc_rounds = 21;
+                      jc_bits = 3_691_881;
+                      jc_messages = 216;
+                      jc_est_s = 2.5;
+                    };
+                  ];
+              };
+              {
+                je_node = "nation \xe2\x8b\x89 region";
+                je_variant = "semi";
+                je_n = 5;
+                je_m = 25;
+                je_chosen = "sort";
+                je_forced = true;
+                je_cands = [];
+              };
+            ];
         };
     ]
 
@@ -693,6 +737,47 @@ let test_survives_malformed_frame () =
   ignore
     (query_ok c "SELECT n_regionkey, COUNT(*) AS n FROM nation GROUP BY n_regionkey")
 
+(* Explain runs the SQL cold and returns the per-node decision log. *)
+let explain_ok c sql =
+  match Client.explain c sql with
+  | Ok e -> e
+  | Error (code, msg) ->
+      Alcotest.failf "explain failed (%s): %s" (Wire.err_label code) msg
+
+let test_explain () =
+  with_server @@ fun _ socket ->
+  let c = Client.connect socket in
+  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+  let e =
+    explain_ok c
+      "SELECT c_custkey, o_orderkey FROM customer JOIN orders ON c_custkey \
+       = o_custkey"
+  in
+  Alcotest.(check int) "in class: no fallback" 0 e.Wire.e_fallbacks;
+  (match e.Wire.e_joins with
+  | [ j ] ->
+      Alcotest.(check (list string))
+        "candidates" [ "sort"; "linear" ]
+        (List.map (fun c -> c.Wire.jc_op) j.Wire.je_cands);
+      let best =
+        List.fold_left
+          (fun b c -> if c.Wire.jc_est_s < b.Wire.jc_est_s then c else b)
+          (List.hd j.Wire.je_cands) j.Wire.je_cands
+      in
+      Alcotest.(check string) "chosen is cheapest" best.Wire.jc_op
+        j.Wire.je_chosen
+  | js -> Alcotest.failf "expected 1 join node, got %d" (List.length js));
+  (* duplicate nation keys on both sides: outside the tractable class,
+     reported as a count with no priced node *)
+  let e =
+    explain_ok c
+      "SELECT s_suppkey, c_custkey FROM supplier JOIN customer ON \
+       s_nationkey = c_nationkey"
+  in
+  Alcotest.(check int) "out of class: one fallback" 1 e.Wire.e_fallbacks;
+  Alcotest.(check int) "out of class: no decision" 0
+    (List.length e.Wire.e_joins)
+
 let test_stats () =
   with_server @@ fun _ socket ->
   let c = Client.connect socket in
@@ -755,5 +840,6 @@ let () =
           Alcotest.test_case "survives malformed frame" `Quick
             test_survives_malformed_frame;
           Alcotest.test_case "stats" `Quick test_stats;
+          Alcotest.test_case "explain" `Quick test_explain;
         ] );
     ]
