@@ -70,20 +70,23 @@ let run_lint ~expect_violations ~json paths =
       findings
   in
   if expect_violations then begin
-    (* self-test over the seeded fixture: both core rules must fire *)
+    (* self-test over the seeded fixture: all three rules must fire *)
     let has rule =
       List.exists (fun (f : Lint.finding) -> f.Lint.f_rule = rule) violations
     in
     List.iter (fun f -> say "seeded: %a" Lint.pp_finding f) violations;
-    if has Declass.Declass && has Declass.Branch then begin
-      say "lint self-test: fixture trips declass + branch rules (%d findings)"
+    if has Declass.Declass && has Declass.Branch && has Declass.In_parallel
+    then begin
+      say
+        "lint self-test: fixture trips declass + branch + parallel rules (%d \
+         findings)"
         (List.length violations);
       exit 0
     end
     else begin
       say
-        "lint self-test FAILED: expected both an unregistered open_ and a \
-         branch-on-opened violation in %s"
+        "lint self-test FAILED: expected an unregistered open_, a \
+         branch-on-opened and an in-Parallel violation in %s"
         (String.concat " " paths);
       exit 1
     end

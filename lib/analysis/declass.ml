@@ -61,9 +61,6 @@ let all : entry list =
        permutation pi — the opened vector is rho o pi^{-1}, uniform for \
        uniform pi (Appendix A.4); one opening whatever the number of data \
        columns or their chunking";
-    ok "Permops.apply_elementwise_flags" Declass "open_"
-      "packed-flag Protocol 5; identical opening to \
-       apply_elementwise_table";
     ok "Permops.compose" Declass "open_"
       "Protocol 6: opens sigma behind a fresh sharded permutation; uniform \
        (Appendix A.4)";

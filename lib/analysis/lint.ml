@@ -42,13 +42,11 @@ let interactive_names =
       "band_many";
       "band1";
       "band_f";
+      "band_f_many";
       "bor";
       "bor_many";
       "bor1";
-      "bor_f";
-      "mux";
-      "mux_many";
-      "mux_f";
+      "bor_f_many";
       "fuse_rounds";
     ]
 

@@ -18,15 +18,18 @@ let meter_preproc (ctx : Ctx.t) ~vectors ~n ~width =
 type triple = { ta : Share.shared; tb : Share.shared; tc : Share.shared }
 
 (** A Beaver multiplication triple [c = a * b] (arithmetic) or
-    [c = a AND b] (boolean), secret-shared. Used by the 2PC protocol. *)
-let beaver (ctx : Ctx.t) enc n : triple =
+    [c = a AND b] (boolean) over [n] ring words, secret-shared. Used by
+    the 2PC protocol. Preprocessing is charged for [elems] logical
+    elements: [n] for a word sharing, the flag count for packed flags
+    (whose [n] words carry 63 flags each). *)
+let beaver (ctx : Ctx.t) enc ~elems n : triple =
   let a = Prg.words ctx.prg n and b = Prg.words ctx.prg n in
   let c =
     match (enc : Share.enc) with
     | Arith -> Vec.mul a b
     | Bool -> Vec.band a b
   in
-  meter_preproc ctx ~vectors:(3 * ctx.nvec) ~n ~width:ctx.ell;
+  meter_preproc ctx ~vectors:(3 * ctx.nvec) ~n:elems ~width:ctx.ell;
   { ta = Share.share ctx enc a; tb = Share.share ctx enc b; tc = Share.share ctx enc c }
 
 type dabits = { da_bool : Share.shared; da_arith : Share.shared }
@@ -49,28 +52,13 @@ let edabits (ctx : Ctx.t) n : edabits =
   { ed_arith = Share.share ctx Arith r; ed_bool = Share.share ctx Bool r }
 
 (* ------------------------------------------------------------------ *)
-(* Packed flag-lane correlations. Same correlations as above, for the
-   bit-packed single-bit representation: the dealer's randomness is drawn
-   per *word* (63 flags per PRG call) instead of per element, and the
-   boolean side is emitted directly in packed lanes. Metering is kept
-   byte-identical to the unpacked variants — the modeled dealer ships the
-   same logical correlation either way; only the simulation's local
-   compute and PRG draw shrink.                                        *)
+(* Packed flag-lane daBits: the boolean side is drawn and shared per
+   *word* (63 flags per PRG call) and emitted directly in packed lanes.
+   Metering is kept byte-identical to {!dabits} — the modeled dealer
+   ships the same logical correlation either way; only the simulation's
+   local compute and PRG draw shrink. Packed ANDs use {!beaver} over
+   their packed words.                                                  *)
 (* ------------------------------------------------------------------ *)
-
-type flag_triple = { fta : Share.flags; ftb : Share.flags; ftc : Share.flags }
-
-(** Packed boolean Beaver triple [c = a AND b] over n single-bit lanes:
-    per-word draws and per-word sharing; metered exactly like {!beaver}. *)
-let beaver_flags (ctx : Ctx.t) n : flag_triple =
-  let a = Bits.random ctx.prg n and b = Bits.random ctx.prg n in
-  let c = Bits.band a b in
-  meter_preproc ctx ~vectors:(3 * ctx.nvec) ~n ~width:ctx.ell;
-  {
-    fta = Share.share_flags ctx a;
-    ftb = Share.share_flags ctx b;
-    ftc = Share.share_flags ctx c;
-  }
 
 type flag_dabits = { fda_bool : Share.flags; fda_arith : Share.shared }
 

@@ -8,9 +8,12 @@
 
 type triple = { ta : Share.shared; tb : Share.shared; tc : Share.shared }
 
-val beaver : Ctx.t -> Share.enc -> int -> triple
-(** A Beaver triple [c = a * b] (arithmetic) or [c = a AND b] (boolean),
-    secret-shared; used by the 2PC protocol. *)
+val beaver : Ctx.t -> Share.enc -> elems:int -> int -> triple
+(** [beaver ctx enc ~elems n]: a Beaver triple [c = a * b] (arithmetic)
+    or [c = a AND b] (boolean) over [n] ring words, secret-shared; used by
+    the 2PC protocol. Preprocessing is charged for [elems] logical
+    elements — [n] for a word sharing, the flag count when the words are
+    packed flags. *)
 
 type dabits = { da_bool : Share.shared; da_arith : Share.shared }
 
@@ -23,13 +26,6 @@ type edabits = { ed_arith : Share.shared; ed_bool : Share.shared }
 val edabits : Ctx.t -> int -> edabits
 (** Random ring elements shared both arithmetically and booleanly — the
     correlation behind A2B conversion. *)
-
-type flag_triple = { fta : Share.flags; ftb : Share.flags; ftc : Share.flags }
-
-val beaver_flags : Ctx.t -> int -> flag_triple
-(** Packed boolean Beaver triple over n single-bit lanes: randomness drawn
-    and shared per packed word (63 flags per PRG call); preprocessing
-    metered byte-identically to {!beaver}. *)
 
 type flag_dabits = { fda_bool : Share.flags; fda_arith : Share.shared }
 

@@ -160,17 +160,20 @@ let meter_open_lane (ctx : Ctx.t) i ~w ~n =
           raise (Ctx.Abort "open: share/hash mismatch detected")
       done
 
-(* Lane [i]'s metered width: its entry in [widths], else the call's
-   default [w0]. *)
-let lane_width widths w0 i = match widths with Some ws -> ws.(i) | None -> w0
+(* Each lane of a fused call is metered at an explicit (width, element
+   count): a word lane at its declared width over its length, a packed
+   flag lane ({!flag_lane}) at width 1 over its flag count. *)
+let word_lanes ?widths w0 (xs : shared array) =
+  Array.mapi
+    (fun i x ->
+      ((match widths with Some ws -> ws.(i) | None -> w0), Share.length x))
+    xs
 
 (* The one opening core: reconstruct every lane, then meter them as one
    fused round. *)
-let open_lanes (ctx : Ctx.t) ~w0 widths (ss : shared array) : Vec.t array =
+let open_lanes (ctx : Ctx.t) lanes (ss : shared array) : Vec.t array =
   let outs = Array.map Share.reconstruct ss in
-  for i = 0 to Array.length ss - 1 do
-    meter_open_lane ctx i ~w:(lane_width widths w0 i) ~n:(Share.length ss.(i))
-  done;
+  Array.iteri (fun i (w, n) -> meter_open_lane ctx i ~w ~n) lanes;
   outs
 
 (** Open several independent shared vectors in one fused round (each lane
@@ -182,11 +185,12 @@ let open_many ?widths (ctx : Ctx.t) (ss : shared array) : Vec.t array =
   | Some ws when Array.length ws <> Array.length ss ->
       invalid_arg "Mpc.open_many: widths length"
   | _ -> ());
-  open_lanes ctx ~w0:ctx.ell widths ss
+  open_lanes ctx (word_lanes ?widths ctx.ell ss) ss
 
 (** Open a shared vector to all parties: a one-lane {!open_many}. *)
 let open_ ?width (ctx : Ctx.t) (s : shared) : Vec.t =
-  (open_lanes ctx ~w0:(Option.value width ~default:ctx.ell) None [| s |]).(0)
+  let w = Option.value width ~default:ctx.ell in
+  (open_lanes ctx [| (w, Share.length s) |] [| s |]).(0)
 
 (* ------------------------------------------------------------------ *)
 (* Multiplication / AND                                                *)
@@ -199,8 +203,9 @@ let open_ ?width (ctx : Ctx.t) (s : shared) : Vec.t =
 (* local recombination kernels make one pass over one long vector. A    *)
 (* lone lane is not copied: {!Share.concat_many} returns it as is and   *)
 (* [split_lanes] only wraps the result. Metering is per lane            *)
-(* ({!meter_lane}), so bits and messages are the sum of the per-lane    *)
-(* charges and the round count is one.                                  *)
+(* ({!meter_lane}) at the lane's (width, element count), so bits and    *)
+(* messages are the sum of the per-lane charges and the round count is  *)
+(* one.                                                                 *)
 (* ------------------------------------------------------------------ *)
 
 (* Zero sharing: alpha_k = r_k (-|xor) r_{k+1 mod nvec}, so the alphas sum
@@ -256,15 +261,17 @@ let zero_sharing_lanes (ctx : Ctx.t) enc (xs : shared array) : Vec.t array =
    share vector. The boolean case is identical over GF(2). Recombination is
    the fused one-pass {!Vec.beaver_arith}/{!Vec.beaver_bool} kernel: the
    whole multiplication allocates d, e and the nvec result vectors. *)
-let beaver_lanes (ctx : Ctx.t) enc ~w0 widths (xs : shared array)
+let beaver_lanes (ctx : Ctx.t) enc lanes (xs : shared array)
     (ys : shared array) : shared array =
-  let triples = Array.map (fun x -> Dealer.beaver ctx enc (Share.length x)) xs in
+  let triples =
+    Array.mapi
+      (fun i x -> Dealer.beaver ctx enc ~elems:(snd lanes.(i)) (Share.length x))
+      xs
+  in
   (* both openings batched: each party sends both its shares *)
-  for i = 0 to Array.length xs - 1 do
-    meter_lane ctx i
-      ~bits:(2 * 2 * lane_width widths w0 i * Share.length xs.(i))
-      ~messages:2
-  done;
+  Array.iteri
+    (fun i (w, n) -> meter_lane ctx i ~bits:(2 * 2 * w * n) ~messages:2)
+    lanes;
   let ta = Share.concat_many (Array.map (fun t -> t.Dealer.ta) triples) in
   let tb = Share.concat_many (Array.map (fun t -> t.Dealer.tb) triples) in
   let tc = Share.concat_many (Array.map (fun t -> t.Dealer.tc) triples) in
@@ -289,7 +296,7 @@ let beaver_lanes (ctx : Ctx.t) enc ~w0 widths (xs : shared array)
    The cross terms are accumulated directly into the (freshly generated)
    alpha vectors by the fused {!Vec.rep3_arith_into} kernel — no
    per-term intermediates. *)
-let rep3_lanes (ctx : Ctx.t) enc ~w0 widths (xs : shared array)
+let rep3_lanes (ctx : Ctx.t) enc lanes (xs : shared array)
     (ys : shared array) : shared array =
   let alpha = zero_sharing_lanes ctx enc xs in
   let xv = (Share.concat_many xs).Share.v
@@ -304,11 +311,9 @@ let rep3_lanes (ctx : Ctx.t) enc ~w0 widths (xs : shared array)
         Vec.rep3_bool_into alpha.(i) ~xi:xv.(i) ~yi:yv.(i) ~xj:xv.(j)
           ~yj:yv.(j)
   done;
-  for i = 0 to Array.length xs - 1 do
-    meter_lane ctx i
-      ~bits:(3 * lane_width widths w0 i * Share.length xs.(i))
-      ~messages:3
-  done;
+  Array.iteri
+    (fun i (w, n) -> meter_lane ctx i ~bits:(3 * w * n) ~messages:3)
+    lanes;
   split_lanes { Share.enc; v = alpha } xs
 
 (* 4PC Fantastic-Four-style multiplication. Each cross term x_i y_j is
@@ -320,7 +325,7 @@ let rep3_lanes (ctx : Ctx.t) enc ~w0 widths (xs : shared array)
    per lane, no per-term intermediates. Metered at 3 ring elements per
    party per multiplication (consistent with the paper's Table 7
    Mal-HM/SH-HM bandwidth ratio). *)
-let rep4_lanes (ctx : Ctx.t) enc ~w0 widths (xs : shared array)
+let rep4_lanes (ctx : Ctx.t) enc lanes (xs : shared array)
     (ys : shared array) : shared array =
   let alpha = zero_sharing_lanes ctx enc xs in
   let xv = (Share.concat_many xs).Share.v
@@ -338,12 +343,19 @@ let rep4_lanes (ctx : Ctx.t) enc ~w0 widths (xs : shared array)
       | _ -> assert false
     done
   done;
-  for i = 0 to Array.length xs - 1 do
-    meter_lane ctx i
-      ~bits:(4 * 3 * lane_width widths w0 i * Share.length xs.(i))
-      ~messages:12
-  done;
+  Array.iteri
+    (fun i (w, n) -> meter_lane ctx i ~bits:(4 * 3 * w * n) ~messages:12)
+    lanes;
   split_lanes { Share.enc; v = alpha } xs
+
+(* The protocol's core over lanes metered at [lanes]; no lanes, no round. *)
+let mul_lanes (ctx : Ctx.t) enc lanes xs ys =
+  if Array.length xs = 0 then [||]
+  else
+    match ctx.kind with
+    | Ctx.Sh_dm -> beaver_lanes ctx enc lanes xs ys
+    | Ctx.Sh_hm -> rep3_lanes ctx enc lanes xs ys
+    | Ctx.Mal_hm -> rep4_lanes ctx enc lanes xs ys
 
 (* Debug-mode width-sanity check: an interactive primitive whose width
    defaulted to ell while both operands reconstruct to single-bit vectors
@@ -389,12 +401,7 @@ let mul_checked name enc ?width ?widths (ctx : Ctx.t) (xs : shared array)
   if Debug.enabled () && width = None && widths = None then
     check_width_sane name xs ys;
   let w0 = Option.value width ~default:ctx.ell in
-  if k = 0 then [||]
-  else
-    match ctx.kind with
-    | Ctx.Sh_dm -> beaver_lanes ctx enc ~w0 widths xs ys
-    | Ctx.Sh_hm -> rep3_lanes ctx enc ~w0 widths xs ys
-    | Ctx.Mal_hm -> rep4_lanes ctx enc ~w0 widths xs ys
+  mul_lanes ctx enc (word_lanes ?widths w0 xs) xs ys
 
 (** [mul_many ctx xs ys] multiplies k independent lane pairs (possibly of
     different lengths and widths) in one metered round. *)
@@ -431,14 +438,14 @@ let bor ?width ctx x y =
 (* ------------------------------------------------------------------ *)
 (* Packed single-bit flag lanes                                        *)
 (*                                                                     *)
-(* The same three protocol cores as above, specialized to GF(2) over    *)
-(* packed words ({!Share.flags}): each 63-flag word is one ring element *)
-(* of the boolean sharing, so Beaver triples, zero sharings and daBit   *)
-(* masks are drawn per word — 63x fewer PRG calls and correlation       *)
-(* material — and the local recombination kernels ({!Vec.beaver_bool},  *)
-(* {!Vec.rep3_bool_into}, {!Vec.xor_band_into}) run unchanged over the  *)
-(* word arrays. Metering stays per *element* at width 1, byte-identical *)
-(* to the word primitives at [~width:1].                                *)
+(* A {!Share.flags} is a boolean sharing of its packed words, so the    *)
+(* interactive flag primitives run the word cores above over the word   *)
+(* arrays ({!word_view}, no copy): Beaver triples, zero sharings and    *)
+(* the local GF(2) kernels work per 63-flag word — 63x fewer PRG calls  *)
+(* and correlation material — while each lane is metered per *element* *)
+(* at width 1 ({!flag_lane}), byte-identical to the word primitives at  *)
+(* [~width:1]. Results are rebuilt with {!Bits.of_words}, which clears  *)
+(* the bits past the last flag.                                         *)
 (* ------------------------------------------------------------------ *)
 
 (** Lanewise xor of packed flag sharings (local, linear). *)
@@ -466,108 +473,29 @@ let extract_bit_f (a : shared) k : Share.flags =
   Share.check_enc Bool a;
   { Share.fv = Array.map (fun vk -> Bits.pack_bit vk k) a.Share.v }
 
-(* Packed zero sharing: alpha_k = r_k xor r_{k+1 mod nvec} over packed
-   words — the per-word twin of {!zero_sharing}. *)
-let zero_sharing_f (ctx : Ctx.t) n : Bits.t array =
-  let r = Array.init ctx.nvec (fun _ -> Bits.random ctx.prg n) in
-  let r0 = Bits.copy r.(0) in
-  for k = 0 to ctx.nvec - 1 do
-    let r' = if k = ctx.nvec - 1 then r0 else r.(k + 1) in
-    Bits.xor_into r.(k) r'
-  done;
-  r
+(* Packed flags as the boolean sharing of their words, and its metering. *)
+let word_view (f : Share.flags) : shared =
+  { Share.enc = Bool; v = Array.map Bits.words f.Share.fv }
 
-(* d = x ⊕ t folded across lanes directly on the packed words (the flag
-   twin of {!open_diff}). *)
-let open_diff_f (x : Share.flags) (t : Share.flags) : Vec.t =
-  let out = Vec.zeros (Bits.num_words x.Share.fv.(0)) in
-  for k = 0 to Share.flags_nvec x - 1 do
-    Vec.xor_acc_into out (Bits.words x.Share.fv.(k)) (Bits.words t.Share.fv.(k))
-  done;
-  out
-
-(* One packed AND lane under the protocol cores; [lane] indexes the fused
-   round ({!meter_lane}), and the charges are exactly the unpacked
-   width-1 charges. *)
-let band_f_lane (ctx : Ctx.t) lane (x : Share.flags) (y : Share.flags) :
-    Share.flags =
-  let n = Share.flags_length x in
-  match ctx.kind with
-  | Ctx.Sh_dm ->
-      let { Dealer.fta; ftb; ftc } = Dealer.beaver_flags ctx n in
-      meter_lane ctx lane ~bits:(2 * 2 * n) ~messages:2;
-      let d = open_diff_f x fta and e = open_diff_f y ftb in
-      {
-        Share.fv =
-          Array.init ctx.nvec (fun k ->
-              Bits.of_words n
-                (Vec.beaver_bool
-                   ~tc:(Bits.words ftc.Share.fv.(k))
-                   ~d
-                   ~tb:(Bits.words ftb.Share.fv.(k))
-                   ~e
-                   ~ta:(Bits.words fta.Share.fv.(k))
-                   ~with_de:(k = 0)));
-      }
-  | Ctx.Sh_hm ->
-      let alpha = zero_sharing_f ctx n in
-      for i = 0 to 2 do
-        let j = (i + 1) mod 3 in
-        Vec.rep3_bool_into
-          (Bits.words alpha.(i))
-          ~xi:(Bits.words x.Share.fv.(i))
-          ~yi:(Bits.words y.Share.fv.(i))
-          ~xj:(Bits.words x.Share.fv.(j))
-          ~yj:(Bits.words y.Share.fv.(j));
-      done;
-      meter_lane ctx lane ~bits:(3 * n) ~messages:3;
-      { Share.fv = alpha }
-  | Ctx.Mal_hm ->
-      let alpha = zero_sharing_f ctx n in
-      for i = 0 to 3 do
-        for j = 0 to 3 do
-          let eligible =
-            List.filter (fun p -> p <> i && p <> j) [ 0; 1; 2; 3 ]
-          in
-          match eligible with
-          | assignee :: _ ->
-              if Ctx.tamper_delta ctx ~party:assignee ~op:"mul" <> 0 then
-                raise (Ctx.Abort "mul: cross-term verification failed");
-              Vec.xor_band_into
-                (Bits.words alpha.(assignee))
-                (Bits.words x.Share.fv.(i))
-                (Bits.words y.Share.fv.(j))
-          | _ -> assert false
-        done
-      done;
-      meter_lane ctx lane ~bits:(4 * 3 * n) ~messages:12;
-      { Share.fv = alpha }
+let flag_lane (f : Share.flags) = (1, Share.flags_length f)
 
 (** k independent packed ANDs in one fused round. *)
 let band_f_many (ctx : Ctx.t) (xs : Share.flags array)
     (ys : Share.flags array) : Share.flags array =
   if Array.length ys <> Array.length xs then
     invalid_arg "Mpc.band_f_many: operand arrays differ";
-  for i = 0 to Array.length xs - 1 do
-    Share.check_same_flags_len xs.(i) ys.(i)
-  done;
-  Array.mapi (fun i x -> band_f_lane ctx i x ys.(i)) xs
+  Array.iteri (fun i x -> Share.check_same_flags_len x ys.(i)) xs;
+  let lanes = Array.map flag_lane xs in
+  mul_lanes ctx Bool lanes (Array.map word_view xs) (Array.map word_view ys)
+  |> Array.mapi (fun i (z : shared) ->
+         { Share.fv = Array.map (Bits.of_words (snd lanes.(i))) z.Share.v })
 
 (** Secure AND of packed flag sharings — one round, width-1 charges. *)
 let band_f (ctx : Ctx.t) (x : Share.flags) (y : Share.flags) : Share.flags =
   (band_f_many ctx [| x |] [| y |]).(0)
 
-(** OR over packed flags: x ⊕ y ⊕ (x ∧ y), one packed AND plus a fused
-    lanewise xor3 over the words. *)
-let bor_f (ctx : Ctx.t) (x : Share.flags) (y : Share.flags) : Share.flags =
-  let z = band_f ctx x y in
-  {
-    Share.fv =
-      Array.init (Share.flags_nvec x) (fun k ->
-          Bits.xor3 x.Share.fv.(k) y.Share.fv.(k) z.Share.fv.(k));
-  }
-
-(** k independent packed ORs in one fused round. *)
+(** k independent packed ORs in one fused round: x ⊕ y ⊕ (x ∧ y), one
+    fused packed AND plus a lanewise xor3 over the words. *)
 let bor_f_many (ctx : Ctx.t) (xs : Share.flags array) (ys : Share.flags array)
     : Share.flags array =
   let zs = band_f_many ctx xs ys in
@@ -580,31 +508,17 @@ let bor_f_many (ctx : Ctx.t) (xs : Share.flags array) (ys : Share.flags array)
       })
     zs
 
-(** Packed mux over flag-valued columns: [b ? y : x] = x ⊕ (b ∧ (x⊕y)) —
-    one packed AND round. *)
-let mux_f (ctx : Ctx.t) (b : Share.flags) (x : Share.flags)
-    (y : Share.flags) : Share.flags =
-  xor_f x (band_f ctx b (xor_f x y))
-
 (** Open several packed flag sharings in one fused round; each lane is
     metered exactly like [open_ ~width:1]. *)
 let open_f_many (ctx : Ctx.t) (fs : Share.flags array) : Bits.t array =
-  let outs = Array.map Share.reconstruct_flags fs in
-  for i = 0 to Array.length fs - 1 do
-    meter_open_lane ctx i ~w:1 ~n:(Share.flags_length fs.(i))
-  done;
-  outs
+  let lanes = Array.map flag_lane fs in
+  Array.map2
+    (fun (_, n) v -> Bits.of_words n v)
+    lanes
+    (open_lanes ctx lanes (Array.map word_view fs))
 
 (** Open a packed flag sharing: a one-lane {!open_f_many}. *)
 let open_f (ctx : Ctx.t) (f : Share.flags) : Bits.t = (open_f_many ctx [| f |]).(0)
-
-(** Rerandomize packed flag lanes without changing the secret (traffic
-    metered by the caller, like {!reshare_unmetered}) — zero-sharing noise
-    drawn per word. *)
-let reshare_flags_unmetered (ctx : Ctx.t) (f : Share.flags) : Share.flags =
-  let alpha = zero_sharing_f ctx (Share.flags_length f) in
-  Array.iteri (fun k bk -> Bits.xor_into alpha.(k) bk) f.Share.fv;
-  { Share.fv = alpha }
 
 (** AND of two known-single-bit boolean sharings (flags in the LSB),
     routed through the packed kernel: identical value and traffic to

@@ -114,12 +114,12 @@ val bor_many :
 
 (** {2 Packed single-bit flag lanes}
 
-    The flag-typed twins of the boolean primitives, operating on
-    {!Share.flags} (63 flags per word, {!Orq_util.Bits}). Interactive ones
-    draw their correlated randomness per packed *word* instead of per
-    element and run the local GF(2) kernels over the word arrays, while
-    metering stays per element at width 1 — byte-identical to the word
-    primitives at [~width:1]. *)
+    Boolean primitives over {!Share.flags} (63 flags per word,
+    {!Orq_util.Bits}). A packed sharing is a boolean sharing of its words,
+    so the interactive ones run the word protocol cores over the word
+    arrays: correlated randomness is drawn per packed *word* instead of
+    per element, while each lane is metered per element at width 1 —
+    byte-identical to the word primitives at [~width:1]. *)
 
 val xor_f : Share.flags -> Share.flags -> Share.flags
 (** Lanewise xor (local, linear). *)
@@ -132,31 +132,23 @@ val extract_bit_f : shared -> int -> Share.flags
     packed lanes — fused {!extract_bit} + {!Share.pack_flags}. *)
 
 val band_f : Ctx.t -> Share.flags -> Share.flags -> Share.flags
-(** Secure AND over packed flags: one round, width-1 element charges,
-    per-word Beaver/replicated randomness. *)
+(** Secure AND over packed flags: the protocol's word AND core over the
+    packed words — one round, width-1 element charges, per-word
+    Beaver/replicated randomness. *)
 
 val band_f_many :
   Ctx.t -> Share.flags array -> Share.flags array -> Share.flags array
 (** k independent packed ANDs in one fused round. *)
-
-val bor_f : Ctx.t -> Share.flags -> Share.flags -> Share.flags
 
 val bor_f_many :
   Ctx.t -> Share.flags array -> Share.flags array -> Share.flags array
 (** k independent packed ORs in one fused round (fused AND + local
     xor3). *)
 
-val mux_f : Ctx.t -> Share.flags -> Share.flags -> Share.flags -> Share.flags
-(** [mux_f ctx b x y]: flagwise [b ? y : x] in one packed AND round. *)
-
 val open_f : Ctx.t -> Share.flags -> Orq_util.Bits.t
 (** Open packed flags; metered exactly like [open_ ~width:1]. *)
 
 val open_f_many : Ctx.t -> Share.flags array -> Orq_util.Bits.t array
-
-val reshare_flags_unmetered : Ctx.t -> Share.flags -> Share.flags
-(** Rerandomize packed lanes (zero-sharing noise per word); traffic is
-    metered by the caller, like {!reshare_unmetered}. *)
 
 val band1 : Ctx.t -> shared -> shared -> shared
 (** AND of two known-single-bit boolean sharings routed through the packed

@@ -223,8 +223,6 @@ let flags_concat_many (fs : flags array) : flags =
               Bits.concat_many (Array.map (fun f -> f.fv.(k)) fs));
       }
 
-let flags_scatter f idx = { fv = Array.map (fun bk -> Bits.scatter bk idx) f.fv }
-
 (** [update_rows dst idx src] returns [dst] with row [idx.(t)] replaced by
     row [t] of [src] (a local rearrangement under public indices, as used by
     sorting-network compare-exchange writebacks). *)

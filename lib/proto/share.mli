@@ -100,7 +100,6 @@ val share_flags : Ctx.t -> Orq_util.Bits.t -> flags
 (** Secret-share a packed bit vector with per-word mask draws. *)
 
 val flags_concat_many : flags array -> flags
-val flags_scatter : flags -> int array -> flags
 
 (** {2 Chunked sharings}
 

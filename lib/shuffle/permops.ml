@@ -77,29 +77,6 @@ let apply_elementwise_table (ctx : Ctx.t) (cols : (Share.chunked * int) list)
           out)
         cs
 
-(** Protocol 5 for a packed flag column: the data being permuted is a
-    single bit per row, so the first sharded application moves packed
-    words ({!Shardedperm.apply_flags}) and the final local rearrangement
-    is a packed scatter. Wire cost identical to [apply_elementwise_table]
-    on the unpacked 0/1 column at width 1. *)
-let apply_elementwise_flags (ctx : Ctx.t) (x : Share.flags)
-    (rho : Share.shared) : Share.flags =
-  let n = Share.flags_length x in
-  if Share.length rho <> n then invalid_arg "apply_elementwise: length";
-  Ctx.with_label ctx "applyperm" @@ fun () ->
-  let p1, p2 = Permmgr.gen_pair ctx n in
-  let pair =
-    Mpc.fuse_rounds ctx
-      [|
-        (fun () -> `F (Shardedperm.apply_flags ctx x p1));
-        (fun () -> `S (apply_index ctx p2 rho));
-      |]
-  in
-  let xf = match pair.(0) with `F f -> f | `S _ -> assert false in
-  let rs = match pair.(1) with `S s -> s | `F _ -> assert false in
-  let c = Mpc.open_ ~width:(perm_width ctx) ctx rs in
-  Share.flags_scatter xf c
-
 (** Protocol 6: compose two secret elementwise permutations, returning
     [rho o sigma] (apply [sigma] first). *)
 let compose (ctx : Ctx.t) (sigma : Share.shared) (rho : Share.shared) :

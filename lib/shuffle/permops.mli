@@ -28,12 +28,6 @@ val apply_elementwise_table :
     [ctx.perm_bits]. The data columns stream; the index column [rho] is
     whole. *)
 
-val apply_elementwise_flags :
-  Ctx.t -> Share.flags -> Share.shared -> Share.flags
-(** Protocol 5 for a packed flag column — the single-bit payload moves as
-    packed words; wire cost identical to {!apply_elementwise_table} on
-    the unpacked column at width 1. *)
-
 val compose : Ctx.t -> Share.shared -> Share.shared -> Share.shared
 (** Protocol 6: [compose sigma rho] = [rho ∘ sigma] (apply [sigma] first). *)
 

@@ -110,33 +110,6 @@ let fold_components (ctx : Ctx.t) (c : Share.chunked) (t : t) ~inverse ~mask =
         apply_component ctx acc p ~inverse:false ~owned:(acc != c) ~mask)
       c t.components
 
-(* Packed-lane form of [apply_component]: the local permutation moves
-   flags bit-granularly inside the packed words and the rerandomization
-   noise is drawn per word. *)
-let apply_flags_component (ctx : Ctx.t) (f : Share.flags) (p : int array) =
-  let f =
-    { Share.fv = Array.map (fun bk -> Orq_util.Bits.scatter bk p) f.Share.fv }
-  in
-  (match ctx.kind with
-  | Ctx.Mal_hm ->
-      for party = 0 to ctx.parties - 1 do
-        if Ctx.tamper_delta ctx ~party ~op:"shuffle" <> 0 then
-          raise (Ctx.Abort "shuffle: reshare verification failed")
-      done
-  | Ctx.Sh_dm | Ctx.Sh_hm -> ());
-  Mpc.reshare_flags_unmetered ctx f
-
-(** Apply a sharded permutation to a packed flag sharing — the flags move
-    as single bits on the wire, so the metered cost is {!apply_cost} at
-    width 1, identical to permuting the unpacked 0/1 column. *)
-let apply_flags (ctx : Ctx.t) (f : Share.flags) (t : t) : Share.flags =
-  if Share.flags_length f <> t.n then
-    invalid_arg "Shardedperm.apply_flags: length";
-  let bits, rounds, messages = apply_cost ctx ~w:1 t.n in
-  Comm.round ctx.comm ~bits ~messages;
-  Comm.rounds_only ctx.comm (rounds - 1);
-  Array.fold_left (fun acc p -> apply_flags_component ctx acc p) f t.components
-
 (* The share bits a party keeps of column [pos] received at width [w]: a
    boolean column narrower than the word keeps its low [w] bits. An
    arithmetic column travels at [ctx.ell] — its shares cannot be reduced

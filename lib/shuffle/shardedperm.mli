@@ -53,7 +53,3 @@ val apply :
     ({!Share.wrap}ped) vector is one chunk. Metering is charged once at
     the logical-vector level, whatever the chunking. *)
 
-val apply_flags : Ctx.t -> Share.flags -> t -> Share.flags
-(** Apply to a packed flag sharing: the flags travel as single bits
-    (width-1 {!apply_cost}), the local permutes and resharing noise run
-    over packed words. *)

@@ -29,7 +29,12 @@ let sort_with_perm (ctx : Ctx.t) ~bits ?(skip = 0) ?(dir = Asc)
     let b =
       match !sigma with
       | None -> b
-      | Some s -> Permops.apply_elementwise_flags ctx b s
+      | Some s -> (
+          (* the bit travels as a 0/1 column at width 1 *)
+          let col = (Share.wrap (Share.unpack_flags b), 1) in
+          match Permops.apply_elementwise_table ctx [ col ] s with
+          | [ c ] -> Share.pack_flags (Share.unpark c)
+          | _ -> assert false)
     in
     let si = Genbitperm.gen_digit ctx [| b |] in
     sigma :=

@@ -27,7 +27,6 @@ let words_for n = (n + bpw - 1) / bpw
 
 let length t = t.n
 let words t = t.w
-let num_words t = Array.length t.w
 
 let create n =
   if n < 0 then invalid_arg "Bits.create: negative length";

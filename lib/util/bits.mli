@@ -14,7 +14,6 @@ val bpw : int
 
 val length : t -> int
 val words : t -> int array
-val num_words : t -> int
 val of_words : int -> int array -> t
 (** Wrap a raw word array (takes ownership; tail re-masked to canonical
     form). The array must have exactly ⌈n / bpw⌉ words. *)

@@ -29,3 +29,7 @@ let leak_count ctx xs =
    workers would race on the shared communication schedule. *)
 let leak_parallel ctx x y =
   Parallel.run_tasks 4 (fun _ -> ignore (Mpc.mul ctx x y))
+
+(* Rule 3 again, through a fused packed AND. *)
+let leak_parallel_flags ctx xs ys =
+  Parallel.run_tasks 4 (fun _ -> ignore (Mpc.band_f_many ctx xs ys))

@@ -160,26 +160,19 @@ let test_primitives_packed_eq_unpacked () =
             ~packed:(fun ctx ->
               let x = Share.pack_flags (share_bits ctx n 1) in
               let y = Share.pack_flags (share_bits ctx n 2) in
-              let b = Share.pack_flags (share_bits ctx n 3) in
               let band = Mpc.band_f ctx x y in
-              let bor = Mpc.bor_f ctx x y in
               let bxor = Mpc.xor_f x y in
               let bnot = Mpc.bnot_f x in
-              let mux = Mpc.mux_f ctx b x y in
               let opened = Mpc.open_f ctx band in
-              flag_values [ band; bor; bxor; bnot; mux ] @ [ Bits.unpack opened ])
+              flag_values [ band; bxor; bnot ] @ [ Bits.unpack opened ])
             ~word:(fun ctx ->
               let x = share_bits ctx n 1 in
               let y = share_bits ctx n 2 in
-              let b = share_bits ctx n 3 in
               let band = Mpc.band ~width:1 ctx x y in
-              let bor = Mpc.bor ~width:1 ctx x y in
               let bxor = Mpc.xor x y in
               let bnot = Mpc.xor_pub x 1 in
-              let mux = Mpc.xor x (Mpc.band ~width:1 ctx b (Mpc.xor x y)) in
               let opened = Mpc.open_ ~width:1 ctx band in
-              List.map Share.reconstruct [ band; bor; bxor; bnot; mux ]
-              @ [ opened ]))
+              List.map Share.reconstruct [ band; bxor; bnot ] @ [ opened ]))
         [ 1; 63; 64; 65; 200 ])
     kinds
 

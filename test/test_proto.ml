@@ -189,11 +189,11 @@ let test_sum_prefix () =
 
 let test_beaver_triple () =
   for_all_kinds (fun ctx ->
-      let { Dealer.ta; tb; tc } = Dealer.beaver ctx Share.Arith 25 in
+      let { Dealer.ta; tb; tc } = Dealer.beaver ctx Share.Arith ~elems:25 25 in
       Alcotest.(check vec_testable) "c = a*b"
         (Vec.mul (Share.reconstruct ta) (Share.reconstruct tb))
         (Share.reconstruct tc);
-      let { Dealer.ta; tb; tc } = Dealer.beaver ctx Share.Bool 25 in
+      let { Dealer.ta; tb; tc } = Dealer.beaver ctx Share.Bool ~elems:25 25 in
       Alcotest.(check vec_testable) "c = a&b"
         (Vec.band (Share.reconstruct ta) (Share.reconstruct tb))
         (Share.reconstruct tc))
@@ -215,7 +215,7 @@ let test_edabits () =
 let test_preproc_metered_separately () =
   let ctx = Ctx.create Ctx.Sh_dm in
   let before_on = Orq_net.Comm.snapshot ctx.Ctx.comm in
-  ignore (Dealer.beaver ctx Share.Arith 10);
+  ignore (Dealer.beaver ctx Share.Arith ~elems:10 10);
   let on = Orq_net.Comm.since ctx.Ctx.comm before_on in
   Alcotest.(check int) "dealer does not touch online counter" 0
     on.Orq_net.Comm.t_bits;
@@ -224,15 +224,35 @@ let test_preproc_metered_separately () =
 
 (* ---------------- malicious abort ---------------- *)
 
+(* Packed flag lanes of 1, 63 and 130 flags: a partial word, an exact
+   word and a multi-word lane. *)
+let flag_lanes ctx =
+  Array.map
+    (fun n -> Share.pack_flags (Mpc.share_b ctx (Array.init n (fun i -> i land 1))))
+    [| 1; 63; 130 |]
+
+(* Every multiplication form the tamper tests drive: a word mul, a packed
+   AND and a 3-lane fused packed AND. *)
+let tamper_calls ctx =
+  let x = Mpc.share_a ctx [| 1; 2; 3 |] in
+  let fs = flag_lanes ctx in
+  [
+    ("mul", fun () -> ignore (Mpc.mul ctx x x));
+    ("band_f", fun () -> ignore (Mpc.band_f ctx fs.(2) fs.(2)));
+    ("band_f_many 3 lanes", fun () -> ignore (Mpc.band_f_many ctx fs fs));
+  ]
+
 let test_malicious_abort_mul () =
   let ctx = Ctx.create Ctx.Mal_hm in
-  let x = Mpc.share_a ctx [| 1; 2; 3 |] in
   let tampered ~party ~op =
     if party = 2 && op = "mul" then Some 99 else None
   in
-  Alcotest.check_raises "tampered mul aborts"
-    (Ctx.Abort "mul: cross-term verification failed") (fun () ->
-      Ctx.with_tamper ctx tampered (fun () -> ignore (Mpc.mul ctx x x)))
+  List.iter
+    (fun (name, call) ->
+      Alcotest.check_raises ("tampered " ^ name ^ " aborts")
+        (Ctx.Abort "mul: cross-term verification failed") (fun () ->
+          Ctx.with_tamper ctx tampered call))
+    (tamper_calls ctx)
 
 let test_malicious_abort_open () =
   let ctx = Ctx.create Ctx.Mal_hm in
@@ -247,9 +267,10 @@ let test_semi_honest_no_detection () =
   List.iter
     (fun k ->
       let ctx = Ctx.create k in
-      let x = Mpc.share_a ctx [| 1; 2 |] in
       let tampered ~party:_ ~op:_ = Some 1 in
-      Ctx.with_tamper ctx tampered (fun () -> ignore (Mpc.mul ctx x x)))
+      List.iter
+        (fun (_, call) -> Ctx.with_tamper ctx tampered call)
+        (tamper_calls ctx))
     [ Ctx.Sh_dm; Ctx.Sh_hm ]
 
 
@@ -335,10 +356,24 @@ let golden_ops : (string * (Ctx.t -> int array list)) list =
         let l = [| lane 9; lane 1; lane 30 |] in
         Mpc.mul_many ~widths:[| 64; 7; 33 |] ctx (Array.map fst l) (Array.map snd l)
         |> Array.to_list |> List.concat_map shares_of );
+    ( "band_f_many + open_f_many lanes 1/63/130",
+      fun ctx ->
+        let lane n =
+          ( Share.pack_flags (Mpc.share_b ctx (bits ctx n)),
+            Share.pack_flags (Mpc.share_b ctx (bits ctx n)) )
+        in
+        let l = [| lane 1; lane 63; lane 130 |] in
+        let zs = Mpc.band_f_many ctx (Array.map fst l) (Array.map snd l) in
+        List.concat_map flag_shares_of (Array.to_list zs)
+        @ Array.to_list (Array.map Bits.words (Mpc.open_f_many ctx zs)) );
   ]
 
 (* Recorded from the dedicated single-lane protocol cores these one-lane
-   calls replaced; they must never move. *)
+   calls replaced; they must never move. The multi-lane packed op's SH-DM
+   and SH-HM digests were recorded from the separate packed-flag AND core
+   and did not move when packed ANDs joined the word cores; its Mal-HM
+   digest is the fused core's, which verifies each cross term once per
+   round (28 tamper-hook queries, not one set of 16 per lane). *)
 let golden =
   [
     ("SH-DM", "mul", "0c9e26f95794c5809d3b9b3e5bcc6593");
@@ -347,18 +382,21 @@ let golden =
     ("SH-DM", "open_", "7bb6e3dff6f0f90b9a7d7f563c7f8849");
     ("SH-DM", "open_f", "50217734fc393ae729169dc12383b4e0");
     ("SH-DM", "mul_many 3 lanes", "e24eba1aa0c8169d347900665a12757d");
+    ("SH-DM", "band_f_many + open_f_many lanes 1/63/130", "41cd376a1839f2db778c57c4a513c520");
     ("SH-HM", "mul", "b0b1027b4676867722ea99266aa530de");
     ("SH-HM", "band ~width:8", "564bbfd51fabc5bf5ef5cb60afbbcbe7");
     ("SH-HM", "band_f n=130", "5f2ff2b1180d1dfdc75612a813d3905b");
     ("SH-HM", "open_", "e2264d3a9bfe0c43326fb21c65d4fa84");
     ("SH-HM", "open_f", "86390b2b8cfa5c9cb249b84e75040501");
     ("SH-HM", "mul_many 3 lanes", "8faf911a1b2aaa8e705d321822d1b607");
+    ("SH-HM", "band_f_many + open_f_many lanes 1/63/130", "d3a36a356f81560d221e6d27709a566c");
     ("Mal-HM", "mul", "1c886b6a8fcbb130ea9bc5dac07e2910");
     ("Mal-HM", "band ~width:8", "a3166fe33d9a13e302d27dc23b803d2e");
     ("Mal-HM", "band_f n=130", "51cf3514c6335cc778297f96bd11b187");
     ("Mal-HM", "open_", "292379db8a51b39acab47aaa28864904");
     ("Mal-HM", "open_f", "0b2569748266d303cb3234e64dcdd9ff");
     ("Mal-HM", "mul_many 3 lanes", "0e776a36508a88dc2c834fcd886c85dc");
+    ("Mal-HM", "band_f_many + open_f_many lanes 1/63/130", "4c30ca198520bd78beefc4e3cc34c295");
   ]
 
 let test_golden_digests () =
