@@ -12,7 +12,7 @@
        perturb the oblivious execution;
      - wire: the measured on-the-wire traffic (summed over parties) must
        equal the metered Comm tally exactly — bits and messages as
-       counted, physical exchanges = metered rounds + fusion refunds.
+       counted, physical exchanges = metered rounds.
 
    Wall-clock per query is recorded against the Netsim LAN estimate
    (loopback has negligible latency, so wall sits far below the modeled
@@ -86,7 +86,6 @@ type row = {
   x_bits : int;
   x_msgs : int;
   x_exchanges : int;
-  x_refunds : int;
   x_payload_bytes : int;
   x_frames : int;
   x_wall_s : float;
@@ -138,18 +137,17 @@ let bench_proto proto suite : row list =
       let wire_ok =
         s.Wire.n_bits = tally.Comm.t_bits
         && s.Wire.n_messages = tally.Comm.t_messages
-        && s.Wire.n_exchanges - s.Wire.n_refunds = tally.Comm.t_rounds
+        && s.Wire.n_exchanges = tally.Comm.t_rounds
         && s.Wire.n_parties = Ctx.parties_of proto
       in
       if not wire_ok then
         Printf.printf
           "   MISMATCH wire: %s\n\
-          \     measured bits=%d msgs=%d exch=%d-%d | metered bits=%d \
-           msgs=%d rounds=%d\n\
+          \     measured bits=%d msgs=%d exch=%d | metered bits=%d msgs=%d \
+           rounds=%d\n\
            %!"
           sql s.Wire.n_bits s.Wire.n_messages s.Wire.n_exchanges
-          s.Wire.n_refunds tally.Comm.t_bits tally.Comm.t_messages
-          tally.Comm.t_rounds;
+          tally.Comm.t_bits tally.Comm.t_messages tally.Comm.t_rounds;
       Printf.printf
         "   %-9s %-36s %6d rounds %10.1f KiB wire  %.3fs wall (LAN est \
          %.3fs)%s\n\
@@ -167,7 +165,6 @@ let bench_proto proto suite : row list =
         x_bits = tally.Comm.t_bits;
         x_msgs = tally.Comm.t_messages;
         x_exchanges = s.Wire.n_exchanges;
-        x_refunds = s.Wire.n_refunds;
         x_payload_bytes = s.Wire.n_payload_bytes;
         x_frames = s.Wire.n_frames;
         x_wall_s = wall;
@@ -203,20 +200,18 @@ let () =
      process per party, full mesh, one framed message per metered round. \
      result_identical = cluster response byte-identical to the in-process \
      simulation; wire_identical = measured on-the-wire bits/messages equal \
-     the Comm tally and physical exchanges = metered rounds + fusion \
-     refunds. wall_s is loopback wall-clock; lan_est_s is the Netsim model \
-     at LAN latency.\",\n";
+     the Comm tally and physical exchanges = metered rounds. wall_s is \
+     loopback wall-clock; lan_est_s is the Netsim model at LAN latency.\",\n";
   pf "  \"results\": [\n";
   List.iteri
     (fun i r ->
       pf
         "    {\"proto\": %S, \"sql\": %S, \"rounds\": %d, \"bits\": %d, \
-         \"messages\": %d, \"exchanges\": %d, \"refunds\": %d, \
-         \"payload_bytes\": %d, \"frames\": %d, \"wall_s\": %.4f, \
-         \"lan_est_s\": %.4f, \"result_identical\": %b, \
-         \"wire_identical\": %b}%s\n"
+         \"messages\": %d, \"exchanges\": %d, \"payload_bytes\": %d, \
+         \"frames\": %d, \"wall_s\": %.4f, \"lan_est_s\": %.4f, \
+         \"result_identical\": %b, \"wire_identical\": %b}%s\n"
         r.x_proto r.x_sql r.x_rounds r.x_bits r.x_msgs r.x_exchanges
-        r.x_refunds r.x_payload_bytes r.x_frames r.x_wall_s r.x_lan_s
+        r.x_payload_bytes r.x_frames r.x_wall_s r.x_lan_s
         r.x_result_ok r.x_wire_ok
         (if i = List.length rows - 1 then "" else ","))
     rows;

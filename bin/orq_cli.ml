@@ -293,9 +293,9 @@ let print_result label (r : Wire.query_result) =
 
 let print_net_stats (s : Wire.net_stats) =
   Printf.printf
-    "wire: %d parties | %d exchanges (%d refunded) | %.2f MiB measured \
-     payload | %d messages | %d frames | %.3fs wall\n"
-    s.Wire.n_parties s.Wire.n_exchanges s.Wire.n_refunds
+    "wire: %d parties | %d exchanges | %.2f MiB measured payload | %d \
+     messages | %d frames | %.3fs wall\n"
+    s.Wire.n_parties s.Wire.n_exchanges
     (float_of_int s.Wire.n_payload_bytes /. 1024. /. 1024.)
     s.Wire.n_messages s.Wire.n_frames s.Wire.n_wall_s
 

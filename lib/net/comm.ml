@@ -21,18 +21,19 @@
     executions are observably identical iff their transcripts are
     event-for-event equal, which is the property the obliviousness tests and
     the {!Orq_analysis.Certify} gate check. Recording is off by default and
-    costs one [match] per metering call when off. *)
+    costs one [match] per metering call when off. {!fuse} is the only code
+    that knows about round fusion: it buffers parallel tracks' events and
+    emits them merged round by round. *)
 
 type ev_op =
   | Round  (** one communication round carrying payload *)
   | Traffic  (** payload piggybacking on the current round *)
   | Barrier  (** payload-free extra rounds (lockstep barrier) *)
-  | Refund  (** rounds retracted by the fusion layer *)
 
 type event = {
   ev_op : ev_op;
   ev_label : string;  (** operator-label stack, outermost first, "/"-joined *)
-  ev_rounds : int;  (** signed round delta of this event *)
+  ev_rounds : int;  (** rounds this event adds (never negative) *)
   ev_bits : int;
   ev_messages : int;
 }
@@ -54,11 +55,10 @@ type recorder = {
    actual bytes cross actual sockets with exactly the metered shape:
    [ch_round] opens a new on-the-wire exchange carrying [bits]/[messages],
    [ch_traffic] batches more payload into the current exchange,
-   [ch_barrier] performs payload-free lockstep exchanges, and [ch_refund]
-   notes rounds retracted by the fusion layer (the sequential execution
-   still exchanged them physically; the accounting records the overlap a
-   concurrent deployment would achieve). Hooks run after the counters
-   update, on the metering (execution) thread. *)
+   and [ch_barrier] performs payload-free lockstep exchanges. [ch_refund]
+   is retired: fusion merges rounds before they reach the channel, so it
+   is never called. Hooks run after the counters update, on the metering
+   (execution) thread. *)
 type channel = {
   ch_round : bits:int -> messages:int -> unit;
   ch_traffic : bits:int -> messages:int -> unit;
@@ -73,6 +73,8 @@ type t = {
   mutable messages : int;  (** number of (batched) point-to-point sends *)
   mutable recorder : recorder option;
   mutable channel : channel option;
+  mutable tracks : event list list;
+      (** open {!fuse} buffers, innermost first; each newest event first *)
 }
 
 type tally = { t_rounds : int; t_bits : int; t_messages : int }
@@ -85,6 +87,7 @@ let create ~parties =
     messages = 0;
     recorder = None;
     channel = None;
+    tracks = [];
   }
 
 let set_channel t ch = t.channel <- ch
@@ -154,25 +157,14 @@ let pop_label t =
 
 let current_label t = match t.recorder with None -> "" | Some r -> r.joined
 
-let record t ev_op ~rounds ~bits ~messages =
-  match t.recorder with
-  | None -> ()
-  | Some r ->
-      r.buf.(r.pos land (r.cap - 1)) <-
-        {
-          ev_op;
-          ev_label = r.joined;
-          ev_rounds = rounds;
-          ev_bits = bits;
-          ev_messages = messages;
-        };
-      r.pos <- r.pos + 1
+let store r ev =
+  r.buf.(r.pos land (r.cap - 1)) <- ev;
+  r.pos <- r.pos + 1
 
 let op_label = function
   | Round -> "round"
   | Traffic -> "traffic"
   | Barrier -> "barrier"
-  | Refund -> "refund"
 
 let pp_event ppf (e : event) =
   Fmt.pf ppf "[%s] %s r=%+d bits=%d msgs=%d"
@@ -199,9 +191,8 @@ let transcript_diff (a : event array) (b : event array) :
 (* Metering                                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* ORQ_DEBUG_CHECKS invariants: metered quantities are counts — they can
-   never go negative, and a fusion refund can never exceed the rounds
-   actually recorded. Checked only under {!Orq_util.Debug.enabled} (the
+(* ORQ_DEBUG_CHECKS invariant: metered quantities are counts — they can
+   never go negative. Checked only under {!Orq_util.Debug.enabled} (the
    checks are branches on every metering call). *)
 let check_args op ~bits ~messages =
   if Orq_util.Debug.enabled () && (bits < 0 || messages < 0) then
@@ -209,56 +200,135 @@ let check_args op ~bits ~messages =
       (Printf.sprintf "Comm.%s: negative traffic (bits=%d messages=%d)" op bits
          messages)
 
+(* The channel runs with [ev]'s own label current, so a label-keyed
+   channel attributes a merged event as if it were unfused. *)
+let fire t ch ev =
+  let hook () =
+    match ev.ev_op with
+    | Round -> ch.ch_round ~bits:ev.ev_bits ~messages:ev.ev_messages
+    | Traffic -> ch.ch_traffic ~bits:ev.ev_bits ~messages:ev.ev_messages
+    | Barrier -> ch.ch_barrier ev.ev_rounds
+  in
+  match t.recorder with
+  | Some r when r.joined != ev.ev_label ->
+      let saved = r.joined in
+      r.joined <- ev.ev_label;
+      Fun.protect ~finally:(fun () -> r.joined <- saved) hook
+  | _ -> hook ()
+
+(* Inside a {!fuse} track an event joins the track's buffer; outside, it
+   reaches the counters, the recorder and the channel. *)
+let put t ev =
+  match t.tracks with
+  | buf :: outer -> t.tracks <- (ev :: buf) :: outer
+  | [] -> (
+      t.rounds <- t.rounds + ev.ev_rounds;
+      t.bits <- t.bits + ev.ev_bits;
+      t.messages <- t.messages + ev.ev_messages;
+      Option.iter (fun r -> store r ev) t.recorder;
+      match t.channel with None -> () | Some ch -> fire t ch ev)
+
+let meter t ev_op ev_rounds ev_bits ev_messages =
+  put t { ev_op; ev_label = current_label t; ev_rounds; ev_bits; ev_messages }
+
 (** [round t ~bits ~messages] records one communication round in which the
     parties collectively send [bits] bits in [messages] point-to-point
     messages. *)
 let round t ~bits ~messages =
   check_args "round" ~bits ~messages;
-  t.rounds <- t.rounds + 1;
-  t.bits <- t.bits + bits;
-  t.messages <- t.messages + messages;
-  record t Round ~rounds:1 ~bits ~messages;
-  match t.channel with
-  | None -> ()
-  | Some ch -> ch.ch_round ~bits ~messages
+  meter t Round 1 bits messages
 
 (** [traffic t ~bits ~messages] records traffic that piggybacks on an
     already-counted round (the vectorized-batching case). *)
 let traffic t ~bits ~messages =
   check_args "traffic" ~bits ~messages;
-  t.bits <- t.bits + bits;
-  t.messages <- t.messages + messages;
-  record t Traffic ~rounds:0 ~bits ~messages;
-  match t.channel with
-  | None -> ()
-  | Some ch -> ch.ch_traffic ~bits ~messages
+  meter t Traffic 0 bits messages
 
 (** [rounds_only t k] records [k] extra rounds with no new payload, e.g. a
     barrier or an empty acknowledgement. *)
 let rounds_only t k =
   if Orq_util.Debug.enabled () && k < 0 then
     invalid_arg (Printf.sprintf "Comm.rounds_only: negative count %d" k);
-  t.rounds <- t.rounds + k;
-  if k <> 0 then begin
-    record t Barrier ~rounds:k ~bits:0 ~messages:0;
-    match t.channel with None -> () | Some ch -> ch.ch_barrier k
-  end
+  if k <> 0 then meter t Barrier k 0 0
 
-(** [refund_rounds t k] retracts [k] already-counted rounds. Used by the
-    round-fusion layer after running independent operation tracks
-    sequentially: the tracks' traffic stands, but their rounds overlap in a
-    real deployment, so the total is lowered to the longest track. *)
-let refund_rounds t k =
-  if Orq_util.Debug.enabled () && (k < 0 || k > t.rounds) then
-    invalid_arg
-      (Printf.sprintf
-         "Comm.refund_rounds: refund of %d exceeds the %d recorded rounds" k
-         t.rounds);
-  t.rounds <- t.rounds - k;
-  if k <> 0 then begin
-    record t Refund ~rounds:(-k) ~bits:0 ~messages:0;
-    match t.channel with None -> () | Some ch -> ch.ch_refund k
-  end
+(* A track's buffer (newest first) cut into rounds: slot 0 is the traffic
+   before its first round, slot i >= 1 its round i, headed by a Round or
+   a one-round Barrier event. *)
+let slots_of buf =
+  let slots = ref [] and cur = ref [] in
+  let open_slot e =
+    slots := List.rev !cur :: !slots;
+    cur := [ e ]
+  in
+  List.iter
+    (fun e ->
+      match e.ev_op with
+      | Traffic -> cur := e :: !cur
+      | Round -> open_slot e
+      | Barrier ->
+          for _ = 1 to e.ev_rounds do
+            open_slot { e with ev_rounds = 1 }
+          done)
+    (List.rev buf);
+  Array.of_list (List.rev (List.rev !cur :: !slots))
+
+(* Emit the tracks' slots merged: slot 0 rides the enclosing round; in
+   round i the first track with payload opens the round and every other
+   payload piggybacks under its own label; a round with no payload in any
+   track is a barrier, and consecutive barriers coalesce. *)
+let merge t bufs =
+  let slots = List.map slots_of bufs in
+  let depth = List.fold_left (fun d s -> max d (Array.length s)) 0 slots in
+  let barrier = ref None in
+  let flush () =
+    Option.iter (put t) !barrier;
+    barrier := None
+  in
+  for i = 0 to depth - 1 do
+    let evs =
+      List.concat_map (fun s -> if i < Array.length s then s.(i) else []) slots
+    in
+    let opener = List.find_opt (fun e -> e.ev_op = Round) evs in
+    (match (opener, !barrier) with
+    | Some e, _ ->
+        flush ();
+        put t e
+    | None, Some b -> barrier := Some { b with ev_rounds = b.ev_rounds + 1 }
+    | None, None -> barrier := List.find_opt (fun e -> e.ev_op = Barrier) evs);
+    List.iter
+      (fun e ->
+        match (e.ev_op, opener) with
+        | Barrier, _ -> ()
+        | Round, Some o when o == e -> ()
+        | _ ->
+            flush ();
+            put t { e with ev_op = Traffic; ev_rounds = 0 })
+      evs
+  done;
+  flush ()
+
+let fuse t tracks =
+  let bufs = ref [] in
+  let run f =
+    t.tracks <- [] :: t.tracks;
+    let pop () =
+      bufs := List.hd t.tracks :: !bufs;
+      t.tracks <- List.tl t.tracks
+    in
+    match f () with
+    | r ->
+        pop ();
+        r
+    | exception e ->
+        (* emit what was buffered, unmerged, so the meter stays live *)
+        let bt = Printexc.get_raw_backtrace () in
+        pop ();
+        List.iter (put t) (List.rev (List.concat !bufs));
+        Printexc.raise_with_backtrace e bt
+  in
+  let res = Array.map run tracks in
+  merge t (List.rev !bufs);
+  res
 
 let snapshot t = { t_rounds = t.rounds; t_bits = t.bits; t_messages = t.messages }
 

@@ -11,18 +11,18 @@
     the operator-label stack active when it fired. Two executions are
     observably identical iff their transcripts are event-for-event equal —
     the property the obliviousness tests and the certifier check.
-    Recording is off by default and costs one [match] per metering call. *)
+    Recording is off by default and costs one [match] per metering call.
+    Round fusion ({!fuse}) is metered here too, merged round by round. *)
 
 type ev_op =
   | Round  (** one communication round carrying payload *)
   | Traffic  (** payload piggybacking on the current round *)
   | Barrier  (** payload-free extra rounds (lockstep barrier) *)
-  | Refund  (** rounds retracted by the fusion layer *)
 
 type event = {
   ev_op : ev_op;
   ev_label : string;  (** operator-label stack, outermost first, "/"-joined *)
-  ev_rounds : int;  (** signed round delta of this event *)
+  ev_rounds : int;  (** rounds this event adds (never negative) *)
   ev_bits : int;
   ev_messages : int;
 }
@@ -37,8 +37,8 @@ type channel = {
       (** more payload batched into the current round's exchange *)
   ch_barrier : int -> unit;  (** [k] payload-free lockstep rounds *)
   ch_refund : int -> unit;
-      (** rounds retracted by the fusion layer (physically exchanged by the
-          sequential execution; a concurrent deployment overlaps them) *)
+      (** retired: never called ({!fuse} merges rounds before they reach
+          the channel); kept for the benchmark harness's channels *)
 }
 (** Pluggable transport: when installed, every metering call additionally
     drives these hooks so a real deployment (lib/party/) places actual
@@ -53,6 +53,8 @@ type t = {
   mutable messages : int;  (** number of (batched) point-to-point sends *)
   mutable recorder : recorder option;
   mutable channel : channel option;
+  mutable tracks : event list list;
+      (** open {!fuse} buffers, innermost first; empty outside a fuse *)
 }
 
 type tally = { t_rounds : int; t_bits : int; t_messages : int }
@@ -106,9 +108,8 @@ val transcript_diff :
 (** {2 Metering}
 
     Under [ORQ_DEBUG_CHECKS] (see {!Orq_util.Debug}) each call validates
-    the tally invariants: traffic deltas are never negative and a refund
-    never exceeds the recorded rounds; violations raise
-    [Invalid_argument]. *)
+    the tally invariant that traffic deltas are never negative; violations
+    raise [Invalid_argument]. *)
 
 val round : t -> bits:int -> messages:int -> unit
 (** Record one communication round in which the parties collectively send
@@ -121,9 +122,16 @@ val traffic : t -> bits:int -> messages:int -> unit
 val rounds_only : t -> int -> unit
 (** Record [k] extra rounds with no new payload. *)
 
-val refund_rounds : t -> int -> unit
-(** Retract already-counted rounds (the round-fusion layer's adjustment
-    after overlapping independent operation tracks). *)
+val fuse : t -> (unit -> 'a) array -> 'a array
+(** [fuse t tracks] runs data-independent tracks in order, buffering each
+    one's events, then emits them merged: a track's traffic before its
+    first round rides the enclosing round; in round [i] the first track
+    with payload opens the round and every other track's round-[i]
+    payload piggybacks as [Traffic] under its own label; a round with no
+    payload in any track is a barrier, and consecutive barriers coalesce.
+    A fuse inside a track merges into that track. The counters see the
+    events only when the fuse ends; a raising track emits what was
+    buffered, unmerged, before the exception propagates. *)
 
 val snapshot : t -> tally
 val since : t -> tally -> tally

@@ -58,7 +58,7 @@ type net_stats = {
   n_parties : int;  (** computing parties in the cluster *)
   n_queries : int;  (** queries the cluster has executed *)
   n_exchanges : int;  (** physical on-the-wire exchanges, last query *)
-  n_refunds : int;  (** fusion round refunds, last query *)
+  n_refunds : int;  (** retired: always 0; fused rounds are exchanged merged *)
   n_bits : int;  (** payload bits measured on the wire (all parties) *)
   n_messages : int;  (** point-to-point sends measured on the wire *)
   n_payload_bytes : int;  (** actual payload bytes carried (all parties) *)

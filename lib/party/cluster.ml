@@ -300,13 +300,12 @@ let net_stats_of_fences (cfg : config) ~(tally : Comm.tally) ~wall_s ~queries
   let f0 = fences.(0) in
   Array.iter
     (fun (f : Pwire.fence) ->
-      if f.Pwire.f_exchanges <> f0.Pwire.f_exchanges
-         || f.Pwire.f_refunds <> f0.Pwire.f_refunds then
+      if f.Pwire.f_exchanges <> f0.Pwire.f_exchanges then
         fail
-          "party %d: exchange counts diverge: party %d did %d (-%d), party \
-           %d did %d (-%d)"
-          cfg.party f0.Pwire.f_party f0.Pwire.f_exchanges f0.Pwire.f_refunds
-          f.Pwire.f_party f.Pwire.f_exchanges f.Pwire.f_refunds)
+          "party %d: exchange counts diverge: party %d did %d, party %d did \
+           %d"
+          cfg.party f0.Pwire.f_party f0.Pwire.f_exchanges f.Pwire.f_party
+          f.Pwire.f_exchanges)
     fences;
   let sum f = Array.fold_left (fun acc x -> acc + f x) 0 fences in
   let n_bits = sum (fun f -> f.Pwire.f_sent_bits) in
@@ -320,7 +319,7 @@ let net_stats_of_fences (cfg : config) ~(tally : Comm.tally) ~wall_s ~queries
     Wire.n_parties = parties;
     n_queries = queries;
     n_exchanges = f0.Pwire.f_exchanges;
-    n_refunds = f0.Pwire.f_refunds;
+    n_refunds = 0;
     n_bits;
     n_messages;
     n_payload_bytes = sum (fun f -> f.Pwire.f_payload_bytes);

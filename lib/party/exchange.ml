@@ -13,10 +13,9 @@
     {b Flow.} [ch_round] flushes the previous round and opens a new one;
     [ch_traffic] batches into the open round (vectorized piggybacking:
     more payload, same exchange); [ch_barrier k] performs [k] empty
-    exchanges; [ch_refund] only counts — the fusion layer retracts
-    rounds that a concurrent deployment would overlap, but this
-    sequential execution already exchanged them, so physical exchanges
-    equal metered rounds {e plus} refunds.
+    exchanges. Fused tracks reach the hooks already merged round by
+    round ({!Orq_net.Comm.fuse}), so physical exchanges equal metered
+    rounds; [ch_refund] is retired and a no-op here.
 
     {b Payload split.} A metered round carries [bits] summed over all
     parties; party [p] of [n] puts [bits/n] (plus one bit-group of the
@@ -55,7 +54,6 @@ type peer = {
 (* Measured on-the-wire counters, reset per query. *)
 type measured = {
   mutable mx_exchanges : int;
-  mutable mx_refunds : int;
   mutable mx_bits : int;  (** this party's share of the metered bits *)
   mutable mx_msgs : int;
   mutable mx_payload : int;  (** payload bytes actually framed *)
@@ -160,7 +158,6 @@ let create ~party ~parties ?(verbose = false)
     mx =
       {
         mx_exchanges = 0;
-        mx_refunds = 0;
         mx_bits = 0;
         mx_msgs = 0;
         mx_payload = 0;
@@ -272,7 +269,7 @@ let channel (t : t) : Comm.channel =
         for _ = 1 to k do
           exchange t ~events:0 ~bits:0 ~msgs:0
         done);
-    ch_refund = (fun k -> t.mx.mx_refunds <- t.mx.mx_refunds + k);
+    ch_refund = ignore;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -286,7 +283,6 @@ let reset_query t =
   t.pend_bits <- 0;
   t.pend_msgs <- 0;
   t.mx.mx_exchanges <- 0;
-  t.mx.mx_refunds <- 0;
   t.mx.mx_bits <- 0;
   t.mx.mx_msgs <- 0;
   t.mx.mx_payload <- 0;
@@ -313,7 +309,6 @@ let fence t ~qid ~(tally : Comm.tally) ~digest : Pwire.fence array =
       f_msgs = tally.Comm.t_messages;
       f_digest = digest;
       f_exchanges = t.mx.mx_exchanges;
-      f_refunds = t.mx.mx_refunds;
       f_sent_bits = t.mx.mx_bits;
       f_sent_msgs = t.mx.mx_msgs;
       f_payload_bytes = t.mx.mx_payload;
@@ -321,12 +316,10 @@ let fence t ~qid ~(tally : Comm.tally) ~digest : Pwire.fence array =
     }
   in
   (* the physical lockstep property, checked locally on every party:
-     exchanges happened one per metered round event, refunds included *)
-  if own.f_exchanges - own.f_refunds <> own.f_rounds then
-    fail
-      "party %d: query %d: %d physical exchanges - %d refunds <> %d metered \
-       rounds"
-      t.party qid own.f_exchanges own.f_refunds own.f_rounds;
+     exactly one exchange per metered round *)
+  if own.f_exchanges <> own.f_rounds then
+    fail "party %d: query %d: %d physical exchanges <> %d metered rounds"
+      t.party qid own.f_exchanges own.f_rounds;
   broadcast t (Pwire.Fence_p own);
   let fences = Array.make t.parties own in
   for id = 0 to t.parties - 1 do

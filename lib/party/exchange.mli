@@ -6,11 +6,10 @@
     adds the wire. At each metered round boundary it batches the round's
     payloads into one framed message, sends it to the ring successor,
     and blocks on the matching message from the predecessor — a physical
-    lockstep barrier whose exchange count equals the metered rounds
-    (plus fusion refunds, which the sequential execution still exchanges
-    physically) by construction. Messages carry the metered totals of
-    their round, so cross-party divergence is caught at the first
-    differing round. A receiver thread per peer drains the socket into a
+    lockstep barrier whose exchange count equals the metered rounds by
+    construction (fused tracks arrive already merged round by round).
+    Messages carry the metered totals of their round, so cross-party
+    divergence is caught at the first differing round. A receiver thread per peer drains the socket into a
     queue, keeping the mesh deadlock-free. *)
 
 exception Exchange_error of string
@@ -30,8 +29,8 @@ val create :
 val channel : t -> Orq_net.Comm.channel
 (** The metering hooks to install on the online meter (via
     [Channel.attach]): rounds flush-and-open exchanges, traffic batches
-    into the open exchange, barriers exchange empty frames, refunds are
-    counted for the fence accounting. *)
+    into the open exchange, barriers exchange empty frames; the retired
+    [ch_refund] is a no-op. *)
 
 val share_of : party:int -> parties:int -> int -> int
 (** Party [p]'s share of a cluster-total quantity — [total/n] plus one
@@ -49,7 +48,7 @@ val fence : t -> qid:int -> tally:Orq_net.Comm.tally -> digest:int ->
     collect every peer's, verifying tallies and digests agree. Returns
     the fences indexed by party, our own included.
     @raise Exchange_error on any cross-party divergence, or if physical
-    exchanges minus refunds differ from the metered rounds. *)
+    exchanges differ from the metered rounds. *)
 
 val send_query : t -> qid:int -> sql:string -> max_rows:int -> unit
 (** Coordinator (party 0): announce the next query to every peer. *)

@@ -18,7 +18,7 @@ let fail fmt = Printf.ksprintf (fun s -> raise (Party_error s)) fmt
 (* Distinct from the service protocol's framing on purpose: the first
    body byte of a service frame is a tag in 0x01..0x86, never 'O'. *)
 let magic = "ORQP"
-let version = 1
+let version = 2
 
 type hello = {
   p_version : int;
@@ -53,7 +53,6 @@ type fence = {
   f_msgs : int;
   f_digest : int;  (** FNV digest of the encoded query response *)
   f_exchanges : int;  (** … and what was measured on the wire: *)
-  f_refunds : int;  (** fusion refunds signalled during the query *)
   f_sent_bits : int;  (** this party's share of the metered bits *)
   f_sent_msgs : int;
   f_payload_bytes : int;  (** payload bytes this party put on the wire *)
@@ -116,7 +115,6 @@ let encode (m : msg) : bytes =
       C.put_i64 b f.f_msgs;
       C.put_i64 b f.f_digest;
       C.put_i64 b f.f_exchanges;
-      C.put_i64 b f.f_refunds;
       C.put_i64 b f.f_sent_bits;
       C.put_i64 b f.f_sent_msgs;
       C.put_i64 b f.f_payload_bytes;
@@ -164,7 +162,6 @@ let decode (body : bytes) : msg =
         let f_msgs = C.get_i64 c in
         let f_digest = C.get_i64 c in
         let f_exchanges = C.get_i64 c in
-        let f_refunds = C.get_i64 c in
         let f_sent_bits = C.get_i64 c in
         let f_sent_msgs = C.get_i64 c in
         let f_payload_bytes = C.get_i64 c in
@@ -178,7 +175,6 @@ let decode (body : bytes) : msg =
             f_msgs;
             f_digest;
             f_exchanges;
-            f_refunds;
             f_sent_bits;
             f_sent_msgs;
             f_payload_bytes;

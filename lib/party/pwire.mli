@@ -46,7 +46,6 @@ type fence = {
   f_msgs : int;
   f_digest : int;  (** FNV digest of the encoded query response *)
   f_exchanges : int;  (** … and what was measured on the wire: *)
-  f_refunds : int;  (** fusion refunds signalled during the query *)
   f_sent_bits : int;  (** this party's share of the metered bits *)
   f_sent_msgs : int;
   f_payload_bytes : int;  (** payload bytes this party put on the wire *)

@@ -26,31 +26,9 @@ let meter_lane (ctx : Ctx.t) i ~bits ~messages =
 (* Parallel round tracks                                               *)
 (* ------------------------------------------------------------------ *)
 
-(** [fuse_rounds ctx thunks] runs the thunks in order (so the lockstep
-    simulation, dealer draws and opened values are exactly those of the
-    sequential execution) and then re-meters their online rounds as if the
-    tracks had run concurrently: total rounds charged is the *maximum*
-    track depth rather than the sum, while bits and messages keep their
-    exact sequential tallies. The caller asserts the tracks are
-    data-independent (no thunk reads another's result); under that
-    assumption a real deployment interleaves their messages in shared
-    network rounds. Nests freely; zero or one track charges nothing
-    extra. *)
-let fuse_rounds (ctx : Ctx.t) (thunks : (unit -> 'a) array) : 'a array =
-  let total = ref 0 and deepest = ref 0 in
-  let res =
-    Array.map
-      (fun f ->
-        let before = ctx.Ctx.comm.Comm.rounds in
-        let r = f () in
-        let d = ctx.Ctx.comm.Comm.rounds - before in
-        total := !total + d;
-        if d > !deepest then deepest := d;
-        r)
-      thunks
-  in
-  Comm.refund_rounds ctx.comm (!total - !deepest);
-  res
+(** Parallel tracks with their online rounds merged ({!Orq_net.Comm.fuse}):
+    the caller asserts no thunk reads another's result. *)
+let fuse_rounds (ctx : Ctx.t) thunks = Comm.fuse ctx.Ctx.comm thunks
 
 (* ------------------------------------------------------------------ *)
 (* Input / constants (data-owner side; unmetered)                      *)

@@ -24,10 +24,11 @@ type shared = Share.shared
 
 val fuse_rounds : Ctx.t -> (unit -> 'a) array -> 'a array
 (** Run data-independent operation tracks sequentially (identical dealer
-    draws and opened values) but meter their online rounds as overlapped:
-    the total charged is the deepest track, not the sum. Bits and messages
-    keep their exact sequential tallies. The caller asserts no track
-    depends on another's result. *)
+    draws and opened values) with their online rounds merged round by
+    round ({!Orq_net.Comm.fuse}): the total charged is the deepest track,
+    not the sum, and an attached channel exchanges exactly those rounds.
+    Bits and messages keep their exact sequential tallies. The caller
+    asserts no track depends on another's result. *)
 
 (** {2 Input / constants (data-owner side; unmetered)} *)
 

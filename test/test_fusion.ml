@@ -195,39 +195,174 @@ let test_fused_equals_unfused () =
         (run_all true) (run_all false))
     kinds
 
+(* A channel that counts physical exchanges as the party layer makes
+   them (one per round, one per barrier round) and logs the label current
+   at each hook. *)
+let counting_channel comm =
+  let exchanges = ref 0 and log = ref [] in
+  let note op = log := (op, Comm.current_label comm) :: !log in
+  ( exchanges,
+    log,
+    {
+      Comm.ch_round =
+        (fun ~bits:_ ~messages:_ ->
+          incr exchanges;
+          note Comm.Round);
+      ch_traffic = (fun ~bits:_ ~messages:_ -> note Comm.Traffic);
+      ch_barrier =
+        (fun k ->
+          exchanges := !exchanges + k;
+          note Comm.Barrier);
+      ch_refund = (fun _ -> Alcotest.fail "retired ch_refund was called");
+    } )
+
 (* The parallel-track combinator charges the deepest track, where running
    the same thunks in sequence charges the sum; traffic and values are
-   those of the sequential run. *)
+   those of the sequential run. The merge is physical: an attached channel
+   exchanges exactly the charged rounds, with every hook running under its
+   event's label, and every payload event keeps its track's label. Each
+   case gives its fused and sequential round counts, the fused barrier
+   events' round counts (consecutive payload-free rounds coalesce), and
+   builds its tracks from the combinator under test, so a nested fuse
+   nests that one. *)
 let test_fuse_rounds_combinator () =
+  let two_round ctx x y () = Mpc.band ctx (Mpc.band ctx x y) y in
+  let one_round ctx x y () = Mpc.band ctx x y in
+  let cases =
+    [
+      ( "two tracks",
+        2,
+        3,
+        [],
+        fun ctx _ x y -> [| two_round ctx x y; one_round ctx x y |] );
+      ( "nested fuse",
+        3,
+        5,
+        [],
+        fun ctx combine x y ->
+          [|
+            (fun () ->
+              let r = combine ctx [| two_round ctx x y; one_round ctx x y |] in
+              Mpc.band ctx r.(0) r.(1));
+            one_round ctx x y;
+          |] );
+      ( "barrier rounds",
+        4,
+        5,
+        [ 2 ],
+        fun ctx _ x y ->
+          [|
+            (fun () ->
+              Comm.rounds_only ctx.Ctx.comm 3;
+              Mpc.band ctx x y);
+            one_round ctx x y;
+          |] );
+      ( "leading traffic",
+        2,
+        3,
+        [],
+        fun ctx _ x y ->
+          [|
+            (fun () ->
+              Comm.traffic ctx.Ctx.comm ~bits:64 ~messages:1;
+              Mpc.band ctx x y);
+            two_round ctx x y;
+          |] );
+    ]
+  in
   List.iter
     (fun k ->
-      let lbl = Ctx.kind_label k in
-      let run combine =
-        let ctx = Ctx.create ~seed:23 k in
-        let x = share2 ctx ~w:8 9 1 and y = share2 ctx ~w:8 9 2 in
-        let before = Comm.snapshot ctx.Ctx.comm in
-        let res =
-          combine ctx
-            [|
-              (fun () ->
-                (* two-round track *)
-                Mpc.band ctx (Mpc.band ctx x y) y);
-              (fun () -> Mpc.band ctx x y);
-            |]
-        in
-        (Array.map Share.reconstruct res, Comm.since ctx.Ctx.comm before)
-      in
-      let vf, tf = run Mpc.fuse_rounds in
-      let vs, ts = run (fun _ thunks -> Array.map (fun f -> f ()) thunks) in
-      Alcotest.(check int) (lbl ^ " tracks fused to max") 2 tf.Comm.t_rounds;
-      Alcotest.(check int) (lbl ^ " tracks in sequence sum") 3 ts.Comm.t_rounds;
-      Alcotest.(check int) (lbl ^ " track bits") ts.Comm.t_bits tf.Comm.t_bits;
-      Alcotest.(check int) (lbl ^ " track messages") ts.Comm.t_messages
-        tf.Comm.t_messages;
-      Array.iteri
-        (fun i a -> Alcotest.(check (array int)) (lbl ^ " track value") vs.(i) a)
-        vf)
+      List.iter
+        (fun (name, fused, summed, barriers, tracks) ->
+          let lbl = Ctx.kind_label k ^ " " ^ name in
+          let run combine =
+            let ctx = Ctx.create ~seed:23 k in
+            let comm = ctx.Ctx.comm in
+            let x = share2 ctx ~w:8 9 1 and y = share2 ctx ~w:8 9 2 in
+            Comm.start_recording comm;
+            let exchanges, log, ch = counting_channel comm in
+            let labelled =
+              Array.mapi
+                (fun i f () -> Ctx.with_label ctx (Printf.sprintf "t%d" i) f)
+                (tracks ctx combine x y)
+            in
+            let before = Comm.snapshot comm in
+            let res =
+              Channel.with_channel ctx ch (fun () -> combine ctx labelled)
+            in
+            Alcotest.(check int) (lbl ^ " no open track") 0
+              (List.length comm.Comm.tracks);
+            ( Array.map Share.reconstruct res,
+              Comm.since comm before,
+              !exchanges,
+              List.rev !log,
+              Array.to_list (Comm.transcript comm) )
+          in
+          let vf, tf, xf, logf, trf = run Mpc.fuse_rounds in
+          let vs, ts, _, _, trs =
+            run (fun _ thunks -> Array.map (fun f -> f ()) thunks)
+          in
+          Alcotest.(check int) (lbl ^ " tracks fused to max") fused
+            tf.Comm.t_rounds;
+          Alcotest.(check int) (lbl ^ " tracks in sequence sum") summed
+            ts.Comm.t_rounds;
+          Alcotest.(check int) (lbl ^ " channel exchanges = rounds")
+            tf.Comm.t_rounds xf;
+          Alcotest.(check int) (lbl ^ " track bits") ts.Comm.t_bits
+            tf.Comm.t_bits;
+          Alcotest.(check int) (lbl ^ " track messages") ts.Comm.t_messages
+            tf.Comm.t_messages;
+          Alcotest.(check (list int)) (lbl ^ " fused barriers") barriers
+            (List.filter_map
+               (fun e ->
+                 if e.Comm.ev_op = Comm.Barrier then Some e.Comm.ev_rounds
+                 else None)
+               trf);
+          Alcotest.(check bool) (lbl ^ " hooks run under their event's label")
+            true
+            (logf = List.map (fun e -> (e.Comm.ev_op, e.Comm.ev_label)) trf);
+          let payload tr =
+            List.sort compare
+              (List.filter_map
+                 (fun e ->
+                   if e.Comm.ev_op = Comm.Barrier then None
+                   else Some (e.Comm.ev_label, e.Comm.ev_bits, e.Comm.ev_messages))
+                 tr)
+          in
+          Alcotest.(check bool) (lbl ^ " payload events keep their labels")
+            true
+            (payload trf = payload trs);
+          Array.iteri
+            (fun i a ->
+              Alcotest.(check (array int)) (lbl ^ " track value") vs.(i) a)
+            vf)
+        cases)
     kinds
+
+(* A track that raises (a Mal-HM abort on a tampered mul) leaves no open
+   buffer behind: the meter stays live, so the next primitive is counted
+   and reaches the channel. *)
+let test_fuse_rounds_abort () =
+  let ctx = Ctx.create ~seed:31 Ctx.Mal_hm in
+  let comm = ctx.Ctx.comm in
+  let x = Mpc.share_a ctx [| 3; 5; 7 |] in
+  let exchanges, _, ch = counting_channel comm in
+  Channel.with_channel ctx ch @@ fun () ->
+  let tampered ~party ~op = if party = 2 && op = "mul" then Some 1 else None in
+  Alcotest.check_raises "tampered track aborts"
+    (Ctx.Abort "mul: cross-term verification failed") (fun () ->
+      ignore
+        (Mpc.fuse_rounds ctx
+           [|
+             (fun () -> Mpc.mul ctx x x);
+             (fun () -> Ctx.with_tamper ctx tampered (fun () -> Mpc.mul ctx x x));
+           |]));
+  Alcotest.(check int) "no open track" 0 (List.length comm.Comm.tracks);
+  let before = Comm.snapshot comm and seen = !exchanges in
+  ignore (Mpc.mul ctx x x);
+  Alcotest.(check int) "next mul is counted" 1
+    (Comm.since comm before).Comm.t_rounds;
+  Alcotest.(check int) "next mul reaches the channel" (seen + 1) !exchanges
 
 (* Every batched entry point accepts zero lanes: nothing in, nothing out,
    no round, bit, message or dealer draw charged. *)
@@ -284,6 +419,8 @@ let () =
             test_fused_equals_unfused;
           Alcotest.test_case "fuse_rounds combinator" `Quick
             test_fuse_rounds_combinator;
+          Alcotest.test_case "fuse_rounds survives an aborting track" `Quick
+            test_fuse_rounds_abort;
           Alcotest.test_case "zero lanes charge nothing" `Quick
             test_zero_lanes;
         ] );

@@ -58,7 +58,6 @@ let sample_msgs =
         f_msgs = 510;
         f_digest = 0x1234_5678_9abc;
         f_exchanges = 149;
-        f_refunds = 39;
         f_sent_bits = 8_429_593;
         f_sent_msgs = 170;
         f_payload_bytes = 1_053_700;
@@ -302,7 +301,7 @@ let test_handshake_rejects_garbage () =
 
 (* Both parties of a 2-party mesh run the identical metering sequence in
    parallel; the channel hooks must produce matching exchanges and the
-   fence must agree — with physical exchanges = metered rounds + refunds
+   fence must agree — with physical exchanges = metered rounds
    and per-party payload shares summing to the metered bits exactly. *)
 let drive_exchange e ~digest ~bits0 =
   Exchange.reset_query e;
@@ -311,9 +310,8 @@ let drive_exchange e ~digest ~bits0 =
   ch.Comm.ch_traffic ~bits:72 ~messages:1;
   ch.Comm.ch_barrier 2;
   ch.Comm.ch_round ~bits:8 ~messages:1;
-  ch.Comm.ch_refund 1;
   let tally =
-    { Comm.t_rounds = 3; t_bits = bits0 + 80; t_messages = 4 }
+    { Comm.t_rounds = 4; t_bits = bits0 + 80; t_messages = 4 }
   in
   Exchange.fence e ~qid:3 ~tally ~digest
 
@@ -350,16 +348,13 @@ let test_exchange_lockstep () =
   Array.iteri
     (fun p f ->
       Alcotest.(check int) "party" p f.Pwire.f_party;
-      Alcotest.(check int) "metered rounds" 3 f.Pwire.f_rounds;
+      Alcotest.(check int) "metered rounds" 4 f.Pwire.f_rounds;
       Alcotest.(check int) "metered bits" 208 f.Pwire.f_bits;
       Alcotest.(check int) "metered msgs" 4 f.Pwire.f_msgs;
-      (* 2 payload rounds + 2 barrier exchanges, 1 refunded *)
+      (* 2 payload rounds + 2 barrier exchanges *)
       Alcotest.(check int) "physical exchanges" 4 f.Pwire.f_exchanges;
-      Alcotest.(check int) "refunds" 1 f.Pwire.f_refunds;
-      Alcotest.(check int)
-        "exchanges - refunds = rounds"
-        f.Pwire.f_rounds
-        (f.Pwire.f_exchanges - f.Pwire.f_refunds))
+      Alcotest.(check int) "exchanges = rounds" f.Pwire.f_rounds
+        f.Pwire.f_exchanges)
     fences0;
   (* both parties collected the same fences *)
   Alcotest.(check bool) "fences agree" true (fences0 = fences1);
@@ -468,8 +463,8 @@ let test_cluster_smoke () =
         Alcotest.(check int)
           "messages" r.Wire.r_tally.Comm.t_messages s.Wire.n_messages;
         Alcotest.(check int)
-          "exchanges - refunds = rounds" r.Wire.r_tally.Comm.t_rounds
-          (s.Wire.n_exchanges - s.Wire.n_refunds));
+          "exchanges = rounds" r.Wire.r_tally.Comm.t_rounds s.Wire.n_exchanges;
+        Alcotest.(check int) "no refunds" 0 s.Wire.n_refunds);
     r
   in
   (* a hostile client: garbage bytes, then a mid-frame disconnect — the

@@ -219,8 +219,7 @@ let test_netsim_of_label () =
 
 let test_comm_invariants () =
   (* metering invariants guard the leakage certificate's bookkeeping: under
-     ORQ_DEBUG_CHECKS a tally can never go negative and a fusion refund can
-     never exceed what was actually recorded *)
+     ORQ_DEBUG_CHECKS a tally can never go negative *)
   let was = Orq_util.Debug.enabled () in
   Fun.protect
     ~finally:(fun () -> Orq_util.Debug.set_checks was)
@@ -229,14 +228,6 @@ let test_comm_invariants () =
       let c = Comm.create ~parties:3 in
       Comm.round c ~bits:100 ~messages:2;
       Comm.round c ~bits:50 ~messages:2;
-      Alcotest.check_raises "refund beyond recorded rounds"
-        (Invalid_argument
-           "Comm.refund_rounds: refund of 3 exceeds the 2 recorded rounds")
-        (fun () -> Comm.refund_rounds c 3);
-      Alcotest.check_raises "negative refund"
-        (Invalid_argument
-           "Comm.refund_rounds: refund of -1 exceeds the 2 recorded rounds")
-        (fun () -> Comm.refund_rounds c (-1));
       Alcotest.check_raises "negative barrier count"
         (Invalid_argument "Comm.rounds_only: negative count -2") (fun () ->
           Comm.rounds_only c (-2));
@@ -246,13 +237,10 @@ let test_comm_invariants () =
       Alcotest.check_raises "negative round messages"
         (Invalid_argument "Comm.round: negative traffic (bits=8 messages=-1)")
         (fun () -> Comm.round c ~bits:8 ~messages:(-1));
-      (* legal refund still works with checks on *)
-      Comm.refund_rounds c 1;
-      Alcotest.(check int) "rounds after legal refund" 1 c.Comm.rounds;
       (* with checks off the guards are skipped (hot-path default) *)
       Orq_util.Debug.set_checks false;
       Comm.rounds_only c 5;
-      Alcotest.(check int) "barrier adds rounds" 6 c.Comm.rounds)
+      Alcotest.(check int) "barrier adds rounds" 7 c.Comm.rounds)
 
 let suite =
   [
