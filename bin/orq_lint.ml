@@ -6,11 +6,13 @@
      orq_lint concur --expect-violations p self-test: fixture must trip rules
      orq_lint exports [--json] [paths...]  dead-export audit of .mli vals
      orq_lint certify [options]            predicted-vs-measured transcripts
+     orq_lint certdiff OLD NEW             per-row deltas of two certificates
 
-   Exit codes (the three lint passes and certify):
-     0  clean — no violations / all pairs certified
+   Exit codes (the three lint passes, certify and certdiff):
+     0  clean — no violations / all pairs certified / no row lost
      1  violations found (or, with --expect-violations, expected
-        violations missing)
+        violations missing); for certdiff, a row of OLD missing from NEW
+        or no longer certified or validated
      2  usage error or unreadable input *)
 
 module Lint = Orq_analysis.Lint
@@ -234,6 +236,52 @@ let run_certify ~quick ~sf ~other_n ~out =
     (if ok then "" else " — TRANSCRIPT DEPENDS ON SECRET DATA");
   exit (if ok then 0 else 1)
 
+(* ---------------- certdiff ---------------- *)
+
+let run_certdiff old_path new_path =
+  let read path =
+    try Certify.read_report path
+    with Sys_error e | Failure e ->
+      say "certdiff: %s: %s" path e;
+      exit 2
+  in
+  let old_rows = read old_path and new_rows = read new_path in
+  let delta name (a, b) = Printf.sprintf "%s %d -> %d (%+d)" name a b (b - a) in
+  let lost = ref 0 and moved = ref 0 in
+  (* per count, (old, new) summed over the rows in both files *)
+  let totals = ref (List.map (fun _ -> (0, 0)) Certify.report_counts) in
+  List.iter
+    (fun ((q, p), (o : Certify.report_row)) ->
+      match List.assoc_opt (q, p) new_rows with
+      | None ->
+          incr lost;
+          say "%-12s %-7s LOST: row missing from %s" q p new_path
+      | Some nw ->
+          let counts = List.combine o.r_counts nw.r_counts in
+          totals := List.map2 (fun (ta, tb) (a, b) -> (ta + a, tb + b)) !totals counts;
+          if o.r_counts <> nw.r_counts then incr moved;
+          let lose what was now = if was && not now then [ "LOST " ^ what ] else [] in
+          let losses =
+            lose "certified" o.r_certified nw.r_certified
+            @ lose "validated" o.r_validated nw.r_validated
+          in
+          if losses <> [] then incr lost;
+          let shown =
+            List.map2
+              (fun name (a, b) -> if a = b then name ^ " =" else delta name (a, b))
+              Certify.report_counts counts
+          in
+          say "%-12s %-7s %s" q p (String.concat "  " (shown @ losses)))
+    old_rows;
+  List.iter
+    (fun ((q, p), _) ->
+      if not (List.mem_assoc (q, p) old_rows) then say "%-12s %-7s new row" q p)
+    new_rows;
+  say "certdiff: %d rows, %d moved, %d lost; totals %s" (List.length old_rows) !moved
+    !lost
+    (String.concat ", " (List.map2 delta Certify.report_counts !totals));
+  exit (if !lost = 0 then 0 else 1)
+
 (* ---------------- arg parsing ---------------- *)
 
 let usage () =
@@ -242,6 +290,7 @@ let usage () =
     \       orq_lint concur [--json] [--expect-violations] [paths...]\n\
     \       orq_lint exports [--json] [paths...]\n\
     \       orq_lint certify [--quick] [--sf F] [--n N] [--out FILE]\n\
+    \       orq_lint certdiff OLD.json NEW.json\n\
      exit codes: 0 clean, 1 violations, 2 usage/input error";
   exit 2
 
@@ -270,6 +319,8 @@ let () =
       in
       parse rest;
       run_certify ~quick:!quick ~sf:!sf ~other_n:!n ~out:!out
+  | [ _; "certdiff"; old_path; new_path ] -> run_certdiff old_path new_path
+  | _ :: "certdiff" :: _ -> usage ()
   | _ :: "exports" :: rest -> (
       match lint_flags rest with
       | false, json, paths -> run_exports ~json paths

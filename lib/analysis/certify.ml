@@ -247,3 +247,151 @@ let report_json ?(sf = 0.0002) ?(other_n = 400) (certs : cert list) : string =
     \  \"certificates\": [\n%s\n  ]\n}\n"
     sf other_n (all_ok certs)
     (String.concat ",\n" rows)
+
+(* A minimal JSON reader, enough for the certificate files. *)
+type json =
+  | Num of float
+  | Str of string
+  | Bool of bool
+  | Null
+  | Arr of json list
+  | Obj of (string * json) list
+
+let parse_json s =
+  let n = String.length s and i = ref 0 in
+  let fail () = failwith (Printf.sprintf "malformed JSON at byte %d" !i) in
+  let rec ws () =
+    if !i < n && String.contains " \t\r\n" s.[!i] then begin
+      incr i;
+      ws ()
+    end
+  in
+  let eat c =
+    ws ();
+    if !i < n && s.[!i] = c then incr i else fail ()
+  in
+  let peek c =
+    ws ();
+    !i < n && s.[!i] = c
+  in
+  let lit w v =
+    let k = String.length w in
+    if !i + k <= n && String.sub s !i k = w then begin
+      i := !i + k;
+      v
+    end
+    else fail ()
+  in
+  let str () =
+    eat '"';
+    let b = Buffer.create 16 in
+    let rec go () =
+      if !i >= n then fail ();
+      let c = s.[!i] in
+      incr i;
+      match c with
+      | '"' -> Buffer.contents b
+      | '\\' ->
+          if !i >= n then fail ();
+          let e = s.[!i] in
+          incr i;
+          (match e with
+          | 'n' -> Buffer.add_char b '\n'
+          | 't' -> Buffer.add_char b '\t'
+          | 'u' ->
+              if !i + 4 > n then fail ();
+              Buffer.add_char b
+                (Char.chr (int_of_string ("0x" ^ String.sub s !i 4) land 0xff));
+              i := !i + 4
+          | e -> Buffer.add_char b e);
+          go ()
+      | c ->
+          Buffer.add_char b c;
+          go ()
+    in
+    go ()
+  in
+  let rec value () =
+    ws ();
+    if !i >= n then fail ();
+    match s.[!i] with
+    | '{' ->
+        incr i;
+        Obj (seq '}' (fun () ->
+                 let k = str () in
+                 eat ':';
+                 (k, value ())))
+    | '[' ->
+        incr i;
+        Arr (seq ']' value)
+    | '"' -> Str (str ())
+    | 't' -> lit "true" (Bool true)
+    | 'f' -> lit "false" (Bool false)
+    | 'n' -> lit "null" Null
+    | _ -> (
+        let j = !i in
+        while !i < n && String.contains "+-0123456789.eE" s.[!i] do
+          incr i
+        done;
+        match float_of_string_opt (String.sub s j (!i - j)) with
+        | Some f -> Num f
+        | None -> fail ())
+  and seq : 'a. char -> (unit -> 'a) -> 'a list =
+   fun close item ->
+    if peek close then begin
+      incr i;
+      []
+    end
+    else
+      let rec go acc =
+        let acc = item () :: acc in
+        if peek ',' then begin
+          incr i;
+          go acc
+        end
+        else begin
+          eat close;
+          List.rev acc
+        end
+      in
+      go []
+  in
+  let v = value () in
+  ws ();
+  if !i <> n then fail ();
+  v
+
+type report_row = {
+  r_certified : bool;
+  r_validated : bool;
+  r_counts : int list;  (** rounds, bits, messages, events *)
+}
+
+let report_counts = [ "rounds"; "bits"; "messages"; "events" ]
+
+(** The rows of a {!report_json} file, keyed by (query, protocol): its
+    certified and validated flags and its {!report_counts}. *)
+let read_report path =
+  let text = In_channel.with_open_bin path In_channel.input_all in
+  let field row k = Option.value (List.assoc_opt k row) ~default:Null in
+  let row = function
+    | Obj r ->
+        let str k = match field r k with Str v -> v | _ -> failwith ("missing " ^ k) in
+        let flag k = field r k = Bool true in
+        let count k =
+          match field r k with Num v -> int_of_float v | _ -> failwith ("missing " ^ k)
+        in
+        ( (str "query", str "protocol"),
+          {
+            r_certified = flag "certified";
+            r_validated = flag "validated";
+            r_counts = List.map count report_counts;
+          } )
+    | _ -> failwith "certificate row is not an object"
+  in
+  match parse_json text with
+  | Obj top -> (
+      match field top "certificates" with
+      | Arr rows -> List.map row rows
+      | _ -> failwith "no certificates array")
+  | _ -> failwith "not a certificate file"

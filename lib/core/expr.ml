@@ -81,8 +81,37 @@ let as_bool_at ctx (v : value) w =
       if v.signed then sign_extend v.data ~from_w:v.width ~to_w:w
       else Mpc.and_mask v.data (Orq_util.Ring.mask w)
 
+(* Joint width of two operands read under one signedness: an unsigned
+   operand under a signed result needs one more bit (capped), or its top
+   bit would read as the sign. *)
+let joint (va : value) (vb : value) =
+  let signed = va.signed || vb.signed in
+  let need v =
+    if signed && not v.signed then max v.width (cap_width (v.width + 1))
+    else v.width
+  in
+  (max (need va) (need vb), signed)
+
+(* Two data-independent steps as fused round tracks, run (and drawing
+   their correlations) in the order given. *)
+let fuse2 ctx f g =
+  match Mpc.fuse_rounds ctx [| f; g |] with
+  | [| x; y |] -> (x, y)
+  | _ -> assert false
+
+(* Operands and branches are data-independent, so they evaluate as fused
+   tracks, and so do the operands' encoding conversions after them. The
+   tracks keep the draw order of sequential evaluation: operands left to
+   right, then the conversions in the order OCaml evaluated them as
+   arguments, right to left ([b] before [a] for a binary op, the [a]
+   branch before [b] for the mux, whose arguments are [b], [a]). *)
 let rec eval_num (t : Table.t) (e : num) : value =
   let ctx = Table.ctx t in
+  let operands a b = fuse2 ctx (fun () -> eval_num t a) (fun () -> eval_num t b) in
+  let convert conv va vb =
+    let xb, xa = fuse2 ctx (fun () -> conv vb) (fun () -> conv va) in
+    (xa, xb)
+  in
   match e with
   | Col n ->
       let c = Table.find t n in
@@ -95,38 +124,29 @@ let rec eval_num (t : Table.t) (e : num) : value =
         signed = c < 0;
       }
   | Add (a, b) ->
-      let va = eval_num t a and vb = eval_num t b in
-      let w = cap_width (1 + max va.width vb.width) in
+      let va, vb = operands a b in
+      let xa, xb = convert (as_arith ctx) va vb in
       {
-        data = Mpc.add (as_arith ctx va) (as_arith ctx vb);
-        width = w;
+        data = Mpc.add xa xb;
+        width = cap_width (1 + max va.width vb.width);
         signed = va.signed || vb.signed;
       }
   | Sub (a, b) ->
-      let va = eval_num t a and vb = eval_num t b in
-      let w = cap_width (1 + max va.width vb.width) in
-      {
-        data = Mpc.sub (as_arith ctx va) (as_arith ctx vb);
-        width = w;
-        signed = true;
-      }
+      let va, vb = operands a b in
+      let xa, xb = convert (as_arith ctx) va vb in
+      { data = Mpc.sub xa xb; width = cap_width (1 + max va.width vb.width); signed = true }
   | Mul (a, b) ->
-      let va = eval_num t a and vb = eval_num t b in
+      let va, vb = operands a b in
       let w = cap_width (va.width + vb.width) in
-      {
-        data = Mpc.mul ~width:w ctx (as_arith ctx va) (as_arith ctx vb);
-        width = w;
-        signed = va.signed || vb.signed;
-      }
+      let xa, xb = convert (as_arith ctx) va vb in
+      { data = Mpc.mul ~width:w ctx xa xb; width = w; signed = va.signed || vb.signed }
   | Div (a, b) ->
-      let va = eval_num t a and vb = eval_num t b in
+      let va, vb = operands a b in
       let w = cap_width (max va.width vb.width) in
       (* a signed divisor sign-extends to the full width *)
       let wd = if vb.signed then w else vb.width in
-      let q, _ =
-        Orq_circuits.Divide.udiv ctx ~w ~wd (as_bool_at ctx va w)
-          (as_bool_at ctx vb w)
-      in
+      let xa, xb = convert (fun v -> as_bool_at ctx v w) va vb in
+      let q, _ = Orq_circuits.Divide.udiv ctx ~w ~wd xa xb in
       { data = q; width = w; signed = false }
   | Div_pub (a, d) ->
       let va = eval_num t a in
@@ -134,17 +154,19 @@ let rec eval_num (t : Table.t) (e : num) : value =
       let q, _ = Orq_circuits.Divide.udiv_pub ctx ~w (as_bool_at ctx va w) d in
       { data = q; width = w; signed = false }
   | If (p, a, b) ->
-      let bit = eval_pred t p in
-      let va = eval_num t a and vb = eval_num t b in
-      let signed = va.signed || vb.signed in
-      let w = cap_width (max va.width vb.width) in
-      {
-        data =
-          Orq_circuits.Mux.mux_b ~width:w ctx bit (as_bool_at ctx vb w)
-            (as_bool_at ctx va w);
-        width = w;
-        signed;
-      }
+      let vs =
+        Mpc.fuse_rounds ctx
+          [|
+            (fun () -> { data = eval_pred t p; width = 1; signed = false });
+            (fun () -> eval_num t a);
+            (fun () -> eval_num t b);
+          |]
+      in
+      let bit = vs.(0).data and va = vs.(1) and vb = vs.(2) in
+      let w, signed = joint va vb in
+      let w = cap_width w in
+      let xa, xb = fuse2 ctx (fun () -> as_bool_at ctx va w) (fun () -> as_bool_at ctx vb w) in
+      { data = Orq_circuits.Mux.mux_b ~width:w ctx bit xb xa; width = w; signed }
 
 (* Predicate evaluation batches across comparison legs: all Cmp leaves of
    the And/Or tree are collected first, their arithmetic operands convert
@@ -155,18 +177,16 @@ let rec eval_num (t : Table.t) (e : num) : value =
    Q6's thus costs one comparison-ladder depth instead of one per leg. *)
 and eval_pred (t : Table.t) (p : pred) : Share.shared =
   let ctx = Table.ctx t in
-  (* Pass 1: evaluate every leaf's operands, left to right. *)
+  (* Pass 1: every leaf's operands, left to right, as fused tracks. *)
   let leaves = ref [] in
   let nleaves = ref 0 in
   let rec skel p =
     match p with
     | True -> `T
     | Cmp (op, a, b) ->
-        let va = eval_num t a in
-        let vb = eval_num t b in
         let i = !nleaves in
         incr nleaves;
-        leaves := (op, va, vb) :: !leaves;
+        leaves := (op, a, b) :: !leaves;
         `L i
     | And (a, b) ->
         let sa = skel a in
@@ -179,10 +199,20 @@ and eval_pred (t : Table.t) (p : pred) : Share.shared =
     | Not a -> `Not (skel a)
   in
   let sk = skel p in
+  let leaves = Array.of_list (List.rev !leaves) in
+  let vals =
+    Mpc.fuse_rounds ctx
+      (Array.init (2 * !nleaves) (fun k ->
+           let _, a, b = leaves.(k / 2) in
+           let e = if k land 1 = 0 then a else b in
+           fun () -> eval_num t e))
+  in
   let leaves =
-    Array.map
-      (fun (op, va, vb) -> (op, va, vb, max va.width vb.width))
-      (Array.of_list (List.rev !leaves))
+    Array.mapi
+      (fun i (op, _, _) ->
+        let va = vals.(2 * i) and vb = vals.((2 * i) + 1) in
+        (op, va, vb, fst (joint va vb)))
+      leaves
   in
   (* Pass 2: every arithmetic operand's boolean view through one fused
      A2B; boolean operands convert locally. *)

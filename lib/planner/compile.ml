@@ -17,6 +17,13 @@ let inter a b = List.filter (fun x -> List.mem x b) a
 let union a b = a @ List.filter (fun x -> not (List.mem x a)) b
 let minus a b = List.filter (fun x -> not (List.mem x b)) a
 
+(* The session every base table of a plan is shared under. *)
+let rec scan_ctx = function
+  | Scan s -> Table.ctx s.s_table
+  | Filter (_, m) | Project (_, m) | Map (_, _, m) | Order_limit (_, _, m) -> scan_ctx m
+  | Join j -> scan_ctx j.j_left
+  | Aggregate a -> scan_ctx a.a_input
+
 let rec compile_need (st : stats) (need : string list) (n : node) : Table.t =
   match n with
   | Scan s ->
@@ -44,8 +51,19 @@ let rec compile_need (st : stats) (need : string list) (n : node) : Table.t =
       let il = infer j.j_left and ir = infer j.j_right in
       let need_l = union (inter need il.i_cols) j.j_on in
       let need_r = union (inter need ir.i_cols) j.j_on in
-      let l = compile_need st need_l j.j_left in
-      let r = compile_need st need_r j.j_right in
+      (* the two inputs are data-independent: fused round tracks, left
+         first, so shuffles keep their sequential order *)
+      let l, r =
+        match
+          Orq_proto.Mpc.fuse_rounds (scan_ctx j.j_left)
+            [|
+              (fun () -> compile_need st need_l j.j_left);
+              (fun () -> compile_need st need_r j.j_right);
+            |]
+        with
+        | [| l; r |] -> (l, r)
+        | _ -> assert false
+      in
       let copy = minus (inter need (Table.col_names l)) j.j_on in
       if unique_on j.j_left j.j_on then
         Dataflow.inner_join l r ~on:j.j_on ~copy

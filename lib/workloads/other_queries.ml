@@ -37,16 +37,18 @@ let comorbidity_ref (db : G.plain) =
 (* ------------------------------------------------------------------ *)
 
 let aspirin_run (db : G.mpc) =
-  let d = D.filter db.G.m_diagnosis E.(col "diag" ==. const G.diag_hd) in
-  let d =
+  let d () =
+    let d = D.filter db.G.m_diagnosis E.(col "diag" ==. const G.diag_hd) in
     D.aggregate d ~keys:[ "pid" ]
       ~aggs:[ { D.src = "dtime"; dst = "first_diag"; fn = D.Min } ]
   in
-  let m = D.filter db.G.m_medication E.(col "med" ==. const G.med_aspirin) in
-  let m =
+  let m () =
+    let m = D.filter db.G.m_medication E.(col "med" ==. const G.med_aspirin) in
     D.aggregate m ~keys:[ "pid" ]
       ~aggs:[ { D.src = "mtime"; dst = "last_asp"; fn = D.Max } ]
   in
+  let r = Mpc.fuse_rounds (Table.ctx db.G.m_diagnosis) [| d; m |] in
+  let d = r.(0) and m = r.(1) in
   let j =
     D.inner_join
       (select d [ ("pid", "pid"); ("first_diag", "first_diag") ])
@@ -84,24 +86,27 @@ let cdiff_run (db : G.mpc) =
   let v = d.Table.valid in
   let hd s = Orq_proto.Share.sub_range s 0 (n - 1) in
   let tl s = Orq_proto.Share.sub_range s 1 (n - 1) in
-  let same_pid =
-    Orq_circuits.Compare.eq ctx ~w:G.w_id (hd pid) (tl pid)
+  (* the pair tests are data-independent: fused round tracks *)
+  let w = G.w_time + 1 in
+  let public c = Orq_proto.Share.public ctx Orq_proto.Share.Bool (n - 1) c in
+  let t =
+    Mpc.fuse_rounds ctx
+      [|
+        (fun () -> Orq_circuits.Compare.eq ctx ~w:G.w_id (hd pid) (tl pid));
+        (fun () -> Mpc.band1 ctx (hd v) (tl v));
+        (fun () ->
+          let diff = Orq_circuits.Adder.sub ctx ~w (tl tm) (hd tm) in
+          let b =
+            Mpc.fuse_rounds ctx
+              [|
+                (fun () -> Orq_circuits.Compare.ge ctx ~w diff (public 15));
+                (fun () -> Orq_circuits.Compare.le ctx ~w diff (public 56));
+              |]
+          in
+          Mpc.band1 ctx b.(0) b.(1));
+      |]
   in
-  let both_valid = Orq_proto.Mpc.band1 ctx (hd v) (tl v) in
-  let diff = Orq_circuits.Adder.sub ctx ~w:(G.w_time + 1) (tl tm) (hd tm) in
-  let ge15 =
-    Orq_circuits.Compare.ge ctx ~w:(G.w_time + 1) diff
-      (Orq_proto.Share.public ctx Orq_proto.Share.Bool (n - 1) 15)
-  in
-  let le56 =
-    Orq_circuits.Compare.le ctx ~w:(G.w_time + 1) diff
-      (Orq_proto.Share.public ctx Orq_proto.Share.Bool (n - 1) 56)
-  in
-  let mark =
-    Orq_proto.Mpc.band1 ctx
-      (Orq_proto.Mpc.band1 ctx same_pid both_valid)
-      (Orq_proto.Mpc.band1 ctx ge15 le56)
-  in
+  let mark = Mpc.band1 ctx (Mpc.band1 ctx t.(0) t.(1)) t.(2) in
   let marker =
     Orq_proto.Share.append (Orq_proto.Share.public ctx Orq_proto.Share.Bool 1 0) mark
   in
@@ -193,8 +198,14 @@ let secq2_ref (db : G.plain) =
 
 let market_share_run (db : G.mpc) =
   let t = db.G.m_transactions in
-  let total = D.global_aggregate t ~aggs:[ sum "price" "total" ] in
-  let agg = D.aggregate t ~keys:[ "company" ] ~aggs:[ sum "price" "volume" ] in
+  let r =
+    Mpc.fuse_rounds (Table.ctx t)
+      [|
+        (fun () -> D.global_aggregate t ~aggs:[ sum "price" "total" ]);
+        (fun () -> D.aggregate t ~keys:[ "company" ] ~aggs:[ sum "price" "volume" ]);
+      |]
+  in
+  let total = r.(0) and agg = r.(1) in
   let agg = D.with_scalar agg ~scalar:total ~src:"total" ~dst:"total" in
   D.map agg ~dst:"share_pct" E.(Div (col "volume" *! const 100, col "total"))
 
@@ -236,13 +247,15 @@ let syan_ref (db : G.plain) =
 (* ------------------------------------------------------------------ *)
 
 let patients_run (db : G.mpc) =
-  let cd =
-    D.aggregate db.G.m_diagnosis ~keys:[ "pid" ] ~aggs:[ cnt "diag" "cd" ]
+  let r =
+    Mpc.fuse_rounds (Table.ctx db.G.m_diagnosis)
+      [|
+        (fun () -> D.aggregate db.G.m_diagnosis ~keys:[ "pid" ] ~aggs:[ cnt "diag" "cd" ]);
+        (fun () -> D.aggregate db.G.m_medication ~keys:[ "pid" ] ~aggs:[ cnt "med" "cm" ]);
+        (fun () -> D.aggregate db.G.m_labs ~keys:[ "pid" ] ~aggs:[ cnt "test" "cl" ]);
+      |]
   in
-  let cm =
-    D.aggregate db.G.m_medication ~keys:[ "pid" ] ~aggs:[ cnt "med" "cm" ]
-  in
-  let cl = D.aggregate db.G.m_labs ~keys:[ "pid" ] ~aggs:[ cnt "test" "cl" ] in
+  let cd = r.(0) and cm = r.(1) and cl = r.(2) in
   let j =
     D.inner_join
       (select cd [ ("pid", "pid"); ("cd", "cd") ])

@@ -17,10 +17,10 @@ type query = {
 
 (* S1: filtered global revenue (no join, no sort) *)
 let s1_run (db : G.mpc) =
-  let li = D.filter db.G.m_lineitem E.(col "l_shipdate" >=. const q6_date) in
   let li =
-    D.map li ~dst:"revenue"
-      E.(Div_pub (col "l_extendedprice" *! (const 100 -! col "l_discount"), 100))
+    filter_map db.G.m_lineitem E.(col "l_shipdate" >=. const q6_date) (fun li ->
+        D.map li ~dst:"revenue"
+          E.(Div_pub (col "l_extendedprice" *! (const 100 -! col "l_discount"), 100)))
   in
   D.global_aggregate li ~aggs:[ sum "revenue" "total" ]
 

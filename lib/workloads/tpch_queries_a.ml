@@ -12,15 +12,14 @@ module G = Tpch_gen
 (* ------------------------------------------------------------------ *)
 
 let q1_run (db : G.mpc) =
-  let li = db.G.m_lineitem in
-  let li = D.filter li E.(col "l_shipdate" <=. const q1_delta_date) in
   let li =
-    D.map li ~dst:"disc_price"
-      E.(Div_pub (col "l_extendedprice" *! (const 100 -! col "l_discount"), 100))
-  in
-  let li =
-    D.map li ~dst:"charge"
-      E.(Div_pub (col "disc_price" *! (const 100 +! col "l_tax"), 100))
+    filter_map db.G.m_lineitem E.(col "l_shipdate" <=. const q1_delta_date) (fun li ->
+        let li =
+          D.map li ~dst:"disc_price"
+            E.(Div_pub (col "l_extendedprice" *! (const 100 -! col "l_discount"), 100))
+        in
+        D.map li ~dst:"charge"
+          E.(Div_pub (col "disc_price" *! (const 100 +! col "l_tax"), 100)))
   in
   D.aggregate li
     ~keys:[ "l_returnflag"; "l_linestatus" ]
@@ -75,24 +74,26 @@ let q1_cols =
 (* ------------------------------------------------------------------ *)
 
 let q2_run (db : G.mpc) =
-  let nation_r =
-    D.filter db.G.m_nation E.(col "n_regionkey" ==. const q2_region)
-  in
-  let supp =
-    D.semi_join db.G.m_supplier
-      (select nation_r [ ("n_nationkey", "s_nationkey") ])
-      ~on:[ "s_nationkey" ]
-  in
-  let ps =
+  let ps () =
+    let nation_r =
+      D.filter db.G.m_nation E.(col "n_regionkey" ==. const q2_region)
+    in
+    let supp =
+      D.semi_join db.G.m_supplier
+        (select nation_r [ ("n_nationkey", "s_nationkey") ])
+        ~on:[ "s_nationkey" ]
+    in
     D.semi_join db.G.m_partsupp
       (select supp [ ("s_suppkey", "ps_suppkey") ])
       ~on:[ "ps_suppkey" ]
   in
-  let parts =
+  let parts () =
     D.filter db.G.m_part
       E.(col "p_size" <=. const q2_size &&. (col "p_type" <=. const q2_type))
   in
-  let parts = select parts [ ("p_partkey", "ps_partkey") ] in
+  let r = Mpc.fuse_rounds (T.ctx db.G.m_part) [| ps; parts |] in
+  let ps = r.(0) in
+  let parts = select r.(1) [ ("p_partkey", "ps_partkey") ] in
   let j = D.inner_join parts ps ~on:[ "ps_partkey" ] in
   let mins =
     D.aggregate j ~keys:[ "ps_partkey" ]
@@ -135,18 +136,25 @@ let q2_cols = [ "ps_partkey"; "ps_suppkey"; "min_cost" ]
 (* ------------------------------------------------------------------ *)
 
 let q3_run (db : G.mpc) =
-  let c =
-    D.filter db.G.m_customer E.(col "c_mktsegment" ==. const q3_segment)
+  let ctx = T.ctx db.G.m_lineitem in
+  (* the lineitem branch draws no shuffle, so it may run after the join *)
+  let co () =
+    let r =
+      Mpc.fuse_rounds ctx
+        [|
+          (fun () -> D.filter db.G.m_customer E.(col "c_mktsegment" ==. const q3_segment));
+          (fun () -> D.filter db.G.m_orders E.(col "o_orderdate" <. const q3_date));
+        |]
+    in
+    D.inner_join (select r.(0) [ ("c_custkey", "o_custkey") ]) r.(1) ~on:[ "o_custkey" ]
   in
-  let o = D.filter db.G.m_orders E.(col "o_orderdate" <. const q3_date) in
-  let li = D.filter db.G.m_lineitem E.(col "l_shipdate" >. const q3_date) in
-  let li =
-    D.map li ~dst:"revenue"
-      E.(Div_pub (col "l_extendedprice" *! (const 100 -! col "l_discount"), 100))
+  let li () =
+    filter_map db.G.m_lineitem E.(col "l_shipdate" >. const q3_date) (fun li ->
+        D.map li ~dst:"revenue"
+          E.(Div_pub (col "l_extendedprice" *! (const 100 -! col "l_discount"), 100)))
   in
-  let co =
-    D.inner_join (select c [ ("c_custkey", "o_custkey") ]) o ~on:[ "o_custkey" ]
-  in
+  let r = Mpc.fuse_rounds ctx [| co; li |] in
+  let co = r.(0) and li = r.(1) in
   let j =
     D.inner_join
       (select co
@@ -202,13 +210,18 @@ let q3_cols = [ "l_orderkey"; "o_orderdate"; "o_shippriority"; "total_revenue" ]
 (* ------------------------------------------------------------------ *)
 
 let q4_run (db : G.mpc) =
-  let o =
-    D.filter db.G.m_orders
-      E.(col "o_orderdate" >=. const q4_date &&. (col "o_orderdate" <. const (q4_date + 90)))
+  let r =
+    Mpc.fuse_rounds (T.ctx db.G.m_orders)
+      [|
+        (fun () ->
+          D.filter db.G.m_orders
+            E.(
+              col "o_orderdate" >=. const q4_date
+              &&. (col "o_orderdate" <. const (q4_date + 90))));
+        (fun () -> D.filter db.G.m_lineitem E.(col "l_commitdate" <. col "l_receiptdate"));
+      |]
   in
-  let li =
-    D.filter db.G.m_lineitem E.(col "l_commitdate" <. col "l_receiptdate")
-  in
+  let o = r.(0) and li = r.(1) in
   let sem =
     D.semi_join o (select li [ ("l_orderkey", "o_orderkey") ]) ~on:[ "o_orderkey" ]
   in
@@ -236,29 +249,31 @@ let q4_cols = [ "o_orderpriority"; "order_count" ]
 (* ------------------------------------------------------------------ *)
 
 let q5_run (db : G.mpc) =
-  let nation_r =
-    D.filter db.G.m_nation E.(col "n_regionkey" ==. const q5_region)
-  in
-  let supp =
-    D.semi_join db.G.m_supplier
-      (select nation_r [ ("n_nationkey", "s_nationkey") ])
-      ~on:[ "s_nationkey" ]
-  in
-  let li =
+  let li () =
+    let nation_r =
+      D.filter db.G.m_nation E.(col "n_regionkey" ==. const q5_region)
+    in
+    let supp =
+      D.semi_join db.G.m_supplier
+        (select nation_r [ ("n_nationkey", "s_nationkey") ])
+        ~on:[ "s_nationkey" ]
+    in
     D.inner_join
       (select supp [ ("s_suppkey", "l_suppkey"); ("s_nationkey", "s_nationkey") ])
       db.G.m_lineitem ~on:[ "l_suppkey" ] ~copy:[ "s_nationkey" ]
   in
-  let o =
-    D.filter db.G.m_orders
-      E.(col "o_orderdate" >=. const q5_date &&. (col "o_orderdate" <. const (q5_date + 365)))
-  in
-  let co =
+  let co () =
+    let o =
+      D.filter db.G.m_orders
+        E.(col "o_orderdate" >=. const q5_date &&. (col "o_orderdate" <. const (q5_date + 365)))
+    in
     D.inner_join
       (select db.G.m_customer
          [ ("c_custkey", "o_custkey"); ("c_nationkey", "c_nationkey") ])
       o ~on:[ "o_custkey" ] ~copy:[ "c_nationkey" ]
   in
+  let r = Mpc.fuse_rounds (T.ctx db.G.m_orders) [| li; co |] in
+  let li = r.(0) and co = r.(1) in
   let j =
     D.inner_join
       (select co [ ("o_orderkey", "l_orderkey"); ("c_nationkey", "c_nationkey") ])
@@ -266,10 +281,10 @@ let q5_run (db : G.mpc) =
       ~on:[ "l_orderkey" ]
       ~copy:[ "c_nationkey" ]
   in
-  let j = D.filter j E.(col "c_nationkey" ==. col "s_nationkey") in
   let j =
-    D.map j ~dst:"revenue"
-      E.(Div_pub (col "l_extendedprice" *! (const 100 -! col "l_discount"), 100))
+    filter_map j E.(col "c_nationkey" ==. col "s_nationkey") (fun j ->
+        D.map j ~dst:"revenue"
+          E.(Div_pub (col "l_extendedprice" *! (const 100 -! col "l_discount"), 100)))
   in
   D.aggregate j ~keys:[ "s_nationkey" ] ~aggs:[ sum "revenue" "revenue_sum" ]
 
@@ -318,17 +333,15 @@ let q5_cols = [ "s_nationkey"; "revenue_sum" ]
 
 let q6_run (db : G.mpc) =
   let li =
-    D.filter db.G.m_lineitem
+    filter_map db.G.m_lineitem
       E.(
         col "l_shipdate" >=. const q6_date
         &&. (col "l_shipdate" <. const (q6_date + 365))
         &&. (col "l_discount" >=. const (q6_discount - 1))
         &&. (col "l_discount" <=. const (q6_discount + 1))
         &&. (col "l_quantity" <. const q6_quantity))
-  in
-  let li =
-    D.map li ~dst:"revenue"
-      E.(Div_pub (col "l_extendedprice" *! col "l_discount", 100))
+      (fun li ->
+        D.map li ~dst:"revenue" E.(Div_pub (col "l_extendedprice" *! col "l_discount", 100)))
   in
   D.global_aggregate li ~aggs:[ sum "revenue" "revenue_sum" ]
 
@@ -354,22 +367,24 @@ let q6_cols = [ "revenue_sum" ]
 (* ------------------------------------------------------------------ *)
 
 let q7_run (db : G.mpc) =
-  let li =
-    D.filter db.G.m_lineitem
-      E.(col "l_shipdate" >=. const q7_date_lo &&. (col "l_shipdate" <=. const q7_date_hi))
-  in
-  let li =
+  let li () =
+    let li =
+      D.filter db.G.m_lineitem
+        E.(col "l_shipdate" >=. const q7_date_lo &&. (col "l_shipdate" <=. const q7_date_hi))
+    in
     D.inner_join
       (select db.G.m_supplier
          [ ("s_suppkey", "l_suppkey"); ("s_nationkey", "s_nationkey") ])
       li ~on:[ "l_suppkey" ] ~copy:[ "s_nationkey" ]
   in
-  let co =
+  let co () =
     D.inner_join
       (select db.G.m_customer
          [ ("c_custkey", "o_custkey"); ("c_nationkey", "c_nationkey") ])
       db.G.m_orders ~on:[ "o_custkey" ] ~copy:[ "c_nationkey" ]
   in
+  let r = Mpc.fuse_rounds (T.ctx db.G.m_orders) [| li; co |] in
+  let li = r.(0) and co = r.(1) in
   let j =
     D.inner_join
       (select co [ ("o_orderkey", "l_orderkey"); ("c_nationkey", "c_nationkey") ])
@@ -378,17 +393,23 @@ let q7_run (db : G.mpc) =
       ~copy:[ "c_nationkey" ]
   in
   let j =
-    D.filter j
+    filter_map j
       E.(
         col "s_nationkey" ==. const q7_nation1
         &&. (col "c_nationkey" ==. const q7_nation2)
         ||. (col "s_nationkey" ==. const q7_nation2
             &&. (col "c_nationkey" ==. const q7_nation1)))
-  in
-  let j = D.map j ~dst:"l_year" E.(Div_pub (col "l_shipdate", 365)) in
-  let j =
-    D.map j ~dst:"volume"
-      E.(Div_pub (col "l_extendedprice" *! (const 100 -! col "l_discount"), 100))
+      (fun j ->
+        let r =
+          Mpc.fuse_rounds (T.ctx j)
+            [|
+              (fun () -> D.map j ~dst:"l_year" E.(Div_pub (col "l_shipdate", 365)));
+              (fun () ->
+                D.map j ~dst:"volume"
+                  E.(Div_pub (col "l_extendedprice" *! (const 100 -! col "l_discount"), 100)));
+            |]
+        in
+        T.set_col r.(0) "volume" (T.find r.(1) "volume"))
   in
   D.aggregate j
     ~keys:[ "s_nationkey"; "c_nationkey"; "l_year" ]
@@ -438,34 +459,44 @@ let q7_cols = [ "s_nationkey"; "c_nationkey"; "l_year"; "revenue_sum" ]
 (* ------------------------------------------------------------------ *)
 
 let q8_run (db : G.mpc) =
-  let nation_r =
-    D.filter db.G.m_nation E.(col "n_regionkey" ==. const q8_region)
+  let ctx = T.ctx db.G.m_orders in
+  let co () =
+    let r =
+      Mpc.fuse_rounds ctx
+        [|
+          (fun () ->
+            let nation_r =
+              D.filter db.G.m_nation E.(col "n_regionkey" ==. const q8_region)
+            in
+            D.semi_join db.G.m_customer
+              (select nation_r [ ("n_nationkey", "c_nationkey") ])
+              ~on:[ "c_nationkey" ]);
+          (fun () ->
+            D.filter db.G.m_orders
+              E.(
+                col "o_orderdate" >=. const q8_date_lo
+                &&. (col "o_orderdate" <=. const q8_date_hi)));
+        |]
+    in
+    let co =
+      D.inner_join (select r.(0) [ ("c_custkey", "o_custkey") ]) r.(1) ~on:[ "o_custkey" ]
+    in
+    D.map co ~dst:"o_year" E.(Div_pub (col "o_orderdate", 365))
   in
-  let cust =
-    D.semi_join db.G.m_customer
-      (select nation_r [ ("n_nationkey", "c_nationkey") ])
-      ~on:[ "c_nationkey" ]
-  in
-  let o =
-    D.filter db.G.m_orders
-      E.(col "o_orderdate" >=. const q8_date_lo &&. (col "o_orderdate" <=. const q8_date_hi))
-  in
-  let co =
-    D.inner_join (select cust [ ("c_custkey", "o_custkey") ]) o ~on:[ "o_custkey" ]
-  in
-  let co = D.map co ~dst:"o_year" E.(Div_pub (col "o_orderdate", 365)) in
-  let parts = D.filter db.G.m_part E.(col "p_type" <=. const q8_type) in
-  let li =
-    D.inner_join
-      (select parts [ ("p_partkey", "l_partkey") ])
-      db.G.m_lineitem ~on:[ "l_partkey" ]
-  in
-  let li =
+  let li () =
+    let parts = D.filter db.G.m_part E.(col "p_type" <=. const q8_type) in
+    let li =
+      D.inner_join
+        (select parts [ ("p_partkey", "l_partkey") ])
+        db.G.m_lineitem ~on:[ "l_partkey" ]
+    in
     D.inner_join
       (select db.G.m_supplier
          [ ("s_suppkey", "l_suppkey"); ("s_nationkey", "s_nationkey") ])
       li ~on:[ "l_suppkey" ] ~copy:[ "s_nationkey" ]
   in
+  let r = Mpc.fuse_rounds ctx [| co; li |] in
+  let co = r.(0) and li = r.(1) in
   let j =
     D.inner_join
       (select co [ ("o_orderkey", "l_orderkey"); ("o_year", "o_year") ])
@@ -540,31 +571,33 @@ let q8_cols = [ "o_year"; "share_pct" ]
 (* ------------------------------------------------------------------ *)
 
 let q9_run (db : G.mpc) =
-  let parts = D.filter db.G.m_part E.(col "p_type" <=. const q9_type) in
-  let li =
-    D.inner_join
-      (select parts [ ("p_partkey", "l_partkey") ])
-      db.G.m_lineitem ~on:[ "l_partkey" ]
-  in
-  let li =
-    D.inner_join
-      (select db.G.m_partsupp
-         [
-           ("ps_partkey", "l_partkey");
-           ("ps_suppkey", "l_suppkey");
-           ("ps_supplycost", "ps_supplycost");
-         ])
-      li
-      ~on:[ "l_partkey"; "l_suppkey" ]
-      ~copy:[ "ps_supplycost" ]
-  in
-  let li =
+  let li () =
+    let parts = D.filter db.G.m_part E.(col "p_type" <=. const q9_type) in
+    let li =
+      D.inner_join
+        (select parts [ ("p_partkey", "l_partkey") ])
+        db.G.m_lineitem ~on:[ "l_partkey" ]
+    in
+    let li =
+      D.inner_join
+        (select db.G.m_partsupp
+           [
+             ("ps_partkey", "l_partkey");
+             ("ps_suppkey", "l_suppkey");
+             ("ps_supplycost", "ps_supplycost");
+           ])
+        li
+        ~on:[ "l_partkey"; "l_suppkey" ]
+        ~copy:[ "ps_supplycost" ]
+    in
     D.inner_join
       (select db.G.m_supplier
          [ ("s_suppkey", "l_suppkey"); ("s_nationkey", "s_nationkey") ])
       li ~on:[ "l_suppkey" ] ~copy:[ "s_nationkey" ]
   in
-  let o = D.map db.G.m_orders ~dst:"o_year" E.(Div_pub (col "o_orderdate", 365)) in
+  let o () = D.map db.G.m_orders ~dst:"o_year" E.(Div_pub (col "o_orderdate", 365)) in
+  let r = Mpc.fuse_rounds (T.ctx db.G.m_orders) [| li; o |] in
+  let li = r.(0) and o = r.(1) in
   let j =
     D.inner_join
       (select o [ ("o_orderkey", "l_orderkey"); ("o_year", "o_year") ])
@@ -624,15 +657,21 @@ let q9_cols = [ "s_nationkey"; "o_year"; "profit_sum" ]
 (* ------------------------------------------------------------------ *)
 
 let q10_run (db : G.mpc) =
-  let o =
-    D.filter db.G.m_orders
-      E.(col "o_orderdate" >=. const q10_date &&. (col "o_orderdate" <. const (q10_date + 90)))
+  let r =
+    Mpc.fuse_rounds (T.ctx db.G.m_orders)
+      [|
+        (fun () ->
+          D.filter db.G.m_orders
+            E.(
+              col "o_orderdate" >=. const q10_date
+              &&. (col "o_orderdate" <. const (q10_date + 90))));
+        (fun () ->
+          filter_map db.G.m_lineitem E.(col "l_returnflag" ==. const 2) (fun li ->
+              D.map li ~dst:"revenue"
+                E.(Div_pub (col "l_extendedprice" *! (const 100 -! col "l_discount"), 100))));
+      |]
   in
-  let li = D.filter db.G.m_lineitem E.(col "l_returnflag" ==. const 2) in
-  let li =
-    D.map li ~dst:"revenue"
-      E.(Div_pub (col "l_extendedprice" *! (const 100 -! col "l_discount"), 100))
-  in
+  let o = r.(0) and li = r.(1) in
   let j =
     D.inner_join
       (select o [ ("o_orderkey", "l_orderkey"); ("o_custkey", "o_custkey") ])
@@ -682,10 +721,14 @@ let q11_run (db : G.mpc) =
       ~on:[ "ps_suppkey" ]
   in
   let ps = D.map ps ~dst:"value" E.(col "ps_supplycost" *! col "ps_availqty") in
-  let total = D.global_aggregate ps ~aggs:[ sum "value" "total_value" ] in
-  let agg =
-    D.aggregate ps ~keys:[ "ps_partkey" ] ~aggs:[ sum "value" "value_sum" ]
+  let r =
+    Mpc.fuse_rounds (T.ctx ps)
+      [|
+        (fun () -> D.global_aggregate ps ~aggs:[ sum "value" "total_value" ]);
+        (fun () -> D.aggregate ps ~keys:[ "ps_partkey" ] ~aggs:[ sum "value" "value_sum" ]);
+      |]
   in
+  let total = r.(0) and agg = r.(1) in
   let agg = D.with_scalar agg ~scalar:total ~src:"total_value" ~dst:"total_value" in
   D.filter agg
     E.(col "value_sum" *! const q11_fraction_inv >. col "total_value")

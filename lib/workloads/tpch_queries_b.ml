@@ -29,8 +29,16 @@ let q12_run (db : G.mpc) =
       ~on:[ "l_orderkey" ]
       ~copy:[ "o_orderpriority" ]
   in
-  let j = D.map j ~dst:"high" E.(If (col "o_orderpriority" <=. const 2, const 1, const 0)) in
-  let j = D.map j ~dst:"low" E.(If (col "o_orderpriority" >. const 2, const 1, const 0)) in
+  let r =
+    Mpc.fuse_rounds (T.ctx j)
+      [|
+        (fun () ->
+          D.map j ~dst:"high" E.(If (col "o_orderpriority" <=. const 2, const 1, const 0)));
+        (fun () ->
+          D.map j ~dst:"low" E.(If (col "o_orderpriority" >. const 2, const 1, const 0)));
+      |]
+  in
+  let j = T.set_col r.(0) "low" (T.find r.(1) "low") in
   D.aggregate j ~keys:[ "l_shipmode" ]
     ~aggs:[ sum "high" "high_count"; sum "low" "low_count" ]
 
@@ -153,12 +161,11 @@ let q14_cols = [ "promo_pct" ]
 
 let q15_run (db : G.mpc) =
   let li =
-    D.filter db.G.m_lineitem
+    filter_map db.G.m_lineitem
       E.(col "l_shipdate" >=. const q15_date &&. (col "l_shipdate" <. const (q15_date + 90)))
-  in
-  let li =
-    D.map li ~dst:"revenue"
-      E.(Div_pub (col "l_extendedprice" *! (const 100 -! col "l_discount"), 100))
+      (fun li ->
+        D.map li ~dst:"revenue"
+          E.(Div_pub (col "l_extendedprice" *! (const 100 -! col "l_discount"), 100)))
   in
   let rev =
     D.aggregate li ~keys:[ "l_suppkey" ] ~aggs:[ sum "revenue" "total_rev" ]
@@ -190,21 +197,23 @@ let q15_cols = [ "l_suppkey"; "total_rev" ]
 (* ------------------------------------------------------------------ *)
 
 let q16_run (db : G.mpc) =
-  let bad =
-    D.filter db.G.m_supplier E.(col "s_acctbal" <. const q16_bad_balance)
-  in
-  let ps =
+  let ps () =
+    let bad =
+      D.filter db.G.m_supplier E.(col "s_acctbal" <. const q16_bad_balance)
+    in
     D.anti_join db.G.m_partsupp
       (select bad [ ("s_suppkey", "ps_suppkey") ])
       ~on:[ "ps_suppkey" ]
   in
-  let parts =
+  let parts () =
     D.filter db.G.m_part
       E.(
         col "p_brand" <>. const q16_brand
         &&. (col "p_type" <>. const q16_type)
         &&. (col "p_size" <=. const q16_max_size))
   in
+  let r = Mpc.fuse_rounds (T.ctx db.G.m_part) [| ps; parts |] in
+  let ps = r.(0) and parts = r.(1) in
   let j =
     D.inner_join
       (select parts
@@ -353,15 +362,14 @@ let q19_run (db : G.mpc) =
       &&. (col "p_size" <=. const psize))
   in
   let j =
-    D.filter j
+    filter_map j
       E.(
         branch q19_brand1 q19_qty1 10 5
         ||. branch q19_brand2 q19_qty2 20 10
         ||. branch q19_brand3 q19_qty3 30 15)
-  in
-  let j =
-    D.map j ~dst:"revenue"
-      E.(Div_pub (col "l_extendedprice" *! (const 100 -! col "l_discount"), 100))
+      (fun j ->
+        D.map j ~dst:"revenue"
+          E.(Div_pub (col "l_extendedprice" *! (const 100 -! col "l_discount"), 100)))
   in
   D.global_aggregate j ~aggs:[ sum "revenue" "revenue_sum" ]
 
@@ -404,11 +412,18 @@ let q19_cols = [ "revenue_sum" ]
 (* ------------------------------------------------------------------ *)
 
 let q20_run (db : G.mpc) =
-  let parts = D.filter db.G.m_part E.(col "p_type" <=. const q20_type) in
-  let li =
-    D.filter db.G.m_lineitem
-      E.(col "l_shipdate" >=. const q20_date &&. (col "l_shipdate" <. const (q20_date + 365)))
+  let r =
+    Mpc.fuse_rounds (T.ctx db.G.m_part)
+      [|
+        (fun () -> D.filter db.G.m_part E.(col "p_type" <=. const q20_type));
+        (fun () ->
+          D.filter db.G.m_lineitem
+            E.(
+              col "l_shipdate" >=. const q20_date
+              &&. (col "l_shipdate" <. const (q20_date + 365))));
+      |]
   in
+  let parts = r.(0) and li = r.(1) in
   let li =
     D.semi_join li (select parts [ ("p_partkey", "l_partkey") ]) ~on:[ "l_partkey" ]
   in
@@ -473,10 +488,16 @@ let q21_run (db : G.mpc) =
       (select o_f [ ("o_orderkey", "l_orderkey") ])
       ~on:[ "l_orderkey" ]
   in
-  let d_all = D.distinct li [ "l_orderkey"; "l_suppkey" ] in
-  let ns = D.aggregate d_all ~keys:[ "l_orderkey" ] ~aggs:[ cnt "l_suppkey" "ns" ] in
-  let li_late = D.filter li E.(col "l_receiptdate" >. col "l_commitdate") in
-  let d_late = D.distinct li_late [ "l_orderkey"; "l_suppkey" ] in
+  let ns () =
+    let d_all = D.distinct li [ "l_orderkey"; "l_suppkey" ] in
+    D.aggregate d_all ~keys:[ "l_orderkey" ] ~aggs:[ cnt "l_suppkey" "ns" ]
+  in
+  let late () =
+    let li_late = D.filter li E.(col "l_receiptdate" >. col "l_commitdate") in
+    D.distinct li_late [ "l_orderkey"; "l_suppkey" ]
+  in
+  let r = Mpc.fuse_rounds (T.ctx li) [| ns; late |] in
+  let ns = r.(0) and d_late = r.(1) in
   let nl = D.aggregate d_late ~keys:[ "l_orderkey" ] ~aggs:[ cnt "l_suppkey" "nl" ] in
   let pairs = T.project d_late [ "l_orderkey"; "l_suppkey" ] in
   let j1 =
@@ -489,10 +510,14 @@ let q21_run (db : G.mpc) =
       (select nl [ ("l_orderkey", "l_orderkey"); ("nl", "nl") ])
       j1 ~on:[ "l_orderkey" ] ~copy:[ "nl" ]
   in
-  let j2 = D.filter j2 E.(col "ns" >=. const 2 &&. (col "nl" ==. const 1)) in
-  let supp_n =
-    D.filter db.G.m_supplier E.(col "s_nationkey" ==. const q21_nation)
+  let r =
+    Mpc.fuse_rounds (T.ctx j2)
+      [|
+        (fun () -> D.filter j2 E.(col "ns" >=. const 2 &&. (col "nl" ==. const 1)));
+        (fun () -> D.filter db.G.m_supplier E.(col "s_nationkey" ==. const q21_nation));
+      |]
   in
+  let j2 = r.(0) and supp_n = r.(1) in
   let j2 =
     D.semi_join j2 (select supp_n [ ("s_suppkey", "l_suppkey") ]) ~on:[ "l_suppkey" ]
   in

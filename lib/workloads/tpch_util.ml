@@ -5,6 +5,7 @@ module D = Orq_core.Dataflow
 module E = Orq_core.Expr
 module T = Orq_core.Table
 module P = Orq_plaintext.Ptable
+module Mpc = Orq_proto.Mpc
 
 (* MPC-side shorthands *)
 let sum src dst = { D.src; dst; fn = D.Sum }
@@ -20,6 +21,15 @@ let select t (pairs : (string * string) list) =
   List.fold_left
     (fun t (from, into) -> if from = into then t else T.rename_col t ~from ~into)
     t pairs
+
+(** [filter_map t p f] is [f (D.filter t p)] for an [f] that reads no
+    validity, such as a chain of [D.map]s: the filter and [f] run on [t]
+    as fused round tracks, filter first, and [f]'s result takes the
+    filter's validity. *)
+let filter_map t p f =
+  match Mpc.fuse_rounds (T.ctx t) [| (fun () -> D.filter t p); (fun () -> f t) |] with
+  | [| filtered; mapped |] -> { mapped with T.valid = filtered.T.valid }
+  | _ -> assert false
 
 (* Plaintext-side shorthands *)
 let psum src dst = { P.src; dst; fn = P.Sum }

@@ -356,6 +356,41 @@ let test_certify_catches_shape_leak () =
   Alcotest.(check bool) "divergence localized" true
     (String.length c.Certify.c_detail > 0)
 
+(* certdiff reads back what the certifier writes: every row's flags and
+   counts survive, and a detail string with JSON escapes parses. *)
+let test_report_round_trip () =
+  let cert q p ok validated (r, b, m, e) detail =
+    {
+      Certify.c_query = q;
+      c_protocol = p;
+      c_mode = Certify.Exact;
+      c_ok = ok;
+      c_validated = validated;
+      c_events = e;
+      c_tally = { Comm.t_rounds = r; t_bits = b; t_messages = m };
+      c_detail = detail;
+    }
+  in
+  let certs =
+    [
+      cert "Q1" "SH-DM" true true (403, 83437654, 1466, 760) "";
+      cert "C.Diff" "Mal-HM" false true (7, 8, 9, 10) "event 3: \"Round\"\tvs\nBarrier";
+    ]
+  in
+  let path = Filename.temp_file "cert" ".json" in
+  Out_channel.with_open_bin path (fun oc ->
+      output_string oc (Certify.report_json certs));
+  let rows = Certify.read_report path in
+  Sys.remove path;
+  Alcotest.(check (list (pair string string))) "keys"
+    [ ("Q1", "SH-DM"); ("C.Diff", "Mal-HM") ]
+    (List.map fst rows);
+  let r = List.assoc ("C.Diff", "Mal-HM") rows in
+  Alcotest.(check (list int)) "counts (rounds, bits, messages, events)" [ 7; 8; 9; 10 ]
+    r.Certify.r_counts;
+  Alcotest.(check (pair bool bool)) "flags" (false, true)
+    (r.Certify.r_certified, r.Certify.r_validated)
+
 let test_twin_preserves_shape_only () =
   let p =
     Orq_plaintext.Ptable.create [ "a"; "b" ] [ [ 10; 20 ]; [ 30; 40 ] ]
@@ -397,6 +432,7 @@ let suite =
     Alcotest.test_case "certifier: rejects shape leak" `Quick
       test_certify_catches_shape_leak;
     Alcotest.test_case "shape twin" `Quick test_twin_preserves_shape_only;
+    Alcotest.test_case "certificate report reads back" `Quick test_report_round_trip;
   ]
 
 let () = Alcotest.run "orq_analysis" [ ("analysis", suite) ]

@@ -626,6 +626,26 @@ let test_signed_expressions () =
     [ [ 1; 2 land Orq_util.Ring.mask w ] ]
     (Table.valid_rows_sorted agg [ "g"; "s" ])
 
+(* An unsigned operand at full width under a signed result keeps its top
+   bit: a = 200 at width 8 must not read as negative next to a signed -1. *)
+let test_mixed_signedness () =
+  let ctx = hm () in
+  let t =
+    Table.create ctx "t" [ ("a", 8, [| 200; 5; 100 |]); ("b", 1, [| 1; 0; 1 |]) ]
+  in
+  let x = Expr.(If (col "b" ==. const 1, col "a", const (-1))) in
+  let t = Dataflow.map t ~dst:"x" x in
+  Alcotest.(check rows_t) "If result compares as signed" [ [ 200 ] ]
+    (Table.valid_rows_sorted (Dataflow.filter t Expr.(col "x" >. const 100)) [ "a" ]);
+  let s =
+    Dataflow.global_aggregate t ~aggs:[ { Dataflow.src = "x"; dst = "s"; fn = Dataflow.Sum } ]
+  in
+  Alcotest.(check rows_t) "SUM of the If result" [ [ 299 ] ]
+    (Table.valid_rows_sorted s [ "s" ]);
+  Alcotest.(check rows_t) "unsigned leg against a negative constant"
+    [ [ 5 ]; [ 100 ]; [ 200 ] ]
+    (Table.valid_rows_sorted (Dataflow.filter t Expr.(col "a" >. const (-1))) [ "a" ])
+
 let test_order_by_signed () =
   let ctx = hm () in
   let t =
@@ -883,6 +903,8 @@ let suite =
       test_trim_heuristic_values;
     Alcotest.test_case "theta join" `Quick test_theta_join;
     Alcotest.test_case "signed expressions" `Quick test_signed_expressions;
+    Alcotest.test_case "mixed signedness keeps the unsigned top bit" `Quick
+      test_mixed_signedness;
     Alcotest.test_case "order-by signed column" `Quick test_order_by_signed;
     Alcotest.test_case "global min/max/avg respect validity" `Quick
       test_global_minmax_validity;

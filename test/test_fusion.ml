@@ -402,6 +402,100 @@ let test_zero_lanes () =
         (Comm.since ctx.Ctx.preproc pre0 = Comm.zero_tally))
     kinds
 
+(* Expr evaluates an operator's operands (and an If's predicate and
+   branches) as fused tracks, then their encoding conversions as a second
+   fused pair: a whole expression costs the sum of its parts in bits and
+   messages, but only the deepest operand plus the combining op in rounds. *)
+let test_expr_operands_fuse () =
+  let module E = Orq_core.Expr in
+  let module T = Orq_core.Table in
+  let module Col = Orq_core.Column in
+  let n = 40 in
+  let av = Array.init n (fun i -> (i * 977) land 0xffff)
+  and bv = Array.init n (fun i -> ((i * 613) + 5) land 0xffff)
+  and cv = Array.init n (fun i -> ((i * 13) + 1) land 63) in
+  let table k =
+    let ctx = Ctx.create ~seed:37 k in
+    (ctx, T.create ctx "t" [ ("a", 16, av); ("b", 16, bv); ("c", 6, cv) ])
+  in
+  let tally ctx f =
+    let before = Comm.snapshot ctx.Ctx.comm in
+    let r = f () in
+    (r, Comm.since ctx.Ctx.comm before)
+  in
+  (* the tally of [f] on a fresh table of protocol [k] *)
+  let alone k f =
+    let ctx, t = table k in
+    tally ctx (fun () -> f ctx t)
+  in
+  let col_data c = Col.data c in
+  List.iter
+    (fun k ->
+      let check name e want ~parts ~combine =
+        let lbl = Ctx.kind_label k ^ " " ^ name in
+        let ctx, t = table k in
+        let c, full = tally ctx (fun () -> E.eval_col t e) in
+        let got = Share.reconstruct (col_data c) in
+        Alcotest.(check (array int)) (lbl ^ " values") want
+          (Array.map (fun v -> v land Ring.mask c.Col.width) got);
+        let sum f = List.fold_left (fun acc p -> acc + f p) (f combine) parts in
+        let deepest = List.fold_left (fun d p -> max d p.Comm.t_rounds) 0 parts in
+        Alcotest.(check int) (lbl ^ " bits") (sum (fun p -> p.Comm.t_bits)) full.Comm.t_bits;
+        Alcotest.(check int) (lbl ^ " messages")
+          (sum (fun p -> p.Comm.t_messages)) full.Comm.t_messages;
+        Alcotest.(check int) (lbl ^ " rounds") (deepest + combine.Comm.t_rounds)
+          full.Comm.t_rounds
+      in
+      (* Sub of two public-divisor quotients; the combining op is the
+         fused b2a pair, then the a2b of the signed 17-bit difference *)
+      let qa, ta = alone k (fun _ t -> E.eval_col t E.(Div_pub (col "a", 100))) in
+      let qb, tb = alone k (fun _ t -> E.eval_col t E.(Div_pub (col "b", 100))) in
+      let _, tc =
+        alone k (fun ctx _ ->
+            let x =
+              Mpc.fuse_rounds ctx
+                [|
+                  (fun () -> Convert.b2a ~w:16 ~signed:false ctx (col_data qb));
+                  (fun () -> Convert.b2a ~w:16 ~signed:false ctx (col_data qa));
+                |]
+            in
+            Convert.a2b ~w:17 ctx (Mpc.sub x.(1) x.(0)))
+      in
+      check "Sub (Div_pub, Div_pub)"
+        E.(Div_pub (col "a", 100) -! Div_pub (col "b", 100))
+        (Array.init n (fun i -> ((av.(i) / 100) - (bv.(i) / 100)) land Ring.mask 17))
+        ~parts:[ ta; tb ] ~combine:tc;
+      (* Mul of two boolean columns: both convert in one fused pair *)
+      let _, tc =
+        alone k (fun ctx t ->
+            let x =
+              Mpc.fuse_rounds ctx
+                [|
+                  (fun () -> Convert.b2a ~w:6 ~signed:false ctx (T.column t "c"));
+                  (fun () -> Convert.b2a ~w:16 ~signed:false ctx (T.column t "a"));
+                |]
+            in
+            Convert.a2b ~w:22 ctx (Mpc.mul ~width:22 ctx x.(1) x.(0)))
+      in
+      check "Mul (Col, Col)"
+        E.(col "a" *! col "c")
+        (Array.init n (fun i -> av.(i) * cv.(i)))
+        ~parts:[] ~combine:tc;
+      (* If: predicate and both branches are three tracks, then one mux *)
+      let p = E.(col "a" <. col "b") in
+      let bit, tp = alone k (fun _ t -> E.eval_pred t p) in
+      let x, tx = alone k (fun _ t -> E.eval_col t E.(Div_pub (col "a", 3))) in
+      let y, ty = alone k (fun _ t -> E.eval_col t E.(Div_pub (col "b" *! col "c", 5))) in
+      let _, tc =
+        alone k (fun ctx _ -> Mux.mux_b ~width:22 ctx bit (col_data y) (col_data x))
+      in
+      check "If (Cmp, Div_pub, Div_pub)"
+        E.(If (p, Div_pub (col "a", 3), Div_pub (col "b" *! col "c", 5)))
+        (Array.init n (fun i ->
+             if av.(i) < bv.(i) then av.(i) / 3 else bv.(i) * cv.(i) / 5))
+        ~parts:[ tp; tx; ty ] ~combine:tc)
+    kinds
+
 let () =
   Alcotest.run "fusion"
     [
@@ -423,5 +517,7 @@ let () =
             test_fuse_rounds_abort;
           Alcotest.test_case "zero lanes charge nothing" `Quick
             test_zero_lanes;
+          Alcotest.test_case "expression operands fuse" `Quick
+            test_expr_operands_fuse;
         ] );
     ]

@@ -168,12 +168,13 @@ let test_quadratic_fallback () =
 let test_q3_shaped_plan () =
   let ctx = Ctx.create ~seed:63 Ctx.Sh_hm in
   let db = Orq_workloads.Tpch_gen.share ctx (Orq_workloads.Tpch_gen.generate ~seed:5 0.0002) in
-  let c =
-    Plan.scan ~keys:[ [ "c_custkey" ] ]
-      (Orq_workloads.Tpch_util.select db.Orq_workloads.Tpch_gen.m_customer
-         [ ("c_custkey", "o_custkey"); ("c_mktsegment", "c_mktsegment") ])
+  let cust =
+    Orq_workloads.Tpch_util.select db.Orq_workloads.Tpch_gen.m_customer
+      [ ("c_custkey", "o_custkey"); ("c_mktsegment", "c_mktsegment") ]
   in
-  let o = Plan.scan ~keys:[ [ "o_orderkey" ] ] db.Orq_workloads.Tpch_gen.m_orders in
+  let orders = db.Orq_workloads.Tpch_gen.m_orders in
+  let c = Plan.scan ~keys:[ [ "c_custkey" ] ] cust in
+  let o = Plan.scan ~keys:[ [ "o_orderkey" ] ] orders in
   let plan =
     Plan.top [ ("total", Tablesort.Desc) ] 5
       (Plan.aggregate ~keys:[ "o_custkey" ]
@@ -182,19 +183,18 @@ let test_q3_shaped_plan () =
             Expr.(col "c_mktsegment" ==. const 1 &&. (col "o_orderdate" <. const 1000))
             (Plan.join c o ~on:[ "o_custkey" ])))
   in
-  let t, fb = Compile.run plan in
+  (* reseeded, so every run draws the same shuffles *)
+  let tally f =
+    Ctx.reseed ctx 64;
+    let c0 = Orq_net.Comm.snapshot ctx.Ctx.comm in
+    let r = f () in
+    (r, Orq_net.Comm.since ctx.Ctx.comm c0)
+  in
+  let (t, fb), planned = tally (fun () -> Compile.run plan) in
   Alcotest.(check int) "no fallback" 0 fb;
   (* hand-written dataflow equivalent *)
-  let c2 =
-    Dataflow.filter
-      (Orq_workloads.Tpch_util.select db.Orq_workloads.Tpch_gen.m_customer
-         [ ("c_custkey", "o_custkey"); ("c_mktsegment", "c_mktsegment") ])
-      Expr.(col "c_mktsegment" ==. const 1)
-  in
-  let o2 =
-    Dataflow.filter db.Orq_workloads.Tpch_gen.m_orders
-      Expr.(col "o_orderdate" <. const 1000)
-  in
+  let c2 = Dataflow.filter cust Expr.(col "c_mktsegment" ==. const 1) in
+  let o2 = Dataflow.filter orders Expr.(col "o_orderdate" <. const 1000) in
   let j2 = Dataflow.inner_join c2 o2 ~on:[ "o_custkey" ] in
   let a2 =
     Dataflow.aggregate j2 ~keys:[ "o_custkey" ]
@@ -203,7 +203,43 @@ let test_q3_shaped_plan () =
   let h = Dataflow.limit (Dataflow.order_by a2 [ ("total", Dataflow.Desc) ]) 5 in
   Alcotest.(check rows_t) "planned = hand-written"
     (Table.valid_rows_sorted h [ "o_custkey"; "total" ])
-    (Table.valid_rows_sorted t [ "o_custkey"; "total" ])
+    (Table.valid_rows_sorted t [ "o_custkey"; "total" ]);
+  (* the compiled operator sequence written by hand, every step in
+     sequence: filters pushed down, the customer side (whose declared key
+     the rename hides) pre-aggregated to multiplicities (§3.6), scans
+     pruned to the needed columns. The compiled plan runs the join's two
+     inputs as fused round tracks: same bits and messages, fewer rounds. *)
+  let m, seq =
+    tally (fun () ->
+        let c2 = Dataflow.filter cust Expr.(col "c_mktsegment" ==. const 1) in
+        let c2 =
+          Dataflow.aggregate c2 ~keys:[ "o_custkey" ]
+            ~aggs:[ { Dataflow.src = "o_custkey"; dst = "__mult"; fn = Dataflow.Count } ]
+        in
+        let o2 =
+          Dataflow.filter
+            (Table.project orders [ "o_custkey"; "o_orderdate"; "o_totalprice" ])
+            Expr.(col "o_orderdate" <. const 1000)
+        in
+        let j2 = Dataflow.inner_join c2 o2 ~on:[ "o_custkey" ] ~copy:[ "__mult" ] in
+        let j2 = Dataflow.map j2 ~dst:"__w" Expr.(col "o_totalprice" *! col "__mult") in
+        let a2 =
+          Dataflow.aggregate j2 ~keys:[ "o_custkey" ]
+            ~aggs:[ { Dataflow.src = "__w"; dst = "total"; fn = Dataflow.Sum } ]
+        in
+        Dataflow.limit (Dataflow.order_by a2 [ ("total", Dataflow.Desc) ]) 5)
+  in
+  Alcotest.(check rows_t) "planned = its operator sequence"
+    (Table.valid_rows_sorted m [ "o_custkey"; "total" ])
+    (Table.valid_rows_sorted t [ "o_custkey"; "total" ]);
+  Alcotest.(check int) "same bits" seq.Orq_net.Comm.t_bits planned.Orq_net.Comm.t_bits;
+  Alcotest.(check int) "same messages" seq.Orq_net.Comm.t_messages
+    planned.Orq_net.Comm.t_messages;
+  Alcotest.(check bool)
+    (Printf.sprintf "fewer rounds (%d < %d)" planned.Orq_net.Comm.t_rounds
+       seq.Orq_net.Comm.t_rounds)
+    true
+    (planned.Orq_net.Comm.t_rounds < seq.Orq_net.Comm.t_rounds)
 
 let contains hay needle =
   let nh = String.length hay and nn = String.length needle in
