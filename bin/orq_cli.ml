@@ -384,7 +384,8 @@ let party_run id listen_s peers_s client_s proto seed sf max_rows verbose
         1
 
 (* --explain: the per-join-node physical-operator decisions of a cold
-   execution — chosen operator first, then every priced candidate. *)
+   execution — chosen operator first, then every priced candidate (at a
+   GROUP BY over the join, sort-grouped vs linear+aggregate). *)
 let print_explain label (e : Wire.explain) =
   Printf.printf "physical join plan under %s (mode %s, profile %s):\n" label
     e.Wire.e_mode e.Wire.e_profile;
@@ -397,7 +398,7 @@ let print_explain label (e : Wire.explain) =
       List.iter
         (fun (c : Wire.join_cand) ->
           Printf.printf
-            "   %s %-6s  %7d rounds | %11d bits | %9d msgs | est. %.4fs\n"
+            "   %s %-16s  %7d rounds | %11d bits | %9d msgs | est. %.4fs\n"
             (if c.Wire.jc_op = j.Wire.je_chosen then "*" else " ")
             c.Wire.jc_op c.Wire.jc_rounds c.Wire.jc_bits c.Wire.jc_messages
             c.Wire.jc_est_s)

@@ -47,33 +47,38 @@ let slices s d =
   let n = Share.length s in
   (Share.sub_range s 0 (n - d), Share.sub_range s d (n - d))
 
-(** [run ctx ~keys ?tid specs] executes the aggregation network over a
-    table already sorted on [keys] (which must include the validity
-    column). [tid] supplies the table-id column for [Group_and_tid]
-    functions. Returns the updated columns in the order of [specs]. *)
-let run (ctx : Ctx.t) ~(keys : (Share.shared * int) list)
-    ?(tid : Share.shared option) (specs : spec list) : Share.shared list =
+(* Pad a column of [n] rows with [n2 - n] invalid zero rows. *)
+let pad (ctx : Ctx.t) ~n ~n2 s =
+  if n2 = n then s else Share.append s (Share.public ctx s.Share.enc (n2 - n) 0)
+
+type boundaries = {
+  b_n : int;  (** rows of the (unpadded) table *)
+  b_levels : int array;  (** doubling distances *)
+  b_group : Share.flags array;
+      (** per level d: lane i is eq(K_a[i], K_a[i+d]) over the padded rows *)
+  b_tid : Share.flags array option;
+      (** per level: eq(Tid[i], Tid[i+d]), when a tid column was given *)
+}
+
+(** [boundaries ctx ~keys ?tid ()] is the network's pre-pass over a table
+    already sorted on [keys] (which must include the validity column).
+    The group-boundary bits of every doubling level depend only on the key
+    (and tid) columns, which the network never modifies — so all levels'
+    equality ladders run as one fused lockstep batch instead of each
+    level's ladder sequentially. Their distance-1 level also yields the
+    first- and last-of-group marks ({!first_of_group}, {!last_of_group})
+    without another ladder. *)
+let boundaries (ctx : Ctx.t) ~(keys : (Share.shared * int) list)
+    ?(tid : Share.shared option) () : boundaries =
   Ctx.with_label ctx "aggnet" @@ fun () ->
   let n = Share.length (fst (List.hd keys)) in
   let n2 = Orq_util.Ring.next_pow2 n in
-  let extra = n2 - n in
-  let pad s = if extra = 0 then s else Share.append s (Share.public ctx s.Share.enc extra 0) in
-  let keys = List.map (fun (k, w) -> (pad k, w)) keys in
-  let tid = Option.map pad tid in
-  let needs_tid = List.exists (fun sp -> sp.keys = Group_and_tid) specs in
-  if needs_tid && tid = None then invalid_arg "Aggnet.run: tid column required";
-  let cols = ref (List.map (fun sp -> pad sp.col) specs) in
+  let keys = List.map (fun (k, w) -> (pad ctx ~n ~n2 k, w)) keys in
   let levels =
     let rec go d acc = if d < n2 then go (2 * d) (d :: acc) else List.rev acc in
     Array.of_list (go 1 [])
   in
   let nlev = Array.length levels in
-  (* Pre-pass: the group-boundary bits of every doubling level depend only
-     on the key (and tid) columns, which the network never modifies — so
-     all levels' equality ladders run as one fused lockstep batch, the tid
-     conjunctions as one round, and the arithmetic views (needed by Sum
-     functions) as one fused opening, instead of paying each level's
-     ladder sequentially. Only the value propagation is level-ordered. *)
   let key_groups =
     Array.map
       (fun dd ->
@@ -86,31 +91,76 @@ let run (ctx : Ctx.t) ~(keys : (Share.shared * int) list)
   in
   let all_groups =
     match tid with
-    | Some t when needs_tid ->
+    | Some t ->
+        let t = pad ctx ~n ~n2 t in
         Array.append key_groups
           (Array.map
              (fun dd ->
                let u, l = slices t dd in
                [ (u, l, 1) ])
              levels)
-    | _ -> key_groups
+    | None -> key_groups
   in
   (* all group-boundary bits live in packed flag lanes: the equality
      ladders deliver them packed, the tid conjunction is a packed AND and
      Sum's bit conversion consumes the packed lanes directly *)
   let bits = Compare.eq_composite_many_f ctx all_groups in
-  let b_groups = Array.sub bits 0 nlev in
-  let b_exts =
-    if needs_tid then
-      Some (Mpc.band_f_many ctx b_groups (Array.sub bits nlev nlev))
-    else None
-  in
+  {
+    b_n = n;
+    b_levels = levels;
+    b_group = Array.sub bits 0 nlev;
+    b_tid = Option.map (fun _ -> Array.sub bits nlev nlev) tid;
+  }
+
+(* eq(K_a[i], K_a[i+1]) for the real rows i < n-1, as 0/1 words. *)
+let adjacent_eq (b : boundaries) =
+  Share.sub_range (Share.unpack_flags b.b_group.(0)) 0 (b.b_n - 1)
+
+(** Mark each group's first row (row i is first iff ¬eq(K_a[i-1], K_a[i]),
+    row 0 always) — the oblivious DISTINCT of §3.1, derived locally from
+    the pre-pass. *)
+let first_of_group (ctx : Ctx.t) (b : boundaries) : Share.shared =
+  let one = Share.public ctx Share.Bool 1 1 in
+  if b.b_n = 1 then one else Share.append one (Mpc.xor_pub (adjacent_eq b) 1)
+
+(** Mark each group's last row (row i is last iff ¬eq(K_a[i], K_a[i+1]),
+    the last row always) — the row holding the group aggregate after
+    {!propagate}. Local. *)
+let last_of_group (ctx : Ctx.t) (b : boundaries) : Share.shared =
+  let one = Share.public ctx Share.Bool 1 1 in
+  if b.b_n = 1 then one else Share.append (Mpc.xor_pub (adjacent_eq b) 1) one
+
+(** [propagate ctx b specs] runs the level-ordered value propagation of
+    the network whose pre-pass is [b]; the spec columns must be ordered
+    like the keys [b] was computed over. Returns the updated columns in
+    the order of [specs]. *)
+let propagate (ctx : Ctx.t) (b : boundaries) (specs : spec list) :
+    Share.shared list =
+  Ctx.with_label ctx "aggnet" @@ fun () ->
+  let n = b.b_n in
+  let levels = b.b_levels in
+  let needs_tid = List.exists (fun sp -> sp.keys = Group_and_tid) specs in
   let has_sum =
     List.exists (fun sp -> match sp.func with Sum -> true | _ -> false) specs
   in
-  let b_ariths =
-    if has_sum then Convert.bit_b2a_flags_many ctx b_groups else [||]
-  in
+  let n2 = Orq_util.Ring.next_pow2 n in
+  let cols = ref (List.map (fun sp -> pad ctx ~n ~n2 sp.col) specs) in
+  let b_groups = b.b_group in
+  (* the tid conjunction and Sum's bit conversion both read only the
+     pre-pass bits: one fused round between them *)
+  let b_exts = ref None and b_ariths = ref [||] in
+  ignore
+    (Mpc.fuse_rounds ctx
+       [|
+         (fun () ->
+           if needs_tid then
+             match b.b_tid with
+             | Some t -> b_exts := Some (Mpc.band_f_many ctx b_groups t)
+             | None -> invalid_arg "Aggnet.propagate: tid column required");
+         (fun () ->
+           if has_sum then b_ariths := Convert.bit_b2a_flags_many ctx b_groups);
+       |]);
+  let b_exts = !b_exts and b_ariths = !b_ariths in
   Array.iteri (fun li dd ->
     let b_group = b_groups.(li) in
     let b_ext = Option.map (fun a -> a.(li)) b_exts in
@@ -228,6 +278,17 @@ let run (ctx : Ctx.t) ~(keys : (Share.shared * int) list)
            cols_a))
     levels;
   List.map (fun c -> Share.sub_range c 0 n) !cols
+
+(** [run ctx ~keys ?tid specs] executes the whole network — pre-pass then
+    propagation — over a table already sorted on [keys] (which must
+    include the validity column). [tid] supplies the table-id column for
+    [Group_and_tid] functions. Returns the updated columns in the order of
+    [specs]. *)
+let run (ctx : Ctx.t) ~(keys : (Share.shared * int) list)
+    ?(tid : Share.shared option) (specs : spec list) : Share.shared list =
+  let needs_tid = List.exists (fun sp -> sp.keys = Group_and_tid) specs in
+  let tid = if needs_tid then tid else None in
+  propagate ctx (boundaries ctx ~keys ?tid ()) specs
 
 (** Mark the first row of each group in a table sorted on [keys]:
     bit i = 1 iff row i differs from row i-1 (row 0 always 1). This is the

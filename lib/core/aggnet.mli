@@ -31,17 +31,40 @@ type spec = {
   width : int;  (** logical bit width of the column (metering) *)
 }
 
+type boundaries
+(** The network's pre-pass over one sorted table: every doubling level's
+    group-boundary bits (and, with a tid column, the tid equality bits). *)
+
+val boundaries :
+  Ctx.t -> keys:(Share.shared * int) list -> ?tid:Share.shared -> unit ->
+  boundaries
+(** All levels' equality ladders over a table already sorted on [keys]
+    (which must include the validity column) as one fused batch. Pass
+    [tid] iff a [Group_and_tid] function will {!propagate}. *)
+
+val first_of_group : Ctx.t -> boundaries -> Share.shared
+(** Each group's first row (oblivious DISTINCT), derived locally from the
+    distance-1 level: row i is first iff ¬eq(K[i-1], K[i]). *)
+
+val last_of_group : Ctx.t -> boundaries -> Share.shared
+(** Each group's last row — the one holding the group aggregate — derived
+    locally: row i is last iff ¬eq(K[i], K[i+1]). *)
+
+val propagate : Ctx.t -> boundaries -> spec list -> Share.shared list
+(** The level-ordered propagation over the table [boundaries] was
+    computed on. Returns updated columns in spec order. *)
+
 val run :
   Ctx.t -> keys:(Share.shared * int) list -> ?tid:Share.shared ->
   spec list -> Share.shared list
-(** Execute the network over a table already sorted on [keys] (which must
-    include the validity column); [tid] supplies the table-id column for
-    [Group_and_tid] functions. Returns updated columns in spec order. *)
+(** {!boundaries} then {!propagate}; [tid] supplies the table-id column
+    for [Group_and_tid] functions. *)
 
 val distinct_bits :
   Ctx.t -> keys:(Share.shared * int) list -> Share.shared
-(** Mark each group's first row in a sorted table — oblivious DISTINCT. *)
+(** Mark each group's first row in a sorted table with its own equality
+    ladder — oblivious DISTINCT for tables that run no network. *)
 
 val last_of_group_bits :
   Ctx.t -> keys:(Share.shared * int) list -> Share.shared
-(** Mark each group's last row (the one holding the group aggregate). *)
+(** Mark each group's last row with its own equality ladder. *)

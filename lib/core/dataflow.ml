@@ -76,109 +76,123 @@ type aggfn =
 
 type agg = { src : string; dst : string; fn : aggfn }
 
-let sum_width (t : Table.t) w =
-  min (w + Orq_util.Ring.log2_ceil (Table.nrows t) + 1) 58
+(* Result widths for groups of at most [rows] rows. *)
+let sum_width_rows rows w = min (w + Orq_util.Ring.log2_ceil rows + 1) 58
+let count_width_rows rows = Orq_util.Ring.log2_ceil rows + 1
+let sum_width (t : Table.t) w = sum_width_rows (Table.nrows t) w
+let count_width (t : Table.t) = count_width_rows (Table.nrows t)
 
-let count_width (t : Table.t) = Orq_util.Ring.log2_ceil (Table.nrows t) + 1
-
-(* Build the Aggnet specs for one dataflow aggregation; Avg expands to a
-   sum/count pair plus a post-division. Each entry is
+(* Build the Aggnet specs for one aggregation over groups of at most
+   [rows] rows whose sources [find] looks up in the sorted input; Avg
+   expands to a sum/count pair plus a post-division. [count] is the 0/1
+   arithmetic column COUNT sums, and [seg] the key set that guards the
+   comparison-style functions (Sum-style ones always use the group key:
+   a row outside the aggregated segment must hold zero). Each entry is
    (spec, finisher tag, width, signedness of result, destination name).
-   The finisher is a tag rather than a closure so [aggregate] can run all
+   The finisher is a tag rather than a closure so [finish] can run all
    [`A2b] finishes through one fused conversion. *)
-let expand_agg (t : Table.t) (a : agg) :
+let expand_agg (ctx : Ctx.t) ~rows ~(find : string -> Column.t)
+    ~(count : unit -> Share.shared) ~(seg : Aggnet.keyset) (a : agg) :
     (Aggnet.spec * [ `A2b | `Id ] * int * bool * string) list =
-  let ctx = Table.ctx t in
+  let sum_spec col w = { Aggnet.col; func = Aggnet.Sum; keys = Aggnet.Group; width = w } in
+  let bool_spec func w =
+    { Aggnet.col = Column.data (find a.src); func; keys = seg; width = w }
+  in
   match a.fn with
   | Sum ->
-      let src = Table.find t a.src in
-      let w = sum_width t src.Column.width in
-      let col = Column.as_arith ctx src in
-      [
-        ( { Aggnet.col; func = Aggnet.Sum; keys = Aggnet.Group; width = w },
-          `A2b,
-          w,
-          src.Column.signed,
-          a.dst );
-      ]
+      let src = find a.src in
+      let w = sum_width_rows rows src.Column.width in
+      [ (sum_spec (Column.as_arith ctx src) w, `A2b, w, src.Column.signed, a.dst) ]
   | Count ->
-      let w = count_width t in
-      let col = Share.public ctx Share.Arith (Table.nrows t) 1 in
-      [
-        ( { Aggnet.col; func = Aggnet.Sum; keys = Aggnet.Group; width = w },
-          `A2b,
-          w,
-          false,
-          a.dst );
-      ]
+      let w = count_width_rows rows in
+      [ (sum_spec (count ()) w, `A2b, w, false, a.dst) ]
   | Min ->
       (* unsigned comparisons: signed min/max would need the sign-flip map *)
-      let w = Table.width t a.src in
-      [
-        ( {
-            Aggnet.col = Table.column t a.src;
-            func = Aggnet.Min w;
-            keys = Aggnet.Group;
-            width = w;
-          },
-          `Id,
-          w,
-          false,
-          a.dst );
-      ]
+      let w = (find a.src).Column.width in
+      [ (bool_spec (Aggnet.Min w) w, `Id, w, false, a.dst) ]
   | Max ->
-      let w = Table.width t a.src in
-      [
-        ( {
-            Aggnet.col = Table.column t a.src;
-            func = Aggnet.Max w;
-            keys = Aggnet.Group;
-            width = w;
-          },
-          `Id,
-          w,
-          false,
-          a.dst );
-      ]
+      let w = (find a.src).Column.width in
+      [ (bool_spec (Aggnet.Max w) w, `Id, w, false, a.dst) ]
   | Custom f ->
-      let w = Table.width t a.src in
-      [
-        ( {
-            Aggnet.col = Table.column t a.src;
-            func = Aggnet.Custom f;
-            keys = Aggnet.Group;
-            width = w;
-          },
-          `Id,
-          w,
-          false,
-          a.dst );
-      ]
+      let w = (find a.src).Column.width in
+      [ (bool_spec (Aggnet.Custom f) w, `Id, w, false, a.dst) ]
   | Avg ->
       (* expands to hidden sum and count columns; the (unsigned) division
-         happens in [aggregate] once both results exist *)
-      let src = Table.find t a.src in
-      let ws = sum_width t src.Column.width in
-      let wc = count_width t in
-      let col = Column.as_arith ctx src in
-      let ones = Share.public ctx Share.Arith (Table.nrows t) 1 in
+         happens in [finish] once both results exist *)
+      let src = find a.src in
+      let ws = sum_width_rows rows src.Column.width in
+      let wc = count_width_rows rows in
       [
-        ( { Aggnet.col; func = Aggnet.Sum; keys = Aggnet.Group; width = ws },
-          `A2b,
-          ws,
-          false,
-          a.dst ^ "#sum" );
-        ( { Aggnet.col = ones; func = Aggnet.Sum; keys = Aggnet.Group; width = wc },
-          `A2b,
-          wc,
-          false,
-          a.dst ^ "#count" );
+        (sum_spec (Column.as_arith ctx src) ws, `A2b, ws, false, a.dst ^ "#sum");
+        (sum_spec (count ()) wc, `A2b, wc, false, a.dst ^ "#count");
       ]
+
+let spec_of (sp, _, _, _, _) = sp
+
+(* The finishers shared by [aggregate] and [group_join], over the table
+   [t] that carries the network's rows: every sum/count result converts
+   through one fused A2B, run fused with the conjunction of [t]'s validity
+   and the last-of-group mark [last]; then AVG's divisions. *)
+let finish (t : Table.t) (aggs : agg list) expanded results
+    ~(last : Share.shared) : Table.t =
+  let ctx = Table.ctx t in
+  let conv = ref [||] and valid = ref t.Table.valid in
+  ignore
+    (Mpc.fuse_rounds ctx
+       [|
+         (fun () ->
+           conv :=
+             Orq_circuits.Convert.a2b_many ctx
+               (Array.of_list
+                  (List.concat
+                     (List.map2
+                        (fun (_, fin, w, _, _) r ->
+                          match fin with `A2b -> [ (r, w) ] | `Id -> [])
+                        expanded results))));
+         (fun () -> valid := Mpc.band1 ctx t.Table.valid last);
+       |]);
+  let ci = ref 0 in
+  let finished =
+    List.map2
+      (fun (_, fin, w, signed, dst) r ->
+        let v =
+          match fin with
+          | `A2b ->
+              let c = !conv.(!ci) in
+              incr ci;
+              c
+          | `Id -> r
+        in
+        (dst, Column.of_shared ~signed ~width:w v))
+      expanded results
+  in
+  let t =
+    List.fold_left (fun t (dst, c) -> Table.set_col t dst c)
+      { t with Table.valid = !valid } finished
+  in
+  (* resolve AVG divisions *)
+  List.fold_left
+    (fun t a ->
+      match a.fn with
+      | Avg ->
+          let s = Table.find t (a.dst ^ "#sum") in
+          let c = Table.find t (a.dst ^ "#count") in
+          let w = s.Column.width in
+          let q, _ =
+            Orq_circuits.Divide.udiv ctx ~w ~wd:c.Column.width (Column.data s)
+              (Column.as_bool ctx c)
+          in
+          Table.drop_cols
+            (Table.set_col t a.dst (Column.of_shared ~width:w q))
+            [ a.dst ^ "#sum"; a.dst ^ "#count" ]
+      | Sum | Count | Min | Max | Custom _ -> t)
+    t aggs
 
 (** GROUP BY [keys] evaluating the aggregations [aggs] (the paper's
     [.aggregate()]): sorts on the keys, runs the aggregation network, and
-    keeps one valid row per group (the one holding the group total). AVG is
-    computed with the fully private non-restoring division circuit. *)
+    keeps one valid row per group (the one holding the group total, marked
+    by the network's own pre-pass). AVG is computed with the fully private
+    non-restoring division circuit. *)
 let aggregate (t : Table.t) ~(keys : string list) ~(aggs : agg list) : Table.t =
   let ctx = Table.ctx t in
   Ctx.with_label ctx "aggregate" @@ fun () ->
@@ -192,59 +206,25 @@ let aggregate (t : Table.t) ~(keys : string list) ~(aggs : agg list) : Table.t =
     (t.Table.valid, 1)
     :: List.map (fun k -> (Table.column t k, Table.width t k)) keys
   in
-  let expanded = List.concat_map (expand_agg t) aggs in
-  let results =
-    Aggnet.run ctx ~keys:key_shares (List.map (fun (sp, _, _, _, _) -> sp) expanded)
-  in
-  (* every sum/count result converts through one fused A2B *)
-  let conv =
-    Orq_circuits.Convert.a2b_many ctx
-      (Array.of_list
-         (List.concat
-            (List.map2
-               (fun (_, fin, w, _, _) r ->
-                 match fin with `A2b -> [ (r, w) ] | `Id -> [])
-               expanded results)))
-  in
-  let ci = ref 0 in
-  let finished =
-    List.map2
-      (fun (_, fin, w, signed, dst) r ->
-        let v =
-          match fin with
-          | `A2b ->
-              let c = conv.(!ci) in
-              incr ci;
-              c
-          | `Id -> r
-        in
-        (dst, Column.of_shared ~signed ~width:w v))
-      expanded results
-  in
-  let t =
-    List.fold_left (fun t (dst, c) -> Table.set_col t dst c) t finished
-  in
-  (* resolve AVG divisions *)
-  let t =
-    List.fold_left
-      (fun t a ->
-        match a.fn with
-        | Avg ->
-            let s = Table.find t (a.dst ^ "#sum") in
-            let c = Table.find t (a.dst ^ "#count") in
-            let w = s.Column.width in
-            let q, _ =
-              Orq_circuits.Divide.udiv ctx ~w ~wd:c.Column.width (Column.data s)
-                (Column.as_bool ctx c)
-            in
-            Table.drop_cols
-              (Table.set_col t a.dst (Column.of_shared ~width:w q))
-              [ a.dst ^ "#sum"; a.dst ^ "#count" ]
-        | Sum | Count | Min | Max | Custom _ -> t)
-      t aggs
-  in
-  let last = Aggnet.last_of_group_bits ctx ~keys:key_shares in
-  parked (Table.and_valid t last)
+  let rows = Table.nrows t in
+  (* the sources' conversions and the network's pre-pass are
+     data-independent: fused round tracks *)
+  let expanded = ref [] and pre = ref None in
+  ignore
+    (Mpc.fuse_rounds ctx
+       [|
+         (fun () ->
+           expanded :=
+             List.concat_map
+               (expand_agg ctx ~rows ~find:(Table.find t)
+                  ~count:(fun () -> Share.public ctx Share.Arith rows 1)
+                  ~seg:Aggnet.Group)
+               aggs);
+         (fun () -> pre := Some (Aggnet.boundaries ctx ~keys:key_shares ()));
+       |]);
+  let b = Option.get !pre in
+  let results = Aggnet.propagate ctx b (List.map spec_of !expanded) in
+  parked (finish t aggs !expanded results ~last:(Aggnet.last_of_group ctx b))
 
 (* ------------------------------------------------------------------ *)
 (* Global (whole-table) aggregation                                    *)
@@ -441,18 +421,10 @@ let with_scalar (t : Table.t) ~(scalar : Table.t) ~(src : string)
 (* Joins                                                               *)
 (* ------------------------------------------------------------------ *)
 
-type join_agg = Joinagg.agg_spec = {
-  a_src : string;
-  a_dst : string;
-  a_func : Aggnet.func;
-  a_width : int;
-}
-
 (* The public shape of a join node, handed to the cost-based operator
    selection (Joincost): cardinalities and widths only. *)
-let join_shape (left : Table.t) (right : Table.t) ~(on : string list)
-    ~(copy : string list) ~(aggs : bool) ~(variant : Joincost.variant) :
-    Joincost.shape =
+let join_shape ?group (left : Table.t) (right : Table.t) ~(on : string list)
+    ~(copy : string list) ~(variant : Joincost.variant) : Joincost.shape =
   let keys_w =
     List.map (fun k -> max (Table.width left k) (Table.width right k)) on
   in
@@ -468,7 +440,7 @@ let join_shape (left : Table.t) (right : Table.t) ~(on : string list)
     j_key_w = keys_w;
     j_copy_w = List.map (fun c -> Table.width left c) copy;
     j_pay_w = pay_w;
-    j_aggs = aggs;
+    j_group = group;
     j_variant = variant;
   }
 
@@ -477,14 +449,13 @@ let join_shape (left : Table.t) (right : Table.t) ~(on : string list)
     matching right rows. The physical operator — sort-based
     join-aggregation or LINQ-style linear join — is chosen per node by the
     {!Joincost} cost model (override with {!Joincost.set_mode}). *)
-let inner_join ?copy ?aggs ?trim (left : Table.t) (right : Table.t)
+let inner_join ?copy ?trim (left : Table.t) (right : Table.t)
     ~(on : string list) : Table.t =
   let ctx = Table.ctx left in
-  let has_aggs = match aggs with Some (_ :: _) -> true | _ -> false in
   let shape =
     join_shape left right ~on
       ~copy:(Option.value copy ~default:[])
-      ~aggs:has_aggs ~variant:Joincost.J_inner
+      ~variant:Joincost.J_inner
   in
   let node =
     Printf.sprintf "%s \xe2\x8b\x88 %s" left.Table.name right.Table.name
@@ -493,25 +464,106 @@ let inner_join ?copy ?aggs ?trim (left : Table.t) (right : Table.t)
     (match Joincost.choose_logged ctx ~node shape with
     | Joincost.Linear -> Linjoin.join ctx `Inner ?copy ~left ~right ~on ()
     | Joincost.Sort ->
-        Joinagg.join ctx Joinagg.V_inner ?copy ?aggs ?trim ~left ~right ~on ())
+        Joinagg.join ctx Joinagg.V_inner ?copy ?trim ~left ~right ~on ())
 
-let left_outer_join ?copy ?aggs (left : Table.t) (right : Table.t)
+let left_outer_join ?copy (left : Table.t) (right : Table.t)
     ~(on : string list) : Table.t =
   parked
-    (Joinagg.join (Table.ctx left) Joinagg.V_left_outer ?copy ?aggs ~left
-       ~right ~on ())
+    (Joinagg.join (Table.ctx left) Joinagg.V_left_outer ?copy ~left ~right
+       ~on ())
 
-let right_outer_join ?copy ?aggs (left : Table.t) (right : Table.t)
+let right_outer_join ?copy (left : Table.t) (right : Table.t)
     ~(on : string list) : Table.t =
   parked
-    (Joinagg.join (Table.ctx left) Joinagg.V_right_outer ?copy ?aggs ~left
-       ~right ~on ())
+    (Joinagg.join (Table.ctx left) Joinagg.V_right_outer ?copy ~left ~right
+       ~on ())
 
-let full_outer_join ?copy ?aggs (left : Table.t) (right : Table.t)
+let full_outer_join ?copy (left : Table.t) (right : Table.t)
     ~(on : string list) : Table.t =
   parked
-    (Joinagg.join (Table.ctx left) Joinagg.V_full_outer ?copy ?aggs ~left
-       ~right ~on ())
+    (Joinagg.join (Table.ctx left) Joinagg.V_full_outer ?copy ~left ~right
+       ~on ())
+
+(** Whether {!group_join} evaluates GROUP BY [keys] over the one-to-many
+    join of [left] (unique on [on]) and [right]: the join key is among the
+    group keys, every other group key is a left column (functionally
+    dependent on the join key), and every aggregation is COUNT or reads a
+    right non-key column — a left source would lose its multiplicity. *)
+let group_join_applies (left : Table.t) (right : Table.t) ~(on : string list)
+    ~(keys : string list) ~(aggs : agg list) =
+  List.for_all (fun k -> List.mem k keys) on
+  && List.for_all (fun k -> List.mem k on || Table.mem left k) keys
+  && List.for_all
+       (fun a ->
+         match a.fn with
+         | Count -> true
+         | Sum | Min | Max | Avg | Custom _ ->
+             Table.mem right a.src && not (List.mem a.src on))
+       aggs
+
+(** GROUP BY [keys] over the one-to-many join of [left] and [right] on
+    [on], for the shapes {!group_join_applies} accepts. The sort-based
+    operator evaluates the aggregations on the join-key groups inside the
+    join's own TableSort and network: the row of each group is its last
+    (join validity ∧ last-of-group), COUNT sums the sorted table-id bit
+    (the group's matched right rows), and SUM/MIN/MAX/AVG run through
+    {!aggregate}'s expansion and finishers. An inner join prices that
+    against the linear join followed by {!aggregate} ({!Joincost}); a
+    left-outer one (the paper's semantics: every left row survives) is
+    always sort-based, and an unmatched left row's group reads zero for
+    SUM, COUNT, MIN and MAX (AVG divides by its zero count). Output: the
+    group keys and the aggregation results. *)
+let group_join ?(outer = false) (left : Table.t) (right : Table.t)
+    ~(on : string list) ~(keys : string list) ~(aggs : agg list) : Table.t =
+  if not (group_join_applies left right ~on ~keys ~aggs) then
+    invalid_arg "Dataflow.group_join: not a GROUP BY on the join key";
+  let ctx = Table.ctx left in
+  let copy = List.filter (fun k -> not (List.mem k on)) keys in
+  let srcs =
+    List.sort_uniq compare
+      (List.filter_map
+         (fun a -> match a.fn with Count -> None | _ -> Some a.src)
+         aggs)
+  in
+  let left = Table.project left (on @ copy) in
+  let right = Table.project right (on @ srcs) in
+  let grouped variant =
+    let expanded = ref [] in
+    let g =
+      Joinagg.join_grouped ctx variant ~copy ~left ~right ~on
+        ~aggs:(fun ~find ~tid ->
+          let count = lazy (Orq_circuits.Convert.bit_b2a ctx tid) in
+          expanded :=
+            List.concat_map
+              (expand_agg ctx ~rows:(Table.nrows right) ~find
+                 ~count:(fun () -> Lazy.force count)
+                 ~seg:Aggnet.Group_and_tid)
+              aggs;
+          List.map spec_of !expanded)
+        ()
+    in
+    let t = finish g.Joinagg.g_table aggs !expanded g.g_results ~last:g.g_last in
+    Table.project t (keys @ List.map (fun a -> a.dst) aggs)
+  in
+  if outer then parked (grouped Joinagg.V_left_outer)
+  else begin
+    let shape =
+      join_shape left right ~on ~copy ~variant:Joincost.J_inner
+        ~group:
+          (List.map
+             (fun a ->
+               match a.fn with Count -> 1 | _ -> Table.width right a.src)
+             aggs)
+    in
+    let node =
+      Printf.sprintf "%s \xe2\x8b\x88 %s" left.Table.name right.Table.name
+    in
+    match Joincost.choose_logged ctx ~node shape with
+    | Joincost.Linear ->
+        let t = aggregate (Linjoin.join ctx `Inner ~copy ~left ~right ~on ()) ~keys ~aggs in
+        Table.project t (keys @ List.map (fun a -> a.dst) aggs)
+    | Joincost.Sort -> parked (grouped Joinagg.V_inner)
+  end
 
 (** Unique-key inner join (Appendix C): both sides' keys are unique in the
     public schema, so the aggregation network is skipped — an oblivious
@@ -534,9 +586,9 @@ let count_distinct (t : Table.t) ~(keys : string list) ~(over : string list)
     equality — the equalities bound the output size and drive the
     join-aggregation operator; the remaining conditions become an oblivious
     filter over the joined table. *)
-let theta_join ?copy ?aggs ?trim (left : Table.t) (right : Table.t)
+let theta_join ?copy ?trim (left : Table.t) (right : Table.t)
     ~(on : string list) ~(theta : Expr.pred) : Table.t =
-  filter (inner_join ?copy ?aggs ?trim left right ~on) theta
+  filter (inner_join ?copy ?trim left right ~on) theta
 
 (** SEMI JOIN — keep left rows that match some right row. Implemented as
     the swapped inner join of Appendix C.1, then projected back to the
@@ -546,7 +598,7 @@ let semi_join ?trim (left : Table.t) (right : Table.t) ~(on : string list) :
   let ctx = Table.ctx left in
   let right' = Table.project right on in
   let shape =
-    join_shape right' left ~on ~copy:[] ~aggs:false ~variant:Joincost.J_semi
+    join_shape right' left ~on ~copy:[] ~variant:Joincost.J_semi
   in
   let node =
     Printf.sprintf "%s \xe2\x8b\x89 %s" left.Table.name right.Table.name
@@ -569,7 +621,7 @@ let anti_join ?trim (left : Table.t) (right : Table.t) ~(on : string list) :
   let ctx = Table.ctx left in
   let right' = Table.project right on in
   let shape =
-    join_shape right' left ~on ~copy:[] ~aggs:false ~variant:Joincost.J_anti
+    join_shape right' left ~on ~copy:[] ~variant:Joincost.J_anti
   in
   let node =
     Printf.sprintf "%s \xe2\x96\xb7 %s" left.Table.name right.Table.name

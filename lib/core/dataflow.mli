@@ -61,31 +61,39 @@ val with_scalar :
 
 (** {2 Joins} *)
 
-type join_agg = Joinagg.agg_spec = {
-  a_src : string;
-  a_dst : string;
-  a_func : Aggnet.func;
-  a_width : int;
-}
-
 val inner_join :
-  ?copy:string list -> ?aggs:join_agg list -> ?trim:Joinagg.trim_mode ->
-  Table.t -> Table.t -> on:string list -> Table.t
+  ?copy:string list -> ?trim:Joinagg.trim_mode -> Table.t -> Table.t ->
+  on:string list -> Table.t
 (** INNER JOIN (one-to-many: the left input must have unique keys —
     pre-aggregate first for many-to-many, §3.6). [copy] propagates left
     columns into matching right rows. *)
 
 val left_outer_join :
-  ?copy:string list -> ?aggs:join_agg list -> Table.t -> Table.t ->
-  on:string list -> Table.t
+  ?copy:string list -> Table.t -> Table.t -> on:string list -> Table.t
 
 val right_outer_join :
-  ?copy:string list -> ?aggs:join_agg list -> Table.t -> Table.t ->
-  on:string list -> Table.t
+  ?copy:string list -> Table.t -> Table.t -> on:string list -> Table.t
 
 val full_outer_join :
-  ?copy:string list -> ?aggs:join_agg list -> Table.t -> Table.t ->
-  on:string list -> Table.t
+  ?copy:string list -> Table.t -> Table.t -> on:string list -> Table.t
+
+val group_join_applies :
+  Table.t -> Table.t -> on:string list -> keys:string list -> aggs:agg list ->
+  bool
+(** Whether {!group_join} evaluates this GROUP BY over the one-to-many
+    join: [on] ⊆ [keys] ⊆ [on] ∪ left columns, and every aggregation is
+    COUNT or reads a right non-key column. *)
+
+val group_join :
+  ?outer:bool -> Table.t -> Table.t -> on:string list -> keys:string list ->
+  aggs:agg list -> Table.t
+(** GROUP BY [keys] over the one-to-many (left-unique) join on [on],
+    aggregated inside the join (§3.3): one row per join-key group, the
+    group's last. COUNT counts the group's matched right rows. Inner joins
+    price this against the linear join plus {!aggregate} ({!Joincost});
+    [~outer:true] is the left-outer join, where an unmatched left row's
+    group reads zero for SUM/COUNT/MIN/MAX. Output: [keys] then the
+    aggregation results. *)
 
 val inner_join_unique :
   ?copy:string list -> ?trim:Joinagg.trim_mode -> Table.t -> Table.t ->
@@ -97,7 +105,7 @@ val count_distinct :
 (** COUNT(DISTINCT over) per group — DISTINCT + grouped count. *)
 
 val theta_join :
-  ?copy:string list -> ?aggs:join_agg list -> ?trim:Joinagg.trim_mode ->
+  ?copy:string list -> ?trim:Joinagg.trim_mode ->
   Table.t -> Table.t -> on:string list -> theta:Expr.pred -> Table.t
 (** THETA JOIN (§3.4): equalities bound the output and drive the join;
     the remaining conjuncts become an oblivious filter. *)

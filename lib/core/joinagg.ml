@@ -3,13 +3,16 @@
 
     Skeleton: concatenate the two tables; TableSort on the composite key
     (V_LR, join keys, table id) so each group is [one L row; its R rows];
-    DISTINCT marks group heads; a per-variant validity rule invalidates the
-    rows outside the join semantics; one aggregation network then (a)
-    copies requested L-columns downward into the matching R rows, (b)
-    propagates invalidation within each table's segment of the group (or
-    across it, for anti-join), and (c) evaluates optional decomposable
-    aggregations — all in the same oblivious control flow. An optional trim
-    bounds the output at |R| rows, governed by the paper's heuristic.
+    the aggregation network's boundary pre-pass computes every level's
+    group-boundary bits, whose distance-1 level marks the group heads
+    (DISTINCT); a per-variant validity rule invalidates the rows outside
+    the join semantics; the network's propagation then (a) copies
+    requested L-columns downward into the matching R rows, (b) propagates
+    invalidation within each table's segment of the group (or across it,
+    for anti-join), and (c) evaluates optional decomposable aggregations
+    on the join-key groups ({!join_grouped}) — all in the same oblivious
+    control flow. An optional trim bounds the output at |R| rows, governed
+    by the paper's heuristic.
 
     The left input must have unique join keys (one-to-many); many-to-many
     joins pre-aggregate the left table first (§3.6), which the dataflow
@@ -32,13 +35,6 @@ type variant =
 
 type trim_mode = [ `Auto | `Always | `Never ]
 
-type agg_spec = {
-  a_src : string;  (** input column (from either table) *)
-  a_dst : string;  (** output column name *)
-  a_func : Aggnet.func;
-  a_width : int;  (** width of the output column *)
-}
-
 (** The paper's trimming heuristic (C.3): trimming the n redundant rows pays
     off iff a join over them would cost more than a valid-bit sort of the
     whole table — 3 * alpha * N < lg L * lg omega with alpha = m/n and
@@ -56,25 +52,18 @@ let concat_lr (ctx : Ctx.t) ~n ~m (side : [ `L | `R ]) (data : Share.shared)
   | `L -> Share.append data (Share.public ctx data.Share.enc m fill)
   | `R -> Share.append (Share.public ctx data.Share.enc n fill) data
 
-let identity_fill = function
-  | Aggnet.Min w -> Orq_util.Ring.mask w
-  | Aggnet.Max _ | Aggnet.Sum | Aggnet.Copy | Aggnet.Custom _ -> 0
-
 (* The shared steps 1-2 of Protocol 3: schema merge, concatenation with
-   the origin column, TableSort on (V_LR, K, Tid), and the DISTINCT bits
-   over (V_LR, K). *)
+   the origin column, and TableSort on (V_LR, K, Tid). *)
 type prepared = {
   p_v_lr : Share.shared;
   p_keys : (Share.shared * int) list;
   p_tid : Share.shared;
-  p_dist : Share.shared;
   p_l_cols : (string * Share.shared * int) list;
-  p_r_cols : (string * Share.shared * int) list;
-  p_agg_cols : (agg_spec * Share.shared) list;
+  p_r_cols : (string * Column.t) list;
 }
 
 let prepare (ctx : Ctx.t) ~(left : Table.t) ~(right : Table.t)
-    ~(on : string list) ~(aggs : agg_spec list) : prepared =
+    ~(on : string list) : prepared =
   let n = Table.nrows left and m = Table.nrows right in
   let key_widths =
     List.map (fun k -> max (Table.width left k) (Table.width right k)) on
@@ -120,37 +109,13 @@ let prepare (ctx : Ctx.t) ~(left : Table.t) ~(right : Table.t)
         (name, concat_lr ctx ~n ~m `R (Column.as_bool ctx c) ~fill:0, c.Column.width))
       right_data
   in
-  (* aggregation working columns get identity fill on the absent side,
-     so they are as wide as the wider of the source and the fill *)
-  let agg_cols =
-    List.map
-      (fun a ->
-        let side, c =
-          if Table.mem left a.a_src then (`L, Table.find left a.a_src)
-          else (`R, Table.find right a.a_src)
-        in
-        let data = Column.as_bool ctx c in
-        let filled =
-          concat_lr ctx ~n ~m side data ~fill:(identity_fill a.a_func)
-        in
-        let fill_w =
-          match a.a_func with
-          | Aggnet.Min w | Aggnet.Max w -> w
-          | Aggnet.Sum | Aggnet.Copy | Aggnet.Custom _ -> 0
-        in
-        (a, filled, max c.Column.width fill_w))
-      aggs
-  in
-  (* --- Step 2: sort on K_s = (V_LR, keys, Tid) and mark group heads --- *)
+  (* --- Step 2: sort on K_s = (V_LR, keys, Tid) --- *)
   let sort_keys =
     ((v_lr, 1, Tablesort.Asc)
     :: List.map (fun (k, w) -> (k, w, Tablesort.Asc)) keys0)
     @ [ (tid, 1, Tablesort.Asc) ]
   in
-  let payload =
-    List.map (fun (_, d, w) -> (Share.wrap d, w)) (l_cols @ r_cols)
-    @ List.map (fun (_, d, w) -> (Share.wrap d, w)) agg_cols
-  in
+  let payload = List.map (fun (_, d, w) -> (Share.wrap d, w)) (l_cols @ r_cols) in
   let sorted_keys, sorted_payload =
     let keys = List.map (fun (k, w, o) -> (Share.wrap k, w, o)) sort_keys in
     let k, p = Tablesort.sort_cols ctx ~keys payload in
@@ -168,7 +133,7 @@ let prepare (ctx : Ctx.t) ~(left : Table.t) ~(right : Table.t)
           List.nth rest nk )
     | [] -> assert false
   in
-  let nl = List.length l_cols and nr = List.length r_cols in
+  let nl = List.length l_cols in
   let l_cols' =
     List.map2
       (fun (name, _, w) d -> (name, d, w))
@@ -177,26 +142,11 @@ let prepare (ctx : Ctx.t) ~(left : Table.t) ~(right : Table.t)
   in
   let r_cols' =
     List.map2
-      (fun (name, _, w) d -> (name, d, w))
+      (fun (name, _, w) d -> (name, Column.of_shared ~width:w d))
       r_cols
-      (Orq_sort.Quicksort.take nr (Orq_sort.Quicksort.drop nl sorted_payload))
+      (Orq_sort.Quicksort.drop nl sorted_payload)
   in
-  let agg_cols' =
-    List.map2
-      (fun (a, _, _) d -> (a, d))
-      agg_cols
-      (Orq_sort.Quicksort.drop (nl + nr) sorted_payload)
-  in
-  let dist = Aggnet.distinct_bits ctx ~keys:((v_lr', 1) :: keys') in
-  {
-    p_v_lr = v_lr';
-    p_keys = keys';
-    p_tid = tid';
-    p_dist = dist;
-    p_l_cols = l_cols';
-    p_r_cols = r_cols';
-    p_agg_cols = agg_cols';
-  }
+  { p_v_lr = v_lr'; p_keys = keys'; p_tid = tid'; p_l_cols = l_cols'; p_r_cols = r_cols' }
 
 (* --- Step 4: assemble the output table, then optionally trim --- *)
 let finalize (ctx : Ctx.t) ~name ~(valid : Share.shared)
@@ -228,30 +178,18 @@ let finalize (ctx : Ctx.t) ~name ~(valid : Share.shared)
       cols
   end
 
-(** [join ctx variant ~copy ~aggs ~trim ~left ~right ~on ()] — the full
-    operator. [copy] names left columns to propagate into matching right
-    rows; [aggs] are decomposable aggregations evaluated on the join key
-    groups (their results land in the last row of each group). *)
-let join (ctx : Ctx.t) (variant : variant) ?(copy : string list = [])
-    ?(aggs : agg_spec list = []) ?(trim : trim_mode = `Auto)
-    ~(left : Table.t) ~(right : Table.t) ~(on : string list) () : Table.t =
-  Ctx.with_label ctx "join" @@ fun () ->
-  let n = Table.nrows left and m = Table.nrows right in
-  let p = prepare ctx ~left ~right ~on ~aggs in
-  let { p_v_lr = v_lr'; p_keys = keys'; p_tid = tid'; p_dist = dist; _ } = p in
-  let k_a = (v_lr', 1) :: keys' in
-  (* --- validity rule per variant (temporary column V_o; the aggregation
-         keys keep using V_LR, cf. Appendix C footnote) --- *)
-  let v_o =
-    match variant with
-    | V_inner -> Mpc.band1 ctx v_lr' (Mpc.xor_pub dist 1)
-    | V_left_outer ->
-        Mpc.band1 ctx v_lr' (Mpc.xor_pub (Mpc.band1 ctx tid' dist) 1)
-    | V_right_outer | V_anti -> Mpc.band1 ctx v_lr' tid'
-    | V_full_outer -> v_lr'
-  in
-  (* --- Step 3: one aggregation network for copies, valid propagation and
-         user aggregations --- *)
+(* --- Steps 2b-3 over a prepared join: the network's boundary pre-pass,
+   the per-variant validity rule between pre-pass and propagation, and one
+   propagation for copies, valid propagation and the specs [aggs] builds.
+   [aggs] runs fused with the pre-pass, so it must not read the
+   boundaries.
+   Returns the copied columns, the final validity, the aggregation results
+   and the pre-pass (absent when the variant needs no network). --- *)
+let network (ctx : Ctx.t) (variant : variant) (p : prepared)
+    ~(copy : string list)
+    ~(aggs : (unit -> Aggnet.spec list) option) =
+  let { p_v_lr = v_lr'; p_tid = tid'; _ } = p in
+  let k_a = (v_lr', 1) :: p.p_keys in
   let copy_specs =
     List.map
       (fun cname ->
@@ -261,82 +199,90 @@ let join (ctx : Ctx.t) (variant : variant) ?(copy : string list = [])
         | None -> invalid_arg ("Joinagg.join: copy column not in left: " ^ cname))
       copy
   in
-  let valid_spec =
+  (* which key set propagates invalidation: within each table's segment
+     of a group, or across it (anti) *)
+  let valid_keys =
     match variant with
-    | V_inner | V_left_outer ->
-        Some { Aggnet.col = v_o; func = Aggnet.Copy; keys = Aggnet.Group_and_tid; width = 1 }
-    | V_anti ->
-        Some { Aggnet.col = v_o; func = Aggnet.Copy; keys = Aggnet.Group; width = 1 }
+    | V_inner | V_left_outer -> Some Aggnet.Group_and_tid
+    | V_anti -> Some Aggnet.Group
     | V_right_outer | V_full_outer -> None
   in
-  let agg_specs =
-    List.map
-      (fun (a, d) ->
-        let col =
-          match a.a_func with
-          | Aggnet.Sum -> Orq_circuits.Convert.b2a ~w:a.a_width ctx d
-          | _ -> d
-        in
-        (a, { Aggnet.col; func = a.a_func; keys = Aggnet.Group; width = a.a_width }))
-      p.p_agg_cols
+  let needs_tid = valid_keys = Some Aggnet.Group_and_tid || aggs <> None in
+  let pre = ref None and vt = ref v_lr' and agg_specs = ref [] in
+  (* the pre-pass, V_LR ∧ Tid and the aggregation sources' conversions are
+     data-independent: fused round tracks. Right-outer, full-outer and
+     anti validity never read DISTINCT; with nothing to copy or aggregate
+     they run no network at all. *)
+  ignore
+    (Mpc.fuse_rounds ctx
+       [|
+         (fun () ->
+           if copy_specs <> [] || valid_keys <> None || aggs <> None then
+             let tid = if needs_tid then Some tid' else None in
+             pre := Some (Aggnet.boundaries ctx ~keys:k_a ?tid ()));
+         (fun () ->
+           match variant with
+           | V_left_outer | V_right_outer | V_anti -> vt := Mpc.band1 ctx v_lr' tid'
+           | V_inner | V_full_outer -> ());
+         (fun () -> Option.iter (fun f -> agg_specs := f ()) aggs);
+       |]);
+  (* --- validity rule per variant (temporary column V_o; the aggregation
+         keys keep using V_LR, cf. Appendix C footnote). DISTINCT is the
+         pre-pass's first-of-group mark. --- *)
+  let first () = Aggnet.first_of_group ctx (Option.get !pre) in
+  let v_o =
+    match variant with
+    | V_inner -> Mpc.band1 ctx v_lr' (Mpc.xor_pub (first ()) 1)
+    | V_left_outer ->
+        (* V_LR ∧ ¬(Tid ∧ DISTINCT) = V_LR ⊕ (V_LR ∧ Tid ∧ DISTINCT) *)
+        Mpc.xor v_lr' (Mpc.band1 ctx !vt (first ()))
+    | V_right_outer | V_anti -> !vt
+    | V_full_outer -> v_lr'
+  in
+  let valid_spec =
+    Option.map
+      (fun keys -> { Aggnet.col = v_o; func = Aggnet.Copy; keys; width = 1 })
+      valid_keys
   in
   let all_specs =
     List.map (fun (_, sp, _) -> sp) copy_specs
-    @ (match valid_spec with Some sp -> [ sp ] | None -> [])
-    @ List.map snd agg_specs
+    @ Option.to_list valid_spec
+    @ !agg_specs
   in
   let results =
-    if all_specs = [] then []
-    else Aggnet.run ctx ~keys:k_a ~tid:tid' all_specs
+    match !pre with
+    | Some b when all_specs <> [] -> Aggnet.propagate ctx b all_specs
+    | _ -> []
   in
   let ncopy = List.length copy_specs in
-  let copied = Orq_sort.Quicksort.take ncopy results in
-  let valid_final =
-    match valid_spec with
-    | Some _ -> List.nth results ncopy
-    | None -> v_o
+  let copied =
+    List.map2
+      (fun (name, _, w) d -> (name, Column.of_shared ~width:w d))
+      copy_specs
+      (Orq_sort.Quicksort.take ncopy results)
   in
-  let agg_results =
-    Orq_sort.Quicksort.drop
-      (ncopy + match valid_spec with Some _ -> 1 | None -> 0)
-      results
+  let rest = Orq_sort.Quicksort.drop ncopy results in
+  let valid_final, agg_results =
+    match (valid_spec, rest) with
+    | Some _, v :: r -> (v, r)
+    | _ -> (v_o, rest)
   in
-  let out_cols =
-    List.map2 (fun (k, w) name -> (name, Column.of_shared ~width:w k)) keys' on
-    @ List.map (fun (name, d, w) -> (name, Column.of_shared ~width:w d)) p.p_r_cols
-    @ List.map2
-        (fun (name, _, w) d -> (name, Column.of_shared ~width:w d))
-        copy_specs copied
-    @
-    (* all Sum finishers convert through one fused A2B *)
-    let finished =
-      let sums =
-        List.filter_map
-          (fun ((a, _), d) ->
-            match a.a_func with
-            | Aggnet.Sum -> Some (d, a.a_width)
-            | _ -> None)
-          (List.combine agg_specs agg_results)
-      in
-      let conv =
-        ref
-          (Array.to_list
-             (Orq_circuits.Convert.a2b_many ctx (Array.of_list sums)))
-      in
-      List.map2
-        (fun (a, _) d ->
-          match a.a_func with
-          | Aggnet.Sum ->
-              let c = List.hd !conv in
-              conv := List.tl !conv;
-              (a, c)
-          | _ -> (a, d))
-        agg_specs agg_results
-    in
-    List.map
-      (fun (a, d) -> (a.a_dst, Column.of_shared ~width:a.a_width d))
-      finished
-  in
+  (copied, valid_final, agg_results, !pre)
+
+let key_cols (p : prepared) on =
+  List.map2 (fun (k, w) name -> (name, Column.of_shared ~width:w k)) p.p_keys on
+
+(** [join ctx variant ~copy ~trim ~left ~right ~on ()] — the full
+    operator. [copy] names left columns to propagate into matching right
+    rows. *)
+let join (ctx : Ctx.t) (variant : variant) ?(copy : string list = [])
+    ?(trim : trim_mode = `Auto) ~(left : Table.t) ~(right : Table.t)
+    ~(on : string list) () : Table.t =
+  Ctx.with_label ctx "join" @@ fun () ->
+  let n = Table.nrows left and m = Table.nrows right in
+  let p = prepare ctx ~left ~right ~on in
+  let copied, valid, _, _ = network ctx variant p ~copy ~aggs:None in
+  let out_cols = key_cols p on @ p.p_r_cols @ copied in
   let do_trim =
     match (variant, trim) with
     | (V_left_outer | V_right_outer | V_full_outer), _ -> false
@@ -346,7 +292,45 @@ let join (ctx : Ctx.t) (variant : variant) ?(copy : string list = [])
   in
   finalize ctx
     ~name:(left.Table.name ^ "_join_" ^ right.Table.name)
-    ~valid:valid_final ~cols:out_cols ~bound:m ~do_trim
+    ~valid ~cols:out_cols ~bound:m ~do_trim
+
+type grouped = {
+  g_table : Table.t;
+      (** join keys and copied left columns; validity is the join's *)
+  g_last : Share.shared;  (** each join-key group's last row *)
+  g_results : Share.shared list;  (** the network results of [aggs] *)
+}
+
+(** [join_grouped ctx variant ~copy ~aggs ~left ~right ~on ()] evaluates
+    decomposable aggregations on the join-key groups inside the join's own
+    TableSort and network (§3.3). [aggs] builds the specs from the sorted
+    right columns and Tid (the absent side holds zero); results land in
+    each group's last row, so one row per group — join validity ∧
+    [g_last] — carries them. Inner and left-outer variants only. *)
+let join_grouped (ctx : Ctx.t) (variant : variant) ?(copy : string list = [])
+    ~(aggs : find:(string -> Column.t) -> tid:Share.shared -> Aggnet.spec list)
+    ~(left : Table.t) ~(right : Table.t) ~(on : string list) () : grouped =
+  (match variant with
+  | V_inner | V_left_outer -> ()
+  | V_right_outer | V_full_outer | V_anti ->
+      invalid_arg "Joinagg.join_grouped: inner or left-outer only");
+  Ctx.with_label ctx "join" @@ fun () ->
+  let p = prepare ctx ~left ~right ~on in
+  (* the sorted right columns, with the right table's signedness *)
+  let find c =
+    { (List.assoc c p.p_r_cols) with Column.signed = (Table.find right c).Column.signed }
+  in
+  let copied, valid, results, pre =
+    network ctx variant p ~copy ~aggs:(Some (fun () -> aggs ~find ~tid:p.p_tid))
+  in
+  {
+    g_table =
+      Table.of_columns ctx
+        (left.Table.name ^ "_join_" ^ right.Table.name)
+        ~valid (key_cols p on @ copied);
+    g_last = Aggnet.last_of_group ctx (Option.get pre);
+    g_results = results;
+  }
 
 (** Unique-key inner join (Appendix C, "Unique-key joins"): when the public
     schema guarantees unique keys on *both* sides, every group holds at
@@ -359,12 +343,13 @@ let join_unique (ctx : Ctx.t) ?(copy : string list = [])
     ~(on : string list) () : Table.t =
   Ctx.with_label ctx "joinunique" @@ fun () ->
   let n = Table.nrows left and m = Table.nrows right in
-  let p = prepare ctx ~left ~right ~on ~aggs:[] in
+  let p = prepare ctx ~left ~right ~on in
   let nm = n + m in
   (* an R row is in the join iff its group has a head before it (the L row
      with the same key): valid = V_LR and Tid and not distinct *)
+  let dist = Aggnet.distinct_bits ctx ~keys:((p.p_v_lr, 1) :: p.p_keys) in
   let valid =
-    Mpc.band1 ctx p.p_v_lr (Mpc.band1 ctx p.p_tid (Mpc.xor_pub p.p_dist 1))
+    Mpc.band1 ctx p.p_v_lr (Mpc.band1 ctx p.p_tid (Mpc.xor_pub dist 1))
   in
   (* copy each requested left column from the immediately preceding row *)
   let copied =
@@ -405,10 +390,7 @@ let join_unique (ctx : Ctx.t) ?(copy : string list = [])
     List.map2
       (fun (k, w) name -> (name, Column.of_shared ~width:w k))
       p.p_keys on
-    @ List.map
-        (fun (name, d, w) -> (name, Column.of_shared ~width:w d))
-        p.p_r_cols
-    @ copied
+    @ p.p_r_cols @ copied
   in
   let bound = min n m in
   let do_trim = match trim with `Never -> false | `Always | `Auto -> true in

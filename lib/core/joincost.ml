@@ -64,9 +64,21 @@ type shape = {
   j_key_w : int list;
   j_copy_w : int list;
   j_pay_w : int list;
-  j_aggs : bool;
+  j_group : int list option;
   j_variant : variant;
 }
+
+(* What an operator stands for at a node: a grouped node's candidates
+   are the sort join aggregating inside its network and the linear join
+   followed by an aggregate. *)
+let node_op_label (s : shape) op =
+  match (s.j_group, op) with
+  | None, _ -> op_label op
+  | Some _, Sort -> "sort-grouped"
+  | Some _, Linear -> "linear+aggregate"
+
+let node_variant_label (s : shape) =
+  variant_label s.j_variant ^ match s.j_group with Some _ -> " grouped" | None -> ""
 
 (* ------------------------------------------------------------------ *)
 (* Candidate operator estimates                                        *)
@@ -131,10 +143,16 @@ let downstream (ctx : Ctx.t) ~rows ~width =
 let out_width (s : shape) =
   sum s.j_key_w + sum s.j_copy_w + sum s.j_pay_w + 1
 
+(* One aggregation-network propagation level per lg(rows) whose Sum/Min/
+   Max lanes carry [agg_w] bits per row. *)
+let agg_levels (ctx : Ctx.t) ~rows agg_w =
+  times (max 1 (Ring.log2_ceil rows)) (Primcost.mul ctx.Ctx.kind ~w:(sum agg_w) ~n:rows)
+
 (* The sort-based join-aggregation (Protocol 3): TableSort over n+m rows
    on (V_LR, keys, Tid), the DISTINCT equality ladder, the per-variant
    validity AND, one aggregation network level per lg(n+m), and the
-   optional single-bit trim sort. *)
+   optional single-bit trim sort. Grouped, the network also carries the
+   aggregations and the output is never trimmed. *)
 let sort_estimate (ctx : Ctx.t) (s : shape) =
   let kind = ctx.Ctx.kind in
   let n = s.j_n + s.j_m in
@@ -146,7 +164,9 @@ let sort_estimate (ctx : Ctx.t) (s : shape) =
       (Primcost.eq kind ~w:(wk + 1) ~n)
       (Primcost.mul kind ~w:(sum s.j_copy_w + 1) ~n)
   in
-  let trimmed = Joinagg.should_trim ctx ~left_n:s.j_n ~right_m:s.j_m in
+  let trimmed =
+    s.j_group = None && Joinagg.should_trim ctx ~left_n:s.j_n ~right_m:s.j_m
+  in
   let cw = sum s.j_copy_w + sum s.j_pay_w + 1 in
   Primcost.tally_of
     (Array.concat
@@ -155,6 +175,7 @@ let sort_estimate (ctx : Ctx.t) (s : shape) =
          Primcost.eq kind ~w:(wk + 1) ~n (* DISTINCT bits *);
          Primcost.mul kind ~w:1 ~n (* validity rule *);
          times (max 1 (Ring.log2_ceil n)) net_level;
+         (match s.j_group with Some aw -> agg_levels ctx ~rows:n aw | None -> [||]);
          (if trimmed then sort_pass ctx ~n ~kw:1 ~cw:(out_width s) else [||]);
          downstream ctx
            ~rows:(if trimmed then s.j_m else n)
@@ -163,7 +184,10 @@ let sort_estimate (ctx : Ctx.t) (s : shape) =
 
 (* The linear join: fused bit conversions, the keyed-fingerprint rounds,
    two independent table shuffles and one fused opening of both
-   fingerprint columns — mirrors Linjoin.join step by step. *)
+   fingerprint columns — mirrors Linjoin.join step by step. Grouped, the
+   modeled downstream pass is the aggregate's sort over the m output
+   rows, which then pays its network (one fused boundary pre-pass plus
+   the propagation levels) and hands m rows on. *)
 let linear_estimate (ctx : Ctx.t) (s : shape) =
   let kind = ctx.Ctx.kind and ell = ctx.Ctx.ell in
   let n = s.j_n and m = s.j_m in
@@ -199,6 +223,15 @@ let linear_estimate (ctx : Ctx.t) (s : shape) =
            Primcost.mul kind ~w:ell ~n:(2 * nm);
            times 2 (Primcost.mul kind ~w:ell ~n:nm);
            downstream ctx ~rows:m ~width:(out_width s);
+           (match s.j_group with
+           | Some aw ->
+               Array.concat
+                 [
+                   Primcost.eq kind ~w:(sum s.j_key_w + sum s.j_copy_w + 1) ~n:m;
+                   agg_levels ctx ~rows:m aw;
+                   downstream ctx ~rows:m ~width:(out_width s);
+                 ]
+           | None -> [||]);
          ])
   in
   List.fold_left Comm.add_tally sequential [ conv; shuffles; opening ]
@@ -216,13 +249,14 @@ let seconds t = Netsim.network_time !the_profile t
 let applicable (ctx : Ctx.t) (s : shape) = function
   | Sort -> true
   | Linear ->
-      (* needs: a variant the operator implements, no fused aggregations,
-         a composite key that packs into one ring word (the fingerprint
-         domain), and nonempty sides (the shuffles need rows) *)
+      (* needs: a variant the operator implements (grouped: inner only,
+         with the aggregate run after it), a composite key that packs into
+         one ring word (the fingerprint domain), and nonempty sides (the
+         shuffles need rows) *)
       (match s.j_variant with
-      | J_inner | J_semi | J_anti -> true
+      | J_inner -> true
+      | J_semi | J_anti -> s.j_group = None
       | J_outer -> false)
-      && (not s.j_aggs)
       && sum s.j_key_w <= ctx.Ctx.ell - 1
       && s.j_n > 0 && s.j_m > 0
 

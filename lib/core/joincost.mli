@@ -62,15 +62,26 @@ type shape = {
   j_key_w : int list;  (** per-key widths, already maxed across sides *)
   j_copy_w : int list;  (** widths of left columns copied into matches *)
   j_pay_w : int list;  (** widths of the probe side's non-key columns *)
-  j_aggs : bool;  (** the node carries fused aggregations *)
+  j_group : int list option;
+      (** a GROUP BY on the join key (plus copied left columns) follows:
+          the widths of its aggregation sources (COUNT: 1). [Sort] then
+          aggregates inside the join's own network (grouped), [Linear] is
+          the linear join followed by a sorted aggregate *)
   j_variant : variant;
 }
 (** The public shape of one join node — everything the cost forms are
     allowed to see. *)
 
+val node_op_label : shape -> op -> string
+(** {!op_label}, except at a grouped node: ["sort-grouped"] (aggregating
+    inside the sort join's network) and ["linear+aggregate"]. *)
+
+val node_variant_label : shape -> string
+(** {!variant_label}, suffixed [" grouped"] at a grouped node. *)
+
 val applicable : Ctx.t -> shape -> op -> bool
 (** Whether an operator can implement this node: [Linear] needs an
-    inner/semi/anti variant with no fused aggregations, a composite key
+    inner/semi/anti variant (inner only when grouped), a composite key
     that packs into one ring word, and nonempty inputs; [Sort] implements
     everything. *)
 
@@ -78,7 +89,9 @@ val predict : Ctx.t -> shape -> op -> Comm.tally
 (** Closed-form cost of running the node with [op], including a modeled
     downstream surcharge proportional to the operator's output
     cardinality (n+m rows after an untrimmed sort join, m after the
-    linear join). *)
+    linear join). A grouped shape prices the sort join with the
+    aggregations in its network against the linear join plus the
+    aggregate's network. *)
 
 val seconds : Comm.tally -> float
 (** Modeled network time of a tally under the active profile. *)

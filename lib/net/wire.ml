@@ -67,7 +67,9 @@ type net_stats = {
 }
 
 type join_cand = {
-  jc_op : string;  (** "sort" | "linear" *)
+  jc_op : string;
+      (** "sort" | "linear"; at a grouped node "sort-grouped" |
+          "linear+aggregate" *)
   jc_rounds : int;
   jc_bits : int;
   jc_messages : int;
@@ -76,7 +78,7 @@ type join_cand = {
 
 type join_decision = {
   je_node : string;  (** "left ⋈ right" *)
-  je_variant : string;  (** inner | semi | anti | outer *)
+  je_variant : string;  (** inner | semi | anti | outer, or "inner grouped" *)
   je_n : int;  (** build-side physical rows *)
   je_m : int;  (** probe-side physical rows *)
   je_chosen : string;

@@ -233,22 +233,23 @@ let execute_sql ~(ctx : Ctx.t) ~(db : Tpch_gen.mpc) ~qseed ~max_rows sql :
    body. Must run on the domain that executed the query — the log is
    domain-local state. *)
 let explain_of_log ~fallbacks (ds : Joincost.decision list) : Wire.explain =
-  let cand (op, tally, est) =
-    {
-      Wire.jc_op = Joincost.op_label op;
-      jc_rounds = tally.Comm.t_rounds;
-      jc_bits = tally.Comm.t_bits;
-      jc_messages = tally.Comm.t_messages;
-      jc_est_s = est;
-    }
-  in
   let dec (d : Joincost.decision) =
+    let shape = d.Joincost.jd_shape in
+    let cand (op, tally, est) =
+      {
+        Wire.jc_op = Joincost.node_op_label shape op;
+        jc_rounds = tally.Comm.t_rounds;
+        jc_bits = tally.Comm.t_bits;
+        jc_messages = tally.Comm.t_messages;
+        jc_est_s = est;
+      }
+    in
     {
       Wire.je_node = d.Joincost.jd_node;
-      je_variant = Joincost.variant_label d.jd_shape.Joincost.j_variant;
-      je_n = d.jd_shape.Joincost.j_n;
-      je_m = d.jd_shape.Joincost.j_m;
-      je_chosen = Joincost.op_label d.jd_chosen;
+      je_variant = Joincost.node_variant_label shape;
+      je_n = shape.Joincost.j_n;
+      je_m = shape.Joincost.j_m;
+      je_chosen = Joincost.node_op_label shape d.jd_chosen;
       je_forced = d.jd_forced;
       je_cands = List.map cand d.jd_cands;
     }

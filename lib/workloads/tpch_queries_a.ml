@@ -155,20 +155,18 @@ let q3_run (db : G.mpc) =
   in
   let r = Mpc.fuse_rounds ctx [| co; li |] in
   let co = r.(0) and li = r.(1) in
-  let j =
-    D.inner_join
+  (* GROUP BY the join key and two columns of its unique side: the
+     revenue sums run inside the join *)
+  let agg =
+    D.group_join
       (select co
          [
            ("o_orderkey", "l_orderkey");
            ("o_orderdate", "o_orderdate");
            ("o_shippriority", "o_shippriority");
          ])
-      li
+      (T.project li [ "l_orderkey"; "revenue" ])
       ~on:[ "l_orderkey" ]
-      ~copy:[ "o_orderdate"; "o_shippriority" ]
-  in
-  let agg =
-    D.aggregate j
       ~keys:[ "l_orderkey"; "o_orderdate"; "o_shippriority" ]
       ~aggs:[ sum "revenue" "total_revenue" ]
   in

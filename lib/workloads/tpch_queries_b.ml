@@ -66,7 +66,7 @@ let q12_ref (db : G.plain) =
 let q12_cols = [ "l_shipmode"; "high_count"; "low_count" ]
 
 (* ------------------------------------------------------------------ *)
-(* Q13: customer order-count distribution (outer join)                 *)
+(* Q13: customer order-count distribution (grouped outer join)         *)
 (* ------------------------------------------------------------------ *)
 
 let q13_run (db : G.mpc) =
@@ -74,16 +74,13 @@ let q13_run (db : G.mpc) =
     D.filter db.G.m_orders
       E.(col "o_orderpriority" <>. const q13_priority_excluded)
   in
-  let j =
-    D.left_outer_join
-      (select db.G.m_customer [ ("c_custkey", "o_custkey") ])
-      o ~on:[ "o_custkey" ]
-  in
-  (* order rows carry a real o_orderkey (>= 1); the left's own rows have
-     NULL (0) there, so they contribute 0 to the per-customer count *)
-  let j = D.map j ~dst:"is_order" E.(If (col "o_orderkey" <>. const 0, const 1, const 0)) in
+  (* per-customer order count inside the left outer join: COUNT counts
+     each customer's matched order rows, 0 for a customer with none *)
   let per_cust =
-    D.aggregate j ~keys:[ "o_custkey" ] ~aggs:[ sum "is_order" "c_count" ]
+    D.group_join ~outer:true
+      (select db.G.m_customer [ ("c_custkey", "o_custkey") ])
+      o ~on:[ "o_custkey" ] ~keys:[ "o_custkey" ]
+      ~aggs:[ cnt "o_orderkey" "c_count" ]
   in
   D.aggregate per_cust ~keys:[ "c_count" ] ~aggs:[ cnt "c_count" "custdist" ]
 

@@ -450,31 +450,175 @@ let test_semi_join_duplicates_both_sides () =
 
 let test_join_with_aggregation () =
   (* the fused join-aggregation: sum of order prices per customer, computed
-     inside the join's control flow *)
+     inside the join's control flow; one row per customer group *)
   let ctx = hm () in
   let c, o = customers_orders ctx in
-  let j =
-    Dataflow.inner_join c o ~on:[ "CustKey" ]
-      ~aggs:
-        [
-          {
-            Dataflow.a_src = "Price";
-            a_dst = "Total";
-            a_func = Aggnet.Sum;
-            a_width = 16;
-          };
-        ]
-  in
-  (* the group total lands in the last row of each group; aggregate rows
-     are picked with a group-by afterwards in full queries. Here check via
-     max per key *)
   let t' =
-    Dataflow.aggregate j ~keys:[ "CustKey" ]
-      ~aggs:[ { Dataflow.src = "Total"; dst = "T"; fn = Dataflow.Max } ]
+    Dataflow.group_join c o ~on:[ "CustKey" ] ~keys:[ "CustKey" ]
+      ~aggs:[ { Dataflow.src = "Price"; dst = "T"; fn = Dataflow.Sum } ]
   in
   Alcotest.(check rows_t) "join-fused sums"
     [ [ 1; 50 ]; [ 2; 150 ]; [ 3; 70 ] ]
     (Table.valid_rows_sorted t' [ "CustKey"; "T" ])
+
+(* The network's pre-pass marks each sorted table's group boundaries
+   once: its first/last-of-group bits equal the standalone equality
+   ladders, with and without padding to a power of two and with and
+   without a tid column in the pre-pass. *)
+let test_boundaries_match_ladders () =
+  List.iter
+    (fun kind ->
+      List.iter
+        (fun n ->
+          List.iter
+            (fun with_tid ->
+              let lbl =
+                Printf.sprintf "%s n=%d tid=%b" (Ctx.kind_label kind) n with_tid
+              in
+              let ctx = Ctx.create ~seed:(60 + n) kind in
+              let st = Random.State.make [| n; 3 |] in
+              let rows =
+                List.sort compare
+                  (List.init n (fun _ ->
+                       (Random.State.int st 2, Random.State.int st 4)))
+              in
+              let v = Array.of_list (List.map fst rows)
+              and k = Array.of_list (List.map snd rows) in
+              let keys = [ (Mpc.share_b ctx v, 1); (Mpc.share_b ctx k, 3) ] in
+              let tid =
+                if with_tid then
+                  Some (Mpc.share_b ctx (Array.init n (fun _ -> Random.State.int st 2)))
+                else None
+              in
+              let b = Aggnet.boundaries ctx ~keys ?tid () in
+              let bits s = Array.map (fun x -> x land 1) (Share.reconstruct s) in
+              let same i j = v.(i) = v.(j) && k.(i) = k.(j) in
+              Alcotest.(check vec) (lbl ^ " first = distinct_bits")
+                (bits (Aggnet.distinct_bits ctx ~keys))
+                (bits (Aggnet.first_of_group ctx b));
+              Alcotest.(check vec) (lbl ^ " last = last_of_group_bits")
+                (bits (Aggnet.last_of_group_bits ctx ~keys))
+                (bits (Aggnet.last_of_group ctx b));
+              Alcotest.(check vec) (lbl ^ " first vs plaintext")
+                (Array.init n (fun i -> if i = 0 || not (same (i - 1) i) then 1 else 0))
+                (bits (Aggnet.first_of_group ctx b));
+              Alcotest.(check vec) (lbl ^ " last vs plaintext")
+                (Array.init n (fun i -> if i = n - 1 || not (same i (i + 1)) then 1 else 0))
+                (bits (Aggnet.last_of_group ctx b)))
+            [ false; true ])
+        [ 1; 2; 3; 63; 64; 65 ])
+    kinds
+
+(* GROUP BY over a one-to-many join, aggregated inside the join, against
+   the plaintext engine: a left row with no match, right rows with no
+   left match and invalid rows on both sides. *)
+let grouped_aggs =
+  [
+    { Dataflow.src = "X"; dst = "cnt"; fn = Dataflow.Count };
+    { Dataflow.src = "X"; dst = "sum"; fn = Dataflow.Sum };
+    { Dataflow.src = "X"; dst = "mn"; fn = Dataflow.Min };
+    { Dataflow.src = "X"; dst = "mx"; fn = Dataflow.Max };
+    { Dataflow.src = "X"; dst = "avg"; fn = Dataflow.Avg };
+  ]
+
+let grouped_cases =
+  [
+    (* (left K, G, valid), (right K, X, valid) *)
+    ( "mixed",
+      ([| 1; 2; 3; 4; 5 |], [| 7; 8; 9; 10; 11 |], [| 1; 1; 1; 0; 1 |]),
+      ( [| 2; 1; 2; 5; 4; 2; 9; 1; 3 |],
+        [| 10; 50; 20; 99; 70; 30; 40; 5; 60 |],
+        [| 1; 1; 1; 1; 1; 1; 1; 1; 0 |] ) );
+    ("n = 1", ([| 2 |], [| 7 |], [| 1 |]), ([| 2; 1; 2 |], [| 3; 4; 5 |], [| 1; 1; 1 |]));
+    ("m = 1", ([| 1; 2; 3 |], [| 4; 5; 6 |], [| 1; 1; 1 |]), ([| 2 |], [| 9 |], [| 1 |]));
+  ]
+
+let grouped_ref ~outer (lk, lg, lv) (rk, rx, rv) =
+  let keep ks v = List.filter (fun i -> v.(i) = 1) (List.init (Array.length ks) Fun.id) in
+  let l = Ptable.create [ "K"; "G" ] (List.map (fun i -> [ lk.(i); lg.(i) ]) (keep lk lv)) in
+  let r = Ptable.create [ "K"; "X" ] (List.map (fun i -> [ rk.(i); rx.(i) ]) (keep rk rv)) in
+  let matched =
+    Ptable.group_by (Ptable.inner_join l r ~on:[ "K" ]) ~keys:[ "K"; "G" ]
+      ~aggs:
+        (List.map
+           (fun (a : Dataflow.agg) ->
+             let fn =
+               match a.Dataflow.fn with
+               | Dataflow.Count -> Ptable.Count
+               | Dataflow.Sum -> Ptable.Sum
+               | Dataflow.Min -> Ptable.Min
+               | Dataflow.Max -> Ptable.Max
+               | _ -> Ptable.Avg
+             in
+             { Ptable.src = "X"; dst = a.Dataflow.dst; fn })
+           grouped_aggs)
+  in
+  let rows = Ptable.rows_sorted matched [ "K"; "G"; "cnt"; "sum"; "mn"; "mx"; "avg" ] in
+  if not outer then rows
+  else
+    (* an unmatched left row's group reads zero; its AVG is left out *)
+    let unmatched =
+      Ptable.rows_sorted (Ptable.anti_join l r ~on:[ "K" ]) [ "K"; "G" ]
+    in
+    List.sort compare (rows @ List.map (fun kg -> kg @ [ 0; 0; 0; 0; -1 ]) unmatched)
+
+let grouped_run ctx ~outer (lk, lg, lv) (rk, rx, rv) =
+  let l = Table.create ctx "L" ~valid:lv [ ("K", 8, lk); ("G", 5, lg) ] in
+  let r = Table.create ctx "R" ~valid:rv [ ("K", 8, rk); ("X", 8, rx) ] in
+  let before = Orq_net.Comm.snapshot ctx.Ctx.comm in
+  let t = Dataflow.group_join ~outer l r ~on:[ "K" ] ~keys:[ "K"; "G" ] ~aggs:grouped_aggs in
+  let rows = Table.valid_rows_sorted t [ "K"; "G"; "cnt"; "sum"; "mn"; "mx"; "avg" ] in
+  let rows =
+    List.map (fun row -> if List.nth row 2 = 0 then List.filteri (fun i _ -> i < 6) row @ [ -1 ] else row) rows
+  in
+  (rows, Orq_net.Comm.since ctx.Ctx.comm before)
+
+let with_join_mode m f =
+  let old = Joincost.mode () in
+  Joincost.set_mode m;
+  Fun.protect ~finally:(fun () -> Joincost.set_mode old) f
+
+let streamed f =
+  let module C = Orq_util.Chunkvec in
+  let rows0 = C.chunk_rows () and budget0 = C.budget () and on0 = C.streaming_enabled () in
+  C.set_chunk_rows 3;
+  C.set_budget (16 * 1024);
+  Fun.protect
+    ~finally:(fun () ->
+      C.set_chunk_rows rows0;
+      C.set_budget budget0;
+      C.set_streaming on0)
+    f
+
+let test_group_join () =
+  List.iter
+    (fun kind ->
+      List.iter
+        (fun (case, l, r) ->
+          List.iter
+            (fun (outer, mode) ->
+              let lbl =
+                Printf.sprintf "%s %s %s %s" (Ctx.kind_label kind) case
+                  (if outer then "left-outer" else "inner")
+                  (Joincost.mode_label mode)
+              in
+              with_join_mode mode @@ fun () ->
+              let whole, t_whole = grouped_run (Ctx.create ~seed:9 kind) ~outer l r in
+              Alcotest.(check rows_t) (lbl ^ " vs plaintext") (grouped_ref ~outer l r) whole;
+              let chunked, t_chunked =
+                streamed (fun () -> grouped_run (Ctx.create ~seed:9 kind) ~outer l r)
+              in
+              Alcotest.(check rows_t) (lbl ^ " chunked rows") whole chunked;
+              Alcotest.(check (triple int int int)) (lbl ^ " chunked tally")
+                Orq_net.Comm.(t_whole.t_rounds, t_whole.t_bits, t_whole.t_messages)
+                Orq_net.Comm.(t_chunked.t_rounds, t_chunked.t_bits, t_chunked.t_messages))
+            [
+              (false, Joincost.Force Joincost.Sort);
+              (false, Joincost.Force Joincost.Linear);
+              (true, Joincost.Auto);
+            ])
+        grouped_cases)
+    kinds
 
 let test_many_to_many_preaggregation () =
   (* Section 3.6: COUNT over a many-to-many join via pre-aggregation of
@@ -894,6 +1038,10 @@ let suite =
       test_semi_join_duplicates_both_sides;
     Alcotest.test_case "fused join-aggregation" `Quick
       test_join_with_aggregation;
+    Alcotest.test_case "network boundaries = DISTINCT/last ladders" `Quick
+      test_boundaries_match_ladders;
+    Alcotest.test_case "grouped join vs plaintext, whole = chunked" `Quick
+      test_group_join;
     Alcotest.test_case "many-to-many via pre-aggregation" `Quick
       test_many_to_many_preaggregation;
     Alcotest.test_case "concat tables" `Quick test_concat_tables;

@@ -166,19 +166,13 @@ let test_forced_linear_falls_back_when_inapplicable () =
   let ctx = Ctx.create ~seed:51 Ctx.Sh_hm in
   forced Joincost.Linear (fun () ->
       Joincost.reset_log ();
-      (* fused aggregations are out of the linear operator's class *)
-      let j =
-        Dataflow.inner_join (customers ctx) (orders ctx) ~on:[ "CustKey" ]
-          ~aggs:
-            [
-              {
-                Dataflow.a_src = "Price";
-                a_dst = "Total";
-                a_func = Orq_core.Aggnet.Sum;
-                a_width = 20;
-              };
-            ]
+      (* a composite key wider than one ring word is out of the linear
+         operator's class (the fingerprint domain) *)
+      let wide name =
+        Table.create ctx name
+          [ ("A", 32, [| 1; 2; 3 |]); ("B", 32, [| 4; 5; 6 |]) ]
       in
+      let j = Dataflow.inner_join (wide "l") (wide "r") ~on:[ "A"; "B" ] in
       ignore j;
       match Joincost.log () with
       | [ d ] ->
@@ -273,7 +267,7 @@ let test_predicted_cheapest_is_measured_cheapest () =
           j_key_w = [ 16 ];
           j_copy_w = [ 8 ];
           j_pay_w = [ 8 ];
-          j_aggs = false;
+          j_group = None;
           j_variant = Joincost.J_inner;
         }
       in
@@ -295,9 +289,9 @@ let test_predicted_cheapest_is_measured_cheapest () =
    (rounds, bits, messages) the planner produced before its estimates
    were rewritten over the shared primitive price list (Primcost); the
    table was recorded by running this same grid on that earlier tree.
-   Predictions depend only on (protocol, n, m, key columns): the variant
-   and the aggs flag decide applicability alone, so each row covers all
-   eight of those combinations. [None] marks an operator that no shape
+   Predictions of ungrouped shapes depend only on (protocol, n, m, key
+   columns): the variant decides applicability alone, so each row covers
+   all four variants. [None] marks an operator that no shape
    of the row admits. Rows: protocol, n, m, number of key columns, then
    the sort and linear predictions. *)
 let golden_predictions =
@@ -401,7 +395,6 @@ let golden_predictions =
   ]
 
 let test_golden_predictions () =
-  let flags v = [ (v, false); (v, true) ] in
   List.iter
     (fun kind ->
       let ctx = Ctx.create ~seed:51 kind in
@@ -409,7 +402,7 @@ let test_golden_predictions () =
         (fun (label, n, m, nkeys, sort, linear) ->
           if label = Ctx.kind_label kind then
             List.iter
-              (fun (variant, aggs) ->
+              (fun variant ->
                 let shape =
                   {
                     Joincost.j_n = n;
@@ -417,7 +410,7 @@ let test_golden_predictions () =
                     j_key_w = (if nkeys = 1 then [ 12 ] else [ 12; 20 ]);
                     j_copy_w = [ 16 ];
                     j_pay_w = [ 24; 8 ];
-                    j_aggs = aggs;
+                    j_group = None;
                     j_variant = variant;
                   }
                 in
@@ -426,9 +419,9 @@ let test_golden_predictions () =
                     if Joincost.applicable ctx shape op then begin
                       let name =
                         Printf.sprintf
-                          "%s %s %s n=%d m=%d keys=%d aggs=%b" label
+                          "%s %s %s n=%d m=%d keys=%d" label
                           (Joincost.op_label op)
-                          (Joincost.variant_label variant) n m nkeys aggs
+                          (Joincost.variant_label variant) n m nkeys
                       in
                       match pinned with
                       | None -> Alcotest.failf "%s: applicable but not pinned" name
@@ -438,8 +431,7 @@ let test_golden_predictions () =
                             (t.Comm.t_rounds, t.Comm.t_bits, t.Comm.t_messages)
                     end)
                   [ (Joincost.Sort, sort); (Linear, linear) ])
-              (List.concat_map flags
-                 [ Joincost.J_inner; J_semi; J_anti; J_outer ]))
+              [ Joincost.J_inner; J_semi; J_anti; J_outer ])
         golden_predictions;
       (* n, m in {0, 1, 7, 300} x one or two key columns *)
       Alcotest.(check int) "every grid cell pinned" 32

@@ -167,6 +167,19 @@ let test_quicksort_adversarial_orders () =
             (rounds < 100 * Orq_util.Ring.log2_ceil n))
         inputs)
 
+(* GROUP BY (k, lv) over the join, aggregated inside the sort-based
+   join-aggregation operator, run as both the inner and the left-outer
+   variant *)
+let grouped_sort_join l r =
+  let old = Joincost.mode () in
+  Joincost.set_mode (Joincost.Force Joincost.Sort);
+  Fun.protect ~finally:(fun () -> Joincost.set_mode old) @@ fun () ->
+  List.map
+    (fun outer ->
+      Dataflow.group_join ~outer l r ~on:[ "k" ] ~keys:[ "k"; "lv" ]
+        ~aggs:[ { Dataflow.src = "x"; dst = "sx"; fn = Dataflow.Sum } ])
+    [ false; true ]
+
 let test_joinagg_oblivious () =
   (* the join-aggregation operator (§3.5): group sizes, aggregate values
      and key overlap must all be invisible in the structural transcript *)
@@ -181,17 +194,7 @@ let test_joinagg_oblivious () =
             Table.create ctx "R"
               [ ("k", 8, [| 1; 1; 1; 1; 1; 1 |]); ("x", 8, [| 9; 9; 9; 9; 9; 9 |]) ]
           in
-          ignore
-            (Dataflow.inner_join l r ~on:[ "k" ] ~copy:[ "lv" ]
-               ~aggs:
-                 [
-                   {
-                     Dataflow.a_src = "x";
-                     a_dst = "sx";
-                     a_func = Aggnet.Sum;
-                     a_width = 12;
-                   };
-                 ]))
+          ignore (grouped_sort_join l r))
         (fun ctx ->
           let l =
             Table.create ctx "L"
@@ -201,17 +204,7 @@ let test_joinagg_oblivious () =
             Table.create ctx "R"
               [ ("k", 8, [| 1; 2; 3; 4; 5; 6 |]); ("x", 8, [| 0; 1; 2; 3; 4; 5 |]) ]
           in
-          ignore
-            (Dataflow.inner_join l r ~on:[ "k" ] ~copy:[ "lv" ]
-               ~aggs:
-                 [
-                   {
-                     Dataflow.a_src = "x";
-                     a_dst = "sx";
-                     a_func = Aggnet.Sum;
-                     a_width = 12;
-                   };
-                 ])))
+          ignore (grouped_sort_join l r)))
 
 let test_service_path_oblivious () =
   (* the query-service execution path: SQL text -> planner -> engine over

@@ -241,6 +241,134 @@ let test_q3_shaped_plan () =
     true
     (planned.Orq_net.Comm.t_rounds < seq.Orq_net.Comm.t_rounds)
 
+(* ---------------- grouped join rule ---------------- *)
+
+(* A TPC-H-shaped catalog: orders unique on o_orderkey, customer on
+   c_custkey; lineitem carries an order with no lineitem (3), lineitem
+   rows with no order (7) and an invalid row. *)
+let tpch_catalog ctx : Sql.catalog =
+  let orders =
+    Table.create ctx "orders"
+      [
+        ("o_orderkey", 8, [| 1; 2; 3; 4; 5 |]);
+        ("o_custkey", 8, [| 1; 2; 1; 3; 2 |]);
+        ("o_totalprice", 10, [| 100; 200; 300; 400; 500 |]);
+      ]
+  in
+  let lineitem =
+    Table.create ctx "lineitem"
+      ~valid:[| 1; 1; 1; 1; 1; 0; 1; 1 |]
+      [
+        ("l_orderkey", 8, [| 1; 1; 2; 4; 4; 4; 7; 5 |]);
+        ("l_quantity", 6, [| 5; 6; 7; 8; 9; 10; 11; 12 |]);
+      ]
+  in
+  let customer =
+    Table.create ctx "customer"
+      [ ("c_custkey", 8, [| 1; 2; 3; 4 |]); ("c_mktsegment", 3, [| 1; 2; 1; 3 |]) ]
+  in
+  function
+  | "orders" -> (orders, [ [ "o_orderkey" ] ])
+  | "lineitem" -> (lineitem, [])
+  | "customer" -> (customer, [ [ "c_custkey" ] ])
+  | _ -> raise Not_found
+
+(* Run [sql] on a fresh catalog: result rows, tally, and how many of the
+   logged join decisions were grouped. *)
+let run_grouped_sql sql =
+  let ctx = Ctx.create ~seed:63 Ctx.Sh_hm in
+  let cat = tpch_catalog ctx in
+  Joincost.reset_log ();
+  let before = Orq_net.Comm.snapshot ctx.Ctx.comm in
+  let t, cols, _ = Sql.run cat sql in
+  let tal = Orq_net.Comm.since ctx.Ctx.comm before in
+  let grouped =
+    List.length
+      (List.filter
+         (fun d -> d.Joincost.jd_shape.Joincost.j_group <> None)
+         (Joincost.log ()))
+  in
+  (Table.valid_rows_sorted t cols, tal, grouped)
+
+(* The same query compiled as its join followed by Dataflow.aggregate —
+   what the planner does when the grouped rule does not apply. *)
+let run_join_then_aggregate sql =
+  let ctx = Ctx.create ~seed:63 Ctx.Sh_hm in
+  let cat = tpch_catalog ctx in
+  let plan, cols = Sql.parse_query cat sql in
+  let before = Orq_net.Comm.snapshot ctx.Ctx.comm in
+  let t =
+    match Optimize.run plan with
+    | Plan.Aggregate a ->
+        let srcs =
+          List.filter_map
+            (fun (g : Dataflow.agg) ->
+              match g.Dataflow.fn with Dataflow.Count -> None | _ -> Some g.Dataflow.src)
+            a.Plan.a_aggs
+        in
+        let need = a.Plan.a_keys @ List.filter (fun c -> not (List.mem c a.Plan.a_keys)) srcs in
+        let j, _ = Compile.run ~optimize:false ~need a.Plan.a_input in
+        let aggs =
+          List.map
+            (fun (g : Dataflow.agg) ->
+              match g.Dataflow.fn with
+              | Dataflow.Count -> { g with Dataflow.src = List.hd (Table.col_names j) }
+              | _ -> g)
+            a.Plan.a_aggs
+        in
+        Dataflow.aggregate j ~keys:a.Plan.a_keys ~aggs
+    | _ -> Alcotest.fail "expected an aggregate plan"
+  in
+  let tal = Orq_net.Comm.since ctx.Ctx.comm before in
+  (Table.valid_rows_sorted (Table.project t cols) cols, tal)
+
+let test_grouped_join_rule () =
+  let fires =
+    "SELECT o_orderkey, SUM(l_quantity) AS q FROM orders JOIN lineitem ON \
+     o_orderkey = l_orderkey GROUP BY o_orderkey"
+  in
+  let rows, _, grouped = run_grouped_sql fires in
+  Alcotest.(check int) "one grouped decision" 1 grouped;
+  (* plaintext: orders 1, 2, 4, 5 have valid lineitems *)
+  let p_orders =
+    Orq_plaintext.Ptable.create [ "o_orderkey" ] [ [ 1 ]; [ 2 ]; [ 3 ]; [ 4 ]; [ 5 ] ]
+  in
+  let p_li =
+    Orq_plaintext.Ptable.create [ "o_orderkey"; "l_quantity" ]
+      [ [ 1; 5 ]; [ 1; 6 ]; [ 2; 7 ]; [ 4; 8 ]; [ 4; 9 ]; [ 7; 11 ]; [ 5; 12 ] ]
+  in
+  let want =
+    Orq_plaintext.Ptable.rows_sorted
+      (Orq_plaintext.Ptable.group_by
+         (Orq_plaintext.Ptable.inner_join p_orders p_li ~on:[ "o_orderkey" ])
+         ~keys:[ "o_orderkey" ]
+         ~aggs:[ { Orq_plaintext.Ptable.src = "l_quantity"; dst = "q"; fn = Orq_plaintext.Ptable.Sum } ])
+      [ "o_orderkey"; "q" ]
+  in
+  Alcotest.(check rows_t) "grouped values = plaintext" want rows;
+  List.iter
+    (fun (label, sql, want) ->
+      let rows, tal, grouped = run_grouped_sql sql in
+      Alcotest.(check int) (label ^ ": no grouped decision") 0 grouped;
+      Alcotest.(check rows_t) (label ^ ": values") want rows;
+      let rows', tal' = run_join_then_aggregate sql in
+      Alcotest.(check rows_t) (label ^ ": = join then aggregate") rows' rows;
+      Alcotest.(check (triple int int int)) (label ^ ": tally = join then aggregate")
+        Orq_net.Comm.(tal'.t_rounds, tal'.t_bits, tal'.t_messages)
+        Orq_net.Comm.(tal.t_rounds, tal.t_bits, tal.t_messages))
+    [
+      ( "join key not in the group",
+        "SELECT c_mktsegment, COUNT(*) AS n, SUM(o_totalprice) AS total FROM \
+         orders JOIN customer ON o_custkey = c_custkey GROUP BY c_mktsegment",
+        (* segment 1: orders 1, 3, 4; segment 2: orders 2, 5 *)
+        [ [ 1; 3; 800 ]; [ 2; 2; 700 ] ] );
+      ( "SUM of a unique-side column",
+        "SELECT o_orderkey, SUM(o_totalprice) AS t FROM orders JOIN lineitem \
+         ON o_orderkey = l_orderkey GROUP BY o_orderkey",
+        (* each order's price once per valid lineitem *)
+        [ [ 1; 200 ]; [ 2; 200 ]; [ 4; 800 ]; [ 5; 500 ] ] );
+    ]
+
 let contains hay needle =
   let nh = String.length hay and nn = String.length needle in
   let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
@@ -272,6 +400,7 @@ let suite =
     Alcotest.test_case "Q3-shaped plan = hand-written" `Quick
       test_q3_shaped_plan;
     Alcotest.test_case "explain" `Quick test_explain;
+    Alcotest.test_case "grouped join rule" `Quick test_grouped_join_rule;
   ]
 
 let () = Alcotest.run "orq_planner" [ ("planner", suite) ]

@@ -776,7 +776,24 @@ let test_explain () =
   in
   Alcotest.(check int) "out of class: one fallback" 1 e.Wire.e_fallbacks;
   Alcotest.(check int) "out of class: no decision" 0
-    (List.length e.Wire.e_joins)
+    (List.length e.Wire.e_joins);
+  (* GROUP BY on the join key: one grouped decision, priced as the sort
+     join aggregating in its network vs the linear join plus an
+     aggregate *)
+  let e =
+    explain_ok c
+      "SELECT o_orderkey, SUM(l_quantity) AS q FROM orders JOIN lineitem ON \
+       o_orderkey = l_orderkey GROUP BY o_orderkey"
+  in
+  match e.Wire.e_joins with
+  | [ j ] ->
+      Alcotest.(check string) "grouped variant" "inner grouped" j.Wire.je_variant;
+      Alcotest.(check (list string))
+        "grouped candidates" [ "sort-grouped"; "linear+aggregate" ]
+        (List.map (fun c -> c.Wire.jc_op) j.Wire.je_cands);
+      Alcotest.(check bool) "chosen is a candidate" true
+        (List.exists (fun c -> c.Wire.jc_op = j.Wire.je_chosen) j.Wire.je_cands)
+  | js -> Alcotest.failf "expected 1 grouped join node, got %d" (List.length js)
 
 let test_stats () =
   with_server @@ fun _ socket ->
