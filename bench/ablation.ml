@@ -5,8 +5,8 @@
     - sorting-algorithm choice (quicksort vs radixsort) across key widths;
     - AggNet power-of-two padding: the cost cliff right above 2^k (the
       Figure 8 / Q12 effect);
-    - TableSort permutation composition vs per-key full re-sorting (the
-      strawman Protocol 2 avoids). *)
+    - TableSort's one base sort on the packed composite key vs per-key
+      full re-sorting (the strawman Protocol 2 avoids). *)
 
 open Orq_proto
 open Orq_core
@@ -121,7 +121,7 @@ let aggnet_padding_ablation () =
 
 let tablesort_ablation ~n () =
   section
-    "Ablation: TableSort permutation composition vs per-key full re-sort";
+    "Ablation: TableSort packed-key sort vs per-key full re-sort";
   hdr "%-26s %12s %12s %8s" "strategy" "LAN-est" "MB" "rounds";
   let mk ctx =
     Table.create ctx "T"
@@ -133,14 +133,14 @@ let tablesort_ablation ~n () =
         ("e", 24, Array.init n (fun i -> i * 5));
       ]
   in
-  (* TableSort: extract + compose permutations, permute the table once *)
+  (* TableSort: one base sort on the packed key, permute the table once *)
   let ctx = Ctx.create ~seed:37 Ctx.Sh_hm in
   let t = mk ctx in
   let _, m =
     measure ctx (fun () ->
         ignore (Tablesort.sort t [ ("a", Tablesort.Asc); ("b", Tablesort.Asc) ]))
   in
-  row "%-26s %12s %12.2f %8d" "TableSort (compose)"
+  row "%-26s %12s %12.2f %8d" "TableSort (packed key)"
     (pretty_time (estimate Netsim.lan m))
     (mib m.online) m.online.Orq_net.Comm.t_rounds;
   (* strawman: sort the full table for each key, least-significant first *)

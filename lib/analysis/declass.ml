@@ -96,7 +96,7 @@ let all : entry list =
        further interactive work depends on it, so transcripts stay \
        shape-deterministic for the certifier)";
     (* --- result delivery --- *)
-    ok "Table.reveal" Declass "open_"
+    ok "Table.reveal" Declass "open_many"
       "the analyst's output opening (§3.1): invalid rows are zero-masked \
        and the table shuffled before opening, so only valid result rows \
        carry information";

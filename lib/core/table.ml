@@ -139,39 +139,36 @@ let and_valid t (bit : Share.shared) =
 
 (** Open the table to the analyst: invalid rows are masked to zero and the
     table is shuffled before opening (§3.1), so only the valid result rows
-    carry information. Returns the valid rows as plaintext columns. *)
+    carry information. Returns the valid rows as plaintext columns. The
+    masking is one fused AND and the opening one fused open, every column
+    charged at its width. *)
 let reveal (t : t) : (string * int array) list =
   let ctx = t.ctx in
   Ctx.with_label ctx "reveal" @@ fun () ->
-  let ext = Mpc.extend_bit t.valid in
   let names = List.map fst t.cols in
-  let datas = List.map (fun (_, c) -> Column.as_bool ctx c) t.cols in
+  let cols = Array.of_list (List.map snd t.cols) in
+  let widths = Array.map (fun c -> c.Column.width) cols in
+  let datas = Array.map (Column.as_bool ctx) cols in
+  let ext = Mpc.extend_bit t.valid in
   let masked =
-    match datas with
-    | [] -> []
-    | _ ->
-        let n = t.nrows in
-        let exts = List.map (fun _ -> ext) datas in
-        let all = Mpc.band ctx (Share.concat exts) (Share.concat datas) in
-        List.mapi (fun i _ -> Share.sub_range all (i * n) n) datas
+    Mpc.band_many ~widths ctx (Array.map (fun _ -> ext) datas) datas
   in
-  let widths = 1 :: List.map (fun (_, c) -> c.Column.width) t.cols in
+  let widths = Array.append [| 1 |] widths in
   let shuffled =
-    List.map2 (fun s w -> (Share.wrap s, w)) (t.valid :: masked) widths
+    List.map2
+      (fun s w -> (Share.wrap s, w))
+      (t.valid :: Array.to_list masked)
+      (Array.to_list widths)
     |> Orq_shuffle.Permops.shuffle_table ctx
     |> List.map Share.unpark
   in
-  match shuffled with
-  | [] -> []
-  | v :: cols ->
-      let vbits = Mpc.open_ ~width:1 ctx v in
-      let opened = List.map (fun c -> Mpc.open_ ctx c) cols in
-      let keep = ref [] in
-      Array.iteri (fun i b -> if b = 1 then keep := i :: !keep) vbits;
-      let keep = Array.of_list (List.rev !keep) in
-      List.map2
-        (fun name c -> (name, Array.map (fun i -> c.(i)) keep))
-        names opened
+  let opened = Mpc.open_many ~widths ctx (Array.of_list shuffled) in
+  let keep = ref [] in
+  Array.iteri (fun i b -> if b = 1 then keep := i :: !keep) opened.(0);
+  let keep = Array.of_list (List.rev !keep) in
+  List.mapi
+    (fun i name -> (name, Array.map (fun r -> opened.(i + 1).(r)) keep))
+    names
 
 (** Test-only: reconstruct all columns and the validity bits without the
     masking/shuffling/opening protocol (no party could do this). *)

@@ -1,29 +1,79 @@
-(** TableSort (§3.2, Protocol 2): sort a table on a composite key without
-    re-sorting every column for every key.
+(** TableSort (§3.2): sort a table on a composite key without re-sorting
+    every column for every key.
 
-    Sorting permutations are extracted per key column (least-significant
-    key first, so per-key stability composes into lexicographic order),
-    composed right-to-left as elementwise permutations, and the final
-    permutation is applied to all columns of the table once. A single-key
-    sort takes the fast path of carrying every column through the base sort
-    directly — no extraction or inversion needed. *)
+    Where Protocol 2 extracts one sorting permutation per key column and
+    composes them, the key columns here are packed locally into a few
+    ascending words, one base sort extracts the sorting permutation of
+    the whole composite key, and that permutation is applied to all
+    columns of the table once. A single-key sort takes the fast path of
+    carrying every column through the base sort directly — no extraction
+    or inversion needed. *)
 
 open Orq_proto
 module Sortwrap = Orq_sort.Sortwrap
 module Permops = Orq_shuffle.Permops
+module Ring = Orq_util.Ring
 
 type order = Asc | Desc
 
 let to_dir = function Asc -> Sortwrap.Asc | Desc -> Sortwrap.Desc
 
+(* Bits per packed key word. Radixsort takes the widest even width that
+   fits a word, so that every word below the top one splits into whole
+   2-bit digits; quicksort takes whole words, so that its lexicographic
+   compare runs over as few columns as possible. *)
+let word_bits = function
+  | Sortwrap.Radixsort -> Ring.word_bits land lnot 1
+  | Sortwrap.Quicksort -> Ring.word_bits
+
+(** [pack ~bits keys] is the composite key of [keys] (most significant
+    first) as ascending Bool words, most significant first: the key bits
+    are concatenated, each [Desc] key xored with its all-ones mask so that
+    it sorts ascending, and the result is cut from its least significant
+    bit into [bits]-bit words; the top word holds the rest. Local: shifts,
+    masks and xors of the whole key columns. *)
+let pack ~bits (keys : (Share.chunked * int * order) list) :
+    (Share.shared * int) list =
+  let total = List.fold_left (fun acc (_, w, _) -> acc + w) 0 keys in
+  let nwords = (total + bits - 1) / bits in
+  let words = Array.make nwords None in
+  let add j piece =
+    words.(j) <-
+      Some (match words.(j) with None -> piece | Some x -> Mpc.xor x piece)
+  in
+  ignore
+    (List.fold_left
+       (fun hi (k, w, o) ->
+         (* the key fills composite bits [lo, hi) *)
+         let lo = hi - w in
+         let k = Mpc.and_mask (Share.unpark k) (Ring.mask w) in
+         let k = match o with Asc -> k | Desc -> Mpc.xor_pub k (Ring.mask w) in
+         for j = lo / bits to (hi - 1) / bits do
+           let base = j * bits in
+           let piece =
+             if lo >= base then Mpc.lshift k (lo - base)
+             else Mpc.rshift k (base - lo)
+           in
+           add j
+             (if hi > base + bits then Mpc.and_mask piece (Ring.mask bits)
+              else piece)
+         done;
+         lo)
+       total keys);
+  List.init nwords (fun i ->
+      let j = nwords - 1 - i in
+      (Option.get words.(j), min total ((j + 1) * bits) - (j * bits)))
+
 (** [sort_cols ctx ~keys others] sorts rows lexicographically by the key
     columns (each with width and direction); returns (sorted keys, sorted
     others). Every permutation moves each key and each [(column, width)]
-    of [others] at its width. Tracked columns stream chunk at a time
-    through the base sort and the final table-wide permutation
-    application; the multi-key
-    sigma-extraction pipeline works on one whole key column at a time (a
-    bounded single-column working set). *)
+    of [others] at its width. A multi-key sort packs the keys ({!pack})
+    and runs one base sort on the words: radixsort when the engine would
+    radix-sort every key on its own
+    ({!Sortwrap.default_algo_for_width}), quicksort otherwise. Tracked
+    columns stream chunk at a time through the final table-wide
+    permutation application; the packed words and the permutation are
+    whole vectors. *)
 let sort_cols (ctx : Ctx.t) ~(keys : (Share.chunked * int * order) list)
     (others : (Share.chunked * int) list) :
     Share.chunked list * Share.chunked list =
@@ -33,30 +83,18 @@ let sort_cols (ctx : Ctx.t) ~(keys : (Share.chunked * int * order) list)
       let k', others' = Sortwrap.sort ctx ~dir:(to_dir o) ~w k others in
       ([ k' ], others')
   | _ ->
-      (* compose sorting permutations from the least-significant key *)
-      let pi = ref None in
-      List.iter
-        (fun (k, w, o) ->
-          let k = Share.wrap (Share.unpark k) in
-          let t =
-            match !pi with
-            | None -> k
-            | Some p ->
-                List.hd (Permops.apply_elementwise_table ctx [ (k, w) ] p)
-          in
-          let _, _, sigma =
-            Sortwrap.sort_with_perm ctx ~dir:(to_dir o) ~w t []
-          in
-          pi :=
-            Some
-              (match !pi with
-              | None -> sigma
-              | Some p -> Permops.compose ctx p sigma))
-        (List.rev keys);
-      let p = Option.get !pi in
+      let radix (_, w, _) =
+        Sortwrap.default_algo_for_width w = Sortwrap.Radixsort
+      in
+      let algo =
+        if List.for_all radix keys then Sortwrap.Radixsort
+        else Sortwrap.Quicksort
+      in
+      let words = pack ~bits:(word_bits algo) keys in
+      let sigma = Sortwrap.sorting_perm ctx ~algo words in
       let key_cols = List.map (fun (k, w, _) -> (k, w)) keys in
       let nk = List.length key_cols in
-      let all = Permops.apply_elementwise_table ctx (key_cols @ others) p in
+      let all = Permops.apply_elementwise_table ctx (key_cols @ others) sigma in
       (Orq_sort.Quicksort.take nk all, Orq_sort.Quicksort.drop nk all)
 
 (** Sort a whole table by named columns; [lead] prepends extra key columns

@@ -1,9 +1,9 @@
-(** TableSort (§3.2, Protocol 2): sort a table on a composite key without
-    re-sorting every column per key — per-key sorting permutations are
-    extracted (least-significant key first), composed, and applied to all
-    columns once. Single-key sorts take a fast path carrying every column
-    through the base sort. Signed key columns sort via the
-    order-preserving sign-bit flip. *)
+(** TableSort (§3.2): sort a table on a composite key without re-sorting
+    every column per key — the key columns are packed locally into
+    ascending words, one base sort extracts the composite key's sorting
+    permutation, and it is applied to all columns once. Single-key sorts
+    take a fast path carrying every column through the base sort. Signed
+    key columns sort via the order-preserving sign-bit flip. *)
 
 open Orq_proto
 
@@ -15,9 +15,12 @@ val sort_cols :
 (** Sort rows lexicographically by the key columns (width and direction
     each); returns (sorted keys, sorted others). Keys and the
     [(column, width)] pairs of others move at their widths (boolean
-    columns are masked to them on receipt). Tracked columns stream
-    chunk at a time; whole ({!Share.wrap}ped) columns are single chunks.
-    The wire cost does not depend on the chunking. *)
+    columns are masked to them on receipt). A multi-key sort runs one
+    base sort over the packed keys: radixsort when every key alone would
+    be radix-sorted ({!Orq_sort.Sortwrap.default_algo_for_width}),
+    quicksort otherwise. Tracked columns stream chunk at a time; whole
+    ({!Share.wrap}ped) columns are single chunks. The wire cost does not
+    depend on the chunking. *)
 
 val sort :
   ?lead:(Share.shared * int * order) list -> Table.t ->

@@ -46,33 +46,83 @@ let extract_digit (y : Share.chunked) lo l : Share.flags array =
       Array.init l (fun j ->
           Share.flags_concat_many (Array.map (fun c -> c.(j)) per_chunk))
 
-(** [sort_c ctx ~bits ?skip ~dir (key, kw) carry] stably sorts the rows
-    [(key, carry...)] on the [bits] key bits starting at bit [skip],
-    returning the rearranged columns. Every column is paired with its
-    width: each digit's table application moves the key at [kw] and each
-    carry at its own width. Key and carry stream chunk at a time
-    through bit extraction and the table-wide permutation application;
-    the per-digit ranking ({!Genbitperm}) runs over whole packed flag
-    columns, a 1-bit-per-row working set per digit bit, 63x smaller than
-    the table it ranks. A whole ({!Share.wrap}ped) input is one chunk. *)
-let sort_c (ctx : Ctx.t) ~bits ?(skip = 0) ?(dir = Asc)
-    ((key : Share.chunked), kw) (carry : (Share.chunked * int) list) :
-    Share.chunked * Share.chunked list =
-  Share.check_enc_c Bool key;
-  let widths = kw :: List.map snd carry in
-  let y = ref key and rest = ref (List.map fst carry) in
-  let owned = ref false in
-  let lo = ref skip and hi = skip + bits in
+(** [sort_c ctx ?bits ?skip ?dir ?keep words carry] stably sorts the rows
+    [(words..., carry...)] on bits [skip, skip + bits) of the composite
+    key formed by the [words], most significant first ([bits] defaults to
+    every bit above [skip]). Every column is paired with its width: each
+    digit's table application moves each word and each carry at its own
+    width. A digit never straddles two words, so a word of odd width
+    below the top one ends with a 1-bit digit.
+
+    With [keep] (the default) the words come back sorted. Without it the
+    caller gets only the carry back, so a word shifts out its ranked bits
+    as it goes: each digit moves the word's unranked bits only, at that
+    narrower width, and a word with nothing left to rank stops moving.
+
+    Words and carry stream chunk at a time through bit extraction and the
+    table-wide permutation application; the per-digit ranking
+    ({!Genbitperm}) runs over whole packed flag columns, a 1-bit-per-row
+    working set per digit bit, 63x smaller than the table it ranks. A
+    whole ({!Share.wrap}ped) input is one chunk. *)
+let sort_c (ctx : Ctx.t) ?bits ?(skip = 0) ?(dir = Asc) ?(keep = true)
+    (words : (Share.chunked * int) list) (carry : (Share.chunked * int) list)
+    : Share.chunked list * Share.chunked list =
+  List.iter (fun (c, _) -> Share.check_enc_c Bool c) words;
+  let word = Array.of_list (List.map fst words) in
+  let width = Array.of_list (List.map snd words) in
+  let nw = Array.length word in
+  (* composite position of each word's bit 0 *)
+  let base = Array.make nw 0 in
+  for i = nw - 2 downto 0 do
+    base.(i) <- base.(i + 1) + width.(i + 1)
+  done;
+  let total = if nw = 0 then 0 else base.(0) + width.(0) in
+  let hi = match bits with Some b -> skip + b | None -> total in
+  if skip < 0 || hi > total then invalid_arg "Radixsort.sort_c: bit range";
+  let n = if nw = 0 then 0 else Share.chunked_length word.(0) in
+  (* low bits each word has shifted out (none for a kept word); the
+     columns this sort made itself and may release *)
+  let shifted = Array.make nw 0 and owned = Array.make nw false in
+  let release i =
+    if owned.(i) then Share.dispose_c word.(i);
+    owned.(i) <- false
+  in
+  let rest = ref (List.map fst carry) and rest_owned = ref false in
+  let lo = ref skip in
   while !lo < hi do
-    let l = min (digit_bits ctx.kind) (hi - !lo) in
-    let digit = extract_digit !y !lo l in
+    let i = ref (nw - 1) in
+    while base.(!i) + width.(!i) <= !lo do decr i done;
+    let i = !i in
+    let l = min (digit_bits ctx.kind) (min hi (base.(i) + width.(i)) - !lo) in
+    let digit = extract_digit word.(i) (!lo - base.(i) - shifted.(i)) l in
     let digit =
       match dir with Asc -> digit | Desc -> Array.map Mpc.bnot_f digit
     in
     let sigma = Genbitperm.gen_digit ctx digit in
+    lo := !lo + l;
+    if not keep then begin
+      let k = !lo - base.(i) - shifted.(i) in
+      shifted.(i) <- shifted.(i) + k;
+      let w' =
+        if shifted.(i) < width.(i) then
+          Some (Share.map_chunks (fun s -> Mpc.rshift s k) word.(i))
+        else None
+      in
+      release i;
+      Option.iter
+        (fun w' ->
+          word.(i) <- w';
+          owned.(i) <- true)
+        w'
+    end;
+    (* a word with no unranked bits left has stopped moving *)
+    let moved =
+      List.filter (fun j -> shifted.(j) < width.(j)) (List.init nw Fun.id)
+    in
     let cols =
       Orq_shuffle.Permops.apply_elementwise_table ctx
-        (List.combine (!y :: !rest) widths)
+        (List.map (fun j -> (word.(j), width.(j) - shifted.(j))) moved
+        @ List.combine !rest (List.map snd carry))
         sigma
     in
     (* advance the shuffle stream by one sharded permutation per key bit,
@@ -80,23 +130,24 @@ let sort_c (ctx : Ctx.t) ~bits ?(skip = 0) ?(dir = Asc)
        and with them a later quicksort's data-dependent recursion — do not
        depend on the digit width *)
     for _ = 2 to l do
-      Orq_shuffle.Shardedperm.skip ctx (Share.chunked_length !y)
+      Orq_shuffle.Shardedperm.skip ctx n
     done;
-    if !owned then List.iter Share.dispose_c (!y :: !rest);
-    owned := true;
-    lo := !lo + l;
-    match cols with
-    | y' :: rest' ->
-        y := y';
-        rest := rest'
-    | [] -> assert false
+    if !rest_owned then List.iter Share.dispose_c !rest;
+    rest_owned := true;
+    rest :=
+      List.fold_left
+        (fun cols j ->
+          release j;
+          word.(j) <- List.hd cols;
+          owned.(j) <- true;
+          List.tl cols)
+        cols moved
   done;
-  (!y, !rest)
+  ((if keep then Array.to_list word else []), !rest)
 
 (** {!sort_c} on whole vectors, every column moved at [ctx.ell]. *)
 let sort (ctx : Ctx.t) ~bits ?skip ?dir key carry =
   let at_ell s = (Share.wrap s, ctx.ell) in
-  let k, c =
-    sort_c ctx ~bits ?skip ?dir (at_ell key) (List.map at_ell carry)
-  in
-  (Share.unpark k, List.map Share.unpark c)
+  match sort_c ctx ~bits ?skip ?dir [ at_ell key ] (List.map at_ell carry) with
+  | [ k ], c -> (Share.unpark k, List.map Share.unpark c)
+  | _ -> assert false

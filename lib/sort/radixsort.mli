@@ -15,17 +15,24 @@ open Orq_proto
 type dir = Asc | Desc
 
 val sort_c :
-  Ctx.t -> bits:int -> ?skip:int -> ?dir:dir -> Share.chunked * int ->
-  (Share.chunked * int) list -> Share.chunked * Share.chunked list
-(** [sort_c ctx ~bits ?skip ~dir (key, kw) carry] stably sorts rows
-    [(key, carry...)] on the [bits] key bits starting at bit [skip].
+  Ctx.t -> ?bits:int -> ?skip:int -> ?dir:dir -> ?keep:bool ->
+  (Share.chunked * int) list -> (Share.chunked * int) list ->
+  Share.chunked list * Share.chunked list
+(** [sort_c ctx ?bits ?skip ?dir ?keep words carry] stably sorts rows
+    [(words..., carry...)] on bits [skip, skip + bits) of the composite
+    key the [words] form, most significant first ([bits] defaults to all
+    bits above [skip]). A digit never straddles two words.
 
     Width contract: every column comes paired with its width, and each
-    digit's table application moves the key at [kw] and each carry at its
-    own width (see {!Orq_shuffle.Shardedperm.apply}): a boolean column is
+    digit's table application moves each word and each carry at its own
+    width (see {!Orq_shuffle.Shardedperm.apply}): a boolean column is
     masked to its width on receipt, so a width below the data's true
-    width corrupts it; an arithmetic carry must be at [ctx.ell]. The
-    returned columns are bare, in input order.
+    width corrupts it; an arithmetic carry must be at [ctx.ell].
+
+    With [keep] (default [true]) the result is (sorted words, sorted
+    carry), bare and in input order. With [~keep:false] the words are not
+    returned: each shifts out its ranked bits ({!Mpc.rshift}) and moves
+    only its unranked bits, and the result is ([], sorted carry).
 
     The columns stream chunk at a time; only the packed 1-bit-per-row
     flag column and the ranking permutation are whole. The wire cost does

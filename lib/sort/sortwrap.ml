@@ -7,7 +7,7 @@
     stable; radixsort is stable by construction and carries the index as
     data. After sorting, the index column holds [sigma(I) = sigma^{-1}];
     inverting it with Protocol 8 yields the elementwise sorting permutation
-    [sigma] that TableSort composes and applies to the remaining columns. *)
+    [sigma] that TableSort applies to all columns of the table at once. *)
 
 open Orq_proto
 module Permops = Orq_shuffle.Permops
@@ -28,37 +28,21 @@ let repack_like (like : Share.chunked) (s : Share.shared) =
 let index_column (ctx : Ctx.t) n =
   Share.public_vec ctx Share.Bool (Localperm.identity n)
 
-(* Base-sort dispatch. Returns the sorted key and carry and, when [perm]
-   is set, the sorted index column [sigma^{-1}] as a whole vector.
-   Radixsort streams the columns and carries the index as data at
-   [ctx.perm_bits], tracked like the key, so a whole-vector sort never
-   charges the chunk store.
-   Quicksort always sorts on (key, index) for uniqueness and stability; its
-   shuffle-then-open control flow keys on whole opened vectors, so it
-   unparks its input and repacks the result like the key. *)
-let run_base (ctx : Ctx.t) algo dir ~w ~perm key carry =
-  match algo with
-  | Radixsort ->
+(** [sort ctx ?algo ~dir ~w key carry] sorts rows by the single [w]-bit
+    key column, returning the sorted key and the sorted carry columns
+    (given as [(column, width)] pairs). Radixsort streams the columns;
+    quicksort sorts on (key, index) for uniqueness and stability, and as
+    its shuffle-then-open control flow keys on whole opened vectors, it
+    unparks its input and repacks the result like the key. *)
+let sort (ctx : Ctx.t) ?algo ~(dir : dir) ~w (key : Share.chunked)
+    (carry : (Share.chunked * int) list) : Share.chunked * Share.chunked list =
+  match Option.value algo ~default:(default_algo_for_width w) with
+  | Radixsort -> (
       Ctx.with_label ctx "radixsort" @@ fun () ->
       let rdir = match dir with Asc -> Radixsort.Asc | Desc -> Radixsort.Desc in
-      let n = Share.chunked_length key and ncarry = List.length carry in
-      let index =
-        if perm then [ (repack_like key (index_column ctx n), ctx.perm_bits) ]
-        else []
-      in
-      let key', cols' =
-        Radixsort.sort_c ctx ~bits:w ~dir:rdir (key, w) (carry @ index)
-      in
-      let pi =
-        if not perm then None
-        else begin
-          let pi = List.nth cols' ncarry in
-          let s = Share.unpark pi in
-          Share.dispose_c pi;
-          Some s
-        end
-      in
-      (key', Quicksort.take ncarry cols', pi)
+      match Radixsort.sort_c ctx ~bits:w ~dir:rdir [ (key, w) ] carry with
+      | [ key' ], carry' -> (key', carry')
+      | _ -> assert false)
   | Quicksort -> (
       Ctx.with_label ctx "quicksort" @@ fun () ->
       let n = Share.chunked_length key in
@@ -77,29 +61,42 @@ let run_base (ctx : Ctx.t) algo dir ~w ~perm key carry =
         Quicksort.sort ctx ~keys
           (List.map (fun (c, cw) -> (Share.unpark c, cw)) carry)
       with
-      | [ key'; idx' ], carry' ->
-          ( repack_like key key',
-            List.map (repack_like key) carry',
-            if perm then Some idx' else None )
+      | [ key'; _ ], carry' ->
+          (repack_like key key', List.map (repack_like key) carry')
       | _ -> assert false)
 
-(** [sort_with_perm ctx ?algo ~dir ~w key carry] sorts rows by the single
-    [w]-bit key column (plus index tiebreak), returning the sorted key,
-    the sorted carry columns (given as [(column, width)] pairs), and the
-    elementwise sorting permutation [sigma]. *)
-let sort_with_perm (ctx : Ctx.t) ?algo ~(dir : dir) ~w (key : Share.chunked)
-    (carry : (Share.chunked * int) list) :
-    Share.chunked * Share.chunked list * Share.shared =
-  let algo = Option.value algo ~default:(default_algo_for_width w) in
-  match run_base ctx algo dir ~w ~perm:true key carry with
-  | key', carry', Some pi -> (key', carry', Permops.invert ctx pi)
-  | _, _, None -> assert false
-
-(** [sort ctx ?algo ~dir ~w key carry] as above but without extracting the
-    sorting permutation (single-key sorts that carry all their columns
-    through the base sort do not need it). *)
-let sort (ctx : Ctx.t) ?algo ~(dir : dir) ~w (key : Share.chunked)
-    (carry : (Share.chunked * int) list) : Share.chunked * Share.chunked list =
-  let algo = Option.value algo ~default:(default_algo_for_width w) in
-  let key', carry', _ = run_base ctx algo dir ~w ~perm:false key carry in
-  (key', carry')
+(** [sorting_perm ctx ~algo words] sorts rows ascending by the composite
+    key the whole [(word, width)] columns form (most significant first)
+    and returns the elementwise sorting permutation [sigma]: the base
+    sort carries the index column to [sigma(I) = sigma^{-1}], which
+    Protocol 8 inverts. Radixsort carries the index as data while the
+    words shift out their ranked bits; quicksort compares (words, index)
+    lexicographically. *)
+let sorting_perm (ctx : Ctx.t) ~(algo : algo)
+    (words : (Share.shared * int) list) : Share.shared =
+  let n =
+    match words with
+    | (w, _) :: _ -> Share.length w
+    | [] -> invalid_arg "Sortwrap.sorting_perm: no key words"
+  in
+  let index = index_column ctx n in
+  let inv =
+    match algo with
+    | Radixsort -> (
+        Ctx.with_label ctx "radixsort" @@ fun () ->
+        match
+          Radixsort.sort_c ctx ~keep:false
+            (List.map (fun (w, ww) -> (Share.wrap w, ww)) words)
+            [ (Share.wrap index, ctx.perm_bits) ]
+        with
+        | [], [ inv ] -> Share.unpark inv
+        | _ -> assert false)
+    | Quicksort -> (
+        Ctx.with_label ctx "quicksort" @@ fun () ->
+        let key (col, width) = { Quicksort.col; width; dir = Quicksort.Asc } in
+        let keys = List.map key (words @ [ (index, ctx.perm_bits) ]) in
+        match List.rev (fst (Quicksort.sort ctx ~keys [])) with
+        | inv :: _ -> inv
+        | [] -> assert false)
+  in
+  Permops.invert ctx inv

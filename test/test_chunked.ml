@@ -249,22 +249,28 @@ let test_sort () =
              in
              k' :: ps'));
       (* the permutation-extracting form: sigma is a whole vector *)
-      let ((r1, _, tal1), (r2, _, tal2)), sigmas =
+      let ((_, _, tal1), (_, _, tal2)), sigmas =
         let sigmas = ref [] in
         let res =
           wrapped_vs_parked kind ~seed:34 [ key ] (fun ctx cs ->
-              let k', _, sigma =
-                Sortwrap.sort_with_perm ctx ~dir:Sortwrap.Desc ~w (List.hd cs) []
+              let sigma =
+                Sortwrap.sorting_perm ctx
+                  ~algo:(Sortwrap.default_algo_for_width w)
+                  [ (Share.unpark (List.hd cs), w) ]
               in
               sigmas := Share.reconstruct sigma :: !sigmas;
-              [ k' ])
+              [])
         in
         (res, !sigmas)
       in
-      List.iter2 (fun a b -> Alcotest.(check vec) (tag "perm key") a b) r1 r2;
       tally_eq (tag "perm tally") tal1 tal2;
       match sigmas with
-      | [ s2; s1 ] -> Alcotest.(check vec) (tag "sigma") s1 s2
+      | [ s2; s1 ] ->
+          Alcotest.(check vec) (tag "sigma") s1 s2;
+          let sorted = Array.copy key in
+          Array.stable_sort compare sorted;
+          Alcotest.(check vec) (tag "sigma sorts")
+            sorted (Orq_shuffle.Localperm.apply key s1)
       | _ -> Alcotest.fail "arity")
     [ (56, 8); (53, 8); (56, 40); (53, 40) ]
 
@@ -308,9 +314,109 @@ let test_tablesort () =
         (List.for_all Fun.id tr2))
     [ 56; 53 ]
 
-(* A whole-vector sort never charges the chunk store: the index column
-   the radixsort carries and the quicksort fallback's repack both follow
-   the key's tracking. *)
+(* TableSort against a plaintext stable lexicographic sort: 1-4 keys of
+   1-40 bits (a key above 32 bits makes the sort a quicksort; more than
+   63 key bits pack into two words), mixed directions and many duplicate
+   keys, under every protocol. A row-id payload checks stability. The
+   parked table (5-row chunks) must give the whole table's values and
+   tally, and an all-radix multi-key sort under SH-HM costs exactly
+   7 floor(W/2) + 6 (W mod 2) rounds for its W key bits plus 8 for the
+   inversion and the final table application. *)
+let qcheck_tablesort_vs_plaintext =
+  QCheck.Test.make ~name:"TableSort = plaintext stable sort, whole = chunked"
+    ~count:10 QCheck.(int_bound 100_000)
+    (fun seed ->
+      let st = Random.State.make [| seed |] in
+      let n = 2 + Random.State.int st 20 in
+      let nkeys = 1 + Random.State.int st 4 in
+      let widths = List.init nkeys (fun _ -> 1 + Random.State.int st 40) in
+      (* half the time the last key fills the key up to exactly one
+         63-bit word, where the radix and quicksort packings differ *)
+      let widths =
+        match List.rev widths with
+        | _ :: (_ :: _ as rest) when Random.State.bool st ->
+            let fill = 63 - List.fold_left ( + ) 0 rest in
+            if fill >= 1 && fill <= 40 then List.rev (fill :: rest) else widths
+        | _ -> widths
+      in
+      let keys =
+        List.mapi
+          (fun i w ->
+            (* a few distinct values per key: duplicates are common *)
+            let pool =
+              Array.init 3 (fun _ -> Random.State.full_int st (1 lsl w))
+            in
+            let v = Array.init n (fun _ -> pool.(Random.State.int st 3)) in
+            let o =
+              if Random.State.bool st then Orq_core.Tablesort.Asc
+              else Orq_core.Tablesort.Desc
+            in
+            (Printf.sprintf "k%d" i, w, v, o))
+          widths
+      in
+      let total = List.fold_left (fun a (_, w, _, _) -> a + w) 0 keys in
+      let cmp_rows i j =
+        List.fold_left
+          (fun c (_, _, v, o) ->
+            if c <> 0 then c
+            else
+              match o with
+              | Orq_core.Tablesort.Asc -> compare v.(i) v.(j)
+              | Orq_core.Tablesort.Desc -> compare v.(j) v.(i))
+          0 keys
+      in
+      let order = List.stable_sort cmp_rows (List.init n Fun.id) in
+      let expected =
+        List.map
+          (fun (name, _, v, _) ->
+            (name, Array.of_list (List.map (fun i -> v.(i)) order)))
+          keys
+        @ [ ("id", Array.of_list order) ]
+      in
+      List.for_all
+        (fun kind ->
+          let run park =
+            let ctx = Ctx.create ~seed:61 kind in
+            let t =
+              Orq_core.Table.create ctx "t"
+                (List.map (fun (name, w, v, _) -> (name, w, v)) keys
+                @ [ ("id", 5, Array.init n Fun.id) ])
+            in
+            if park then Orq_core.Table.park t;
+            let before = Comm.snapshot ctx.Ctx.comm in
+            let t' =
+              Orq_core.Tablesort.sort t
+                (List.map (fun (name, _, _, o) -> (name, o)) keys)
+            in
+            (Orq_core.Table.peek t', Comm.since ctx.Ctx.comm before)
+          in
+          let ((cols, valid), tal) = run false in
+          let ((cols', valid'), tal') =
+            with_streaming ~rows:5 (fun () -> run true)
+          in
+          let all_radix =
+            nkeys >= 2 && List.for_all (fun (_, w, _, _) -> w <= 32) keys
+          in
+          let fail what =
+            QCheck.Test.fail_reportf "%s %s: n=%d widths=[%s]" (kind_name kind)
+              what n
+              (String.concat ";"
+                 (List.map (fun (_, w, _, _) -> string_of_int w) keys))
+          in
+          if cols <> expected || valid <> Array.make n 1 then fail "values"
+          else if cols' <> expected || valid' <> valid then fail "chunked values"
+          else if tal <> tal' then fail "chunked tally"
+          else if
+            kind = Ctx.Sh_hm && all_radix
+            && tal.Comm.t_rounds
+               <> (7 * (total / 2)) + (6 * (total mod 2)) + 8
+          then fail (Printf.sprintf "rounds %d" tal.Comm.t_rounds)
+          else true)
+        Ctx.all_kinds)
+
+(* A whole-vector sort never charges the chunk store: the quicksort
+   fallback's repack follows the key's tracking, and a multi-key sort's
+   packed words and index column are whole vectors. *)
 let test_whole_sort_untracked () =
   Gc.full_major ();
   Chunkvec.reset_peak ();
@@ -322,7 +428,15 @@ let test_whole_sort_untracked () =
           let st = Random.State.make [| 10 |] in
           let keys = Array.init 300 (fun _ -> Random.State.int st 65536) in
           let key = Share.wrap (Mpc.share_b ctx keys) in
-          ignore (Sortwrap.sort_with_perm ctx ~dir:Sortwrap.Asc ~w key []))
+          ignore (Sortwrap.sort ctx ~dir:Sortwrap.Asc ~w key []);
+          ignore
+            (Orq_core.Tablesort.sort_cols ctx
+               ~keys:
+                 [
+                   (key, w, Orq_core.Tablesort.Asc);
+                   (key, w, Orq_core.Tablesort.Desc);
+                 ]
+               [ (key, w) ]))
         [ 16; 40 ]);
   Alcotest.(check int) "no tracked bytes" live0 (Chunkvec.peak_live_bytes ())
 
@@ -366,6 +480,7 @@ let suite =
   [
     Alcotest.test_case "whole-vector sort leaves the store alone" `Quick
       test_whole_sort_untracked;
+    QCheck_alcotest.to_alcotest qcheck_tablesort_vs_plaintext;
     Alcotest.test_case "parse_bytes" `Quick test_parse_bytes;
     Alcotest.test_case "roundtrip" `Quick test_roundtrip;
     Alcotest.test_case "local ops == monolithic" `Quick test_local_ops;

@@ -41,6 +41,48 @@ let test_reveal_masks_invalid () =
       (* physical size unchanged before reveal: obliviousness *)
       Alcotest.(check int) "physical rows" 5 (Table.nrows t))
 
+(* The masking AND and the opening are each one fused round over every
+   column, so the reveal label's own rounds (its shuffle is labelled
+   apart) are exactly two under every protocol. *)
+let test_reveal_two_rounds () =
+  List.iter
+    (fun k ->
+      let ctx = Ctx.create ~seed:51 k in
+      let t =
+        Dataflow.filter (mk_customers ctx) Expr.(col "Segment" ==. const 1)
+      in
+      Orq_net.Comm.start_recording ctx.Ctx.comm;
+      let out = Table.reveal t in
+      let rounds =
+        Array.fold_left
+          (fun acc (e : Orq_net.Comm.event) ->
+            if e.ev_label = "reveal" then acc + e.ev_rounds else acc)
+          0
+          (Orq_net.Comm.transcript ctx.Ctx.comm)
+      in
+      Orq_net.Comm.stop_recording ctx.Ctx.comm;
+      let tag = Ctx.kind_label k in
+      Alcotest.(check int) (tag ^ " reveal rounds") 2 rounds;
+      let sorted name =
+        let v = Array.copy (List.assoc name out) in
+        Array.sort compare v;
+        v
+      in
+      Alcotest.(check vec) (tag ^ " keys") [| 1; 3; 5 |] (sorted "CustKey");
+      Alcotest.(check vec) (tag ^ " balances") [| 0; 50; 100 |]
+        (sorted "Balance"))
+    kinds
+
+(* Under Mal-HM a party corrupting its share of the fused opening is
+   caught. *)
+let test_reveal_tamper_aborts () =
+  let ctx = Ctx.create ~seed:51 Ctx.Mal_hm in
+  let t = mk_customers ctx in
+  let tampered ~party ~op = if party = 0 && op = "open" then Some 1 else None in
+  Alcotest.check_raises "tampered reveal aborts"
+    (Ctx.Abort "open: share/hash mismatch detected") (fun () ->
+      Ctx.with_tamper ctx tampered (fun () -> ignore (Table.reveal t)))
+
 (* ---------------- expressions / filters ---------------- *)
 
 let test_filter_exprs () =
@@ -147,9 +189,9 @@ let test_tablesort_width_tally () =
         (List.assoc "M" cols);
       Alcotest.(check int) (tag ^ " multi-key bits") multi b2)
     [
-      (Ctx.Sh_dm, 20864, 31440);
-      (Ctx.Sh_hm, 28224, 51864);
-      (Ctx.Mal_hm, 116480, 205856);
+      (Ctx.Sh_dm, 20864, 26864);
+      (Ctx.Sh_hm, 28224, 41016);
+      (Ctx.Mal_hm, 116480, 165536);
     ]
 
 (* A value with bits at or above its column's width is refused at
@@ -1003,6 +1045,10 @@ let suite =
     Alcotest.test_case "create + peek" `Quick test_create_peek;
     Alcotest.test_case "reveal masks invalid rows" `Quick
       test_reveal_masks_invalid;
+    Alcotest.test_case "reveal fuses its AND and its open" `Quick
+      test_reveal_two_rounds;
+    Alcotest.test_case "reveal aborts on a tampered open" `Quick
+      test_reveal_tamper_aborts;
     Alcotest.test_case "filters (and, cmp)" `Quick test_filter_exprs;
     Alcotest.test_case "filters (or, not)" `Quick test_filter_or_not;
     Alcotest.test_case "derived columns (Q3 revenue)" `Quick test_map_arith;

@@ -402,25 +402,30 @@ let check_wrapper ctx algo dir x =
   let expected =
     match dir with Sortwrap.Asc -> sorted_asc x | Sortwrap.Desc -> sorted_desc x
   in
+  let tags = Array.mapi (fun i _ -> 100 + i) x in
   let key = Share.wrap (Mpc.share_b ctx x) in
-  let tag = Share.wrap (Mpc.share_b ctx (Array.mapi (fun i _ -> 100 + i) x)) in
-  let key', carry', sigma =
-    Sortwrap.sort_with_perm ctx ~algo ~dir ~w:8 key [ (tag, 8) ]
-  in
+  let tag = Share.wrap (Mpc.share_b ctx tags) in
+  let key', carry' = Sortwrap.sort ctx ~algo ~dir ~w:8 key [ (tag, 8) ] in
   Alcotest.(check vec) "wrapper sorts" expected (Share.reconstruct_c key');
-  (* sigma must send the original rows to their sorted positions *)
+  (* sigma of the same order, descending as the ascending flipped key,
+     must send the original rows to their sorted positions *)
+  let word =
+    match dir with
+    | Sortwrap.Asc -> x
+    | Sortwrap.Desc -> Array.map (fun v -> v lxor 255) x
+  in
+  let sigma = Sortwrap.sorting_perm ctx ~algo [ (Mpc.share_b ctx word, 8) ] in
   let s = Share.reconstruct sigma in
   Alcotest.(check bool) "sigma is a permutation" true
     (Orq_shuffle.Localperm.is_permutation s);
   Alcotest.(check vec) "sigma sorts the input" expected
     (Orq_shuffle.Localperm.apply x s);
-  (* carried column moved under the same permutation *)
+  (* the carried column moved under that same (stable) permutation *)
   match carry' with
   | [ t ] ->
-      let tags = Share.reconstruct_c t in
       Alcotest.(check vec) "carry consistent"
-        (Orq_shuffle.Localperm.apply (Array.mapi (fun i _ -> 100 + i) x) s)
-        tags
+        (Orq_shuffle.Localperm.apply tags s)
+        (Share.reconstruct_c t)
   | _ -> Alcotest.fail "arity"
 
 let test_wrapper_all () =
@@ -438,11 +443,16 @@ let test_wrapper_stability () =
         (fun algo ->
           let x = [| 1; 0; 1; 0; 1 |] in
           let pos = [| 0; 1; 2; 3; 4 |] in
-          let _, carry', _ =
-            Sortwrap.sort_with_perm ctx ~algo ~dir:Sortwrap.Asc ~w:2
+          let _, carry' =
+            Sortwrap.sort ctx ~algo ~dir:Sortwrap.Asc ~w:2
               (Share.wrap (Mpc.share_b ctx x))
               [ (Share.wrap (Mpc.share_b ctx pos), 3) ]
           in
+          let sigma =
+            Sortwrap.sorting_perm ctx ~algo [ (Mpc.share_b ctx x, 2) ]
+          in
+          Alcotest.(check vec) "stable sigma" [| 1; 3; 0; 2; 4 |]
+            (Orq_shuffle.Localperm.apply pos (Share.reconstruct sigma));
           match carry' with
           | [ c ] ->
               Alcotest.(check vec) "stable" [| 1; 3; 0; 2; 4 |]
