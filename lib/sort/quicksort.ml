@@ -7,7 +7,12 @@
     (random) shuffled order (Hamada et al.). The control flow is iterative:
     every active segment is partitioned against its pivot in the same
     vectorized comparison round, giving O(log n) comparison rounds instead
-    of the naive O(n).
+    of the naive O(n). The recursion is cut after [partition_levels n]
+    levels: one last round compares every pair of positions within each
+    remaining segment and places each row by its rank there. The round
+    count is thus a function of n, where the full recursion's depth (the
+    height of the shuffled order's search tree) would vary from run to
+    run and fall several levels later.
 
     Keys must be unique for security (the {!Sortwrap} wrapper guarantees
     this by appending the row index); composite keys with per-column
@@ -28,6 +33,16 @@ let rec drop n = function
   | [] -> []
   | _ :: tl as l -> if n = 0 then l else drop (n - 1) tl
 
+(* Partition levels before the all-pairs round: floor(1.75 lg n). A random
+   search tree on n keys is rarely that shallow (its height concentrates
+   near 3 lg n less a lower-order term: 25 to 37 levels at n = 9000,
+   against 22 here), so the round count depends on n alone. Each level
+   shrinks the expected sum of squared segment sizes by a third, to about
+   n after this many levels, so the last round compares fewer than n/2
+   pairs in expectation and the sort's comparison count spreads about as
+   much as the full recursion's. *)
+let partition_levels n = int_of_float (1.75 *. Float.log2 (float_of_int n))
+
 (** [sort ctx ~keys carry] sorts the rows formed by the key columns plus
     the [(column, width)] [carry] pairs; returns (sorted key columns,
     sorted carry columns). The initial shuffle moves every column at its
@@ -47,56 +62,77 @@ let sort (ctx : Ctx.t) ~(keys : key list) (carry : (Share.shared * int) list)
     in
     let key_cols = ref (take nk all) and carry_cols = ref (drop nk all) in
     let segs = ref [ (0, n) ] in
-    let round_cap = n + 2 in
-    let rounds = ref 0 in
+    let finish_at = partition_levels n in
+    let level = ref 0 in
     while !segs <> [] do
-      incr rounds;
-      if !rounds > round_cap then
-        failwith "quicksort: partition did not converge (duplicate keys?)";
-      (* one batched comparison round: every non-pivot element of every
-         active segment against its segment's pivot (prevPivot is the
-         segment head after each partition step) *)
-      let elems =
+      let finish = !level = finish_at in
+      incr level;
+      (* one batched comparison round over (a, b) pairs, opened as
+         [a < b]: every non-pivot element of every active segment against
+         its segment's pivot (prevPivot is the segment head after each
+         partition step), or, in the finishing round, every pair of
+         positions in each remaining segment *)
+      let pairs =
         List.concat_map
-          (fun (lo, hi) -> List.init (hi - lo - 1) (fun j -> (lo + 1 + j, lo)))
+          (fun (lo, hi) ->
+            if finish then
+              List.concat
+                (List.init (hi - lo) (fun i ->
+                     List.init (hi - lo - 1 - i) (fun j -> (lo + i, lo + i + 1 + j))))
+            else List.init (hi - lo - 1) (fun j -> (lo + 1 + j, lo)))
           !segs
       in
-      let elem_idx = Array.of_list (List.map fst elems) in
-      let pivot_idx = Array.of_list (List.map snd elems) in
+      let a_idx = Array.of_list (List.map fst pairs) in
+      let b_idx = Array.of_list (List.map snd pairs) in
       let cmp_operands =
         List.map2
           (fun k col ->
-            let a = Share.gather col elem_idx in
-            let b = Share.gather col pivot_idx in
+            let a = Share.gather col a_idx in
+            let b = Share.gather col b_idx in
             match k.dir with
             | Asc -> (a, b, k.width)
             | Desc -> (b, a, k.width))
           keys !key_cols
       in
       (* the comparison result and its opening stay in packed lanes: the
-         partition below only reads one bit per element *)
+         placement below only reads one bit per pair *)
       let lt = Compare.lt_lex_f ctx cmp_operands in
       let bits = Mpc.open_f ctx lt in
-      (* local partition: [less...; pivot; geq...] per segment *)
       let src = Array.init n (fun i -> i) in
       let new_segs = ref [] in
       let pos = ref 0 in
       List.iter
         (fun (lo, hi) ->
-          let less = ref [] and geq = ref [] in
-          for i = lo + 1 to hi - 1 do
-            if Orq_util.Bits.get bits !pos = 1 then less := i :: !less
-            else geq := i :: !geq;
-            incr pos
-          done;
-          let less = List.rev !less and geq = List.rev !geq in
-          let nl = List.length less in
-          List.iteri (fun j i -> src.(lo + j) <- i) less;
-          src.(lo + nl) <- lo;
-          List.iteri (fun j i -> src.(lo + nl + 1 + j) <- i) geq;
-          if nl >= 2 then new_segs := (lo, lo + nl) :: !new_segs;
-          if hi - (lo + nl + 1) >= 2 then
-            new_segs := (lo + nl + 1, hi) :: !new_segs)
+          if finish then begin
+            (* each position's rank in its segment: the number of
+               positions whose key is less than its own *)
+            let rank = Array.make (hi - lo) 0 in
+            for i = 0 to hi - lo - 1 do
+              for j = i + 1 to hi - lo - 1 do
+                let above = if Orq_util.Bits.get bits !pos = 1 then j else i in
+                rank.(above) <- rank.(above) + 1;
+                incr pos
+              done
+            done;
+            Array.iteri (fun i r -> src.(lo + r) <- lo + i) rank
+          end
+          else begin
+            (* local partition: [less...; pivot; geq...] *)
+            let less = ref [] and geq = ref [] in
+            for i = lo + 1 to hi - 1 do
+              if Orq_util.Bits.get bits !pos = 1 then less := i :: !less
+              else geq := i :: !geq;
+              incr pos
+            done;
+            let less = List.rev !less and geq = List.rev !geq in
+            let nl = List.length less in
+            List.iteri (fun j i -> src.(lo + j) <- i) less;
+            src.(lo + nl) <- lo;
+            List.iteri (fun j i -> src.(lo + nl + 1 + j) <- i) geq;
+            if nl >= 2 then new_segs := (lo, lo + nl) :: !new_segs;
+            if hi - (lo + nl + 1) >= 2 then
+              new_segs := (lo + nl + 1, hi) :: !new_segs
+          end)
         !segs;
       key_cols := List.map (fun c -> Share.gather c src) !key_cols;
       carry_cols := List.map (fun c -> Share.gather c src) !carry_cols;

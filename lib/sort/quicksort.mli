@@ -3,7 +3,10 @@
     comparisons may be opened — for unique keys any outcome is consistent
     with many permutations of the data (Hamada et al.) — and the iterative
     control flow partitions every active segment in the same vectorized
-    comparison round: O(log n) comparison rounds.
+    comparison round: O(log n) comparison rounds. After floor(1.75 lg n)
+    partition levels one round compares every pair within each remaining
+    segment and places rows by rank, so the round count depends on n
+    alone unless the recursion ends sooner.
 
     Keys must be unique for security ({!Sortwrap} appends the row index);
     composite keys with per-column direction compare lexicographically. *)

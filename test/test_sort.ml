@@ -364,6 +364,49 @@ let qcheck_quicksort =
           | _ -> false)
         kinds)
 
+(* Quicksort cuts its recursion after a number of partition levels fixed
+   by n and finishes with one all-pairs round, so different shuffles and
+   input orders of the same size take the same rounds. *)
+let test_quicksort_rounds_fixed_by_n () =
+  let n = 3000 in
+  let inputs =
+    [
+      (5, Quicksort.Asc, Array.map (fun i -> i * 3) (Orq_shuffle.Localperm.random (Prg.create 8) n));
+      (6, Quicksort.Asc, Array.init n (fun i -> i));
+      (7, Quicksort.Desc, Array.init n (fun i -> n - 1 - i));
+      (8, Quicksort.Desc, Array.map (fun i -> i * 5) (Orq_shuffle.Localperm.random (Prg.create 9) n));
+    ]
+  in
+  List.iter
+    (fun k ->
+      let rounds =
+        List.map
+          (fun (seed, dir, x) ->
+            let ctx = Ctx.create ~seed k in
+            let tag = Array.map (fun v -> v + 1) x in
+            match
+              Quicksort.sort ctx
+                ~keys:[ { Quicksort.col = Mpc.share_b ctx x; width = 16; dir } ]
+                [ (Mpc.share_b ctx tag, 16) ]
+            with
+            | [ y ], [ t ] ->
+                let want =
+                  match dir with
+                  | Quicksort.Asc -> sorted_asc x
+                  | Quicksort.Desc -> sorted_desc x
+                in
+                Alcotest.(check vec) (Ctx.kind_label k ^ " sorted") want (Share.reconstruct y);
+                Alcotest.(check vec) (Ctx.kind_label k ^ " carry follows")
+                  (Array.map (fun v -> v + 1) want) (Share.reconstruct t);
+                (Orq_net.Comm.snapshot ctx.Ctx.comm).Orq_net.Comm.t_rounds
+            | _ -> Alcotest.fail "arity")
+          inputs
+      in
+      Alcotest.(check (list int))
+        (Ctx.kind_label k ^ " rounds equal across shuffles and orders")
+        (List.map (fun _ -> List.hd rounds) rounds) rounds)
+    kinds
+
 (* ---------------- bitonic ---------------- *)
 
 let test_bitonic () =
@@ -515,6 +558,8 @@ let suite =
     Alcotest.test_case "quicksort desc + carry" `Quick test_quicksort_desc_carry;
     Alcotest.test_case "quicksort composite keys" `Quick test_quicksort_composite;
     QCheck_alcotest.to_alcotest qcheck_quicksort;
+    Alcotest.test_case "quicksort rounds fixed by n" `Quick
+      test_quicksort_rounds_fixed_by_n;
     Alcotest.test_case "bitonic with duplicates" `Quick test_bitonic;
     QCheck_alcotest.to_alcotest qcheck_bitonic;
     Alcotest.test_case "wrapper: all algos and directions" `Quick
