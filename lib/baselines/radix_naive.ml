@@ -42,10 +42,11 @@ let gen_bit_perm_rowwise (ctx : Ctx.t) (bit : Share.shared) : Share.shared =
   let z = Orq_sort.Genbitperm.broadcast_last s0 in
   let t = Mpc.add z (Mpc.sub s1 s0) in
   let n = Share.length bit in
+  let iw = Orq_util.Ring.index_bits n in
   let prods =
     List.init n (fun i ->
         let p =
-          Mpc.mul ~width:ctx.perm_bits ctx (Share.sub_range b_a i 1)
+          Mpc.mul ~width:iw ctx (Share.sub_range b_a i 1)
             (Share.sub_range t i 1)
         in
         Orq_net.Comm.traffic ctx.comm ~bits:(ctx.parties * overhead_bits)

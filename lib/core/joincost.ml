@@ -97,7 +97,7 @@ let times k evs = Array.concat (List.init k (fun _ -> evs))
 let sort_pass (ctx : Ctx.t) ~n ~kw ~cw =
   if n <= 1 then [||]
   else begin
-    let kind = ctx.Ctx.kind and pb = ctx.Ctx.perm_bits in
+    let kind = ctx.Ctx.kind and iw = Ring.index_bits n in
     let ln = max 1 (Ring.log2_ceil n) in
     let lvl =
       (* the leading terms of a less-than ladder over the composite key
@@ -112,10 +112,10 @@ let sort_pass (ctx : Ctx.t) ~n ~kw ~cw =
     in
     Array.concat
       [
-        Primcost.shuffle kind ~w:(kw + cw + pb) ~n;
+        Primcost.shuffle kind ~w:(kw + cw + iw) ~n;
         times ln lvl;
-        times 2 (Primcost.shuffle kind ~w:(cw + pb) ~n);
-        Primcost.open_ kind ~w:pb ~n;
+        times 2 (Primcost.shuffle kind ~w:(cw + iw) ~n);
+        Primcost.open_ kind ~w:iw ~n;
       ]
   end
 

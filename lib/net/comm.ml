@@ -40,10 +40,12 @@ type event = {
 
 (* Fixed-capacity ring: [pos] counts every event ever recorded; the buffer
    keeps the last [cap]. Certification requires [dropped_events = 0], so
-   callers size the capacity to their workload. *)
+   callers size the capacity to their workload. A stopped ring stays
+   readable but records nothing more. *)
 type recorder = {
   cap : int;  (** power of two *)
   buf : event array;
+  mutable active : bool;
   mutable pos : int;
   mutable stack : string list;  (** innermost label first *)
   mutable joined : string;  (** cached "/"-join of the stack, outermost first *)
@@ -108,13 +110,26 @@ let rec next_pow2 n k = if k >= n then k else next_pow2 n (2 * k)
 let start_recording ?(capacity = 1 lsl 18) t =
   let cap = next_pow2 (max 2 capacity) 2 in
   t.recorder <-
-    Some { cap; buf = Array.make cap null_event; pos = 0; stack = []; joined = "" }
+    Some
+      {
+        cap;
+        buf = Array.make cap null_event;
+        active = true;
+        pos = 0;
+        stack = [];
+        joined = "";
+      }
 
-(** Stop recording (the transcript remains readable until the next
-    {!start_recording}). *)
-let stop_recording t = t.recorder <- None
+(* The ring events go to: the recorder while it is active. *)
+let live t =
+  match t.recorder with Some r when r.active -> Some r | _ -> None
 
-let recording t = t.recorder <> None
+(** Stop recording: the ring is kept, inactive, so the transcript (and its
+    drop count) remains readable until the next {!start_recording}; labels
+    and metering no longer touch it. *)
+let stop_recording t = Option.iter (fun r -> r.active <- false) t.recorder
+
+let recording t = live t <> None
 
 (** Events recorded since {!start_recording} (including any overwritten in
     the ring). *)
@@ -139,14 +154,14 @@ let transcript t : event array =
 (** Push an operator label onto the recording stack (no-op when recording
     is off). Labels nest: events record the full stack outermost-first. *)
 let push_label t lbl =
-  match t.recorder with
+  match live t with
   | None -> ()
   | Some r ->
       r.stack <- lbl :: r.stack;
       r.joined <- String.concat "/" (List.rev r.stack)
 
 let pop_label t =
-  match t.recorder with
+  match live t with
   | None -> ()
   | Some r -> (
       match r.stack with
@@ -155,7 +170,7 @@ let pop_label t =
           r.stack <- tl;
           r.joined <- String.concat "/" (List.rev tl))
 
-let current_label t = match t.recorder with None -> "" | Some r -> r.joined
+let current_label t = match live t with None -> "" | Some r -> r.joined
 
 let store r ev =
   r.buf.(r.pos land (r.cap - 1)) <- ev;
@@ -209,7 +224,7 @@ let fire t ch ev =
     | Traffic -> ch.ch_traffic ~bits:ev.ev_bits ~messages:ev.ev_messages
     | Barrier -> ch.ch_barrier ev.ev_rounds
   in
-  match t.recorder with
+  match live t with
   | Some r when r.joined != ev.ev_label ->
       let saved = r.joined in
       r.joined <- ev.ev_label;
@@ -225,7 +240,7 @@ let put t ev =
       t.rounds <- t.rounds + ev.ev_rounds;
       t.bits <- t.bits + ev.ev_bits;
       t.messages <- t.messages + ev.ev_messages;
-      Option.iter (fun r -> store r ev) t.recorder;
+      Option.iter (fun r -> store r ev) (live t);
       match t.channel with None -> () | Some ch -> fire t ch ev)
 
 let meter t ev_op ev_rounds ev_bits ev_messages =

@@ -74,8 +74,9 @@ val start_recording : ?capacity:int -> t -> unit
     transcript is discarded; the label stack starts empty. *)
 
 val stop_recording : t -> unit
-(** Stop recording. The transcript remains readable until the next
-    {!start_recording}. *)
+(** Stop recording. Metering and {!push_label} no longer reach the ring,
+    but the transcript, {!recorded_events} and {!dropped_events} remain
+    readable until the next {!start_recording}. *)
 
 val recording : t -> bool
 

@@ -40,7 +40,6 @@ type t = {
   parties : int;
   nvec : int;
   ell : int;  (** logical element bit width used for metering (paper: 64) *)
-  perm_bits : int;  (** bit width of permutation indices (paper: ell_sigma = 32) *)
   comm : Orq_net.Comm.t;  (** online-phase traffic *)
   preproc : Orq_net.Comm.t;  (** preprocessing traffic (dealer-simulated) *)
   prg : Prg.t;
@@ -66,7 +65,6 @@ let create ?(seed = 0x5EED) ?(ell = 64) kind =
     parties;
     nvec = nvec_of kind;
     ell;
-    perm_bits = 32;
     comm = Orq_net.Comm.create ~parties;
     preproc = Orq_net.Comm.create ~parties;
     prg;

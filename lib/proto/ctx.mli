@@ -25,8 +25,11 @@ type t = {
   kind : kind;
   parties : int;
   nvec : int;
-  ell : int;  (** logical element bit width used for metering (paper: 64) *)
-  perm_bits : int;  (** permutation index width (paper: l_sigma = 32) *)
+  ell : int;
+      (** logical element bit width used for metering (paper: 64).
+          Permutation index vectors are metered at
+          {!Orq_util.Ring.index_bits} of their public length instead (the
+          paper fixes them at 32 bits). *)
   comm : Orq_net.Comm.t;  (** online-phase traffic *)
   preproc : Orq_net.Comm.t;  (** preprocessing traffic (dealer-simulated) *)
   prg : Orq_util.Prg.t;

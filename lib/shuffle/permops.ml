@@ -10,8 +10,11 @@
     uniform for uniform [pi]. *)
 
 open Orq_proto
+module Ring = Orq_util.Ring
 
-let perm_width (ctx : Ctx.t) = ctx.perm_bits
+(* Every index, destination and sigma^{-1} vector over n rows holds values
+   below the public n, so it travels, opens and converts at
+   [Ring.index_bits n] bits. *)
 
 (* A whole vector through a column-list operator: wrapped as one
    untracked chunk and unwrapped again, both without a copy. *)
@@ -21,12 +24,11 @@ let on_whole f (x : Share.shared) : Share.shared =
 (* Columns that all travel at width [w]. *)
 let at_width w cs = List.map (fun c -> (c, w)) cs
 
-(* A whole index column, [perm_width] bits wide, through a sharded
-   permutation or its inverse. *)
+(* A whole index column, at the index width of its length, through a
+   sharded permutation or its inverse. *)
 let apply_index ?inverse (ctx : Ctx.t) p (s : Share.shared) =
-  on_whole
-    (fun cs -> Shardedperm.apply ?inverse ctx (at_width (perm_width ctx) cs) p)
-    s
+  let w = Ring.index_bits (Share.length s) in
+  on_whole (fun cs -> Shardedperm.apply ?inverse ctx (at_width w cs) p) s
 
 (** Protocol 4: oblivious shuffle of several [(column, width)] pairs
     under one common random sharded permutation. *)
@@ -69,7 +71,7 @@ let apply_elementwise_table (ctx : Ctx.t) (cols : (Share.chunked * int) list)
       in
       let cs = match pair.(0) with `C l -> l | `S _ -> assert false in
       let rs = match pair.(1) with `S s -> s | `C _ -> assert false in
-      let c = Mpc.open_ ~width:(perm_width ctx) ctx rs in
+      let c = Mpc.open_ ~width:(Ring.index_bits n) ctx rs in
       List.map
         (fun x ->
           let out = Share.scatter_c x c in
@@ -85,7 +87,7 @@ let compose (ctx : Ctx.t) (sigma : Share.shared) (rho : Share.shared) :
   if Share.length rho <> n then invalid_arg "compose: length";
   Ctx.with_label ctx "permcompose" @@ fun () ->
   let p = Permmgr.gen ctx n in
-  let c = Mpc.open_ ~width:(perm_width ctx) ctx (apply_index ctx p sigma) in
+  let c = Mpc.open_ ~width:(Ring.index_bits n) ctx (apply_index ctx p sigma) in
   (* localApplyPerm(rho, c^{-1}) is a gather by c *)
   apply_index ~inverse:true ctx p (Share.gather rho c)
 
@@ -96,9 +98,8 @@ let invert ?enc (ctx : Ctx.t) (pi : Share.shared) : Share.shared =
   let enc = Option.value enc ~default:pi.Share.enc in
   Ctx.with_label ctx "perminvert" @@ fun () ->
   let identity = Share.public_vec ctx enc (Localperm.identity n) in
-  on_whole
-    (fun cs -> apply_elementwise_table ctx (at_width (perm_width ctx) cs) pi)
-    identity
+  let w = Ring.index_bits n in
+  on_whole (fun cs -> apply_elementwise_table ctx (at_width w cs) pi) identity
 
 (** Protocol 7: convert an elementwise permutation between arithmetic and
     boolean sharings. Honest-majority: shuffle, open, reshare under the
@@ -110,14 +111,14 @@ let convert (ctx : Ctx.t) (x : Share.shared) (target : Share.enc) :
   if x.Share.enc = target then x
   else
     Ctx.with_label ctx "permconvert" @@ fun () ->
+    let n = Share.length x in
+    let w = Ring.index_bits n in
     match ctx.kind with
     | Ctx.Sh_dm -> (
         match target with
-        | Share.Bool -> Orq_circuits.Convert.a2b ~w:(perm_width ctx) ctx x
-        | Share.Arith -> Orq_circuits.Convert.b2a ~w:(perm_width ctx) ctx x)
+        | Share.Bool -> Orq_circuits.Convert.a2b ~w ctx x
+        | Share.Arith -> Orq_circuits.Convert.b2a ~w ctx x)
     | Ctx.Sh_hm | Ctx.Mal_hm ->
-        let p = Permmgr.gen ctx (Share.length x) in
-        let opened =
-          Mpc.open_ ~width:(perm_width ctx) ctx (apply_index ctx p x)
-        in
+        let p = Permmgr.gen ctx n in
+        let opened = Mpc.open_ ~width:w ctx (apply_index ctx p x) in
         apply_index ~inverse:true ctx p (Share.public_vec ctx target opened)

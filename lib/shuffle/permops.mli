@@ -24,12 +24,15 @@ val apply_elementwise_table :
 (** Protocol 5: apply a secret elementwise permutation to several
     [(column, width)] pairs; the shuffle of [rho] and its opening are paid
     once for all of them. Each column moves at its width under
-    {!Shardedperm.apply}'s width contract; [rho] moves at
-    [ctx.perm_bits]. The data columns stream; the index column [rho] is
-    whole. *)
+    {!Shardedperm.apply}'s width contract; [rho] moves and opens at
+    {!Orq_util.Ring.index_bits} of the row count, since its values are
+    below that public length. The data columns stream; the index column
+    [rho] is whole. *)
 
 val compose : Ctx.t -> Share.shared -> Share.shared -> Share.shared
-(** Protocol 6: [compose sigma rho] = [rho ∘ sigma] (apply [sigma] first). *)
+(** Protocol 6: [compose sigma rho] = [rho ∘ sigma] (apply [sigma] first).
+    Like every protocol below, each index vector moves and opens at
+    {!Orq_util.Ring.index_bits} of its length. *)
 
 val invert : ?enc:Share.enc -> Ctx.t -> Share.shared -> Share.shared
 (** Protocol 8: invert an elementwise permutation by applying it to the

@@ -114,24 +114,26 @@ let fold_components (ctx : Ctx.t) (c : Share.chunked) (t : t) ~inverse ~mask =
    boolean column narrower than the word keeps its low [w] bits. An
    arithmetic column travels at [ctx.ell] — its shares cannot be reduced
    in place — except an elementwise-permutation index vector, whose
-   values (< n) live in the [ctx.perm_bits]-bit index ring; it is metered
-   there and left unmasked. Under debug checks every narrowed column is
-   reconstructed and must fit its width, so a wrong declared width fails
-   loudly instead of under-metering the wire. *)
+   values (< n) live in the [Ring.index_bits n]-bit index ring; it is
+   metered there and left unmasked. Under debug checks every narrowed
+   column, index columns included, is reconstructed and must fit its
+   width, so a wrong declared width fails loudly instead of
+   under-metering the wire. *)
 let receive_mask (ctx : Ctx.t) pos ((c : Share.chunked), w) =
   let enc = Share.chunked_enc c in
+  let iw = Orq_util.Ring.index_bits (Share.chunked_length c) in
   (match enc with
   | Share.Bool ->
       if w < 1 || w > ctx.ell then
         invalid_arg
           (Printf.sprintf "Shardedperm.apply: column %d at width %d" pos w)
   | Share.Arith ->
-      if w <> ctx.ell && w <> ctx.perm_bits then
+      if w <> ctx.ell && w <> iw then
         invalid_arg
           (Printf.sprintf
              "Shardedperm.apply: arithmetic column %d at width %d (must be \
               %d, or %d for a permutation index)"
-             pos w ctx.ell ctx.perm_bits));
+             pos w ctx.ell iw));
   if w < ctx.ell && Orq_util.Debug.enabled () then
     Array.iteri
       (fun i v ->

@@ -43,9 +43,10 @@ val apply :
       position and width if a value does not fit.
     - An arithmetic column travels at [ctx.ell]: its shares cannot be
       reduced in place. The one exception is an elementwise-permutation
-      index vector at [ctx.perm_bits] (values below n, metered in the
-      index ring, left unmasked). Any other width raises
-      [Invalid_argument].
+      index vector over n rows at {!Orq_util.Ring.index_bits}[ n] (values
+      below n, metered in the index ring, left unmasked; under
+      [ORQ_DEBUG_CHECKS] reconstructed and checked to fit like a narrowed
+      boolean column). Any other width raises [Invalid_argument].
 
     The permute and per-component resharing run chunk at a time, a column
     after another, so a tracked column streams through the

@@ -31,15 +31,24 @@ let broadcast_last (s : Share.shared) =
     consumes the packed lanes directly; everything after it is arithmetic
     and stays word-based. *)
 let gen_digit (ctx : Ctx.t) (flags : Share.flags array) : Share.shared =
+  (* The ranking multiplications run modulo 2^k, k = index_bits n. The
+     formula is a polynomial in the one-hot lanes, and reduction modulo
+     2^k is a ring homomorphism, so the result is dest_i mod 2^k — exactly
+     dest_i, which lies in [0, n - 1] with n <= 2^k. Intermediate values
+     (a difference t_d - t_0 may be negative) need not fit. *)
+  let k_bits =
+    match flags with
+    | [| f |] | [| f; _ |] -> Orq_util.Ring.index_bits (Share.flags_length f)
+    | _ -> invalid_arg "Genbitperm.gen_digit: digits are 1 or 2 bits"
+  in
   let one_hot =
     match Orq_circuits.Convert.bit_b2a_flags_many ctx flags with
     | [| a |] -> [| Mpc.add_pub (Mpc.neg a) 1; a |]
     | [| a0; a1 |] ->
-        (* ranking arithmetic is modulo 2^perm_bits, like the destinations *)
-        let p = Mpc.mul ~width:ctx.perm_bits ctx a0 a1 in
+        let p = Mpc.mul ~width:k_bits ctx a0 a1 in
         let e1 = Mpc.sub a0 p and e2 = Mpc.sub a1 p in
         [| Mpc.add_pub (Mpc.neg (Mpc.add (Mpc.add e1 e2) p)) 1; e1; e2; p |]
-    | _ -> invalid_arg "Genbitperm.gen_digit: digits are 1 or 2 bits"
+    | _ -> assert false
   in
   let k = Array.length one_hot - 1 in
   let s = Array.map Mpc.prefix_sum one_hot in
@@ -54,7 +63,7 @@ let gen_digit (ctx : Ctx.t) (flags : Share.flags array) : Share.shared =
         Share.map3_vectors Orq_util.Vec.add_sub c.(j) s.(j + 1) s.(0))
   in
   let prods =
-    Mpc.mul_many ~widths:(Array.make k ctx.perm_bits) ctx
+    Mpc.mul_many ~widths:(Array.make k k_bits) ctx
       (Array.sub one_hot 1 k) diffs
   in
   Mpc.add_pub (Array.fold_left Mpc.add s.(0) prods) (-1)

@@ -7,8 +7,10 @@
     t_0 + sum_{d >= 1} e_d (t_d - t_0) - 1 where t_d = C_d + s_d. Prefix
     sums and offsets are local; the online cost is one fused bit
     conversion, for L = 2 one product forming the one-hot digit, and one
-    fused (2^L - 1)-lane multiplication at [ctx.perm_bits]: 2 rounds per
-    bit, 3 per 2-bit digit, under every protocol. *)
+    fused (2^L - 1)-lane multiplication at {!Orq_util.Ring.index_bits}[ n]
+    for [n] rows, exact because every destination is below [n] <= 2^k and
+    reduction modulo 2^k is a ring homomorphism: 2 rounds per bit, 3 per
+    2-bit digit, under every protocol. *)
 
 open Orq_proto
 

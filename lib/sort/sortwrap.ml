@@ -24,9 +24,11 @@ let default_algo_for_width w = if w <= 32 then Radixsort else Quicksort
 let repack_like (like : Share.chunked) (s : Share.shared) =
   if Share.chunked_tracked like then Share.park s else Share.wrap s
 
-(* Shared index column 0..n-1 (the publicShare padding step). *)
+(* Shared index column 0..n-1 (the publicShare padding step), with the
+   width it travels and compares at: its values are below the public n. *)
 let index_column (ctx : Ctx.t) n =
-  Share.public_vec ctx Share.Bool (Localperm.identity n)
+  ( Share.public_vec ctx Share.Bool (Localperm.identity n),
+    Orq_util.Ring.index_bits n )
 
 (** [sort ctx ?algo ~dir ~w key carry] sorts rows by the single [w]-bit
     key column, returning the sorted key and the sorted carry columns
@@ -47,14 +49,11 @@ let sort (ctx : Ctx.t) ?algo ~(dir : dir) ~w (key : Share.chunked)
       Ctx.with_label ctx "quicksort" @@ fun () ->
       let n = Share.chunked_length key in
       let qdir = match dir with Asc -> Quicksort.Asc | Desc -> Quicksort.Desc in
+      let index, iw = index_column ctx n in
       let keys =
         [
           { Quicksort.col = Share.unpark key; width = w; dir = qdir };
-          {
-            Quicksort.col = index_column ctx n;
-            width = ctx.perm_bits;
-            dir = Quicksort.Asc;
-          };
+          { Quicksort.col = index; width = iw; dir = Quicksort.Asc };
         ]
       in
       match
@@ -79,7 +78,7 @@ let sorting_perm (ctx : Ctx.t) ~(algo : algo)
     | (w, _) :: _ -> Share.length w
     | [] -> invalid_arg "Sortwrap.sorting_perm: no key words"
   in
-  let index = index_column ctx n in
+  let index, iw = index_column ctx n in
   let inv =
     match algo with
     | Radixsort -> (
@@ -87,14 +86,14 @@ let sorting_perm (ctx : Ctx.t) ~(algo : algo)
         match
           Radixsort.sort_c ctx ~keep:false
             (List.map (fun (w, ww) -> (Share.wrap w, ww)) words)
-            [ (Share.wrap index, ctx.perm_bits) ]
+            [ (Share.wrap index, iw) ]
         with
         | [], [ inv ] -> Share.unpark inv
         | _ -> assert false)
     | Quicksort -> (
         Ctx.with_label ctx "quicksort" @@ fun () ->
         let key (col, width) = { Quicksort.col; width; dir = Quicksort.Asc } in
-        let keys = List.map key (words @ [ (index, ctx.perm_bits) ]) in
+        let keys = List.map key (words @ [ (index, iw) ]) in
         match List.rev (fst (Quicksort.sort ctx ~keys [])) with
         | inv :: _ -> inv
         | [] -> assert false)

@@ -23,9 +23,9 @@ val sort :
     Width contract: the key is [w] bits wide and each carry comes paired
     with its width. Every permutation the base sort applies moves the key
     at [w], each carry at its width and quicksort's index column at
-    [ctx.perm_bits] (see {!Orq_shuffle.Shardedperm.apply}: boolean
-    columns are masked to their width on receipt, arithmetic carries must
-    be at [ctx.ell]).
+    {!Orq_util.Ring.index_bits}[ n] for [n] rows (see
+    {!Orq_shuffle.Shardedperm.apply}: boolean columns are masked to their
+    width on receipt, arithmetic carries must be at [ctx.ell]).
 
     Radixsort streams tracked columns chunk at a time; quicksort (wide
     keys) works on whole vectors and repacks its result like the key. A
@@ -37,6 +37,7 @@ val sorting_perm :
     that stably sorts the rows ascending by the composite key the
     [(word, width)] columns form, most significant first: the base sort
     carries (radixsort) or compares last (quicksort) the index column at
-    [ctx.perm_bits], which ends as sigma^{-1}; Protocol 8 inverts it.
+    {!Orq_util.Ring.index_bits}[ n], which ends as sigma^{-1}; Protocol 8
+    inverts it.
     Under radixsort each word moves only its still-unranked bits. Whole
     vectors in and out. *)

@@ -48,6 +48,7 @@ let overflow_probability_bound n =
 
 (** Number of Beaver triples to pregenerate for sorting [n] elements of
     width [w] bits: each comparison is an O(w)-gate circuit, and each
-    element carries the [perm_bits] uniqueness padding. *)
-let triples_for_sort ~n ~w ~perm_bits =
-  comparison_budget n * (w + perm_bits)
+    element carries the uniqueness padding, an index of
+    [Ring.index_bits n] bits. *)
+let triples_for_sort ~n ~w =
+  comparison_budget n * (w + Orq_util.Ring.index_bits n)

@@ -15,6 +15,7 @@ val overflow_probability_bound : int -> float
 (** Upper bound on exceeding the budget (Theorem 1 of McDiarmid &
     Hayward); the paper targets 2^-10. *)
 
-val triples_for_sort : n:int -> w:int -> perm_bits:int -> int
+val triples_for_sort : n:int -> w:int -> int
 (** Beaver triples to pregenerate for sorting [n] elements of [w] bits
-    (plus uniqueness padding). *)
+    (plus the uniqueness padding: an index of
+    {!Orq_util.Ring.index_bits}[ n] bits). *)

@@ -40,6 +40,11 @@ let log2_ceil n =
   let rec go k p = if p >= n then k else go (k + 1) (p * 2) in
   if n <= 1 then 0 else go 0 1
 
+(** [index_bits n] is the width of an index into a public length-[n]
+    vector: [log2_ceil n] bits hold every value below [n], and at least
+    one bit is kept so that a length-1 vector still has a width. *)
+let index_bits n = max 1 (log2_ceil n)
+
 (** [next_pow2 n] is the smallest power of two [>= n] (and [>= 1]). *)
 let next_pow2 n = 1 lsl log2_ceil n
 

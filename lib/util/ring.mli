@@ -32,6 +32,12 @@ val popcount : int -> int
 val log2_ceil : int -> int
 (** [log2_ceil n] is the smallest [k] with [2^k >= n]; [log2_ceil 0 = 0]. *)
 
+val index_bits : int -> int
+(** [index_bits n = max 1 (log2_ceil n)]: the width of a permutation
+    index, destination or position vector over [n] rows. Every such value
+    is below [n], and [n] is public, so the width depends on public shape
+    only. *)
+
 val next_pow2 : int -> int
 (** Smallest power of two [>= n] (and [>= 1]). *)
 

@@ -212,8 +212,36 @@ let test_recorder_ring_and_labels () =
   Alcotest.(check int) "transcript truncated to capacity" 4
     (Array.length (Comm.transcript c));
   Comm.stop_recording c;
+  Alcotest.(check bool) "stopped" false (Comm.recording c);
+  Comm.push_label c "after";
   Comm.round c ~bits:1 ~messages:1;
-  Alcotest.(check int) "stop halts recording" 0 (Comm.recorded_events c)
+  Alcotest.(check int) "stop halts recording" 8 (Comm.recorded_events c);
+  Alcotest.(check string) "no label once stopped" "" (Comm.current_label c)
+
+(* The transcript outlives [stop_recording] and goes with the next
+   [start_recording]. *)
+let test_transcript_after_stop () =
+  let c = Comm.create ~parties:3 in
+  Comm.start_recording ~capacity:2 c;
+  Comm.push_label c "op";
+  for b = 1 to 3 do
+    Comm.round c ~bits:b ~messages:1
+  done;
+  let before = Comm.transcript c and dropped = Comm.dropped_events c in
+  Comm.stop_recording c;
+  Comm.round c ~bits:9 ~messages:1;
+  Comm.pop_label c;
+  let event_t = Alcotest.testable Comm.pp_event Comm.event_equal in
+  Alcotest.(check (array event_t)) "same events after stop" before
+    (Comm.transcript c);
+  Alcotest.(check int) "two events kept" 2 (Array.length before);
+  Alcotest.(check string) "labelled" "op" before.(0).Comm.ev_label;
+  Alcotest.(check int) "drops still answer" dropped (Comm.dropped_events c);
+  Alcotest.(check int) "one dropped" 1 dropped;
+  Comm.start_recording c;
+  Alcotest.(check int) "next start empties it" 0
+    (Array.length (Comm.transcript c));
+  Alcotest.(check int) "and its drops" 0 (Comm.dropped_events c)
 
 let test_transcript_diff () =
   let ev op r b m =
@@ -423,6 +451,8 @@ let suite =
       test_exports_flags_unused;
     Alcotest.test_case "recorder ring + label stack" `Quick
       test_recorder_ring_and_labels;
+    Alcotest.test_case "transcript readable after stop" `Quick
+      test_transcript_after_stop;
     Alcotest.test_case "transcript diff localizes" `Quick test_transcript_diff;
     Alcotest.test_case "cost model: boolean primitives" `Quick
       test_costmodel_primitives;

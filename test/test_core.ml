@@ -152,7 +152,9 @@ let test_tablesort_multikey () =
 
 (* Every column moves at its declared width: a TableSort over 1-, 8- and
    24-bit columns (plus the 1-bit validity) costs exactly these online
-   bits, and the values still sort. *)
+   bits, and the values still sort. Every permutation index (rho, the
+   carried sigma^{-1}, the ranking products) travels at
+   [Ring.index_bits 8] = 3 bits. *)
 let test_tablesort_width_tally () =
   List.iter
     (fun (k, single, multi) ->
@@ -189,9 +191,9 @@ let test_tablesort_width_tally () =
         (List.assoc "M" cols);
       Alcotest.(check int) (tag ^ " multi-key bits") multi b2)
     [
-      (Ctx.Sh_dm, 20864, 26864);
-      (Ctx.Sh_hm, 28224, 41016);
-      (Ctx.Mal_hm, 116480, 165536);
+      (Ctx.Sh_dm, 6016, 3664);
+      (Ctx.Sh_hm, 8736, 6216);
+      (Ctx.Mal_hm, 45952, 39328);
     ]
 
 (* A value with bits at or above its column's width is refused at

@@ -288,7 +288,9 @@ let test_predicted_cheapest_is_measured_cheapest () =
 (* Joincost.predict over a grid of join shapes, pinned to the exact
    (rounds, bits, messages) the planner produced before its estimates
    were rewritten over the shared primitive price list (Primcost); the
-   table was recorded by running this same grid on that earlier tree.
+   table was recorded by running this same grid on that earlier tree, and
+   its sort column re-recorded when [sort_pass] began pricing the index
+   at [Ring.index_bits n] bits (rounds and messages did not move).
    Predictions of ungrouped shapes depend only on (protocol, n, m, key
    columns): the variant decides applicability alone, so each row covers
    all four variants. [None] marks an operator that no shape
@@ -300,98 +302,98 @@ let golden_predictions =
     ("SH-DM", 0, 0, 2, Some (14, 0, 28), None);
     ("SH-DM", 0, 1, 1, Some (19, 2106, 36), None);
     ("SH-DM", 0, 1, 2, Some (23, 2530, 44), None);
-    ("SH-DM", 0, 7, 1, Some (68, 51590, 128), None);
-    ("SH-DM", 0, 7, 2, Some (82, 71638, 156), None);
-    ("SH-DM", 0, 300, 1, Some (176, 6174600, 344), None);
-    ("SH-DM", 0, 300, 2, Some (214, 8589000, 420), None);
+    ("SH-DM", 0, 7, 1, Some (68, 49966, 128), None);
+    ("SH-DM", 0, 7, 2, Some (82, 70014, 156), None);
+    ("SH-DM", 0, 300, 1, Some (176, 6119400, 344), None);
+    ("SH-DM", 0, 300, 2, Some (214, 8533800, 420), None);
     ("SH-DM", 1, 0, 1, Some (19, 2106, 36), None);
     ("SH-DM", 1, 0, 2, Some (23, 2530, 44), None);
-    ("SH-DM", 1, 1, 1, Some (32, 5932, 56), Some (16, 4648, 34));
-    ("SH-DM", 1, 1, 2, Some (38, 8204, 68), Some (16, 4808, 34));
-    ("SH-DM", 1, 7, 1, Some (68, 58960, 128), Some (30, 49596, 62));
-    ("SH-DM", 1, 7, 2, Some (82, 81872, 156), Some (30, 50476, 62));
-    ("SH-DM", 1, 300, 1, Some (176, 6195182, 344), Some (72, 5295138, 146));
-    ("SH-DM", 1, 300, 2, Some (214, 8617630, 420), Some (72, 5331178, 146));
-    ("SH-DM", 7, 0, 1, Some (61, 17766, 110), None);
-    ("SH-DM", 7, 0, 2, Some (75, 38374, 138), None);
-    ("SH-DM", 7, 1, 1, Some (70, 22218, 126), Some (16, 12676, 34));
-    ("SH-DM", 7, 1, 2, Some (84, 45810, 154), Some (16, 13076, 34));
-    ("SH-DM", 7, 7, 1, Some (98, 79954, 182), Some (30, 57624, 62));
-    ("SH-DM", 7, 7, 2, Some (116, 133546, 218), Some (30, 58744, 62));
-    ("SH-DM", 7, 300, 1, Some (176, 6318674, 344), Some (72, 5303166, 146));
-    ("SH-DM", 7, 300, 2, Some (214, 8789410, 420), Some (72, 5339446, 146));
-    ("SH-DM", 300, 0, 1, Some (145, 1524600, 278), None);
-    ("SH-DM", 300, 0, 2, Some (183, 3963000, 354), None);
-    ("SH-DM", 300, 1, 1, Some (154, 1531596, 294), Some (16, 404710, 34));
-    ("SH-DM", 300, 1, 2, Some (192, 3978164, 370), Some (16, 416830, 34));
-    ("SH-DM", 300, 7, 1, Some (168, 1598660, 322), Some (30, 449658, 62));
-    ("SH-DM", 300, 7, 2, Some (206, 4094236, 398), Some (30, 462498, 62));
-    ("SH-DM", 300, 300, 1, Some (224, 8178600, 434), Some (72, 5695200, 146));
-    ("SH-DM", 300, 300, 2, Some (266, 13585800, 518), Some (72, 5743200, 146));
+    ("SH-DM", 1, 1, 1, Some (32, 5436, 56), Some (16, 4648, 34));
+    ("SH-DM", 1, 1, 2, Some (38, 7708, 68), Some (16, 4808, 34));
+    ("SH-DM", 1, 7, 1, Some (68, 57104, 128), Some (30, 49596, 62));
+    ("SH-DM", 1, 7, 2, Some (82, 80016, 156), Some (30, 50476, 62));
+    ("SH-DM", 1, 300, 1, Some (176, 6139798, 344), Some (72, 5295138, 146));
+    ("SH-DM", 1, 300, 2, Some (214, 8562246, 420), Some (72, 5331178, 146));
+    ("SH-DM", 7, 0, 1, Some (61, 14518, 110), None);
+    ("SH-DM", 7, 0, 2, Some (75, 35126, 138), None);
+    ("SH-DM", 7, 1, 1, Some (70, 18506, 126), Some (16, 12676, 34));
+    ("SH-DM", 7, 1, 2, Some (84, 42098, 154), Some (16, 13076, 34));
+    ("SH-DM", 7, 7, 1, Some (98, 73682, 182), Some (30, 57624, 62));
+    ("SH-DM", 7, 7, 2, Some (116, 127274, 218), Some (30, 58744, 62));
+    ("SH-DM", 7, 300, 1, Some (176, 6262186, 344), Some (72, 5303166, 146));
+    ("SH-DM", 7, 300, 2, Some (214, 8732922, 420), Some (72, 5339446, 146));
+    ("SH-DM", 300, 0, 1, Some (145, 1414200, 278), None);
+    ("SH-DM", 300, 0, 2, Some (183, 3852600, 354), None);
+    ("SH-DM", 300, 1, 1, Some (154, 1420828, 294), Some (16, 404710, 34));
+    ("SH-DM", 300, 1, 2, Some (192, 3867396, 370), Some (16, 416830, 34));
+    ("SH-DM", 300, 7, 1, Some (168, 1485684, 322), Some (30, 449658, 62));
+    ("SH-DM", 300, 7, 2, Some (206, 3981260, 398), Some (30, 462498, 62));
+    ("SH-DM", 300, 300, 1, Some (224, 7967400, 434), Some (72, 5695200, 146));
+    ("SH-DM", 300, 300, 2, Some (266, 13374600, 518), Some (72, 5743200, 146));
     ("SH-HM", 0, 0, 1, Some (10, 0, 30), None);
     ("SH-HM", 0, 0, 2, Some (14, 0, 42), None);
     ("SH-HM", 0, 1, 1, Some (20, 1854, 57), None);
     ("SH-HM", 0, 1, 2, Some (24, 2262, 69), None);
-    ("SH-HM", 0, 7, 1, Some (72, 49077, 204), None);
-    ("SH-HM", 0, 7, 2, Some (86, 65373, 246), None);
-    ("SH-HM", 0, 300, 1, Some (180, 5078700, 528), None);
-    ("SH-HM", 0, 300, 2, Some (218, 6943500, 642), None);
+    ("SH-HM", 0, 7, 1, Some (72, 44814, 204), None);
+    ("SH-HM", 0, 7, 2, Some (86, 61110, 246), None);
+    ("SH-HM", 0, 300, 1, Some (180, 4933800, 528), None);
+    ("SH-HM", 0, 300, 2, Some (218, 6798600, 642), None);
     ("SH-HM", 1, 0, 1, Some (20, 1854, 57), None);
     ("SH-HM", 1, 0, 2, Some (24, 2262, 69), None);
-    ("SH-HM", 1, 1, 1, Some (36, 7410, 96), Some (18, 4842, 60));
-    ("SH-HM", 1, 1, 2, Some (42, 9474, 114), Some (18, 5202, 60));
-    ("SH-HM", 1, 7, 1, Some (72, 56088, 204), Some (32, 43836, 102));
-    ("SH-HM", 1, 7, 2, Some (86, 74712, 246), Some (32, 45996, 102));
-    ("SH-HM", 1, 300, 1, Some (180, 5095629, 528), Some (74, 4235979, 228));
-    ("SH-HM", 1, 300, 2, Some (218, 6966645, 642), Some (74, 4326039, 228));
-    ("SH-HM", 7, 0, 1, Some (67, 30975, 183), None);
-    ("SH-HM", 7, 0, 2, Some (81, 48951, 225), None);
-    ("SH-HM", 7, 1, 1, Some (77, 37110, 210), Some (18, 13716, 60));
-    ("SH-HM", 7, 1, 2, Some (91, 57774, 252), Some (18, 14436, 60));
-    ("SH-HM", 7, 7, 1, Some (105, 97230, 294), Some (32, 52710, 102));
-    ("SH-HM", 7, 7, 2, Some (123, 143094, 348), Some (32, 55230, 102));
-    ("SH-HM", 7, 300, 1, Some (180, 5197203, 528), Some (74, 4244853, 228));
-    ("SH-HM", 7, 300, 2, Some (218, 7105515, 642), Some (74, 4335273, 228));
-    ("SH-HM", 300, 0, 1, Some (151, 1905300, 435), None);
-    ("SH-HM", 300, 0, 2, Some (189, 3842100, 549), None);
-    ("SH-HM", 300, 1, 1, Some (161, 1913361, 462), Some (18, 447063, 60));
-    ("SH-HM", 300, 1, 2, Some (199, 3856737, 576), Some (18, 465363, 60));
-    ("SH-HM", 300, 7, 1, Some (175, 1980543, 504), Some (32, 486057, 102));
-    ("SH-HM", 300, 7, 2, Some (213, 3963375, 618), Some (32, 506157, 102));
-    ("SH-HM", 300, 300, 1, Some (231, 7741800, 672), Some (74, 4678200, 228));
-    ("SH-HM", 300, 300, 2, Some (273, 12040200, 798), Some (74, 4786200, 228));
+    ("SH-HM", 1, 1, 1, Some (36, 6108, 96), Some (18, 4842, 60));
+    ("SH-HM", 1, 1, 2, Some (42, 8172, 114), Some (18, 5202, 60));
+    ("SH-HM", 1, 7, 1, Some (72, 51216, 204), Some (32, 43836, 102));
+    ("SH-HM", 1, 7, 2, Some (86, 69840, 246), Some (32, 45996, 102));
+    ("SH-HM", 1, 300, 1, Some (180, 4950246, 528), Some (74, 4235979, 228));
+    ("SH-HM", 1, 300, 2, Some (218, 6821262, 642), Some (74, 4326039, 228));
+    ("SH-HM", 7, 0, 1, Some (67, 22449, 183), None);
+    ("SH-HM", 7, 0, 2, Some (81, 40425, 225), None);
+    ("SH-HM", 7, 1, 1, Some (77, 27366, 210), Some (18, 13716, 60));
+    ("SH-HM", 7, 1, 2, Some (91, 48030, 252), Some (18, 14436, 60));
+    ("SH-HM", 7, 7, 1, Some (105, 80766, 294), Some (32, 52710, 102));
+    ("SH-HM", 7, 7, 2, Some (123, 126630, 348), Some (32, 55230, 102));
+    ("SH-HM", 7, 300, 1, Some (180, 5048922, 528), Some (74, 4244853, 228));
+    ("SH-HM", 7, 300, 2, Some (218, 6957234, 642), Some (74, 4335273, 228));
+    ("SH-HM", 300, 0, 1, Some (151, 1615500, 435), None);
+    ("SH-HM", 300, 0, 2, Some (189, 3552300, 549), None);
+    ("SH-HM", 300, 1, 1, Some (161, 1622595, 462), Some (18, 447063, 60));
+    ("SH-HM", 300, 1, 2, Some (199, 3565971, 576), Some (18, 465363, 60));
+    ("SH-HM", 300, 7, 1, Some (175, 1683981, 504), Some (32, 486057, 102));
+    ("SH-HM", 300, 7, 2, Some (213, 3666813, 618), Some (32, 506157, 102));
+    ("SH-HM", 300, 300, 1, Some (231, 7187400, 672), Some (74, 4678200, 228));
+    ("SH-HM", 300, 300, 2, Some (273, 11485800, 798), Some (74, 4786200, 228));
     ("Mal-HM", 0, 0, 1, Some (10, 0, 120), None);
     ("Mal-HM", 0, 0, 2, Some (14, 0, 168), None);
     ("Mal-HM", 0, 1, 1, Some (21, 7416, 216), None);
     ("Mal-HM", 0, 1, 2, Some (25, 9048, 264), None);
-    ("Mal-HM", 0, 7, 1, Some (76, 198444, 752), None);
-    ("Mal-HM", 0, 7, 2, Some (90, 263628, 920), None);
-    ("Mal-HM", 0, 300, 1, Some (184, 20226640, 2024), None);
-    ("Mal-HM", 0, 300, 2, Some (222, 27685840, 2480), None);
+    ("Mal-HM", 0, 7, 1, Some (76, 183016, 752), None);
+    ("Mal-HM", 0, 7, 2, Some (90, 248200, 920), None);
+    ("Mal-HM", 0, 300, 1, Some (184, 19702240, 2024), None);
+    ("Mal-HM", 0, 300, 2, Some (222, 27161440, 2480), None);
     ("Mal-HM", 1, 0, 1, Some (21, 7416, 216), None);
     ("Mal-HM", 1, 0, 2, Some (25, 9048, 264), None);
-    ("Mal-HM", 1, 1, 1, Some (40, 31160, 328), Some (20, 22232, 188));
-    ("Mal-HM", 1, 1, 2, Some (46, 39416, 400), Some (20, 23352, 188));
-    ("Mal-HM", 1, 7, 1, Some (76, 226208, 752), Some (34, 174512, 356));
-    ("Mal-HM", 1, 7, 2, Some (90, 300704, 920), Some (34, 181872, 356));
-    ("Mal-HM", 1, 300, 1, Some (184, 20294028, 2024), Some (76, 16762596, 860));
-    ("Mal-HM", 1, 300, 2, Some (222, 27778092, 2480), Some (76, 17074676, 860));
-    ("Mal-HM", 7, 0, 1, Some (73, 128172, 628), None);
-    ("Mal-HM", 7, 0, 2, Some (87, 200076, 796), None);
-    ("Mal-HM", 7, 1, 1, Some (84, 152152, 724), Some (20, 54032, 188));
-    ("Mal-HM", 7, 1, 2, Some (98, 234808, 892), Some (20, 55632, 188));
-    ("Mal-HM", 7, 7, 1, Some (112, 391096, 1052), Some (34, 206312, 356));
-    ("Mal-HM", 7, 7, 2, Some (130, 574552, 1268), Some (34, 214152, 356));
-    ("Mal-HM", 7, 300, 1, Some (184, 20698356, 2024), Some (76, 16794396, 860));
-    ("Mal-HM", 7, 300, 2, Some (222, 28331604, 2480), Some (76, 17106956, 860));
-    ("Mal-HM", 300, 0, 1, Some (157, 7444880, 1588), None);
-    ("Mal-HM", 300, 0, 2, Some (195, 15192080, 2044), None);
-    ("Mal-HM", 300, 1, 1, Some (168, 7476468, 1684), Some (20, 1606932, 188));
-    ("Mal-HM", 300, 1, 2, Some (206, 15249972, 2140), Some (20, 1631972, 188));
-    ("Mal-HM", 300, 7, 1, Some (182, 7741260, 1852), Some (34, 1759212, 356));
-    ("Mal-HM", 300, 7, 2, Some (220, 15672588, 2308), Some (34, 1790492, 356));
-    ("Mal-HM", 300, 300, 1, Some (238, 30586528, 2516), Some (76, 18347296, 860));
-    ("Mal-HM", 300, 300, 2, Some (280, 47780128, 3020), Some (76, 18683296, 860));
+    ("Mal-HM", 1, 1, 1, Some (40, 26448, 328), Some (20, 22232, 188));
+    ("Mal-HM", 1, 1, 2, Some (46, 34704, 400), Some (20, 23352, 188));
+    ("Mal-HM", 1, 7, 1, Some (76, 208576, 752), Some (34, 174512, 356));
+    ("Mal-HM", 1, 7, 2, Some (90, 283072, 920), Some (34, 181872, 356));
+    ("Mal-HM", 1, 300, 1, Some (184, 19767880, 2024), Some (76, 16762596, 860));
+    ("Mal-HM", 1, 300, 2, Some (222, 27251944, 2480), Some (76, 17074676, 860));
+    ("Mal-HM", 7, 0, 1, Some (73, 97316, 628), None);
+    ("Mal-HM", 7, 0, 2, Some (87, 169220, 796), None);
+    ("Mal-HM", 7, 1, 1, Some (84, 116888, 724), Some (20, 54032, 188));
+    ("Mal-HM", 7, 1, 2, Some (98, 199544, 892), Some (20, 55632, 188));
+    ("Mal-HM", 7, 7, 1, Some (112, 331512, 1052), Some (34, 206312, 356));
+    ("Mal-HM", 7, 7, 2, Some (130, 514968, 1268), Some (34, 214152, 356));
+    ("Mal-HM", 7, 300, 1, Some (184, 20161720, 2024), Some (76, 16794396, 860));
+    ("Mal-HM", 7, 300, 2, Some (222, 27794968, 2480), Some (76, 17106956, 860));
+    ("Mal-HM", 300, 0, 1, Some (157, 6396080, 1588), None);
+    ("Mal-HM", 300, 0, 2, Some (195, 14143280, 2044), None);
+    ("Mal-HM", 300, 1, 1, Some (168, 6424172, 1684), Some (20, 1606932, 188));
+    ("Mal-HM", 300, 1, 2, Some (206, 14197676, 2140), Some (20, 1631972, 188));
+    ("Mal-HM", 300, 7, 1, Some (182, 6667988, 1852), Some (34, 1759212, 356));
+    ("Mal-HM", 300, 7, 2, Some (220, 14599316, 2308), Some (34, 1790492, 356));
+    ("Mal-HM", 300, 300, 1, Some (238, 28580128, 2516), Some (76, 18347296, 860));
+    ("Mal-HM", 300, 300, 2, Some (280, 45773728, 3020), Some (76, 18683296, 860));
   ]
 
 let test_golden_predictions () =

@@ -227,16 +227,16 @@ let table1_factor = function
 
 let sharded_rounds = function Ctx.Sh_dm -> 2 | Ctx.Sh_hm -> 3 | Ctx.Mal_hm -> 4
 
-(* Row i of a mixed-width table: a 1-bit, a 12-bit and a [perm_bits]-bit
-   boolean column, and an arithmetic column at ell. The perm_bits column
-   is unique per row, so it identifies where each row went. *)
+(* Row i of a mixed-width table: a 1-bit and a 12-bit boolean column, a
+   boolean row-index column at [Ring.index_bits n] (the width every
+   permutation index travels at), and an arithmetic column at ell. The
+   index column is unique per row, so it identifies where each row went. *)
 let mixed_table (ctx : Ctx.t) n =
   let plain =
     [
       (Array.init n (fun i -> i land 1), 1, Share.Bool);
       (Array.init n (fun i -> (i * 37) land 0xFFF), 12, Share.Bool);
-      (Array.init n (fun i -> (i * 1_000_003) land 0xFFFF_FFFF),
-        ctx.Ctx.perm_bits, Share.Bool);
+      (Array.init n (fun i -> i), Ring.index_bits n, Share.Bool);
       (Array.init n (fun i -> (i * 7919) - 500), ctx.Ctx.ell, Share.Arith);
     ]
   in
@@ -377,6 +377,136 @@ let test_out_of_width_debug () =
             (Share.reconstruct_c c)
       | _ -> Alcotest.fail "arity")
 
+(* ---------------- index width at the wrap point ---------------- *)
+
+(* Row counts around the index width's wrap points 2^k ([Ring.index_bits]
+   is 6 at n = 64, 7 at n = 65). *)
+let wrap_ns = [ 1; 2; 3; 63; 64; 65; 1023; 1024; 1025 ]
+
+(* [f] on a fresh context with the debug checks on, so an index column
+   that does not fit its declared width fails loudly; with [chunked] the
+   chunk store is on (7-row chunks) and [f] parks its data columns. *)
+let with_wrap_ctx ~chunked kind f =
+  let was = Debug.enabled () and rows0 = Chunkvec.chunk_rows ()
+  and on0 = Chunkvec.streaming_enabled () in
+  Fun.protect
+    ~finally:(fun () ->
+      Debug.set_checks was;
+      Chunkvec.set_chunk_rows rows0;
+      Chunkvec.set_streaming on0)
+  @@ fun () ->
+  Debug.set_checks true;
+  if chunked then Chunkvec.set_chunk_rows 7;
+  f (Ctx.create ~seed:62 kind)
+
+(* Protocols 5-8 stay exact on both sides of every wrap point, with
+   boolean and arithmetic permutations, whole and chunked. *)
+let test_perm_protocols_wrap () =
+  List.iter
+    (fun kind ->
+      List.iter
+        (fun n ->
+          List.iter
+            (fun chunked ->
+              with_wrap_ctx ~chunked kind @@ fun ctx ->
+              let tag s =
+                Printf.sprintf "%s n=%d%s %s" (Ctx.kind_label kind) n
+                  (if chunked then " chunked" else "") s
+              in
+              let sigma = Localperm.random ctx.Ctx.prg n in
+              let rho = Localperm.random ctx.Ctx.prg n in
+              let x = Array.init n (fun i -> (i * 7919) land 0xFFFF) in
+              let col =
+                let s = Mpc.share_b ctx x in
+                if chunked then Share.park s else Share.wrap s
+              in
+              (match
+                 Permops.apply_elementwise_table ctx [ (col, 16) ]
+                   (Mpc.share_a ctx rho)
+               with
+              | [ y ] ->
+                  Alcotest.(check vec) (tag "rho(x)") (Localperm.apply x rho)
+                    (Share.reconstruct_c y)
+              | _ -> Alcotest.fail "arity");
+              List.iter
+                (fun (share, enc) ->
+                  let e s = tag (s ^ " " ^ enc) in
+                  Alcotest.(check vec) (e "invert") (Localperm.invert sigma)
+                    (Share.reconstruct (Permops.invert ctx (share ctx sigma)));
+                  Alcotest.(check vec) (e "compose")
+                    (Localperm.compose rho sigma)
+                    (Share.reconstruct
+                       (Permops.compose ctx (share ctx sigma) (share ctx rho))))
+                [ (Mpc.share_b, "bool"); (Mpc.share_a, "arith") ];
+              let a = Permops.convert ctx (Mpc.share_b ctx sigma) Share.Arith in
+              Alcotest.(check vec) (tag "convert to arith") sigma
+                (Share.reconstruct a);
+              Alcotest.(check vec) (tag "convert back") sigma
+                (Share.reconstruct (Permops.convert ctx a Share.Bool)))
+            [ false; true ])
+        wrap_ns)
+    kinds
+
+(* Meter pin: at n = 3000 an elementwise application of one 8-bit column
+   charges the data shuffle at 8 bits and rho's shuffle and open at
+   [Ring.index_bits 3000] = 12 bits, not the paper's fixed 32. *)
+let test_apply_elementwise_index_meter () =
+  Alcotest.(check int) "index_bits 3000" 12 (Ring.index_bits 3000);
+  List.iter
+    (fun kind ->
+      let ctx = Ctx.create ~seed:63 kind in
+      let n = 3000 in
+      let x = Mpc.share_b ctx (Array.init n (fun i -> i land 0xFF)) in
+      let rho = Mpc.share_b ctx (Localperm.random ctx.Ctx.prg n) in
+      let _, tl =
+        tally_of ctx (fun () ->
+            Permops.apply_elementwise_table ctx [ (Share.wrap x, 8) ] rho)
+      in
+      let want =
+        Primcost.tally_of
+          (Array.concat
+             [
+               Primcost.shuffle kind ~w:8 ~n;
+               Primcost.shuffle kind ~w:12 ~n;
+               Primcost.open_ kind ~w:12 ~n;
+             ])
+      in
+      Alcotest.(check int)
+        (Ctx.kind_label kind ^ " bits at 8 + 12 + 12")
+        want.Orq_net.Comm.t_bits tl.Orq_net.Comm.t_bits;
+      Alcotest.(check int)
+        (Ctx.kind_label kind ^ " messages")
+        want.Orq_net.Comm.t_messages tl.Orq_net.Comm.t_messages)
+    kinds
+
+(* An arithmetic column passes a sharded permutation at ell or at the
+   index width of its length, and at no other width. *)
+let test_arith_widths_accepted () =
+  for_all_kinds (fun ctx ->
+      List.iter
+        (fun n ->
+          let x = Share.wrap (Mpc.share_a ctx (Array.init n (fun i -> i))) in
+          let p = Shardedperm.gen ctx n in
+          for w = 1 to ctx.Ctx.ell do
+            let ok = w = ctx.Ctx.ell || w = Ring.index_bits n in
+            match Shardedperm.apply ctx [ (x, w) ] p with
+            | [ y ] ->
+                if not ok then
+                  Alcotest.failf "n=%d: an arithmetic column at %d bits passed"
+                    n w;
+                Alcotest.(check vec)
+                  (Printf.sprintf "n=%d w=%d moved" n w)
+                  (Localperm.apply (Array.init n (fun i -> i))
+                     (Shardedperm.plaintext p))
+                  (Share.reconstruct_c y)
+            | _ -> Alcotest.fail "arity"
+            | exception Invalid_argument _ ->
+                if ok then
+                  Alcotest.failf "n=%d: an arithmetic column at %d bits refused"
+                    n w
+          done)
+        wrap_ns)
+
 let qcheck_perm_protocols_compose_invert =
   QCheck.Test.make ~name:"invert(compose) laws under MPC" ~count:10
     QCheck.small_nat
@@ -418,6 +548,12 @@ let suite =
     Alcotest.test_case "Protocol 6: composePerms" `Quick test_compose;
     Alcotest.test_case "Protocol 8: invertElementwisePerm" `Quick test_invert;
     Alcotest.test_case "Protocol 7: convertElementwisePerm" `Quick test_convert;
+    Alcotest.test_case "Protocols 5-8 exact at index wrap points" `Quick
+      test_perm_protocols_wrap;
+    Alcotest.test_case "rho shuffled and opened at the index width" `Quick
+      test_apply_elementwise_index_meter;
+    Alcotest.test_case "arithmetic columns at ell or the index width" `Quick
+      test_arith_widths_accepted;
     QCheck_alcotest.to_alcotest qcheck_perm_protocols_compose_invert;
     Alcotest.test_case "mixed widths: shuffle_table" `Quick
       test_mixed_width_shuffle_table;

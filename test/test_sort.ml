@@ -221,7 +221,11 @@ let test_radix_shuffle_stream () =
 
 (* A 2PC radix sort must stay byte-identical to bit-at-a-time ranking:
    MD5 of the output share vectors plus the online and preprocessing
-   tallies, recorded from the 1-bit generator it replaced. *)
+   tallies, recorded from the 1-bit generator it replaced. The online bits
+   were re-recorded when index vectors narrowed from 32 bits to
+   [Ring.index_bits 40] = 6: 123360 - 73440 = 6 digits x 26 bits x 40 rows
+   x (4 for the ranking product + 2 for the rho shuffle + 2 for its
+   open). *)
 let sh_dm_radix_digest () =
   let ctx = Ctx.create ~seed:0x5047 Ctx.Sh_dm in
   let n = 40 in
@@ -249,7 +253,7 @@ let sh_dm_radix_digest () =
 
 let test_sh_dm_radix_golden () =
   let online, preproc, digest = sh_dm_radix_digest () in
-  Alcotest.(check (array int)) "online rounds, bits, messages" [| 30; 123360; 60 |] online;
+  Alcotest.(check (array int)) "online rounds, bits, messages" [| 30; 73440; 60 |] online;
   Alcotest.(check (array int)) "preproc rounds, bits, messages" [| 24; 277440; 48 |] preproc;
   Alcotest.(check string) "output shares" "857651f53b04c5b4468d20b916d4aff8" digest
 
@@ -521,8 +525,163 @@ let test_triple_budget () =
   Alcotest.(check bool) "small-n additive buffer" true
     (Triple_budget.comparison_budget 100 > 10_000);
   Alcotest.(check bool) "per-sort triples scale with width" true
-    (Triple_budget.triples_for_sort ~n:1000 ~w:64 ~perm_bits:32
-    > Triple_budget.triples_for_sort ~n:1000 ~w:32 ~perm_bits:32)
+    (Triple_budget.triples_for_sort ~n:1000 ~w:64
+    > Triple_budget.triples_for_sort ~n:1000 ~w:32)
+
+(* ---------------- index width at the wrap point ---------------- *)
+
+(* Row counts around the index width's wrap points 2^k: every index,
+   destination and sigma^{-1} vector travels at [Ring.index_bits n] bits,
+   so n = 64 and 1024 fill their ring exactly and n = 65 and 1025 need one
+   bit more. *)
+let wrap_ns = [ 1; 2; 3; 63; 64; 65; 1023; 1024; 1025 ]
+
+(* [f] run whole, then with the chunk store on (7-row chunks); [park]
+   tells [f] which. The debug checks are on in both runs, so an index
+   column that does not fit its declared width fails loudly. Returns both
+   results with their online tallies. *)
+let whole_and_chunked kind f =
+  let run park =
+    Debug.set_checks true;
+    let ctx = Ctx.create ~seed:61 kind in
+    let before = Orq_net.Comm.snapshot ctx.Ctx.comm in
+    let r = f ctx park in
+    (r, Orq_net.Comm.since ctx.Ctx.comm before)
+  in
+  let was = Debug.enabled () and rows0 = Chunkvec.chunk_rows ()
+  and on0 = Chunkvec.streaming_enabled () in
+  Fun.protect
+    ~finally:(fun () ->
+      Debug.set_checks was;
+      Chunkvec.set_chunk_rows rows0;
+      Chunkvec.set_streaming on0)
+  @@ fun () ->
+  let whole = run false in
+  Chunkvec.set_chunk_rows 7;
+  (whole, run true)
+
+(* The stable ascending sorting permutation of rows compared by [cmp]:
+   row i goes to position sigma.(i). *)
+let stable_sigma cmp n =
+  let idx = Array.init n Fun.id in
+  Array.stable_sort cmp idx;
+  let sigma = Array.make n 0 in
+  Array.iteri (fun r i -> sigma.(i) <- r) idx;
+  sigma
+
+let check_wrap_point tag ((v1, t1), (v2, t2)) want =
+  Alcotest.(check (list vec)) (tag ^ " whole") want v1;
+  Alcotest.(check (list vec)) (tag ^ " chunked") want v2;
+  Alcotest.(check (triple int int int)) (tag ^ " tally whole = chunked")
+    Orq_net.Comm.(t1.t_rounds, t1.t_bits, t1.t_messages)
+    Orq_net.Comm.(t2.t_rounds, t2.t_bits, t2.t_messages)
+
+(* Sortwrap.sorting_perm under both base sorts: sigma is exactly the
+   stable sorting permutation, duplicates included. It takes whole
+   vectors, so its chunked run only has the chunk store on. *)
+let test_sorting_perm_wrap () =
+  List.iter
+    (fun kind ->
+      List.iter
+        (fun n ->
+          let st = Random.State.make [| 71; n |] in
+          let key = Array.init n (fun _ -> Random.State.int st 12) in
+          let want = stable_sigma (fun i j -> compare key.(i) key.(j)) n in
+          List.iter
+            (fun (algo, name, w) ->
+              let tag =
+                Printf.sprintf "%s %s n=%d" (Ctx.kind_label kind) name n
+              in
+              check_wrap_point tag
+                (whole_and_chunked kind (fun ctx _ ->
+                     [
+                       Sortwrap.sorting_perm ctx ~algo
+                         [ (Mpc.share_b ctx key, w) ]
+                       |> Share.reconstruct;
+                     ]))
+                [ want ])
+            [
+              (Sortwrap.Radixsort, "radixsort", 4);
+              (Sortwrap.Quicksort, "quicksort", 40);
+            ])
+        wrap_ns)
+    kinds
+
+(* A multi-key TableSort on the radix path (4 + 3 bits) and on the
+   quicksort path (a 40-bit key): keys and a row-id payload come back in
+   the stable lexicographic order. *)
+let test_tablesort_wrap () =
+  let module Tablesort = Orq_core.Tablesort in
+  List.iter
+    (fun kind ->
+      List.iter
+        (fun n ->
+          let st = Random.State.make [| 72; n |] in
+          let a = Array.init n (fun _ -> Random.State.int st 5) in
+          let b = Array.init n (fun _ -> Random.State.int st 8) in
+          let id = Array.init n Fun.id in
+          List.iter
+            (fun (wa, name) ->
+              let tag =
+                Printf.sprintf "%s %s n=%d" (Ctx.kind_label kind) name n
+              in
+              (* a ascending, b descending *)
+              let sigma =
+                stable_sigma
+                  (fun i j ->
+                    match compare a.(i) a.(j) with
+                    | 0 -> compare b.(j) b.(i)
+                    | c -> c)
+                  n
+              in
+              let want =
+                List.map
+                  (fun x -> Orq_shuffle.Localperm.apply x sigma)
+                  [ a; b; id ]
+              in
+              check_wrap_point tag
+                (whole_and_chunked kind (fun ctx park ->
+                     let col x =
+                       let s = Mpc.share_b ctx x in
+                       if park then Share.park s else Share.wrap s
+                     in
+                     let keys, others =
+                       Tablesort.sort_cols ctx
+                         ~keys:
+                           [
+                             (col a, wa, Tablesort.Asc);
+                             (col b, 3, Tablesort.Desc);
+                           ]
+                         [ (col id, Ring.index_bits n) ]
+                     in
+                     List.map Share.reconstruct_c (keys @ others)))
+                want)
+            [ (4, "radix path"); (40, "quicksort path") ])
+        wrap_ns)
+    kinds
+
+(* The compose-based radixsort: its running permutation is composed at
+   the index width and still sorts exactly. It takes whole vectors, so
+   its chunked run only has the chunk store on. *)
+let test_radix_compose_wrap () =
+  List.iter
+    (fun kind ->
+      List.iter
+        (fun n ->
+          let tag = Printf.sprintf "%s n=%d" (Ctx.kind_label kind) n in
+          let st = Random.State.make [| 73; n |] in
+          let key = Array.init n (fun _ -> Random.State.int st 8) in
+          let want = stable_sigma (fun i j -> compare key.(i) key.(j)) n in
+          check_wrap_point tag
+            (whole_and_chunked kind (fun ctx _ ->
+                 let (y, _), sigma =
+                   Radix_compose.sort_with_perm ctx ~bits:3
+                     (Mpc.share_b ctx key) []
+                 in
+                 [ Share.reconstruct y; Share.reconstruct sigma ]))
+            [ sorted_asc key; want ])
+        wrap_ns)
+    kinds
 
 let test_default_algo () =
   Alcotest.(check bool) "narrow keys use radixsort" true
@@ -568,6 +727,12 @@ let suite =
     Alcotest.test_case "quicksort triple budget (B.4)" `Quick
       test_triple_budget;
     Alcotest.test_case "default algorithm choice" `Quick test_default_algo;
+    Alcotest.test_case "sorting_perm exact at index wrap points" `Quick
+      test_sorting_perm_wrap;
+    Alcotest.test_case "multi-key TableSort exact at index wrap points"
+      `Quick test_tablesort_wrap;
+    Alcotest.test_case "compose radixsort exact at index wrap points" `Quick
+      test_radix_compose_wrap;
   ]
 
 let () = Alcotest.run "orq_sort" [ ("sort", suite) ]
