@@ -6,7 +6,9 @@
      orq_lint concur --expect-violations p self-test: fixture must trip rules
      orq_lint exports [--json] [paths...]  dead-export audit of .mli vals
      orq_lint certify [options]            predicted-vs-measured transcripts
-     orq_lint certdiff OLD NEW             per-row deltas of two certificates
+     orq_lint certdiff OLD NEW             per-row deltas of two certificates;
+                                           the summary counts the rows where
+                                           any count rose
 
    Exit codes (the three lint passes, certify and certdiff):
      0  clean — no violations / all pairs certified / no row lost
@@ -247,7 +249,7 @@ let run_certdiff old_path new_path =
   in
   let old_rows = read old_path and new_rows = read new_path in
   let delta name (a, b) = Printf.sprintf "%s %d -> %d (%+d)" name a b (b - a) in
-  let lost = ref 0 and moved = ref 0 in
+  let lost = ref 0 and moved = ref 0 and rose = ref 0 in
   (* per count, (old, new) summed over the rows in both files *)
   let totals = ref (List.map (fun _ -> (0, 0)) Certify.report_counts) in
   List.iter
@@ -260,6 +262,7 @@ let run_certdiff old_path new_path =
           let counts = List.combine o.r_counts nw.r_counts in
           totals := List.map2 (fun (ta, tb) (a, b) -> (ta + a, tb + b)) !totals counts;
           if o.r_counts <> nw.r_counts then incr moved;
+          if List.exists (fun (a, b) -> b > a) counts then incr rose;
           let lose what was now = if was && not now then [ "LOST " ^ what ] else [] in
           let losses =
             lose "certified" o.r_certified nw.r_certified
@@ -277,8 +280,8 @@ let run_certdiff old_path new_path =
     (fun ((q, p), _) ->
       if not (List.mem_assoc (q, p) old_rows) then say "%-12s %-7s new row" q p)
     new_rows;
-  say "certdiff: %d rows, %d moved, %d lost; totals %s" (List.length old_rows) !moved
-    !lost
+  say "certdiff: %d rows, %d moved, %d rose, %d lost; totals %s"
+    (List.length old_rows) !moved !rose !lost
     (String.concat ", " (List.map2 delta Certify.report_counts !totals));
   exit (if !lost = 0 then 0 else 1)
 

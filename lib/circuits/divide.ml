@@ -14,9 +14,14 @@
     remainder stays inside [-2D, 2D), the remainder is carried at the
     divisor's width plus two bits, not the dividend's.
 
-    {b Secret divisor} ([udiv]): w iterations, each a [wd + 2]-bit
-    Kogge–Stone adder behind a ±D multiplexer, where [wd] bounds the
-    divisor's width.
+    {b Secret divisor} ([udiv]): one iteration per quotient bit, each a
+    [wd + 2]-bit Kogge–Stone adder behind a ±D multiplexer, where [wd]
+    bounds the divisor's width. With no bound that is w iterations. A
+    caller that knows the quotient is below [2^qw] (a public fact of the
+    plan: an average fits its source's width, a share of a total is at
+    most 100) passes [?qw]: then x >> qw < D, so the top [w - qw] bits
+    seed the partial remainder, as in the narrow loop below, and only qw
+    iterations run.
 
     {b Public divisor} ([udiv_pub]): powers of two (and [d >= 2^w]) are
     local shifts and masks. Otherwise two exact circuits are priced from
@@ -74,20 +79,35 @@ let nonrestoring (ctx : Ctx.t) ~wr ~bits ~x ~r0 ~select_addend =
   done;
   (!qbits, !r)
 
-(** [udiv ctx ~w ~wd x d] returns boolean sharings of the quotient and
-    remainder of unsigned [w]-bit division by a secret divisor of at most
-    [wd] bits. *)
-let udiv (ctx : Ctx.t) ~w ~wd x d : Share.shared * Share.shared =
+(* The clamped divisor width, the remainder width and the iteration
+   count of [udiv] for the public (w, wd, qw). *)
+let secret_shape ~w ~wd qw =
   check_width w;
   let wd = max 1 (min wd w) in
-  let wr = wd + 2 in
+  (wd, wd + 2, match qw with None -> w | Some q -> max 1 (min q w))
+
+(** [udiv ctx ?qw ~w ~wd x d] returns boolean sharings of the quotient and
+    remainder of unsigned [w]-bit division by a secret divisor of at most
+    [wd] bits, the quotient known to be below [2^qw] (default [w]). *)
+let udiv (ctx : Ctx.t) ?qw ~w ~wd x d : Share.shared * Share.shared =
+  let wd, wr, qw = secret_shape ~w ~wd qw in
   let d = Mpc.and_mask d (Ring.mask wd) in
   let neg_d = Adder.neg ctx ~w:wr d in
   let select_addend s = Mux.mux_b ~width:wr ctx s neg_d d in
-  let r0 = Share.public ctx Share.Bool (Share.length x) 0 in
-  let q, r = nonrestoring ctx ~wr ~bits:w ~x ~r0 ~select_addend in
+  (* q < 2^qw means x >> qw < d: the top w - qw bits are the starting
+     remainder (zero when qw = w) *)
+  let r0 =
+    Mpc.and_mask (Mpc.rshift (Mpc.and_mask x (Ring.mask w)) qw) (Ring.mask wr)
+  in
+  let q, r = nonrestoring ctx ~wr ~bits:qw ~x ~r0 ~select_addend in
   let cond_d = Mpc.band ~width:wr ctx (Mpc.extend_bit (msb r ~wr)) d in
   (q, Mpc.and_mask (Adder.add ctx ~w:wr r cond_d) (Ring.mask wd))
+
+let udiv_rounds ~w ~wd ?qw () =
+  let _, wr, qw = secret_shape ~w ~wd qw in
+  (* -D, then qw iterations and the fix-up, each an AND round (the ±D
+     select, the +D mask) before a wr-bit addition *)
+  Ring.log2_ceil wr + ((qw + 1) * (1 + adder_rounds wr))
 
 (* ------------------------------------------------------------------ *)
 (* Public divisor                                                      *)

@@ -25,11 +25,18 @@ let filter (t : Table.t) (p : Expr.pred) : Table.t =
   Ctx.with_label (Table.ctx t) "filter" @@ fun () ->
   parked (Table.and_valid t (Expr.eval_pred t p))
 
-(** Attach a derived column (e.g. Revenue = Price * (100 - Discount) / 100). *)
+(** Attach a derived column (e.g. Revenue = Price * (100 - Discount) / 100).
+    [If (p, x, 0)] over an unsigned column [x] records [dst <= x]. *)
 let map (t : Table.t) ~dst ?width (e : Expr.num) : Table.t =
   let c = Expr.eval_col t e in
   let c = match width with Some w -> { c with Column.width = w } | None -> c in
-  parked (Table.set_col t dst c)
+  let out = Table.set_col t dst c in
+  parked
+    (match e with
+    | Expr.If (_, Col x, Const 0)
+      when x <> dst && not (Table.find t x).Column.signed ->
+        Table.add_facts out [ Table.Le (dst, x) ]
+    | _ -> out)
 
 (* ------------------------------------------------------------------ *)
 (* Sort / limit / distinct                                             *)
@@ -82,6 +89,33 @@ let count_width_rows rows = Orq_util.Ring.log2_ceil rows + 1
 let sum_width (t : Table.t) w = sum_width_rows (Table.nrows t) w
 let count_width (t : Table.t) = count_width_rows (Table.nrows t)
 
+(* An average is at most its source's maximum, so an unsigned source
+   bounds the quotient of the [ws]-bit sum by its own width. *)
+let avg_width (src : Column.t) ws =
+  if src.Column.signed then ws else min src.Column.width ws
+
+(* The facts the SUMs among [aggs] over [t] carry into the result: two
+   sums of row-wise ordered sources stay ordered, and each sum of an
+   unsigned source records what it sums ([whole] for a global sum). *)
+let sum_facts (t : Table.t) ~whole (aggs : agg list) : Table.fact list =
+  let sums = List.filter (fun a -> match a.fn with Sum -> true | _ -> false) aggs in
+  List.concat_map
+    (fun a ->
+      List.filter_map
+        (fun b ->
+          if a.dst <> b.dst && Table.le t a.src b.src then
+            Some (Table.Le (a.dst, b.dst))
+          else None)
+        sums)
+    sums
+  @ List.filter_map
+      (fun a ->
+        let src = Table.find t a.src in
+        if src.Column.signed then None
+        else
+          Some (Table.Sum_of { col = a.dst; src; over = t.Table.valid; whole }))
+      sums
+
 (* Build the Aggnet specs for one aggregation over groups of at most
    [rows] rows whose sources [find] looks up in the sorted input; Avg
    expands to a sum/count pair plus a post-division. [count] is the 0/1
@@ -132,9 +166,10 @@ let spec_of (sp, _, _, _, _) = sp
 (* The finishers shared by [aggregate] and [group_join], over the table
    [t] that carries the network's rows: every sum/count result converts
    through one fused A2B, run fused with the conjunction of [t]'s validity
-   and the last-of-group mark [last]; then AVG's divisions. *)
+   and the last-of-group mark [last]; then AVG's divisions, each quotient
+   bounded by the width of its source ([src] looks sources up). *)
 let finish (t : Table.t) (aggs : agg list) expanded results
-    ~(last : Share.shared) : Table.t =
+    ~(last : Share.shared) ~(src : string -> Column.t) : Table.t =
   let ctx = Table.ctx t in
   let conv = ref [||] and valid = ref t.Table.valid in
   ignore
@@ -178,12 +213,13 @@ let finish (t : Table.t) (aggs : agg list) expanded results
           let s = Table.find t (a.dst ^ "#sum") in
           let c = Table.find t (a.dst ^ "#count") in
           let w = s.Column.width in
+          let qw = avg_width (src a.src) w in
           let q, _ =
-            Orq_circuits.Divide.udiv ctx ~w ~wd:c.Column.width (Column.data s)
-              (Column.as_bool ctx c)
+            Orq_circuits.Divide.udiv ctx ~qw ~w ~wd:c.Column.width
+              (Column.data s) (Column.as_bool ctx c)
           in
           Table.drop_cols
-            (Table.set_col t a.dst (Column.of_shared ~width:w q))
+            (Table.set_col t a.dst (Column.of_shared ~width:qw q))
             [ a.dst ^ "#sum"; a.dst ^ "#count" ]
       | Sum | Count | Min | Max | Custom _ -> t)
     t aggs
@@ -192,10 +228,14 @@ let finish (t : Table.t) (aggs : agg list) expanded results
     [.aggregate()]): sorts on the keys, runs the aggregation network, and
     keeps one valid row per group (the one holding the group total, marked
     by the network's own pre-pass). AVG is computed with the fully private
-    non-restoring division circuit. *)
+    non-restoring division circuit, its quotient bounded by an unsigned
+    source's width (the result takes that width). Two SUMs whose sources
+    are ordered row by row ([Table.Le]) keep that order, and each SUM of
+    an unsigned source records what it sums ([Table.Sum_of]). *)
 let aggregate (t : Table.t) ~(keys : string list) ~(aggs : agg list) : Table.t =
   let ctx = Table.ctx t in
   Ctx.with_label ctx "aggregate" @@ fun () ->
+  let facts = sum_facts t ~whole:false aggs in
   let t =
     Tablesort.sort
       ~lead:[ (t.Table.valid, 1, Tablesort.Asc) ]
@@ -224,7 +264,11 @@ let aggregate (t : Table.t) ~(keys : string list) ~(aggs : agg list) : Table.t =
        |]);
   let b = Option.get !pre in
   let results = Aggnet.propagate ctx b (List.map spec_of !expanded) in
-  parked (finish t aggs !expanded results ~last:(Aggnet.last_of_group ctx b))
+  let out =
+    finish t aggs !expanded results ~last:(Aggnet.last_of_group ctx b)
+      ~src:(Table.find t)
+  in
+  parked (Table.add_facts out facts)
 
 (* ------------------------------------------------------------------ *)
 (* Global (whole-table) aggregation                                    *)
@@ -253,10 +297,11 @@ let global_aggregate (t : Table.t) ~(aggs : agg list) : Table.t =
         | Sum ->
             let src = Table.find t a.src in
             let w = sum_width t src.Column.width in
-            `Masked (a, Column.as_arith ctx src, w, src.Column.signed, false)
+            `Masked (a, Column.as_arith ctx src, w, src.Column.signed, None)
         | Avg ->
-            let ws = sum_width t (Table.width t a.src) in
-            `Masked (a, Column.as_arith ctx (Table.find t a.src), ws, false, true)
+            let src = Table.find t a.src in
+            let ws = sum_width t src.Column.width in
+            `Masked (a, Column.as_arith ctx src, ws, false, Some (avg_width src ws))
         | Count -> `Count a
         | Min -> `Minmax (a, true, Table.width t a.src, Table.column t a.src)
         | Max -> `Minmax (a, false, Table.width t a.src, Table.column t a.src)
@@ -292,16 +337,17 @@ let global_aggregate (t : Table.t) ~(aggs : agg list) : Table.t =
     List.map
       (fun pl ->
         match pl with
-        | `Masked (a, _, w, signed, is_avg) ->
+        | `Masked (a, _, w, signed, avg) -> (
             let p = products.(!mi) in
             incr mi;
             let si = push_a2b (Mpc.sum_all p) w in
-            if is_avg then
-              let ci =
-                push_a2b (Mpc.sum_all (Lazy.force v_arith)) (count_width t)
-              in
-              `Avg' (a, w, si, ci)
-            else `Sum' (a, w, signed, si)
+            match avg with
+            | Some qw ->
+                let ci =
+                  push_a2b (Mpc.sum_all (Lazy.force v_arith)) (count_width t)
+                in
+                `Avg' (a, w, qw, si, ci)
+            | None -> `Sum' (a, w, signed, si))
         | `Count a ->
             let w = count_width t in
             `Sum' (a, w, false, push_a2b (Mpc.sum_all (Lazy.force v_arith)) w)
@@ -388,24 +434,28 @@ let global_aggregate (t : Table.t) ~(aggs : agg list) : Table.t =
         match st with
         | `Sum' (a, w, signed, si) ->
             (a.dst, Column.of_shared ~signed ~width:w conv.(si))
-        | `Avg' (a, ws, si, ci) ->
+        | `Avg' (a, ws, qw, si, ci) ->
             let q, _ =
-              Orq_circuits.Divide.udiv ctx ~w:ws ~wd:(count_width t) conv.(si)
-                conv.(ci)
+              Orq_circuits.Divide.udiv ctx ~qw ~w:ws ~wd:(count_width t)
+                conv.(si) conv.(ci)
             in
-            (a.dst, Column.of_shared ~width:ws q)
+            (a.dst, Column.of_shared ~width:qw q)
         | `Minmax (a, _, w, _) ->
             let v = mm_vals.(!mmi) in
             incr mmi;
             (a.dst, Column.of_shared ~width:w v))
       staged
   in
-  Table.of_columns ctx (t.Table.name ^ "_agg")
-    ~valid:(Share.public ctx Share.Bool 1 1)
-    cols
+  Table.add_facts
+    (Table.of_columns ctx (t.Table.name ^ "_agg")
+       ~valid:(Share.public ctx Share.Bool 1 1)
+       cols)
+    (sum_facts t ~whole:true aggs)
 
 (** Broadcast the single row of [scalar] (e.g. a global aggregate) as a new
-    constant column of [t] — a local share replication. *)
+    constant column of [t] — a local share replication. When [src] sums a
+    column over a whole table, every column of [t] summing that column
+    over part of the same table's valid rows is recorded [<= dst]. *)
 let with_scalar (t : Table.t) ~(scalar : Table.t) ~(src : string)
     ~(dst : string) : Table.t =
   let c = Table.find scalar src in
@@ -415,7 +465,26 @@ let with_scalar (t : Table.t) ~(scalar : Table.t) ~(src : string)
       (fun vk -> Array.make (Table.nrows t) vk.(0))
       (Column.data c)
   in
-  Table.set_col t dst (Column.with_data c data)
+  let out = Table.set_col t dst (Column.with_data c data) in
+  let total =
+    List.find_map
+      (function
+        | Table.Sum_of { col; src = s; over; whole = true } when col = src ->
+            Some (s, over)
+        | _ -> None)
+      scalar.Table.facts
+  in
+  match total with
+  | None -> out
+  | Some (s, over) ->
+      Table.add_facts out
+        (List.filter_map
+           (function
+             | Table.Sum_of { col; src = s'; over = o'; whole = false }
+               when s' == s && o' == over && col <> dst ->
+                 Some (Table.Le (col, dst))
+             | _ -> None)
+           out.Table.facts)
 
 (* ------------------------------------------------------------------ *)
 (* Joins                                                               *)
@@ -511,8 +580,8 @@ let group_join_applies (left : Table.t) (right : Table.t) ~(on : string list)
     against the linear join followed by {!aggregate} ({!Joincost}); a
     left-outer one (the paper's semantics: every left row survives) is
     always sort-based, and an unmatched left row's group reads zero for
-    SUM, COUNT, MIN and MAX (AVG divides by its zero count). Output: the
-    group keys and the aggregation results. *)
+    SUM, COUNT, MIN and MAX; its AVG divides by a zero count and stays
+    undefined. Output: the group keys and the aggregation results. *)
 let group_join ?(outer = false) (left : Table.t) (right : Table.t)
     ~(on : string list) ~(keys : string list) ~(aggs : agg list) : Table.t =
   if not (group_join_applies left right ~on ~keys ~aggs) then
@@ -542,7 +611,10 @@ let group_join ?(outer = false) (left : Table.t) (right : Table.t)
           List.map spec_of !expanded)
         ()
     in
-    let t = finish g.Joinagg.g_table aggs !expanded g.g_results ~last:g.g_last in
+    let t =
+      finish g.Joinagg.g_table aggs !expanded g.g_results ~last:g.g_last
+        ~src:(Table.find right)
+    in
     Table.project t (keys @ List.map (fun a -> a.dst) aggs)
   in
   if outer then parked (grouped Joinagg.V_left_outer)

@@ -14,7 +14,9 @@ val filter : Table.t -> Expr.pred -> Table.t
     the validity column. *)
 
 val map : Table.t -> dst:string -> ?width:int -> Expr.num -> Table.t
-(** Attach a derived column (e.g. Revenue = Price * (100 - Disc) / 100). *)
+(** Attach a derived column (e.g. Revenue = Price * (100 - Disc) / 100).
+    [If (p, Col x, Const 0)] over an unsigned [x] records the fact
+    [Le (dst, x)]. *)
 
 (** {2 Sort / limit / distinct} *)
 
@@ -45,19 +47,27 @@ val count_width : Table.t -> int
 
 val aggregate : Table.t -> keys:string list -> aggs:agg list -> Table.t
 (** GROUP BY (the paper's [.aggregate()]): sort on the keys, run the
-    aggregation network, keep one valid row per group. *)
+    aggregation network, keep one valid row per group. AVG divides with
+    its quotient bounded by the width of an unsigned source (a signed one
+    keeps the sum width), and the result takes that width. Facts
+    ({!Table.fact}): two SUMs in the call whose sources hold [Le (a, b)]
+    give [Le] on their results, and a SUM of an unsigned source records
+    [Sum_of] a part of the input's valid rows. *)
 
 (** {2 Whole-table aggregation} *)
 
 val global_aggregate : Table.t -> aggs:agg list -> Table.t
 (** No grouping key: SUM/COUNT/AVG via a validity-masked local reduction
     (no sorting — why the paper's Q6 is its cheapest query); MIN/MAX via a
-    log-depth compare tree. One-row result. *)
+    log-depth compare tree. One-row result. AVG and the facts are as in
+    {!aggregate}, a SUM recording [Sum_of] all the input's valid rows. *)
 
 val with_scalar :
   Table.t -> scalar:Table.t -> src:string -> dst:string -> Table.t
 (** Broadcast the single row of [scalar] (e.g. a global aggregate) as a
-    constant column of [t] — local share replication. *)
+    constant column of [t] — local share replication. When [src] is a
+    global SUM, each column of [t] that is a grouped SUM of the same
+    column over the same table gets [Le (col, dst)]. *)
 
 (** {2 Joins} *)
 
@@ -92,8 +102,9 @@ val group_join :
     group's last. COUNT counts the group's matched right rows. Inner joins
     price this against the linear join plus {!aggregate} ({!Joincost});
     [~outer:true] is the left-outer join, where an unmatched left row's
-    group reads zero for SUM/COUNT/MIN/MAX. Output: [keys] then the
-    aggregation results. *)
+    group reads zero for SUM/COUNT/MIN/MAX and its AVG (a division by a
+    zero count) is undefined. Output: [keys] then the aggregation
+    results. *)
 
 val inner_join_unique :
   ?copy:string list -> ?trim:Joinagg.trim_mode -> Table.t -> Table.t ->

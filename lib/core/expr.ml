@@ -16,7 +16,9 @@ type num =
   | Add of num * num
   | Sub of num * num
   | Mul of num * num
-  | Div of num * num  (** private divisor: non-restoring circuit *)
+  | Div of num * num
+      (** private divisor: non-restoring circuit; [k·x / y] with a
+          {!Table.fact} [Le (x, y)] runs only [bitlen k] quotient bits *)
   | Div_pub of num * int  (** public divisor *)
   | If of pred * num * num  (** oblivious CASE WHEN: multiplexed, §3 *)
 
@@ -99,6 +101,15 @@ let fuse2 ctx f g =
   | [| x; y |] -> (x, y)
   | _ -> assert false
 
+(* Bits the quotient a / b can need, from the table's public facts:
+   k·x / y with x <= y row by row is at most k (y is zero only where x
+   is, a division by zero, unspecified either way); otherwise a word. *)
+let quotient_width (t : Table.t) a b =
+  match (a, b) with
+  | Mul (Col x, Const k), Col y when k >= 0 && Table.le t x y ->
+      Orq_util.Ring.log2_ceil (k + 1)
+  | _ -> Orq_util.Ring.word_bits
+
 (* Operands and branches are data-independent, so they evaluate as fused
    tracks, and so do the operands' encoding conversions after them. The
    tracks keep the draw order of sequential evaluation: operands left to
@@ -145,9 +156,10 @@ let rec eval_num (t : Table.t) (e : num) : value =
       let w = cap_width (max va.width vb.width) in
       (* a signed divisor sign-extends to the full width *)
       let wd = if vb.signed then w else vb.width in
+      let qw = max 1 (min w (quotient_width t a b)) in
       let xa, xb = convert (fun v -> as_bool_at ctx v w) va vb in
-      let q, _ = Orq_circuits.Divide.udiv ctx ~w ~wd xa xb in
-      { data = q; width = w; signed = false }
+      let q, _ = Orq_circuits.Divide.udiv ctx ~qw ~w ~wd xa xb in
+      { data = q; width = qw; signed = false }
   | Div_pub (a, d) ->
       let va = eval_num t a in
       let w = cap_width va.width in

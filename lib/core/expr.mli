@@ -12,7 +12,9 @@ type num =
   | Add of num * num
   | Sub of num * num
   | Mul of num * num
-  | Div of num * num  (** private divisor: non-restoring circuit *)
+  | Div of num * num
+      (** private divisor: non-restoring circuit; [k·x / y] with a
+          {!Table.fact} [Le (x, y)] runs only [bitlen k] quotient bits *)
   | Div_pub of num * int  (** public divisor *)
   | If of pred * num * num  (** oblivious CASE WHEN (multiplexed) *)
 

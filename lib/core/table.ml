@@ -8,12 +8,24 @@
 
 open Orq_proto
 
+(* Public facts about column values on valid rows, derived from plan
+   shape alone (never from data), so shape twins derive the same ones.
+   Secret division reads them to bound its quotient. *)
+type fact =
+  | Le of string * string
+      (** unsigned column [a] <= unsigned column [b], row by row *)
+  | Sum_of of { col : string; src : Column.t; over : Share.shared; whole : bool }
+      (** [col] sums the unsigned column [src] over valid rows (under
+          validity [over]) of the table that held it: all of them when
+          [whole], a subset otherwise *)
+
 type t = {
   ctx : Ctx.t;
   name : string;
   cols : (string * Column.t) list;
   valid : Share.shared;  (** boolean single-bit validity column *)
   nrows : int;
+  facts : fact list;
 }
 
 let ctx t = t.ctx
@@ -57,6 +69,7 @@ let create (ctx : Ctx.t) name ?(valid : int array option)
         cols;
     valid = Share.share ctx Bool valid_bits;
     nrows;
+    facts = [];
   }
 
 let of_columns (ctx : Ctx.t) name ~(valid : Share.shared)
@@ -67,26 +80,37 @@ let of_columns (ctx : Ctx.t) name ~(valid : Share.shared)
       if Column.length c <> nrows then
         invalid_arg ("Table.of_columns: ragged column " ^ n))
     cols;
-  { ctx; name; cols; valid; nrows }
+  { ctx; name; cols; valid; nrows; facts = [] }
 
 let rename t name = { t with name }
 
+let fact_cols = function Le (a, b) -> [ a; b ] | Sum_of { col; _ } -> [ col ]
+
+(* Keep the facts whose columns all pass [keep]. *)
+let keep_facts t keep =
+  { t with facts = List.filter (fun f -> List.for_all keep (fact_cols f)) t.facts }
+
+let add_facts t fs = { t with facts = t.facts @ fs }
+let le t a b =
+  List.exists (function Le (x, y) -> x = a && y = b | Sum_of _ -> false) t.facts
+
 let set_col t name (c : Column.t) : t =
+  let t = keep_facts t (fun n -> n <> name) in
   if mem t name then
     { t with cols = List.map (fun (n, c0) -> (n, if n = name then c else c0)) t.cols }
   else { t with cols = t.cols @ [ (name, c) ] }
 
 let drop_cols t names =
+  let t = keep_facts t (fun n -> not (List.mem n names)) in
   { t with cols = List.filter (fun (n, _) -> not (List.mem n names)) t.cols }
 
 (** PROJECT: keep only the named columns (validity is always kept). *)
 let project t names =
-  {
-    t with
-    cols = List.map (fun n -> (n, find t n)) names;
-  }
+  let t = keep_facts t (fun n -> List.mem n names) in
+  { t with cols = List.map (fun n -> (n, find t n)) names }
 
 let rename_col t ~from ~into =
+  let t = keep_facts t (fun n -> n <> from && n <> into) in
   { t with cols = List.map (fun (n, c) -> ((if n = from then into else n), c)) t.cols }
 
 (** Restrict to the first [k] physical rows (public row-count change; used

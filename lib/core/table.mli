@@ -6,12 +6,28 @@
 
 open Orq_proto
 
+(** Public facts about column values on valid rows, derived from plan
+    shape alone (never from data), so shape twins derive the same ones.
+    Secret division reads them to bound its quotient. Operators that
+    permute or invalidate rows keep them; overwriting, dropping,
+    projecting away or renaming a column drops its facts; tables built
+    from fresh columns start with none. *)
+type fact =
+  | Le of string * string
+      (** unsigned column [a] <= unsigned column [b], row by row *)
+  | Sum_of of { col : string; src : Column.t; over : Share.shared; whole : bool }
+      (** [col] sums the unsigned column [src] over valid rows (under
+          validity [over]) of the table that held it: all of them when
+          [whole], a subset otherwise. [src] and [over] identify that
+          table physically. *)
+
 type t = {
   ctx : Ctx.t;
   name : string;
   cols : (string * Column.t) list;
   valid : Share.shared;  (** boolean single-bit validity column *)
   nrows : int;
+  facts : fact list;
 }
 
 val ctx : t -> Ctx.t
@@ -35,6 +51,12 @@ val of_columns :
   Ctx.t -> string -> valid:Share.shared -> (string * Column.t) list -> t
 
 val rename : t -> string -> t
+
+val add_facts : t -> fact list -> t
+
+val le : t -> string -> string -> bool
+(** [le t a b]: whether [t] holds the fact [Le (a, b)]. *)
+
 val set_col : t -> string -> Column.t -> t
 val drop_cols : t -> string list -> t
 

@@ -305,6 +305,70 @@ let test_div_qcheck =
             (Array.map2 (fun a b -> (a, b)) x d))
         kinds)
 
+let div_tally ctx ?qw ~w ~wd x d =
+  let sx = Mpc.share_b ctx x and sd = Mpc.share_b ctx d in
+  let before = Orq_net.Comm.snapshot ctx.Ctx.comm in
+  let q, r = Divide.udiv ctx ?qw ~w ~wd sx sd in
+  (Share.reconstruct q, Share.reconstruct r, Orq_net.Comm.since ctx.Ctx.comm before)
+
+(* A quotient bound of qw bits: x = q·d + r with q < 2^qw, the boundary
+   cases forced in (q = 2^qw - 1, d = 1, x = d, x = 0); every run is exact
+   and meets the closed-form round count. *)
+let test_div_bounded_qcheck =
+  let gen =
+    QCheck.Gen.(
+      int_range 1 40 >>= fun w ->
+      int_range 1 w >>= fun wd ->
+      int_range 1 w >>= fun qw ->
+      let dmax = Ring.mask wd in
+      (* largest dividend under both the width and the quotient bound *)
+      let xcap d =
+        if d > Ring.mask w lsr qw then Ring.mask w else (d lsl qw) - 1
+      in
+      let case =
+        int_range 1 dmax >>= fun d ->
+        int_range 0 (xcap d) >>= fun x -> return (x, d)
+      in
+      array_size (return 5) case >>= fun cases ->
+      int_range 1 dmax >>= fun d ->
+      let extremes =
+        [| (xcap d, d); (xcap 1, 1); (d, d); (0, d); (xcap dmax, dmax) |]
+      in
+      return (w, wd, qw, Array.append extremes cases))
+  in
+  QCheck.Test.make ~name:"bounded-quotient division (exact q, r, rounds)"
+    ~count:40
+    (QCheck.make
+       ~print:(fun (w, wd, qw, c) ->
+         Printf.sprintf "w=%d wd=%d qw=%d (x, d)=[%s]" w wd qw
+           (String.concat ";"
+              (Array.to_list
+                 (Array.map (fun (x, d) -> Printf.sprintf "(%d,%d)" x d) c))))
+       gen)
+    (fun (w, wd, qw, cases) ->
+      let x = Array.map fst cases and d = Array.map snd cases in
+      List.for_all
+        (fun k ->
+          let q, r, tl = div_tally (Ctx.create ~seed:14 k) ~qw ~w ~wd x d in
+          Vec.equal q (Array.map2 ( / ) x d)
+          && Vec.equal r (Array.map2 ( mod ) x d)
+          && tl.Orq_net.Comm.t_rounds = Divide.udiv_rounds ~w ~wd ~qw ())
+        kinds)
+
+let test_div_rounds () =
+  List.iter
+    (fun (w, wd, qw, expect) ->
+      let name = Printf.sprintf "(w=%d, wd=%d, qw=%d)" w wd qw in
+      Alcotest.(check int) (name ^ " closed form") expect
+        (Divide.udiv_rounds ~w ~wd ~qw ());
+      for_all_kinds (fun ctx ->
+          let _, _, tl = div_tally ctx ~qw ~w ~wd [| 7; 9; 0 |] [| 1; 2; 3 |] in
+          Alcotest.(check int) (name ^ " measured") expect tl.Orq_net.Comm.t_rounds))
+    [ (21, 12, 21, 136); (21, 12, 8, 58); (58, 40, 7, 70); (8, 4, 1, 13); (30, 2, 30, 126) ];
+  Alcotest.(check int) "qw defaults to w"
+    (Divide.udiv_rounds ~w:21 ~wd:12 ~qw:21 ())
+    (Divide.udiv_rounds ~w:21 ~wd:12 ())
+
 let test_div_pub () =
   for_all_kinds (fun ctx ->
       let x = [| 1000; 12345; 77; 64; 0; 65535 |] in
@@ -395,6 +459,8 @@ let suite =
     Alcotest.test_case "b2a is one round" `Quick test_b2a_rounds;
     Alcotest.test_case "division known cases" `Quick test_div_known;
     QCheck_alcotest.to_alcotest test_div_qcheck;
+    QCheck_alcotest.to_alcotest test_div_bounded_qcheck;
+    Alcotest.test_case "secret division round counts" `Quick test_div_rounds;
     Alcotest.test_case "division by public divisor" `Quick test_div_pub;
     QCheck_alcotest.to_alcotest test_div_pub_qcheck;
     Alcotest.test_case "public division round counts" `Quick test_div_pub_rounds;

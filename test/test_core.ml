@@ -317,6 +317,121 @@ let test_group_by_avg () =
   Alcotest.(check rows_t) "avg" [ [ 1; 15 ]; [ 2; 5 ] ]
     (Table.valid_rows_sorted t' [ "G"; "A" ])
 
+(* AVG bounds its quotient by the source width: groups whose every value
+   is the source maximum, single-row groups and a zero group stay exact,
+   grouped and global, and the result takes the source width. *)
+let test_avg_at_source_max () =
+  for_all_kinds (fun ctx ->
+      let t =
+        Table.create ctx "m"
+          [
+            ("G", 4, [| 1; 1; 1; 2; 3; 4; 4 |]);
+            ("X", 8, [| 255; 255; 255; 255; 0; 7; 255 |]);
+          ]
+      in
+      let avg = [ { Dataflow.src = "X"; dst = "A"; fn = Dataflow.Avg } ] in
+      let g = Dataflow.aggregate t ~keys:[ "G" ] ~aggs:avg in
+      Alcotest.(check rows_t) "grouped"
+        [ [ 1; 255 ]; [ 2; 255 ]; [ 3; 0 ]; [ 4; 131 ] ]
+        (Table.valid_rows_sorted g [ "G"; "A" ]);
+      Alcotest.(check int) "grouped width" 8 (Table.width g "A");
+      let t = Dataflow.filter t Expr.(col "G" <=. const 2) in
+      let g = Dataflow.global_aggregate t ~aggs:avg in
+      Alcotest.(check rows_t) "global" [ [ 255 ] ] (Table.valid_rows_sorted g [ "A" ]);
+      Alcotest.(check int) "global width" 8 (Table.width g "A"))
+
+let rounds_of ctx f =
+  let before = Orq_net.Comm.snapshot ctx.Ctx.comm in
+  let r = f () in
+  (r, (Orq_net.Comm.since ctx.Ctx.comm before).Orq_net.Comm.t_rounds)
+
+(* Ratio shapes 100·ΣIf(p, x, 0) / Σx: grouped (Q8), global (Q14) and a
+   grouped sum over the global one (market share). The dominance facts
+   bound each quotient to 7 bits; the ratio is exact at its extremes (all
+   rows, no row, single rows), and the plan shape alone decides. *)
+let ratio_table ctx =
+  Table.create ctx "r"
+    [
+      ("G", 4, [| 1; 1; 2; 2; 3; 4; 4 |]);
+      ("P", 1, [| 1; 1; 0; 0; 1; 1; 0 |]);
+      ("X", 20, [| 1048575; 1048575; 9; 1; 1; 3; 997 |]);
+    ]
+
+let test_ratio_dominance () =
+  for_all_kinds (fun ctx ->
+      let t = ratio_table ctx in
+      let t = Dataflow.map t ~dst:"PX" Expr.(If (col "P" ==. const 1, col "X", const 0)) in
+      Alcotest.(check bool) "If(p, x, 0) <= x" true (Table.le t "PX" "X");
+      let sums =
+        [
+          { Dataflow.src = "PX"; dst = "num"; fn = Dataflow.Sum };
+          { Dataflow.src = "X"; dst = "den"; fn = Dataflow.Sum };
+        ]
+      in
+      let ratio t = Dataflow.map t ~dst:"pct" Expr.(Div (col "num" *! const 100, col "den")) in
+      let g = Dataflow.aggregate t ~keys:[ "G" ] ~aggs:sums in
+      Alcotest.(check bool) "sums keep the fact" true (Table.le g "num" "den");
+      let g = ratio g in
+      Alcotest.(check rows_t) "grouped ratio"
+        [ [ 1; 100 ]; [ 2; 0 ]; [ 3; 100 ]; [ 4; 0 ] ]
+        (Table.valid_rows_sorted g [ "G"; "pct" ]);
+      Alcotest.(check int) "grouped quotient width" 7 (Table.width g "pct");
+      let gl = ratio (Dataflow.global_aggregate t ~aggs:sums) in
+      Alcotest.(check rows_t) "global ratio"
+        [ [ 2097154 * 100 / 2098161 ] ]
+        (Table.valid_rows_sorted gl [ "pct" ]);
+      Alcotest.(check int) "global quotient width" 7 (Table.width gl "pct");
+      let total =
+        Dataflow.global_aggregate t ~aggs:[ { Dataflow.src = "X"; dst = "tot"; fn = Dataflow.Sum } ]
+      in
+      let per =
+        Dataflow.aggregate t ~keys:[ "G" ]
+          ~aggs:[ { Dataflow.src = "X"; dst = "vol"; fn = Dataflow.Sum } ]
+      in
+      let per = Dataflow.with_scalar per ~scalar:total ~src:"tot" ~dst:"tot" in
+      Alcotest.(check bool) "group sum <= global sum" true (Table.le per "vol" "tot");
+      let share = Dataflow.map per ~dst:"pct" Expr.(Div (col "vol" *! const 100, col "tot")) in
+      Alcotest.(check rows_t) "market share"
+        [ [ 1; 99 ]; [ 2; 0 ]; [ 3; 0 ]; [ 4; 0 ] ]
+        (Table.valid_rows_sorted share [ "G"; "pct" ]);
+      Alcotest.(check int) "market share width" 7 (Table.width share "pct");
+      (* overwriting or projecting away a column drops its facts *)
+      let over = Dataflow.map g ~dst:"num" Expr.(col "den" +! const 1) in
+      Alcotest.(check bool) "overwrite drops" false (Table.le over "num" "den");
+      let proj = Table.project g [ "G"; "num" ] in
+      Alcotest.(check bool) "projection drops" false (Table.le proj "num" "den");
+      let other = Table.create ctx "o" [ ("X", 20, [| 1 |]) ] in
+      let foreign =
+        Dataflow.with_scalar per
+          ~scalar:(Dataflow.global_aggregate other ~aggs:[ { Dataflow.src = "X"; dst = "tot"; fn = Dataflow.Sum } ])
+          ~src:"tot" ~dst:"tot"
+      in
+      Alcotest.(check bool) "a sum over another table is no bound" false
+        (Table.le foreign "vol" "tot"))
+
+(* Without a dominance fact the divisor may be the smaller side:
+   Div (b·100, a) over a <= b keeps all w iterations and stays exact, at
+   the rounds of the same division on a table with no facts. *)
+let test_ratio_without_fact () =
+  for_all_kinds (fun ctx ->
+      let t = ratio_table ctx in
+      let t = Dataflow.map t ~dst:"PX" Expr.(If (col "P" ==. const 1, col "X", const 1)) in
+      let t = Dataflow.map t ~dst:"A" Expr.(If (col "P" ==. const 1, col "X", const 0)) in
+      Alcotest.(check bool) "fact made" true (Table.le t "A" "X");
+      let inv = Expr.(Div (col "X" *! const 100, col "PX")) in
+      let with_fact, r1 = rounds_of ctx (fun () -> Dataflow.map t ~dst:"Q" inv) in
+      let bare = Table.of_columns ctx "bare" ~valid:t.Table.valid t.Table.cols in
+      let _, r0 = rounds_of ctx (fun () -> Dataflow.map bare ~dst:"Q" inv) in
+      Alcotest.(check int) "no fact, full width" r0 r1;
+      Alcotest.(check rows_t) "exact"
+        [ [ 100 ]; [ 100 ]; [ 100 ]; [ 100 ]; [ 100 ]; [ 900 ]; [ 99700 ] ]
+        (Table.valid_rows_sorted with_fact [ "Q" ]);
+      let _, bounded =
+        rounds_of ctx (fun () ->
+            Dataflow.map t ~dst:"Q" Expr.(Div (col "A" *! const 100, col "X")))
+      in
+      Alcotest.(check bool) "the bounded direction is cheaper" true (bounded < r0))
+
 let test_group_by_respects_filter () =
   let ctx = hm () in
   let t =
@@ -1069,6 +1184,11 @@ let suite =
     Alcotest.test_case "group-by sum/count/min/max" `Quick test_group_by;
     Alcotest.test_case "group-by AVG (oblivious division)" `Quick
       test_group_by_avg;
+    Alcotest.test_case "AVG at the source maximum" `Quick test_avg_at_source_max;
+    Alcotest.test_case "ratio quotients bounded by dominance facts" `Quick
+      test_ratio_dominance;
+    Alcotest.test_case "ratio without a dominance fact" `Quick
+      test_ratio_without_fact;
     Alcotest.test_case "group-by excludes invalid rows" `Quick
       test_group_by_respects_filter;
     Alcotest.test_case "distinct" `Quick test_distinct;
