@@ -7,7 +7,8 @@
      orq_lint exports [--json] [paths...]  dead-export audit of .mli vals
      orq_lint certify [options]            predicted-vs-measured transcripts
      orq_lint certdiff OLD NEW             per-row deltas of two certificates;
-                                           the summary counts the rows where
+                                           one totals line per protocol, then
+                                           a summary counting the rows where
                                            any count rose
 
    Exit codes (the three lint passes, certify and certdiff):
@@ -250,8 +251,11 @@ let run_certdiff old_path new_path =
   let old_rows = read old_path and new_rows = read new_path in
   let delta name (a, b) = Printf.sprintf "%s %d -> %d (%+d)" name a b (b - a) in
   let lost = ref 0 and moved = ref 0 and rose = ref 0 in
-  (* per count, (old, new) summed over the rows in both files *)
-  let totals = ref (List.map (fun _ -> (0, 0)) Certify.report_counts) in
+  (* per count, (old, new) summed over the rows in both files: overall
+     and per protocol, protocols in order of first appearance *)
+  let zero = List.map (fun _ -> (0, 0)) Certify.report_counts in
+  let totals = ref zero and by_proto = ref [] in
+  let add acc counts = List.map2 (fun (ta, tb) (a, b) -> (ta + a, tb + b)) acc counts in
   List.iter
     (fun ((q, p), (o : Certify.report_row)) ->
       match List.assoc_opt (q, p) new_rows with
@@ -260,7 +264,9 @@ let run_certdiff old_path new_path =
           say "%-12s %-7s LOST: row missing from %s" q p new_path
       | Some nw ->
           let counts = List.combine o.r_counts nw.r_counts in
-          totals := List.map2 (fun (ta, tb) (a, b) -> (ta + a, tb + b)) !totals counts;
+          totals := add !totals counts;
+          let was = Option.value (List.assoc_opt p !by_proto) ~default:zero in
+          by_proto := (p, add was counts) :: List.remove_assoc p !by_proto;
           if o.r_counts <> nw.r_counts then incr moved;
           if List.exists (fun (a, b) -> b > a) counts then incr rose;
           let lose what was now = if was && not now then [ "LOST " ^ what ] else [] in
@@ -280,9 +286,20 @@ let run_certdiff old_path new_path =
     (fun ((q, p), _) ->
       if not (List.mem_assoc (q, p) old_rows) then say "%-12s %-7s new row" q p)
     new_rows;
+  let line t = String.concat ", " (List.map2 delta Certify.report_counts t) in
+  let protocols =
+    List.fold_left
+      (fun acc ((_, p), _) -> if List.mem p acc then acc else acc @ [ p ])
+      [] old_rows
+  in
+  List.iter
+    (fun p ->
+      match List.assoc_opt p !by_proto with
+      | Some t -> say "certdiff: %s totals %s" p (line t)
+      | None -> ())
+    protocols;
   say "certdiff: %d rows, %d moved, %d rose, %d lost; totals %s"
-    (List.length old_rows) !moved !rose !lost
-    (String.concat ", " (List.map2 delta Certify.report_counts !totals));
+    (List.length old_rows) !moved !rose !lost (line !totals);
   exit (if !lost = 0 then 0 else 1)
 
 (* ---------------- arg parsing ---------------- *)

@@ -3,9 +3,12 @@
     under [lib/] against the declassification discipline:
 
     {b Rule 1 (declass)} — any syntactic use of the opening primitives
-    ([open_], [open_f], [open_many], [open_f_many], bare or
-    [Mpc]-qualified) must be registered in {!Declass.all} for its enclosing
-    [Module.function] site.
+    ({!open_prims}: [Mpc]'s [open_], [open_f], [open_many], [open_f_many]
+    and the fused openings [band_open_f] and [reshare_open_unmetered], and
+    the entry points built on them, [Shardedperm.apply_open],
+    [Permops.shuffle_open_table] and [Compare.lt_lex_open_f]; bare or
+    qualified by their module) must be registered in {!Declass.all} for
+    its enclosing [Module.function] site.
 
     {b Rule 2 (branch)} — any [if]/[match]/[while] scrutinee or [for] bound
     that flows from an opened value must likewise be registered. Flow is
@@ -29,7 +32,25 @@
 
 open Parsetree
 
-let open_names = [ "open_"; "open_f"; "open_many"; "open_f_many" ]
+(* Every primitive that opens, with the module that defines it. The
+   fused openings open a value in the round that produced it: the
+   reconstruction a permute-and-reshare pass delivers in the clear, the
+   AND opened in its own round, and the shuffle and comparison entry
+   points built on them. *)
+let open_prims =
+  [
+    ("Mpc", "open_");
+    ("Mpc", "open_f");
+    ("Mpc", "open_many");
+    ("Mpc", "open_f_many");
+    ("Mpc", "band_open_f");
+    ("Mpc", "reshare_open_unmetered");
+    ("Shardedperm", "apply_open");
+    ("Permops", "shuffle_open_table");
+    ("Compare", "lt_lex_open_f");
+  ]
+
+let open_names = List.map snd open_prims
 
 (* Interactive (round-consuming) Mpc primitives for rule 3. Local share
    algebra (xor, add, shifts, …) is domain-safe and deliberately absent. *)
@@ -96,15 +117,15 @@ let last_of lid = match List.rev (parts lid) with x :: _ -> x | [] -> ""
 let qualifier lid =
   match List.rev (parts lid) with _ :: q :: _ -> q | _ -> ""
 
-(* Opening primitives: bare (inside Mpc itself) or Mpc-qualified. *)
+(* Opening primitives: bare (inside their own module) or qualified by
+   the module that defines them. *)
 let is_open_ident lid =
-  List.mem (last_of lid) open_names
-  && (match qualifier lid with "" | "Mpc" -> true | _ -> false)
+  let l = last_of lid and q = qualifier lid in
+  List.exists (fun (m, name) -> name = l && (q = "" || q = m)) open_prims
 
 let is_interactive_mpc lid =
-  let l = last_of lid in
-  List.mem l interactive_names
-  && (qualifier lid = "Mpc" || (qualifier lid = "" && List.mem l open_names))
+  is_open_ident lid
+  || (qualifier lid = "Mpc" && List.mem (last_of lid) interactive_names)
 
 let is_parallel_entry lid =
   qualifier lid = "Parallel" && List.mem (last_of lid) parallel_entry_points

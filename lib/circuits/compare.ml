@@ -75,12 +75,10 @@ let eq (ctx : Ctx.t) ~w x y = (eq_many ctx [| (x, y, w) |]).(0)
      lt' = lt_hi xor (eq_hi and lt_lo)   (xor = or: the terms are disjoint)
      eq' = eq_hi and eq_lo
    Both ANDs of a lane's level are packed in its word (the append trick),
-   and all active lanes share the level's single fused round. Returns the
-   (lt, eq) bit pair per lane — eq is free, the ladder computes it anyway. *)
-let lt_core_many (ctx : Ctx.t)
-    (lanes : (Share.shared * Share.shared * int) array) :
-    (Share.shared * Share.shared) array =
-  let k = Array.length lanes in
+   and all active lanes share the level's single fused round. [lt_init]
+   is the initial AND round: the block words at block size 1. *)
+let lt_init (ctx : Ctx.t) (lanes : (Share.shared * Share.shared * int) array)
+    =
   let ltb =
     Mpc.band_many
       ~widths:(Array.map (fun (_, _, w) -> w) lanes)
@@ -103,13 +101,19 @@ let lt_core_many (ctx : Ctx.t)
         Mpc.bnot (Mpc.xor (Mpc.and_mask x mw) (Mpc.and_mask y mw)))
       lanes
   in
-  let d = Array.make k 1 in
+  (ltb, eqb)
+
+(* The ladder levels, in place: lane i merges blocks of size d.(i) while
+   [more i d.(i)] holds. *)
+let lt_levels (ctx : Ctx.t) (lanes : (Share.shared * Share.shared * int) array)
+    ltb eqb d ~more =
+  let k = Array.length lanes in
   let width_of i =
     let _, _, w = lanes.(i) in
     w
   in
   let rec loop () =
-    let active = active_lanes k (fun i -> d.(i) < width_of i) in
+    let active = active_lanes k (fun i -> more i d.(i)) in
     if Array.length active > 0 then begin
       let xs =
         Array.map
@@ -150,8 +154,19 @@ let lt_core_many (ctx : Ctx.t)
       loop ()
     end
   in
-  loop ();
-  Array.init k (fun i -> (Mpc.and_mask ltb.(i) 1, Mpc.and_mask eqb.(i) 1))
+  loop ()
+
+(* The full ladder of every lane: the (lt, eq) bit pair per lane — eq is
+   free, the ladder computes it anyway. *)
+let lt_core_many (ctx : Ctx.t)
+    (lanes : (Share.shared * Share.shared * int) array) :
+    (Share.shared * Share.shared) array =
+  let ltb, eqb = lt_init ctx lanes in
+  let d = Array.make (Array.length lanes) 1 in
+  lt_levels ctx lanes ltb eqb d ~more:(fun i dd ->
+      let _, _, w = lanes.(i) in
+      dd < w);
+  Array.map2 (fun l e -> (Mpc.and_mask l 1, Mpc.and_mask e 1)) ltb eqb
 
 (* Two's-complement comparison = unsigned comparison with flipped sign
    bits (a local xor). *)
@@ -190,11 +205,12 @@ let ge ?signed ctx ~w x y = Mpc.xor_pub (lt ?signed ctx ~w x y) 1
      (lt_hi, eq_hi) ⊗ (lt_lo, eq_lo) = (lt_hi ⊕ eq_hi∧lt_lo, eq_hi∧eq_lo)
    Each level issues the two single-bit ANDs of every adjacent pair as one
    fused round, over packed flag lanes ({!Mpc.band_f_many}): randomness and
-   local work are per word, element-level traffic unchanged. *)
-let rec lex_reduce_f (ctx : Ctx.t) (ps : (Share.flags * Share.flags) array) :
-    Share.flags =
+   local work are per word, element-level traffic unchanged. Merges until
+   at most [until] pairs remain. *)
+let rec lex_merge_f (ctx : Ctx.t) ~until (ps : (Share.flags * Share.flags) array)
+    =
   let m = Array.length ps in
-  if m = 1 then fst ps.(0)
+  if m <= until then ps
   else begin
     let pn = m / 2 in
     let xs = Array.init (2 * pn) (fun t -> snd ps.(2 * (t / 2))) in
@@ -211,8 +227,15 @@ let rec lex_reduce_f (ctx : Ctx.t) (ps : (Share.flags * Share.flags) array) :
     let merged =
       if m mod 2 = 1 then Array.append merged [| ps.(m - 1) |] else merged
     in
-    lex_reduce_f ctx merged
+    lex_merge_f ctx ~until merged
   end
+
+(* Every column's (lt, eq) ladder in one fused lockstep pass, as packed
+   flags. *)
+let lt_eq_flags ?signed (ctx : Ctx.t) cols =
+  Array.map
+    (fun (l, e) -> (Share.pack_flags l, Share.pack_flags e))
+    (lt_eq_many ?signed ctx (Array.of_list cols))
 
 (** Lexicographic less-than over a list of (x, y, width) column pairs,
     returned as packed flags — the composite-key comparator used by
@@ -225,11 +248,42 @@ let rec lex_reduce_f (ctx : Ctx.t) (ps : (Share.flags * Share.flags) array) :
 let lt_lex_f ?signed (ctx : Ctx.t) = function
   | [] -> invalid_arg "lt_lex: empty key list"
   | [ (x, y, w) ] -> Share.pack_flags (lt ?signed ctx ~w x y)
-  | cols ->
-      lex_reduce_f ctx
-        (Array.map
-           (fun (l, e) -> (Share.pack_flags l, Share.pack_flags e))
-           (lt_eq_many ?signed ctx (Array.of_list cols)))
+  | cols -> fst (lex_merge_f ctx ~until:1 (lt_eq_flags ?signed ctx cols)).(0)
+
+(* The lexicographic less-than short of its last AND, as packed flags
+   (x, y, tail) with lt = (x ∧ y) ⊕ tail. One column: its ladder stops
+   before the level whose blocks span the word (the initial AND when
+   w = 1); bit 0 of that level is lt_hi ⊕ (eq_hi ∧ lt_lo) over the block
+   words, which is all the opening needs, so the level's other products
+   are never formed. Several columns: the merge stops at two pairs. *)
+let lt_lex_last (ctx : Ctx.t) = function
+  | [] -> invalid_arg "lt_lex: empty key list"
+  | [ (x, y, w) ] ->
+      if w = 1 then (Share.pack_flags (Mpc.bnot x), Share.pack_flags y, None)
+      else begin
+        let lanes = [| (x, y, w) |] in
+        let ltb, eqb = lt_init ctx lanes in
+        let d = [| 1 |] in
+        lt_levels ctx lanes ltb eqb d ~more:(fun _ dd -> 2 * dd < w);
+        let pack_at v = Share.pack_flags (Mpc.rshift v d.(0)) in
+        (pack_at eqb.(0), Share.pack_flags ltb.(0), Some (pack_at ltb.(0)))
+      end
+  | cols -> (
+      match lex_merge_f ctx ~until:2 (lt_eq_flags ctx cols) with
+      | [| (l0, e0); (l1, _) |] -> (e0, l1, Some l0)
+      | _ -> assert false)
+
+(** {!lt_lex_f} opened. Under SH-HM the last AND opens in its own round
+    ({!Mpc.band_open_f}): one round fewer than {!lt_lex_f} then
+    {!Mpc.open_f}, and that last round forms only the opened product.
+    Under SH-DM and Mal-HM it is exactly {!lt_lex_f} then
+    {!Mpc.open_f}. *)
+let lt_lex_open_f (ctx : Ctx.t) cols =
+  match ctx.kind with
+  | Ctx.Sh_dm | Ctx.Mal_hm -> Mpc.open_f ctx (lt_lex_f ctx cols)
+  | Ctx.Sh_hm ->
+      let x, y, tail = lt_lex_last ctx cols in
+      Mpc.band_open_f ctx ?tail x y
 
 let lt_lex ?signed (ctx : Ctx.t) = function
   | [ (x, y, w) ] -> lt ?signed ctx ~w x y

@@ -52,12 +52,16 @@ val lt_lex :
     columns' (lt, eq) ladders run in one fused lockstep pass, then a
     log-depth associative merge combines them. *)
 
-val lt_lex_f :
-  ?signed:bool -> Ctx.t -> (Share.shared * Share.shared * int) list ->
-  Share.flags
-(** {!lt_lex} delivered as packed flag lanes: the multi-bit ladders stay
-    word-based, the column merge runs over packed flags (per-word
-    randomness and local work; identical element-level traffic). *)
+val lt_lex_open_f :
+  Ctx.t -> (Share.shared * Share.shared * int) list -> Orq_util.Bits.t
+(** Unsigned {!lt_lex} opened to all parties as packed flags. The multi-bit
+    ladders stay word-based and the column merge runs over packed flags
+    (per-word randomness and local work). Under SH-HM the circuit's last
+    AND opens in its own round ({!Mpc.band_open_f}): one round fewer than
+    computing the comparison and then opening it, and that round forms
+    only the opened product, so it moves fewer bits too. Under SH-DM and
+    Mal-HM it is the packed comparison then {!Mpc.open_f}, transcript for
+    transcript. *)
 
 val eq_composite :
   Ctx.t -> (Share.shared * Share.shared * int) list -> Share.shared

@@ -16,12 +16,13 @@
 
     {b Secret divisor} ([udiv]): one iteration per quotient bit, each a
     [wd + 2]-bit Kogge–Stone adder behind a ±D multiplexer, where [wd]
-    bounds the divisor's width. With no bound that is w iterations. A
-    caller that knows the quotient is below [2^qw] (a public fact of the
-    plan: an average fits its source's width, a share of a total is at
-    most 100) passes [?qw]: then x >> qw < D, so the top [w - qw] bits
-    seed the partial remainder, as in the narrow loop below, and only qw
-    iterations run.
+    bounds the divisor's width; the first iteration's remainder is known
+    non-negative, so it adds -D with no multiplexer. With no bound that
+    is w iterations. A caller that knows the quotient is below [2^qw] (a
+    public fact of the plan: an average fits its source's width, a share
+    of a total is at most 100) passes [?qw]: then x >> qw < D, so the top
+    [w - qw] bits seed the partial remainder, as in the narrow loop
+    below, and only qw iterations run.
 
     {b Public divisor} ([udiv_pub]): powers of two (and [d >= 2^w]) are
     local shifts and masks. Otherwise two exact circuits are priced from
@@ -64,16 +65,21 @@ let msb x ~wr = Mpc.extract_bit x (wr - 1)
 (* Shared skeleton of the non-restoring loop: consumes bits [bits-1 .. 0]
    of [x] into the wr-bit partial remainder [r0] (0 <= r0 < D).
    [select_addend sign] must return the wr-bit boolean sharing of -D
-   (sign = 0) or +D (sign = 1). Returns the quotient bits and the
-   unfixed remainder R in [-D, D); its sign flags the +D fix-up. *)
-let nonrestoring (ctx : Ctx.t) ~wr ~bits ~x ~r0 ~select_addend =
+   (sign = 0) or +D (sign = 1); the first iteration's remainder is r0,
+   non-negative, so it adds [neg_d] (-D) without a select. Returns the
+   quotient bits and the unfixed remainder R in [-D, D); its sign flags
+   the +D fix-up. *)
+let nonrestoring (ctx : Ctx.t) ~wr ~bits ~x ~r0 ~neg_d ~select_addend =
   let r = ref r0 in
   let qbits = ref (Share.public ctx Share.Bool (Share.length x) 0) in
   for i = bits - 1 downto 0 do
     (* 2R + x_i : the shifted-in low bit is zero so xor inserts x_i *)
     let shifted = Mpc.xor (Mpc.lshift !r 1) (Mpc.extract_bit x i) in
     let r2 = Mpc.and_mask shifted (Ring.mask wr) in
-    r := Adder.add ctx ~w:wr r2 (select_addend (msb !r ~wr));
+    let addend =
+      if i = bits - 1 then neg_d else select_addend (msb !r ~wr)
+    in
+    r := Adder.add ctx ~w:wr r2 addend;
     (* quotient bit is 1 iff the new remainder is non-negative *)
     qbits := Mpc.xor !qbits (Mpc.lshift (Mpc.xor_pub (msb !r ~wr) 1) i)
   done;
@@ -99,15 +105,16 @@ let udiv (ctx : Ctx.t) ?qw ~w ~wd x d : Share.shared * Share.shared =
   let r0 =
     Mpc.and_mask (Mpc.rshift (Mpc.and_mask x (Ring.mask w)) qw) (Ring.mask wr)
   in
-  let q, r = nonrestoring ctx ~wr ~bits:qw ~x ~r0 ~select_addend in
+  let q, r = nonrestoring ctx ~wr ~bits:qw ~x ~r0 ~neg_d ~select_addend in
   let cond_d = Mpc.band ~width:wr ctx (Mpc.extend_bit (msb r ~wr)) d in
   (q, Mpc.and_mask (Adder.add ctx ~w:wr r cond_d) (Ring.mask wd))
 
 let udiv_rounds ~w ~wd ?qw () =
   let _, wr, qw = secret_shape ~w ~wd qw in
-  (* -D, then qw iterations and the fix-up, each an AND round (the ±D
-     select, the +D mask) before a wr-bit addition *)
-  Ring.log2_ceil wr + ((qw + 1) * (1 + adder_rounds wr))
+  (* -D, then qw iterations and the fix-up, each a wr-bit addition behind
+     an AND round (the ±D select, the +D mask) — except the first
+     iteration, whose non-negative remainder adds -D with no select *)
+  Ring.log2_ceil wr + ((qw + 1) * (1 + adder_rounds wr)) - 1
 
 (* ------------------------------------------------------------------ *)
 (* Public divisor                                                      *)
@@ -128,7 +135,11 @@ let narrow_loop (ctx : Ctx.t) ~w x d =
   in
   (* the top l - 1 bits are below d: they are the starting remainder *)
   let r0 = Mpc.rshift x bits in
-  let q, r = nonrestoring ctx ~wr ~bits ~x ~r0 ~select_addend in
+  let q, r =
+    nonrestoring ctx ~wr ~bits ~x ~r0
+      ~neg_d:(Share.public ctx Share.Bool (Share.length x) neg_d)
+      ~select_addend
+  in
   (q, r, wr)
 
 (* The +d fix-up addend for an unfixed wr-bit remainder. *)

@@ -91,31 +91,20 @@ let times k evs = Array.concat (List.init k (fun _ -> evs))
 
 (* One TableSort pass over n rows keyed on kw bits carrying cw payload
    bits per row: the initial shuffle of keys + payload + index, the
-   logarithmic partition levels (comparison ladder plus the opened
-   post-shuffle comparison flags), and the two-pass elementwise
-   permutation application that routes the payload (Protocol 5). *)
+   logarithmic partition levels (each a less-than over the composite key,
+   opened: {!Primcost.lt_lex_open}), and the elementwise permutation
+   application that routes the payload (Protocol 5,
+   {!Primcost.applyperm}). *)
 let sort_pass (ctx : Ctx.t) ~n ~kw ~cw =
   if n <= 1 then [||]
   else begin
     let kind = ctx.Ctx.kind and iw = Ring.index_bits n in
     let ln = max 1 (Ring.log2_ceil n) in
-    let lvl =
-      (* the leading terms of a less-than ladder over the composite key
-         plus the shuffled comparison-bit opening of one quicksort level *)
-      Array.concat
-        [
-          Primcost.mul kind ~w:kw ~n;
-          times (Ring.log2_ceil (max 2 kw))
-            (Primcost.mul kind ~w:(max 1 (kw / 2)) ~n:(2 * n));
-          Primcost.open_ kind ~w:1 ~n;
-        ]
-    in
     Array.concat
       [
         Primcost.shuffle kind ~w:(kw + cw + iw) ~n;
-        times ln lvl;
-        times 2 (Primcost.shuffle kind ~w:(cw + iw) ~n);
-        Primcost.open_ kind ~w:iw ~n;
+        times ln (Primcost.lt_lex_open kind ~ws:[ kw ] ~n);
+        Primcost.applyperm kind ~w:cw ~n;
       ]
   end
 
@@ -182,9 +171,9 @@ let sort_estimate (ctx : Ctx.t) (s : shape) =
            ~width:(out_width s);
        ])
 
-(* The linear join: fused bit conversions, the keyed-fingerprint rounds,
-   two independent table shuffles and one fused opening of both
-   fingerprint columns — mirrors Linjoin.join step by step. Grouped, the
+(* The linear join: fused bit conversions, the keyed-fingerprint rounds
+   and two independent table shuffles, each opening its side's
+   fingerprint column — mirrors Linjoin.join step by step. Grouped, the
    modeled downstream pass is the aggregate's sort over the m output
    rows, which then pays its network (one fused boundary pre-pass plus
    the propagation levels) and hands m rows on. *)
@@ -202,18 +191,14 @@ let linear_estimate (ctx : Ctx.t) (s : shape) =
       (Primcost.b2a kind ~w:1 ~n:nm)
   in
   (* each column moves at its width: the fingerprint at ell, validity at
-     1, keys, copies and payload at their schema widths *)
+     1, keys, copies and payload at their schema widths; each side's
+     fingerprint opens with its shuffle *)
   let shuffles =
     side_by_side
-      (Primcost.shuffle kind ~w:(ell + sum s.j_copy_w) ~n)
-      (Primcost.shuffle kind
-         ~w:(ell + 1 + sum s.j_key_w + sum s.j_pay_w)
-         ~n:m)
-  in
-  let opening =
-    side_by_side
-      (Primcost.open_ kind ~w:ell ~n)
-      (Primcost.open_ kind ~w:ell ~n:m)
+      (Primcost.shuffle_open kind ~w:(sum s.j_copy_w) ~opened:[ ell ] ~n)
+      (Primcost.shuffle_open kind
+         ~w:(1 + sum s.j_key_w + sum s.j_pay_w)
+         ~opened:[ ell ] ~n:m)
   in
   let sequential =
     Primcost.tally_of
@@ -234,7 +219,7 @@ let linear_estimate (ctx : Ctx.t) (s : shape) =
            | None -> [||]);
          ])
   in
-  List.fold_left Comm.add_tally sequential [ conv; shuffles; opening ]
+  List.fold_left Comm.add_tally sequential [ conv; shuffles ]
 
 let predict ctx (s : shape) = function
   | Sort -> sort_estimate ctx s

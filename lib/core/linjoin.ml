@@ -17,10 +17,12 @@
       probability ~ (n*m)/2^57); invalid rows are displaced by the
       uniform mask u, so they never match anything;
     + shuffle build and probe sides under independent random sharded
-      permutations (rounds fused), carrying each side's payload columns;
-    + open both fingerprint columns in one fused round and match them
-      with a plaintext hash table — the only plaintext work, on values
-      whose joint distribution is the declared LINQ profile;
+      permutations (rounds fused), carrying each side's payload columns,
+      and open both fingerprint columns with their shuffles (under SH-HM
+      in the shuffles' last round, {!Orq_shuffle.Shardedperm.apply_open});
+    + match the opened fingerprints with a plaintext hash table — the
+      only plaintext work, on values whose joint distribution is the
+      declared LINQ profile;
     + assemble the output locally: public match indices gather the build
       payload; the probe validity column is AND-masked with the public
       matched (inner) or unmatched (anti) pattern. *)
@@ -121,30 +123,27 @@ let join (ctx : Ctx.t) (variant : [ `Inner | `Anti ])
       (fun ((_, c) as nc) -> (Column.as_bool ctx c, out_width nc))
       right.Table.cols
   in
-  let shuffle cols =
-    List.map Share.unpark
-      (Permops.shuffle_table ctx
-         (List.map (fun (d, w) -> (Share.wrap d, w)) cols))
+  let wrap = List.map (fun (d, w) -> (Share.wrap d, w)) in
+  (* --- 6: each side's fingerprint column opens with its shuffle --- *)
+  let shuffle_open f cols () =
+    match
+      Permops.shuffle_open_table ctx ~opened:[ (Share.wrap f, ctx.ell) ]
+        (wrap cols)
+    with
+    | [ o ], rest -> (o, List.map Share.unpark rest)
+    | _ -> assert false
   in
   let shuffled =
     Mpc.fuse_rounds ctx
       [|
-        (fun () -> shuffle ((f_build, ctx.ell) :: copy_cols));
-        (fun () ->
-          shuffle
-            ((f_probe, ctx.ell) :: (right.Table.valid, 1) :: probe_data));
+        shuffle_open f_build copy_cols;
+        shuffle_open f_probe ((right.Table.valid, 1) :: probe_data);
       |]
   in
-  let build', probe' = (shuffled.(0), shuffled.(1)) in
-  let fb' = List.hd build' and copied' = List.tl build' in
-  let fp', pvalid', probe_data' =
-    match probe' with
-    | fp :: v :: rest -> (fp, v, rest)
-    | _ -> assert false
+  let (ob, copied'), (op, probe') = (shuffled.(0), shuffled.(1)) in
+  let pvalid', probe_data' =
+    match probe' with v :: rest -> (v, rest) | [] -> assert false
   in
-  (* --- 6: open both fingerprint columns in one fused round --- *)
-  let opened = Mpc.open_many ctx [| fb'; fp' |] in
-  let ob = opened.(0) and op = opened.(1) in
   (* --- 7: plaintext matching on the opened fingerprints. Duplicate
          build fingerprints keep the first hit: valid build keys are
          unique by contract and invalid rows are uniformly displaced, so

@@ -164,8 +164,9 @@ let and_valid t (bit : Share.shared) =
 (** Open the table to the analyst: invalid rows are masked to zero and the
     table is shuffled before opening (§3.1), so only the valid result rows
     carry information. Returns the valid rows as plaintext columns. The
-    masking is one fused AND and the opening one fused open, every column
-    charged at its width. *)
+    masking is one fused AND; the shuffle opens every column at its width
+    ({!Orq_shuffle.Permops.shuffle_open_table}: under SH-HM in the
+    shuffle's last round, elsewhere one fused open after it). *)
 let reveal (t : t) : (string * int array) list =
   let ctx = t.ctx in
   Ctx.with_label ctx "reveal" @@ fun () ->
@@ -177,16 +178,16 @@ let reveal (t : t) : (string * int array) list =
   let masked =
     Mpc.band_many ~widths ctx (Array.map (fun _ -> ext) datas) datas
   in
-  let widths = Array.append [| 1 |] widths in
-  let shuffled =
-    List.map2
-      (fun s w -> (Share.wrap s, w))
-      (t.valid :: Array.to_list masked)
-      (Array.to_list widths)
-    |> Orq_shuffle.Permops.shuffle_table ctx
-    |> List.map Share.unpark
+  let opened, _ =
+    Orq_shuffle.Permops.shuffle_open_table ctx
+      ~opened:
+        (List.map2
+           (fun s w -> (Share.wrap s, w))
+           (t.valid :: Array.to_list masked)
+           (1 :: Array.to_list widths))
+      []
   in
-  let opened = Mpc.open_many ~widths ctx (Array.of_list shuffled) in
+  let opened = Array.of_list opened in
   let keep = ref [] in
   Array.iteri (fun i b -> if b = 1 then keep := i :: !keep) opened.(0);
   let keep = Array.of_list (List.rev !keep) in

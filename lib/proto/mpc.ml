@@ -273,9 +273,11 @@ let beaver_lanes (ctx : Ctx.t) enc lanes (xs : shared array)
    neighbour to restore replication: one round, one ring element per party.
    The cross terms are accumulated directly into the (freshly generated)
    alpha vectors by the fused {!Vec.rep3_arith_into} kernel — no
-   per-term intermediates. *)
-let rep3_lanes (ctx : Ctx.t) enc lanes (xs : shared array)
-    (ys : shared array) : shared array =
+   per-term intermediates. The round is metered by the caller: a plain
+   AND/multiplication sends each z_i to one neighbour ({!mul_lanes}), a
+   fused opening ({!band_open_f}) to both. *)
+let rep3_lanes (ctx : Ctx.t) enc (xs : shared array) (ys : shared array) :
+    shared array =
   let alpha = zero_sharing_lanes ctx enc xs in
   let xv = (Share.concat_many xs).Share.v
   and yv = (Share.concat_many ys).Share.v in
@@ -289,9 +291,6 @@ let rep3_lanes (ctx : Ctx.t) enc lanes (xs : shared array)
         Vec.rep3_bool_into alpha.(i) ~xi:xv.(i) ~yi:yv.(i) ~xj:xv.(j)
           ~yj:yv.(j)
   done;
-  Array.iteri
-    (fun i (w, n) -> meter_lane ctx i ~bits:(3 * w * n) ~messages:3)
-    lanes;
   split_lanes { Share.enc; v = alpha } xs
 
 (* 4PC Fantastic-Four-style multiplication. Each cross term x_i y_j is
@@ -332,7 +331,12 @@ let mul_lanes (ctx : Ctx.t) enc lanes xs ys =
   else
     match ctx.kind with
     | Ctx.Sh_dm -> beaver_lanes ctx enc lanes xs ys
-    | Ctx.Sh_hm -> rep3_lanes ctx enc lanes xs ys
+    | Ctx.Sh_hm ->
+        let zs = rep3_lanes ctx enc xs ys in
+        Array.iteri
+          (fun i (w, n) -> meter_lane ctx i ~bits:(3 * w * n) ~messages:3)
+          lanes;
+        zs
     | Ctx.Mal_hm -> rep4_lanes ctx enc lanes xs ys
 
 (* Debug-mode width-sanity check: an interactive primitive whose width
@@ -498,6 +502,30 @@ let open_f_many (ctx : Ctx.t) (fs : Share.flags array) : Bits.t array =
 (** Open a packed flag sharing: a one-lane {!open_f_many}. *)
 let open_f (ctx : Ctx.t) (f : Share.flags) : Bits.t = (open_f_many ctx [| f |]).(0)
 
+(** The AND of two packed flag sharings, xored with the optional [tail]
+    (a linear term of the same circuit), opened in the AND's own round:
+    each party broadcasts its zero-shared 3-of-3 additive output, xored
+    with its share of [tail], to both peers instead of passing it to one
+    neighbour — one round and 6 bits per flag, where {!band_f} then
+    {!open_f} take two rounds for the same bits. Replicated 3PC only: the
+    2PC and 4PC multiplications cannot open their output in their own
+    round (DESIGN.md), so any other protocol raises [Invalid_argument]. *)
+let band_open_f (ctx : Ctx.t) ?tail (x : Share.flags) (y : Share.flags) :
+    Bits.t =
+  if ctx.kind <> Ctx.Sh_hm then invalid_arg "Mpc.band_open_f: SH-HM only";
+  Share.check_same_flags_len x y;
+  let n = Share.flags_length x in
+  let z = (rep3_lanes ctx Bool [| word_view x |] [| word_view y |]).(0) in
+  let z =
+    match tail with
+    | None -> z
+    | Some t ->
+        Share.check_same_flags_len x t;
+        xor z (word_view t)
+  in
+  meter_lane ctx 0 ~bits:(6 * n) ~messages:6;
+  Bits.of_words n (Share.reconstruct z)
+
 (** AND of two known-single-bit boolean sharings (flags in the LSB),
     routed through the packed kernel: identical value and traffic to
     [band ~width:1], with per-word local work and randomness. The drop-in
@@ -534,6 +562,24 @@ let reshare_unmetered (ctx : Ctx.t) ~mask (s : shared) : shared =
     | Bool -> Vec.xor_mask_into alpha.(k) s.Share.v.(k) mask
   done;
   { s with Share.v = alpha }
+
+(** The last resharing of a permute-and-reshare pass under SH-HM, sent
+    in the clear: the pass's two senders hold a fresh 2-of-2 split of the
+    permuted vector and send both halves to both other parties, so every
+    party reconstructs it in the pass's own round. The resharing
+    randomness is drawn chunk by chunk exactly as {!reshare_unmetered}
+    draws it in the pass, so the PRG stream does not depend on which
+    lanes open. Like {!reshare_unmetered}, the traffic is metered by the
+    permutation protocol that runs the pass ([Shardedperm.apply_open]);
+    the leakage lint admits no other caller. Any other protocol raises
+    [Invalid_argument]. *)
+let reshare_open_unmetered (ctx : Ctx.t) ~mask (c : Share.chunked) : Vec.t =
+  if ctx.kind <> Ctx.Sh_hm then
+    invalid_arg "Mpc.reshare_open_unmetered: SH-HM only";
+  let reshared = Share.map_chunks (reshare_unmetered ctx ~mask) c in
+  let v = Share.reconstruct_c reshared in
+  Share.dispose_c reshared;
+  v
 
 (* ------------------------------------------------------------------ *)
 (* Reductions                                                          *)

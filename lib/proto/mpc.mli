@@ -151,6 +151,14 @@ val open_f : Ctx.t -> Share.flags -> Orq_util.Bits.t
 
 val open_f_many : Ctx.t -> Share.flags array -> Orq_util.Bits.t array
 
+val band_open_f :
+  Ctx.t -> ?tail:Share.flags -> Share.flags -> Share.flags -> Orq_util.Bits.t
+(** [band_open_f ctx ?tail x y] opens (x ∧ y) ⊕ tail in the AND's own
+    round (SH-HM only): each party broadcasts its 3-of-3 additive AND
+    output, xored with its share of [tail], to both peers — one round and
+    6 bits per flag against two rounds for {!band_f} then {!open_f}.
+    Raises [Invalid_argument] under the other protocols. *)
+
 val band1 : Ctx.t -> shared -> shared -> shared
 (** AND of two known-single-bit boolean sharings routed through the packed
     kernel: identical value and traffic to [band ~width:1] with per-word
@@ -167,6 +175,17 @@ val reshare_unmetered : Ctx.t -> mask:int -> shared -> shared
     party receives at a narrower wire width; GF(2)-linear, so the secret
     is masked alike); an arithmetic sharing takes [Ring.ones] only and
     raises [Invalid_argument] otherwise. *)
+
+val reshare_open_unmetered :
+  Ctx.t -> mask:int -> Share.chunked -> Orq_util.Vec.t
+(** SH-HM only: the last pass of a permute-and-reshare delivered in the
+    clear — both senders send their halves of the fresh 2-of-2 split to
+    both other parties, so the vector (masked like {!reshare_unmetered})
+    opens in the pass's own round. The randomness drawn is
+    {!reshare_unmetered}'s; the traffic is metered by the calling
+    permutation protocol, and the leakage lint admits only
+    [Shardedperm.apply_open]. Raises [Invalid_argument] under the other
+    protocols. *)
 
 val sum_all : shared -> shared
 (** Sum all elements into a 1-element arithmetic sharing (local). *)

@@ -27,6 +27,19 @@ let round_ev (bits, messages) =
     ev_messages = messages;
   }
 
+let traffic_ev (bits, messages) =
+  {
+    Comm.ev_op = Comm.Traffic;
+    ev_label = "";
+    ev_rounds = 0;
+    ev_bits = bits;
+    ev_messages = messages;
+  }
+
+(* Lanes of one fused round: lane 0 opens it, the others ride it. *)
+let lanes_ev lanes =
+  List.mapi (fun i l -> if i = 0 then round_ev l else traffic_ev l) lanes
+
 let barrier_ev k =
   {
     Comm.ev_op = Comm.Barrier;
@@ -58,14 +71,75 @@ let lt kind ~w ~n =
   done;
   Array.of_list (List.rev !evs)
 
-let shuffle (kind : Ctx.kind) ~w ~n =
-  let bits, rounds, messages =
-    match kind with
-    | Sh_dm -> (2 * w * n, 2, 2)
-    | Sh_hm -> (6 * w * n, 3, 6)
-    | Mal_hm -> (24 * w * n, 4, 12)
-  in
+(* One sharded-permutation application over [w] bits per element:
+   (bits, rounds, messages). *)
+let shuffle_cost (kind : Ctx.kind) ~w ~n =
+  match kind with
+  | Sh_dm -> (2 * w * n, 2, 2)
+  | Sh_hm -> (6 * w * n, 3, 6)
+  | Mal_hm -> (24 * w * n, 4, 12)
+
+let shuffle kind ~w ~n =
+  let bits, rounds, messages = shuffle_cost kind ~w ~n in
   [| round_ev (bits, messages); barrier_ev (rounds - 1) |]
+
+let shuffle_open (kind : Ctx.kind) ~w ~opened ~n =
+  let ow = List.fold_left ( + ) 0 opened in
+  match (opened, kind) with
+  | [], _ -> shuffle kind ~w ~n
+  | _, Sh_hm ->
+      let bits, rounds, _ = shuffle_cost kind ~w ~n in
+      [| round_ev (bits + (8 * ow * n), 8); barrier_ev (rounds - 1) |]
+  | _, (Sh_dm | Mal_hm) ->
+      (* the application, then one fused opening round of the lanes *)
+      Array.append
+        (shuffle kind ~w:(w + ow) ~n)
+        (Array.of_list
+           (lanes_ev (List.map (fun wo -> open_lane kind ~w:wo ~n) opened)))
+
+let applyperm (kind : Ctx.kind) ~w ~n =
+  let iw = Orq_util.Ring.index_bits n in
+  (* the data application and rho's opened one run as fused tracks: the
+     second's first-round payload rides the first's round *)
+  let data = shuffle kind ~w ~n and rho = shuffle_open kind ~w:0 ~opened:[ iw ] ~n in
+  let piggy (e : Comm.event) = { e with Comm.ev_op = Comm.Traffic; ev_rounds = 0 } in
+  Array.concat
+    [ [| data.(0); piggy rho.(0) |]; Array.sub rho 1 (Array.length rho - 1) ]
+
+let lt_lex_open (kind : Ctx.kind) ~ws ~n =
+  let k = List.length ws in
+  if k = 0 then invalid_arg "Primcost.lt_lex_open: no columns";
+  let fused = kind = Sh_hm in
+  let one = match ws with [ w ] -> Some w | _ -> None in
+  let rounds = ref [] in
+  let emit lanes = if lanes <> [] then rounds := lanes_ev lanes :: !rounds in
+  (* the initial AND of every column, unless one 1-bit column's initial
+     AND is itself the opened last AND *)
+  if not (fused && one = Some 1) then
+    emit (List.map (fun w -> mul_lane kind ~w ~n) ws);
+  (* the ladder levels; one column's fused form stops before the level
+     whose blocks span the word *)
+  let d = ref 1 in
+  let more w = !d < w && not (fused && one <> None && 2 * !d >= w) in
+  while List.exists more ws do
+    emit
+      (List.filter_map
+         (fun w ->
+           if more w then Some (mul_lane kind ~w:(max 1 (w / (2 * !d))) ~n:(2 * n))
+           else None)
+         ws);
+    d := 2 * !d
+  done;
+  (* the packed lexicographic merge: two single-bit ANDs per adjacent
+     pair; the fused form stops at two pairs *)
+  let m = ref k in
+  while !m > (if fused then 2 else 1) do
+    let pn = !m / 2 in
+    emit (List.init (2 * pn) (fun _ -> mul_lane kind ~w:1 ~n));
+    m := pn + (!m mod 2)
+  done;
+  let last = if fused then (6 * n, 6) else open_lane kind ~w:1 ~n in
+  Array.of_list (List.concat (List.rev ([ round_ev last ] :: !rounds)))
 
 let tally_of (evs : Comm.event array) : Comm.tally =
   Array.fold_left

@@ -55,6 +55,29 @@ val shuffle : Ctx.kind -> w:int -> n:int -> Comm.event array
     (Table 1): a payload round followed by the remaining passes as one
     payload-free barrier. *)
 
+val shuffle_open :
+  Ctx.kind -> w:int -> opened:int list -> n:int -> Comm.event array
+(** One sharded-permutation application over [n] elements moving [w]
+    reshared bits per element plus one lane per width in [opened], those
+    lanes then opened ([Shardedperm.apply_open]). Under SH-HM the opening
+    rides the last pass: 3 rounds, 8·w·n bits per opened lane and 8
+    messages. Under SH-DM and Mal-HM it is {!shuffle} over all the bits
+    followed by one fused opening round of the [opened] lanes. *)
+
+val applyperm : Ctx.kind -> w:int -> n:int -> Comm.event array
+(** Protocol 5 ([Permops.apply_elementwise_table]) over [n] rows moving
+    [w] data bits per row: the data application and the opened
+    application of rho at [Ring.index_bits n] bits, run as fused tracks
+    (3 rounds under SH-HM, one more than the shuffle elsewhere). *)
+
+val lt_lex_open : Ctx.kind -> ws:int list -> n:int -> Comm.event array
+(** Lexicographic less-than over columns of widths [ws], opened
+    ([Compare.lt_lex_open_f]): every column's ladder in fused rounds, the
+    packed merge of the (lt, eq) pairs, then the opening. Under SH-HM the
+    last AND opens in its own round (6 bits and 6 messages per element)
+    and forms only the opened product; elsewhere the full circuit is
+    followed by a width-1 opening. *)
+
 val tally_of : Comm.event array -> Comm.tally
 (** Sequential composition: rounds and traffic both add. *)
 

@@ -15,6 +15,14 @@ val shuffle_table :
     [ctx.ell]). Tracked columns stream chunk at a time; a whole
     ({!Share.wrap}ped) column is one chunk. *)
 
+val shuffle_open_table :
+  Ctx.t -> opened:(Share.chunked * int) list -> (Share.chunked * int) list ->
+  Orq_util.Vec.t list * Share.chunked list
+(** {!shuffle_table} over the [opened] and the other pairs under one random
+    sharded permutation, then the [opened] columns opened
+    ({!Shardedperm.apply_open}: under SH-HM in the shuffle's own last
+    round). Returns the opened vectors and the other columns shuffled. *)
+
 val shuffle : ?width:int -> Ctx.t -> Share.shared -> Share.shared
 (** {!shuffle_table} on one whole vector at [width] (default
     [ctx.ell]). *)

@@ -11,7 +11,17 @@
 
     The lockstep simulation stores the component permutations and performs
     permute-and-reshare exactly; traffic is metered at the per-protocol
-    totals of the paper's Table 1. *)
+    totals of the paper's Table 1.
+
+    An application can also open some of its output lanes
+    ({!apply_open}). Under 3PC the last pass's two senders hold a fresh
+    2-of-2 split of each lane; for an opened lane each sends its half to
+    both other parties instead of resharing to the third, so the opening
+    costs no round of its own and 8wn bits instead of 9wn. 2PC cannot do
+    this: its second correlation direction leaves the sender without the
+    receiver's share. Nor can 4PC: Fantastic Four's opening needs
+    redundant delivery plus a digest from a party outside the sending
+    group. Both open in a round after the application. *)
 
 open Orq_proto
 module Comm = Orq_net.Comm
@@ -148,6 +158,32 @@ let receive_mask (ctx : Ctx.t) pos ((c : Share.chunked), w) =
   | Share.Bool when w < Orq_util.Ring.word_bits -> Orq_util.Ring.mask w
   | Share.Bool | Share.Arith -> Orq_util.Ring.ones
 
+(* Check the columns' lengths, then their receive masks. *)
+let masks_of (ctx : Ctx.t) (cols : (Share.chunked * int) list) (t : t) =
+  if List.exists (fun (c, _) -> Share.chunked_length c <> t.n) cols then
+    invalid_arg "Shardedperm.apply: length";
+  List.mapi (receive_mask ctx) cols
+
+(* Σ over the columns of [cost] at each column's width. *)
+let sum_bits cost cols =
+  List.fold_left (fun acc (_, w) -> acc + cost w) 0 cols
+
+(* Bits of one reshared lane of [w] bits over n elements. *)
+let lane_bits (ctx : Ctx.t) n w =
+  let b, _, _ = apply_cost ctx ~w n in
+  b
+
+(* Charge one application: its bits and messages ride the first round,
+   the remaining passes follow as a payload-free barrier. *)
+let meter (ctx : Ctx.t) ~bits ~messages =
+  let _, rounds, _ = apply_cost ctx ~w:ctx.ell 0 in
+  Comm.round ctx.comm ~bits ~messages;
+  Comm.rounds_only ctx.comm (rounds - 1)
+
+(* The first [k] elements of [l], and the rest. *)
+let split_at k l =
+  (List.filteri (fun i _ -> i < k) l, List.filteri (fun i _ -> i >= k) l)
+
 (** Apply a sharded permutation, or with [~inverse:true] its inverse
     (components undone in reverse order), to several [(column, width)]
     pairs at once. Metered as one application: the rounds of a single
@@ -162,19 +198,75 @@ let apply ?(inverse = false) (ctx : Ctx.t)
   match cols with
   | [] -> []
   | _ ->
-      if List.exists (fun (c, _) -> Share.chunked_length c <> t.n) cols then
-        invalid_arg "Shardedperm.apply: length";
-      let masks = List.mapi (receive_mask ctx) cols in
-      let bits =
-        List.fold_left
-          (fun acc (_, w) ->
-            let b, _, _ = apply_cost ctx ~w t.n in
-            acc + b)
-          0 cols
-      in
-      let _, rounds, messages = apply_cost ctx ~w:ctx.ell t.n in
-      Comm.round ctx.comm ~bits ~messages;
-      Comm.rounds_only ctx.comm (rounds - 1);
+      let masks = masks_of ctx cols t in
+      let _, _, messages = apply_cost ctx ~w:ctx.ell t.n in
+      meter ctx ~bits:(sum_bits (lane_bits ctx t.n) cols) ~messages;
       List.map2
         (fun (c, _) mask -> fold_components ctx c t ~inverse ~mask)
         cols masks
+
+(* SH-HM cost of one opened lane of {!apply_open}: the first two passes
+   reshare it (2wn bits each); in the last, each of the two senders sends
+   its half of the fresh 2-of-2 split to both other parties (4wn). *)
+let open_lane_bits ~w n = 8 * w * n
+
+(** Apply a sharded permutation to the [opened] and [cols] pairs under one
+    application and open the [opened] lanes, whose values the last pass
+    produced. Under SH-HM the opening rides that pass: its two senders
+    send their halves of each opened lane to both other parties instead
+    of resharing them to the third, so the application keeps its 3 rounds
+    and an opened lane costs 8wn bits where a reshare and a separate
+    opening cost 4 rounds and 9wn; the round carries 8 messages (the two
+    extra halves between the senders) when any lane opens. The third
+    party sees a uniform split of a value it is being sent anyway, so the
+    view is the reshare-then-open view. Under SH-DM and Mal-HM the
+    application is followed by {!Mpc.open_many} exactly as before, outside
+    [label]. The [cols] lanes reshare as in {!apply}. Returns the opened
+    vectors and the permuted [cols]. *)
+let apply_open ?label (ctx : Ctx.t) ~(opened : (Share.chunked * int) list)
+    (cols : (Share.chunked * int) list) (t : t) :
+    Orq_util.Vec.t list * Share.chunked list =
+  let labelled f =
+    match label with None -> f () | Some l -> Ctx.with_label ctx l f
+  in
+  let k = List.length opened in
+  match (opened, ctx.kind) with
+  | [], _ -> ([], labelled (fun () -> apply ctx cols t))
+  | _, (Ctx.Sh_dm | Ctx.Mal_hm) ->
+      let o, rest = split_at k (labelled (fun () -> apply ctx (opened @ cols) t)) in
+      let vs =
+        Mpc.open_many
+          ~widths:(Array.of_list (List.map snd opened))
+          ctx
+          (Array.of_list (List.map Share.unpark o))
+      in
+      (Array.to_list vs, rest)
+  | _, Ctx.Sh_hm ->
+      labelled @@ fun () ->
+      let omasks, cmasks = split_at k (masks_of ctx (opened @ cols) t) in
+      meter ctx
+        ~bits:
+          (sum_bits (fun w -> open_lane_bits ~w t.n) opened
+          + sum_bits (lane_bits ctx t.n) cols)
+        ~messages:8;
+      (* an opened lane takes every pass but the last as in [apply], then
+         the last permute with its resharing sent in the clear *)
+      let last = Array.length t.components - 1 in
+      let front = { t with components = Array.sub t.components 0 last } in
+      let open_lane (c, _) mask =
+        let c' = fold_components ctx c front ~inverse:false ~mask in
+        let permuted = Share.scatter_c c' t.components.(last) in
+        if c' != c then Share.dispose_c c';
+        let v = Mpc.reshare_open_unmetered ctx ~mask permuted in
+        Share.dispose_c permuted;
+        v
+      in
+      (* opened lanes draw their resharing randomness first, as in
+         [apply (opened @ cols)] *)
+      let vs = List.map2 open_lane opened omasks in
+      let cs =
+        List.map2
+          (fun (c, _) mask -> fold_components ctx c t ~inverse:false ~mask)
+          cols cmasks
+      in
+      (vs, cs)

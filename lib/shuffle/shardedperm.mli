@@ -54,3 +54,19 @@ val apply :
     ({!Share.wrap}ped) vector is one chunk. Metering is charged once at
     the logical-vector level, whatever the chunking. *)
 
+val apply_open :
+  ?label:string -> Ctx.t -> opened:(Share.chunked * int) list ->
+  (Share.chunked * int) list -> t -> Orq_util.Vec.t list * Share.chunked list
+(** [apply_open ctx ~opened cols p] applies [p] to the [opened] and [cols]
+    pairs as one application (under {!apply}'s width contract) and opens
+    the [opened] lanes, which that application produced; returns the
+    opened vectors and the permuted [cols].
+
+    Under SH-HM the opening rides the last pass: its two senders send
+    their halves of the fresh 2-of-2 split of each opened lane to both
+    other parties, so the application keeps its 3 rounds, an opened lane
+    costs 8wn bits (against 9wn and a fourth round for a reshare then an
+    opening) and the round carries 8 messages. Under SH-DM and Mal-HM it
+    is {!apply} then one fused {!Mpc.open_many}, transcript for
+    transcript. [label], if given, wraps the application (and so the
+    SH-HM opening) but not a separate opening round. *)

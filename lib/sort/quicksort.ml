@@ -94,10 +94,10 @@ let sort (ctx : Ctx.t) ~(keys : key list) (carry : (Share.shared * int) list)
             | Desc -> (b, a, k.width))
           keys !key_cols
       in
-      (* the comparison result and its opening stay in packed lanes: the
-         placement below only reads one bit per pair *)
-      let lt = Compare.lt_lex_f ctx cmp_operands in
-      let bits = Mpc.open_f ctx lt in
+      (* the comparison opens in its last AND round where the protocol
+         allows it, into packed lanes: the placement below only reads one
+         bit per pair *)
+      let bits = Compare.lt_lex_open_f ctx cmp_operands in
       let src = Array.init n (fun i -> i) in
       let new_segs = ref [] in
       let pos = ref 0 in

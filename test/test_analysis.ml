@@ -344,6 +344,108 @@ let test_costmodel_arith_mul () =
           ignore (Mpc.mul ctx x x)))
     Ctx.all_kinds
 
+(* The fused openings: a sharded-permutation application that opens
+   some of its lanes, Protocol 5 (whose index vector opens that way) and
+   the lexicographic less-than opened in its last AND round. Predicted =
+   measured event for event under every protocol, around the word and
+   chunk-size boundaries, and the opened values equal the plaintext
+   result. *)
+let fused_ns = [ 1; 2; 3; 63; 64; 65; 1023; 1024; 1025 ]
+
+let test_costmodel_fused_openings () =
+  let vec = Alcotest.(array int) in
+  List.iter
+    (fun kind ->
+      List.iter
+        (fun n ->
+          let tag what = Printf.sprintf "%s n=%d [%s]" what n (Ctx.kind_label kind) in
+          let data w salt =
+            Array.init n (fun i -> ((i * 2654435761) + salt) land ((1 lsl w) - 1))
+          in
+          let iw = Orq_util.Ring.index_bits n in
+          (* two opened lanes (a 9-bit column and an index vector) and a
+             reshared 5-bit column under one application *)
+          let a = data 9 1 and b = data 5 2 in
+          let rho = Orq_shuffle.Localperm.random (Orq_util.Prg.create 5) n in
+          let opened = ref [] and moved = ref [] and perm = ref [||] in
+          check_predicted (tag "apply_open") kind
+            (Primcost.shuffle_open kind ~w:5 ~opened:[ 9; iw ] ~n)
+            (fun ctx ->
+              let p = Orq_shuffle.Shardedperm.gen ctx n in
+              perm := Orq_shuffle.Shardedperm.plaintext p;
+              let vs, cs =
+                Orq_shuffle.Shardedperm.apply_open ctx
+                  ~opened:
+                    [
+                      (Share.wrap (Mpc.share_b ctx a), 9);
+                      (Share.wrap (Mpc.share_a ctx rho), iw);
+                    ]
+                  [ (Share.wrap (Mpc.share_b ctx b), 5) ]
+                  p
+              in
+              opened := vs;
+              moved := List.map Share.reconstruct_c cs);
+          let permuted x = Orq_shuffle.Localperm.apply x !perm in
+          Alcotest.(check (list vec)) (tag "opened lanes")
+            [ permuted a; permuted rho ] !opened;
+          Alcotest.(check (list vec)) (tag "reshared lane") [ permuted b ] !moved;
+          (* Protocol 5 on a 13-bit column *)
+          let c = data 13 3 in
+          let out = ref [] in
+          check_predicted (tag "applyperm") kind
+            (Primcost.applyperm kind ~w:13 ~n)
+            (fun ctx ->
+              out :=
+                List.map Share.reconstruct_c
+                  (Orq_shuffle.Permops.apply_elementwise_table ctx
+                     [ (Share.wrap (Mpc.share_b ctx c), 13) ]
+                     (Mpc.share_b ctx rho)));
+          Alcotest.(check (list vec)) (tag "applyperm values")
+            [ Orq_shuffle.Localperm.apply c rho ] !out;
+          (* lexicographic less-than, opened, over one to three columns *)
+          List.iter
+            (fun ws ->
+              let cols =
+                List.mapi (fun k w -> (w, data w (10 * k), data w ((10 * k) + 7))) ws
+              in
+              (* ties on the leading column exercise the later ones *)
+              let cols =
+                List.mapi
+                  (fun k (w, x, y) ->
+                    if k = 0 then (w, x, Array.mapi (fun i v -> if i mod 3 = 0 then x.(i) else v) y)
+                    else (w, x, y))
+                  cols
+              in
+              let want =
+                Array.init n (fun i ->
+                    let rec go = function
+                      | [] -> 0
+                      | (_, x, y) :: rest ->
+                          if x.(i) < y.(i) then 1
+                          else if x.(i) > y.(i) then 0
+                          else go rest
+                    in
+                    go cols)
+              in
+              let got = ref [||] in
+              let name =
+                "lt_lex_open ws=" ^ String.concat "," (List.map string_of_int ws)
+              in
+              check_predicted (tag name) kind
+                (Primcost.lt_lex_open kind ~ws ~n)
+                (fun ctx ->
+                  let bits =
+                    Orq_circuits.Compare.lt_lex_open_f ctx
+                      (List.map
+                         (fun (w, x, y) -> (Mpc.share_b ctx x, Mpc.share_b ctx y, w))
+                         cols)
+                  in
+                  got := Array.init n (Orq_util.Bits.get bits));
+              Alcotest.(check vec) (tag (name ^ " values")) want !got)
+            [ [ 1 ]; [ 2 ]; [ 7 ]; [ 40 ]; [ 12; iw ]; [ 1; 30; 5 ] ])
+        fused_ns)
+    Ctx.all_kinds
+
 (* ---------------- certifier ---------------- *)
 
 let test_certify_queries () =
@@ -458,6 +560,8 @@ let suite =
       test_costmodel_primitives;
     Alcotest.test_case "cost model: arithmetic mul" `Quick
       test_costmodel_arith_mul;
+    Alcotest.test_case "cost model: fused openings" `Quick
+      test_costmodel_fused_openings;
     Alcotest.test_case "certifier: live queries" `Slow test_certify_queries;
     Alcotest.test_case "certifier: rejects shape leak" `Quick
       test_certify_catches_shape_leak;

@@ -364,7 +364,7 @@ let test_div_rounds () =
       for_all_kinds (fun ctx ->
           let _, _, tl = div_tally ctx ~qw ~w ~wd [| 7; 9; 0 |] [| 1; 2; 3 |] in
           Alcotest.(check int) (name ^ " measured") expect tl.Orq_net.Comm.t_rounds))
-    [ (21, 12, 21, 136); (21, 12, 8, 58); (58, 40, 7, 70); (8, 4, 1, 13); (30, 2, 30, 126) ];
+    [ (21, 12, 21, 135); (21, 12, 8, 57); (58, 40, 7, 69); (8, 4, 1, 12); (30, 2, 30, 125) ];
   Alcotest.(check int) "qw defaults to w"
     (Divide.udiv_rounds ~w:21 ~wd:12 ~qw:21 ())
     (Divide.udiv_rounds ~w:21 ~wd:12 ())

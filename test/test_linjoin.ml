@@ -290,7 +290,16 @@ let test_predicted_cheapest_is_measured_cheapest () =
    were rewritten over the shared primitive price list (Primcost); the
    table was recorded by running this same grid on that earlier tree, and
    its sort column re-recorded when [sort_pass] began pricing the index
-   at [Ring.index_bits n] bits (rounds and messages did not move).
+   at [Ring.index_bits n] bits (rounds and messages did not move), and
+   its SH-HM rows when the index vector's and the fingerprints' openings
+   began riding their shuffles' last round ({!Primcost.shuffle_open}:
+   one round, one message and w·n bits fewer per opened lane; the SH-DM
+   and Mal-HM rows did not move), and its sort column again when
+   [sort_pass] began pricing each partition level as the opened
+   comparison ({!Primcost.lt_lex_open}: the ladder's levels narrow as
+   they go, and under SH-HM the opening rides the last AND) and the
+   payload routing as one fused Protocol 5 ({!Primcost.applyperm}, where
+   it had been two sequential shuffles).
    Predictions of ungrouped shapes depend only on (protocol, n, m, key
    columns): the variant decides applicability alone, so each row covers
    all four variants. [None] marks an operator that no shape
@@ -302,98 +311,98 @@ let golden_predictions =
     ("SH-DM", 0, 0, 2, Some (14, 0, 28), None);
     ("SH-DM", 0, 1, 1, Some (19, 2106, 36), None);
     ("SH-DM", 0, 1, 2, Some (23, 2530, 44), None);
-    ("SH-DM", 0, 7, 1, Some (68, 49966, 128), None);
-    ("SH-DM", 0, 7, 2, Some (82, 70014, 156), None);
-    ("SH-DM", 0, 300, 1, Some (176, 6119400, 344), None);
-    ("SH-DM", 0, 300, 2, Some (214, 8533800, 420), None);
+    ("SH-DM", 0, 7, 1, Some (66, 46550, 128), None);
+    ("SH-DM", 0, 7, 2, Some (80, 57694, 156), None);
+    ("SH-DM", 0, 300, 1, Some (174, 5739000, 344), None);
+    ("SH-DM", 0, 300, 2, Some (212, 7008600, 420), None);
     ("SH-DM", 1, 0, 1, Some (19, 2106, 36), None);
     ("SH-DM", 1, 0, 2, Some (23, 2530, 44), None);
-    ("SH-DM", 1, 1, 1, Some (32, 5436, 56), Some (16, 4648, 34));
-    ("SH-DM", 1, 1, 2, Some (38, 7708, 68), Some (16, 4808, 34));
-    ("SH-DM", 1, 7, 1, Some (68, 57104, 128), Some (30, 49596, 62));
-    ("SH-DM", 1, 7, 2, Some (82, 80016, 156), Some (30, 50476, 62));
-    ("SH-DM", 1, 300, 1, Some (176, 6139798, 344), Some (72, 5295138, 146));
-    ("SH-DM", 1, 300, 2, Some (214, 8562246, 420), Some (72, 5331178, 146));
-    ("SH-DM", 7, 0, 1, Some (61, 14518, 110), None);
-    ("SH-DM", 7, 0, 2, Some (75, 35126, 138), None);
-    ("SH-DM", 7, 1, 1, Some (70, 18506, 126), Some (16, 12676, 34));
-    ("SH-DM", 7, 1, 2, Some (84, 42098, 154), Some (16, 13076, 34));
-    ("SH-DM", 7, 7, 1, Some (98, 73682, 182), Some (30, 57624, 62));
-    ("SH-DM", 7, 7, 2, Some (116, 127274, 218), Some (30, 58744, 62));
-    ("SH-DM", 7, 300, 1, Some (176, 6262186, 344), Some (72, 5303166, 146));
-    ("SH-DM", 7, 300, 2, Some (214, 8732922, 420), Some (72, 5339446, 146));
-    ("SH-DM", 300, 0, 1, Some (145, 1414200, 278), None);
-    ("SH-DM", 300, 0, 2, Some (183, 3852600, 354), None);
-    ("SH-DM", 300, 1, 1, Some (154, 1420828, 294), Some (16, 404710, 34));
-    ("SH-DM", 300, 1, 2, Some (192, 3867396, 370), Some (16, 416830, 34));
-    ("SH-DM", 300, 7, 1, Some (168, 1485684, 322), Some (30, 449658, 62));
-    ("SH-DM", 300, 7, 2, Some (206, 3981260, 398), Some (30, 462498, 62));
-    ("SH-DM", 300, 300, 1, Some (224, 7967400, 434), Some (72, 5695200, 146));
-    ("SH-DM", 300, 300, 2, Some (266, 13374600, 518), Some (72, 5743200, 146));
+    ("SH-DM", 1, 1, 1, Some (30, 4980, 56), Some (16, 4648, 34));
+    ("SH-DM", 1, 1, 2, Some (36, 6404, 68), Some (16, 4808, 34));
+    ("SH-DM", 1, 7, 1, Some (66, 53200, 128), Some (30, 49596, 62));
+    ("SH-DM", 1, 7, 2, Some (80, 65936, 156), Some (30, 50476, 62));
+    ("SH-DM", 1, 300, 1, Some (174, 5758130, 344), Some (72, 5295138, 146));
+    ("SH-DM", 1, 300, 2, Some (212, 7031962, 420), Some (72, 5331178, 146));
+    ("SH-DM", 7, 0, 1, Some (54, 10038, 104), None);
+    ("SH-DM", 7, 0, 2, Some (68, 21462, 132), None);
+    ("SH-DM", 7, 1, 1, Some (63, 13386, 120), Some (16, 12676, 34));
+    ("SH-DM", 7, 1, 2, Some (77, 26482, 148), Some (16, 13076, 34));
+    ("SH-DM", 7, 7, 1, Some (90, 62762, 174), Some (30, 57624, 62));
+    ("SH-DM", 7, 7, 2, Some (108, 92050, 210), Some (30, 58744, 62));
+    ("SH-DM", 7, 300, 1, Some (174, 5872910, 344), Some (72, 5303166, 146));
+    ("SH-DM", 7, 300, 2, Some (212, 7172134, 420), Some (72, 5339446, 146));
+    ("SH-DM", 300, 0, 1, Some (132, 970200, 260), None);
+    ("SH-DM", 300, 0, 2, Some (170, 2251800, 336), None);
+    ("SH-DM", 300, 1, 1, Some (141, 975348, 276), Some (16, 404710, 34));
+    ("SH-DM", 300, 1, 2, Some (179, 2261260, 352), Some (16, 416830, 34));
+    ("SH-DM", 300, 7, 1, Some (155, 1031324, 304), Some (30, 449658, 62));
+    ("SH-DM", 300, 7, 2, Some (193, 2343108, 380), Some (30, 462498, 62));
+    ("SH-DM", 300, 300, 1, Some (210, 6995400, 414), Some (72, 5695200, 146));
+    ("SH-DM", 300, 300, 2, Some (252, 9834600, 498), Some (72, 5743200, 146));
     ("SH-HM", 0, 0, 1, Some (10, 0, 30), None);
     ("SH-HM", 0, 0, 2, Some (14, 0, 42), None);
     ("SH-HM", 0, 1, 1, Some (20, 1854, 57), None);
     ("SH-HM", 0, 1, 2, Some (24, 2262, 69), None);
-    ("SH-HM", 0, 7, 1, Some (72, 44814, 204), None);
-    ("SH-HM", 0, 7, 2, Some (86, 61110, 246), None);
-    ("SH-HM", 0, 300, 1, Some (180, 4933800, 528), None);
-    ("SH-HM", 0, 300, 2, Some (218, 6798600, 642), None);
+    ("SH-HM", 0, 7, 1, Some (65, 40530, 203), None);
+    ("SH-HM", 0, 7, 2, Some (79, 50148, 245), None);
+    ("SH-HM", 0, 300, 1, Some (167, 4559400, 527), None);
+    ("SH-HM", 0, 300, 2, Some (205, 5565600, 641), None);
     ("SH-HM", 1, 0, 1, Some (20, 1854, 57), None);
     ("SH-HM", 1, 0, 2, Some (24, 2262, 69), None);
-    ("SH-HM", 1, 1, 1, Some (36, 6108, 96), Some (18, 4842, 60));
-    ("SH-HM", 1, 1, 2, Some (42, 8172, 114), Some (18, 5202, 60));
-    ("SH-HM", 1, 7, 1, Some (72, 51216, 204), Some (32, 43836, 102));
-    ("SH-HM", 1, 7, 2, Some (86, 69840, 246), Some (32, 45996, 102));
-    ("SH-HM", 1, 300, 1, Some (180, 4950246, 528), Some (74, 4235979, 228));
-    ("SH-HM", 1, 300, 2, Some (218, 6821262, 642), Some (74, 4326039, 228));
-    ("SH-HM", 7, 0, 1, Some (67, 22449, 183), None);
-    ("SH-HM", 7, 0, 2, Some (81, 40425, 225), None);
-    ("SH-HM", 7, 1, 1, Some (77, 27366, 210), Some (18, 13716, 60));
-    ("SH-HM", 7, 1, 2, Some (91, 48030, 252), Some (18, 14436, 60));
-    ("SH-HM", 7, 7, 1, Some (105, 80766, 294), Some (32, 52710, 102));
-    ("SH-HM", 7, 7, 2, Some (123, 126630, 348), Some (32, 55230, 102));
-    ("SH-HM", 7, 300, 1, Some (180, 5048922, 528), Some (74, 4244853, 228));
-    ("SH-HM", 7, 300, 2, Some (218, 6957234, 642), Some (74, 4335273, 228));
-    ("SH-HM", 300, 0, 1, Some (151, 1615500, 435), None);
-    ("SH-HM", 300, 0, 2, Some (189, 3552300, 549), None);
-    ("SH-HM", 300, 1, 1, Some (161, 1622595, 462), Some (18, 447063, 60));
-    ("SH-HM", 300, 1, 2, Some (199, 3565971, 576), Some (18, 465363, 60));
-    ("SH-HM", 300, 7, 1, Some (175, 1683981, 504), Some (32, 486057, 102));
-    ("SH-HM", 300, 7, 2, Some (213, 3666813, 618), Some (32, 506157, 102));
-    ("SH-HM", 300, 300, 1, Some (231, 7187400, 672), Some (74, 4678200, 228));
-    ("SH-HM", 300, 300, 2, Some (273, 11485800, 798), Some (74, 4786200, 228));
+    ("SH-HM", 1, 1, 1, Some (31, 5308, 95), Some (17, 4714, 58));
+    ("SH-HM", 1, 1, 2, Some (37, 6736, 113), Some (17, 5074, 58));
+    ("SH-HM", 1, 7, 1, Some (65, 46320, 203), Some (31, 43324, 100));
+    ("SH-HM", 1, 7, 2, Some (79, 57312, 245), Some (31, 45484, 100));
+    ("SH-HM", 1, 300, 1, Some (167, 4574598, 527), Some (73, 4216715, 226));
+    ("SH-HM", 1, 300, 2, Some (205, 5584152, 641), Some (73, 4306775, 226));
+    ("SH-HM", 7, 0, 1, Some (50, 15330, 172), None);
+    ("SH-HM", 7, 0, 2, Some (64, 25788, 214), None);
+    ("SH-HM", 7, 1, 1, Some (60, 19230, 199), Some (17, 13204, 58));
+    ("SH-HM", 7, 1, 2, Some (74, 31302, 241), Some (17, 13924, 58));
+    ("SH-HM", 7, 7, 1, Some (85, 64862, 280), Some (31, 51814, 100));
+    ("SH-HM", 7, 7, 2, Some (103, 91238, 334), Some (31, 54334, 100));
+    ("SH-HM", 7, 300, 1, Some (167, 4665786, 527), Some (73, 4225205, 226));
+    ("SH-HM", 7, 300, 2, Some (205, 5695464, 641), Some (73, 4315625, 226));
+    ("SH-HM", 300, 0, 1, Some (116, 1096200, 406), None);
+    ("SH-HM", 300, 0, 2, Some (154, 2138400, 520), None);
+    ("SH-HM", 300, 1, 1, Some (126, 1101564, 433), Some (17, 427799, 58));
+    ("SH-HM", 300, 1, 2, Some (164, 2147358, 547), Some (17, 446099, 58));
+    ("SH-HM", 300, 7, 1, Some (140, 1152564, 475), Some (31, 466409, 100));
+    ("SH-HM", 300, 7, 2, Some (178, 2219922, 589), Some (31, 486509, 100));
+    ("SH-HM", 300, 300, 1, Some (193, 6077400, 640), Some (73, 4639800, 226));
+    ("SH-HM", 300, 300, 2, Some (235, 8395800, 766), Some (73, 4747800, 226));
     ("Mal-HM", 0, 0, 1, Some (10, 0, 120), None);
     ("Mal-HM", 0, 0, 2, Some (14, 0, 168), None);
     ("Mal-HM", 0, 1, 1, Some (21, 7416, 216), None);
     ("Mal-HM", 0, 1, 2, Some (25, 9048, 264), None);
-    ("Mal-HM", 0, 7, 1, Some (76, 183016, 752), None);
-    ("Mal-HM", 0, 7, 2, Some (90, 248200, 920), None);
-    ("Mal-HM", 0, 300, 1, Some (184, 19702240, 2024), None);
-    ("Mal-HM", 0, 300, 2, Some (222, 27161440, 2480), None);
+    ("Mal-HM", 0, 7, 1, Some (72, 166216, 752), None);
+    ("Mal-HM", 0, 7, 2, Some (86, 204688, 920), None);
+    ("Mal-HM", 0, 300, 1, Some (180, 18247840, 2024), None);
+    ("Mal-HM", 0, 300, 2, Some (218, 22272640, 2480), None);
     ("Mal-HM", 1, 0, 1, Some (21, 7416, 216), None);
     ("Mal-HM", 1, 0, 2, Some (25, 9048, 264), None);
-    ("Mal-HM", 1, 1, 1, Some (40, 26448, 328), Some (20, 22232, 188));
-    ("Mal-HM", 1, 1, 2, Some (46, 34704, 400), Some (20, 23352, 188));
-    ("Mal-HM", 1, 7, 1, Some (76, 208576, 752), Some (34, 174512, 356));
-    ("Mal-HM", 1, 7, 2, Some (90, 283072, 920), Some (34, 181872, 356));
-    ("Mal-HM", 1, 300, 1, Some (184, 19767880, 2024), Some (76, 16762596, 860));
-    ("Mal-HM", 1, 300, 2, Some (222, 27251944, 2480), Some (76, 17074676, 860));
-    ("Mal-HM", 7, 0, 1, Some (73, 97316, 628), None);
-    ("Mal-HM", 7, 0, 2, Some (87, 169220, 796), None);
-    ("Mal-HM", 7, 1, 1, Some (84, 116888, 724), Some (20, 54032, 188));
-    ("Mal-HM", 7, 1, 2, Some (98, 199544, 892), Some (20, 55632, 188));
-    ("Mal-HM", 7, 7, 1, Some (112, 331512, 1052), Some (34, 206312, 356));
-    ("Mal-HM", 7, 7, 2, Some (130, 514968, 1268), Some (34, 214152, 356));
-    ("Mal-HM", 7, 300, 1, Some (184, 20161720, 2024), Some (76, 16794396, 860));
-    ("Mal-HM", 7, 300, 2, Some (222, 27794968, 2480), Some (76, 17106956, 860));
-    ("Mal-HM", 300, 0, 1, Some (157, 6396080, 1588), None);
-    ("Mal-HM", 300, 0, 2, Some (195, 14143280, 2044), None);
-    ("Mal-HM", 300, 1, 1, Some (168, 6424172, 1684), Some (20, 1606932, 188));
-    ("Mal-HM", 300, 1, 2, Some (206, 14197676, 2140), Some (20, 1631972, 188));
-    ("Mal-HM", 300, 7, 1, Some (182, 6667988, 1852), Some (34, 1759212, 356));
-    ("Mal-HM", 300, 7, 2, Some (220, 14599316, 2308), Some (34, 1790492, 356));
-    ("Mal-HM", 300, 300, 1, Some (238, 28580128, 2516), Some (76, 18347296, 860));
-    ("Mal-HM", 300, 300, 2, Some (280, 45773728, 3020), Some (76, 18683296, 860));
+    ("Mal-HM", 1, 1, 1, Some (36, 23280, 328), Some (20, 22232, 188));
+    ("Mal-HM", 1, 1, 2, Some (42, 28992, 400), Some (20, 23352, 188));
+    ("Mal-HM", 1, 7, 1, Some (72, 189376, 752), Some (34, 174512, 356));
+    ("Mal-HM", 1, 7, 2, Some (86, 233344, 920), Some (34, 181872, 356));
+    ("Mal-HM", 1, 300, 1, Some (180, 18308632, 2024), Some (76, 16762596, 860));
+    ("Mal-HM", 1, 300, 2, Some (218, 22346848, 2480), Some (76, 17074676, 860));
+    ("Mal-HM", 7, 0, 1, Some (62, 69260, 592), None);
+    ("Mal-HM", 7, 0, 2, Some (76, 111092, 760), None);
+    ("Mal-HM", 7, 1, 1, Some (73, 84824, 688), Some (20, 54032, 188));
+    ("Mal-HM", 7, 1, 2, Some (87, 133112, 856), Some (20, 55632, 188));
+    ("Mal-HM", 7, 7, 1, Some (100, 269016, 1004), Some (34, 206312, 356));
+    ("Mal-HM", 7, 7, 2, Some (118, 374520, 1220), Some (34, 214152, 356));
+    ("Mal-HM", 7, 300, 1, Some (180, 18673384, 2024), Some (76, 16794396, 860));
+    ("Mal-HM", 7, 300, 2, Some (218, 22792096, 2480), Some (76, 17106956, 860));
+    ("Mal-HM", 300, 0, 1, Some (140, 4372880, 1480), None);
+    ("Mal-HM", 300, 0, 2, Some (178, 8541680, 1936), None);
+    ("Mal-HM", 300, 1, 1, Some (151, 4394228, 1576), Some (20, 1606932, 188));
+    ("Mal-HM", 300, 1, 2, Some (189, 8577404, 2032), Some (20, 1631972, 188));
+    ("Mal-HM", 300, 7, 1, Some (165, 4597580, 1744), Some (34, 1759212, 356));
+    ("Mal-HM", 300, 7, 2, Some (203, 8867012, 2200), Some (34, 1790492, 356));
+    ("Mal-HM", 300, 300, 1, Some (220, 24260128, 2396), Some (76, 18347296, 860));
+    ("Mal-HM", 300, 300, 2, Some (262, 33533728, 2900), Some (76, 18683296, 860));
   ]
 
 let test_golden_predictions () =

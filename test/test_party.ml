@@ -508,6 +508,67 @@ let test_cluster_smoke () =
     && r2.Wire.r_cols = r.Wire.r_cols
     && r2.Wire.r_tally = r.Wire.r_tally)
 
+(* A sorted SH-HM query across three real processes: the 56-bit ORDER BY
+   key sorts by quicksort, whose comparison bits open in their last AND
+   round, and the elementwise applications and the reveal open in their
+   shuffles' last round. Results equal the in-process simulation and the
+   measured wire equals the meter, fused rounds included. *)
+let sorted_sql =
+  "SELECT c_custkey, c_acctbal * c_acctbal AS sq FROM customer ORDER BY sq \
+   DESC LIMIT 3"
+
+let test_cluster_sh_hm_sorted () =
+  let reference, transcript =
+    let ctx = Ctx.create ~seed:42 Ctx.Sh_hm in
+    let db =
+      Orq_workloads.Tpch_gen.share ctx
+        (Orq_workloads.Tpch_gen.generate ~seed:42 0.001)
+    in
+    let qseed =
+      Orq_service.Service.query_seed_for ~seed:42
+        ~proto_label:(Ctx.kind_label Ctx.Sh_hm) ~sql:sorted_sql
+    in
+    Comm.start_recording ctx.Ctx.comm;
+    let r =
+      Orq_service.Service.execute_sql ~ctx ~db ~qseed ~max_rows:10_000
+        sorted_sql
+    in
+    (r, Comm.transcript ctx.Ctx.comm)
+  in
+  (* the plan reaches both fused openings: a shuffle round of 8 messages
+     and a 6-message comparison round under the quicksort label *)
+  let has p = Array.exists p transcript in
+  Alcotest.(check bool) "opening shuffle round" true
+    (has (fun (e : Comm.event) -> e.ev_op = Comm.Round && e.ev_messages = 8));
+  Alcotest.(check bool) "opening comparison round" true
+    (has (fun (e : Comm.event) ->
+         e.ev_op = Comm.Round && e.ev_messages = 6
+         && Filename.basename e.ev_label = "quicksort"));
+  let l = Cluster.launch_local ~tcp:false ~seed:42 ~sf:0.001 Ctx.Sh_hm in
+  Fun.protect ~finally:(fun () -> Cluster.shutdown_local l) @@ fun () ->
+  let c =
+    Client.connect ~timeout_ms:120_000 ~retry_ms:15_000
+      (Transport.format_addr l.Cluster.l_client)
+  in
+  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+  (match Client.set_protocol c "sh-hm" with
+  | Ok _ -> ()
+  | Error msg -> Alcotest.fail ("cluster refused its own protocol: " ^ msg));
+  let r = query_ok c sorted_sql in
+  (match reference with
+  | Wire.Result re ->
+      Alcotest.(check bool) "identical to simulation" true (r = re)
+  | _ -> Alcotest.fail "reference execution failed");
+  match Client.net_stats c with
+  | Error msg -> Alcotest.fail ("net_stats: " ^ msg)
+  | Ok s ->
+      Alcotest.(check int) "parties" 3 s.Wire.n_parties;
+      Alcotest.(check int) "bits" r.Wire.r_tally.Comm.t_bits s.Wire.n_bits;
+      Alcotest.(check int)
+        "messages" r.Wire.r_tally.Comm.t_messages s.Wire.n_messages;
+      Alcotest.(check int)
+        "exchanges = rounds" r.Wire.r_tally.Comm.t_rounds s.Wire.n_exchanges
+
 let () =
   Alcotest.run "party"
     [
@@ -548,5 +609,9 @@ let () =
             test_exchange_detects_digest_divergence;
         ] );
       ( "cluster",
-        [ Alcotest.test_case "2-party smoke" `Slow test_cluster_smoke ] );
+        [
+          Alcotest.test_case "2-party smoke" `Slow test_cluster_smoke;
+          Alcotest.test_case "3-party sorted SH-HM query" `Slow
+            test_cluster_sh_hm_sorted;
+        ] );
     ]

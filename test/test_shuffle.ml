@@ -449,7 +449,8 @@ let test_perm_protocols_wrap () =
 
 (* Meter pin: at n = 3000 an elementwise application of one 8-bit column
    charges the data shuffle at 8 bits and rho's shuffle and open at
-   [Ring.index_bits 3000] = 12 bits, not the paper's fixed 32. *)
+   [Ring.index_bits 3000] = 12 bits, not the paper's fixed 32 (under
+   SH-HM the open rides rho's shuffle: {!Primcost.shuffle_open}). *)
 let test_apply_elementwise_index_meter () =
   Alcotest.(check int) "index_bits 3000" 12 (Ring.index_bits 3000);
   List.iter
@@ -467,8 +468,7 @@ let test_apply_elementwise_index_meter () =
           (Array.concat
              [
                Primcost.shuffle kind ~w:8 ~n;
-               Primcost.shuffle kind ~w:12 ~n;
-               Primcost.open_ kind ~w:12 ~n;
+               Primcost.shuffle_open kind ~w:0 ~opened:[ 12 ] ~n;
              ])
       in
       Alcotest.(check int)
