@@ -14,8 +14,8 @@
    Exit codes (the three lint passes, certify and certdiff):
      0  clean — no violations / all pairs certified / no row lost
      1  violations found (or, with --expect-violations, expected
-        violations missing); for certdiff, a row of OLD missing from NEW
-        or no longer certified or validated
+        violations missing, or a stale allowlist entry); for certdiff, a
+        row of OLD missing from NEW or no longer certified or validated
      2  usage error or unreadable input *)
 
 module Lint = Orq_analysis.Lint
@@ -59,6 +59,11 @@ let emit_json ~pass items =
 
 (* ---------------- leakage lint ---------------- *)
 
+let stale_detail (e : Declass.entry) =
+  Printf.sprintf "allowlist entry [%s] %s matches no finding"
+    (Declass.rule_label e.Declass.d_rule)
+    e.Declass.d_callee
+
 let run_lint ~expect_violations ~json paths =
   let paths = if paths = [] then [ "lib" ] else paths in
   let findings =
@@ -68,6 +73,10 @@ let run_lint ~expect_violations ~json paths =
       exit 2
   in
   let violations = Lint.violations findings in
+  let modules =
+    List.map Lint.module_of_file (List.concat_map Lint.ml_files paths)
+  in
+  let stale = Lint.stale_entries ~modules findings in
   let leaky = Lint.leaky_findings findings in
   let allowed =
     List.filter
@@ -103,8 +112,13 @@ let run_lint ~expect_violations ~json paths =
            json_finding ~pass:"leakage" ~file:f.Lint.f_file ~line:f.Lint.f_line
              ~rule:(Declass.rule_label f.Lint.f_rule)
              ~site:f.Lint.f_site ~detail:("uses " ^ f.Lint.f_callee))
-         violations);
-    exit (if violations = [] then 0 else 1)
+         violations
+      @ List.map
+          (fun (e : Declass.entry) ->
+            json_finding ~pass:"leakage" ~file:"lib/analysis/declass.ml"
+              ~line:0 ~rule:"stale" ~site:e.Declass.d_site ~detail:(stale_detail e))
+          stale);
+    exit (if violations = [] && stale = [] then 0 else 1)
   end
   else begin
     List.iter
@@ -115,12 +129,16 @@ let run_lint ~expect_violations ~json paths =
         | _ -> ())
       leaky;
     List.iter (fun f -> say "VIOLATION: %a" Lint.pp_finding f) violations;
+    List.iter
+      (fun (e : Declass.entry) ->
+        say "STALE: %s %s" e.Declass.d_site (stale_detail e))
+      stale;
     say
       "lint: %d findings — %d audited declassifications, %d leaky-by-design \
-       baseline sites, %d violations"
+       baseline sites, %d violations, %d stale allowlist entries"
       (List.length findings) (List.length allowed) (List.length leaky)
-      (List.length violations);
-    exit (if violations = [] then 0 else 1)
+      (List.length violations) (List.length stale);
+    exit (if violations = [] && stale = [] then 0 else 1)
   end
 
 (* ---------------- concurrency lint ---------------- *)

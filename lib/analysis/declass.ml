@@ -74,10 +74,8 @@ let all : entry list =
     (* --- share conversions: openings of freshly masked values --- *)
     ok "Convert.bit_b2a_flags_many" Declass "open_f_many"
       "opens b xor r per packed word with r a fresh dealer daBit; the \
-       opened bits are uniformly random (§2.3 conversion correlations)";
-    ok "Convert.b2a" Declass "open_"
-      "opens bit-decomposed x xor r against per-bit daBits; each opened bit \
-       is uniform";
+       opened bits are uniformly random (§2.3 conversion correlations). \
+       Full-width b2a opens its bit planes through this one core";
     ok "Convert.a2b_many" Declass "open_many"
       "opens x + r with r a fresh edaBit mask; uniform in the ring (§2.3)";
     (* --- permutation protocols: openings behind a fresh random shuffle --- *)

@@ -16,9 +16,12 @@
     [:=]-assigned) from an expression containing an opening call are
     tainted, taint propagates through further bindings that mention a
     tainted name, and control-flow scrutinees mentioning a tainted name (or
-    containing an opening call directly) are flagged. The analysis is
-    intentionally over- rather than under-approximate within a binding, but
-    it does not follow values through function parameters — the allowlist
+    containing an opening call directly) are flagged. A function literal
+    passed in an application whose other arguments are tainted has every
+    parameter tainted, so the callback of [Array.iteri f opened] is
+    checked like a let-bound use. The analysis is intentionally over-
+    rather than under-approximate within a binding, but it does not follow
+    values into the parameters of named functions — the allowlist
     documents the audited residue.
 
     {b Rule 3 (parallel)} — interactive [Mpc] primitives must not be called
@@ -28,7 +31,11 @@
     its own channel schedule. No allowlist for this rule.
 
     Findings against a [leaky:] allowlist entry are legal only under
-    [lib/baselines/] and are reported separately instead of failing. *)
+    [lib/baselines/] and are reported separately instead of failing. An
+    allowlist entry of a linted module that no finding resolves to is
+    stale ({!stale_entries}) and fails the lint too: the code it audited
+    is gone or has moved, and the entry would silently admit whatever
+    lands at its site next. *)
 
 open Parsetree
 
@@ -175,7 +182,14 @@ let mentions_tainted taint e =
 let tainted_source taint e =
   exists_ident is_open_ident e || mentions_tainted taint e
 
-(* One pass collecting newly tainted names from let-bindings and [:=]. *)
+(* The parameters of a function literal, through nested [fun]s. *)
+let rec lambda_params (e : expression) =
+  match e.pexp_desc with
+  | Pexp_fun (_, _, p, body) -> pat_vars p @ lambda_params body
+  | _ -> []
+
+(* One pass collecting newly tainted names from let-bindings, [:=] and
+   the parameters of callbacks applied alongside tainted arguments. *)
 let taint_pass (body : expression) (taint : Sset.t) : Sset.t =
   let taint = ref taint in
   let it =
@@ -198,6 +212,18 @@ let taint_pass (body : expression) (taint : Sset.t) : Sset.t =
               )
             when tainted_source !taint rhs ->
               taint := Sset.add (last_of l) !taint
+          | Pexp_apply (_, args) ->
+              List.iter
+                (fun (_, arg) ->
+                  match lambda_params arg with
+                  | [] -> ()
+                  | ps ->
+                      if
+                        List.exists
+                          (fun (_, o) -> o != arg && tainted_source !taint o)
+                          args
+                      then List.iter (fun v -> taint := Sset.add v !taint) ps)
+                args
           | _ -> ());
           Ast_iterator.default_iterator.expr self ex);
     }
@@ -212,10 +238,11 @@ let rec taint_fixpoint body taint fuel =
 
 (* ---------------- the walker ---------------- *)
 
+let module_of_file file =
+  String.capitalize_ascii Filename.(remove_extension (basename file))
+
 let lint_structure ~file (str : structure) : finding list =
-  let modname =
-    String.capitalize_ascii Filename.(remove_extension (basename file))
-  in
+  let modname = module_of_file file in
   let findings = ref [] in
   let add rule ~loc ~site ~callee =
     findings :=
@@ -327,3 +354,17 @@ let ml_files = files ~suffix:".ml"
 
 let lint_paths paths : finding list =
   List.concat_map (fun p -> List.concat_map lint_file (ml_files p)) paths
+
+(* Allowlist entries whose module is among [modules] (the linted ones)
+   but to which no finding resolves. *)
+let stale_entries ~modules findings : Declass.entry list =
+  let used =
+    List.map
+      (fun f -> Declass.find ~site:f.f_site ~rule:f.f_rule ~callee:f.f_callee)
+      findings
+  in
+  List.filter
+    (fun (e : Declass.entry) ->
+      List.mem (List.hd (String.split_on_char '.' e.d_site)) modules
+      && not (List.mem (Some e) used))
+    Declass.all

@@ -13,7 +13,7 @@
     maximum lane depth rather than the sum. The single-pair functions are
     the one-lane special case. A useful byproduct: the less-than ladder's
     block-equality word terminates holding full-word equality in bit 0, so
-    {!lt_eq_many} returns both bits for the price of the lt ladder — which
+    {!lt_core_many} returns both bits for the price of the lt ladder — which
     is what lets {!lt_lex} and {!eq_composite} drop the separate equality
     circuits the unbatched versions paid for. *)
 
@@ -156,8 +156,11 @@ let lt_levels (ctx : Ctx.t) (lanes : (Share.shared * Share.shared * int) array)
   in
   loop ()
 
-(* The full ladder of every lane: the (lt, eq) bit pair per lane — eq is
-   free, the ladder computes it anyway. *)
+(** [lt_core_many ctx lanes]: the (x < y, x = y) bit pair for each lane,
+    over [w]-bit naturals, for the price of the fused less-than ladder alone —
+    ⌈log₂ w⌉ + 1 rounds at the widest lane (eq is free: the ladder
+    computes it anyway). Two's-complement callers flip both operands' top
+    bits first. *)
 let lt_core_many (ctx : Ctx.t)
     (lanes : (Share.shared * Share.shared * int) array) :
     (Share.shared * Share.shared) array =
@@ -168,37 +171,19 @@ let lt_core_many (ctx : Ctx.t)
       dd < w);
   Array.map2 (fun l e -> (Mpc.and_mask l 1, Mpc.and_mask e 1)) ltb eqb
 
-(* Two's-complement comparison = unsigned comparison with flipped sign
-   bits (a local xor). *)
-let sign_flip ~w v = Mpc.xor_pub v (1 lsl (w - 1))
-
-(** [lt_eq_many ctx lanes]: the (x < y, x = y) bit pair for each lane, for
-    the price of the fused less-than ladder alone — ⌈log₂ w⌉ + 1 rounds at
-    the widest lane. *)
-let lt_eq_many ?(signed = false) (ctx : Ctx.t)
-    (lanes : (Share.shared * Share.shared * int) array) :
-    (Share.shared * Share.shared) array =
-  let lanes =
-    if signed then
-      Array.map (fun (x, y, w) -> (sign_flip ~w x, sign_flip ~w y, w)) lanes
-    else lanes
-  in
-  lt_core_many ctx lanes
-
 (** [lt_many ctx lanes]: k independent less-than tests in max-lane-depth
     fused rounds. *)
-let lt_many ?signed (ctx : Ctx.t)
-    (lanes : (Share.shared * Share.shared * int) array) : Share.shared array =
-  Array.map fst (lt_eq_many ?signed ctx lanes)
+let lt_many (ctx : Ctx.t) (lanes : (Share.shared * Share.shared * int) array)
+    : Share.shared array =
+  Array.map fst (lt_core_many ctx lanes)
 
-(** [lt ctx ~w x y]: single-bit sharing of [x < y]. Unsigned by default;
-    [~signed:true] compares in two's complement by flipping the sign bit. *)
-let lt ?signed (ctx : Ctx.t) ~w x y =
-  (lt_many ?signed ctx [| (x, y, w) |]).(0)
+(** [lt ctx ~w x y]: single-bit sharing of [x < y] over [w]-bit
+    naturals. *)
+let lt (ctx : Ctx.t) ~w x y = (lt_many ctx [| (x, y, w) |]).(0)
 
-let gt ?signed ctx ~w x y = lt ?signed ctx ~w y x
-let le ?signed ctx ~w x y = Mpc.xor_pub (lt ?signed ctx ~w y x) 1
-let ge ?signed ctx ~w x y = Mpc.xor_pub (lt ?signed ctx ~w x y) 1
+let gt ctx ~w x y = lt ctx ~w y x
+let le ctx ~w x y = Mpc.xor_pub (lt ctx ~w y x) 1
+let ge ctx ~w x y = Mpc.xor_pub (lt ctx ~w x y) 1
 
 (* Log-depth merge of per-column (lt, eq) pairs under the associative
    lexicographic combination (hi = more significant column):
@@ -232,10 +217,10 @@ let rec lex_merge_f (ctx : Ctx.t) ~until (ps : (Share.flags * Share.flags) array
 
 (* Every column's (lt, eq) ladder in one fused lockstep pass, as packed
    flags. *)
-let lt_eq_flags ?signed (ctx : Ctx.t) cols =
+let lt_eq_flags (ctx : Ctx.t) cols =
   Array.map
     (fun (l, e) -> (Share.pack_flags l, Share.pack_flags e))
-    (lt_eq_many ?signed ctx (Array.of_list cols))
+    (lt_core_many ctx (Array.of_list cols))
 
 (** Lexicographic less-than over a list of (x, y, width) column pairs,
     returned as packed flags — the composite-key comparator used by
@@ -245,10 +230,10 @@ let lt_eq_flags ?signed (ctx : Ctx.t) cols =
     ladders stay word-based — they are genuinely multi-bit), their
     single-bit results pack into flag lanes, and a log-depth packed merge
     combines the columns. *)
-let lt_lex_f ?signed (ctx : Ctx.t) = function
+let lt_lex_f (ctx : Ctx.t) = function
   | [] -> invalid_arg "lt_lex: empty key list"
-  | [ (x, y, w) ] -> Share.pack_flags (lt ?signed ctx ~w x y)
-  | cols -> fst (lex_merge_f ctx ~until:1 (lt_eq_flags ?signed ctx cols)).(0)
+  | [ (x, y, w) ] -> Share.pack_flags (lt ctx ~w x y)
+  | cols -> fst (lex_merge_f ctx ~until:1 (lt_eq_flags ctx cols)).(0)
 
 (* The lexicographic less-than short of its last AND, as packed flags
    (x, y, tail) with lt = (x ∧ y) ⊕ tail. One column: its ladder stops
@@ -285,9 +270,7 @@ let lt_lex_open_f (ctx : Ctx.t) cols =
       let x, y, tail = lt_lex_last ctx cols in
       Mpc.band_open_f ctx ?tail x y
 
-let lt_lex ?signed (ctx : Ctx.t) = function
-  | [ (x, y, w) ] -> lt ?signed ctx ~w x y
-  | cols -> Share.unpack_flags (lt_lex_f ?signed ctx cols)
+let lt_lex (ctx : Ctx.t) cols = Share.unpack_flags (lt_lex_f ctx cols)
 
 (** Conjunction of per-column equality over composite keys, as packed
     flags: one fused (word-based) equality pass over all columns, each
@@ -300,7 +283,7 @@ let eq_composite_many_f (ctx : Ctx.t)
   if Array.length groups = 0 then [||]
   else begin
     Array.iter
-      (fun g -> if g = [] then invalid_arg "eq_composite_many: empty key list")
+      (fun g -> if g = [] then invalid_arg "eq_composite: empty key list")
       groups;
     (* one fused per-column equality pass over every group's columns *)
     let lanes = Array.of_list (List.concat (Array.to_list groups)) in
@@ -345,12 +328,5 @@ let eq_composite_many_f (ctx : Ctx.t)
     Array.map (fun es -> es.(0)) state
   end
 
-let eq_composite_many (ctx : Ctx.t) groups : Share.shared array =
-  Array.map Share.unpack_flags (eq_composite_many_f ctx groups)
-
-let eq_composite (ctx : Ctx.t) (cols : (Share.shared * Share.shared * int) list)
-    =
-  match cols with
-  | [] -> invalid_arg "eq_composite: empty key list"
-  | [ (x, y, w) ] -> eq ctx ~w x y
-  | cols -> (eq_composite_many ctx [| cols |]).(0)
+let eq_composite (ctx : Ctx.t) cols =
+  Share.unpack_flags (eq_composite_many_f ctx [| cols |]).(0)

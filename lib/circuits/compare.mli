@@ -21,32 +21,21 @@ val eq_many :
 (** k independent equalities (lanes are (x, y, width) triples) in
     max-lane-depth fused rounds; lanes drop out as their strides expire. *)
 
-val lt :
-  ?signed:bool -> Ctx.t -> w:int -> Share.shared -> Share.shared ->
-  Share.shared
-(** [lt ctx ~w x y]: single-bit sharing of [x < y]; unsigned by default,
-    [~signed:true] compares [w]-bit two's complement (sign-bit flip). *)
+val lt : Ctx.t -> w:int -> Share.shared -> Share.shared -> Share.shared
+(** [lt ctx ~w x y]: single-bit sharing of [x < y] over [w]-bit naturals.
+    Two's-complement callers flip both operands' top bits first (a local
+    xor). *)
 
 val lt_many :
-  ?signed:bool -> Ctx.t -> (Share.shared * Share.shared * int) array ->
-  Share.shared array
+  Ctx.t -> (Share.shared * Share.shared * int) array -> Share.shared array
 (** k independent less-than tests in max-lane-depth fused rounds. *)
 
-val gt :
-  ?signed:bool -> Ctx.t -> w:int -> Share.shared -> Share.shared ->
-  Share.shared
-
-val le :
-  ?signed:bool -> Ctx.t -> w:int -> Share.shared -> Share.shared ->
-  Share.shared
-
-val ge :
-  ?signed:bool -> Ctx.t -> w:int -> Share.shared -> Share.shared ->
-  Share.shared
+val gt : Ctx.t -> w:int -> Share.shared -> Share.shared -> Share.shared
+val le : Ctx.t -> w:int -> Share.shared -> Share.shared -> Share.shared
+val ge : Ctx.t -> w:int -> Share.shared -> Share.shared -> Share.shared
 
 val lt_lex :
-  ?signed:bool -> Ctx.t -> (Share.shared * Share.shared * int) list ->
-  Share.shared
+  Ctx.t -> (Share.shared * Share.shared * int) list -> Share.shared
 (** Lexicographic less-than over (x, y, width) column pairs — the
     composite-key comparator of TableSort and the sorting wrapper. All
     columns' (lt, eq) ladders run in one fused lockstep pass, then a
@@ -54,7 +43,7 @@ val lt_lex :
 
 val lt_lex_open_f :
   Ctx.t -> (Share.shared * Share.shared * int) list -> Orq_util.Bits.t
-(** Unsigned {!lt_lex} opened to all parties as packed flags. The multi-bit
+(** {!lt_lex} opened to all parties as packed flags. The multi-bit
     ladders stay word-based and the column merge runs over packed flags
     (per-word randomness and local work). Under SH-HM the circuit's last
     AND opens in its own round ({!Mpc.band_open_f}): one round fewer than
@@ -68,16 +57,10 @@ val eq_composite :
 (** Conjunction of per-column equality over composite keys: one fused
     equality pass, then a log-depth AND tree. *)
 
-val eq_composite_many :
-  Ctx.t -> (Share.shared * Share.shared * int) list array ->
-  Share.shared array
-(** Batched {!eq_composite}: every group's column equalities join one
-    fused ladder and the AND trees reduce in lockstep — the aggregation
-    network uses this to evaluate the group bits of all its levels at
-    once. *)
-
 val eq_composite_many_f :
   Ctx.t -> (Share.shared * Share.shared * int) list array ->
   Share.flags array
-(** {!eq_composite_many} delivered as packed flag lanes (the AND trees run
-    over packed words). *)
+(** Batched {!eq_composite} as packed flag lanes: every group's column
+    equalities join one fused ladder and the AND trees reduce in lockstep
+    over packed words — the aggregation network uses this to evaluate the
+    group bits of all its levels at once. *)

@@ -10,62 +10,51 @@ open Orq_proto
 open Orq_util
 
 (** Batched single-bit boolean-to-arithmetic conversion over packed flag
-    lanes: each lane masks with its own daBits (packed, drawn per word and
-    per lane in lane order), the [b xor r] masking is a bulk word xor, and
-    all openings share one fused round at width 1 — unpacking to 0/1 only
-    at the final local recombination [c + [r]_A * (1 - 2c)], where the
-    result must become arithmetic words anyway. *)
+    lanes — the one B2A core: each lane masks with its own daBits (drawn
+    per word and per lane in lane order), the [b xor r] masking is a bulk
+    word xor, and all openings share one fused round at width 1 —
+    unpacking to 0/1 only at the final local recombination
+    [c + [r]_A * (1 - 2c)], where the result must become arithmetic words
+    anyway. *)
 let bit_b2a_flags_many (ctx : Ctx.t) (bs : Share.flags array) :
     Share.shared array =
   if Array.length bs = 0 then [||]
   else begin
-    let das =
-      Array.map (fun b -> Dealer.dabits_flags ctx (Share.flags_length b)) bs
-    in
-    let masked =
-      Array.mapi (fun i b -> Mpc.xor_f b das.(i).Dealer.fda_bool) bs
-    in
+    let das = Array.map (fun b -> Dealer.dabits ctx (Share.flags_length b)) bs in
+    let masked = Array.mapi (fun i b -> Mpc.xor_f b das.(i).Dealer.da_bool) bs in
     let cs = Mpc.open_f_many ctx masked in
     Array.mapi
       (fun i cbits ->
         let c = Bits.unpack cbits in
         let coeff = Vec.map (fun ci -> 1 - (2 * ci)) c in
-        Mpc.add_pub_vec (Mpc.mul_pub_vec das.(i).Dealer.fda_arith coeff) c)
+        Mpc.add_pub_vec (Mpc.mul_pub_vec das.(i).Dealer.da_arith coeff) c)
       cs
   end
 
-(** Batched single-bit boolean-to-arithmetic conversion (word-valued bits
-    in the LSB), routed through the packed path: packing keeps only the
-    LSB plane, so the high bits of each word are ignored. *)
-let bit_b2a_many (ctx : Ctx.t) (bs : Share.shared array) : Share.shared array =
-  bit_b2a_flags_many ctx (Array.map Share.pack_flags bs)
-
-(** Convert single-bit boolean sharings (condition bits in the LSB) to
-    arithmetic 0/1 sharings. One opening round:
+(** Convert single-bit boolean sharings (condition bits in the LSB; the
+    high bits of each word are ignored) to arithmetic 0/1 sharings: a
+    one-lane {!bit_b2a_flags_many}. One opening round:
     c = open(b xor r);  [b]_A = c + [r]_A * (1 - 2c). *)
 let bit_b2a (ctx : Ctx.t) (b : Share.shared) : Share.shared =
-  (bit_b2a_many ctx [| b |]).(0)
+  (bit_b2a_flags_many ctx [| Share.pack_flags b |]).(0)
 
-(** Full-width boolean-to-arithmetic conversion via per-bit daBits; all [w]
-    bit openings are batched into a single round, then recombined locally as
-    sum_i 2^i [b_i]_A. The [w]-bit value is interpreted as two's complement
-    when [~signed:true] (the top bit weighs -2^(w-1)), so signed intermediates (e.g.
-    profit columns) convert correctly; the default is raw
-    unsigned recombination. Values below 2^(w-1) are unaffected either
+(** Full-width boolean-to-arithmetic conversion over packed bit planes:
+    the [w] planes are extracted as packed flags and concatenated into one
+    lane of [w * n] flags, so the conversion is one {!bit_b2a_flags_many}
+    lane — one daBit draw and one width-1 opening round — then recombined
+    locally as sum_i 2^i [b_i]_A. The [w]-bit value is interpreted as two's
+    complement when [~signed:true] (the top bit weighs -2^(w-1)), so signed
+    intermediates (e.g. profit columns) convert correctly; the default is
+    raw unsigned recombination. Values below 2^(w-1) are unaffected either
     way. *)
 let b2a ?w ?(signed = false) (ctx : Ctx.t) (x : Share.shared) : Share.shared =
   let w = Option.value w ~default:ctx.Ctx.ell in
   let w = min w Ring.word_bits in
   let n = Share.length x in
-  let bits =
-    List.init w (fun i -> Mpc.and_mask (Mpc.rshift x i) 1)
+  let planes =
+    Share.flags_concat_many (Array.init w (fun i -> Mpc.extract_bit_f x i))
   in
-  let all_bits = Share.concat bits in
-  let { Dealer.da_bool; da_arith } = Dealer.dabits ctx (w * n) in
-  let masked = Mpc.and_mask (Mpc.xor all_bits da_bool) 1 in
-  let c = Mpc.open_ ~width:1 ctx masked in
-  let coeff = Vec.map (fun ci -> 1 - (2 * ci)) c in
-  let bits_a = Mpc.add_pub_vec (Mpc.mul_pub_vec da_arith coeff) c in
+  let bits_a = (bit_b2a_flags_many ctx [| planes |]).(0) in
   let acc = ref (Share.public ctx Share.Arith n 0) in
   for i = 0 to w - 1 do
     let bi = Share.sub_range bits_a (i * n) n in

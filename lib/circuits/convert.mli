@@ -4,21 +4,22 @@
 
 open Orq_proto
 
-val bit_b2a_many : Ctx.t -> Share.shared array -> Share.shared array
-(** Batched {!bit_b2a}: all lane openings share one fused round. *)
+val bit_b2a_flags_many : Ctx.t -> Share.flags array -> Share.shared array
+(** Packed single-bit flags to arithmetic 0/1 sharings, lane by lane; all
+    lane openings share one fused width-1 round:
+    c = open(b xor r), [b]_A = c + [r]_A (1 - 2c), with packed daBit masks
+    and bulk word xors. The one B2A core. *)
 
 val bit_b2a : Ctx.t -> Share.shared -> Share.shared
-(** Single-bit boolean sharings (LSB) to arithmetic 0/1 sharings; one
-    opening round: c = open(b xor r), [b]_A = c + [r]_A (1 - 2c). *)
-
-val bit_b2a_flags_many : Ctx.t -> Share.flags array -> Share.shared array
-(** {!bit_b2a_many} over packed flag lanes: per-word daBit masks, bulk
-    word xors and packed openings; identical width-1 traffic. *)
+(** Single-bit boolean sharings (LSB) to arithmetic 0/1 sharings: a
+    one-lane {!bit_b2a_flags_many}. *)
 
 val b2a : ?w:int -> ?signed:bool -> Ctx.t -> Share.shared -> Share.shared
-(** Full-width boolean-to-arithmetic conversion via per-bit daBits, all
-    openings batched into one round. With [~signed:true] the [w]-bit value
-    is two's complement (the top bit weighs -2^(w-1)); default unsigned. *)
+(** Full-width boolean-to-arithmetic conversion over packed bit planes:
+    the [w] planes form one flag lane of [w * n] for {!bit_b2a_flags_many}
+    (one daBit draw, one opening round), recombined locally. With
+    [~signed:true] the [w]-bit value is two's complement (the top bit
+    weighs -2^(w-1)); default unsigned. *)
 
 val a2b : ?w:int -> Ctx.t -> Share.shared -> Share.shared
 (** Arithmetic-to-boolean: mask with a doubly shared random value

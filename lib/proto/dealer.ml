@@ -32,15 +32,21 @@ let beaver (ctx : Ctx.t) enc ~elems n : triple =
   meter_preproc ctx ~vectors:(3 * ctx.nvec) ~n:elems ~width:ctx.ell;
   { ta = Share.share ctx enc a; tb = Share.share ctx enc b; tc = Share.share ctx enc c }
 
-type dabits = { da_bool : Share.shared; da_arith : Share.shared }
+type dabits = { da_bool : Share.flags; da_arith : Share.shared }
 
-(** daBits: random bits [r] shared simultaneously as boolean single-bit
-    values (in the word's LSB) and as arithmetic 0/1 values. These drive the
-    protocol-agnostic bit-conversion in {!Orq_circuits.Convert}. *)
+(** daBits: random bits [r] shared simultaneously as boolean flags
+    (packed, {!Share.flags}) and as arithmetic 0/1 values. These drive the
+    protocol-agnostic bit conversions in {!Orq_circuits.Convert}. The bits
+    and their boolean sharing are drawn per word (63 flags per PRG call);
+    arithmetic sharings have no packed form, so that side stays per
+    element. *)
 let dabits (ctx : Ctx.t) n : dabits =
-  let r = Array.init n (fun _ -> if Prg.bool ctx.prg then 1 else 0) in
+  let r = Bits.random ctx.prg n in
   meter_preproc ctx ~vectors:(2 * ctx.nvec) ~n ~width:(ctx.ell + 1);
-  { da_bool = Share.share ctx Bool r; da_arith = Share.share ctx Arith r }
+  {
+    da_bool = Share.share_flags ctx r;
+    da_arith = Share.share ctx Arith (Bits.unpack r);
+  }
 
 type edabits = { ed_arith : Share.shared; ed_bool : Share.shared }
 
@@ -50,29 +56,6 @@ let edabits (ctx : Ctx.t) n : edabits =
   let r = Prg.words ctx.prg n in
   meter_preproc ctx ~vectors:(2 * ctx.nvec) ~n ~width:(2 * ctx.ell);
   { ed_arith = Share.share ctx Arith r; ed_bool = Share.share ctx Bool r }
-
-(* ------------------------------------------------------------------ *)
-(* Packed flag-lane daBits: the boolean side is drawn and shared per
-   *word* (63 flags per PRG call) and emitted directly in packed lanes.
-   Metering is kept byte-identical to {!dabits} — the modeled dealer
-   ships the same logical correlation either way; only the simulation's
-   local compute and PRG draw shrink. Packed ANDs use {!beaver} over
-   their packed words.                                                  *)
-(* ------------------------------------------------------------------ *)
-
-type flag_dabits = { fda_bool : Share.flags; fda_arith : Share.shared }
-
-(** daBits with the boolean side packed: the random bits and their boolean
-    sharing are drawn/shared per word; the arithmetic side stays
-    per-element (arithmetic sharings have no packed form). Metered exactly
-    like {!dabits}. *)
-let dabits_flags (ctx : Ctx.t) n : flag_dabits =
-  let r = Bits.random ctx.prg n in
-  meter_preproc ctx ~vectors:(2 * ctx.nvec) ~n ~width:(ctx.ell + 1);
-  {
-    fda_bool = Share.share_flags ctx r;
-    fda_arith = Share.share ctx Arith (Bits.unpack r);
-  }
 
 (** A secret-shared random vector unknown to every party (e.g. masks for
     padding). *)

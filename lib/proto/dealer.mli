@@ -15,23 +15,18 @@ val beaver : Ctx.t -> Share.enc -> elems:int -> int -> triple
     elements — [n] for a word sharing, the flag count when the words are
     packed flags. *)
 
-type dabits = { da_bool : Share.shared; da_arith : Share.shared }
+type dabits = { da_bool : Share.flags; da_arith : Share.shared }
 
 val dabits : Ctx.t -> int -> dabits
-(** Random bits shared simultaneously as boolean (LSB) and arithmetic 0/1
-    values; drives the protocol-agnostic bit conversions. *)
+(** Random bits shared simultaneously as packed boolean flags and as
+    arithmetic 0/1 values; drives the protocol-agnostic bit conversions.
+    The bits and their boolean sharing are drawn per word. *)
 
 type edabits = { ed_arith : Share.shared; ed_bool : Share.shared }
 
 val edabits : Ctx.t -> int -> edabits
 (** Random ring elements shared both arithmetically and booleanly — the
     correlation behind A2B conversion. *)
-
-type flag_dabits = { fda_bool : Share.flags; fda_arith : Share.shared }
-
-val dabits_flags : Ctx.t -> int -> flag_dabits
-(** daBits with a packed boolean side (per-word draws); metered
-    byte-identically to {!dabits}. *)
 
 val random_shared : Ctx.t -> Share.enc -> int -> Share.shared
 (** A secret-shared random vector unknown to every party. *)

@@ -41,27 +41,16 @@ let check_enc e s =
 let share (ctx : Ctx.t) enc (x : Vec.t) =
   let n = Vec.length x in
   let v = Array.init ctx.nvec (fun _ -> Vec.zeros n) in
-  (match enc with
-  | Arith ->
-      for i = 0 to n - 1 do
-        let acc = ref 0 in
-        for k = 1 to ctx.nvec - 1 do
-          let r = Prg.word ctx.prg in
-          v.(k).(i) <- r;
-          acc := !acc + r
-        done;
-        v.(0).(i) <- x.(i) - !acc
-      done
-  | Bool ->
-      for i = 0 to n - 1 do
-        let acc = ref 0 in
-        for k = 1 to ctx.nvec - 1 do
-          let r = Prg.word ctx.prg in
-          v.(k).(i) <- r;
-          acc := !acc lxor r
-        done;
-        v.(0).(i) <- x.(i) lxor !acc
-      done);
+  let arith = enc = Arith in
+  for i = 0 to n - 1 do
+    let acc = ref 0 in
+    for k = 1 to ctx.nvec - 1 do
+      let r = Prg.word ctx.prg in
+      v.(k).(i) <- r;
+      acc := if arith then !acc + r else !acc lxor r
+    done;
+    v.(0).(i) <- (if arith then x.(i) - !acc else x.(i) lxor !acc)
+  done;
   { enc; v }
 
 (** Reconstruct the plaintext (test/analyst-side; no protocol communication
@@ -198,19 +187,12 @@ let reconstruct_flags (f : flags) : Bits.t =
   done;
   acc
 
-(** Secret-share a packed bit vector: [nvec - 1] uniform packed masks
-    (drawn per *word* — 63 flags per PRG call) plus a correction lane. *)
+(** Secret-share a packed bit vector: {!share} over its words, each lane
+    re-masked to canonical form (the xor of the masked tails is the input's
+    zero tail, so the lanes still xor to [x]). *)
 let share_flags (ctx : Ctx.t) (x : Bits.t) : flags =
   let n = Bits.length x in
-  let fv = Array.make ctx.nvec x in
-  let acc = Bits.copy x in
-  for k = 1 to ctx.nvec - 1 do
-    let r = Bits.random ctx.prg n in
-    fv.(k) <- r;
-    Bits.xor_into acc r
-  done;
-  fv.(0) <- acc;
-  { fv }
+  { fv = Array.map (Bits.of_words n) (share ctx Bool (Bits.words x)).v }
 
 let flags_concat_many (fs : flags array) : flags =
   match Array.length fs with

@@ -97,7 +97,9 @@ val extend_flags : flags -> shared
 val reconstruct_flags : flags -> Orq_util.Bits.t
 
 val share_flags : Ctx.t -> Orq_util.Bits.t -> flags
-(** Secret-share a packed bit vector with per-word mask draws. *)
+(** Secret-share a packed bit vector: {!share} [Bool] over its packed
+    words (one mask draw per word, not per flag), each lane re-masked to
+    canonical form. *)
 
 val flags_concat_many : flags array -> flags
 

@@ -55,12 +55,6 @@ let get t i =
   if i < 0 || i >= t.n then invalid_arg "Bits.get: index out of range";
   (t.w.(i / bpw) lsr (i mod bpw)) land 1
 
-let set t i b =
-  if i < 0 || i >= t.n then invalid_arg "Bits.set: index out of range";
-  let wi = i / bpw and m = 1 lsl (i mod bpw) in
-  if b land 1 = 0 then t.w.(wi) <- t.w.(wi) land lnot m
-  else t.w.(wi) <- t.w.(wi) lor m
-
 (* ------------------------------------------------------------------ *)
 (* Pack / unpack                                                       *)
 (* ------------------------------------------------------------------ *)
@@ -142,14 +136,6 @@ let xor a b =
   check_len "xor" a b;
   { a with w = Vec.xor a.w b.w }
 
-let band a b =
-  check_len "band" a b;
-  { a with w = Vec.band a.w b.w }
-
-let bor a b =
-  check_len "bor" a b;
-  { a with w = Vec.bor a.w b.w }
-
 let bnot a = mask_tail { a with w = Vec.bnot a.w }
 
 let xor_into dst src =
@@ -175,19 +161,23 @@ let random prg n =
   mask_tail t
 
 (* ------------------------------------------------------------------ *)
-(* Structural operations (bit-granular; not on the word-op hot path)   *)
+(* Concatenation (word-granular: each source word lands in at most two  *)
+(* destination words)                                                  *)
 (* ------------------------------------------------------------------ *)
 
+(* Or [src]'s flags into [dst] from flag [at] on; the range must be zero
+   in [dst]. [src]'s tail is canonical, so the bits shifted past its last
+   flag are zero. *)
 let blit_bits src dst ~at =
-  for i = 0 to src.n - 1 do
-    if (src.w.(i / bpw) lsr (i mod bpw)) land 1 = 1 then set dst (at + i) 1
-  done
-
-let append a b =
-  let t = create (a.n + b.n) in
-  blit_bits a t ~at:0;
-  blit_bits b t ~at:a.n;
-  t
+  let base = at / bpw and s = at mod bpw in
+  let last = Array.length dst.w - 1 in
+  Array.iteri
+    (fun wi x ->
+      let d = base + wi in
+      dst.w.(d) <- dst.w.(d) lor (x lsl s);
+      if s > 0 && d < last then
+        dst.w.(d + 1) <- dst.w.(d + 1) lor (x lsr (bpw - s)))
+    src.w
 
 let concat_many (ts : t array) =
   let total = Array.fold_left (fun acc t -> acc + t.n) 0 ts in
@@ -198,35 +188,4 @@ let concat_many (ts : t array) =
       blit_bits t out ~at:!off;
       off := !off + t.n)
     ts;
-  out
-
-let sub t pos len =
-  if pos < 0 || len < 0 || pos + len > t.n then
-    invalid_arg "Bits.sub: range out of bounds";
-  let out = create len in
-  for i = 0 to len - 1 do
-    if (t.w.((pos + i) / bpw) lsr ((pos + i) mod bpw)) land 1 = 1 then
-      set out i 1
-  done;
-  out
-
-(** [gather t idx]: flag [i] of the result is flag [idx.(i)] of [t]. *)
-let gather t (idx : int array) =
-  if Debug.enabled () then Debug.validate_indices ~op:"Bits.gather" idx t.n;
-  let out = create (Array.length idx) in
-  Array.iteri
-    (fun i j ->
-      if (t.w.(j / bpw) lsr (j mod bpw)) land 1 = 1 then set out i 1)
-    idx;
-  out
-
-(** [scatter t idx]: flag [i] of [t] lands at position [idx.(i)]; [idx]
-    must be a permutation (same contract as {!Vec.scatter}). *)
-let scatter t (idx : int array) =
-  if Debug.enabled () then Debug.validate_perm ~op:"Bits.scatter" idx t.n;
-  if Array.length idx <> t.n then invalid_arg "Bits.scatter: length";
-  let out = create t.n in
-  for i = 0 to t.n - 1 do
-    if (t.w.(i / bpw) lsr (i mod bpw)) land 1 = 1 then set out idx.(i) 1
-  done;
   out

@@ -37,8 +37,6 @@ val extend : t -> int array
     pass. *)
 
 val xor : t -> t -> t
-val band : t -> t -> t
-val bor : t -> t -> t
 val bnot : t -> t
 val xor_into : t -> t -> unit
 val xor3 : t -> t -> t -> t
@@ -48,13 +46,5 @@ val random : Prg.t -> int -> t
 (** [random prg n]: n uniform flags from ⌈n / bpw⌉ PRG draws (one call
     per 63 flags instead of one per flag). *)
 
-val append : t -> t -> t
 val concat_many : t array -> t
-val sub : t -> int -> int -> t
-val gather : t -> int array -> t
-(** Result flag [i] = input flag [idx.(i)]; bounds validated under
-    {!Debug.set_checks}. *)
-
-val scatter : t -> int array -> t
-(** Input flag [i] lands at [idx.(i)]; [idx] must be a permutation
-    (validated under {!Debug.set_checks}). *)
+(** The flags of each input in order, one word-level pass per input. *)

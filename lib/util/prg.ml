@@ -58,8 +58,6 @@ let next64 t = mix (advance t)
 (** A uniformly random ring word (63 bits). *)
 let word t = Int64.to_int (mix (advance t)) land Ring.ones
 
-let bool t = Int64.logand (mix (advance t)) 1L = 1L
-
 (** Uniform integer in [0, bound). [bound] must be positive. *)
 let int_below t bound =
   assert (bound > 0);

@@ -32,8 +32,6 @@ val next64 : t -> int64
 val word : t -> int
 (** A uniformly random ring word (63 bits). *)
 
-val bool : t -> bool
-
 val int_below : t -> int -> int
 (** Uniform integer in [0, bound) (rejection-sampled; [bound] > 0). *)
 

@@ -65,6 +65,54 @@ let dot ctx x y =
   let fs = Lint.lint_string ~filename:"fixture/clean.ml" clean_src in
   Alcotest.(check int) "no findings on clean code" 0 (List.length fs)
 
+(* An opened vector consumed by a callback: the branch sits on a lambda
+   parameter, not on a let-bound name. *)
+let callback_src =
+  {|
+let reveal ctx t =
+  let opened, _ = Permops.shuffle_open_table ctx ~opened:t [] in
+  let keep = ref [] in
+  Array.iteri (fun i b -> if b = 1 then keep := i :: !keep) (List.hd opened);
+  !keep
+|}
+
+let test_lint_follows_callbacks () =
+  let fs = Lint.lint_string ~filename:"fixture/seeded.ml" callback_src in
+  Alcotest.(check bool) "branch on a callback parameter flagged" true
+    (List.exists
+       (fun (f : Lint.finding) ->
+         f.Lint.f_rule = Declass.Branch && f.Lint.f_callee = "if")
+       (Lint.violations fs))
+
+(* The same code under the name of an allowlisted site: the branch entry
+   is used; without the branch nothing resolves to it, so it is stale. *)
+let test_lint_reports_stale_entries () =
+  let stale src =
+    Lint.stale_entries ~modules:[ "Table" ]
+      (Lint.lint_string ~filename:"fixture/table.ml" src)
+    |> List.map (fun (e : Declass.entry) ->
+           (e.Declass.d_site, Declass.rule_label e.Declass.d_rule))
+  in
+  Alcotest.(check (list (pair string string)))
+    "every Table entry used" [] (stale callback_src);
+  let no_branch =
+    {|
+let reveal ctx t = fst (Permops.shuffle_open_table ctx ~opened:t [])
+|}
+  in
+  Alcotest.(check (list (pair string string)))
+    "unmatched branch entry reported"
+    [ ("Table.reveal", "branch") ]
+    (stale no_branch);
+  (* the audited tree: clean, with no stale entry *)
+  let lib = if Sys.file_exists "../lib/proto" then "../lib" else "lib" in
+  let fs = Lint.lint_paths [ lib ] in
+  Alcotest.(check int) "no violations under lib/" 0
+    (List.length (Lint.violations fs));
+  let modules = List.map Lint.module_of_file (Lint.ml_files lib) in
+  Alcotest.(check int) "no stale entries under lib/" 0
+    (List.length (Lint.stale_entries ~modules fs))
+
 let test_lint_audited_tree_is_registered () =
   (* every allowlist entry used by the live tree resolves; leaky entries
      are confined to baselines *)
@@ -333,6 +381,42 @@ let test_costmodel_primitives () =
         [ (1, 16); (8, 33); (24, 100); (40, 7) ])
     Ctx.all_kinds
 
+(* Full-width and single-bit B2A both draw one daBit correlation for all
+   their bits: one preprocessing event of 2·nvec·w·n·(ℓ+1) bits and one
+   message per party. *)
+let test_b2a_preproc_metering () =
+  List.iter
+    (fun kind ->
+      List.iter
+        (fun (w, n) ->
+          let check name f =
+            let ctx = Ctx.create ~seed:42 kind in
+            let x =
+              Mpc.share_b ctx
+                (Array.init n (fun i -> (i * 2654435761) land Orq_util.Ring.mask w))
+            in
+            Comm.start_recording ctx.Ctx.preproc;
+            f ctx x;
+            Alcotest.(check (array event_t))
+              (Printf.sprintf "%s w=%d n=%d [%s]" name w n (Ctx.kind_label kind))
+              [|
+                {
+                  Comm.ev_op = Comm.Round;
+                  ev_label = "";
+                  ev_rounds = 1;
+                  ev_bits = 2 * ctx.Ctx.nvec * w * n * (ctx.Ctx.ell + 1);
+                  ev_messages = ctx.Ctx.parties;
+                };
+              |]
+              (strip_labels (Comm.transcript ctx.Ctx.preproc))
+          in
+          check "b2a" (fun ctx x -> ignore (Orq_circuits.Convert.b2a ~w ctx x));
+          if w = 1 then
+            check "bit_b2a" (fun ctx x ->
+                ignore (Orq_circuits.Convert.bit_b2a ctx x)))
+        [ (1, 0); (1, 130); (2, 63); (40, 7); (62, 64); (63, 127) ])
+    Ctx.all_kinds
+
 let test_costmodel_arith_mul () =
   List.iter
     (fun kind ->
@@ -546,6 +630,10 @@ let suite =
       test_lint_flags_seeded_violations;
     Alcotest.test_case "lint passes clean code" `Quick
       test_lint_clean_code_passes;
+    Alcotest.test_case "lint follows opened values into callbacks" `Quick
+      test_lint_follows_callbacks;
+    Alcotest.test_case "lint reports stale allowlist entries" `Quick
+      test_lint_reports_stale_entries;
     Alcotest.test_case "allowlist entries are justified" `Quick
       test_lint_audited_tree_is_registered;
     Alcotest.test_case "env knobs are audited" `Quick test_env_knob_inventory;
@@ -558,6 +646,8 @@ let suite =
     Alcotest.test_case "transcript diff localizes" `Quick test_transcript_diff;
     Alcotest.test_case "cost model: boolean primitives" `Quick
       test_costmodel_primitives;
+    Alcotest.test_case "b2a preprocessing: one daBit event" `Quick
+      test_b2a_preproc_metering;
     Alcotest.test_case "cost model: arithmetic mul" `Quick
       test_costmodel_arith_mul;
     Alcotest.test_case "cost model: fused openings" `Quick

@@ -67,14 +67,6 @@ let test_bits_ops () =
         (Printf.sprintf "xor n=%d" n)
         (map2 ( lxor ))
         (Bits.unpack (Bits.xor a b));
-      Alcotest.(check (array int))
-        (Printf.sprintf "band n=%d" n)
-        (map2 ( land ))
-        (Bits.unpack (Bits.band a b));
-      Alcotest.(check (array int))
-        (Printf.sprintf "bor n=%d" n)
-        (map2 ( lor ))
-        (Bits.unpack (Bits.bor a b));
       let nt = Bits.bnot a in
       Alcotest.(check (array int))
         (Printf.sprintf "bnot n=%d" n)
@@ -85,28 +77,18 @@ let test_bits_ops () =
         (Printf.sprintf "bnot canonical n=%d" n)
         (n - Array.fold_left ( + ) 0 va)
         (Bits.popcount nt);
-      if n > 1 then begin
-        let pos = n / 3 and len = n / 2 in
-        Alcotest.(check (array int))
-          (Printf.sprintf "sub n=%d" n)
-          (Array.sub va pos len)
-          (Bits.unpack (Bits.sub a pos len));
-        Alcotest.(check (array int))
-          (Printf.sprintf "append n=%d" n)
-          (Array.append va vb)
-          (Bits.unpack (Bits.append a b));
-        let perm = Array.init n (fun i -> (i + 7) mod n) in
-        Alcotest.(check (array int))
-          (Printf.sprintf "gather n=%d" n)
-          (Array.map (fun j -> va.(j)) perm)
-          (Bits.unpack (Bits.gather a perm));
-        let out = Array.make n 0 in
-        Array.iteri (fun i j -> out.(j) <- va.(i)) perm;
-        Alcotest.(check (array int))
-          (Printf.sprintf "scatter n=%d" n)
-          out
-          (Bits.unpack (Bits.scatter a perm))
-      end)
+      let want = Array.concat [ va; vb; Array.sub va 0 (n / 2); vb ] in
+      let cat =
+        Bits.concat_many [| a; b; Bits.pack (Array.sub va 0 (n / 2)); b |]
+      in
+      Alcotest.(check (array int))
+        (Printf.sprintf "concat_many n=%d" n)
+        want (Bits.unpack cat);
+      (* concatenation stays canonical across unaligned word seams *)
+      Alcotest.(check int)
+        (Printf.sprintf "concat_many canonical n=%d" n)
+        (Array.fold_left ( + ) 0 want)
+        (Bits.popcount cat))
     [ 1; 63; 64; 65; 4097 ]
 
 (* ------------------------------------------------------------------ *)

@@ -63,19 +63,6 @@ let test_lt_odd_width () =
       in
       Alcotest.(check vec) "lt w=5" [| 0; 1; 0; 1; 0; 0; 1 |] r)
 
-let test_lt_signed () =
-  for_all_kinds (fun ctx ->
-      let m = Ring.mask 8 in
-      let enc v = v land m in
-      let x = Array.map enc [| -3; -1; 5; -128; 127; 0 |] in
-      let y = Array.map enc [| 2; -2; 5; 127; -128; 0 |] in
-      let r =
-        Compare.lt ~signed:true ctx ~w:8 (Mpc.share_b ctx x)
-          (Mpc.share_b ctx y)
-        |> Share.reconstruct
-      in
-      Alcotest.(check vec) "signed lt" [| 1; 0; 0; 1; 0; 0 |] r)
-
 let test_le_ge_gt () =
   for_all_kinds (fun ctx ->
       let x = [| 1; 5; 9 |] and y = [| 5; 5; 5 |] in
@@ -240,6 +227,39 @@ let test_b2a_signed () =
         (Array.map Ring.to_signed r);
       let u = Convert.b2a ~w:8 ctx (Mpc.share_b ctx x) |> Share.reconstruct in
       Alcotest.(check vec) "unsigned b2a (default)" [| 253; 127; 128; 255 |] u)
+
+(* The w bit planes of n elements form one flag lane of w·n, so at these
+   n the planes meet mid-word (n mod 63 <> 0), on a word seam (n = 63,
+   126) and not at all (n = 0). *)
+let test_b2a_plane_seams () =
+  List.iter
+    (fun k ->
+      let ctx = Ctx.create ~seed:13 k in
+      List.iter
+        (fun (n, w, signed) ->
+          let x =
+            Array.init n (fun i -> ((i + 1) * 0x9E3779B97F4A7C1) land Ring.mask w)
+          in
+          let want =
+            Array.map
+              (fun v ->
+                if signed && w < Ring.word_bits && (v lsr (w - 1)) land 1 = 1
+                then v - (1 lsl w)
+                else v)
+              x
+          in
+          Alcotest.(check vec)
+            (Printf.sprintf "%s n=%d w=%d signed=%b" (Ctx.kind_label k) n w
+               signed)
+            want
+            (Convert.b2a ~w ~signed ctx (Mpc.share_b ctx x) |> Share.reconstruct))
+        (List.concat_map
+           (fun n ->
+             List.concat_map
+               (fun w -> [ (n, w, false); (n, w, true) ])
+               [ 1; 62; 63 ])
+           [ 0; 1; 62; 63; 64; 126; 127 ]))
+    kinds
 
 let test_a2b_qcheck =
   QCheck.Test.make ~name:"a2b full word" ~count:20 (arb_small ~w:62 9)
@@ -440,7 +460,6 @@ let suite =
     QCheck_alcotest.to_alcotest test_eq_qcheck;
     QCheck_alcotest.to_alcotest test_lt_qcheck;
     Alcotest.test_case "lt at odd width" `Quick test_lt_odd_width;
-    Alcotest.test_case "lt signed" `Quick test_lt_signed;
     Alcotest.test_case "le/ge/gt" `Quick test_le_ge_gt;
     Alcotest.test_case "lexicographic lt" `Quick test_lt_lex;
     Alcotest.test_case "composite eq" `Quick test_eq_composite;
@@ -454,6 +473,7 @@ let suite =
     Alcotest.test_case "bit b2a" `Quick test_bit_b2a;
     QCheck_alcotest.to_alcotest test_b2a_qcheck;
     Alcotest.test_case "b2a signed/unsigned" `Quick test_b2a_signed;
+    Alcotest.test_case "b2a across plane seams" `Quick test_b2a_plane_seams;
     QCheck_alcotest.to_alcotest test_a2b_qcheck;
     Alcotest.test_case "a2b narrow width" `Quick test_a2b_narrow;
     Alcotest.test_case "b2a is one round" `Quick test_b2a_rounds;

@@ -97,8 +97,11 @@ let test_many_max_depth () =
               (Array.map (fun b -> (b, share2 ctx ~w:8 7 3, share2 ctx ~w:8 7 4)) bits))
       in
       Alcotest.(check int) (lbl ^ " select_many") 1 rsel;
-      let _, rb2a = rounds_of ctx (fun () -> Convert.bit_b2a_many ctx bits) in
-      Alcotest.(check int) (lbl ^ " bit_b2a_many") 1 rb2a;
+      let _, rb2a =
+        rounds_of ctx (fun () ->
+            Convert.bit_b2a_flags_many ctx (Array.map Share.pack_flags bits))
+      in
+      Alcotest.(check int) (lbl ^ " bit_b2a_flags_many") 1 rb2a;
       let alanes =
         Array.map (fun w -> (Mpc.share_a ctx (Array.init 7 (fun i -> i)), w)) ws
       in
@@ -115,9 +118,9 @@ let test_many_max_depth () =
         |]
       in
       let _, rcomp =
-        rounds_of ctx (fun () -> Compare.eq_composite_many ctx groups)
+        rounds_of ctx (fun () -> Compare.eq_composite_many_f ctx groups)
       in
-      Alcotest.(check int) (lbl ^ " eq_composite_many")
+      Alcotest.(check int) (lbl ^ " eq_composite_many_f")
         (Ring.log2_ceil 16 + Ring.log2_ceil 3)
         rcomp)
     kinds
@@ -155,7 +158,8 @@ let test_fused_equals_unfused () =
                 (Array.map2 (fun b (x, y, _) -> (b, x, y)) !eqs lanes)),
             fun ctx (x, y, _) i -> Mux.mux_b ctx !eqs.(i) x y );
           ( "bit_b2a",
-            (fun ctx _ -> Convert.bit_b2a_many ctx !lts),
+            (fun ctx _ ->
+              Convert.bit_b2a_flags_many ctx (Array.map Share.pack_flags !lts)),
             fun ctx _ i -> Convert.bit_b2a ctx !lts.(i) );
         ]
       in
@@ -388,7 +392,6 @@ let test_zero_lanes () =
       empty "lt_many" (Array.length (Compare.lt_many ctx [||]));
       empty "add_many" (Array.length (Adder.add_many ctx [||]));
       empty "select_many" (Array.length (Mux.select_many ctx [||]));
-      empty "bit_b2a_many" (Array.length (Convert.bit_b2a_many ctx none));
       empty "bit_b2a_flags_many"
         (Array.length (Convert.bit_b2a_flags_many ctx nonef));
       empty "a2b_many" (Array.length (Convert.a2b_many ctx [||]));

@@ -201,7 +201,8 @@ let test_beaver_triple () =
 let test_dabits () =
   for_all_kinds (fun ctx ->
       let { Dealer.da_bool; da_arith } = Dealer.dabits ctx 64 in
-      let b = Share.reconstruct da_bool and a = Share.reconstruct da_arith in
+      let b = Bits.unpack (Share.reconstruct_flags da_bool)
+      and a = Share.reconstruct da_arith in
       Alcotest.(check vec_testable) "dabit consistency" b a;
       Array.iter (fun x -> Alcotest.(check bool) "bit" true (x = 0 || x = 1)) b)
 
@@ -366,6 +367,13 @@ let golden_ops : (string * (Ctx.t -> int array list)) list =
         let zs = Mpc.band_f_many ctx (Array.map fst l) (Array.map snd l) in
         List.concat_map flag_shares_of (Array.to_list zs)
         @ Array.to_list (Array.map Bits.words (Mpc.open_f_many ctx zs)) );
+    ( "b2a ~w:40 ~signed:true",
+      fun ctx ->
+        let x = Mpc.share_b ctx (Array.map (fun v -> v land Ring.mask 40) (words ctx 41)) in
+        shares_of (Orq_circuits.Convert.b2a ~w:40 ~signed:true ctx x) );
+    ( "bit_b2a n=130",
+      fun ctx ->
+        shares_of (Orq_circuits.Convert.bit_b2a ctx (Mpc.share_b ctx (bits ctx 130))) );
   ]
 
 (* Recorded from the dedicated single-lane protocol cores these one-lane
@@ -373,7 +381,9 @@ let golden_ops : (string * (Ctx.t -> int array list)) list =
    and SH-HM digests were recorded from the separate packed-flag AND core
    and did not move when packed ANDs joined the word cores; its Mal-HM
    digest is the fused core's, which verifies each cross term once per
-   round (28 tamper-hook queries, not one set of 16 per lane). *)
+   round (28 tamper-hook queries, not one set of 16 per lane). The b2a and
+   bit_b2a digests pin the packed daBit stream (bits and their boolean
+   sharing drawn per word) that both conversions share. *)
 let golden =
   [
     ("SH-DM", "mul", "0c9e26f95794c5809d3b9b3e5bcc6593");
@@ -383,6 +393,8 @@ let golden =
     ("SH-DM", "open_f", "50217734fc393ae729169dc12383b4e0");
     ("SH-DM", "mul_many 3 lanes", "e24eba1aa0c8169d347900665a12757d");
     ("SH-DM", "band_f_many + open_f_many lanes 1/63/130", "41cd376a1839f2db778c57c4a513c520");
+    ("SH-DM", "b2a ~w:40 ~signed:true", "618d6c020de431e93e4c9aea04a301b9");
+    ("SH-DM", "bit_b2a n=130", "8b0ee61c089b19fe2dbcc61a186f022f");
     ("SH-HM", "mul", "b0b1027b4676867722ea99266aa530de");
     ("SH-HM", "band ~width:8", "564bbfd51fabc5bf5ef5cb60afbbcbe7");
     ("SH-HM", "band_f n=130", "5f2ff2b1180d1dfdc75612a813d3905b");
@@ -390,6 +402,8 @@ let golden =
     ("SH-HM", "open_f", "86390b2b8cfa5c9cb249b84e75040501");
     ("SH-HM", "mul_many 3 lanes", "8faf911a1b2aaa8e705d321822d1b607");
     ("SH-HM", "band_f_many + open_f_many lanes 1/63/130", "d3a36a356f81560d221e6d27709a566c");
+    ("SH-HM", "b2a ~w:40 ~signed:true", "aae6d9ae9631c57122b25be1f13ffb29");
+    ("SH-HM", "bit_b2a n=130", "1b5b66356195995190d1510d5ca9da96");
     ("Mal-HM", "mul", "1c886b6a8fcbb130ea9bc5dac07e2910");
     ("Mal-HM", "band ~width:8", "a3166fe33d9a13e302d27dc23b803d2e");
     ("Mal-HM", "band_f n=130", "51cf3514c6335cc778297f96bd11b187");
@@ -397,6 +411,8 @@ let golden =
     ("Mal-HM", "open_f", "0b2569748266d303cb3234e64dcdd9ff");
     ("Mal-HM", "mul_many 3 lanes", "0e776a36508a88dc2c834fcd886c85dc");
     ("Mal-HM", "band_f_many + open_f_many lanes 1/63/130", "4c30ca198520bd78beefc4e3cc34c295");
+    ("Mal-HM", "b2a ~w:40 ~signed:true", "843f3f99fa3839d4328c7514a931413d");
+    ("Mal-HM", "bit_b2a n=130", "108a917dbec02d8d1572a740e4e892af");
   ]
 
 let test_golden_digests () =
