@@ -46,9 +46,11 @@ certify:
 
 # Quick transcript certificate (6 queries under sh-dm and mal-hm, seconds):
 # the check that catches a data-dependent transcript in a local `make
-# check`. Writes a git-ignored file, never the committed certificates.
+# check`, run whole and then chunked like CI's two quick steps. Writes
+# git-ignored files, never the committed certificates.
 certify-quick:
 	dune exec bin/orq_lint.exe -- certify --quick --out .certify-quick.json
+	ORQ_CHUNK_ROWS=512 ORQ_MEM_BUDGET=4M dune exec bin/orq_lint.exe -- certify --quick --out .certify-quick-chunked.json
 
 # Quick micro-kernel benchmark at 2 domains: exercises the pool dispatch
 # path end to end and refreshes BENCH_kernels.json (quick sizes, ~10s).

@@ -173,7 +173,7 @@ let rowwise_filter (t : Table.t) (p : Expr.pred) : Table.t =
         in
         Expr.eval_pred sub p)
   in
-  Table.and_valid t (Share.concat bits)
+  Table.and_valid t (Share.flags_concat_many (Array.of_list bits))
 
 let sf_baseline_s1 (db : Tpch_gen.mpc) =
   let li =

@@ -766,51 +766,11 @@ let party_cmd =
       const party_run $ id_t $ listen_t $ peers_t $ client_t $ proto_t
       $ seed_t $ sf_t $ max_rows_t $ verbose_t $ local_t)
 
-(* lint: the static leakage lint, also available as the standalone orq_lint
-   driver (which adds the fixture self-test and the transcript certifier). *)
-let run_lint_cli paths =
-  let module Lint = Orq_analysis.Lint in
-  let findings =
-    try Lint.lint_paths paths
-    with Sys_error e ->
-      Printf.eprintf "lint: %s\n" e;
-      exit 2
-  in
-  let violations = Lint.violations findings in
-  List.iter
-    (fun (f : Lint.finding) ->
-      match Lint.verdict f with
-      | Lint.Leaky e ->
-          Format.printf "leaky: %a  (%s)@." Lint.pp_finding f
-            e.Orq_analysis.Declass.d_why
-      | _ -> ())
-    (Lint.leaky_findings findings);
-  List.iter
-    (fun f -> Format.printf "VIOLATION: %a@." Lint.pp_finding f)
-    violations;
-  Format.printf "lint: %d findings, %d violations@." (List.length findings)
-    (List.length violations);
-  if violations = [] then 0 else 1
-
-let lint_cmd =
-  let paths_t =
-    Arg.(
-      value
-      & pos_all string [ "lib" ]
-      & info [] ~docv:"PATH" ~doc:"Files or directories to lint.")
-  in
-  Cmd.v
-    (Cmd.info "lint"
-       ~doc:
-         "static leakage lint: every declassification and every branch on \
-          opened data must be registered in the audited allowlist")
-    Term.(const run_lint_cli $ paths_t)
-
 let cmd =
   let doc = "run ORQ oblivious relational queries under MPC" in
   Cmd.group ~default:run_term
     (Cmd.info "orq_cli" ~doc)
-    [ run_cmd; serve_cmd; query_cmd; party_cmd; lint_cmd ]
+    [ run_cmd; serve_cmd; query_cmd; party_cmd ]
 
 let () =
   Orq_util.Parallel.init_from_env ();

@@ -63,16 +63,16 @@ let all : entry list =
     ok "Permops.shuffle_open_table" Declass "apply_open"
       "Protocol 4 then an opening of chosen shuffled columns; each caller \
        argues why its columns may open behind the fresh random shuffle";
-    ok "Compare.lt_lex_open_f" Declass "band_open_f"
+    ok "Compare.lt_lex_open" Declass "band_open_f"
       "SH-HM: the comparison's last AND broadcasts its 3-of-3 additive \
        outputs, xored with the linear tail, to both peers in its own \
        round; the outputs are zero-shared, so each party learns only the \
        opened bit. Callers argue why the bit may open";
-    ok "Compare.lt_lex_open_f" Declass "open_f"
+    ok "Compare.lt_lex_open" Declass "open_f"
       "SH-DM and Mal-HM: the comparison bit opened in a round after the \
        circuit, as before the fused form; callers argue why it may open";
     (* --- share conversions: openings of freshly masked values --- *)
-    ok "Convert.bit_b2a_flags_many" Declass "open_f_many"
+    ok "Convert.bit_b2a_many" Declass "open_f_many"
       "opens b xor r per packed word with r a fresh dealer daBit; the \
        opened bits are uniformly random (§2.3 conversion correlations). \
        Full-width b2a opens its bit planes through this one core";
@@ -95,7 +95,7 @@ let all : entry list =
        shuffle; opened by that shuffle's application, in its last round \
        under SH-HM";
     (* --- sorting: shuffle-then-reveal (quarantined: distributional) --- *)
-    ok "Quicksort.sort" Declass "lt_lex_open_f"
+    ok "Quicksort.sort" Declass "lt_lex_open"
       "shuffle-then-reveal quicksort (Hamada et al., Appendix B.1): \
        comparison bits opened after the initial random shuffle of unique \
        rows; their joint distribution depends only on n, not the data. \
@@ -132,7 +132,8 @@ let all : entry list =
        round under SH-HM";
     ok "Table.reveal" Branch "*"
       "row filtering on the opened validity bits of the final shuffled \
-       result — the output size is part of the analyst's result (§3.1)";
+       result — the output size is part of the analyst's result (§3.1) — \
+       and ordering the opened rows by the plan's public ORDER BY spec";
     (* --- leak-by-design baselines (benchmark comparison only) --- *)
     leaky "Leaky_join.inner_join" Declass "open_"
       "insecure baseline: opens join keys and validity in the clear to \

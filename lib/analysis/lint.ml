@@ -6,7 +6,7 @@
     ({!open_prims}: [Mpc]'s [open_], [open_f], [open_many], [open_f_many]
     and the fused openings [band_open_f] and [reshare_open_unmetered], and
     the entry points built on them, [Shardedperm.apply_open],
-    [Permops.shuffle_open_table] and [Compare.lt_lex_open_f]; bare or
+    [Permops.shuffle_open_table] and [Compare.lt_lex_open]; bare or
     qualified by their module) must be registered in {!Declass.all} for
     its enclosing [Module.function] site.
 
@@ -54,7 +54,7 @@ let open_prims =
     ("Mpc", "reshare_open_unmetered");
     ("Shardedperm", "apply_open");
     ("Permops", "shuffle_open_table");
-    ("Compare", "lt_lex_open_f");
+    ("Compare", "lt_lex_open");
   ]
 
 let open_names = List.map snd open_prims
@@ -68,12 +68,10 @@ let interactive_names =
       "mul_many";
       "band";
       "band_many";
-      "band1";
       "band_f";
       "band_f_many";
       "bor";
       "bor_many";
-      "bor1";
       "bor_f_many";
       "fuse_rounds";
     ]

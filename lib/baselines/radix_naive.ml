@@ -24,7 +24,7 @@ let bit_b2a_rowwise (ctx : Ctx.t) (b : Share.shared) : Share.shared =
   let n = Share.length b in
   let parts =
     List.init n (fun i ->
-        let bi = Share.sub_range b i 1 in
+        let bi = Share.pack_flags (Share.sub_range b i 1) in
         let r = Orq_circuits.Convert.bit_b2a ctx bi in
         Orq_net.Comm.traffic ctx.comm ~bits:(ctx.parties * overhead_bits)
           ~messages:ctx.parties;

@@ -42,9 +42,12 @@ let nested_join (ctx : Ctx.t) (left : Table.t) (right : Table.t)
          on)
   in
   let valid =
-    Mpc.band1 ctx
-      (Mpc.band1 ctx (expand_l left.Table.valid) (expand_r right.Table.valid))
-      eq
+    Share.unpack_flags
+      (Mpc.band_f ctx
+         (Mpc.band_f ctx
+            (Share.pack_flags (expand_l left.Table.valid))
+            (Share.pack_flags (expand_r right.Table.valid)))
+         eq)
   in
   let cols =
     List.map
@@ -83,9 +86,12 @@ let nested_semi_join (ctx : Ctx.t) (left : Table.t) (right : Table.t)
              w ))
          on)
   in
-  let eq = Mpc.band1 ctx eq (Share.gather right.Table.valid ri) in
+  let eq =
+    Mpc.band_f ctx eq (Share.pack_flags (Share.gather right.Table.valid ri))
+  in
   (* OR-reduce each row's m bits in log m rounds; odd stragglers OR with
      themselves (branchless) *)
+  let pick s idx = Share.pack_flags (Share.gather (Share.unpack_flags s) idx) in
   let rec fold s width =
     if width = 1 then s
     else
@@ -99,10 +105,8 @@ let nested_semi_join (ctx : Ctx.t) (left : Table.t) (right : Table.t)
             if j + half < width then (i * width) + j + half
             else (i * width) + j)
       in
-      let merged =
-        Mpc.bor1 ctx (Share.gather s idx_a) (Share.gather s idx_b)
-      in
-      fold merged half
+      let merged = Mpc.bor_f_many ctx [| pick s idx_a |] [| pick s idx_b |] in
+      fold merged.(0) half
   in
   let matched = fold eq m in
   Table.and_valid left matched

@@ -3,8 +3,7 @@
     Equality is an XOR followed by a logarithmic OR-fold; less-than is the
     classic divide-and-conquer (lt, eq) block-combination circuit. Both take
     [O(log w)] AND rounds for [w]-bit values — the costs the paper's sorting
-    analysis (§B) assumes for secure comparisons. All results are single-bit
-    boolean shares in the LSB.
+    analysis (§B) assumes for secure comparisons.
 
     Every circuit here is written over *lanes*: the [_many] entry points
     run k independent comparisons (possibly of different widths) in
@@ -14,8 +13,9 @@
     the one-lane special case. A useful byproduct: the less-than ladder's
     block-equality word terminates holding full-word equality in bit 0, so
     {!lt_core_many} returns both bits for the price of the lt ladder — which
-    is what lets {!lt_lex} and {!eq_composite} drop the separate equality
-    circuits the unbatched versions paid for. *)
+    is what lets {!lt_lex} drop the separate equality circuits the
+    unbatched version paid for. Single-bit results leave the word-based
+    ladders as packed flags. *)
 
 open Orq_proto
 
@@ -39,7 +39,7 @@ let active_lanes k pred =
     (x, y, w) triples) in lockstep: ⌈log₂ w⌉ fused OR-fold rounds for the
     widest lane; narrower lanes drop out as their strides reach zero. *)
 let eq_many (ctx : Ctx.t) (lanes : (Share.shared * Share.shared * int) array) :
-    Share.shared array =
+    Share.flags array =
   let k = Array.length lanes in
   let z =
     Array.map
@@ -63,10 +63,10 @@ let eq_many (ctx : Ctx.t) (lanes : (Share.shared * Share.shared * int) array) :
     end
   in
   loop ();
-  Array.map (fun zi -> Mpc.and_mask (Mpc.xor_pub zi 1) 1) z
+  Array.map (fun zi -> Mpc.bnot_f (Mpc.extract_bit_f zi 0)) z
 
-(** [eq ctx ~w x y] returns the single-bit sharing of [x = y] over the low
-    [w] bits. [log2 w] AND rounds. *)
+(** [eq ctx ~w x y] returns the packed flags of [x = y] over the low [w]
+    bits. [log2 w] AND rounds. *)
 let eq (ctx : Ctx.t) ~w x y = (eq_many ctx [| (x, y, w) |]).(0)
 
 (* Core of less-than, over lanes: each lane maintains per-block (lt, eq)
@@ -156,34 +156,33 @@ let lt_levels (ctx : Ctx.t) (lanes : (Share.shared * Share.shared * int) array)
   in
   loop ()
 
-(** [lt_core_many ctx lanes]: the (x < y, x = y) bit pair for each lane,
+(** [lt_core_many ctx lanes]: the (x < y, x = y) flag pair for each lane,
     over [w]-bit naturals, for the price of the fused less-than ladder alone —
     ⌈log₂ w⌉ + 1 rounds at the widest lane (eq is free: the ladder
     computes it anyway). Two's-complement callers flip both operands' top
     bits first. *)
 let lt_core_many (ctx : Ctx.t)
     (lanes : (Share.shared * Share.shared * int) array) :
-    (Share.shared * Share.shared) array =
+    (Share.flags * Share.flags) array =
   let ltb, eqb = lt_init ctx lanes in
   let d = Array.make (Array.length lanes) 1 in
   lt_levels ctx lanes ltb eqb d ~more:(fun i dd ->
       let _, _, w = lanes.(i) in
       dd < w);
-  Array.map2 (fun l e -> (Mpc.and_mask l 1, Mpc.and_mask e 1)) ltb eqb
+  Array.map2 (fun l e -> (Mpc.extract_bit_f l 0, Mpc.extract_bit_f e 0)) ltb eqb
 
 (** [lt_many ctx lanes]: k independent less-than tests in max-lane-depth
     fused rounds. *)
 let lt_many (ctx : Ctx.t) (lanes : (Share.shared * Share.shared * int) array)
-    : Share.shared array =
+    : Share.flags array =
   Array.map fst (lt_core_many ctx lanes)
 
-(** [lt ctx ~w x y]: single-bit sharing of [x < y] over [w]-bit
-    naturals. *)
+(** [lt ctx ~w x y]: packed flags of [x < y] over [w]-bit naturals. *)
 let lt (ctx : Ctx.t) ~w x y = (lt_many ctx [| (x, y, w) |]).(0)
 
 let gt ctx ~w x y = lt ctx ~w y x
-let le ctx ~w x y = Mpc.xor_pub (lt ctx ~w y x) 1
-let ge ctx ~w x y = Mpc.xor_pub (lt ctx ~w x y) 1
+let le ctx ~w x y = Mpc.bnot_f (lt ctx ~w y x)
+let ge ctx ~w x y = Mpc.bnot_f (lt ctx ~w x y)
 
 (* Log-depth merge of per-column (lt, eq) pairs under the associative
    lexicographic combination (hi = more significant column):
@@ -192,7 +191,7 @@ let ge ctx ~w x y = Mpc.xor_pub (lt ctx ~w x y) 1
    fused round, over packed flag lanes ({!Mpc.band_f_many}): randomness and
    local work are per word, element-level traffic unchanged. Merges until
    at most [until] pairs remain. *)
-let rec lex_merge_f (ctx : Ctx.t) ~until (ps : (Share.flags * Share.flags) array)
+let rec lex_merge (ctx : Ctx.t) ~until (ps : (Share.flags * Share.flags) array)
     =
   let m = Array.length ps in
   if m <= until then ps
@@ -212,28 +211,19 @@ let rec lex_merge_f (ctx : Ctx.t) ~until (ps : (Share.flags * Share.flags) array
     let merged =
       if m mod 2 = 1 then Array.append merged [| ps.(m - 1) |] else merged
     in
-    lex_merge_f ctx ~until merged
+    lex_merge ctx ~until merged
   end
 
-(* Every column's (lt, eq) ladder in one fused lockstep pass, as packed
-   flags. *)
-let lt_eq_flags (ctx : Ctx.t) cols =
-  Array.map
-    (fun (l, e) -> (Share.pack_flags l, Share.pack_flags e))
-    (lt_core_many ctx (Array.of_list cols))
-
 (** Lexicographic less-than over a list of (x, y, width) column pairs,
-    returned as packed flags — the composite-key comparator used by
-    TableSort and the sorting wrapper (the (key, index) 128-bit padding
-    construction of §B.2): lt = lt_1 or (eq_1 and (lt_2 or (eq_2 and ...))).
-    All columns' (lt, eq) ladders run in one fused lockstep pass (the
-    ladders stay word-based — they are genuinely multi-bit), their
-    single-bit results pack into flag lanes, and a log-depth packed merge
-    combines the columns. *)
-let lt_lex_f (ctx : Ctx.t) = function
+    as packed flags — the composite-key comparator used by TableSort and
+    the sorting wrapper (the (key, index) 128-bit padding construction of
+    §B.2): lt = lt_1 or (eq_1 and (lt_2 or (eq_2 and ...))). All
+    columns' (lt, eq) ladders run in one fused lockstep pass and a
+    log-depth packed merge combines the columns (none for one column). *)
+let lt_lex (ctx : Ctx.t) = function
   | [] -> invalid_arg "lt_lex: empty key list"
-  | [ (x, y, w) ] -> Share.pack_flags (lt ctx ~w x y)
-  | cols -> fst (lex_merge_f ctx ~until:1 (lt_eq_flags ctx cols)).(0)
+  | cols ->
+      fst (lex_merge ctx ~until:1 (lt_core_many ctx (Array.of_list cols))).(0)
 
 (* The lexicographic less-than short of its last AND, as packed flags
    (x, y, tail) with lt = (x ∧ y) ⊕ tail. One column: its ladder stops
@@ -244,40 +234,38 @@ let lt_lex_f (ctx : Ctx.t) = function
 let lt_lex_last (ctx : Ctx.t) = function
   | [] -> invalid_arg "lt_lex: empty key list"
   | [ (x, y, w) ] ->
-      if w = 1 then (Share.pack_flags (Mpc.bnot x), Share.pack_flags y, None)
+      if w = 1 then
+        (Mpc.bnot_f (Mpc.extract_bit_f x 0), Mpc.extract_bit_f y 0, None)
       else begin
         let lanes = [| (x, y, w) |] in
         let ltb, eqb = lt_init ctx lanes in
         let d = [| 1 |] in
         lt_levels ctx lanes ltb eqb d ~more:(fun _ dd -> 2 * dd < w);
-        let pack_at v = Share.pack_flags (Mpc.rshift v d.(0)) in
-        (pack_at eqb.(0), Share.pack_flags ltb.(0), Some (pack_at ltb.(0)))
+        let at v = Mpc.extract_bit_f v d.(0) in
+        (at eqb.(0), Mpc.extract_bit_f ltb.(0) 0, Some (at ltb.(0)))
       end
   | cols -> (
-      match lex_merge_f ctx ~until:2 (lt_eq_flags ctx cols) with
+      match lex_merge ctx ~until:2 (lt_core_many ctx (Array.of_list cols)) with
       | [| (l0, e0); (l1, _) |] -> (e0, l1, Some l0)
       | _ -> assert false)
 
-(** {!lt_lex_f} opened. Under SH-HM the last AND opens in its own round
-    ({!Mpc.band_open_f}): one round fewer than {!lt_lex_f} then
+(** {!lt_lex} opened. Under SH-HM the last AND opens in its own round
+    ({!Mpc.band_open_f}): one round fewer than {!lt_lex} then
     {!Mpc.open_f}, and that last round forms only the opened product.
-    Under SH-DM and Mal-HM it is exactly {!lt_lex_f} then
-    {!Mpc.open_f}. *)
-let lt_lex_open_f (ctx : Ctx.t) cols =
+    Under SH-DM and Mal-HM it is exactly {!lt_lex} then {!Mpc.open_f}. *)
+let lt_lex_open (ctx : Ctx.t) cols =
   match ctx.kind with
-  | Ctx.Sh_dm | Ctx.Mal_hm -> Mpc.open_f ctx (lt_lex_f ctx cols)
+  | Ctx.Sh_dm | Ctx.Mal_hm -> Mpc.open_f ctx (lt_lex ctx cols)
   | Ctx.Sh_hm ->
       let x, y, tail = lt_lex_last ctx cols in
       Mpc.band_open_f ctx ?tail x y
 
-let lt_lex (ctx : Ctx.t) cols = Share.unpack_flags (lt_lex_f ctx cols)
-
-(** Conjunction of per-column equality over composite keys, as packed
-    flags: one fused (word-based) equality pass over all columns, each
-    column's result bit packed into flag lanes, then a log-depth packed
-    AND tree (k - 1 single-bit ANDs, same traffic as the sequential
-    fold). *)
-let eq_composite_many_f (ctx : Ctx.t)
+(** Conjunctions of per-column equality over composite keys, one per
+    group of columns, as packed flags: one fused (word-based) equality
+    pass over every group's columns, then lockstep log-depth packed AND
+    trees (k - 1 single-bit ANDs per group, same traffic as the
+    sequential fold). *)
+let eq_composite_many (ctx : Ctx.t)
     (groups : (Share.shared * Share.shared * int) list array) :
     Share.flags array =
   if Array.length groups = 0 then [||]
@@ -287,7 +275,7 @@ let eq_composite_many_f (ctx : Ctx.t)
       groups;
     (* one fused per-column equality pass over every group's columns *)
     let lanes = Array.of_list (List.concat (Array.to_list groups)) in
-    let eqs = Array.map Share.pack_flags (eq_many ctx lanes) in
+    let eqs = eq_many ctx lanes in
     let state = Array.make (Array.length groups) [||] in
     let off = ref 0 in
     Array.iteri
@@ -328,5 +316,4 @@ let eq_composite_many_f (ctx : Ctx.t)
     Array.map (fun es -> es.(0)) state
   end
 
-let eq_composite (ctx : Ctx.t) cols =
-  Share.unpack_flags (eq_composite_many_f ctx [| cols |]).(0)
+let eq_composite (ctx : Ctx.t) cols = (eq_composite_many ctx [| cols |]).(0)

@@ -16,7 +16,7 @@ open Orq_util
     unpacking to 0/1 only at the final local recombination
     [c + [r]_A * (1 - 2c)], where the result must become arithmetic words
     anyway. *)
-let bit_b2a_flags_many (ctx : Ctx.t) (bs : Share.flags array) :
+let bit_b2a_many (ctx : Ctx.t) (bs : Share.flags array) :
     Share.shared array =
   if Array.length bs = 0 then [||]
   else begin
@@ -31,16 +31,15 @@ let bit_b2a_flags_many (ctx : Ctx.t) (bs : Share.flags array) :
       cs
   end
 
-(** Convert single-bit boolean sharings (condition bits in the LSB; the
-    high bits of each word are ignored) to arithmetic 0/1 sharings: a
-    one-lane {!bit_b2a_flags_many}. One opening round:
+(** Convert packed flags to an arithmetic 0/1 sharing: a one-lane
+    {!bit_b2a_many}. One opening round:
     c = open(b xor r);  [b]_A = c + [r]_A * (1 - 2c). *)
-let bit_b2a (ctx : Ctx.t) (b : Share.shared) : Share.shared =
-  (bit_b2a_flags_many ctx [| Share.pack_flags b |]).(0)
+let bit_b2a (ctx : Ctx.t) (b : Share.flags) : Share.shared =
+  (bit_b2a_many ctx [| b |]).(0)
 
 (** Full-width boolean-to-arithmetic conversion over packed bit planes:
     the [w] planes are extracted as packed flags and concatenated into one
-    lane of [w * n] flags, so the conversion is one {!bit_b2a_flags_many}
+    lane of [w * n] flags, so the conversion is one {!bit_b2a_many}
     lane — one daBit draw and one width-1 opening round — then recombined
     locally as sum_i 2^i [b_i]_A. The [w]-bit value is interpreted as two's
     complement when [~signed:true] (the top bit weighs -2^(w-1)), so signed
@@ -54,7 +53,7 @@ let b2a ?w ?(signed = false) (ctx : Ctx.t) (x : Share.shared) : Share.shared =
   let planes =
     Share.flags_concat_many (Array.init w (fun i -> Mpc.extract_bit_f x i))
   in
-  let bits_a = (bit_b2a_flags_many ctx [| planes |]).(0) in
+  let bits_a = bit_b2a ctx planes in
   let acc = ref (Share.public ctx Share.Arith n 0) in
   for i = 0 to w - 1 do
     let bi = Share.sub_range bits_a (i * n) n in

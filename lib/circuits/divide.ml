@@ -58,9 +58,9 @@ let bitlen v = Ring.log2_ceil (v + 1)
    lane has width [w]: the generate round plus the prefix ladder. *)
 let adder_rounds w = 1 + Ring.log2_ceil w
 
-(* Sign flag (bit wr - 1) of a wr-bit two's-complement sharing, as an LSB
-   single-bit share. *)
-let msb x ~wr = Mpc.extract_bit x (wr - 1)
+(* Sign flag (bit wr - 1) of a wr-bit two's-complement sharing, as packed
+   flags. *)
+let msb x ~wr = Mpc.extract_bit_f x (wr - 1)
 
 (* Shared skeleton of the non-restoring loop: consumes bits [bits-1 .. 0]
    of [x] into the wr-bit partial remainder [r0] (0 <= r0 < D).
@@ -74,14 +74,17 @@ let nonrestoring (ctx : Ctx.t) ~wr ~bits ~x ~r0 ~neg_d ~select_addend =
   let qbits = ref (Share.public ctx Share.Bool (Share.length x) 0) in
   for i = bits - 1 downto 0 do
     (* 2R + x_i : the shifted-in low bit is zero so xor inserts x_i *)
-    let shifted = Mpc.xor (Mpc.lshift !r 1) (Mpc.extract_bit x i) in
+    let shifted =
+      Mpc.xor (Mpc.lshift !r 1) (Share.unpack_flags (Mpc.extract_bit_f x i))
+    in
     let r2 = Mpc.and_mask shifted (Ring.mask wr) in
     let addend =
       if i = bits - 1 then neg_d else select_addend (msb !r ~wr)
     in
     r := Adder.add ctx ~w:wr r2 addend;
     (* quotient bit is 1 iff the new remainder is non-negative *)
-    qbits := Mpc.xor !qbits (Mpc.lshift (Mpc.xor_pub (msb !r ~wr) 1) i)
+    let q_i = Share.unpack_flags (Mpc.bnot_f (msb !r ~wr)) in
+    qbits := Mpc.xor !qbits (Mpc.lshift q_i i)
   done;
   (!qbits, !r)
 
@@ -106,7 +109,7 @@ let udiv (ctx : Ctx.t) ?qw ~w ~wd x d : Share.shared * Share.shared =
     Mpc.and_mask (Mpc.rshift (Mpc.and_mask x (Ring.mask w)) qw) (Ring.mask wr)
   in
   let q, r = nonrestoring ctx ~wr ~bits:qw ~x ~r0 ~neg_d ~select_addend in
-  let cond_d = Mpc.band ~width:wr ctx (Mpc.extend_bit (msb r ~wr)) d in
+  let cond_d = Mpc.band ~width:wr ctx (Share.extend_flags (msb r ~wr)) d in
   (q, Mpc.and_mask (Adder.add ctx ~w:wr r cond_d) (Ring.mask wd))
 
 let udiv_rounds ~w ~wd ?qw () =
@@ -131,7 +134,7 @@ let narrow_loop (ctx : Ctx.t) ~w x d =
   let diff = d lxor neg_d in
   (* (-d) xor (ext(s) and (d xor -d)) : +d when s = 1 *)
   let select_addend s =
-    Mpc.xor_pub (Mpc.and_mask (Mpc.extend_bit s) diff) neg_d
+    Mpc.xor_pub (Mpc.and_mask (Share.extend_flags s) diff) neg_d
   in
   (* the top l - 1 bits are below d: they are the starting remainder *)
   let r0 = Mpc.rshift x bits in
@@ -143,7 +146,7 @@ let narrow_loop (ctx : Ctx.t) ~w x d =
   (q, r, wr)
 
 (* The +d fix-up addend for an unfixed wr-bit remainder. *)
-let fixup_addend r ~wr d = Mpc.and_mask (Mpc.extend_bit (msb r ~wr)) d
+let fixup_addend r ~wr d = Mpc.and_mask (Share.extend_flags (msb r ~wr)) d
 
 (* Lockstep 3:2 carry-save reduction. Each tree is a list of (operand,
    width) pairs whose values are below 2^width, plus the width [t] of
@@ -248,7 +251,8 @@ let digit_split (ctx : Ctx.t) ~w x d =
   let wa, ws, wq = split_widths ~w d in
   (* high bit x_{l+j}, replicated across the word *)
   let high =
-    Array.init (w - l) (fun j -> Mpc.extend_bit (Mpc.extract_bit x (l + j)))
+    Array.init (w - l) (fun j ->
+        Share.extend_flags (Mpc.extract_bit_f x (l + j)))
   in
   let terms f =
     List.init (w - l) (fun j ->

@@ -1,33 +1,21 @@
-(** Oblivious multiplexers (§3.1): [b ? y : x] without revealing [b]. *)
+(** Oblivious multiplexers (§3.1): [b ? y : x] without revealing [b]. The
+    condition [b] is always packed flags ({!Share.flags}), extended to a
+    mux mask locally. *)
 
 open Orq_proto
 
 val mux_b :
-  ?width:int -> Ctx.t -> Share.shared -> Share.shared -> Share.shared ->
+  ?width:int -> Ctx.t -> Share.flags -> Share.shared -> Share.shared ->
   Share.shared
-(** Boolean mux ([b] carries the condition in each element's LSB); one AND
-    round. *)
+(** Boolean mux; one AND round. *)
 
 val mux_b_many :
-  ?width:int -> Ctx.t -> Share.shared ->
+  ?width:int -> Ctx.t -> Share.flags ->
   (Share.shared * Share.shared) list -> Share.shared list
-(** Mux several columns under one condition in a single round — the
-    workhorse of the aggregation network. *)
+(** Mux several columns under one condition in a single round. *)
 
 val select_many :
   ?widths:int array -> Ctx.t ->
-  (Share.shared * Share.shared * Share.shared) array -> Share.shared array
+  (Share.flags * Share.shared * Share.shared) array -> Share.shared array
 (** k independent muxes (lane i is (b, x, y), selecting [b ? y : x]) with
     per-lane widths, their AND legs fused into one round. *)
-
-val select_flags_many :
-  ?widths:int array -> Ctx.t ->
-  (Share.flags * Share.shared * Share.shared) array -> Share.shared array
-(** {!select_many} with packed flag conditions: mux masks extend straight
-    from the packed words, no 0/1 intermediate. *)
-
-val mux_a :
-  ?width:int -> Ctx.t -> Share.shared -> Share.shared -> Share.shared ->
-  Share.shared
-(** Arithmetic mux with a 0/1 arithmetic condition (one multiplication at
-    the value width). *)

@@ -104,7 +104,7 @@ let boundaries (ctx : Ctx.t) ~(keys : (Share.shared * int) list)
   (* all group-boundary bits live in packed flag lanes: the equality
      ladders deliver them packed, the tid conjunction is a packed AND and
      Sum's bit conversion consumes the packed lanes directly *)
-  let bits = Compare.eq_composite_many_f ctx all_groups in
+  let bits = Compare.eq_composite_many ctx all_groups in
   {
     b_n = n;
     b_levels = levels;
@@ -112,23 +112,32 @@ let boundaries (ctx : Ctx.t) ~(keys : (Share.shared * int) list)
     b_tid = Option.map (fun _ -> Array.sub bits nlev nlev) tid;
   }
 
-(* eq(K_a[i], K_a[i+1]) for the real rows i < n-1, as 0/1 words. *)
-let adjacent_eq (b : boundaries) =
-  Share.sub_range (Share.unpack_flags b.b_group.(0)) 0 (b.b_n - 1)
+(* Group marks of [n] sorted rows from the flags [eq] of
+   eq(K[i], K[i+1]) for i < n-1: [~first] marks row 0 and each row after
+   an inequality, otherwise each row before one and row n-1. Local. *)
+let marks (ctx : Ctx.t) ~first n (eq : unit -> Share.flags) : Share.flags =
+  let one = Share.pack_flags (Share.public ctx Share.Bool 1 1) in
+  if n = 1 then one
+  else
+    let ne = Mpc.bnot_f (eq ()) in
+    Share.flags_concat_many (if first then [| one; ne |] else [| ne; one |])
+
+(* The distance-1 level's bits over the real row pairs. *)
+let adjacent_eq (b : boundaries) () =
+  Share.pack_flags
+    (Share.sub_range (Share.unpack_flags b.b_group.(0)) 0 (b.b_n - 1))
 
 (** Mark each group's first row (row i is first iff ¬eq(K_a[i-1], K_a[i]),
     row 0 always) — the oblivious DISTINCT of §3.1, derived locally from
     the pre-pass. *)
-let first_of_group (ctx : Ctx.t) (b : boundaries) : Share.shared =
-  let one = Share.public ctx Share.Bool 1 1 in
-  if b.b_n = 1 then one else Share.append one (Mpc.xor_pub (adjacent_eq b) 1)
+let first_of_group (ctx : Ctx.t) (b : boundaries) : Share.flags =
+  marks ctx ~first:true b.b_n (adjacent_eq b)
 
 (** Mark each group's last row (row i is last iff ¬eq(K_a[i], K_a[i+1]),
     the last row always) — the row holding the group aggregate after
     {!propagate}. Local. *)
-let last_of_group (ctx : Ctx.t) (b : boundaries) : Share.shared =
-  let one = Share.public ctx Share.Bool 1 1 in
-  if b.b_n = 1 then one else Share.append (Mpc.xor_pub (adjacent_eq b) 1) one
+let last_of_group (ctx : Ctx.t) (b : boundaries) : Share.flags =
+  marks ctx ~first:false b.b_n (adjacent_eq b)
 
 (** [propagate ctx b specs] runs the level-ordered value propagation of
     the network whose pre-pass is [b]; the spec columns must be ordered
@@ -158,7 +167,7 @@ let propagate (ctx : Ctx.t) (b : boundaries) (specs : spec list) :
              | Some t -> b_exts := Some (Mpc.band_f_many ctx b_groups t)
              | None -> invalid_arg "Aggnet.propagate: tid column required");
          (fun () ->
-           if has_sum then b_ariths := Convert.bit_b2a_flags_many ctx b_groups);
+           if has_sum then b_ariths := Convert.bit_b2a_many ctx b_groups);
        |]);
   let b_exts = !b_exts and b_ariths = !b_ariths in
   Array.iteri (fun li dd ->
@@ -257,7 +266,7 @@ let propagate (ctx : Ctx.t) (b : boundaries) (specs : spec list) :
            (List.init ns Fun.id))
     in
     let bm_res =
-      Mux.select_flags_many
+      Mux.select_many
         ~widths:(Array.map (fun (i, _) -> pre_width.(i)) bm)
         ctx
         (Array.map
@@ -290,35 +299,22 @@ let run (ctx : Ctx.t) ~(keys : (Share.shared * int) list)
   let tid = if needs_tid then tid else None in
   propagate ctx (boundaries ctx ~keys ?tid ()) specs
 
+(* Group marks of a table sorted on [keys] from their own adjacent-row
+   equality ladder. *)
+let adjacent_marks (ctx : Ctx.t) ~first ~(keys : (Share.shared * int) list) =
+  let n = Share.length (fst (List.hd keys)) in
+  marks ctx ~first n (fun () ->
+      Compare.eq_composite ctx
+        (List.map
+           (fun (k, w) ->
+             (Share.sub_range k 0 (n - 1), Share.sub_range k 1 (n - 1), w))
+           keys))
+
 (** Mark the first row of each group in a table sorted on [keys]:
     bit i = 1 iff row i differs from row i-1 (row 0 always 1). This is the
     oblivious DISTINCT of §3.1. *)
-let distinct_bits (ctx : Ctx.t) ~(keys : (Share.shared * int) list) :
-    Share.shared =
-  let n = Share.length (fst (List.hd keys)) in
-  if n = 1 then Share.public ctx Share.Bool 1 1
-  else
-    let eq =
-      Compare.eq_composite ctx
-        (List.map
-           (fun (k, w) ->
-             (Share.sub_range k 0 (n - 1), Share.sub_range k 1 (n - 1), w))
-           keys)
-    in
-    Share.append (Share.public ctx Share.Bool 1 1) (Mpc.xor_pub eq 1)
+let distinct_bits ctx ~keys = adjacent_marks ctx ~first:true ~keys
 
 (** Mark the last row of each group (the row holding the group aggregate
     after {!run}). *)
-let last_of_group_bits (ctx : Ctx.t) ~(keys : (Share.shared * int) list) :
-    Share.shared =
-  let n = Share.length (fst (List.hd keys)) in
-  if n = 1 then Share.public ctx Share.Bool 1 1
-  else
-    let eq =
-      Compare.eq_composite ctx
-        (List.map
-           (fun (k, w) ->
-             (Share.sub_range k 0 (n - 1), Share.sub_range k 1 (n - 1), w))
-           keys)
-    in
-    Share.append (Mpc.xor_pub eq 1) (Share.public ctx Share.Bool 1 1)
+let last_of_group_bits ctx ~keys = adjacent_marks ctx ~first:false ~keys

@@ -6,7 +6,8 @@
     in one control flow, reusing the per-level group-boundary bits. Pads
     internally to a power of two with invalid rows (the padding behind the
     paper's Q12 scaling outlier); the validity bit must be part of every
-    aggregation key. *)
+    aggregation key. Group marks come back as packed flags
+    ({!Share.flags}). *)
 
 open Orq_proto
 
@@ -42,11 +43,11 @@ val boundaries :
     (which must include the validity column) as one fused batch. Pass
     [tid] iff a [Group_and_tid] function will {!propagate}. *)
 
-val first_of_group : Ctx.t -> boundaries -> Share.shared
+val first_of_group : Ctx.t -> boundaries -> Share.flags
 (** Each group's first row (oblivious DISTINCT), derived locally from the
     distance-1 level: row i is first iff ¬eq(K[i-1], K[i]). *)
 
-val last_of_group : Ctx.t -> boundaries -> Share.shared
+val last_of_group : Ctx.t -> boundaries -> Share.flags
 (** Each group's last row — the one holding the group aggregate — derived
     locally: row i is last iff ¬eq(K[i], K[i+1]). *)
 
@@ -61,10 +62,10 @@ val run :
     for [Group_and_tid] functions. *)
 
 val distinct_bits :
-  Ctx.t -> keys:(Share.shared * int) list -> Share.shared
+  Ctx.t -> keys:(Share.shared * int) list -> Share.flags
 (** Mark each group's first row in a sorted table with its own equality
     ladder — oblivious DISTINCT for tables that run no network. *)
 
 val last_of_group_bits :
-  Ctx.t -> keys:(Share.shared * int) list -> Share.shared
+  Ctx.t -> keys:(Share.shared * int) list -> Share.flags
 (** Mark each group's last row with its own equality ladder. *)

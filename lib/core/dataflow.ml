@@ -43,10 +43,13 @@ let map (t : Table.t) ~dst ?width (e : Expr.num) : Table.t =
 (* ------------------------------------------------------------------ *)
 
 (** ORDER BY: valid rows float to the top (validity is a leading descending
-    key), then the user keys apply. *)
+    key), then the user keys apply. The spec is recorded as a public
+    [Table.Ordered] fact, so {!Table.reveal} hands the rows over in this
+    order. *)
 let order_by (t : Table.t) (specs : (string * order) list) : Table.t =
   Ctx.with_label (Table.ctx t) "orderby" @@ fun () ->
-  parked (Tablesort.sort ~lead:[ (t.Table.valid, 1, Tablesort.Desc) ] t specs)
+  let sorted = Tablesort.sort ~lead:[ (t.Table.valid, 1, Tablesort.Desc) ] t specs in
+  parked (Table.add_facts sorted [ Table.Ordered specs ])
 
 (** LIMIT k (after an ORDER BY): keep the first k physical rows. *)
 let limit (t : Table.t) k : Table.t = Table.take_rows t k
@@ -169,9 +172,9 @@ let spec_of (sp, _, _, _, _) = sp
    and the last-of-group mark [last]; then AVG's divisions, each quotient
    bounded by the width of its source ([src] looks sources up). *)
 let finish (t : Table.t) (aggs : agg list) expanded results
-    ~(last : Share.shared) ~(src : string -> Column.t) : Table.t =
+    ~(last : Share.flags) ~(src : string -> Column.t) : Table.t =
   let ctx = Table.ctx t in
-  let conv = ref [||] and valid = ref t.Table.valid in
+  let conv = ref [||] and marked = ref t in
   ignore
     (Mpc.fuse_rounds ctx
        [|
@@ -184,7 +187,7 @@ let finish (t : Table.t) (aggs : agg list) expanded results
                         (fun (_, fin, w, _, _) r ->
                           match fin with `A2b -> [ (r, w) ] | `Id -> [])
                         expanded results))));
-         (fun () -> valid := Mpc.band1 ctx t.Table.valid last);
+         (fun () -> marked := Table.and_valid t last);
        |]);
   let ci = ref 0 in
   let finished =
@@ -202,8 +205,7 @@ let finish (t : Table.t) (aggs : agg list) expanded results
       expanded results
   in
   let t =
-    List.fold_left (fun t (dst, c) -> Table.set_col t dst c)
-      { t with Table.valid = !valid } finished
+    List.fold_left (fun t (dst, c) -> Table.set_col t dst c) !marked finished
   in
   (* resolve AVG divisions *)
   List.fold_left
@@ -289,7 +291,8 @@ let global_aggregate (t : Table.t) ~(aggs : agg list) : Table.t =
   let module Cv = Orq_circuits.Convert in
   let module Mx = Orq_circuits.Mux in
   let module Cp = Orq_circuits.Compare in
-  let v_arith = lazy (Cv.bit_b2a ctx t.Table.valid) in
+  let valid = Share.pack_flags t.Table.valid in
+  let v_arith = lazy (Cv.bit_b2a ctx valid) in
   let plans =
     List.map
       (fun a ->
@@ -374,7 +377,7 @@ let global_aggregate (t : Table.t) ~(aggs : agg list) : Table.t =
              (fun (_, is_min, w, x) ->
                (* invalid rows become the identity of the fold *)
                let ident = if is_min then Orq_util.Ring.mask w else 0 in
-               (t.Table.valid, Share.public ctx Share.Bool t.Table.nrows ident, x))
+               (valid, Share.public ctx Share.Bool t.Table.nrows ident, x))
              mm)
       in
       while Array.exists (fun s -> Share.length s > 1) cur do
@@ -601,7 +604,9 @@ let group_join ?(outer = false) (left : Table.t) (right : Table.t)
     let g =
       Joinagg.join_grouped ctx variant ~copy ~left ~right ~on
         ~aggs:(fun ~find ~tid ->
-          let count = lazy (Orq_circuits.Convert.bit_b2a ctx tid) in
+          let count =
+            lazy (Orq_circuits.Convert.bit_b2a ctx (Share.pack_flags tid))
+          in
           expanded :=
             List.concat_map
               (expand_agg ctx ~rows:(Table.nrows right) ~find
@@ -639,8 +644,9 @@ let group_join ?(outer = false) (left : Table.t) (right : Table.t)
 
 (** Unique-key inner join (Appendix C): both sides' keys are unique in the
     public schema, so the aggregation network is skipped — an oblivious
-    PSI-style join bounded by min(|L|, |R|). Used for the SecretFlow
-    comparison, whose join requires unique keys. *)
+    PSI-style join bounded by min(|L|, |R|). No query plan picks it
+    (the SecretFlow comparison queries use {!inner_join}); it stays as
+    the Appendix C operator its tests measure. *)
 let inner_join_unique ?copy ?trim (left : Table.t) (right : Table.t)
     ~(on : string list) : Table.t =
   parked (Joinagg.join_unique (Table.ctx left) ?copy ?trim ~left ~right ~on ())

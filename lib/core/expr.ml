@@ -65,13 +65,13 @@ let as_arith ctx (v : value) =
 let sign_extend x ~from_w ~to_w =
   if from_w >= to_w then Mpc.and_mask x (Orq_util.Ring.mask to_w)
   else
-    let sign = Mpc.and_mask (Mpc.rshift x (from_w - 1)) 1 in
+    let sign = Mpc.extract_bit_f x (from_w - 1) in
     let hi =
       Orq_util.Ring.mask to_w land lnot (Orq_util.Ring.mask from_w)
     in
     Mpc.xor
       (Mpc.and_mask x (Orq_util.Ring.mask from_w))
-      (Mpc.and_mask (Mpc.extend_bit sign) hi)
+      (Mpc.and_mask (Share.extend_flags sign) hi)
 
 (* Boolean view of a value at a target width: arithmetic shares convert
    modulo 2^w (correct two's complement); narrower signed boolean operands
@@ -166,15 +166,18 @@ let rec eval_num (t : Table.t) (e : num) : value =
       let q, _ = Orq_circuits.Divide.udiv_pub ctx ~w (as_bool_at ctx va w) d in
       { data = q; width = w; signed = false }
   | If (p, a, b) ->
-      let vs =
-        Mpc.fuse_rounds ctx
-          [|
-            (fun () -> { data = eval_pred t p; width = 1; signed = false });
-            (fun () -> eval_num t a);
-            (fun () -> eval_num t b);
-          |]
+      let bit, va, vb =
+        match
+          Mpc.fuse_rounds ctx
+            [|
+              (fun () -> Either.Left (eval_pred t p));
+              (fun () -> Either.Right (eval_num t a));
+              (fun () -> Either.Right (eval_num t b));
+            |]
+        with
+        | [| Left bit; Right va; Right vb |] -> (bit, va, vb)
+        | _ -> assert false
       in
-      let bit = vs.(0).data and va = vs.(1) and vb = vs.(2) in
       let w, signed = joint va vb in
       let w = cap_width w in
       let xa, xb = fuse2 ctx (fun () -> as_bool_at ctx va w) (fun () -> as_bool_at ctx vb w) in
@@ -185,9 +188,10 @@ let rec eval_num (t : Table.t) (e : num) : value =
    through one fused A2B, the equality legs share one fused OR-fold ladder
    and the ordering legs one fused less-than ladder (per-leg signedness is
    a local sign-bit flip), and the connective structure combines the leaf
-   bits with log-depth fused AND/OR trees. A multi-conjunct filter such as
-   Q6's thus costs one comparison-ladder depth instead of one per leg. *)
-and eval_pred (t : Table.t) (p : pred) : Share.shared =
+   flags with log-depth fused AND/OR trees over packed words. A
+   multi-conjunct filter such as Q6's thus costs one comparison-ladder
+   depth instead of one per leg. *)
+and eval_pred (t : Table.t) (p : pred) : Share.flags =
   let ctx = Table.ctx t in
   (* Pass 1: every leaf's operands, left to right, as fused tracks. *)
   let leaves = ref [] in
@@ -298,13 +302,12 @@ and eval_pred (t : Table.t) (p : pred) : Share.shared =
           | `Eq (j, neg) -> (eqs.(j), neg)
           | `Lt (j, neg) -> (lts.(j), neg)
         in
-        if neg then Mpc.xor_pub b 1 else b)
+        if neg then Mpc.bnot_f b else b)
       plan
   in
   (* Pass 4: combine through the connective skeleton; associative And/Or
      chains flatten into log-depth fused trees. *)
-  let rec tree : 'a. ('a array -> 'a array -> 'a array) -> 'a array -> 'a =
-   fun f es ->
+  let rec tree f es =
     let m = Array.length es in
     if m = 1 then es.(0)
     else
@@ -321,24 +324,17 @@ and eval_pred (t : Table.t) (p : pred) : Share.shared =
     | `Or (a, b) -> flatten_or a @ flatten_or b
     | s -> [ s ]
   in
-  (* connective chains run over packed flag lanes: every leaf is a
-     single-bit predicate, so each tree level is one packed fused round *)
+  (* every tree level is one packed fused round *)
   let rec combine = function
-    | `T -> Share.public ctx Share.Bool (Table.nrows t) 1
+    | `T -> Share.pack_flags (Share.public ctx Share.Bool (Table.nrows t) 1)
     | `L i -> leaf_bit.(i)
-    | `Not a -> Mpc.xor_pub (combine a) 1
+    | `Not a -> Mpc.bnot_f (combine a)
     | `And _ as s ->
-        let es =
-          Array.of_list
-            (List.map (fun a -> Share.pack_flags (combine a)) (flatten_and s))
-        in
-        Share.unpack_flags (tree (Mpc.band_f_many ctx) es)
+        tree (Mpc.band_f_many ctx)
+          (Array.of_list (List.map combine (flatten_and s)))
     | `Or _ as s ->
-        let es =
-          Array.of_list
-            (List.map (fun a -> Share.pack_flags (combine a)) (flatten_or s))
-        in
-        Share.unpack_flags (tree (Mpc.bor_f_many ctx) es)
+        tree (Mpc.bor_f_many ctx)
+          (Array.of_list (List.map combine (flatten_or s)))
   in
   combine sk
 

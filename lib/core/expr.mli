@@ -47,8 +47,8 @@ val not_ : pred -> pred
 
 type value = { data : Share.shared; width : int; signed : bool }
 
-val eval_pred : Table.t -> pred -> Share.shared
-(** A single-bit sharing of the predicate per row. *)
+val eval_pred : Table.t -> pred -> Share.flags
+(** The predicate per row, as packed flags. *)
 
 val eval_col : Table.t -> num -> Column.t
 (** Evaluate into a fresh boolean-encoded column. *)

@@ -208,7 +208,8 @@ let network (ctx : Ctx.t) (variant : variant) (p : prepared)
     | V_right_outer | V_full_outer -> None
   in
   let needs_tid = valid_keys = Some Aggnet.Group_and_tid || aggs <> None in
-  let pre = ref None and vt = ref v_lr' and agg_specs = ref [] in
+  let vlr = Share.pack_flags v_lr' in
+  let pre = ref None and vt = ref vlr and agg_specs = ref [] in
   (* the pre-pass, V_LR ∧ Tid and the aggregation sources' conversions are
      data-independent: fused round tracks. Right-outer, full-outer and
      anti validity never read DISTINCT; with nothing to copy or aggregate
@@ -222,7 +223,8 @@ let network (ctx : Ctx.t) (variant : variant) (p : prepared)
              pre := Some (Aggnet.boundaries ctx ~keys:k_a ?tid ()));
          (fun () ->
            match variant with
-           | V_left_outer | V_right_outer | V_anti -> vt := Mpc.band1 ctx v_lr' tid'
+           | V_left_outer | V_right_outer | V_anti ->
+               vt := Mpc.band_f ctx vlr (Share.pack_flags tid')
            | V_inner | V_full_outer -> ());
          (fun () -> Option.iter (fun f -> agg_specs := f ()) aggs);
        |]);
@@ -232,11 +234,11 @@ let network (ctx : Ctx.t) (variant : variant) (p : prepared)
   let first () = Aggnet.first_of_group ctx (Option.get !pre) in
   let v_o =
     match variant with
-    | V_inner -> Mpc.band1 ctx v_lr' (Mpc.xor_pub (first ()) 1)
+    | V_inner -> Share.unpack_flags (Mpc.band_f ctx vlr (Mpc.bnot_f (first ())))
     | V_left_outer ->
         (* V_LR ∧ ¬(Tid ∧ DISTINCT) = V_LR ⊕ (V_LR ∧ Tid ∧ DISTINCT) *)
-        Mpc.xor v_lr' (Mpc.band1 ctx !vt (first ()))
-    | V_right_outer | V_anti -> !vt
+        Mpc.xor v_lr' (Share.unpack_flags (Mpc.band_f ctx !vt (first ())))
+    | V_right_outer | V_anti -> Share.unpack_flags !vt
     | V_full_outer -> v_lr'
   in
   let valid_spec =
@@ -297,7 +299,7 @@ let join (ctx : Ctx.t) (variant : variant) ?(copy : string list = [])
 type grouped = {
   g_table : Table.t;
       (** join keys and copied left columns; validity is the join's *)
-  g_last : Share.shared;  (** each join-key group's last row *)
+  g_last : Share.flags;  (** each join-key group's last row *)
   g_results : Share.shared list;  (** the network results of [aggs] *)
 }
 
@@ -349,14 +351,16 @@ let join_unique (ctx : Ctx.t) ?(copy : string list = [])
      with the same key): valid = V_LR and Tid and not distinct *)
   let dist = Aggnet.distinct_bits ctx ~keys:((p.p_v_lr, 1) :: p.p_keys) in
   let valid =
-    Mpc.band1 ctx p.p_v_lr (Mpc.band1 ctx p.p_tid (Mpc.xor_pub dist 1))
+    Share.unpack_flags
+      (Mpc.band_f ctx (Share.pack_flags p.p_v_lr)
+         (Mpc.band_f ctx (Share.pack_flags p.p_tid) (Mpc.bnot_f dist)))
   in
   (* copy each requested left column from the immediately preceding row *)
   let copied =
     match copy with
     | [] -> []
     | _ ->
-        let sel = Share.sub_range valid 1 (nm - 1) in
+        let sel = Share.pack_flags (Share.sub_range valid 1 (nm - 1)) in
         let pairs =
           List.map
             (fun cname ->

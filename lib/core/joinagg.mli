@@ -35,7 +35,7 @@ type grouped = {
   g_table : Table.t;
       (** join keys and copied left columns, n+m rows; validity is the
           join's *)
-  g_last : Share.shared;  (** each join-key group's last row *)
+  g_last : Share.flags;  (** each join-key group's last row *)
   g_results : Share.shared list;  (** the network results of the specs *)
 }
 

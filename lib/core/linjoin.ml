@@ -86,7 +86,7 @@ let join (ctx : Ctx.t) (variant : [ `Inner | `Anti ])
     Mpc.fuse_rounds ctx
       [|
         (fun () -> Orq_circuits.Convert.b2a ~w:wk ctx kcat);
-        (fun () -> Orq_circuits.Convert.bit_b2a ctx vcat);
+        (fun () -> Orq_circuits.Convert.bit_b2a ctx (Share.pack_flags vcat));
       |]
   in
   let x = conv.(0) and va = conv.(1) in

@@ -8,9 +8,12 @@
 
 open Orq_proto
 
+type order = Asc | Desc
+
 (* Public facts about column values on valid rows, derived from plan
    shape alone (never from data), so shape twins derive the same ones.
-   Secret division reads them to bound its quotient. *)
+   Secret division reads them to bound its quotient; [reveal] reads
+   [Ordered]. *)
 type fact =
   | Le of string * string
       (** unsigned column [a] <= unsigned column [b], row by row *)
@@ -18,6 +21,9 @@ type fact =
       (** [col] sums the unsigned column [src] over valid rows (under
           validity [over]) of the table that held it: all of them when
           [whole], a subset otherwise *)
+  | Ordered of (string * order) list
+      (** valid rows are in ORDER BY order on these columns, most
+          significant first *)
 
 type t = {
   ctx : Ctx.t;
@@ -84,7 +90,10 @@ let of_columns (ctx : Ctx.t) name ~(valid : Share.shared)
 
 let rename t name = { t with name }
 
-let fact_cols = function Le (a, b) -> [ a; b ] | Sum_of { col; _ } -> [ col ]
+let fact_cols = function
+  | Le (a, b) -> [ a; b ]
+  | Sum_of { col; _ } -> [ col ]
+  | Ordered specs -> List.map fst specs
 
 (* Keep the facts whose columns all pass [keep]. *)
 let keep_facts t keep =
@@ -92,7 +101,9 @@ let keep_facts t keep =
 
 let add_facts t fs = { t with facts = t.facts @ fs }
 let le t a b =
-  List.exists (function Le (x, y) -> x = a && y = b | Sum_of _ -> false) t.facts
+  List.exists
+    (function Le (x, y) -> x = a && y = b | Sum_of _ | Ordered _ -> false)
+    t.facts
 
 let set_col t name (c : Column.t) : t =
   let t = keep_facts t (fun n -> n <> name) in
@@ -151,11 +162,14 @@ let pad_rows (t : t) extra : t =
     column stays monolithic — it is a single bit per row. *)
 let park (t : t) : unit = List.iter (fun (_, c) -> Column.park c) t.cols
 
-(** AND a predicate bit-vector into the validity column (oblivious filter:
-    physical size unchanged, selectivity hidden). Both operands are
-    single-bit, so the conjunction runs through the packed flag kernel. *)
-let and_valid t (bit : Share.shared) =
-  { t with valid = Mpc.band1 t.ctx t.valid bit }
+(** AND predicate flags into the validity column (oblivious filter:
+    physical size unchanged, selectivity hidden): validity packs for the
+    packed AND and unpacks back into the column's 0/1 words. *)
+let and_valid t (bit : Share.flags) =
+  {
+    t with
+    valid = Share.unpack_flags (Mpc.band_f t.ctx (Share.pack_flags t.valid) bit);
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Opening results to the analyst                                      *)
@@ -166,7 +180,11 @@ let and_valid t (bit : Share.shared) =
     carry information. Returns the valid rows as plaintext columns. The
     masking is one fused AND; the shuffle opens every column at its width
     ({!Orq_shuffle.Permops.shuffle_open_table}: under SH-HM in the
-    shuffle's last round, elsewhere one fused open after it). *)
+    shuffle's last round, elsewhere one fused open after it). The shuffle
+    hides which physical rows were valid and the order of ties; an
+    [Ordered] table's valid rows are then sorted by its spec in the clear
+    (signed keys read as two's complement at their width; ties keep their
+    shuffled order). *)
 let reveal (t : t) : (string * int array) list =
   let ctx = t.ctx in
   Ctx.with_label ctx "reveal" @@ fun () ->
@@ -174,7 +192,7 @@ let reveal (t : t) : (string * int array) list =
   let cols = Array.of_list (List.map snd t.cols) in
   let widths = Array.map (fun c -> c.Column.width) cols in
   let datas = Array.map (Column.as_bool ctx) cols in
-  let ext = Mpc.extend_bit t.valid in
+  let ext = Share.extend_flags (Share.pack_flags t.valid) in
   let masked =
     Mpc.band_many ~widths ctx (Array.map (fun _ -> ext) datas) datas
   in
@@ -191,6 +209,22 @@ let reveal (t : t) : (string * int array) list =
   let keep = ref [] in
   Array.iteri (fun i b -> if b = 1 then keep := i :: !keep) opened.(0);
   let keep = Array.of_list (List.rev !keep) in
+  let keep =
+    match List.find_map (function Ordered s -> Some s | _ -> None) t.facts with
+    | None -> keep
+    | Some specs ->
+        let key r (name, o) =
+          let i = List.assoc name (List.mapi (fun i n -> (n, i)) names) in
+          let { Column.width = w; signed; _ } = cols.(i) in
+          let v = opened.(i + 1).(r) in
+          let neg = signed && (v lsr (w - 1)) land 1 = 1 in
+          let v = if neg then v - (1 lsl w) else v in
+          if o = Desc then -v else v
+        in
+        let keyed = Array.map (fun r -> (List.map (key r) specs, r)) keep in
+        Array.stable_sort (fun (a, _) (b, _) -> compare a b) keyed;
+        Array.map snd keyed
+  in
   List.mapi
     (fun i name -> (name, Array.map (fun r -> opened.(i + 1).(r)) keep))
     names

@@ -6,12 +6,15 @@
 
 open Orq_proto
 
+type order = Asc | Desc
+
 (** Public facts about column values on valid rows, derived from plan
     shape alone (never from data), so shape twins derive the same ones.
-    Secret division reads them to bound its quotient. Operators that
-    permute or invalidate rows keep them; overwriting, dropping,
-    projecting away or renaming a column drops its facts; tables built
-    from fresh columns start with none. *)
+    Secret division reads them to bound its quotient; {!reveal} reads
+    [Ordered]. Operators that permute or invalidate rows keep them, except
+    that a re-sort drops [Ordered]; overwriting, dropping, projecting away
+    or renaming a column drops its facts; tables built from fresh columns
+    start with none. *)
 type fact =
   | Le of string * string
       (** unsigned column [a] <= unsigned column [b], row by row *)
@@ -20,6 +23,9 @@ type fact =
           validity [over]) of the table that held it: all of them when
           [whole], a subset otherwise. [src] and [over] identify that
           table physically. *)
+  | Ordered of (string * order) list
+      (** valid rows are in ORDER BY order on these columns, most
+          significant first *)
 
 type t = {
   ctx : Ctx.t;
@@ -76,14 +82,18 @@ val park : t -> unit
 (** Park every data column into budget-managed chunks (streaming operator
     boundary; no-op when already parked). Validity stays monolithic. *)
 
-val and_valid : t -> Share.shared -> t
-(** AND a predicate bit-vector into the validity column (the oblivious
-    filter: physical size unchanged, selectivity hidden). *)
+val and_valid : t -> Share.flags -> t
+(** AND predicate flags into the validity column (the oblivious filter:
+    physical size unchanged, selectivity hidden). Validity itself stays a
+    0/1 word column, since it moves through sharded permutations; this is
+    where single-bit predicates meet it. *)
 
 val reveal : t -> (string * int array) list
 (** Open to the analyst: invalid rows are masked to zero and the table
-    shuffled before opening, so only valid rows carry information (their
-    order is destroyed — re-sort plaintext locally if needed). *)
+    shuffled before opening, so only valid rows carry information. The
+    shuffle destroys their order; a table with an [Ordered] fact gets its
+    opened valid rows sorted by that spec in the clear (signed keys as
+    two's complement, ties in shuffled order). *)
 
 val peek : t -> (string * int array) list * int array
 (** Test-only: reconstruct all columns and validity bits directly. *)

@@ -14,7 +14,7 @@ module Sortwrap = Orq_sort.Sortwrap
 module Permops = Orq_shuffle.Permops
 module Ring = Orq_util.Ring
 
-type order = Asc | Desc
+type order = Table.order = Asc | Desc
 
 let to_dir = function Asc -> Sortwrap.Asc | Desc -> Sortwrap.Desc
 
@@ -156,5 +156,8 @@ let sort ?(lead : (Share.shared * int * order) list = []) (t : Table.t)
                 (n, recol c data))
           t.Table.cols
       in
-      { t with Table.cols = cols'; valid = Share.unpark valid' }
+      let facts =
+        List.filter (function Table.Ordered _ -> false | _ -> true) t.Table.facts
+      in
+      { t with Table.cols = cols'; valid = Share.unpark valid'; facts }
   | [] -> assert false

@@ -7,7 +7,7 @@
 
 open Orq_proto
 
-type order = Asc | Desc
+type order = Table.order = Asc | Desc
 
 val sort_cols :
   Ctx.t -> keys:(Share.chunked * int * order) list ->
@@ -26,4 +26,5 @@ val sort :
   ?lead:(Share.shared * int * order) list -> Table.t ->
   (string * order) list -> Table.t
 (** Sort a table by named columns; [lead] prepends extra key columns
-    (e.g. the validity bit). Parked columns stream and stay parked. *)
+    (e.g. the validity bit). Parked columns stream and stay parked. The
+    result drops any [Table.Ordered] fact of the input. *)

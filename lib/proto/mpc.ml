@@ -105,20 +105,6 @@ let rshift a k =
 (** Bitwise NOT over the full word (circuits mask to their logical width). *)
 let bnot a = xor_pub a Ring.ones
 
-(** Isolate bit [k] of each element into the LSB — the fused form of
-    [and_mask (rshift a k) 1], one pass per share vector (linear over
-    GF(2): both shift and mask are). Radixsort's bit extraction. *)
-let extract_bit a k =
-  Share.check_enc Bool a;
-  Share.map_vectors (fun vk -> Vec.bit_extract vk k) a
-
-(** Replicate the LSB of each element across the whole word — a linear
-    operation per share vector (each output bit equals the input LSB), used
-    to turn a single-bit condition into a mux mask. *)
-let extend_bit a =
-  Share.check_enc Bool a;
-  Share.map_vectors (fun vk -> Vec.map (fun x -> -(x land 1)) vk) a
-
 (* ------------------------------------------------------------------ *)
 (* Opening (reveal to all computing parties)                           *)
 (* ------------------------------------------------------------------ *)
@@ -449,8 +435,9 @@ let bnot_f (a : Share.flags) : Share.flags =
   }
 
 (** Extract bit [k] of each element of a boolean sharing straight into
-    packed flag lanes — the fused radix-digit extraction ({!extract_bit}
-    composed with {!Share.pack_flags}, one pass, no 0/1 intermediate). *)
+    packed flag lanes — the fused radix-digit extraction ([and_mask
+    (rshift a k) 1] composed with {!Share.pack_flags}, one pass, no 0/1
+    intermediate; linear over GF(2), so per share vector). *)
 let extract_bit_f (a : shared) k : Share.flags =
   Share.check_enc Bool a;
   { Share.fv = Array.map (fun vk -> Bits.pack_bit vk k) a.Share.v }
@@ -525,18 +512,6 @@ let band_open_f (ctx : Ctx.t) ?tail (x : Share.flags) (y : Share.flags) :
   in
   meter_lane ctx 0 ~bits:(6 * n) ~messages:6;
   Bits.of_words n (Share.reconstruct z)
-
-(** AND of two known-single-bit boolean sharings (flags in the LSB),
-    routed through the packed kernel: identical value and traffic to
-    [band ~width:1], with per-word local work and randomness. The drop-in
-    upgrade for validity-flag conjunctions. *)
-let band1 (ctx : Ctx.t) (x : shared) (y : shared) : shared =
-  Share.unpack_flags (band_f ctx (Share.pack_flags x) (Share.pack_flags y))
-
-(** OR of two known-single-bit boolean sharings via the packed kernel. *)
-let bor1 (ctx : Ctx.t) (x : shared) (y : shared) : shared =
-  let z = band1 ctx x y in
-  Share.map3_vectors Vec.xor3 x y z
 
 (* ------------------------------------------------------------------ *)
 (* Resharing (used by the shuffle stack)                               *)

@@ -65,15 +65,6 @@ val rshift : shared -> int -> shared
 val bnot : shared -> shared
 (** Bitwise NOT over the full word (circuits mask to their width). *)
 
-val extract_bit : shared -> int -> shared
-(** Isolate bit [k] of each element into the LSB — fused
-    [and_mask (rshift a k) 1] in one pass per share vector (linear over
-    GF(2)). *)
-
-val extend_bit : shared -> shared
-(** Replicate each element's LSB across the whole word — linear per share
-    vector; turns a single-bit condition into a mux mask. *)
-
 (** {2 Opening (reveal to all computing parties)} *)
 
 val open_ : ?width:int -> Ctx.t -> shared -> Orq_util.Vec.t
@@ -120,7 +111,10 @@ val bor_many :
     so the interactive ones run the word protocol cores over the word
     arrays: correlated randomness is drawn per packed *word* instead of
     per element, while each lane is metered per element at width 1 —
-    byte-identical to the word primitives at [~width:1]. *)
+    byte-identical to the word primitives at [~width:1]. Every single-bit
+    intermediate above this module (comparison results, group marks,
+    predicates, mux conditions) is packed flags; only table columns such
+    as validity stay 0/1 words ({!Share.pack_flags} at the boundary). *)
 
 val xor_f : Share.flags -> Share.flags -> Share.flags
 (** Lanewise xor (local, linear). *)
@@ -130,7 +124,8 @@ val bnot_f : Share.flags -> Share.flags
 
 val extract_bit_f : shared -> int -> Share.flags
 (** Bit [k] of each element of a boolean sharing, extracted straight into
-    packed lanes — fused {!extract_bit} + {!Share.pack_flags}. *)
+    packed lanes — fused [and_mask (rshift a k) 1] + {!Share.pack_flags}
+    (linear over GF(2)). Mux masks come from {!Share.extend_flags}. *)
 
 val band_f : Ctx.t -> Share.flags -> Share.flags -> Share.flags
 (** Secure AND over packed flags: the protocol's word AND core over the
@@ -158,13 +153,6 @@ val band_open_f :
     output, xored with its share of [tail], to both peers — one round and
     6 bits per flag against two rounds for {!band_f} then {!open_f}.
     Raises [Invalid_argument] under the other protocols. *)
-
-val band1 : Ctx.t -> shared -> shared -> shared
-(** AND of two known-single-bit boolean sharings routed through the packed
-    kernel: identical value and traffic to [band ~width:1] with per-word
-    local work — the drop-in upgrade for validity-flag conjunctions. *)
-
-val bor1 : Ctx.t -> shared -> shared -> shared
 
 (** {2 Resharing and reductions} *)
 

@@ -72,7 +72,7 @@ val applyperm : Ctx.kind -> w:int -> n:int -> Comm.event array
 
 val lt_lex_open : Ctx.kind -> ws:int list -> n:int -> Comm.event array
 (** Lexicographic less-than over columns of widths [ws], opened
-    ([Compare.lt_lex_open_f]): every column's ladder in fused rounds, the
+    ([Compare.lt_lex_open]): every column's ladder in fused rounds, the
     packed merge of the (lt, eq) pairs, then the opening. Under SH-HM the
     last AND opens in its own round (6 bits and 6 messages per element)
     and forms only the opened product; elsewhere the full circuit is

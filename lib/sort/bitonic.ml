@@ -55,7 +55,10 @@ let sort (ctx : Ctx.t) ~(keys : key list) (carry : Share.shared list) :
           (List.map2 (fun a b -> (a, b)) (take nk rows_a) (take nk rows_b))
       in
       let out_of_order = Compare.lt_lex ctx cmp_operands in
-      let swap = Mpc.xor_pub_vec out_of_order flip in
+      let swap =
+        Mpc.xor_f out_of_order
+          (Share.pack_flags (Share.public_vec ctx Share.Bool flip))
+      in
       let muxed =
         Mux.mux_b_many ctx swap
           (List.map2 (fun a b -> (a, b)) rows_a rows_b

@@ -42,7 +42,7 @@ let gen_digit (ctx : Ctx.t) (flags : Share.flags array) : Share.shared =
     | _ -> invalid_arg "Genbitperm.gen_digit: digits are 1 or 2 bits"
   in
   let one_hot =
-    match Orq_circuits.Convert.bit_b2a_flags_many ctx flags with
+    match Orq_circuits.Convert.bit_b2a_many ctx flags with
     | [| a |] -> [| Mpc.add_pub (Mpc.neg a) 1; a |]
     | [| a0; a1 |] ->
         let p = Mpc.mul ~width:k_bits ctx a0 a1 in

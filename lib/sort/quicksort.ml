@@ -97,7 +97,7 @@ let sort (ctx : Ctx.t) ~(keys : key list) (carry : (Share.shared * int) list)
       (* the comparison opens in its last AND round where the protocol
          allows it, into packed lanes: the placement below only reads one
          bit per pair *)
-      let bits = Compare.lt_lex_open_f ctx cmp_operands in
+      let bits = Compare.lt_lex_open ctx cmp_operands in
       let src = Array.init n (fun i -> i) in
       let new_segs = ref [] in
       let pos = ref 0 in

@@ -93,7 +93,9 @@ let cdiff_run (db : G.mpc) =
     Mpc.fuse_rounds ctx
       [|
         (fun () -> Orq_circuits.Compare.eq ctx ~w:G.w_id (hd pid) (tl pid));
-        (fun () -> Mpc.band1 ctx (hd v) (tl v));
+        (fun () ->
+          Mpc.band_f ctx (Orq_proto.Share.pack_flags (hd v))
+            (Orq_proto.Share.pack_flags (tl v)));
         (fun () ->
           let diff = Orq_circuits.Adder.sub ctx ~w (tl tm) (hd tm) in
           let b =
@@ -103,12 +105,17 @@ let cdiff_run (db : G.mpc) =
                 (fun () -> Orq_circuits.Compare.le ctx ~w diff (public 56));
               |]
           in
-          Mpc.band1 ctx b.(0) b.(1));
+          Mpc.band_f ctx b.(0) b.(1));
       |]
   in
-  let mark = Mpc.band1 ctx (Mpc.band1 ctx t.(0) t.(1)) t.(2) in
+  let mark = Mpc.band_f ctx (Mpc.band_f ctx t.(0) t.(1)) t.(2) in
   let marker =
-    Orq_proto.Share.append (Orq_proto.Share.public ctx Orq_proto.Share.Bool 1 0) mark
+    Orq_proto.Share.flags_concat_many
+      [|
+        Orq_proto.Share.pack_flags
+          (Orq_proto.Share.public ctx Orq_proto.Share.Bool 1 0);
+        mark;
+      |]
   in
   let d = Table.and_valid d marker in
   let d = D.distinct d [ "pid" ] in

@@ -350,7 +350,9 @@ let test_costmodel_primitives () =
             kind
             (Primcost.b2a kind ~w:1 ~n)
             (fun ctx ->
-              ignore (Orq_circuits.Convert.bit_b2a ctx (Mpc.share_b ctx data)));
+              ignore
+                (Orq_circuits.Convert.bit_b2a ctx
+                   (Share.pack_flags (Mpc.share_b ctx data))));
           check_predicted
             (Printf.sprintf "b2a w=%d n=%d" w n)
             kind
@@ -413,7 +415,7 @@ let test_b2a_preproc_metering () =
           check "b2a" (fun ctx x -> ignore (Orq_circuits.Convert.b2a ~w ctx x));
           if w = 1 then
             check "bit_b2a" (fun ctx x ->
-                ignore (Orq_circuits.Convert.bit_b2a ctx x)))
+                ignore (Orq_circuits.Convert.bit_b2a ctx (Share.pack_flags x))))
         [ (1, 0); (1, 130); (2, 63); (40, 7); (62, 64); (63, 127) ])
     Ctx.all_kinds
 
@@ -519,7 +521,7 @@ let test_costmodel_fused_openings () =
                 (Primcost.lt_lex_open kind ~ws ~n)
                 (fun ctx ->
                   let bits =
-                    Orq_circuits.Compare.lt_lex_open_f ctx
+                    Orq_circuits.Compare.lt_lex_open ctx
                       (List.map
                          (fun (w, x, y) -> (Mpc.share_b ctx x, Mpc.share_b ctx y, w))
                          cols)

@@ -191,12 +191,12 @@ let test_many_and_b2a_packed_eq_unpacked () =
       let ctx = Ctx.create ~seed:77 kind in
       let fs = Array.map (fun b -> Share.pack_flags (Mpc.share_b ctx b)) bits in
       let before = Comm.snapshot ctx.Ctx.comm in
-      let ariths = Convert.bit_b2a_flags_many ctx fs in
+      let ariths = Convert.bit_b2a_many ctx fs in
       let got = Comm.since ctx.Ctx.comm before in
       Array.iteri
         (fun i a ->
           Alcotest.(check (array int))
-            (Printf.sprintf "%s bit_b2a_flags_many lane %d" lbl i)
+            (Printf.sprintf "%s bit_b2a_many lane %d" lbl i)
             bits.(i) (Share.reconstruct a))
         ariths;
       let octx = Ctx.create ~seed:77 kind in
@@ -204,17 +204,18 @@ let test_many_and_b2a_packed_eq_unpacked () =
       let o0 = Comm.snapshot octx.Ctx.comm in
       ignore (Mpc.open_many ~widths:ones octx words);
       let want = Comm.since octx.Ctx.comm o0 in
-      Alcotest.(check int) (lbl ^ " bit_b2a_flags_many bits") want.Comm.t_bits
+      Alcotest.(check int) (lbl ^ " bit_b2a_many bits") want.Comm.t_bits
         got.Comm.t_bits;
       Alcotest.(check int)
-        (lbl ^ " bit_b2a_flags_many messages")
+        (lbl ^ " bit_b2a_many messages")
         want.Comm.t_messages got.Comm.t_messages;
-      Alcotest.(check int) (lbl ^ " bit_b2a_flags_many rounds") 1
+      Alcotest.(check int) (lbl ^ " bit_b2a_many rounds") 1
         got.Comm.t_rounds)
     kinds
 
-(* band1 must be value- and traffic-identical to band ~width:1. *)
-let test_band1_vs_band_width1 () =
+(* A packed AND of single-bit operands must be value- and
+   traffic-identical to the word AND at width 1. *)
+let test_band_f_vs_band_width1 () =
   List.iter
     (fun kind ->
       let lbl = Ctx.kind_label kind in
@@ -225,15 +226,19 @@ let test_band1_vs_band_width1 () =
         let z = f ctx x y in
         (Share.reconstruct z, Comm.since ctx.Ctx.comm before)
       in
-      let v1, t1 = run (fun ctx x y -> Mpc.band1 ctx x y) in
+      let v1, t1 =
+        run (fun ctx x y ->
+            Share.unpack_flags
+              (Mpc.band_f ctx (Share.pack_flags x) (Share.pack_flags y)))
+      in
       let v2, t2 = run (fun ctx x y -> Mpc.band ~width:1 ctx x y) in
-      Alcotest.(check (array int)) (lbl ^ " band1 value") v2 v1;
-      Alcotest.(check int) (lbl ^ " band1 bits") t2.Comm.t_bits t1.Comm.t_bits;
+      Alcotest.(check (array int)) (lbl ^ " band_f value") v2 v1;
+      Alcotest.(check int) (lbl ^ " band_f bits") t2.Comm.t_bits t1.Comm.t_bits;
       Alcotest.(check int)
-        (lbl ^ " band1 messages")
+        (lbl ^ " band_f messages")
         t2.Comm.t_messages t1.Comm.t_messages;
       Alcotest.(check int)
-        (lbl ^ " band1 rounds")
+        (lbl ^ " band_f rounds")
         t2.Comm.t_rounds t1.Comm.t_rounds)
     kinds
 
@@ -344,7 +349,7 @@ let test_e2e_aggnet () =
       done;
       Alcotest.(check (array int)) (lbl ^ " distinct bits")
         (Array.init n (fun i -> if i mod g = 0 then 1 else 0))
-        (Array.map (fun b -> b land 1) (Share.reconstruct dist)))
+        (Bits.unpack (Share.reconstruct_flags dist)))
     kinds
 
 (* The packed quicksort sorts a larger permutation. *)
@@ -381,8 +386,8 @@ let () =
             test_primitives_packed_eq_unpacked;
           Alcotest.test_case "_many + bit_b2a: values and tallies" `Quick
             test_many_and_b2a_packed_eq_unpacked;
-          Alcotest.test_case "band1 == band ~width:1" `Quick
-            test_band1_vs_band_width1;
+          Alcotest.test_case "band_f == band ~width:1" `Quick
+            test_band_f_vs_band_width1;
         ] );
       ( "end to end",
         [

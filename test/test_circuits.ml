@@ -16,6 +16,11 @@ let small_gen ~w n =
 
 let arb_small ~w n = QCheck.make (small_gen ~w n)
 
+(* Single-bit results are packed flags: reconstruct them as 0/1 words;
+   share 0/1 words as a packed flag condition. *)
+let bits f = Bits.unpack (Share.reconstruct_flags f)
+let share_flags ctx b = Share.pack_flags (Mpc.share_b ctx b)
+
 (* ------------- comparisons ------------- *)
 
 let test_eq_qcheck =
@@ -29,7 +34,7 @@ let test_eq_qcheck =
           let y = Array.mapi (fun i v -> if i mod 3 = 0 then x.(i) else v) y in
           let r =
             Compare.eq ctx ~w:16 (Mpc.share_b ctx x) (Mpc.share_b ctx y)
-            |> Share.reconstruct
+            |> bits
           in
           Array.for_all2 (fun got (a, b) -> got = if a = b then 1 else 0)
             r
@@ -45,7 +50,7 @@ let test_lt_qcheck =
           let ctx = Ctx.create ~seed:5 k in
           let r =
             Compare.lt ctx ~w:20 (Mpc.share_b ctx x) (Mpc.share_b ctx y)
-            |> Share.reconstruct
+            |> bits
           in
           Array.for_all2 (fun got (a, b) -> got = if a < b then 1 else 0)
             r
@@ -59,7 +64,7 @@ let test_lt_odd_width () =
       let y = [| 0; 2; 17; 17; 29; 0; 31 |] in
       let r =
         Compare.lt ctx ~w:5 (Mpc.share_b ctx x) (Mpc.share_b ctx y)
-        |> Share.reconstruct
+        |> bits
       in
       Alcotest.(check vec) "lt w=5" [| 0; 1; 0; 1; 0; 0; 1 |] r)
 
@@ -68,11 +73,11 @@ let test_le_ge_gt () =
       let x = [| 1; 5; 9 |] and y = [| 5; 5; 5 |] in
       let sx = Mpc.share_b ctx x and sy = Mpc.share_b ctx y in
       Alcotest.(check vec) "le" [| 1; 1; 0 |]
-        (Share.reconstruct (Compare.le ctx ~w:8 sx sy));
+        (bits (Compare.le ctx ~w:8 sx sy));
       Alcotest.(check vec) "ge" [| 0; 1; 1 |]
-        (Share.reconstruct (Compare.ge ctx ~w:8 sx sy));
+        (bits (Compare.ge ctx ~w:8 sx sy));
       Alcotest.(check vec) "gt" [| 0; 0; 1 |]
-        (Share.reconstruct (Compare.gt ctx ~w:8 sx sy)))
+        (bits (Compare.gt ctx ~w:8 sx sy)))
 
 let test_lt_lex () =
   for_all_kinds (fun ctx ->
@@ -84,7 +89,7 @@ let test_lt_lex () =
             (Mpc.share_b ctx k1, Mpc.share_b ctx l1, 8);
             (Mpc.share_b ctx k2, Mpc.share_b ctx l2, 8);
           ]
-        |> Share.reconstruct
+        |> bits
       in
       Alcotest.(check vec) "lex" [| 1; 0; 0; 1 |] r)
 
@@ -98,7 +103,7 @@ let test_eq_composite () =
             (Mpc.share_b ctx a1, Mpc.share_b ctx b1, 8);
             (Mpc.share_b ctx a2, Mpc.share_b ctx b2, 8);
           ]
-        |> Share.reconstruct
+        |> bits
       in
       Alcotest.(check vec) "composite eq" [| 1; 0; 0 |] r)
 
@@ -109,7 +114,7 @@ let test_mux_b () =
       let b = [| 0; 1; 0; 1 |] in
       let x = [| 10; 20; 30; 40 |] and y = [| 1; 2; 3; 4 |] in
       let r =
-        Mux.mux_b ctx (Mpc.share_b ctx b) (Mpc.share_b ctx x)
+        Mux.mux_b ctx (share_flags ctx b) (Mpc.share_b ctx x)
           (Mpc.share_b ctx y)
         |> Share.reconstruct
       in
@@ -117,7 +122,7 @@ let test_mux_b () =
 
 let test_mux_b_many () =
   for_all_kinds (fun ctx ->
-      let b = Mpc.share_b ctx [| 1; 0 |] in
+      let b = share_flags ctx [| 1; 0 |] in
       let before = Orq_net.Comm.snapshot ctx.Ctx.comm in
       let out =
         Mux.mux_b_many ctx b
@@ -134,14 +139,6 @@ let test_mux_b_many () =
           Alcotest.(check vec) "col1" [| 8; 2 |] (Share.reconstruct c1);
           Alcotest.(check vec) "col2" [| 6; 4 |] (Share.reconstruct c2)
       | _ -> Alcotest.fail "arity")
-
-let test_mux_a () =
-  for_all_kinds (fun ctx ->
-      let b = Mpc.share_a ctx [| 1; 0; 1 |] in
-      let x = Mpc.share_a ctx [| 5; 5; 5 |] in
-      let y = Mpc.share_a ctx [| 9; 9; 9 |] in
-      Alcotest.(check vec) "mux_a" [| 9; 5; 9 |]
-        (Share.reconstruct (Mux.mux_a ctx b x y)))
 
 (* ------------- adder ------------- *)
 
@@ -199,7 +196,7 @@ let test_neg () =
 let test_bit_b2a () =
   for_all_kinds (fun ctx ->
       let b = [| 0; 1; 1; 0; 1 |] in
-      let r = Convert.bit_b2a ctx (Mpc.share_b ctx b) |> Share.reconstruct in
+      let r = Convert.bit_b2a ctx (share_flags ctx b) |> Share.reconstruct in
       Alcotest.(check vec) "bit b2a" b r)
 
 let test_b2a_qcheck =
@@ -465,7 +462,6 @@ let suite =
     Alcotest.test_case "composite eq" `Quick test_eq_composite;
     Alcotest.test_case "mux_b" `Quick test_mux_b;
     Alcotest.test_case "mux_b_many (1 round)" `Quick test_mux_b_many;
-    Alcotest.test_case "mux_a" `Quick test_mux_a;
     QCheck_alcotest.to_alcotest test_add_qcheck;
     Alcotest.test_case "sub" `Quick test_sub;
     Alcotest.test_case "add/sub with public operand" `Quick test_add_pub;

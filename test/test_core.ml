@@ -653,7 +653,7 @@ let test_boundaries_match_ladders () =
                 else None
               in
               let b = Aggnet.boundaries ctx ~keys ?tid () in
-              let bits s = Array.map (fun x -> x land 1) (Share.reconstruct s) in
+              let bits f = Orq_util.Bits.unpack (Share.reconstruct_flags f) in
               let same i j = v.(i) = v.(j) && k.(i) = k.(j) in
               Alcotest.(check vec) (lbl ^ " first = distinct_bits")
                 (bits (Aggnet.distinct_bits ctx ~keys))

@@ -90,18 +90,15 @@ let test_many_max_depth () =
       Alcotest.(check int) (lbl ^ " lt_many") (deepest ws + 1) rlt;
       let _, radd = rounds_of ctx (fun () -> Adder.add_many ctx (lanes ws)) in
       Alcotest.(check int) (lbl ^ " add_many") (deepest ws + 1) radd;
-      let bits = Array.init 4 (fun i -> share2 ctx ~w:1 7 i) in
+      let bits = Array.init 4 (fun i -> Share.pack_flags (share2 ctx ~w:1 7 i)) in
       let _, rsel =
         rounds_of ctx (fun () ->
             Mux.select_many ctx
               (Array.map (fun b -> (b, share2 ctx ~w:8 7 3, share2 ctx ~w:8 7 4)) bits))
       in
       Alcotest.(check int) (lbl ^ " select_many") 1 rsel;
-      let _, rb2a =
-        rounds_of ctx (fun () ->
-            Convert.bit_b2a_flags_many ctx (Array.map Share.pack_flags bits))
-      in
-      Alcotest.(check int) (lbl ^ " bit_b2a_flags_many") 1 rb2a;
+      let _, rb2a = rounds_of ctx (fun () -> Convert.bit_b2a_many ctx bits) in
+      Alcotest.(check int) (lbl ^ " bit_b2a_many") 1 rb2a;
       let alanes =
         Array.map (fun w -> (Mpc.share_a ctx (Array.init 7 (fun i -> i)), w)) ws
       in
@@ -118,9 +115,9 @@ let test_many_max_depth () =
         |]
       in
       let _, rcomp =
-        rounds_of ctx (fun () -> Compare.eq_composite_many_f ctx groups)
+        rounds_of ctx (fun () -> Compare.eq_composite_many ctx groups)
       in
-      Alcotest.(check int) (lbl ^ " eq_composite_many_f")
+      Alcotest.(check int) (lbl ^ " eq_composite_many")
         (Ring.log2_ceil 16 + Ring.log2_ceil 3)
         rcomp)
     kinds
@@ -140,27 +137,29 @@ let test_fused_equals_unfused () =
         in
         (ctx, lanes)
       in
-      (* each stage: name, batched call, per-lane single call *)
+      (* each stage: name, batched call, per-lane single call; flag
+         results unpack to 0/1 words so every stage compares alike *)
+      let words = Array.map Share.unpack_flags in
       let stages eqs lts =
         [
           ( "eq",
-            (fun ctx lanes -> Compare.eq_many ctx lanes),
-            fun ctx (x, y, w) _ -> Compare.eq ctx ~w x y );
+            (fun ctx lanes -> words (Compare.eq_many ctx lanes)),
+            fun ctx (x, y, w) _ -> Share.unpack_flags (Compare.eq ctx ~w x y) );
           ( "lt",
-            (fun ctx lanes -> Compare.lt_many ctx lanes),
-            fun ctx (x, y, w) _ -> Compare.lt ctx ~w x y );
+            (fun ctx lanes -> words (Compare.lt_many ctx lanes)),
+            fun ctx (x, y, w) _ -> Share.unpack_flags (Compare.lt ctx ~w x y) );
           ( "add",
             (fun ctx lanes -> Adder.add_many ctx lanes),
             fun ctx (x, y, w) _ -> Adder.add ctx ~w x y );
           ( "select",
             (fun ctx lanes ->
               Mux.select_many ctx
-                (Array.map2 (fun b (x, y, _) -> (b, x, y)) !eqs lanes)),
-            fun ctx (x, y, _) i -> Mux.mux_b ctx !eqs.(i) x y );
+                (Array.map2 (fun b (x, y, _) -> (Share.pack_flags b, x, y)) !eqs lanes)),
+            fun ctx (x, y, _) i -> Mux.mux_b ctx (Share.pack_flags !eqs.(i)) x y );
           ( "bit_b2a",
             (fun ctx _ ->
-              Convert.bit_b2a_flags_many ctx (Array.map Share.pack_flags !lts)),
-            fun ctx _ i -> Convert.bit_b2a ctx !lts.(i) );
+              Convert.bit_b2a_many ctx (Array.map Share.pack_flags !lts)),
+            fun ctx _ i -> Convert.bit_b2a ctx (Share.pack_flags !lts.(i)) );
         ]
       in
       let run_all batched =
@@ -392,8 +391,7 @@ let test_zero_lanes () =
       empty "lt_many" (Array.length (Compare.lt_many ctx [||]));
       empty "add_many" (Array.length (Adder.add_many ctx [||]));
       empty "select_many" (Array.length (Mux.select_many ctx [||]));
-      empty "bit_b2a_flags_many"
-        (Array.length (Convert.bit_b2a_flags_many ctx nonef));
+      empty "bit_b2a_many" (Array.length (Convert.bit_b2a_many ctx nonef));
       empty "a2b_many" (Array.length (Convert.a2b_many ctx [||]));
       Alcotest.(check bool)
         (Ctx.kind_label k ^ " nothing charged online")

@@ -80,7 +80,7 @@ let test_extend_bit () =
   for_all_kinds (fun ctx ->
       let bits = [| 0; 1; 1; 0; 1 |] in
       let s = Mpc.share_b ctx bits in
-      let ext = Share.reconstruct (Mpc.extend_bit s) in
+      let ext = Share.reconstruct (Share.extend_flags (Share.pack_flags s)) in
       Alcotest.(check vec_testable) "extend"
         (Array.map (fun b -> -b) bits)
         ext)
@@ -373,7 +373,51 @@ let golden_ops : (string * (Ctx.t -> int array list)) list =
         shares_of (Orq_circuits.Convert.b2a ~w:40 ~signed:true ctx x) );
     ( "bit_b2a n=130",
       fun ctx ->
-        shares_of (Orq_circuits.Convert.bit_b2a ctx (Mpc.share_b ctx (bits ctx 130))) );
+        shares_of
+          (Orq_circuits.Convert.bit_b2a ctx
+             (Share.pack_flags (Mpc.share_b ctx (bits ctx 130)))) );
+    ( "bit_b2a (lt ~w:20)",
+      fun ctx ->
+        let at w n = Mpc.share_b ctx (Array.map (fun v -> v land Ring.mask w) (words ctx n)) in
+        let x = at 20 41 in
+        let y = at 20 41 in
+        shares_of
+          (Orq_circuits.Convert.bit_b2a ctx (Orq_circuits.Compare.lt ctx ~w:20 x y)) );
+    ( "select_many under eq",
+      fun ctx ->
+        let at w n = Mpc.share_b ctx (Array.map (fun v -> v land Ring.mask w) (words ctx n)) in
+        let lane n =
+          let k1 = at 3 n in
+          let k2 = at 3 n in
+          let b = Orq_circuits.Compare.eq ctx ~w:3 k1 k2 in
+          let x = at 12 n in
+          let y = at 12 n in
+          (b, x, y)
+        in
+        let l1 = lane 41 in
+        let l2 = lane 70 in
+        Orq_circuits.Mux.select_many ~widths:[| 12; 12 |] ctx [| l1; l2 |]
+        |> Array.to_list |> List.concat_map shares_of );
+    ( "filter + If map",
+      fun ctx ->
+        let module T = Orq_core.Table in
+        let module E = Orq_core.Expr in
+        let vals () = Array.map (fun v -> v land 255) (words ctx 45) in
+        let a = vals () in
+        let b = vals () in
+        let c = vals () in
+        let t = T.create ctx "g" [ ("a", 8, a); ("b", 8, b); ("c", 8, c) ] in
+        let p =
+          E.(
+            (col "a" <. col "b" ||. not_ (col "c" ==. const 7))
+            &&. (col "a" >=. const 20))
+        in
+        let t = Orq_core.Dataflow.filter t p in
+        let cond = E.(not_ (col "b" <=. col "c") &&. (col "c" <>. const 3)) in
+        let t =
+          Orq_core.Dataflow.map t ~dst:"z" E.(If (cond, col "a", col "b" -! col "c"))
+        in
+        shares_of t.T.valid @ shares_of (T.column t "z") );
   ]
 
 (* Recorded from the dedicated single-lane protocol cores these one-lane
@@ -383,7 +427,11 @@ let golden_ops : (string * (Ctx.t -> int array list)) list =
    digest is the fused core's, which verifies each cross term once per
    round (28 tamper-hook queries, not one set of 16 per lane). The b2a and
    bit_b2a digests pin the packed daBit stream (bits and their boolean
-   sharing drawn per word) that both conversions share. *)
+   sharing drawn per word) that both conversions share. The last three
+   pin whole single-bit chains — a comparison into a conversion, muxes
+   under equality bits, and a filter plus a CASE WHEN map — and were
+   recorded when those bits still travelled as 0/1 words, so carrying
+   them as packed flags moved no share. *)
 let golden =
   [
     ("SH-DM", "mul", "0c9e26f95794c5809d3b9b3e5bcc6593");
@@ -395,6 +443,9 @@ let golden =
     ("SH-DM", "band_f_many + open_f_many lanes 1/63/130", "41cd376a1839f2db778c57c4a513c520");
     ("SH-DM", "b2a ~w:40 ~signed:true", "618d6c020de431e93e4c9aea04a301b9");
     ("SH-DM", "bit_b2a n=130", "8b0ee61c089b19fe2dbcc61a186f022f");
+    ("SH-DM", "bit_b2a (lt ~w:20)", "051196d0233ef348f6c28464a625a98b");
+    ("SH-DM", "select_many under eq", "66eab250899d42e522a5d3fa4b783e8c");
+    ("SH-DM", "filter + If map", "d6ca8845d089b6fe1c54b3abab567626");
     ("SH-HM", "mul", "b0b1027b4676867722ea99266aa530de");
     ("SH-HM", "band ~width:8", "564bbfd51fabc5bf5ef5cb60afbbcbe7");
     ("SH-HM", "band_f n=130", "5f2ff2b1180d1dfdc75612a813d3905b");
@@ -404,6 +455,9 @@ let golden =
     ("SH-HM", "band_f_many + open_f_many lanes 1/63/130", "d3a36a356f81560d221e6d27709a566c");
     ("SH-HM", "b2a ~w:40 ~signed:true", "aae6d9ae9631c57122b25be1f13ffb29");
     ("SH-HM", "bit_b2a n=130", "1b5b66356195995190d1510d5ca9da96");
+    ("SH-HM", "bit_b2a (lt ~w:20)", "08bb570655efab2a941250fa0692fcc2");
+    ("SH-HM", "select_many under eq", "3b6ae75caf111c5f26b365f986b8e757");
+    ("SH-HM", "filter + If map", "6ebd12772f3ef8f48831d16809d63ab6");
     ("Mal-HM", "mul", "1c886b6a8fcbb130ea9bc5dac07e2910");
     ("Mal-HM", "band ~width:8", "a3166fe33d9a13e302d27dc23b803d2e");
     ("Mal-HM", "band_f n=130", "51cf3514c6335cc778297f96bd11b187");
@@ -413,6 +467,9 @@ let golden =
     ("Mal-HM", "band_f_many + open_f_many lanes 1/63/130", "4c30ca198520bd78beefc4e3cc34c295");
     ("Mal-HM", "b2a ~w:40 ~signed:true", "843f3f99fa3839d4328c7514a931413d");
     ("Mal-HM", "bit_b2a n=130", "108a917dbec02d8d1572a740e4e892af");
+    ("Mal-HM", "bit_b2a (lt ~w:20)", "d80c440145b250f80ebc7e573737b866");
+    ("Mal-HM", "select_many under eq", "0416ed537d54d62cf90f07e8b26e75f0");
+    ("Mal-HM", "filter + If map", "7b66824042bef0140be8c75a6c3e8ffb");
   ]
 
 let test_golden_digests () =

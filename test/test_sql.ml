@@ -91,6 +91,32 @@ let test_order_limit () =
   Alcotest.(check (array int)) "top-2 by price" [| 60; 50 |]
     (List.assoc "price" cols)
 
+(* The analyst receives ORDER BY ... LIMIT rows in order, under every
+   protocol: the reveal's shuffle hides which physical rows were valid,
+   then the opened rows are sorted by the public spec. A signed key
+   orders as two's complement. *)
+let test_order_reaches_analyst () =
+  List.iter
+    (fun kind ->
+      let lbl = Ctx.kind_label kind in
+      let opened sql =
+        let ctx = Ctx.create ~seed:71 kind in
+        let t, cols, _ = Sql.run (catalog ctx) sql in
+        let r = Table.reveal t in
+        let n = Array.length (List.assoc (List.hd cols) r) in
+        List.init n (fun i -> List.map (fun c -> (List.assoc c r).(i)) cols)
+      in
+      Alcotest.(check rows_t) (lbl ^ " cust desc, oid")
+        [ [ 9; 6 ]; [ 3; 4 ]; [ 2; 3 ]; [ 2; 5 ] ]
+        (opened
+           "SELECT cust, oid FROM orders WHERE oid > 1 ORDER BY cust DESC, oid \
+            LIMIT 4");
+      Alcotest.(check (list int)) (lbl ^ " signed key")
+        [ 1; 2; 3; 4 ]
+        (List.map List.hd
+           (opened "SELECT oid, price - 35 AS d FROM orders ORDER BY d LIMIT 4")))
+    Ctx.all_kinds
+
 let test_min_max_avg () =
   let rows, _ =
     run
@@ -164,6 +190,8 @@ let suite =
     Alcotest.test_case "ON join syntax" `Quick test_join_on_syntax;
     Alcotest.test_case "ON join rename" `Quick test_join_on_rename;
     Alcotest.test_case "order by + limit" `Quick test_order_limit;
+    Alcotest.test_case "order by reaches the analyst" `Quick
+      test_order_reaches_analyst;
     Alcotest.test_case "min/max/avg" `Quick test_min_max_avg;
     Alcotest.test_case "many-to-many via SQL" `Quick test_many_to_many_from_sql;
     Alcotest.test_case "parse errors" `Quick test_parse_errors;
