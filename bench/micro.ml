@@ -43,7 +43,7 @@ let tests =
            let x = Mpc.share_b ctx (vec ctx) in
            let y = Mpc.share_b ctx (vec ctx) in
            ignore (Orq_circuits.Compare.lt ctx ~w:32 x y)));
-    Test.make ~name:"add32 (Kogge-Stone)"
+    Test.make ~name:"add32 (Sklansky)"
       (with_ctx Ctx.Sh_hm (fun ctx ->
            let x = Mpc.share_b ctx (vec ctx) in
            let y = Mpc.share_b ctx (vec ctx) in

@@ -1,15 +1,29 @@
-(** Kogge–Stone addition and subtraction over boolean shares.
+(** Sklansky addition and subtraction over boolean shares.
 
-    [O(log w)] AND rounds for [w]-bit operands; the two ANDs of each prefix
-    level (generate and propagate updates) are batched into one round. These
-    circuits back A2B conversion, the division circuit, and arithmetic on
-    boolean columns.
+    A [w]-bit sum reads the carries into bits [1, w), so the prefix runs
+    over the [w - 1] carry positions [0, w - 1) only; the carry out of the
+    top bit is never formed. Level [j] updates every position with bit [j]
+    set from the top of the lower half of its [2^(j+1)]-block:
+      G_i ← G_i ⊕ (P_i ∧ G_top)      P_i ← P_i ∧ P_top
+    A position's P is formed only where a later level reads it, found by a
+    backward pass over the public width, so the last level forms no P. A
+    public carry-in folds into bit 0's generate (g₀ ⊕ p₀, the two being
+    disjoint). These circuits back A2B conversion, the division circuits
+    and arithmetic on boolean columns.
+
+    Each level is one {!Mpc.band_many} lane per adder, metered at its live
+    positions: the G products sit at the upper-half positions, the P
+    products are shifted down into the free lower halves, and the
+    block-top operand is a local carry-free broadcast ({!Vec.spread}). A
+    shared-operand adder costs its generate AND at [w - 1] bits (none for
+    [w = 1]) plus ⌈log₂(w − 1)⌉ levels; with a public operand the
+    generate is local.
 
     The [_many] entry points run k independent adder lanes (possibly of
-    different widths) in lockstep: each Kogge–Stone level is issued for all
-    still-active lanes as one {!Mpc.band_many} round, so the fused depth is
-    the maximum ⌈log₂ w⌉ across lanes rather than the sum. Single-pair
-    functions are the one-lane special case. *)
+    different widths) in lockstep: each level is issued for all
+    still-active lanes as one round, so the fused depth is the deepest
+    lane's rather than the sum. Single-pair functions are the one-lane
+    special case. *)
 
 open Orq_proto
 open Orq_util
@@ -19,62 +33,125 @@ let active_lanes k pred =
   let rec go i acc = if i < 0 then acc else go (i - 1) (if pred i then i :: acc else acc) in
   Array.of_list (go (k - 1) [])
 
-(** Lockstep prefix (G, P) computation over lanes of (g, p, w). Inputs are
-    the initial generate/propagate words; returns full-prefix (G, P) per
-    lane: G_i = carry-generate of span [0..i], P_i = propagate of span
-    [0..i]. Shifted-in propagate bits must be 1 so short spans keep their
-    value. *)
-let prefix_gp_many (ctx : Ctx.t)
-    (lanes : (Share.shared * Share.shared * int) array) :
-    (Share.shared * Share.shared) array =
+(* One prefix level as public bit masks: [span] is 2^j, [gm] the carry
+   positions with bit j set (one G product each), [pm] those of them whose
+   P a later level reads (one P product each), [top] the block tops they
+   read from. *)
+type level = { span : int; gm : int; pm : int; top : int }
+
+(* The word with bit i set for every i in [0, m) satisfying [pred]. *)
+let positions m pred =
+  let r = ref 0 in
+  for i = 0 to m - 1 do
+    if pred i then r := !r lor (1 lsl i)
+  done;
+  !r
+
+(* Block tops read by the positions of [mask] at span [s]. *)
+let tops_of ~s mask =
+  positions Ring.word_bits (fun i ->
+      i land ((2 * s) - 1) = s - 1
+      && (mask lsr (i + 1)) land ((1 lsl s) - 1) <> 0)
+
+(* The ⌈log₂ m⌉ levels of a prefix over [m] carry positions. The backward
+   pass carries the set of positions whose P the levels above read. *)
+let levels m =
+  let lv =
+    Array.init (Ring.log2_ceil m) (fun j ->
+        let s = 1 lsl j in
+        let gm = positions m (fun i -> i land s <> 0) in
+        { span = s; gm; pm = 0; top = tops_of ~s gm })
+  in
+  let need = ref 0 in
+  for j = Array.length lv - 1 downto 0 do
+    let l = lv.(j) in
+    let pm = l.gm land !need in
+    lv.(j) <- { l with pm };
+    need := (!need land lnot l.gm) lor l.gm lor tops_of ~s:l.span pm
+  done;
+  lv
+
+(* Positions a level's AND lane charges: its G and P products. *)
+let live l = Ring.popcount l.gm + Ring.popcount l.pm
+
+(* A level's block tops copied over their upper halves, share by share. *)
+let spread l v =
+  Share.map_vectors (fun a -> Vec.spread a ~src:l.top ~span:l.span) v
+
+(** Lockstep Sklansky prefix over lanes of (g, p, m): returns each lane's
+    G, whose bit i is the carry-generate of span [0..i] for i < m. Bits at
+    or above m are unspecified. *)
+let prefix_g_many (ctx : Ctx.t)
+    (lanes : (Share.shared * Share.shared * int) array) : Share.shared array =
   let k = Array.length lanes in
   let g = Array.map (fun (g, _, _) -> g) lanes in
   let p = Array.map (fun (_, p, _) -> p) lanes in
-  let s = Array.make k 1 in
-  let width_of i =
-    let _, _, w = lanes.(i) in
-    w
-  in
-  let rec loop () =
-    let active = active_lanes k (fun i -> s.(i) < width_of i) in
+  let plans = Array.map (fun (_, _, m) -> levels m) lanes in
+  let rec loop j =
+    let active = active_lanes k (fun i -> j < Array.length plans.(i)) in
     if Array.length active > 0 then begin
-      let xs = Array.map (fun i -> Share.append p.(i) p.(i)) active in
+      let lv i = plans.(i).(j) in
+      let xs =
+        Array.map
+          (fun i ->
+            let l = lv i in
+            Mpc.xor (Mpc.and_mask p.(i) l.gm)
+              (Mpc.rshift (Mpc.and_mask p.(i) l.pm) l.span))
+          active
+      in
       let ys =
         Array.map
           (fun i ->
-            let ss = s.(i) in
-            let g_sh = Mpc.lshift g.(i) ss in
-            let p_sh = Mpc.xor_pub (Mpc.lshift p.(i) ss) (Ring.mask ss) in
-            Share.append g_sh p_sh)
+            let l = lv i in
+            Mpc.xor
+              (Mpc.and_mask (spread l g.(i)) l.gm)
+              (Mpc.and_mask
+                 (Mpc.rshift (spread l p.(i)) l.span)
+                 (l.pm lsr l.span)))
           active
       in
-      let ws = Array.map width_of active in
-      let both = Mpc.band_many ~widths:ws ctx xs ys in
+      let zs =
+        Mpc.band_many ~widths:(Array.map (fun i -> live (lv i)) active) ctx xs ys
+      in
       Array.iteri
-        (fun j i ->
-          let pg, pp = Share.split2 both.(j) (Share.length g.(i)) in
-          g.(i) <- Mpc.xor g.(i) pg;
-          p.(i) <- pp;
-          s.(i) <- 2 * s.(i))
+        (fun t i ->
+          let l = lv i in
+          g.(i) <- Mpc.xor g.(i) (Mpc.and_mask zs.(t) l.gm);
+          if l.pm <> 0 then
+            p.(i) <-
+              Mpc.xor
+                (Mpc.and_mask p.(i) (lnot l.gm))
+                (Mpc.and_mask (Mpc.lshift zs.(t) l.span) l.pm))
         active;
-      loop ()
+      loop (j + 1)
     end
   in
-  loop ();
-  Array.init k (fun i -> (g.(i), p.(i)))
+  loop 0;
+  g
 
-(* Finish an addition from (x xor y), prefix (G, P) and a public carry-in. *)
-let finish ~w ~cin xy g p =
-  let carries = Mpc.lshift g 1 in
-  let carries =
-    if cin then Mpc.xor_pub (Mpc.xor carries (Mpc.lshift p 1)) 1 else carries
+(* Finish lanes of (g, p, w) — g the generate below bit w - 1, p the
+   propagate below bit w: fold the carry-in, run the prefix, and form
+   p ⊕ carries. *)
+let finish_many ~cin (ctx : Ctx.t) lanes =
+  let prepped =
+    Array.map
+      (fun (g, p, w) ->
+        let g = if cin && w >= 2 then Mpc.xor g (Mpc.and_mask p 1) else g in
+        (g, p, max 0 (w - 1)))
+      lanes
   in
-  Mpc.and_mask (Mpc.xor xy carries) (Ring.mask w)
+  let gs = prefix_g_many ctx prepped in
+  Array.mapi
+    (fun i (_, p, w) ->
+      let s = Mpc.xor p (Mpc.lshift gs.(i) 1) in
+      let s = if cin then Mpc.xor_pub s 1 else s in
+      Mpc.and_mask s (Ring.mask w))
+    lanes
 
 (** [add_many ctx lanes]: k independent boolean-shared sums (lanes are
     (x, y, w) triples, sums modulo 2^w) in max-lane-depth fused rounds —
-    one fused round for all initial generates, then the lockstep prefix
-    ladder. [cin] applies to every lane. *)
+    one fused round for every generate of a lane wider than one bit, then
+    the lockstep prefix. [cin] applies to every lane. *)
 let add_many ?(cin = false) (ctx : Ctx.t)
     (lanes : (Share.shared * Share.shared * int) array) : Share.shared array =
   let masked =
@@ -84,25 +161,35 @@ let add_many ?(cin = false) (ctx : Ctx.t)
         (Mpc.and_mask x mw, Mpc.and_mask y mw, w))
       lanes
   in
-  let g =
+  let wide =
+    active_lanes (Array.length masked) (fun i ->
+        let _, _, w = masked.(i) in
+        w >= 2)
+  in
+  (* the generate below bit w - 1: the top carry is never read *)
+  let below f =
+    Array.map
+      (fun i ->
+        let x, y, w = masked.(i) in
+        Mpc.and_mask (f (x, y)) (Ring.mask (w - 1)))
+      wide
+  in
+  let gen =
     Mpc.band_many
-      ~widths:(Array.map (fun (_, _, w) -> w) masked)
-      ctx
-      (Array.map (fun (x, _, _) -> x) masked)
-      (Array.map (fun (_, y, _) -> y) masked)
+      ~widths:(Array.map (fun i -> (fun (_, _, w) -> w - 1) masked.(i)) wide)
+      ctx (below fst) (below snd)
   in
-  let p = Array.map (fun (x, y, _) -> Mpc.xor x y) masked in
-  let gp =
-    prefix_gp_many ctx
-      (Array.mapi
-         (fun i (_, _, w) -> (g.(i), p.(i), w))
-         masked)
-  in
-  Array.mapi
-    (fun i (_, _, w) ->
-      let g, p' = gp.(i) in
-      finish ~w ~cin p.(i) g p')
-    masked
+  (* a 1-bit lane has no carry position: its generate is never read *)
+  let next = ref 0 in
+  finish_many ~cin ctx
+    (Array.map
+       (fun (x, y, w) ->
+         let g =
+           if w >= 2 then (incr next; gen.(!next - 1))
+           else Share.public ctx Share.Bool (Share.length x) 0
+         in
+         (g, Mpc.xor x y, w))
+       masked)
 
 (** [add ctx ~w x y]: boolean-shared sum modulo 2^w. *)
 let add ?cin (ctx : Ctx.t) ~w x y = (add_many ?cin ctx [| (x, y, w) |]).(0)
@@ -114,30 +201,21 @@ let sub (ctx : Ctx.t) ~w x y =
   add ~cin:true ctx ~w x ny
 
 (** Addition with a public operand per lane (lanes are (x, c, w)): the
-    initial generate/propagate are local, saving the first AND round; the
-    prefix ladders run in lockstep. *)
+    generate and propagate are local, so only the prefix levels run, in
+    lockstep. *)
 let add_pub_many ?(cin = false) (ctx : Ctx.t)
     (lanes : (Share.shared * Vec.t * int) array) : Share.shared array =
-  let prepped =
-    Array.map
-      (fun (x, c, w) ->
-        let mw = Ring.mask w in
-        let x = Mpc.and_mask x mw in
-        let c = Vec.and_scalar c mw in
-        let g = Mpc.and_mask_vec x c in
-        let p = Mpc.xor_pub_vec x c in
-        (g, p, w))
-      lanes
-  in
-  let gp = prefix_gp_many ctx prepped in
-  Array.mapi
-    (fun i (_, p, w) ->
-      let g, p' = gp.(i) in
-      finish ~w ~cin p g p')
-    prepped
+  finish_many ~cin ctx
+    (Array.map
+       (fun (x, c, w) ->
+         let x = Mpc.and_mask x (Ring.mask w) in
+         let c = Vec.and_scalar c (Ring.mask w) in
+         (Mpc.and_mask_vec x (Vec.and_scalar c (Ring.mask (max 0 (w - 1)))),
+          Mpc.xor_pub_vec x c, w))
+       lanes)
 
-(** Addition with a public operand: the initial generate/propagate are
-    local, saving one AND round. *)
+(** Addition with a public operand: the generate is local, saving the
+    generate AND round. *)
 let add_pub ?cin (ctx : Ctx.t) ~w x (c : Vec.t) =
   (add_pub_many ?cin ctx [| (x, c, w) |]).(0)
 

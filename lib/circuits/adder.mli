@@ -1,9 +1,15 @@
-(** Kogge–Stone addition and subtraction over boolean shares: [O(log w)]
-    AND rounds for [w]-bit operands (generate/propagate updates of each
-    prefix level batched into one round). Backs A2B conversion, division,
-    and arithmetic on boolean columns. The [_many] entry points run k
-    independent adder lanes in lockstep — each prefix level is one fused
-    round across lanes, so batched depth is the max lane depth. *)
+(** Sklansky addition and subtraction over boolean shares. A [w]-bit sum
+    reads only the carries into bits [1, w), so the prefix runs over the
+    [w − 1] carry positions and the top carry is never formed; a
+    position's propagate is formed only where a later level reads it. A
+    shared-operand sum costs a generate AND at [w − 1] bits (none when
+    [w = 1]) plus ⌈log₂(w − 1)⌉ prefix levels; a public operand makes the
+    generate local. Each level is one AND lane per adder metered at its
+    live positions ({!Orq_proto.Primcost.add} prices it). Backs A2B
+    conversion, division, and arithmetic on boolean columns. The [_many]
+    entry points run k independent adder lanes in lockstep — each prefix
+    level is one fused round across lanes, so batched depth is the max
+    lane depth. *)
 
 open Orq_proto
 
@@ -24,7 +30,7 @@ val sub : Ctx.t -> w:int -> Share.shared -> Share.shared -> Share.shared
 val add_pub :
   ?cin:bool -> Ctx.t -> w:int -> Share.shared -> Orq_util.Vec.t ->
   Share.shared
-(** Addition with a public operand (saves the initial AND round). *)
+(** Addition with a public operand (the generate is local). *)
 
 val sub_pub_minuend :
   Ctx.t -> w:int -> Orq_util.Vec.t -> Share.shared -> Share.shared

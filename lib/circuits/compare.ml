@@ -14,8 +14,10 @@
     block-equality word terminates holding full-word equality in bit 0, so
     {!lt_core_many} returns both bits for the price of the lt ladder — which
     is what lets {!lt_lex} drop the separate equality circuits the
-    unbatched version paid for. Single-bit results leave the word-based
-    ladders as packed flags. *)
+    unbatched version paid for. Where only lt is read (one column, or the
+    last merge of several), the last AND forms the lt product alone
+    ({!lt_last_many}, {!lt_lex_last}). Single-bit results leave the
+    word-based ladders as packed flags. *)
 
 open Orq_proto
 
@@ -156,11 +158,10 @@ let lt_levels (ctx : Ctx.t) (lanes : (Share.shared * Share.shared * int) array)
   in
   loop ()
 
-(** [lt_core_many ctx lanes]: the (x < y, x = y) flag pair for each lane,
-    over [w]-bit naturals, for the price of the fused less-than ladder alone —
-    ⌈log₂ w⌉ + 1 rounds at the widest lane (eq is free: the ladder
-    computes it anyway). Two's-complement callers flip both operands' top
-    bits first. *)
+(* The (x < y, x = y) flag pair of each lane, over [w]-bit naturals, from
+   the full fused ladder: ⌈log₂ w⌉ + 1 rounds at the widest lane (eq is
+   free: the ladder computes it anyway). The lexicographic merge reads
+   both. *)
 let lt_core_many (ctx : Ctx.t)
     (lanes : (Share.shared * Share.shared * int) array) :
     (Share.flags * Share.flags) array =
@@ -171,11 +172,55 @@ let lt_core_many (ctx : Ctx.t)
       dd < w);
   Array.map2 (fun l e -> (Mpc.extract_bit_f l 0, Mpc.extract_bit_f e 0)) ltb eqb
 
+(* Less-than short of its last AND, over lanes: packed flags (x, y, tail)
+   with lt = (x ∧ y) ⊕ tail. A lane's ladder stops before the level whose
+   blocks span the word; bit 0 of that level is lt_hi ⊕ (eq_hi ∧ lt_lo)
+   over the block words, so the level's eq product and its other blocks
+   are never formed. A 1-bit lane runs no ladder: its initial AND is the
+   last one. *)
+let lt_last_many (ctx : Ctx.t)
+    (lanes : (Share.shared * Share.shared * int) array) =
+  let wide =
+    active_lanes (Array.length lanes) (fun i ->
+        let _, _, w = lanes.(i) in
+        w >= 2)
+  in
+  let wl = Array.map (fun i -> lanes.(i)) wide in
+  let ltb, eqb = lt_init ctx wl in
+  let d = Array.make (Array.length wl) 1 in
+  lt_levels ctx wl ltb eqb d ~more:(fun t dd ->
+      let _, _, w = wl.(t) in
+      2 * dd < w);
+  let next = ref 0 in
+  Array.map
+    (fun (x, y, w) ->
+      if w < 2 then
+        (Mpc.bnot_f (Mpc.extract_bit_f x 0), Mpc.extract_bit_f y 0, None)
+      else begin
+        let t = !next in
+        incr next;
+        let at v = Mpc.extract_bit_f v d.(t) in
+        (at eqb.(t), Mpc.extract_bit_f ltb.(t) 0, Some (at ltb.(t)))
+      end)
+    lanes
+
+(* (x ∧ y) ⊕ tail for k lanes, in one fused round. *)
+let last_and_many (ctx : Ctx.t) ls =
+  let rs =
+    Mpc.band_f_many ctx
+      (Array.map (fun (x, _, _) -> x) ls)
+      (Array.map (fun (_, y, _) -> y) ls)
+  in
+  Array.map2
+    (fun r (_, _, tail) ->
+      match tail with None -> r | Some t -> Mpc.xor_f r t)
+    rs ls
+
 (** [lt_many ctx lanes]: k independent less-than tests in max-lane-depth
-    fused rounds. *)
+    fused rounds, ⌈log₂ w⌉ + 1 at the widest lane. *)
 let lt_many (ctx : Ctx.t) (lanes : (Share.shared * Share.shared * int) array)
     : Share.flags array =
-  Array.map fst (lt_core_many ctx lanes)
+  last_and_many ctx (lt_last_many ctx lanes)
 
 (** [lt ctx ~w x y]: packed flags of [x < y] over [w]-bit naturals. *)
 let lt (ctx : Ctx.t) ~w x y = (lt_many ctx [| (x, y, w) |]).(0)
@@ -190,11 +235,10 @@ let ge ctx ~w x y = Mpc.bnot_f (lt ctx ~w x y)
    Each level issues the two single-bit ANDs of every adjacent pair as one
    fused round, over packed flag lanes ({!Mpc.band_f_many}): randomness and
    local work are per word, element-level traffic unchanged. Merges until
-   at most [until] pairs remain. *)
-let rec lex_merge (ctx : Ctx.t) ~until (ps : (Share.flags * Share.flags) array)
-    =
+   at most two pairs remain: the last merge needs only its lt product. *)
+let rec lex_merge (ctx : Ctx.t) (ps : (Share.flags * Share.flags) array) =
   let m = Array.length ps in
-  if m <= until then ps
+  if m <= 2 then ps
   else begin
     let pn = m / 2 in
     let xs = Array.init (2 * pn) (fun t -> snd ps.(2 * (t / 2))) in
@@ -211,48 +255,34 @@ let rec lex_merge (ctx : Ctx.t) ~until (ps : (Share.flags * Share.flags) array)
     let merged =
       if m mod 2 = 1 then Array.append merged [| ps.(m - 1) |] else merged
     in
-    lex_merge ctx ~until merged
+    lex_merge ctx merged
   end
+
+(* The lexicographic less-than short of its last AND, as packed flags
+   (x, y, tail) with lt = (x ∧ y) ⊕ tail. One column: its ladder short of
+   the last AND ({!lt_last_many}). Several columns: every column's full
+   ladder in one fused pass, then the merge down to two pairs. *)
+let lt_lex_last (ctx : Ctx.t) = function
+  | [] -> invalid_arg "lt_lex: empty key list"
+  | [ c ] -> (lt_last_many ctx [| c |]).(0)
+  | cols -> (
+      match lex_merge ctx (lt_core_many ctx (Array.of_list cols)) with
+      | [| (l0, e0); (l1, _) |] -> (e0, l1, Some l0)
+      | _ -> assert false)
 
 (** Lexicographic less-than over a list of (x, y, width) column pairs,
     as packed flags — the composite-key comparator used by TableSort and
     the sorting wrapper (the (key, index) 128-bit padding construction of
     §B.2): lt = lt_1 or (eq_1 and (lt_2 or (eq_2 and ...))). All
     columns' (lt, eq) ladders run in one fused lockstep pass and a
-    log-depth packed merge combines the columns (none for one column). *)
-let lt_lex (ctx : Ctx.t) = function
-  | [] -> invalid_arg "lt_lex: empty key list"
-  | cols ->
-      fst (lex_merge ctx ~until:1 (lt_core_many ctx (Array.of_list cols))).(0)
-
-(* The lexicographic less-than short of its last AND, as packed flags
-   (x, y, tail) with lt = (x ∧ y) ⊕ tail. One column: its ladder stops
-   before the level whose blocks span the word (the initial AND when
-   w = 1); bit 0 of that level is lt_hi ⊕ (eq_hi ∧ lt_lo) over the block
-   words, which is all the opening needs, so the level's other products
-   are never formed. Several columns: the merge stops at two pairs. *)
-let lt_lex_last (ctx : Ctx.t) = function
-  | [] -> invalid_arg "lt_lex: empty key list"
-  | [ (x, y, w) ] ->
-      if w = 1 then
-        (Mpc.bnot_f (Mpc.extract_bit_f x 0), Mpc.extract_bit_f y 0, None)
-      else begin
-        let lanes = [| (x, y, w) |] in
-        let ltb, eqb = lt_init ctx lanes in
-        let d = [| 1 |] in
-        lt_levels ctx lanes ltb eqb d ~more:(fun _ dd -> 2 * dd < w);
-        let at v = Mpc.extract_bit_f v d.(0) in
-        (at eqb.(0), Mpc.extract_bit_f ltb.(0) 0, Some (at ltb.(0)))
-      end
-  | cols -> (
-      match lex_merge ctx ~until:2 (lt_core_many ctx (Array.of_list cols)) with
-      | [| (l0, e0); (l1, _) |] -> (e0, l1, Some l0)
-      | _ -> assert false)
+    log-depth packed merge combines the columns; the last AND forms only
+    the lt product. *)
+let lt_lex (ctx : Ctx.t) cols = (last_and_many ctx [| lt_lex_last ctx cols |]).(0)
 
 (** {!lt_lex} opened. Under SH-HM the last AND opens in its own round
     ({!Mpc.band_open_f}): one round fewer than {!lt_lex} then
-    {!Mpc.open_f}, and that last round forms only the opened product.
-    Under SH-DM and Mal-HM it is exactly {!lt_lex} then {!Mpc.open_f}. *)
+    {!Mpc.open_f}. Under SH-DM and Mal-HM it is exactly {!lt_lex} then
+    {!Mpc.open_f}. *)
 let lt_lex_open (ctx : Ctx.t) cols =
   match ctx.kind with
   | Ctx.Sh_dm | Ctx.Mal_hm -> Mpc.open_f ctx (lt_lex ctx cols)

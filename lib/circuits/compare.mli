@@ -25,7 +25,9 @@ val eq_many :
 
 val lt : Ctx.t -> w:int -> Share.shared -> Share.shared -> Share.flags
 (** [lt ctx ~w x y]: [x < y] over [w]-bit naturals. Two's-complement
-    callers flip both operands' top bits first (a local xor). *)
+    callers flip both operands' top bits first (a local xor). The last
+    level forms the lt product alone: the eq product beside it is never
+    read. *)
 
 val lt_many :
   Ctx.t -> (Share.shared * Share.shared * int) array -> Share.flags array
@@ -40,16 +42,16 @@ val lt_lex :
 (** Lexicographic less-than over (x, y, width) column pairs — the
     composite-key comparator of TableSort and the sorting wrapper. All
     columns' (lt, eq) ladders run in one fused lockstep pass, then a
-    log-depth associative merge over packed flags combines them. *)
+    log-depth associative merge over packed flags combines them; its last
+    merge forms the lt product alone. *)
 
 val lt_lex_open :
   Ctx.t -> (Share.shared * Share.shared * int) list -> Orq_util.Bits.t
 (** {!lt_lex} opened to all parties. Under SH-HM the circuit's last AND
     opens in its own round ({!Mpc.band_open_f}): one round fewer than
     computing the comparison and then opening it, and that round forms
-    only the opened product, so it moves fewer bits too. Under SH-DM and
-    Mal-HM it is {!lt_lex} then {!Mpc.open_f}, transcript for
-    transcript. *)
+    only the opened product. Under SH-DM and Mal-HM it is {!lt_lex} then
+    {!Mpc.open_f}, transcript for transcript. *)
 
 val eq_composite :
   Ctx.t -> (Share.shared * Share.shared * int) list -> Share.flags

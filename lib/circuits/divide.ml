@@ -15,7 +15,7 @@
     divisor's width plus two bits, not the dividend's.
 
     {b Secret divisor} ([udiv]): one iteration per quotient bit, each a
-    [wd + 2]-bit Kogge–Stone adder behind a ±D multiplexer, where [wd]
+    [wd + 2]-bit adder behind a ±D multiplexer, where [wd]
     bounds the divisor's width; the first iteration's remainder is known
     non-negative, so it adds -D with no multiplexer. With no bound that
     is w iterations. A caller that knows the quotient is below [2^qw] (a
@@ -54,9 +54,10 @@ let check_width w =
 (* Bits needed to hold the non-negative [v]. *)
 let bitlen v = Ring.log2_ceil (v + 1)
 
-(* Online rounds of one (possibly fused) Kogge–Stone addition whose widest
-   lane has width [w]: the generate round plus the prefix ladder. *)
-let adder_rounds w = 1 + Ring.log2_ceil w
+(* Online rounds of one (possibly fused) addition whose widest lane has
+   width [w], with a shared or a public operand, from the price list. *)
+let adder_rounds w = Array.length (Primcost.add Ctx.Sh_hm ~w ~n:1)
+let pub_adder_rounds w = Array.length (Primcost.add_pub Ctx.Sh_hm ~w ~n:1)
 
 (* Sign flag (bit wr - 1) of a wr-bit two's-complement sharing, as packed
    flags. *)
@@ -117,7 +118,7 @@ let udiv_rounds ~w ~wd ?qw () =
   (* -D, then qw iterations and the fix-up, each a wr-bit addition behind
      an AND round (the ±D select, the +D mask) — except the first
      iteration, whose non-negative remainder adds -D with no select *)
-  Ring.log2_ceil wr + ((qw + 1) * (1 + adder_rounds wr)) - 1
+  pub_adder_rounds wr + ((qw + 1) * (1 + adder_rounds wr)) - 1
 
 (* ------------------------------------------------------------------ *)
 (* Public divisor                                                      *)

@@ -48,7 +48,7 @@ let map (t : Table.t) ~dst ?width (e : Expr.num) : Table.t =
     order. *)
 let order_by (t : Table.t) (specs : (string * order) list) : Table.t =
   Ctx.with_label (Table.ctx t) "orderby" @@ fun () ->
-  let sorted = Tablesort.sort ~lead:[ (t.Table.valid, 1, Tablesort.Desc) ] t specs in
+  let sorted = Tablesort.sort ~valid:Tablesort.Desc t specs in
   parked (Table.add_facts sorted [ Table.Ordered specs ])
 
 (** LIMIT k (after an ORDER BY): keep the first k physical rows. *)
@@ -60,7 +60,7 @@ let distinct (t : Table.t) (keys : string list) : Table.t =
   Ctx.with_label ctx "distinct" @@ fun () ->
   let t =
     Tablesort.sort
-      ~lead:[ (t.Table.valid, 1, Tablesort.Asc) ]
+      ~valid:Tablesort.Asc
       t
       (List.map (fun k -> (k, Asc)) keys)
   in
@@ -240,7 +240,7 @@ let aggregate (t : Table.t) ~(keys : string list) ~(aggs : agg list) : Table.t =
   let facts = sum_facts t ~whole:false aggs in
   let t =
     Tablesort.sort
-      ~lead:[ (t.Table.valid, 1, Tablesort.Asc) ]
+      ~valid:Tablesort.Asc
       t
       (List.map (fun k -> (k, Asc)) keys)
   in

@@ -97,12 +97,12 @@ let sort_cols (ctx : Ctx.t) ~(keys : (Share.chunked * int * order) list)
       let all = Permops.apply_elementwise_table ctx (key_cols @ others) sigma in
       (Orq_sort.Quicksort.take nk all, Orq_sort.Quicksort.drop nk all)
 
-(** Sort a whole table by named columns; [lead] prepends extra key columns
-    (e.g. the validity bit) ahead of the named ones. Parked columns stream
+(** Sort a whole table by named columns; [valid] prepends the validity
+    bit as the leading key, whose sorted column is then the new validity
+    (otherwise validity rides as a carried column). Parked columns stream
     chunk at a time and stay parked; whole columns flow through as single
     untracked chunks. *)
-let sort ?(lead : (Share.shared * int * order) list = []) (t : Table.t)
-    (specs : (string * order) list) : Table.t =
+let sort ?valid (t : Table.t) (specs : (string * order) list) : Table.t =
   let ctx = Table.ctx t in
   (* signed key columns sort correctly after the order-preserving
      two's-complement -> unsigned map (flip the sign bit); the flip is
@@ -120,8 +120,9 @@ let sort ?(lead : (Share.shared * int * order) list = []) (t : Table.t)
   let flip_c f ck =
     if f = 0 then ck else Share.map_chunks (fun s -> Mpc.xor_pub s f) ck
   in
+  let valid_col = (Share.wrap t.Table.valid, 1) in
   let keys =
-    List.map (fun (s, w, o) -> (Share.wrap s, w, o)) lead
+    (match valid with Some o -> [ (fst valid_col, 1, o) ] | None -> [])
     @ List.map
         (fun (name, o) ->
           let c = Table.find t name in
@@ -136,28 +137,27 @@ let sort ?(lead : (Share.shared * int * order) list = []) (t : Table.t)
         else Some (n, (chunked_bool c, c.Column.width)))
       t.Table.cols
   in
+  let carried = List.map snd others in
   let sorted_keys, sorted_others =
-    sort_cols ctx ~keys ((Share.wrap t.Table.valid, 1) :: List.map snd others)
+    sort_cols ctx ~keys (if valid = None then valid_col :: carried else carried)
   in
-  let nlead = List.length lead in
-  let sorted_named = Orq_sort.Quicksort.drop nlead sorted_keys in
+  let valid', sorted_named, rest =
+    match (valid, sorted_keys, sorted_others) with
+    | Some _, v :: named, rest | None, named, v :: rest -> (v, named, rest)
+    | _ -> assert false
+  in
   let recol c res = { c with Column.payload = res } in
-  match sorted_others with
-  | valid' :: rest ->
-      let cols' =
-        List.map
-          (fun (n, c) ->
-            match List.assoc_opt n (List.combine key_names sorted_named) with
-            | Some data -> (n, recol c (flip_c (flip_of n) data))
-            | None ->
-                let data =
-                  List.assoc n (List.combine (List.map fst others) rest)
-                in
-                (n, recol c data))
-          t.Table.cols
-      in
-      let facts =
-        List.filter (function Table.Ordered _ -> false | _ -> true) t.Table.facts
-      in
-      { t with Table.cols = cols'; valid = Share.unpark valid'; facts }
-  | [] -> assert false
+  let cols' =
+    List.map
+      (fun (n, c) ->
+        match List.assoc_opt n (List.combine key_names sorted_named) with
+        | Some data -> (n, recol c (flip_c (flip_of n) data))
+        | None ->
+            let data = List.assoc n (List.combine (List.map fst others) rest) in
+            (n, recol c data))
+      t.Table.cols
+  in
+  let facts =
+    List.filter (function Table.Ordered _ -> false | _ -> true) t.Table.facts
+  in
+  { t with Table.cols = cols'; valid = Share.unpark valid'; facts }

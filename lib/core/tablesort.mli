@@ -22,9 +22,9 @@ val sort_cols :
     ({!Share.wrap}ped) columns are single chunks. The wire cost does not
     depend on the chunking. *)
 
-val sort :
-  ?lead:(Share.shared * int * order) list -> Table.t ->
-  (string * order) list -> Table.t
-(** Sort a table by named columns; [lead] prepends extra key columns
-    (e.g. the validity bit). Parked columns stream and stay parked. The
-    result drops any [Table.Ordered] fact of the input. *)
+val sort : ?valid:order -> Table.t -> (string * order) list -> Table.t
+(** Sort a table by named columns; [valid] makes the validity bit the
+    leading key in that direction, and its sorted key column becomes the
+    result's validity (it is not carried a second time). Parked columns
+    stream and stay parked. The result drops any [Table.Ordered] fact of
+    the input. *)

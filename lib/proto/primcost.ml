@@ -66,10 +66,42 @@ let lt kind ~w ~n =
   let evs = ref [ round_ev (mul_lane kind ~w ~n) ] in
   let d = ref 1 in
   while !d < w do
-    evs := round_ev (mul_lane kind ~w:(max 1 (w / (2 * !d))) ~n:(2 * n)) :: !evs;
+    (* the last level forms the lt product alone *)
+    let n = if 2 * !d < w then 2 * n else n in
+    evs := round_ev (mul_lane kind ~w:(max 1 (w / (2 * !d))) ~n) :: !evs;
     d := 2 * !d
   done;
   Array.of_list (List.rev !evs)
+
+(* Live positions of level j of a prefix over m carry positions: a G
+   product at every position with bit j set, and a P product at those of
+   them with a higher bit set too — the positions a later level's G update
+   reads. *)
+let prefix_live ~m j =
+  let s = 1 lsl j in
+  let with_bit_j m =
+    ((m lsr (j + 1)) lsl j) + max 0 ((m land ((2 * s) - 1)) - s)
+  in
+  let g = with_bit_j m in
+  g + (g - with_bit_j (min m (2 * s)))
+
+(* The prefix levels of a w-bit sum: ⌈log₂(w − 1)⌉ of them, over the
+   w − 1 carry positions (the top carry is never read). *)
+let prefix kind ~w ~n =
+  let m = max 0 (w - 1) in
+  Array.init (Orq_util.Ring.log2_ceil m) (fun j ->
+      round_ev (mul_lane kind ~w:(prefix_live ~m j) ~n))
+
+let add kind ~w ~n =
+  if w < 2 then [||]
+  else Array.append [| round_ev (mul_lane kind ~w:(w - 1) ~n) |] (prefix kind ~w ~n)
+
+let add_pub = prefix
+
+let a2b kind ~ell ~w ~n =
+  Array.append
+    [| round_ev (open_lane kind ~w:ell ~n) |]
+    (add_pub kind ~w:(min w Orq_util.Ring.word_bits) ~n)
 
 (* One sharded-permutation application over [w] bits per element:
    (bits, rounds, messages). *)
@@ -109,18 +141,16 @@ let applyperm (kind : Ctx.kind) ~w ~n =
 let lt_lex_open (kind : Ctx.kind) ~ws ~n =
   let k = List.length ws in
   if k = 0 then invalid_arg "Primcost.lt_lex_open: no columns";
-  let fused = kind = Sh_hm in
   let one = match ws with [ w ] -> Some w | _ -> None in
   let rounds = ref [] in
   let emit lanes = if lanes <> [] then rounds := lanes_ev lanes :: !rounds in
   (* the initial AND of every column, unless one 1-bit column's initial
-     AND is itself the opened last AND *)
-  if not (fused && one = Some 1) then
-    emit (List.map (fun w -> mul_lane kind ~w ~n) ws);
-  (* the ladder levels; one column's fused form stops before the level
-     whose blocks span the word *)
+     AND is itself the last AND *)
+  if one <> Some 1 then emit (List.map (fun w -> mul_lane kind ~w ~n) ws);
+  (* the ladder levels; one column's ladder stops before the level whose
+     blocks span the word *)
   let d = ref 1 in
-  let more w = !d < w && not (fused && one <> None && 2 * !d >= w) in
+  let more w = !d < w && not (one <> None && 2 * !d >= w) in
   while List.exists more ws do
     emit
       (List.filter_map
@@ -131,15 +161,20 @@ let lt_lex_open (kind : Ctx.kind) ~ws ~n =
     d := 2 * !d
   done;
   (* the packed lexicographic merge: two single-bit ANDs per adjacent
-     pair; the fused form stops at two pairs *)
+     pair, down to two pairs *)
   let m = ref k in
-  while !m > (if fused then 2 else 1) do
+  while !m > 2 do
     let pn = !m / 2 in
     emit (List.init (2 * pn) (fun _ -> mul_lane kind ~w:1 ~n));
     m := pn + (!m mod 2)
   done;
-  let last = if fused then (6 * n, 6) else open_lane kind ~w:1 ~n in
-  Array.of_list (List.concat (List.rev ([ round_ev last ] :: !rounds)))
+  (* the last AND forms only the lt product; under SH-HM it opens in its
+     own round *)
+  let last =
+    if kind = Sh_hm then [ round_ev (6 * n, 6) ]
+    else [ round_ev (mul_lane kind ~w:1 ~n); round_ev (open_lane kind ~w:1 ~n) ]
+  in
+  Array.of_list (List.concat (List.rev !rounds) @ last)
 
 let tally_of (evs : Comm.event array) : Comm.tally =
   Array.fold_left

@@ -48,7 +48,24 @@ val lt : Ctx.kind -> w:int -> n:int -> Comm.event array
 (** Less-than on [w]-bit vectors: the (lt, eq) block-combination ladder
     of §B — an initial width-[w] AND, then one level per doubling block
     size, each AND packing both combination products over doubled-length
-    operands. ⌈log₂ w⌉ + 1 rounds. *)
+    operands, except the last, which forms the lt product alone.
+    ⌈log₂ w⌉ + 1 rounds. *)
+
+val add : Ctx.kind -> w:int -> n:int -> Comm.event array
+(** Sum of two shared [w]-bit vectors (the Sklansky adder): the generate
+    AND over the [w − 1] carry positions (the top carry is never read;
+    none for [w = 1]), then one AND per prefix level, ⌈log₂(w − 1)⌉ of
+    them. Level j charges its live positions: a G product at every carry
+    position with bit j set, and a P product at those with a higher bit
+    set too. *)
+
+val add_pub : Ctx.kind -> w:int -> n:int -> Comm.event array
+(** Sum of a shared and a public [w]-bit vector (also subtraction and
+    negation): {!add} without the generate AND, which is local. *)
+
+val a2b : Ctx.kind -> ell:int -> w:int -> n:int -> Comm.event array
+(** Arithmetic-to-boolean conversion of [n] values to [w] bits: the
+    masked values open at [ell] bits, then a public-minuend {!add_pub}. *)
 
 val shuffle : Ctx.kind -> w:int -> n:int -> Comm.event array
 (** One sharded-permutation application over [n] elements of [w] bits
@@ -72,11 +89,12 @@ val applyperm : Ctx.kind -> w:int -> n:int -> Comm.event array
 
 val lt_lex_open : Ctx.kind -> ws:int list -> n:int -> Comm.event array
 (** Lexicographic less-than over columns of widths [ws], opened
-    ([Compare.lt_lex_open]): every column's ladder in fused rounds, the
-    packed merge of the (lt, eq) pairs, then the opening. Under SH-HM the
-    last AND opens in its own round (6 bits and 6 messages per element)
-    and forms only the opened product; elsewhere the full circuit is
-    followed by a width-1 opening. *)
+    ([Compare.lt_lex_open]): every column's ladder in fused rounds (one
+    column's stops before the level whose blocks span the word), the
+    packed merge of the (lt, eq) pairs down to two pairs, then the last
+    AND, which forms only the lt product. Under SH-HM that AND opens in
+    its own round (6 bits and 6 messages per element); elsewhere it is a
+    width-1 AND followed by a width-1 opening. *)
 
 val tally_of : Comm.event array -> Comm.tally
 (** Sequential composition: rounds and traffic both add. *)

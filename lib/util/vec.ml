@@ -177,15 +177,19 @@ let shift_right (a : t) k : t =
       done);
   out
 
-(** [bit_extract a k] isolates bit [k] of each element into the LSB —
-    the fused radixsort bit-extraction ((a >> k) land 1, logical shift). *)
-let bit_extract (a : t) k : t =
+(** [spread a ~src ~span]: every bit of [a] at a [src] position copied
+    to the [span] positions above it, all else cleared — the Sklansky
+    block-top broadcast. [src] positions must be at least [2·span] apart,
+    so one multiplication by 2 + 4 + … + 2^span makes every copy without
+    a carry (GF(2)-linear: it applies share by share). Copies past the
+    top of the word are dropped. *)
+let spread (a : t) ~src ~span : t =
+  let m = (1 lsl (span + 1)) - 2 in
   let n = Array.length a in
   let out = Array.make n 0 in
   Parallel.run_spans n (fun pos len ->
       for i = pos to pos + len - 1 do
-        Array.unsafe_set out i
-          (((Array.unsafe_get a i land Ring.ones) lsr k) land 1)
+        Array.unsafe_set out i ((Array.unsafe_get a i land src) * m)
       done);
   out
 

@@ -37,9 +37,12 @@ val shift_left : t -> int -> t
 val shift_right : t -> int -> t
 (** Logical right shift within the 63-bit word. *)
 
-val bit_extract : t -> int -> t
-(** [bit_extract a k] isolates bit [k] of each element into the LSB — the
-    fused radixsort bit extraction [((a >> k) land 1)], logical shift. *)
+val spread : t -> src:int -> span:int -> t
+(** [spread a ~src ~span] copies each bit of [a] at a [src] position to
+    the [span] positions above it and clears every other bit: one
+    carry-free multiplication by 2 + 4 + … + 2^span, so [src] positions
+    must be at least [2·span] apart. Copies past the word top drop. The
+    block-top broadcast of the Sklansky adder. *)
 
 (** {2 In-place / accumulating kernels (no allocation)} *)
 

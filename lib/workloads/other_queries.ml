@@ -77,7 +77,7 @@ let cdiff_run (db : G.mpc) =
   let d = D.filter db.G.m_diagnosis E.(col "diag" ==. const G.diag_cdiff) in
   let d =
     Tablesort.sort
-      ~lead:[ (d.Table.valid, 1, Tablesort.Asc) ]
+      ~valid:Tablesort.Asc
       d
       [ ("pid", Tablesort.Asc); ("dtime", Tablesort.Asc) ]
   in

@@ -383,6 +383,45 @@ let test_costmodel_primitives () =
         [ (1, 16); (8, 33); (24, 100); (40, 7) ])
     Ctx.all_kinds
 
+(* The adders' closed forms (the live carry positions of every Sklansky
+   level, the generate AND at w - 1 bits, the opening of an A2B) against
+   the metered transcripts, event for event, around the 2^k and 2^k + 1
+   widths where the prefix depth steps and the packed-word lane lengths. *)
+let test_costmodel_adders () =
+  let module Adder = Orq_circuits.Adder in
+  let ell = (Ctx.create Ctx.Sh_hm).Ctx.ell in
+  List.iter
+    (fun kind ->
+      List.iter
+        (fun w ->
+          List.iter
+            (fun n ->
+              let data salt =
+                Array.init n (fun i ->
+                    ((i * 2654435761) + salt) land Orq_util.Ring.mask w)
+              in
+              let b ctx salt = Mpc.share_b ctx (data salt) in
+              List.iter
+                (fun (what, predicted, f) ->
+                  check_predicted
+                    (Printf.sprintf "%s w=%d n=%d" what w n)
+                    kind predicted
+                    (fun ctx -> ignore (f ctx)))
+                [
+                  ("add", Primcost.add kind ~w ~n, fun ctx -> Adder.add ctx ~w (b ctx 1) (b ctx 2));
+                  ("sub", Primcost.add kind ~w ~n, fun ctx -> Adder.sub ctx ~w (b ctx 1) (b ctx 2));
+                  ( "add_pub",
+                    Primcost.add_pub kind ~w ~n,
+                    fun ctx -> Adder.add_pub ~cin:true ctx ~w (b ctx 1) (data 2) );
+                  ("neg", Primcost.add_pub kind ~w ~n, fun ctx -> Adder.neg ctx ~w (b ctx 1));
+                  ( "a2b",
+                    Primcost.a2b kind ~ell ~w ~n,
+                    fun ctx -> Orq_circuits.Convert.a2b ~w ctx (Mpc.share_a ctx (data 3)) );
+                ])
+            [ 1; 63; 64; 1025 ])
+        [ 1; 2; 3; 5; 8; 9; 16; 17; 31; 33; 37; 46; 63 ])
+    Ctx.all_kinds
+
 (* Full-width and single-bit B2A both draw one daBit correlation for all
    their bits: one preprocessing event of 2·nvec·w·n·(ℓ+1) bits and one
    message per party. *)
@@ -652,6 +691,7 @@ let suite =
       test_b2a_preproc_metering;
     Alcotest.test_case "cost model: arithmetic mul" `Quick
       test_costmodel_arith_mul;
+    Alcotest.test_case "cost model: adders" `Quick test_costmodel_adders;
     Alcotest.test_case "cost model: fused openings" `Quick
       test_costmodel_fused_openings;
     Alcotest.test_case "certifier: live queries" `Slow test_certify_queries;

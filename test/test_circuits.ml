@@ -142,20 +142,80 @@ let test_mux_b_many () =
 
 (* ------------- adder ------------- *)
 
-let test_add_qcheck =
-  QCheck.Test.make ~name:"KS adder" ~count:25
-    (QCheck.pair (arb_small ~w:32 11) (arb_small ~w:32 11))
-    (fun (x, y) ->
+(* Every adder entry point against plaintext arithmetic mod 2^w, for w in
+   [1, 63] with the 2^k and 2^k + 1 widths (where the prefix depth steps)
+   forced in, lane lengths around the 63-flag word seams, the extreme
+   operands (0, 1, 2^(w-1), 2^w - 1) forced in, with and without a
+   carry-in, under all three protocols. *)
+let test_adders_qcheck =
+  let gen =
+    QCheck.Gen.(
+      oneof
+        [
+          int_range 1 63;
+          map (fun k -> 1 lsl k) (int_range 0 5);
+          map (fun k -> (1 lsl k) + 1) (int_range 0 5);
+        ]
+      >>= fun w ->
+      oneofl [ 1; 5; 62; 63; 64; 65; 127 ] >>= fun n ->
+      let m = Ring.mask w in
+      let top = 1 lsl (w - 1) in
+      (* the leading elements pair up the extremes: x + y = 2^w and
+         c - y = -1 run a carry through every bit *)
+      let vals extremes =
+        map
+          (fun r ->
+            Array.init n (fun i -> (if i < 5 then extremes.(i) else r.(i)) land m))
+          (array_size (return n) int)
+      in
+      triple (vals [| 0; 1; top; m; m - 1 |]) (vals [| m; m; 1; 1; top |])
+        (vals [| 1; m; top; 0; m |])
+      >>= fun (x, y, c) ->
+      bool >>= fun cin -> return (w, cin, x, y, c))
+  in
+  QCheck.Test.make ~name:"adders = plaintext mod 2^w" ~count:40
+    (QCheck.make
+       ~print:(fun (w, cin, x, _, _) ->
+         Printf.sprintf "w=%d cin=%b n=%d" w cin (Array.length x))
+       gen)
+    (fun (w, cin, x, y, c) ->
+      let m = Ring.mask w in
+      let plain f = Array.init (Array.length x) f in
       List.for_all
         (fun k ->
           let ctx = Ctx.create ~seed:6 k in
-          let r =
-            Adder.add ctx ~w:32 (Mpc.share_b ctx x) (Mpc.share_b ctx y)
-            |> Share.reconstruct
-          in
-          Array.for_all2 (fun got (a, b) -> got = (a + b) land Ring.mask 32)
-            r
-            (Array.map2 (fun a b -> (a, b)) x y))
+          let sx = Mpc.share_b ctx x and sy = Mpc.share_b ctx y in
+          let got = Share.reconstruct in
+          let ci = if cin then 1 else 0 in
+          List.for_all
+            (fun (name, r, expect) ->
+              Vec.equal r expect
+              || QCheck.Test.fail_reportf "%s w=%d [%s]" name w
+                   (Ctx.kind_label k))
+            [
+              ( "add",
+                got (Adder.add ~cin ctx ~w sx sy),
+                plain (fun i -> (x.(i) + y.(i) + ci) land m) );
+              ( "add_many",
+                got (Adder.add_many ~cin ctx [| (sx, sy, w); (sy, sx, w) |]).(1),
+                plain (fun i -> (x.(i) + y.(i) + ci) land m) );
+              ( "sub",
+                got (Adder.sub ctx ~w sx sy),
+                plain (fun i -> (x.(i) - y.(i)) land m) );
+              ( "add_pub",
+                got (Adder.add_pub ~cin ctx ~w sx c),
+                plain (fun i -> (x.(i) + c.(i) + ci) land m) );
+              ( "sub_pub",
+                got (Adder.sub_pub ctx ~w sx c),
+                plain (fun i -> (x.(i) - c.(i)) land m) );
+              ( "sub_pub_minuend",
+                got (Adder.sub_pub_minuend ctx ~w c sy),
+                plain (fun i -> (c.(i) - y.(i)) land m) );
+              ("neg", got (Adder.neg ctx ~w sx), plain (fun i -> -x.(i) land m));
+              ( "a2b",
+                got (Convert.a2b ~w ctx (Mpc.share_a ctx y)),
+                plain (fun i -> y.(i) land m) );
+            ])
         kinds)
 
 let test_sub () =
@@ -439,7 +499,7 @@ let test_div_pub_rounds () =
       for_all_kinds (fun ctx ->
           let _, _, tl = div_pub_tally ctx ~w [| 1; 2; 3 |] d in
           Alcotest.(check int) (name ^ " measured") expect tl.Orq_net.Comm.t_rounds))
-    [ (36, 100, 45); (46, 100, 52); (12, 365, 25); (20, 7, 34); (16, 1, 0); (16, 64, 0); (8, 300, 0) ]
+    [ (36, 100, 40); (46, 100, 46); (12, 365, 25); (20, 7, 30); (16, 1, 0); (16, 64, 0); (8, 300, 0) ]
 
 let test_div_pub_oblivious () =
   (* the transcript shape is a function of (w, d, n) alone *)
@@ -462,7 +522,7 @@ let suite =
     Alcotest.test_case "composite eq" `Quick test_eq_composite;
     Alcotest.test_case "mux_b" `Quick test_mux_b;
     Alcotest.test_case "mux_b_many (1 round)" `Quick test_mux_b_many;
-    QCheck_alcotest.to_alcotest test_add_qcheck;
+    QCheck_alcotest.to_alcotest test_adders_qcheck;
     Alcotest.test_case "sub" `Quick test_sub;
     Alcotest.test_case "add/sub with public operand" `Quick test_add_pub;
     Alcotest.test_case "neg" `Quick test_neg;

@@ -5,9 +5,10 @@
 
      eq  over w bits          ceil(log2 w)            (bor halving ladder)
      lt  over w bits          ceil(log2 w) + 1        (initial AND + ladder)
-     add (private operands)   ceil(log2 w) + 1        (generate AND + prefix)
-     add_pub                  ceil(log2 w)            (generate is local)
-     a2b                      ceil(log2 w) + 1        (one opening + add_pub)
+     add (private operands)   ceil(log2 (w-1)) + 1    (generate AND + prefix
+                              (0 when w = 1)           over the w - 1 carries)
+     add_pub                  ceil(log2 (w-1))        (generate is local)
+     a2b                      ceil(log2 (w-1)) + 1    (one opening + add_pub)
 
    and every [_many] entry point must cost the MAX lane depth, not the
    sum — that is the whole point of the fusion layer. A k-lane call must
@@ -49,6 +50,8 @@ let test_single_formulas () =
       List.iter
         (fun w ->
           let d = Ring.log2_ceil w in
+          (* the adders' prefix runs over the w - 1 carry positions *)
+          let dc = Ring.log2_ceil (w - 1) in
           let x = share2 ctx ~w 9 1 and y = share2 ctx ~w 9 2 in
           let _, req = rounds_of ctx (fun () -> Compare.eq ctx ~w x y) in
           Alcotest.(check int)
@@ -61,17 +64,18 @@ let test_single_formulas () =
           let _, radd = rounds_of ctx (fun () -> Adder.add ctx ~w x y) in
           Alcotest.(check int)
             (Printf.sprintf "%s add w=%d" lbl w)
-            (d + 1) radd;
+            (if w = 1 then 0 else dc + 1)
+            radd;
           let c = Array.make 9 3 in
           let _, rap = rounds_of ctx (fun () -> Adder.add_pub ctx ~w x c) in
           Alcotest.(check int)
             (Printf.sprintf "%s add_pub w=%d" lbl w)
-            d rap;
+            dc rap;
           let xa = Mpc.share_a ctx (Array.init 9 (fun i -> i)) in
           let _, ra2b = rounds_of ctx (fun () -> Convert.a2b ~w ctx xa) in
           Alcotest.(check int)
             (Printf.sprintf "%s a2b w=%d" lbl w)
-            (d + 1) ra2b)
+            (dc + 1) ra2b)
         [ 1; 2; 8; 19; 32 ])
     kinds
 
@@ -83,13 +87,14 @@ let test_many_max_depth () =
       let ctx = Ctx.create ~seed:3 k in
       let lanes ws = Array.map (fun w -> (share2 ctx ~w 7 1, share2 ctx ~w 7 2, w)) ws in
       let deepest ws = Array.fold_left (fun a w -> max a (Ring.log2_ceil w)) 0 ws in
+      let carries ws = Array.map (fun w -> w - 1) ws in
       let ws = [| 32; 8; 1; 19 |] in
       let _, req = rounds_of ctx (fun () -> Compare.eq_many ctx (lanes ws)) in
       Alcotest.(check int) (lbl ^ " eq_many") (deepest ws) req;
       let _, rlt = rounds_of ctx (fun () -> Compare.lt_many ctx (lanes ws)) in
       Alcotest.(check int) (lbl ^ " lt_many") (deepest ws + 1) rlt;
       let _, radd = rounds_of ctx (fun () -> Adder.add_many ctx (lanes ws)) in
-      Alcotest.(check int) (lbl ^ " add_many") (deepest ws + 1) radd;
+      Alcotest.(check int) (lbl ^ " add_many") (deepest (carries ws) + 1) radd;
       let bits = Array.init 4 (fun i -> Share.pack_flags (share2 ctx ~w:1 7 i)) in
       let _, rsel =
         rounds_of ctx (fun () ->
@@ -103,7 +108,7 @@ let test_many_max_depth () =
         Array.map (fun w -> (Mpc.share_a ctx (Array.init 7 (fun i -> i)), w)) ws
       in
       let _, ra2b = rounds_of ctx (fun () -> Convert.a2b_many ctx alanes) in
-      Alcotest.(check int) (lbl ^ " a2b_many") (deepest ws + 1) ra2b;
+      Alcotest.(check int) (lbl ^ " a2b_many") (deepest (carries ws) + 1) ra2b;
       (* composite-equality groups reduce in lockstep: ladder depth plus a
          log-depth AND tree over the widest group *)
       let groups =

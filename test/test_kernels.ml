@@ -73,12 +73,35 @@ let qcheck_sub_into =
       Vec.sub_into got a;
       got = expect)
 
-let qcheck_bit_extract =
-  QCheck.Test.make ~name:"bit_extract = and_scalar (shift_right a k) 1"
-    ~count:50
-    QCheck.(pair (array_of_size (Gen.return 24) int) (int_bound 62))
-    (fun (a, k) ->
-      Vec.bit_extract a k = Vec.and_scalar (Vec.shift_right a k) 1)
+(* Bit-loop reference of the block-top broadcast: bit q of the result is
+   bit p of a for the source p with p < q <= p + span. *)
+let naive_spread a ~src ~span =
+  Array.map
+    (fun v ->
+      let r = ref 0 in
+      for p = 0 to Ring.word_bits - 1 do
+        if (src lsr p) land 1 = 1 && (v lsr p) land 1 = 1 then
+          for q = p + 1 to min (Ring.word_bits - 1) (p + span) do
+            r := !r lor (1 lsl q)
+          done
+      done;
+      !r)
+    a
+
+(* Sources at every block top 2^j - 1 mod 2^(j+1), thinned by a random
+   mask so sparse and full source sets (and the word top) both occur. *)
+let qcheck_spread =
+  QCheck.Test.make ~name:"spread = bit-loop broadcast" ~count:200
+    QCheck.(triple (array_of_size (Gen.return 24) int) (int_bound 5) int)
+    (fun (a, j, thin) ->
+      let span = 1 lsl j in
+      let src = ref 0 in
+      for p = 0 to Ring.word_bits - 1 do
+        if p land ((2 * span) - 1) = span - 1 then src := !src lor (1 lsl p)
+      done;
+      List.for_all
+        (fun src -> Vec.spread a ~src ~span = naive_spread a ~src ~span)
+        [ !src; !src land thin ])
 
 let arr5 =
   QCheck.(
@@ -315,7 +338,7 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_xor3;
     QCheck_alcotest.to_alcotest qcheck_add_sub;
     QCheck_alcotest.to_alcotest qcheck_sub_into;
-    QCheck_alcotest.to_alcotest qcheck_bit_extract;
+    QCheck_alcotest.to_alcotest qcheck_spread;
     QCheck_alcotest.to_alcotest qcheck_beaver_arith;
     QCheck_alcotest.to_alcotest qcheck_beaver_bool;
     QCheck_alcotest.to_alcotest qcheck_rep3_arith;

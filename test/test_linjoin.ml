@@ -299,7 +299,9 @@ let test_predicted_cheapest_is_measured_cheapest () =
    comparison ({!Primcost.lt_lex_open}: the ladder's levels narrow as
    they go, and under SH-HM the opening rides the last AND) and the
    payload routing as one fused Protocol 5 ({!Primcost.applyperm}, where
-   it had been two sequential shuffles).
+   it had been two sequential shuffles), and its SH-DM and Mal-HM sort
+   column again when the opened comparison's last AND stopped forming
+   the unused eq product (bits only; rounds and messages did not move).
    Predictions of ungrouped shapes depend only on (protocol, n, m, key
    columns): the variant decides applicability alone, so each row covers
    all four variants. [None] marks an operator that no shape
@@ -311,34 +313,34 @@ let golden_predictions =
     ("SH-DM", 0, 0, 2, Some (14, 0, 28), None);
     ("SH-DM", 0, 1, 1, Some (19, 2106, 36), None);
     ("SH-DM", 0, 1, 2, Some (23, 2530, 44), None);
-    ("SH-DM", 0, 7, 1, Some (66, 46550, 128), None);
-    ("SH-DM", 0, 7, 2, Some (80, 57694, 156), None);
-    ("SH-DM", 0, 300, 1, Some (174, 5739000, 344), None);
-    ("SH-DM", 0, 300, 2, Some (212, 7008600, 420), None);
+    ("SH-DM", 0, 7, 1, Some (66, 46466, 128), None);
+    ("SH-DM", 0, 7, 2, Some (80, 57610, 156), None);
+    ("SH-DM", 0, 300, 1, Some (174, 5728200, 344), None);
+    ("SH-DM", 0, 300, 2, Some (212, 6997800, 420), None);
     ("SH-DM", 1, 0, 1, Some (19, 2106, 36), None);
     ("SH-DM", 1, 0, 2, Some (23, 2530, 44), None);
-    ("SH-DM", 1, 1, 1, Some (30, 4980, 56), Some (16, 4648, 34));
-    ("SH-DM", 1, 1, 2, Some (36, 6404, 68), Some (16, 4808, 34));
-    ("SH-DM", 1, 7, 1, Some (66, 53200, 128), Some (30, 49596, 62));
-    ("SH-DM", 1, 7, 2, Some (80, 65936, 156), Some (30, 50476, 62));
-    ("SH-DM", 1, 300, 1, Some (174, 5758130, 344), Some (72, 5295138, 146));
-    ("SH-DM", 1, 300, 2, Some (212, 7031962, 420), Some (72, 5331178, 146));
-    ("SH-DM", 7, 0, 1, Some (54, 10038, 104), None);
-    ("SH-DM", 7, 0, 2, Some (68, 21462, 132), None);
-    ("SH-DM", 7, 1, 1, Some (63, 13386, 120), Some (16, 12676, 34));
-    ("SH-DM", 7, 1, 2, Some (77, 26482, 148), Some (16, 13076, 34));
-    ("SH-DM", 7, 7, 1, Some (90, 62762, 174), Some (30, 57624, 62));
-    ("SH-DM", 7, 7, 2, Some (108, 92050, 210), Some (30, 58744, 62));
-    ("SH-DM", 7, 300, 1, Some (174, 5872910, 344), Some (72, 5303166, 146));
-    ("SH-DM", 7, 300, 2, Some (212, 7172134, 420), Some (72, 5339446, 146));
-    ("SH-DM", 300, 0, 1, Some (132, 970200, 260), None);
-    ("SH-DM", 300, 0, 2, Some (170, 2251800, 336), None);
-    ("SH-DM", 300, 1, 1, Some (141, 975348, 276), Some (16, 404710, 34));
-    ("SH-DM", 300, 1, 2, Some (179, 2261260, 352), Some (16, 416830, 34));
-    ("SH-DM", 300, 7, 1, Some (155, 1031324, 304), Some (30, 449658, 62));
-    ("SH-DM", 300, 7, 2, Some (193, 2343108, 380), Some (30, 462498, 62));
-    ("SH-DM", 300, 300, 1, Some (210, 6995400, 414), Some (72, 5695200, 146));
-    ("SH-DM", 300, 300, 2, Some (252, 9834600, 498), Some (72, 5743200, 146));
+    ("SH-DM", 1, 1, 1, Some (30, 4972, 56), Some (16, 4648, 34));
+    ("SH-DM", 1, 1, 2, Some (36, 6396, 68), Some (16, 4808, 34));
+    ("SH-DM", 1, 7, 1, Some (66, 53104, 128), Some (30, 49596, 62));
+    ("SH-DM", 1, 7, 2, Some (80, 65840, 156), Some (30, 50476, 62));
+    ("SH-DM", 1, 300, 1, Some (174, 5747294, 344), Some (72, 5295138, 146));
+    ("SH-DM", 1, 300, 2, Some (212, 7021126, 420), Some (72, 5331178, 146));
+    ("SH-DM", 7, 0, 1, Some (54, 9954, 104), None);
+    ("SH-DM", 7, 0, 2, Some (68, 21378, 132), None);
+    ("SH-DM", 7, 1, 1, Some (63, 13290, 120), Some (16, 12676, 34));
+    ("SH-DM", 7, 1, 2, Some (77, 26386, 148), Some (16, 13076, 34));
+    ("SH-DM", 7, 7, 1, Some (90, 62538, 174), Some (30, 57624, 62));
+    ("SH-DM", 7, 7, 2, Some (108, 91826, 210), Some (30, 58744, 62));
+    ("SH-DM", 7, 300, 1, Some (174, 5861858, 344), Some (72, 5303166, 146));
+    ("SH-DM", 7, 300, 2, Some (212, 7161082, 420), Some (72, 5339446, 146));
+    ("SH-DM", 300, 0, 1, Some (132, 959400, 260), None);
+    ("SH-DM", 300, 0, 2, Some (170, 2241000, 336), None);
+    ("SH-DM", 300, 1, 1, Some (141, 964512, 276), Some (16, 404710, 34));
+    ("SH-DM", 300, 1, 2, Some (179, 2250424, 352), Some (16, 416830, 34));
+    ("SH-DM", 300, 7, 1, Some (155, 1020272, 304), Some (30, 449658, 62));
+    ("SH-DM", 300, 7, 2, Some (193, 2332056, 380), Some (30, 462498, 62));
+    ("SH-DM", 300, 300, 1, Some (210, 6971400, 414), Some (72, 5695200, 146));
+    ("SH-DM", 300, 300, 2, Some (252, 9810600, 498), Some (72, 5743200, 146));
     ("SH-HM", 0, 0, 1, Some (10, 0, 30), None);
     ("SH-HM", 0, 0, 2, Some (14, 0, 42), None);
     ("SH-HM", 0, 1, 1, Some (20, 1854, 57), None);
@@ -375,34 +377,34 @@ let golden_predictions =
     ("Mal-HM", 0, 0, 2, Some (14, 0, 168), None);
     ("Mal-HM", 0, 1, 1, Some (21, 7416, 216), None);
     ("Mal-HM", 0, 1, 2, Some (25, 9048, 264), None);
-    ("Mal-HM", 0, 7, 1, Some (72, 166216, 752), None);
-    ("Mal-HM", 0, 7, 2, Some (86, 204688, 920), None);
-    ("Mal-HM", 0, 300, 1, Some (180, 18247840, 2024), None);
-    ("Mal-HM", 0, 300, 2, Some (218, 22272640, 2480), None);
+    ("Mal-HM", 0, 7, 1, Some (72, 165964, 752), None);
+    ("Mal-HM", 0, 7, 2, Some (86, 204436, 920), None);
+    ("Mal-HM", 0, 300, 1, Some (180, 18215440, 2024), None);
+    ("Mal-HM", 0, 300, 2, Some (218, 22240240, 2480), None);
     ("Mal-HM", 1, 0, 1, Some (21, 7416, 216), None);
     ("Mal-HM", 1, 0, 2, Some (25, 9048, 264), None);
-    ("Mal-HM", 1, 1, 1, Some (36, 23280, 328), Some (20, 22232, 188));
-    ("Mal-HM", 1, 1, 2, Some (42, 28992, 400), Some (20, 23352, 188));
-    ("Mal-HM", 1, 7, 1, Some (72, 189376, 752), Some (34, 174512, 356));
-    ("Mal-HM", 1, 7, 2, Some (86, 233344, 920), Some (34, 181872, 356));
-    ("Mal-HM", 1, 300, 1, Some (180, 18308632, 2024), Some (76, 16762596, 860));
-    ("Mal-HM", 1, 300, 2, Some (218, 22346848, 2480), Some (76, 17074676, 860));
-    ("Mal-HM", 7, 0, 1, Some (62, 69260, 592), None);
-    ("Mal-HM", 7, 0, 2, Some (76, 111092, 760), None);
-    ("Mal-HM", 7, 1, 1, Some (73, 84824, 688), Some (20, 54032, 188));
-    ("Mal-HM", 7, 1, 2, Some (87, 133112, 856), Some (20, 55632, 188));
-    ("Mal-HM", 7, 7, 1, Some (100, 269016, 1004), Some (34, 206312, 356));
-    ("Mal-HM", 7, 7, 2, Some (118, 374520, 1220), Some (34, 214152, 356));
-    ("Mal-HM", 7, 300, 1, Some (180, 18673384, 2024), Some (76, 16794396, 860));
-    ("Mal-HM", 7, 300, 2, Some (218, 22792096, 2480), Some (76, 17106956, 860));
-    ("Mal-HM", 300, 0, 1, Some (140, 4372880, 1480), None);
-    ("Mal-HM", 300, 0, 2, Some (178, 8541680, 1936), None);
-    ("Mal-HM", 300, 1, 1, Some (151, 4394228, 1576), Some (20, 1606932, 188));
-    ("Mal-HM", 300, 1, 2, Some (189, 8577404, 2032), Some (20, 1631972, 188));
-    ("Mal-HM", 300, 7, 1, Some (165, 4597580, 1744), Some (34, 1759212, 356));
-    ("Mal-HM", 300, 7, 2, Some (203, 8867012, 2200), Some (34, 1790492, 356));
-    ("Mal-HM", 300, 300, 1, Some (220, 24260128, 2396), Some (76, 18347296, 860));
-    ("Mal-HM", 300, 300, 2, Some (262, 33533728, 2900), Some (76, 18683296, 860));
+    ("Mal-HM", 1, 1, 1, Some (36, 23256, 328), Some (20, 22232, 188));
+    ("Mal-HM", 1, 1, 2, Some (42, 28968, 400), Some (20, 23352, 188));
+    ("Mal-HM", 1, 7, 1, Some (72, 189088, 752), Some (34, 174512, 356));
+    ("Mal-HM", 1, 7, 2, Some (86, 233056, 920), Some (34, 181872, 356));
+    ("Mal-HM", 1, 300, 1, Some (180, 18276124, 2024), Some (76, 16762596, 860));
+    ("Mal-HM", 1, 300, 2, Some (218, 22314340, 2480), Some (76, 17074676, 860));
+    ("Mal-HM", 7, 0, 1, Some (62, 69008, 592), None);
+    ("Mal-HM", 7, 0, 2, Some (76, 110840, 760), None);
+    ("Mal-HM", 7, 1, 1, Some (73, 84536, 688), Some (20, 54032, 188));
+    ("Mal-HM", 7, 1, 2, Some (87, 132824, 856), Some (20, 55632, 188));
+    ("Mal-HM", 7, 7, 1, Some (100, 268344, 1004), Some (34, 206312, 356));
+    ("Mal-HM", 7, 7, 2, Some (118, 373848, 1220), Some (34, 214152, 356));
+    ("Mal-HM", 7, 300, 1, Some (180, 18640228, 2024), Some (76, 16794396, 860));
+    ("Mal-HM", 7, 300, 2, Some (218, 22758940, 2480), Some (76, 17106956, 860));
+    ("Mal-HM", 300, 0, 1, Some (140, 4340480, 1480), None);
+    ("Mal-HM", 300, 0, 2, Some (178, 8509280, 1936), None);
+    ("Mal-HM", 300, 1, 1, Some (151, 4361720, 1576), Some (20, 1606932, 188));
+    ("Mal-HM", 300, 1, 2, Some (189, 8544896, 2032), Some (20, 1631972, 188));
+    ("Mal-HM", 300, 7, 1, Some (165, 4564424, 1744), Some (34, 1759212, 356));
+    ("Mal-HM", 300, 7, 2, Some (203, 8833856, 2200), Some (34, 1790492, 356));
+    ("Mal-HM", 300, 300, 1, Some (220, 24188128, 2396), Some (76, 18347296, 860));
+    ("Mal-HM", 300, 300, 2, Some (262, 33461728, 2900), Some (76, 18683296, 860));
   ]
 
 let test_golden_predictions () =
