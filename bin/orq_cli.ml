@@ -136,6 +136,9 @@ let run_sql sql proto sf profile =
   | exception Orq_planner.Sql.Parse_error msg ->
       Printf.eprintf "SQL error: %s\n" msg;
       1
+  | exception Orq_core.Dom.Refused msg ->
+      Printf.eprintf "SQL refused before any share moved: %s\n" msg;
+      1
   | t, cols, fallbacks ->
       let opened = Orq_core.Table.reveal t in
       let nrows =
@@ -226,6 +229,11 @@ let run list_only query sql proto sf n profile validate =
   end
   else
     match sql with
+    | Some _ when validate ->
+        prerr_endline
+          "--validate checks a registered query against its plaintext \
+           reference; ad-hoc --sql has no plaintext oracle yet";
+        2
     | Some sql -> run_sql sql proto sf profile
     | None -> run_registered query proto sf n profile validate
 

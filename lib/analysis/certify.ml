@@ -34,29 +34,28 @@ open Orq_proto
 open Orq_workloads
 module Comm = Orq_net.Comm
 module Ptable = Orq_plaintext.Ptable
+module Dom = Orq_core.Dom
 
 (* ------------------------------------------------------------------ *)
 (* Shape twins                                                         *)
 (* ------------------------------------------------------------------ *)
 
 (** Replace every value of a plaintext table by a deterministic function of
-    its (column, row) coordinate, masked to the column's width in
-    [schema] — same schema, same row count, nothing else in common with
-    the data. *)
-let twin_ptable (schema : (string * int) list) (p : Ptable.t) : Ptable.t =
-  let masks =
-    List.map
-      (fun name -> Orq_util.Ring.mask (List.assoc name schema))
-      p.Ptable.schema
-  in
+    its (column, row) coordinate, drawn inside the column's public domain
+    in [schema] — same schema, same row count, same domains (they are
+    public), nothing else in common with the data. *)
+let twin_ptable (schema : Ingress.schema) (p : Ptable.t) : Ptable.t =
+  let doms = List.map (fun name -> List.assoc name schema) p.Ptable.schema in
   {
     p with
     Ptable.rows =
       List.mapi
         (fun i _ ->
           List.mapi
-            (fun j m -> ((i * 31) + (j * 17) + 5) land 0xFFFF land m)
-            masks)
+            (fun j (d : Dom.t) ->
+              let f = ((i * 31) + (j * 17) + 5) land 0xFFFF in
+              d.lo + (f mod (d.hi - d.lo + 1)))
+            doms)
         p.Ptable.rows;
   }
 

@@ -182,63 +182,26 @@ let group_by (t : Table.t) ~(keys : string list) ~(aggs : Dataflow.agg list) :
     (t.Table.valid, 1)
     :: List.map (fun k -> (Table.column t k, Table.width t k)) keys
   in
+  let rows = Table.nrows t in
   let expanded =
-    List.concat_map
+    List.map
       (fun (a : Dataflow.agg) ->
+        let src () = Table.find t a.Dataflow.src in
+        let dom () = Dataflow.agg_dom ~rows (src ()).Column.dom a in
+        let spec col func d conv =
+          ({ Aggnet.col; func; keys = Aggnet.Group; width = Dom.width d }, d, a.Dataflow.dst, conv)
+        in
         match a.Dataflow.fn with
-        | Dataflow.Sum ->
-            let src = Table.find t a.Dataflow.src in
-            let w = Dataflow.sum_width t src.Column.width in
-            [
-              ( {
-                  Aggnet.col = Column.as_arith ctx src;
-                  func = Aggnet.Sum;
-                  keys = Aggnet.Group;
-                  width = w;
-                },
-                w,
-                a.Dataflow.dst,
-                true )
-            ]
+        | Dataflow.Sum -> spec (Column.as_arith ctx (src ())) Aggnet.Sum (dom ()) true
         | Dataflow.Count ->
-            let w = Dataflow.count_width t in
-            [
-              ( {
-                  Aggnet.col = Share.public ctx Share.Arith (Table.nrows t) 1;
-                  func = Aggnet.Sum;
-                  keys = Aggnet.Group;
-                  width = w;
-                },
-                w,
-                a.Dataflow.dst,
-                true )
-            ]
+            spec (Share.public ctx Share.Arith rows 1) Aggnet.Sum
+              (Dataflow.agg_dom ~rows Dom.zero a) true
         | Dataflow.Min ->
-            let w = Table.width t a.Dataflow.src in
-            [
-              ( {
-                  Aggnet.col = Table.column t a.Dataflow.src;
-                  func = Aggnet.Min w;
-                  keys = Aggnet.Group;
-                  width = w;
-                },
-                w,
-                a.Dataflow.dst,
-                false )
-            ]
+            let d = dom () in
+            spec (Column.data (src ())) (Aggnet.Min (Dom.width d)) d false
         | Dataflow.Max ->
-            let w = Table.width t a.Dataflow.src in
-            [
-              ( {
-                  Aggnet.col = Table.column t a.Dataflow.src;
-                  func = Aggnet.Max w;
-                  keys = Aggnet.Group;
-                  width = w;
-                },
-                w,
-                a.Dataflow.dst,
-                false )
-            ]
+            let d = dom () in
+            spec (Column.data (src ())) (Aggnet.Max (Dom.width d)) d false
         | Dataflow.Avg | Dataflow.Custom _ ->
             invalid_arg "Secrecy baseline group_by: sum/count/min/max only")
       aggs
@@ -248,9 +211,9 @@ let group_by (t : Table.t) ~(keys : string list) ~(aggs : Dataflow.agg list) :
   in
   let t =
     List.fold_left2
-      (fun t (_, w, dst, conv) r ->
-        let data = if conv then Orq_circuits.Convert.a2b ~w ctx r else r in
-        Table.set_col t dst (Column.of_shared ~width:w data))
+      (fun t (_, d, dst, conv) r ->
+        let data = if conv then Orq_circuits.Convert.a2b ~w:(Dom.width d) ctx r else r in
+        Table.set_col t dst (Column.of_shared ~dom:d data))
       t expanded results
   in
   let last = Aggnet.last_of_group_bits ctx ~keys:key_shares in

@@ -106,9 +106,13 @@ let lt_init (ctx : Ctx.t) (lanes : (Share.shared * Share.shared * int) array)
   (ltb, eqb)
 
 (* The ladder levels, in place: lane i merges blocks of size d.(i) while
-   [more i d.(i)] holds. *)
+   [more i d.(i)] holds. A lane whose caller reads only lt ([lt_only i])
+   never reads its lowest block's eq, so its eq products skip that block
+   and ride shifted down by d into the free positions of the lt products'
+   word: one lane metered at its live positions, w/(2d) lt products and
+   one eq product fewer. Other lanes append the eq half. *)
 let lt_levels (ctx : Ctx.t) (lanes : (Share.shared * Share.shared * int) array)
-    ltb eqb d ~more =
+    ltb eqb d ~more ~lt_only =
   let k = Array.length lanes in
   let width_of i =
     let _, _, w = lanes.(i) in
@@ -117,38 +121,40 @@ let lt_levels (ctx : Ctx.t) (lanes : (Share.shared * Share.shared * int) array)
   let rec loop () =
     let active = active_lanes k (fun i -> more i d.(i)) in
     if Array.length active > 0 then begin
-      let xs =
-        Array.map
-          (fun i ->
-            let dd = d.(i) in
-            let m = stride_mask (2 * dd) in
-            let top =
-              Orq_util.Ring.ones
-              lsl (Orq_util.Ring.word_bits - dd)
-              land Orq_util.Ring.ones
-            in
-            let eq_hi =
-              Mpc.and_mask (Mpc.xor_pub (Mpc.rshift eqb.(i) dd) top) m
-            in
-            Share.append eq_hi eq_hi)
-          active
+      let lane i =
+        let dd = d.(i) in
+        let m = stride_mask (2 * dd) in
+        let top =
+          Orq_util.Ring.ones
+          lsl (Orq_util.Ring.word_bits - dd)
+          land Orq_util.Ring.ones
+        in
+        let eq_hi = Mpc.and_mask (Mpc.xor_pub (Mpc.rshift eqb.(i) dd) top) m in
+        let lt_lo = Mpc.and_mask ltb.(i) m and eq_lo = Mpc.and_mask eqb.(i) m in
+        let ws = max 1 (width_of i / (2 * dd)) in
+        if lt_only i then
+          let down v = Mpc.rshift (Mpc.and_mask v (m land lnot 1)) dd in
+          (Mpc.xor eq_hi (down eq_hi), Mpc.xor lt_lo (down eq_lo), (2 * ws) - 1)
+        else (Share.append eq_hi eq_hi, Share.append lt_lo eq_lo, ws)
       in
-      let ys =
-        Array.map
-          (fun i ->
-            let m = stride_mask (2 * d.(i)) in
-            Share.append (Mpc.and_mask ltb.(i) m) (Mpc.and_mask eqb.(i) m))
-          active
+      let ls = Array.map lane active in
+      let both =
+        Mpc.band_many
+          ~widths:(Array.map (fun (_, _, w) -> w) ls)
+          ctx
+          (Array.map (fun (x, _, _) -> x) ls)
+          (Array.map (fun (_, y, _) -> y) ls)
       in
-      let ws = Array.map (fun i -> max 1 (width_of i / (2 * d.(i)))) active in
-      let both = Mpc.band_many ~widths:ws ctx xs ys in
       Array.iteri
         (fun j i ->
           let dd = d.(i) in
           let m = stride_mask (2 * dd) in
           let lt_hi = Mpc.and_mask (Mpc.rshift ltb.(i) dd) m in
-          let n = Share.length ltb.(i) in
-          let a, b = Share.split2 both.(j) n in
+          let a, b =
+            if lt_only i then
+              (Mpc.and_mask both.(j) m, Mpc.and_mask (Mpc.lshift both.(j) dd) m)
+            else Share.split2 both.(j) (Share.length ltb.(i))
+          in
           ltb.(i) <- Mpc.xor lt_hi a;
           eqb.(i) <- b;
           d.(i) <- 2 * dd)
@@ -161,16 +167,20 @@ let lt_levels (ctx : Ctx.t) (lanes : (Share.shared * Share.shared * int) array)
 (* The (x < y, x = y) flag pair of each lane, over [w]-bit naturals, from
    the full fused ladder: ⌈log₂ w⌉ + 1 rounds at the widest lane (eq is
    free: the ladder computes it anyway). The lexicographic merge reads
-   both. *)
+   both, except the least significant column's eq, which [lt_only] lanes
+   skip (their eq is [None]). *)
 let lt_core_many (ctx : Ctx.t)
-    (lanes : (Share.shared * Share.shared * int) array) :
-    (Share.flags * Share.flags) array =
+    (lanes : (Share.shared * Share.shared * int) array) ~lt_only :
+    (Share.flags * Share.flags option) array =
   let ltb, eqb = lt_init ctx lanes in
   let d = Array.make (Array.length lanes) 1 in
-  lt_levels ctx lanes ltb eqb d ~more:(fun i dd ->
+  lt_levels ctx lanes ltb eqb d ~lt_only ~more:(fun i dd ->
       let _, _, w = lanes.(i) in
       dd < w);
-  Array.map2 (fun l e -> (Mpc.extract_bit_f l 0, Mpc.extract_bit_f e 0)) ltb eqb
+  Array.mapi
+    (fun i (l, e) ->
+      (Mpc.extract_bit_f l 0, if lt_only i then None else Some (Mpc.extract_bit_f e 0)))
+    (Array.combine ltb eqb)
 
 (* Less-than short of its last AND, over lanes: packed flags (x, y, tail)
    with lt = (x ∧ y) ⊕ tail. A lane's ladder stops before the level whose
@@ -188,7 +198,7 @@ let lt_last_many (ctx : Ctx.t)
   let wl = Array.map (fun i -> lanes.(i)) wide in
   let ltb, eqb = lt_init ctx wl in
   let d = Array.make (Array.length wl) 1 in
-  lt_levels ctx wl ltb eqb d ~more:(fun t dd ->
+  lt_levels ctx wl ltb eqb d ~lt_only:(fun _ -> true) ~more:(fun t dd ->
       let _, _, w = wl.(t) in
       2 * dd < w);
   let next = ref 0 in
@@ -232,25 +242,40 @@ let ge ctx ~w x y = Mpc.bnot_f (lt ctx ~w x y)
 (* Log-depth merge of per-column (lt, eq) pairs under the associative
    lexicographic combination (hi = more significant column):
      (lt_hi, eq_hi) ⊗ (lt_lo, eq_lo) = (lt_hi ⊕ eq_hi∧lt_lo, eq_hi∧eq_lo)
-   Each level issues the two single-bit ANDs of every adjacent pair as one
+   Each level issues the single-bit ANDs of every adjacent pair as one
    fused round, over packed flag lanes ({!Mpc.band_f_many}): randomness and
-   local work are per word, element-level traffic unchanged. Merges until
-   at most two pairs remain: the last merge needs only its lt product. *)
-let rec lex_merge (ctx : Ctx.t) (ps : (Share.flags * Share.flags) array) =
+   local work are per word, element-level traffic unchanged. The least
+   significant group's eq is never read ([None]), so its pair forms the
+   lt product alone. Merges until at most two pairs remain: the last
+   merge needs only its lt product. *)
+let rec lex_merge (ctx : Ctx.t) (ps : (Share.flags * Share.flags option) array) =
   let m = Array.length ps in
   if m <= 2 then ps
   else begin
     let pn = m / 2 in
-    let xs = Array.init (2 * pn) (fun t -> snd ps.(2 * (t / 2))) in
-    let ys =
-      Array.init (2 * pn) (fun t ->
-          let lo = ps.((2 * (t / 2)) + 1) in
-          if t land 1 = 0 then fst lo else snd lo)
+    let eq_hi j = Option.get (snd ps.(2 * j)) in
+    let lo j = ps.((2 * j) + 1) in
+    let ands =
+      List.concat
+        (List.init pn (fun j ->
+             (eq_hi j, fst (lo j))
+             :: Option.fold ~none:[] ~some:(fun e -> [ (eq_hi j, e) ]) (snd (lo j))))
     in
-    let rs = Mpc.band_f_many ctx xs ys in
+    let rs =
+      Mpc.band_f_many ctx
+        (Array.of_list (List.map fst ands))
+        (Array.of_list (List.map snd ands))
+    in
+    let next = ref 0 in
+    let take () =
+      let r = rs.(!next) in
+      incr next;
+      r
+    in
     let merged =
       Array.init pn (fun j ->
-          (Mpc.xor_f (fst ps.(2 * j)) rs.(2 * j), rs.((2 * j) + 1)))
+          let lt = Mpc.xor_f (fst ps.(2 * j)) (take ()) in
+          (lt, Option.map (fun _ -> take ()) (snd (lo j))))
     in
     let merged =
       if m mod 2 = 1 then Array.append merged [| ps.(m - 1) |] else merged
@@ -261,13 +286,17 @@ let rec lex_merge (ctx : Ctx.t) (ps : (Share.flags * Share.flags) array) =
 (* The lexicographic less-than short of its last AND, as packed flags
    (x, y, tail) with lt = (x ∧ y) ⊕ tail. One column: its ladder short of
    the last AND ({!lt_last_many}). Several columns: every column's full
-   ladder in one fused pass, then the merge down to two pairs. *)
+   ladder in one fused pass (the last column's lt alone), then the merge
+   down to two pairs. *)
 let lt_lex_last (ctx : Ctx.t) = function
   | [] -> invalid_arg "lt_lex: empty key list"
   | [ c ] -> (lt_last_many ctx [| c |]).(0)
   | cols -> (
-      match lex_merge ctx (lt_core_many ctx (Array.of_list cols)) with
-      | [| (l0, e0); (l1, _) |] -> (e0, l1, Some l0)
+      let k = List.length cols in
+      match
+        lex_merge ctx (lt_core_many ctx (Array.of_list cols) ~lt_only:(fun i -> i = k - 1))
+      with
+      | [| (l0, Some e0); (l1, _) |] -> (e0, l1, Some l0)
       | _ -> assert false)
 
 (** Lexicographic less-than over a list of (x, y, width) column pairs,

@@ -1,12 +1,14 @@
-(** Table columns: a secret-shared vector plus its logical bit width and
-    signedness.
+(** Table columns: a secret-shared vector plus its public domain, from
+    which its logical bit width and signedness follow.
 
     Columns are stored boolean-encoded by default — filters, sorts, joins
     and distinct are all comparison-shaped — and converted to arithmetic
     sharing on demand (sums, products, averages), mirroring §2.3's dual
     representation with on-the-fly conversion. A [signed] column holds
     two's-complement values at its width (e.g. a profit computed by
-    subtraction); conversions and comparisons respect the flag.
+    subtraction); conversions and comparisons respect the flag. The
+    domain ({!Dom}) bounds every valid row; the width is read off it, so
+    no column is wider than its public data needs.
 
     The payload is one {!Share.chunked}: either a whole vector as a single
     untracked chunk, or ("parked") chunks owned by the budget-managed
@@ -15,13 +17,20 @@
 
 open Orq_proto
 
-type t = { mutable payload : Share.chunked; width : int; signed : bool }
+type t = {
+  mutable payload : Share.chunked;
+  dom : Dom.t;
+  width : int;
+  signed : bool;
+}
 
 let length c = Share.chunked_length c.payload
 let enc c = Share.chunked_enc c.payload
 
-let of_shared ?(signed = false) ~width data : t =
-  { payload = Share.wrap data; width; signed }
+let of_chunked ~dom ck : t =
+  { payload = ck; dom; width = Dom.width dom; signed = Dom.signed dom }
+
+let of_shared ~dom data : t = of_chunked ~dom (Share.wrap data)
 
 (** Share plaintext values as a [width]-bit column. Raises
     [Invalid_argument] naming the first value with a bit at or above
@@ -35,9 +44,9 @@ let of_plaintext (ctx : Ctx.t) ~width (values : int array) : t =
           (Printf.sprintf "Column.of_plaintext: value %d does not fit width %d"
              v width))
     values;
-  of_shared ~width (Share.share ctx Bool values)
+  of_shared ~dom:(Dom.of_width width) (Share.share ctx Bool values)
 
-let of_chunked ?(signed = false) ~width ck : t = { payload = ck; width; signed }
+let with_dom c dom = of_chunked ~dom c.payload
 
 (** The whole sharing: materializes a parked column (caching the result,
     so repeated access pays the faults once). *)
@@ -46,8 +55,10 @@ let data c =
   if Share.chunked_tracked c.payload then c.payload <- Share.wrap s;
   s
 
-(** Functional payload replacement, preserving width/signedness. *)
+(** Functional payload replacement, preserving the domain. *)
 let with_data c s = { c with payload = Share.wrap s }
+
+let with_chunked c ck = { c with payload = ck }
 
 let chunked c = c.payload
 

@@ -1,5 +1,5 @@
-(** Table columns: a secret-shared vector plus its logical bit width and
-    signedness. Stored boolean-encoded by default (filters, sorts, joins
+(** Table columns: a secret-shared vector plus its public domain
+    ({!Dom}), from which its logical bit width and signedness follow. Stored boolean-encoded by default (filters, sorts, joins
     and distinct are comparison-shaped), converted to arithmetic sharing
     on demand, mirroring §2.3's dual representation. A [signed] column
     holds two's-complement values at its width.
@@ -11,7 +11,12 @@
 
 open Orq_proto
 
-type t = { mutable payload : Share.chunked; width : int; signed : bool }
+type t = private {
+  mutable payload : Share.chunked;
+  dom : Dom.t;  (** bounds every valid row *)
+  width : int;  (** [Dom.width dom] *)
+  signed : bool;  (** [Dom.signed dom] *)
+}
 
 val length : t -> int
 val enc : t -> Share.enc
@@ -20,15 +25,20 @@ val of_plaintext : Ctx.t -> width:int -> int array -> t
     [Invalid_argument] naming the value and the width if a value has a
     bit at or above [width]. *)
 
-val of_shared : ?signed:bool -> width:int -> Share.shared -> t
-val of_chunked : ?signed:bool -> width:int -> Share.chunked -> t
+val of_shared : dom:Dom.t -> Share.shared -> t
+val of_chunked : dom:Dom.t -> Share.chunked -> t
+
+val with_dom : t -> Dom.t -> t
+(** The same payload under another domain. *)
 
 val data : t -> Share.shared
 (** The whole sharing; a parked payload is materialized once and cached
     as an untracked chunk. *)
 
 val with_data : t -> Share.shared -> t
-(** Payload replacement preserving width/signedness. *)
+(** Payload replacement preserving the domain. *)
+
+val with_chunked : t -> Share.chunked -> t
 
 val chunked : t -> Share.chunked
 (** The payload, for chunk-aware operators. *)

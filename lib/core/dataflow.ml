@@ -27,9 +27,8 @@ let filter (t : Table.t) (p : Expr.pred) : Table.t =
 
 (** Attach a derived column (e.g. Revenue = Price * (100 - Discount) / 100).
     [If (p, x, 0)] over an unsigned column [x] records [dst <= x]. *)
-let map (t : Table.t) ~dst ?width (e : Expr.num) : Table.t =
+let map (t : Table.t) ~dst (e : Expr.num) : Table.t =
   let c = Expr.eval_col t e in
-  let c = match width with Some w -> { c with Column.width = w } | None -> c in
   let out = Table.set_col t dst c in
   parked
     (match e with
@@ -86,16 +85,49 @@ type aggfn =
 
 type agg = { src : string; dst : string; fn : aggfn }
 
-(* Result widths for groups of at most [rows] rows. *)
-let sum_width_rows rows w = min (w + Orq_util.Ring.log2_ceil rows + 1) 58
-let count_width_rows rows = Orq_util.Ring.log2_ceil rows + 1
-let sum_width (t : Table.t) w = sum_width_rows (Table.nrows t) w
-let count_width (t : Table.t) = count_width_rows (Table.nrows t)
+let fn_name = function
+  | Sum -> "SUM"
+  | Count -> "COUNT"
+  | Min -> "MIN"
+  | Max -> "MAX"
+  | Avg -> "AVG"
+  | Custom _ -> "CUSTOM"
 
-(* An average is at most its source's maximum, so an unsigned source
-   bounds the quotient of the [ws]-bit sum by its own width. *)
-let avg_width (src : Column.t) ws =
-  if src.Column.signed then ws else min src.Column.width ws
+(** The domain of an aggregation over groups of at most [rows] rows of a
+    source with domain [src]: a SUM lies in [rows]·[src] (empty sums
+    included), a COUNT in [0, rows]; AVG, MIN and MAX stay in an unsigned
+    source's domain. Comparisons and divisions read a signed source as
+    its unsigned bit pattern (an AVG's at its sum's width). Raises
+    {!Dom.Refused} for a bound wider than the ring. *)
+let agg_dom ~rows (src : Dom.t) (a : agg) : Dom.t =
+  let sum = Dom.sum ~n:rows src in
+  let d =
+    match a.fn with
+    | Sum -> sum
+    | Count -> Dom.v 0 rows
+    | Avg -> if Dom.signed src then Dom.of_width (Dom.width sum) else src
+    | Min | Max | Custom _ ->
+        if Dom.signed src then Dom.of_width (Dom.width src) else src
+  in
+  let what = Printf.sprintf "%s(%s) over %d rows" (fn_name a.fn) a.src rows in
+  (* AVG divides its hidden sum *)
+  (match a.fn with Avg -> ignore (Dom.check ~what sum) | _ -> ());
+  Dom.check ~what d
+
+(* AVG's hidden sum, which the division reads unsigned: a signed
+   source's sum as its bit pattern. *)
+let avg_sum_dom ~rows (src : Dom.t) =
+  let s = Dom.sum ~n:rows src in
+  if Dom.signed s then Dom.of_width (Dom.width s) else s
+
+(* The result domains of [aggs] over [t], checked before the operator's
+   first metered event. *)
+let check_aggs ~rows (t : Table.t) (aggs : agg list) =
+  List.iter
+    (fun a ->
+      let src = match a.fn with Count -> Dom.zero | _ -> (Table.find t a.src).Column.dom in
+      ignore (agg_dom ~rows src a))
+    aggs
 
 (* The facts the SUMs among [aggs] over [t] carry into the result: two
    sums of row-wise ordered sources stay ordered, and each sum of an
@@ -125,46 +157,41 @@ let sum_facts (t : Table.t) ~whole (aggs : agg list) : Table.fact list =
    arithmetic column COUNT sums, and [seg] the key set that guards the
    comparison-style functions (Sum-style ones always use the group key:
    a row outside the aggregated segment must hold zero). Each entry is
-   (spec, finisher tag, width, signedness of result, destination name).
-   The finisher is a tag rather than a closure so [finish] can run all
-   [`A2b] finishes through one fused conversion. *)
+   (spec, finisher tag, result domain, destination name); the spec runs
+   at the domain's width. The finisher is a tag rather than a closure so
+   [finish] can run all [`A2b] finishes through one fused conversion. *)
 let expand_agg (ctx : Ctx.t) ~rows ~(find : string -> Column.t)
     ~(count : unit -> Share.shared) ~(seg : Aggnet.keyset) (a : agg) :
-    (Aggnet.spec * [ `A2b | `Id ] * int * bool * string) list =
-  let sum_spec col w = { Aggnet.col; func = Aggnet.Sum; keys = Aggnet.Group; width = w } in
-  let bool_spec func w =
-    { Aggnet.col = Column.data (find a.src); func; keys = seg; width = w }
+    (Aggnet.spec * [ `A2b | `Id ] * Dom.t * string) list =
+  let sum_spec col d =
+    { Aggnet.col; func = Aggnet.Sum; keys = Aggnet.Group; width = Dom.width d }
   in
+  let bool_spec func d =
+    { Aggnet.col = Column.data (find a.src); func; keys = seg; width = Dom.width d }
+  in
+  let count_dom = agg_dom ~rows Dom.zero { a with fn = Count } in
   match a.fn with
-  | Sum ->
+  | Count -> [ (sum_spec (count ()) count_dom, `A2b, count_dom, a.dst) ]
+  | Sum | Min | Max | Custom _ | Avg -> (
       let src = find a.src in
-      let w = sum_width_rows rows src.Column.width in
-      [ (sum_spec (Column.as_arith ctx src) w, `A2b, w, src.Column.signed, a.dst) ]
-  | Count ->
-      let w = count_width_rows rows in
-      [ (sum_spec (count ()) w, `A2b, w, false, a.dst) ]
-  | Min ->
+      let d = agg_dom ~rows src.Column.dom a in
+      let w = Dom.width d in
+      match a.fn with
+      | Sum -> [ (sum_spec (Column.as_arith ctx src) d, `A2b, d, a.dst) ]
       (* unsigned comparisons: signed min/max would need the sign-flip map *)
-      let w = (find a.src).Column.width in
-      [ (bool_spec (Aggnet.Min w) w, `Id, w, false, a.dst) ]
-  | Max ->
-      let w = (find a.src).Column.width in
-      [ (bool_spec (Aggnet.Max w) w, `Id, w, false, a.dst) ]
-  | Custom f ->
-      let w = (find a.src).Column.width in
-      [ (bool_spec (Aggnet.Custom f) w, `Id, w, false, a.dst) ]
-  | Avg ->
-      (* expands to hidden sum and count columns; the (unsigned) division
-         happens in [finish] once both results exist *)
-      let src = find a.src in
-      let ws = sum_width_rows rows src.Column.width in
-      let wc = count_width_rows rows in
-      [
-        (sum_spec (Column.as_arith ctx src) ws, `A2b, ws, false, a.dst ^ "#sum");
-        (sum_spec (count ()) wc, `A2b, wc, false, a.dst ^ "#count");
-      ]
+      | Min -> [ (bool_spec (Aggnet.Min w) d, `Id, d, a.dst) ]
+      | Max -> [ (bool_spec (Aggnet.Max w) d, `Id, d, a.dst) ]
+      | Custom f -> [ (bool_spec (Aggnet.Custom f) d, `Id, d, a.dst) ]
+      | Count | Avg ->
+          (* hidden sum and count columns; the (unsigned) division
+             happens in [finish] once both results exist *)
+          let ds = avg_sum_dom ~rows src.Column.dom in
+          [
+            (sum_spec (Column.as_arith ctx src) ds, `A2b, ds, a.dst ^ "#sum");
+            (sum_spec (count ()) count_dom, `A2b, count_dom, a.dst ^ "#count");
+          ])
 
-let spec_of (sp, _, _, _, _) = sp
+let spec_of (sp, _, _, _) = sp
 
 (* The finishers shared by [aggregate] and [group_join], over the table
    [t] that carries the network's rows: every sum/count result converts
@@ -184,15 +211,15 @@ let finish (t : Table.t) (aggs : agg list) expanded results
                (Array.of_list
                   (List.concat
                      (List.map2
-                        (fun (_, fin, w, _, _) r ->
-                          match fin with `A2b -> [ (r, w) ] | `Id -> [])
+                        (fun (_, fin, d, _) r ->
+                          match fin with `A2b -> [ (r, Dom.width d) ] | `Id -> [])
                         expanded results))));
          (fun () -> marked := Table.and_valid t last);
        |]);
   let ci = ref 0 in
   let finished =
     List.map2
-      (fun (_, fin, w, signed, dst) r ->
+      (fun (_, fin, dom, dst) r ->
         let v =
           match fin with
           | `A2b ->
@@ -201,7 +228,7 @@ let finish (t : Table.t) (aggs : agg list) expanded results
               c
           | `Id -> r
         in
-        (dst, Column.of_shared ~signed ~width:w v))
+        (dst, Column.of_shared ~dom v))
       expanded results
   in
   let t =
@@ -214,14 +241,16 @@ let finish (t : Table.t) (aggs : agg list) expanded results
       | Avg ->
           let s = Table.find t (a.dst ^ "#sum") in
           let c = Table.find t (a.dst ^ "#count") in
-          let w = s.Column.width in
-          let qw = avg_width (src a.src) w in
+          (* the quotient of the hidden sum: within an unsigned source's
+             domain, a signed one's read at the sum's width *)
+          let sd = (src a.src).Column.dom in
+          let dom = if Dom.signed sd then Dom.of_width s.Column.width else sd in
           let q, _ =
-            Orq_circuits.Divide.udiv ctx ~qw ~w ~wd:c.Column.width
-              (Column.data s) (Column.as_bool ctx c)
+            Orq_circuits.Divide.udiv ctx ~qw:(Dom.width dom) ~w:s.Column.width
+              ~wd:c.Column.width (Column.data s) (Column.as_bool ctx c)
           in
           Table.drop_cols
-            (Table.set_col t a.dst (Column.of_shared ~width:qw q))
+            (Table.set_col t a.dst (Column.of_shared ~dom q))
             [ a.dst ^ "#sum"; a.dst ^ "#count" ]
       | Sum | Count | Min | Max | Custom _ -> t)
     t aggs
@@ -237,6 +266,7 @@ let finish (t : Table.t) (aggs : agg list) expanded results
 let aggregate (t : Table.t) ~(keys : string list) ~(aggs : agg list) : Table.t =
   let ctx = Table.ctx t in
   Ctx.with_label ctx "aggregate" @@ fun () ->
+  check_aggs ~rows:(Table.nrows t) t aggs;
   let facts = sum_facts t ~whole:false aggs in
   let t =
     Tablesort.sort
@@ -288,6 +318,9 @@ let aggregate (t : Table.t) ~(keys : string list) ~(aggs : agg list) : Table.t =
 let global_aggregate (t : Table.t) ~(aggs : agg list) : Table.t =
   let ctx = Table.ctx t in
   Ctx.with_label ctx "globalagg" @@ fun () ->
+  let rows = Table.nrows t in
+  check_aggs ~rows t aggs;
+  let count_dom = Dom.v 0 rows in
   let module Cv = Orq_circuits.Convert in
   let module Mx = Orq_circuits.Mux in
   let module Cp = Orq_circuits.Compare in
@@ -299,12 +332,11 @@ let global_aggregate (t : Table.t) ~(aggs : agg list) : Table.t =
         match a.fn with
         | Sum ->
             let src = Table.find t a.src in
-            let w = sum_width t src.Column.width in
-            `Masked (a, Column.as_arith ctx src, w, src.Column.signed, None)
+            `Masked (a, Column.as_arith ctx src, agg_dom ~rows src.Column.dom a, None)
         | Avg ->
             let src = Table.find t a.src in
-            let ws = sum_width t src.Column.width in
-            `Masked (a, Column.as_arith ctx src, ws, false, Some (avg_width src ws))
+            let ds = avg_sum_dom ~rows src.Column.dom in
+            `Masked (a, Column.as_arith ctx src, ds, Some (agg_dom ~rows src.Column.dom a))
         | Count -> `Count a
         | Min -> `Minmax (a, true, Table.width t a.src, Table.column t a.src)
         | Max -> `Minmax (a, false, Table.width t a.src, Table.column t a.src)
@@ -315,7 +347,7 @@ let global_aggregate (t : Table.t) ~(aggs : agg list) : Table.t =
   (* fused validity-masked multiplications for SUM/AVG *)
   let masked_lanes =
     List.filter_map
-      (function `Masked (_, x, w, _, _) -> Some (x, w) | _ -> None)
+      (function `Masked (_, x, d, _) -> Some (x, Dom.width d) | _ -> None)
       plans
   in
   let products =
@@ -340,20 +372,19 @@ let global_aggregate (t : Table.t) ~(aggs : agg list) : Table.t =
     List.map
       (fun pl ->
         match pl with
-        | `Masked (a, _, w, signed, avg) -> (
+        | `Masked (a, _, d, avg) -> (
             let p = products.(!mi) in
             incr mi;
-            let si = push_a2b (Mpc.sum_all p) w in
+            let si = push_a2b (Mpc.sum_all p) (Dom.width d) in
             match avg with
-            | Some qw ->
+            | Some qd ->
                 let ci =
-                  push_a2b (Mpc.sum_all (Lazy.force v_arith)) (count_width t)
+                  push_a2b (Mpc.sum_all (Lazy.force v_arith)) (Dom.width count_dom)
                 in
-                `Avg' (a, w, qw, si, ci)
-            | None -> `Sum' (a, w, signed, si))
+                `Avg' (a, Dom.width d, qd, si, ci)
+            | None -> `Sum' (a, d, si))
         | `Count a ->
-            let w = count_width t in
-            `Sum' (a, w, false, push_a2b (Mpc.sum_all (Lazy.force v_arith)) w)
+            `Sum' (a, count_dom, push_a2b (Mpc.sum_all (Lazy.force v_arith)) (Dom.width count_dom))
         | `Minmax (a, is_min, w, x) -> `Minmax (a, is_min, w, x))
       plans
   in
@@ -435,18 +466,20 @@ let global_aggregate (t : Table.t) ~(aggs : agg list) : Table.t =
     List.map
       (fun st ->
         match st with
-        | `Sum' (a, w, signed, si) ->
-            (a.dst, Column.of_shared ~signed ~width:w conv.(si))
-        | `Avg' (a, ws, qw, si, ci) ->
+        | `Sum' (a, d, si) -> (a.dst, Column.of_shared ~dom:d conv.(si))
+        | `Avg' (a, ws, qd, si, ci) ->
             let q, _ =
-              Orq_circuits.Divide.udiv ctx ~qw ~w:ws ~wd:(count_width t)
-                conv.(si) conv.(ci)
+              Orq_circuits.Divide.udiv ctx ~qw:(Dom.width qd) ~w:ws
+                ~wd:(Dom.width count_dom) conv.(si) conv.(ci)
             in
-            (a.dst, Column.of_shared ~width:qw q)
-        | `Minmax (a, _, w, _) ->
+            (a.dst, Column.of_shared ~dom:qd q)
+        | `Minmax (a, is_min, w, _) ->
             let v = mm_vals.(!mmi) in
             incr mmi;
-            (a.dst, Column.of_shared ~width:w v))
+            (* an empty input leaves the fold's identity *)
+            let d = agg_dom ~rows (Table.find t a.src).Column.dom a in
+            let ident = if is_min then Orq_util.Ring.mask w else 0 in
+            (a.dst, Column.of_shared ~dom:(Dom.hull d (Dom.point ident)) v))
       staged
   in
   Table.add_facts
@@ -589,6 +622,7 @@ let group_join ?(outer = false) (left : Table.t) (right : Table.t)
     ~(on : string list) ~(keys : string list) ~(aggs : agg list) : Table.t =
   if not (group_join_applies left right ~on ~keys ~aggs) then
     invalid_arg "Dataflow.group_join: not a GROUP BY on the join key";
+  check_aggs ~rows:(Table.nrows right) right aggs;
   let ctx = Table.ctx left in
   let copy = List.filter (fun k -> not (List.mem k on)) keys in
   let srcs =
@@ -619,6 +653,16 @@ let group_join ?(outer = false) (left : Table.t) (right : Table.t)
     let t =
       finish g.Joinagg.g_table aggs !expanded g.g_results ~last:g.g_last
         ~src:(Table.find right)
+    in
+    (* an unmatched left row's group reads zero *)
+    let t =
+      if variant = Joinagg.V_left_outer then
+        List.fold_left
+          (fun t a ->
+            let c = Table.find t a.dst in
+            Table.set_col t a.dst (Column.with_dom c (Dom.hull c.Column.dom Dom.zero)))
+          t aggs
+      else t
     in
     Table.project t (keys @ List.map (fun a -> a.dst) aggs)
   in
@@ -666,6 +710,9 @@ let count_distinct (t : Table.t) ~(keys : string list) ~(over : string list)
     filter over the joined table. *)
 let theta_join ?copy ?trim (left : Table.t) (right : Table.t)
     ~(on : string list) ~(theta : Expr.pred) : Table.t =
+  (* refuse an over-wide condition before the join moves any share *)
+  let dom n = (Table.find (if Table.mem right n then right else left) n).Column.dom in
+  Expr.bound_pred ~col:dom ~le:(fun _ _ -> false) theta;
   filter (inner_join ?copy ?trim left right ~on) theta
 
 (** SEMI JOIN — keep left rows that match some right row. Implemented as
@@ -725,11 +772,5 @@ let concat_tables (a : Table.t) (b : Table.t) : Table.t =
     (List.map
        (fun (n, ca) ->
          let cb = Table.find b n in
-         let joined = Column.append ca cb in
-         ( n,
-           {
-             joined with
-             Column.width = max ca.Column.width cb.Column.width;
-             signed = ca.Column.signed || cb.Column.signed;
-           } ))
+         (n, Column.with_dom (Column.append ca cb) (Dom.hull ca.Column.dom cb.Column.dom)))
        a.Table.cols)

@@ -13,10 +13,13 @@ val filter : Table.t -> Expr.pred -> Table.t
 (** SELECT ... WHERE: evaluate the predicate obliviously and fold it into
     the validity column. *)
 
-val map : Table.t -> dst:string -> ?width:int -> Expr.num -> Table.t
-(** Attach a derived column (e.g. Revenue = Price * (100 - Disc) / 100).
+val map : Table.t -> dst:string -> Expr.num -> Table.t
+(** Attach a derived column (e.g. Revenue = Price * (100 - Disc) / 100)
+    at the width of its domain ({!Expr.bound}).
     [If (p, Col x, Const 0)] over an unsigned [x] records the fact
-    [Le (dst, x)]. *)
+    [Le (dst, x)].
+    @raise Dom.Refused before any share moves if the bound exceeds the
+    ring. *)
 
 (** {2 Sort / limit / distinct} *)
 
@@ -42,8 +45,13 @@ type aggfn =
 
 type agg = { src : string; dst : string; fn : aggfn }
 
-val sum_width : Table.t -> int -> int
-val count_width : Table.t -> int
+val agg_dom : rows:int -> Dom.t -> agg -> Dom.t
+(** The domain of an aggregation over groups of at most [rows] rows of a
+    source with the given domain (ignored for COUNT): SUM ≤ rows·hi,
+    COUNT ∈ [0, rows], and AVG, MIN and MAX within an unsigned source's
+    domain (a signed source is read as its bit pattern).
+    @raise Dom.Refused if the bound, or an AVG's hidden sum, exceeds the
+    ring. *)
 
 val aggregate : Table.t -> keys:string list -> aggs:agg list -> Table.t
 (** GROUP BY (the paper's [.aggregate()]): sort on the keys, run the
@@ -52,7 +60,9 @@ val aggregate : Table.t -> keys:string list -> aggs:agg list -> Table.t
     keeps the sum width), and the result takes that width. Facts
     ({!Table.fact}): two SUMs in the call whose sources hold [Le (a, b)]
     give [Le] on their results, and a SUM of an unsigned source records
-    [Sum_of] a part of the input's valid rows. *)
+    [Sum_of] a part of the input's valid rows. Each result takes the
+    domain {!agg_dom} gives it over the input's rows.
+    @raise Dom.Refused before the sort if a bound exceeds the ring. *)
 
 (** {2 Whole-table aggregation} *)
 
@@ -60,7 +70,8 @@ val global_aggregate : Table.t -> aggs:agg list -> Table.t
 (** No grouping key: SUM/COUNT/AVG via a validity-masked local reduction
     (no sorting — why the paper's Q6 is its cheapest query); MIN/MAX via a
     log-depth compare tree. One-row result. AVG and the facts are as in
-    {!aggregate}, a SUM recording [Sum_of] all the input's valid rows. *)
+    {!aggregate}, a SUM recording [Sum_of] all the input's valid rows.
+    An empty input leaves MIN at its width's maximum and MAX at zero. *)
 
 val with_scalar :
   Table.t -> scalar:Table.t -> src:string -> dst:string -> Table.t

@@ -2,11 +2,14 @@
 
     Users build logical predicates and arithmetic expressions over named
     columns with ORQ's secure primitives; the engine compiles them into
-    oblivious circuit evaluations. Numeric subexpressions track their
-    logical bit width *and signedness*: subtraction yields signed
-    (two's-complement) values, conversions interpret signed columns with a
-    negatively weighted top bit, and comparisons switch to the signed
-    comparator (sign-extending narrower boolean operands locally). *)
+    oblivious circuit evaluations. Numeric subexpressions carry their
+    public domain ({!Dom}) by interval arithmetic, and their bit width and
+    signedness follow from it: a subtraction that can go negative yields
+    signed (two's-complement) values, conversions interpret signed columns
+    with a negatively weighted top bit, and comparisons switch to the
+    signed comparator (sign-extending narrower boolean operands locally).
+    An expression whose bound exceeds the ring is refused ({!bound})
+    before anything is evaluated. *)
 
 open Orq_proto
 
@@ -46,19 +49,21 @@ let ( &&. ) a b = And (a, b)
 let ( ||. ) a b = Or (a, b)
 let not_ p = Not p
 
-(* Evaluation produces a value with an encoding, width and signedness.
-   Plain columns and constants stay in their stored (boolean) encoding so a
-   filter like Col < Const costs only a comparison; genuine arithmetic is
-   done on arithmetic shares. *)
-type value = { data : Share.shared; width : int; signed : bool }
+(* Evaluation produces a value with an encoding and a public domain, the
+   interval its valid rows lie in; width and signedness follow from the
+   domain. Plain columns and constants stay in their stored (boolean)
+   encoding so a filter like Col < Const costs only a comparison; genuine
+   arithmetic is done on arithmetic shares. *)
+type value = { data : Share.shared; dom : Dom.t }
 
-let cap_width w = min w (Orq_util.Ring.word_bits - 2)
+let width v = Dom.width v.dom
+let signed v = Dom.signed v.dom
 
 let as_arith ctx (v : value) =
   match v.data.Share.enc with
   | Share.Arith -> v.data
   | Share.Bool ->
-      Orq_circuits.Convert.b2a ~w:v.width ~signed:v.signed ctx v.data
+      Orq_circuits.Convert.b2a ~w:(width v) ~signed:(signed v) ctx v.data
 
 (* Sign-extend a boolean sharing from [from_w] to [to_w] bits — local:
    replicate the top bit across the new high positions. *)
@@ -80,19 +85,14 @@ let as_bool_at ctx (v : value) w =
   match v.data.Share.enc with
   | Share.Arith -> Orq_circuits.Convert.a2b ~w ctx v.data
   | Share.Bool ->
-      if v.signed then sign_extend v.data ~from_w:v.width ~to_w:w
+      if signed v then sign_extend v.data ~from_w:(width v) ~to_w:w
       else Mpc.and_mask v.data (Orq_util.Ring.mask w)
 
-(* Joint width of two operands read under one signedness: an unsigned
-   operand under a signed result needs one more bit (capped), or its top
-   bit would read as the sign. *)
+(* Two operands read under one signedness: the width of their hull holds
+   both (an unsigned operand under a signed reading gains its sign bit). *)
 let joint (va : value) (vb : value) =
-  let signed = va.signed || vb.signed in
-  let need v =
-    if signed && not v.signed then max v.width (cap_width (v.width + 1))
-    else v.width
-  in
-  (max (need va) (need vb), signed)
+  let d = Dom.hull va.dom vb.dom in
+  (Dom.width d, Dom.signed d)
 
 (* Two data-independent steps as fused round tracks, run (and drawing
    their correlations) in the order given. *)
@@ -101,21 +101,85 @@ let fuse2 ctx f g =
   | [| x; y |] -> (x, y)
   | _ -> assert false
 
-(* Bits the quotient a / b can need, from the table's public facts:
-   k·x / y with x <= y row by row is at most k (y is zero only where x
-   is, a division by zero, unspecified either way); otherwise a word. *)
-let quotient_width (t : Table.t) a b =
-  match (a, b) with
-  | Mul (Col x, Const k), Col y when k >= 0 && Table.le t x y ->
-      Orq_util.Ring.log2_ceil (k + 1)
-  | _ -> Orq_util.Ring.word_bits
+(* ------------------------------------------------------------------ *)
+(* Public bounds                                                       *)
+(* ------------------------------------------------------------------ *)
+
+let rec to_string (e : num) =
+  let bin op a b = Printf.sprintf "(%s %s %s)" (to_string a) op (to_string b) in
+  match e with
+  | Col n -> n
+  | Const c -> string_of_int c
+  | Add (a, b) -> bin "+" a b
+  | Sub (a, b) -> bin "-" a b
+  | Mul (a, b) -> bin "*" a b
+  | Div (a, b) -> bin "/" a b
+  | Div_pub (a, d) -> Printf.sprintf "(%s / %d)" (to_string a) d
+  | If (_, a, b) -> Printf.sprintf "CASE(%s, %s)" (to_string a) (to_string b)
+
+(* The division widths: the dividend and divisor are read at the wider
+   operand's width [w] (a signed divisor sign-extends to it), and the
+   quotient's domain is the interval quotient of unsigned operands,
+   narrowed by the public fact [Le (x, y)] to at most [k] for k·x / y
+   (y is zero only where x is, a division by zero, unspecified either
+   way). A signed operand divides as its w-bit pattern. *)
+let div_dom ~le a b (da : Dom.t) (db : Dom.t) =
+  let w = max (Dom.width da) (Dom.width db) in
+  if Dom.signed da || Dom.signed db then Dom.of_width w
+  else
+    let q = Dom.div da db in
+    match (a, b) with
+    | Mul (Col x, Const k), Col y when k >= 0 && le x y -> { q with hi = min q.hi k }
+    | _ -> q
+
+(* A public divisor's quotient: the interval quotient of an unsigned
+   dividend; a signed one divides as its w-bit pattern. *)
+let div_pub_dom (da : Dom.t) d =
+  if Dom.signed da then Dom.of_width (Dom.width da) else Dom.div_pub da d
+
+(** [bound ~col ~le e]: the public domain of [e] from its columns'
+    domains [col] and the row-wise facts [le]. Every subexpression is
+    checked against the ring.
+    @raise Dom.Refused naming the first subexpression that does not fit. *)
+let rec bound ~(col : string -> Dom.t) ~le (e : num) : Dom.t =
+  let sub = bound ~col ~le in
+  let d =
+    match e with
+    | Col n -> col n
+    | Const c -> Dom.point c
+    | Add (a, b) -> Dom.add (sub a) (sub b)
+    | Sub (a, b) -> Dom.sub (sub a) (sub b)
+    | Mul (a, b) -> Dom.mul (sub a) (sub b)
+    | Div (a, b) -> div_dom ~le a b (sub a) (sub b)
+    | Div_pub (a, d) -> div_pub_dom (sub a) d
+    | If (p, a, b) ->
+        bound_pred ~col ~le p;
+        Dom.hull (sub a) (sub b)
+  in
+  Dom.check ~what:(to_string e) d
+
+(** Check every comparison operand of [p] against the ring. *)
+and bound_pred ~col ~le (p : pred) : unit =
+  match p with
+  | True -> ()
+  | Cmp (_, a, b) ->
+      ignore (bound ~col ~le a);
+      ignore (bound ~col ~le b)
+  | And (a, b) | Or (a, b) ->
+      bound_pred ~col ~le a;
+      bound_pred ~col ~le b
+  | Not a -> bound_pred ~col ~le a
+
+let table_bound (t : Table.t) = bound ~col:(fun n -> (Table.find t n).Column.dom) ~le:(Table.le t)
 
 (* Operands and branches are data-independent, so they evaluate as fused
    tracks, and so do the operands' encoding conversions after them. The
    tracks keep the draw order of sequential evaluation: operands left to
    right, then the conversions in the order OCaml evaluated them as
    arguments, right to left ([b] before [a] for a binary op, the [a]
-   branch before [b] for the mux, whose arguments are [b], [a]). *)
+   branch before [b] for the mux, whose arguments are [b], [a]). Each
+   node's domain comes from the same rules as {!bound}, which the entry
+   points run first. *)
 let rec eval_num (t : Table.t) (e : num) : value =
   let ctx = Table.ctx t in
   let operands a b = fuse2 ctx (fun () -> eval_num t a) (fun () -> eval_num t b) in
@@ -126,51 +190,49 @@ let rec eval_num (t : Table.t) (e : num) : value =
   match e with
   | Col n ->
       let c = Table.find t n in
-      { data = Column.data c; width = c.Column.width; signed = c.Column.signed }
+      { data = Column.data c; dom = c.Column.dom }
   | Const c ->
-      let w = max 1 (Orq_util.Ring.log2_ceil (abs c + 1) + 1) in
+      let dom = Dom.point c in
       {
-        data = Share.public ctx Share.Bool (Table.nrows t) (c land Orq_util.Ring.mask w);
-        width = w;
-        signed = c < 0;
+        data =
+          Share.public ctx Share.Bool (Table.nrows t)
+            (c land Orq_util.Ring.mask (Dom.width dom));
+        dom;
       }
   | Add (a, b) ->
       let va, vb = operands a b in
       let xa, xb = convert (as_arith ctx) va vb in
-      {
-        data = Mpc.add xa xb;
-        width = cap_width (1 + max va.width vb.width);
-        signed = va.signed || vb.signed;
-      }
+      { data = Mpc.add xa xb; dom = Dom.add va.dom vb.dom }
   | Sub (a, b) ->
       let va, vb = operands a b in
       let xa, xb = convert (as_arith ctx) va vb in
-      { data = Mpc.sub xa xb; width = cap_width (1 + max va.width vb.width); signed = true }
+      { data = Mpc.sub xa xb; dom = Dom.sub va.dom vb.dom }
   | Mul (a, b) ->
       let va, vb = operands a b in
-      let w = cap_width (va.width + vb.width) in
+      let dom = Dom.mul va.dom vb.dom in
       let xa, xb = convert (as_arith ctx) va vb in
-      { data = Mpc.mul ~width:w ctx xa xb; width = w; signed = va.signed || vb.signed }
+      { data = Mpc.mul ~width:(Dom.width dom) ctx xa xb; dom }
   | Div (a, b) ->
       let va, vb = operands a b in
-      let w = cap_width (max va.width vb.width) in
+      let w = max (width va) (width vb) in
       (* a signed divisor sign-extends to the full width *)
-      let wd = if vb.signed then w else vb.width in
-      let qw = max 1 (min w (quotient_width t a b)) in
+      let wd = if signed vb then w else width vb in
+      let dom = div_dom ~le:(Table.le t) a b va.dom vb.dom in
       let xa, xb = convert (fun v -> as_bool_at ctx v w) va vb in
-      let q, _ = Orq_circuits.Divide.udiv ctx ~qw ~w ~wd xa xb in
-      { data = q; width = qw; signed = false }
+      let q, _ = Orq_circuits.Divide.udiv ctx ~qw:(Dom.width dom) ~w ~wd xa xb in
+      { data = q; dom }
   | Div_pub (a, d) ->
       let va = eval_num t a in
-      let w = cap_width va.width in
+      let w = width va in
+      let dom = div_pub_dom va.dom d in
       let q, _ = Orq_circuits.Divide.udiv_pub ctx ~w (as_bool_at ctx va w) d in
-      { data = q; width = w; signed = false }
+      { data = Mpc.and_mask q (Orq_util.Ring.mask (Dom.width dom)); dom }
   | If (p, a, b) ->
       let bit, va, vb =
         match
           Mpc.fuse_rounds ctx
             [|
-              (fun () -> Either.Left (eval_pred t p));
+              (fun () -> Either.Left (eval_pred_unchecked t p));
               (fun () -> Either.Right (eval_num t a));
               (fun () -> Either.Right (eval_num t b));
             |]
@@ -178,10 +240,10 @@ let rec eval_num (t : Table.t) (e : num) : value =
         | [| Left bit; Right va; Right vb |] -> (bit, va, vb)
         | _ -> assert false
       in
-      let w, signed = joint va vb in
-      let w = cap_width w in
+      let dom = Dom.hull va.dom vb.dom in
+      let w = Dom.width dom in
       let xa, xb = fuse2 ctx (fun () -> as_bool_at ctx va w) (fun () -> as_bool_at ctx vb w) in
-      { data = Orq_circuits.Mux.mux_b ~width:w ctx bit xb xa; width = w; signed }
+      { data = Orq_circuits.Mux.mux_b ~width:w ctx bit xb xa; dom }
 
 (* Predicate evaluation batches across comparison legs: all Cmp leaves of
    the And/Or tree are collected first, their arithmetic operands convert
@@ -191,7 +253,7 @@ let rec eval_num (t : Table.t) (e : num) : value =
    flags with log-depth fused AND/OR trees over packed words. A
    multi-conjunct filter such as Q6's thus costs one comparison-ladder
    depth instead of one per leg. *)
-and eval_pred (t : Table.t) (p : pred) : Share.flags =
+and eval_pred_unchecked (t : Table.t) (p : pred) : Share.flags =
   let ctx = Table.ctx t in
   (* Pass 1: every leaf's operands, left to right, as fused tracks. *)
   let leaves = ref [] in
@@ -265,7 +327,7 @@ and eval_pred (t : Table.t) (p : pred) : Share.flags =
     Array.mapi
       (fun i (op, va, vb, w) ->
         let xa = resolve (fst views.(i)) and xb = resolve (snd views.(i)) in
-        let signed = va.signed || vb.signed in
+        let signed = snd (joint va vb) in
         let flip v = if signed then Mpc.xor_pub v (1 lsl (w - 1)) else v in
         let push_eq a b neg =
           let j = !neq in
@@ -338,9 +400,16 @@ and eval_pred (t : Table.t) (p : pred) : Share.flags =
   in
   combine sk
 
-(** Evaluate a numeric expression into a fresh boolean-encoded column. *)
+(** The predicate per row, as packed flags; refuses a comparison operand
+    whose bound exceeds the ring before any share moves. *)
+let eval_pred (t : Table.t) (p : pred) : Share.flags =
+  bound_pred ~col:(fun n -> (Table.find t n).Column.dom) ~le:(Table.le t) p;
+  eval_pred_unchecked t p
+
+(** Evaluate a numeric expression into a fresh boolean-encoded column at
+    the width of its domain; refuses an expression whose bound exceeds
+    the ring before any share moves. *)
 let eval_col (t : Table.t) (e : num) : Column.t =
+  ignore (table_bound t e);
   let v = eval_num t e in
-  let ctx = Table.ctx t in
-  let w = cap_width v.width in
-  Column.of_shared ~signed:v.signed ~width:w (as_bool_at ctx v w)
+  Column.of_shared ~dom:v.dom (as_bool_at (Table.ctx t) v (width v))

@@ -57,17 +57,18 @@ let concat_lr (ctx : Ctx.t) ~n ~m (side : [ `L | `R ]) (data : Share.shared)
 type prepared = {
   p_v_lr : Share.shared;
   p_keys : (Share.shared * int) list;
+  p_key_doms : Dom.t list;  (** each key's hull over both sides *)
   p_tid : Share.shared;
-  p_l_cols : (string * Share.shared * int) list;
+  p_l_cols : (string * Share.shared * Column.t) list;
+      (** sorted left data, with the source column it came from *)
   p_r_cols : (string * Column.t) list;
 }
 
 let prepare (ctx : Ctx.t) ~(left : Table.t) ~(right : Table.t)
     ~(on : string list) : prepared =
   let n = Table.nrows left and m = Table.nrows right in
-  let key_widths =
-    List.map (fun k -> max (Table.width left k) (Table.width right k)) on
-  in
+  let key_doms = List.map (Table.key_dom left right) on in
+  let key_widths = List.map Dom.width key_doms in
   let left_data =
     List.filter (fun (name, _) -> not (List.mem name on)) left.Table.cols
   in
@@ -100,13 +101,13 @@ let prepare (ctx : Ctx.t) ~(left : Table.t) ~(right : Table.t)
   let l_cols =
     List.map
       (fun (name, c) ->
-        (name, concat_lr ctx ~n ~m `L (Column.as_bool ctx c) ~fill:0, c.Column.width))
+        (name, concat_lr ctx ~n ~m `L (Column.as_bool ctx c) ~fill:0, c))
       left_data
   in
   let r_cols =
     List.map
       (fun (name, c) ->
-        (name, concat_lr ctx ~n ~m `R (Column.as_bool ctx c) ~fill:0, c.Column.width))
+        (name, concat_lr ctx ~n ~m `R (Column.as_bool ctx c) ~fill:0, c))
       right_data
   in
   (* --- Step 2: sort on K_s = (V_LR, keys, Tid) --- *)
@@ -115,7 +116,9 @@ let prepare (ctx : Ctx.t) ~(left : Table.t) ~(right : Table.t)
     :: List.map (fun (k, w) -> (k, w, Tablesort.Asc)) keys0)
     @ [ (tid, 1, Tablesort.Asc) ]
   in
-  let payload = List.map (fun (_, d, w) -> (Share.wrap d, w)) (l_cols @ r_cols) in
+  let payload =
+    List.map (fun (_, d, c) -> (Share.wrap d, c.Column.width)) (l_cols @ r_cols)
+  in
   let sorted_keys, sorted_payload =
     let keys = List.map (fun (k, w, o) -> (Share.wrap k, w, o)) sort_keys in
     let k, p = Tablesort.sort_cols ctx ~keys payload in
@@ -136,17 +139,24 @@ let prepare (ctx : Ctx.t) ~(left : Table.t) ~(right : Table.t)
   let nl = List.length l_cols in
   let l_cols' =
     List.map2
-      (fun (name, _, w) d -> (name, d, w))
+      (fun (name, _, c) d -> (name, d, c))
       l_cols
       (Orq_sort.Quicksort.take nl sorted_payload)
   in
   let r_cols' =
     List.map2
-      (fun (name, _, w) d -> (name, Column.of_shared ~width:w d))
+      (fun (name, _, c) d -> (name, Column.with_data c d))
       r_cols
       (Orq_sort.Quicksort.drop nl sorted_payload)
   in
-  { p_v_lr = v_lr'; p_keys = keys'; p_tid = tid'; p_l_cols = l_cols'; p_r_cols = r_cols' }
+  {
+    p_v_lr = v_lr';
+    p_keys = keys';
+    p_key_doms = key_doms;
+    p_tid = tid';
+    p_l_cols = l_cols';
+    p_r_cols = r_cols';
+  }
 
 (* --- Step 4: assemble the output table, then optionally trim --- *)
 let finalize (ctx : Ctx.t) ~name ~(valid : Share.shared)
@@ -194,8 +204,10 @@ let network (ctx : Ctx.t) (variant : variant) (p : prepared)
     List.map
       (fun cname ->
         match List.find_opt (fun (nme, _, _) -> nme = cname) p.p_l_cols with
-        | Some (_, d, w) ->
-            (cname, { Aggnet.col = d; func = Aggnet.Copy; keys = Aggnet.Group; width = w }, w)
+        | Some (_, d, c) ->
+            ( cname,
+              { Aggnet.col = d; func = Aggnet.Copy; keys = Aggnet.Group; width = c.Column.width },
+              c )
         | None -> invalid_arg ("Joinagg.join: copy column not in left: " ^ cname))
       copy
   in
@@ -259,7 +271,7 @@ let network (ctx : Ctx.t) (variant : variant) (p : prepared)
   let ncopy = List.length copy_specs in
   let copied =
     List.map2
-      (fun (name, _, w) d -> (name, Column.of_shared ~width:w d))
+      (fun (name, _, c) d -> (name, Column.with_data c d))
       copy_specs
       (Orq_sort.Quicksort.take ncopy results)
   in
@@ -272,7 +284,9 @@ let network (ctx : Ctx.t) (variant : variant) (p : prepared)
   (copied, valid_final, agg_results, !pre)
 
 let key_cols (p : prepared) on =
-  List.map2 (fun (k, w) name -> (name, Column.of_shared ~width:w k)) p.p_keys on
+  List.map2
+    (fun name ((k, _), dom) -> (name, Column.of_shared ~dom k))
+    on (List.combine p.p_keys p.p_key_doms)
 
 (** [join ctx variant ~copy ~trim ~left ~right ~on ()] — the full
     operator. [copy] names left columns to propagate into matching right
@@ -285,6 +299,15 @@ let join (ctx : Ctx.t) (variant : variant) ?(copy : string list = [])
   let p = prepare ctx ~left ~right ~on in
   let copied, valid, _, _ = network ctx variant p ~copy ~aggs:None in
   let out_cols = key_cols p on @ p.p_r_cols @ copied in
+  (* an outer join's unmatched rows hold zero on the absent side *)
+  let out_cols =
+    match variant with
+    | V_left_outer | V_right_outer | V_full_outer ->
+        List.map
+          (fun (name, c) -> (name, Column.with_dom c (Dom.hull c.Column.dom Dom.zero)))
+          out_cols
+    | V_inner | V_anti -> out_cols
+  in
   let do_trim =
     match (variant, trim) with
     | (V_left_outer | V_right_outer | V_full_outer), _ -> false
@@ -319,9 +342,7 @@ let join_grouped (ctx : Ctx.t) (variant : variant) ?(copy : string list = [])
   Ctx.with_label ctx "join" @@ fun () ->
   let p = prepare ctx ~left ~right ~on in
   (* the sorted right columns, with the right table's signedness *)
-  let find c =
-    { (List.assoc c p.p_r_cols) with Column.signed = (Table.find right c).Column.signed }
-  in
+  let find c = List.assoc c p.p_r_cols in
   let copied, valid, results, pre =
     network ctx variant p ~copy ~aggs:(Some (fun () -> aggs ~find ~tid:p.p_tid))
   in
@@ -367,8 +388,8 @@ let join_unique (ctx : Ctx.t) ?(copy : string list = [])
               match
                 List.find_opt (fun (nme, _, _) -> nme = cname) p.p_l_cols
               with
-              | Some (_, d, w) ->
-                  (cname, w, Share.sub_range d 1 (nm - 1), Share.sub_range d 0 (nm - 1))
+              | Some (_, d, c) ->
+                  (cname, c, Share.sub_range d 1 (nm - 1), Share.sub_range d 0 (nm - 1))
               | None ->
                   invalid_arg ("join_unique: copy column not in left: " ^ cname))
             copy
@@ -377,25 +398,19 @@ let join_unique (ctx : Ctx.t) ?(copy : string list = [])
           Array.to_list
             (Orq_circuits.Mux.select_many
                ~widths:
-                 (Array.of_list (List.map (fun (_, w, _, _) -> w) pairs))
+                 (Array.of_list (List.map (fun (_, c, _, _) -> c.Column.width) pairs))
                ctx
                (Array.of_list
                   (List.map (fun (_, _, cur, prev) -> (sel, cur, prev)) pairs)))
         in
         (* row 0 can never be a matched R row; keep its own value *)
         List.map2
-          (fun (cname, w, _, prev) muxed_col ->
+          (fun (cname, c, _, prev) muxed_col ->
             ( cname,
-              Column.of_shared ~width:w
-                (Share.append (Share.sub_range prev 0 1) muxed_col) ))
+              Column.with_data c (Share.append (Share.sub_range prev 0 1) muxed_col) ))
           pairs muxed
   in
-  let out_cols =
-    List.map2
-      (fun (k, w) name -> (name, Column.of_shared ~width:w k))
-      p.p_keys on
-    @ p.p_r_cols @ copied
-  in
+  let out_cols = key_cols p on @ p.p_r_cols @ copied in
   let bound = min n m in
   let do_trim = match trim with `Never -> false | `Always | `Auto -> true in
   finalize ctx

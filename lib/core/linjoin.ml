@@ -110,17 +110,14 @@ let join (ctx : Ctx.t) (variant : [ `Inner | `Anti ])
         (Column.as_bool ctx c, c.Column.width))
       copy
   in
-  (* probe columns travel at their output widths: keys at the width
-     maxed across sides, payload at its own *)
-  let key_w = List.combine on widths in
-  let out_width (name, c) =
-    match List.assoc_opt name key_w with
-    | Some w -> w
-    | None -> c.Column.width
+  (* probe columns travel at their output domains: keys at the hull of
+     both sides', payload at its own *)
+  let out_dom (name, c) =
+    if List.mem name on then Table.key_dom left right name else c.Column.dom
   in
   let probe_data =
     List.map
-      (fun ((_, c) as nc) -> (Column.as_bool ctx c, out_width nc))
+      (fun ((_, c) as nc) -> (Column.as_bool ctx c, Dom.width (out_dom nc)))
       right.Table.cols
   in
   let wrap = List.map (fun (d, w) -> (Share.wrap d, w)) in
@@ -177,7 +174,7 @@ let join (ctx : Ctx.t) (variant : [ `Inner | `Anti ])
   let out_cols =
     List.map2
       (fun ((name, _) as nc) d ->
-        (name, Column.of_shared ~width:(out_width nc) d))
+        (name, Column.of_shared ~dom:(out_dom nc) d))
       right.Table.cols probe_data'
   in
   let key_cols, pay_cols =
@@ -187,8 +184,7 @@ let join (ctx : Ctx.t) (variant : [ `Inner | `Anti ])
   let copy_out =
     List.map2
       (fun name d ->
-        let w = (Table.find left name).Column.width in
-        (name, Column.of_shared ~width:w (Share.gather d gidx)))
+        (name, Column.with_data (Table.find left name) (Share.gather d gidx)))
       copy copied'
   in
   Table.of_columns ctx

@@ -47,6 +47,8 @@ let find t name =
            (String.concat ", " (col_names t)))
 
 let width t name = (find t name).Column.width
+
+let key_dom a b k = Dom.hull (find a k).Column.dom (find b k).Column.dom
 let column t name = Column.data (find t name)
 
 let mem t name = List.mem_assoc name t.cols
@@ -146,10 +148,7 @@ let pad_rows (t : t) extra : t =
       cols =
         List.map
           (fun (n, c) ->
-            let pad =
-              Column.of_shared ~signed:c.Column.signed ~width:c.Column.width
-                (Share.public t.ctx (Column.enc c) extra 0)
-            in
+            let pad = Column.with_data c (Share.public t.ctx (Column.enc c) extra 0) in
             (* Column.append reuses a parked column's chunks *)
             (n, Column.append c pad))
           t.cols;

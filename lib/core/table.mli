@@ -44,6 +44,11 @@ val find : t -> string -> Column.t
 (** @raise Invalid_argument naming the available columns if absent. *)
 
 val width : t -> string -> int
+
+val key_dom : t -> t -> string -> Dom.t
+(** [key_dom a b k]: the hull of column [k]'s domains in [a] and [b], the
+    domain of a join key drawn from either side. *)
+
 val column : t -> string -> Share.shared
 val mem : t -> string -> bool
 

@@ -146,7 +146,7 @@ let sort ?valid (t : Table.t) (specs : (string * order) list) : Table.t =
     | Some _, v :: named, rest | None, named, v :: rest -> (v, named, rest)
     | _ -> assert false
   in
-  let recol c res = { c with Column.payload = res } in
+  let recol = Column.with_chunked in
   let cols' =
     List.map
       (fun (n, c) ->

@@ -111,6 +111,76 @@ let rec infer (n : node) : info =
 let unique_on (n : node) (cols : string list) =
   List.exists (fun k -> subset k cols) (infer n).i_keys
 
+(* -------- public bounds -------- *)
+
+type shape = {
+  sh_rows : int;  (** physical row bound *)
+  sh_doms : (string * Dom.t) list;  (** each output column's domain *)
+}
+
+let table_shape (t : Table.t) =
+  {
+    sh_rows = Table.nrows t;
+    sh_doms = List.map (fun (n, c) -> (n, c.Column.dom)) t.Table.cols;
+  }
+
+(** The bound pass: every output column's public domain, derived from the
+    scans' shapes ([scan], by default the shared tables' row counts and
+    column domains) alone, with the rules the operators apply at run time
+    ({!Expr.bound}, {!Dataflow.agg_dom}) over row bounds at least as large
+    as theirs, and without the row-wise facts. It refuses whatever the
+    run would, before any share moves.
+    @raise Dom.Refused naming the first expression or aggregate whose
+    bound exceeds the ring. *)
+let rec bounds ?(scan = table_shape) (n : node) : shape =
+  let col sh c =
+    match List.assoc_opt c sh.sh_doms with
+    | Some d -> d
+    | None -> invalid_arg ("plan has no column " ^ c)
+  in
+  let no_facts _ _ = false in
+  match n with
+  | Scan s -> scan s.s_table
+  | Filter (p, m) ->
+      let sh = bounds ~scan m in
+      Expr.bound_pred ~col:(col sh) ~le:no_facts p;
+      sh
+  | Project (cols, m) ->
+      let sh = bounds ~scan m in
+      { sh with sh_doms = List.map (fun c -> (c, col sh c)) cols }
+  | Map (dst, e, m) ->
+      let sh = bounds ~scan m in
+      let d = Expr.bound ~col:(col sh) ~le:no_facts e in
+      { sh with sh_doms = List.remove_assoc dst sh.sh_doms @ [ (dst, d) ] }
+  | Join { j_left; j_right; j_on } ->
+      let l = bounds ~scan j_left and r = bounds ~scan j_right in
+      let side sh = List.filter (fun (c, _) -> not (List.mem c j_on)) sh.sh_doms in
+      (* [infer]'s rule over the shapes' row bounds *)
+      let one_to_many = unique_on j_left j_on || unique_on j_right j_on in
+      {
+        sh_rows =
+          (if one_to_many then l.sh_rows + r.sh_rows
+           else if l.sh_rows > 0 && r.sh_rows > max_int / l.sh_rows then max_int
+           else l.sh_rows * r.sh_rows);
+        sh_doms =
+          List.map (fun k -> (k, Dom.hull (col l k) (col r k))) j_on @ side l @ side r;
+      }
+  | Aggregate a ->
+      let sh = bounds ~scan a.a_input in
+      let rows = sh.sh_rows in
+      let agg (g : Dataflow.agg) =
+        let src = match g.Dataflow.fn with Dataflow.Count -> Dom.zero | _ -> col sh g.Dataflow.src in
+        (g.Dataflow.dst, Dataflow.agg_dom ~rows src g)
+      in
+      {
+        sh_rows = rows;
+        sh_doms = List.map (fun k -> (k, col sh k)) a.a_keys @ List.map agg a.a_aggs;
+      }
+  | Order_limit (_, k, m) ->
+      let sh = bounds ~scan m in
+      { sh with sh_rows = (match k with Some k -> min k sh.sh_rows | None -> sh.sh_rows) }
+
+
 (* -------- predicate column analysis -------- *)
 
 let rec num_cols (e : Expr.num) =

@@ -49,6 +49,24 @@ type info = {
 val subset : 'a list -> 'a list -> bool
 val infer : node -> info
 
+(** {2 Public bounds} *)
+
+type shape = {
+  sh_rows : int;  (** physical row bound *)
+  sh_doms : (string * Dom.t) list;  (** each output column's domain *)
+}
+
+val bounds : ?scan:(Table.t -> shape) -> node -> shape
+(** The bound pass: every output column's public domain, from the scans'
+    shapes ([scan], by default the shared tables' row counts and column
+    domains) alone, by the rules the
+    operators apply at run time ({!Expr.bound}, {!Dataflow.agg_dom}) over
+    row bounds no smaller than theirs and without row-wise facts, so it
+    refuses whatever the run would, before any share moves. Join keys
+    take the hull of both sides' domains.
+    @raise Dom.Refused naming the first expression or aggregate whose
+    bound exceeds the ring. *)
+
 val unique_on : node -> string list -> bool
 (** Does the subtree expose a candidate key within [cols]? *)
 

@@ -450,10 +450,14 @@ let parse_query (cat : catalog) (sql : string) : Plan.node * string list =
   in
   (!plan, out_cols)
 
-(** Parse, optimize, compile and execute a SQL query against a catalog.
-    Returns the result table (projected to the SELECT list), the output
-    column order, and the number of quadratic fallbacks taken. *)
+(** Parse, optimize, bound, compile and execute a SQL query against a
+    catalog. Returns the result table (projected to the SELECT list), the
+    output column order, and the number of quadratic fallbacks taken. The
+    bound pass ({!Plan.bounds}) runs on the optimized plan before any
+    share moves. *)
 let run (cat : catalog) (sql : string) : Table.t * string list * int =
   let plan, out_cols = parse_query cat sql in
-  let t, fb = Compile.run ~need:out_cols plan in
+  let plan = Optimize.run plan in
+  ignore (Plan.bounds plan);
+  let t, fb = Compile.run ~optimize:false ~need:out_cols plan in
   (Table.project t (List.filter (fun c -> Table.mem t c) out_cols), out_cols, fb)

@@ -23,5 +23,9 @@ val parse_query : catalog -> string -> Plan.node * string list
     @raise Parse_error on malformed input. *)
 
 val run : catalog -> string -> Orq_core.Table.t * string list * int
-(** Parse, optimize, compile and execute; returns the projected result,
-    the output column order, and the quadratic-fallback count. *)
+(** Parse, optimize, bound ({!Plan.bounds}), compile and execute; returns
+    the projected result, the output column order, and the
+    quadratic-fallback count.
+    @raise Parse_error on malformed input.
+    @raise Orq_core.Dom.Refused before any share moves when an expression
+    or aggregate's public bound exceeds the ring. *)

@@ -62,13 +62,20 @@ let eq kind ~w ~n =
   done;
   Array.of_list (List.rev !evs)
 
+(* The live products of a ladder level at block size [d]: w/(2d) lt
+   products, and as many eq products when the caller reads the lowest
+   block's eq ([full]), one fewer otherwise; the last level forms the lt
+   product alone. *)
+let ladder_level ~full ~last ~w d =
+  let ws = max 1 (w / (2 * d)) in
+  if last then ws else if full then 2 * ws else (2 * ws) - 1
+
 let lt kind ~w ~n =
   let evs = ref [ round_ev (mul_lane kind ~w ~n) ] in
   let d = ref 1 in
   while !d < w do
-    (* the last level forms the lt product alone *)
-    let n = if 2 * !d < w then 2 * n else n in
-    evs := round_ev (mul_lane kind ~w:(max 1 (w / (2 * !d))) ~n) :: !evs;
+    let w' = ladder_level ~full:false ~last:(2 * !d >= w) ~w !d in
+    evs := round_ev (mul_lane kind ~w:w' ~n) :: !evs;
     d := 2 * !d
   done;
   Array.of_list (List.rev !evs)
@@ -148,24 +155,28 @@ let lt_lex_open (kind : Ctx.kind) ~ws ~n =
      AND is itself the last AND *)
   if one <> Some 1 then emit (List.map (fun w -> mul_lane kind ~w ~n) ws);
   (* the ladder levels; one column's ladder stops before the level whose
-     blocks span the word *)
+     blocks span the word. The last (least significant) column's eq is
+     never read. *)
   let d = ref 1 in
   let more w = !d < w && not (one <> None && 2 * !d >= w) in
   while List.exists more ws do
     emit
-      (List.filter_map
-         (fun w ->
-           if more w then Some (mul_lane kind ~w:(max 1 (w / (2 * !d))) ~n:(2 * n))
-           else None)
-         ws);
+      (List.concat
+         (List.mapi
+            (fun i w ->
+              if not (more w) then []
+              else [ mul_lane kind ~w:(ladder_level ~full:(i < k - 1) ~last:false ~w !d) ~n ])
+            ws));
     d := 2 * !d
   done;
   (* the packed lexicographic merge: two single-bit ANDs per adjacent
-     pair, down to two pairs *)
+     pair, down to two pairs; a pair holding the least significant group
+     forms its lt product alone *)
   let m = ref k in
   while !m > 2 do
     let pn = !m / 2 in
-    emit (List.init (2 * pn) (fun _ -> mul_lane kind ~w:1 ~n));
+    let ands = (2 * pn) - if !m mod 2 = 0 then 1 else 0 in
+    emit (List.init ands (fun _ -> mul_lane kind ~w:1 ~n));
     m := pn + (!m mod 2)
   done;
   (* the last AND forms only the lt product; under SH-HM it opens in its

@@ -201,6 +201,8 @@ let execute_sql ~(ctx : Ctx.t) ~(db : Tpch_gen.mpc) ~qseed ~max_rows sql :
   match Sql.run (Tpch_gen.catalog db) sql with
   | exception Sql.Parse_error msg ->
       Wire.Error_r { code = Wire.Bad_request; msg }
+  | exception Orq_core.Dom.Refused msg ->
+      Wire.Error_r { code = Wire.Bad_request; msg = "refused: " ^ msg }
   | exception Ctx.Abort msg ->
       Wire.Error_r { code = Wire.Internal; msg = "protocol abort: " ^ msg }
   | exception e -> Wire.Error_r { code = Wire.Internal; msg = Printexc.to_string e }

@@ -9,11 +9,7 @@
 open Orq_util
 module P = Orq_plaintext.Ptable
 
-let w_id = 20
-let w_code = 10
-let w_time = 12
-let w_score = 10
-let w_price = 20
+module Dom = Orq_core.Dom
 
 (* disease/medication codes with fixed meanings for the queries *)
 let diag_hd = 1 (* heart disease *)
@@ -144,15 +140,6 @@ let generate ?(seed = 7) (n : int) : plain =
     yt;
   }
 
-let share_table (ctx : Orq_proto.Ctx.t) name (cols : (string * int) list)
-    (p : P.t) : Orq_core.Table.t =
-  Orq_core.Table.create ctx name
-    (List.map
-       (fun (cname, w) ->
-         let get = P.get p cname in
-         (cname, w, Array.of_list (List.map get p.P.rows)))
-       cols)
-
 type mpc = {
   m_diagnosis : Orq_core.Table.t;
   m_medication : Orq_core.Table.t;
@@ -168,50 +155,71 @@ type mpc = {
   m_yt : Orq_core.Table.t;
 }
 
-(* Per-table (column, width) schemas: what {!share} shares each table
-   under. *)
-let diagnosis_cols = [ ("pid", w_id); ("diag", w_code); ("dtime", w_time) ]
-let medication_cols = [ ("pid", w_id); ("med", w_code); ("mtime", w_time) ]
-let labs_cols = [ ("pid", w_id); ("test", w_code); ("ltime", w_time) ]
-let cohort_cols = [ ("pid", w_id) ]
-let passwords_cols = [ ("uid", w_id); ("site", w_code); ("pwd", w_code) ]
-let credit_cols = [ ("cid", w_id); ("agency", 2); ("score", w_score) ]
-let r_att_cols = [ ("id", w_id); ("att", w_code) ]
-let s_val_cols = [ ("id", w_id); ("val", w_score) ]
-let transactions_cols = [ ("company", w_code); ("price", w_price) ]
-let yr_cols = [ ("person", w_id); ("coins", 7) ]
-let ys_cols = [ ("person", w_id); ("disease", w_code); ("cost", 13) ]
-let yt_cols = [ ("disease", w_code); ("class", 3) ]
+(** Each table's (column, public domain) schema, in sharing order: the
+    generator's value ranges, with identifiers bounded by the public
+    counts they range over — the patients, users and persons of a
+    dataset of about [n] rows, and the cardinality of [credit] and [r]. *)
+let schemas ~n ~ncred ~nr : (string * Ingress.schema) list =
+  let d = Dom.v in
+  let npat = max 4 (n / 4) and nper = max 2 (n / 5) in
+  let pid = ("pid", d 1 npat) and time c = (c, d 0 2999) in
+  [
+    ("diagnosis", [ pid; ("diag", d 1 8); time "dtime" ]);
+    ("medication", [ pid; ("med", d 1 6); time "mtime" ]);
+    ("labs", [ pid; ("test", d 1 5); time "ltime" ]);
+    ("cohort", [ pid ]);
+    ("passwords", [ ("uid", d 1 (max 2 (n / 5))); ("site", d 1 10); ("pwd", d 1 12) ]);
+    ( "credit",
+      [ ("cid", d 1 (((ncred - 1) / 2) + 1)); ("agency", d 1 2); ("score", d 300 849) ] );
+    ("r", [ ("id", d 1 nr); ("att", d 1 6) ]);
+    ("s", [ ("id", d 1 nr); ("val", d 0 999) ]);
+    ("transactions", [ ("company", d 1 12); ("price", d 1 10_000) ]);
+    ("yr", [ ("person", d 1 nper); ("coins", d 0 99) ]);
+    ("ys", [ ("person", d 1 nper); ("disease", d 1 10); ("cost", d 0 4999) ]);
+    ("yt", [ ("disease", d 1 10); ("class", d 1 3) ]);
+  ]
 
+(* The schemas of a generated dataset: [n] is its diagnosis row count. *)
+let schemas_of (db : plain) =
+  schemas ~n:(P.nrows db.diagnosis) ~ncred:(P.nrows db.credit) ~nr:(P.nrows db.r_att)
+
+(** Secret-share every dataset under its schema; a value outside its
+    column's domain fails with an error naming the table, column, value
+    and domain. *)
 let share (ctx : Orq_proto.Ctx.t) (db : plain) : mpc =
+  let sch = schemas_of db in
+  let share_table name p = Ingress.share_table ctx name (List.assoc name sch) p in
   {
-    m_diagnosis = share_table ctx "diagnosis" diagnosis_cols db.diagnosis;
-    m_medication = share_table ctx "medication" medication_cols db.medication;
-    m_labs = share_table ctx "labs" labs_cols db.labs;
-    m_cohort = share_table ctx "cohort" cohort_cols db.cohort;
-    m_passwords = share_table ctx "passwords" passwords_cols db.passwords;
-    m_credit = share_table ctx "credit" credit_cols db.credit;
-    m_r_att = share_table ctx "r" r_att_cols db.r_att;
-    m_s_val = share_table ctx "s" s_val_cols db.s_val;
-    m_transactions =
-      share_table ctx "transactions" transactions_cols db.transactions;
-    m_yr = share_table ctx "yr" yr_cols db.yr;
-    m_ys = share_table ctx "ys" ys_cols db.ys;
-    m_yt = share_table ctx "yt" yt_cols db.yt;
+    m_diagnosis = share_table "diagnosis" db.diagnosis;
+    m_medication = share_table "medication" db.medication;
+    m_labs = share_table "labs" db.labs;
+    m_cohort = share_table "cohort" db.cohort;
+    m_passwords = share_table "passwords" db.passwords;
+    m_credit = share_table "credit" db.credit;
+    m_r_att = share_table "r" db.r_att;
+    m_s_val = share_table "s" db.s_val;
+    m_transactions = share_table "transactions" db.transactions;
+    m_yr = share_table "yr" db.yr;
+    m_ys = share_table "ys" db.ys;
+    m_yt = share_table "yt" db.yt;
   }
 
+(** [map_plain f db] replaces every table [t] by [f schema t], [schema]
+    being the (column, domain) list {!share} shares [t] under. *)
 let map_plain f (db : plain) : plain =
+  let sch = schemas_of db in
+  let f name = f (List.assoc name sch) in
   {
-    diagnosis = f diagnosis_cols db.diagnosis;
-    medication = f medication_cols db.medication;
-    labs = f labs_cols db.labs;
-    cohort = f cohort_cols db.cohort;
-    passwords = f passwords_cols db.passwords;
-    credit = f credit_cols db.credit;
-    r_att = f r_att_cols db.r_att;
-    s_val = f s_val_cols db.s_val;
-    transactions = f transactions_cols db.transactions;
-    yr = f yr_cols db.yr;
-    ys = f ys_cols db.ys;
-    yt = f yt_cols db.yt;
+    diagnosis = f "diagnosis" db.diagnosis;
+    medication = f "medication" db.medication;
+    labs = f "labs" db.labs;
+    cohort = f "cohort" db.cohort;
+    passwords = f "passwords" db.passwords;
+    credit = f "credit" db.credit;
+    r_att = f "r" db.r_att;
+    s_val = f "s" db.s_val;
+    transactions = f "transactions" db.transactions;
+    yr = f "yr" db.yr;
+    ys = f "ys" db.ys;
+    yt = f "yt" db.yt;
   }

@@ -5,9 +5,6 @@
 
 module P = Orq_plaintext.Ptable
 
-val w_id : int
-val w_time : int
-
 val diag_hd : int
 (** Diagnosis code for heart disease (Aspirin). *)
 
@@ -48,7 +45,11 @@ val generate : ?seed:int -> int -> plain
 (** [generate n]: about [n] rows in each primary table. *)
 
 val share : Orq_proto.Ctx.t -> plain -> mpc
+(** Secret-share every dataset under its schema of public column domains
+    (identifiers bounded by the public counts they range over).
+    @raise Invalid_argument naming the table, column, value and domain of
+    a value outside its column's domain. *)
 
-val map_plain : ((string * int) list -> P.t -> P.t) -> plain -> plain
+val map_plain : (Ingress.schema -> P.t -> P.t) -> plain -> plain
 (** [map_plain f db] replaces every table [t] by [f schema t], [schema]
-    being the (column, width) list {!share} shares [t] under. *)
+    being the (column, domain) list {!share} shares [t] under. *)

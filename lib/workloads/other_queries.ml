@@ -87,12 +87,12 @@ let cdiff_run (db : G.mpc) =
   let hd s = Orq_proto.Share.sub_range s 0 (n - 1) in
   let tl s = Orq_proto.Share.sub_range s 1 (n - 1) in
   (* the pair tests are data-independent: fused round tracks *)
-  let w = G.w_time + 1 in
+  let w = Table.width d "dtime" + 1 in
   let public c = Orq_proto.Share.public ctx Orq_proto.Share.Bool (n - 1) c in
   let t =
     Mpc.fuse_rounds ctx
       [|
-        (fun () -> Orq_circuits.Compare.eq ctx ~w:G.w_id (hd pid) (tl pid));
+        (fun () -> Orq_circuits.Compare.eq ctx ~w:(Table.width d "pid") (hd pid) (tl pid));
         (fun () ->
           Mpc.band_f ctx (Orq_proto.Share.pack_flags (hd v))
             (Orq_proto.Share.pack_flags (tl v)));

@@ -20,12 +20,7 @@ open Orq_util
 (* Schema constants                                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* column widths (bits) for MPC sharing *)
-let w_key = 24
-let w_small = 8
-let w_date = 12 (* day offsets 0 .. ~2557 *)
-let w_price = 28
-let w_qty = 8
+module Dom = Orq_core.Dom
 
 (* date helpers: days since 1992-01-01, 7 years of data *)
 let date_range = 2557
@@ -56,68 +51,84 @@ type mpc = {
   m_lineitem : Orq_core.Table.t;
 }
 
-(* per-table column descriptions: (name, width) *)
-let region_cols = [ ("r_regionkey", w_small) ]
-let nation_cols = [ ("n_nationkey", w_small); ("n_regionkey", w_small) ]
+(* ------------------------------------------------------------------ *)
+(* Schema: every column's public domain                                *)
+(* ------------------------------------------------------------------ *)
 
-let supplier_cols =
-  [ ("s_suppkey", w_key); ("s_nationkey", w_small); ("s_acctbal", w_price) ]
+(* The latest ship, commit and receipt days: 120 days past the last
+   order date, receipts up to 30 days after shipping. *)
+let last_ship = date_range + 120
 
-let customer_cols =
+(** Each table's (column, domain) schema, in sharing order. The domains
+    are the generator's own value ranges; keys are bounded by the public
+    cardinality of the table they identify ([o_orderkey] ∈ [1, |orders|]),
+    so a key's width grows with the scale factor and reveals nothing
+    beyond the table sizes, which are public anyway. *)
+let schemas ~supplier ~customer ~part ~orders : (string * Ingress.schema) list =
+  let d = Dom.v in
   [
-    ("c_custkey", w_key);
-    ("c_nationkey", w_small);
-    ("c_mktsegment", w_small);
-    ("c_acctbal", w_price);
-    ("c_phone_cc", w_small);
+    ("region", [ ("r_regionkey", d 0 4) ]);
+    ("nation", [ ("n_nationkey", d 0 24); ("n_regionkey", d 0 4) ]);
+    ( "supplier",
+      [ ("s_suppkey", d 1 supplier); ("s_nationkey", d 0 24); ("s_acctbal", d 0 999_999) ] );
+    ( "customer",
+      [
+        ("c_custkey", d 1 customer);
+        ("c_nationkey", d 0 24);
+        ("c_mktsegment", d 1 5);
+        ("c_acctbal", d 0 999_999);
+        ("c_phone_cc", d 10 34);
+      ] );
+    ( "part",
+      [
+        ("p_partkey", d 1 part);
+        ("p_brand", d 1 25);
+        ("p_type", d 1 150);
+        ("p_size", d 1 50);
+        ("p_container", d 1 40);
+        ("p_retailprice", d 90_000 109_900);
+      ] );
+    ( "partsupp",
+      [
+        ("ps_partkey", d 1 part);
+        ("ps_suppkey", d 1 supplier);
+        ("ps_availqty", d 1 9_999);
+        ("ps_supplycost", d 100 99_999);
+      ] );
+    ( "orders",
+      [
+        ("o_orderkey", d 1 orders);
+        ("o_custkey", d 1 customer);
+        ("o_orderstatus", d 0 2);
+        ("o_totalprice", d 10_000 509_999);
+        ("o_orderdate", d 0 (date_range - 1));
+        ("o_orderpriority", d 1 5);
+        ("o_shippriority", d 0 0);
+      ] );
+    ( "lineitem",
+      [
+        ("l_orderkey", d 1 orders);
+        ("l_partkey", d 1 part);
+        ("l_suppkey", d 1 supplier);
+        ("l_quantity", d 1 50);
+        ("l_extendedprice", d 900 (50 * 2_099));
+        ("l_discount", d 0 10);
+        ("l_tax", d 0 8);
+        ("l_returnflag", d 0 2);
+        ("l_linestatus", d 0 1);
+        ("l_shipdate", d 1 last_ship);
+        ("l_commitdate", d 30 last_ship);
+        ("l_receiptdate", d 2 (last_ship + 30));
+        ("l_shipmode", d 1 7);
+        ("l_shipinstruct", d 1 4);
+      ] );
   ]
 
-let part_cols =
-  [
-    ("p_partkey", w_key);
-    ("p_brand", w_small);
-    ("p_type", w_small);
-    ("p_size", w_small);
-    ("p_container", w_small);
-    ("p_retailprice", w_price);
-  ]
-
-let partsupp_cols =
-  [
-    ("ps_partkey", w_key);
-    ("ps_suppkey", w_key);
-    ("ps_availqty", 14);
-    ("ps_supplycost", w_price);
-  ]
-
-let orders_cols =
-  [
-    ("o_orderkey", w_key);
-    ("o_custkey", w_key);
-    ("o_orderstatus", w_small);
-    ("o_totalprice", w_price);
-    ("o_orderdate", w_date);
-    ("o_orderpriority", w_small);
-    ("o_shippriority", w_small);
-  ]
-
-let lineitem_cols =
-  [
-    ("l_orderkey", w_key);
-    ("l_partkey", w_key);
-    ("l_suppkey", w_key);
-    ("l_quantity", w_qty);
-    ("l_extendedprice", w_price);
-    ("l_discount", w_small);
-    ("l_tax", w_small);
-    ("l_returnflag", w_small);
-    ("l_linestatus", w_small);
-    ("l_shipdate", w_date);
-    ("l_commitdate", w_date);
-    ("l_receiptdate", w_date);
-    ("l_shipmode", w_small);
-    ("l_shipinstruct", w_small);
-  ]
+(* The schemas of a generated database, from its public table sizes. *)
+let schemas_of (db : plain) =
+  let n = Orq_plaintext.Ptable.nrows in
+  schemas ~supplier:(n db.supplier) ~customer:(n db.customer) ~part:(n db.part)
+    ~orders:(n db.orders)
 
 (* ------------------------------------------------------------------ *)
 (* Generation                                                          *)
@@ -244,7 +255,11 @@ let generate ?(seed = 2024) (sf : float) : plain =
   let li_col j = Array.init n_li (fun i -> lines.(i).(j)) in
   let lineitem =
     Orq_plaintext.Ptable.of_cols
-      (List.mapi (fun j (name, _) -> (name, li_col j)) lineitem_cols)
+      (List.mapi
+         (fun j (name, _) -> (name, li_col j))
+         (List.assoc "lineitem"
+            (schemas ~supplier:n_supplier ~customer:n_customer ~part:n_part
+               ~orders:n_orders)))
   in
   { region; nation; supplier; customer; part; partsupp; orders; lineitem }
 
@@ -252,59 +267,56 @@ let generate ?(seed = 2024) (sf : float) : plain =
 (* Sharing the database                                                *)
 (* ------------------------------------------------------------------ *)
 
-(* Columns are shared in schema order, then the validity column. Under
-   streaming each column's share vectors enter the budget-managed store
-   chunk by chunk (evictable immediately), so the peak resident share data
-   of catalog loading is bounded by the budget, not the table size;
-   otherwise each column is one whole untracked vector. Draws are
-   element-major either way, identical to sharing the whole column. *)
-let share_table (ctx : Orq_proto.Ctx.t) name (cols : (string * int) list)
-    (p : Orq_plaintext.Ptable.t) : Orq_core.Table.t =
-  let n = Orq_plaintext.Ptable.nrows p in
-  let tracked = Orq_util.Chunkvec.streaming_enabled () in
-  let rows = Array.of_list p.Orq_plaintext.Ptable.rows in
-  let shared_cols =
-    List.map
-      (fun (cname, w) ->
-        let ci = Orq_plaintext.Ptable.col_idx p cname in
-        let get pos len =
-          Array.init len (fun i -> List.nth rows.(pos + i) ci)
-        in
-        let ck =
-          Orq_proto.Share.share_chunked ctx Orq_proto.Share.Bool ~tracked ~n get
-        in
-        (cname, Orq_core.Column.of_chunked ~width:w ck))
-      cols
-  in
-  let valid = Orq_proto.Share.share ctx Orq_proto.Share.Bool (Array.make n 1) in
-  Orq_core.Table.of_columns ctx name ~valid shared_cols
-
-(** Secret-share a generated database for the computing parties. *)
+(** Secret-share a generated database for the computing parties, each
+    table under its schema; a value outside its column's domain fails
+    with an error naming the table, column, value and domain. *)
 let share (ctx : Orq_proto.Ctx.t) (db : plain) : mpc =
+  let sch = schemas_of db in
+  let share_table name p = Ingress.share_table ctx name (List.assoc name sch) p in
   {
-    m_region = share_table ctx "region" region_cols db.region;
-    m_nation = share_table ctx "nation" nation_cols db.nation;
-    m_supplier = share_table ctx "supplier" supplier_cols db.supplier;
-    m_customer = share_table ctx "customer" customer_cols db.customer;
-    m_part = share_table ctx "part" part_cols db.part;
-    m_partsupp = share_table ctx "partsupp" partsupp_cols db.partsupp;
-    m_orders = share_table ctx "orders" orders_cols db.orders;
-    m_lineitem = share_table ctx "lineitem" lineitem_cols db.lineitem;
+    m_region = share_table "region" db.region;
+    m_nation = share_table "nation" db.nation;
+    m_supplier = share_table "supplier" db.supplier;
+    m_customer = share_table "customer" db.customer;
+    m_part = share_table "part" db.part;
+    m_partsupp = share_table "partsupp" db.partsupp;
+    m_orders = share_table "orders" db.orders;
+    m_lineitem = share_table "lineitem" db.lineitem;
   }
 
 (** [map_plain f db] replaces every table [t] by [f schema t], [schema]
-    being the (column, width) list {!share} shares it under. *)
+    being the (column, domain) list {!share} shares it under. *)
 let map_plain f (db : plain) : plain =
+  let sch = schemas_of db in
+  let f name = f (List.assoc name sch) in
   {
-    region = f region_cols db.region;
-    nation = f nation_cols db.nation;
-    supplier = f supplier_cols db.supplier;
-    customer = f customer_cols db.customer;
-    part = f part_cols db.part;
-    partsupp = f partsupp_cols db.partsupp;
-    orders = f orders_cols db.orders;
-    lineitem = f lineitem_cols db.lineitem;
+    region = f "region" db.region;
+    nation = f "nation" db.nation;
+    supplier = f "supplier" db.supplier;
+    customer = f "customer" db.customer;
+    part = f "part" db.part;
+    partsupp = f "partsupp" db.partsupp;
+    orders = f "orders" db.orders;
+    lineitem = f "lineitem" db.lineitem;
   }
+
+(** Every table's row bound and schema at scale factor [sf], from public
+    sizes alone: lineitem is bounded by its 7 lines per order. *)
+let shapes sf =
+  let supplier, customer, part, orders = sizes sf in
+  let rows = function
+    | "region" -> 5
+    | "nation" -> 25
+    | "supplier" -> supplier
+    | "customer" -> customer
+    | "part" -> part
+    | "partsupp" -> part * min 4 supplier
+    | "orders" -> orders
+    | _ -> 7 * orders
+  in
+  List.map
+    (fun (name, schema) -> (name, (rows name, schema)))
+    (schemas ~supplier ~customer ~part ~orders)
 
 (** Total input rows of a database (the paper's query-size metric). *)
 let total_rows (db : plain) =

@@ -39,12 +39,24 @@ val sizes : float -> int * int * int * int
 
 val generate : ?seed:int -> float -> plain
 val share : Orq_proto.Ctx.t -> plain -> mpc
+(** Secret-share every table under its schema.
+    @raise Invalid_argument naming the table, column, value and domain of
+    a value outside its column's domain. *)
+
+(** {2 Schema} *)
+
+val shapes : float -> (string * (int * Ingress.schema)) list
+(** Every table's row bound and (column, public domain) schema at a scale
+    factor, from public sizes alone: the generator's value ranges, every
+    key bounded by the cardinality of the table it identifies, lineitem
+    bounded by 7 lines per order. Widths follow from the domains. This is
+    what the planner's bound pass reads, without generating the data. *)
 
 val map_plain :
-  ((string * int) list -> Orq_plaintext.Ptable.t -> Orq_plaintext.Ptable.t) ->
+  (Ingress.schema -> Orq_plaintext.Ptable.t -> Orq_plaintext.Ptable.t) ->
   plain -> plain
 (** [map_plain f db] replaces every table [t] by [f schema t], [schema]
-    being the (column, width) list {!share} shares [t] under. *)
+    being the (column, domain) list {!share} shares [t] under. *)
 
 val total_rows : plain -> int
 (** Total input rows — the paper's query-size metric. *)

@@ -453,7 +453,8 @@ let test_expr_operands_fuse () =
           full.Comm.t_rounds
       in
       (* Sub of two public-divisor quotients; the combining op is the
-         fused b2a pair, then the a2b of the signed 17-bit difference *)
+         fused b2a pair of the 10-bit quotients (65535 / 100 = 655), then
+         the a2b of their difference, signed at 11 bits *)
       let qa, ta = alone k (fun _ t -> E.eval_col t E.(Div_pub (col "a", 100))) in
       let qb, tb = alone k (fun _ t -> E.eval_col t E.(Div_pub (col "b", 100))) in
       let _, tc =
@@ -461,15 +462,15 @@ let test_expr_operands_fuse () =
             let x =
               Mpc.fuse_rounds ctx
                 [|
-                  (fun () -> Convert.b2a ~w:16 ~signed:false ctx (col_data qb));
-                  (fun () -> Convert.b2a ~w:16 ~signed:false ctx (col_data qa));
+                  (fun () -> Convert.b2a ~w:qb.Col.width ~signed:false ctx (col_data qb));
+                  (fun () -> Convert.b2a ~w:qa.Col.width ~signed:false ctx (col_data qa));
                 |]
             in
-            Convert.a2b ~w:17 ctx (Mpc.sub x.(1) x.(0)))
+            Convert.a2b ~w:11 ctx (Mpc.sub x.(1) x.(0)))
       in
       check "Sub (Div_pub, Div_pub)"
         E.(Div_pub (col "a", 100) -! Div_pub (col "b", 100))
-        (Array.init n (fun i -> ((av.(i) / 100) - (bv.(i) / 100)) land Ring.mask 17))
+        (Array.init n (fun i -> ((av.(i) / 100) - (bv.(i) / 100)) land Ring.mask 11))
         ~parts:[ ta; tb ] ~combine:tc;
       (* Mul of two boolean columns: both convert in one fused pair *)
       let _, tc =
@@ -487,13 +488,15 @@ let test_expr_operands_fuse () =
         E.(col "a" *! col "c")
         (Array.init n (fun i -> av.(i) * cv.(i)))
         ~parts:[] ~combine:tc;
-      (* If: predicate and both branches are three tracks, then one mux *)
+      (* If: predicate and both branches are three tracks, then one mux at
+         the wider branch's width *)
       let p = E.(col "a" <. col "b") in
       let bit, tp = alone k (fun _ t -> E.eval_pred t p) in
       let x, tx = alone k (fun _ t -> E.eval_col t E.(Div_pub (col "a", 3))) in
       let y, ty = alone k (fun _ t -> E.eval_col t E.(Div_pub (col "b" *! col "c", 5))) in
       let _, tc =
-        alone k (fun ctx _ -> Mux.mux_b ~width:22 ctx bit (col_data y) (col_data x))
+        alone k (fun ctx _ ->
+            Mux.mux_b ~width:(max x.Col.width y.Col.width) ctx bit (col_data y) (col_data x))
       in
       check "If (Cmp, Div_pub, Div_pub)"
         E.(If (p, Div_pub (col "a", 3), Div_pub (col "b" *! col "c", 5)))

@@ -693,6 +693,29 @@ let test_sql_error_frame () =
   ignore
     (query_ok c "SELECT n_regionkey, COUNT(*) AS n FROM nation GROUP BY n_regionkey")
 
+(* An expression whose public bound exceeds the ring is refused with a
+   reasoned error reply, and the session goes on serving. *)
+let test_refused_frame () =
+  with_server @@ fun _ socket ->
+  let c = Client.connect socket in
+  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+  (match
+     Client.query c
+       "SELECT l_orderkey, l_extendedprice * l_extendedprice * l_extendedprice * \
+        l_extendedprice AS c FROM lineitem WHERE l_orderkey < 2"
+   with
+  | Error (Wire.Bad_request, msg) ->
+      let has sub =
+        let n = String.length msg and k = String.length sub in
+        let rec go i = i + k <= n && (String.sub msg i k = sub || go (i + 1)) in
+        go 0
+      in
+      Alcotest.(check bool) "names the refusal and the expression" true
+        (has "refused" && has "l_extendedprice * l_extendedprice")
+  | _ -> Alcotest.fail "expected a bad-request refusal");
+  ignore
+    (query_ok c "SELECT n_regionkey, COUNT(*) AS n FROM nation GROUP BY n_regionkey")
+
 let test_survives_disconnect_mid_query () =
   with_server ~cache:0 @@ fun _ socket ->
   (* fire a query and slam the connection before the reply *)
@@ -852,6 +875,7 @@ let () =
           Alcotest.test_case "max-rows truncation" `Quick
             test_max_rows_truncation;
           Alcotest.test_case "sql error frame" `Quick test_sql_error_frame;
+          Alcotest.test_case "refused query frame" `Quick test_refused_frame;
           Alcotest.test_case "survives disconnect" `Quick
             test_survives_disconnect_mid_query;
           Alcotest.test_case "survives malformed frame" `Quick
