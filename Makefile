@@ -19,6 +19,9 @@ test:
 # under the leakage lint, the concurrency-discipline lint and the
 # dead-export audit, and each deliberately-bad fixture must trip its
 # pass's rules (self-tests that the lints still catch what they claim to).
+# The dead-export audit counts uses from lib/, bin/, bench/ and examples/
+# only: an export that only test/ uses is a finding of its own class
+# unless the keep-list in lib/analysis/exports.ml gives its reason.
 lint:
 	dune exec bin/orq_lint.exe -- lint lib
 	dune exec bin/orq_lint.exe -- lint --expect-violations test/lint_fixtures

@@ -211,18 +211,32 @@ let run_exports ~json paths =
       say "orq_lint: %s" (Printexc.to_string e);
       exit 2
   in
+  let count rule =
+    List.length
+      (List.filter
+         (fun (f : Exports.finding) -> Exports.rule_label f.Exports.x_kind = rule)
+         findings)
+  in
   if json then
     emit_json ~pass:"exports"
       (List.map
          (fun (f : Exports.finding) ->
            json_finding ~pass:"exports" ~file:f.Exports.x_file
-             ~line:f.Exports.x_line ~rule:"dead-export" ~site:f.Exports.x_site
-             ~detail:"no use outside its module")
+             ~line:f.Exports.x_line ~rule:(Exports.rule_label f.Exports.x_kind)
+             ~site:f.Exports.x_site
+             ~detail:
+               (match f.Exports.x_kind with
+               | Exports.Unused -> "no use outside its module"
+               | Exports.Test_only -> "used outside its module only from test/"
+               | Exports.Stale_keep why -> "stale keep-list entry: " ^ why))
          findings)
   else begin
-    List.iter (fun f -> say "UNUSED: %a" Exports.pp_finding f) findings;
-    say "exports: %d audited keep-list entries, %d unused exports"
-      (List.length Exports.keep) (List.length findings)
+    List.iter (fun f -> say "EXPORT: %a" Exports.pp_finding f) findings;
+    say
+      "exports: %d audited keep-list entries, %d unused exports, %d \
+       test-only exports, %d stale keep-list entries"
+      (List.length Exports.keep) (count "dead-export")
+      (count "test-only-export") (count "stale-keep-entry")
   end;
   exit (if findings = [] then 0 else 1)
 

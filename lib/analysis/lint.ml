@@ -70,14 +70,13 @@ let interactive_names =
       "band_many";
       "band_f";
       "band_f_many";
-      "bor";
       "bor_many";
       "bor_f_many";
       "fuse_rounds";
     ]
 
 let parallel_entry_points =
-  [ "run_spans"; "run_tasks"; "map"; "map2"; "apply_perm" ]
+  [ "run_spans"; "run_tasks"; "apply_perm" ]
 
 type finding = {
   f_rule : Declass.rule;

@@ -214,11 +214,6 @@ let add_pub_many ?(cin = false) (ctx : Ctx.t)
           Mpc.xor_pub_vec x c, w))
        lanes)
 
-(** Addition with a public operand: the generate is local, saving the
-    generate AND round. *)
-let add_pub ?cin (ctx : Ctx.t) ~w x (c : Vec.t) =
-  (add_pub_many ?cin ctx [| (x, c, w) |]).(0)
-
 (** [sub_pub_minuend_many ctx lanes]: per lane (c, y, w), the boolean
     sharing of the public vector [c] minus the shared [y]: c + not y + 1.
     This is the A2B finishing step, batched so k conversions share each
@@ -231,17 +226,6 @@ let sub_pub_minuend_many (ctx : Ctx.t)
          (Mpc.and_mask (Mpc.bnot y) (Ring.mask w), c, w))
        lanes)
 
-(** [sub_pub_minuend ctx ~w c y] computes the boolean sharing of the public
-    vector [c] minus the shared [y]: c + not y + 1. This is the A2B
-    finishing step (x = (x + r) - r with (x + r) opened). *)
-let sub_pub_minuend (ctx : Ctx.t) ~w (c : Vec.t) y =
-  (sub_pub_minuend_many ctx [| (c, y, w) |]).(0)
-
-(** Subtract a public vector from a shared value: x - c = x + (not c) + 1. *)
-let sub_pub (ctx : Ctx.t) ~w x (c : Vec.t) =
-  let nc = Vec.map (fun v -> lnot v land Ring.mask w) c in
-  add_pub ~cin:true ctx ~w x nc
-
 (** Two's-complement negation of a boolean sharing: 0 - x. *)
 let neg (ctx : Ctx.t) ~w x =
-  sub_pub_minuend ctx ~w (Vec.zeros (Share.length x)) x
+  (sub_pub_minuend_many ctx [| (Vec.zeros (Share.length x), x, w) |]).(0)

@@ -27,21 +27,11 @@ val add_many :
 val sub : Ctx.t -> w:int -> Share.shared -> Share.shared -> Share.shared
 (** x - y = x + not y + 1, modulo 2^w. *)
 
-val add_pub :
-  ?cin:bool -> Ctx.t -> w:int -> Share.shared -> Orq_util.Vec.t ->
-  Share.shared
-(** Addition with a public operand (the generate is local). *)
-
-val sub_pub_minuend :
-  Ctx.t -> w:int -> Orq_util.Vec.t -> Share.shared -> Share.shared
-(** Public vector minus shared value — the A2B finishing step. *)
-
 val sub_pub_minuend_many :
   Ctx.t -> (Orq_util.Vec.t * Share.shared * int) array -> Share.shared array
 (** k independent public-minus-shared subtractions (lanes are (c, y,
-    width)) — the fused A2B finishing step. *)
-
-val sub_pub : Ctx.t -> w:int -> Share.shared -> Orq_util.Vec.t -> Share.shared
+    width)) — the fused A2B finishing step; the generate is local, so
+    only the prefix levels run. *)
 
 val neg : Ctx.t -> w:int -> Share.shared -> Share.shared
 (** Two's-complement negation (0 - x). *)

@@ -235,7 +235,6 @@ let lt_many (ctx : Ctx.t) (lanes : (Share.shared * Share.shared * int) array)
 (** [lt ctx ~w x y]: packed flags of [x < y] over [w]-bit naturals. *)
 let lt (ctx : Ctx.t) ~w x y = (lt_many ctx [| (x, y, w) |]).(0)
 
-let gt ctx ~w x y = lt ctx ~w y x
 let le ctx ~w x y = Mpc.bnot_f (lt ctx ~w y x)
 let ge ctx ~w x y = Mpc.bnot_f (lt ctx ~w x y)
 

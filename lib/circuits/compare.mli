@@ -33,7 +33,6 @@ val lt_many :
   Ctx.t -> (Share.shared * Share.shared * int) array -> Share.flags array
 (** k independent less-than tests in max-lane-depth fused rounds. *)
 
-val gt : Ctx.t -> w:int -> Share.shared -> Share.shared -> Share.flags
 val le : Ctx.t -> w:int -> Share.shared -> Share.shared -> Share.flags
 val ge : Ctx.t -> w:int -> Share.shared -> Share.shared -> Share.flags
 

@@ -571,24 +571,6 @@ let inner_join ?copy ?trim (left : Table.t) (right : Table.t)
     | Joincost.Sort ->
         Joinagg.join ctx Joinagg.V_inner ?copy ?trim ~left ~right ~on ())
 
-let left_outer_join ?copy (left : Table.t) (right : Table.t)
-    ~(on : string list) : Table.t =
-  parked
-    (Joinagg.join (Table.ctx left) Joinagg.V_left_outer ?copy ~left ~right
-       ~on ())
-
-let right_outer_join ?copy (left : Table.t) (right : Table.t)
-    ~(on : string list) : Table.t =
-  parked
-    (Joinagg.join (Table.ctx left) Joinagg.V_right_outer ?copy ~left ~right
-       ~on ())
-
-let full_outer_join ?copy (left : Table.t) (right : Table.t)
-    ~(on : string list) : Table.t =
-  parked
-    (Joinagg.join (Table.ctx left) Joinagg.V_full_outer ?copy ~left ~right
-       ~on ())
-
 (** Whether {!group_join} evaluates GROUP BY [keys] over the one-to-many
     join of [left] (unique on [on]) and [right]: the join key is among the
     group keys, every other group key is a left column (functionally
@@ -685,35 +667,6 @@ let group_join ?(outer = false) (left : Table.t) (right : Table.t)
         Table.project t (keys @ List.map (fun a -> a.dst) aggs)
     | Joincost.Sort -> parked (grouped Joinagg.V_inner)
   end
-
-(** Unique-key inner join (Appendix C): both sides' keys are unique in the
-    public schema, so the aggregation network is skipped — an oblivious
-    PSI-style join bounded by min(|L|, |R|). No query plan picks it
-    (the SecretFlow comparison queries use {!inner_join}); it stays as
-    the Appendix C operator its tests measure. *)
-let inner_join_unique ?copy ?trim (left : Table.t) (right : Table.t)
-    ~(on : string list) : Table.t =
-  parked (Joinagg.join_unique (Table.ctx left) ?copy ?trim ~left ~right ~on ())
-
-(** COUNT(DISTINCT over) per group: DISTINCT on (keys, over) followed by a
-    grouped count — the §3.6 pattern ORQ uses to evaluate count-distinct
-    over many-to-many joins without materializing them. *)
-let count_distinct (t : Table.t) ~(keys : string list) ~(over : string list)
-    ~(dst : string) : Table.t =
-  let d = distinct t (keys @ over) in
-  aggregate d ~keys
-    ~aggs:[ { src = List.hd (keys @ over); dst; fn = Count } ]
-
-(** THETA JOIN (§3.4): a conjunctive predicate containing at least one
-    equality — the equalities bound the output size and drive the
-    join-aggregation operator; the remaining conditions become an oblivious
-    filter over the joined table. *)
-let theta_join ?copy ?trim (left : Table.t) (right : Table.t)
-    ~(on : string list) ~(theta : Expr.pred) : Table.t =
-  (* refuse an over-wide condition before the join moves any share *)
-  let dom n = (Table.find (if Table.mem right n then right else left) n).Column.dom in
-  Expr.bound_pred ~col:dom ~le:(fun _ _ -> false) theta;
-  filter (inner_join ?copy ?trim left right ~on) theta
 
 (** SEMI JOIN — keep left rows that match some right row. Implemented as
     the swapped inner join of Appendix C.1, then projected back to the

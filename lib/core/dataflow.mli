@@ -89,15 +89,6 @@ val inner_join :
     pre-aggregate first for many-to-many, §3.6). [copy] propagates left
     columns into matching right rows. *)
 
-val left_outer_join :
-  ?copy:string list -> Table.t -> Table.t -> on:string list -> Table.t
-
-val right_outer_join :
-  ?copy:string list -> Table.t -> Table.t -> on:string list -> Table.t
-
-val full_outer_join :
-  ?copy:string list -> Table.t -> Table.t -> on:string list -> Table.t
-
 val group_join_applies :
   Table.t -> Table.t -> on:string list -> keys:string list -> aggs:agg list ->
   bool
@@ -116,21 +107,6 @@ val group_join :
     group reads zero for SUM/COUNT/MIN/MAX and its AVG (a division by a
     zero count) is undefined. Output: [keys] then the aggregation
     results. *)
-
-val inner_join_unique :
-  ?copy:string list -> ?trim:Joinagg.trim_mode -> Table.t -> Table.t ->
-  on:string list -> Table.t
-(** Unique keys on both sides: the PSI-style join of Appendix C. *)
-
-val count_distinct :
-  Table.t -> keys:string list -> over:string list -> dst:string -> Table.t
-(** COUNT(DISTINCT over) per group — DISTINCT + grouped count. *)
-
-val theta_join :
-  ?copy:string list -> ?trim:Joinagg.trim_mode ->
-  Table.t -> Table.t -> on:string list -> theta:Expr.pred -> Table.t
-(** THETA JOIN (§3.4): equalities bound the output and drive the join;
-    the remaining conjuncts become an oblivious filter. *)
 
 val semi_join :
   ?trim:Joinagg.trim_mode -> Table.t -> Table.t -> on:string list -> Table.t

@@ -38,7 +38,6 @@ let const c = Const c
 let ( +! ) a b = Add (a, b)
 let ( -! ) a b = Sub (a, b)
 let ( *! ) a b = Mul (a, b)
-let ( /! ) a b = Div (a, b)
 let ( ==. ) a b = Cmp (`Eq, a, b)
 let ( <>. ) a b = Cmp (`Neq, a, b)
 let ( <. ) a b = Cmp (`Lt, a, b)
@@ -47,7 +46,6 @@ let ( >. ) a b = Cmp (`Gt, a, b)
 let ( >=. ) a b = Cmp (`Ge, a, b)
 let ( &&. ) a b = And (a, b)
 let ( ||. ) a b = Or (a, b)
-let not_ p = Not p
 
 (* Evaluation produces a value with an encoding and a public domain, the
    interval its valid rows lie in; width and signedness follow from the

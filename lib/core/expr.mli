@@ -34,7 +34,6 @@ val const : int -> num
 val ( +! ) : num -> num -> num
 val ( -! ) : num -> num -> num
 val ( *! ) : num -> num -> num
-val ( /! ) : num -> num -> num
 val ( ==. ) : num -> num -> pred
 val ( <>. ) : num -> num -> pred
 val ( <. ) : num -> num -> pred
@@ -43,7 +42,6 @@ val ( >. ) : num -> num -> pred
 val ( >=. ) : num -> num -> pred
 val ( &&. ) : pred -> pred -> pred
 val ( ||. ) : pred -> pred -> pred
-val not_ : pred -> pred
 
 (** {2 Public bounds} *)
 

@@ -17,9 +17,7 @@
     The left input must have unique join keys (one-to-many); many-to-many
     joins pre-aggregate the left table first (§3.6), which the dataflow
     layer does. Semi- and anti-join are the swapped-input reductions of
-    Appendix C.1 and are exposed by {!Dataflow}. When *both* inputs have
-    unique keys, {!join_unique} skips the aggregation network entirely
-    (Appendix C, "Unique-key joins"). *)
+    Appendix C.1 and are exposed by {!Dataflow}. *)
 
 open Orq_proto
 
@@ -28,10 +26,9 @@ type variant =
   | V_left_outer
       (** the paper's semantics (Appendix C.1): "an inner join, plus all
           rows from the left" — matched left rows also survive, carrying
-          NULL right-columns (unlike SQL LEFT JOIN, which suppresses them) *)
-  | V_right_outer
-  | V_full_outer
-  | V_anti  (** right-outer validity + cross-table valid propagation *)
+          NULL right-columns (unlike SQL LEFT JOIN, which suppresses them);
+          {!join_grouped} only *)
+  | V_anti  (** V_LR ∧ Tid validity + cross-table valid propagation *)
 
 type trim_mode = [ `Auto | `Always | `Never ]
 
@@ -194,7 +191,7 @@ let finalize (ctx : Ctx.t) ~name ~(valid : Share.shared)
    [aggs] runs fused with the pre-pass, so it must not read the
    boundaries.
    Returns the copied columns, the final validity, the aggregation results
-   and the pre-pass (absent when the variant needs no network). --- *)
+   and the pre-pass. --- *)
 let network (ctx : Ctx.t) (variant : variant) (p : prepared)
     ~(copy : string list)
     ~(aggs : (unit -> Aggnet.spec list) option) =
@@ -215,58 +212,47 @@ let network (ctx : Ctx.t) (variant : variant) (p : prepared)
      of a group, or across it (anti) *)
   let valid_keys =
     match variant with
-    | V_inner | V_left_outer -> Some Aggnet.Group_and_tid
-    | V_anti -> Some Aggnet.Group
-    | V_right_outer | V_full_outer -> None
+    | V_inner | V_left_outer -> Aggnet.Group_and_tid
+    | V_anti -> Aggnet.Group
   in
-  let needs_tid = valid_keys = Some Aggnet.Group_and_tid || aggs <> None in
+  let needs_tid = valid_keys = Aggnet.Group_and_tid || aggs <> None in
   let vlr = Share.pack_flags v_lr' in
   let pre = ref None and vt = ref vlr and agg_specs = ref [] in
   (* the pre-pass, V_LR ∧ Tid and the aggregation sources' conversions are
-     data-independent: fused round tracks. Right-outer, full-outer and
-     anti validity never read DISTINCT; with nothing to copy or aggregate
-     they run no network at all. *)
+     data-independent: fused round tracks. Anti validity never reads
+     DISTINCT. *)
   ignore
     (Mpc.fuse_rounds ctx
        [|
          (fun () ->
-           if copy_specs <> [] || valid_keys <> None || aggs <> None then
-             let tid = if needs_tid then Some tid' else None in
-             pre := Some (Aggnet.boundaries ctx ~keys:k_a ?tid ()));
+           let tid = if needs_tid then Some tid' else None in
+           pre := Some (Aggnet.boundaries ctx ~keys:k_a ?tid ()));
          (fun () ->
            match variant with
-           | V_left_outer | V_right_outer | V_anti ->
+           | V_left_outer | V_anti ->
                vt := Mpc.band_f ctx vlr (Share.pack_flags tid')
-           | V_inner | V_full_outer -> ());
+           | V_inner -> ());
          (fun () -> Option.iter (fun f -> agg_specs := f ()) aggs);
        |]);
   (* --- validity rule per variant (temporary column V_o; the aggregation
          keys keep using V_LR, cf. Appendix C footnote). DISTINCT is the
          pre-pass's first-of-group mark. --- *)
-  let first () = Aggnet.first_of_group ctx (Option.get !pre) in
+  let pre = Option.get !pre in
+  let first () = Aggnet.first_of_group ctx pre in
   let v_o =
     match variant with
     | V_inner -> Share.unpack_flags (Mpc.band_f ctx vlr (Mpc.bnot_f (first ())))
     | V_left_outer ->
         (* V_LR ∧ ¬(Tid ∧ DISTINCT) = V_LR ⊕ (V_LR ∧ Tid ∧ DISTINCT) *)
         Mpc.xor v_lr' (Share.unpack_flags (Mpc.band_f ctx !vt (first ())))
-    | V_right_outer | V_anti -> Share.unpack_flags !vt
-    | V_full_outer -> v_lr'
+    | V_anti -> Share.unpack_flags !vt
   in
   let valid_spec =
-    Option.map
-      (fun keys -> { Aggnet.col = v_o; func = Aggnet.Copy; keys; width = 1 })
-      valid_keys
-  in
-  let all_specs =
-    List.map (fun (_, sp, _) -> sp) copy_specs
-    @ Option.to_list valid_spec
-    @ !agg_specs
+    { Aggnet.col = v_o; func = Aggnet.Copy; keys = valid_keys; width = 1 }
   in
   let results =
-    match !pre with
-    | Some b when all_specs <> [] -> Aggnet.propagate ctx b all_specs
-    | _ -> []
+    Aggnet.propagate ctx pre
+      (List.map (fun (_, sp, _) -> sp) copy_specs @ (valid_spec :: !agg_specs))
   in
   let ncopy = List.length copy_specs in
   let copied =
@@ -275,13 +261,12 @@ let network (ctx : Ctx.t) (variant : variant) (p : prepared)
       copy_specs
       (Orq_sort.Quicksort.take ncopy results)
   in
-  let rest = Orq_sort.Quicksort.drop ncopy results in
   let valid_final, agg_results =
-    match (valid_spec, rest) with
-    | Some _, v :: r -> (v, r)
-    | _ -> (v_o, rest)
+    match Orq_sort.Quicksort.drop ncopy results with
+    | v :: r -> (v, r)
+    | [] -> assert false
   in
-  (copied, valid_final, agg_results, !pre)
+  (copied, valid_final, agg_results, pre)
 
 let key_cols (p : prepared) on =
   List.map2
@@ -289,35 +274,26 @@ let key_cols (p : prepared) on =
     on (List.combine p.p_keys p.p_key_doms)
 
 (** [join ctx variant ~copy ~trim ~left ~right ~on ()] — the full
-    operator. [copy] names left columns to propagate into matching right
-    rows. *)
+    operator, inner or anti. [copy] names left columns to propagate into
+    matching right rows. *)
 let join (ctx : Ctx.t) (variant : variant) ?(copy : string list = [])
     ?(trim : trim_mode = `Auto) ~(left : Table.t) ~(right : Table.t)
     ~(on : string list) () : Table.t =
+  if variant = V_left_outer then
+    invalid_arg "Joinagg.join: inner or anti only";
   Ctx.with_label ctx "join" @@ fun () ->
   let n = Table.nrows left and m = Table.nrows right in
   let p = prepare ctx ~left ~right ~on in
   let copied, valid, _, _ = network ctx variant p ~copy ~aggs:None in
-  let out_cols = key_cols p on @ p.p_r_cols @ copied in
-  (* an outer join's unmatched rows hold zero on the absent side *)
-  let out_cols =
-    match variant with
-    | V_left_outer | V_right_outer | V_full_outer ->
-        List.map
-          (fun (name, c) -> (name, Column.with_dom c (Dom.hull c.Column.dom Dom.zero)))
-          out_cols
-    | V_inner | V_anti -> out_cols
-  in
   let do_trim =
-    match (variant, trim) with
-    | (V_left_outer | V_right_outer | V_full_outer), _ -> false
-    | _, `Never -> false
-    | _, `Always -> true
-    | _, `Auto -> should_trim ctx ~left_n:n ~right_m:m
+    match trim with
+    | `Never -> false
+    | `Always -> true
+    | `Auto -> should_trim ctx ~left_n:n ~right_m:m
   in
   finalize ctx
     ~name:(left.Table.name ^ "_join_" ^ right.Table.name)
-    ~valid ~cols:out_cols ~bound:m ~do_trim
+    ~valid ~cols:(key_cols p on @ p.p_r_cols @ copied) ~bound:m ~do_trim
 
 type grouped = {
   g_table : Table.t;
@@ -337,7 +313,7 @@ let join_grouped (ctx : Ctx.t) (variant : variant) ?(copy : string list = [])
     ~(left : Table.t) ~(right : Table.t) ~(on : string list) () : grouped =
   (match variant with
   | V_inner | V_left_outer -> ()
-  | V_right_outer | V_full_outer | V_anti ->
+  | V_anti ->
       invalid_arg "Joinagg.join_grouped: inner or left-outer only");
   Ctx.with_label ctx "join" @@ fun () ->
   let p = prepare ctx ~left ~right ~on in
@@ -351,68 +327,6 @@ let join_grouped (ctx : Ctx.t) (variant : variant) ?(copy : string list = [])
       Table.of_columns ctx
         (left.Table.name ^ "_join_" ^ right.Table.name)
         ~valid (key_cols p on @ copied);
-    g_last = Aggnet.last_of_group ctx (Option.get pre);
+    g_last = Aggnet.last_of_group ctx pre;
     g_results = results;
   }
-
-(** Unique-key inner join (Appendix C, "Unique-key joins"): when the public
-    schema guarantees unique keys on *both* sides, every group holds at
-    most one row from each input, so the aggregation network is
-    unnecessary: a single adjacent-row multiplex identifies matches and
-    pulls the left values into the right row — effectively an oblivious
-    PSI join. The output is bounded by min(|L|, |R|). *)
-let join_unique (ctx : Ctx.t) ?(copy : string list = [])
-    ?(trim : trim_mode = `Auto) ~(left : Table.t) ~(right : Table.t)
-    ~(on : string list) () : Table.t =
-  Ctx.with_label ctx "joinunique" @@ fun () ->
-  let n = Table.nrows left and m = Table.nrows right in
-  let p = prepare ctx ~left ~right ~on in
-  let nm = n + m in
-  (* an R row is in the join iff its group has a head before it (the L row
-     with the same key): valid = V_LR and Tid and not distinct *)
-  let dist = Aggnet.distinct_bits ctx ~keys:((p.p_v_lr, 1) :: p.p_keys) in
-  let valid =
-    Share.unpack_flags
-      (Mpc.band_f ctx (Share.pack_flags p.p_v_lr)
-         (Mpc.band_f ctx (Share.pack_flags p.p_tid) (Mpc.bnot_f dist)))
-  in
-  (* copy each requested left column from the immediately preceding row *)
-  let copied =
-    match copy with
-    | [] -> []
-    | _ ->
-        let sel = Share.pack_flags (Share.sub_range valid 1 (nm - 1)) in
-        let pairs =
-          List.map
-            (fun cname ->
-              match
-                List.find_opt (fun (nme, _, _) -> nme = cname) p.p_l_cols
-              with
-              | Some (_, d, c) ->
-                  (cname, c, Share.sub_range d 1 (nm - 1), Share.sub_range d 0 (nm - 1))
-              | None ->
-                  invalid_arg ("join_unique: copy column not in left: " ^ cname))
-            copy
-        in
-        let muxed =
-          Array.to_list
-            (Orq_circuits.Mux.select_many
-               ~widths:
-                 (Array.of_list (List.map (fun (_, c, _, _) -> c.Column.width) pairs))
-               ctx
-               (Array.of_list
-                  (List.map (fun (_, _, cur, prev) -> (sel, cur, prev)) pairs)))
-        in
-        (* row 0 can never be a matched R row; keep its own value *)
-        List.map2
-          (fun (cname, c, _, prev) muxed_col ->
-            ( cname,
-              Column.with_data c (Share.append (Share.sub_range prev 0 1) muxed_col) ))
-          pairs muxed
-  in
-  let out_cols = key_cols p on @ p.p_r_cols @ copied in
-  let bound = min n m in
-  let do_trim = match trim with `Never -> false | `Always | `Auto -> true in
-  finalize ctx
-    ~name:(left.Table.name ^ "_psijoin_" ^ right.Table.name)
-    ~valid ~cols:out_cols ~bound ~do_trim

@@ -14,10 +14,8 @@ type variant =
   | V_left_outer
       (** paper semantics (Appendix C.1): "an inner join, plus all rows
           from the left" — matched left rows also survive with NULL
-          right-columns (unlike SQL LEFT JOIN) *)
-  | V_right_outer
-  | V_full_outer
-  | V_anti  (** right-outer validity + cross-table valid propagation *)
+          right-columns (unlike SQL LEFT JOIN); {!join_grouped} only *)
+  | V_anti  (** V_LR ∧ Tid validity + cross-table valid propagation *)
 
 type trim_mode = [ `Auto | `Always | `Never ]
 
@@ -27,9 +25,10 @@ val should_trim : Ctx.t -> left_n:int -> right_m:int -> bool
 val join :
   Ctx.t -> variant -> ?copy:string list -> ?trim:trim_mode -> left:Table.t ->
   right:Table.t -> on:string list -> unit -> Table.t
-(** The full operator. [copy] names left columns to propagate into
-    matching right rows. Inner/anti results are optionally trimmed to
-    |right| rows. *)
+(** The full operator, inner or anti ([V_left_outer] raises
+    [Invalid_argument]). [copy] names left columns to propagate into
+    matching right rows. Results are optionally trimmed to |right|
+    rows. *)
 
 type grouped = {
   g_table : Table.t;
@@ -49,10 +48,3 @@ val join_grouped :
     bit; it runs fused with the network's pre-pass. Results land in each
     group's last row: the group's row is valid iff join validity ∧
     [g_last]. Inner and left-outer only. *)
-
-val join_unique :
-  Ctx.t -> ?copy:string list -> ?trim:trim_mode -> left:Table.t ->
-  right:Table.t -> on:string list -> unit -> Table.t
-(** Unique-key inner join (Appendix C): with unique keys on *both* sides
-    the aggregation network is skipped — one adjacent-row multiplex, a
-    PSI-style oblivious join bounded by min(|L|, |R|). *)

@@ -50,13 +50,12 @@ let profile () = !the_profile
 let cache_tag () =
   Printf.sprintf "%s:%s" (mode_label !the_mode) !the_profile.Netsim.label
 
-type variant = J_inner | J_semi | J_anti | J_outer
+type variant = J_inner | J_semi | J_anti
 
 let variant_label = function
   | J_inner -> "inner"
   | J_semi -> "semi"
   | J_anti -> "anti"
-  | J_outer -> "outer"
 
 type shape = {
   j_n : int;
@@ -240,8 +239,7 @@ let applicable (ctx : Ctx.t) (s : shape) = function
          shuffles need rows) *)
       (match s.j_variant with
       | J_inner -> true
-      | J_semi | J_anti -> s.j_group = None
-      | J_outer -> false)
+      | J_semi | J_anti -> s.j_group = None)
       && sum s.j_key_w <= ctx.Ctx.ell - 1
       && s.j_n > 0 && s.j_m > 0
 
@@ -270,14 +268,14 @@ let cheapest cands =
       in
       op
 
-(* The selection rule over already-priced candidates. *)
+(* The selection rule over already-priced candidates: a forced mode wins
+   when applicable (falling back to [Sort] when not); [Auto] takes the
+   cheapest. *)
 let pick ctx (s : shape) cands =
   match !the_mode with
   | Force op when applicable ctx s op -> op
   | Force _ -> Sort
   | Auto -> cheapest cands
-
-let choose ctx (s : shape) = pick ctx s (candidates ctx s)
 
 (* ------------------------------------------------------------------ *)
 (* Decision log (per-domain: service workers never interleave)         *)

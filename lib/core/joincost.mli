@@ -52,9 +52,7 @@ val cache_tag : unit -> string
     plan-cache key: two configurations that could pick different physical
     joins for the same SQL never alias to one cached response. *)
 
-type variant = J_inner | J_semi | J_anti | J_outer
-
-val variant_label : variant -> string
+type variant = J_inner | J_semi | J_anti
 
 type shape = {
   j_n : int;  (** build-side (left) physical rows *)
@@ -77,13 +75,8 @@ val node_op_label : shape -> op -> string
     inside the sort join's network) and ["linear+aggregate"]. *)
 
 val node_variant_label : shape -> string
-(** {!variant_label}, suffixed [" grouped"] at a grouped node. *)
-
-val applicable : Ctx.t -> shape -> op -> bool
-(** Whether an operator can implement this node: [Linear] needs an
-    inner/semi/anti variant (inner only when grouped), a composite key
-    that packs into one ring word, and nonempty inputs; [Sort] implements
-    everything. *)
+(** The variant (["inner"], ["semi"] or ["anti"]), suffixed [" grouped"]
+    at a grouped node. *)
 
 val predict : Ctx.t -> shape -> op -> Comm.tally
 (** Closed-form cost of running the node with [op], including a modeled
@@ -93,13 +86,6 @@ val predict : Ctx.t -> shape -> op -> Comm.tally
     aggregations in its network against the linear join plus the
     aggregate's network. *)
 
-val seconds : Comm.tally -> float
-(** Modeled network time of a tally under the active profile. *)
-
-val choose : Ctx.t -> shape -> op
-(** The selection rule: a forced mode wins when applicable (falling back
-    to [Sort] when not); [Auto] takes the cheapest applicable candidate
-    under {!seconds}, ties broken by fewer rounds, then fewer bits. *)
 
 (** {2 Decision log}
 
@@ -122,5 +108,12 @@ val reset_log : unit -> unit
 val log : unit -> decision list
 
 val choose_logged : Ctx.t -> node:string -> shape -> op
-(** {!choose} plus a log record — what {!Dataflow}'s join operators call
-    once per node, immediately before executing the winner. *)
+(** The selection rule, plus a log record — what {!Dataflow}'s join
+    operators call once per node, immediately before executing the
+    winner. The candidates are the applicable operators: [Linear] needs
+    an inner/semi/anti variant (inner only when grouped), a composite key
+    that packs into one ring word, and nonempty inputs; [Sort] implements
+    everything. A forced mode wins when applicable (falling back to
+    [Sort] when not); [Auto] takes the cheapest candidate in modeled
+    network time under {!profile}, ties broken by fewer rounds, then
+    fewer bits. *)

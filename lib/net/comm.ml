@@ -129,12 +129,6 @@ let live t =
     and metering no longer touch it. *)
 let stop_recording t = Option.iter (fun r -> r.active <- false) t.recorder
 
-let recording t = live t <> None
-
-(** Events recorded since {!start_recording} (including any overwritten in
-    the ring). *)
-let recorded_events t = match t.recorder with None -> 0 | Some r -> r.pos
-
 let dropped_of r = max 0 (r.pos - r.cap)
 
 (** Events lost to ring overwrite; a transcript with drops is not
@@ -186,8 +180,6 @@ let pp_event ppf (e : event) =
     (if e.ev_label = "" then "-" else e.ev_label)
     (op_label e.ev_op) e.ev_rounds e.ev_bits e.ev_messages
 
-let event_equal (a : event) (b : event) = a = b
-
 (** First position where two transcripts disagree:
     [Some (i, a_i, b_i)] with [None] standing for "ended early". *)
 let transcript_diff (a : event array) (b : event array) :
@@ -197,7 +189,7 @@ let transcript_diff (a : event array) (b : event array) :
     if i >= na && i >= nb then None
     else if i >= na then Some (i, None, Some b.(i))
     else if i >= nb then Some (i, Some a.(i), None)
-    else if event_equal a.(i) b.(i) then go (i + 1)
+    else if a.(i) = b.(i) then go (i + 1)
     else Some (i, Some a.(i), Some b.(i))
   in
   go 0
@@ -363,13 +355,6 @@ let add_tally a b =
   }
 
 let zero_tally = { t_rounds = 0; t_bits = 0; t_messages = 0 }
-
-let bytes_total (tl : tally) = float_of_int tl.t_bits /. 8.
-
-(** Bytes sent per computing party — the normalization used by the paper's
-    Table 7 ("we divide the total communication by the number of computing
-    parties"). *)
-let bytes_per_party t (tl : tally) = bytes_total tl /. float_of_int t.parties
 
 let pp_tally ppf (tl : tally) =
   Fmt.pf ppf "rounds=%d bits=%d msgs=%d (%.1f KiB)" tl.t_rounds tl.t_bits

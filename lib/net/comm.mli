@@ -75,14 +75,8 @@ val start_recording : ?capacity:int -> t -> unit
 
 val stop_recording : t -> unit
 (** Stop recording. Metering and {!push_label} no longer reach the ring,
-    but the transcript, {!recorded_events} and {!dropped_events} remain
-    readable until the next {!start_recording}. *)
-
-val recording : t -> bool
-
-val recorded_events : t -> int
-(** Events recorded since {!start_recording}, including any that were
-    overwritten in the ring. *)
+    but the transcript and {!dropped_events} remain readable until the
+    next {!start_recording}. *)
 
 val dropped_events : t -> int
 (** Events lost to ring overwrite. A transcript with drops is not
@@ -98,7 +92,6 @@ val push_label : t -> string -> unit
 
 val pop_label : t -> unit
 val current_label : t -> string
-val event_equal : event -> event -> bool
 val pp_event : Format.formatter -> event -> unit
 
 val transcript_diff :
@@ -138,8 +131,5 @@ val snapshot : t -> tally
 val since : t -> tally -> tally
 val add_tally : tally -> tally -> tally
 val zero_tally : tally
-
-val bytes_per_party : t -> tally -> float
-(** Bytes sent per computing party — the paper's Table 7 normalization. *)
 
 val pp_tally : Format.formatter -> tally -> unit

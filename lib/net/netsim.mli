@@ -21,7 +21,9 @@ val wan : profile
 (** 20 ms RTT, 6 Gbps. *)
 
 val geo : profile
-(** Worst link of the four-region deployment of Appendix E. *)
+(** Worst link of the four-region deployment of Appendix E: a
+    synchronous round completes when its slowest link does, so the
+    effective profile of a link set is (max RTT, min bandwidth). *)
 
 val local : profile
 (** Zero-cost profile: isolates the simulation's own compute time. *)
@@ -35,15 +37,3 @@ val network_time : profile -> Comm.tally -> float
 
 val estimate : profile -> compute_s:float -> Comm.tally -> float
 (** Measured compute plus modeled network time. *)
-
-(** {2 Asymmetric multi-link deployments (Appendix E)} *)
-
-type link = { l_rtt_s : float; l_bandwidth_bps : float }
-
-val of_links : string -> link list -> profile
-(** A synchronous MPC round completes when its slowest link does: the
-    effective profile of a link set is (max RTT, min bandwidth). *)
-
-val geo_four_regions : profile
-(** The paper's four-region AWS deployment, built from per-link figures;
-    equals {!geo}. *)

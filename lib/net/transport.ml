@@ -45,8 +45,6 @@ let parse_addr (s : string) : (addr, string) result =
         | _ -> Ok (Unix_sock s))
     | _ -> Ok (Unix_sock s)
 
-let parse_addr_exn s =
-  match parse_addr s with Ok a -> a | Error m -> fail "%s" m
 
 let format_addr = function
   | Unix_sock p -> "unix:" ^ p

@@ -14,9 +14,6 @@ val parse_addr : string -> (addr, string) result
 (** Accepted spellings: ["unix:/path"], a bare path, ["tcp:host:port"],
     or ["host:port"] (TCP when the suffix parses as a port). *)
 
-val parse_addr_exn : string -> addr
-(** @raise Transport_error on a malformed address. *)
-
 val format_addr : addr -> string
 (** Canonical round-trippable rendering (["unix:…"] / ["tcp:host:port"]). *)
 

@@ -572,13 +572,3 @@ let shutdown_local (l : local) : unit =
     (fun pid ->
       try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ())
     l.l_pids
-
-(** True while every party process is still alive (non-blocking). *)
-let alive (l : local) : bool =
-  Array.for_all
-    (fun pid ->
-      match Unix.waitpid [ Unix.WNOHANG ] pid with
-      | 0, _ -> true
-      | _ -> false
-      | exception Unix.Unix_error _ -> false)
-    l.l_pids

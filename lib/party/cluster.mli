@@ -90,5 +90,3 @@ val launch_local :
 val shutdown_local : local -> unit
 (** SIGTERM every party and reap them all. *)
 
-val alive : local -> bool
-(** True while every party process is still alive (non-blocking). *)

@@ -40,7 +40,6 @@ and agg_node = {
 
 let scan ?(keys = []) t = Scan { s_table = t; s_keys = keys }
 let filter p n = Filter (p, n)
-let project cols n = Project (cols, n)
 let map dst e n = Map (dst, e, n)
 let join l r ~on = Join { j_left = l; j_right = r; j_on = on }
 let aggregate ~keys ~aggs n = Aggregate { a_keys = keys; a_aggs = aggs; a_input = n }

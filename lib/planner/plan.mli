@@ -31,7 +31,6 @@ and agg_node = {
 
 val scan : ?keys:string list list -> Table.t -> node
 val filter : Expr.pred -> node -> node
-val project : string list -> node -> node
 val map : string -> Expr.num -> node -> node
 val join : node -> node -> on:string list -> node
 val aggregate : keys:string list -> aggs:Dataflow.agg list -> node -> node

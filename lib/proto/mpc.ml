@@ -36,7 +36,6 @@ let fuse_rounds (ctx : Ctx.t) thunks = Comm.fuse ctx.Ctx.comm thunks
 
 let share_a ctx x = Share.share ctx Arith x
 let share_b ctx x = Share.share ctx Bool x
-let public_a ctx n c = Share.public ctx Arith n c
 
 (* ------------------------------------------------------------------ *)
 (* Local linear operations                                             *)
@@ -397,11 +396,6 @@ let bor_many ?widths (ctx : Ctx.t) (xs : shared array) (ys : shared array) :
     shared array =
   let zs = band_many ?widths ctx xs ys in
   Array.mapi (fun i z -> Share.map3_vectors Vec.xor3 xs.(i) ys.(i) z) zs
-
-(** OR of one lane: x ⊕ y ⊕ (x ∧ y). *)
-let bor ?width ctx x y =
-  let z = band ?width ctx x y in
-  Share.map3_vectors Vec.xor3 x y z
 
 (* ------------------------------------------------------------------ *)
 (* Packed single-bit flag lanes                                        *)

@@ -34,7 +34,6 @@ val fuse_rounds : Ctx.t -> (unit -> 'a) array -> 'a array
 
 val share_a : Ctx.t -> Orq_util.Vec.t -> shared
 val share_b : Ctx.t -> Orq_util.Vec.t -> shared
-val public_a : Ctx.t -> int -> int -> shared
 
 (** {2 Local linear operations} *)
 
@@ -87,9 +86,6 @@ val mul : ?width:int -> Ctx.t -> shared -> shared -> shared
 val band : ?width:int -> Ctx.t -> shared -> shared -> shared
 (** Secure elementwise bitwise AND of boolean shares (same structures over
     GF(2)). *)
-
-val bor : ?width:int -> Ctx.t -> shared -> shared -> shared
-(** x ∨ y = x ⊕ y ⊕ (x ∧ y). *)
 
 val mul_many :
   ?widths:int array -> Ctx.t -> shared array -> shared array -> shared array

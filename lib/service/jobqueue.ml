@@ -83,14 +83,6 @@ let enqueue_unlocked t ~group ~prio x =
   c.cls_depth <- c.cls_depth + 1;
   Condition.signal t.nonempty
 
-let try_push t ~group ~prio x =
-  with_lock t (fun () ->
-      if t.closed || depth_unlocked t + t.running >= t.capacity then false
-      else begin
-        enqueue_unlocked t ~group ~prio x;
-        true
-      end)
-
 (* Blocking admission: wait up to [timeout_s] for an in-flight slot. The
    stdlib [Condition] has no timed wait, so saturation is polled on a
    short period — the poll only runs while the server is at capacity, so

@@ -13,8 +13,7 @@
       job per competing group — it cannot starve it.
     - {b Graceful backpressure.} {!push} blocks the caller (up to a
       timeout) while the server is at capacity instead of failing
-      immediately; {!try_push} keeps the old non-blocking admission for
-      callers that want it. Queue depth and recent queue-wait percentiles
+      immediately (a zero timeout admits without blocking). Queue depth and recent queue-wait percentiles
       are observable ({!counts}, {!wait_percentiles}) so saturation is
       reported with numbers, not a bare busy bit.
 
@@ -37,10 +36,6 @@ type counts = {
 
 val create : capacity:int -> 'a t
 (** @raise Invalid_argument if [capacity < 0]. *)
-
-val try_push : 'a t -> group:int -> prio:prio -> 'a -> bool
-(** Admit a job if in-flight < capacity and the queue is open; never
-    blocks. *)
 
 val push : 'a t -> group:int -> prio:prio -> timeout_s:float -> 'a -> bool
 (** Blocking admission: wait up to [timeout_s] for an in-flight slot,

@@ -3,9 +3,7 @@
     Permutations are index maps: [p.(i) = j] means the value at position [i]
     moves to position [j]. Random permutations come from Fisher–Yates over a
     seeded PRG (so parties sharing a seed derive identical permutations);
-    application is parallelized by giving each worker a contiguous input
-    span with full write access to the output — a permutation writes every
-    slot exactly once. *)
+    application is {!Parallel.apply_perm}. *)
 
 open Orq_util
 
@@ -21,24 +19,6 @@ let random (prg : Prg.t) n =
     p.(j) <- t
   done;
   p
-
-(** [apply x p] places [x.(i)] at position [p.(i)]. *)
-let apply (x : Vec.t) (p : int array) : Vec.t = Parallel.apply_perm x p
-
-(** [apply_inverse x p] undoes {!apply}: result.(i) = x.(p.(i)). *)
-let apply_inverse (x : Vec.t) (p : int array) : Vec.t = Vec.gather x p
-
-(** [invert p]: the permutation q with q.(p.(i)) = i. Parallel: inversion
-    writes every output slot exactly once, so spans get full write access
-    like {!apply}. *)
-let invert (p : int array) =
-  let n = Array.length p in
-  let q = Array.make n 0 in
-  Parallel.run_spans n (fun pos len ->
-      for i = pos to pos + len - 1 do
-        q.(p.(i)) <- i
-      done);
-  q
 
 (** [compose pi rho] is pi ∘ rho (apply rho first): (pi ∘ rho).(i) =
     pi.(rho.(i)) — a gather of [pi] by [rho], parallel over output spans. *)

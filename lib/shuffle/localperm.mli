@@ -1,17 +1,10 @@
 (** Plaintext permutations (Appendix A.2), represented as index maps:
     [p.(i) = j] moves the value at position [i] to position [j]. Random
     permutations are Fisher–Yates over a seeded PRG; application is
-    parallelized over disjoint input spans. *)
+    {!Orq_util.Parallel.apply_perm}. *)
 
 val identity : int -> int array
 val random : Orq_util.Prg.t -> int -> int array
-
-val apply : Orq_util.Vec.t -> int array -> Orq_util.Vec.t
-(** [apply x p] places [x.(i)] at position [p.(i)]. *)
-
-val apply_inverse : Orq_util.Vec.t -> int array -> Orq_util.Vec.t
-
-val invert : int array -> int array
 
 val compose : int array -> int array -> int array
 (** [compose pi rho] is pi ∘ rho (apply rho first). *)

@@ -86,7 +86,7 @@ let plaintext (t : t) =
    intermediate whose chunks we must release deterministically. *)
 let apply_component (ctx : Ctx.t) (c : Share.chunked) (p : int array)
     ~inverse ~owned ~mask =
-  (* Localperm.apply places x.(i) at p.(i) (a scatter); its inverse is a
+  (* applying p places x.(i) at p.(i) (a scatter); its inverse is a
      gather by p. *)
   let permuted =
     if inverse then Share.gather_c c p else Share.scatter_c c p

@@ -12,7 +12,7 @@
     Canonical form: bits at positions [>= n] in the last word are zero.
     Every constructor and operation here preserves that invariant (AND/XOR
     of canonical inputs are canonical; NOT and random fills re-mask the
-    tail), so {!popcount} and word-level equality are exact. The word array
+    tail), so word-level equality and bit counts are exact. The word array
     is exposed ({!words}) precisely so the MPC layer can run the fused
     {!Vec} protocol kernels — Beaver recombination, replicated cross terms
     — directly over packed words. *)
@@ -49,8 +49,6 @@ let of_words n w =
   mask_tail { n; w }
 
 let copy t = { t with w = Array.copy t.w }
-let equal a b = a.n = b.n && a.w = b.w
-
 let get t i =
   if i < 0 || i >= t.n then invalid_arg "Bits.get: index out of range";
   (t.w.(i / bpw) lsr (i mod bpw)) land 1
@@ -147,8 +145,6 @@ let xor3 a b c =
   check_len "xor3" a b;
   check_len "xor3" a c;
   { a with w = Vec.xor3 a.w b.w c.w }
-
-let popcount t = Array.fold_left (fun acc x -> acc + Ring.popcount x) 0 t.w
 
 (* ------------------------------------------------------------------ *)
 (* Randomness (per word: 63 flags per PRG call)                        *)

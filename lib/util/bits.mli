@@ -2,8 +2,7 @@
     flags per ring word.
 
     Canonical form: bits at positions [>= n] in the last word are zero —
-    preserved by every operation here, so {!popcount} and word equality
-    are exact. {!words} exposes the underlying word array so the MPC layer
+    preserved by every operation here, so word equality is exact. {!words} exposes the underlying word array so the MPC layer
     can run the fused {!Vec} protocol kernels directly over packed words;
     treat it as read/write shared state, not a copy. *)
 
@@ -19,7 +18,6 @@ val of_words : int -> int array -> t
     form). The array must have exactly ⌈n / bpw⌉ words. *)
 
 val copy : t -> t
-val equal : t -> t -> bool
 val get : t -> int -> int
 
 val pack : int array -> t
@@ -40,7 +38,6 @@ val xor : t -> t -> t
 val bnot : t -> t
 val xor_into : t -> t -> unit
 val xor3 : t -> t -> t -> t
-val popcount : t -> int
 
 val random : Prg.t -> int -> t
 (** [random prg n]: n uniform flags from ⌈n / bpw⌉ PRG draws (one call

@@ -271,29 +271,8 @@ let run_tasks k f =
   else dispatch (ensure_pool ()) (List.init k (fun i -> (i, 1))) (fun pos _ -> f pos)
 
 (* ------------------------------------------------------------------ *)
-(* Convenience maps                                                    *)
+(* Permutation application                                             *)
 (* ------------------------------------------------------------------ *)
-
-(** Parallel elementwise map over an int vector. *)
-let map f (a : int array) =
-  let n = Array.length a in
-  let out = Array.make n 0 in
-  run_spans n (fun pos len ->
-      for i = pos to pos + len - 1 do
-        out.(i) <- f a.(i)
-      done);
-  out
-
-(** Parallel elementwise binary map. *)
-let map2 f (a : int array) (b : int array) =
-  let n = Array.length a in
-  assert (Array.length b = n);
-  let out = Array.make n 0 in
-  run_spans n (fun pos len ->
-      for i = pos to pos + len - 1 do
-        out.(i) <- f a.(i) b.(i)
-      done);
-  out
 
 (** Parallel application of a plaintext index permutation: the paper's
     Appendix A.2 observation that each thread may receive full write access

@@ -49,9 +49,6 @@ val run_tasks : int -> (int -> unit) -> unit
     blocked algorithms needing an explicit decomposition shared across
     phases (e.g. the two-pass prefix sum). *)
 
-val map : (int -> int) -> int array -> int array
-val map2 : (int -> int -> int) -> int array -> int array -> int array
-
 val apply_perm : int array -> int array -> int array
 (** Parallel application of a plaintext index permutation; each worker has
     full write access to the output because a permutation writes every

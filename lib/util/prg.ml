@@ -27,8 +27,6 @@ let of_state s =
 
 let create seed = of_state (Int64.of_int seed)
 
-let copy = Bytes.copy
-
 (** Restart the stream from [seed], discarding any state. Used to give
     each service query its own derived session seed so executions are
     history-independent (identical transcripts whatever ran before). *)
@@ -52,8 +50,6 @@ let[@inline] advance t =
   let z = Int64.add (get t) golden in
   set t z;
   z
-
-let next64 t = mix (advance t)
 
 (** A uniformly random ring word (63 bits). *)
 let word t = Int64.to_int (mix (advance t)) land Ring.ones

@@ -11,9 +11,6 @@ type t
 val create : int -> t
 (** [create seed] builds a generator with a deterministic stream. *)
 
-val copy : t -> t
-(** An independent handle continuing the same stream. *)
-
 val reseed : t -> int -> unit
 (** [reseed t seed] restarts the stream from [seed] in place, exactly as
     if [t] had just been built by [create seed]. *)
@@ -25,9 +22,6 @@ val sync : dst:t -> src:t -> unit
 val split : t -> int -> t
 (** [split t i] derives the [i]-th child generator (independent stream),
     without advancing [t]. *)
-
-val next64 : t -> int64
-(** Next raw 64-bit output. *)
 
 val word : t -> int
 (** A uniformly random ring word (63 bits). *)

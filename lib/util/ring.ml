@@ -20,15 +20,9 @@ let mask ell =
   assert (ell >= 0 && ell <= word_bits);
   if ell = word_bits then ones else (1 lsl ell) - 1
 
-(** [truncate ell x] keeps only the low [ell] bits of [x]. *)
-let truncate ell x = x land mask ell
-
 (** [to_signed x] reinterprets the ring element as a signed integer, which
     for native ints is the identity. Kept for documentation symmetry. *)
 let to_signed (x : int) = x
-
-(** [bit x i] is bit [i] of [x] as 0 or 1. *)
-let bit x i = (x lsr i) land 1
 
 (** [popcount x] counts set bits. *)
 let popcount x =

@@ -16,15 +16,9 @@ val mask : int -> int
 (** [mask ell] is a word with the low [ell] bits set;
     [ell] must be in [0, word_bits]. *)
 
-val truncate : int -> int -> int
-(** [truncate ell x] keeps only the low [ell] bits of [x]. *)
-
 val to_signed : int -> int
 (** Reinterpret a ring element as a signed integer (the identity for
     native ints; kept for documentation symmetry). *)
-
-val bit : int -> int -> int
-(** [bit x i] is bit [i] of [x], as 0 or 1. *)
 
 val popcount : int -> int
 (** Number of set bits. *)

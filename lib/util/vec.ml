@@ -120,17 +120,6 @@ let band (a : t) (b : t) : t =
       done);
   out
 
-let bor (a : t) (b : t) : t =
-  check2 a b;
-  let n = Array.length a in
-  let out = Array.make n 0 in
-  Parallel.run_spans n (fun pos len ->
-      for i = pos to pos + len - 1 do
-        Array.unsafe_set out i
-          (Array.unsafe_get a i lor Array.unsafe_get b i)
-      done);
-  out
-
 let bnot (a : t) : t =
   let n = Array.length a in
   let out = Array.make n 0 in
@@ -408,24 +397,6 @@ let sum (a : t) =
     Array.fold_left ( + ) 0 partial
   end
 
-let xor_all (a : t) =
-  let n = Array.length a in
-  let d = Parallel.get_num_domains () in
-  let mc = Parallel.get_min_chunk () in
-  if d <= 1 || n < d * mc then Array.fold_left ( lxor ) 0 a
-  else begin
-    let spans = Array.of_list (Parallel.chunks n d) in
-    let partial = Array.make (Array.length spans) 0 in
-    Parallel.run_tasks (Array.length spans) (fun t ->
-        let pos, len = spans.(t) in
-        let acc = ref 0 in
-        for i = pos to pos + len - 1 do
-          acc := !acc lxor Array.unsafe_get a i
-        done;
-        partial.(t) <- !acc);
-    Array.fold_left ( lxor ) 0 partial
-  end
-
 (** In-place running (inclusive) prefix sum in the ring; linear local work.
     Additive secret sharing commutes with prefix sums, which is what makes
     the paper's [genBitPerm] destinations computable locally. Parallel via
@@ -468,13 +439,10 @@ let prefix_sum (a : t) : t =
   prefix_sum_inplace b;
   b
 
-(** [concat2 a b] and [split2 v n] serve the batched-round pattern: two
-    independent secure operations are packed into one vector so they cost a
-    single communication round. *)
+(** [concat2 a b] serves the batched-round pattern: two independent
+    secure operations are packed into one vector so they cost a single
+    communication round. *)
 let concat2 (a : t) (b : t) : t = Array.append a b
-
-let split2 (v : t) n : t * t =
-  (Array.sub v 0 n, Array.sub v n (Array.length v - n))
 
 (** n-way generalization of {!concat2}: one offset-table pass, one output
     allocation, per-lane blits dispatched to the domain pool (each lane
@@ -526,18 +494,3 @@ let scatter (a : t) (idx : int array) : t =
   out
 
 let sub_range (a : t) pos len : t = Array.sub a pos len
-
-let rev (a : t) : t =
-  let n = Array.length a in
-  let out = Array.make n 0 in
-  Parallel.run_spans n (fun pos len ->
-      for i = pos to pos + len - 1 do
-        Array.unsafe_set out i (Array.unsafe_get a (n - 1 - i))
-      done);
-  out
-
-let equal (a : t) (b : t) =
-  Array.length a = Array.length b
-  &&
-  let rec go i = i >= Array.length a || (a.(i) = b.(i) && go (i + 1)) in
-  go 0

@@ -28,7 +28,6 @@ val mul_scalar : t -> int -> t
 
 val xor : t -> t -> t
 val band : t -> t -> t
-val bor : t -> t -> t
 val bnot : t -> t
 val xor_scalar : t -> int -> t
 val and_scalar : t -> int -> t
@@ -100,8 +99,6 @@ val rep3_bool_into : t -> xi:t -> yi:t -> xj:t -> yj:t -> unit
 (** {2 Reductions} *)
 
 val sum : t -> int
-val xor_all : t -> int
-
 val prefix_sum_inplace : t -> unit
 (** In-place running (inclusive) prefix sum in the ring — linear local
     work; additive secret sharing commutes with it, which is what makes
@@ -114,8 +111,6 @@ val prefix_sum : t -> t
 val concat2 : t -> t -> t
 (** Pack two vectors into one so two independent secure operations share a
     single communication round. *)
-
-val split2 : t -> int -> t * t
 
 val concat_many : t array -> t
 (** n-way {!concat2}: offset-table based, one output allocation, per-lane
@@ -131,5 +126,3 @@ val scatter : t -> int array -> t
     duplicate destination otherwise drops an element silently). *)
 
 val sub_range : t -> int -> int -> t
-val rev : t -> t
-val equal : t -> t -> bool

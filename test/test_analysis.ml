@@ -10,7 +10,7 @@ module Exports = Orq_analysis.Exports
 module Primcost = Orq_proto.Primcost
 module Certify = Orq_analysis.Certify
 
-let event_t = Alcotest.testable Comm.pp_event Comm.event_equal
+let event_t = Alcotest.testable Comm.pp_event ( = )
 
 (* ---------------- lint ---------------- *)
 
@@ -26,7 +26,7 @@ let leak ctx xs =
   done;
   !total
 
-let racy ctx x y = Parallel.map (fun _ -> Mpc.band ctx x y) [ 1; 2 ]
+let racy ctx x y = Parallel.run_tasks 2 (fun _ -> ignore (Mpc.band ctx x y))
 |}
 
 let test_lint_flags_seeded_violations () =
@@ -44,7 +44,7 @@ let test_lint_flags_seeded_violations () =
   Alcotest.(check bool) "if on opened value flagged" true
     (has Declass.Branch "if");
   Alcotest.(check bool) "Mpc inside Parallel lambda flagged" true
-    (has Declass.In_parallel "map");
+    (has Declass.In_parallel "run_tasks");
   (* site naming: Module.function from the filename + top-level binding *)
   List.iter
     (fun (f : Lint.finding) ->
@@ -136,12 +136,13 @@ let test_exports_flags_unused () =
   let mli =
     ( "lib/x/stack.mli",
       "val push : int -> unit\nval pop : unit -> int\nval peek : unit -> int\n\
-       val dead : int\n" )
+       val dead : int\nval shown : unit -> unit\nval tested : int -> int\n\
+       val oracle : int -> bool\n" )
   in
   let impls =
     [
       (* its own module's uses do not count *)
-      ("lib/x/stack.ml", "let dead = 1\nlet peek () = dead\n");
+      ("lib/x/stack.ml", "let dead = 1\nlet peek () = dead\nlet tested x = x\n");
       (* a qualified use through a library prefix *)
       ("lib/y/a.ml", "let f () = Orq_x.Stack.push 1\n");
       (* an alias declared in one file, opened from another *)
@@ -149,12 +150,57 @@ let test_exports_flags_unused () =
       ("lib/y/b.ml", "open Util\nlet g () = S.pop ()\n");
       (* a bare name under a local open *)
       ("bench/c.ml", "let h () = Stack.(peek ())\n");
+      (* examples/ is a reference root *)
+      ("examples/demo.ml", "let () = Stack.shown ()\n");
     ]
   in
-  let found =
-    List.map (fun f -> f.Exports.x_site) (Exports.audit ~interfaces:[ mli ] ~impls)
+  (* test/ uses tell the two classes apart but never make a val live *)
+  let tests =
+    [ ("test/test_stack.ml", "let () = assert (Stack.tested 1 = 1 && Stack.oracle 2)\n") ]
   in
-  Alcotest.(check (list string)) "only the unused export" [ "Stack.dead" ] found
+  let found ~keep =
+    List.map
+      (fun f -> (f.Exports.x_site, Exports.rule_label f.Exports.x_kind))
+      (Exports.audit ~keep ~interfaces:[ mli ] ~impls ~tests ())
+  in
+  Alcotest.(check (list (pair string string)))
+    "the unused export and the test-only ones"
+    [
+      ("Stack.dead", "dead-export");
+      ("Stack.tested", "test-only-export");
+      ("Stack.oracle", "test-only-export");
+    ]
+    (found ~keep:[]);
+  (* a keep entry covers either class *)
+  Alcotest.(check (list (pair string string)))
+    "kept exports are not reported" [ ("Stack.tested", "test-only-export") ]
+    (found ~keep:[ ("Stack.dead", "kept"); ("Stack.oracle", "kept") ]);
+  (* an entry whose val is gone, or that now has a use outside test/, is
+     stale and fails the audit *)
+  let stale =
+    List.filter_map
+      (fun f ->
+        match f.Exports.x_kind with
+        | Exports.Stale_keep why -> Some (f.Exports.x_site, why)
+        | _ -> None)
+      (Exports.audit
+         ~keep:[ ("Stack.gone", "kept"); ("Stack.push", "kept"); ("Other.gone", "kept") ]
+         ~interfaces:[ mli ] ~impls ~tests ())
+  in
+  Alcotest.(check (list (pair string string)))
+    "stale keep-list entries"
+    [ ("Stack.push", "used outside test/"); ("Stack.gone", "no such val") ]
+    stale
+
+let test_exports_keep_list_is_justified () =
+  List.iter
+    (fun (site, why) ->
+      Alcotest.(check bool) (site ^ " has a written reason") true
+        (String.length why > 20))
+    Exports.keep;
+  Alcotest.(check int) "one entry per site"
+    (List.length Exports.keep)
+    (List.length (List.sort_uniq compare (List.map fst Exports.keep)))
 
 (* ---------------- env-knob inventory ---------------- *)
 
@@ -235,9 +281,9 @@ let test_env_knob_inventory () =
 
 let test_recorder_ring_and_labels () =
   let c = Comm.create ~parties:3 in
-  Alcotest.(check bool) "off by default" false (Comm.recording c);
   Comm.round c ~bits:10 ~messages:1;
-  Alcotest.(check int) "no events recorded when off" 0 (Comm.recorded_events c);
+  Alcotest.(check int) "no events recorded when off" 0
+    (Array.length (Comm.transcript c));
   Comm.start_recording ~capacity:4 c;
   Comm.push_label c "op";
   Comm.push_label c "inner";
@@ -260,10 +306,9 @@ let test_recorder_ring_and_labels () =
   Alcotest.(check int) "transcript truncated to capacity" 4
     (Array.length (Comm.transcript c));
   Comm.stop_recording c;
-  Alcotest.(check bool) "stopped" false (Comm.recording c);
   Comm.push_label c "after";
   Comm.round c ~bits:1 ~messages:1;
-  Alcotest.(check int) "stop halts recording" 8 (Comm.recorded_events c);
+  Alcotest.(check int) "stop halts recording" 4 (Comm.dropped_events c);
   Alcotest.(check string) "no label once stopped" "" (Comm.current_label c)
 
 (* The transcript outlives [stop_recording] and goes with the next
@@ -279,7 +324,7 @@ let test_transcript_after_stop () =
   Comm.stop_recording c;
   Comm.round c ~bits:9 ~messages:1;
   Comm.pop_label c;
-  let event_t = Alcotest.testable Comm.pp_event Comm.event_equal in
+  let event_t = Alcotest.testable Comm.pp_event ( = ) in
   Alcotest.(check (array event_t)) "same events after stop" before
     (Comm.transcript c);
   Alcotest.(check int) "two events kept" 2 (Array.length before);
@@ -410,9 +455,6 @@ let test_costmodel_adders () =
                 [
                   ("add", Primcost.add kind ~w ~n, fun ctx -> Adder.add ctx ~w (b ctx 1) (b ctx 2));
                   ("sub", Primcost.add kind ~w ~n, fun ctx -> Adder.sub ctx ~w (b ctx 1) (b ctx 2));
-                  ( "add_pub",
-                    Primcost.add_pub kind ~w ~n,
-                    fun ctx -> Adder.add_pub ~cin:true ctx ~w (b ctx 1) (data 2) );
                   ("neg", Primcost.add_pub kind ~w ~n, fun ctx -> Adder.neg ctx ~w (b ctx 1));
                   ( "a2b",
                     Primcost.a2b kind ~ell ~w ~n,
@@ -510,7 +552,7 @@ let test_costmodel_fused_openings () =
               in
               opened := vs;
               moved := List.map Share.reconstruct_c cs);
-          let permuted x = Orq_shuffle.Localperm.apply x !perm in
+          let permuted x = Orq_util.Parallel.apply_perm x !perm in
           Alcotest.(check (list vec)) (tag "opened lanes")
             [ permuted a; permuted rho ] !opened;
           Alcotest.(check (list vec)) (tag "reshared lane") [ permuted b ] !moved;
@@ -526,7 +568,7 @@ let test_costmodel_fused_openings () =
                      [ (Share.wrap (Mpc.share_b ctx c), 13) ]
                      (Mpc.share_b ctx rho)));
           Alcotest.(check (list vec)) (tag "applyperm values")
-            [ Orq_shuffle.Localperm.apply c rho ] !out;
+            [ Orq_util.Parallel.apply_perm c rho ] !out;
           (* lexicographic less-than, opened, over one to five columns *)
           List.iter
             (fun ws ->
@@ -596,6 +638,54 @@ let test_certify_queries () =
         (Printf.sprintf "%s/%s nonempty" c.Certify.c_query c.Certify.c_protocol)
         true (c.Certify.c_events > 0))
     certs
+
+(* The quicksort branch of the certifier: an ORDER BY whose key domain is
+   wider than 32 bits sorts with quicksort, whose opened comparisons
+   follow the data. All-equal keys (measured) against distinct keys
+   (predicted) certify only modulo the quarantined quicksort events, and
+   a divergence outside them is still caught. *)
+let test_certify_quicksort_branch () =
+  let n = 24 in
+  let order_by ctx keys =
+    let t =
+      Orq_core.Table.create ctx "t"
+        [ ("k", 40, keys); ("v", 8, Array.init n (fun i -> i)) ]
+    in
+    let sorted = Orq_core.Dataflow.order_by t [ ("k", Orq_core.Dataflow.Asc) ] in
+    (t, sorted)
+  in
+  let equal_keys = Array.make n (1 lsl 35)
+  and distinct_keys = Array.init n (fun i -> (1 lsl 35) + ((i * 7919) mod 1013)) in
+  let measured ctx =
+    let t, sorted = order_by ctx equal_keys in
+    let cols = [ "k"; "v" ] in
+    Orq_core.Table.valid_rows_sorted sorted cols
+    = Orq_core.Table.valid_rows_sorted t cols
+  in
+  let predicted ctx = ignore (order_by ctx distinct_keys) in
+  List.iter
+    (fun kind ->
+      let lbl = Ctx.kind_label kind in
+      let c = Certify.certify_one ~query:"orderby-wide" ~kind ~measured ~predicted in
+      let ctx = Ctx.create ~seed:5 kind in
+      let _, tr, _ = Certify.record ctx (fun () -> measured ctx) in
+      Alcotest.(check bool) (lbl ^ " quicksort events present") true
+        (Array.exists Certify.quicksort_event tr);
+      Alcotest.(check string) (lbl ^ " mode") "modulo-quicksort"
+        (Certify.mode_label c.Certify.c_mode);
+      Alcotest.(check bool) (lbl ^ " certified") true c.Certify.c_ok;
+      Alcotest.(check bool) (lbl ^ " validated") true c.Certify.c_validated;
+      (* an extra open outside the quicksort label *)
+      let leaky =
+        Certify.certify_one ~query:"orderby-wide-leak" ~kind ~measured
+          ~predicted:(fun ctx ->
+            predicted ctx;
+            ignore (Mpc.open_ ctx (Mpc.share_b ctx [| 1 |])))
+      in
+      Alcotest.(check bool) (lbl ^ " extra open rejected") false leaky.Certify.c_ok;
+      Alcotest.(check bool) (lbl ^ " rejected outside quicksort") true
+        (Certify.contains ~sub:"quicksort-projected" leaky.Certify.c_detail))
+    Ctx.all_kinds
 
 let test_certify_catches_shape_leak () =
   (* sanity that the certifier can fail: two runs whose traces differ in
@@ -684,6 +774,8 @@ let suite =
     Alcotest.test_case "env knobs are audited" `Quick test_env_knob_inventory;
     Alcotest.test_case "exports flags unused vals" `Quick
       test_exports_flags_unused;
+    Alcotest.test_case "exports keep-list entries are justified" `Quick
+      test_exports_keep_list_is_justified;
     Alcotest.test_case "recorder ring + label stack" `Quick
       test_recorder_ring_and_labels;
     Alcotest.test_case "transcript readable after stop" `Quick
@@ -701,6 +793,8 @@ let suite =
     Alcotest.test_case "certifier: live queries" `Slow test_certify_queries;
     Alcotest.test_case "certifier: rejects shape leak" `Quick
       test_certify_catches_shape_leak;
+    Alcotest.test_case "certifier: quicksort branch" `Quick
+      test_certify_quicksort_branch;
     Alcotest.test_case "shape twin" `Quick test_twin_preserves_shape_only;
     Alcotest.test_case "certificate report reads back" `Quick test_report_round_trip;
   ]

@@ -104,7 +104,7 @@ let test_filter_or_not () =
       let t = mk_customers ctx in
       let t' =
         Dataflow.filter t
-          Expr.(col "Segment" ==. const 3 ||. not_ (col "Balance" >. const 0))
+          Expr.(col "Segment" ==. const 3 ||. Not (col "Balance" >. const 0))
       in
       Alcotest.(check rows_t) "or/not" [ [ 4 ]; [ 5 ] ]
         (Table.valid_rows_sorted t' [ "CustKey" ]))
@@ -128,7 +128,7 @@ let test_private_division_expr () =
   let t =
     Table.create ctx "d" [ ("A", 16, [| 100; 81 |]); ("B", 8, [| 7; 9 |]) ]
   in
-  let t = Dataflow.map t ~dst:"Q" Expr.(col "A" /! col "B") in
+  let t = Dataflow.map t ~dst:"Q" Expr.(Div (col "A", col "B")) in
   Alcotest.(check rows_t) "private division" [ [ 9 ]; [ 14 ] ]
     (Table.valid_rows_sorted t [ "Q" ])
 
@@ -533,54 +533,6 @@ let test_join_respects_validity () =
     [ [ 1; 50 ]; [ 3; 70 ] ]
     (Table.valid_rows_sorted j [ "CustKey"; "Price" ])
 
-let test_left_outer_join () =
-  let ctx = hm () in
-  let c, o = customers_orders ctx in
-  let j = Dataflow.left_outer_join c o ~on:[ "CustKey" ] ~copy:[ "Nation" ] in
-  (* the paper's left outer (Appendix C.1) is "inner join plus ALL rows
-     from the left": every L row survives, with NULL R-columns *)
-  let pc, po = p_customers_orders () in
-  let pj = Ptable.inner_join pc po ~on:[ "CustKey" ] in
-  let l_rows =
-    Ptable.map pc ~dst:"Price" (fun _ _ -> 0)
-  in
-  let expected =
-    List.sort compare
-      (Ptable.rows_sorted pj [ "CustKey"; "Nation"; "Price" ]
-      @ Ptable.rows_sorted l_rows [ "CustKey"; "Nation"; "Price" ])
-  in
-  Alcotest.(check rows_t) "left outer (paper semantics)" expected
-    (Table.valid_rows_sorted j [ "CustKey"; "Nation"; "Price" ])
-
-let test_right_outer_join () =
-  let ctx = hm () in
-  let c, o = customers_orders ctx in
-  let j = Dataflow.right_outer_join c o ~on:[ "CustKey" ] ~copy:[ "Nation" ] in
-  (* all 6 order rows survive; order with CustKey 5 has Nation NULL(0) *)
-  Alcotest.(check rows_t) "right outer"
-    [
-      [ 1; 10; 50 ];
-      [ 2; 20; 20 ];
-      [ 2; 20; 30 ];
-      [ 2; 20; 100 ];
-      [ 3; 10; 70 ];
-      [ 5; 0; 999 ];
-    ]
-    (Table.valid_rows_sorted j [ "CustKey"; "Nation"; "Price" ])
-
-let test_full_outer_join () =
-  let ctx = hm () in
-  let c, o = customers_orders ctx in
-  let j = Dataflow.full_outer_join c o ~on:[ "CustKey" ] ~copy:[ "Nation" ] in
-  (* right rows + unmatched left (CustKey 4) with NULL price; matched left
-     rows appear too (full outer keeps everything: n + m rows, but matched
-     L rows carry NULL data columns from R) *)
-  Alcotest.(check int) "physical size n+m" 10 (Table.nrows j);
-  let rows = Table.valid_rows_sorted j [ "CustKey" ] in
-  Alcotest.(check rows_t) "all keys present"
-    [ [ 1 ]; [ 1 ]; [ 2 ]; [ 2 ]; [ 2 ]; [ 2 ]; [ 3 ]; [ 3 ]; [ 4 ]; [ 5 ] ]
-    rows
-
 let test_semi_join () =
   for_all_kinds (fun ctx ->
       let c, o = customers_orders ctx in
@@ -886,26 +838,6 @@ let test_trim_heuristic_values () =
   Alcotest.(check bool) "L=100, R=600 does not" false
     (Joinagg.should_trim ctx ~left_n:100 ~right_m:600)
 
-(* ---------------- theta join ---------------- *)
-
-let test_theta_join () =
-  let ctx = hm () in
-  let l =
-    Table.create ctx "L"
-      [ ("k", 8, [| 1; 2; 3 |]); ("t0", 8, [| 10; 10; 10 |]) ]
-  in
-  let r =
-    Table.create ctx "R"
-      [ ("k", 8, [| 1; 1; 2; 3 |]); ("t1", 8, [| 5; 15; 20; 7 |]) ]
-  in
-  (* L.k = R.k AND R.t1 >= L.t0 : conjunctive theta with one equality *)
-  let j =
-    Dataflow.theta_join l r ~on:[ "k" ] ~copy:[ "t0" ]
-      ~theta:Expr.(col "t1" >=. col "t0")
-  in
-  Alcotest.(check rows_t) "theta join" [ [ 1; 15 ]; [ 2; 20 ] ]
-    (Table.valid_rows_sorted j [ "k"; "t1" ])
-
 (* ---------------- signedness ---------------- *)
 
 let test_signed_expressions () =
@@ -1011,7 +943,7 @@ let test_custom_aggregation () =
       [ ("g", 4, [| 1; 1; 2; 2; 2 |]); ("x", 8, [| 0b0011; 0b0101; 0b1000; 0b0010; 0b0001 |]) ]
   in
   (* a user-defined self-decomposable function: bitwise OR of the group *)
-  let bit_or ctx a b = Orq_proto.Mpc.bor ~width:8 ctx a b in
+  let bit_or ctx a b = (Orq_proto.Mpc.bor_many ~widths:[| 8 |] ctx [| a |] [| b |]).(0) in
   let r =
     Dataflow.aggregate t ~keys:[ "g" ]
       ~aggs:[ { Dataflow.src = "x"; dst = "bits"; fn = Dataflow.Custom bit_or } ]
@@ -1069,67 +1001,6 @@ let qcheck_join_output_bound =
       let j = Dataflow.inner_join ~trim:`Always l r ~on:[ "k" ] in
       Table.nrows j = nr
       && List.length (Table.valid_rows_sorted j [ "k" ]) <= nr)
-
-(* ---------------- unique-key (PSI-style) join ---------------- *)
-
-let test_join_unique () =
-  for_all_kinds (fun ctx ->
-      let l =
-        Table.create ctx "L"
-          [ ("k", 8, [| 1; 2; 3; 4 |]); ("lv", 8, [| 10; 20; 30; 40 |]) ]
-      in
-      let r =
-        Table.create ctx "R"
-          [ ("k", 8, [| 2; 4; 5 |]); ("rv", 8, [| 7; 8; 9 |]) ]
-      in
-      let j = Dataflow.inner_join_unique l r ~on:[ "k" ] ~copy:[ "lv" ] in
-      Alcotest.(check int) "bounded by min(n,m)" 3 (Table.nrows j);
-      Alcotest.(check rows_t) "psi join result"
-        [ [ 2; 20; 7 ]; [ 4; 40; 8 ] ]
-        (Table.valid_rows_sorted j [ "k"; "lv"; "rv" ]))
-
-let test_join_unique_cheaper () =
-  (* skipping the aggregation network must save bytes vs the general
-     sort-based join — pin the physical operator so the cost-based
-     dispatch doesn't swap in the (cheaper still) linear join *)
-  let saved = Joincost.mode () in
-  Joincost.set_mode (Joincost.Force Joincost.Sort);
-  Fun.protect ~finally:(fun () -> Joincost.set_mode saved) @@ fun () ->
-  let run f =
-    let ctx = hm () in
-    let l = Table.create ctx "L" [ ("k", 16, Array.init 64 (fun i -> i)) ] in
-    let r =
-      Table.create ctx "R"
-        [ ("k", 16, Array.init 64 (fun i -> i + 32)); ("rv", 8, Array.make 64 5) ]
-    in
-    let before = Orq_net.Comm.snapshot ctx.Ctx.comm in
-    ignore (f l r);
-    (Orq_net.Comm.since ctx.Ctx.comm before).Orq_net.Comm.t_bits
-  in
-  let unique = run (fun l r -> Dataflow.inner_join_unique l r ~on:[ "k" ]) in
-  let general = run (fun l r -> Dataflow.inner_join ~trim:`Always l r ~on:[ "k" ]) in
-  Alcotest.(check bool) "unique join cheaper" true (unique < general)
-
-let test_join_unique_respects_validity () =
-  let ctx = hm () in
-  let l = Table.create ctx "L" [ ("k", 8, [| 1; 2 |]); ("lv", 8, [| 5; 6 |]) ] in
-  let l = Dataflow.filter l Expr.(col "k" <>. const 1) in
-  let r = Table.create ctx "R" [ ("k", 8, [| 1; 2 |]); ("rv", 8, [| 8; 9 |]) ] in
-  let j = Dataflow.inner_join_unique l r ~on:[ "k" ] ~copy:[ "lv" ] in
-  Alcotest.(check rows_t) "filtered key drops" [ [ 2; 6; 9 ] ]
-    (Table.valid_rows_sorted j [ "k"; "lv"; "rv" ])
-
-(* ---------------- count distinct ---------------- *)
-
-let test_count_distinct () =
-  let ctx = hm () in
-  let t =
-    Table.create ctx "t"
-      [ ("g", 4, [| 1; 1; 1; 2; 2 |]); ("x", 8, [| 5; 5; 7; 5; 5 |]) ]
-  in
-  let r = Dataflow.count_distinct t ~keys:[ "g" ] ~over:[ "x" ] ~dst:"nd" in
-  Alcotest.(check rows_t) "count distinct" [ [ 1; 2 ]; [ 2; 1 ] ]
-    (Table.valid_rows_sorted r [ "g"; "nd" ])
 
 (* ---------------- data-owner padding ---------------- *)
 
@@ -1200,9 +1071,6 @@ let suite =
     Alcotest.test_case "inner join with trim" `Quick test_inner_join_trim;
     Alcotest.test_case "join respects validity" `Quick
       test_join_respects_validity;
-    Alcotest.test_case "left outer join" `Quick test_left_outer_join;
-    Alcotest.test_case "right outer join" `Quick test_right_outer_join;
-    Alcotest.test_case "full outer join" `Quick test_full_outer_join;
     Alcotest.test_case "semi join" `Quick test_semi_join;
     Alcotest.test_case "anti join" `Quick test_anti_join;
     Alcotest.test_case "semi/anti with duplicates" `Quick
@@ -1220,7 +1088,6 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_groupby_vs_plaintext;
     Alcotest.test_case "trim heuristic (C.3 table)" `Quick
       test_trim_heuristic_values;
-    Alcotest.test_case "theta join" `Quick test_theta_join;
     Alcotest.test_case "signed expressions" `Quick test_signed_expressions;
     Alcotest.test_case "mixed signedness keeps the unsigned top bit" `Quick
       test_mixed_signedness;
@@ -1232,12 +1099,6 @@ let suite =
       test_custom_aggregation;
     QCheck_alcotest.to_alcotest qcheck_tablesort_idempotent;
     QCheck_alcotest.to_alcotest qcheck_join_output_bound;
-    Alcotest.test_case "unique-key join" `Quick test_join_unique;
-    Alcotest.test_case "unique-key join saves bytes" `Quick
-      test_join_unique_cheaper;
-    Alcotest.test_case "unique-key join + validity" `Quick
-      test_join_unique_respects_validity;
-    Alcotest.test_case "count distinct" `Quick test_count_distinct;
     Alcotest.test_case "data-owner padding" `Quick test_pad_rows;
     Alcotest.test_case "limit beyond valid rows" `Quick test_limit_beyond_valid;
   ]

@@ -56,7 +56,7 @@ let exprs : (string * Expr.num * (int -> int -> int -> int)) list =
     ("a * b", col "a" *! col "b", fun a b _ -> a * b);
     ("(b - a) * c", (col "b" -! col "a") *! col "c", fun a b c -> (b - a) * c);
     ("(c - a) * (b - a)", (col "c" -! col "a") *! (col "b" -! col "a"), fun a b c -> (c - a) * (b - a));
-    ("a / b", col "a" /! col "b", fun a b _ -> a / b);
+    ("a / b", Div (col "a", col "b"), fun a b _ -> a / b);
     ("a * b / 3", Div_pub (col "a" *! col "b", 3), fun a b _ -> a * b / 3);
     ("(a + c) / 1", Div_pub (col "a" +! col "c", 1), fun a _ c -> a + c);
     ("(a + c) / 4", Div_pub (col "a" +! col "c", 4), fun a _ c -> (a + c) / 4);

@@ -66,10 +66,9 @@ let test_single_formulas () =
             (Printf.sprintf "%s add w=%d" lbl w)
             (if w = 1 then 0 else dc + 1)
             radd;
-          let c = Array.make 9 3 in
-          let _, rap = rounds_of ctx (fun () -> Adder.add_pub ctx ~w x c) in
+          let _, rap = rounds_of ctx (fun () -> Adder.neg ctx ~w x) in
           Alcotest.(check int)
-            (Printf.sprintf "%s add_pub w=%d" lbl w)
+            (Printf.sprintf "%s add_pub (neg) w=%d" lbl w)
             dc rap;
           let xa = Mpc.share_a ctx (Array.init 9 (fun i -> i)) in
           let _, ra2b = rounds_of ctx (fun () -> Convert.a2b ~w ctx xa) in

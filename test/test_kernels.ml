@@ -171,8 +171,8 @@ let test_bor_matches_unfused () =
       let n = 64 in
       let xs = Prg.words (Prg.create 1) n and ys = Prg.words (Prg.create 2) n in
       let x = Mpc.share_b ctx xs and y = Mpc.share_b ctx ys in
-      let got = Share.reconstruct (Mpc.bor ctx x y) in
-      let expect = Vec.bor xs ys in
+      let got = Share.reconstruct (Mpc.bor_many ctx [| x |] [| y |]).(0) in
+      let expect = Array.map2 ( lor ) xs ys in
       Alcotest.(check vec)
         ("bor " ^ Ctx.kind_label kind)
         expect got)
@@ -211,9 +211,7 @@ let test_pool_matches_sequential () =
   and seq_gather = Vec.gather a perm
   and seq_scatter = Vec.scatter a perm
   and seq_prefix = Vec.prefix_sum a
-  and seq_rev = Vec.rev a
-  and seq_sum = Vec.sum a
-  and seq_xor_all = Vec.xor_all a in
+  and seq_sum = Vec.sum a in
   List.iter
     (fun d ->
       with_domains d 64 (fun () ->
@@ -224,9 +222,7 @@ let test_pool_matches_sequential () =
           Alcotest.(check vec) (lbl "gather") seq_gather (Vec.gather a perm);
           Alcotest.(check vec) (lbl "scatter") seq_scatter (Vec.scatter a perm);
           Alcotest.(check vec) (lbl "prefix") seq_prefix (Vec.prefix_sum a);
-          Alcotest.(check vec) (lbl "rev") seq_rev (Vec.rev a);
           Alcotest.(check int) (lbl "sum") seq_sum (Vec.sum a);
-          Alcotest.(check int) (lbl "xor_all") seq_xor_all (Vec.xor_all a);
           Alcotest.(check vec) (lbl "apply_perm") seq_scatter
             (Parallel.apply_perm a perm)))
     [ 1; 2; 4 ]
@@ -292,7 +288,7 @@ let protocol_trace kind =
   let xb = Mpc.share_b ctx xs and yb = Mpc.share_b ctx ys in
   let za = Mpc.mul ctx xa ya in
   let zb = Mpc.band ctx xb yb in
-  let zo = Mpc.bor ctx xb yb in
+  let zo = (Mpc.bor_many ctx [| xb |] [| yb |]).(0) in
   let opened_mul = Mpc.open_ ctx za in
   let shuffled = Orq_shuffle.Permops.shuffle ctx xb in
   let keys = Array.init n (fun i -> (xs.(i) land 0xF) lxor (i land 3)) in

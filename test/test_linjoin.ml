@@ -256,7 +256,8 @@ let test_predicted_cheapest_is_measured_cheapest () =
       let t_sort = measure Joincost.Sort
       and t_linear = measure Joincost.Linear in
       let measured_cheapest =
-        if Joincost.seconds t_linear <= Joincost.seconds t_sort then
+        let seconds = Orq_net.Netsim.network_time (Joincost.profile ()) in
+        if seconds t_linear <= seconds t_sort then
           Joincost.Linear
         else Joincost.Sort
       in
@@ -271,7 +272,9 @@ let test_predicted_cheapest_is_measured_cheapest () =
           j_variant = Joincost.J_inner;
         }
       in
-      let predicted = with_mode Joincost.Auto (fun () -> Joincost.choose ctx shape) in
+      let predicted =
+        with_mode Joincost.Auto (fun () -> Joincost.choose_logged ctx ~node:"l⋈r" shape)
+      in
       Alcotest.(check string)
         (Printf.sprintf "pick on %s" (Ctx.kind_label ctx.Ctx.kind))
         (Joincost.op_label measured_cheapest)
@@ -430,14 +433,23 @@ let test_golden_predictions () =
                     j_variant = variant;
                   }
                 in
+                (* the applicable operators are the logged candidates *)
+                let cands =
+                  with_mode Joincost.Auto (fun () ->
+                      Joincost.reset_log ();
+                      ignore (Joincost.choose_logged ctx ~node:"golden" shape);
+                      List.concat_map
+                        (fun d -> List.map (fun (op, _, _) -> op) d.Joincost.jd_cands)
+                        (Joincost.log ()))
+                in
                 List.iter
                   (fun (op, pinned) ->
-                    if Joincost.applicable ctx shape op then begin
+                    if List.mem op cands then begin
                       let name =
                         Printf.sprintf
                           "%s %s %s n=%d m=%d keys=%d" label
                           (Joincost.op_label op)
-                          (Joincost.variant_label variant) n m nkeys
+                          (Joincost.node_variant_label shape) n m nkeys
                       in
                       match pinned with
                       | None -> Alcotest.failf "%s: applicable but not pinned" name
@@ -447,7 +459,7 @@ let test_golden_predictions () =
                             (t.Comm.t_rounds, t.Comm.t_bits, t.Comm.t_messages)
                     end)
                   [ (Joincost.Sort, sort); (Linear, linear) ])
-              [ Joincost.J_inner; J_semi; J_anti; J_outer ])
+              [ Joincost.J_inner; J_semi; J_anti ])
         golden_predictions;
       (* n, m in {0, 1, 7, 300} x one or two key columns *)
       Alcotest.(check int) "every grid cell pinned" 32

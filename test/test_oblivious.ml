@@ -25,7 +25,7 @@ let trace kind f =
   Comm.stop_recording ctx.Ctx.comm;
   tr
 
-let event_t = Alcotest.testable Comm.pp_event Comm.event_equal
+let event_t = Alcotest.testable Comm.pp_event ( = )
 
 let check_same name kind f1 f2 =
   let t1 = trace kind f1 and t2 = trace kind f2 in

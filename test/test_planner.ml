@@ -41,7 +41,7 @@ let test_inference () =
   in
   Alcotest.(check bool) "aggregate keys become unique" true
     (Plan.unique_on a [ "cust" ]);
-  let p = Plan.project [ "price" ] j in
+  let p = Plan.Project ([ "price" ], j) in
   Alcotest.(check bool) "projection drops keys" false
     (Plan.unique_on p [ "oid" ])
 

@@ -171,13 +171,16 @@ let test_wire_rejects_oversized () =
 (* Job queue and plan cache                                            *)
 (* ------------------------------------------------------------------ *)
 
+(* Non-blocking admission: a zero timeout fails at once when full. *)
+let try_push q ~group ~prio x = Jobqueue.push q ~group ~prio ~timeout_s:0. x
+
 let test_jobqueue_admission () =
   let q = Jobqueue.create ~capacity:2 in
-  assert (Jobqueue.try_push q ~group:1 ~prio:Jobqueue.Normal 1);
-  assert (Jobqueue.try_push q ~group:1 ~prio:Jobqueue.Normal 2);
+  assert (try_push q ~group:1 ~prio:Jobqueue.Normal 1);
+  assert (try_push q ~group:1 ~prio:Jobqueue.Normal 2);
   Alcotest.(check bool)
     "full" false
-    (Jobqueue.try_push q ~group:1 ~prio:Jobqueue.Normal 3);
+    (try_push q ~group:1 ~prio:Jobqueue.Normal 3);
   (* blocking admission times out while the queue stays full *)
   Alcotest.(check bool)
     "push times out" false
@@ -186,15 +189,15 @@ let test_jobqueue_admission () =
   assert (Jobqueue.pop q = Some 1);
   Alcotest.(check bool)
     "still full" false
-    (Jobqueue.try_push q ~group:1 ~prio:Jobqueue.Normal 3);
+    (try_push q ~group:1 ~prio:Jobqueue.Normal 3);
   Jobqueue.finish q;
   Alcotest.(check bool)
     "slot freed" true
-    (Jobqueue.try_push q ~group:1 ~prio:Jobqueue.Normal 3);
+    (try_push q ~group:1 ~prio:Jobqueue.Normal 3);
   Jobqueue.close q;
   Alcotest.(check bool)
     "closed" false
-    (Jobqueue.try_push q ~group:1 ~prio:Jobqueue.Normal 4);
+    (try_push q ~group:1 ~prio:Jobqueue.Normal 4);
   (* close drains the queue before returning None *)
   assert (Jobqueue.pop q = Some 2);
   assert (Jobqueue.pop q = Some 3);
@@ -202,9 +205,9 @@ let test_jobqueue_admission () =
 
 let test_jobqueue_priorities () =
   let q = Jobqueue.create ~capacity:10 in
-  assert (Jobqueue.try_push q ~group:1 ~prio:Jobqueue.Low "low");
-  assert (Jobqueue.try_push q ~group:1 ~prio:Jobqueue.Normal "normal");
-  assert (Jobqueue.try_push q ~group:1 ~prio:Jobqueue.High "high");
+  assert (try_push q ~group:1 ~prio:Jobqueue.Low "low");
+  assert (try_push q ~group:1 ~prio:Jobqueue.Normal "normal");
+  assert (try_push q ~group:1 ~prio:Jobqueue.High "high");
   Alcotest.(check (option string)) "high first" (Some "high") (Jobqueue.pop q);
   Alcotest.(check (option string)) "then normal" (Some "normal") (Jobqueue.pop q);
   Alcotest.(check (option string)) "then low" (Some "low") (Jobqueue.pop q)
@@ -213,9 +216,9 @@ let test_jobqueue_group_fairness () =
   let q = Jobqueue.create ~capacity:10 in
   (* group 1 floods three jobs before group 2's single job arrives *)
   List.iter
-    (fun x -> assert (Jobqueue.try_push q ~group:1 ~prio:Jobqueue.Normal x))
+    (fun x -> assert (try_push q ~group:1 ~prio:Jobqueue.Normal x))
     [ "a1"; "a2"; "a3" ];
-  assert (Jobqueue.try_push q ~group:2 ~prio:Jobqueue.Normal "b1");
+  assert (try_push q ~group:2 ~prio:Jobqueue.Normal "b1");
   Alcotest.(check (option string)) "g1 head" (Some "a1") (Jobqueue.pop q);
   (* round-robin: the other group is served before the flood's backlog *)
   Alcotest.(check (option string)) "g2 next" (Some "b1") (Jobqueue.pop q);

@@ -16,8 +16,9 @@ let sorted_asc a =
   b
 
 let sorted_desc a =
-  let b = sorted_asc a in
-  Vec.rev b
+  let b = Array.copy a in
+  Array.sort (fun x y -> compare y x) b;
+  b
 
 (* ---------------- genBitPerm over digits ---------------- *)
 
@@ -275,7 +276,7 @@ let test_radix_compose_perm () =
       let s = Share.reconstruct sigma in
       Alcotest.(check bool) "perm" true (Orq_shuffle.Localperm.is_permutation s);
       Alcotest.(check vec) "perm sorts input" (sorted_asc x)
-        (Orq_shuffle.Localperm.apply x s))
+        (Orq_util.Parallel.apply_perm x s))
 
 let test_hybrid_fewer_rounds () =
   (* the paper's Appendix B.3 claim: the hybrid saves rounds vs compose *)
@@ -466,12 +467,12 @@ let check_wrapper ctx algo dir x =
   Alcotest.(check bool) "sigma is a permutation" true
     (Orq_shuffle.Localperm.is_permutation s);
   Alcotest.(check vec) "sigma sorts the input" expected
-    (Orq_shuffle.Localperm.apply x s);
+    (Orq_util.Parallel.apply_perm x s);
   (* the carried column moved under that same (stable) permutation *)
   match carry' with
   | [ t ] ->
       Alcotest.(check vec) "carry consistent"
-        (Orq_shuffle.Localperm.apply tags s)
+        (Orq_util.Parallel.apply_perm tags s)
         (Share.reconstruct_c t)
   | _ -> Alcotest.fail "arity"
 
@@ -499,34 +500,13 @@ let test_wrapper_stability () =
             Sortwrap.sorting_perm ctx ~algo [ (Mpc.share_b ctx x, 2) ]
           in
           Alcotest.(check vec) "stable sigma" [| 1; 3; 0; 2; 4 |]
-            (Orq_shuffle.Localperm.apply pos (Share.reconstruct sigma));
+            (Orq_util.Parallel.apply_perm pos (Share.reconstruct sigma));
           match carry' with
           | [ c ] ->
               Alcotest.(check vec) "stable" [| 1; 3; 0; 2; 4 |]
                 (Share.reconstruct_c c)
           | _ -> Alcotest.fail "arity")
         [ Sortwrap.Radixsort; Sortwrap.Quicksort ])
-
-let test_triple_budget () =
-  (* Appendix B.4: the 2 n lg n budget exceeds the expectation by at least
-     43% for n >= 1300, with overflow probability below 2^-10 *)
-  List.iter
-    (fun n ->
-      Alcotest.(check bool)
-        (Printf.sprintf "budget > expectation at n=%d" n)
-        true
-        (float_of_int (Triple_budget.comparison_budget n)
-        > Triple_budget.expected_comparisons n))
-    [ 10; 100; 1300; 100_000 ];
-  Alcotest.(check bool) "epsilon >= 0.43 at n=1300" true
-    (Triple_budget.epsilon 1300 >= 0.43);
-  Alcotest.(check bool) "overflow prob < 2^-10 at n=10000" true
-    (Triple_budget.overflow_probability_bound 10_000 < 1. /. 1024.);
-  Alcotest.(check bool) "small-n additive buffer" true
-    (Triple_budget.comparison_budget 100 > 10_000);
-  Alcotest.(check bool) "per-sort triples scale with width" true
-    (Triple_budget.triples_for_sort ~n:1000 ~w:64
-    > Triple_budget.triples_for_sort ~n:1000 ~w:32)
 
 (* ---------------- index width at the wrap point ---------------- *)
 
@@ -636,7 +616,7 @@ let test_tablesort_wrap () =
               in
               let want =
                 List.map
-                  (fun x -> Orq_shuffle.Localperm.apply x sigma)
+                  (fun x -> Orq_util.Parallel.apply_perm x sigma)
                   [ a; b; id ]
               in
               check_wrap_point tag
@@ -724,8 +704,6 @@ let suite =
     Alcotest.test_case "wrapper: all algos and directions" `Quick
       test_wrapper_all;
     Alcotest.test_case "wrapper: stability" `Quick test_wrapper_stability;
-    Alcotest.test_case "quicksort triple budget (B.4)" `Quick
-      test_triple_budget;
     Alcotest.test_case "default algorithm choice" `Quick test_default_algo;
     Alcotest.test_case "sorting_perm exact at index wrap points" `Quick
       test_sorting_perm_wrap;

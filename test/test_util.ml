@@ -13,8 +13,6 @@ let vec = Alcotest.(array int)
 let test_ring () =
   Alcotest.(check int) "mask 8" 255 (Ring.mask 8);
   Alcotest.(check int) "mask full" (-1) (Ring.mask Ring.word_bits);
-  Alcotest.(check int) "truncate" 0x34 (Ring.truncate 8 0x1234);
-  Alcotest.(check int) "bit" 1 (Ring.bit 0b100 2);
   Alcotest.(check int) "popcount" 3 (Ring.popcount 0b10101);
   Alcotest.(check int) "log2_ceil 1" 0 (Ring.log2_ceil 1);
   Alcotest.(check int) "log2_ceil 5" 3 (Ring.log2_ceil 5);
@@ -40,8 +38,6 @@ let test_prg_deterministic () =
 
 let test_prg_split_copy () =
   let p = Prg.create 7 in
-  let c = Prg.copy p in
-  Alcotest.(check int) "copy continues identically" (Prg.word p) (Prg.word c);
   let s1 = Prg.split p 1 and s2 = Prg.split p 2 in
   Alcotest.(check bool) "split streams independent" false
     (Prg.word s1 = Prg.word s2)
@@ -72,11 +68,12 @@ let test_prg_golden () =
   let q = Prg.create 2024 in
   ignore (Prg.words q 3);
   Alcotest.(check int) "fill_words advances the state" words.(3) (Prg.word q);
-  Alcotest.(check int64) "next64" 7191089600892374487L
-    (Prg.next64 (Prg.create 7));
+  Alcotest.(check int) "first word of seed 7"
+    (Int64.to_int 7191089600892374487L)
+    (Prg.word (Prg.create 7));
   Alcotest.(check int) "split" words.(4) (Prg.word (Prg.split (Prg.create 2024) 3));
   let r = Prg.create 9 in
-  ignore (Prg.next64 r);
+  ignore (Prg.word r);
   Alcotest.(check int) "int_below" 394 (Prg.int_below r 1000)
 
 (* ---------------- Vec ---------------- *)
@@ -88,8 +85,7 @@ let test_vec_ops () =
   Alcotest.(check vec) "mul" [| 10; 40; 90 |] (Vec.mul a b);
   Alcotest.(check vec) "xor" [| 11; 22; 29 |] (Vec.xor a b);
   Alcotest.(check vec) "prefix_sum" [| 1; 3; 6 |] (Vec.prefix_sum a);
-  Alcotest.(check int) "sum" 6 (Vec.sum a);
-  Alcotest.(check vec) "rev" [| 3; 2; 1 |] (Vec.rev a)
+  Alcotest.(check int) "sum" 6 (Vec.sum a)
 
 let test_vec_gather_scatter () =
   let x = [| 10; 20; 30; 40 |] in
@@ -101,9 +97,8 @@ let test_vec_gather_scatter () =
 let test_vec_concat_split () =
   let a = [| 1; 2 |] and b = [| 3; 4; 5 |] in
   let c = Vec.concat2 a b in
-  let a', b' = Vec.split2 c 2 in
-  Alcotest.(check vec) "split left" a a';
-  Alcotest.(check vec) "split right" b b'
+  Alcotest.(check vec) "split left" a (Vec.sub_range c 0 2);
+  Alcotest.(check vec) "split right" b (Vec.sub_range c 2 3)
 
 let qcheck_shift_roundtrip =
   QCheck.Test.make ~name:"shift left then right" ~count:50
@@ -122,10 +117,7 @@ let test_parallel_matches_sequential () =
   Fun.protect
     ~finally:(fun () -> Parallel.set_num_domains 1)
     (fun () ->
-      Alcotest.(check vec) "parallel map2" seq (Parallel.map2 ( + ) a b);
-      Alcotest.(check vec) "parallel map"
-        (Array.map (fun x -> x * 2) a)
-        (Parallel.map (fun x -> x * 2) a);
+      Alcotest.(check vec) "parallel add" seq (Vec.add a b);
       let prg = Prg.create 5 in
       let p = Orq_shuffle.Localperm.random prg n in
       Alcotest.(check vec) "parallel apply_perm" (Vec.scatter a p)
@@ -152,9 +144,7 @@ let test_comm_tallies () =
   Comm.round c ~bits:10 ~messages:1;
   let d = Comm.since c before in
   Alcotest.(check int) "since rounds" 1 d.Comm.t_rounds;
-  Alcotest.(check int) "since bits" 10 d.Comm.t_bits;
-  Alcotest.(check (float 0.001)) "bytes/party" (160. /. 8. /. 3.)
-    (Comm.bytes_per_party c (Comm.snapshot c))
+  Alcotest.(check int) "since bits" 10 d.Comm.t_bits
 
 let test_netsim () =
   let tl = { Comm.t_rounds = 100; t_bits = 6_000_000_000; t_messages = 1 } in
@@ -169,18 +159,18 @@ let test_netsim () =
     (Netsim.network_time Netsim.local tl)
 
 let test_netsim_links () =
-  (* a synchronous round completes when the slowest link does *)
-  let p =
-    Netsim.of_links "X"
-      [
-        { Netsim.l_rtt_s = 0.01; l_bandwidth_bps = 10e9 };
-        { Netsim.l_rtt_s = 0.05; l_bandwidth_bps = 2e9 };
-      ]
+  (* a synchronous round completes when the slowest link does: geo is the
+     (max RTT, min bandwidth) of the paper's four-region links (Figure 12) *)
+  let links =
+    [ (50e-3, 8.47e9); (52e-3, 7.9e9); (55e-3, 6.1e9); (58e-3, 5.2e9);
+      (60e-3, 4.8e9); (61e-3, 4.23e9) ]
   in
-  Alcotest.(check (float 1e-9)) "max rtt" 0.05 p.Netsim.rtt_s;
-  Alcotest.(check (float 1e-3)) "min bandwidth" 2e9 p.Netsim.bandwidth_bps;
-  Alcotest.(check bool) "four-region profile matches geo" true
-    (abs_float (Netsim.geo_four_regions.Netsim.rtt_s -. Netsim.geo.Netsim.rtt_s) < 1e-9)
+  Alcotest.(check (float 1e-9)) "max rtt"
+    (List.fold_left (fun a (r, _) -> Float.max a r) 0. links)
+    Netsim.geo.Netsim.rtt_s;
+  Alcotest.(check (float 1e-3)) "min bandwidth"
+    (List.fold_left (fun a (_, b) -> Float.min a b) infinity links)
+    Netsim.geo.Netsim.bandwidth_bps
 
 let test_netsim_of_label () =
   (* one parser behind every profile-valued flag and knob: trimmed and
