@@ -16,7 +16,6 @@ type measurement = {
       (** high-water mark of resident share-chunk bytes during the run
           (0 unless out-of-core streaming is on) *)
   spills : int;  (** chunk spills to disk during the run *)
-  rss_peak_kb : int;  (** process VmHWM after the run, KiB *)
 }
 
 (** Run [f] under [ctx], measuring wall time and online/preprocessing
@@ -37,7 +36,6 @@ let measure (ctx : Ctx.t) (f : unit -> 'a) : 'a * measurement =
       parties = ctx.Ctx.parties;
       peak_chunk_bytes = Orq_util.Chunkvec.peak_live_bytes ();
       spills = (Orq_util.Chunkvec.stats ()).Orq_util.Chunkvec.st_spills - m0;
-      rss_peak_kb = Orq_util.Chunkvec.rss_peak_kb ();
     } )
 
 (** Estimated end-to-end time in a network profile: measured compute plus

@@ -7,16 +7,16 @@
       dune exec bench/main.exe -- fig4         # one experiment
       dune exec bench/main.exe -- fig4 --sf 0.002 --n 2000   # bigger
     Experiments: fig4 fig5 fig6 fig7 fig8 fig9 fig10 fig11 fig12
-                 table1 table2 table7 ablation micro micro-kernels
+                 table1 table2 table7 ablation micro
     Flags: --sf F (TPC-H scale), --n N (other datasets),
            --domains D (data-parallel local loops, §4; also honors the
-           ORQ_DOMAINS env var — the flag wins). micro-kernels runs only
-           when named explicitly and writes BENCH_kernels.json. *)
+           ORQ_DOMAINS env var — the flag wins).
+
+    The ratio and selection gates live in gates.exe. *)
 
 let experiments =
   [ "all"; "fig4"; "fig5"; "fig6"; "fig7"; "fig8"; "fig9"; "fig10"; "fig11";
-    "fig12"; "table1"; "table2"; "table7"; "ablation"; "micro";
-    "micro-kernels"; "bitpack"; "join"; "scale" ]
+    "fig12"; "table1"; "table2"; "table7"; "ablation"; "micro" ]
 
 let usage () =
   Printf.printf "usage: main.exe [%s] [--sf F] [--n N]\n"
@@ -62,17 +62,5 @@ let () =
   if has "fig12" then Fig_queries.fig12 ~sf ();
   if has "ablation" then Ablation.all ~n:512 ();
   if has "micro" then Micro.run ();
-  (* explicit-only: the domain sweep over 1M-element vectors is not part of
-     the quick "all" pass *)
-  if List.mem "micro-kernels" cmds then Kernels.run ();
-  (* out-of-core chunked streaming: overhead, budgeted big run, SF ladder;
-     writes BENCH_scale.json (named explicitly, never part of "all") *)
-  if List.mem "scale" cmds then Scale.run ();
-  (* explicit-only: packed-vs-word flag primitive micro benchmark with its
-     >= 8x AND gate; writes BENCH_bitpack.json *)
-  if List.mem "bitpack" cmds then Bitpack.run ();
-  (* explicit-only: physical-join operator comparison (sort vs linear vs
-     cost-based auto) over the join-heavy queries; writes BENCH_join.json *)
-  if List.mem "join" cmds then Join.run ~sf ();
   Printf.printf "\ntotal bench wall time: %.1fs\n"
     (Unix.gettimeofday () -. t0)

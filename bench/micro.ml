@@ -1,6 +1,7 @@
 (** Bechamel micro-benchmarks of the core secure primitives and operators —
     one [Test.make] per building block, reported as ns/op of the lockstep
-    simulation (all parties' local compute). *)
+    simulation (all parties' local compute) — and of the local [Vec] and
+    fused MPC kernels underneath them. *)
 
 open Bechamel
 open Toolkit
@@ -84,8 +85,34 @@ let tests =
                 ~dir:Orq_sort.Sortwrap.Asc ~w:16 (Share.wrap x) [])));
   ]
 
+(* The local kernels at n = 2^17, twice the pool's default split
+   threshold, so [--domains 2] takes the parallel path. *)
+let kernel_tests () =
+  let open Orq_util in
+  let kn = 1 lsl 17 in
+  let prg = Prg.create 0xBE7C4 in
+  let a = Prg.words prg kn and b = Prg.words prg kn and c = Prg.words prg kn in
+  let d = Prg.words prg kn and e = Prg.words prg kn in
+  let perm = Orq_shuffle.Localperm.random prg kn in
+  let dst = Array.make kn 0 in
+  let t name f = Test.make ~name:(name ^ " n=2^17") (Staged.stage f) in
+  [
+    t "Vec.mul" (fun () -> ignore (Vec.mul a b));
+    t "Vec.band" (fun () -> ignore (Vec.band a b));
+    t "Vec.add" (fun () -> ignore (Vec.add a b));
+    t "Vec.xor" (fun () -> ignore (Vec.xor a b));
+    t "Vec.gather" (fun () -> ignore (Vec.gather a perm));
+    t "Vec.scatter" (fun () -> ignore (Vec.scatter a perm));
+    t "Vec.prefix_sum" (fun () -> ignore (Vec.prefix_sum a));
+    t "Vec.beaver_arith" (fun () ->
+        ignore (Vec.beaver_arith ~tc:a ~d:b ~tb:c ~e:d ~ta:e ~with_de:true));
+    t "Vec.rep3_arith_into" (fun () ->
+        Vec.rep3_arith_into dst ~xi:a ~yi:b ~xj:c ~yj:d);
+  ]
+
 let run () =
-  Bench_util.section "Bechamel micro-benchmarks (ns per op, n=1024 vectors)";
+  Bench_util.section
+    "Bechamel micro-benchmarks (ns per op, n=1024 vectors; kernels n=2^17)";
   let ols =
     Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
   in
@@ -106,4 +133,4 @@ let run () =
               Bench_util.row "%-28s %12.0f ns/op" name est
           | _ -> Bench_util.row "%-28s %12s" name "n/a")
         results)
-    tests
+    (tests @ kernel_tests ())

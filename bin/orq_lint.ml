@@ -359,7 +359,7 @@ let lint_flags rest =
 let () =
   match Array.to_list Sys.argv with
   | _ :: "certify" :: rest ->
-      let quick = ref (Sys.getenv_opt "ORQ_CERTIFY_QUICK" <> None) in
+      let quick = ref false in
       let sf = ref 0.0002 and n = ref 400 and out = ref "CERTIFICATE.json" in
       let rec parse = function
         | [] -> ()

@@ -62,6 +62,8 @@ let keep : (string * string) list =
       on for one test without the ORQ_DEBUG_CHECKS environment");
     ("Locked.held_names", "test hook: the lock-rank tests read which \
       locks the current domain holds");
+    ("Parallel.set_min_chunk", "test hook: test_kernels and test_chunked \
+      lower the pool's split threshold to reach it at small sizes");
     (* live functions whose own unit tests call them *)
     ("Compare.eq_many", "live: Compare.eq and eq_composite_many run \
       through it; test_fusion pins its lane fusion directly");

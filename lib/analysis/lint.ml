@@ -76,7 +76,7 @@ let interactive_names =
     ]
 
 let parallel_entry_points =
-  [ "run_spans"; "run_tasks"; "apply_perm" ]
+  [ "run_spans"; "run_tasks" ]
 
 type finding = {
   f_rule : Declass.rule;

@@ -3,7 +3,7 @@
     Permutations are index maps: [p.(i) = j] means the value at position [i]
     moves to position [j]. Random permutations come from Fisher–Yates over a
     seeded PRG (so parties sharing a seed derive identical permutations);
-    application is {!Parallel.apply_perm}. *)
+    application is {!Vec.scatter}. *)
 
 open Orq_util
 

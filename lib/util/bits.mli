@@ -8,14 +8,11 @@
 
 type t = { n : int; w : int array }
 
-val bpw : int
-(** Flags per word (= {!Ring.word_bits} = 63 on 64-bit platforms). *)
-
 val length : t -> int
 val words : t -> int array
 val of_words : int -> int array -> t
 (** Wrap a raw word array (takes ownership; tail re-masked to canonical
-    form). The array must have exactly ⌈n / bpw⌉ words. *)
+    form). The array must have exactly ⌈n / 63⌉ words. *)
 
 val copy : t -> t
 val get : t -> int -> int
@@ -40,7 +37,7 @@ val xor_into : t -> t -> unit
 val xor3 : t -> t -> t -> t
 
 val random : Prg.t -> int -> t
-(** [random prg n]: n uniform flags from ⌈n / bpw⌉ PRG draws (one call
+(** [random prg n]: n uniform flags from ⌈n / 63⌉ PRG draws (one call
     per 63 flags instead of one per flag). *)
 
 val concat_many : t array -> t

@@ -35,11 +35,11 @@
 let num_domains = ref 1
 
 (* Minimum per-lane element count that justifies a pool dispatch. The
-   default comes from the micro-kernel calibration (see BENCH_kernels.json
-   and the PR 3 notes in DESIGN.md): memory-bound elementwise kernels need
-   roughly 64k elements per lane before the lock/signal handoff and
-   cross-core cache traffic pay for themselves; below that the sequential
-   path wins. Override with ORQ_MIN_CHUNK. *)
+   default comes from the micro-kernel calibration (DESIGN.md, "Parallel
+   runtime"): memory-bound elementwise kernels need roughly 64k elements per
+   lane before the lock/signal handoff and cross-core cache traffic pay
+   for themselves; below that the sequential path wins. Only tests change
+   it, through {!set_min_chunk}, to reach the pool at small sizes. *)
 let min_chunk = ref 65536
 
 let set_min_chunk c = min_chunk := max 1 c
@@ -192,16 +192,10 @@ let set_num_domains n =
 let get_num_domains () = !num_domains
 
 let init_from_env () =
-  (match Sys.getenv_opt "ORQ_DOMAINS" with
+  match Sys.getenv_opt "ORQ_DOMAINS" with
   | Some v -> (
       match int_of_string_opt (String.trim v) with
       | Some n -> set_num_domains n
-      | None -> ())
-  | None -> ());
-  match Sys.getenv_opt "ORQ_MIN_CHUNK" with
-  | Some v -> (
-      match int_of_string_opt (String.trim v) with
-      | Some c -> set_min_chunk c
       | None -> ())
   | None -> ()
 
@@ -249,10 +243,9 @@ let dispatch p spans f =
 (** [run_spans n f] calls [f pos len] for each chunk of [0, n), on this
     domain's pool when more than one lane is configured and every lane
     gets at least {!set_min_chunk} elements; below that the dispatch
-    overhead exceeds the parallel win (the BENCH_kernels small-input
-    regression), so the call runs sequentially on the calling domain
-    instead of shrinking the lane count. [f] must only write to disjoint
-    output ranges determined by its span. *)
+    overhead exceeds the parallel win, so the call runs sequentially on
+    the calling domain instead of shrinking the lane count. [f] must only
+    write to disjoint output ranges determined by its span. *)
 let run_spans n f =
   let d = effective_lanes () in
   if d <= 1 || n < d * !min_chunk || !(Domain.DLS.get busy_key) then f 0 n
@@ -269,20 +262,3 @@ let run_tasks k f =
       f i
     done
   else dispatch (ensure_pool ()) (List.init k (fun i -> (i, 1))) (fun pos _ -> f pos)
-
-(* ------------------------------------------------------------------ *)
-(* Permutation application                                             *)
-(* ------------------------------------------------------------------ *)
-
-(** Parallel application of a plaintext index permutation: the paper's
-    Appendix A.2 observation that each thread may receive full write access
-    to the output because a permutation writes every slot exactly once. *)
-let apply_perm (a : int array) (perm : int array) =
-  let n = Array.length a in
-  if Debug.enabled () then Debug.validate_perm ~op:"Parallel.apply_perm" perm n;
-  let out = Array.make n 0 in
-  run_spans n (fun pos len ->
-      for i = pos to pos + len - 1 do
-        out.(perm.(i)) <- a.(i)
-      done);
-  out

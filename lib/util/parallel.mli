@@ -24,14 +24,15 @@ val set_lanes : int -> unit
     inter-query concurrency then compose without oversubscription. *)
 
 val set_min_chunk : int -> unit
-(** Minimum elements per span for a parallel dispatch to be worthwhile;
-    inputs smaller than twice this run sequentially. Default 1024. *)
+(** Minimum elements per lane for a parallel dispatch to be worthwhile;
+    an input shorter than lanes x this runs sequentially. Default 65536;
+    tests lower it to reach the pool at small sizes. *)
 
 val get_min_chunk : unit -> int
 
 val init_from_env : unit -> unit
-(** Honor [ORQ_DOMAINS] and [ORQ_MIN_CHUNK] if set (entry points call this
-    before argument parsing; explicit flags override). *)
+(** Honor [ORQ_DOMAINS] if set (entry points call this before argument
+    parsing; explicit flags override). *)
 
 val chunks : int -> int -> (int * int) list
 (** [chunks n k] splits [0, n) into at most [k] contiguous (pos, len)
@@ -48,9 +49,3 @@ val run_tasks : int -> (int -> unit) -> unit
 (** [run_tasks k f] runs indexed tasks [f 0 .. f (k-1)] on the pool — for
     blocked algorithms needing an explicit decomposition shared across
     phases (e.g. the two-pass prefix sum). *)
-
-val apply_perm : int array -> int array -> int array
-(** Parallel application of a plaintext index permutation; each worker has
-    full write access to the output because a permutation writes every
-    slot exactly once (Appendix A.2). Validates the permutation when
-    {!Debug.set_checks} is enabled. *)

@@ -204,10 +204,11 @@ let test_exports_keep_list_is_justified () =
 
 (* ---------------- env-knob inventory ---------------- *)
 
-(* Every environment variable the library reads, each with the reason it
-   exists. A knob that forks control flow is a second path that tests
-   must keep equivalent to the first, so a new "ORQ_..." literal under
-   lib/ fails this test until it is audited here. *)
+(* Every environment variable the library, the executables and the
+   benchmarks read, each with the reason it exists. A knob that forks
+   control flow is a second path that tests must keep equivalent to the
+   first, so a new "ORQ_..." literal under lib/, bin/ or bench/ fails this
+   test until it is audited here. *)
 let audited_env_knobs =
   [
     ("ORQ_JOIN_PROFILE", "network profile (lan|wan|geo|local) the join \
@@ -234,11 +235,13 @@ let audited_env_knobs =
       sanity, index bounds); changes no value or tally");
     ("ORQ_DOMAINS", "local data-parallel domain count; tallies identical \
       across counts");
-    ("ORQ_MIN_CHUNK", "smallest span the domain pool splits; tallies \
-      identical across values");
+    ("ORQ_TRACE", "orq_cli dumps the recorded communication transcript \
+      after the query; values and tallies unchanged");
   ]
 
-(* Quoted "ORQ_..." literals in a source text. *)
+(* Quoted "ORQ_..." literals in a source text; the bare prefix "ORQ_"
+   (bench/e2e strips every ORQ_ setting from a child's environment) names
+   no knob. *)
 let env_literals src =
   let n = String.length src in
   let knob_char c = (c >= 'A' && c <= 'Z') || (c >= '0' && c <= '9') || c = '_' in
@@ -248,7 +251,7 @@ let env_literals src =
     else begin
       let j = ref (i + 1) in
       while !j < n && knob_char src.[!j] do incr j done;
-      if !j < n && src.[!j] = '"' then
+      if !j < n && src.[!j] = '"' && !j > i + 5 then
         go (!j + 1) (String.sub src (i + 1) (!j - i - 1) :: acc)
       else go !j acc
     end
@@ -257,23 +260,30 @@ let env_literals src =
 
 let test_env_knob_inventory () =
   (* tests run inside the build tree, where lib/ sits next to test/ *)
-  let lib = if Sys.file_exists "../lib/proto" then "../lib" else "lib" in
+  let root = if Sys.file_exists "../lib/proto" then ".." else "." in
   let found =
     List.concat_map
-      (fun path -> env_literals (Lint.read_file path))
-      (Lint.files ~suffix:".ml" lib)
+      (fun dir ->
+        let dir = Filename.concat root dir in
+        Alcotest.(check bool) ("the scan sees " ^ dir) true
+          (Sys.file_exists dir);
+        List.concat_map
+          (fun path -> env_literals (Lint.read_file path))
+          (Lint.files ~suffix:".ml" dir))
+      [ "lib"; "bin"; "bench" ]
     |> List.sort_uniq compare
   in
-  Alcotest.(check bool) "the scan sees the library" true (found <> []);
   List.iter
     (fun k ->
       if not (List.mem_assoc k audited_env_knobs) then
-        Alcotest.failf "%s is read under lib/ but not in the audited knob list" k)
+        Alcotest.failf "%s is read under lib/, bin/ or bench/ but not in the \
+                        audited knob list" k)
     found;
   List.iter
     (fun (k, why) ->
       if not (List.mem k found) then
-        Alcotest.failf "audited knob %s is no longer read under lib/" k;
+        Alcotest.failf "audited knob %s is no longer read under lib/, bin/ \
+                        or bench/" k;
       Alcotest.(check bool) (k ^ " has a reason") true (String.length why > 20))
     audited_env_knobs
 
@@ -552,7 +562,7 @@ let test_costmodel_fused_openings () =
               in
               opened := vs;
               moved := List.map Share.reconstruct_c cs);
-          let permuted x = Orq_util.Parallel.apply_perm x !perm in
+          let permuted x = Orq_util.Vec.scatter x !perm in
           Alcotest.(check (list vec)) (tag "opened lanes")
             [ permuted a; permuted rho ] !opened;
           Alcotest.(check (list vec)) (tag "reshared lane") [ permuted b ] !moved;
@@ -568,7 +578,7 @@ let test_costmodel_fused_openings () =
                      [ (Share.wrap (Mpc.share_b ctx c), 13) ]
                      (Mpc.share_b ctx rho)));
           Alcotest.(check (list vec)) (tag "applyperm values")
-            [ Orq_util.Parallel.apply_perm c rho ] !out;
+            [ Orq_util.Vec.scatter c rho ] !out;
           (* lexicographic less-than, opened, over one to five columns *)
           List.iter
             (fun ws ->

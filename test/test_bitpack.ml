@@ -306,7 +306,7 @@ let test_e2e_radixsort () =
             (Share.reconstruct (List.hd r)))
         [ ("radixsort", k1, r1); ("radix_compose", k2, r2) ];
       Alcotest.(check (array int)) (lbl ^ " radix_compose sigma") want_carry
-        (Orq_util.Parallel.apply_perm carry (Share.reconstruct sigma)))
+        (Orq_util.Vec.scatter carry (Share.reconstruct sigma)))
     kinds
 
 let test_e2e_aggnet () =

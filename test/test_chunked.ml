@@ -270,7 +270,7 @@ let test_sort () =
           let sorted = Array.copy key in
           Array.stable_sort compare sorted;
           Alcotest.(check vec) (tag "sigma sorts")
-            sorted (Orq_util.Parallel.apply_perm key s1)
+            sorted (Orq_util.Vec.scatter key s1)
       | _ -> Alcotest.fail "arity")
     [ (56, 8); (53, 8); (56, 40); (53, 40) ]
 

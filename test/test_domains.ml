@@ -232,8 +232,8 @@ let test_refused_before_shares_move () =
 (* Bounds at SF 10 from public sizes alone                             *)
 (* ------------------------------------------------------------------ *)
 
-(* The SQL the benchmarks send: bench/net's suite and the service-mix
-   templates (their literals do not move a bound). *)
+(* The SQL the tests and the benchmark send: test_party's cluster suite
+   and the service-mix templates (their literals do not move a bound). *)
 let bench_sql =
   [
     "SELECT l_returnflag, COUNT(*) AS n, SUM(l_quantity) AS qty FROM lineitem GROUP BY l_returnflag";

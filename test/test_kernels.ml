@@ -11,12 +11,13 @@ module Comm = Orq_net.Comm
 let vec = Alcotest.(array int)
 
 let with_domains d mc f =
+  let d0 = Parallel.get_num_domains () and mc0 = Parallel.get_min_chunk () in
   Parallel.set_num_domains d;
   Parallel.set_min_chunk mc;
   Fun.protect
     ~finally:(fun () ->
-      Parallel.set_num_domains 1;
-      Parallel.set_min_chunk 1024)
+      Parallel.set_num_domains d0;
+      Parallel.set_min_chunk mc0)
     f
 
 (* ---------------- fused kernels ≡ naive compositions ---------------- *)
@@ -222,9 +223,7 @@ let test_pool_matches_sequential () =
           Alcotest.(check vec) (lbl "gather") seq_gather (Vec.gather a perm);
           Alcotest.(check vec) (lbl "scatter") seq_scatter (Vec.scatter a perm);
           Alcotest.(check vec) (lbl "prefix") seq_prefix (Vec.prefix_sum a);
-          Alcotest.(check int) (lbl "sum") seq_sum (Vec.sum a);
-          Alcotest.(check vec) (lbl "apply_perm") seq_scatter
-            (Parallel.apply_perm a perm)))
+          Alcotest.(check int) (lbl "sum") seq_sum (Vec.sum a)))
     [ 1; 2; 4 ]
 
 let test_pool_reuse_and_exceptions () =
@@ -268,8 +267,6 @@ let test_debug_checks () =
           Vec.scatter [| 1; 2; 3 |] [| 0; 1 |]);
       check_invalid "gather out of range" (fun () ->
           Vec.gather [| 1; 2 |] [| 1; 2 |]);
-      check_invalid "apply_perm duplicate" (fun () ->
-          Parallel.apply_perm [| 1; 2 |] [| 1; 1 |]);
       (* valid inputs still pass with checks on *)
       Alcotest.(check vec) "valid scatter ok" [| 2; 1 |]
         (Vec.scatter [| 1; 2 |] [| 1; 0 |]);

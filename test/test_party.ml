@@ -1,10 +1,11 @@
 (* Real multi-party deployment (lib/party/): mesh wire protocol
    roundtrips and hostile-input rejection, handshake verification, the
    exchange layer's lockstep + divergence detection over a real
-   socketpair, and a forked two-party cluster smoke test on Unix-domain
+   socketpair, a forked two-party cluster smoke test on Unix-domain
    sockets — results and measured wire traffic identical to the
    in-process simulation, hostile clients dropped without hurting the
-   cluster. *)
+   cluster — and the SQL suite through 2-, 3- and 4-process clusters on
+   loopback TCP. *)
 
 open Orq_proto
 module Wire = Orq_net.Wire
@@ -568,6 +569,79 @@ let test_cluster_sh_hm_sorted () =
       Alcotest.(check int)
         "exchanges = rounds" r.Wire.r_tally.Comm.t_rounds s.Wire.n_exchanges
 
+(* The SQL suite over every TPC-H table size at SF 0.001 (lineitem's ~6k
+   rows down to nation's 25): aggregates, a filter and a top-k, pushed
+   through a complete cluster over loopback TCP for each protocol — 2
+   (SH-DM), 3 (SH-HM) and 4 (Mal-HM) party processes. Every response is
+   byte-identical to the in-process simulation on the same seed, and the
+   measured wire equals the meter: bits, messages, and one exchange per
+   metered round. *)
+let cluster_suite =
+  [
+    "SELECT l_returnflag, COUNT(*) AS n, SUM(l_quantity) AS qty FROM \
+     lineitem GROUP BY l_returnflag";
+    "SELECT l_shipmode, SUM(l_extendedprice) AS revenue FROM lineitem \
+     WHERE l_discount > 2 GROUP BY l_shipmode";
+    "SELECT o_orderpriority, COUNT(*) AS n FROM orders GROUP BY \
+     o_orderpriority";
+    "SELECT o_orderkey, o_totalprice FROM orders ORDER BY o_totalprice \
+     DESC LIMIT 10";
+    "SELECT c_mktsegment, COUNT(*) AS n, SUM(c_acctbal) AS bal FROM \
+     customer GROUP BY c_mktsegment";
+    "SELECT p_brand, COUNT(*) AS n FROM part GROUP BY p_brand";
+    "SELECT s_nationkey, COUNT(*) AS n FROM supplier GROUP BY s_nationkey";
+    nation_sql;
+  ]
+
+let test_cluster_tcp_suite () =
+  List.iter
+    (fun kind ->
+      let label = Ctx.kind_label kind in
+      (* fork first: the parties build their backends while this process
+         computes the references *)
+      let l = Cluster.launch_local ~seed:42 ~sf:0.001 ~max_rows:10_000 kind in
+      Fun.protect ~finally:(fun () -> Cluster.shutdown_local l) @@ fun () ->
+      let plain = Orq_workloads.Tpch_gen.generate ~seed:42 0.001 in
+      let reference sql =
+        let ctx = Ctx.create ~seed:42 kind in
+        let db = Orq_workloads.Tpch_gen.share ctx plain in
+        let qseed =
+          Orq_service.Service.query_seed_for ~seed:42 ~proto_label:label ~sql
+        in
+        Orq_service.Service.execute_sql ~ctx ~db ~qseed ~max_rows:10_000 sql
+      in
+      let refs = List.map (fun sql -> (sql, reference sql)) cluster_suite in
+      let c =
+        Client.connect ~timeout_ms:300_000 ~retry_ms:30_000
+          (Transport.format_addr l.Cluster.l_client)
+      in
+      Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+      (match Client.set_protocol c (String.lowercase_ascii label) with
+      | Ok _ -> ()
+      | Error msg -> Alcotest.fail ("cluster refused its own protocol: " ^ msg));
+      List.iter
+        (fun (sql, re) ->
+          let what s = Printf.sprintf "%s %s: %s" label s sql in
+          let r = query_ok c sql in
+          (match re with
+          | Wire.Result re ->
+              Alcotest.(check bool) (what "identical to simulation") true
+                (r = re)
+          | _ -> Alcotest.fail (what "reference execution failed"));
+          match Client.net_stats c with
+          | Error msg -> Alcotest.fail (what ("net_stats: " ^ msg))
+          | Ok s ->
+              let t = r.Wire.r_tally in
+              Alcotest.(check int) (what "parties") (Ctx.parties_of kind)
+                s.Wire.n_parties;
+              Alcotest.(check int) (what "bits") t.Comm.t_bits s.Wire.n_bits;
+              Alcotest.(check int) (what "messages") t.Comm.t_messages
+                s.Wire.n_messages;
+              Alcotest.(check int) (what "exchanges = rounds") t.Comm.t_rounds
+                s.Wire.n_exchanges)
+        refs)
+    [ Ctx.Sh_dm; Ctx.Sh_hm; Ctx.Mal_hm ]
+
 let () =
   Alcotest.run "party"
     [
@@ -612,5 +686,7 @@ let () =
           Alcotest.test_case "2-party smoke" `Slow test_cluster_smoke;
           Alcotest.test_case "3-party sorted SH-HM query" `Slow
             test_cluster_sh_hm_sorted;
+          Alcotest.test_case "SQL suite over TCP, 2/3/4 parties" `Slow
+            test_cluster_tcp_suite;
         ] );
     ]

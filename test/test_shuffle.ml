@@ -36,14 +36,14 @@ let test_localperm_algebra () =
   let x = Prg.words prg 50 in
   (* apply then inverse is identity *)
   Alcotest.(check vec) "apply/inverse" x
-    (Orq_util.Vec.gather (Orq_util.Parallel.apply_perm x p) p);
+    (Orq_util.Vec.gather (Orq_util.Vec.scatter x p) p);
   (* invert *)
   Alcotest.(check vec) "invert" x
-    (Orq_util.Parallel.apply_perm (Orq_util.Parallel.apply_perm x p) (invert p));
+    (Orq_util.Vec.scatter (Orq_util.Vec.scatter x p) (invert p));
   (* compose: apply (compose p q) == apply q then p *)
   Alcotest.(check vec) "compose"
-    (Orq_util.Parallel.apply_perm (Orq_util.Parallel.apply_perm x q) p)
-    (Orq_util.Parallel.apply_perm x (Localperm.compose p q))
+    (Orq_util.Vec.scatter (Orq_util.Vec.scatter x q) p)
+    (Orq_util.Vec.scatter x (Localperm.compose p q))
 
 let qcheck_localperm_compose =
   QCheck.Test.make ~name:"compose associativity" ~count:30
@@ -71,7 +71,7 @@ let test_sharded_apply () =
       let p = Shardedperm.gen ctx 64 in
       let y = apply1 ctx (Mpc.share_b ctx x) p |> Share.reconstruct in
       Alcotest.(check vec) "is plaintext perm"
-        (Orq_util.Parallel.apply_perm x (Shardedperm.plaintext p))
+        (Orq_util.Vec.scatter x (Shardedperm.plaintext p))
         y;
       Alcotest.(check vec) "multiset preserved" (sorted_copy x) (sorted_copy y))
 
@@ -172,7 +172,7 @@ let test_apply_elementwise () =
           (Mpc.share_a ctx rho)
         |> List.hd |> Share.reconstruct_c
       in
-      Alcotest.(check vec) "rho(x)" (Orq_util.Parallel.apply_perm x rho) y)
+      Alcotest.(check vec) "rho(x)" (Orq_util.Vec.scatter x rho) y)
 
 let test_apply_elementwise_table () =
   for_all_kinds (fun ctx ->
@@ -189,9 +189,9 @@ let test_apply_elementwise_table () =
           (Mpc.share_b ctx rho)
       with
       | [ sx; sy ] ->
-          Alcotest.(check vec) "col x" (Orq_util.Parallel.apply_perm x rho)
+          Alcotest.(check vec) "col x" (Orq_util.Vec.scatter x rho)
             (Share.reconstruct_c sx);
-          Alcotest.(check vec) "col y" (Orq_util.Parallel.apply_perm y rho)
+          Alcotest.(check vec) "col y" (Orq_util.Vec.scatter y rho)
             (Share.reconstruct_c sy)
       | _ -> Alcotest.fail "arity")
 
@@ -322,7 +322,7 @@ let test_mixed_width_apply_elementwise () =
       let rho, plain, cols, outs, tl = run (fun _ cols -> cols) in
       List.iter2
         (fun x out ->
-          Alcotest.(check vec) (tag ^ " rho(x)") (Orq_util.Parallel.apply_perm x rho)
+          Alcotest.(check vec) (tag ^ " rho(x)") (Orq_util.Vec.scatter x rho)
             (Share.reconstruct_c out))
         plain outs;
       check_share_widths tag cols outs;
@@ -378,7 +378,7 @@ let test_out_of_width_debug () =
       match Shardedperm.apply ctx [ (bad, 8) ] p with
       | [ c ] ->
           Alcotest.(check vec) "masked on receipt"
-            (Orq_util.Parallel.apply_perm (Array.init 8 (fun i -> (i * 40) land 0xFF))
+            (Orq_util.Vec.scatter (Array.init 8 (fun i -> (i * 40) land 0xFF))
                (Shardedperm.plaintext p))
             (Share.reconstruct_c c)
       | _ -> Alcotest.fail "arity")
@@ -431,7 +431,7 @@ let test_perm_protocols_wrap () =
                    (Mpc.share_a ctx rho)
                with
               | [ y ] ->
-                  Alcotest.(check vec) (tag "rho(x)") (Orq_util.Parallel.apply_perm x rho)
+                  Alcotest.(check vec) (tag "rho(x)") (Orq_util.Vec.scatter x rho)
                     (Share.reconstruct_c y)
               | _ -> Alcotest.fail "arity");
               List.iter
@@ -502,7 +502,7 @@ let test_arith_widths_accepted () =
                     n w;
                 Alcotest.(check vec)
                   (Printf.sprintf "n=%d w=%d moved" n w)
-                  (Orq_util.Parallel.apply_perm (Array.init n (fun i -> i))
+                  (Orq_util.Vec.scatter (Array.init n (fun i -> i))
                      (Shardedperm.plaintext p))
                   (Share.reconstruct_c y)
             | _ -> Alcotest.fail "arity"

@@ -276,7 +276,7 @@ let test_radix_compose_perm () =
       let s = Share.reconstruct sigma in
       Alcotest.(check bool) "perm" true (Orq_shuffle.Localperm.is_permutation s);
       Alcotest.(check vec) "perm sorts input" (sorted_asc x)
-        (Orq_util.Parallel.apply_perm x s))
+        (Orq_util.Vec.scatter x s))
 
 let test_hybrid_fewer_rounds () =
   (* the paper's Appendix B.3 claim: the hybrid saves rounds vs compose *)
@@ -467,12 +467,12 @@ let check_wrapper ctx algo dir x =
   Alcotest.(check bool) "sigma is a permutation" true
     (Orq_shuffle.Localperm.is_permutation s);
   Alcotest.(check vec) "sigma sorts the input" expected
-    (Orq_util.Parallel.apply_perm x s);
+    (Orq_util.Vec.scatter x s);
   (* the carried column moved under that same (stable) permutation *)
   match carry' with
   | [ t ] ->
       Alcotest.(check vec) "carry consistent"
-        (Orq_util.Parallel.apply_perm tags s)
+        (Orq_util.Vec.scatter tags s)
         (Share.reconstruct_c t)
   | _ -> Alcotest.fail "arity"
 
@@ -500,7 +500,7 @@ let test_wrapper_stability () =
             Sortwrap.sorting_perm ctx ~algo [ (Mpc.share_b ctx x, 2) ]
           in
           Alcotest.(check vec) "stable sigma" [| 1; 3; 0; 2; 4 |]
-            (Orq_util.Parallel.apply_perm pos (Share.reconstruct sigma));
+            (Orq_util.Vec.scatter pos (Share.reconstruct sigma));
           match carry' with
           | [ c ] ->
               Alcotest.(check vec) "stable" [| 1; 3; 0; 2; 4 |]
@@ -616,7 +616,7 @@ let test_tablesort_wrap () =
               in
               let want =
                 List.map
-                  (fun x -> Orq_util.Parallel.apply_perm x sigma)
+                  (fun x -> Orq_util.Vec.scatter x sigma)
                   [ a; b; id ]
               in
               check_wrap_point tag

@@ -113,15 +113,14 @@ let test_parallel_matches_sequential () =
   let a = Array.init n (fun i -> i * 3) in
   let b = Array.init n (fun i -> i + 7) in
   let seq = Vec.add a b in
+  let p = Orq_shuffle.Localperm.random (Prg.create 5) n in
+  let seq_scatter = Vec.scatter a p in
   Parallel.set_num_domains 3;
   Fun.protect
     ~finally:(fun () -> Parallel.set_num_domains 1)
     (fun () ->
       Alcotest.(check vec) "parallel add" seq (Vec.add a b);
-      let prg = Prg.create 5 in
-      let p = Orq_shuffle.Localperm.random prg n in
-      Alcotest.(check vec) "parallel apply_perm" (Vec.scatter a p)
-        (Parallel.apply_perm a p))
+      Alcotest.(check vec) "parallel scatter" seq_scatter (Vec.scatter a p))
 
 let test_chunks () =
   let spans = Parallel.chunks 10 3 in
