@@ -2,7 +2,8 @@
 
 .PHONY: check build test test-checked lint certify certify-quick bench bench-gates bench-e2e bench-e2e-compare serve party-demo clean
 
-# Query-service knobs (flags win; see DESIGN.md "Query service")
+# Query-service settings for `make serve`, passed to orq_cli serve as
+# flags (see DESIGN.md "Query service")
 ORQ_SOCKET ?= /tmp/orq-service.sock
 ORQ_SF ?= 0.001
 
@@ -36,9 +37,9 @@ test-checked:
 	ORQ_DEBUG_CHECKS=1 dune runtest --force
 
 # Oblivious-transcript certificate: predicted (cost model over a shape
-# twin) vs measured structural transcripts for the 31-query suite under
-# all three protocols; writes CERTIFICATE.json. ~2 min; `--quick` runs a
-# representative subset in seconds.
+# twin) vs measured structural transcripts for the 36-query registry
+# under all three protocols (108 rows); writes CERTIFICATE.json. ~2 min;
+# `--quick` runs a representative subset in seconds.
 # The second pass re-certifies with out-of-core streaming forced on
 # (small chunks, tight budget): all (query, protocol) pairs must still
 # certify, i.e. chunked execution leaves the oblivious transcript and

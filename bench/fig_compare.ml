@@ -131,7 +131,7 @@ let fig5_secrecy ~sf ~other_n () =
       (kb_per_row_per_party s ~rows)
   in
   let orq_other name ctx =
-    (Other_queries.find name).Other_queries.run (Other_gen.share ctx oplain)
+    (Other_queries.find name).Query.run (Other_gen.share ctx oplain)
   in
   let orq_tpch name ctx =
     (Tpch.find name).Tpch.run (Tpch_gen.share ctx tplain)
@@ -261,7 +261,7 @@ let fig5_secretflow ~sf () =
         let _, m = measure ctx (fun () -> ignore (f mdb)) in
         m
       in
-      let o = run (Secretflow_queries.find orq_name).Secretflow_queries.run in
+      let o = run (Tpch.find orq_name).Tpch.run in
       let s = run baseline in
       row "%-6s %12s %12s %9.1fx %14.0f %14.0f" label
         (pretty_time (estimate Netsim.lan o))

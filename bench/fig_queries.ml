@@ -1,6 +1,6 @@
 (** Query-workload experiments:
 
-    - Figure 4: all 31 queries at a fixed scale, 3 protocols, LAN + WAN
+    - Figure 4: all 36 queries at a fixed scale, 3 protocols, LAN + WAN
       estimates, with the median/max summary table;
     - Figure 8: SF-scaling ratio per TPC-H query (SH-DM, LAN);
     - Figure 9: Q12/Q21/Q22 at the larger scale in WAN, all protocols;
@@ -17,37 +17,37 @@ type qresult = {
   q_m : measurement;
 }
 
-(* Run every TPC-H + prior-work query under [kind]; returns measurements. *)
+(* Run every registered query of both catalogs under [kind]: the TPC-H
+   catalog's (TPC-H, then SecretFlow), then the prior-work catalog's. *)
 let run_workload kind ~sf ~other_n : qresult list =
+  let run_catalog ~seed ~rows share plain qs =
+    List.map
+      (fun (q : (_, _) Query.t) ->
+        let ctx = Ctx.create ~seed kind in
+        let mdb = share ctx plain in
+        let _, m = measure ctx (fun () -> ignore (q.Query.run mdb)) in
+        { q_name = q.Query.name; q_rows = rows; q_m = m })
+      qs
+  in
   let plain = Tpch_gen.generate ~seed:2024 sf in
-  let tpch_rows = Tpch_gen.total_rows plain in
-  let tpch =
-    List.map
-      (fun (q : Tpch.query) ->
-        let ctx = Ctx.create ~seed:1 kind in
-        let mdb = Tpch_gen.share ctx plain in
-        let _, m = measure ctx (fun () -> ignore (q.Tpch.run mdb)) in
-        { q_name = q.Tpch.name; q_rows = tpch_rows; q_m = m })
-      Tpch.all
-  in
   let oplain = Other_gen.generate ~seed:2025 other_n in
-  let others =
-    List.map
-      (fun (q : Other_queries.query) ->
-        let ctx = Ctx.create ~seed:2 kind in
-        let mdb = Other_gen.share ctx oplain in
-        let _, m = measure ctx (fun () -> ignore (q.Other_queries.run mdb)) in
-        { q_name = q.Other_queries.name; q_rows = 4 * other_n; q_m = m })
+  run_catalog ~seed:1 ~rows:(Tpch_gen.total_rows plain) Tpch_gen.share plain
+    Tpch.all
+  @ run_catalog ~seed:2 ~rows:(4 * other_n) Other_gen.share oplain
       Other_queries.all
-  in
-  tpch @ others
 
-let is_tpch r = String.length r.q_name >= 1 && r.q_name.[0] = 'Q'
+(* The paper's two summary families: TPC-H proper ("Q1".."Q22") and the
+   prior-work queries; SecretFlow's S1-S5 are Figure 5's. *)
+let is_tpch name = String.length name >= 1 && name.[0] = 'Q'
+
+let is_prior name =
+  List.exists (fun (q : Other_queries.query) -> q.Query.name = name)
+    Other_queries.all
 
 let fig4 ~sf ~other_n () =
   section
     (Printf.sprintf
-       "Figure 4: all 31 queries (TPC-H @ SF=%g, others @ n=%d), per protocol"
+       "Figure 4: all 36 queries (TPC-H @ SF=%g, others @ n=%d), per protocol"
        sf other_n);
   let all_results =
     List.map
@@ -72,8 +72,8 @@ let fig4 ~sf ~other_n () =
     "tpch-max" "other-median" "other-max";
   List.iter
     (fun (kind, results) ->
-      let tp = List.filter is_tpch results in
-      let ot = List.filter (fun r -> not (is_tpch r)) results in
+      let tp = List.filter (fun r -> is_tpch r.q_name) results in
+      let ot = List.filter (fun r -> is_prior r.q_name) results in
       List.iter
         (fun (env, profile) ->
           let times rs = List.map (fun r -> estimate profile r.q_m) rs in
@@ -114,7 +114,7 @@ let fig8 ~sf () =
           (le large /. le small)
           (large.wall_s /. small.wall_s);
         (le large /. le small, large.wall_s /. small.wall_s))
-      Tpch.all
+      (List.filter (fun (q : Tpch.query) -> is_tpch q.Tpch.name) Tpch.all)
   in
   row
     "median lan-ratio: %.1fx, median compute-ratio: %.1fx (ideal n log n \

@@ -83,7 +83,7 @@ let join_run plain (q : Tpch.query) mode =
   let ctx = Ctx.create ~seed:5 Ctx.Sh_hm in
   let mdb = Tpch_gen.share ctx plain in
   let before = Comm.snapshot ctx.Ctx.comm in
-  let ok, _, _ = Tpch.validate q plain mdb in
+  let ok, _, _ = Query.validate q plain mdb in
   let j_tally = Comm.since ctx.Ctx.comm before in
   let j_ops =
     String.concat ","
@@ -170,7 +170,7 @@ let scale_query plain qname =
   let ctx = Ctx.create ~seed:5 Ctx.Sh_hm in
   let (ok, _, _), m =
     measure ctx (fun () ->
-        Tpch.validate (Tpch.find qname) plain (Tpch_gen.share ctx plain))
+        Query.validate (Tpch.find qname) plain (Tpch_gen.share ctx plain))
   in
   (ok, m)
 

@@ -43,54 +43,36 @@ let print_local_memory () =
       (Orq_util.Chunkvec.rss_peak_kb ())
   end
 
+(* [r_load] generates and shares the data, and returns the query's run
+   and its validation, so the run can be timed alone. *)
 type runnable = {
   r_name : string;
-  r_run : Ctx.t -> float -> int -> Orq_core.Table.t * (unit -> bool);
+  r_load :
+    Ctx.t -> float -> int -> (unit -> Orq_core.Table.t) * (unit -> bool);
 }
 
-let runnables : runnable list =
+(* One adapter per catalog: its data at the requested scale (--sf for
+   the TPC-H catalog, -n for the prior-work one). *)
+let of_catalog generate share (qs : ('db, 'plain) Query.t list) =
   List.map
-    (fun (q : Tpch.query) ->
+    (fun (q : ('db, 'plain) Query.t) ->
       {
-        r_name = q.Tpch.name;
-        r_run =
-          (fun ctx sf _n ->
-            let plain = Tpch_gen.generate sf in
-            let mdb = Tpch_gen.share ctx plain in
-            ( q.Tpch.run mdb,
+        r_name = q.Query.name;
+        r_load =
+          (fun ctx sf n ->
+            let plain = generate sf n in
+            let mdb = share ctx plain in
+            ( (fun () -> q.Query.run mdb),
               fun () ->
-                let ok, _, _ = Tpch.validate q plain mdb in
+                let ok, _, _ = Query.validate q plain mdb in
                 ok ));
       })
-    Tpch.all
-  @ List.map
-      (fun (q : Other_queries.query) ->
-        {
-          r_name = q.Other_queries.name;
-          r_run =
-            (fun ctx _sf n ->
-              let plain = Other_gen.generate n in
-              let mdb = Other_gen.share ctx plain in
-              ( q.Other_queries.run mdb,
-                fun () ->
-                  let ok, _, _ = Other_queries.validate q plain mdb in
-                  ok ));
-        })
+    qs
+
+let runnables : runnable list =
+  of_catalog (fun sf _ -> Tpch_gen.generate sf) Tpch_gen.share Tpch.all
+  @ of_catalog (fun _ n -> Other_gen.generate n) Other_gen.share
       Other_queries.all
-  @ List.map
-      (fun (q : Secretflow_queries.query) ->
-        {
-          r_name = q.Secretflow_queries.name;
-          r_run =
-            (fun ctx sf _n ->
-              let plain = Tpch_gen.generate sf in
-              let mdb = Tpch_gen.share ctx plain in
-              ( q.Secretflow_queries.run mdb,
-                fun () ->
-                  let ok, _, _ = Secretflow_queries.validate q plain mdb in
-                  ok ));
-        })
-      Secretflow_queries.all
 
 let protocol_of_string s =
   match Service.proto_of_label s with
@@ -125,6 +107,38 @@ let dump_trace (ctx : Ctx.t) =
     Orq_net.Comm.stop_recording ctx.Ctx.comm
   end
 
+(* A batch run's report, the same for --sql and -q: the opened [cols]
+   (first 20 rows), online and preprocessing traffic, compute time and
+   the modeled network estimate, local memory and the transcript. *)
+let print_run ctx profile ~compute ?note ~cols opened =
+  let nrows = match opened with (_, c) :: _ -> Array.length c | [] -> 0 in
+  Printf.printf "\nresult (%d rows, opened to the analyst):\n" nrows;
+  Printf.printf "  %s\n" (String.concat " | " cols);
+  for i = 0 to min (nrows - 1) 19 do
+    Printf.printf "  %s\n"
+      (String.concat " | "
+         (List.map
+            (fun c ->
+              match List.assoc_opt c opened with
+              | Some v -> string_of_int v.(i)
+              | None -> "-")
+            cols))
+  done;
+  if nrows > 20 then Printf.printf "  ... (%d more)\n" (nrows - 20);
+  Option.iter print_endline note;
+  let tally = Orq_net.Comm.snapshot ctx.Ctx.comm in
+  let pre = Orq_net.Comm.snapshot ctx.Ctx.preproc in
+  Printf.printf
+    "\ncosts: %d online rounds | %.2f MiB online | %.2f MiB preprocessing\n"
+    tally.Orq_net.Comm.t_rounds
+    (float_of_int tally.Orq_net.Comm.t_bits /. 8. /. 1024. /. 1024.)
+    (float_of_int pre.Orq_net.Comm.t_bits /. 8. /. 1024. /. 1024.);
+  Printf.printf "simulation compute: %.2fs | estimated %s end-to-end: %.2fs\n"
+    compute profile.Netsim.label
+    (compute +. Netsim.network_time profile tally);
+  print_local_memory ();
+  dump_trace ctx
+
 (* --sql: run an ad-hoc SQL query against the TPC-H catalog through the
    automatic planner (lib/planner). *)
 let run_sql sql proto sf profile =
@@ -132,6 +146,7 @@ let run_sql sql proto sf profile =
   start_trace ctx;
   let db = Tpch_gen.share ctx (Tpch_gen.generate sf) in
   Printf.printf "planning and running under %s...\n%!" (Ctx.kind_label proto);
+  let t0 = Unix.gettimeofday () in
   match Orq_planner.Sql.run (Tpch_gen.catalog db) sql with
   | exception Orq_planner.Sql.Parse_error msg ->
       Printf.eprintf "SQL error: %s\n" msg;
@@ -140,86 +155,44 @@ let run_sql sql proto sf profile =
       Printf.eprintf "SQL refused before any share moved: %s\n" msg;
       1
   | t, cols, fallbacks ->
-      let opened = Orq_core.Table.reveal t in
-      let nrows =
-        match opened with (_, c) :: _ -> Array.length c | [] -> 0
+      let compute = Unix.gettimeofday () -. t0 in
+      let note =
+        if fallbacks = 0 then None
+        else
+          Some
+            (Printf.sprintf
+               "note: %d join(s) were outside the tractable class and took \
+                the quadratic oblivious fallback"
+               fallbacks)
       in
-      Printf.printf "result (%d rows):\n  %s\n" nrows (String.concat " | " cols);
-      for i = 0 to min (nrows - 1) 19 do
-        Printf.printf "  %s\n"
-          (String.concat " | "
-             (List.map
-                (fun c ->
-                  match List.assoc_opt c opened with
-                  | Some v -> string_of_int v.(i)
-                  | None -> "-")
-                cols))
-      done;
-      if fallbacks > 0 then
-        Printf.printf
-          "note: %d join(s) were outside the tractable class and took the \
-           quadratic oblivious fallback\n"
-          fallbacks;
-      let tally = Orq_net.Comm.snapshot ctx.Ctx.comm in
-      Printf.printf "costs: %d rounds | %.2f MiB | estimated %s: %.2fs\n"
-        tally.Orq_net.Comm.t_rounds
-        (float_of_int tally.Orq_net.Comm.t_bits /. 8. /. 1024. /. 1024.)
-        profile.Netsim.label
-        (Netsim.network_time profile tally);
-      print_local_memory ();
-      dump_trace ctx;
+      print_run ctx profile ~compute ?note ~cols (Orq_core.Table.reveal t);
       0
 
 let run_registered query proto sf n profile validate =
-    match List.find_opt (fun r -> r.r_name = query) runnables with
-    | None ->
-        Printf.eprintf "unknown query %s (try --list)\n" query;
+  match List.find_opt (fun r -> r.r_name = query) runnables with
+  | None ->
+      Printf.eprintf "unknown query %s (try --list)\n" query;
+      1
+  | Some r ->
+      let ctx = Ctx.create proto in
+      start_trace ctx;
+      Printf.printf "running %s under %s (%d parties)...\n%!" query
+        (Ctx.kind_label proto) ctx.Ctx.parties;
+      let run, check = r.r_load ctx sf n in
+      let t0 = Unix.gettimeofday () in
+      let result = run () in
+      let compute = Unix.gettimeofday () -. t0 in
+      let opened = Orq_core.Table.reveal result in
+      print_run ctx profile ~compute ~cols:(List.map fst opened) opened;
+      if not validate then 0
+      else if check () then begin
+        print_endline "validation against plaintext engine: OK";
+        0
+      end
+      else begin
+        print_endline "validation against plaintext engine: MISMATCH";
         1
-    | Some r ->
-        let ctx = Ctx.create proto in
-        start_trace ctx;
-        Printf.printf "running %s under %s (%d parties)...\n%!" query
-          (Ctx.kind_label proto) ctx.Ctx.parties;
-        let t0 = Unix.gettimeofday () in
-        let result, check = r.r_run ctx sf n in
-        let compute = Unix.gettimeofday () -. t0 in
-        let opened = Orq_core.Table.reveal result in
-        let tally = Orq_net.Comm.snapshot ctx.Ctx.comm in
-        let pre = Orq_net.Comm.snapshot ctx.Ctx.preproc in
-        let nrows =
-          match opened with (_, c) :: _ -> Array.length c | [] -> 0
-        in
-        Printf.printf "\nresult (%d rows, opened to the analyst):\n" nrows;
-        let names = List.map fst opened in
-        Printf.printf "  %s\n" (String.concat " | " names);
-        for i = 0 to min (nrows - 1) 19 do
-          Printf.printf "  %s\n"
-            (String.concat " | "
-               (List.map (fun (_, c) -> string_of_int c.(i)) opened))
-        done;
-        if nrows > 20 then Printf.printf "  ... (%d more)\n" (nrows - 20);
-        Printf.printf
-          "\ncosts: %d online rounds | %.2f MiB online | %.2f MiB \
-           preprocessing\n"
-          tally.Orq_net.Comm.t_rounds
-          (float_of_int tally.Orq_net.Comm.t_bits /. 8. /. 1024. /. 1024.)
-          (float_of_int pre.Orq_net.Comm.t_bits /. 8. /. 1024. /. 1024.);
-        Printf.printf "simulation compute: %.2fs | estimated %s end-to-end: %.2fs\n"
-          compute profile.Netsim.label
-          (compute +. Netsim.network_time profile tally);
-        print_local_memory ();
-        dump_trace ctx;
-        if validate then
-          if check () then begin
-            print_endline "validation against plaintext engine: OK";
-            0
-          end
-          else begin
-            print_endline "validation against plaintext engine: MISMATCH";
-            1
-          end
-        else 0
-
+      end
 
 let run list_only query sql proto sf n profile validate =
   if list_only then begin
@@ -562,8 +535,7 @@ let run_term =
 let run_cmd =
   Cmd.v (Cmd.info "run" ~doc:"one-shot batch execution (the default)") run_term
 
-(* serve flags: defaults honor ORQ_SERVICE_MAX_JOBS / ORQ_SERVICE_MAX_ROWS
-   like the ORQ_DOMAINS plumbing above — env sets the default, flag wins. *)
+(* serve flags default to Service.default_config's fields *)
 let service_defaults = Service.default_config ()
 
 let socket_t =
@@ -578,41 +550,31 @@ let serve_cmd =
       value
       & opt int service_defaults.Service.workers
       & info [ "workers" ] ~docv:"N"
-          ~doc:
-            "Execution worker domains (default: the ORQ_SERVICE_WORKERS \
-             environment variable, else 1).")
+          ~doc:"Execution worker domains.")
   in
   let pace_t =
     Arg.(
       value
-      & opt string
-          (match service_defaults.Service.pace with
-          | Some p -> p.Orq_net.Netsim.label
-          | None -> "off")
+      & opt string "off"
       & info [ "pace" ] ~docv:"PROFILE"
           ~doc:
             "Paced execution: each worker holds its slot for the query's \
              modeled network time under this Netsim profile (off, lan, wan, \
-             geo or local; default: the ORQ_SERVICE_PACE environment \
-             variable, else off).")
+             geo or local).")
   in
   let max_jobs_t =
     Arg.(
       value
       & opt int service_defaults.Service.max_jobs
       & info [ "max-jobs" ] ~docv:"K"
-          ~doc:
-            "Admission control: maximum in-flight queries (default: the \
-             ORQ_SERVICE_MAX_JOBS environment variable, else 4).")
+          ~doc:"Admission control: maximum in-flight queries.")
   in
   let max_rows_t =
     Arg.(
       value
       & opt int service_defaults.Service.max_rows
       & info [ "max-rows" ] ~docv:"R"
-          ~doc:
-            "Truncate responses beyond this many rows (default: the \
-             ORQ_SERVICE_MAX_ROWS environment variable, else 10000).")
+          ~doc:"Truncate responses beyond this many rows.")
   in
   let cache_t =
     Arg.(
@@ -668,9 +630,7 @@ let query_cmd =
       value
       & opt (some int) None
       & info [ "timeout-ms" ] ~docv:"MS"
-          ~doc:
-            "Receive timeout in milliseconds (default: the \
-             ORQ_CLIENT_TIMEOUT_MS environment variable, else none).")
+          ~doc:"Receive timeout in milliseconds (default: none).")
   in
   let set_workers_t =
     Arg.(

@@ -29,26 +29,11 @@ let say fmt = Format.printf (fmt ^^ "@.")
 
 (* ---------------- JSON rendering (hand-rolled; no dependency) -------- *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let json_finding ~pass ~file ~line ~rule ~site ~detail =
   Printf.sprintf
     "{\"pass\":\"%s\",\"file\":\"%s\",\"line\":%d,\"rule\":\"%s\",\"site\":\"%s\",\"detail\":\"%s\"}"
-    pass (json_escape file) line (json_escape rule) (json_escape site)
-    (json_escape detail)
+    pass (Certify.json_escape file) line (Certify.json_escape rule)
+    (Certify.json_escape site) (Certify.json_escape detail)
 
 let emit_json ~pass items =
   print_string "{\"pass\":\"";

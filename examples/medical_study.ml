@@ -44,7 +44,7 @@ let () =
     (Orq_core.Table.nrows db.Other_gen.m_cohort);
 
   (* 1. Comorbidity *)
-  let top = (Other_queries.find "Comorbidity").Other_queries.run db in
+  let top = (Other_queries.find "Comorbidity").Query.run db in
   Printf.printf "\ntop diagnoses in cohort (diag, count):\n";
   List.iter
     (fun row ->
@@ -54,14 +54,14 @@ let () =
     (reveal_rows ~sort_desc_by:1 top [ "diag"; "cnt" ]);
 
   (* 2. Aspirin *)
-  let asp = (Other_queries.find "Aspirin").Other_queries.run db in
+  let asp = (Other_queries.find "Aspirin").Query.run db in
   (match reveal_rows asp [ "patients" ] with
   | [ [ n ] ] ->
       Printf.printf "\npatients on aspirin after heart-disease diagnosis: %d\n" n
   | _ -> ());
 
   (* 3. C.Diff recurrence *)
-  let cd = (Other_queries.find "C.Diff").Other_queries.run db in
+  let cd = (Other_queries.find "C.Diff").Query.run db in
   (match reveal_rows cd [ "patients" ] with
   | [ [ n ] ] -> Printf.printf "patients with recurring C.Diff: %d\n" n
   | _ -> ());
@@ -72,7 +72,7 @@ let () =
      Ctx.with_tamper ctx
        (fun ~party ~op -> if party = 2 && op = "mul" then Some 1 else None)
        (fun () ->
-         ignore ((Other_queries.find "Comorbidity").Other_queries.run db))
+         ignore ((Other_queries.find "Comorbidity").Query.run db))
    with Ctx.Abort msg -> Printf.printf "aborted as expected: %s\n" msg);
 
   let tally = Orq_net.Comm.snapshot ctx.Ctx.comm in

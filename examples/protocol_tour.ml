@@ -14,7 +14,7 @@ open Orq_workloads
 module Netsim = Orq_net.Netsim
 
 (* the query: market share per company over jointly held transactions *)
-let market_share db = (Other_queries.find "MarketShare").Other_queries.run db
+let market_share db = (Other_queries.find "MarketShare").Query.run db
 
 let () =
   let plain = Other_gen.generate 600 in

@@ -168,48 +168,38 @@ let certify_one ~query ~kind ~(measured : Ctx.t -> bool) ~(predicted : Ctx.t -> 
         end
 
 (* ------------------------------------------------------------------ *)
-(* The 31-query suite                                                  *)
+(* The 36-query suite                                                  *)
 (* ------------------------------------------------------------------ *)
 
-(** Certify the full workload (22 TPC-H + 9 prior-work queries) under the
-    given protocols. [names] restricts the query set (quick mode). *)
+(* Certify one catalog's registered queries under [kind]: measured over
+   [plain], predicted over its shape [twin]. *)
+let certify_catalog ~kind ~keep ~share ~plain ~twin (qs : ('db, 'p) Query.t list) =
+  List.filter_map
+    (fun (q : ('db, 'p) Query.t) ->
+      if not (keep q.Query.name) then None
+      else
+        Some
+          (certify_one ~query:q.Query.name ~kind
+             ~measured:(fun ctx ->
+               let ok, _, _ = Query.validate q plain (share ctx plain) in
+               ok)
+             ~predicted:(fun ctx -> ignore (q.Query.run (share ctx twin)))))
+    qs
+
+(** Certify the full workload (the TPC-H catalog's 22 TPC-H and 5
+    SecretFlow queries, then the 9 prior-work queries) under the given
+    protocols. [names] restricts the query set (quick mode). *)
 let run_suite ?(sf = 0.0002) ?(other_n = 400) ?(kinds = Ctx.all_kinds)
     ?(names : string list option) () : cert list =
   let keep n = match names with None -> true | Some ns -> List.mem n ns in
   let plain = Tpch_gen.generate ~seed:99 sf in
-  let twin = twin_tpch plain in
   let oplain = Other_gen.generate ~seed:31 other_n in
-  let otwin = twin_other oplain in
+  let twin = twin_tpch plain and otwin = twin_other oplain in
   List.concat_map
     (fun kind ->
-      List.filter_map
-        (fun (q : Tpch.query) ->
-          if not (keep q.Tpch.name) then None
-          else
-            Some
-              (certify_one ~query:q.Tpch.name ~kind
-                 ~measured:(fun ctx ->
-                   let mdb = Tpch_gen.share ctx plain in
-                   let ok, _, _ = Tpch.validate q plain mdb in
-                   ok)
-                 ~predicted:(fun ctx ->
-                   let mdb = Tpch_gen.share ctx twin in
-                   ignore (q.Tpch.run mdb))))
-        Tpch.all
-      @ List.filter_map
-          (fun (q : Other_queries.query) ->
-            if not (keep q.Other_queries.name) then None
-            else
-              Some
-                (certify_one ~query:q.Other_queries.name ~kind
-                   ~measured:(fun ctx ->
-                     let mdb = Other_gen.share ctx oplain in
-                     let ok, _, _ = Other_queries.validate q oplain mdb in
-                     ok)
-                   ~predicted:(fun ctx ->
-                     let mdb = Other_gen.share ctx otwin in
-                     ignore (q.Other_queries.run mdb))))
-          Other_queries.all)
+      certify_catalog ~kind ~keep ~share:Tpch_gen.share ~plain ~twin Tpch.all
+      @ certify_catalog ~kind ~keep ~share:Other_gen.share ~plain:oplain
+          ~twin:otwin Other_queries.all)
     kinds
 
 let all_ok certs = List.for_all (fun c -> c.c_ok && c.c_validated) certs
@@ -220,11 +210,21 @@ let pp_cert ppf c =
     (mode_label c.c_mode) c.c_events Comm.pp_tally c.c_tally
     (if c.c_detail = "" then "" else "\n    " ^ c.c_detail)
 
+(** A JSON string body: quotes, backslashes and every control byte
+    escaped, so any detail text stays one valid JSON string. *)
 let json_escape s =
-  String.concat ""
-    (List.map
-       (function '"' -> "\\\"" | '\\' -> "\\\\" | c -> String.make 1 c)
-       (List.init (String.length s) (String.get s)))
+  let b = Buffer.create (String.length s + 8) in
+  String.iter
+    (function
+      | '"' -> Buffer.add_string b "\\\""
+      | '\\' -> Buffer.add_string b "\\\\"
+      | '\n' -> Buffer.add_string b "\\n"
+      | '\t' -> Buffer.add_string b "\\t"
+      | c when Char.code c < 0x20 ->
+          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char b c)
+    s;
+  Buffer.contents b
 
 (** The certificate report uploaded by CI. *)
 let report_json ?(sf = 0.0002) ?(other_n = 400) (certs : cert list) : string =

@@ -97,6 +97,10 @@ let keep : (string * string) list =
       round-trips every mesh message");
     ("Pwire.decode", "live: Pwire.recv decodes through it; test_party \
       round-trips every mesh message and rejects bad ones");
+    ("Chunkvec.parse_bytes", "live: the chunk store reads ORQ_MEM_BUDGET \
+      through it; test_chunked pins every size suffix");
+    ("Chunkvec.chunk_ids", "observer: Chunkvec.append and sub share whole \
+      chunks instead of copying; test_chunked checks the shared ids");
   ]
 
 let rule_label = function

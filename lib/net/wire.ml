@@ -10,7 +10,7 @@ let max_frame = 16 * 1024 * 1024
 (* Compat guard for future wire changes: [Hello] carries the client's
    protocol version; the server rejects a mismatch with a clear error
    instead of mis-decoding later frames. Bump on any frame-layout change. *)
-let protocol_version = 4
+let protocol_version = 5
 
 type err_code = Bad_request | Busy | Too_large | Internal
 
@@ -95,8 +95,7 @@ type explain = {
 
 type request =
   | Hello of { h_version : int; h_proto : string; h_client : string }
-  | Query of string
-  | Query_p of { q_sql : string; q_prio : int }
+  | Query of { q_sql : string; q_prio : int }
   | Ping
   | Stats_req
   | Set_workers of int
@@ -240,7 +239,6 @@ let tag_hello = 0x01
 and tag_query = 0x02
 and tag_ping = 0x03
 and tag_stats_req = 0x04
-and tag_query_p = 0x05
 and tag_set_workers = 0x06
 and tag_net_stats_req = 0x07
 and tag_explain = 0x08
@@ -261,11 +259,8 @@ let encode_request (r : request) : bytes =
       put_u16 b h_version;
       put_string b h_proto;
       put_string b h_client
-  | Query sql ->
+  | Query { q_sql; q_prio } ->
       put_u8 b tag_query;
-      put_string b sql
-  | Query_p { q_sql; q_prio } ->
-      put_u8 b tag_query_p;
       put_u8 b q_prio;
       put_string b q_sql
   | Ping -> put_u8 b tag_ping
@@ -380,11 +375,10 @@ let decode_request (body : bytes) : request =
         let h_proto = get_string c in
         let h_client = get_string c in
         Hello { h_version; h_proto; h_client }
-    | t when t = tag_query -> Query (get_string c)
-    | t when t = tag_query_p ->
+    | t when t = tag_query ->
         let q_prio = get_u8 c in
         let q_sql = get_string c in
-        Query_p { q_sql; q_prio }
+        Query { q_sql; q_prio }
     | t when t = tag_ping -> Ping
     | t when t = tag_stats_req -> Stats_req
     | t when t = tag_set_workers -> Set_workers (get_u32 c)

@@ -133,10 +133,8 @@ type request =
           Connections sharing a group share one fairness lane in the job
           queue — a client flooding from many connections still cannot
           starve other groups. *)
-  | Query of string  (** SQL text, normal priority *)
-  | Query_p of { q_sql : string; q_prio : int }
-      (** SQL text with an explicit priority class (0 = high, 1 = normal,
-          2 = low) *)
+  | Query of { q_sql : string; q_prio : int }
+      (** SQL text and its priority class (0 = high, 1 = normal, 2 = low) *)
   | Ping
   | Stats_req
   | Set_workers of int  (** live-resize the execution worker pool *)

@@ -380,8 +380,7 @@ let handle_client_request (cfg : config) (b : backend) (ex : Exchange.t)
               ^ Printf.sprintf " (you asked for %s)" (Ctx.kind_label k))
         | Error msg -> bad msg)
   | Wire.Ping -> Wire.Pong
-  | Wire.Query sql -> run sql
-  | Wire.Query_p { q_sql; q_prio = _ } ->
+  | Wire.Query { q_sql; q_prio = _ } ->
       (* the mesh is one lane: priorities would have nothing to reorder *)
       run q_sql
   | Wire.Explain sql -> (

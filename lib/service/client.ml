@@ -5,14 +5,6 @@ exception Service_error of string
 
 type t = { fd : Unix.file_descr }
 
-let env_timeout_ms () =
-  match Sys.getenv_opt "ORQ_CLIENT_TIMEOUT_MS" with
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some v when v > 0 -> Some v
-      | _ -> None)
-  | None -> None
-
 (* Addresses accept every Transport spelling (unix:/path, bare path,
    tcp:host:port, host:port), so the same client dials the in-process
    service's Unix socket or a party cluster's TCP front end. [retry_ms]
@@ -30,10 +22,7 @@ let connect ?timeout_ms ?retry_ms addr_s =
     | _ -> Transport.connect addr
   in
   (try
-     let tmo =
-       match timeout_ms with Some _ as t -> t | None -> env_timeout_ms ()
-     in
-     match tmo with
+     match timeout_ms with
      | Some ms when ms > 0 ->
          Unix.setsockopt_float fd Unix.SO_RCVTIMEO (float_of_int ms /. 1e3)
      | _ -> ()
@@ -66,13 +55,8 @@ let set_protocol ?(client = "") t label =
   | Wire.Error_r { msg; _ } -> Error msg
   | _ -> raise (Service_error "unexpected response to Hello")
 
-let query ?prio t sql =
-  let req =
-    match prio with
-    | None -> Wire.Query sql
-    | Some p -> Wire.Query_p { q_sql = sql; q_prio = p }
-  in
-  match rpc t req with
+let query ?(prio = 1) t sql =
+  match rpc t (Wire.Query { q_sql = sql; q_prio = prio }) with
   | Wire.Result r -> Ok r
   | Wire.Error_r { code; msg } -> Error (code, msg)
   | _ -> raise (Service_error "unexpected response to Query")

@@ -11,12 +11,11 @@ val connect : ?timeout_ms:int -> ?retry_ms:int -> string -> t
 (** Connect to a server address in any {!Orq_net.Transport} spelling
     ([unix:/path], a bare path, [tcp:host:port], [host:port]) — the same
     client dials the in-process service or a party cluster's TCP front
-    end. [timeout_ms] (or [ORQ_CLIENT_TIMEOUT_MS] when absent) arms a
-    receive timeout on the socket: an RPC whose response does not arrive
-    in time raises {!Service_error} instead of hanging forever on a
-    stalled server. [retry_ms] dials with bounded exponential-backoff
-    retry for that many milliseconds while the server is still binding
-    (default: a single attempt). *)
+    end. [timeout_ms] arms a receive timeout on the socket: an RPC whose
+    response does not arrive in time raises {!Service_error} instead of
+    hanging forever on a stalled server. [retry_ms] dials with bounded
+    exponential-backoff retry for that many milliseconds while the server
+    is still binding (default: a single attempt). *)
 
 val close : t -> unit
 

@@ -43,27 +43,18 @@ let pace_of_label s =
           Error
             (Printf.sprintf "unknown pace profile %S (off|lan|wan|geo|local)" s))
 
-let env_pace () =
-  match Sys.getenv_opt "ORQ_SERVICE_PACE" with
-  | None -> None
-  | Some s -> (
-      match pace_of_label s with
-      | Ok p -> p
-      | Error _ -> None)
-
 let default_config ?(socket_path = "/tmp/orq-service.sock") () =
-  let workers = max 1 (env_int "ORQ_SERVICE_WORKERS" 1) in
   {
     socket_path;
     sf = 0.001;
     seed = 42;
-    workers;
-    max_jobs = env_int "ORQ_SERVICE_MAX_JOBS" (max 4 (2 * workers));
-    max_rows = env_int "ORQ_SERVICE_MAX_ROWS" 10_000;
+    workers = 1;
+    max_jobs = 4;
+    max_rows = 10_000;
     cache_capacity = 64;
     admit_timeout_s = float_of_int (env_int "ORQ_SERVICE_ADMIT_MS" 2_000) /. 1e3;
     drain_timeout_s = float_of_int (env_int "ORQ_SERVICE_DRAIN_MS" 5_000) /. 1e3;
-    pace = env_pace ();
+    pace = None;
     prewarm = [];
     verbose = false;
     job_hook = None;
@@ -553,12 +544,11 @@ let handle_session t (s : session) =
            | Wire.Set_workers n ->
                set_workers t n;
                Wire.send_response s.s_fd (Wire.Stats_r (stats t))
-           | Wire.Query sql -> run_query sql Jobqueue.Normal
            | Wire.Explain sql ->
                logf t "session %d: explain under %s: %s" s.s_id
                  (Ctx.kind_label !proto) sql;
                Wire.send_response s.s_fd (submit_explain t s !proto sql)
-           | Wire.Query_p { q_sql; q_prio } -> (
+           | Wire.Query { q_sql; q_prio } -> (
                match Jobqueue.prio_of_int q_prio with
                | Some prio -> run_query q_sql prio
                | None ->

@@ -5,11 +5,11 @@
     framed protocol. Each connection is a session with its own protocol
     kind (sh-dm / sh-hm / mal-hm, selected by [Hello]); queries from all
     sessions funnel through a fair, prioritized, bounded {!Jobqueue} into
-    a pool of execution {b worker domains} (default size
-    [ORQ_SERVICE_WORKERS], live-resizable with [Set_workers]). Each worker
-    lazily builds its own per-protocol backend (context + shared catalog),
-    so workers never contend on protocol state and cold queries on
-    distinct workers run concurrently.
+    a pool of execution {b worker domains} ([config.workers],
+    live-resizable with [Set_workers]). Each worker lazily builds its own
+    per-protocol backend (context + shared catalog), so workers never
+    contend on protocol state and cold queries on distinct workers run
+    concurrently.
 
     {b Determinism.} Every query executes under a session seed derived
     only from (service seed, protocol, normalized SQL) via
@@ -20,12 +20,12 @@
     identical cold queries are coalesced single-flight (one execution,
     everyone replays its bytes).
 
-    {b Pacing.} With [ORQ_SERVICE_PACE] (or [config.pace]) set to a
-    {!Orq_net.Netsim} profile, each worker holds its slot for the query's
-    modeled network time after computing — reproducing the paper's
-    network-bound deployment where per-query latency is dominated by
-    round trips, and a pool of workers overlaps queries for near-linear
-    throughput scaling on any core count.
+    {b Pacing.} With [config.pace] set to a {!Orq_net.Netsim} profile,
+    each worker holds its slot for the query's modeled network time after
+    computing — reproducing the paper's network-bound deployment where
+    per-query latency is dominated by round trips, and a pool of workers
+    overlaps queries for near-linear throughput scaling on any core
+    count.
 
     The server process ignores SIGPIPE and treats per-session failures
     (client disconnect mid-query, malformed frames) as session-local:
@@ -56,11 +56,10 @@ type config = {
 }
 
 val default_config : ?socket_path:string -> unit -> config
-(** Defaults: sf 0.001, seed 42, [ORQ_SERVICE_WORKERS] (else 1),
-    [ORQ_SERVICE_MAX_JOBS] (else [2 x workers], min 4),
-    [ORQ_SERVICE_MAX_ROWS] (else 10000), cache 64,
-    [ORQ_SERVICE_ADMIT_MS] (else 2000), [ORQ_SERVICE_DRAIN_MS] (else
-    5000), [ORQ_SERVICE_PACE] (off | lan | wan | geo, else off), quiet. *)
+(** Defaults: sf 0.001, seed 42, 1 worker, 4 in-flight jobs, 10000
+    rows, cache 64, no pacing, quiet; [ORQ_SERVICE_ADMIT_MS] (else 2000)
+    and [ORQ_SERVICE_DRAIN_MS] (else 5000). [orq_cli serve] flags set the
+    rest. *)
 
 type t
 

@@ -333,7 +333,6 @@ let () =
 (* Vectors                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let length t = t.n
 let nchunks t = Array.length t.chunks
 let rows_of t = t.rows
 let tracked t = t.vtracked
@@ -447,59 +446,10 @@ let to_array t =
     out
   end
 
-let get t i =
-  if i < 0 || i >= t.n then invalid_arg "Chunkvec.get";
-  with_chunk t (i / t.rows) (fun a -> a.(i mod t.rows))
-
-let equal a b =
-  a.n = b.n
-  &&
-  let ok = ref true in
-  iter_chunks a (fun i ca ->
-      if !ok then
-        let base = chunk_base a i in
-        for j = 0 to Array.length ca - 1 do
-          if !ok && get b (base + j) <> ca.(j) then ok := false
-        done);
-  !ok
-
 (* Derived vectors keep the source's granularity and tracking, so the
    whole-vector path stays single-chunk end to end. *)
 let like_builder t total =
   Builder.create ~rows:t.rows ~tracked:t.vtracked total
-
-(** Chunkwise map: [f] gets each payload and must return a fresh array of
-    the same length. *)
-let map f t =
-  let b = like_builder t t.n in
-  iter_chunks t (fun _ a ->
-      let o = f a in
-      if Array.length o <> Array.length a then
-        invalid_arg "Chunkvec.map: length change";
-      Builder.push b o);
-  Builder.finish b
-
-let map2 f x y =
-  if x.n <> y.n then invalid_arg "Chunkvec.map2: length mismatch";
-  if x.rows = y.rows then begin
-    let b = like_builder x x.n in
-    Array.iteri
-      (fun i _ ->
-        with_chunk x i (fun xa ->
-            with_chunk y i (fun ya ->
-                let o = f xa ya in
-                if Array.length o <> Array.length xa then
-                  invalid_arg "Chunkvec.map2: length change";
-                Builder.push b o)))
-      x.chunks;
-    Builder.finish b
-  end
-  else begin
-    (* granularity mismatch (e.g. tracked vs wrapped): go through arrays *)
-    let xa = to_array x and ya = to_array y in
-    let o = f xa ya in
-    if x.vtracked then of_array o else alias o
-  end
 
 (* Tracked gather: output chunks are produced (and become evictable) one
    at a time; the source faults chunks in on demand, so the resident
@@ -662,27 +612,6 @@ let append a b =
     end
   end
 
-let concat = function
-  | [] -> invalid_arg "Chunkvec.concat: empty"
-  | t :: rest -> List.fold_left append t rest
-
-(** Chunkwise running prefix sum over the ring (carry threaded through the
-    chunks; identical to the monolithic scan modulo the ring). *)
-let prefix_sum t =
-  let b = like_builder t t.n in
-  let carry = ref 0 in
-  iter_chunks t (fun _ a ->
-      let o = Array.copy a in
-      Vec.prefix_sum_inplace o;
-      if !carry <> 0 then
-        for j = 0 to Array.length o - 1 do
-          (* native ints are the 63-bit ring; addition wraps in-ring *)
-          o.(j) <- o.(j) + !carry
-        done;
-      (if Array.length o > 0 then carry := o.(Array.length o - 1));
-      Builder.push b o);
-  Builder.finish b
-
 (* ------------------------------------------------------------------ *)
 (* Stats                                                               *)
 (* ------------------------------------------------------------------ *)
@@ -709,7 +638,6 @@ let stats () =
         st_disk_bytes = !disk_bytes;
       })
 
-let live_bytes () = locked (fun () -> !live)
 let peak_live_bytes () = locked (fun () -> !peak_live)
 let reset_peak () = locked (fun () -> peak_live := !live)
 let set_budget b =

@@ -99,14 +99,12 @@ val rep3_bool_into : t -> xi:t -> yi:t -> xj:t -> yj:t -> unit
 (** {2 Reductions} *)
 
 val sum : t -> int
-val prefix_sum_inplace : t -> unit
-(** In-place running (inclusive) prefix sum in the ring — linear local
-    work; additive secret sharing commutes with it, which is what makes
+val prefix_sum : t -> t
+(** Running (inclusive) prefix sum in the ring — linear local work;
+    additive secret sharing commutes with it, which is what makes
     genBitPerm's destination computation local. Parallelized as a blocked
     two-pass scan; the wrapped-ring result is bit-identical to the
     sequential scan. *)
-
-val prefix_sum : t -> t
 
 val concat2 : t -> t -> t
 (** Pack two vectors into one so two independent secure operations share a

@@ -10,12 +10,7 @@ open Tpch_util
 open Orq_core
 module G = Other_gen
 
-type query = {
-  name : string;
-  run : G.mpc -> Table.t;
-  reference : G.plain -> P.t;
-  compare_cols : string list;
-}
+type query = (G.mpc, G.plain) Query.t
 
 (* ------------------------------------------------------------------ *)
 (* Comorbidity (Secrecy / SMCQL): most common diagnoses in a cohort    *)
@@ -294,39 +289,24 @@ let patients_ref (db : G.plain) =
 
 let all : query list =
   [
-    { name = "Comorbidity"; run = comorbidity_run; reference = comorbidity_ref;
+    { Query.name = "Comorbidity"; run = comorbidity_run; reference = comorbidity_ref;
       compare_cols = [ "diag"; "cnt" ] };
-    { name = "Aspirin"; run = aspirin_run; reference = aspirin_ref;
+    { Query.name = "Aspirin"; run = aspirin_run; reference = aspirin_ref;
       compare_cols = [ "patients" ] };
-    { name = "C.Diff"; run = cdiff_run; reference = cdiff_ref;
+    { Query.name = "C.Diff"; run = cdiff_run; reference = cdiff_ref;
       compare_cols = [ "patients" ] };
-    { name = "Password"; run = password_run; reference = password_ref;
+    { Query.name = "Password"; run = password_run; reference = password_ref;
       compare_cols = [ "reusers" ] };
-    { name = "Credit"; run = credit_run; reference = credit_ref;
+    { Query.name = "Credit"; run = credit_run; reference = credit_ref;
       compare_cols = [ "persons" ] };
-    { name = "SecQ2"; run = secq2_run; reference = secq2_ref;
+    { Query.name = "SecQ2"; run = secq2_run; reference = secq2_ref;
       compare_cols = [ "att"; "total" ] };
-    { name = "MarketShare"; run = market_share_run; reference = market_share_ref;
+    { Query.name = "MarketShare"; run = market_share_run; reference = market_share_ref;
       compare_cols = [ "company"; "share_pct" ] };
-    { name = "SYan"; run = syan_run; reference = syan_ref;
+    { Query.name = "SYan"; run = syan_run; reference = syan_ref;
       compare_cols = [ "class"; "total" ] };
-    { name = "Patients"; run = patients_run; reference = patients_ref;
+    { Query.name = "Patients"; run = patients_run; reference = patients_ref;
       compare_cols = [ "join_size" ] };
   ]
 
-let find name = List.find (fun q -> q.name = name) all
-
-let validate (q : query) (plain : G.plain) (mdb : G.mpc) :
-    bool * int list list * int list list =
-  let result = q.run mdb in
-  let widths = List.map (fun c -> Table.width result c) q.compare_cols in
-  let mask_row row =
-    List.map2 (fun v w -> v land Orq_util.Ring.mask w) row widths
-  in
-  let mpc_rows =
-    List.map mask_row (Table.valid_rows_sorted result q.compare_cols)
-  in
-  let ref_rows =
-    List.map mask_row (P.rows_sorted (q.reference plain) q.compare_cols)
-  in
-  (mpc_rows = ref_rows, mpc_rows, ref_rows)
+let find name = Query.find all name

@@ -4,20 +4,11 @@
     Yannakakis Example 1.1), and Patients (the Shrinkwrap cascading-effect
     query, evaluated here with §3.6 multiplicity pre-aggregation). *)
 
-open Orq_core
-
-type query = {
-  name : string;
-  run : Other_gen.mpc -> Table.t;
-  reference : Other_gen.plain -> Orq_plaintext.Ptable.t;
-  compare_cols : string list;
-}
+type query = (Other_gen.mpc, Other_gen.plain) Query.t
 
 val credit_delta : int
 
 val all : query list
-val find : string -> query
 
-val validate :
-  query -> Other_gen.plain -> Other_gen.mpc ->
-  bool * int list list * int list list
+val find : string -> query
+(** @raise Not_found for unknown names. *)

@@ -1,19 +1,11 @@
 (** The five peer-to-peer TPC-H variations used by SecretFlow-SCQL, as in
     the paper's Figure 5 (right): S1/S2 are single-table filter-aggregate
     queries (no joins), S3/S4 add a PK-FK join with aggregation, and S5 an
-    oblivious group-by. Run under SH-DM (the ABY-based protocol SecretFlow
-    also builds on). *)
+    oblivious group-by. {!Tpch.all} registers them after Q1-Q22. *)
 
 open Tpch_util
 open Tpch_params
 module G = Tpch_gen
-
-type query = {
-  name : string;
-  run : G.mpc -> Orq_core.Table.t;
-  reference : G.plain -> P.t;
-  compare_cols : string list;
-}
 
 (* S1: filtered global revenue (no join, no sort) *)
 let s1_run (db : G.mpc) =
@@ -103,33 +95,3 @@ let s5_ref (db : G.plain) =
   P.group_by db.G.lineitem
     ~keys:[ "l_returnflag"; "l_shipmode" ]
     ~aggs:[ psum "l_extendedprice" "total"; pcnt "l_extendedprice" "n" ]
-
-let all : query list =
-  [
-    { name = "S1"; run = s1_run; reference = s1_ref; compare_cols = [ "total" ] };
-    { name = "S2"; run = s2_run; reference = s2_ref; compare_cols = [ "n"; "hi"; "lo" ] };
-    { name = "S3"; run = s3_run; reference = s3_ref; compare_cols = [ "total" ] };
-    { name = "S4"; run = s4_run; reference = s4_ref;
-      compare_cols = [ "o_orderpriority"; "qty" ] };
-    { name = "S5"; run = s5_run; reference = s5_ref;
-      compare_cols = [ "l_returnflag"; "l_shipmode"; "total"; "n" ] };
-  ]
-
-let find name = List.find (fun q -> q.name = name) all
-
-let validate (q : query) (plain : G.plain) (mdb : G.mpc) :
-    bool * int list list * int list list =
-  let result = q.run mdb in
-  let widths =
-    List.map (fun c -> Orq_core.Table.width result c) q.compare_cols
-  in
-  let mask_row row =
-    List.map2 (fun v w -> v land Orq_util.Ring.mask w) row widths
-  in
-  let mpc_rows =
-    List.map mask_row (Orq_core.Table.valid_rows_sorted result q.compare_cols)
-  in
-  let ref_rows =
-    List.map mask_row (P.rows_sorted (q.reference plain) q.compare_cols)
-  in
-  (mpc_rows = ref_rows, mpc_rows, ref_rows)

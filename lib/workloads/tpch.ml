@@ -1,16 +1,20 @@
-(** Registry of the TPC-H workload: all 22 queries, each as an MPC dataflow
-    plan plus its plaintext reference, with the result columns used for
-    validation (the paper validates every query against SQLite, §5.1). *)
+(** Registry of the TPC-H catalog's queries: the 22 TPC-H queries, then
+    SecretFlow-SCQL's five variations S1-S5 (Figure 5, right), each as an
+    MPC dataflow plan plus its plaintext reference, with the result
+    columns used for validation. *)
 
-type query = {
+type ('db, 'plain) q = ('db, 'plain) Query.t = {
   name : string;
-  run : Tpch_gen.mpc -> Orq_core.Table.t;
-  reference : Tpch_gen.plain -> Orq_plaintext.Ptable.t;
+  run : 'db -> Orq_core.Table.t;
+  reference : 'plain -> Orq_plaintext.Ptable.t;
   compare_cols : string list;
 }
 
+type query = (Tpch_gen.mpc, Tpch_gen.plain) q
+
 module A = Tpch_queries_a
 module B = Tpch_queries_b
+module S = Secretflow_queries
 
 let all : query list =
   [
@@ -36,28 +40,13 @@ let all : query list =
     { name = "Q20"; run = B.q20_run; reference = B.q20_ref; compare_cols = B.q20_cols };
     { name = "Q21"; run = B.q21_run; reference = B.q21_ref; compare_cols = B.q21_cols };
     { name = "Q22"; run = B.q22_run; reference = B.q22_ref; compare_cols = B.q22_cols };
+    { name = "S1"; run = S.s1_run; reference = S.s1_ref; compare_cols = [ "total" ] };
+    { name = "S2"; run = S.s2_run; reference = S.s2_ref; compare_cols = [ "n"; "hi"; "lo" ] };
+    { name = "S3"; run = S.s3_run; reference = S.s3_ref; compare_cols = [ "total" ] };
+    { name = "S4"; run = S.s4_run; reference = S.s4_ref;
+      compare_cols = [ "o_orderpriority"; "qty" ] };
+    { name = "S5"; run = S.s5_run; reference = S.s5_ref;
+      compare_cols = [ "l_returnflag"; "l_shipmode"; "total"; "n" ] };
   ]
 
-let find name = List.find (fun q -> q.name = name) all
-
-(** Validate a query: run it under MPC and in the plaintext engine and
-    compare the valid result rows (masked to the MPC column widths, since
-    aggregates of possibly negative values are two's complement at their
-    column width). Returns (ok, mpc_rows, ref_rows). *)
-let validate (q : query) (plain : Tpch_gen.plain) (mdb : Tpch_gen.mpc) :
-    bool * int list list * int list list =
-  let result = q.run mdb in
-  let widths =
-    List.map (fun c -> Orq_core.Table.width result c) q.compare_cols
-  in
-  let mask_row row =
-    List.map2 (fun v w -> v land Orq_util.Ring.mask w) row widths
-  in
-  let mpc_rows =
-    List.map mask_row (Orq_core.Table.valid_rows_sorted result q.compare_cols)
-  in
-  let ref_rows =
-    List.map mask_row
-      (Orq_plaintext.Ptable.rows_sorted (q.reference plain) q.compare_cols)
-  in
-  (mpc_rows = ref_rows, mpc_rows, ref_rows)
+let find name = Query.find all name

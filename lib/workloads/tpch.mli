@@ -1,23 +1,21 @@
-(** Registry of the TPC-H workload: all 22 queries, each as an MPC
-    dataflow plan plus its plaintext reference, with the result columns
-    used for validation (the paper validates every query against SQLite,
-    §5.1). *)
+(** Registry of the TPC-H catalog's queries: the 22 TPC-H queries
+    ("Q1".."Q22"), then SecretFlow-SCQL's five variations ("S1".."S5",
+    Figure 5 right), each as an MPC dataflow plan plus its plaintext
+    reference, with the result columns used for validation (the paper
+    validates every query against SQLite, §5.1). *)
 
-type query = {
+(** {!Query.t} with its labels re-exported, so [q.Tpch.run] and
+    [q.Tpch.name] read as they always have. *)
+type ('db, 'plain) q = ('db, 'plain) Query.t = {
   name : string;
-  run : Tpch_gen.mpc -> Orq_core.Table.t;
-  reference : Tpch_gen.plain -> Orq_plaintext.Ptable.t;
+  run : 'db -> Orq_core.Table.t;
+  reference : 'plain -> Orq_plaintext.Ptable.t;
   compare_cols : string list;
 }
+
+type query = (Tpch_gen.mpc, Tpch_gen.plain) q
 
 val all : query list
 
 val find : string -> query
-(** @raise Not_found for unknown names ("Q1".."Q22"). *)
-
-val validate :
-  query -> Tpch_gen.plain -> Tpch_gen.mpc ->
-  bool * int list list * int list list
-(** Run the query under MPC and in the plaintext engine; compare valid
-    rows masked to the MPC column widths (signed aggregates are two's
-    complement at their width). Returns (ok, mpc rows, reference rows). *)
+(** @raise Not_found for unknown names. *)

@@ -213,16 +213,6 @@ let audited_env_knobs =
   [
     ("ORQ_JOIN_PROFILE", "network profile (lan|wan|geo|local) the join \
       cost model prices candidates under: a deployment parameter");
-    ("ORQ_CLIENT_TIMEOUT_MS", "client-side deadline on service requests; \
-      touches no protocol code");
-    ("ORQ_SERVICE_PACE", "paces service rounds to a modeled network \
-      profile for load tests; values and tallies unchanged");
-    ("ORQ_SERVICE_WORKERS", "service worker-domain count: deployment \
-      sizing, tallies identical across counts");
-    ("ORQ_SERVICE_MAX_JOBS", "service admission-queue bound: deployment \
-      sizing");
-    ("ORQ_SERVICE_MAX_ROWS", "row cap on a service result frame: \
-      deployment sizing");
     ("ORQ_SERVICE_ADMIT_MS", "how long a request may wait for admission: \
       deployment sizing");
     ("ORQ_SERVICE_DRAIN_MS", "graceful-stop drain deadline: deployment \
@@ -649,6 +639,16 @@ let test_certify_queries () =
         true (c.Certify.c_events > 0))
     certs
 
+(* The whole registry under one protocol: both catalogs, every query,
+   one row each (over a smaller prior-work dataset than the committed
+   certificates). *)
+let test_certify_suite_rows () =
+  let certs =
+    Certify.run_suite ~sf:0.0002 ~other_n:120 ~kinds:[ Ctx.Sh_dm ] ()
+  in
+  Alcotest.(check int) "36 rows under one protocol" 36 (List.length certs);
+  Alcotest.(check bool) "all certified and validated" true (Certify.all_ok certs)
+
 (* The quicksort branch of the certifier: an ORDER BY whose key domain is
    wider than 32 bits sorts with quicksort, whose opened comparisons
    follow the data. All-equal keys (measured) against distinct keys
@@ -736,10 +736,30 @@ let test_report_round_trip () =
     ]
   in
   let path = Filename.temp_file "cert" ".json" in
-  Out_channel.with_open_bin path (fun oc ->
-      output_string oc (Certify.report_json certs));
+  let text = Certify.report_json certs in
+  Out_channel.with_open_bin path (fun oc -> output_string oc text);
   let rows = Certify.read_report path in
   Sys.remove path;
+  (* the detail's tab and newline are written as escapes, so the report
+     stays valid JSON, and the detail reads back unchanged *)
+  Alcotest.(check bool) "no raw control byte in the detail" true
+    (Certify.contains ~sub:"\\\"Round\\\"\\tvs\\nBarrier" text);
+  let details =
+    match Certify.parse_json text with
+    | Certify.Obj top -> (
+        match List.assoc "certificates" top with
+        | Certify.Arr rs ->
+            List.map
+              (function
+                | Certify.Obj r -> List.assoc "detail" r
+                | _ -> Certify.Null)
+              rs
+        | _ -> [])
+    | _ -> []
+  in
+  Alcotest.(check bool) "detail reads back" true
+    (details
+    = [ Certify.Str ""; Certify.Str "event 3: \"Round\"\tvs\nBarrier" ]);
   Alcotest.(check (list (pair string string))) "keys"
     [ ("Q1", "SH-DM"); ("C.Diff", "Mal-HM") ]
     (List.map fst rows);
@@ -801,6 +821,7 @@ let suite =
     Alcotest.test_case "cost model: fused openings" `Quick
       test_costmodel_fused_openings;
     Alcotest.test_case "certifier: live queries" `Slow test_certify_queries;
+    Alcotest.test_case "certifier: whole registry" `Slow test_certify_suite_rows;
     Alcotest.test_case "certifier: rejects shape leak" `Quick
       test_certify_catches_shape_leak;
     Alcotest.test_case "certifier: quicksort branch" `Quick

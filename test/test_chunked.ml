@@ -10,6 +10,7 @@ module Vec = Orq_util.Vec
 module Comm = Orq_net.Comm
 module Permops = Orq_shuffle.Permops
 module Sortwrap = Orq_sort.Sortwrap
+module Query = Orq_workloads.Query
 module Tpch = Orq_workloads.Tpch
 module Tpch_gen = Orq_workloads.Tpch_gen
 open Orq_proto
@@ -69,11 +70,13 @@ let test_roundtrip () =
           Alcotest.(check vec)
             (Printf.sprintf "to_array n=%d" n)
             a (Chunkvec.to_array c);
-          Array.iteri
-            (fun i v ->
-              Alcotest.(check int) (Printf.sprintf "get n=%d i=%d" n i) v
-                (Chunkvec.get c i))
-            a)
+          for i = 0 to Chunkvec.nchunks c - 1 do
+            Chunkvec.with_chunk c i (fun ch ->
+                Alcotest.(check vec)
+                  (Printf.sprintf "chunk n=%d i=%d" n i)
+                  (Array.sub a (Chunkvec.chunk_base c i) (Array.length ch))
+                  ch)
+          done)
         [ 0; 1; 6; 7; 14; 20; 21; 53 ])
 
 let test_local_ops () =
@@ -97,17 +100,7 @@ let test_local_ops () =
             (Array.sub a 3 (n - 5))
             (Chunkvec.to_array (Chunkvec.sub ca 3 (n - 5)));
           Alcotest.(check vec) (tag "append") (Array.append a b)
-            (Chunkvec.to_array (Chunkvec.append ca cb));
-          Alcotest.(check vec) (tag "map")
-            (Array.map (fun x -> (x * 2) + 1) a)
-            (Chunkvec.to_array
-               (Chunkvec.map (Array.map (fun x -> (x * 2) + 1)) ca));
-          Alcotest.(check vec) (tag "map2") (Array.map2 ( + ) a b)
-            (Chunkvec.to_array (Chunkvec.map2 (Array.map2 ( + )) ca cb));
-          let ps = Array.copy a in
-          Vec.prefix_sum_inplace ps;
-          Alcotest.(check vec) (tag "prefix_sum") ps
-            (Chunkvec.to_array (Chunkvec.prefix_sum ca)))
+            (Chunkvec.to_array (Chunkvec.append ca cb)))
         [ 21; 53 ])
 
 let test_append_reuse () =
@@ -134,7 +127,7 @@ let test_spill () =
       Alcotest.(check bool) "spills happened" true
         (after.Chunkvec.st_spills > before.Chunkvec.st_spills);
       Alcotest.(check bool) "tracked bytes within budget" true
-        (Chunkvec.live_bytes () <= 2 * 7 * 8);
+        ((Chunkvec.stats ()).Chunkvec.st_live_bytes <= 2 * 7 * 8);
       Alcotest.(check vec) "values survive spill + fault" a
         (Chunkvec.to_array c);
       let after2 = Chunkvec.stats () in
@@ -422,7 +415,7 @@ let qcheck_tablesort_vs_plaintext =
 let test_whole_sort_untracked () =
   Gc.full_major ();
   Chunkvec.reset_peak ();
-  let live0 = Chunkvec.live_bytes () in
+  let live0 = (Chunkvec.stats ()).Chunkvec.st_live_bytes in
   for_all_kinds (fun kind ->
       List.iter
         (fun w ->
@@ -457,7 +450,7 @@ let check_query qname kind =
   let ctx1 = Ctx.create ~seed:5 kind in
   let mdb1 = Tpch_gen.share ctx1 plain in
   let before1 = Comm.snapshot ctx1.Ctx.comm in
-  let ok1, rows1, _ = Tpch.validate q plain mdb1 in
+  let ok1, rows1, _ = Query.validate q plain mdb1 in
   let tal1 = Comm.since ctx1.Ctx.comm before1 in
   Alcotest.(check bool) (tag "monolithic ok") true ok1;
   (* chunked run under a budget small enough to force spilling *)
@@ -466,7 +459,7 @@ let check_query qname kind =
       let ctx2 = Ctx.create ~seed:5 kind in
       let mdb2 = Tpch_gen.share ctx2 plain in
       let before2 = Comm.snapshot ctx2.Ctx.comm in
-      let ok2, rows2, _ = Tpch.validate q plain mdb2 in
+      let ok2, rows2, _ = Query.validate q plain mdb2 in
       let tal2 = Comm.since ctx2.Ctx.comm before2 in
       Alcotest.(check bool) (tag "chunked ok") true ok2;
       Alcotest.(check (list (list int))) (tag "rows") rows1 rows2;

@@ -51,9 +51,9 @@ let test_wire_requests () =
         };
       Wire.Hello
         { h_version = 1; h_proto = "mal-hm"; h_client = "analytics-team" };
-      Wire.Query "SELECT x FROM t";
-      Wire.Query_p { q_sql = "SELECT y FROM u"; q_prio = 0 };
-      Wire.Query_p { q_sql = "SELECT z FROM v"; q_prio = 2 };
+      Wire.Query { q_sql = "SELECT x FROM t"; q_prio = 1 };
+      Wire.Query { q_sql = "SELECT y FROM u"; q_prio = 0 };
+      Wire.Query { q_sql = "SELECT z FROM v"; q_prio = 2 };
       Wire.Ping;
       Wire.Stats_req;
       Wire.Set_workers 8;
@@ -726,8 +726,12 @@ let test_survives_disconnect_mid_query () =
   Unix.connect fd (Unix.ADDR_UNIX socket);
   Wire.send_request fd
     (Wire.Query
-       "SELECT o_orderpriority, COUNT(*) AS n FROM orders GROUP BY \
-        o_orderpriority");
+       {
+         q_sql =
+           "SELECT o_orderpriority, COUNT(*) AS n FROM orders GROUP BY \
+            o_orderpriority";
+         q_prio = 1;
+       });
   Unix.close fd;
   Thread.delay 0.05;
   (* the server must still be alive and serving *)

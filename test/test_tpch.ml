@@ -14,7 +14,7 @@ let check_query kind qname () =
   let ctx = Ctx.create ~seed:5 kind in
   let mdb = Tpch_gen.share ctx plain in
   let q = Tpch.find qname in
-  let ok, mpc_rows, ref_rows = Tpch.validate q plain mdb in
+  let ok, mpc_rows, ref_rows = Query.validate q plain mdb in
   if not ok then
     Alcotest.failf "%s mismatch:@.MPC: %a@.REF: %a" qname
       Fmt.(brackets (list ~sep:semi (brackets (list ~sep:semi int))))
@@ -104,9 +104,35 @@ let alt_seed_cases =
           let ctx = Ctx.create ~seed:42 Ctx.Sh_hm in
           let mdb = Tpch_gen.share ctx plain in
           let q = Tpch.find qname in
-          let ok, _, _ = Tpch.validate q plain mdb in
+          let ok, _, _ = Query.validate q plain mdb in
           Alcotest.(check bool) (qname ^ " alt-seed validates") true ok))
     [ "Q1"; "Q3"; "Q9"; "Q13"; "Q18"; "Q21" ]
+
+(* the registry: one name space over both catalogs, and one validation
+   rule that reports both sides when they differ *)
+let test_registry_names () =
+  let names =
+    List.map (fun (q : Tpch.query) -> q.Tpch.name) Tpch.all
+    @ List.map (fun (q : Other_queries.query) -> q.Query.name) Other_queries.all
+  in
+  Alcotest.(check int) "36 registered queries" 36 (List.length names);
+  Alcotest.(check int) "names unique across catalogs" 36
+    (List.length (List.sort_uniq compare names))
+
+let test_validate_dropped_row () =
+  let plain = Lazy.force plain in
+  let q = Tpch.find "S5" in
+  let drop_first (p : Orq_plaintext.Ptable.t) =
+    { p with Orq_plaintext.Ptable.rows = List.tl p.Orq_plaintext.Ptable.rows }
+  in
+  let q' = { q with Tpch.reference = (fun p -> drop_first (q.Tpch.reference p)) } in
+  let ctx = Ctx.create ~seed:5 Ctx.Sh_hm in
+  let ok, mpc_rows, ref_rows = Query.validate q' plain (Tpch_gen.share ctx plain) in
+  Alcotest.(check bool) "dropped row fails validation" false ok;
+  Alcotest.(check int) "both row lists returned" (List.length mpc_rows - 1)
+    (List.length ref_rows);
+  Alcotest.(check bool) "reference rows are the MPC rows minus one" true
+    (List.for_all (fun r -> List.mem r mpc_rows) ref_rows)
 
 let () =
   Alcotest.run "orq_tpch"
@@ -116,6 +142,13 @@ let () =
           Alcotest.test_case "shape" `Quick test_generator_shape;
           Alcotest.test_case "pk/fk integrity" `Quick test_generator_integrity;
           Alcotest.test_case "determinism" `Quick test_generator_deterministic;
+        ] );
+      ( "registry",
+        [
+          Alcotest.test_case "names unique across catalogs" `Quick
+            test_registry_names;
+          Alcotest.test_case "validate reports a dropped row" `Quick
+            test_validate_dropped_row;
         ] );
       ("tpch-validate", sh_hm_cases @ cross_protocol_cases @ alt_seed_cases);
     ]
