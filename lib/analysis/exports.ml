@@ -44,15 +44,14 @@ let keep : (string * string) list =
       the circuit tests compare signed comparisons and subtractions to");
     (* closed forms tests check the meter against *)
     ("Divide.udiv_rounds", "closed form: test_circuits checks udiv's \
-      metered rounds against it over (w, wd, qw)");
+      metered rounds, qw adders at wd + 2 bits, against it over (w, wd, qw)");
     ("Divide.pub_rounds", "closed form: test_circuits checks udiv_pub's \
-      metered rounds against it over every divisor class");
+      metered rounds against it for boolean dividends over every divisor \
+      class and for arithmetic ones on both sides of the multiply-high fit");
     ("Primcost.open_", "closed form: test_analysis checks the metered \
       open's events against it");
     ("Primcost.lt", "closed form: test_analysis checks Compare.lt's metered \
       events against it");
-    ("Primcost.a2b", "closed form: test_analysis checks Convert.a2b's \
-      metered events against it");
     ("Joincost.predict", "closed form: test_linjoin pins its per-shape \
       predictions (choose_logged prices candidates through it)");
     ("Tpch_gen.shapes", "closed form: TPC-H's public row bounds and \

@@ -8,8 +8,10 @@
     A position's P is formed only where a later level reads it, found by a
     backward pass over the public width, so the last level forms no P. A
     public carry-in folds into bit 0's generate (g₀ ⊕ p₀, the two being
-    disjoint). These circuits back A2B conversion, the division circuits
-    and arithmetic on boolean columns.
+    disjoint); a shared carry-in bit c folds into bit 0's generate as
+    maj(x₀, y₀, c) = (x₀ ⊕ c)(y₀ ⊕ c) ⊕ c, the same AND lane and round.
+    These circuits back A2B conversion, the division circuits and
+    arithmetic on boolean columns.
 
     Each level is one {!Mpc.band_many} lane per adder, metered at its live
     positions: the G products sit at the upper-half positions, the P
@@ -148,51 +150,78 @@ let finish_many ~cin (ctx : Ctx.t) lanes =
       Mpc.and_mask s (Ring.mask w))
     lanes
 
-(** [add_many ctx lanes]: k independent boolean-shared sums (lanes are
-    (x, y, w) triples, sums modulo 2^w) in max-lane-depth fused rounds —
-    one fused round for every generate of a lane wider than one bit, then
-    the lockstep prefix. [cin] applies to every lane. *)
-let add_many ?(cin = false) (ctx : Ctx.t)
-    (lanes : (Share.shared * Share.shared * int) array) : Share.shared array =
+(* Lanes of (x, y, w, carry): a [Some c] carry is a shared carry-in bit
+   (a 0/1 word sharing), folded into bit 0 of both generate operands and
+   of the generate itself; [cin] is a public carry-in for every lane. *)
+let add_lanes ~cin (ctx : Ctx.t)
+    (lanes : (Share.shared * Share.shared * int * Share.shared option) array) :
+    Share.shared array =
   let masked =
     Array.map
-      (fun (x, y, w) ->
+      (fun (x, y, w, c) ->
         let mw = Ring.mask w in
-        (Mpc.and_mask x mw, Mpc.and_mask y mw, w))
+        (Mpc.and_mask x mw, Mpc.and_mask y mw, w, c))
       lanes
   in
   let wide =
     active_lanes (Array.length masked) (fun i ->
-        let _, _, w = masked.(i) in
+        let _, _, w, _ = masked.(i) in
         w >= 2)
   in
   (* the generate below bit w - 1: the top carry is never read *)
   let below f =
     Array.map
       (fun i ->
-        let x, y, w = masked.(i) in
-        Mpc.and_mask (f (x, y)) (Ring.mask (w - 1)))
+        let x, y, w, c = masked.(i) in
+        let v = f (x, y) in
+        let v = match c with Some c -> Mpc.xor v c | None -> v in
+        Mpc.and_mask v (Ring.mask (w - 1)))
       wide
   in
   let gen =
     Mpc.band_many
-      ~widths:(Array.map (fun i -> (fun (_, _, w) -> w - 1) masked.(i)) wide)
+      ~widths:(Array.map (fun i -> (fun (_, _, w, _) -> w - 1) masked.(i)) wide)
       ctx (below fst) (below snd)
   in
   (* a 1-bit lane has no carry position: its generate is never read *)
   let next = ref 0 in
-  finish_many ~cin ctx
-    (Array.map
-       (fun (x, y, w) ->
-         let g =
-           if w >= 2 then (incr next; gen.(!next - 1))
-           else Share.public ctx Share.Bool (Share.length x) 0
-         in
-         (g, Mpc.xor x y, w))
-       masked)
+  let sums =
+    finish_many ~cin ctx
+      (Array.map
+         (fun (x, y, w, c) ->
+           let g =
+             if w >= 2 then begin
+               incr next;
+               let g = gen.(!next - 1) in
+               match c with Some c -> Mpc.xor g c | None -> g
+             end
+             else Share.public ctx Share.Bool (Share.length x) 0
+           in
+           (g, Mpc.xor x y, w))
+         masked)
+  in
+  Array.mapi
+    (fun i s ->
+      match masked.(i) with
+      | _, _, w, Some c -> Mpc.and_mask (Mpc.xor s c) (Ring.mask w)
+      | _, _, _, None -> s)
+    sums
+
+(** [add_many ctx lanes]: k independent boolean-shared sums (lanes are
+    (x, y, w) triples, sums modulo 2^w) in max-lane-depth fused rounds —
+    one fused round for every generate of a lane wider than one bit, then
+    the lockstep prefix. [cin] applies to every lane. *)
+let add_many ?(cin = false) (ctx : Ctx.t)
+    (lanes : (Share.shared * Share.shared * int) array) : Share.shared array =
+  add_lanes ~cin ctx (Array.map (fun (x, y, w) -> (x, y, w, None)) lanes)
 
 (** [add ctx ~w x y]: boolean-shared sum modulo 2^w. *)
 let add ?cin (ctx : Ctx.t) ~w x y = (add_many ?cin ctx [| (x, y, w) |]).(0)
+
+(** [add_carry ctx ~w x y c]: (x + y + c) modulo 2^w for a shared
+    carry-in bit [c], in the rounds and lanes of {!add}. *)
+let add_carry (ctx : Ctx.t) ~w x y (c : Share.flags) =
+  (add_lanes ~cin:false ctx [| (x, y, w, Some (Share.unpack_flags c)) |]).(0)
 
 (** [sub ctx ~w x y]: boolean-shared difference modulo 2^w
     (x + not y + 1). *)
@@ -225,7 +254,3 @@ let sub_pub_minuend_many (ctx : Ctx.t)
        (fun (c, y, w) ->
          (Mpc.and_mask (Mpc.bnot y) (Ring.mask w), c, w))
        lanes)
-
-(** Two's-complement negation of a boolean sharing: 0 - x. *)
-let neg (ctx : Ctx.t) ~w x =
-  (sub_pub_minuend_many ctx [| (Vec.zeros (Share.length x), x, w) |]).(0)

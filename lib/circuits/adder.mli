@@ -4,7 +4,8 @@
     position's propagate is formed only where a later level reads it. A
     shared-operand sum costs a generate AND at [w − 1] bits (none when
     [w = 1]) plus ⌈log₂(w − 1)⌉ prefix levels; a public operand makes the
-    generate local. Each level is one AND lane per adder metered at its
+    generate local, and a shared carry-in bit rides the generate's AND
+    lane. Each level is one AND lane per adder metered at its
     live positions ({!Orq_proto.Primcost.add} prices it). Backs A2B
     conversion, division, and arithmetic on boolean columns. The [_many]
     entry points run k independent adder lanes in lockstep — each prefix
@@ -24,6 +25,12 @@ val add_many :
 (** k independent sums (lanes are (x, y, width)) in max-lane-depth fused
     rounds; [cin] applies to every lane. *)
 
+val add_carry :
+  Ctx.t -> w:int -> Share.shared -> Share.shared -> Share.flags -> Share.shared
+(** [add_carry ctx ~w x y c] = (x + y + c) modulo 2^w for a shared carry-in
+    bit [c]: folded into bit 0's generate as (x₀ ⊕ c)(y₀ ⊕ c) ⊕ c, so it
+    costs exactly {!add}'s rounds and lanes. *)
+
 val sub : Ctx.t -> w:int -> Share.shared -> Share.shared -> Share.shared
 (** x - y = x + not y + 1, modulo 2^w. *)
 
@@ -32,6 +39,3 @@ val sub_pub_minuend_many :
 (** k independent public-minus-shared subtractions (lanes are (c, y,
     width)) — the fused A2B finishing step; the generate is local, so
     only the prefix levels run. *)
-
-val neg : Ctx.t -> w:int -> Share.shared -> Share.shared
-(** Two's-complement negation (0 - x). *)

@@ -1,46 +1,59 @@
-(** Oblivious integer division.
+(** Oblivious integer division, quotient only (no caller reads a
+    remainder).
 
     The paper implements fully private averages with a non-restoring
     division circuit "inspired by the hardware literature" (§5.1, citing
-    Lu). Both entry points share that loop: each iteration shifts the
-    partial remainder, shifts in the next dividend bit, and adds +D or -D
-    depending on the (secret) sign of the running remainder, with a final
-    remainder fix-up. The invariant is
+    Lu). Both boolean entry points share that loop: each iteration shifts
+    the partial remainder, shifts in the next dividend bit, and adds +D
+    or -D depending on the (secret) sign of the running remainder. The
+    invariant is
 
       X_consumed = Q·D + R + D·[R < 0],   R in [-D, D)
 
-    so the quotient bits q_i = [R_new >= 0] need no digit correction; only a
-    negative final remainder gets +D. Because |R| < D and the shifted
+    so the quotient bits q_i = [R_new >= 0] need no digit correction, and
+    the final remainder is dropped. Because |R| < D and the shifted
     remainder stays inside [-2D, 2D), the remainder is carried at the
-    divisor's width plus two bits, not the dividend's.
+    divisor's width plus two bits, not the dividend's. The ±D step needs
+    no multiplexer: with t = [R >= 0] (the previous quotient bit), -D is
+    ~D plus a carry-in of 1 and +D is D with none, so the addend is
+    D ⊕ ext(t) and the carry-in is t, both local; the adder folds the
+    shared carry-in into the generate AND it already runs.
 
-    {b Secret divisor} ([udiv]): one iteration per quotient bit, each a
-    [wd + 2]-bit adder behind a ±D multiplexer, where [wd]
-    bounds the divisor's width; the first iteration's remainder is known
-    non-negative, so it adds -D with no multiplexer. With no bound that
-    is w iterations. A caller that knows the quotient is below [2^qw] (a
+    {b Secret divisor} ([udiv]): one [wd + 2]-bit adder per quotient
+    bit, where [wd] bounds the divisor's width. With no bound that is w
+    iterations. A caller that knows the quotient is below [2^qw] (a
     public fact of the plan: an average fits its source's width, a share
     of a total is at most 100) passes [?qw]: then x >> qw < D, so the top
     [w - qw] bits seed the partial remainder, as in the narrow loop
     below, and only qw iterations run.
 
-    {b Public divisor} ([udiv_pub]): powers of two (and [d >= 2^w]) are
-    local shifts and masks. Otherwise two exact circuits are priced from
-    the public [(w, d)] by their closed-form round counts and the cheaper
-    one runs:
+    {b Public divisor, arithmetic dividend} ([udiv_pub] on an [Arith]
+    sharing of x in [0, hi]): division by an invariant integer through
+    multiply-high (Granlund & Montgomery, PLDI 1994). With the smallest
+    s >= ⌈log₂ d⌉ for which m = ⌈2^s/d⌉ satisfies hi·(m·d − 2^s) < 2^s,
+    ⌊x/d⌋ = (x·m) >> s for every x in [0, hi]: x·m is local, exact when
+    W = bitlen(hi·m) fits the ring, and one A2B at W bits (the conversion
+    the dividend pays anyway, its one opening masked by an edaBit) and a
+    local shift finish. A product too wide for the ring converts at
+    bitlen hi and takes the boolean path. Only rows inside [0, hi] get
+    their exact quotient.
+
+    {b Public divisor, boolean dividend} ([udiv_pub] on a [Bool]
+    sharing): powers of two (and [d >= 2^w]) are local shifts.
+    Otherwise two exact circuits are priced from the public [(w, d)] by
+    their closed-form round counts and the cheaper one runs:
     - the {i narrow loop}: the top [bitlen d - 1] dividend bits are below
       [d], so they seed the remainder and only [w - bitlen d + 1]
-      iterations run, each at [bitlen d + 2] bits with a local ±d select;
+      iterations run, each at [bitlen d + 2] bits;
     - the {i digit split}: with [L = bitlen d], x = d·A + S where
       A = Σ_{i>=L} x_i·⌊2^i/d⌋ and
       S = (x mod 2^L) + Σ_{i>=L} x_i·(2^i mod d).
       Every term is a secret bit times a public constant (local). A and S
       reduce through lockstep 3:2 carry-save levels (one fused AND round
       per level for both trees) and one fused adder; the narrow loop then
-      divides the short S, and q = A + ⌊S/d⌋, r = S mod d (the last adder
-      fused with the remainder fix-up).
+      divides the short S, and q = A + ⌊S/d⌋.
 
-    Inputs are unsigned [w]-bit boolean sharings. Division by zero yields
+    Every choice reads public shape only. Division by zero yields
     unspecified output for a secret divisor and is rejected for a public
     one. *)
 
@@ -54,40 +67,39 @@ let check_width w =
 (* Bits needed to hold the non-negative [v]. *)
 let bitlen v = Ring.log2_ceil (v + 1)
 
-(* Online rounds of one (possibly fused) addition whose widest lane has
-   width [w], with a shared or a public operand, from the price list. *)
+(* Online rounds of one (possibly fused) addition of two shared operands
+   whose widest lane has width [w], from the price list. *)
 let adder_rounds w = Array.length (Primcost.add Ctx.Sh_hm ~w ~n:1)
-let pub_adder_rounds w = Array.length (Primcost.add_pub Ctx.Sh_hm ~w ~n:1)
 
 (* Sign flag (bit wr - 1) of a wr-bit two's-complement sharing, as packed
    flags. *)
 let msb x ~wr = Mpc.extract_bit_f x (wr - 1)
 
-(* Shared skeleton of the non-restoring loop: consumes bits [bits-1 .. 0]
-   of [x] into the wr-bit partial remainder [r0] (0 <= r0 < D).
-   [select_addend sign] must return the wr-bit boolean sharing of -D
-   (sign = 0) or +D (sign = 1); the first iteration's remainder is r0,
-   non-negative, so it adds [neg_d] (-D) without a select. Returns the
-   quotient bits and the unfixed remainder R in [-D, D); its sign flags
-   the +D fix-up. *)
-let nonrestoring (ctx : Ctx.t) ~wr ~bits ~x ~r0 ~neg_d ~select_addend =
+(* The non-restoring loop: consumes bits [bits-1 .. 0] of [x] into the
+   wr-bit partial remainder [r0] (0 <= r0 < D) and returns the quotient
+   bits. [addend t] must return the wr-bit sharing of D ⊕ ext(t): with
+   carry-in t that adds -D when t = 1 (remainder non-negative) and +D
+   when t = 0. The first iteration's remainder is r0, so its t is 1. *)
+let nonrestoring (ctx : Ctx.t) ~wr ~bits ~x ~r0 ~addend =
+  let n = Share.length x in
   let r = ref r0 in
-  let qbits = ref (Share.public ctx Share.Bool (Share.length x) 0) in
+  let t = ref (Mpc.extract_bit_f (Share.public ctx Share.Bool n 1) 0) in
+  let qbits = ref (Share.public ctx Share.Bool n 0) in
   for i = bits - 1 downto 0 do
     (* 2R + x_i : the shifted-in low bit is zero so xor inserts x_i *)
     let shifted =
       Mpc.xor (Mpc.lshift !r 1) (Share.unpack_flags (Mpc.extract_bit_f x i))
     in
     let r2 = Mpc.and_mask shifted (Ring.mask wr) in
-    let addend =
-      if i = bits - 1 then neg_d else select_addend (msb !r ~wr)
-    in
-    r := Adder.add ctx ~w:wr r2 addend;
+    r := Adder.add_carry ctx ~w:wr r2 (addend !t) !t;
     (* quotient bit is 1 iff the new remainder is non-negative *)
-    let q_i = Share.unpack_flags (Mpc.bnot_f (msb !r ~wr)) in
-    qbits := Mpc.xor !qbits (Mpc.lshift q_i i)
+    t := Mpc.bnot_f (msb !r ~wr);
+    qbits := Mpc.xor !qbits (Mpc.lshift (Share.unpack_flags !t) i)
   done;
-  (!qbits, !r)
+  !qbits
+
+(* ext(t) at wr bits. *)
+let ext t ~wr = Mpc.and_mask (Share.extend_flags t) (Ring.mask wr)
 
 (* The clamped divisor width, the remainder width and the iteration
    count of [udiv] for the public (w, wd, qw). *)
@@ -96,58 +108,37 @@ let secret_shape ~w ~wd qw =
   let wd = max 1 (min wd w) in
   (wd, wd + 2, match qw with None -> w | Some q -> max 1 (min q w))
 
-(** [udiv ctx ?qw ~w ~wd x d] returns boolean sharings of the quotient and
-    remainder of unsigned [w]-bit division by a secret divisor of at most
-    [wd] bits, the quotient known to be below [2^qw] (default [w]). *)
-let udiv (ctx : Ctx.t) ?qw ~w ~wd x d : Share.shared * Share.shared =
+(** [udiv ctx ?qw ~w ~wd x d] returns the boolean sharing of the quotient
+    of unsigned [w]-bit division by a secret divisor of at most [wd]
+    bits, the quotient known to be below [2^qw] (default [w]). *)
+let udiv (ctx : Ctx.t) ?qw ~w ~wd x d : Share.shared =
   let wd, wr, qw = secret_shape ~w ~wd qw in
   let d = Mpc.and_mask d (Ring.mask wd) in
-  let neg_d = Adder.neg ctx ~w:wr d in
-  let select_addend s = Mux.mux_b ~width:wr ctx s neg_d d in
   (* q < 2^qw means x >> qw < d: the top w - qw bits are the starting
      remainder (zero when qw = w) *)
   let r0 =
     Mpc.and_mask (Mpc.rshift (Mpc.and_mask x (Ring.mask w)) qw) (Ring.mask wr)
   in
-  let q, r = nonrestoring ctx ~wr ~bits:qw ~x ~r0 ~neg_d ~select_addend in
-  let cond_d = Mpc.band ~width:wr ctx (Share.extend_flags (msb r ~wr)) d in
-  (q, Mpc.and_mask (Adder.add ctx ~w:wr r cond_d) (Ring.mask wd))
+  nonrestoring ctx ~wr ~bits:qw ~x ~r0 ~addend:(fun t -> Mpc.xor d (ext t ~wr))
 
 let udiv_rounds ~w ~wd ?qw () =
   let _, wr, qw = secret_shape ~w ~wd qw in
-  (* -D, then qw iterations and the fix-up, each a wr-bit addition behind
-     an AND round (the ±D select, the +D mask) — except the first
-     iteration, whose non-negative remainder adds -D with no select *)
-  pub_adder_rounds wr + ((qw + 1) * (1 + adder_rounds wr)) - 1
+  (* qw iterations, each one wr-bit adder *)
+  qw * adder_rounds wr
 
 (* ------------------------------------------------------------------ *)
 (* Public divisor                                                      *)
 (* ------------------------------------------------------------------ *)
 
 (* The narrow loop dividing the [w]-bit [x] by a public [d] < 2^w that
-   is not a power of two: returns the quotient, the unfixed remainder and its
-   (bitlen d + 2)-bit width. *)
+   is not a power of two: returns the quotient. *)
 let narrow_loop (ctx : Ctx.t) ~w x d =
   let l = bitlen d in
   let wr = l + 2 in
   let bits = w - l + 1 in
-  let neg_d = -d land Ring.mask wr in
-  let diff = d lxor neg_d in
-  (* (-d) xor (ext(s) and (d xor -d)) : +d when s = 1 *)
-  let select_addend s =
-    Mpc.xor_pub (Mpc.and_mask (Share.extend_flags s) diff) neg_d
-  in
   (* the top l - 1 bits are below d: they are the starting remainder *)
   let r0 = Mpc.rshift x bits in
-  let q, r =
-    nonrestoring ctx ~wr ~bits ~x ~r0
-      ~neg_d:(Share.public ctx Share.Bool (Share.length x) neg_d)
-      ~select_addend
-  in
-  (q, r, wr)
-
-(* The +d fix-up addend for an unfixed wr-bit remainder. *)
-let fixup_addend r ~wr d = Mpc.and_mask (Share.extend_flags (msb r ~wr)) d
+  nonrestoring ctx ~wr ~bits ~x ~r0 ~addend:(fun t -> Mpc.xor_pub (ext t ~wr) d)
 
 (* Lockstep 3:2 carry-save reduction. Each tree is a list of (operand,
    width) pairs whose values are below 2^width, plus the width [t] of
@@ -224,8 +215,8 @@ let split_widths ~w d =
 
 let narrow_rounds ~w d =
   let l = bitlen d in
-  (* w - l + 1 iterations plus the fix-up, all at l + 2 bits *)
-  (w - l + 2) * adder_rounds (l + 2)
+  (* w - l + 1 iterations, all at l + 2 bits *)
+  (w - l + 1) * adder_rounds (l + 2)
 
 let split_rounds ~w d =
   let l = bitlen d in
@@ -235,17 +226,59 @@ let split_rounds ~w d =
   csa_levels (m + 1)
   + adder_rounds tree_add
   + ((ws - l + 1) * adder_rounds (l + 2))
-  + adder_rounds (max (l + 2) wq)
+  + adder_rounds wq
 
 (* The split pays off only with high dividend bits to split off. *)
 let use_split ~w d = w > bitlen d && split_rounds ~w d < narrow_rounds ~w d
 
-let pub_rounds ~w d =
-  check_width w;
-  if d < 1 then invalid_arg "Divide.pub_rounds: divisor must be positive";
+(* Rounds of the boolean circuits for a [w]-bit dividend. *)
+let bool_rounds ~w d =
   if Ring.is_pow2 d || d > Ring.mask w then 0
   else if use_split ~w d then split_rounds ~w d
   else narrow_rounds ~w d
+
+(* Multiply-high parameters for dividends in [0, hi] and a divisor d <= hi:
+   the smallest s >= ⌈log₂ d⌉ with hi·e < 2^s, where m = ⌈2^s/d⌉ and
+   e = m·d − 2^s < d, and the width W = bitlen(hi·m) of the largest
+   product; [None] when that product does not fit [Ring.word_bits - 2]
+   bits. Then x·m/2^s = x/d + x·e/(d·2^s) with x·e/2^s < 1, so the floor
+   is ⌊x/d⌋. m grows with s, so the search stops at the first s whose
+   product is too wide. *)
+let mulhi_params ~hi d =
+  let limit = Ring.mask (Ring.word_bits - 2) in
+  let rec go s =
+    let p = 1 lsl s in
+    let m = (p + d - 1) / d in
+    if hi > limit / m then None
+    else
+      let e = (m * d) - p in
+      if e = 0 || hi <= (p - 1) / e then Some (s, m, bitlen (hi * m))
+      else go (s + 1)
+  in
+  go (Ring.log2_ceil d)
+
+(* Online rounds of an A2B at [w] bits. *)
+let a2b_rounds w =
+  Array.length (Primcost.a2b Ctx.Sh_hm ~ell:Ring.word_bits ~w ~n:1)
+
+(* The path of an arithmetic dividend in [0, hi] ([hi] clamped to
+   2^w - 1): a zero quotient when d > hi, multiply-high when the product
+   fits, else an A2B at w bits and the boolean circuits. *)
+let arith_path ?hi ~w d =
+  let hi = min (Option.value hi ~default:(Ring.mask w)) (Ring.mask w) in
+  if d > hi then `Zero
+  else match mulhi_params ~hi d with Some p -> `Mulhi p | None -> `Convert
+
+let pub_rounds ?hi ~enc ~w d =
+  check_width w;
+  if d < 1 then invalid_arg "Divide.pub_rounds: divisor must be positive";
+  match (enc : Share.enc) with
+  | Bool -> bool_rounds ~w d
+  | Arith -> (
+      match arith_path ?hi ~w d with
+      | `Zero -> 0
+      | `Mulhi (_, _, wide) -> a2b_rounds wide
+      | `Convert -> a2b_rounds w + bool_rounds ~w d)
 
 let digit_split (ctx : Ctx.t) ~w x d =
   let l = bitlen d in
@@ -275,25 +308,25 @@ let digit_split (ctx : Ctx.t) ~w x d =
         (sums.(0), sums.(1))
     | _ -> assert false
   in
-  let q_s, r, wr = narrow_loop ctx ~w:ws s d in
-  let fixed =
-    Adder.add_many ctx [| (r, fixup_addend r ~wr d, wr); (a, q_s, wq) |]
-  in
-  (fixed.(1), fixed.(0))
+  Adder.add ctx ~w:wq a (narrow_loop ctx ~w:ws s d)
 
-(** [udiv_pub ctx ~w x d] divides by the public constant [d >= 1]. *)
-let udiv_pub (ctx : Ctx.t) ~w x d : Share.shared * Share.shared =
+(* Quotient of the boolean [w]-bit [x] by [d]. *)
+let udiv_pub_bool (ctx : Ctx.t) ~w x d =
+  let x = Mpc.and_mask x (Ring.mask w) in
+  if d > Ring.mask w then Share.public ctx Share.Bool (Share.length x) 0
+  else if Ring.is_pow2 d then Mpc.rshift x (Ring.log2_ceil d)
+  else if use_split ~w d then digit_split ctx ~w x d
+  else narrow_loop ctx ~w x d
+
+(** [udiv_pub ctx ?hi ~w x d] divides by the public constant [d >= 1]. *)
+let udiv_pub (ctx : Ctx.t) ?hi ~w x d : Share.shared =
   check_width w;
   if d < 1 then invalid_arg "Divide.udiv_pub: divisor must be positive";
-  let x = Mpc.and_mask x (Ring.mask w) in
-  if d > Ring.mask w then (Share.public ctx Share.Bool (Share.length x) 0, x)
-  else if Ring.is_pow2 d then
-    (Mpc.rshift x (Ring.log2_ceil d), Mpc.and_mask x (d - 1))
-  else
-    let q, r =
-      if use_split ~w d then digit_split ctx ~w x d
-      else
-        let q, r, wr = narrow_loop ctx ~w x d in
-        (q, Adder.add ctx ~w:wr r (fixup_addend r ~wr d))
-    in
-    (q, Mpc.and_mask r (Ring.mask (bitlen d)))
+  match x.Share.enc with
+  | Bool -> udiv_pub_bool ctx ~w x d
+  | Arith -> (
+      match arith_path ?hi ~w d with
+      | `Zero -> Share.public ctx Share.Bool (Share.length x) 0
+      | `Mulhi (s, m, wide) ->
+          Mpc.rshift (Convert.a2b ~w:wide ctx (Mpc.mul_pub x m)) s
+      | `Convert -> udiv_pub_bool ctx ~w (Convert.a2b ~w ctx x) d)

@@ -245,7 +245,7 @@ let finish (t : Table.t) (aggs : agg list) expanded results
              domain, a signed one's read at the sum's width *)
           let sd = (src a.src).Column.dom in
           let dom = if Dom.signed sd then Dom.of_width s.Column.width else sd in
-          let q, _ =
+          let q =
             Orq_circuits.Divide.udiv ctx ~qw:(Dom.width dom) ~w:s.Column.width
               ~wd:c.Column.width (Column.data s) (Column.as_bool ctx c)
           in
@@ -468,7 +468,7 @@ let global_aggregate (t : Table.t) ~(aggs : agg list) : Table.t =
         match st with
         | `Sum' (a, d, si) -> (a.dst, Column.of_shared ~dom:d conv.(si))
         | `Avg' (a, ws, qd, si, ci) ->
-            let q, _ =
+            let q =
               Orq_circuits.Divide.udiv ctx ~qw:(Dom.width qd) ~w:ws
                 ~wd:(Dom.width count_dom) conv.(si) conv.(ci)
             in

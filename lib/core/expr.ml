@@ -22,7 +22,9 @@ type num =
   | Div of num * num
       (** private divisor: non-restoring circuit; [k·x / y] with a
           {!Table.fact} [Le (x, y)] runs only [bitlen k] quotient bits *)
-  | Div_pub of num * int  (** public divisor *)
+  | Div_pub of num * int
+      (** public divisor: multiply-high on an unsigned arithmetic
+          dividend, the boolean circuits otherwise *)
   | If of pred * num * num  (** oblivious CASE WHEN: multiplexed, §3 *)
 
 and pred =
@@ -217,13 +219,18 @@ let rec eval_num (t : Table.t) (e : num) : value =
       let wd = if signed vb then w else width vb in
       let dom = div_dom ~le:(Table.le t) a b va.dom vb.dom in
       let xa, xb = convert (fun v -> as_bool_at ctx v w) va vb in
-      let q, _ = Orq_circuits.Divide.udiv ctx ~qw:(Dom.width dom) ~w ~wd xa xb in
-      { data = q; dom }
+      { data = Orq_circuits.Divide.udiv ctx ~qw:(Dom.width dom) ~w ~wd xa xb; dom }
   | Div_pub (a, d) ->
       let va = eval_num t a in
       let w = width va in
       let dom = div_pub_dom va.dom d in
-      let q, _ = Orq_circuits.Divide.udiv_pub ctx ~w (as_bool_at ctx va w) d in
+      (* an unsigned arithmetic dividend divides by multiply-high; a signed
+         one divides as its w-bit pattern *)
+      let x, hi =
+        if signed va then (as_bool_at ctx va w, Orq_util.Ring.mask w)
+        else (va.data, va.dom.Dom.hi)
+      in
+      let q = Orq_circuits.Divide.udiv_pub ctx ~hi ~w x d in
       { data = Mpc.and_mask q (Orq_util.Ring.mask (Dom.width dom)); dom }
   | If (p, a, b) ->
       let bit, va, vb =

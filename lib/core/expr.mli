@@ -17,7 +17,9 @@ type num =
   | Div of num * num
       (** private divisor: non-restoring circuit; [k·x / y] with a
           {!Table.fact} [Le (x, y)] runs only [bitlen k] quotient bits *)
-  | Div_pub of num * int  (** public divisor *)
+  | Div_pub of num * int
+      (** public divisor: multiply-high on an unsigned arithmetic
+          dividend, the boolean circuits otherwise *)
   | If of pred * num * num  (** oblivious CASE WHEN (multiplexed) *)
 
 and pred =

@@ -103,12 +103,10 @@ let add kind ~w ~n =
   if w < 2 then [||]
   else Array.append [| round_ev (mul_lane kind ~w:(w - 1) ~n) |] (prefix kind ~w ~n)
 
-let add_pub = prefix
-
 let a2b kind ~ell ~w ~n =
   Array.append
     [| round_ev (open_lane kind ~w:ell ~n) |]
-    (add_pub kind ~w:(min w Orq_util.Ring.word_bits) ~n)
+    (prefix kind ~w:(min w Orq_util.Ring.word_bits) ~n)
 
 (* One sharded-permutation application over [w] bits per element:
    (bits, rounds, messages). *)

@@ -59,13 +59,10 @@ val add : Ctx.kind -> w:int -> n:int -> Comm.event array
     position with bit j set, and a P product at those with a higher bit
     set too. *)
 
-val add_pub : Ctx.kind -> w:int -> n:int -> Comm.event array
-(** Sum of a shared and a public [w]-bit vector (also subtraction and
-    negation): {!add} without the generate AND, which is local. *)
-
 val a2b : Ctx.kind -> ell:int -> w:int -> n:int -> Comm.event array
 (** Arithmetic-to-boolean conversion of [n] values to [w] bits: the
-    masked values open at [ell] bits, then a public-minuend {!add_pub}. *)
+    masked values open at [ell] bits, then a public-minuend subtraction:
+    {!add} without the generate AND, which is local. *)
 
 val shuffle : Ctx.kind -> w:int -> n:int -> Comm.event array
 (** One sharded-permutation application over [n] elements of [w] bits

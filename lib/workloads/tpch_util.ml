@@ -44,11 +44,20 @@ let pselect t (pairs : (string * string) list) =
     (fun t (from, into) -> if from = into then t else P.rename_col t ~from ~into)
     t pairs
 
-(** Plaintext whole-table aggregation: one row (of the aggregates), no key. *)
+(** Plaintext whole-table aggregation: one row (of the aggregates), no
+    key, also for an empty input, as SQL and [Dataflow.global_aggregate]
+    give: SUM, COUNT and MAX read 0 and MIN all ones, which the
+    comparison masks to its width's maximum (AVG, 0/0, is unspecified on
+    the MPC side and reads 0 here). *)
 let pglobal (t : P.t) ~(aggs : P.agg list) : P.t =
-  let t1 = P.map t ~dst:"#one" (fun _ _ -> 1) in
-  let g = P.group_by t1 ~keys:[ "#one" ] ~aggs in
-  P.project g (List.map (fun a -> a.P.dst) aggs)
+  if P.nrows t = 0 then
+    P.create
+      (List.map (fun a -> a.P.dst) aggs)
+      [ List.map (fun a -> if a.P.fn = P.Min then Orq_util.Ring.ones else 0) aggs ]
+  else
+    let t1 = P.map t ~dst:"#one" (fun _ _ -> 1) in
+    let g = P.group_by t1 ~keys:[ "#one" ] ~aggs in
+    P.project g (List.map (fun a -> a.P.dst) aggs)
 
 (** Plaintext scalar broadcast: attach the single value of [scalar.(src)]
     to every row of [t] as [dst]. *)

@@ -455,7 +455,11 @@ let test_costmodel_adders () =
                 [
                   ("add", Primcost.add kind ~w ~n, fun ctx -> Adder.add ctx ~w (b ctx 1) (b ctx 2));
                   ("sub", Primcost.add kind ~w ~n, fun ctx -> Adder.sub ctx ~w (b ctx 1) (b ctx 2));
-                  ("neg", Primcost.add_pub kind ~w ~n, fun ctx -> Adder.neg ctx ~w (b ctx 1));
+                  ( "add_carry",
+                    Primcost.add kind ~w ~n,
+                    fun ctx ->
+                      Adder.add_carry ctx ~w (b ctx 1) (b ctx 2)
+                        (Share.pack_flags (Mpc.share_b ctx (Array.map (fun v -> v land 1) (data 4)))) );
                   ( "a2b",
                     Primcost.a2b kind ~ell ~w ~n,
                     fun ctx -> Orq_circuits.Convert.a2b ~w ctx (Mpc.share_a ctx (data 3)) );

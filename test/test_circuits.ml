@@ -205,7 +205,6 @@ let test_adders_qcheck =
               ( "sub_pub_minuend_many",
                 got (Adder.sub_pub_minuend_many ctx [| (x, sy, w); (c, sy, w) |]).(1),
                 plain (fun i -> (c.(i) - y.(i)) land m) );
-              ("neg", got (Adder.neg ctx ~w sx), plain (fun i -> -x.(i) land m));
               ( "a2b",
                 got (Convert.a2b ~w ctx (Mpc.share_a ctx y)),
                 plain (fun i -> y.(i) land m) );
@@ -235,8 +234,51 @@ let test_add_pub () =
 let test_neg () =
   for_all_kinds (fun ctx ->
       let x = [| 1; 0; 255 |] in
-      let r = Adder.neg ctx ~w:8 (Mpc.share_b ctx x) |> Share.reconstruct in
+      let r =
+        (Adder.sub_pub_minuend_many ctx [| (Vec.zeros 3, Mpc.share_b ctx x, 8) |]).(0)
+        |> Share.reconstruct
+      in
       Alcotest.(check vec) "neg" [| 255; 0; 1 |] r)
+
+(* A shared carry-in bit: (x + y + c) mod 2^w at every width, the leading
+   elements running a carry through every bit (x + y = 2^w - 1, c = 1),
+   in exactly the rounds of a carry-free adder. *)
+let test_add_carry_qcheck =
+  let gen =
+    QCheck.Gen.(
+      int_range 1 61 >>= fun w ->
+      let m = Ring.mask w in
+      let n = 9 in
+      array_size (return n) int >>= fun x ->
+      array_size (return n) int >>= fun y ->
+      array_size (return n) bool >>= fun c ->
+      let x = Array.mapi (fun i v -> if i < 2 then [| m; 0 |].(i) else v land m) x in
+      let y = Array.mapi (fun i v -> if i < 2 then [| 0; m |].(i) else v land m) y in
+      let c = Array.mapi (fun i b -> if i < 2 then 1 else Bool.to_int b) c in
+      return (w, x, y, c))
+  in
+  QCheck.Test.make ~name:"shared carry-in adder = (x + y + c) mod 2^w"
+    ~count:40
+    (QCheck.make ~print:(fun (w, _, _, _) -> Printf.sprintf "w=%d" w) gen)
+    (fun (w, x, y, c) ->
+      List.for_all
+        (fun k ->
+          let ctx = Ctx.create ~seed:7 k in
+          let sx = Mpc.share_b ctx x and sy = Mpc.share_b ctx y in
+          let sc = share_flags ctx c in
+          let before = Orq_net.Comm.snapshot ctx.Ctx.comm in
+          let got = Share.reconstruct (Adder.add_carry ctx ~w sx sy sc) in
+          let tl = Orq_net.Comm.since ctx.Ctx.comm before in
+          let expect =
+            Array.init (Array.length x) (fun i ->
+                (x.(i) + y.(i) + c.(i)) land Ring.mask w)
+          in
+          (( = ) got expect
+          || QCheck.Test.fail_reportf "w=%d [%s] values" w (Ctx.kind_label k))
+          && (tl.Orq_net.Comm.t_rounds
+              = Array.length (Primcost.add k ~w ~n:(Array.length x))
+             || QCheck.Test.fail_reportf "w=%d [%s] rounds" w (Ctx.kind_label k)))
+        kinds)
 
 (* ------------- conversions ------------- *)
 
@@ -341,13 +383,11 @@ let test_div_known () =
   for_all_kinds (fun ctx ->
       let x = [| 7; 7; 5; 4; 2; 0; 100; 99 |] in
       let d = [| 3; 2; 3; 3; 3; 5; 10; 10 |] in
-      let q, r =
+      let q =
         Divide.udiv ctx ~w:8 ~wd:4 (Mpc.share_b ctx x) (Mpc.share_b ctx d)
       in
       Alcotest.(check vec) "quotients" [| 2; 3; 1; 1; 0; 0; 10; 9 |]
-        (Share.reconstruct q);
-      Alcotest.(check vec) "remainders" [| 1; 1; 2; 1; 2; 0; 0; 9 |]
-        (Share.reconstruct r))
+        (Share.reconstruct q))
 
 let test_div_qcheck =
   QCheck.Test.make ~name:"non-restoring division" ~count:20
@@ -359,21 +399,17 @@ let test_div_qcheck =
       List.for_all
         (fun k ->
           let ctx = Ctx.create ~seed:12 k in
-          let q, r =
+          let q =
             Divide.udiv ctx ~w:16 ~wd:13 (Mpc.share_b ctx x) (Mpc.share_b ctx d)
           in
-          let q = Share.reconstruct q and r = Share.reconstruct r in
-          Array.for_all2
-            (fun (qi, ri) (xi, di) -> qi = xi / di && ri = xi mod di)
-            (Array.map2 (fun a b -> (a, b)) q r)
-            (Array.map2 (fun a b -> (a, b)) x d))
+          ( = ) (Share.reconstruct q) (Array.map2 ( / ) x d))
         kinds)
 
 let div_tally ctx ?qw ~w ~wd x d =
   let sx = Mpc.share_b ctx x and sd = Mpc.share_b ctx d in
   let before = Orq_net.Comm.snapshot ctx.Ctx.comm in
-  let q, r = Divide.udiv ctx ?qw ~w ~wd sx sd in
-  (Share.reconstruct q, Share.reconstruct r, Orq_net.Comm.since ctx.Ctx.comm before)
+  let q = Divide.udiv ctx ?qw ~w ~wd sx sd in
+  (Share.reconstruct q, Orq_net.Comm.since ctx.Ctx.comm before)
 
 (* A quotient bound of qw bits: x = q·d + r with q < 2^qw, the boundary
    cases forced in (q = 2^qw - 1, d = 1, x = d, x = 0); every run is exact
@@ -400,7 +436,7 @@ let test_div_bounded_qcheck =
       in
       return (w, wd, qw, Array.append extremes cases))
   in
-  QCheck.Test.make ~name:"bounded-quotient division (exact q, r, rounds)"
+  QCheck.Test.make ~name:"bounded-quotient division (exact q, rounds)"
     ~count:40
     (QCheck.make
        ~print:(fun (w, wd, qw, c) ->
@@ -413,12 +449,12 @@ let test_div_bounded_qcheck =
       let x = Array.map fst cases and d = Array.map snd cases in
       List.for_all
         (fun k ->
-          let q, r, tl = div_tally (Ctx.create ~seed:14 k) ~qw ~w ~wd x d in
+          let q, tl = div_tally (Ctx.create ~seed:14 k) ~qw ~w ~wd x d in
           ( = ) q (Array.map2 ( / ) x d)
-          && ( = ) r (Array.map2 ( mod ) x d)
           && tl.Orq_net.Comm.t_rounds = Divide.udiv_rounds ~w ~wd ~qw ())
         kinds)
 
+(* qw adders at wd + 2 bits, each 1 + ⌈log₂(wd + 1)⌉ rounds. *)
 let test_div_rounds () =
   List.iter
     (fun (w, wd, qw, expect) ->
@@ -426,9 +462,9 @@ let test_div_rounds () =
       Alcotest.(check int) (name ^ " closed form") expect
         (Divide.udiv_rounds ~w ~wd ~qw ());
       for_all_kinds (fun ctx ->
-          let _, _, tl = div_tally ctx ~qw ~w ~wd [| 7; 9; 0 |] [| 1; 2; 3 |] in
+          let _, tl = div_tally ctx ~qw ~w ~wd [| 7; 9; 0 |] [| 1; 2; 3 |] in
           Alcotest.(check int) (name ^ " measured") expect tl.Orq_net.Comm.t_rounds))
-    [ (21, 12, 21, 135); (21, 12, 8, 57); (58, 40, 7, 69); (8, 4, 1, 12); (30, 2, 30, 125) ];
+    [ (21, 12, 21, 105); (21, 12, 8, 40); (58, 40, 7, 49); (8, 4, 1, 4); (30, 2, 30, 90) ];
   Alcotest.(check int) "qw defaults to w"
     (Divide.udiv_rounds ~w:21 ~wd:12 ~qw:21 ())
     (Divide.udiv_rounds ~w:21 ~wd:12 ())
@@ -438,23 +474,22 @@ let test_div_pub () =
       let x = [| 1000; 12345; 77; 64; 0; 65535 |] in
       List.iter
         (fun d ->
-          let q, r = Divide.udiv_pub ctx ~w:16 (Mpc.share_b ctx x) d in
-          let name what = Printf.sprintf "pub %s by %d" what d in
-          Alcotest.(check vec) (name "quotients") (Array.map (fun a -> a / d) x)
-            (Share.reconstruct q);
-          Alcotest.(check vec) (name "remainders") (Array.map (fun a -> a mod d) x)
-            (Share.reconstruct r))
+          let q = Divide.udiv_pub ctx ~w:16 (Mpc.share_b ctx x) d in
+          Alcotest.(check vec)
+            (Printf.sprintf "pub quotients by %d" d)
+            (Array.map (fun a -> a / d) x)
+            (Share.reconstruct q))
         [ 1; 7; 11; 64; 100; 365; 65535; 65536; 100_000 ])
 
-let div_pub_tally ctx ~w x d =
+let div_pub_tally ctx ?hi ~w x d =
   let sx = Mpc.share_b ctx x in
   let before = Orq_net.Comm.snapshot ctx.Ctx.comm in
-  let q, r = Divide.udiv_pub ctx ~w sx d in
-  (Share.reconstruct q, Share.reconstruct r, Orq_net.Comm.since ctx.Ctx.comm before)
+  let q = Divide.udiv_pub ctx ?hi ~w sx d in
+  (Share.reconstruct q, Orq_net.Comm.since ctx.Ctx.comm before)
 
-(* Exact quotient and remainder over the whole supported width range, with
-   the extreme dividends forced in; every run also meets the closed-form
-   round count. *)
+(* Exact quotients over the whole supported width range, with the extreme
+   dividends forced in; every run also meets the closed-form round
+   count. *)
 let test_div_pub_qcheck =
   let gen =
     QCheck.Gen.(
@@ -463,7 +498,7 @@ let test_div_pub_qcheck =
       array_size (return 6) (map (fun v -> v land Ring.mask w) int) >>= fun x ->
       return (w, d, Array.append [| 0; Ring.mask w |] x))
   in
-  QCheck.Test.make ~name:"public-divisor division (exact q, r, rounds)" ~count:60
+  QCheck.Test.make ~name:"public-divisor division (exact q, rounds)" ~count:60
     (QCheck.make
        ~print:(fun (w, d, x) ->
          Printf.sprintf "w=%d d=%d x=[%s]" w d
@@ -472,32 +507,142 @@ let test_div_pub_qcheck =
     (fun (w, d, x) ->
       List.for_all
         (fun k ->
-          let q, r, tl = div_pub_tally (Ctx.create ~seed:13 k) ~w x d in
+          let q, tl = div_pub_tally (Ctx.create ~seed:13 k) ~w x d in
           ( = ) q (Array.map (fun v -> v / d) x)
-          && ( = ) r (Array.map (fun v -> v mod d) x)
-          && tl.Orq_net.Comm.t_rounds = Divide.pub_rounds ~w d)
+          && tl.Orq_net.Comm.t_rounds = Divide.pub_rounds ~enc:Share.Bool ~w d)
         kinds)
+
+let mulhi_tally ctx ~hi ~w x d =
+  let sx = Mpc.share_a ctx x in
+  let before = Orq_net.Comm.snapshot ctx.Ctx.comm in
+  let q = Divide.udiv_pub ctx ~hi ~w sx d in
+  (Share.reconstruct q, Orq_net.Comm.since ctx.Ctx.comm before)
+
+(* Oracle of the multiply-high rule, from its definition: the smallest
+   s >= ⌈log₂ d⌉ with hi·(m·d − 2^s) < 2^s for m = ⌈2^s/d⌉, and whether
+   hi·m fits 61 bits. *)
+let mulhi_width ~hi d =
+  let limit = Ring.mask 61 in
+  let rec go s =
+    let p = 1 lsl s in
+    let m = (p + d - 1) / d in
+    if hi > limit / m then None
+    else
+      let e = (m * d) - p in
+      if e = 0 || hi <= (p - 1) / e then Some (Ring.log2_ceil ((hi * m) + 1))
+      else go (s + 1)
+  in
+  go (Ring.log2_ceil d)
+
+(* The largest dividend bound multiply-high takes for [d] (the fit is
+   monotone in hi: a larger hi needs an s and an m no smaller). *)
+let mulhi_limit d =
+  let rec search lo hi =
+    (* mulhi fits at lo, not at hi *)
+    if hi - lo <= 1 then lo
+    else
+      let mid = lo + ((hi - lo) / 2) in
+      if mulhi_width ~hi:mid d <> None then search mid hi else search lo mid
+  in
+  search d (Ring.mask 61)
+
+let a2b_rounds k w = Array.length (Primcost.a2b k ~ell:Ring.word_bits ~w ~n:1)
+
+(* Multiply-high on arithmetic dividends in [0, hi]: the domain edges 0,
+   hi, ⌊hi/d⌋·d and ⌊hi/d⌋·d − 1 and d − 1 forced in, random hi up to the
+   ring-fit limit and non-power-of-two d <= 10^5; and the first hi past
+   that limit, which must take the A2B at w bits plus the boolean
+   circuits. Every quotient is exact and every run meets the closed
+   form. *)
+let test_div_mulhi_qcheck =
+  let gen =
+    QCheck.Gen.(
+      int_range 3 100_000 >>= fun d ->
+      let d = if Ring.is_pow2 d then d + 1 else d in
+      let limit = mulhi_limit d in
+      int_range 1 (Ring.log2_ceil (limit + 1)) >>= fun k ->
+      int_range 0 (Ring.mask k) >>= fun r ->
+      bool >>= fun past ->
+      let hi = if past then limit + 1 else max 1 (min limit r) in
+      array_size (return 4) (int_range 0 hi) >>= fun xs ->
+      let top = hi / d * d in
+      let edges = List.filter (fun v -> v >= 0 && v <= hi) [ 0; hi; top; top - 1; d - 1 ] in
+      return (d, hi, past, Array.append (Array.of_list edges) xs))
+  in
+  QCheck.Test.make ~name:"multiply-high division (exact q, rounds)" ~count:60
+    (QCheck.make
+       ~print:(fun (d, hi, past, x) ->
+         Printf.sprintf "d=%d hi=%d past=%b x=[%s]" d hi past
+           (String.concat ";" (Array.to_list (Array.map string_of_int x))))
+       gen)
+    (fun (d, hi, past, x) ->
+      let w = Ring.log2_ceil (hi + 1) in
+      let rounds = Divide.pub_rounds ~hi ~enc:Share.Arith ~w d in
+      (* the closed form follows the path the rule picks *)
+      let path_rounds k =
+        match mulhi_width ~hi d with
+        | _ when d > hi -> 0
+        | Some wide -> a2b_rounds k wide
+        | None -> a2b_rounds k w + Divide.pub_rounds ~enc:Share.Bool ~w d
+      in
+      (mulhi_width ~hi d = None) = past
+      && List.for_all
+           (fun k ->
+             let q, tl = mulhi_tally (Ctx.create ~seed:15 k) ~hi ~w x d in
+             (( = ) q (Array.map (fun v -> v / d) x)
+             || QCheck.Test.fail_reportf "[%s] quotients" (Ctx.kind_label k))
+             && rounds = path_rounds k
+             && (tl.Orq_net.Comm.t_rounds = rounds
+                || QCheck.Test.fail_reportf "[%s] rounds %d, closed form %d"
+                     (Ctx.kind_label k) tl.Orq_net.Comm.t_rounds rounds))
+           kinds)
+
+(* Q1's l_extendedprice · (100 − l_discount) / 100, the product's hi
+   104950 · 100: s = 30, W = 47, so one A2B at 47 bits; a divisor above
+   hi costs nothing. *)
+let test_div_mulhi_shape () =
+  let hi = 104_950 * 100 and d = 100 in
+  let w = Ring.log2_ceil (hi + 1) in
+  Alcotest.(check (option int)) "oracle width" (Some 47) (mulhi_width ~hi d);
+  Alcotest.(check int) "rounds" (a2b_rounds Ctx.Sh_hm 47)
+    (Divide.pub_rounds ~hi ~enc:Share.Arith ~w d);
+  Alcotest.(check int) "d > hi" 0 (Divide.pub_rounds ~hi:99 ~enc:Share.Arith ~w:7 100);
+  for_all_kinds (fun ctx ->
+      let x = [| 0; hi; 12_345_678; hi - 1 |] in
+      let q, tl = mulhi_tally ctx ~hi ~w x d in
+      Alcotest.(check vec) "quotients" (Array.map (fun v -> v / d) x) q;
+      Alcotest.(check int) "measured" (a2b_rounds Ctx.Sh_hm 47) tl.Orq_net.Comm.t_rounds;
+      let q, tl = mulhi_tally ctx ~hi:99 ~w:7 [| 0; 99 |] 100 in
+      Alcotest.(check vec) "zero quotients" [| 0; 0 |] q;
+      Alcotest.(check int) "zero rounds" 0 tl.Orq_net.Comm.t_rounds)
 
 let test_div_pub_rounds () =
   List.iter
     (fun (w, d, expect) ->
       let name = Printf.sprintf "(w=%d, d=%d)" w d in
-      Alcotest.(check int) (name ^ " closed form") expect (Divide.pub_rounds ~w d);
+      Alcotest.(check int) (name ^ " closed form") expect
+        (Divide.pub_rounds ~enc:Share.Bool ~w d);
       for_all_kinds (fun ctx ->
-          let _, _, tl = div_pub_tally ctx ~w [| 1; 2; 3 |] d in
+          let _, tl = div_pub_tally ctx ~w [| 1; 2; 3 |] d in
           Alcotest.(check int) (name ^ " measured") expect tl.Orq_net.Comm.t_rounds))
-    [ (36, 100, 40); (46, 100, 46); (12, 365, 25); (20, 7, 30); (16, 1, 0); (16, 64, 0); (8, 300, 0) ]
+    [ (36, 100, 40); (46, 100, 46); (12, 365, 20); (20, 7, 30); (16, 1, 0); (16, 64, 0); (8, 300, 0) ]
 
 let test_div_pub_oblivious () =
-  (* the transcript shape is a function of (w, d, n) alone *)
+  (* the transcript shape is a function of (enc, hi, w, d, n) alone *)
   for_all_kinds (fun ctx ->
       let w = 40 and d = 100 in
-      let _, _, t1 = div_pub_tally ctx ~w [| 0; 0; 0; 0 |] d in
-      let _, _, t2 = div_pub_tally ctx ~w [| Ring.mask w; 12345; 99; 100 |] d in
-      Alcotest.(check int) "rounds" t1.Orq_net.Comm.t_rounds t2.Orq_net.Comm.t_rounds;
-      Alcotest.(check int) "bits" t1.Orq_net.Comm.t_bits t2.Orq_net.Comm.t_bits;
-      Alcotest.(check int) "messages" t1.Orq_net.Comm.t_messages
-        t2.Orq_net.Comm.t_messages)
+      let same what tally x y =
+        let t1 = tally x and t2 = tally y in
+        Alcotest.(check int) (what ^ " rounds") t1.Orq_net.Comm.t_rounds
+          t2.Orq_net.Comm.t_rounds;
+        Alcotest.(check int) (what ^ " bits") t1.Orq_net.Comm.t_bits
+          t2.Orq_net.Comm.t_bits;
+        Alcotest.(check int) (what ^ " messages") t1.Orq_net.Comm.t_messages
+          t2.Orq_net.Comm.t_messages
+      in
+      let lo = [| 0; 0; 0; 0 |] and hi = [| Ring.mask w; 12345; 99; 100 |] in
+      same "boolean" (fun x -> snd (div_pub_tally ctx ~w x d)) lo hi;
+      same "multiply-high" (fun x -> snd (mulhi_tally ctx ~hi:(Ring.mask w) ~w x d)) lo hi)
 
 let suite =
   [
@@ -510,6 +655,7 @@ let suite =
     Alcotest.test_case "mux_b" `Quick test_mux_b;
     Alcotest.test_case "mux_b_many (1 round)" `Quick test_mux_b_many;
     QCheck_alcotest.to_alcotest test_adders_qcheck;
+    QCheck_alcotest.to_alcotest test_add_carry_qcheck;
     Alcotest.test_case "sub" `Quick test_sub;
     Alcotest.test_case "add/sub with public operand" `Quick test_add_pub;
     Alcotest.test_case "neg" `Quick test_neg;
@@ -527,6 +673,8 @@ let suite =
     Alcotest.test_case "division by public divisor" `Quick test_div_pub;
     QCheck_alcotest.to_alcotest test_div_pub_qcheck;
     Alcotest.test_case "public division round counts" `Quick test_div_pub_rounds;
+    QCheck_alcotest.to_alcotest test_div_mulhi_qcheck;
+    Alcotest.test_case "multiply-high shape" `Quick test_div_mulhi_shape;
     Alcotest.test_case "public division is oblivious" `Quick test_div_pub_oblivious;
   ]
 

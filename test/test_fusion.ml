@@ -66,9 +66,12 @@ let test_single_formulas () =
             (Printf.sprintf "%s add w=%d" lbl w)
             (if w = 1 then 0 else dc + 1)
             radd;
-          let _, rap = rounds_of ctx (fun () -> Adder.neg ctx ~w x) in
+          let _, rap =
+            rounds_of ctx (fun () ->
+                Adder.sub_pub_minuend_many ctx [| (Vec.zeros 9, x, w) |])
+          in
           Alcotest.(check int)
-            (Printf.sprintf "%s add_pub (neg) w=%d" lbl w)
+            (Printf.sprintf "%s add_pub (0 - x) w=%d" lbl w)
             dc rap;
           let xa = Mpc.share_a ctx (Array.init 9 (fun i -> i)) in
           let _, ra2b = rounds_of ctx (fun () -> Convert.a2b ~w ctx xa) in

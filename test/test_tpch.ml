@@ -134,6 +134,24 @@ let test_validate_dropped_row () =
   Alcotest.(check bool) "reference rows are the MPC rows minus one" true
     (List.for_all (fun r -> List.mem r mpc_rows) ref_rows)
 
+(* At SF 0.0001 no supplier is in Q11's nation, so its global SUM runs
+   over no row: SQL (and the MPC plan) still give one row, which the
+   reference broadcasts as the threshold. *)
+let test_q11_empty_global () =
+  let plain = Tpch_gen.generate 0.0001 in
+  let q = Tpch.find "Q11" in
+  let ctx = Ctx.create ~seed:5 Ctx.Sh_hm in
+  let ok, mpc_rows, ref_rows = Query.validate q plain (Tpch_gen.share ctx plain) in
+  Alcotest.(check bool) "Q11 validates at SF 0.0001" true ok;
+  Alcotest.(check int) "no result rows" 0 (List.length mpc_rows + List.length ref_rows);
+  let module P = Orq_plaintext.Ptable in
+  let empty = P.create [ "v" ] [] in
+  Alcotest.(check (list (list int))) "empty global aggregate is one row"
+    [ [ 0; 0; 0; Orq_util.Ring.ones ] ]
+    (Tpch_util.pglobal empty
+       ~aggs:[ Tpch_util.psum "v" "s"; Tpch_util.pcnt "v" "c";
+               Tpch_util.pmx "v" "mx"; Tpch_util.pmn "v" "mn" ]).P.rows
+
 let () =
   Alcotest.run "orq_tpch"
     [
@@ -149,6 +167,8 @@ let () =
             test_registry_names;
           Alcotest.test_case "validate reports a dropped row" `Quick
             test_validate_dropped_row;
+          Alcotest.test_case "Q11 at SF 0.0001 (empty global SUM)" `Quick
+            test_q11_empty_global;
         ] );
       ("tpch-validate", sh_hm_cases @ cross_protocol_cases @ alt_seed_cases);
     ]
