@@ -41,12 +41,14 @@ test-checked:
 # under all three protocols (108 rows); writes CERTIFICATE.json. ~2 min;
 # `--quick` runs a representative subset in seconds.
 # The second pass re-certifies with out-of-core streaming forced on
-# (small chunks, tight budget): all (query, protocol) pairs must still
-# certify, i.e. chunked execution leaves the oblivious transcript and
-# the cost model's prediction untouched.
+# (small chunks, tight budget) into the git-ignored .certify-chunked.json
+# and fails unless it equals CERTIFICATE.json byte for byte: chunked
+# execution leaves every oblivious transcript, tally and prediction
+# untouched.
 certify:
 	dune exec bin/orq_lint.exe -- certify
-	ORQ_CHUNK_ROWS=512 ORQ_MEM_BUDGET=4M dune exec bin/orq_lint.exe -- certify --out CERTIFICATE_chunked.json
+	ORQ_CHUNK_ROWS=512 ORQ_MEM_BUDGET=4M dune exec bin/orq_lint.exe -- certify --out .certify-chunked.json
+	cmp CERTIFICATE.json .certify-chunked.json
 
 # Quick transcript certificate (6 queries under sh-dm and mal-hm, seconds):
 # the check that catches a data-dependent transcript in a local `make

@@ -10,7 +10,9 @@ open Orq_core
 open Orq_workloads
 open Orq_baselines
 open Bench_util
-module TU = Tpch_util
+
+(* The single column [from] of [t], renamed [into]. *)
+let rename1 t from into = Table.rename_col (Table.project t [ from ]) ~from ~into
 
 (* ------------------------------------------------------------------ *)
 (* Secrecy-style query variants                                        *)
@@ -85,7 +87,7 @@ let secrecy_q4 (db : Tpch_gen.mpc) =
     Dataflow.filter db.Tpch_gen.m_lineitem
       Expr.(col "l_commitdate" <. col "l_receiptdate")
   in
-  let li = TU.select li [ ("l_orderkey", "o_orderkey") ] in
+  let li = rename1 li "l_orderkey" "o_orderkey" in
   let sem = Secrecy_engine.nested_semi_join ctx o li ~on:[ "o_orderkey" ] in
   Secrecy_engine.group_by sem ~keys:[ "o_orderpriority" ]
     ~aggs:[ { Dataflow.src = "o_orderkey"; dst = "order_count"; fn = Dataflow.Count } ]
@@ -96,7 +98,7 @@ let secrecy_q13 (db : Tpch_gen.mpc) =
     Dataflow.filter db.Tpch_gen.m_orders
       Expr.(col "o_orderpriority" <>. const Tpch_params.q13_priority_excluded)
   in
-  let c = TU.select db.Tpch_gen.m_customer [ ("c_custkey", "o_custkey") ] in
+  let c = rename1 db.Tpch_gen.m_customer "c_custkey" "o_custkey" in
   let j = Secrecy_engine.nested_join ctx c o ~on:[ "o_custkey" ] in
   let per_cust =
     Secrecy_engine.group_by j ~keys:[ "o_custkey" ]
@@ -207,7 +209,7 @@ let sf_baseline_s3 (db : Tpch_gen.mpc) =
   in
   let j =
     Leaky_join.inner_join ctx
-      (TU.select o [ ("o_orderkey", "l_orderkey") ])
+      (rename1 o "o_orderkey" "l_orderkey")
       db.Tpch_gen.m_lineitem ~on:[ "l_orderkey" ] ()
   in
   Dataflow.global_aggregate j
@@ -217,8 +219,9 @@ let sf_baseline_s4 (db : Tpch_gen.mpc) =
   let ctx = Table.ctx db.Tpch_gen.m_orders in
   let j =
     Leaky_join.inner_join ctx
-      (TU.select db.Tpch_gen.m_orders
-         [ ("o_orderkey", "l_orderkey"); ("o_orderpriority", "o_orderpriority") ])
+      (Table.rename_col
+         (Table.project db.Tpch_gen.m_orders [ "o_orderkey"; "o_orderpriority" ])
+         ~from:"o_orderkey" ~into:"l_orderkey")
       db.Tpch_gen.m_lineitem
       ~on:[ "l_orderkey" ]
       ~copy:[ "o_orderpriority" ] ()

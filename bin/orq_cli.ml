@@ -43,17 +43,19 @@ let print_local_memory () =
       (Orq_util.Chunkvec.rss_peak_kb ())
   end
 
-(* [r_load] generates and shares the data, and returns the query's run
-   and its validation, so the run can be timed alone. *)
+(* [r_load] generates and shares the data, and returns the query's
+   logical plan (EXPLAIN; none for a hand-built body), its run and its
+   validation, so the run can be timed alone. *)
 type runnable = {
   r_name : string;
   r_load :
-    Ctx.t -> float -> int -> (unit -> Orq_core.Table.t) * (unit -> bool);
+    Ctx.t -> float -> int ->
+    string option * (unit -> Orq_core.Table.t) * (unit -> bool);
 }
 
 (* One adapter per catalog: its data at the requested scale (--sf for
    the TPC-H catalog, -n for the prior-work one). *)
-let of_catalog generate share (qs : ('db, 'plain) Query.t list) =
+let of_catalog generate share plans (qs : ('db, 'plain) Query.t list) =
   List.map
     (fun (q : ('db, 'plain) Query.t) ->
       {
@@ -62,7 +64,10 @@ let of_catalog generate share (qs : ('db, 'plain) Query.t list) =
           (fun ctx sf n ->
             let plain = generate sf n in
             let mdb = share ctx plain in
-            ( (fun () -> q.Query.run mdb),
+            ( Option.map
+                (fun plan -> Orq_planner.Plan.explain (plan mdb))
+                (List.assoc_opt q.Query.name plans),
+              (fun () -> q.Query.run mdb),
               fun () ->
                 let ok, _, _ = Query.validate q plain mdb in
                 ok ));
@@ -70,9 +75,9 @@ let of_catalog generate share (qs : ('db, 'plain) Query.t list) =
     qs
 
 let runnables : runnable list =
-  of_catalog (fun sf _ -> Tpch_gen.generate sf) Tpch_gen.share Tpch.all
+  of_catalog (fun sf _ -> Tpch_gen.generate sf) Tpch_gen.share Tpch.plans Tpch.all
   @ of_catalog (fun _ n -> Other_gen.generate n) Other_gen.share
-      Other_queries.all
+      Other_queries.plans Other_queries.all
 
 let protocol_of_string s =
   match Service.proto_of_label s with
@@ -178,7 +183,8 @@ let run_registered query proto sf n profile validate =
       start_trace ctx;
       Printf.printf "running %s under %s (%d parties)...\n%!" query
         (Ctx.kind_label proto) ctx.Ctx.parties;
-      let run, check = r.r_load ctx sf n in
+      let explain, run, check = r.r_load ctx sf n in
+      Option.iter (Printf.printf "plan:\n%s\n%!") explain;
       let t0 = Unix.gettimeofday () in
       let result = run () in
       let compute = Unix.gettimeofday () -. t0 in
@@ -195,6 +201,8 @@ let run_registered query proto sf n profile validate =
       end
 
 let run list_only query sql proto sf n profile validate =
+  (* the joins are priced under the profile the estimate is printed for *)
+  Orq_core.Joincost.set_profile profile;
   if list_only then begin
     print_endline "available queries:";
     List.iter (fun r -> Printf.printf "  %s\n" r.r_name) runnables;
@@ -508,7 +516,8 @@ let profile_t =
     value
     & opt (conv (profile_of_string, fun ppf p -> Fmt.string ppf p.Netsim.label)) Netsim.lan
     & info [ "profile" ] ~docv:"ENV"
-        ~doc:"Network model: lan, wan, geo or local.")
+        ~doc:"Network model the joins are priced under and the \
+              end-to-end estimate is printed for: lan, wan, geo or local.")
 
 let validate_t =
   Arg.(

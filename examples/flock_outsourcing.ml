@@ -54,7 +54,7 @@ let () =
   in
   let joined =
     D.inner_join
-      (Orq_workloads.Tpch_util.select avgs [ ("dept", "dept"); ("avg_sal", "avg_sal") ])
+      (Table.project avgs [ "dept"; "avg_sal" ])
       (Table.rename_col payroll ~from:"dept" ~into:"dept")
       ~on:[ "dept" ] ~copy:[ "avg_sal" ]
   in

@@ -41,7 +41,7 @@ let () =
   (* first join: (unique) customers x orders, propagating multiplicity *)
   let co =
     D.inner_join
-      (Tpch_util.select cm [ ("c_custkey", "o_custkey"); ("m", "m") ])
+      (Table.rename_col (Table.project cm [ "c_custkey"; "m" ]) ~from:"c_custkey" ~into:"o_custkey")
       o ~on:[ "o_custkey" ] ~copy:[ "m" ]
   in
   (* pre-aggregate line-item revenue per order key *)
@@ -56,7 +56,8 @@ let () =
   (* second join + post-aggregation: TotalR = sum(rev_pre * m) *)
   let col =
     D.inner_join
-      (Tpch_util.select lir [ ("l_orderkey", "o_orderkey"); ("rev_pre", "rev_pre") ])
+      (Table.rename_col (Table.project lir [ "l_orderkey"; "rev_pre" ]) ~from:"l_orderkey"
+         ~into:"o_orderkey")
       co ~on:[ "o_orderkey" ] ~copy:[ "rev_pre" ]
   in
   let col = D.map col ~dst:"total_r" E.(col "rev_pre" *! col "m") in

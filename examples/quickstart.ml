@@ -36,17 +36,14 @@ let () =
   in
   let co =
     Dataflow.inner_join
-      (Tpch_util.select c [ ("c_custkey", "o_custkey") ])
+      (Table.rename_col (Table.project c [ "c_custkey" ]) ~from:"c_custkey" ~into:"o_custkey")
       o ~on:[ "o_custkey" ]
   in
   let res =
     Dataflow.inner_join
-      (Tpch_util.select co
-         [
-           ("o_orderkey", "l_orderkey");
-           ("o_orderdate", "o_orderdate");
-           ("o_shippriority", "o_shippriority");
-         ])
+      (Table.rename_col
+         (Table.project co [ "o_orderkey"; "o_orderdate"; "o_shippriority" ])
+         ~from:"o_orderkey" ~into:"l_orderkey")
       li
       ~on:[ "l_orderkey" ]
       ~copy:[ "o_orderdate"; "o_shippriority" ]

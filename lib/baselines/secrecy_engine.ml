@@ -202,7 +202,7 @@ let group_by (t : Table.t) ~(keys : string list) ~(aggs : Dataflow.agg list) :
         | Dataflow.Max ->
             let d = dom () in
             spec (Column.data (src ())) (Aggnet.Max (Dom.width d)) d false
-        | Dataflow.Avg | Dataflow.Custom _ ->
+        | Dataflow.Avg ->
             invalid_arg "Secrecy baseline group_by: sum/count/min/max only")
       aggs
   in

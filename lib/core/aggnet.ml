@@ -28,8 +28,6 @@ type func =
   | Sum  (** running sum; group total lands in the last row *)
   | Min of int  (** running minimum of the given width *)
   | Max of int
-  | Custom of (Ctx.t -> Share.shared -> Share.shared -> Share.shared)
-      (** pairwise combine [f ctx upper lower] on boolean shares *)
 
 type keyset = Group | Group_and_tid
     (** which key set guards the function: the aggregation key K_a, or the
@@ -248,13 +246,9 @@ let propagate (ctx : Ctx.t) (b : boundaries) (specs : spec list) :
     end;
     Array.iteri
       (fun i sp ->
-        let upper, lower = slices cols_a.(i) dd in
         match sp.func with
         | Copy ->
-            pre.(i) <- Some upper;
-            pre_width.(i) <- sp.width
-        | Custom f ->
-            pre.(i) <- Some (f ctx upper lower);
+            pre.(i) <- Some (fst (slices cols_a.(i) dd));
             pre_width.(i) <- sp.width
         | Sum | Min _ | Max _ -> ())
       specs_a;

@@ -16,9 +16,6 @@ type func =
   | Sum  (** running sum on arithmetic shares; total in the last row *)
   | Min of int  (** running minimum at the given width *)
   | Max of int
-  | Custom of (Ctx.t -> Share.shared -> Share.shared -> Share.shared)
-      (** pairwise combine [f ctx upper lower] on boolean shares; must be
-          self-decomposable (§3.5) *)
 
 (** Which key set guards a function: the aggregation key K_a, or the
     extended K_s = K_a + table-id used by the join's valid-bit

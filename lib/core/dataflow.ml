@@ -80,8 +80,6 @@ type aggfn =
   | Min
   | Max
   | Avg
-  | Custom of (Ctx.t -> Share.shared -> Share.shared -> Share.shared)
-      (** pairwise combine on boolean shares; must be self-decomposable *)
 
 type agg = { src : string; dst : string; fn : aggfn }
 
@@ -91,7 +89,6 @@ let fn_name = function
   | Min -> "MIN"
   | Max -> "MAX"
   | Avg -> "AVG"
-  | Custom _ -> "CUSTOM"
 
 (** The domain of an aggregation over groups of at most [rows] rows of a
     source with domain [src]: a SUM lies in [rows]·[src] (empty sums
@@ -106,7 +103,7 @@ let agg_dom ~rows (src : Dom.t) (a : agg) : Dom.t =
     | Sum -> sum
     | Count -> Dom.v 0 rows
     | Avg -> if Dom.signed src then Dom.of_width (Dom.width sum) else src
-    | Min | Max | Custom _ ->
+    | Min | Max ->
         if Dom.signed src then Dom.of_width (Dom.width src) else src
   in
   let what = Printf.sprintf "%s(%s) over %d rows" (fn_name a.fn) a.src rows in
@@ -172,7 +169,7 @@ let expand_agg (ctx : Ctx.t) ~rows ~(find : string -> Column.t)
   let count_dom = agg_dom ~rows Dom.zero { a with fn = Count } in
   match a.fn with
   | Count -> [ (sum_spec (count ()) count_dom, `A2b, count_dom, a.dst) ]
-  | Sum | Min | Max | Custom _ | Avg -> (
+  | Sum | Min | Max | Avg -> (
       let src = find a.src in
       let d = agg_dom ~rows src.Column.dom a in
       let w = Dom.width d in
@@ -181,7 +178,6 @@ let expand_agg (ctx : Ctx.t) ~rows ~(find : string -> Column.t)
       (* unsigned comparisons: signed min/max would need the sign-flip map *)
       | Min -> [ (bool_spec (Aggnet.Min w) d, `Id, d, a.dst) ]
       | Max -> [ (bool_spec (Aggnet.Max w) d, `Id, d, a.dst) ]
-      | Custom f -> [ (bool_spec (Aggnet.Custom f) d, `Id, d, a.dst) ]
       | Count | Avg ->
           (* hidden sum and count columns; the (unsigned) division
              happens in [finish] once both results exist *)
@@ -252,7 +248,7 @@ let finish (t : Table.t) (aggs : agg list) expanded results
           Table.drop_cols
             (Table.set_col t a.dst (Column.of_shared ~dom q))
             [ a.dst ^ "#sum"; a.dst ^ "#count" ]
-      | Sum | Count | Min | Max | Custom _ -> t)
+      | Sum | Count | Min | Max -> t)
     t aggs
 
 (** GROUP BY [keys] evaluating the aggregations [aggs] (the paper's
@@ -339,9 +335,7 @@ let global_aggregate (t : Table.t) ~(aggs : agg list) : Table.t =
             `Masked (a, Column.as_arith ctx src, ds, Some (agg_dom ~rows src.Column.dom a))
         | Count -> `Count a
         | Min -> `Minmax (a, true, Table.width t a.src, Table.column t a.src)
-        | Max -> `Minmax (a, false, Table.width t a.src, Table.column t a.src)
-        | Custom _ ->
-            invalid_arg "global_aggregate: custom functions need group keys")
+        | Max -> `Minmax (a, false, Table.width t a.src, Table.column t a.src))
       aggs
   in
   (* fused validity-masked multiplications for SUM/AVG *)
@@ -584,7 +578,7 @@ let group_join_applies (left : Table.t) (right : Table.t) ~(on : string list)
        (fun a ->
          match a.fn with
          | Count -> true
-         | Sum | Min | Max | Avg | Custom _ ->
+         | Sum | Min | Max | Avg ->
              Table.mem right a.src && not (List.mem a.src on))
        aggs
 

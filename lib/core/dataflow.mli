@@ -3,8 +3,6 @@
     the paper's Listing 1). Every operator is fully oblivious: output
     sizes and access patterns depend only on public input sizes. *)
 
-open Orq_proto
-
 type order = Tablesort.order = Asc | Desc
 
 (** {2 Row-local operators} *)
@@ -40,8 +38,6 @@ type aggfn =
   | Min
   | Max
   | Avg  (** fully private: non-restoring division on secret sum/count *)
-  | Custom of (Ctx.t -> Share.shared -> Share.shared -> Share.shared)
-      (** pairwise combine on boolean shares; must be self-decomposable *)
 
 type agg = { src : string; dst : string; fn : aggfn }
 

@@ -28,24 +28,11 @@ let mode_label = function Auto -> "auto" | Force o -> op_label o
 
 let the_mode = ref Auto
 
-(* Read once at startup: a value that does not parse is reported on
-   stderr and LAN stands. *)
-let the_profile =
-  ref
-    (match Sys.getenv_opt "ORQ_JOIN_PROFILE" with
-    | None -> Netsim.lan
-    | Some s -> (
-        match Netsim.of_label s with
-        | Some p -> p
-        | None ->
-            Printf.eprintf
-              "[orq] ignoring ORQ_JOIN_PROFILE=%S (want lan|wan|geo|local)\n%!"
-              s;
-            Netsim.lan))
-
+let the_profile = ref Netsim.lan
 let mode () = !the_mode
 let set_mode m = the_mode := m
 let profile () = !the_profile
+let set_profile p = the_profile := p
 
 let cache_tag () =
   Printf.sprintf "%s:%s" (mode_label !the_mode) !the_profile.Netsim.label

@@ -22,9 +22,8 @@
     fallback and reports them as a count, not as a decision.
 
     {!set_mode} forces an operator or restores automatic selection;
-    [ORQ_JOIN_PROFILE] ({!Orq_net.Netsim.of_label}: lan|wan|geo|local)
-    sets the pacing regime costs are compared under. A value that does
-    not parse is reported on stderr and ignored. *)
+    {!set_profile} sets the pacing regime costs are compared under
+    ([orq_cli --profile]). *)
 
 open Orq_proto
 module Comm = Orq_net.Comm
@@ -44,8 +43,10 @@ val mode : unit -> mode
 val set_mode : mode -> unit
 
 val profile : unit -> Netsim.profile
-(** The pacing profile candidate costs are compared under (initially from
-    [ORQ_JOIN_PROFILE], default LAN). *)
+(** The pacing profile candidate costs are compared under (initially
+    LAN). *)
+
+val set_profile : Netsim.profile -> unit
 
 val cache_tag : unit -> string
 (** ["<mode>:<profile>"] — the physical-plan component of the service's

@@ -22,11 +22,11 @@ open Plan
 let rec push_pred (p : Expr.pred) (n : node) : node * bool =
   let cols = pred_cols p in
   match n with
-  | Join j when subset cols ((infer j.j_left).i_cols @ j.j_on) ->
+  | Join ({ j_kind = Inner; _ } as j) when subset cols ((infer j.j_left).i_cols @ j.j_on) ->
       let l, ok = push_pred p j.j_left in
       if ok then (Join { j with j_left = l }, true)
       else (Join { j with j_left = Filter (p, j.j_left) }, true)
-  | Join j when subset cols ((infer j.j_right).i_cols @ j.j_on) ->
+  | Join ({ j_kind = Inner; _ } as j) when subset cols ((infer j.j_right).i_cols @ j.j_on) ->
       let r, ok = push_pred p j.j_right in
       if ok then (Join { j with j_right = r }, true)
       else (Join { j with j_right = Filter (p, j.j_right) }, true)
@@ -53,30 +53,19 @@ let rec pushdown (n : node) : node =
       in
       let kept, m = place [] m (conjuncts p) in
       if kept = [] then m else Filter (conjoin (List.rev kept), m)
-  | Project (cols, m) -> Project (cols, pushdown m)
-  | Map (d, e, m) -> Map (d, e, pushdown m)
-  | Join j ->
-      Join { j with j_left = pushdown j.j_left; j_right = pushdown j.j_right }
-  | Aggregate a -> Aggregate { a with a_input = pushdown a.a_input }
-  | Order_limit (s, k, m) -> Order_limit (s, k, pushdown m)
-  | Scan _ -> n
+  | _ -> descend pushdown n
 
 (* Orient joins so the unique-key side sits on the left (§3.3). *)
 let rec orient (n : node) : node =
   match n with
-  | Join j ->
+  | Join ({ j_kind = Inner; _ } as j) ->
       let l = orient j.j_left and r = orient j.j_right in
       let j = { j with j_left = l; j_right = r } in
       if unique_on l j.j_on then Join j
       else if unique_on r j.j_on then
         Join { j with j_left = r; j_right = l }
       else Join j (* many-to-many: handled by preagg or the fallback *)
-  | Filter (p, m) -> Filter (p, orient m)
-  | Project (c, m) -> Project (c, orient m)
-  | Map (d, e, m) -> Map (d, e, orient m)
-  | Aggregate a -> Aggregate { a with a_input = orient a.a_input }
-  | Order_limit (s, k, m) -> Order_limit (s, k, orient m)
-  | Scan _ -> n
+  | _ -> descend orient n
 
 (* The §3.6 rewrite: Aggregate(SUM/COUNT) over a many-to-many Join.
    Pre-aggregate the side NOT carrying the aggregation source to a
@@ -84,72 +73,32 @@ let rec orient (n : node) : node =
    by multiplicity, post-aggregate. *)
 let rewrite_preagg (a : agg_node) : node option =
   match a.a_input with
-  | Join j when (not (unique_on j.j_left j.j_on)) && not (unique_on j.j_right j.j_on)
-    -> (
+  | Join ({ j_kind = Inner; _ } as j)
+    when (not (unique_on j.j_left j.j_on)) && not (unique_on j.j_right j.j_on) -> (
       let il = infer j.j_left and ir = infer j.j_right in
+      let keys_ok side = subset a.a_keys (side.i_cols @ j.j_on) in
+      (* [side]'s multiplicities joined to [other], weighted by [w], then
+         post-aggregated into [dst] *)
+      let via side other w src dst =
+        let mult = { Dataflow.src = List.hd j.j_on; dst = "__mult"; fn = Dataflow.Count } in
+        let joined = join (aggregate ~keys:j.j_on ~aggs:[ mult ] side) other ~on:j.j_on in
+        Some
+          (aggregate ~keys:a.a_keys
+             ~aggs:[ { Dataflow.src; dst; fn = Dataflow.Sum } ]
+             (w joined))
+      in
+      let weighted src = map "__w" Expr.(col src *! col "__mult") in
       match a.a_aggs with
-      | [ { Dataflow.src; dst; fn = Dataflow.Count } ] ->
-          (* COUNT(rows) of the join: sum of left multiplicities over matched
-             right rows *)
-          ignore src;
-          let keys_ok side = subset a.a_keys (side.i_cols @ j.j_on) in
-          if not (keys_ok ir) then None
-          else
-            let pre =
-              Aggregate
-                {
-                  a_keys = j.j_on;
-                  a_aggs = [ { Dataflow.src = List.hd j.j_on; dst = "__mult"; fn = Dataflow.Count } ];
-                  a_input = j.j_left;
-                }
-            in
-            Some
-              (Aggregate
-                 {
-                   a_keys = a.a_keys;
-                   a_aggs = [ { Dataflow.src = "__mult"; dst; fn = Dataflow.Sum } ];
-                   a_input = Join { j_left = pre; j_right = j.j_right; j_on = j.j_on };
-                 })
-      | [ { Dataflow.src; dst; fn = Dataflow.Sum } ]
-        when List.mem src ir.i_cols && subset a.a_keys (ir.i_cols @ j.j_on) ->
+      | [ { Dataflow.dst; fn = Dataflow.Count; _ } ] when keys_ok ir ->
+          (* COUNT(rows) of the join: sum of left multiplicities over
+             matched right rows *)
+          via j.j_left j.j_right Fun.id "__mult" dst
+      | [ { Dataflow.src; dst; fn = Dataflow.Sum } ] when List.mem src ir.i_cols && keys_ok ir ->
           (* SUM(right.col): weight each right row by the left multiplicity *)
-          let pre =
-            Aggregate
-              {
-                a_keys = j.j_on;
-                a_aggs = [ { Dataflow.src = List.hd j.j_on; dst = "__mult"; fn = Dataflow.Count } ];
-                a_input = j.j_left;
-              }
-          in
-          let joined = Join { j_left = pre; j_right = j.j_right; j_on = j.j_on } in
-          let weighted = Map ("__w", Expr.(col src *! col "__mult"), joined) in
-          Some
-            (Aggregate
-               {
-                 a_keys = a.a_keys;
-                 a_aggs = [ { Dataflow.src = "__w"; dst; fn = Dataflow.Sum } ];
-                 a_input = weighted;
-               })
-      | [ { Dataflow.src; dst; fn = Dataflow.Sum } ]
-        when List.mem src il.i_cols && subset a.a_keys (il.i_cols @ j.j_on) ->
+          via j.j_left j.j_right (weighted src) "__w" dst
+      | [ { Dataflow.src; dst; fn = Dataflow.Sum } ] when List.mem src il.i_cols && keys_ok il ->
           (* SUM(left.col): symmetric — pre-aggregate the right side *)
-          let pre =
-            Aggregate
-              {
-                a_keys = j.j_on;
-                a_aggs = [ { Dataflow.src = List.hd j.j_on; dst = "__mult"; fn = Dataflow.Count } ];
-                a_input = j.j_right;
-              }
-          in
-          let joined = Join { j_left = pre; j_right = j.j_left; j_on = j.j_on } in
-          let weighted = Map ("__w", Expr.(col src *! col "__mult"), joined) in
-          Some
-            (Aggregate
-               {
-                 a_keys = a.a_keys;
-                 a_aggs = [ { Dataflow.src = "__w"; dst; fn = Dataflow.Sum } ];
-                 a_input = weighted;
-               })
+          via j.j_right j.j_left (weighted src) "__w" dst
       | _ -> None)
   | _ -> None
 
@@ -158,13 +107,7 @@ let rec preagg (n : node) : node =
   | Aggregate a -> (
       let a = { a with a_input = preagg a.a_input } in
       match rewrite_preagg a with Some n' -> n' | None -> Aggregate a)
-  | Filter (p, m) -> Filter (p, preagg m)
-  | Project (c, m) -> Project (c, preagg m)
-  | Map (d, e, m) -> Map (d, e, preagg m)
-  | Join j ->
-      Join { j with j_left = preagg j.j_left; j_right = preagg j.j_right }
-  | Order_limit (s, k, m) -> Order_limit (s, k, preagg m)
-  | Scan _ -> n
+  | _ -> descend preagg n
 
 (** The full optimization pipeline. *)
 let run (n : node) : node = orient (preagg (pushdown n))

@@ -1,26 +1,21 @@
 (** Logical query plans — the automatic query planner the paper names as
-    future work ("As presented, ORQ requires data analysts to translate
-    queries into our dataflow API; future work includes integrating ORQ
-    with an automatic query planner", §7).
-
-    A plan is a relational-algebra tree over secret-shared base tables.
-    The planner infers output schemas and candidate keys (public metadata:
-    §2.1 — "analysts can leverage these constraints, if they exist, to
-    improve execution performance"), {!Optimize} rewrites the tree
-    (filter pushdown, join orientation, §3.6 pre-aggregation), and
-    {!Compile} lowers it onto the {!Orq_core.Dataflow} operators — falling
-    back to the quadratic oblivious join for queries outside ORQ's
-    tractable class, exactly as §2.1 prescribes. *)
+    future work ("future work includes integrating ORQ with an automatic
+    query planner", §7), with candidate keys as public schema metadata
+    (§2.1: "analysts can leverage these constraints, if they exist, to
+    improve execution performance"). *)
 
 open Orq_core
 
 type node =
   | Scan of scan
   | Filter of Expr.pred * node
-  | Project of string list * node
+  | Project of (string * string) list * node
+      (** keep the listed (source, output name) columns *)
   | Map of string * Expr.num * node
   | Join of join
   | Aggregate of agg_node
+  | Distinct of string list * node
+  | With_scalar of scalar
   | Order_limit of (string * Tablesort.order) list * int option * node
 
 and scan = {
@@ -28,23 +23,63 @@ and scan = {
   s_keys : string list list;  (** candidate keys declared by the schema *)
 }
 
-and join = { j_left : node; j_right : node; j_on : string list }
+and join_kind = Inner | Semi | Anti | Left_outer
+
+and join = {
+  j_kind : join_kind;
+  j_left : node;
+  j_right : node;
+  j_on : string list;
+}
 
 and agg_node = {
-  a_keys : string list;
+  a_keys : string list;  (** [[]]: one whole-table row *)
   a_aggs : Dataflow.agg list;
   a_input : node;
 }
+
+and scalar = { w_input : node; w_scalar : node; w_src : string; w_dst : string }
 
 (* -------- constructors -------- *)
 
 let scan ?(keys = []) t = Scan { s_table = t; s_keys = keys }
 let filter p n = Filter (p, n)
+let select pairs n = Project (pairs, n)
 let map dst e n = Map (dst, e, n)
-let join l r ~on = Join { j_left = l; j_right = r; j_on = on }
+let join_kind j_kind l r ~on = Join { j_kind; j_left = l; j_right = r; j_on = on }
+let join = join_kind Inner
+let semi_join = join_kind Semi
+let anti_join = join_kind Anti
+let outer_join = join_kind Left_outer
 let aggregate ~keys ~aggs n = Aggregate { a_keys = keys; a_aggs = aggs; a_input = n }
+let global ~aggs n = aggregate ~keys:[] ~aggs n
+let distinct keys n = Distinct (keys, n)
+
+let with_scalar n ~scalar ~src ~dst =
+  With_scalar { w_input = n; w_scalar = scalar; w_src = src; w_dst = dst }
+
 let order_by specs n = Order_limit (specs, None, n)
 let top specs k n = Order_limit (specs, Some k, n)
+
+(* -------- structure -------- *)
+
+let children = function
+  | Scan _ -> []
+  | Filter (_, m) | Project (_, m) | Map (_, _, m) | Distinct (_, m) | Order_limit (_, _, m) -> [ m ]
+  | Join j -> [ j.j_left; j.j_right ]
+  | Aggregate a -> [ a.a_input ]
+  | With_scalar w -> [ w.w_input; w.w_scalar ]
+
+let descend f = function
+  | Scan _ as n -> n
+  | Filter (p, m) -> Filter (p, f m)
+  | Project (c, m) -> Project (c, f m)
+  | Map (d, e, m) -> Map (d, e, f m)
+  | Distinct (k, m) -> Distinct (k, f m)
+  | Order_limit (s, k, m) -> Order_limit (s, k, f m)
+  | Join j -> Join { j with j_left = f j.j_left; j_right = f j.j_right }
+  | Aggregate a -> Aggregate { a with a_input = f a.a_input }
+  | With_scalar w -> With_scalar { w with w_input = f w.w_input; w_scalar = f w.w_scalar }
 
 (* -------- schema and candidate-key inference -------- *)
 
@@ -56,6 +91,14 @@ type info = {
 
 let subset a b = List.for_all (fun x -> List.mem x b) a
 
+(* A renaming projection's keys: those whose columns all survive, renamed. *)
+let rename_keys pairs keys =
+  List.filter_map
+    (fun k ->
+      let k' = List.filter_map (fun c -> List.assoc_opt c pairs) k in
+      if List.length k' = List.length k then Some k' else None)
+    keys
+
 let rec infer (n : node) : info =
   match n with
   | Scan s ->
@@ -64,18 +107,15 @@ let rec infer (n : node) : info =
         i_keys = s.s_keys;
         i_rows = Table.nrows s.s_table;
       }
-  | Filter (_, m) -> infer m
-  | Project (cols, m) ->
+  | Filter (_, m) | Order_limit (_, None, m) -> infer m
+  | Project (pairs, m) ->
       let i = infer m in
-      {
-        i with
-        i_cols = cols;
-        i_keys = List.filter (fun k -> subset k cols) i.i_keys;
-      }
+      { i with i_cols = List.map snd pairs; i_keys = rename_keys pairs i.i_keys }
   | Map (dst, _, m) ->
       let i = infer m in
-      { i with i_cols = i.i_cols @ [ dst ] }
-  | Join { j_left; j_right; j_on } ->
+      { i with i_cols = List.filter (( <> ) dst) i.i_cols @ [ dst ] }
+  | Join { j_kind = Semi | Anti; j_left; _ } -> infer j_left
+  | Join { j_left; j_right; j_on; _ } ->
       let il = infer j_left and ir = infer j_right in
       let l_unique = List.exists (fun k -> subset k j_on) il.i_keys in
       let r_unique = List.exists (fun k -> subset k j_on) ir.i_keys in
@@ -98,13 +138,19 @@ let rec infer (n : node) : info =
   | Aggregate a ->
       let i = infer a.a_input in
       {
-        i_cols = i.i_cols @ List.map (fun (g : Dataflow.agg) -> g.Dataflow.dst) a.a_aggs;
+        i_cols = a.a_keys @ List.map (fun (g : Dataflow.agg) -> g.Dataflow.dst) a.a_aggs;
         i_keys = [ a.a_keys ];
-        i_rows = i.i_rows;
+        i_rows = (if a.a_keys = [] then 1 else i.i_rows);
       }
-  | Order_limit (_, k, m) ->
+  | Distinct (keys, m) ->
       let i = infer m in
-      { i with i_rows = (match k with Some k -> min k i.i_rows | None -> i.i_rows) }
+      { i with i_keys = keys :: i.i_keys }
+  | With_scalar w ->
+      let i = infer w.w_input in
+      { i with i_cols = List.filter (( <> ) w.w_dst) i.i_cols @ [ w.w_dst ] }
+  | Order_limit (_, Some k, m) ->
+      let i = infer m in
+      { i with i_rows = min k i.i_rows }
 
 (** Does the subtree expose a candidate key within [cols]? *)
 let unique_on (n : node) (cols : string list) =
@@ -123,14 +169,8 @@ let table_shape (t : Table.t) =
     sh_doms = List.map (fun (n, c) -> (n, c.Column.dom)) t.Table.cols;
   }
 
-(** The bound pass: every output column's public domain, derived from the
-    scans' shapes ([scan], by default the shared tables' row counts and
-    column domains) alone, with the rules the operators apply at run time
-    ({!Expr.bound}, {!Dataflow.agg_dom}) over row bounds at least as large
-    as theirs, and without the row-wise facts. It refuses whatever the
-    run would, before any share moves.
-    @raise Dom.Refused naming the first expression or aggregate whose
-    bound exceeds the ring. *)
+(* The bound pass (see the interface): the operators' own domain rules
+   over the scans' shapes, without row-wise facts. *)
 let rec bounds ?(scan = table_shape) (n : node) : shape =
   let col sh c =
     match List.assoc_opt c sh.sh_doms with
@@ -144,14 +184,15 @@ let rec bounds ?(scan = table_shape) (n : node) : shape =
       let sh = bounds ~scan m in
       Expr.bound_pred ~col:(col sh) ~le:no_facts p;
       sh
-  | Project (cols, m) ->
+  | Project (pairs, m) ->
       let sh = bounds ~scan m in
-      { sh with sh_doms = List.map (fun c -> (c, col sh c)) cols }
+      { sh with sh_doms = List.map (fun (c, d) -> (d, col sh c)) pairs }
   | Map (dst, e, m) ->
       let sh = bounds ~scan m in
       let d = Expr.bound ~col:(col sh) ~le:no_facts e in
       { sh with sh_doms = List.remove_assoc dst sh.sh_doms @ [ (dst, d) ] }
-  | Join { j_left; j_right; j_on } ->
+  | Join { j_kind = Semi | Anti; j_left; _ } -> bounds ~scan j_left
+  | Join { j_left; j_right; j_on; _ } ->
       let l = bounds ~scan j_left and r = bounds ~scan j_right in
       let side sh = List.filter (fun (c, _) -> not (List.mem c j_on)) sh.sh_doms in
       (* [infer]'s rule over the shapes' row bounds *)
@@ -172,13 +213,17 @@ let rec bounds ?(scan = table_shape) (n : node) : shape =
         (g.Dataflow.dst, Dataflow.agg_dom ~rows src g)
       in
       {
-        sh_rows = rows;
+        sh_rows = (if a.a_keys = [] then 1 else rows);
         sh_doms = List.map (fun k -> (k, col sh k)) a.a_keys @ List.map agg a.a_aggs;
       }
+  | Distinct (_, m) -> bounds ~scan m
+  | With_scalar w ->
+      let sh = bounds ~scan w.w_input in
+      let d = col (bounds ~scan w.w_scalar) w.w_src in
+      { sh with sh_doms = List.remove_assoc w.w_dst sh.sh_doms @ [ (w.w_dst, d) ] }
   | Order_limit (_, k, m) ->
       let sh = bounds ~scan m in
       { sh with sh_rows = (match k with Some k -> min k sh.sh_rows | None -> sh.sh_rows) }
-
 
 (* -------- predicate column analysis -------- *)
 
@@ -210,6 +255,12 @@ let conjoin = function
 
 (* -------- EXPLAIN -------- *)
 
+let kind_label = function
+  | Inner -> "Join"
+  | Semi -> "SemiJoin"
+  | Anti -> "AntiJoin"
+  | Left_outer -> "OuterJoin"
+
 let rec pp ppf (n : node) =
   match n with
   | Scan s ->
@@ -221,17 +272,23 @@ let rec pp ppf (n : node) =
             ", keys: "
             ^ String.concat "; " (List.map (String.concat ",") ks))
   | Filter (_, m) -> Fmt.pf ppf "Filter(@[%a@])" pp m
-  | Project (cols, m) ->
-      Fmt.pf ppf "Project(%s,@ @[%a@])" (String.concat "," cols) pp m
+  | Project (pairs, m) ->
+      let col (c, d) = if c = d then d else c ^ " AS " ^ d in
+      Fmt.pf ppf "Project(%s,@ @[%a@])" (String.concat "," (List.map col pairs)) pp m
   | Map (dst, _, m) -> Fmt.pf ppf "Map(%s,@ @[%a@])" dst pp m
   | Join j ->
-      Fmt.pf ppf "Join(on %s,@ @[%a@],@ @[%a@])"
+      Fmt.pf ppf "%s(on %s,@ @[%a@],@ @[%a@])" (kind_label j.j_kind)
         (String.concat "," j.j_on)
         pp j.j_left pp j.j_right
   | Aggregate a ->
       Fmt.pf ppf "Aggregate(by %s,@ @[%a@])"
-        (String.concat "," a.a_keys)
+        (match a.a_keys with [] -> "()" | ks -> String.concat "," ks)
         pp a.a_input
+  | Distinct (keys, m) ->
+      Fmt.pf ppf "Distinct(%s,@ @[%a@])" (String.concat "," keys) pp m
+  | With_scalar w ->
+      Fmt.pf ppf "WithScalar(%s AS %s,@ @[%a@],@ @[%a@])" w.w_src w.w_dst pp
+        w.w_input pp w.w_scalar
   | Order_limit (specs, k, m) ->
       Fmt.pf ppf "OrderLimit(%s%s,@ @[%a@])"
         (String.concat "," (List.map fst specs))

@@ -404,12 +404,7 @@ let parse_query (cat : catalog) (sql : string) : Plan.node * string list =
           aggs
       in
       plan := Plan.aggregate ~keys ~aggs !plan
-  | Some keys, [] ->
-      (* GROUP BY without aggregates is DISTINCT; emulate via count *)
-      plan :=
-        Plan.aggregate ~keys
-          ~aggs:[ { Dataflow.src = List.hd keys; dst = "__one"; fn = Dataflow.Count } ]
-          !plan
+  | Some keys, [] -> plan := Plan.distinct keys !plan
   | None, _ :: _ -> fail "aggregates require GROUP BY (use a constant key)"
   | None, [] -> ());
   if accept_kw st "ORDER" then begin

@@ -223,3 +223,22 @@ let map_plain f (db : plain) : plain =
     ys = f "ys" db.ys;
     yt = f "yt" db.yt;
   }
+
+(** Resolve the datasets' table names, with each table's declared
+    candidate keys, like {!Tpch_gen.catalog}. Raises [Not_found] for
+    unknown names. *)
+let catalog (db : mpc) (name : string) : Orq_core.Table.t * string list list =
+  match name with
+  | "diagnosis" -> (db.m_diagnosis, [])
+  | "medication" -> (db.m_medication, [])
+  | "labs" -> (db.m_labs, [])
+  | "cohort" -> (db.m_cohort, [ [ "pid" ] ])
+  | "passwords" -> (db.m_passwords, [])
+  | "credit" -> (db.m_credit, [])
+  | "r" -> (db.m_r_att, [ [ "id" ] ])
+  | "s" -> (db.m_s_val, [])
+  | "transactions" -> (db.m_transactions, [])
+  | "yr" -> (db.m_yr, [ [ "person" ] ])
+  | "ys" -> (db.m_ys, [])
+  | "yt" -> (db.m_yt, [ [ "disease" ] ])
+  | _ -> raise Not_found

@@ -53,3 +53,8 @@ val share : Orq_proto.Ctx.t -> plain -> mpc
 val map_plain : (Ingress.schema -> P.t -> P.t) -> plain -> plain
 (** [map_plain f db] replaces every table [t] by [f schema t], [schema]
     being the (column, domain) list {!share} shares [t] under. *)
+
+val catalog : mpc -> string -> Orq_core.Table.t * string list list
+(** Planner catalog: table name -> (shared table, candidate keys), like
+    {!Tpch_gen.catalog}; [cohort], [r], [yr] and [yt] are unique on their
+    first column. @raise Not_found for unknown tables. *)

@@ -4,11 +4,17 @@
     Yi's Secure Yannakakis Example 1.1), and Patients (the Shrinkwrap
     3-way-join used to showcase the cascading effect, which ORQ avoids by
     pre-aggregating multiplicities, §3.6). Each query ships with its
-    plaintext reference twin. *)
+    plaintext reference twin. Every query but C.Diff is a logical plan
+    over {!Other_gen.catalog} that {!Orq_planner.Compile} runs, which
+    decides its fusion, pruning and copy lists. C.Diff keeps a hand-built
+    MPC body: its adjacent-row test is a window step that neither SQL nor
+    {!Orq_planner.Plan} has. *)
 
-open Tpch_util
 open Orq_core
+open Orq_planner.Plan
+open Tpch_util
 module G = Other_gen
+module Mpc = Orq_proto.Mpc
 
 type query = (G.mpc, G.plain) Query.t
 
@@ -16,10 +22,11 @@ type query = (G.mpc, G.plain) Query.t
 (* Comorbidity (Secrecy / SMCQL): most common diagnoses in a cohort    *)
 (* ------------------------------------------------------------------ *)
 
-let comorbidity_run (db : G.mpc) =
-  let d = D.semi_join db.G.m_diagnosis db.G.m_cohort ~on:[ "pid" ] in
-  let agg = D.aggregate d ~keys:[ "diag" ] ~aggs:[ cnt "pid" "cnt" ] in
-  D.limit (D.order_by agg [ ("cnt", D.Desc); ("diag", D.Asc) ]) 10
+let comorbidity_plan (db : G.mpc) =
+  let tbl = scan (G.catalog db) in
+  semi_join (tbl "diagnosis") (tbl "cohort") ~on:[ "pid" ]
+  |> aggregate ~keys:[ "diag" ] ~aggs:[ cnt "pid" "cnt" ]
+  |> top [ ("cnt", D.Desc); ("diag", D.Asc) ] 10
 
 let comorbidity_ref (db : G.plain) =
   let d = P.semi_join db.G.diagnosis db.G.cohort ~on:[ "pid" ] in
@@ -31,27 +38,18 @@ let comorbidity_ref (db : G.plain) =
 (* heart-disease diagnosis — many-to-many on pid, pre-aggregated       *)
 (* ------------------------------------------------------------------ *)
 
-let aspirin_run (db : G.mpc) =
-  let d () =
-    let d = D.filter db.G.m_diagnosis E.(col "diag" ==. const G.diag_hd) in
-    D.aggregate d ~keys:[ "pid" ]
-      ~aggs:[ { D.src = "dtime"; dst = "first_diag"; fn = D.Min } ]
-  in
-  let m () =
-    let m = D.filter db.G.m_medication E.(col "med" ==. const G.med_aspirin) in
-    D.aggregate m ~keys:[ "pid" ]
-      ~aggs:[ { D.src = "mtime"; dst = "last_asp"; fn = D.Max } ]
-  in
-  let r = Mpc.fuse_rounds (Table.ctx db.G.m_diagnosis) [| d; m |] in
-  let d = r.(0) and m = r.(1) in
-  let j =
-    D.inner_join
-      (select d [ ("pid", "pid"); ("first_diag", "first_diag") ])
-      (select m [ ("pid", "pid"); ("last_asp", "last_asp") ])
-      ~on:[ "pid" ] ~copy:[ "first_diag" ]
-  in
-  let j = D.filter j E.(col "last_asp" >=. col "first_diag") in
-  D.global_aggregate j ~aggs:[ cnt "pid" "patients" ]
+let aspirin_plan (db : G.mpc) =
+  let tbl = scan (G.catalog db) in
+  join
+    (tbl "diagnosis"
+    |> filter E.(col "diag" ==. const G.diag_hd)
+    |> aggregate ~keys:[ "pid" ] ~aggs:[ mn "dtime" "first_diag" ])
+    (tbl "medication"
+    |> filter E.(col "med" ==. const G.med_aspirin)
+    |> aggregate ~keys:[ "pid" ] ~aggs:[ mx "mtime" "last_asp" ])
+    ~on:[ "pid" ]
+  |> filter E.(col "last_asp" >=. col "first_diag")
+  |> global ~aggs:[ cnt "pid" "patients" ]
 
 let aspirin_ref (db : G.plain) =
   let d = P.filter db.G.diagnosis (fun g r -> g "diag" r = G.diag_hd) in
@@ -67,6 +65,8 @@ let aspirin_ref (db : G.plain) =
 (* days after the previous one (adjacent-pair oblivious rewrite)       *)
 (* ------------------------------------------------------------------ *)
 
+(* The one hand-built MPC body: its adjacent-row test is a window step
+   that neither SQL nor [Plan] has, so it places its own fused tracks. *)
 let cdiff_run (db : G.mpc) =
   let ctx = Table.ctx db.G.m_diagnosis in
   let d = D.filter db.G.m_diagnosis E.(col "diag" ==. const G.diag_cdiff) in
@@ -139,12 +139,13 @@ let cdiff_ref (db : G.plain) =
 (* at least two sites                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let password_run (db : G.mpc) =
-  let p = D.distinct db.G.m_passwords [ "uid"; "pwd"; "site" ] in
-  let agg = D.aggregate p ~keys:[ "uid"; "pwd" ] ~aggs:[ cnt "site" "nsites" ] in
-  let reused = D.filter agg E.(col "nsites" >=. const 2) in
-  let users = D.distinct reused [ "uid" ] in
-  D.global_aggregate users ~aggs:[ cnt "uid" "reusers" ]
+let password_plan (db : G.mpc) =
+  scan (G.catalog db) "passwords"
+  |> distinct [ "uid"; "pwd"; "site" ]
+  |> aggregate ~keys:[ "uid"; "pwd" ] ~aggs:[ cnt "site" "nsites" ]
+  |> filter E.(col "nsites" >=. const 2)
+  |> distinct [ "uid" ]
+  |> global ~aggs:[ cnt "uid" "reusers" ]
 
 let password_ref (db : G.plain) =
   let p = P.distinct db.G.passwords [ "uid"; "pwd"; "site" ] in
@@ -160,17 +161,11 @@ let password_ref (db : G.plain) =
 
 let credit_delta = 50
 
-let credit_run (db : G.mpc) =
-  let agg =
-    D.aggregate db.G.m_credit ~keys:[ "cid" ]
-      ~aggs:
-        [
-          { D.src = "score"; dst = "lo"; fn = D.Min };
-          { D.src = "score"; dst = "hi"; fn = D.Max };
-        ]
-  in
-  let diff = D.filter agg E.(col "hi" -! col "lo" >. const credit_delta) in
-  D.global_aggregate diff ~aggs:[ cnt "cid" "persons" ]
+let credit_plan (db : G.mpc) =
+  scan (G.catalog db) "credit"
+  |> aggregate ~keys:[ "cid" ] ~aggs:[ mn "score" "lo"; mx "score" "hi" ]
+  |> filter E.(col "hi" -! col "lo" >. const credit_delta)
+  |> global ~aggs:[ cnt "cid" "persons" ]
 
 let credit_ref (db : G.plain) =
   let agg =
@@ -184,11 +179,10 @@ let credit_ref (db : G.plain) =
 (* SecQ2 (Secrecy): per-attribute totals across a PK-FK join           *)
 (* ------------------------------------------------------------------ *)
 
-let secq2_run (db : G.mpc) =
-  let j =
-    D.inner_join db.G.m_r_att db.G.m_s_val ~on:[ "id" ] ~copy:[ "att" ]
-  in
-  D.aggregate j ~keys:[ "att" ] ~aggs:[ sum "val" "total" ]
+let secq2_plan (db : G.mpc) =
+  let tbl = scan (G.catalog db) in
+  join (tbl "r") (tbl "s") ~on:[ "id" ]
+  |> aggregate ~keys:[ "att" ] ~aggs:[ sum "val" "total" ]
 
 let secq2_ref (db : G.plain) =
   let j = P.inner_join db.G.r_att db.G.s_val ~on:[ "id" ] in
@@ -198,18 +192,13 @@ let secq2_ref (db : G.plain) =
 (* Market share (Conclave): each company's share of total volume       *)
 (* ------------------------------------------------------------------ *)
 
-let market_share_run (db : G.mpc) =
-  let t = db.G.m_transactions in
-  let r =
-    Mpc.fuse_rounds (Table.ctx t)
-      [|
-        (fun () -> D.global_aggregate t ~aggs:[ sum "price" "total" ]);
-        (fun () -> D.aggregate t ~keys:[ "company" ] ~aggs:[ sum "price" "volume" ]);
-      |]
-  in
-  let total = r.(0) and agg = r.(1) in
-  let agg = D.with_scalar agg ~scalar:total ~src:"total" ~dst:"total" in
-  D.map agg ~dst:"share_pct" E.(Div (col "volume" *! const 100, col "total"))
+let market_share_plan (db : G.mpc) =
+  let t = scan (G.catalog db) "transactions" in
+  with_scalar
+    (aggregate ~keys:[ "company" ] ~aggs:[ sum "price" "volume" ] t)
+    ~scalar:(global ~aggs:[ sum "price" "total" ] t)
+    ~src:"total" ~dst:"total"
+  |> map "share_pct" E.(Div (col "volume" *! const 100, col "total"))
 
 let market_share_ref (db : G.plain) =
   let t = db.G.transactions in
@@ -223,16 +212,13 @@ let market_share_ref (db : G.plain) =
 (* SELECT T.class, SUM(S.cost * (1 - R.coins)) GROUP BY T.class        *)
 (* ------------------------------------------------------------------ *)
 
-let syan_run (db : G.mpc) =
-  let j =
-    D.inner_join db.G.m_yr db.G.m_ys ~on:[ "person" ] ~copy:[ "coins" ]
-  in
-  let j =
-    D.map j ~dst:"net_cost"
-      E.(Div_pub (col "cost" *! (const 100 -! col "coins"), 100))
-  in
-  let j2 = D.inner_join db.G.m_yt j ~on:[ "disease" ] ~copy:[ "class" ] in
-  D.aggregate j2 ~keys:[ "class" ] ~aggs:[ sum "net_cost" "total" ]
+let syan_plan (db : G.mpc) =
+  let tbl = scan (G.catalog db) in
+  join (tbl "yt")
+    (join (tbl "yr") (tbl "ys") ~on:[ "person" ]
+    |> map "net_cost" E.(Div_pub (col "cost" *! (const 100 -! col "coins"), 100)))
+    ~on:[ "disease" ]
+  |> aggregate ~keys:[ "class" ] ~aggs:[ sum "net_cost" "total" ]
 
 let syan_ref (db : G.plain) =
   let j = P.inner_join db.G.yr db.G.ys ~on:[ "person" ] in
@@ -248,31 +234,13 @@ let syan_ref (db : G.plain) =
 (* ORQ evaluates it with multiplicity pre-aggregation (§3.6, Fig. 3).  *)
 (* ------------------------------------------------------------------ *)
 
-let patients_run (db : G.mpc) =
-  let r =
-    Mpc.fuse_rounds (Table.ctx db.G.m_diagnosis)
-      [|
-        (fun () -> D.aggregate db.G.m_diagnosis ~keys:[ "pid" ] ~aggs:[ cnt "diag" "cd" ]);
-        (fun () -> D.aggregate db.G.m_medication ~keys:[ "pid" ] ~aggs:[ cnt "med" "cm" ]);
-        (fun () -> D.aggregate db.G.m_labs ~keys:[ "pid" ] ~aggs:[ cnt "test" "cl" ]);
-      |]
-  in
-  let cd = r.(0) and cm = r.(1) and cl = r.(2) in
-  let j =
-    D.inner_join
-      (select cd [ ("pid", "pid"); ("cd", "cd") ])
-      (select cm [ ("pid", "pid"); ("cm", "cm") ])
-      ~on:[ "pid" ] ~copy:[ "cd" ]
-  in
-  let j2 =
-    D.inner_join
-      (select j [ ("pid", "pid"); ("cd", "cd"); ("cm", "cm") ])
-      (select cl [ ("pid", "pid"); ("cl", "cl") ])
-      ~on:[ "pid" ]
-      ~copy:[ "cd"; "cm" ]
-  in
-  let j2 = D.map j2 ~dst:"mult" E.(col "cd" *! col "cm" *! col "cl") in
-  D.global_aggregate j2 ~aggs:[ sum "mult" "join_size" ]
+let patients_plan (db : G.mpc) =
+  let counts name src dst = aggregate ~keys:[ "pid" ] ~aggs:[ cnt src dst ] (scan (G.catalog db) name) in
+  join
+    (join (counts "diagnosis" "diag" "cd") (counts "medication" "med" "cm") ~on:[ "pid" ])
+    (counts "labs" "test" "cl") ~on:[ "pid" ]
+  |> map "mult" E.(col "cd" *! col "cm" *! col "cl")
+  |> global ~aggs:[ sum "mult" "join_size" ]
 
 let patients_ref (db : G.plain) =
   let cd = P.group_by db.G.diagnosis ~keys:[ "pid" ] ~aggs:[ pcnt "diag" "cd" ] in
@@ -287,26 +255,33 @@ let patients_ref (db : G.plain) =
 (* Registry                                                            *)
 (* ------------------------------------------------------------------ *)
 
+let plans =
+  [
+    ("Comorbidity", comorbidity_plan);
+    ("Aspirin", aspirin_plan);
+    ("Password", password_plan);
+    ("Credit", credit_plan);
+    ("SecQ2", secq2_plan);
+    ("MarketShare", market_share_plan);
+    ("SYan", syan_plan);
+    ("Patients", patients_plan);
+  ]
+
+let planned name reference compare_cols =
+  { Query.name; run = Query.run_plan (List.assoc name plans); reference; compare_cols }
+
 let all : query list =
   [
-    { Query.name = "Comorbidity"; run = comorbidity_run; reference = comorbidity_ref;
-      compare_cols = [ "diag"; "cnt" ] };
-    { Query.name = "Aspirin"; run = aspirin_run; reference = aspirin_ref;
-      compare_cols = [ "patients" ] };
+    planned "Comorbidity" comorbidity_ref [ "diag"; "cnt" ];
+    planned "Aspirin" aspirin_ref [ "patients" ];
     { Query.name = "C.Diff"; run = cdiff_run; reference = cdiff_ref;
       compare_cols = [ "patients" ] };
-    { Query.name = "Password"; run = password_run; reference = password_ref;
-      compare_cols = [ "reusers" ] };
-    { Query.name = "Credit"; run = credit_run; reference = credit_ref;
-      compare_cols = [ "persons" ] };
-    { Query.name = "SecQ2"; run = secq2_run; reference = secq2_ref;
-      compare_cols = [ "att"; "total" ] };
-    { Query.name = "MarketShare"; run = market_share_run; reference = market_share_ref;
-      compare_cols = [ "company"; "share_pct" ] };
-    { Query.name = "SYan"; run = syan_run; reference = syan_ref;
-      compare_cols = [ "class"; "total" ] };
-    { Query.name = "Patients"; run = patients_run; reference = patients_ref;
-      compare_cols = [ "join_size" ] };
+    planned "Password" password_ref [ "reusers" ];
+    planned "Credit" credit_ref [ "persons" ];
+    planned "SecQ2" secq2_ref [ "att"; "total" ];
+    planned "MarketShare" market_share_ref [ "company"; "share_pct" ];
+    planned "SYan" syan_ref [ "class"; "total" ];
+    planned "Patients" patients_ref [ "join_size" ];
   ]
 
 let find name = Query.find all name

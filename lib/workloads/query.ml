@@ -8,6 +8,8 @@ type ('db, 'plain) t = {
   compare_cols : string list;
 }
 
+let run_plan plan db = fst (Orq_planner.Compile.run ~optimize:false (plan db))
+
 let find qs name = List.find (fun q -> q.name = name) qs
 
 (* Aggregates of possibly negative values are two's complement at their

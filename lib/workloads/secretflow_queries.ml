@@ -1,20 +1,20 @@
 (** The five peer-to-peer TPC-H variations used by SecretFlow-SCQL, as in
     the paper's Figure 5 (right): S1/S2 are single-table filter-aggregate
     queries (no joins), S3/S4 add a PK-FK join with aggregation, and S5 an
-    oblivious group-by. {!Tpch.all} registers them after Q1-Q22. *)
+    oblivious group-by. Each is a logical plan over {!Tpch_gen.catalog}'s
+    scans; {!Tpch.all} registers them after Q1-Q22. *)
 
+open Orq_planner.Plan
 open Tpch_util
 open Tpch_params
 module G = Tpch_gen
 
 (* S1: filtered global revenue (no join, no sort) *)
-let s1_run (db : G.mpc) =
-  let li =
-    filter_map db.G.m_lineitem E.(col "l_shipdate" >=. const q6_date) (fun li ->
-        D.map li ~dst:"revenue"
-          E.(Div_pub (col "l_extendedprice" *! (const 100 -! col "l_discount"), 100)))
-  in
-  D.global_aggregate li ~aggs:[ sum "revenue" "total" ]
+let s1_plan (db : G.mpc) =
+  scan (G.catalog db) "lineitem"
+  |> filter E.(col "l_shipdate" >=. const q6_date)
+  |> map "revenue" disc_price
+  |> global ~aggs:[ sum "revenue" "total" ]
 
 let s1_ref (db : G.plain) =
   let li = P.filter db.G.lineitem (fun g r -> g "l_shipdate" r >= q6_date) in
@@ -25,15 +25,10 @@ let s1_ref (db : G.plain) =
   pglobal li ~aggs:[ psum "revenue" "total" ]
 
 (* S2: filtered global count + min/max (no join) *)
-let s2_run (db : G.mpc) =
-  let li = D.filter db.G.m_lineitem E.(col "l_quantity" >=. const 25) in
-  D.global_aggregate li
-    ~aggs:
-      [
-        cnt "l_quantity" "n";
-        { D.src = "l_extendedprice"; dst = "hi"; fn = D.Max };
-        { D.src = "l_extendedprice"; dst = "lo"; fn = D.Min };
-      ]
+let s2_plan (db : G.mpc) =
+  scan (G.catalog db) "lineitem"
+  |> filter E.(col "l_quantity" >=. const 25)
+  |> global ~aggs:[ cnt "l_quantity" "n"; mx "l_extendedprice" "hi"; mn "l_extendedprice" "lo" ]
 
 let s2_ref (db : G.plain) =
   let li = P.filter db.G.lineitem (fun g r -> g "l_quantity" r >= 25) in
@@ -46,14 +41,14 @@ let s2_ref (db : G.plain) =
       ]
 
 (* S3: PK-FK join + global aggregate *)
-let s3_run (db : G.mpc) =
-  let o = D.filter db.G.m_orders E.(col "o_orderdate" >=. const q3_date) in
-  let j =
-    D.inner_join
-      (select o [ ("o_orderkey", "l_orderkey") ])
-      db.G.m_lineitem ~on:[ "l_orderkey" ]
-  in
-  D.global_aggregate j ~aggs:[ sum "l_extendedprice" "total" ]
+let s3_plan (db : G.mpc) =
+  let tbl = scan (G.catalog db) in
+  join
+    (tbl "orders"
+    |> filter E.(col "o_orderdate" >=. const q3_date)
+    |> select [ ("o_orderkey", "l_orderkey") ])
+    (tbl "lineitem") ~on:[ "l_orderkey" ]
+  |> global ~aggs:[ sum "l_extendedprice" "total" ]
 
 let s3_ref (db : G.plain) =
   let o = P.filter db.G.orders (fun g r -> g "o_orderdate" r >= q3_date) in
@@ -64,16 +59,12 @@ let s3_ref (db : G.plain) =
   pglobal j ~aggs:[ psum "l_extendedprice" "total" ]
 
 (* S4: join + per-key aggregation *)
-let s4_run (db : G.mpc) =
-  let j =
-    D.inner_join
-      (select db.G.m_orders
-         [ ("o_orderkey", "l_orderkey"); ("o_orderpriority", "o_orderpriority") ])
-      db.G.m_lineitem
-      ~on:[ "l_orderkey" ]
-      ~copy:[ "o_orderpriority" ]
-  in
-  D.aggregate j ~keys:[ "o_orderpriority" ] ~aggs:[ sum "l_quantity" "qty" ]
+let s4_plan (db : G.mpc) =
+  let tbl = scan (G.catalog db) in
+  join
+    (select [ ("o_orderkey", "l_orderkey"); ("o_orderpriority", "o_orderpriority") ] (tbl "orders"))
+    (tbl "lineitem") ~on:[ "l_orderkey" ]
+  |> aggregate ~keys:[ "o_orderpriority" ] ~aggs:[ sum "l_quantity" "qty" ]
 
 let s4_ref (db : G.plain) =
   let j =
@@ -86,10 +77,11 @@ let s4_ref (db : G.plain) =
   P.group_by j ~keys:[ "o_orderpriority" ] ~aggs:[ psum "l_quantity" "qty" ]
 
 (* S5: oblivious group-by over a composite key *)
-let s5_run (db : G.mpc) =
-  D.aggregate db.G.m_lineitem
-    ~keys:[ "l_returnflag"; "l_shipmode" ]
-    ~aggs:[ sum "l_extendedprice" "total"; cnt "l_extendedprice" "n" ]
+let s5_plan (db : G.mpc) =
+  scan (G.catalog db) "lineitem"
+  |> aggregate
+       ~keys:[ "l_returnflag"; "l_shipmode" ]
+       ~aggs:[ sum "l_extendedprice" "total"; cnt "l_extendedprice" "n" ]
 
 let s5_ref (db : G.plain) =
   P.group_by db.G.lineitem

@@ -1,37 +1,43 @@
-(** TPC-H queries 1-11 in the ORQ dataflow API, each with its plaintext
-    reference twin (the role SQLite plays in the paper's §5.1). Floats are
-    pre-scaled integers and LIKE-patterns are (in)equalities, exactly as the
-    paper's own TPC-H port does. *)
+(** TPC-H queries 1-11 as logical plans over {!Tpch_gen.catalog}'s scans,
+    each with its plaintext reference twin (the role SQLite plays in the
+    paper's §5.1). A plan fixes the operators; {!Orq_planner.Compile}
+    decides which steps run as fused tracks, which columns each operator
+    carries and each join's copy list. Floats are pre-scaled integers and
+    LIKE-patterns are (in)equalities, exactly as the paper's own TPC-H
+    port does. *)
 
+open Orq_planner.Plan
 open Tpch_util
 open Tpch_params
 module G = Tpch_gen
+
+(* The rows of [t] whose nation column [key] lies in [region]. *)
+let in_region tbl region key t =
+  tbl "nation"
+  |> filter E.(col "n_regionkey" ==. const region)
+  |> select [ ("n_nationkey", key) ]
+  |> fun nations -> semi_join t nations ~on:[ key ]
 
 (* ------------------------------------------------------------------ *)
 (* Q1: pricing summary report                                          *)
 (* ------------------------------------------------------------------ *)
 
-let q1_run (db : G.mpc) =
-  let li =
-    filter_map db.G.m_lineitem E.(col "l_shipdate" <=. const q1_delta_date) (fun li ->
-        let li =
-          D.map li ~dst:"disc_price"
-            E.(Div_pub (col "l_extendedprice" *! (const 100 -! col "l_discount"), 100))
-        in
-        D.map li ~dst:"charge"
-          E.(Div_pub (col "disc_price" *! (const 100 +! col "l_tax"), 100)))
-  in
-  D.aggregate li
-    ~keys:[ "l_returnflag"; "l_linestatus" ]
-    ~aggs:
-      [
-        sum "l_quantity" "sum_qty";
-        sum "l_extendedprice" "sum_base";
-        sum "disc_price" "sum_disc_price";
-        sum "charge" "sum_charge";
-        avg "l_quantity" "avg_qty";
-        cnt "l_quantity" "count_order";
-      ]
+let q1_plan (db : G.mpc) =
+  scan (G.catalog db) "lineitem"
+  |> filter E.(col "l_shipdate" <=. const q1_delta_date)
+  |> map "disc_price" disc_price
+  |> map "charge" E.(Div_pub (col "disc_price" *! (const 100 +! col "l_tax"), 100))
+  |> aggregate
+       ~keys:[ "l_returnflag"; "l_linestatus" ]
+       ~aggs:
+         [
+           sum "l_quantity" "sum_qty";
+           sum "l_extendedprice" "sum_base";
+           sum "disc_price" "sum_disc_price";
+           sum "charge" "sum_charge";
+           avg "l_quantity" "avg_qty";
+           cnt "l_quantity" "count_order";
+         ]
 
 let q1_ref (db : G.plain) =
   let li =
@@ -73,35 +79,20 @@ let q1_cols =
 (* Q2: minimum-cost supplier                                           *)
 (* ------------------------------------------------------------------ *)
 
-let q2_run (db : G.mpc) =
-  let ps () =
-    let nation_r =
-      D.filter db.G.m_nation E.(col "n_regionkey" ==. const q2_region)
-    in
-    let supp =
-      D.semi_join db.G.m_supplier
-        (select nation_r [ ("n_nationkey", "s_nationkey") ])
-        ~on:[ "s_nationkey" ]
-    in
-    D.semi_join db.G.m_partsupp
-      (select supp [ ("s_suppkey", "ps_suppkey") ])
-      ~on:[ "ps_suppkey" ]
+let q2_plan (db : G.mpc) =
+  let tbl = scan (G.catalog db) in
+  let supp = in_region tbl q2_region "s_nationkey" (tbl "supplier") in
+  let ps =
+    semi_join (tbl "partsupp") (select [ ("s_suppkey", "ps_suppkey") ] supp) ~on:[ "ps_suppkey" ]
   in
-  let parts () =
-    D.filter db.G.m_part
-      E.(col "p_size" <=. const q2_size &&. (col "p_type" <=. const q2_type))
+  let parts =
+    tbl "part"
+    |> filter E.(col "p_size" <=. const q2_size &&. (col "p_type" <=. const q2_type))
+    |> select [ ("p_partkey", "ps_partkey") ]
   in
-  let r = Mpc.fuse_rounds (T.ctx db.G.m_part) [| ps; parts |] in
-  let ps = r.(0) in
-  let parts = select r.(1) [ ("p_partkey", "ps_partkey") ] in
-  let j = D.inner_join parts ps ~on:[ "ps_partkey" ] in
-  let mins =
-    D.aggregate j ~keys:[ "ps_partkey" ]
-      ~aggs:[ mn "ps_supplycost" "min_cost" ]
-  in
-  let mins = select mins [ ("ps_partkey", "ps_partkey"); ("min_cost", "min_cost") ] in
-  let j2 = D.inner_join mins j ~on:[ "ps_partkey" ] ~copy:[ "min_cost" ] in
-  D.filter j2 E.(col "ps_supplycost" ==. col "min_cost")
+  let j = join parts ps ~on:[ "ps_partkey" ] in
+  let mins = aggregate ~keys:[ "ps_partkey" ] ~aggs:[ mn "ps_supplycost" "min_cost" ] j in
+  join mins j ~on:[ "ps_partkey" ] |> filter E.(col "ps_supplycost" ==. col "min_cost")
 
 let q2_ref (db : G.plain) =
   let nation_r =
@@ -135,42 +126,36 @@ let q2_cols = [ "ps_partkey"; "ps_suppkey"; "min_cost" ]
 (* Q3: shipping priority (Listing 1)                                   *)
 (* ------------------------------------------------------------------ *)
 
-let q3_run (db : G.mpc) =
-  let ctx = T.ctx db.G.m_lineitem in
-  (* the lineitem branch draws no shuffle, so it may run after the join *)
-  let co () =
-    let r =
-      Mpc.fuse_rounds ctx
-        [|
-          (fun () -> D.filter db.G.m_customer E.(col "c_mktsegment" ==. const q3_segment));
-          (fun () -> D.filter db.G.m_orders E.(col "o_orderdate" <. const q3_date));
-        |]
-    in
-    D.inner_join (select r.(0) [ ("c_custkey", "o_custkey") ]) r.(1) ~on:[ "o_custkey" ]
+let q3_plan (db : G.mpc) =
+  let tbl = scan (G.catalog db) in
+  let co =
+    join
+      (tbl "customer"
+      |> filter E.(col "c_mktsegment" ==. const q3_segment)
+      |> select [ ("c_custkey", "o_custkey") ])
+      (filter E.(col "o_orderdate" <. const q3_date) (tbl "orders"))
+      ~on:[ "o_custkey" ]
   in
-  let li () =
-    filter_map db.G.m_lineitem E.(col "l_shipdate" >. const q3_date) (fun li ->
-        D.map li ~dst:"revenue"
-          E.(Div_pub (col "l_extendedprice" *! (const 100 -! col "l_discount"), 100)))
+  let li =
+    tbl "lineitem"
+    |> filter E.(col "l_shipdate" >. const q3_date)
+    |> map "revenue" disc_price
   in
-  let r = Mpc.fuse_rounds ctx [| co; li |] in
-  let co = r.(0) and li = r.(1) in
   (* GROUP BY the join key and two columns of its unique side: the
      revenue sums run inside the join *)
-  let agg =
-    D.group_join
-      (select co
-         [
-           ("o_orderkey", "l_orderkey");
-           ("o_orderdate", "o_orderdate");
-           ("o_shippriority", "o_shippriority");
-         ])
-      (T.project li [ "l_orderkey"; "revenue" ])
-      ~on:[ "l_orderkey" ]
-      ~keys:[ "l_orderkey"; "o_orderdate"; "o_shippriority" ]
-      ~aggs:[ sum "revenue" "total_revenue" ]
-  in
-  D.limit (D.order_by agg [ ("total_revenue", D.Desc); ("o_orderdate", D.Asc) ]) 10
+  join
+    (select
+       [
+         ("o_orderkey", "l_orderkey");
+         ("o_orderdate", "o_orderdate");
+         ("o_shippriority", "o_shippriority");
+       ]
+       co)
+    li ~on:[ "l_orderkey" ]
+  |> aggregate
+       ~keys:[ "l_orderkey"; "o_orderdate"; "o_shippriority" ]
+       ~aggs:[ sum "revenue" "total_revenue" ]
+  |> top [ ("total_revenue", D.Desc); ("o_orderdate", D.Asc) ] 10
 
 let q3_ref (db : G.plain) =
   let c = P.filter db.G.customer (fun g r -> g "c_mktsegment" r = q3_segment) in
@@ -207,24 +192,17 @@ let q3_cols = [ "l_orderkey"; "o_orderdate"; "o_shippriority"; "total_revenue" ]
 (* Q4: order priority checking (semi-join)                             *)
 (* ------------------------------------------------------------------ *)
 
-let q4_run (db : G.mpc) =
-  let r =
-    Mpc.fuse_rounds (T.ctx db.G.m_orders)
-      [|
-        (fun () ->
-          D.filter db.G.m_orders
-            E.(
-              col "o_orderdate" >=. const q4_date
-              &&. (col "o_orderdate" <. const (q4_date + 90))));
-        (fun () -> D.filter db.G.m_lineitem E.(col "l_commitdate" <. col "l_receiptdate"));
-      |]
-  in
-  let o = r.(0) and li = r.(1) in
-  let sem =
-    D.semi_join o (select li [ ("l_orderkey", "o_orderkey") ]) ~on:[ "o_orderkey" ]
-  in
-  D.aggregate sem ~keys:[ "o_orderpriority" ]
-    ~aggs:[ cnt "o_orderkey" "order_count" ]
+let q4_plan (db : G.mpc) =
+  let tbl = scan (G.catalog db) in
+  semi_join
+    (filter
+       E.(col "o_orderdate" >=. const q4_date &&. (col "o_orderdate" <. const (q4_date + 90)))
+       (tbl "orders"))
+    (tbl "lineitem"
+    |> filter E.(col "l_commitdate" <. col "l_receiptdate")
+    |> select [ ("l_orderkey", "o_orderkey") ])
+    ~on:[ "o_orderkey" ]
+  |> aggregate ~keys:[ "o_orderpriority" ] ~aggs:[ cnt "o_orderkey" "order_count" ]
 
 let q4_ref (db : G.plain) =
   let o =
@@ -246,45 +224,27 @@ let q4_cols = [ "o_orderpriority"; "order_count" ]
 (* Q5: local supplier volume (5-way join)                              *)
 (* ------------------------------------------------------------------ *)
 
-let q5_run (db : G.mpc) =
-  let li () =
-    let nation_r =
-      D.filter db.G.m_nation E.(col "n_regionkey" ==. const q5_region)
-    in
-    let supp =
-      D.semi_join db.G.m_supplier
-        (select nation_r [ ("n_nationkey", "s_nationkey") ])
-        ~on:[ "s_nationkey" ]
-    in
-    D.inner_join
-      (select supp [ ("s_suppkey", "l_suppkey"); ("s_nationkey", "s_nationkey") ])
-      db.G.m_lineitem ~on:[ "l_suppkey" ] ~copy:[ "s_nationkey" ]
+let q5_plan (db : G.mpc) =
+  let tbl = scan (G.catalog db) in
+  let supp = in_region tbl q5_region "s_nationkey" (tbl "supplier") in
+  let li =
+    join
+      (select [ ("s_suppkey", "l_suppkey"); ("s_nationkey", "s_nationkey") ] supp)
+      (tbl "lineitem") ~on:[ "l_suppkey" ]
   in
-  let co () =
-    let o =
-      D.filter db.G.m_orders
-        E.(col "o_orderdate" >=. const q5_date &&. (col "o_orderdate" <. const (q5_date + 365)))
-    in
-    D.inner_join
-      (select db.G.m_customer
-         [ ("c_custkey", "o_custkey"); ("c_nationkey", "c_nationkey") ])
-      o ~on:[ "o_custkey" ] ~copy:[ "c_nationkey" ]
+  let co =
+    join
+      (select [ ("c_custkey", "o_custkey"); ("c_nationkey", "c_nationkey") ] (tbl "customer"))
+      (filter
+         E.(col "o_orderdate" >=. const q5_date &&. (col "o_orderdate" <. const (q5_date + 365)))
+         (tbl "orders"))
+      ~on:[ "o_custkey" ]
   in
-  let r = Mpc.fuse_rounds (T.ctx db.G.m_orders) [| li; co |] in
-  let li = r.(0) and co = r.(1) in
-  let j =
-    D.inner_join
-      (select co [ ("o_orderkey", "l_orderkey"); ("c_nationkey", "c_nationkey") ])
-      li
-      ~on:[ "l_orderkey" ]
-      ~copy:[ "c_nationkey" ]
-  in
-  let j =
-    filter_map j E.(col "c_nationkey" ==. col "s_nationkey") (fun j ->
-        D.map j ~dst:"revenue"
-          E.(Div_pub (col "l_extendedprice" *! (const 100 -! col "l_discount"), 100)))
-  in
-  D.aggregate j ~keys:[ "s_nationkey" ] ~aggs:[ sum "revenue" "revenue_sum" ]
+  join (select [ ("o_orderkey", "l_orderkey"); ("c_nationkey", "c_nationkey") ] co) li
+    ~on:[ "l_orderkey" ]
+  |> filter E.(col "c_nationkey" ==. col "s_nationkey")
+  |> map "revenue" disc_price
+  |> aggregate ~keys:[ "s_nationkey" ] ~aggs:[ sum "revenue" "revenue_sum" ]
 
 let q5_ref (db : G.plain) =
   let nation_r =
@@ -329,19 +289,17 @@ let q5_cols = [ "s_nationkey"; "revenue_sum" ]
 (* Q6: forecasting revenue change (no sorting at all)                  *)
 (* ------------------------------------------------------------------ *)
 
-let q6_run (db : G.mpc) =
-  let li =
-    filter_map db.G.m_lineitem
-      E.(
-        col "l_shipdate" >=. const q6_date
-        &&. (col "l_shipdate" <. const (q6_date + 365))
-        &&. (col "l_discount" >=. const (q6_discount - 1))
-        &&. (col "l_discount" <=. const (q6_discount + 1))
-        &&. (col "l_quantity" <. const q6_quantity))
-      (fun li ->
-        D.map li ~dst:"revenue" E.(Div_pub (col "l_extendedprice" *! col "l_discount", 100)))
-  in
-  D.global_aggregate li ~aggs:[ sum "revenue" "revenue_sum" ]
+let q6_plan (db : G.mpc) =
+  scan (G.catalog db) "lineitem"
+  |> filter
+       E.(
+         col "l_shipdate" >=. const q6_date
+         &&. (col "l_shipdate" <. const (q6_date + 365))
+         &&. (col "l_discount" >=. const (q6_discount - 1))
+         &&. (col "l_discount" <=. const (q6_discount + 1))
+         &&. (col "l_quantity" <. const q6_quantity))
+  |> map "revenue" E.(Div_pub (col "l_extendedprice" *! col "l_discount", 100))
+  |> global ~aggs:[ sum "revenue" "revenue_sum" ]
 
 let q6_ref (db : G.plain) =
   let li =
@@ -364,54 +322,34 @@ let q6_cols = [ "revenue_sum" ]
 (* Q7: volume shipping between two nations                             *)
 (* ------------------------------------------------------------------ *)
 
-let q7_run (db : G.mpc) =
-  let li () =
-    let li =
-      D.filter db.G.m_lineitem
-        E.(col "l_shipdate" >=. const q7_date_lo &&. (col "l_shipdate" <=. const q7_date_hi))
-    in
-    D.inner_join
-      (select db.G.m_supplier
-         [ ("s_suppkey", "l_suppkey"); ("s_nationkey", "s_nationkey") ])
-      li ~on:[ "l_suppkey" ] ~copy:[ "s_nationkey" ]
+let q7_plan (db : G.mpc) =
+  let tbl = scan (G.catalog db) in
+  let li =
+    join
+      (select [ ("s_suppkey", "l_suppkey"); ("s_nationkey", "s_nationkey") ] (tbl "supplier"))
+      (filter
+         E.(col "l_shipdate" >=. const q7_date_lo &&. (col "l_shipdate" <=. const q7_date_hi))
+         (tbl "lineitem"))
+      ~on:[ "l_suppkey" ]
   in
-  let co () =
-    D.inner_join
-      (select db.G.m_customer
-         [ ("c_custkey", "o_custkey"); ("c_nationkey", "c_nationkey") ])
-      db.G.m_orders ~on:[ "o_custkey" ] ~copy:[ "c_nationkey" ]
+  let co =
+    join
+      (select [ ("c_custkey", "o_custkey"); ("c_nationkey", "c_nationkey") ] (tbl "customer"))
+      (tbl "orders") ~on:[ "o_custkey" ]
   in
-  let r = Mpc.fuse_rounds (T.ctx db.G.m_orders) [| li; co |] in
-  let li = r.(0) and co = r.(1) in
-  let j =
-    D.inner_join
-      (select co [ ("o_orderkey", "l_orderkey"); ("c_nationkey", "c_nationkey") ])
-      li
-      ~on:[ "l_orderkey" ]
-      ~copy:[ "c_nationkey" ]
-  in
-  let j =
-    filter_map j
-      E.(
-        col "s_nationkey" ==. const q7_nation1
-        &&. (col "c_nationkey" ==. const q7_nation2)
-        ||. (col "s_nationkey" ==. const q7_nation2
-            &&. (col "c_nationkey" ==. const q7_nation1)))
-      (fun j ->
-        let r =
-          Mpc.fuse_rounds (T.ctx j)
-            [|
-              (fun () -> D.map j ~dst:"l_year" E.(Div_pub (col "l_shipdate", 365)));
-              (fun () ->
-                D.map j ~dst:"volume"
-                  E.(Div_pub (col "l_extendedprice" *! (const 100 -! col "l_discount"), 100)));
-            |]
-        in
-        T.set_col r.(0) "volume" (T.find r.(1) "volume"))
-  in
-  D.aggregate j
-    ~keys:[ "s_nationkey"; "c_nationkey"; "l_year" ]
-    ~aggs:[ sum "volume" "revenue_sum" ]
+  join (select [ ("o_orderkey", "l_orderkey"); ("c_nationkey", "c_nationkey") ] co) li
+    ~on:[ "l_orderkey" ]
+  |> filter
+       E.(
+         col "s_nationkey" ==. const q7_nation1
+         &&. (col "c_nationkey" ==. const q7_nation2)
+         ||. (col "s_nationkey" ==. const q7_nation2
+             &&. (col "c_nationkey" ==. const q7_nation1)))
+  |> map "l_year" E.(Div_pub (col "l_shipdate", 365))
+  |> map "volume" disc_price
+  |> aggregate
+       ~keys:[ "s_nationkey"; "c_nationkey"; "l_year" ]
+       ~aggs:[ sum "volume" "revenue_sum" ]
 
 let q7_ref (db : G.plain) =
   let li =
@@ -456,65 +394,33 @@ let q7_cols = [ "s_nationkey"; "c_nationkey"; "l_year"; "revenue_sum" ]
 (* Q8: national market share                                           *)
 (* ------------------------------------------------------------------ *)
 
-let q8_run (db : G.mpc) =
-  let ctx = T.ctx db.G.m_orders in
-  let co () =
-    let r =
-      Mpc.fuse_rounds ctx
-        [|
-          (fun () ->
-            let nation_r =
-              D.filter db.G.m_nation E.(col "n_regionkey" ==. const q8_region)
-            in
-            D.semi_join db.G.m_customer
-              (select nation_r [ ("n_nationkey", "c_nationkey") ])
-              ~on:[ "c_nationkey" ]);
-          (fun () ->
-            D.filter db.G.m_orders
-              E.(
-                col "o_orderdate" >=. const q8_date_lo
-                &&. (col "o_orderdate" <=. const q8_date_hi)));
-        |]
-    in
-    let co =
-      D.inner_join (select r.(0) [ ("c_custkey", "o_custkey") ]) r.(1) ~on:[ "o_custkey" ]
-    in
-    D.map co ~dst:"o_year" E.(Div_pub (col "o_orderdate", 365))
+let q8_plan (db : G.mpc) =
+  let tbl = scan (G.catalog db) in
+  let cust = in_region tbl q8_region "c_nationkey" (tbl "customer") in
+  let co =
+    join
+      (select [ ("c_custkey", "o_custkey") ] cust)
+      (filter
+         E.(col "o_orderdate" >=. const q8_date_lo &&. (col "o_orderdate" <=. const q8_date_hi))
+         (tbl "orders"))
+      ~on:[ "o_custkey" ]
+    |> map "o_year" E.(Div_pub (col "o_orderdate", 365))
   in
-  let li () =
-    let parts = D.filter db.G.m_part E.(col "p_type" <=. const q8_type) in
-    let li =
-      D.inner_join
-        (select parts [ ("p_partkey", "l_partkey") ])
-        db.G.m_lineitem ~on:[ "l_partkey" ]
-    in
-    D.inner_join
-      (select db.G.m_supplier
-         [ ("s_suppkey", "l_suppkey"); ("s_nationkey", "s_nationkey") ])
-      li ~on:[ "l_suppkey" ] ~copy:[ "s_nationkey" ]
+  let li =
+    join
+      (select [ ("s_suppkey", "l_suppkey"); ("s_nationkey", "s_nationkey") ] (tbl "supplier"))
+      (join
+         (tbl "part"
+         |> filter E.(col "p_type" <=. const q8_type)
+         |> select [ ("p_partkey", "l_partkey") ])
+         (tbl "lineitem") ~on:[ "l_partkey" ])
+      ~on:[ "l_suppkey" ]
   in
-  let r = Mpc.fuse_rounds ctx [| co; li |] in
-  let co = r.(0) and li = r.(1) in
-  let j =
-    D.inner_join
-      (select co [ ("o_orderkey", "l_orderkey"); ("o_year", "o_year") ])
-      li
-      ~on:[ "l_orderkey" ]
-      ~copy:[ "o_year" ]
-  in
-  let j =
-    D.map j ~dst:"volume"
-      E.(Div_pub (col "l_extendedprice" *! (const 100 -! col "l_discount"), 100))
-  in
-  let j =
-    D.map j ~dst:"nvolume"
-      E.(If (col "s_nationkey" ==. const q8_nation, col "volume", const 0))
-  in
-  let agg =
-    D.aggregate j ~keys:[ "o_year" ]
-      ~aggs:[ sum "volume" "total"; sum "nvolume" "nation_total" ]
-  in
-  D.map agg ~dst:"share_pct" E.(Div (col "nation_total" *! const 100, col "total"))
+  join (select [ ("o_orderkey", "l_orderkey"); ("o_year", "o_year") ] co) li ~on:[ "l_orderkey" ]
+  |> map "volume" disc_price
+  |> map "nvolume" E.(If (col "s_nationkey" ==. const q8_nation, col "volume", const 0))
+  |> aggregate ~keys:[ "o_year" ] ~aggs:[ sum "volume" "total"; sum "nvolume" "nation_total" ]
+  |> map "share_pct" E.(Div (col "nation_total" *! const 100, col "total"))
 
 let q8_ref (db : G.plain) =
   let nation_r = P.filter db.G.nation (fun g r -> g "n_regionkey" r = q8_region) in
@@ -568,48 +474,36 @@ let q8_cols = [ "o_year"; "share_pct" ]
 (* Q9: product-type profit (6-way join, composite key, signed sums)    *)
 (* ------------------------------------------------------------------ *)
 
-let q9_run (db : G.mpc) =
-  let li () =
-    let parts = D.filter db.G.m_part E.(col "p_type" <=. const q9_type) in
-    let li =
-      D.inner_join
-        (select parts [ ("p_partkey", "l_partkey") ])
-        db.G.m_lineitem ~on:[ "l_partkey" ]
-    in
-    let li =
-      D.inner_join
-        (select db.G.m_partsupp
-           [
-             ("ps_partkey", "l_partkey");
-             ("ps_suppkey", "l_suppkey");
-             ("ps_supplycost", "ps_supplycost");
-           ])
-        li
-        ~on:[ "l_partkey"; "l_suppkey" ]
-        ~copy:[ "ps_supplycost" ]
-    in
-    D.inner_join
-      (select db.G.m_supplier
-         [ ("s_suppkey", "l_suppkey"); ("s_nationkey", "s_nationkey") ])
-      li ~on:[ "l_suppkey" ] ~copy:[ "s_nationkey" ]
+let q9_plan (db : G.mpc) =
+  let tbl = scan (G.catalog db) in
+  let li =
+    join
+      (tbl "part"
+      |> filter E.(col "p_type" <=. const q9_type)
+      |> select [ ("p_partkey", "l_partkey") ])
+      (tbl "lineitem") ~on:[ "l_partkey" ]
   in
-  let o () = D.map db.G.m_orders ~dst:"o_year" E.(Div_pub (col "o_orderdate", 365)) in
-  let r = Mpc.fuse_rounds (T.ctx db.G.m_orders) [| li; o |] in
-  let li = r.(0) and o = r.(1) in
-  let j =
-    D.inner_join
-      (select o [ ("o_orderkey", "l_orderkey"); ("o_year", "o_year") ])
+  let li =
+    join
+      (select
+         [
+           ("ps_partkey", "l_partkey");
+           ("ps_suppkey", "l_suppkey");
+           ("ps_supplycost", "ps_supplycost");
+         ]
+         (tbl "partsupp"))
       li
-      ~on:[ "l_orderkey" ]
-      ~copy:[ "o_year" ]
+      ~on:[ "l_partkey"; "l_suppkey" ]
   in
-  let j =
-    D.map j ~dst:"profit"
-      E.(
-        Div_pub (col "l_extendedprice" *! (const 100 -! col "l_discount"), 100)
-        -! Div_pub (col "ps_supplycost" *! col "l_quantity", 100))
+  let li =
+    join
+      (select [ ("s_suppkey", "l_suppkey"); ("s_nationkey", "s_nationkey") ] (tbl "supplier"))
+      li ~on:[ "l_suppkey" ]
   in
-  D.aggregate j ~keys:[ "s_nationkey"; "o_year" ] ~aggs:[ sum "profit" "profit_sum" ]
+  let o = map "o_year" E.(Div_pub (col "o_orderdate", 365)) (tbl "orders") in
+  join (select [ ("o_orderkey", "l_orderkey"); ("o_year", "o_year") ] o) li ~on:[ "l_orderkey" ]
+  |> map "profit" E.(disc_price -! Div_pub (col "ps_supplycost" *! col "l_quantity", 100))
+  |> aggregate ~keys:[ "s_nationkey"; "o_year" ] ~aggs:[ sum "profit" "profit_sum" ]
 
 let q9_ref (db : G.plain) =
   let parts = P.filter db.G.part (fun g r -> g "p_type" r <= q9_type) in
@@ -654,33 +548,19 @@ let q9_cols = [ "s_nationkey"; "o_year"; "profit_sum" ]
 (* Q10: returned-item reporting                                        *)
 (* ------------------------------------------------------------------ *)
 
-let q10_run (db : G.mpc) =
-  let r =
-    Mpc.fuse_rounds (T.ctx db.G.m_orders)
-      [|
-        (fun () ->
-          D.filter db.G.m_orders
-            E.(
-              col "o_orderdate" >=. const q10_date
-              &&. (col "o_orderdate" <. const (q10_date + 90))));
-        (fun () ->
-          filter_map db.G.m_lineitem E.(col "l_returnflag" ==. const 2) (fun li ->
-              D.map li ~dst:"revenue"
-                E.(Div_pub (col "l_extendedprice" *! (const 100 -! col "l_discount"), 100))));
-      |]
-  in
-  let o = r.(0) and li = r.(1) in
-  let j =
-    D.inner_join
-      (select o [ ("o_orderkey", "l_orderkey"); ("o_custkey", "o_custkey") ])
-      li
-      ~on:[ "l_orderkey" ]
-      ~copy:[ "o_custkey" ]
-  in
-  let agg =
-    D.aggregate j ~keys:[ "o_custkey" ] ~aggs:[ sum "revenue" "revenue_sum" ]
-  in
-  D.limit (D.order_by agg [ ("revenue_sum", D.Desc) ]) 20
+let q10_plan (db : G.mpc) =
+  let tbl = scan (G.catalog db) in
+  join
+    (tbl "orders"
+    |> filter
+         E.(col "o_orderdate" >=. const q10_date &&. (col "o_orderdate" <. const (q10_date + 90)))
+    |> select [ ("o_orderkey", "l_orderkey"); ("o_custkey", "o_custkey") ])
+    (tbl "lineitem"
+    |> filter E.(col "l_returnflag" ==. const 2)
+    |> map "revenue" disc_price)
+    ~on:[ "l_orderkey" ]
+  |> aggregate ~keys:[ "o_custkey" ] ~aggs:[ sum "revenue" "revenue_sum" ]
+  |> top [ ("revenue_sum", D.Desc) ] 20
 
 let q10_ref (db : G.plain) =
   let o =
@@ -709,27 +589,21 @@ let q10_cols = [ "o_custkey"; "revenue_sum" ]
 (* Q11: important stock identification (HAVING over a global sum)      *)
 (* ------------------------------------------------------------------ *)
 
-let q11_run (db : G.mpc) =
-  let supp =
-    D.filter db.G.m_supplier E.(col "s_nationkey" ==. const q11_nation)
-  in
+let q11_plan (db : G.mpc) =
+  let tbl = scan (G.catalog db) in
   let ps =
-    D.semi_join db.G.m_partsupp
-      (select supp [ ("s_suppkey", "ps_suppkey") ])
+    semi_join (tbl "partsupp")
+      (tbl "supplier"
+      |> filter E.(col "s_nationkey" ==. const q11_nation)
+      |> select [ ("s_suppkey", "ps_suppkey") ])
       ~on:[ "ps_suppkey" ]
+    |> map "value" E.(col "ps_supplycost" *! col "ps_availqty")
   in
-  let ps = D.map ps ~dst:"value" E.(col "ps_supplycost" *! col "ps_availqty") in
-  let r =
-    Mpc.fuse_rounds (T.ctx ps)
-      [|
-        (fun () -> D.global_aggregate ps ~aggs:[ sum "value" "total_value" ]);
-        (fun () -> D.aggregate ps ~keys:[ "ps_partkey" ] ~aggs:[ sum "value" "value_sum" ]);
-      |]
-  in
-  let total = r.(0) and agg = r.(1) in
-  let agg = D.with_scalar agg ~scalar:total ~src:"total_value" ~dst:"total_value" in
-  D.filter agg
-    E.(col "value_sum" *! const q11_fraction_inv >. col "total_value")
+  with_scalar
+    (aggregate ~keys:[ "ps_partkey" ] ~aggs:[ sum "value" "value_sum" ] ps)
+    ~scalar:(global ~aggs:[ sum "value" "total_value" ] ps)
+    ~src:"total_value" ~dst:"total_value"
+  |> filter E.(col "value_sum" *! const q11_fraction_inv >. col "total_value")
 
 let q11_ref (db : G.plain) =
   let supp = P.filter db.G.supplier (fun g r -> g "s_nationkey" r = q11_nation) in

@@ -1,8 +1,10 @@
-(** TPC-H queries 12-22 in the ORQ dataflow API with plaintext reference
-    twins. Q13 exercises the outer join, Q16 anti-join + distinct, Q21 the
+(** TPC-H queries 12-22 as logical plans over {!Tpch_gen.catalog}'s scans
+    (compiled like Q1-Q11's), with plaintext reference twins. Q13
+    exercises the grouped outer join, Q16 anti-join + distinct, Q21 the
     heaviest plan in the benchmark (the paper reports it calls the sorting
     operator 12 times), Q22 anti-join plus a fully private average. *)
 
+open Orq_planner.Plan
 open Tpch_util
 open Tpch_params
 module G = Tpch_gen
@@ -11,36 +13,22 @@ module G = Tpch_gen
 (* Q12: shipping modes and order priority                              *)
 (* ------------------------------------------------------------------ *)
 
-let q12_run (db : G.mpc) =
-  let li =
-    D.filter db.G.m_lineitem
-      E.(
-        (col "l_shipmode" ==. const q12_mode1 ||. (col "l_shipmode" ==. const q12_mode2))
-        &&. (col "l_receiptdate" >=. const q12_date)
-        &&. (col "l_receiptdate" <. const (q12_date + 365))
-        &&. (col "l_commitdate" <. col "l_receiptdate")
-        &&. (col "l_shipdate" <. col "l_commitdate"))
-  in
-  let j =
-    D.inner_join
-      (select db.G.m_orders
-         [ ("o_orderkey", "l_orderkey"); ("o_orderpriority", "o_orderpriority") ])
-      li
-      ~on:[ "l_orderkey" ]
-      ~copy:[ "o_orderpriority" ]
-  in
-  let r =
-    Mpc.fuse_rounds (T.ctx j)
-      [|
-        (fun () ->
-          D.map j ~dst:"high" E.(If (col "o_orderpriority" <=. const 2, const 1, const 0)));
-        (fun () ->
-          D.map j ~dst:"low" E.(If (col "o_orderpriority" >. const 2, const 1, const 0)));
-      |]
-  in
-  let j = T.set_col r.(0) "low" (T.find r.(1) "low") in
-  D.aggregate j ~keys:[ "l_shipmode" ]
-    ~aggs:[ sum "high" "high_count"; sum "low" "low_count" ]
+let q12_plan (db : G.mpc) =
+  let tbl = scan (G.catalog db) in
+  join
+    (select [ ("o_orderkey", "l_orderkey"); ("o_orderpriority", "o_orderpriority") ] (tbl "orders"))
+    (filter
+       E.(
+         (col "l_shipmode" ==. const q12_mode1 ||. (col "l_shipmode" ==. const q12_mode2))
+         &&. (col "l_receiptdate" >=. const q12_date)
+         &&. (col "l_receiptdate" <. const (q12_date + 365))
+         &&. (col "l_commitdate" <. col "l_receiptdate")
+         &&. (col "l_shipdate" <. col "l_commitdate"))
+       (tbl "lineitem"))
+    ~on:[ "l_orderkey" ]
+  |> map "high" E.(If (col "o_orderpriority" <=. const 2, const 1, const 0))
+  |> map "low" E.(If (col "o_orderpriority" >. const 2, const 1, const 0))
+  |> aggregate ~keys:[ "l_shipmode" ] ~aggs:[ sum "high" "high_count"; sum "low" "low_count" ]
 
 let q12_ref (db : G.plain) =
   let li =
@@ -69,20 +57,16 @@ let q12_cols = [ "l_shipmode"; "high_count"; "low_count" ]
 (* Q13: customer order-count distribution (grouped outer join)         *)
 (* ------------------------------------------------------------------ *)
 
-let q13_run (db : G.mpc) =
-  let o =
-    D.filter db.G.m_orders
-      E.(col "o_orderpriority" <>. const q13_priority_excluded)
-  in
+let q13_plan (db : G.mpc) =
+  let tbl = scan (G.catalog db) in
   (* per-customer order count inside the left outer join: COUNT counts
      each customer's matched order rows, 0 for a customer with none *)
-  let per_cust =
-    D.group_join ~outer:true
-      (select db.G.m_customer [ ("c_custkey", "o_custkey") ])
-      o ~on:[ "o_custkey" ] ~keys:[ "o_custkey" ]
-      ~aggs:[ cnt "o_orderkey" "c_count" ]
-  in
-  D.aggregate per_cust ~keys:[ "c_count" ] ~aggs:[ cnt "c_count" "custdist" ]
+  outer_join
+    (select [ ("c_custkey", "o_custkey") ] (tbl "customer"))
+    (filter E.(col "o_orderpriority" <>. const q13_priority_excluded) (tbl "orders"))
+    ~on:[ "o_custkey" ]
+  |> aggregate ~keys:[ "o_custkey" ] ~aggs:[ cnt "o_orderkey" "c_count" ]
+  |> aggregate ~keys:[ "c_count" ] ~aggs:[ cnt "c_count" "custdist" ]
 
 let q13_ref (db : G.plain) =
   let o =
@@ -106,28 +90,18 @@ let q13_cols = [ "c_count"; "custdist" ]
 (* Q14: promotion effect (private ratio of two global sums)            *)
 (* ------------------------------------------------------------------ *)
 
-let q14_run (db : G.mpc) =
-  let li =
-    D.filter db.G.m_lineitem
-      E.(col "l_shipdate" >=. const q14_date &&. (col "l_shipdate" <. const (q14_date + 30)))
-  in
-  let j =
-    D.inner_join
-      (select db.G.m_part [ ("p_partkey", "l_partkey"); ("p_type", "p_type") ])
-      li ~on:[ "l_partkey" ] ~copy:[ "p_type" ]
-  in
-  let j =
-    D.map j ~dst:"revenue"
-      E.(Div_pub (col "l_extendedprice" *! (const 100 -! col "l_discount"), 100))
-  in
-  let j =
-    D.map j ~dst:"promo"
-      E.(If (col "p_type" <=. const q14_type_promo_max, col "revenue", const 0))
-  in
-  let g =
-    D.global_aggregate j ~aggs:[ sum "promo" "promo_sum"; sum "revenue" "rev_sum" ]
-  in
-  D.map g ~dst:"promo_pct" E.(Div (col "promo_sum" *! const 100, col "rev_sum"))
+let q14_plan (db : G.mpc) =
+  let tbl = scan (G.catalog db) in
+  join
+    (select [ ("p_partkey", "l_partkey"); ("p_type", "p_type") ] (tbl "part"))
+    (filter
+       E.(col "l_shipdate" >=. const q14_date &&. (col "l_shipdate" <. const (q14_date + 30)))
+       (tbl "lineitem"))
+    ~on:[ "l_partkey" ]
+  |> map "revenue" disc_price
+  |> map "promo" E.(If (col "p_type" <=. const q14_type_promo_max, col "revenue", const 0))
+  |> global ~aggs:[ sum "promo" "promo_sum"; sum "revenue" "rev_sum" ]
+  |> map "promo_pct" E.(Div (col "promo_sum" *! const 100, col "rev_sum"))
 
 let q14_ref (db : G.plain) =
   let li =
@@ -156,20 +130,18 @@ let q14_cols = [ "promo_pct" ]
 (* Q15: top supplier (secret global max + equality)                    *)
 (* ------------------------------------------------------------------ *)
 
-let q15_run (db : G.mpc) =
-  let li =
-    filter_map db.G.m_lineitem
-      E.(col "l_shipdate" >=. const q15_date &&. (col "l_shipdate" <. const (q15_date + 90)))
-      (fun li ->
-        D.map li ~dst:"revenue"
-          E.(Div_pub (col "l_extendedprice" *! (const 100 -! col "l_discount"), 100)))
-  in
+let q15_plan (db : G.mpc) =
   let rev =
-    D.aggregate li ~keys:[ "l_suppkey" ] ~aggs:[ sum "revenue" "total_rev" ]
+    scan (G.catalog db) "lineitem"
+    |> filter
+         E.(col "l_shipdate" >=. const q15_date &&. (col "l_shipdate" <. const (q15_date + 90)))
+    |> map "revenue" disc_price
+    |> aggregate ~keys:[ "l_suppkey" ] ~aggs:[ sum "revenue" "total_rev" ]
   in
-  let top = D.global_aggregate rev ~aggs:[ mx "total_rev" "max_rev" ] in
-  let rev = D.with_scalar rev ~scalar:top ~src:"max_rev" ~dst:"max_rev" in
-  D.filter rev E.(col "total_rev" ==. col "max_rev")
+  with_scalar rev
+    ~scalar:(global ~aggs:[ mx "total_rev" "max_rev" ] rev)
+    ~src:"max_rev" ~dst:"max_rev"
+  |> filter E.(col "total_rev" ==. col "max_rev")
 
 let q15_ref (db : G.plain) =
   let li =
@@ -193,41 +165,35 @@ let q15_cols = [ "l_suppkey"; "total_rev" ]
 (* Q16: parts/supplier relationship (anti-join + distinct count)       *)
 (* ------------------------------------------------------------------ *)
 
-let q16_run (db : G.mpc) =
-  let ps () =
-    let bad =
-      D.filter db.G.m_supplier E.(col "s_acctbal" <. const q16_bad_balance)
-    in
-    D.anti_join db.G.m_partsupp
-      (select bad [ ("s_suppkey", "ps_suppkey") ])
+let q16_plan (db : G.mpc) =
+  let tbl = scan (G.catalog db) in
+  let ps =
+    anti_join (tbl "partsupp")
+      (tbl "supplier"
+      |> filter E.(col "s_acctbal" <. const q16_bad_balance)
+      |> select [ ("s_suppkey", "ps_suppkey") ])
       ~on:[ "ps_suppkey" ]
   in
-  let parts () =
-    D.filter db.G.m_part
-      E.(
-        col "p_brand" <>. const q16_brand
-        &&. (col "p_type" <>. const q16_type)
-        &&. (col "p_size" <=. const q16_max_size))
-  in
-  let r = Mpc.fuse_rounds (T.ctx db.G.m_part) [| ps; parts |] in
-  let ps = r.(0) and parts = r.(1) in
-  let j =
-    D.inner_join
-      (select parts
+  let parts =
+    tbl "part"
+    |> filter
+         E.(
+           col "p_brand" <>. const q16_brand
+           &&. (col "p_type" <>. const q16_type)
+           &&. (col "p_size" <=. const q16_max_size))
+    |> select
          [
            ("p_partkey", "ps_partkey");
            ("p_brand", "p_brand");
            ("p_type", "p_type");
            ("p_size", "p_size");
-         ])
-      ps
-      ~on:[ "ps_partkey" ]
-      ~copy:[ "p_brand"; "p_type"; "p_size" ]
+         ]
   in
-  let d = D.distinct j [ "p_brand"; "p_type"; "p_size"; "ps_suppkey" ] in
-  D.aggregate d
-    ~keys:[ "p_brand"; "p_type"; "p_size" ]
-    ~aggs:[ cnt "ps_suppkey" "supplier_cnt" ]
+  join parts ps ~on:[ "ps_partkey" ]
+  |> distinct [ "p_brand"; "p_type"; "p_size"; "ps_suppkey" ]
+  |> aggregate
+       ~keys:[ "p_brand"; "p_type"; "p_size" ]
+       ~aggs:[ cnt "ps_suppkey" "supplier_cnt" ]
 
 let q16_ref (db : G.plain) =
   let bad = P.filter db.G.supplier (fun g r -> g "s_acctbal" r < q16_bad_balance) in
@@ -265,27 +231,21 @@ let q16_cols = [ "p_brand"; "p_type"; "p_size"; "supplier_cnt" ]
 (* Q17: small-quantity-order revenue (correlated average)              *)
 (* ------------------------------------------------------------------ *)
 
-let q17_run (db : G.mpc) =
-  let parts =
-    D.filter db.G.m_part
-      E.(col "p_brand" <=. const q17_brand &&. (col "p_container" <=. const q17_container))
-  in
+let q17_plan (db : G.mpc) =
+  let tbl = scan (G.catalog db) in
   let li =
-    D.inner_join
-      (select parts [ ("p_partkey", "l_partkey") ])
-      db.G.m_lineitem ~on:[ "l_partkey" ]
+    join
+      (tbl "part"
+      |> filter
+           E.(col "p_brand" <=. const q17_brand &&. (col "p_container" <=. const q17_container))
+      |> select [ ("p_partkey", "l_partkey") ])
+      (tbl "lineitem") ~on:[ "l_partkey" ]
   in
-  let avgq =
-    D.aggregate li ~keys:[ "l_partkey" ] ~aggs:[ avg "l_quantity" "avg_qty" ]
-  in
-  let j =
-    D.inner_join
-      (select avgq [ ("l_partkey", "l_partkey"); ("avg_qty", "avg_qty") ])
-      li ~on:[ "l_partkey" ] ~copy:[ "avg_qty" ]
-  in
-  let j = D.filter j E.(col "l_quantity" *! const 5 <. col "avg_qty") in
-  let g = D.global_aggregate j ~aggs:[ sum "l_extendedprice" "total" ] in
-  D.map g ~dst:"avg_yearly" E.(Div_pub (col "total", 7))
+  join (aggregate ~keys:[ "l_partkey" ] ~aggs:[ avg "l_quantity" "avg_qty" ] li) li
+    ~on:[ "l_partkey" ]
+  |> filter E.(col "l_quantity" *! const 5 <. col "avg_qty")
+  |> global ~aggs:[ sum "l_extendedprice" "total" ]
+  |> map "avg_yearly" E.(Div_pub (col "total", 7))
 
 let q17_ref (db : G.plain) =
   let parts =
@@ -310,15 +270,15 @@ let q17_cols = [ "avg_yearly" ]
 (* Q18: large-volume customers                                         *)
 (* ------------------------------------------------------------------ *)
 
-let q18_run (db : G.mpc) =
-  let agg =
-    D.aggregate db.G.m_lineitem ~keys:[ "l_orderkey" ]
-      ~aggs:[ sum "l_quantity" "sum_qty" ]
-  in
-  let big = D.filter agg E.(col "sum_qty" >. const q18_quantity) in
-  let big = select big [ ("l_orderkey", "o_orderkey"); ("sum_qty", "sum_qty") ] in
-  let j = D.inner_join big db.G.m_orders ~on:[ "o_orderkey" ] ~copy:[ "sum_qty" ] in
-  D.limit (D.order_by j [ ("o_totalprice", D.Desc); ("o_orderdate", D.Asc) ]) 100
+let q18_plan (db : G.mpc) =
+  let tbl = scan (G.catalog db) in
+  join
+    (tbl "lineitem"
+    |> aggregate ~keys:[ "l_orderkey" ] ~aggs:[ sum "l_quantity" "sum_qty" ]
+    |> filter E.(col "sum_qty" >. const q18_quantity)
+    |> select [ ("l_orderkey", "o_orderkey"); ("sum_qty", "sum_qty") ])
+    (tbl "orders") ~on:[ "o_orderkey" ]
+  |> top [ ("o_totalprice", D.Desc); ("o_orderdate", D.Asc) ] 100
 
 let q18_ref (db : G.plain) =
   let agg =
@@ -336,20 +296,8 @@ let q18_cols = [ "o_orderkey"; "o_custkey"; "o_totalprice"; "sum_qty" ]
 (* Q19: discounted revenue (disjunctive theta filters)                 *)
 (* ------------------------------------------------------------------ *)
 
-let q19_run (db : G.mpc) =
-  let j =
-    D.inner_join
-      (select db.G.m_part
-         [
-           ("p_partkey", "l_partkey");
-           ("p_brand", "p_brand");
-           ("p_container", "p_container");
-           ("p_size", "p_size");
-         ])
-      db.G.m_lineitem
-      ~on:[ "l_partkey" ]
-      ~copy:[ "p_brand"; "p_container"; "p_size" ]
-  in
+let q19_plan (db : G.mpc) =
+  let tbl = scan (G.catalog db) in
   let branch brand qty csize psize =
     E.(
       col "p_brand" ==. const brand
@@ -358,17 +306,23 @@ let q19_run (db : G.mpc) =
       &&. (col "l_quantity" <=. const (qty + 10))
       &&. (col "p_size" <=. const psize))
   in
-  let j =
-    filter_map j
-      E.(
-        branch q19_brand1 q19_qty1 10 5
-        ||. branch q19_brand2 q19_qty2 20 10
-        ||. branch q19_brand3 q19_qty3 30 15)
-      (fun j ->
-        D.map j ~dst:"revenue"
-          E.(Div_pub (col "l_extendedprice" *! (const 100 -! col "l_discount"), 100)))
-  in
-  D.global_aggregate j ~aggs:[ sum "revenue" "revenue_sum" ]
+  join
+    (select
+       [
+         ("p_partkey", "l_partkey");
+         ("p_brand", "p_brand");
+         ("p_container", "p_container");
+         ("p_size", "p_size");
+       ]
+       (tbl "part"))
+    (tbl "lineitem") ~on:[ "l_partkey" ]
+  |> filter
+       E.(
+         branch q19_brand1 q19_qty1 10 5
+         ||. branch q19_brand2 q19_qty2 20 10
+         ||. branch q19_brand3 q19_qty3 30 15)
+  |> map "revenue" disc_price
+  |> global ~aggs:[ sum "revenue" "revenue_sum" ]
 
 let q19_ref (db : G.plain) =
   let j =
@@ -408,42 +362,28 @@ let q19_cols = [ "revenue_sum" ]
 (* Q20: potential part promotion (nested semi-joins)                   *)
 (* ------------------------------------------------------------------ *)
 
-let q20_run (db : G.mpc) =
-  let r =
-    Mpc.fuse_rounds (T.ctx db.G.m_part)
-      [|
-        (fun () -> D.filter db.G.m_part E.(col "p_type" <=. const q20_type));
-        (fun () ->
-          D.filter db.G.m_lineitem
-            E.(
-              col "l_shipdate" >=. const q20_date
-              &&. (col "l_shipdate" <. const (q20_date + 365))));
-      |]
-  in
-  let parts = r.(0) and li = r.(1) in
+let q20_plan (db : G.mpc) =
+  let tbl = scan (G.catalog db) in
   let li =
-    D.semi_join li (select parts [ ("p_partkey", "l_partkey") ]) ~on:[ "l_partkey" ]
+    semi_join
+      (filter
+         E.(col "l_shipdate" >=. const q20_date &&. (col "l_shipdate" <. const (q20_date + 365)))
+         (tbl "lineitem"))
+      (tbl "part"
+      |> filter E.(col "p_type" <=. const q20_type)
+      |> select [ ("p_partkey", "l_partkey") ])
+      ~on:[ "l_partkey" ]
   in
   let sq =
-    D.aggregate li ~keys:[ "l_partkey"; "l_suppkey" ]
-      ~aggs:[ sum "l_quantity" "sq" ]
-  in
-  let sq =
-    select sq
-      [ ("l_partkey", "ps_partkey"); ("l_suppkey", "ps_suppkey"); ("sq", "sq") ]
+    aggregate ~keys:[ "l_partkey"; "l_suppkey" ] ~aggs:[ sum "l_quantity" "sq" ] li
+    |> select [ ("l_partkey", "ps_partkey"); ("l_suppkey", "ps_suppkey"); ("sq", "sq") ]
   in
   let j =
-    D.inner_join sq db.G.m_partsupp
-      ~on:[ "ps_partkey"; "ps_suppkey" ]
-      ~copy:[ "sq" ]
+    join sq (tbl "partsupp") ~on:[ "ps_partkey"; "ps_suppkey" ]
+    |> filter E.(col "ps_availqty" *! const 2 >. col "sq")
   in
-  let j = D.filter j E.(col "ps_availqty" *! const 2 >. col "sq") in
-  let supp =
-    D.semi_join db.G.m_supplier
-      (select j [ ("ps_suppkey", "s_suppkey") ])
-      ~on:[ "s_suppkey" ]
-  in
-  D.filter supp E.(col "s_nationkey" ==. const q20_nation)
+  semi_join (tbl "supplier") (select [ ("ps_suppkey", "s_suppkey") ] j) ~on:[ "s_suppkey" ]
+  |> filter E.(col "s_nationkey" ==. const q20_nation)
 
 let q20_ref (db : G.plain) =
   let parts = P.filter db.G.part (fun g r -> g "p_type" r <= q20_type) in
@@ -478,48 +418,32 @@ let q20_cols = [ "s_suppkey" ]
 (* Q21: suppliers who kept orders waiting (self-joins via counts)      *)
 (* ------------------------------------------------------------------ *)
 
-let q21_run (db : G.mpc) =
-  let o_f = D.filter db.G.m_orders E.(col "o_orderstatus" ==. const 0) in
+let q21_plan (db : G.mpc) =
+  let tbl = scan (G.catalog db) in
   let li =
-    D.semi_join db.G.m_lineitem
-      (select o_f [ ("o_orderkey", "l_orderkey") ])
+    semi_join (tbl "lineitem")
+      (tbl "orders"
+      |> filter E.(col "o_orderstatus" ==. const 0)
+      |> select [ ("o_orderkey", "l_orderkey") ])
       ~on:[ "l_orderkey" ]
   in
-  let ns () =
-    let d_all = D.distinct li [ "l_orderkey"; "l_suppkey" ] in
-    D.aggregate d_all ~keys:[ "l_orderkey" ] ~aggs:[ cnt "l_suppkey" "ns" ]
+  let pairs = [ "l_orderkey"; "l_suppkey" ] in
+  let ns = aggregate ~keys:[ "l_orderkey" ] ~aggs:[ cnt "l_suppkey" "ns" ] (distinct pairs li) in
+  let late =
+    li |> filter E.(col "l_receiptdate" >. col "l_commitdate") |> distinct pairs
   in
-  let late () =
-    let li_late = D.filter li E.(col "l_receiptdate" >. col "l_commitdate") in
-    D.distinct li_late [ "l_orderkey"; "l_suppkey" ]
-  in
-  let r = Mpc.fuse_rounds (T.ctx li) [| ns; late |] in
-  let ns = r.(0) and d_late = r.(1) in
-  let nl = D.aggregate d_late ~keys:[ "l_orderkey" ] ~aggs:[ cnt "l_suppkey" "nl" ] in
-  let pairs = T.project d_late [ "l_orderkey"; "l_suppkey" ] in
-  let j1 =
-    D.inner_join
-      (select ns [ ("l_orderkey", "l_orderkey"); ("ns", "ns") ])
-      pairs ~on:[ "l_orderkey" ] ~copy:[ "ns" ]
-  in
-  let j2 =
-    D.inner_join
-      (select nl [ ("l_orderkey", "l_orderkey"); ("nl", "nl") ])
-      j1 ~on:[ "l_orderkey" ] ~copy:[ "nl" ]
-  in
-  let r =
-    Mpc.fuse_rounds (T.ctx j2)
-      [|
-        (fun () -> D.filter j2 E.(col "ns" >=. const 2 &&. (col "nl" ==. const 1)));
-        (fun () -> D.filter db.G.m_supplier E.(col "s_nationkey" ==. const q21_nation));
-      |]
-  in
-  let j2 = r.(0) and supp_n = r.(1) in
-  let j2 =
-    D.semi_join j2 (select supp_n [ ("s_suppkey", "l_suppkey") ]) ~on:[ "l_suppkey" ]
-  in
-  let agg = D.aggregate j2 ~keys:[ "l_suppkey" ] ~aggs:[ cnt "l_orderkey" "numwait" ] in
-  D.limit (D.order_by agg [ ("numwait", D.Desc); ("l_suppkey", D.Asc) ]) 100
+  let nl = aggregate ~keys:[ "l_orderkey" ] ~aggs:[ cnt "l_suppkey" "nl" ] late in
+  (* the late pairs with their order's counts: the [ns] branch and the
+     [late] one run as tracks after [li] *)
+  semi_join
+    (join ns (join nl late ~on:[ "l_orderkey" ]) ~on:[ "l_orderkey" ]
+    |> filter E.(col "ns" >=. const 2 &&. (col "nl" ==. const 1)))
+    (tbl "supplier"
+    |> filter E.(col "s_nationkey" ==. const q21_nation)
+    |> select [ ("s_suppkey", "l_suppkey") ])
+    ~on:[ "l_suppkey" ]
+  |> aggregate ~keys:[ "l_suppkey" ] ~aggs:[ cnt "l_orderkey" "numwait" ]
+  |> top [ ("numwait", D.Desc); ("l_suppkey", D.Asc) ] 100
 
 let q21_ref (db : G.plain) =
   let o_f = P.filter db.G.orders (fun g r -> g "o_orderstatus" r = 0) in
@@ -551,25 +475,25 @@ let q21_cols = [ "l_suppkey"; "numwait" ]
 (* Q22: global sales opportunity (anti-join + private average)         *)
 (* ------------------------------------------------------------------ *)
 
-let q22_run (db : G.mpc) =
+let q22_plan (db : G.mpc) =
+  let tbl = scan (G.catalog db) in
   let cc_pred =
     List.fold_left
       (fun acc code -> E.(acc ||. (col "c_phone_cc" ==. const code)))
       E.(col "c_phone_cc" ==. const (List.hd q22_codes))
       (List.tl q22_codes)
   in
-  let c1 = D.filter db.G.m_customer cc_pred in
-  let pos = D.filter c1 E.(col "c_acctbal" >. const 0) in
-  let avg_t = D.global_aggregate pos ~aggs:[ avg "c_acctbal" "avg_bal" ] in
-  let c2 = D.with_scalar c1 ~scalar:avg_t ~src:"avg_bal" ~dst:"avg_bal" in
-  let c2 = D.filter c2 E.(col "c_acctbal" >. col "avg_bal") in
-  let c3 =
-    D.anti_join c2
-      (select db.G.m_orders [ ("o_custkey", "c_custkey") ])
-      ~on:[ "c_custkey" ]
+  let c1 = filter cc_pred (tbl "customer") in
+  let avg_t =
+    c1 |> filter E.(col "c_acctbal" >. const 0) |> global ~aggs:[ avg "c_acctbal" "avg_bal" ]
   in
-  D.aggregate c3 ~keys:[ "c_phone_cc" ]
-    ~aggs:[ cnt "c_custkey" "numcust"; sum "c_acctbal" "totacctbal" ]
+  let c2 =
+    with_scalar c1 ~scalar:avg_t ~src:"avg_bal" ~dst:"avg_bal"
+    |> filter E.(col "c_acctbal" >. col "avg_bal")
+  in
+  anti_join c2 (select [ ("o_custkey", "c_custkey") ] (tbl "orders")) ~on:[ "c_custkey" ]
+  |> aggregate ~keys:[ "c_phone_cc" ]
+       ~aggs:[ cnt "c_custkey" "numcust"; sum "c_acctbal" "totacctbal" ]
 
 let q22_ref (db : G.plain) =
   let c1 =

@@ -1,11 +1,9 @@
-(** Shared helpers for the workload queries: rename-projection, aggregation
-    shorthands, and their plaintext-engine twins. *)
+(** Shared helpers for the workload queries: aggregation shorthands, catalog
+    scans, and their plaintext-engine twins. *)
 
 module D = Orq_core.Dataflow
 module E = Orq_core.Expr
-module T = Orq_core.Table
 module P = Orq_plaintext.Ptable
-module Mpc = Orq_proto.Mpc
 
 (* MPC-side shorthands *)
 let sum src dst = { D.src; dst; fn = D.Sum }
@@ -14,22 +12,13 @@ let mn src dst = { D.src; dst; fn = D.Min }
 let mx src dst = { D.src; dst; fn = D.Max }
 let avg src dst = { D.src; dst; fn = D.Avg }
 
-(** Project to the given columns, renaming on the way:
-    [select t [(old, new); ...]]. *)
-let select t (pairs : (string * string) list) =
-  let t = T.project t (List.map fst pairs) in
-  List.fold_left
-    (fun t (from, into) -> if from = into then t else T.rename_col t ~from ~into)
-    t pairs
+(** The discounted price most TPC-H queries sum. *)
+let disc_price = E.(Div_pub (col "l_extendedprice" *! (const 100 -! col "l_discount"), 100))
 
-(** [filter_map t p f] is [f (D.filter t p)] for an [f] that reads no
-    validity, such as a chain of [D.map]s: the filter and [f] run on [t]
-    as fused round tracks, filter first, and [f]'s result takes the
-    filter's validity. *)
-let filter_map t p f =
-  match Mpc.fuse_rounds (T.ctx t) [| (fun () -> D.filter t p); (fun () -> f t) |] with
-  | [| filtered; mapped |] -> { mapped with T.valid = filtered.T.valid }
-  | _ -> assert false
+(** A catalog's table as a plan scan, with the catalog's candidate keys. *)
+let scan catalog name =
+  let t, keys = catalog name in
+  Orq_planner.Plan.scan ~keys t
 
 (* Plaintext-side shorthands *)
 let psum src dst = { P.src; dst; fn = P.Sum }

@@ -211,8 +211,6 @@ let test_exports_keep_list_is_justified () =
    test until it is audited here. *)
 let audited_env_knobs =
   [
-    ("ORQ_JOIN_PROFILE", "network profile (lan|wan|geo|local) the join \
-      cost model prices candidates under: a deployment parameter");
     ("ORQ_SERVICE_ADMIT_MS", "how long a request may wait for admission: \
       deployment sizing");
     ("ORQ_SERVICE_DRAIN_MS", "graceful-stop drain deadline: deployment \

@@ -934,40 +934,6 @@ let qcheck_semi_anti_partition =
       List.sort compare (rows s @ rows a)
       = Table.valid_rows_sorted l [ "k"; "id" ])
 
-(* ---------------- custom aggregations (Appendix C) ---------------- *)
-
-let test_custom_aggregation () =
-  let ctx = hm () in
-  let t =
-    Table.create ctx "t"
-      [ ("g", 4, [| 1; 1; 2; 2; 2 |]); ("x", 8, [| 0b0011; 0b0101; 0b1000; 0b0010; 0b0001 |]) ]
-  in
-  (* a user-defined self-decomposable function: bitwise OR of the group *)
-  let bit_or ctx a b = (Orq_proto.Mpc.bor_many ~widths:[| 8 |] ctx [| a |] [| b |]).(0) in
-  let r =
-    Dataflow.aggregate t ~keys:[ "g" ]
-      ~aggs:[ { Dataflow.src = "x"; dst = "bits"; fn = Dataflow.Custom bit_or } ]
-  in
-  Alcotest.(check rows_t) "group bitwise OR"
-    [ [ 1; 0b0111 ]; [ 2; 0b1011 ] ]
-    (Table.valid_rows_sorted r [ "g"; "bits" ]);
-  (* the paper's Appendix C example: an oblivious group product *)
-  let prod ctx a b =
-    let aa = Orq_circuits.Convert.b2a ~w:8 ctx a in
-    let bb = Orq_circuits.Convert.b2a ~w:8 ctx b in
-    Orq_circuits.Convert.a2b ~w:16 ctx (Orq_proto.Mpc.mul ~width:16 ctx aa bb)
-  in
-  let t2 =
-    Table.create ctx "t2" [ ("g", 4, [| 1; 1; 1; 2 |]); ("x", 8, [| 2; 3; 4; 7 |]) ]
-  in
-  let r2 =
-    Dataflow.aggregate t2 ~keys:[ "g" ]
-      ~aggs:[ { Dataflow.src = "x"; dst = "p"; fn = Dataflow.Custom prod } ]
-  in
-  Alcotest.(check rows_t) "group product (paper's custom example)"
-    [ [ 1; 24 ]; [ 2; 7 ] ]
-    (Table.valid_rows_sorted r2 [ "g"; "p" ])
-
 (* ---------------- algebraic properties ---------------- *)
 
 let qcheck_tablesort_idempotent =
@@ -1095,8 +1061,6 @@ let suite =
     Alcotest.test_case "global min/max/avg respect validity" `Quick
       test_global_minmax_validity;
     QCheck_alcotest.to_alcotest qcheck_semi_anti_partition;
-    Alcotest.test_case "custom aggregations (Appendix C)" `Quick
-      test_custom_aggregation;
     QCheck_alcotest.to_alcotest qcheck_tablesort_idempotent;
     QCheck_alcotest.to_alcotest qcheck_join_output_bound;
     Alcotest.test_case "data-owner padding" `Quick test_pad_rows;

@@ -41,7 +41,7 @@ let test_inference () =
   in
   Alcotest.(check bool) "aggregate keys become unique" true
     (Plan.unique_on a [ "cust" ]);
-  let p = Plan.Project ([ "price" ], j) in
+  let p = Plan.select [ ("price", "price") ] j in
   Alcotest.(check bool) "projection drops keys" false
     (Plan.unique_on p [ "oid" ])
 
@@ -169,8 +169,9 @@ let test_q3_shaped_plan () =
   let ctx = Ctx.create ~seed:63 Ctx.Sh_hm in
   let db = Orq_workloads.Tpch_gen.share ctx (Orq_workloads.Tpch_gen.generate ~seed:5 0.0002) in
   let cust =
-    Orq_workloads.Tpch_util.select db.Orq_workloads.Tpch_gen.m_customer
-      [ ("c_custkey", "o_custkey"); ("c_mktsegment", "c_mktsegment") ]
+    Table.rename_col
+      (Table.project db.Orq_workloads.Tpch_gen.m_customer [ "c_custkey"; "c_mktsegment" ])
+      ~from:"c_custkey" ~into:"o_custkey"
   in
   let orders = db.Orq_workloads.Tpch_gen.m_orders in
   let c = Plan.scan ~keys:[ [ "c_custkey" ] ] cust in
@@ -206,14 +207,15 @@ let test_q3_shaped_plan () =
     (Table.valid_rows_sorted t [ "o_custkey"; "total" ]);
   (* the compiled operator sequence written by hand, every step in
      sequence: filters pushed down, the customer side (whose declared key
-     the rename hides) pre-aggregated to multiplicities (§3.6), scans
-     pruned to the needed columns. The compiled plan runs the join's two
-     inputs as fused round tracks: same bits and messages, fewer rounds. *)
+     the rename hides) pre-aggregated to multiplicities (§3.6), every
+     step's output pruned to the columns the steps above read. The
+     compiled plan runs the join's two inputs as fused round tracks: same
+     bits and messages, fewer rounds. *)
   let m, seq =
     tally (fun () ->
         let c2 = Dataflow.filter cust Expr.(col "c_mktsegment" ==. const 1) in
         let c2 =
-          Dataflow.aggregate c2 ~keys:[ "o_custkey" ]
+          Dataflow.aggregate (Table.project c2 [ "o_custkey" ]) ~keys:[ "o_custkey" ]
             ~aggs:[ { Dataflow.src = "o_custkey"; dst = "__mult"; fn = Dataflow.Count } ]
         in
         let o2 =
@@ -221,13 +223,20 @@ let test_q3_shaped_plan () =
             (Table.project orders [ "o_custkey"; "o_orderdate"; "o_totalprice" ])
             Expr.(col "o_orderdate" <. const 1000)
         in
-        let j2 = Dataflow.inner_join c2 o2 ~on:[ "o_custkey" ] ~copy:[ "__mult" ] in
+        let j2 =
+          Dataflow.inner_join (Table.project c2 [ "o_custkey"; "__mult" ])
+            (Table.project o2 [ "o_custkey"; "o_totalprice" ])
+            ~on:[ "o_custkey" ] ~copy:[ "__mult" ]
+        in
         let j2 = Dataflow.map j2 ~dst:"__w" Expr.(col "o_totalprice" *! col "__mult") in
         let a2 =
-          Dataflow.aggregate j2 ~keys:[ "o_custkey" ]
+          Dataflow.aggregate (Table.project j2 [ "o_custkey"; "__w" ]) ~keys:[ "o_custkey" ]
             ~aggs:[ { Dataflow.src = "__w"; dst = "total"; fn = Dataflow.Sum } ]
         in
-        Dataflow.limit (Dataflow.order_by a2 [ ("total", Dataflow.Desc) ]) 5)
+        Dataflow.limit
+          (Dataflow.order_by (Table.project a2 [ "o_custkey"; "total" ])
+             [ ("total", Dataflow.Desc) ])
+          5)
   in
   Alcotest.(check rows_t) "planned = its operator sequence"
     (Table.valid_rows_sorted m [ "o_custkey"; "total" ])
@@ -386,6 +395,37 @@ let test_explain () =
     (contains s "Filter" && contains s "Scan(customers");
   Alcotest.(check bool) "explain shows keys" true (contains s "keys: cust")
 
+(* ---------------- row-local fusion ---------------- *)
+
+(* A WHERE clause and a computed SELECT column over one scan: the filter
+   runs as one track beside the map, so the query takes the deeper leg's
+   rounds, not the two legs' sum. *)
+let test_row_local_fusion () =
+  let rounds f =
+    let ctx = Ctx.create ~seed:63 Ctx.Sh_hm in
+    let cat = tpch_catalog ctx in
+    let before = Orq_net.Comm.snapshot ctx.Ctx.comm in
+    let r = f (fst (cat "orders")) cat in
+    (r, (Orq_net.Comm.since ctx.Ctx.comm before).Orq_net.Comm.t_rounds)
+  in
+  let (t, cols, _), fused =
+    rounds (fun _ cat ->
+        Sql.run cat "SELECT o_orderkey, o_totalprice / 7 AS w FROM orders WHERE o_custkey < 3")
+  in
+  let _, filter_leg = rounds (fun o _ -> Dataflow.filter o Expr.(col "o_custkey" <. const 3)) in
+  let _, map_leg =
+    rounds (fun o _ -> Dataflow.map o ~dst:"w" Expr.(Div_pub (col "o_totalprice", 7)))
+  in
+  Alcotest.(check bool) "both legs meter rounds" true (filter_leg > 0 && map_leg > 0);
+  Alcotest.(check int) "rounds = the deeper leg" (max filter_leg map_leg) fused;
+  (* plaintext: customers 1 and 2 placed orders 1, 2, 3 and 5 *)
+  let want =
+    List.filter_map
+      (fun (k, c, p) -> if c < 3 then Some [ k; p / 7 ] else None)
+      [ (1, 1, 100); (2, 2, 200); (3, 1, 300); (4, 3, 400); (5, 2, 500) ]
+  in
+  Alcotest.(check rows_t) "values = plaintext" want (Table.valid_rows_sorted t cols)
+
 let suite =
   [
     Alcotest.test_case "schema/key inference" `Quick test_inference;
@@ -401,6 +441,7 @@ let suite =
       test_q3_shaped_plan;
     Alcotest.test_case "explain" `Quick test_explain;
     Alcotest.test_case "grouped join rule" `Quick test_grouped_join_rule;
+    Alcotest.test_case "row-local fusion" `Quick test_row_local_fusion;
   ]
 
 let () = Alcotest.run "orq_planner" [ ("planner", suite) ]

@@ -52,6 +52,11 @@ let test_derived_column () =
   in
   Alcotest.(check rows_t) "net prices" [ [ 2; 10 ]; [ 3; 27 ]; [ 4; 30 ] ] rows
 
+(* GROUP BY without aggregates is DISTINCT on the keys *)
+let test_group_by_no_aggregate () =
+  let rows, _ = run "SELECT cust FROM orders WHERE price > 10 GROUP BY cust" in
+  Alcotest.(check rows_t) "one row per key" [ [ 1 ]; [ 2 ]; [ 3 ]; [ 9 ] ] rows
+
 let test_join_group () =
   let rows, fb =
     run
@@ -187,6 +192,7 @@ let suite =
     Alcotest.test_case "select + where" `Quick test_select_where;
     Alcotest.test_case "derived columns (AS)" `Quick test_derived_column;
     Alcotest.test_case "join + group by" `Quick test_join_group;
+    Alcotest.test_case "group by without aggregates" `Quick test_group_by_no_aggregate;
     Alcotest.test_case "ON join syntax" `Quick test_join_on_syntax;
     Alcotest.test_case "ON join rename" `Quick test_join_on_rename;
     Alcotest.test_case "order by + limit" `Quick test_order_limit;

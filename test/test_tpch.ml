@@ -119,6 +119,45 @@ let test_registry_names () =
   Alcotest.(check int) "names unique across catalogs" 36
     (List.length (List.sort_uniq compare names))
 
+(* Plan shape alone, no MPC: every plan-built entry exposes its compare
+   columns, and every inner or grouped join has a side unique on its keys
+   (a key that inference drops sends Compile to the quadratic fallback). *)
+let test_registry_plans () =
+  let module Plan = Orq_planner.Plan in
+  let check_plan name plan cols =
+    let out = (Plan.infer plan).Plan.i_cols in
+    List.iter
+      (fun c ->
+        if not (List.mem c out) then Alcotest.failf "%s outputs no column %s" name c)
+      cols;
+    let rec walk n =
+      (match n with
+      | Plan.Join ({ Plan.j_kind = Plan.Inner | Plan.Left_outer; _ } as j)
+        when not
+               (Plan.unique_on j.Plan.j_left j.Plan.j_on
+               || (j.Plan.j_kind = Plan.Inner && Plan.unique_on j.Plan.j_right j.Plan.j_on))
+        ->
+          Alcotest.failf "%s: no side of the join on %s is unique on it" name
+            (String.concat "," j.Plan.j_on)
+      | _ -> ());
+      List.iter walk (Plan.children n)
+    in
+    walk plan
+  in
+  let ctx = Ctx.create ~seed:5 Ctx.Sh_hm in
+  let mdb = Tpch_gen.share ctx (Lazy.force plain) in
+  List.iter
+    (fun (q : Tpch.query) ->
+      check_plan q.Tpch.name (List.assoc q.Tpch.name Tpch.plans mdb) q.Tpch.compare_cols)
+    Tpch.all;
+  let odb = Other_gen.share ctx (Other_gen.generate ~seed:31 40) in
+  List.iter
+    (fun (q : Other_queries.query) ->
+      match List.assoc_opt q.Query.name Other_queries.plans with
+      | Some plan -> check_plan q.Query.name (plan odb) q.Query.compare_cols
+      | None -> Alcotest.(check string) "the one hand-built body" "C.Diff" q.Query.name)
+    Other_queries.all
+
 let test_validate_dropped_row () =
   let plain = Lazy.force plain in
   let q = Tpch.find "S5" in
@@ -165,6 +204,8 @@ let () =
         [
           Alcotest.test_case "names unique across catalogs" `Quick
             test_registry_names;
+          Alcotest.test_case "plans: compare columns and unique join sides" `Quick
+            test_registry_plans;
           Alcotest.test_case "validate reports a dropped row" `Quick
             test_validate_dropped_row;
           Alcotest.test_case "Q11 at SF 0.0001 (empty global SUM)" `Quick
