@@ -63,7 +63,9 @@ bench:
 
 # Ratio and selection gates (bench/gates.ml, ~1.5 min): packed AND >= 8x
 # the word AND; the physical-join audit of Q3/Q9 under sh-hm (every run
-# validates, linear beats sort, auto never loses to a forced mode);
+# validates, linear beats sort, auto never loses to a forced mode); the
+# GROUP BY path audit (network and compaction agree, the priced pick
+# never loses, n = 2..3000 under every protocol);
 # chunked <= 1.3x monolithic, a budgeted SF 0.02 run and the SF ladder;
 # 4 paced service workers >= 2x one. One PASS/FAIL line per gate; exits
 # 1 if any failed.

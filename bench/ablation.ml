@@ -99,25 +99,30 @@ let sort_algo_ablation ~n () =
   row "(the engine defaults to radixsort at <=32 bits, quicksort above)"
 
 let aggnet_padding_ablation () =
-  section "Ablation: AggNet power-of-two padding cliff (SH-HM)";
-  hdr "%-10s %12s %12s" "rows" "LAN-est" "MB";
+  section "Ablation: AggNet power-of-two padding cliff vs the compaction path (SH-HM)";
+  hdr "%-10s %12s %12s %12s %12s" "rows" "net LAN-est" "net MB" "cmp LAN-est" "cmp MB";
   List.iter
     (fun n ->
-      let ctx = Ctx.create ~seed:31 Ctx.Sh_hm in
-      let t = mk_table ctx "T" n 50 in
-      let _, m =
-        measure ctx (fun () ->
-            ignore
-              (Dataflow.aggregate t ~keys:[ "k" ]
-                 ~aggs:[ { Dataflow.src = "v"; dst = "s"; fn = Dataflow.Sum } ]))
+      let run path =
+        let ctx = Ctx.create ~seed:31 Ctx.Sh_hm in
+        let t = mk_table ctx "T" n 50 in
+        snd
+          (measure ctx (fun () ->
+               ignore
+                 (Dataflow.aggregate_by path t ~keys:[ "k" ]
+                    ~aggs:[ { Dataflow.src = "v"; dst = "s"; fn = Dataflow.Sum } ])))
       in
-      row "%-10d %12s %12.2f" n
-        (pretty_time (estimate Netsim.lan m))
-        (mib m.online))
+      let net = run Dataflow.Network and cmp = run Dataflow.Compaction in
+      row "%-10d %12s %12.2f %12s %12.2f" n
+        (pretty_time (estimate Netsim.lan net))
+        (mib net.online)
+        (pretty_time (estimate Netsim.lan cmp))
+        (mib cmp.online))
     [ 1000; 1024; 1025; 2000; 2048; 2049 ];
   row
     "(crossing 2^k pads the network to the next power of two — the \
-     paper's Q12 scaling outlier)"
+     paper's Q12 scaling outlier; the compaction path, which a SUM takes \
+     at these sizes, does not pad)"
 
 let tablesort_ablation ~n () =
   section

@@ -15,6 +15,11 @@
       sort join on measured rounds and/or bits on both queries; auto is
       never costlier, in modeled network seconds under the costing
       profile, than a forced mode;
+    - aggregation: a GROUP BY (two keys, SUM, COUNT, AVG) over n in
+      {2, 5, 17, 64, 300, 3000} rows under every protocol, run on the
+      aggregation network and on the compaction: both open the same rows,
+      and the path [Dataflow.agg_path] picks is never costlier in modeled
+      network seconds under the costing profile;
     - scale: with streaming on and no budget, chunked wall clock is
       <= 1.3x monolithic on Q1 + Q6 at SF 0.01; Q1 at SF 0.02 completes
       under a budget of 1/4 of its own unlimited streaming peak, spilling,
@@ -31,6 +36,7 @@ module Comm = Orq_net.Comm
 module Netsim = Orq_net.Netsim
 module Joincost = Orq_core.Joincost
 module Table = Orq_core.Table
+module Dataflow = Orq_core.Dataflow
 module Service = Orq_service.Service
 module Client = Orq_service.Client
 
@@ -142,6 +148,76 @@ let join () =
       sprintf "auto loses to a forced mode on %d/2 SH-HM queries%s"
         (List.length lost)
         (String.concat "" (List.map (fun r -> ": " ^ show r) lost)) );
+  ]
+
+(* ---------------- aggregation ---------------- *)
+
+(* One GROUP BY of [n] rows (two keys, interleaved invalid rows, SUM,
+   COUNT and AVG) under [kind] on a given path: its opened rows, its
+   online tally, and the path the chooser picks for it. *)
+let agg_run kind n path =
+  let ctx = Ctx.create ~seed:13 kind in
+  let t =
+    Table.create ctx "t"
+      ~valid:(Array.init n (fun i -> if i mod 7 = 3 then 0 else 1))
+      [
+        ("g", 10, Array.init n (fun i -> (i * 7919) mod max 1 (n / 4)));
+        ("h", 2, Array.init n (fun i -> i land 3));
+        ("x", 16, Array.init n (fun i -> (i * 104729) land 0xffff));
+      ]
+  in
+  let keys = [ "g"; "h" ] in
+  let aggs =
+    [
+      { Dataflow.src = "x"; dst = "s"; fn = Dataflow.Sum };
+      { Dataflow.src = "x"; dst = "c"; fn = Dataflow.Count };
+      { Dataflow.src = "x"; dst = "a"; fn = Dataflow.Avg };
+    ]
+  in
+  let chosen = Dataflow.agg_path t ~keys ~aggs in
+  let before = Comm.snapshot ctx.Ctx.comm in
+  let out = Dataflow.aggregate_by path t ~keys ~aggs in
+  let tally = Comm.since ctx.Ctx.comm before in
+  (Table.valid_rows_sorted out [ "g"; "h"; "s"; "c"; "a" ], tally, chosen)
+
+(* The chooser's pick against both paths measured, over the closed
+   forms' test grid: the picked path is never costlier in modeled network
+   seconds under the costing profile, and both paths open the same
+   rows. *)
+let aggregation () =
+  let secs t = Netsim.network_time (Joincost.profile ()) t in
+  let cells =
+    List.concat_map
+      (fun kind ->
+        List.map
+          (fun n ->
+            let rn, tn, chosen = agg_run kind n Dataflow.Network in
+            let rc, tc, _ = agg_run kind n Dataflow.Compaction in
+            let picked, other = if chosen = Dataflow.Network then (tn, tc) else (tc, tn) in
+            ( sprintf "%s n=%d %s (%d vs %d rounds)" (Ctx.kind_label kind) n
+                (if chosen = Dataflow.Network then "network" else "compaction")
+                picked.Comm.t_rounds other.Comm.t_rounds,
+              rn = rc,
+              secs picked <= secs other *. 1.0001 ))
+          [ 2; 5; 17; 64; 300; 3000 ])
+      Ctx.all_kinds
+  in
+  let bad f = List.filter_map (fun (c, same, won) -> if f (same, won) then None else Some c) cells in
+  let differ = bad fst and lost = bad snd in
+  [
+    ( "aggregation paths agree",
+      differ = [],
+      sprintf "network and compaction open the same rows on %d/%d cells%s"
+        (List.length cells - List.length differ)
+        (List.length cells)
+        (String.concat "" (List.map (fun c -> "; differ: " ^ c) differ)) );
+    ( "aggregation choice never loses",
+      lost = [],
+      sprintf "the picked path is the cheaper on %d/%d cells (%s)%s"
+        (List.length cells - List.length lost)
+        (List.length cells)
+        (String.concat ", " (List.map (fun (c, _, _) -> c) cells))
+        (String.concat "" (List.map (fun c -> "; loses: " ^ c) lost)) );
   ]
 
 (* ---------------- scale ---------------- *)
@@ -343,5 +419,11 @@ let () =
           Printf.printf "%s %s: %s\n%!" (if pass then "PASS" else "FAIL") name
             detail)
         results)
-    [ ("bitpack", bitpack); ("join", join); ("scale", scale); ("service", service) ];
+    [
+      ("bitpack", bitpack);
+      ("join", join);
+      ("aggregation", aggregation);
+      ("scale", scale);
+      ("service", service);
+    ];
   if !failed > 0 then exit 1

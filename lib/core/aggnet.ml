@@ -16,7 +16,13 @@
     engine the paper describes (the padding is what produces the Q12
     scaling outlier in Figure 8); padded rows carry key 0 with validity 0
     and can never merge with a valid group because the validity bit is part
-    of every aggregation key. *)
+    of every aggregation key.
+
+    For invertible aggregates the module also carries the second path,
+    {!compact}: each group total as the difference of two prefix sums at
+    consecutive group ends, brought together by one stable one-bit
+    compaction (genBitPerm and Protocol 5) in a constant number of
+    rounds instead of ceil(log2 n) levels. *)
 
 open Orq_proto
 module Compare = Orq_circuits.Compare
@@ -312,3 +318,85 @@ let distinct_bits ctx ~keys = adjacent_marks ctx ~first:true ~keys
 (** Mark the last row of each group (the row holding the group aggregate
     after {!run}). *)
 let last_of_group_bits ctx ~keys = adjacent_marks ctx ~first:false ~keys
+
+(* ------------------------------------------------------------------ *)
+(* Group totals by prefix sums and a one-bit compaction                 *)
+(* ------------------------------------------------------------------ *)
+
+type total =
+  | Prefix of Share.shared * int
+  | Rows
+
+(** [compact ctx ~last totals cols] delivers every group's total over a
+    table sorted on its grouping key, whose group-end marks are [last],
+    in a constant number of rounds. A group's total is the difference of
+    two prefix sums taken at consecutive group ends, and those ends are
+    brought together by one stable compaction on the bit [last]:
+
+    - [last] converts once (one daBit per row) to the arithmetic bit [a];
+    - in one fused round, [a] ranks the rows (genBitPerm on one bit:
+      non-ends first, then the ends in table order) and multiplies each
+      [Prefix] column's local prefix sums, Q = a·P, at the result width;
+      a [Rows] total's prefix is the public i + 1, so its Q is local;
+    - one Protocol-5 application moves [cols], [last] (one bit) and the
+      Q lanes (arithmetic, at ℓ bits) to their ranks;
+    - each total is Q_i − Q_(i−1), local: a non-end row holds Q = 0 and
+      all of them come first.
+
+    Returns the totals in the order of [totals], the moved [last] and the
+    moved [cols]. A non-end row's total is zero. What the compaction opens
+    is Protocol 5's destination vector under a fresh random sharded
+    permutation: uniform, whatever [last] holds. *)
+let compact (ctx : Ctx.t) ~(last : Share.flags) (totals : total list)
+    (cols : (Share.chunked * int) list) :
+    Share.shared list * Share.flags * Share.chunked list =
+  Ctx.with_label ctx "aggnet" @@ fun () ->
+  let n = Share.flags_length last in
+  let a = Convert.bit_b2a ctx last in
+  let secret =
+    Array.of_list
+      (List.filter_map (function Prefix (c, w) -> Some (c, w) | Rows -> None) totals)
+  in
+  let rho = ref None and prods = ref [||] in
+  ignore
+    (Mpc.fuse_rounds ctx
+       [|
+         (fun () -> rho := Some (Orq_sort.Genbitperm.gen_digit_of ctx [| a |]));
+         (fun () ->
+           prods :=
+             Mpc.mul_many ~widths:(Array.map snd secret) ctx
+               (Array.map (fun _ -> a) secret)
+               (Array.map (fun (c, _) -> Mpc.prefix_sum c) secret));
+       |]);
+  let j = ref 0 in
+  let qs =
+    List.map
+      (function
+        | Prefix _ ->
+            incr j;
+            !prods.(!j - 1)
+        | Rows -> Mpc.mul_pub_vec a (Array.init n (fun i -> i + 1)))
+      totals
+  in
+  let moved =
+    Orq_shuffle.Permops.apply_elementwise_table ctx
+      (cols
+      @ [ (Share.wrap (Share.unpack_flags last), 1) ]
+      @ List.map (fun q -> (Share.wrap q, ctx.ell)) qs)
+      (Option.get !rho)
+  in
+  let k = List.length cols in
+  let moved_cols = List.filteri (fun i _ -> i < k) moved in
+  let rest = List.filteri (fun i _ -> i >= k) moved in
+  let last' = Share.pack_flags (Share.unpark (List.hd rest)) in
+  let diffs =
+    List.map
+      (fun q ->
+        let q = Share.unpark q in
+        if n = 0 then q
+        else
+          Mpc.sub q
+            (Share.append (Share.public ctx Share.Arith 1 0) (Share.sub_range q 0 (n - 1))))
+      (List.tl rest)
+  in
+  (diffs, last', moved_cols)

@@ -7,7 +7,13 @@
     internally to a power of two with invalid rows (the padding behind the
     paper's Q12 scaling outlier); the validity bit must be part of every
     aggregation key. Group marks come back as packed flags
-    ({!Share.flags}). *)
+    ({!Share.flags}).
+
+    For invertible aggregates (SUM, COUNT, AVG) {!compact} is the second
+    path: group totals by prefix sums and one stable one-bit compaction
+    of the group ends, in a constant number of rounds. [Dataflow]
+    chooses between the two by price; MIN/MAX and the join's Copy
+    propagation run the network only. *)
 
 open Orq_proto
 
@@ -66,3 +72,34 @@ val distinct_bits :
 val last_of_group_bits :
   Ctx.t -> keys:(Share.shared * int) list -> Share.flags
 (** Mark each group's last row with its own equality ladder. *)
+
+(** {2 Group totals by compaction}
+
+    The second physical path for invertible aggregates (SUM, COUNT and
+    the two halves of AVG): a group's total is the difference of two
+    prefix sums at consecutive group ends, which one stable one-bit
+    compaction brings together in a constant number of rounds instead of
+    the network's ⌈log₂ n⌉ levels. Its price is
+    {!Orq_proto.Primcost.aggcompact}; the network's is
+    {!Orq_proto.Primcost.aggnet}. *)
+
+type total =
+  | Prefix of Share.shared * int
+      (** an arithmetic column summed per group; its products are charged
+          at the given result width *)
+  | Rows  (** the group's row count (local: its prefix is public) *)
+
+val compact :
+  Ctx.t -> last:Share.flags -> total list -> (Share.chunked * int) list ->
+  Share.shared list * Share.flags * Share.chunked list
+(** [compact ctx ~last totals cols] over a table sorted on its grouping
+    key whose group-end marks are [last] ({!last_of_group_bits}): one
+    daBit per row converts [last]; one fused round ranks the rows on it
+    (non-ends first, then the ends in order) and forms Q = last·P for
+    each [Prefix] column's prefix sums P; one Protocol-5 application
+    moves [cols] (each at its width), [last] and the Q lanes (at ℓ) to
+    their ranks. Returns the totals (Q_i − Q_(i−1), local) in the order
+    of [totals] — a group's total sits in its end row, a non-end row
+    holds zero — the moved [last] and the moved [cols]. Labelled
+    ["aggnet"]. The only opening is Protocol 5's shuffled destination
+    vector, uniform whatever [last] holds. *)

@@ -148,55 +148,83 @@ let sum_facts (t : Table.t) ~whole (aggs : agg list) : Table.fact list =
           Some (Table.Sum_of { col = a.dst; src; over = t.Table.valid; whole }))
       sums
 
-(* Build the Aggnet specs for one aggregation over groups of at most
-   [rows] rows whose sources [find] looks up in the sorted input; Avg
-   expands to a sum/count pair plus a post-division. [count] is the 0/1
-   arithmetic column COUNT sums, and [seg] the key set that guards the
-   comparison-style functions (Sum-style ones always use the group key:
-   a row outside the aggregated segment must hold zero). Each entry is
-   (spec, finisher tag, result domain, destination name); the spec runs
-   at the domain's width. The finisher is a tag rather than a closure so
-   [finish] can run all [`A2b] finishes through one fused conversion. *)
-let expand_agg (ctx : Ctx.t) ~rows ~(find : string -> Column.t)
-    ~(count : unit -> Share.shared) ~(seg : Aggnet.keyset) (a : agg) :
-    (Aggnet.spec * [ `A2b | `Id ] * Dom.t * string) list =
-  let sum_spec col d =
-    { Aggnet.col; func = Aggnet.Sum; keys = Aggnet.Group; width = Dom.width d }
-  in
-  let bool_spec func d =
-    { Aggnet.col = Column.data (find a.src); func; keys = seg; width = Dom.width d }
-  in
+(* What an aggregation reads from its group: a total of the rows (COUNT),
+   a total of a source (SUM, AVG's sum), or its running minimum or
+   maximum. Aggregations reading the same one share it. *)
+type lane = L_count | L_sum of string | L_min of string | L_max of string
+
+(* Totals (arithmetic, converted back in [finish]) rather than running
+   comparisons. *)
+let summed = function L_count | L_sum _ -> true | L_min _ | L_max _ -> false
+
+(* One result an aggregation over groups of at most [rows] rows needs:
+   the lane it reads, the result's domain and its destination. AVG has
+   two, a hidden sum and count that [finish] divides. *)
+type part = { p_lane : lane; p_dom : Dom.t; p_dst : string }
+
+let agg_parts ~rows ~(find : string -> Column.t) (a : agg) : part list =
+  let part p_lane p_dom p_dst = { p_lane; p_dom; p_dst } in
   let count_dom = agg_dom ~rows Dom.zero { a with fn = Count } in
   match a.fn with
-  | Count -> [ (sum_spec (count ()) count_dom, `A2b, count_dom, a.dst) ]
+  | Count -> [ part L_count count_dom a.dst ]
   | Sum | Min | Max | Avg -> (
       let src = find a.src in
       let d = agg_dom ~rows src.Column.dom a in
-      let w = Dom.width d in
       match a.fn with
-      | Sum -> [ (sum_spec (Column.as_arith ctx src) d, `A2b, d, a.dst) ]
+      | Sum -> [ part (L_sum a.src) d a.dst ]
       (* unsigned comparisons: signed min/max would need the sign-flip map *)
-      | Min -> [ (bool_spec (Aggnet.Min w) d, `Id, d, a.dst) ]
-      | Max -> [ (bool_spec (Aggnet.Max w) d, `Id, d, a.dst) ]
+      | Min -> [ part (L_min a.src) d a.dst ]
+      | Max -> [ part (L_max a.src) d a.dst ]
       | Count | Avg ->
-          (* hidden sum and count columns; the (unsigned) division
-             happens in [finish] once both results exist *)
-          let ds = avg_sum_dom ~rows src.Column.dom in
           [
-            (sum_spec (Column.as_arith ctx src) ds, `A2b, ds, a.dst ^ "#sum");
-            (sum_spec (count ()) count_dom, `A2b, count_dom, a.dst ^ "#count");
+            part (L_sum a.src) (avg_sum_dom ~rows src.Column.dom) (a.dst ^ "#sum");
+            part L_count count_dom (a.dst ^ "#count");
           ])
 
-let spec_of (sp, _, _, _) = sp
+(* The distinct lanes of [parts], in first use, each at the widest width
+   a part reads it at. *)
+let lanes_of (parts : part list) : (lane * int) list =
+  List.fold_left
+    (fun acc p ->
+      let w = Dom.width p.p_dom in
+      match List.assoc_opt p.p_lane acc with
+      | Some w' when w' >= w -> acc
+      | Some _ -> List.map (fun (l, w') -> (l, if l = p.p_lane then w else w')) acc
+      | None -> acc @ [ (p.p_lane, w) ])
+    [] parts
 
-(* The finishers shared by [aggregate] and [group_join], over the table
-   [t] that carries the network's rows: every sum/count result converts
-   through one fused A2B, run fused with the conjunction of [t]'s validity
-   and the last-of-group mark [last]; then AVG's divisions, each quotient
-   bounded by the width of its source ([src] looks sources up). *)
-let finish (t : Table.t) (aggs : agg list) expanded results
-    ~(last : Share.flags) ~(src : string -> Column.t) : Table.t =
+(* The parts and lanes of [aggs] over groups of at most [rows] rows. *)
+let plan_aggs ~rows ~find aggs =
+  let parts = List.concat_map (agg_parts ~rows ~find) aggs in
+  (parts, lanes_of parts)
+
+(* The network spec of a lane whose sources [find] looks up in the sorted
+   input. [count] is the 0/1 arithmetic column COUNT sums, and [seg] the
+   key set that guards the comparison-style functions (Sum-style ones
+   always use the group key: a row outside the aggregated segment must
+   hold zero). *)
+let lane_spec (ctx : Ctx.t) ~(find : string -> Column.t)
+    ~(count : unit -> Share.shared) ~(seg : Aggnet.keyset) (lane, width) :
+    Aggnet.spec =
+  let spec col func keys = { Aggnet.col; func; keys; width } in
+  match lane with
+  | L_count -> spec (count ()) Aggnet.Sum Aggnet.Group
+  | L_sum s -> spec (Column.as_arith ctx (find s)) Aggnet.Sum Aggnet.Group
+  | L_min s -> spec (Column.data (find s)) (Aggnet.Min width) seg
+  | L_max s -> spec (Column.data (find s)) (Aggnet.Max width) seg
+
+(* The finishers shared by [aggregate]'s two paths and [group_join], over
+   the table [t] that carries one row per group: each part reads its
+   lane's result in [results]; every total converts through one fused
+   A2B, run fused with the conjunction of [t]'s validity and
+   the group-end mark [last]; then AVG's divisions, each quotient bounded
+   by the width of its source ([src] looks sources up). Returns [t]'s
+   columns, then the results in the order of [aggs]. *)
+let finish (t : Table.t) (aggs : agg list) (parts : part list)
+    (results : (lane * Share.shared) list) ~(last : Share.flags)
+    ~(src : string -> Column.t) : Table.t =
   let ctx = Table.ctx t in
+  let result p = List.assoc p.p_lane results in
   let conv = ref [||] and marked = ref t in
   ignore
     (Mpc.fuse_rounds ctx
@@ -205,65 +233,113 @@ let finish (t : Table.t) (aggs : agg list) expanded results
            conv :=
              Orq_circuits.Convert.a2b_many ctx
                (Array.of_list
-                  (List.concat
-                     (List.map2
-                        (fun (_, fin, d, _) r ->
-                          match fin with `A2b -> [ (r, Dom.width d) ] | `Id -> [])
-                        expanded results))));
+                  (List.filter_map
+                     (fun p ->
+                       if summed p.p_lane then Some (result p, Dom.width p.p_dom) else None)
+                     parts)));
          (fun () -> marked := Table.and_valid t last);
        |]);
   let ci = ref 0 in
   let finished =
-    List.map2
-      (fun (_, fin, dom, dst) r ->
+    List.map
+      (fun p ->
         let v =
-          match fin with
-          | `A2b ->
-              let c = !conv.(!ci) in
-              incr ci;
-              c
-          | `Id -> r
+          if summed p.p_lane then begin
+            incr ci;
+            !conv.(!ci - 1)
+          end
+          else result p
         in
-        (dst, Column.of_shared ~dom v))
-      expanded results
+        (p.p_dst, Column.of_shared ~dom:p.p_dom v))
+      parts
   in
+  let cols = Table.col_names t @ List.map (fun a -> a.dst) aggs in
   let t =
     List.fold_left (fun t (dst, c) -> Table.set_col t dst c) !marked finished
   in
-  (* resolve AVG divisions *)
-  List.fold_left
-    (fun t a ->
-      match a.fn with
-      | Avg ->
-          let s = Table.find t (a.dst ^ "#sum") in
-          let c = Table.find t (a.dst ^ "#count") in
-          (* the quotient of the hidden sum: within an unsigned source's
-             domain, a signed one's read at the sum's width *)
-          let sd = (src a.src).Column.dom in
-          let dom = if Dom.signed sd then Dom.of_width s.Column.width else sd in
-          let q =
-            Orq_circuits.Divide.udiv ctx ~qw:(Dom.width dom) ~w:s.Column.width
-              ~wd:c.Column.width (Column.data s) (Column.as_bool ctx c)
-          in
-          Table.drop_cols
-            (Table.set_col t a.dst (Column.of_shared ~dom q))
-            [ a.dst ^ "#sum"; a.dst ^ "#count" ]
-      | Sum | Count | Min | Max -> t)
-    t aggs
+  (* resolve AVG divisions; the projection drops their hidden parts *)
+  let t =
+    List.fold_left
+      (fun t a ->
+        match a.fn with
+        | Avg ->
+            let s = Table.find t (a.dst ^ "#sum") in
+            let c = Table.find t (a.dst ^ "#count") in
+            (* the quotient of the hidden sum: within an unsigned source's
+               domain, a signed one's read at the sum's width *)
+            let sd = (src a.src).Column.dom in
+            let dom = if Dom.signed sd then Dom.of_width s.Column.width else sd in
+            let q =
+              Orq_circuits.Divide.udiv ctx ~qw:(Dom.width dom) ~w:s.Column.width
+                ~wd:c.Column.width (Column.data s) (Column.as_bool ctx c)
+            in
+            Table.set_col t a.dst (Column.of_shared ~dom q)
+        | Sum | Count | Min | Max -> t)
+      t aggs
+  in
+  Table.project t cols
 
-(** GROUP BY [keys] evaluating the aggregations [aggs] (the paper's
-    [.aggregate()]): sorts on the keys, runs the aggregation network, and
-    keeps one valid row per group (the one holding the group total, marked
-    by the network's own pre-pass). AVG is computed with the fully private
-    non-restoring division circuit, its quotient bounded by an unsigned
-    source's width (the result takes that width). Two SUMs whose sources
-    are ordered row by row ([Table.Le]) keep that order, and each SUM of
-    an unsigned source records what it sums ([Table.Sum_of]). *)
-let aggregate (t : Table.t) ~(keys : string list) ~(aggs : agg list) : Table.t =
+type agg_path = Network | Compaction
+
+let invertible lanes = List.for_all (fun (l, _) -> summed l) lanes
+
+(* [cols] without repeats, in first use. *)
+let uniq cols = List.fold_left (fun acc c -> if List.mem c acc then acc else acc @ [ c ]) [] cols
+
+(* The widths of validity and then of [cols]: what the group-end ladders
+   compare for the keys, and what the compaction moves for the output
+   columns. *)
+let widths_of t cols = 1 :: List.map (Table.width t) cols
+
+(** The path {!aggregate} takes, priced from public shape only: the
+    closed forms {!Primcost.aggnet} and {!Primcost.aggcompact} compared
+    as modeled network time under the profile joins are priced under
+    ({!Joincost.profile}), then by rounds and bits; a tie keeps the
+    network. Only an aggregation list of SUMs, COUNTs and AVGs can take
+    the compaction. *)
+let agg_path ?(carry = []) (t : Table.t) ~(keys : string list)
+    ~(aggs : agg list) : agg_path =
+  let ctx = Table.ctx t and n = Table.nrows t in
+  let _, lanes = plan_aggs ~rows:n ~find:(Table.find t) aggs in
+  if aggs = [] || not (invertible lanes) then Network
+  else begin
+    let kind = ctx.Ctx.kind and keys_w = widths_of t keys in
+    let sums = List.filter_map (function L_sum _, w -> Some w | _ -> None) lanes in
+    let net = Primcost.aggnet kind ~n ~keys:keys_w ~sums:(List.map snd lanes) in
+    let cmp =
+      Primcost.aggcompact kind ~ell:ctx.Ctx.ell ~n ~keys:keys_w ~sums
+        ~local:(List.length lanes - List.length sums)
+        ~moved:(List.fold_left ( + ) 0 (widths_of t (uniq (keys @ carry))))
+    in
+    let rank (c : Orq_net.Comm.tally) =
+      (Orq_net.Netsim.network_time (Joincost.profile ()) c, c.t_rounds, c.t_bits)
+    in
+    if compare (rank cmp) (rank net) < 0 then Compaction else Network
+  end
+
+(** GROUP BY [keys] on a given path: sort on (validity, keys), then the
+    aggregation network over every lane, or the group totals by
+    compaction ({!Aggnet.compact}), then one valid row per group holding
+    [keys], [carry] and the results. *)
+let aggregate_by (path : agg_path) ?(carry = []) (t : Table.t)
+    ~(keys : string list) ~(aggs : agg list) : Table.t =
   let ctx = Table.ctx t in
   Ctx.with_label ctx "aggregate" @@ fun () ->
-  check_aggs ~rows:(Table.nrows t) t aggs;
+  let rows = Table.nrows t in
+  check_aggs ~rows t aggs;
   let facts = sum_facts t ~whole:false aggs in
+  let src = Table.find t in
+  let parts, lanes = plan_aggs ~rows ~find:src aggs in
+  if path = Compaction && not (invertible lanes) then
+    invalid_arg "Dataflow.aggregate_by: compaction takes SUM, COUNT and AVG only";
+  let out = uniq (keys @ carry) in
+  let srcs =
+    List.filter_map
+      (function L_count, _ -> None | (L_sum s | L_min s | L_max s), _ -> Some s)
+      lanes
+  in
+  (* the sort moves only what the aggregation reads or returns *)
+  let t = Table.project t (uniq (out @ srcs)) in
   let t =
     Tablesort.sort
       ~valid:Tablesort.Asc
@@ -274,29 +350,72 @@ let aggregate (t : Table.t) ~(keys : string list) ~(aggs : agg list) : Table.t =
     (t.Table.valid, 1)
     :: List.map (fun k -> (Table.column t k, Table.width t k)) keys
   in
-  let rows = Table.nrows t in
-  (* the sources' conversions and the network's pre-pass are
-     data-independent: fused round tracks *)
-  let expanded = ref [] and pre = ref None in
-  ignore
-    (Mpc.fuse_rounds ctx
-       [|
-         (fun () ->
-           expanded :=
-             List.concat_map
-               (expand_agg ctx ~rows ~find:(Table.find t)
-                  ~count:(fun () -> Share.public ctx Share.Arith rows 1)
-                  ~seg:Aggnet.Group)
-               aggs);
-         (fun () -> pre := Some (Aggnet.boundaries ctx ~keys:key_shares ()));
-       |]);
-  let b = Option.get !pre in
-  let results = Aggnet.propagate ctx b (List.map spec_of !expanded) in
-  let out =
-    finish t aggs !expanded results ~last:(Aggnet.last_of_group ctx b)
-      ~src:(Table.find t)
+  let specs () =
+    List.map
+      (lane_spec ctx ~find:(Table.find t)
+         ~count:(fun () -> Share.public ctx Share.Arith rows 1)
+         ~seg:Aggnet.Group)
+      lanes
   in
-  parked (Table.add_facts out facts)
+  (* the sources' conversions and the group-boundary ladders are
+     data-independent: fused round tracks *)
+  let fused f =
+    let sp = ref [] and pre = ref None in
+    ignore
+      (Mpc.fuse_rounds ctx
+         [| (fun () -> sp := specs ()); (fun () -> pre := Some (f ())) |]);
+    (!sp, Option.get !pre)
+  in
+  let kept = Table.project t out in
+  let results = List.combine (List.map fst lanes) in
+  let grouped =
+    match path with
+    | Network ->
+        let specs, b = fused (fun () -> Aggnet.boundaries ctx ~keys:key_shares ()) in
+        finish kept aggs parts
+          (results (Aggnet.propagate ctx b specs))
+          ~last:(Aggnet.last_of_group ctx b) ~src
+    | Compaction ->
+        let specs, last =
+          fused (fun () ->
+              Ctx.with_label ctx "aggnet" @@ fun () ->
+              Aggnet.last_of_group_bits ctx ~keys:key_shares)
+        in
+        let totals, last, moved =
+          Aggnet.compact ctx ~last
+            (List.map2
+               (fun (lane, _) (sp : Aggnet.spec) ->
+                 if lane = L_count then Aggnet.Rows else Aggnet.Prefix (sp.col, sp.width))
+               lanes specs)
+            ((Share.wrap kept.Table.valid, 1)
+            :: List.map (fun (_, c) -> (Column.chunked c, c.Column.width)) kept.Table.cols)
+        in
+        let valid, moved = (List.hd moved, List.tl moved) in
+        let kept =
+          {
+            kept with
+            Table.valid = Share.unpark valid;
+            cols = List.map2 (fun (n, c) d -> (n, Column.with_chunked c d)) kept.Table.cols moved;
+          }
+        in
+        finish kept aggs parts (results totals) ~last ~src
+  in
+  parked (Table.add_facts grouped facts)
+
+(** GROUP BY [keys] evaluating the aggregations [aggs] (the paper's
+    [.aggregate()]): sorts on the keys, then either runs the aggregation
+    network or, for SUM/COUNT/AVG where it is cheaper ({!agg_path}),
+    delivers the group totals by prefix sums and a one-bit compaction;
+    keeps one valid row per group, holding the keys, the [carry] columns
+    (each read from the group's last row) and the results. AVG is
+    computed with the fully private non-restoring division circuit, its
+    quotient bounded by an unsigned source's width (the result takes that
+    width). Two SUMs whose sources are ordered row by row ([Table.Le])
+    keep that order, and each SUM of an unsigned source records what it
+    sums ([Table.Sum_of]). *)
+let aggregate ?carry (t : Table.t) ~(keys : string list) ~(aggs : agg list) :
+    Table.t =
+  aggregate_by (agg_path ?carry t ~keys ~aggs) ?carry t ~keys ~aggs
 
 (* ------------------------------------------------------------------ *)
 (* Global (whole-table) aggregation                                    *)
@@ -610,25 +729,25 @@ let group_join ?(outer = false) (left : Table.t) (right : Table.t)
   let left = Table.project left (on @ copy) in
   let right = Table.project right (on @ srcs) in
   let grouped variant =
-    let expanded = ref [] in
+    let parts, lanes =
+      plan_aggs ~rows:(Table.nrows right) ~find:(Table.find right) aggs
+    in
     let g =
       Joinagg.join_grouped ctx variant ~copy ~left ~right ~on
         ~aggs:(fun ~find ~tid ->
           let count =
             lazy (Orq_circuits.Convert.bit_b2a ctx (Share.pack_flags tid))
           in
-          expanded :=
-            List.concat_map
-              (expand_agg ctx ~rows:(Table.nrows right) ~find
-                 ~count:(fun () -> Lazy.force count)
-                 ~seg:Aggnet.Group_and_tid)
-              aggs;
-          List.map spec_of !expanded)
+          List.map
+            (lane_spec ctx ~find ~count:(fun () -> Lazy.force count)
+               ~seg:Aggnet.Group_and_tid)
+            lanes)
         ()
     in
     let t =
-      finish g.Joinagg.g_table aggs !expanded g.g_results ~last:g.g_last
-        ~src:(Table.find right)
+      finish g.Joinagg.g_table aggs parts
+        (List.combine (List.map fst lanes) g.g_results)
+        ~last:g.g_last ~src:(Table.find right)
     in
     (* an unmatched left row's group reads zero *)
     let t =
@@ -657,7 +776,11 @@ let group_join ?(outer = false) (left : Table.t) (right : Table.t)
     in
     match Joincost.choose_logged ctx ~node shape with
     | Joincost.Linear ->
-        let t = aggregate (Linjoin.join ctx `Inner ~copy ~left ~right ~on ()) ~keys ~aggs in
+        (* the copied columns depend on the join key: group on it alone
+           and carry them *)
+        let t =
+          aggregate ~carry:copy (Linjoin.join ctx `Inner ~copy ~left ~right ~on ()) ~keys:on ~aggs
+        in
         Table.project t (keys @ List.map (fun a -> a.dst) aggs)
     | Joincost.Sort -> parked (grouped Joinagg.V_inner)
   end

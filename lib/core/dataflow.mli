@@ -49,16 +49,45 @@ val agg_dom : rows:int -> Dom.t -> agg -> Dom.t
     @raise Dom.Refused if the bound, or an AVG's hidden sum, exceeds the
     ring. *)
 
-val aggregate : Table.t -> keys:string list -> aggs:agg list -> Table.t
-(** GROUP BY (the paper's [.aggregate()]): sort on the keys, run the
-    aggregation network, keep one valid row per group. AVG divides with
-    its quotient bounded by the width of an unsigned source (a signed one
-    keeps the sum width), and the result takes that width. Facts
-    ({!Table.fact}): two SUMs in the call whose sources hold [Le (a, b)]
-    give [Le] on their results, and a SUM of an unsigned source records
-    [Sum_of] a part of the input's valid rows. Each result takes the
-    domain {!agg_dom} gives it over the input's rows.
+val aggregate :
+  ?carry:string list -> Table.t -> keys:string list -> aggs:agg list -> Table.t
+(** GROUP BY (the paper's [.aggregate()]): sort on (validity, keys), then
+    one of two physical paths ({!agg_path}), and keep one valid row per
+    group. Its columns are the keys, the [carry] columns (read from the
+    group's last row, so each should depend on the keys) and the results
+    in the order of [aggs], on either path; every other input column is
+    dropped before the sort.
+    AVG divides with its quotient bounded by the width of an unsigned
+    source (a signed one keeps the sum width), and the result takes that
+    width. Facts ({!Table.fact}): two SUMs in the call whose sources hold
+    [Le (a, b)] give [Le] on their results, and a SUM of an unsigned
+    source records [Sum_of] a part of the input's valid rows. Each result
+    takes the domain {!agg_dom} gives it over the input's rows.
     @raise Dom.Refused before the sort if a bound exceeds the ring. *)
+
+type agg_path =
+  | Network
+      (** the aggregation network (§3.1, Protocol 1): ⌈log₂ n⌉
+          multiplication levels; any aggregation *)
+  | Compaction
+      (** SUM, COUNT and AVG only: local prefix sums, then one stable
+          one-bit compaction of the group ends ({!Aggnet.compact}) in a
+          constant number of rounds *)
+
+val agg_path :
+  ?carry:string list -> Table.t -> keys:string list -> aggs:agg list -> agg_path
+(** The path {!aggregate} takes: [Network] unless every aggregation is
+    SUM, COUNT or AVG; otherwise the cheaper of
+    {!Orq_proto.Primcost.aggnet} and {!Orq_proto.Primcost.aggcompact} as
+    modeled network time under {!Joincost.profile}, then fewer rounds,
+    then fewer bits, a tie keeping the network. Public shape only (rows,
+    protocol, widths), so a shape twin chooses alike. *)
+
+val aggregate_by :
+  agg_path -> ?carry:string list -> Table.t -> keys:string list ->
+  aggs:agg list -> Table.t
+(** {!aggregate} on the given path, whatever it costs.
+    @raise Invalid_argument for [Compaction] over a MIN or MAX. *)
 
 (** {2 Whole-table aggregation} *)
 

@@ -113,10 +113,6 @@ let set_col t name (c : Column.t) : t =
     { t with cols = List.map (fun (n, c0) -> (n, if n = name then c else c0)) t.cols }
   else { t with cols = t.cols @ [ (name, c) ] }
 
-let drop_cols t names =
-  let t = keep_facts t (fun n -> not (List.mem n names)) in
-  { t with cols = List.filter (fun (n, _) -> not (List.mem n names)) t.cols }
-
 (** PROJECT: keep only the named columns (validity is always kept). *)
 let project t names =
   let t = keep_facts t (fun n -> List.mem n names) in

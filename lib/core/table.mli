@@ -12,8 +12,8 @@ type order = Asc | Desc
     shape alone (never from data), so shape twins derive the same ones.
     Secret division reads them to bound its quotient; {!reveal} reads
     [Ordered]. Operators that permute or invalidate rows keep them, except
-    that a re-sort drops [Ordered]; overwriting, dropping, projecting away
-    or renaming a column drops its facts; tables built from fresh columns
+    that a re-sort drops [Ordered]; overwriting, projecting away or
+    renaming a column drops its facts; tables built from fresh columns
     start with none. *)
 type fact =
   | Le of string * string
@@ -69,7 +69,6 @@ val le : t -> string -> string -> bool
 (** [le t a b]: whether [t] holds the fact [Le (a, b)]. *)
 
 val set_col : t -> string -> Column.t -> t
-val drop_cols : t -> string list -> t
 
 val project : t -> string list -> t
 (** PROJECT: keep only the named columns (validity is always kept). *)

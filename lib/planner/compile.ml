@@ -138,10 +138,7 @@ and compile_node st n =
   | Aggregate a -> (
       let aggregate t =
         if a.a_keys = [] then Dataflow.global_aggregate t ~aggs:a.a_aggs
-        else
-          Table.project
-            (Dataflow.aggregate t ~keys:a.a_keys ~aggs:a.a_aggs)
-            (a.a_keys @ List.map (fun (g : Dataflow.agg) -> g.Dataflow.dst) a.a_aggs)
+        else Dataflow.aggregate t ~keys:a.a_keys ~aggs:a.a_aggs
       in
       (* GROUP BY on the key of a one-to-many join aggregates inside the
          join when the operator's applicability rule holds *)

@@ -261,7 +261,19 @@ let kind_label = function
   | Anti -> "AntiJoin"
   | Left_outer -> "OuterJoin"
 
+(* A node: its label and arguments, then its inputs, each on a line of
+   its own indented under the node unless the whole node fits on one. *)
 let rec pp ppf (n : node) =
+  let node head inputs =
+    Fmt.pf ppf "@[<hv 2>%s(%a)@]" head
+      (Fmt.list ~sep:(fun ppf () -> Fmt.pf ppf ",@ ") pp)
+      inputs
+  in
+  let with_args head args inputs =
+    Fmt.pf ppf "@[<hv 2>%s(%s,@ %a)@]" head args
+      (Fmt.list ~sep:(fun ppf () -> Fmt.pf ppf ",@ ") pp)
+      inputs
+  in
   match n with
   | Scan s ->
       Fmt.pf ppf "Scan(%s, %d rows%s)" s.s_table.Table.name
@@ -271,28 +283,25 @@ let rec pp ppf (n : node) =
         | ks ->
             ", keys: "
             ^ String.concat "; " (List.map (String.concat ",") ks))
-  | Filter (_, m) -> Fmt.pf ppf "Filter(@[%a@])" pp m
+  | Filter (_, m) -> node "Filter" [ m ]
   | Project (pairs, m) ->
       let col (c, d) = if c = d then d else c ^ " AS " ^ d in
-      Fmt.pf ppf "Project(%s,@ @[%a@])" (String.concat "," (List.map col pairs)) pp m
-  | Map (dst, _, m) -> Fmt.pf ppf "Map(%s,@ @[%a@])" dst pp m
+      with_args "Project" (String.concat "," (List.map col pairs)) [ m ]
+  | Map (dst, _, m) -> with_args "Map" dst [ m ]
   | Join j ->
-      Fmt.pf ppf "%s(on %s,@ @[%a@],@ @[%a@])" (kind_label j.j_kind)
-        (String.concat "," j.j_on)
-        pp j.j_left pp j.j_right
+      with_args (kind_label j.j_kind) ("on " ^ String.concat "," j.j_on)
+        [ j.j_left; j.j_right ]
   | Aggregate a ->
-      Fmt.pf ppf "Aggregate(by %s,@ @[%a@])"
-        (match a.a_keys with [] -> "()" | ks -> String.concat "," ks)
-        pp a.a_input
-  | Distinct (keys, m) ->
-      Fmt.pf ppf "Distinct(%s,@ @[%a@])" (String.concat "," keys) pp m
+      with_args "Aggregate"
+        ("by " ^ match a.a_keys with [] -> "()" | ks -> String.concat "," ks)
+        [ a.a_input ]
+  | Distinct (keys, m) -> with_args "Distinct" (String.concat "," keys) [ m ]
   | With_scalar w ->
-      Fmt.pf ppf "WithScalar(%s AS %s,@ @[%a@],@ @[%a@])" w.w_src w.w_dst pp
-        w.w_input pp w.w_scalar
+      with_args "WithScalar" (w.w_src ^ " AS " ^ w.w_dst) [ w.w_input; w.w_scalar ]
   | Order_limit (specs, k, m) ->
-      Fmt.pf ppf "OrderLimit(%s%s,@ @[%a@])"
-        (String.concat "," (List.map fst specs))
-        (match k with Some k -> Printf.sprintf " limit %d" k | None -> "")
-        pp m
+      with_args "OrderLimit"
+        (String.concat "," (List.map fst specs)
+        ^ match k with Some k -> Printf.sprintf " limit %d" k | None -> "")
+        [ m ]
 
 let explain n = Fmt.str "%a" pp n

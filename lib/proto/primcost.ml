@@ -198,3 +198,56 @@ let tally_of (evs : Comm.event array) : Comm.tally =
 
 let fuse (a : Comm.tally) (b : Comm.tally) =
   { (Comm.add_tally a b) with Comm.t_rounds = max a.t_rounds b.t_rounds }
+
+(* ------------------------------------------------------------------ *)
+(* The two GROUP BY paths for invertible aggregates                    *)
+(* ------------------------------------------------------------------ *)
+
+(* One fused round of [lanes] (bits, messages) pairs. *)
+let round_of lanes = tally_of (Array.of_list (lanes_ev lanes))
+
+(* Composite-key equality ([Compare.eq_composite_many]) over groups of
+   [ns] row pairs keyed on columns of widths [ws]: every column's ladder
+   in every group in fused rounds, then the lockstep packed AND tree over
+   the columns, one width-1 lane per pair and group. *)
+let eq_composite kind ~ws ~ns =
+  let ladders =
+    List.fold_left
+      (fun acc n ->
+        List.fold_left (fun acc w -> fuse acc (tally_of (eq kind ~w ~n))) acc ws)
+      Comm.zero_tally ns
+  in
+  let rec tree acc m =
+    if m <= 1 then acc
+    else
+      let p = m / 2 in
+      tree
+        (Comm.add_tally acc
+           (round_of (List.concat_map (fun n -> List.init p (fun _ -> mul_lane kind ~w:1 ~n)) ns)))
+        (p + (m mod 2))
+  in
+  tree ladders (List.length ws)
+
+let aggnet kind ~n ~keys ~sums =
+  let n2 = Orq_util.Ring.next_pow2 n in
+  let rec levels d = if d < n2 then (n2 - d) :: levels (2 * d) else [] in
+  let ns = levels 1 in
+  if ns = [] then Comm.zero_tally
+  else
+    List.fold_left Comm.add_tally
+      (eq_composite kind ~ws:keys ~ns)
+      (if sums = [] then []
+       else
+         round_of (List.map (fun n -> open_lane kind ~w:1 ~n) ns)
+         :: List.map (fun n -> round_of (List.map (fun w -> mul_lane kind ~w ~n) sums)) ns)
+
+let aggcompact kind ~ell ~n ~keys ~sums ~local ~moved =
+  let lanes = List.length sums + local in
+  List.fold_left Comm.add_tally
+    (if n <= 1 then Comm.zero_tally else eq_composite kind ~ws:keys ~ns:[ n - 1 ])
+    [
+      tally_of (b2a kind ~w:1 ~n);
+      round_of
+        (List.map (fun w -> mul_lane kind ~w ~n) (Orq_util.Ring.index_bits n :: sums));
+      tally_of (applyperm kind ~w:(moved + 1 + (ell * lanes)) ~n);
+    ]

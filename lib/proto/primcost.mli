@@ -99,3 +99,32 @@ val tally_of : Comm.event array -> Comm.tally
 val fuse : Comm.tally -> Comm.tally -> Comm.tally
 (** Two independent tracks run side by side: their rounds overlap (the
     maximum) while their traffic adds. *)
+
+(** {2 GROUP BY paths}
+
+    The two physical paths of a GROUP BY whose aggregations are all
+    invertible (SUM, COUNT, AVG), from the table already sorted on
+    (validity, keys) to the group totals; what both paths share (the
+    sort, the sources' conversions, the finishing conversions and
+    divisions) is left out. [keys] are the widths of the key columns,
+    validity included; [sums] the result widths of the summed columns;
+    [n] the rows. *)
+
+val aggnet : Ctx.kind -> n:int -> keys:int list -> sums:int list -> Comm.tally
+(** The aggregation network (Protocol 1) over Sum lanes ([Aggnet.run]):
+    the group-boundary ladders of all ⌈log₂ n⌉ doubling levels as one
+    fused batch over the rows padded to a power of two, one fused bit
+    conversion of every level's boundaries, then one multiplication
+    round per level (no conversion and no level without a lane). Zero
+    for one row. *)
+
+val aggcompact :
+  Ctx.kind -> ell:int -> n:int -> keys:int list -> sums:int list -> local:int ->
+  moved:int -> Comm.tally
+(** Group totals by prefix sums and a one-bit compaction: the
+    adjacent-row ladder marking group ends ([Aggnet.last_of_group_bits]),
+    then [Aggnet.compact] with one secret lane per [sums] width and
+    [local] row-count lanes, carrying [moved] bits per row besides the
+    group-end bit and the ℓ-bit lanes: one bit conversion, one fused
+    round of the index-width ranking and the lane products, and one
+    Protocol-5 application. *)

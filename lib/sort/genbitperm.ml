@@ -25,24 +25,24 @@ let broadcast_last (s : Share.shared) =
     (fun vk -> Array.make (Array.length vk) vk.(Array.length vk - 1))
     s
 
-(** [gen_digit ctx flags] returns the arithmetic elementwise stable sorting
-    permutation of the digit whose bits, least significant first, are the
-    packed flag vectors [flags] (one or two of them). The bit conversion
-    consumes the packed lanes directly; everything after it is arithmetic
-    and stays word-based. *)
-let gen_digit (ctx : Ctx.t) (flags : Share.flags array) : Share.shared =
+(** [gen_digit_of ctx bits] is {!gen_digit} from the digit's bits already
+    converted to 0/1 arithmetic sharings ([bits], least significant
+    first): the one-hot product (2-bit digits) and the fused ranking
+    multiplication, so a caller that needs the converted bit elsewhere
+    pays its conversion once. *)
+let gen_digit_of (ctx : Ctx.t) (bits : Share.shared array) : Share.shared =
   (* The ranking multiplications run modulo 2^k, k = index_bits n. The
      formula is a polynomial in the one-hot lanes, and reduction modulo
      2^k is a ring homomorphism, so the result is dest_i mod 2^k — exactly
      dest_i, which lies in [0, n - 1] with n <= 2^k. Intermediate values
      (a difference t_d - t_0 may be negative) need not fit. *)
   let k_bits =
-    match flags with
-    | [| f |] | [| f; _ |] -> Orq_util.Ring.index_bits (Share.flags_length f)
+    match bits with
+    | [| b |] | [| b; _ |] -> Orq_util.Ring.index_bits (Share.length b)
     | _ -> invalid_arg "Genbitperm.gen_digit: digits are 1 or 2 bits"
   in
   let one_hot =
-    match Orq_circuits.Convert.bit_b2a_many ctx flags with
+    match bits with
     | [| a |] -> [| Mpc.add_pub (Mpc.neg a) 1; a |]
     | [| a0; a1 |] ->
         let p = Mpc.mul ~width:k_bits ctx a0 a1 in
@@ -67,3 +67,11 @@ let gen_digit (ctx : Ctx.t) (flags : Share.flags array) : Share.shared =
       (Array.sub one_hot 1 k) diffs
   in
   Mpc.add_pub (Array.fold_left Mpc.add s.(0) prods) (-1)
+
+(** [gen_digit ctx flags] returns the arithmetic elementwise stable sorting
+    permutation of the digit whose bits, least significant first, are the
+    packed flag vectors [flags] (one or two of them). The bit conversion
+    consumes the packed lanes directly; everything after it is arithmetic
+    and stays word-based. *)
+let gen_digit (ctx : Ctx.t) (flags : Share.flags array) : Share.shared =
+  gen_digit_of ctx (Orq_circuits.Convert.bit_b2a_many ctx flags)

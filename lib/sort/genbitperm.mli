@@ -21,3 +21,8 @@ val gen_digit : Ctx.t -> Share.flags array -> Share.shared
 (** [gen_digit ctx flags]: arithmetic elementwise sorting permutation of
     the 1- or 2-bit digit whose bits, least significant first, are the
     packed flag vectors [flags]. With one flag this is genBitPerm. *)
+
+val gen_digit_of : Ctx.t -> Share.shared array -> Share.shared
+(** {!gen_digit} from bits already converted to 0/1 arithmetic sharings,
+    least significant first: the ranking alone, 1 round for a bit and 2
+    for a 2-bit digit. *)

@@ -513,6 +513,96 @@ let test_costmodel_arith_mul () =
           ignore (Mpc.mul ctx x x)))
     Ctx.all_kinds
 
+(* The two GROUP BY paths' closed forms against the meter, on a table of
+   n rows in runs of equal (validity, k1, k2) under every protocol: the
+   aggregation network over two Sum lanes ([Aggnet.run]), and the
+   group-end ladder plus the compaction of a summed lane, a row-count
+   lane and a carried column ([Aggnet.compact]), whose totals must be the
+   runs' sums and sizes, in order. *)
+let agg_path_ns = [ 2; 5; 17; 64; 300; 3000 ]
+
+let test_costmodel_agg_paths () =
+  let module Aggnet = Orq_core.Aggnet in
+  List.iter
+    (fun kind ->
+      List.iter
+        (fun n ->
+          let tag what = Printf.sprintf "%s n=%d [%s]" what n (Ctx.kind_label kind) in
+          let v = Array.init n (fun i -> if i < n / 5 then 0 else 1) in
+          let k1 = Array.init n (fun i -> i / 3) in
+          let k2 = Array.init n (fun i -> i / 2 land 3) in
+          let x = Array.init n (fun i -> (i * 7919) land 0xfff) in
+          let keys_w = [ 1; 10; 2 ] in
+          let measure f =
+            let ctx = Ctx.create ~seed:42 kind in
+            let keys =
+              List.map2 (fun a w -> (Mpc.share_b ctx a, w)) [ v; k1; k2 ] keys_w
+            in
+            let xa = Mpc.share_a ctx x in
+            let before = Comm.snapshot ctx.Ctx.comm in
+            let r = f ctx keys xa in
+            (r, Comm.since ctx.Ctx.comm before)
+          in
+          let tally_t =
+            Alcotest.testable
+              (fun ppf (t : Comm.tally) ->
+                Fmt.pf ppf "%d rounds, %d bits, %d messages" t.Comm.t_rounds t.t_bits t.t_messages)
+              ( = )
+          in
+          let (), net =
+            measure (fun ctx keys xa ->
+                ignore
+                  (Aggnet.run ctx ~keys
+                     [
+                       { Aggnet.col = xa; func = Aggnet.Sum; keys = Aggnet.Group; width = 24 };
+                       {
+                         Aggnet.col = Share.public ctx Share.Arith n 1;
+                         func = Aggnet.Sum;
+                         keys = Aggnet.Group;
+                         width = 12;
+                       };
+                     ]))
+          in
+          Alcotest.check tally_t (tag "aggnet")
+            (Primcost.aggnet kind ~n ~keys:keys_w ~sums:[ 24; 12 ])
+            net;
+          let (totals, last), cmp =
+            measure (fun ctx keys xa ->
+                let last = Aggnet.last_of_group_bits ctx ~keys in
+                let totals, last, _ =
+                  Aggnet.compact ctx ~last
+                    [ Aggnet.Prefix (xa, 24); Aggnet.Rows ]
+                    (List.map (fun (k, w) -> (Share.wrap k, w)) keys
+                    @ [ (Share.wrap (Mpc.share_b ctx (Array.map (fun v -> v land 0x7f) x)), 7) ])
+                in
+                (List.map Share.reconstruct totals, Share.reconstruct_flags last))
+          in
+          let ell = (Ctx.create kind).Ctx.ell in
+          Alcotest.check tally_t (tag "aggcompact")
+            (Primcost.aggcompact kind ~ell ~n ~keys:keys_w ~sums:[ 24 ] ~local:1
+               ~moved:(1 + 10 + 2 + 7))
+            cmp;
+          (* the runs' sums and sizes, in order *)
+          let runs = ref [] in
+          Array.iteri
+            (fun i xi ->
+              match !runs with
+              | (key, s, c) :: rest when key = (v.(i), k1.(i), k2.(i)) ->
+                  runs := (key, s + xi, c + 1) :: rest
+              | _ -> runs := ((v.(i), k1.(i), k2.(i)), xi, 1) :: !runs)
+            x;
+          let ends f =
+            List.filteri (fun i _ -> Orq_util.Bits.get last i = 1) (Array.to_list f)
+          in
+          Alcotest.(check (list int)) (tag "sums")
+            (List.rev_map (fun (_, s, _) -> s) !runs)
+            (ends (List.nth totals 0));
+          Alcotest.(check (list int)) (tag "counts")
+            (List.rev_map (fun (_, _, c) -> c) !runs)
+            (ends (List.nth totals 1)))
+        agg_path_ns)
+    Ctx.all_kinds
+
 (* The fused openings: a sharded-permutation application that opens
    some of its lanes, Protocol 5 (whose index vector opens that way) and
    the lexicographic less-than opened in its last AND round. Predicted =
@@ -822,6 +912,8 @@ let suite =
     Alcotest.test_case "cost model: adders" `Quick test_costmodel_adders;
     Alcotest.test_case "cost model: fused openings" `Quick
       test_costmodel_fused_openings;
+    Alcotest.test_case "cost model: GROUP BY paths" `Quick
+      test_costmodel_agg_paths;
     Alcotest.test_case "certifier: live queries" `Slow test_certify_queries;
     Alcotest.test_case "certifier: whole registry" `Slow test_certify_suite_rows;
     Alcotest.test_case "certifier: rejects shape leak" `Quick

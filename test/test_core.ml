@@ -823,6 +823,189 @@ let qcheck_groupby_vs_plaintext =
       Table.valid_rows_sorted t' [ "G"; "S"; "C" ]
       = Ptable.rows_sorted pg [ "G"; "S"; "C" ])
 
+(* ---------------- GROUP BY: both physical paths ---------------- *)
+
+(* A random GROUP BY table of 1..300 rows: two keys over one group, all
+   singleton groups or a random number of groups, interleaved invalid
+   rows, an unsigned source x and a signed one d = a - b. Returns the
+   plaintext columns and validity. *)
+let gen_groupby prg =
+  let n = 1 + Orq_util.Prg.int_below prg 300 in
+  let gid =
+    match Orq_util.Prg.int_below prg 3 with
+    | 0 -> Array.make n 0
+    | 1 -> Orq_shuffle.Localperm.random prg n
+    | _ ->
+        let g = 1 + Orq_util.Prg.int_below prg n in
+        Array.init n (fun _ -> Orq_util.Prg.int_below prg g)
+  in
+  let cols =
+    [
+      ("k1", 7, Array.map (fun g -> g / 4) gid);
+      ("k2", 2, Array.map (fun g -> g land 3) gid);
+      ("x", 12, Array.init n (fun _ -> Orq_util.Prg.int_below prg 4096));
+      ("a", 8, Array.init n (fun _ -> Orq_util.Prg.int_below prg 256));
+      ("b", 8, Array.init n (fun _ -> Orq_util.Prg.int_below prg 256));
+    ]
+  in
+  let valid = Array.init n (fun _ -> if Orq_util.Prg.int_below prg 4 = 0 then 0 else 1) in
+  (cols, valid)
+
+let groupby_aggs =
+  [
+    { Dataflow.src = "x"; dst = "s"; fn = Dataflow.Sum };
+    { Dataflow.src = "d"; dst = "sd"; fn = Dataflow.Sum };
+    { Dataflow.src = "x"; dst = "c"; fn = Dataflow.Count };
+    { Dataflow.src = "x"; dst = "avg"; fn = Dataflow.Avg };
+  ]
+
+(* [aggregate_by path] against Ptable.group_by under every protocol: the
+   signed sum compared as its two's-complement bit pattern. *)
+let groupby_path_matches path seed =
+  let prg = Orq_util.Prg.create (seed + 909) in
+  let cols, valid = gen_groupby prg in
+  let get c = List.assoc c (List.map (fun (n, _, v) -> (n, v)) cols) in
+  let d = Array.map2 ( - ) (get "a") (get "b") in
+  let live = List.filter (fun i -> valid.(i) = 1) (List.init (Array.length valid) Fun.id) in
+  let p =
+    Ptable.of_cols
+      (List.map
+         (fun (n, v) -> (n, Array.of_list (List.map (fun i -> v.(i)) live)))
+         [ ("k1", get "k1"); ("k2", get "k2"); ("x", get "x"); ("d", d) ])
+  in
+  let pg =
+    Ptable.group_by p ~keys:[ "k1"; "k2" ]
+      ~aggs:
+        [
+          { Ptable.src = "x"; dst = "s"; fn = Ptable.Sum };
+          { Ptable.src = "d"; dst = "sd"; fn = Ptable.Sum };
+          { Ptable.src = "x"; dst = "c"; fn = Ptable.Count };
+          { Ptable.src = "x"; dst = "avg"; fn = Ptable.Avg };
+        ]
+  in
+  List.for_all
+    (fun kind ->
+      let ctx = Ctx.create ~seed kind in
+      let t = Table.create ctx "T" ~valid cols in
+      let t = Dataflow.map t ~dst:"d" Expr.(col "a" -! col "b") in
+      let g = Dataflow.aggregate_by path t ~keys:[ "k1"; "k2" ] ~aggs:groupby_aggs in
+      let m = Orq_util.Ring.mask (Table.width g "sd") in
+      Table.col_names g = [ "k1"; "k2"; "s"; "sd"; "c"; "avg" ]
+      && Table.valid_rows_sorted g [ "k1"; "k2"; "s"; "sd"; "c"; "avg" ]
+         = List.sort compare
+             (List.map
+                (function [ k1; k2; s; sd; c; a ] -> [ k1; k2; s; sd land m; c; a ] | r -> r)
+                (Ptable.rows_sorted pg [ "k1"; "k2"; "s"; "sd"; "c"; "avg" ])))
+    kinds
+
+let qcheck_groupby_network =
+  QCheck.Test.make ~name:"GROUP BY by the network matches plaintext" ~count:8
+    QCheck.(int_bound 10000)
+    (groupby_path_matches Dataflow.Network)
+
+let qcheck_groupby_compaction =
+  QCheck.Test.make ~name:"GROUP BY by compaction matches plaintext" ~count:8
+    QCheck.(int_bound 10000)
+    (groupby_path_matches Dataflow.Compaction)
+
+(* The chooser at the tiny-n crossover: the 5-row region and the 25-row
+   nation keep the network under Mal-HM, whose compaction costs more
+   rounds than their few levels; region keeps it under every protocol,
+   while nation and lineitem compact where that is cheaper. MIN/MAX
+   always take the network. *)
+let test_agg_path_crossover () =
+  let plain = Orq_workloads.Tpch_gen.generate ~seed:99 0.0002 in
+  let path kind table key aggs =
+    let ctx = Ctx.create ~seed:5 kind in
+    let t, _ = Orq_workloads.Tpch_gen.catalog (Orq_workloads.Tpch_gen.share ctx plain) table in
+    Dataflow.agg_path t ~keys:[ key ] ~aggs
+  in
+  let count src = [ { Dataflow.src; dst = "n"; fn = Dataflow.Count } ] in
+  let show = function Dataflow.Network -> "network" | Dataflow.Compaction -> "compaction" in
+  let path_t = Alcotest.testable (Fmt.of_to_string show) ( = ) in
+  List.iter
+    (fun (kind, region, nation, lineitem) ->
+      let tag s = Printf.sprintf "%s [%s]" s (Ctx.kind_label kind) in
+      Alcotest.check path_t (tag "region") region
+        (path kind "region" "r_regionkey" (count "r_regionkey"));
+      Alcotest.check path_t (tag "nation") nation
+        (path kind "nation" "n_regionkey" (count "n_nationkey"));
+      Alcotest.check path_t (tag "lineitem") lineitem
+        (path kind "lineitem" "l_returnflag" (count "l_orderkey"));
+      Alcotest.check path_t (tag "lineitem MIN") Dataflow.Network
+        (path kind "lineitem" "l_returnflag"
+           [ { Dataflow.src = "l_quantity"; dst = "lo"; fn = Dataflow.Min } ]))
+    [
+      (Ctx.Sh_dm, Dataflow.Network, Dataflow.Compaction, Dataflow.Compaction);
+      (Ctx.Sh_hm, Dataflow.Network, Dataflow.Compaction, Dataflow.Compaction);
+      (Ctx.Mal_hm, Dataflow.Network, Dataflow.Network, Dataflow.Compaction);
+    ]
+
+(* Both paths' values and tallies (online and preprocessing) do not move
+   with the domain count or the chunk size: whole vectors on one domain,
+   on three domains with a low split threshold, and parked in 7- and
+   64-row chunks with streaming on. *)
+let test_groupby_paths_invariant () =
+  let module Parallel = Orq_util.Parallel in
+  let module Chunkvec = Orq_util.Chunkvec in
+  let module Comm = Orq_net.Comm in
+  let cols, valid = gen_groupby (Orq_util.Prg.create 17) in
+  let run path =
+    let ctx = Ctx.create ~seed:23 Ctx.Sh_hm in
+    let t = Dataflow.map (Table.create ctx "T" ~valid cols) ~dst:"d" Expr.(col "a" -! col "b") in
+    let on = Comm.snapshot ctx.Ctx.comm and pre = Comm.snapshot ctx.Ctx.preproc in
+    let g = Dataflow.aggregate_by path t ~keys:[ "k1"; "k2" ] ~aggs:groupby_aggs in
+    ( Table.valid_rows_sorted g [ "k1"; "k2"; "s"; "sd"; "c"; "avg" ],
+      Comm.since ctx.Ctx.comm on,
+      Comm.since ctx.Ctx.preproc pre )
+  in
+  let d0 = Parallel.get_num_domains () and mc0 = Parallel.get_min_chunk () in
+  let rows0 = Chunkvec.chunk_rows () and on0 = Chunkvec.streaming_enabled () in
+  let configs =
+    [
+      ("whole, 1 domain", fun () -> ());
+      ( "whole, 3 domains",
+        fun () ->
+          Parallel.set_num_domains 3;
+          Parallel.set_min_chunk 16 );
+      ( "7-row chunks",
+        fun () ->
+          Chunkvec.set_streaming true;
+          Chunkvec.set_chunk_rows 7 );
+      ( "64-row chunks",
+        fun () ->
+          Chunkvec.set_streaming true;
+          Chunkvec.set_chunk_rows 64 );
+    ]
+  in
+  List.iter
+    (fun path ->
+      let runs =
+        List.map
+          (fun (label, set) ->
+            set ();
+            Fun.protect
+              ~finally:(fun () ->
+                Parallel.set_num_domains d0;
+                Parallel.set_min_chunk mc0;
+                Chunkvec.set_chunk_rows rows0;
+                Chunkvec.set_streaming on0)
+              (fun () -> (label, run path)))
+          configs
+      in
+      let _, (rows1, on1, pre1) = List.hd runs in
+      List.iter
+        (fun (label, (rows, on, pre)) ->
+          Alcotest.(check rows_t) (label ^ ": rows") rows1 rows;
+          Alcotest.(check (list int)) (label ^ ": online")
+            [ on1.Comm.t_rounds; on1.t_bits; on1.t_messages ]
+            [ on.Comm.t_rounds; on.t_bits; on.t_messages ];
+          Alcotest.(check (list int)) (label ^ ": preprocessing")
+            [ pre1.Comm.t_rounds; pre1.t_bits; pre1.t_messages ]
+            [ pre.Comm.t_rounds; pre.t_bits; pre.t_messages ])
+        (List.tl runs))
+    [ Dataflow.Network; Dataflow.Compaction ]
+
 (* ---------------- trimming heuristic ---------------- *)
 
 let test_trim_heuristic_values () =
@@ -1052,6 +1235,12 @@ let suite =
     Alcotest.test_case "concat tables" `Quick test_concat_tables;
     QCheck_alcotest.to_alcotest qcheck_join_vs_plaintext;
     QCheck_alcotest.to_alcotest qcheck_groupby_vs_plaintext;
+    QCheck_alcotest.to_alcotest qcheck_groupby_network;
+    QCheck_alcotest.to_alcotest qcheck_groupby_compaction;
+    Alcotest.test_case "GROUP BY path at the tiny-n crossover" `Quick
+      test_agg_path_crossover;
+    Alcotest.test_case "GROUP BY paths: tallies invariant" `Quick
+      test_groupby_paths_invariant;
     Alcotest.test_case "trim heuristic (C.3 table)" `Quick
       test_trim_heuristic_values;
     Alcotest.test_case "signed expressions" `Quick test_signed_expressions;

@@ -395,6 +395,27 @@ let test_explain () =
     (contains s "Filter" && contains s "Scan(customers");
   Alcotest.(check bool) "explain shows keys" true (contains s "keys: cust")
 
+(* Q3's plan as orq_cli prints it at SF 0.0005: each input on a line of
+   its own, indented under its parent, a node that fits kept on one. *)
+let test_explain_q3 () =
+  let module Tpch_gen = Orq_workloads.Tpch_gen in
+  let db = Tpch_gen.share (hm ()) (Tpch_gen.generate 0.0005) in
+  let plan = (List.assoc "Q3" Orq_workloads.Tpch.plans) db in
+  Alcotest.(check string) "Q3 explain"
+    (String.concat "\n"
+       [
+         "OrderLimit(total_revenue,o_orderdate limit 10,";
+         "  Aggregate(by l_orderkey,o_orderdate,o_shippriority,";
+         "    Join(on l_orderkey,";
+         "      Project(o_orderkey AS l_orderkey,o_orderdate,o_shippriority,";
+         "        Join(on o_custkey,";
+         "          Project(c_custkey AS o_custkey,";
+         "            Filter(Scan(customer, 75 rows, keys: c_custkey))),";
+         "          Filter(Scan(orders, 750 rows, keys: o_orderkey)))),";
+         "      Map(revenue, Filter(Scan(lineitem, 3023 rows))))))";
+       ])
+    (Plan.explain plan)
+
 (* ---------------- row-local fusion ---------------- *)
 
 (* A WHERE clause and a computed SELECT column over one scan: the filter
@@ -440,6 +461,7 @@ let suite =
     Alcotest.test_case "Q3-shaped plan = hand-written" `Quick
       test_q3_shaped_plan;
     Alcotest.test_case "explain" `Quick test_explain;
+    Alcotest.test_case "explain indents Q3's inputs" `Quick test_explain_q3;
     Alcotest.test_case "grouped join rule" `Quick test_grouped_join_rule;
     Alcotest.test_case "row-local fusion" `Quick test_row_local_fusion;
   ]
