@@ -65,6 +65,12 @@ let tests =
       (with_ctx Ctx.Sh_hm (fun ctx ->
            let b = Mpc.and_mask (Mpc.share_b ctx (vec ctx)) 1 in
            ignore (Orq_sort.Genbitperm.gen_digit ctx [| Share.pack_flags b |])));
+    Test.make ~name:"gen_digit 3-bit"
+      (with_ctx Ctx.Sh_hm (fun ctx ->
+           let x = Mpc.share_b ctx (vec ctx) in
+           ignore
+             (Orq_sort.Genbitperm.gen_digit ctx
+                (Array.init 3 (fun j -> Mpc.extract_bit_f x j)))));
     Test.make ~name:"radixsort16 n=1024"
       (with_ctx Ctx.Sh_hm (fun ctx ->
            let x =

@@ -52,6 +52,10 @@ let keep : (string * string) list =
       open's events against it");
     ("Primcost.lt", "closed form: test_analysis checks Compare.lt's metered \
       events against it");
+    ("Primcost.rank_digit", "closed form: test_analysis checks \
+      Genbitperm.gen_digit's metered events against it over (kind, L, n); \
+      the radix sort and TableSort tally tests derive their expectations \
+      from it");
     ("Joincost.predict", "closed form: test_linjoin pins its per-shape \
       predictions (choose_logged prices candidates through it)");
     ("Tpch_gen.shapes", "closed form: TPC-H's public row bounds and \

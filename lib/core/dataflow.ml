@@ -217,14 +217,22 @@ let lane_spec (ctx : Ctx.t) ~(find : string -> Column.t)
    the table [t] that carries one row per group: each part reads its
    lane's result in [results]; every total converts through one fused
    A2B, run fused with the conjunction of [t]'s validity and
-   the group-end mark [last]; then AVG's divisions, each quotient bounded
-   by the width of its source ([src] looks sources up). Returns [t]'s
-   columns, then the results in the order of [aggs]. *)
+   the group-end mark [last], converting each distinct (lane, width)
+   total once; then AVG's divisions, each quotient bounded by the width
+   of its source ([src] looks sources up). Returns [t]'s columns, then
+   the results in the order of [aggs]. *)
 let finish (t : Table.t) (aggs : agg list) (parts : part list)
     (results : (lane * Share.shared) list) ~(last : Share.flags)
     ~(src : string -> Column.t) : Table.t =
   let ctx = Table.ctx t in
   let result p = List.assoc p.p_lane results in
+  let totals =
+    List.fold_left
+      (fun acc p ->
+        let tw = (p.p_lane, Dom.width p.p_dom) in
+        if summed p.p_lane && not (List.mem tw acc) then acc @ [ tw ] else acc)
+      [] parts
+  in
   let conv = ref [||] and marked = ref t in
   ignore
     (Mpc.fuse_rounds ctx
@@ -233,21 +241,15 @@ let finish (t : Table.t) (aggs : agg list) (parts : part list)
            conv :=
              Orq_circuits.Convert.a2b_many ctx
                (Array.of_list
-                  (List.filter_map
-                     (fun p ->
-                       if summed p.p_lane then Some (result p, Dom.width p.p_dom) else None)
-                     parts)));
+                  (List.map (fun (l, w) -> (List.assoc l results, w)) totals)));
          (fun () -> marked := Table.and_valid t last);
        |]);
-  let ci = ref 0 in
+  let converted = List.combine totals (Array.to_list !conv) in
   let finished =
     List.map
       (fun p ->
         let v =
-          if summed p.p_lane then begin
-            incr ci;
-            !conv.(!ci - 1)
-          end
+          if summed p.p_lane then List.assoc (p.p_lane, Dom.width p.p_dom) converted
           else result p
         in
         (p.p_dst, Column.of_shared ~dom:p.p_dom v))

@@ -18,12 +18,13 @@ type order = Table.order = Asc | Desc
 
 let to_dir = function Asc -> Sortwrap.Asc | Desc -> Sortwrap.Desc
 
-(* Bits per packed key word. Radixsort takes the widest even width that
-   fits a word, so that every word below the top one splits into whole
-   2-bit digits; quicksort takes whole words, so that its lexicographic
-   compare runs over as few columns as possible. *)
+(* Bits per packed key word. Radixsort takes 60 bits, the widest
+   multiple of both 2 and 3 that fits a word, so that every word below
+   the top one splits into whole digits of any protocol's width;
+   quicksort takes whole words, so that its lexicographic compare runs
+   over as few columns as possible. *)
 let word_bits = function
-  | Sortwrap.Radixsort -> Ring.word_bits land lnot 1
+  | Sortwrap.Radixsort -> 60
   | Sortwrap.Quicksort -> Ring.word_bits
 
 (** [pack ~bits keys] is the composite key of [keys] (most significant

@@ -162,13 +162,12 @@ let open_ ?width (ctx : Ctx.t) (s : shared) : Vec.t =
 (* metered round; the single-operand entry points are its one-lane      *)
 (* calls. Dealer correlations (and zero-sharing randomness) are drawn   *)
 (* per lane in lane order — exactly the stream k separate calls         *)
-(* consume — then the lanes are packed with {!Share.concat_many} so the *)
-(* local recombination kernels make one pass over one long vector. A    *)
-(* lone lane is not copied: {!Share.concat_many} returns it as is and   *)
-(* [split_lanes] only wraps the result. Metering is per lane            *)
-(* ({!meter_lane}) at the lane's (width, element count), so bits and    *)
-(* messages are the sum of the per-lane charges and the round count is  *)
-(* one.                                                                 *)
+(* consume. The honest-majority cores accumulate each lane into its own *)
+(* fresh zero sharing, so no lane is copied; 2PC Beaver packs the lanes *)
+(* with {!Share.concat_many} to open one masked difference (a lone lane *)
+(* is not copied). Metering is per lane ({!meter_lane}) at the lane's   *)
+(* (width, element count), so bits and messages are the sum of the      *)
+(* per-lane charges and the round count is one.                         *)
 (* ------------------------------------------------------------------ *)
 
 (* Zero sharing: alpha_k = r_k (-|xor) r_{k+1 mod nvec}, so the alphas sum
@@ -210,15 +209,6 @@ let split_lanes (s : shared) (xs : shared array) =
   if Array.length xs = 1 then [| s |]
   else Share.split_many s (Array.map Share.length xs)
 
-(* Fresh zero sharings, one per lane in lane order, packed like the
-   operands. *)
-let zero_sharing_lanes (ctx : Ctx.t) enc (xs : shared array) : Vec.t array =
-  (Share.concat_many
-     (Array.map
-        (fun x -> { Share.enc; v = zero_sharing ctx enc (Share.length x) })
-        xs))
-    .Share.v
-
 (* 2PC Beaver multiplication: open d = x - a and e = y - b (one batched
    round), then z = c + d*b + e*a + d*e with the public d*e folded into one
    share vector. The boolean case is identical over GF(2). Recombination is
@@ -256,42 +246,34 @@ let beaver_lanes (ctx : Ctx.t) enc lanes (xs : shared array)
 (* 3PC replicated multiplication (Araki et al.): party i computes
    z_i = x_i y_i + x_i y_{i+1} + x_{i+1} y_i + alpha_i and sends it to its
    neighbour to restore replication: one round, one ring element per party.
-   The cross terms are accumulated directly into the (freshly generated)
-   alpha vectors by the fused {!Vec.rep3_arith_into} kernel — no
-   per-term intermediates. The round is metered by the caller: a plain
-   AND/multiplication sends each z_i to one neighbour ({!mul_lanes}), a
-   fused opening ({!band_open_f}) to both. *)
-let rep3_lanes (ctx : Ctx.t) enc (xs : shared array) (ys : shared array) :
-    shared array =
-  let alpha = zero_sharing_lanes ctx enc xs in
-  let xv = (Share.concat_many xs).Share.v
-  and yv = (Share.concat_many ys).Share.v in
-  for i = 0 to 2 do
-    let j = (i + 1) mod 3 in
-    match (enc : Share.enc) with
-    | Arith ->
-        Vec.rep3_arith_into alpha.(i) ~xi:xv.(i) ~yi:yv.(i) ~xj:xv.(j)
-          ~yj:yv.(j)
-    | Bool ->
-        Vec.rep3_bool_into alpha.(i) ~xi:xv.(i) ~yi:yv.(i) ~xj:xv.(j)
-          ~yj:yv.(j)
-  done;
-  split_lanes { Share.enc; v = alpha } xs
+   Each [(alpha, x, y)] of [terms] accumulates its cross terms directly
+   into its (freshly generated) alpha vectors by the fused
+   {!Vec.rep3_arith_into} kernel — no per-term intermediates. Terms that
+   share one alpha are summed before the one reshare ({!dot}). *)
+let rep3_into enc terms =
+  Array.iter
+    (fun ((alpha : Vec.t array), (xv : Vec.t array), (yv : Vec.t array)) ->
+      for i = 0 to 2 do
+        let j = (i + 1) mod 3 in
+        match (enc : Share.enc) with
+        | Arith ->
+            Vec.rep3_arith_into alpha.(i) ~xi:xv.(i) ~yi:yv.(i) ~xj:xv.(j)
+              ~yj:yv.(j)
+        | Bool ->
+            Vec.rep3_bool_into alpha.(i) ~xi:xv.(i) ~yi:yv.(i) ~xj:xv.(j)
+              ~yj:yv.(j)
+      done)
+    terms
 
 (* 4PC Fantastic-Four-style multiplication. Each cross term x_i y_j is
    computable by the >= 2 parties holding both shares (everyone except
    parties i and j); the lowest-index eligible party contributes it and
    the next one verifies it (value vs digest), so a corrupted contribution
-   aborts. Contributions accumulate straight into the fresh zero-sharing
-   vectors via the fused multiply-accumulate kernels: nvec + 1 allocations
-   per lane, no per-term intermediates. Metered at 3 ring elements per
-   party per multiplication (consistent with the paper's Table 7
-   Mal-HM/SH-HM bandwidth ratio). *)
-let rep4_lanes (ctx : Ctx.t) enc lanes (xs : shared array)
-    (ys : shared array) : shared array =
-  let alpha = zero_sharing_lanes ctx enc xs in
-  let xv = (Share.concat_many xs).Share.v
-  and yv = (Share.concat_many ys).Share.v in
+   aborts. Every [(alpha, x, y)] of [terms] accumulates its contribution
+   straight into the assignee's vector of its fresh zero sharing via the
+   fused multiply-accumulate kernels: no per-term intermediates, one
+   verification per cross term whatever the number of terms. *)
+let rep4_into (ctx : Ctx.t) enc terms =
   for i = 0 to 3 do
     for j = 0 to 3 do
       let eligible = List.filter (fun p -> p <> i && p <> j) [ 0; 1; 2; 3 ] in
@@ -299,30 +281,49 @@ let rep4_lanes (ctx : Ctx.t) enc lanes (xs : shared array)
       | assignee :: _verifier :: _ ->
           if Ctx.tamper_delta ctx ~party:assignee ~op:"mul" <> 0 then
             raise (Ctx.Abort "mul: cross-term verification failed");
-          (match (enc : Share.enc) with
-          | Arith -> Vec.mul_add_into alpha.(assignee) xv.(i) yv.(j)
-          | Bool -> Vec.xor_band_into alpha.(assignee) xv.(i) yv.(j))
+          Array.iter
+            (fun ((alpha : Vec.t array), (xv : Vec.t array), (yv : Vec.t array)) ->
+              match (enc : Share.enc) with
+              | Arith -> Vec.mul_add_into alpha.(assignee) xv.(i) yv.(j)
+              | Bool -> Vec.xor_band_into alpha.(assignee) xv.(i) yv.(j))
+            terms
       | _ -> assert false
     done
-  done;
+  done
+
+(* An honest-majority multiplication: the cross terms of every
+   [(alpha, x, y)] in [terms] summed into its alpha before the one
+   reshare, then each lane metered at its (width, element count): 3PC
+   sends each z_i to one neighbour, 4PC 3 ring elements per party per
+   multiplication (consistent with the paper's Table 7 Mal-HM/SH-HM
+   bandwidth ratio). *)
+let hm_product (ctx : Ctx.t) enc terms lanes =
+  let per_bit, messages =
+    match ctx.kind with
+    | Ctx.Sh_hm ->
+        rep3_into enc terms;
+        (3, 3)
+    | Ctx.Mal_hm ->
+        rep4_into ctx enc terms;
+        (4 * 3, 12)
+    | Ctx.Sh_dm -> invalid_arg "Mpc.hm_product: SH-DM"
+  in
   Array.iteri
-    (fun i (w, n) -> meter_lane ctx i ~bits:(4 * 3 * w * n) ~messages:12)
-    lanes;
-  split_lanes { Share.enc; v = alpha } xs
+    (fun i (w, n) -> meter_lane ctx i ~bits:(per_bit * w * n) ~messages)
+    lanes
 
 (* The protocol's core over lanes metered at [lanes]; no lanes, no round. *)
-let mul_lanes (ctx : Ctx.t) enc lanes xs ys =
+let mul_lanes (ctx : Ctx.t) enc lanes (xs : shared array) (ys : shared array) =
   if Array.length xs = 0 then [||]
   else
     match ctx.kind with
     | Ctx.Sh_dm -> beaver_lanes ctx enc lanes xs ys
-    | Ctx.Sh_hm ->
-        let zs = rep3_lanes ctx enc xs ys in
-        Array.iteri
-          (fun i (w, n) -> meter_lane ctx i ~bits:(3 * w * n) ~messages:3)
+    | Ctx.Sh_hm | Ctx.Mal_hm ->
+        let alphas = Array.map (fun x -> zero_sharing ctx enc (Share.length x)) xs in
+        hm_product ctx enc
+          (Array.mapi (fun i a -> (a, xs.(i).Share.v, ys.(i).Share.v)) alphas)
           lanes;
-        zs
-    | Ctx.Mal_hm -> rep4_lanes ctx enc lanes xs ys
+        Array.map (fun v -> { Share.enc; v }) alphas
 
 (* Debug-mode width-sanity check: an interactive primitive whose width
    defaulted to ell while both operands reconstruct to single-bit vectors
@@ -380,6 +381,33 @@ let mul_many ?widths (ctx : Ctx.t) (xs : shared array) (ys : shared array) :
 let band_many ?widths (ctx : Ctx.t) (xs : shared array) (ys : shared array) :
     shared array =
   mul_checked "Mpc.band_many" Bool ?widths ctx xs ys
+
+(** [dot ?width ctx xs ys] is the elementwise inner product
+    sum_i xs.(i) · ys.(i) of k arithmetic term pairs of one length.
+    Under honest majority each party sums its local cross terms of every
+    term into one zero sharing before the single reshare, so the whole
+    sum is metered as one multiplication lane; SH-DM runs one Beaver
+    lane per term (exactly {!mul_many}'s) and sums locally. One round. *)
+let dot ?width (ctx : Ctx.t) (xs : shared array) (ys : shared array) : shared =
+  let k = Array.length xs in
+  if k = 0 || Array.length ys <> k then invalid_arg "Mpc.dot: operand arrays";
+  for i = 0 to k - 1 do
+    Share.check_enc Arith xs.(i);
+    Share.check_enc Arith ys.(i);
+    Share.check_same_len xs.(0) xs.(i);
+    Share.check_same_len xs.(i) ys.(i)
+  done;
+  let w = Option.value width ~default:ctx.ell and n = Share.length xs.(0) in
+  match ctx.kind with
+  | Ctx.Sh_dm ->
+      let zs = beaver_lanes ctx Arith (Array.make k (w, n)) xs ys in
+      Array.fold_left add zs.(0) (Array.sub zs 1 (k - 1))
+  | Ctx.Sh_hm | Ctx.Mal_hm ->
+      let alpha = zero_sharing ctx Arith n in
+      hm_product ctx Arith
+        (Array.map2 (fun (x : shared) (y : shared) -> (alpha, x.v, y.v)) xs ys)
+        [| (w, n) |];
+      { Share.enc = Arith; v = alpha }
 
 (** Secure elementwise multiplication of arithmetic shares (one lane). *)
 let mul ?width (ctx : Ctx.t) (x : shared) (y : shared) : shared =
@@ -496,7 +524,10 @@ let band_open_f (ctx : Ctx.t) ?tail (x : Share.flags) (y : Share.flags) :
   if ctx.kind <> Ctx.Sh_hm then invalid_arg "Mpc.band_open_f: SH-HM only";
   Share.check_same_flags_len x y;
   let n = Share.flags_length x in
-  let z = (rep3_lanes ctx Bool [| word_view x |] [| word_view y |]).(0) in
+  let xw = word_view x in
+  let alpha = zero_sharing ctx Bool (Share.length xw) in
+  rep3_into Bool [| (alpha, xw.Share.v, (word_view y).Share.v) |];
+  let z = { Share.enc = Bool; v = alpha } in
   let z =
     match tail with
     | None -> z

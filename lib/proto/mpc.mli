@@ -92,6 +92,15 @@ val mul_many :
 (** k independent multiplications (possibly different lengths/widths) in
     one metered round. *)
 
+val dot : ?width:int -> Ctx.t -> shared array -> shared array -> shared
+(** [dot ?width ctx xs ys]: the elementwise inner product
+    sum_i xs.(i) · ys.(i) of arithmetic term pairs of one length, in one
+    round. Under SH-HM and Mal-HM every party sums its cross terms of all
+    the terms before the one reshare, so the sum is metered as one
+    multiplication lane at [width] (default [ctx.ell]) and a Mal-HM
+    tamper of any cross term aborts as {!mul}'s does; under SH-DM it is
+    one Beaver lane per term and a local sum. *)
+
 val band_many :
   ?widths:int array -> Ctx.t -> shared array -> shared array -> shared array
 (** k independent ANDs in one metered round. *)

@@ -143,6 +143,20 @@ let applyperm (kind : Ctx.kind) ~w ~n =
   Array.concat
     [ [| data.(0); piggy rho.(0) |]; Array.sub rho 1 (Array.length rho - 1) ]
 
+let rank_digit (kind : Ctx.kind) ~l ~n =
+  if l < 1 || l > 3 then invalid_arg "Primcost.rank_digit: digits are 1 to 3 bits";
+  let k = Orq_util.Ring.index_bits n in
+  let lanes m w = Array.of_list (lanes_ev (List.init m (fun _ -> w))) in
+  let binom d = if d = 2 then l * (l - 1) / 2 else 1 in
+  Array.concat
+    ([ b2a kind ~w:l ~n ]
+    @ List.init (l - 1) (fun j -> lanes (binom (j + 2)) (mul_lane kind ~w:k ~n))
+    @ [
+        (* the ranking inner product: one lane under honest majority, one
+           Beaver lane per non-zero digit value under SH-DM *)
+        lanes (if kind = Sh_dm then (1 lsl l) - 1 else 1) (mul_lane kind ~w:k ~n);
+      ])
+
 let lt_lex_open (kind : Ctx.kind) ~ws ~n =
   let k = List.length ws in
   if k = 0 then invalid_arg "Primcost.lt_lex_open: no columns";

@@ -84,6 +84,15 @@ val applyperm : Ctx.kind -> w:int -> n:int -> Comm.event array
     application of rho at [Ring.index_bits n] bits, run as fused tracks
     (3 rounds under SH-HM, one more than the shuffle elsewhere). *)
 
+val rank_digit : Ctx.kind -> l:int -> n:int -> Comm.event array
+(** One [l]-bit digit's stable ranking over [n] rows
+    ([Genbitperm.gen_digit], [l] in 1..3): the [l] bits' conversion as
+    one width-1 lane of [l·n] flags ({!b2a}), one round per one-hot degree
+    2 .. [l] ([l] choose degree products), then the ranking inner
+    product: one lane under honest majority, 2^[l] − 1 Beaver lanes under
+    SH-DM. Every product is at [Ring.index_bits n] bits. The table
+    application each digit then pays is {!applyperm}. *)
+
 val lt_lex_open : Ctx.kind -> ws:int list -> n:int -> Comm.event array
 (** Lexicographic less-than over columns of widths [ws], opened
     ([Compare.lt_lex_open]): every column's ladder in fused rounds (one

@@ -11,11 +11,11 @@
       dest_i = t_0,i + sum_{d >= 1} e_d,i * (t_d,i - t_0,i) - 1.
 
     Prefix sums and offsets are linear (local on additive shares). The
-    interactive steps are one fused bit conversion of the L bits, for
-    L = 2 one product a_0 * a_1 forming the one-hot digit, and one fused
-    (2^L - 1)-lane multiplication: 2 rounds for a bit, 3 for a 2-bit
-    digit. At L = 1 this is genBitPerm exactly,
-    dest_i = (s0_i - 1) + b_i * (Z + s1_i - s0_i). *)
+    interactive steps are one fused bit conversion of the L bits, the
+    one-hot digit's monomials of degree 2 .. L (one round per degree), and
+    the sum as one inner product ({!Mpc.dot}): 2 rounds for a bit, 3 for
+    a 2-bit digit, 4 for a 3-bit one. At L = 1 this is genBitPerm
+    exactly, dest_i = (s0_i - 1) + b_i * (Z + s1_i - s0_i). *)
 
 open Orq_proto
 
@@ -25,33 +25,56 @@ let broadcast_last (s : Share.shared) =
     (fun vk -> Array.make (Array.length vk) vk.(Array.length vk - 1))
     s
 
+(* The one-hot digit e_0 .. e_{2^L - 1} of the 0/1 bits [a] (least
+   significant first), every product at [width] bits. The monomials
+   m_u = prod_{i in u} a_i come one fused round per degree 2 .. L, each
+   m_u = m_{u - top} * a_top; then e_v = sum_{u >= v} (-1)^{|u - v|} m_u,
+   the Möbius transform over supersets: L 2^{L-1} local subtractions. *)
+let one_hot (ctx : Ctx.t) ~width (a : Share.shared array) : Share.shared array =
+  let l = Array.length a in
+  let m = Array.make (1 lsl l) (Share.public ctx Share.Arith (Share.length a.(0)) 1) in
+  Array.iteri (fun i ai -> m.(1 lsl i) <- ai) a;
+  (* the highest set bit of u >= 1 *)
+  let top_bit u = Orq_util.Ring.log2_ceil (u + 1) - 1 in
+  for deg = 2 to l do
+    let us =
+      Array.of_list
+        (List.filter (fun u -> Orq_util.Ring.popcount u = deg) (List.init (1 lsl l) Fun.id))
+    in
+    let prods =
+      Mpc.mul_many ~widths:(Array.map (fun _ -> width) us) ctx
+        (Array.map (fun u -> m.(u lxor (1 lsl top_bit u))) us)
+        (Array.map (fun u -> a.(top_bit u)) us)
+    in
+    Array.iteri (fun k u -> m.(u) <- prods.(k)) us
+  done;
+  for i = 0 to l - 1 do
+    for v = 0 to (1 lsl l) - 1 do
+      if v land (1 lsl i) = 0 then m.(v) <- Mpc.sub m.(v) m.(v lor (1 lsl i))
+    done
+  done;
+  m
+
+let check_width l =
+  if l < 1 || l > 3 then
+    invalid_arg "Genbitperm.gen_digit: digits are 1, 2 or 3 bits"
+
 (** [gen_digit_of ctx bits] is {!gen_digit} from the digit's bits already
     converted to 0/1 arithmetic sharings ([bits], least significant
-    first): the one-hot product (2-bit digits) and the fused ranking
-    multiplication, so a caller that needs the converted bit elsewhere
-    pays its conversion once. *)
+    first): the one-hot products and the ranking inner product, so a
+    caller that needs the converted bit elsewhere pays its conversion
+    once. *)
 let gen_digit_of (ctx : Ctx.t) (bits : Share.shared array) : Share.shared =
+  check_width (Array.length bits);
   (* The ranking multiplications run modulo 2^k, k = index_bits n. The
-     formula is a polynomial in the one-hot lanes, and reduction modulo
+     formula is a polynomial in the digit's bits, and reduction modulo
      2^k is a ring homomorphism, so the result is dest_i mod 2^k — exactly
      dest_i, which lies in [0, n - 1] with n <= 2^k. Intermediate values
      (a difference t_d - t_0 may be negative) need not fit. *)
-  let k_bits =
-    match bits with
-    | [| b |] | [| b; _ |] -> Orq_util.Ring.index_bits (Share.length b)
-    | _ -> invalid_arg "Genbitperm.gen_digit: digits are 1 or 2 bits"
-  in
-  let one_hot =
-    match bits with
-    | [| a |] -> [| Mpc.add_pub (Mpc.neg a) 1; a |]
-    | [| a0; a1 |] ->
-        let p = Mpc.mul ~width:k_bits ctx a0 a1 in
-        let e1 = Mpc.sub a0 p and e2 = Mpc.sub a1 p in
-        [| Mpc.add_pub (Mpc.neg (Mpc.add (Mpc.add e1 e2) p)) 1; e1; e2; p |]
-    | _ -> assert false
-  in
-  let k = Array.length one_hot - 1 in
-  let s = Array.map Mpc.prefix_sum one_hot in
+  let k_bits = Orq_util.Ring.index_bits (Share.length bits.(0)) in
+  let e = one_hot ctx ~width:k_bits bits in
+  let k = Array.length e - 1 in
+  let s = Array.map Mpc.prefix_sum e in
   (* class offsets C_1..C_k: running totals of the class counts *)
   let c = Array.make k (broadcast_last s.(0)) in
   for d = 2 to k do
@@ -62,16 +85,18 @@ let gen_digit_of (ctx : Ctx.t) (bits : Share.shared array) : Share.shared =
     Array.init k (fun j ->
         Share.map3_vectors Orq_util.Vec.add_sub c.(j) s.(j + 1) s.(0))
   in
-  let prods =
-    Mpc.mul_many ~widths:(Array.make k k_bits) ctx
-      (Array.sub one_hot 1 k) diffs
-  in
-  Mpc.add_pub (Array.fold_left Mpc.add s.(0) prods) (-1)
+  Mpc.add_pub (Mpc.add s.(0) (Mpc.dot ~width:k_bits ctx (Array.sub e 1 k) diffs)) (-1)
 
 (** [gen_digit ctx flags] returns the arithmetic elementwise stable sorting
     permutation of the digit whose bits, least significant first, are the
-    packed flag vectors [flags] (one or two of them). The bit conversion
-    consumes the packed lanes directly; everything after it is arithmetic
-    and stays word-based. *)
+    packed flag vectors [flags] (one to three of them). The bits convert
+    as one lane of their concatenated flags (one opening, and under
+    Mal-HM one set of digests, for the whole digit); everything after it
+    is arithmetic and stays word-based. *)
 let gen_digit (ctx : Ctx.t) (flags : Share.flags array) : Share.shared =
-  gen_digit_of ctx (Orq_circuits.Convert.bit_b2a_many ctx flags)
+  let l = Array.length flags in
+  check_width l;
+  Array.iter (Share.check_same_flags_len flags.(0)) flags;
+  let n = Share.flags_length flags.(0) in
+  let a = Orq_circuits.Convert.bit_b2a ctx (Share.flags_concat_many flags) in
+  gen_digit_of ctx (Array.init l (fun j -> Share.sub_range a (j * n) n))

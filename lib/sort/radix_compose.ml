@@ -8,8 +8,8 @@
     permutation is generated ({!Genbitperm.gen_digit} on one bit), and
     the two are composed. The data moves only once, at the end. This costs
     [composePerms] per bit — fewer bytes for very wide elements, but more
-    rounds: under SH-HM [13 l - 7] against the hybrid's
-    [7 floor(l/2) + 6 (l mod 2)] with its 2-bit digits. *)
+    rounds: under SH-HM [11 l - 6] against the hybrid's 7 per 3 key bits
+    with its 3-bit digits ({!Radixsort}). *)
 
 open Orq_proto
 module Permops = Orq_shuffle.Permops

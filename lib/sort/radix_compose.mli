@@ -2,9 +2,8 @@
     as in the paper's Appendix B.3 comparison: per-bit sorting
     permutations are composed into a running elementwise permutation and
     the data moves only once — fewer bytes for very wide elements, more
-    rounds (under SH-HM [13 l - 7] vs the hybrid's
-    [7 floor(l/2) + 6 (l mod 2)]). Ranks 1-bit digits under every
-    protocol. *)
+    rounds (under SH-HM [11 l - 6] vs the hybrid's 7 per 3 key bits).
+    Ranks 1-bit digits under every protocol. *)
 
 open Orq_proto
 

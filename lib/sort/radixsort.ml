@@ -5,13 +5,15 @@
     *eagerly apply it to the whole working table* (Bogdanov-style), using
     the efficient elementwise-permutation application of Asharov et al.
     The paper ranks one bit at a time; under honest majority this ranks
-    2-bit digits (see [digit_bits]), so a digit costs 3 ranking rounds
-    plus the table application (4 rounds under SH-HM) — 7 rounds per 2
-    key bits instead of 12 — and the table moves once per 2 bits. An odd
-    bit count ends with a 1-bit digit (2 ranking rounds). Compared with
-    the compose-then-apply variant ({!Radix_compose}) this trades a
-    little bandwidth for fewer rounds — the hybrid the paper reports as
-    up to 1.44x faster.
+    3-bit digits (see [digit_bits]): a digit costs 4 ranking rounds (the
+    bit conversion, two rounds of one-hot products, the ranking inner
+    product) plus the table application (3 rounds under SH-HM) — 7
+    rounds per 3 key bits instead of 15 — and the table moves once per 3
+    bits. A word's last 2 bits form a 2-bit digit (3 + 3 rounds), its
+    last 4 two of them, and a lone bit a 1-bit digit (2 + 3 rounds).
+    Compared with the compose-then-apply variant ({!Radix_compose}) this
+    trades a little bandwidth for fewer rounds — the hybrid the paper
+    reports as up to 1.44x faster.
 
     Stable by construction, so no uniqueness padding is needed for
     correctness; the wrapper still carries an index column when the sorting
@@ -22,14 +24,19 @@ open Orq_proto
 
 type dir = Asc | Desc
 
-(* Key bits per ranked digit. Under honest majority (3PC, 4PC) products
-   consume no preprocessing, so a 2-bit digit only adds the one-hot
-   product and two multiplication lanes while saving a whole table
-   permutation. Under 2PC a 2-bit digit saves one permutation-correlation
-   pair (512n preprocessing bits) but spends two more Beaver triples
-   (768n), so 2PC ranks single bits. *)
-let digit_bits : Ctx.kind -> int = function
-  | Ctx.Sh_hm | Ctx.Mal_hm -> 2
+(* Key bits of the next digit to rank, with [r] bits of the current word
+   left. Under honest majority (3PC, 4PC) products consume no
+   preprocessing and a ranking's sum is one multiplication lane
+   ({!Mpc.dot}), so a 3-bit digit adds only its one-hot products while
+   saving two whole table permutations; a remainder of one bit is ranked
+   as two 2-bit digits rather than 3 + 1 (the same rounds, fewer lanes).
+   Under 2PC a wider digit saves permutation-correlation pairs (512n
+   preprocessing bits each) but spends a Beaver triple (384n) per
+   one-hot product and per ranking term, so 2PC ranks single bits. A
+   function of the protocol and the public widths only. *)
+let digit_bits (kind : Ctx.kind) r =
+  match kind with
+  | Ctx.Sh_hm | Ctx.Mal_hm -> if r = 4 then 2 else min 3 r
   | Ctx.Sh_dm -> 1
 
 (* Bits [lo, lo + l) of the key as packed flag columns, least significant
@@ -51,8 +58,8 @@ let extract_digit (y : Share.chunked) lo l : Share.flags array =
     key formed by the [words], most significant first ([bits] defaults to
     every bit above [skip]). Every column is paired with its width: each
     digit's table application moves each word and each carry at its own
-    width. A digit never straddles two words, so a word of odd width
-    below the top one ends with a 1-bit digit.
+    width. A digit never straddles two words, so a word whose width is
+    not a multiple of 3 ends with narrower digits ([digit_bits]).
 
     With [keep] (the default) the words come back sorted. Without it the
     caller gets only the carry back, so a word shifts out its ranked bits
@@ -93,7 +100,7 @@ let sort_c (ctx : Ctx.t) ?bits ?(skip = 0) ?(dir = Asc) ?(keep = true)
     let i = ref (nw - 1) in
     while base.(!i) + width.(!i) <= !lo do decr i done;
     let i = !i in
-    let l = min (digit_bits ctx.kind) (min hi (base.(i) + width.(i)) - !lo) in
+    let l = digit_bits ctx.kind (min hi (base.(i) + width.(i)) - !lo) in
     let digit = extract_digit word.(i) (!lo - base.(i) - shifted.(i)) l in
     let digit =
       match dir with Asc -> digit | Desc -> Array.map Mpc.bnot_f digit

@@ -1,13 +1,16 @@
 (** ORQ's hybrid oblivious radixsort (§3.2, Appendix B, Protocol 10):
     per-digit stable sorting permutations applied *eagerly* to the whole
     working table (Bogdanov-style) through the efficient
-    elementwise-permutation application of Asharov et al. Digits are 2
-    bits under honest majority and 1 bit under 2PC (the paper's hybrid
-    ranks single bits). Under SH-HM an l-bit sort takes
-    [7 floor(l/2) + 6 (l mod 2)] rounds against the compose-based
-    protocol's [13 l - 7] (up to 1.44x faster in the paper at 1-bit
-    digits). Whatever the digit width, a sort draws one sharded
-    permutation per key bit from the shuffle stream ([Ctx.perm_prg]).
+    elementwise-permutation application of Asharov et al. Digits are 3
+    bits under honest majority (a word's remainder of 1 bit as two 2-bit
+    digits, a 1-bit word as one bit) and 1 bit under 2PC (the paper's
+    hybrid ranks single bits). Under SH-HM a digit of 1, 2 or 3 bits
+    takes 5, 6 or 7 rounds ({!Orq_proto.Primcost.rank_digit} plus
+    {!Orq_proto.Primcost.applyperm}), so an l-bit sort with l a multiple
+    of 3 takes [7 l / 3] rounds against the compose-based protocol's
+    [11 l - 6] (up to 1.44x faster in the paper at 1-bit digits).
+    Whatever the digit width, a sort draws one sharded permutation per
+    key bit from the shuffle stream ([Ctx.perm_prg]).
     Stable; descending order flips each bit, preserving stability. *)
 
 open Orq_proto

@@ -521,6 +521,37 @@ let test_costmodel_arith_mul () =
    runs' sums and sizes, in order. *)
 let agg_path_ns = [ 2; 5; 17; 64; 300; 3000 ]
 
+(* One digit's ranking ([Genbitperm.gen_digit]) against its closed
+   form, event for event, over row counts either side of the index-width
+   steps and every digit width. The destinations must still be the
+   stable digit sort. *)
+let test_costmodel_rank_digit () =
+  List.iter
+    (fun kind ->
+      List.iter
+        (fun (l, n) ->
+          let digits = Array.init n (fun i -> ((i * 5) + (i / 3)) land ((1 lsl l) - 1)) in
+          let dest = ref [||] in
+          check_predicted
+            (Printf.sprintf "rank_digit l=%d n=%d" l n)
+            kind
+            (Primcost.rank_digit kind ~l ~n)
+            (fun ctx ->
+              let d = Mpc.share_b ctx digits in
+              dest :=
+                Share.reconstruct
+                  (Orq_sort.Genbitperm.gen_digit ctx
+                     (Array.init l (fun j -> Mpc.extract_bit_f d j))));
+          let order = Array.init n Fun.id in
+          Array.stable_sort (fun i j -> compare digits.(i) digits.(j)) order;
+          let want = Array.make n 0 in
+          Array.iteri (fun r i -> want.(i) <- r) order;
+          Alcotest.(check (array int))
+            (Printf.sprintf "rank_digit l=%d n=%d [%s] values" l n (Ctx.kind_label kind))
+            want !dest)
+        (List.concat_map (fun l -> List.map (fun n -> (l, n)) [ 1; 2; 3; 8; 9; 40; 64; 65 ]) [ 1; 2; 3 ]))
+    Ctx.all_kinds
+
 let test_costmodel_agg_paths () =
   let module Aggnet = Orq_core.Aggnet in
   List.iter
@@ -912,6 +943,8 @@ let suite =
     Alcotest.test_case "cost model: adders" `Quick test_costmodel_adders;
     Alcotest.test_case "cost model: fused openings" `Quick
       test_costmodel_fused_openings;
+    Alcotest.test_case "cost model: digit ranking" `Quick
+      test_costmodel_rank_digit;
     Alcotest.test_case "cost model: GROUP BY paths" `Quick
       test_costmodel_agg_paths;
     Alcotest.test_case "certifier: live queries" `Slow test_certify_queries;

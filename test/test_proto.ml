@@ -156,6 +156,62 @@ let test_mul_metering () =
         tl.Orq_net.Comm.t_bits)
     expect
 
+(* The inner product of k term pairs reconstructs to sum_i x_i y_i under
+   every protocol, in one round: one multiplication lane at its width
+   under honest majority, k Beaver lanes under SH-DM (exactly
+   [mul_many]'s charge). *)
+let test_dot () =
+  List.iter
+    (fun k ->
+      for terms = 1 to 4 do
+        let ctx = Ctx.create ~seed:(11 + terms) k in
+        let n = 13 and w = 9 in
+        let xs = Array.init terms (fun _ -> Prg.words ctx.Ctx.prg n)
+        and ys = Array.init terms (fun _ -> Prg.words ctx.Ctx.prg n) in
+        let sx = Array.map (Mpc.share_a ctx) xs and sy = Array.map (Mpc.share_a ctx) ys in
+        let arr (t : Orq_net.Comm.tally) = Orq_net.Comm.[| t.t_rounds; t.t_bits; t.t_messages |] in
+        let tally f =
+          let before = Orq_net.Comm.snapshot ctx.Ctx.comm in
+          let r = f () in
+          (r, arr (Orq_net.Comm.since ctx.Ctx.comm before))
+        in
+        let z, got = tally (fun () -> Mpc.dot ~width:w ctx sx sy) in
+        let want =
+          Array.fold_left Vec.add (Vec.zeros n) (Array.map2 Vec.mul xs ys)
+        in
+        let tag = Printf.sprintf "%s %d terms" (Ctx.kind_label k) terms in
+        Alcotest.(check vec_testable) (tag ^ " value") want (Share.reconstruct z);
+        let lanes =
+          match k with
+          | Ctx.Sh_dm ->
+              snd (tally (fun () -> Mpc.mul_many ~widths:(Array.make terms w) ctx sx sy))
+          | Ctx.Sh_hm | Ctx.Mal_hm ->
+              arr (Primcost.tally_of (Primcost.mul k ~w ~n))
+        in
+        Alcotest.(check (array int)) (tag ^ " rounds, bits, messages") lanes got
+      done)
+    kinds
+
+(* A Mal-HM inner product verifies its cross terms as [mul] does: a
+   non-zero corruption of any assignee aborts, a zero one does not. *)
+let test_dot_tamper () =
+  let ctx = Ctx.create Ctx.Mal_hm in
+  let x = Mpc.share_a ctx [| 1; 2; 3 |] in
+  let call () = Mpc.dot ctx [| x; x |] [| x; x |] in
+  for party = 0 to 3 do
+    let tampered delta ~party:p ~op = if p = party && op = "mul" then Some delta else None in
+    (* party 3 is never the first eligible party of a cross term *)
+    if party < 3 then
+      Alcotest.check_raises
+        (Printf.sprintf "party %d tampered dot aborts" party)
+        (Ctx.Abort "mul: cross-term verification failed")
+        (fun () -> ignore (Ctx.with_tamper ctx (tampered 5) call));
+    Alcotest.(check vec_testable)
+      (Printf.sprintf "party %d zero delta passes" party)
+      [| 2; 8; 18 |]
+      (Share.reconstruct (Ctx.with_tamper ctx (tampered 0) call))
+  done
+
 let test_width_metering () =
   (* single-bit AND should be charged 1 bit per element, not a word *)
   let ctx = Ctx.create Ctx.Sh_hm in
@@ -515,6 +571,8 @@ let suite =
     Alcotest.test_case "bor" `Quick test_bor;
     Alcotest.test_case "open value + metering" `Quick test_open;
     Alcotest.test_case "mul metering constants" `Quick test_mul_metering;
+    Alcotest.test_case "dot: value and one lane" `Quick test_dot;
+    Alcotest.test_case "Mal-HM abort on tampered dot" `Quick test_dot_tamper;
     Alcotest.test_case "width-aware metering" `Quick test_width_metering;
     Alcotest.test_case "reshare" `Quick test_reshare;
     Alcotest.test_case "sum/prefix-sum" `Quick test_sum_prefix;

@@ -52,25 +52,57 @@ let qcheck_genbitperm =
         (fun k -> gen_bits (Ctx.create ~seed:17 k) bits = stable_dests bits)
         kinds)
 
-(* Random 2-bit digits drawn from a random nonempty subset of the four
-   values, so runs repeat values and usually miss some. *)
+(* Random L-bit digits, L = 1 .. 3, over 1 or 2 rows or up to 40, drawn
+   from a random nonempty subset of the 2^L values: runs repeat values
+   and usually miss some, and a one-value subset makes the digit
+   constant. *)
 let qcheck_gen_digit =
-  QCheck.Test.make ~name:"gen_digit is the stable 2-bit digit-sort permutation"
-    ~count:25
+  QCheck.Test.make ~name:"gen_digit: stable 1-3-bit digit sort"
+    ~count:40
     QCheck.(
-      pair (int_range 1 15) (list_of_size Gen.(int_range 1 40) (int_bound 3)))
-    (fun (allowed, dl) ->
-      let values = List.filter (fun d -> allowed land (1 lsl d) <> 0) [ 0; 1; 2; 3 ] in
+      triple (int_range 1 3) (int_range 1 max_int)
+        (list_of_size Gen.(oneof [ return 1; return 2; int_range 1 40 ]) (int_bound 7)))
+    (fun (l, allowed, dl) ->
+      let nv = 1 lsl l in
+      let allowed = 1 + (allowed mod ((1 lsl nv) - 1)) in
+      let values = List.filter (fun d -> allowed land (1 lsl d) <> 0) (List.init nv Fun.id) in
       let pick i = List.nth values (i mod List.length values) in
       let digits = Array.of_list (List.map pick dl) in
       List.for_all
         (fun k ->
           let ctx = Ctx.create ~seed:37 k in
           let d = Mpc.share_b ctx digits in
-          let flags = Array.init 2 (fun j -> Mpc.extract_bit_f d j) in
+          let flags = Array.init l (fun j -> Mpc.extract_bit_f d j) in
           Share.reconstruct (Genbitperm.gen_digit ctx flags)
           = stable_dests digits)
         kinds)
+
+(* Every digit vector of one and two rows, and constant digits of every
+   value over seven rows, at every digit width; four bits are refused. *)
+let test_gen_digit_edges () =
+  for_all_kinds (fun ctx ->
+      for l = 1 to 3 do
+        let nv = 1 lsl l in
+        let cases =
+          List.init nv (fun v -> [| v |])
+          @ List.init (nv * nv) (fun v -> [| v mod nv; v / nv |])
+          @ List.init nv (fun v -> Array.make 7 v)
+        in
+        List.iter
+          (fun digits ->
+            let d = Mpc.share_b ctx digits in
+            let flags = Array.init l (fun j -> Mpc.extract_bit_f d j) in
+            Alcotest.(check vec)
+              (Printf.sprintf "%s L=%d %s" (Ctx.kind_label ctx.Ctx.kind) l
+                 (String.concat "," (Array.to_list (Array.map string_of_int digits))))
+              (stable_dests digits)
+              (Share.reconstruct (Genbitperm.gen_digit ctx flags)))
+          cases
+      done;
+      let f = Mpc.extract_bit_f (Mpc.share_b ctx [| 1; 0 |]) 0 in
+      Alcotest.check_raises "4-bit digit"
+        (Invalid_argument "Genbitperm.gen_digit: digits are 1, 2 or 3 bits")
+        (fun () -> ignore (Genbitperm.gen_digit ctx (Array.make 4 f))))
 
 (* ---------------- radixsort ---------------- *)
 
@@ -162,39 +194,35 @@ let test_radix_digits () =
           (4, 2, Radixsort.Desc); (5, 0, Radixsort.Desc); (1, 3, Radixsort.Desc);
         ])
 
-let online_rounds kind f =
-  let ctx = Ctx.create ~seed:41 kind in
-  let before = Orq_net.Comm.snapshot ctx.Ctx.comm in
-  f ctx;
-  (Orq_net.Comm.since ctx.Ctx.comm before).Orq_net.Comm.t_rounds
-
-(* Honest majority ranks 2-bit digits: a w-bit sort is floor(w/2) 2-bit
-   digits plus one 1-bit digit when w is odd, and a 2-bit digit costs
-   fewer rounds than two 1-bit digits. 2PC ranks single bits. *)
+(* A w-bit radix sort of a key alone (moved at ell = 64 bits) costs, per
+   digit of the schedule, the closed-form ranking plus one Protocol-5
+   application: rounds, bits and messages. *)
 let test_radix_round_shape () =
-  let x = Array.init 40 (fun i -> (i * 37) land 127) in
+  let n = 40 in
+  let x = Array.init n (fun i -> (i * 37) land 127) in
   List.iter
     (fun kind ->
-      let sort_rounds w =
-        online_rounds kind (fun ctx ->
-            ignore (Radixsort.sort ctx ~bits:w (Mpc.share_b ctx x) []))
+      let sort_tally w =
+        let ctx = Ctx.create ~seed:41 kind in
+        let before = Orq_net.Comm.snapshot ctx.Ctx.comm in
+        ignore (Radixsort.sort ctx ~bits:w (Mpc.share_b ctx x) []);
+        Orq_net.Comm.since ctx.Ctx.comm before
       in
-      let r1 = sort_rounds 1 and r2 = sort_rounds 2 in
+      let predicted w = Radix_cost.word kind ~n ~w ~moved:(fun _ -> 64) in
       let label = Ctx.kind_label kind in
-      (match kind with
-      | Ctx.Sh_dm -> Alcotest.(check int) (label ^ " 1-bit digits") (2 * r1) r2
+      for w = 1 to 10 do
+        let got = sort_tally w and want = predicted w in
+        Alcotest.(check (array int))
+          (Printf.sprintf "%s w=%d rounds, bits, messages" label w)
+          Orq_net.Comm.[| want.t_rounds; want.t_bits; want.t_messages |]
+          Orq_net.Comm.[| got.t_rounds; got.t_bits; got.t_messages |]
+      done;
+      let rounds w = (sort_tally w).Orq_net.Comm.t_rounds in
+      match kind with
+      | Ctx.Sh_dm -> Alcotest.(check int) (label ^ " 1-bit digits") (3 * rounds 1) (rounds 3)
       | Ctx.Sh_hm | Ctx.Mal_hm ->
-          Alcotest.(check bool) (label ^ " 2-bit digit beats two bits") true
-            (r2 < 2 * r1));
-      for w = 1 to 7 do
-        let want =
-          match kind with
-          | Ctx.Sh_dm -> w * r1
-          | Ctx.Sh_hm | Ctx.Mal_hm -> (w / 2 * r2) + (w mod 2 * r1)
-        in
-        Alcotest.(check int) (Printf.sprintf "%s w=%d rounds" label w) want
-          (sort_rounds w)
-      done)
+          Alcotest.(check bool) (label ^ " 3-bit digit beats three bits") true
+            (rounds 3 < 3 * rounds 1))
     kinds
 
 (* Whatever the digit width, a radix sort advances the shuffle stream by
@@ -674,6 +702,8 @@ let suite =
     Alcotest.test_case "genBitPerm destinations" `Quick test_genbitperm;
     QCheck_alcotest.to_alcotest qcheck_genbitperm;
     QCheck_alcotest.to_alcotest qcheck_gen_digit;
+    Alcotest.test_case "gen_digit: one and two rows, constant digits" `Quick
+      test_gen_digit_edges;
     Alcotest.test_case "radixsort basic" `Quick test_radix_basic;
     Alcotest.test_case "radixsort descending" `Quick test_radix_desc;
     Alcotest.test_case "radixsort carry + stability" `Quick
