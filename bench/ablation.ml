@@ -84,16 +84,16 @@ let sort_algo_ablation ~n () =
           let _, m =
             measure ctx (fun () ->
                 ignore
-                  (Orq_sort.Sortwrap.sort ctx ~algo ~dir:Orq_sort.Sortwrap.Asc
-                     ~w (Share.wrap x) []))
+                  (Tablesort.sort_cols ctx ~algo
+                     ~keys:[ (Share.wrap x, w, Tablesort.Asc) ] []))
           in
           row "%-8d %-12s %12s %12s %12s %8.2f" w label (pretty_time m.wall_s)
             (pretty_time (estimate Netsim.lan m))
             (pretty_time (estimate Netsim.wan m))
             (mib m.online))
         [
-          ("quicksort", Orq_sort.Sortwrap.Quicksort);
-          ("radixsort", Orq_sort.Sortwrap.Radixsort);
+          ("quicksort", Tablesort.Quicksort);
+          ("radixsort", Tablesort.Radixsort);
         ])
     [ 8; 16; 32; 48 ];
   row "(the engine defaults to radixsort at <=32 bits, quicksort above)"
@@ -194,7 +194,7 @@ let planner_ablation ~n () =
       let ctx = Ctx.create ~seed:43 Ctx.Sh_hm in
       let plan = mk_plan ctx in
       ignore sz;
-      let (_, fb), m = measure ctx (fun () -> Cp.run ~optimize plan) in
+      let (_, fb), m = measure ctx (fun () -> Cp.run (if optimize then Orq_planner.Optimize.run plan else plan)) in
       row "%-34s %12s %12.2f %10d" label
         (pretty_time (estimate Netsim.lan m))
         (mib m.online) fb)

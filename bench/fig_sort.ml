@@ -194,8 +194,8 @@ let fig10 ~sizes () =
             in
             measure ctx (fun () ->
                 ignore
-                  (Orq_sort.Sortwrap.sort ctx ~algo:Orq_sort.Sortwrap.Quicksort
-                     ~dir:Orq_sort.Sortwrap.Asc ~w:32 (Share.wrap x) []))
+                  (Orq_core.Tablesort.sort_cols ctx ~algo:Orq_core.Tablesort.Quicksort
+                     ~keys:[ (Share.wrap x, 32, Orq_core.Tablesort.Asc) ] []))
           in
           let run_r () =
             let ctx = Ctx.create ~seed:19 kind in
@@ -204,8 +204,8 @@ let fig10 ~sizes () =
             in
             measure ctx (fun () ->
                 ignore
-                  (Orq_sort.Sortwrap.sort ctx ~algo:Orq_sort.Sortwrap.Radixsort
-                     ~dir:Orq_sort.Sortwrap.Asc ~w:32 (Share.wrap x) []))
+                  (Orq_core.Tablesort.sort_cols ctx ~algo:Orq_core.Tablesort.Radixsort
+                     ~keys:[ (Share.wrap x, 32, Orq_core.Tablesort.Asc) ] []))
           in
           let _, mq = run_q () in
           let _, mr = run_r () in

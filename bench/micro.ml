@@ -87,8 +87,8 @@ let tests =
                     Orq_util.Prg.int_below ctx.Ctx.prg 65536))
            in
            ignore
-             (Orq_sort.Sortwrap.sort ctx ~algo:Orq_sort.Sortwrap.Quicksort
-                ~dir:Orq_sort.Sortwrap.Asc ~w:16 (Share.wrap x) [])));
+             (Orq_core.Tablesort.sort_cols ctx ~algo:Orq_core.Tablesort.Quicksort
+                ~keys:[ (Share.wrap x, 16, Orq_core.Tablesort.Asc) ] [])));
   ]
 
 (* The local kernels at n = 2^17, twice the pool's default split

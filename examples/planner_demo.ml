@@ -52,7 +52,7 @@ let () =
   print_endline ("  " ^ Plan.explain optimized);
 
   let t0 = Unix.gettimeofday () in
-  let result, fallbacks = Compile.run plan in
+  let result, fallbacks = Compile.run optimized in
   Printf.printf
     "\ncompiled and executed under %s in %.2fs — quadratic fallbacks: %d\n"
     (Ctx.kind_label ctx.Ctx.kind)
@@ -68,11 +68,11 @@ let () =
         | _ -> ())
     rows;
 
-  (* the same query WITHOUT the rewrite would have been quadratic: ask the
-     compiler to skip optimization and watch the fallback counter *)
+  (* the same query WITHOUT the rewrite would have been quadratic: compile
+     the raw plan and watch the fallback counter *)
   let small_a = Table.take_rows visits_a 40 and small_b = Table.take_rows visits_b 40 in
   let raw_join = Plan.join (Plan.scan small_a) (Plan.scan small_b) ~on:[ "pid" ] in
-  let _, fb = Compile.run ~optimize:false raw_join in
+  let _, fb = Compile.run raw_join in
   Printf.printf
     "\nunoptimized raw many-to-many join (40x40 rows): %d quadratic fallback(s)\n"
     fb;

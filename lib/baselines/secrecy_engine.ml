@@ -112,7 +112,9 @@ let nested_semi_join (ctx : Ctx.t) (left : Table.t) (right : Table.t)
   Table.and_valid left matched
 
 (** Bitonic table sort (pads to a power of two with invalid rows; the pad
-    rows sort to the end via a leading validity key). *)
+    rows sort to the end via a leading descending validity key). The
+    network sorts ascending, so a descending key goes in as its w-bit
+    complement, undone on the sorted key. *)
 let bitonic_sort (t : Table.t) (specs : (string * Tablesort.order) list) :
     Table.t =
   let ctx = Table.ctx t in
@@ -121,19 +123,15 @@ let bitonic_sort (t : Table.t) (specs : (string * Tablesort.order) list) :
   let pad s fill =
     if n2 = n then s else Share.append s (Share.public ctx s.Share.enc (n2 - n) fill)
   in
+  let flip o w s =
+    match o with Tablesort.Asc -> s | Tablesort.Desc -> Mpc.xor_pub s (Orq_util.Ring.mask w)
+  in
   let keys =
-    { Orq_sort.Bitonic.col = pad t.Table.valid 0; width = 1; dir = Orq_sort.Bitonic.Desc }
+    (pad t.Table.valid 0, 1, Tablesort.Desc)
     :: List.map
          (fun (name, o) ->
            let c = Table.find t name in
-           {
-             Orq_sort.Bitonic.col = pad (Column.as_bool ctx c) 0;
-             width = c.Column.width;
-             dir =
-               (match o with
-               | Tablesort.Asc -> Orq_sort.Bitonic.Asc
-               | Tablesort.Desc -> Orq_sort.Bitonic.Desc);
-           })
+           (pad (Column.as_bool ctx c) 0, c.Column.width, o))
          specs
   in
   let others =
@@ -144,8 +142,11 @@ let bitonic_sort (t : Table.t) (specs : (string * Tablesort.order) list) :
       t.Table.cols
   in
   let sorted_keys, sorted_others =
-    Orq_sort.Bitonic.sort ctx ~keys (List.map snd others)
+    Orq_sort.Bitonic.sort ctx
+      ~keys:(List.map (fun (s, w, o) -> (flip o w s, w)) keys)
+      (List.map snd others)
   in
+  let sorted_keys = List.map2 (fun (_, w, o) s -> flip o w s) keys sorted_keys in
   let key_cols =
     List.map2
       (fun (name, _) s -> (name, Share.sub_range s 0 n))

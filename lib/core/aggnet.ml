@@ -118,11 +118,12 @@ let boundaries (ctx : Ctx.t) ~(keys : (Share.shared * int) list)
 
 (* Group marks of [n] sorted rows from the flags [eq] of
    eq(K[i], K[i+1]) for i < n-1: [~first] marks row 0 and each row after
-   an inequality, otherwise each row before one and row n-1. Local. *)
+   an inequality, otherwise each row before one and row n-1 (no rows,
+   no marks). Local. *)
 let marks (ctx : Ctx.t) ~first n (eq : unit -> Share.flags) : Share.flags =
-  let one = Share.pack_flags (Share.public ctx Share.Bool 1 1) in
-  if n = 1 then one
+  if n <= 1 then Share.pack_flags (Share.public ctx Share.Bool n 1)
   else
+    let one = Share.pack_flags (Share.public ctx Share.Bool 1 1) in
     let ne = Mpc.bnot_f (eq ()) in
     Share.flags_concat_many (if first then [| one; ne |] else [| ne; one |])
 

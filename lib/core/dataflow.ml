@@ -790,7 +790,7 @@ let group_join ?(outer = false) (left : Table.t) (right : Table.t)
 (** SEMI JOIN — keep left rows that match some right row. Implemented as
     the swapped inner join of Appendix C.1, then projected back to the
     left schema. Handles duplicates on both sides. *)
-let semi_join ?trim (left : Table.t) (right : Table.t) ~(on : string list) :
+let semi_join (left : Table.t) (right : Table.t) ~(on : string list) :
     Table.t =
   let ctx = Table.ctx left in
   let right' = Table.project right on in
@@ -807,13 +807,13 @@ let semi_join ?trim (left : Table.t) (right : Table.t) ~(on : string list) :
     match Joincost.choose_logged ctx ~node shape with
     | Joincost.Linear -> Linjoin.join ctx `Inner ~left:right' ~right:left ~on ()
     | Joincost.Sort ->
-        Joinagg.join ctx Joinagg.V_inner ?trim ~left:right' ~right:left ~on ()
+        Joinagg.join ctx Joinagg.V_inner ~left:right' ~right:left ~on ()
   in
   parked (Table.rename (Table.project joined (Table.col_names left)) left.Table.name)
 
 (** ANTI JOIN — keep left rows with no match in right (swapped right-outer
     with cross-table valid propagation, Appendix C.1). *)
-let anti_join ?trim (left : Table.t) (right : Table.t) ~(on : string list) :
+let anti_join (left : Table.t) (right : Table.t) ~(on : string list) :
     Table.t =
   let ctx = Table.ctx left in
   let right' = Table.project right on in
@@ -827,7 +827,7 @@ let anti_join ?trim (left : Table.t) (right : Table.t) ~(on : string list) :
     match Joincost.choose_logged ctx ~node shape with
     | Joincost.Linear -> Linjoin.join ctx `Anti ~left:right' ~right:left ~on ()
     | Joincost.Sort ->
-        Joinagg.join ctx Joinagg.V_anti ?trim ~left:right' ~right:left ~on ()
+        Joinagg.join ctx Joinagg.V_anti ~left:right' ~right:left ~on ()
   in
   parked (Table.rename (Table.project joined (Table.col_names left)) left.Table.name)
 

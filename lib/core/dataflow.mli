@@ -133,14 +133,14 @@ val group_join :
     zero count) is undefined. Output: [keys] then the aggregation
     results. *)
 
-val semi_join :
-  ?trim:Joinagg.trim_mode -> Table.t -> Table.t -> on:string list -> Table.t
+val semi_join : Table.t -> Table.t -> on:string list -> Table.t
 (** Keep left rows that match some right row (swapped inner join of
-    Appendix C.1; handles duplicates on both sides). *)
+    Appendix C.1; handles duplicates on both sides). A sort join trims
+    its output by the C.3 heuristic ({!Joinagg.should_trim}). *)
 
-val anti_join :
-  ?trim:Joinagg.trim_mode -> Table.t -> Table.t -> on:string list -> Table.t
-(** Keep left rows with no match in right. *)
+val anti_join : Table.t -> Table.t -> on:string list -> Table.t
+(** Keep left rows with no match in right; a sort join trims as
+    {!semi_join}'s does. *)
 
 (** {2 Set operations} *)
 

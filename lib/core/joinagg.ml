@@ -126,10 +126,7 @@ let prepare (ctx : Ctx.t) ~(left : Table.t) ~(right : Table.t)
     | v :: rest ->
         let nk = List.length on in
         ( v,
-          List.map2
-            (fun k w -> (k, w))
-            (Orq_sort.Quicksort.take nk rest)
-            key_widths,
+          List.combine (List.filteri (fun i _ -> i < nk) rest) key_widths,
           List.nth rest nk )
     | [] -> assert false
   in
@@ -138,13 +135,13 @@ let prepare (ctx : Ctx.t) ~(left : Table.t) ~(right : Table.t)
     List.map2
       (fun (name, _, c) d -> (name, d, c))
       l_cols
-      (Orq_sort.Quicksort.take nl sorted_payload)
+      (List.filteri (fun i _ -> i < nl) sorted_payload)
   in
   let r_cols' =
     List.map2
       (fun (name, _, c) d -> (name, Column.with_data c d))
       r_cols
-      (Orq_sort.Quicksort.drop nl sorted_payload)
+      (List.filteri (fun i _ -> i >= nl) sorted_payload)
   in
   {
     p_v_lr = v_lr';
@@ -259,10 +256,10 @@ let network (ctx : Ctx.t) (variant : variant) (p : prepared)
     List.map2
       (fun (name, _, c) d -> (name, Column.with_data c d))
       copy_specs
-      (Orq_sort.Quicksort.take ncopy results)
+      (List.filteri (fun i _ -> i < ncopy) results)
   in
   let valid_final, agg_results =
-    match Orq_sort.Quicksort.drop ncopy results with
+    match List.filteri (fun i _ -> i >= ncopy) results with
     | v :: r -> (v, r)
     | [] -> assert false
   in

@@ -1,4 +1,5 @@
-(** TableSort (§3.2): sort a table on a composite key without re-sorting
+(** TableSort (§3.2, Protocol 2) and its sorting wrapper (Appendix B.2,
+    Protocol 11): sort a table on a composite key without re-sorting
     every column for every key.
 
     Where Protocol 2 extracts one sorting permutation per key column and
@@ -7,33 +8,58 @@
     the whole composite key, and that permutation is applied to all
     columns of the table once. A single-key sort takes the fast path of
     carrying every column through the base sort directly — no extraction
-    or inversion needed. *)
+    or inversion needed.
+
+    The base sorts sort ascending. A descending key is xored with its
+    w-bit complement before the sort (local), which reverses its order
+    and keeps ties stable; the complement is undone on the sorted key. A
+    signed key's sign-bit flip rides in the same public xor. *)
 
 open Orq_proto
-module Sortwrap = Orq_sort.Sortwrap
 module Permops = Orq_shuffle.Permops
+module Localperm = Orq_shuffle.Localperm
 module Ring = Orq_util.Ring
 
 type order = Table.order = Asc | Desc
 
-let to_dir = function Asc -> Sortwrap.Asc | Desc -> Sortwrap.Desc
+type algo = Quicksort | Radixsort
+
+(* The engine's base-sort rule (§3.2): radixsort when every key is at
+   most 32 bits, quicksort otherwise. *)
+let default_algo keys =
+  if List.for_all (fun (_, w, _) -> w <= 32) keys then Radixsort else Quicksort
 
 (* Bits per packed key word. Radixsort takes 60 bits, the widest
    multiple of both 2 and 3 that fits a word, so that every word below
    the top one splits into whole digits of any protocol's width;
    quicksort takes whole words, so that its lexicographic compare runs
    over as few columns as possible. *)
-let word_bits = function
-  | Sortwrap.Radixsort -> 60
-  | Sortwrap.Quicksort -> Ring.word_bits
+let word_bits = function Radixsort -> 60 | Quicksort -> Ring.word_bits
 
-(** [pack ~bits keys] is the composite key of [keys] (most significant
-    first) as ascending Bool words, most significant first: the key bits
-    are concatenated, each [Desc] key xored with its all-ones mask so that
-    it sorts ascending, and the result is cut from its least significant
-    bit into [bits]-bit words; the top word holds the rest. Local: shifts,
-    masks and xors of the whole key columns. *)
-let pack ~bits (keys : (Share.chunked * int * order) list) :
+(* The public word a [w]-bit key in order [o] is xored with so that it
+   sorts ascending: its complement when descending. *)
+let complement w o = match o with Asc -> 0 | Desc -> Ring.mask w
+
+let xor_c c ck = if c = 0 then ck else Share.map_chunks (fun s -> Mpc.xor_pub s c) ck
+
+(* Rematerialize a whole-vector result with the tracking of the input it
+   replaces. *)
+let repack_like (like : Share.chunked) (s : Share.shared) =
+  if Share.chunked_tracked like then Share.park s else Share.wrap s
+
+(* Shared index column 0..n-1 (the publicShare padding step), with the
+   width it travels and compares at: its values are below the public n. *)
+let index_column (ctx : Ctx.t) n =
+  ( Share.public_vec ctx Share.Bool (Localperm.identity n),
+    Ring.index_bits n )
+
+(* [pack ~bits keys] is the composite key of the [(column, width, xor)]
+   [keys] (most significant first) as ascending Bool words, most
+   significant first: each key is masked to its width and xored with its
+   public word, the key bits are concatenated, and the result is cut from
+   its least significant bit into [bits]-bit words; the top word holds
+   the rest. Local: shifts, masks and xors of the whole key columns. *)
+let pack ~bits (keys : (Share.chunked * int * int) list) :
     (Share.shared * int) list =
   let total = List.fold_left (fun acc (_, w, _) -> acc + w) 0 keys in
   let nwords = (total + bits - 1) / bits in
@@ -44,11 +70,11 @@ let pack ~bits (keys : (Share.chunked * int * order) list) :
   in
   ignore
     (List.fold_left
-       (fun hi (k, w, o) ->
+       (fun hi (k, w, c) ->
          (* the key fills composite bits [lo, hi) *)
          let lo = hi - w in
          let k = Mpc.and_mask (Share.unpark k) (Ring.mask w) in
-         let k = match o with Asc -> k | Desc -> Mpc.xor_pub k (Ring.mask w) in
+         let k = if c = 0 then k else Mpc.xor_pub k c in
          for j = lo / bits to (hi - 1) / bits do
            let base = j * bits in
            let piece =
@@ -65,38 +91,102 @@ let pack ~bits (keys : (Share.chunked * int * order) list) :
       let j = nwords - 1 - i in
       (Option.get words.(j), min total ((j + 1) * bits) - (j * bits)))
 
-(** [sort_cols ctx ~keys others] sorts rows lexicographically by the key
-    columns (each with width and direction); returns (sorted keys, sorted
-    others). Every permutation moves each key and each [(column, width)]
-    of [others] at its width. A multi-key sort packs the keys ({!pack})
-    and runs one base sort on the words: radixsort when the engine would
-    radix-sort every key on its own
-    ({!Sortwrap.default_algo_for_width}), quicksort otherwise. Tracked
-    columns stream chunk at a time through the final table-wide
-    permutation application; the packed words and the permutation are
-    whole vectors. *)
-let sort_cols (ctx : Ctx.t) ~(keys : (Share.chunked * int * order) list)
+(* The single-key fast path: sort rows ascending by the [w]-bit key,
+   carrying the [(column, width)] columns through the base sort.
+   Radixsort streams the columns; quicksort sorts on (key, index) for
+   uniqueness and stability, and as its shuffle-then-open control flow
+   keys on whole opened vectors, it unparks its input and repacks the
+   result like the key. *)
+let carry_through (ctx : Ctx.t) algo ~w (key : Share.chunked)
+    (carry : (Share.chunked * int) list) : Share.chunked * Share.chunked list =
+  match algo with
+  | Radixsort -> (
+      Ctx.with_label ctx "radixsort" @@ fun () ->
+      match Orq_sort.Radixsort.sort_c ctx ~bits:w [ (key, w) ] carry with
+      | [ key' ], carry' -> (key', carry')
+      | _ -> assert false)
+  | Quicksort -> (
+      Ctx.with_label ctx "quicksort" @@ fun () ->
+      let index, iw = index_column ctx (Share.chunked_length key) in
+      match
+        Orq_sort.Quicksort.sort ctx
+          ~keys:[ (Share.unpark key, w); (index, iw) ]
+          (List.map (fun (c, cw) -> (Share.unpark c, cw)) carry)
+      with
+      | [ key'; _ ], carry' ->
+          (repack_like key key', List.map (repack_like key) carry')
+      | _ -> assert false)
+
+(* The elementwise permutation sigma that stably sorts the rows
+   ascending by the composite key the whole [(word, width)] columns form
+   (most significant first): the base sort carries (radixsort) or
+   compares last (quicksort) the index column, which ends as
+   sigma^{-1} = sigma(I); Protocol 8 inverts it. Under radixsort each
+   word moves only its still-unranked bits. *)
+let sorting_perm (ctx : Ctx.t) algo (words : (Share.shared * int) list) :
+    Share.shared =
+  let index, iw = index_column ctx (Share.length (fst (List.hd words))) in
+  let inv =
+    match algo with
+    | Radixsort -> (
+        Ctx.with_label ctx "radixsort" @@ fun () ->
+        match
+          Orq_sort.Radixsort.sort_c ctx ~keep:false
+            (List.map (fun (w, ww) -> (Share.wrap w, ww)) words)
+            [ (Share.wrap index, iw) ]
+        with
+        | [], [ inv ] -> Share.unpark inv
+        | _ -> assert false)
+    | Quicksort -> (
+        Ctx.with_label ctx "quicksort" @@ fun () ->
+        match
+          List.rev (fst (Orq_sort.Quicksort.sort ctx ~keys:(words @ [ (index, iw) ]) []))
+        with
+        | inv :: _ -> inv
+        | [] -> assert false)
+  in
+  Permops.invert ctx inv
+
+(* {!sort_cols} over [(column, width, xor)] keys: each key sorts
+   ascending after the xor with its public word, and comes back as it
+   went in. *)
+let sort_xored (ctx : Ctx.t) (algo : algo option)
+    (keys : (Share.chunked * int * int) list)
     (others : (Share.chunked * int) list) :
     Share.chunked list * Share.chunked list =
+  let algo = Option.value algo ~default:(default_algo keys) in
   match keys with
   | [] -> invalid_arg "Tablesort.sort_cols: no keys"
-  | [ (k, w, o) ] ->
-      let k', others' = Sortwrap.sort ctx ~dir:(to_dir o) ~w k others in
-      ([ k' ], others')
+  | (k, _, _) :: _ when Share.chunked_length k = 0 ->
+      (List.map (fun (k, _, _) -> k) keys, List.map fst others)
+  | [ (k, w, c) ] ->
+      let k', others' = carry_through ctx algo ~w (xor_c c k) others in
+      ([ xor_c c k' ], others')
   | _ ->
-      let radix (_, w, _) =
-        Sortwrap.default_algo_for_width w = Sortwrap.Radixsort
+      let sigma = sorting_perm ctx algo (pack ~bits:(word_bits algo) keys) in
+      let nk = List.length keys in
+      let all =
+        Permops.apply_elementwise_table ctx
+          (List.map (fun (k, w, _) -> (k, w)) keys @ others)
+          sigma
       in
-      let algo =
-        if List.for_all radix keys then Sortwrap.Radixsort
-        else Sortwrap.Quicksort
-      in
-      let words = pack ~bits:(word_bits algo) keys in
-      let sigma = Sortwrap.sorting_perm ctx ~algo words in
-      let key_cols = List.map (fun (k, w, _) -> (k, w)) keys in
-      let nk = List.length key_cols in
-      let all = Permops.apply_elementwise_table ctx (key_cols @ others) sigma in
-      (Orq_sort.Quicksort.take nk all, Orq_sort.Quicksort.drop nk all)
+      (List.filteri (fun i _ -> i < nk) all, List.filteri (fun i _ -> i >= nk) all)
+
+(** [sort_cols ctx ?algo ~keys others] sorts rows lexicographically by
+    the key columns (each with width and direction); returns (sorted
+    keys, sorted others). Every permutation moves each key and each
+    [(column, width)] of [others] at its width. [algo] defaults to
+    radixsort when every key is at most 32 bits and quicksort otherwise.
+    A multi-key sort packs the keys ({!pack}) and runs one base sort on
+    the words. Tracked columns stream chunk at a time through the final
+    table-wide permutation application; the packed words and the
+    permutation are whole vectors. Zero rows return as they came. *)
+let sort_cols (ctx : Ctx.t) ?algo ~(keys : (Share.chunked * int * order) list)
+    (others : (Share.chunked * int) list) :
+    Share.chunked list * Share.chunked list =
+  sort_xored ctx algo
+    (List.map (fun (k, w, o) -> (k, w, complement w o)) keys)
+    others
 
 (** Sort a whole table by named columns; [valid] prepends the validity
     bit as the leading key, whose sorted column is then the new validity
@@ -105,29 +195,23 @@ let sort_cols (ctx : Ctx.t) ~(keys : (Share.chunked * int * order) list)
     untracked chunks. *)
 let sort ?valid (t : Table.t) (specs : (string * order) list) : Table.t =
   let ctx = Table.ctx t in
-  (* signed key columns sort correctly after the order-preserving
-     two's-complement -> unsigned map (flip the sign bit); the flip is
-     undone on the sorted output *)
-  let flip_of name =
-    let c = Table.find t name in
-    if c.Column.signed then 1 lsl (c.Column.width - 1) else 0
-  in
   (* boolean payload; arithmetic columns convert as whole vectors *)
   let chunked_bool c =
     match Column.enc c with
     | Share.Bool -> Column.chunked c
     | Share.Arith -> Share.wrap (Column.as_bool ctx c)
   in
-  let flip_c f ck =
-    if f = 0 then ck else Share.map_chunks (fun s -> Mpc.xor_pub s f) ck
-  in
   let valid_col = (Share.wrap t.Table.valid, 1) in
   let keys =
-    (match valid with Some o -> [ (fst valid_col, 1, o) ] | None -> [])
+    (match valid with Some o -> [ (fst valid_col, 1, complement 1 o) ] | None -> [])
     @ List.map
         (fun (name, o) ->
           let c = Table.find t name in
-          (flip_c (flip_of name) (chunked_bool c), c.Column.width, o))
+          (* signed key columns sort correctly after the
+             order-preserving two's-complement -> unsigned map (flip
+             the sign bit) *)
+          let flip = if c.Column.signed then 1 lsl (c.Column.width - 1) else 0 in
+          (chunked_bool c, c.Column.width, flip lxor complement c.Column.width o))
         specs
   in
   let key_names = List.map fst specs in
@@ -140,23 +224,19 @@ let sort ?valid (t : Table.t) (specs : (string * order) list) : Table.t =
   in
   let carried = List.map snd others in
   let sorted_keys, sorted_others =
-    sort_cols ctx ~keys (if valid = None then valid_col :: carried else carried)
+    sort_xored ctx None keys (if valid = None then valid_col :: carried else carried)
   in
   let valid', sorted_named, rest =
     match (valid, sorted_keys, sorted_others) with
     | Some _, v :: named, rest | None, named, v :: rest -> (v, named, rest)
     | _ -> assert false
   in
-  let recol = Column.with_chunked in
+  let sorted =
+    List.combine key_names sorted_named
+    @ List.combine (List.map fst others) rest
+  in
   let cols' =
-    List.map
-      (fun (n, c) ->
-        match List.assoc_opt n (List.combine key_names sorted_named) with
-        | Some data -> (n, recol c (flip_c (flip_of n) data))
-        | None ->
-            let data = List.assoc n (List.combine (List.map fst others) rest) in
-            (n, recol c data))
-      t.Table.cols
+    List.map (fun (n, c) -> (n, Column.with_chunked c (List.assoc n sorted))) t.Table.cols
   in
   let facts =
     List.filter (function Table.Ordered _ -> false | _ -> true) t.Table.facts

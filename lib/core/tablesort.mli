@@ -1,26 +1,38 @@
-(** TableSort (§3.2): sort a table on a composite key without re-sorting
-    every column per key — the key columns are packed locally into
-    ascending words, one base sort extracts the composite key's sorting
-    permutation, and it is applied to all columns once. Single-key sorts
-    take a fast path carrying every column through the base sort. Signed
-    key columns sort via the order-preserving sign-bit flip. *)
+(** TableSort (§3.2) with its sorting wrapper (Appendix B.2): sort a
+    table on a composite key without re-sorting every column per key —
+    the key columns are packed locally into ascending words, one base
+    sort extracts the composite key's sorting permutation (the carried
+    index column ends as sigma^{-1}, which Protocol 8 inverts), and it is
+    applied to all columns once. Single-key sorts take a fast path
+    carrying every column through the base sort. Descending keys sort as
+    their w-bit complement and signed keys via the order-preserving
+    sign-bit flip, both one local xor undone on the sorted key. *)
 
 open Orq_proto
 
 type order = Table.order = Asc | Desc
 
+type algo = Quicksort | Radixsort
+
 val sort_cols :
-  Ctx.t -> keys:(Share.chunked * int * order) list ->
+  Ctx.t -> ?algo:algo -> keys:(Share.chunked * int * order) list ->
   (Share.chunked * int) list -> Share.chunked list * Share.chunked list
 (** Sort rows lexicographically by the key columns (width and direction
-    each); returns (sorted keys, sorted others). Keys and the
-    [(column, width)] pairs of others move at their widths (boolean
-    columns are masked to them on receipt). A multi-key sort runs one
-    base sort over the packed keys: radixsort when every key alone would
-    be radix-sorted ({!Orq_sort.Sortwrap.default_algo_for_width}),
-    quicksort otherwise. Tracked columns stream chunk at a time; whole
-    ({!Share.wrap}ped) columns are single chunks. The wire cost does not
-    depend on the chunking. *)
+    each); returns (sorted keys, sorted others). [algo] picks the base
+    sort; by default radixsort when every key is at most 32 bits,
+    quicksort otherwise (the engine rule of §3.2).
+
+    Width contract: keys and the [(column, width)] pairs of others move
+    at their widths (see {!Orq_shuffle.Shardedperm.apply}: boolean
+    columns are masked to them on receipt, arithmetic ones must be at
+    [ctx.ell]); quicksort's index column moves at
+    {!Orq_util.Ring.index_bits}[ n] for [n] rows.
+
+    Tracked columns stream chunk at a time (quicksort works on whole
+    vectors and repacks its result like the key); whole
+    ({!Share.wrap}ped) columns are single chunks and never touch the
+    chunk store. The wire cost does not depend on the chunking. Zero
+    rows come back as they went in, unmetered. *)
 
 val sort : ?valid:order -> Table.t -> (string * order) list -> Table.t
 (** Sort a table by named columns; [valid] makes the validity bit the

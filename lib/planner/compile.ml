@@ -254,8 +254,7 @@ and row_local st n =
         in
         { mapped with Table.valid = filtered.Table.valid }
 
-let run ?(optimize = true) ?need (n : node) : Table.t * int =
-  let n = if optimize then Optimize.run n else n in
+let run ?need (n : node) : Table.t * int =
   let need = match need with Some c -> c | None -> (infer n).i_cols in
   let st = prepare n need in
   let t = compile st n in

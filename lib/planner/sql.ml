@@ -454,5 +454,5 @@ let run (cat : catalog) (sql : string) : Table.t * string list * int =
   let plan, out_cols = parse_query cat sql in
   let plan = Optimize.run plan in
   ignore (Plan.bounds plan);
-  let t, fb = Compile.run ~optimize:false ~need:out_cols plan in
+  let t, fb = Compile.run ~need:out_cols plan in
   (Table.project t (List.filter (fun c -> Table.mem t c) out_cols), out_cols, fb)

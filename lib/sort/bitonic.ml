@@ -4,28 +4,24 @@
     multiplexed swap, all pairs of a stage batched into one round. Requires
     a power-of-two row count (callers pad with validity-0 rows). Handles
     duplicate keys (sorting networks are comparison-oblivious), but is not
-    stable. *)
+    stable. Keys sort ascending; a caller complements a descending key. *)
 
 open Orq_proto
 module Compare = Orq_circuits.Compare
 module Mux = Orq_circuits.Mux
 
-type dir = Asc | Desc
+(* The first [k] elements of [l] and the rest. *)
+let split_at k l = (List.filteri (fun i _ -> i < k) l, List.filteri (fun i _ -> i >= k) l)
 
-type key = { col : Share.shared; width : int; dir : dir }
-
-let take = Quicksort.take
-let drop = Quicksort.drop
-
-(** [sort ctx ~keys carry] sorts rows by the composite key; n must be a
-    power of two. *)
-let sort (ctx : Ctx.t) ~(keys : key list) (carry : Share.shared list) :
-    Share.shared list * Share.shared list =
-  let n = Share.length (List.hd keys).col in
+(** [sort ctx ~keys carry] sorts rows by the composite key of the
+    [(column, width)] keys; n must be a power of two. *)
+let sort (ctx : Ctx.t) ~(keys : (Share.shared * int) list)
+    (carry : Share.shared list) : Share.shared list * Share.shared list =
+  let n = Share.length (fst (List.hd keys)) in
   if not (Orq_util.Ring.is_pow2 n) then
     invalid_arg "Bitonic.sort: size must be a power of two";
   let nk = List.length keys in
-  let cols = ref (List.map (fun k -> k.col) keys @ carry) in
+  let cols = ref (List.map fst keys @ carry) in
   let k = ref 2 in
   while !k <= n do
     let j = ref (!k / 2) in
@@ -44,15 +40,12 @@ let sort (ctx : Ctx.t) ~(keys : key list) (carry : Share.shared list) :
       let rows_a = List.map (fun c -> Share.gather c idx_a) !cols in
       let rows_b = List.map (fun c -> Share.gather c idx_b) !cols in
       (* out of order (for an ascending segment) iff b < a under the
-         direction-adjusted lexicographic comparator *)
+         lexicographic comparator *)
       let cmp_operands =
         List.map2
-          (fun key (a, b) ->
-            match key.dir with
-            | Asc -> (b, a, key.width)
-            | Desc -> (a, b, key.width))
+          (fun (_, w) (a, b) -> (b, a, w))
           keys
-          (List.map2 (fun a b -> (a, b)) (take nk rows_a) (take nk rows_b))
+          (List.combine (fst (split_at nk rows_a)) (fst (split_at nk rows_b)))
       in
       let out_of_order = Compare.lt_lex ctx cmp_operands in
       let swap =
@@ -64,8 +57,7 @@ let sort (ctx : Ctx.t) ~(keys : key list) (carry : Share.shared list) :
           (List.map2 (fun a b -> (a, b)) rows_a rows_b
           @ List.map2 (fun a b -> (a, b)) rows_b rows_a)
       in
-      let ncols = List.length !cols in
-      let new_a = take ncols muxed and new_b = drop ncols muxed in
+      let new_a, new_b = split_at (List.length !cols) muxed in
       cols :=
         List.mapi
           (fun ci c ->
@@ -76,4 +68,4 @@ let sort (ctx : Ctx.t) ~(keys : key list) (carry : Share.shared list) :
     done;
     k := !k * 2
   done;
-  (take nk !cols, drop nk !cols)
+  split_at nk !cols

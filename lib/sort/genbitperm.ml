@@ -19,10 +19,13 @@
 
 open Orq_proto
 
-(* Broadcast the last element of a sharing to every position (linear). *)
+(* Broadcast the last element of a sharing to every position (linear);
+   an empty sharing stays empty. *)
 let broadcast_last (s : Share.shared) =
   Share.map_vectors
-    (fun vk -> Array.make (Array.length vk) vk.(Array.length vk - 1))
+    (fun vk ->
+      let n = Array.length vk in
+      if n = 0 then vk else Array.make n vk.(n - 1))
     s
 
 (* The one-hot digit e_0 .. e_{2^L - 1} of the 0/1 bits [a] (least

@@ -17,7 +17,8 @@
 open Orq_proto
 
 val broadcast_last : Share.shared -> Share.shared
-(** Broadcast the last element of a sharing to every position (linear). *)
+(** Broadcast the last element of a sharing to every position (linear);
+    an empty sharing stays empty. *)
 
 val gen_digit : Ctx.t -> Share.flags array -> Share.shared
 (** [gen_digit ctx flags]: arithmetic elementwise sorting permutation of

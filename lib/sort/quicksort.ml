@@ -14,24 +14,12 @@
     height of the shuffled order's search tree) would vary from run to
     run and fall several levels later.
 
-    Keys must be unique for security (the {!Sortwrap} wrapper guarantees
-    this by appending the row index); composite keys with per-column
-    direction are compared lexicographically. *)
+    Keys must be unique for security (TableSort guarantees this by
+    appending the row index); composite keys are compared
+    lexicographically, ascending (a descending key arrives complemented). *)
 
 open Orq_proto
 module Compare = Orq_circuits.Compare
-
-type dir = Asc | Desc
-
-type key = { col : Share.shared; width : int; dir : dir }
-
-let rec take n = function
-  | [] -> []
-  | x :: tl -> if n = 0 then [] else x :: take (n - 1) tl
-
-let rec drop n = function
-  | [] -> []
-  | _ :: tl as l -> if n = 0 then l else drop (n - 1) tl
 
 (* Partition levels before the all-pairs round: floor(1.75 lg n). A random
    search tree on n keys is rarely that shallow (its height concentrates
@@ -43,24 +31,23 @@ let rec drop n = function
    much as the full recursion's. *)
 let partition_levels n = int_of_float (1.75 *. Float.log2 (float_of_int n))
 
-(** [sort ctx ~keys carry] sorts the rows formed by the key columns plus
-    the [(column, width)] [carry] pairs; returns (sorted key columns,
-    sorted carry columns). The initial shuffle moves every column at its
-    width. *)
-let sort (ctx : Ctx.t) ~(keys : key list) (carry : (Share.shared * int) list)
-    : Share.shared list * Share.shared list =
-  let n = Share.length (List.hd keys).col in
+(** [sort ctx ~keys carry] sorts the rows formed by the [(column, width)]
+    keys plus the [(column, width)] [carry] pairs; returns (sorted key
+    columns, sorted carry columns). The initial shuffle moves every column
+    at its width. *)
+let sort (ctx : Ctx.t) ~(keys : (Share.shared * int) list)
+    (carry : (Share.shared * int) list) : Share.shared list * Share.shared list =
+  let n = Share.length (fst (List.hd keys)) in
   let nk = List.length keys in
-  if n <= 1 then (List.map (fun k -> k.col) keys, List.map fst carry)
+  if n <= 1 then (List.map fst keys, List.map fst carry)
   else begin
     let all =
       Orq_shuffle.Permops.shuffle_table ctx
-        (List.map
-           (fun (c, w) -> (Share.wrap c, w))
-           (List.map (fun k -> (k.col, k.width)) keys @ carry))
+        (List.map (fun (c, w) -> (Share.wrap c, w)) (keys @ carry))
       |> List.map Share.unpark
     in
-    let key_cols = ref (take nk all) and carry_cols = ref (drop nk all) in
+    let key_cols = ref (List.filteri (fun i _ -> i < nk) all)
+    and carry_cols = ref (List.filteri (fun i _ -> i >= nk) all) in
     let segs = ref [ (0, n) ] in
     let finish_at = partition_levels n in
     let level = ref 0 in
@@ -86,12 +73,7 @@ let sort (ctx : Ctx.t) ~(keys : key list) (carry : (Share.shared * int) list)
       let b_idx = Array.of_list (List.map snd pairs) in
       let cmp_operands =
         List.map2
-          (fun k col ->
-            let a = Share.gather col a_idx in
-            let b = Share.gather col b_idx in
-            match k.dir with
-            | Asc -> (a, b, k.width)
-            | Desc -> (b, a, k.width))
+          (fun (_, w) col -> (Share.gather col a_idx, Share.gather col b_idx, w))
           keys !key_cols
       in
       (* the comparison opens in its last AND round where the protocol

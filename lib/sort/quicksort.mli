@@ -8,21 +8,14 @@
     segment and places rows by rank, so the round count depends on n
     alone unless the recursion ends sooner.
 
-    Keys must be unique for security ({!Sortwrap} appends the row index);
-    composite keys with per-column direction compare lexicographically. *)
+    Keys must be unique for security (TableSort appends the row index);
+    composite keys compare lexicographically, ascending. *)
 
 open Orq_proto
 
-type dir = Asc | Desc
-
-type key = { col : Share.shared; width : int; dir : dir }
-
-val take : int -> 'a list -> 'a list
-val drop : int -> 'a list -> 'a list
-
 val sort :
-  Ctx.t -> keys:key list -> (Share.shared * int) list ->
+  Ctx.t -> keys:(Share.shared * int) list -> (Share.shared * int) list ->
   Share.shared list * Share.shared list
 (** [sort ctx ~keys carry] = (sorted key columns, sorted carry columns).
-    [carry] pairs each column with its width; the initial shuffle moves
-    keys at [width] and carries at theirs (see {!Orq_shuffle.Permops}). *)
+    Keys and [carry] pair each column with its width; the initial shuffle
+    moves every column at its width (see {!Orq_shuffle.Permops}). *)

@@ -14,18 +14,15 @@
 open Orq_proto
 module Permops = Orq_shuffle.Permops
 
-type dir = Asc | Desc
-
-(** [sort ctx ~bits ?skip ~dir key carry]: same contract as
+(** [sort ctx ~bits ?skip key carry]: same contract as
     {!Radixsort.sort}. Also returns the composed sorting permutation. *)
-let sort_with_perm (ctx : Ctx.t) ~bits ?(skip = 0) ?(dir = Asc)
+let sort_with_perm (ctx : Ctx.t) ~bits ?(skip = 0)
     (key : Share.shared) (carry : Share.shared list) :
     (Share.shared * Share.shared list) * Share.shared =
   Share.check_enc Bool key;
   let sigma = ref None in
   for i = skip to skip + bits - 1 do
     let b = Mpc.extract_bit_f key i in
-    let b = match dir with Asc -> b | Desc -> Mpc.bnot_f b in
     let b =
       match !sigma with
       | None -> b
@@ -53,5 +50,5 @@ let sort_with_perm (ctx : Ctx.t) ~bits ?(skip = 0) ?(dir = Asc)
       | y :: rest -> ((y, rest), s)
       | [] -> assert false)
 
-let sort ctx ~bits ?skip ?dir key carry =
-  fst (sort_with_perm ctx ~bits ?skip ?dir key carry)
+let sort ctx ~bits ?skip key carry =
+  fst (sort_with_perm ctx ~bits ?skip key carry)

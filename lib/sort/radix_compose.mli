@@ -7,13 +7,11 @@
 
 open Orq_proto
 
-type dir = Asc | Desc
-
 val sort_with_perm :
-  Ctx.t -> bits:int -> ?skip:int -> ?dir:dir -> Share.shared ->
+  Ctx.t -> bits:int -> ?skip:int -> Share.shared ->
   Share.shared list -> (Share.shared * Share.shared list) * Share.shared
 (** As {!sort}, also returning the composed sorting permutation. *)
 
 val sort :
-  Ctx.t -> bits:int -> ?skip:int -> ?dir:dir -> Share.shared ->
+  Ctx.t -> bits:int -> ?skip:int -> Share.shared ->
   Share.shared list -> Share.shared * Share.shared list

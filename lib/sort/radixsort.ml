@@ -16,13 +16,11 @@
     reports as up to 1.44x faster.
 
     Stable by construction, so no uniqueness padding is needed for
-    correctness; the wrapper still carries an index column when the sorting
-    permutation must be extracted. Descending order flips each bit before
-    ranking, which reverses the digit order and preserves stability. *)
+    correctness; TableSort still carries an index column when the sorting
+    permutation must be extracted. Keys sort ascending: TableSort
+    complements a descending key before the sort and after it. *)
 
 open Orq_proto
-
-type dir = Asc | Desc
 
 (* Key bits of the next digit to rank, with [r] bits of the current word
    left. Under honest majority (3PC, 4PC) products consume no
@@ -53,7 +51,7 @@ let extract_digit (y : Share.chunked) lo l : Share.flags array =
       Array.init l (fun j ->
           Share.flags_concat_many (Array.map (fun c -> c.(j)) per_chunk))
 
-(** [sort_c ctx ?bits ?skip ?dir ?keep words carry] stably sorts the rows
+(** [sort_c ctx ?bits ?skip ?keep words carry] stably sorts the rows
     [(words..., carry...)] on bits [skip, skip + bits) of the composite
     key formed by the [words], most significant first ([bits] defaults to
     every bit above [skip]). Every column is paired with its width: each
@@ -71,7 +69,7 @@ let extract_digit (y : Share.chunked) lo l : Share.flags array =
     ({!Genbitperm}) runs over whole packed flag columns, a 1-bit-per-row
     working set per digit bit, 63x smaller than the table it ranks. A
     whole ({!Share.wrap}ped) input is one chunk. *)
-let sort_c (ctx : Ctx.t) ?bits ?(skip = 0) ?(dir = Asc) ?(keep = true)
+let sort_c (ctx : Ctx.t) ?bits ?(skip = 0) ?(keep = true)
     (words : (Share.chunked * int) list) (carry : (Share.chunked * int) list)
     : Share.chunked list * Share.chunked list =
   List.iter (fun (c, _) -> Share.check_enc_c Bool c) words;
@@ -102,9 +100,6 @@ let sort_c (ctx : Ctx.t) ?bits ?(skip = 0) ?(dir = Asc) ?(keep = true)
     let i = !i in
     let l = digit_bits ctx.kind (min hi (base.(i) + width.(i)) - !lo) in
     let digit = extract_digit word.(i) (!lo - base.(i) - shifted.(i)) l in
-    let digit =
-      match dir with Asc -> digit | Desc -> Array.map Mpc.bnot_f digit
-    in
     let sigma = Genbitperm.gen_digit ctx digit in
     lo := !lo + l;
     if not keep then begin
@@ -153,8 +148,8 @@ let sort_c (ctx : Ctx.t) ?bits ?(skip = 0) ?(dir = Asc) ?(keep = true)
   ((if keep then Array.to_list word else []), !rest)
 
 (** {!sort_c} on whole vectors, every column moved at [ctx.ell]. *)
-let sort (ctx : Ctx.t) ~bits ?skip ?dir key carry =
+let sort (ctx : Ctx.t) ~bits ?skip key carry =
   let at_ell s = (Share.wrap s, ctx.ell) in
-  match sort_c ctx ~bits ?skip ?dir [ at_ell key ] (List.map at_ell carry) with
+  match sort_c ctx ~bits ?skip [ at_ell key ] (List.map at_ell carry) with
   | [ k ], c -> (Share.unpark k, List.map Share.unpark c)
   | _ -> assert false

@@ -11,17 +11,15 @@
     [11 l - 6] (up to 1.44x faster in the paper at 1-bit digits).
     Whatever the digit width, a sort draws one sharded permutation per
     key bit from the shuffle stream ([Ctx.perm_prg]).
-    Stable; descending order flips each bit, preserving stability. *)
+    Stable and ascending (a descending key arrives complemented). *)
 
 open Orq_proto
 
-type dir = Asc | Desc
-
 val sort_c :
-  Ctx.t -> ?bits:int -> ?skip:int -> ?dir:dir -> ?keep:bool ->
+  Ctx.t -> ?bits:int -> ?skip:int -> ?keep:bool ->
   (Share.chunked * int) list -> (Share.chunked * int) list ->
   Share.chunked list * Share.chunked list
-(** [sort_c ctx ?bits ?skip ?dir ?keep words carry] stably sorts rows
+(** [sort_c ctx ?bits ?skip ?keep words carry] stably sorts rows
     [(words..., carry...)] on bits [skip, skip + bits) of the composite
     key the [words] form, most significant first ([bits] defaults to all
     bits above [skip]). A digit never straddles two words.
@@ -42,6 +40,6 @@ val sort_c :
     not depend on the chunking. *)
 
 val sort :
-  Ctx.t -> bits:int -> ?skip:int -> ?dir:dir -> Share.shared ->
+  Ctx.t -> bits:int -> ?skip:int -> Share.shared ->
   Share.shared list -> Share.shared * Share.shared list
 (** {!sort_c} on whole vectors with every column at [ctx.ell]. *)

@@ -8,7 +8,7 @@ type ('db, 'plain) t = {
   compare_cols : string list;
 }
 
-let run_plan plan db = fst (Orq_planner.Compile.run ~optimize:false (plan db))
+let run_plan plan db = fst (Orq_planner.Compile.run (plan db))
 
 let find qs name = List.find (fun q -> q.name = name) qs
 

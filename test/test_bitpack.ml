@@ -269,7 +269,7 @@ let test_e2e_quicksort () =
       let module Q = Orq_sort.Quicksort in
       let ks, cs =
         Q.sort ctx
-          ~keys:[ { Q.col = kc; width = 8; dir = Q.Asc } ]
+          ~keys:[ (kc, 8) ]
           [ (cc, ctx.Ctx.ell) ]
       in
       let order = stable_order keys in
@@ -367,7 +367,7 @@ let test_quicksort_sorts () =
       let kc = Mpc.share_b ctx keys in
       let module Q = Orq_sort.Quicksort in
       let ks, _ =
-        Q.sort ctx ~keys:[ { Q.col = kc; width = 8; dir = Q.Asc } ] []
+        Q.sort ctx ~keys:[ (kc, 8) ] []
       in
       let got = Share.reconstruct (List.hd ks) in
       let want = Array.init n (fun i -> i) in

@@ -9,7 +9,7 @@ module Parallel = Orq_util.Parallel
 module Vec = Orq_util.Vec
 module Comm = Orq_net.Comm
 module Permops = Orq_shuffle.Permops
-module Sortwrap = Orq_sort.Sortwrap
+module Tablesort = Orq_core.Tablesort
 module Query = Orq_workloads.Query
 module Tpch = Orq_workloads.Tpch
 module Tpch_gen = Orq_workloads.Tpch_gen
@@ -225,7 +225,9 @@ let test_shuffle_table () =
                (List.map (fun c -> (c, ctx.Ctx.ell)) cs))))
     [ 56; 53 ]
 
-(* radixsort (w = 8) and the whole-vector quicksort fallback (w = 40) *)
+(* radixsort (w = 8) and the whole-vector quicksort fallback (w = 40),
+   single-key (carried through the base sort) and 2-key (sigma extracted,
+   then applied) *)
 let test_sort () =
   for_all_kinds @@ fun kind ->
   List.iter
@@ -237,34 +239,32 @@ let test_sort () =
       check_same tag
         (wrapped_vs_parked kind ~seed:33 [ key; pay ] (fun ctx cs ->
              let k', ps' =
-               Sortwrap.sort ctx ~dir:Sortwrap.Asc ~w (List.hd cs)
+               Tablesort.sort_cols ctx
+                 ~keys:[ (List.hd cs, w, Tablesort.Asc) ]
                  (List.map (fun c -> (c, ctx.Ctx.ell)) (List.tl cs))
              in
-             k' :: ps'));
-      (* the permutation-extracting form: sigma is a whole vector *)
-      let ((_, _, tal1), (_, _, tal2)), sigmas =
-        let sigmas = ref [] in
-        let res =
-          wrapped_vs_parked kind ~seed:34 [ key ] (fun ctx cs ->
-              let sigma =
-                Sortwrap.sorting_perm ctx
-                  ~algo:(Sortwrap.default_algo_for_width w)
-                  [ (Share.unpark (List.hd cs), w) ]
-              in
-              sigmas := Share.reconstruct sigma :: !sigmas;
-              [])
-        in
-        (res, !sigmas)
+             k' @ ps'));
+      (* the permutation-extracting form: key ascending, pay descending *)
+      let ((vals, _, _), _) as res =
+        wrapped_vs_parked kind ~seed:34 [ key; pay ] (fun ctx cs ->
+            fst
+              (Tablesort.sort_cols ctx
+                 ~keys:
+                   (List.map2
+                      (fun c (cw, o) -> (c, cw, o))
+                      cs [ (w, Tablesort.Asc); (17, Tablesort.Desc) ])
+                 []))
       in
-      tally_eq (tag "perm tally") tal1 tal2;
-      match sigmas with
-      | [ s2; s1 ] ->
-          Alcotest.(check vec) (tag "sigma") s1 s2;
-          let sorted = Array.copy key in
-          Array.stable_sort compare sorted;
-          Alcotest.(check vec) (tag "sigma sorts")
-            sorted (Orq_util.Vec.scatter key s1)
-      | _ -> Alcotest.fail "arity")
+      check_same (fun s -> tag ("2-key " ^ s)) res;
+      let rows = List.combine (Array.to_list key) (Array.to_list pay) in
+      let sorted =
+        List.stable_sort
+          (fun (k1, p1) (k2, p2) -> if k1 <> k2 then compare k1 k2 else compare p2 p1)
+          rows
+      in
+      Alcotest.(check (list vec)) (tag "2-key sorts")
+        [ Array.of_list (List.map fst sorted); Array.of_list (List.map snd sorted) ]
+        vals)
     [ (56, 8); (53, 8); (56, 40); (53, 40) ]
 
 (* a 2-key TableSort (the sigma-extraction pipeline), whole vs parked
@@ -285,8 +285,8 @@ let test_tablesort () =
         if park then Orq_core.Table.park t;
         let before = Comm.snapshot ctx.Ctx.comm in
         let t' =
-          Orq_core.Tablesort.sort t
-            [ ("a", Orq_core.Tablesort.Asc); ("b", Orq_core.Tablesort.Desc) ]
+          Tablesort.sort t
+            [ ("a", Tablesort.Asc); ("b", Tablesort.Desc) ]
         in
         let tal = Comm.since ctx.Ctx.comm before in
         let tracked =
@@ -353,8 +353,8 @@ let qcheck_tablesort_vs_plaintext =
             in
             let v = Array.init n (fun _ -> pool.(Random.State.int st 3)) in
             let o =
-              if Random.State.bool st then Orq_core.Tablesort.Asc
-              else Orq_core.Tablesort.Desc
+              if Random.State.bool st then Tablesort.Asc
+              else Tablesort.Desc
             in
             (Printf.sprintf "k%d" i, w, v, o))
           widths
@@ -366,8 +366,8 @@ let qcheck_tablesort_vs_plaintext =
             if c <> 0 then c
             else
               match o with
-              | Orq_core.Tablesort.Asc -> compare v.(i) v.(j)
-              | Orq_core.Tablesort.Desc -> compare v.(j) v.(i))
+              | Tablesort.Asc -> compare v.(i) v.(j)
+              | Tablesort.Desc -> compare v.(j) v.(i))
           0 keys
       in
       let order = List.stable_sort cmp_rows (List.init n Fun.id) in
@@ -390,7 +390,7 @@ let qcheck_tablesort_vs_plaintext =
             if park then Orq_core.Table.park t;
             let before = Comm.snapshot ctx.Ctx.comm in
             let t' =
-              Orq_core.Tablesort.sort t
+              Tablesort.sort t
                 (List.map (fun (name, _, _, o) -> (name, o)) keys)
             in
             (Orq_core.Table.peek t', Comm.since ctx.Ctx.comm before)
@@ -432,13 +432,13 @@ let test_whole_sort_untracked () =
           let st = Random.State.make [| 10 |] in
           let keys = Array.init 300 (fun _ -> Random.State.int st 65536) in
           let key = Share.wrap (Mpc.share_b ctx keys) in
-          ignore (Sortwrap.sort ctx ~dir:Sortwrap.Asc ~w key []);
+          ignore (Tablesort.sort_cols ctx ~keys:[ (key, w, Tablesort.Asc) ] []);
           ignore
-            (Orq_core.Tablesort.sort_cols ctx
+            (Tablesort.sort_cols ctx
                ~keys:
                  [
-                   (key, w, Orq_core.Tablesort.Asc);
-                   (key, w, Orq_core.Tablesort.Desc);
+                   (key, w, Tablesort.Asc);
+                   (key, w, Tablesort.Desc);
                  ]
                [ (key, w) ]))
         [ 16; 40 ]);

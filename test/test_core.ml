@@ -1187,6 +1187,74 @@ let test_limit_beyond_valid () =
   Alcotest.(check rows_t) "padding row stays invalid" [ [ 5 ]; [ 9 ] ]
     (Table.valid_rows_sorted t [ "x" ])
 
+(* ---------------- empty and tiny tables ---------------- *)
+
+(* TableSort, ORDER BY, DISTINCT and GROUP BY (both physical paths) on
+   0, 1 and 2 rows under every protocol match the plaintext engine, and
+   a 0-row sort returns its empty input unmetered. *)
+let test_tiny_tables () =
+  List.iter
+    (fun kind ->
+      List.iter
+        (fun n ->
+          let ctx = Ctx.create ~seed:53 kind in
+          let tag s = Printf.sprintf "%s n=%d %s" (Ctx.kind_label kind) n s in
+          let g = Array.sub [| 4; 4 |] 0 n and x = Array.sub [| 2; 9 |] 0 n in
+          let t = Table.create ctx "t" [ ("G", 4, g); ("X", 4, x) ] in
+          let p = Ptable.of_cols [ ("G", g); ("X", x) ] in
+          let before = Orq_net.Comm.snapshot ctx.Ctx.comm in
+          let sorted = Tablesort.sort t [ ("G", Tablesort.Asc); ("X", Tablesort.Desc) ] in
+          if n = 0 then
+            Alcotest.(check bool) (tag "empty sort unmetered") true
+              (Orq_net.Comm.since ctx.Ctx.comm before = Orq_net.Comm.zero_tally);
+          let cols, _ = Table.peek sorted in
+          let ps = Ptable.sort p [ ("G", 1); ("X", -1) ] in
+          List.iter
+            (fun name ->
+              Alcotest.(check (array int)) (tag ("TableSort " ^ name))
+                (Array.of_list (List.map (Ptable.get ps name) ps.Ptable.rows))
+                (List.assoc name cols))
+            [ "G"; "X" ];
+          let ordered = Dataflow.order_by t [ ("X", Dataflow.Desc) ] in
+          Alcotest.(check (array int)) (tag "ORDER BY")
+            (Array.of_list (List.sort (fun a b -> compare b a) (Array.to_list x)))
+            (Array.sub (List.assoc "X" (fst (Table.peek ordered))) 0 n);
+          Alcotest.(check rows_t) (tag "DISTINCT")
+            (Ptable.rows_sorted (Ptable.distinct p [ "G" ]) [ "G" ])
+            (Table.valid_rows_sorted (Dataflow.distinct t [ "G" ]) [ "G" ]);
+          let aggs fns =
+            List.map (fun (dst, fn) -> { Dataflow.src = "X"; dst; fn }) fns
+          and paggs fns =
+            List.map (fun (dst, fn) -> { Ptable.src = "X"; dst; fn }) fns
+          in
+          List.iter
+            (fun (fns, pfns) ->
+              let names = "G" :: List.map fst fns in
+              let what = tag ("GROUP BY " ^ String.concat "," (List.map fst fns)) in
+              let want =
+                Ptable.rows_sorted
+                  (Ptable.group_by p ~keys:[ "G" ] ~aggs:(paggs pfns))
+                  names
+              in
+              let check_agg what t' =
+                Alcotest.(check rows_t) what want (Table.valid_rows_sorted t' names)
+              in
+              check_agg (what ^ " priced path")
+                (Dataflow.aggregate t ~keys:[ "G" ] ~aggs:(aggs fns));
+              List.iter
+                (fun path ->
+                  check_agg what
+                    (Dataflow.aggregate_by path t ~keys:[ "G" ] ~aggs:(aggs fns)))
+                (if List.mem_assoc "mx" fns then [ Dataflow.Network ]
+                 else [ Dataflow.Network; Dataflow.Compaction ]))
+            [
+              ( [ ("s", Dataflow.Sum); ("c", Dataflow.Count) ],
+                [ ("s", Ptable.Sum); ("c", Ptable.Count) ] );
+              ([ ("mx", Dataflow.Max) ], [ ("mx", Ptable.Max) ]);
+            ])
+        [ 0; 1; 2 ])
+    kinds
+
 let suite =
   [
     Alcotest.test_case "create + peek" `Quick test_create_peek;
@@ -1261,6 +1329,8 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_join_output_bound;
     Alcotest.test_case "data-owner padding" `Quick test_pad_rows;
     Alcotest.test_case "limit beyond valid rows" `Quick test_limit_beyond_valid;
+    Alcotest.test_case "sort, ORDER BY, DISTINCT, GROUP BY on 0-2 rows" `Quick
+      test_tiny_tables;
   ]
 
 let () = Alcotest.run "orq_core" [ ("core", suite) ]

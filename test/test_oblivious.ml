@@ -153,13 +153,13 @@ let test_quicksort_adversarial_orders () =
         (fun x ->
           let ctx = Ctx.create ~seed:77 kind in
           let y, _ =
-            Orq_sort.Sortwrap.sort ctx ~algo:Orq_sort.Sortwrap.Quicksort
-              ~dir:Orq_sort.Sortwrap.Asc ~w:8 (Share.wrap (Mpc.share_b ctx x)) []
+            Orq_core.Tablesort.sort_cols ctx ~algo:Orq_core.Tablesort.Quicksort
+              ~keys:[ (Share.wrap (Mpc.share_b ctx x), 8, Orq_core.Tablesort.Asc) ] []
           in
           let expect = Array.copy x in
           Array.sort compare expect;
           Alcotest.(check (array int)) "adversarial order sorts" expect
-            (Share.reconstruct_c y);
+            (Share.reconstruct_c (List.hd y));
           (* partitioning rounds bounded well below the B.4 comparison
              budget's implied depth *)
           let rounds = (Orq_net.Comm.snapshot ctx.Ctx.comm).Orq_net.Comm.t_rounds in

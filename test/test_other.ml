@@ -49,6 +49,39 @@ let cross =
     Alcotest.test_case "Patients [SH-DM]" `Slow (check Ctx.Sh_dm "Patients");
   ]
 
+(* Empty inputs: Comorbidity and Password over 0 rows, where every sort,
+   DISTINCT and GROUP BY they run sees an empty table, validate under
+   every protocol, in process and through orq_cli. *)
+let check_empty qname () =
+  let plain = Other_gen.generate ~seed:31 0 in
+  let q = Other_queries.find qname in
+  List.iter
+    (fun kind ->
+      let ctx = Ctx.create ~seed:13 kind in
+      let ok, _, _ = Query.validate q plain (Other_gen.share ctx plain) in
+      Alcotest.(check bool) (qname ^ " " ^ Ctx.kind_label kind) true ok)
+    Ctx.all_kinds;
+  let out = Filename.temp_file "orq_cli" ".out" in
+  let cli =
+    Filename.concat (Filename.dirname Sys.executable_name) "../bin/orq_cli.exe"
+  in
+  let code =
+    Sys.command
+      (Printf.sprintf "%s -q %s -p sh-hm -n 0 --validate > %s 2>&1"
+         (Filename.quote cli) qname (Filename.quote out))
+  in
+  let lines = In_channel.with_open_text out In_channel.input_all in
+  Sys.remove out;
+  Alcotest.(check int) (qname ^ " orq_cli exit code") 0 code;
+  Alcotest.(check bool) (qname ^ " orq_cli validates") true
+    (List.mem "validation against plaintext engine: OK"
+       (String.split_on_char '\n' lines))
+
+let empty_cases =
+  List.map
+    (fun name -> Alcotest.test_case (name ^ " on 0 rows") `Quick (check_empty name))
+    [ "Comorbidity"; "Password" ]
+
 (* SecretFlow S1-S5, registered over the TPC-H catalog, validated here
    under SH-DM too (the ABY-based setting they run in). *)
 let sf_plain = lazy (Tpch_gen.generate ~seed:21 0.0002)
@@ -73,4 +106,4 @@ let sf_cases =
 
 let () =
   Alcotest.run "orq_other_queries"
-    [ ("other", cases @ cross); ("secretflow", sf_cases) ]
+    [ ("other", cases @ cross @ empty_cases); ("secretflow", sf_cases) ]

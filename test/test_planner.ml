@@ -61,7 +61,7 @@ let test_pushdown () =
   (match opt with
   | Plan.Join { j_left = Plan.Filter _; j_right = Plan.Filter _; _ } -> ()
   | _ -> Alcotest.failf "filters not pushed: %s" (Plan.explain opt));
-  let t, fb = Compile.run plan in
+  let t, fb = Compile.run (Optimize.run plan) in
   Alcotest.(check int) "no fallback" 0 fb;
   Alcotest.(check rows_t) "pushed-down plan correct"
     [ [ 1; 20 ]; [ 3; 40 ] ]
@@ -77,7 +77,7 @@ let test_pushdown_saves_bytes () =
         Expr.(col "price" >. const 15)
         (Plan.join c o ~on:[ "cust" ])
     in
-    ignore (Compile.run ~optimize plan);
+    ignore (Compile.run (if optimize then Optimize.run plan else plan));
     (Orq_net.Comm.snapshot ctx.Ctx.comm).Orq_net.Comm.t_bits
   in
   (* at these tiny sizes pushdown mostly trades where the filter runs;
@@ -103,7 +103,7 @@ let test_orientation () =
       Alcotest.(check bool) "left is unique side" true
         (Plan.unique_on j_left [ "cust" ])
   | _ -> Alcotest.fail "not a join");
-  let t, fb = Compile.run plan in
+  let t, fb = Compile.run (Optimize.run plan) in
   Alcotest.(check int) "no fallback" 0 fb;
   Alcotest.(check rows_t) "swapped join correct"
     [ [ 1; 20 ]; [ 2; 10 ]; [ 2; 30 ]; [ 2; 50 ]; [ 3; 40 ] ]
@@ -128,7 +128,7 @@ let test_auto_preagg_count () =
       ~aggs:[ { Dataflow.src = "k"; dst = "n"; fn = Dataflow.Count } ]
       (Plan.join (Plan.scan l) (Plan.scan r) ~on:[ "k" ])
   in
-  let t, fb = Compile.run plan in
+  let t, fb = Compile.run (Optimize.run plan) in
   Alcotest.(check int) "no quadratic fallback (rewritten)" 0 fb;
   (* |join| per k: k=1 -> 2x1=2; k=2 -> 3x2=6 *)
   Alcotest.(check rows_t) "many-to-many count" [ [ 1; 2 ]; [ 2; 6 ] ]
@@ -142,7 +142,7 @@ let test_auto_preagg_sum () =
       ~aggs:[ { Dataflow.src = "v"; dst = "s"; fn = Dataflow.Sum } ]
       (Plan.join (Plan.scan l) (Plan.scan r) ~on:[ "k" ])
   in
-  let t, fb = Compile.run plan in
+  let t, fb = Compile.run (Optimize.run plan) in
   Alcotest.(check int) "no quadratic fallback (rewritten)" 0 fb;
   (* SUM(v) over the join: k=1 -> 2*5=10; k=2 -> 3*(10+20)=90 *)
   Alcotest.(check rows_t) "many-to-many sum" [ [ 1; 10 ]; [ 2; 90 ] ]
@@ -156,7 +156,7 @@ let test_quadratic_fallback () =
   (* a raw many-to-many join with no decomposable aggregation above it:
      outside the tractable class, must fall back and stay correct *)
   let plan = Plan.join (Plan.scan l) (Plan.scan r) ~on:[ "k" ] in
-  let t, fb = Compile.run plan in
+  let t, fb = Compile.run (Optimize.run plan) in
   Alcotest.(check int) "fallback used" 1 fb;
   Alcotest.(check rows_t) "quadratic join correct"
     [ [ 1; 5 ]; [ 1; 5 ]; [ 2; 10 ]; [ 2; 10 ]; [ 2; 10 ];
@@ -191,7 +191,7 @@ let test_q3_shaped_plan () =
     let r = f () in
     (r, Orq_net.Comm.since ctx.Ctx.comm c0)
   in
-  let (t, fb), planned = tally (fun () -> Compile.run plan) in
+  let (t, fb), planned = tally (fun () -> Compile.run (Optimize.run plan)) in
   Alcotest.(check int) "no fallback" 0 fb;
   (* hand-written dataflow equivalent *)
   let c2 = Dataflow.filter cust Expr.(col "c_mktsegment" ==. const 1) in
@@ -316,7 +316,7 @@ let run_join_then_aggregate sql =
             a.Plan.a_aggs
         in
         let need = a.Plan.a_keys @ List.filter (fun c -> not (List.mem c a.Plan.a_keys)) srcs in
-        let j, _ = Compile.run ~optimize:false ~need a.Plan.a_input in
+        let j, _ = Compile.run ~need a.Plan.a_input in
         let aggs =
           List.map
             (fun (g : Dataflow.agg) ->

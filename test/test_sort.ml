@@ -1,10 +1,11 @@
 (* Tests for the oblivious sorting layer: genBitPerm, hybrid radixsort,
-   compose-based radixsort, iterative quicksort, bitonic network, and the
-   sorting wrapper with permutation extraction. *)
+   compose-based radixsort, iterative quicksort, bitonic network, and
+   TableSort with its permutation extraction. *)
 
 open Orq_util
 open Orq_proto
 open Orq_sort
+module Tablesort = Orq_core.Tablesort
 
 let kinds = Ctx.all_kinds
 let vec = Alcotest.(array int)
@@ -115,10 +116,14 @@ let test_radix_basic () =
 let test_radix_desc () =
   for_all_kinds (fun ctx ->
       let x = [| 9; 3; 7; 3; 0; 15; 3; 8 |] in
-      let y, _ =
-        Radixsort.sort ctx ~bits:4 ~dir:Radixsort.Desc (Mpc.share_b ctx x) []
-      in
-      Alcotest.(check vec) "descending" (sorted_desc x) (Share.reconstruct y))
+      match
+        Tablesort.sort_cols ctx ~algo:Tablesort.Radixsort
+          ~keys:[ (Share.wrap (Mpc.share_b ctx x), 4, Tablesort.Desc) ]
+          []
+      with
+      | [ y ], [] ->
+          Alcotest.(check vec) "descending" (sorted_desc x) (Share.reconstruct_c y)
+      | _ -> Alcotest.fail "arity")
 
 let test_radix_carry_and_stability () =
   for_all_kinds (fun ctx ->
@@ -160,38 +165,39 @@ let qcheck_radix =
         kinds)
 
 (* Odd and even bit counts (ending on a 1-bit digit or not), nonzero skip
-   and both directions, with a position carry that pins stability. *)
+   and both directions, with a position carry that pins stability. A
+   descending field sorts as its complement, as TableSort sorts it. *)
 let test_radix_digits () =
   let n = 23 in
   let x = Array.init n (fun i -> (i * 97 + 13) mod 61) in
   let pos = Array.init n Fun.id in
   for_all_kinds (fun ctx ->
       List.iter
-        (fun (bits, skip, dir) ->
+        (fun (bits, skip, desc) ->
           let field v = (v lsr skip) land ((1 lsl bits) - 1) in
-          let rank v =
-            match dir with Radixsort.Asc -> field v | Radixsort.Desc -> -field v
-          in
+          let rank v = if desc then -field v else field v in
           let order = Array.copy pos in
           Array.stable_sort (fun i j -> compare (rank x.(i)) (rank x.(j))) order;
+          let flip = if desc then ((1 lsl bits) - 1) lsl skip else 0 in
           let y, carry =
-            Radixsort.sort ctx ~bits ~skip ~dir (Mpc.share_b ctx x)
+            Radixsort.sort ctx ~bits ~skip
+              (Mpc.share_b ctx (Array.map (fun v -> v lxor flip) x))
               [ Mpc.share_b ctx pos ]
           in
           let what = Printf.sprintf "%s bits=%d skip=%d %s"
               (Ctx.kind_label ctx.Ctx.kind) bits skip
-              (match dir with Radixsort.Asc -> "asc" | Radixsort.Desc -> "desc")
+              (if desc then "desc" else "asc")
           in
           Alcotest.(check vec) (what ^ " keys") (Array.map (fun i -> x.(i)) order)
-            (Share.reconstruct y);
+            (Array.map (fun v -> v lxor flip) (Share.reconstruct y));
           match carry with
           | [ c ] ->
               Alcotest.(check vec) (what ^ " stable carry") order
                 (Share.reconstruct c)
           | _ -> Alcotest.fail "arity")
         [
-          (3, 0, Radixsort.Asc); (4, 0, Radixsort.Asc); (5, 1, Radixsort.Asc);
-          (4, 2, Radixsort.Desc); (5, 0, Radixsort.Desc); (1, 3, Radixsort.Desc);
+          (3, 0, false); (4, 0, false); (5, 1, false);
+          (4, 2, true); (5, 0, true); (1, 3, true);
         ])
 
 (* A w-bit radix sort of a key alone (moved at ell = 64 bits) costs, per
@@ -332,9 +338,7 @@ let test_quicksort_unique () =
   for_all_kinds (fun ctx ->
       let x = [| 42; 17; 99; 3; 55; 21; 0; 63; 8 |] in
       match
-        Quicksort.sort ctx
-          ~keys:[ { Quicksort.col = Mpc.share_b ctx x; width = 8; dir = Asc } ]
-          []
+        Quicksort.sort ctx ~keys:[ (Mpc.share_b ctx x, 8) ] []
       with
       | [ y ], [] ->
           Alcotest.(check vec) "sorted" (sorted_asc x) (Share.reconstruct y)
@@ -345,17 +349,19 @@ let test_quicksort_desc_carry () =
       let x = [| 4; 9; 1; 6 |] in
       let tag = [| 40; 90; 10; 60 |] in
       match
-        Quicksort.sort ctx
-          ~keys:[ { Quicksort.col = Mpc.share_b ctx x; width = 8; dir = Desc } ]
-          [ (Mpc.share_b ctx tag, 8) ]
+        Tablesort.sort_cols ctx ~algo:Tablesort.Quicksort
+          ~keys:[ (Share.wrap (Mpc.share_b ctx x), 8, Tablesort.Desc) ]
+          [ (Share.wrap (Mpc.share_b ctx tag), 8) ]
       with
       | [ y ], [ t ] ->
           Alcotest.(check vec) "desc keys" [| 9; 6; 4; 1 |]
-            (Share.reconstruct y);
+            (Share.reconstruct_c y);
           Alcotest.(check vec) "carry follows" [| 90; 60; 40; 10 |]
-            (Share.reconstruct t)
+            (Share.reconstruct_c t)
       | _ -> Alcotest.fail "arity")
 
+(* Lexicographic over two columns; the second, complemented, sorts
+   descending within the first. *)
 let test_quicksort_composite () =
   for_all_kinds (fun ctx ->
       let k1 = [| 2; 1; 2; 1 |] and k2 = [| 0; 5; 3; 2 |] in
@@ -363,15 +369,15 @@ let test_quicksort_composite () =
         Quicksort.sort ctx
           ~keys:
             [
-              { Quicksort.col = Mpc.share_b ctx k1; width = 4; dir = Asc };
-              { Quicksort.col = Mpc.share_b ctx k2; width = 4; dir = Desc };
+              (Mpc.share_b ctx k1, 4);
+              (Mpc.share_b ctx (Array.map (fun v -> v lxor 15) k2), 4);
             ]
           []
       with
       | [ a; b ], [] ->
           Alcotest.(check vec) "k1" [| 1; 1; 2; 2 |] (Share.reconstruct a);
           Alcotest.(check vec) "k2 desc within k1" [| 5; 2; 3; 0 |]
-            (Share.reconstruct b)
+            (Array.map (fun v -> v lxor 15) (Share.reconstruct b))
       | _ -> Alcotest.fail "arity")
 
 let qcheck_quicksort =
@@ -388,10 +394,7 @@ let qcheck_quicksort =
         (fun k ->
           let ctx = Ctx.create ~seed:(seed + 5) k in
           match
-            Quicksort.sort ctx
-              ~keys:
-                [ { Quicksort.col = Mpc.share_b ctx x; width = 16; dir = Asc } ]
-              []
+            Quicksort.sort ctx ~keys:[ (Mpc.share_b ctx x, 16) ] []
           with
           | [ y ], [] -> Share.reconstruct y = sorted_asc x
           | _ -> false)
@@ -399,36 +402,35 @@ let qcheck_quicksort =
 
 (* Quicksort cuts its recursion after a number of partition levels fixed
    by n and finishes with one all-pairs round, so different shuffles and
-   input orders of the same size take the same rounds. *)
+   input orders of the same size take the same rounds. A descending input
+   sorts as its complement. *)
 let test_quicksort_rounds_fixed_by_n () =
   let n = 3000 in
   let inputs =
     [
-      (5, Quicksort.Asc, Array.map (fun i -> i * 3) (Orq_shuffle.Localperm.random (Prg.create 8) n));
-      (6, Quicksort.Asc, Array.init n (fun i -> i));
-      (7, Quicksort.Desc, Array.init n (fun i -> n - 1 - i));
-      (8, Quicksort.Desc, Array.map (fun i -> i * 5) (Orq_shuffle.Localperm.random (Prg.create 9) n));
+      (5, false, Array.map (fun i -> i * 3) (Orq_shuffle.Localperm.random (Prg.create 8) n));
+      (6, false, Array.init n (fun i -> i));
+      (7, true, Array.init n (fun i -> n - 1 - i));
+      (8, true, Array.map (fun i -> i * 5) (Orq_shuffle.Localperm.random (Prg.create 9) n));
     ]
   in
   List.iter
     (fun k ->
       let rounds =
         List.map
-          (fun (seed, dir, x) ->
+          (fun (seed, desc, x) ->
             let ctx = Ctx.create ~seed k in
             let tag = Array.map (fun v -> v + 1) x in
+            let flip v = if desc then v lxor Ring.mask 16 else v in
             match
               Quicksort.sort ctx
-                ~keys:[ { Quicksort.col = Mpc.share_b ctx x; width = 16; dir } ]
+                ~keys:[ (Mpc.share_b ctx (Array.map flip x), 16) ]
                 [ (Mpc.share_b ctx tag, 16) ]
             with
             | [ y ], [ t ] ->
-                let want =
-                  match dir with
-                  | Quicksort.Asc -> sorted_asc x
-                  | Quicksort.Desc -> sorted_desc x
-                in
-                Alcotest.(check vec) (Ctx.kind_label k ^ " sorted") want (Share.reconstruct y);
+                let want = if desc then sorted_desc x else sorted_asc x in
+                Alcotest.(check vec) (Ctx.kind_label k ^ " sorted") want
+                  (Array.map flip (Share.reconstruct y));
                 Alcotest.(check vec) (Ctx.kind_label k ^ " carry follows")
                   (Array.map (fun v -> v + 1) want) (Share.reconstruct t);
                 (Orq_net.Comm.snapshot ctx.Ctx.comm).Orq_net.Comm.t_rounds
@@ -447,7 +449,7 @@ let test_bitonic () =
       let x = [| 7; 7; 2; 9; 0; 2; 5; 1 |] in
       match
         Bitonic.sort ctx
-          ~keys:[ { Bitonic.col = Mpc.share_b ctx x; width = 4; dir = Asc } ]
+          ~keys:[ (Mpc.share_b ctx x, 4) ]
           []
       with
       | [ y ], [] ->
@@ -465,76 +467,66 @@ let qcheck_bitonic =
           let ctx = Ctx.create ~seed:29 k in
           match
             Bitonic.sort ctx
-              ~keys:[ { Bitonic.col = Mpc.share_b ctx x; width = 5; dir = Asc } ]
+              ~keys:[ (Mpc.share_b ctx x, 5) ]
               []
           with
           | [ y ], [] -> Share.reconstruct y = sorted_asc x
           | _ -> false)
         kinds)
 
-(* ---------------- wrapper ---------------- *)
+(* ---------------- TableSort over both base sorts ---------------- *)
 
+(* The positions of [x]'s rows in its stable sort, ascending or
+   descending. *)
+let stable_order desc x =
+  let order = Array.init (Array.length x) Fun.id in
+  Array.stable_sort
+    (fun i j -> if desc then compare x.(j) x.(i) else compare x.(i) x.(j))
+    order;
+  order
+
+(* [x] sorted by TableSort with [algo] in [dir], once carried through the
+   base sort (one key) and once through sigma extraction (the same key
+   and a constant second key): the keys come back sorted and the tag
+   column follows the rows' stable order. *)
 let check_wrapper ctx algo dir x =
-  let expected =
-    match dir with Sortwrap.Asc -> sorted_asc x | Sortwrap.Desc -> sorted_desc x
-  in
+  let desc = dir = Tablesort.Desc in
+  let order = stable_order desc x in
   let tags = Array.mapi (fun i _ -> 100 + i) x in
-  let key = Share.wrap (Mpc.share_b ctx x) in
-  let tag = Share.wrap (Mpc.share_b ctx tags) in
-  let key', carry' = Sortwrap.sort ctx ~algo ~dir ~w:8 key [ (tag, 8) ] in
-  Alcotest.(check vec) "wrapper sorts" expected (Share.reconstruct_c key');
-  (* sigma of the same order, descending as the ascending flipped key,
-     must send the original rows to their sorted positions *)
-  let word =
-    match dir with
-    | Sortwrap.Asc -> x
-    | Sortwrap.Desc -> Array.map (fun v -> v lxor 255) x
-  in
-  let sigma = Sortwrap.sorting_perm ctx ~algo [ (Mpc.share_b ctx word, 8) ] in
-  let s = Share.reconstruct sigma in
-  Alcotest.(check bool) "sigma is a permutation" true
-    (Orq_shuffle.Localperm.is_permutation s);
-  Alcotest.(check vec) "sigma sorts the input" expected
-    (Orq_util.Vec.scatter x s);
-  (* the carried column moved under that same (stable) permutation *)
-  match carry' with
-  | [ t ] ->
-      Alcotest.(check vec) "carry consistent"
-        (Orq_util.Vec.scatter tags s)
-        (Share.reconstruct_c t)
-  | _ -> Alcotest.fail "arity"
+  let col v = Share.wrap (Mpc.share_b ctx v) in
+  List.iter
+    (fun extra ->
+      let what = if extra = [] then "carried" else "sigma" in
+      match
+        Tablesort.sort_cols ctx ~algo
+          ~keys:((col x, 8, dir) :: extra)
+          [ (col tags, 8) ]
+      with
+      | key' :: _, [ t ] ->
+          Alcotest.(check vec) (what ^ " sorts")
+            (if desc then sorted_desc x else sorted_asc x)
+            (Share.reconstruct_c key');
+          Alcotest.(check vec) (what ^ " carry follows the stable order")
+            (Array.map (fun i -> tags.(i)) order)
+            (Share.reconstruct_c t)
+      | _ -> Alcotest.fail "arity")
+    [ []; [ (col (Array.make (Array.length x) 0), 1, Tablesort.Asc) ] ]
 
 let test_wrapper_all () =
   for_all_kinds (fun ctx ->
       let x = [| 12; 3; 200; 3; 77; 0; 12; 150 |] in
-      check_wrapper ctx Sortwrap.Radixsort Sortwrap.Asc x;
-      check_wrapper ctx Sortwrap.Radixsort Sortwrap.Desc x;
-      check_wrapper ctx Sortwrap.Quicksort Sortwrap.Asc x;
-      check_wrapper ctx Sortwrap.Quicksort Sortwrap.Desc x)
+      List.iter
+        (fun algo ->
+          check_wrapper ctx algo Tablesort.Asc x;
+          check_wrapper ctx algo Tablesort.Desc x)
+        [ Tablesort.Radixsort; Tablesort.Quicksort ])
 
 let test_wrapper_stability () =
   (* equal keys keep their original order for both algorithms *)
   for_all_kinds (fun ctx ->
       List.iter
-        (fun algo ->
-          let x = [| 1; 0; 1; 0; 1 |] in
-          let pos = [| 0; 1; 2; 3; 4 |] in
-          let _, carry' =
-            Sortwrap.sort ctx ~algo ~dir:Sortwrap.Asc ~w:2
-              (Share.wrap (Mpc.share_b ctx x))
-              [ (Share.wrap (Mpc.share_b ctx pos), 3) ]
-          in
-          let sigma =
-            Sortwrap.sorting_perm ctx ~algo [ (Mpc.share_b ctx x, 2) ]
-          in
-          Alcotest.(check vec) "stable sigma" [| 1; 3; 0; 2; 4 |]
-            (Orq_util.Vec.scatter pos (Share.reconstruct sigma));
-          match carry' with
-          | [ c ] ->
-              Alcotest.(check vec) "stable" [| 1; 3; 0; 2; 4 |]
-                (Share.reconstruct_c c)
-          | _ -> Alcotest.fail "arity")
-        [ Sortwrap.Radixsort; Sortwrap.Quicksort ])
+        (fun algo -> check_wrapper ctx algo Tablesort.Asc [| 1; 0; 1; 0; 1 |])
+        [ Tablesort.Radixsort; Tablesort.Quicksort ])
 
 (* ---------------- index width at the wrap point ---------------- *)
 
@@ -584,9 +576,9 @@ let check_wrap_point tag ((v1, t1), (v2, t2)) want =
     Orq_net.Comm.(t1.t_rounds, t1.t_bits, t1.t_messages)
     Orq_net.Comm.(t2.t_rounds, t2.t_bits, t2.t_messages)
 
-(* Sortwrap.sorting_perm under both base sorts: sigma is exactly the
-   stable sorting permutation, duplicates included. It takes whole
-   vectors, so its chunked run only has the chunk store on. *)
+(* TableSort's sigma extraction under both base sorts, on two keys (a
+   key and a constant): the id payload comes back in exactly the stable
+   sorted order, duplicates included. *)
 let test_sorting_perm_wrap () =
   List.iter
     (fun kind ->
@@ -594,7 +586,7 @@ let test_sorting_perm_wrap () =
         (fun n ->
           let st = Random.State.make [| 71; n |] in
           let key = Array.init n (fun _ -> Random.State.int st 12) in
-          let want = stable_sigma (fun i j -> compare key.(i) key.(j)) n in
+          let want = stable_order false key in
           List.iter
             (fun (algo, name, w) ->
               let tag =
@@ -602,15 +594,22 @@ let test_sorting_perm_wrap () =
               in
               check_wrap_point tag
                 (whole_and_chunked kind (fun ctx _ ->
-                     [
-                       Sortwrap.sorting_perm ctx ~algo
-                         [ (Mpc.share_b ctx key, w) ]
-                       |> Share.reconstruct;
-                     ]))
+                     let col v = Share.wrap (Mpc.share_b ctx v) in
+                     match
+                       Tablesort.sort_cols ctx ~algo
+                         ~keys:
+                           [
+                             (col key, w, Tablesort.Asc);
+                             (col (Array.make n 0), 1, Tablesort.Asc);
+                           ]
+                         [ (col (Array.init n Fun.id), Ring.index_bits n) ]
+                     with
+                     | _, [ id ] -> [ Share.reconstruct_c id ]
+                     | _ -> Alcotest.fail "arity"))
                 [ want ])
             [
-              (Sortwrap.Radixsort, "radixsort", 4);
-              (Sortwrap.Quicksort, "quicksort", 40);
+              (Tablesort.Radixsort, "radixsort", 4);
+              (Tablesort.Quicksort, "quicksort", 40);
             ])
         wrap_ns)
     kinds
@@ -619,7 +618,6 @@ let test_sorting_perm_wrap () =
    quicksort path (a 40-bit key): keys and a row-id payload come back in
    the stable lexicographic order. *)
 let test_tablesort_wrap () =
-  let module Tablesort = Orq_core.Tablesort in
   List.iter
     (fun kind ->
       List.iter
@@ -691,11 +689,268 @@ let test_radix_compose_wrap () =
         wrap_ns)
     kinds
 
+(* Without [algo], a sort whose keys are all at most 32 bits runs
+   radixsort and one with a wider key quicksort: the same traffic as the
+   forced algorithm. *)
 let test_default_algo () =
-  Alcotest.(check bool) "narrow keys use radixsort" true
-    (Sortwrap.default_algo_for_width 32 = Sortwrap.Radixsort);
-  Alcotest.(check bool) "wide keys use quicksort" true
-    (Sortwrap.default_algo_for_width 64 = Sortwrap.Quicksort)
+  let n = 20 in
+  let x = Array.init n (fun i -> (i * 7) mod 11) in
+  let tally ?algo widths =
+    let ctx = Ctx.create ~seed:47 Ctx.Sh_hm in
+    let before = Orq_net.Comm.snapshot ctx.Ctx.comm in
+    ignore
+      (Tablesort.sort_cols ctx ?algo
+         ~keys:
+           (List.map
+              (fun w -> (Share.wrap (Mpc.share_b ctx x), w, Tablesort.Asc))
+              widths)
+         []);
+    let t = Orq_net.Comm.since ctx.Ctx.comm before in
+    Orq_net.Comm.(t.t_rounds, t.t_bits, t.t_messages)
+  in
+  List.iter
+    (fun (widths, algo, name) ->
+      let what = String.concat "+" (List.map string_of_int widths) in
+      Alcotest.(check (triple int int int))
+        (what ^ " bits take " ^ name)
+        (tally ~algo widths) (tally widths))
+    [
+      ([ 32 ], Tablesort.Radixsort, "radixsort");
+      ([ 33 ], Tablesort.Quicksort, "quicksort");
+      ([ 32; 32 ], Tablesort.Radixsort, "radixsort");
+      ([ 4; 33 ], Tablesort.Quicksort, "quicksort");
+    ];
+  Alcotest.(check bool) "the two algorithms differ" true
+    (tally ~algo:Tablesort.Radixsort [ 32 ] <> tally ~algo:Tablesort.Quicksort [ 32 ])
+
+(* ---------------- TableSort grid ---------------- *)
+
+(* Direction modes of a grid case: every key ascending; descending keys
+   (one, or the outer two of three); signed keys, two's complement at
+   their width, with a descending one. *)
+type mode = All_asc | Desc_keys | Signed_keys
+
+let mode_name = function
+  | All_asc -> "asc" | Desc_keys -> "desc" | Signed_keys -> "signed"
+
+(* (width, signed, order) of each key: every key at most 32 bits takes
+   the radix path, a 40-bit key the quicksort path. *)
+let grid_keys nk quick mode =
+  let widths =
+    match (nk, quick) with
+    | 1, false -> [ 5 ]
+    | 1, true -> [ 40 ]
+    | _, false -> [ 3; 12; 7 ]
+    | _, true -> [ 4; 40; 6 ]
+  in
+  let kinds =
+    match (mode, widths) with
+    | All_asc, _ -> List.map (fun _ -> (false, Orq_core.Tablesort.Asc)) widths
+    | Desc_keys, [ _ ] -> [ (false, Orq_core.Tablesort.Desc) ]
+    | Desc_keys, _ -> Orq_core.Tablesort.[ (false, Desc); (false, Asc); (false, Desc) ]
+    | Signed_keys, [ _ ] -> [ (true, Orq_core.Tablesort.Desc) ]
+    | Signed_keys, _ -> Orq_core.Tablesort.[ (true, Asc); (false, Desc); (true, Desc) ]
+  in
+  List.map2 (fun w (s, o) -> (w, s, o)) widths kinds
+
+(* One grid case under [kind]: a table of the keys (four distinct values
+   per key, so ties are common) and a row-id payload, sorted by
+   TableSort. Checks every column against a plaintext stable sort and
+   returns the online (rounds, bits, messages). *)
+let grid_case kind nk quick mode n =
+  let module T = Orq_core.Tablesort in
+  let tag =
+    Printf.sprintf "%s keys=%d %s %s n=%d" (Ctx.kind_label kind) nk
+      (if quick then "quick" else "radix") (mode_name mode) n
+  in
+  let st = Random.State.make [| nk; n; Bool.to_int quick; Hashtbl.hash (mode_name mode) |] in
+  let keys =
+    List.mapi
+      (fun i (w, signed, o) ->
+        let lo, hi =
+          if signed then (-(1 lsl (w - 1)), (1 lsl (w - 1)) - 1)
+          else (0, (1 lsl w) - 1)
+        in
+        let pool =
+          Array.init 4 (fun _ -> lo + Random.State.full_int st (hi - lo + 1))
+        in
+        let v = Array.init n (fun _ -> pool.(Random.State.int st 4)) in
+        (Printf.sprintf "k%d" i, Orq_core.Dom.v lo hi, v, o))
+      (grid_keys nk quick mode)
+  in
+  let cmp_rows i j =
+    List.fold_left
+      (fun c (_, _, v, o) ->
+        if c <> 0 then c
+        else match o with T.Asc -> compare v.(i) v.(j) | T.Desc -> compare v.(j) v.(i))
+      0 keys
+  in
+  let order = Array.init n Fun.id in
+  Array.stable_sort cmp_rows order;
+  let ctx = Ctx.create ~seed:83 kind in
+  let col dom v =
+    let stored = Array.map (fun x -> x land Ring.mask (Orq_core.Dom.width dom)) v in
+    Orq_core.Column.of_shared ~dom (Mpc.share_b ctx stored)
+  in
+  let id = Array.init n Fun.id in
+  let t =
+    Orq_core.Table.of_columns ctx "t"
+      ~valid:(Mpc.share_b ctx (Array.make n 1))
+      (List.map (fun (name, dom, v, _) -> (name, col dom v)) keys
+      @ [ ("id", col (Orq_core.Dom.v 0 (max 1 (n - 1))) id) ])
+  in
+  let before = Orq_net.Comm.snapshot ctx.Ctx.comm in
+  let t' = T.sort t (List.map (fun (name, _, _, o) -> (name, o)) keys) in
+  let tal = Orq_net.Comm.since ctx.Ctx.comm before in
+  let cols, valid = Orq_core.Table.peek t' in
+  List.iter
+    (fun (name, dom, v, _) ->
+      let m = Ring.mask (Orq_core.Dom.width dom) in
+      Alcotest.(check vec) (tag ^ " " ^ name)
+        (Array.map (fun i -> v.(i) land m) order)
+        (List.assoc name cols))
+    keys;
+  Alcotest.(check vec) (tag ^ " stable id") order (List.assoc "id" cols);
+  Alcotest.(check vec) (tag ^ " valid") (Array.make n 1) valid;
+  (tag, Orq_net.Comm.(tal.t_rounds, tal.t_bits, tal.t_messages))
+
+let grid_cases =
+  List.concat_map
+    (fun kind ->
+      List.concat_map
+        (fun nk ->
+          List.concat_map
+            (fun quick ->
+              List.concat_map
+                (fun mode -> List.map (fun n -> (kind, nk, quick, mode, n)) [ 1; 7; 300 ])
+                [ All_asc; Desc_keys; Signed_keys ])
+            [ false; true ])
+        [ 1; 3 ])
+    kinds
+
+(* Online (rounds, bits, messages) of every grid case, recorded from the
+   sort layer before the base sorts lost their descending modes: a
+   descending key sorted as its complement costs what the base sorts'
+   own descending comparisons and digit flips cost. *)
+let grid_tallies =
+  [
+    ("SH-DM keys=1 radix asc n=1", (25, 120, 50));
+    ("SH-DM keys=1 radix asc n=7", (25, 1540, 50));
+    ("SH-DM keys=1 radix asc n=300", (25, 156000, 50));
+    ("SH-DM keys=1 radix desc n=1", (25, 120, 50));
+    ("SH-DM keys=1 radix desc n=7", (25, 1540, 50));
+    ("SH-DM keys=1 radix desc n=300", (25, 156000, 50));
+    ("SH-DM keys=1 radix signed n=1", (25, 120, 50));
+    ("SH-DM keys=1 radix signed n=7", (25, 1540, 50));
+    ("SH-DM keys=1 radix signed n=300", (25, 156000, 50));
+    ("SH-DM keys=1 quick asc n=1", (0, 0, 0));
+    ("SH-DM keys=1 quick asc n=7", (38, 7132, 98));
+    ("SH-DM keys=1 quick asc n=300", (137, 1441524, 422));
+    ("SH-DM keys=1 quick desc n=1", (0, 0, 0));
+    ("SH-DM keys=1 quick desc n=7", (47, 9124, 122));
+    ("SH-DM keys=1 quick desc n=300", (137, 1594388, 422));
+    ("SH-DM keys=1 quick signed n=1", (0, 0, 0));
+    ("SH-DM keys=1 quick signed n=7", (38, 7630, 98));
+    ("SH-DM keys=1 quick signed n=300", (137, 1554486, 422));
+    ("SH-DM keys=3 radix asc n=1", (116, 784, 232));
+    ("SH-DM keys=3 radix asc n=7", (116, 8736, 232));
+    ("SH-DM keys=3 radix asc n=300", (116, 792000, 232));
+    ("SH-DM keys=3 radix desc n=1", (116, 784, 232));
+    ("SH-DM keys=3 radix desc n=7", (116, 8736, 232));
+    ("SH-DM keys=3 radix desc n=300", (116, 792000, 232));
+    ("SH-DM keys=3 radix signed n=1", (116, 784, 232));
+    ("SH-DM keys=3 radix signed n=7", (116, 8736, 232));
+    ("SH-DM keys=3 radix signed n=300", (116, 792000, 232));
+    ("SH-DM keys=3 quick asc n=1", (6, 114, 12));
+    ("SH-DM keys=3 quick asc n=7", (35, 10248, 86));
+    ("SH-DM keys=3 quick asc n=300", (143, 1825188, 434));
+    ("SH-DM keys=3 quick desc n=1", (6, 114, 12));
+    ("SH-DM keys=3 quick desc n=7", (53, 12078, 134));
+    ("SH-DM keys=3 quick desc n=300", (143, 2054348, 434));
+    ("SH-DM keys=3 quick signed n=1", (6, 114, 12));
+    ("SH-DM keys=3 quick signed n=7", (44, 10248, 110));
+    ("SH-DM keys=3 quick signed n=300", (143, 1749700, 434));
+    ("SH-HM keys=1 radix asc n=1", (13, 136, 55));
+    ("SH-HM keys=1 radix asc n=7", (13, 1638, 55));
+    ("SH-HM keys=1 radix asc n=300", (13, 158400, 55));
+    ("SH-HM keys=1 radix desc n=1", (13, 136, 55));
+    ("SH-HM keys=1 radix desc n=7", (13, 1638, 55));
+    ("SH-HM keys=1 radix desc n=300", (13, 158400, 55));
+    ("SH-HM keys=1 radix signed n=1", (13, 136, 55));
+    ("SH-HM keys=1 radix signed n=7", (13, 1638, 55));
+    ("SH-HM keys=1 radix signed n=300", (13, 158400, 55));
+    ("SH-HM keys=1 quick asc n=1", (0, 0, 0));
+    ("SH-HM keys=1 quick asc n=7", (27, 6474, 114));
+    ("SH-HM keys=1 quick asc n=300", (123, 1071909, 636));
+    ("SH-HM keys=1 quick desc n=1", (0, 0, 0));
+    ("SH-HM keys=1 quick desc n=7", (35, 7599, 150));
+    ("SH-HM keys=1 quick desc n=300", (123, 1157355, 636));
+    ("SH-HM keys=1 quick signed n=1", (0, 0, 0));
+    ("SH-HM keys=1 quick signed n=7", (35, 7599, 150));
+    ("SH-HM keys=1 quick signed n=300", (115, 1080369, 594));
+    ("SH-HM keys=3 radix asc n=1", (60, 872, 266));
+    ("SH-HM keys=3 radix asc n=7", (60, 9492, 266));
+    ("SH-HM keys=3 radix asc n=300", (60, 842400, 266));
+    ("SH-HM keys=3 radix desc n=1", (60, 872, 266));
+    ("SH-HM keys=3 radix desc n=7", (60, 9492, 266));
+    ("SH-HM keys=3 radix desc n=300", (60, 842400, 266));
+    ("SH-HM keys=3 radix signed n=1", (60, 872, 266));
+    ("SH-HM keys=3 radix signed n=7", (60, 9492, 266));
+    ("SH-HM keys=3 radix signed n=300", (60, 842400, 266));
+    ("SH-HM keys=3 quick asc n=1", (6, 334, 28));
+    ("SH-HM keys=3 quick asc n=7", (33, 10464, 142));
+    ("SH-HM keys=3 quick asc n=300", (129, 1683567, 664));
+    ("SH-HM keys=3 quick desc n=1", (6, 334, 28));
+    ("SH-HM keys=3 quick desc n=7", (33, 10464, 142));
+    ("SH-HM keys=3 quick desc n=300", (129, 1606503, 664));
+    ("SH-HM keys=3 quick signed n=1", (6, 334, 28));
+    ("SH-HM keys=3 quick signed n=7", (41, 11382, 178));
+    ("SH-HM keys=3 quick signed n=300", (129, 1594842, 664));
+    ("Mal-HM keys=1 radix asc n=1", (17, 4592, 164));
+    ("Mal-HM keys=1 radix asc n=7", (17, 10200, 164));
+    ("Mal-HM keys=1 radix asc n=300", (17, 604096, 164));
+    ("Mal-HM keys=1 radix desc n=1", (17, 4592, 164));
+    ("Mal-HM keys=1 radix desc n=7", (17, 10200, 164));
+    ("Mal-HM keys=1 radix desc n=300", (17, 604096, 164));
+    ("Mal-HM keys=1 radix signed n=1", (17, 4592, 164));
+    ("Mal-HM keys=1 radix signed n=7", (17, 10200, 164));
+    ("Mal-HM keys=1 radix signed n=300", (17, 604096, 164));
+    ("Mal-HM keys=1 quick asc n=1", (0, 0, 0));
+    ("Mal-HM keys=1 quick asc n=7", (40, 31388, 572));
+    ("Mal-HM keys=1 quick asc n=300", (139, 4616480, 2472));
+    ("Mal-HM keys=1 quick desc n=1", (0, 0, 0));
+    ("Mal-HM keys=1 quick desc n=7", (31, 28872, 432));
+    ("Mal-HM keys=1 quick desc n=300", (139, 5668980, 2472));
+    ("Mal-HM keys=1 quick signed n=1", (0, 0, 0));
+    ("Mal-HM keys=1 quick signed n=7", (49, 36888, 712));
+    ("Mal-HM keys=1 quick signed n=300", (139, 4811824, 2472));
+    ("Mal-HM keys=3 radix asc n=1", (80, 21704, 792));
+    ("Mal-HM keys=3 radix asc n=7", (80, 54328, 792));
+    ("Mal-HM keys=3 radix asc n=300", (80, 3227232, 792));
+    ("Mal-HM keys=3 radix desc n=1", (80, 21704, 792));
+    ("Mal-HM keys=3 radix desc n=7", (80, 54328, 792));
+    ("Mal-HM keys=3 radix desc n=300", (80, 3227232, 792));
+    ("Mal-HM keys=3 radix signed n=1", (80, 21704, 792));
+    ("Mal-HM keys=3 radix signed n=7", (80, 54328, 792));
+    ("Mal-HM keys=3 radix signed n=300", (80, 3227232, 792));
+    ("Mal-HM keys=3 quick asc n=1", (10, 3376, 64));
+    ("Mal-HM keys=3 quick asc n=7", (41, 46712, 496));
+    ("Mal-HM keys=3 quick asc n=300", (149, 6481588, 2536));
+    ("Mal-HM keys=3 quick desc n=1", (10, 3376, 64));
+    ("Mal-HM keys=3 quick desc n=7", (41, 44884, 496));
+    ("Mal-HM keys=3 quick desc n=300", (149, 5909928, 2536));
+    ("Mal-HM keys=3 quick signed n=1", (10, 3376, 64));
+    ("Mal-HM keys=3 quick signed n=7", (50, 49564, 636));
+    ("Mal-HM keys=3 quick signed n=300", (149, 7047188, 2536));
+  ]
+
+let test_grid () =
+  List.iter
+    (fun (kind, nk, quick, mode, n) ->
+      let tag, got = grid_case kind nk quick mode n in
+      Alcotest.(check (triple int int int)) (tag ^ " tally")
+        (List.assoc tag grid_tallies) got)
+    grid_cases
 
 let suite =
   [
@@ -741,6 +996,8 @@ let suite =
       `Quick test_tablesort_wrap;
     Alcotest.test_case "compose radixsort exact at index wrap points" `Quick
       test_radix_compose_wrap;
+    Alcotest.test_case "TableSort grid: values, stability and tallies" `Quick
+      test_grid;
   ]
 
 let () = Alcotest.run "orq_sort" [ ("sort", suite) ]
