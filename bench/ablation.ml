@@ -5,8 +5,9 @@
     - sorting-algorithm choice (quicksort vs radixsort) across key widths;
     - AggNet power-of-two padding: the cost cliff right above 2^k (the
       Figure 8 / Q12 effect);
-    - TableSort's one base sort on the packed composite key vs per-key
-      full re-sorting (the strawman Protocol 2 avoids). *)
+    - TableSort's one base sort on the packed composite key, on both
+      radix paths (carry-through and sigma), vs per-key full re-sorting
+      (the strawman Protocol 2 avoids). *)
 
 open Orq_proto
 open Orq_core
@@ -138,16 +139,29 @@ let tablesort_ablation ~n () =
         ("e", 24, Array.init n (fun i -> i * 5));
       ]
   in
-  (* TableSort: one base sort on the packed key, permute the table once *)
-  let ctx = Ctx.create ~seed:37 Ctx.Sh_hm in
-  let t = mk ctx in
-  let _, m =
-    measure ctx (fun () ->
-        ignore (Tablesort.sort t [ ("a", Tablesort.Asc); ("b", Tablesort.Asc) ]))
+  (* TableSort: one base sort on the packed key, on each radix path:
+     carry the table through the digits, or extract sigma and permute the
+     table once; the rule picks the one that moves fewer bits *)
+  let picked =
+    Tablesort.radix_path Ctx.Sh_hm ~n ~keys:[ 16; 16 ] ~payload:[ 1; 24; 24; 24 ]
   in
-  row "%-26s %12s %12.2f %8d" "TableSort (packed key)"
-    (pretty_time (estimate Netsim.lan m))
-    (mib m.online) m.online.Orq_net.Comm.t_rounds;
+  List.iter
+    (fun (label, path) ->
+      let ctx = Ctx.create ~seed:37 Ctx.Sh_hm in
+      let t = mk ctx in
+      let _, m =
+        measure ctx (fun () ->
+            ignore
+              (Tablesort.sort ~radix:path t [ ("a", Tablesort.Asc); ("b", Tablesort.Asc) ]))
+      in
+      row "%-26s %12s %12.2f %8d"
+        (label ^ if path = picked then " *" else "")
+        (pretty_time (estimate Netsim.lan m))
+        (mib m.online) m.online.Orq_net.Comm.t_rounds)
+    [
+      ("TableSort carry-through", Tablesort.Carry);
+      ("TableSort sigma route", Tablesort.Sigma);
+    ];
   (* strawman: sort the full table for each key, least-significant first *)
   let ctx = Ctx.create ~seed:37 Ctx.Sh_hm in
   let t = mk ctx in
@@ -159,7 +173,9 @@ let tablesort_ablation ~n () =
   row "%-26s %12s %12.2f %8d" "strawman (re-sort table)"
     (pretty_time (estimate Netsim.lan m))
     (mib m.online) m.online.Orq_net.Comm.t_rounds;
-  row "(the strawman moves every column through every sort — Secrecy-style)"
+  row
+    "(* the path TableSort picks: the fewer bits; the strawman moves every \
+     column through every sort — Secrecy-style)"
 
 let planner_ablation ~n () =
   section "Ablation: automatic planner (optimized vs naive plans)";

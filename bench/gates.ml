@@ -20,6 +20,12 @@
       aggregation network and on the compaction: both open the same rows,
       and the path [Dataflow.agg_path] picks is never costlier in modeled
       network seconds under the costing profile;
+    - sort: a radix TableSort over a grid of shapes (1-3 keys, 0-3
+      payload columns, n in {2, 300, 3000}) under every protocol, run on
+      both paths ([Tablesort.sort_cols ~radix]) and on the one
+      [Tablesort.radix_path] picks: all three give the same columns, and
+      the picked run never moves more bits than the other path, nor takes
+      more rounds unless it moves strictly fewer bits;
     - scale: with streaming on and no budget, chunked wall clock is
       <= 1.3x monolithic on Q1 + Q6 at SF 0.01; Q1 at SF 0.02 completes
       under a budget of 1/4 of its own unlimited streaming peak, spilling,
@@ -37,6 +43,7 @@ module Netsim = Orq_net.Netsim
 module Joincost = Orq_core.Joincost
 module Table = Orq_core.Table
 module Dataflow = Orq_core.Dataflow
+module Tablesort = Orq_core.Tablesort
 module Service = Orq_service.Service
 module Client = Orq_service.Client
 
@@ -214,6 +221,81 @@ let aggregation () =
     ( "aggregation choice never loses",
       lost = [],
       sprintf "the picked path is the cheaper on %d/%d cells (%s)%s"
+        (List.length cells - List.length lost)
+        (List.length cells)
+        (String.concat ", " (List.map (fun (c, _, _) -> c) cells))
+        (String.concat "" (List.map (fun c -> "; loses: " ^ c) lost)) );
+  ]
+
+(* ---------------- sort ---------------- *)
+
+(* One radix TableSort of [n] rows under [kind] on ascending keys of
+   widths [keys] (a few distinct values each) carrying columns of widths
+   [payload], on the forced path [radix] or (None) the picked one: the
+   sorted columns, opened, and the online tally. *)
+let sort_run kind n (keys, payload) radix =
+  let ctx = Ctx.create ~seed:17 kind in
+  let col i w =
+    Share.wrap
+      (Mpc.share_b ctx
+         (Array.init n (fun r ->
+              ((r * 7919) + (i * 104729)) mod (1 + (n / 5)) land Orq_util.Ring.mask (min w 62))))
+  in
+  let before = Comm.snapshot ctx.Ctx.comm in
+  let k, p =
+    Tablesort.sort_cols ctx ?radix
+      ~keys:(List.mapi (fun i w -> (col i w, w, Tablesort.Asc)) keys)
+      (List.mapi (fun i w -> (col (10 + i) w, w)) payload)
+  in
+  let tally = Comm.since ctx.Ctx.comm before in
+  (List.map (fun c -> Share.reconstruct (Share.unpark c)) (k @ p), tally)
+
+let sort_paths () =
+  let shapes =
+    [ ([ 1; 10; 2 ], [ 16 ]); ([ 1; 20 ], []); ([ 1; 32; 32 ], [ 24; 8; 8 ]); ([ 5 ], [ 40; 40 ]);
+      ([ 1; 12 ], [ 64 ]) ]
+  in
+  let cells =
+    List.concat_map
+      (fun kind ->
+        List.concat_map
+          (fun n ->
+            List.map
+              (fun ((keys, payload) as shape) ->
+                let vp, picked = sort_run kind n shape None in
+                let vc, carry = sort_run kind n shape (Some Tablesort.Carry) in
+                let vs, sigma = sort_run kind n shape (Some Tablesort.Sigma) in
+                let is_carry = picked = carry in
+                let other = if is_carry then sigma else carry in
+                let widths l = String.concat "," (List.map string_of_int l) in
+                ( sprintf "%s n=%d keys=%s payload=%s %s (%d vs %d rounds, %d vs %d bits)"
+                    (Ctx.kind_label kind) n (widths keys) (widths payload)
+                    (if is_carry then "carry" else "sigma")
+                    picked.Comm.t_rounds other.Comm.t_rounds picked.Comm.t_bits
+                    other.Comm.t_bits,
+                  vp = vc && vc = vs,
+                  (picked = carry || picked = sigma)
+                  && picked.Comm.t_bits <= other.Comm.t_bits
+                  && (picked.Comm.t_rounds <= other.Comm.t_rounds
+                     || picked.Comm.t_bits < other.Comm.t_bits) ))
+              shapes)
+          [ 2; 300; 3000 ])
+      Ctx.all_kinds
+  in
+  let bad f = List.filter_map (fun (c, same, won) -> if f (same, won) then None else Some c) cells in
+  let differ = bad fst and lost = bad snd in
+  [
+    ( "sort paths agree",
+      differ = [],
+      sprintf "carry-through, sigma and the picked path give the same columns on %d/%d cells%s"
+        (List.length cells - List.length differ)
+        (List.length cells)
+        (String.concat "" (List.map (fun c -> "; differ: " ^ c) differ)) );
+    ( "sort choice never loses",
+      lost = [],
+      sprintf
+        "the picked path moves no more bits than the other, and takes no more rounds \
+         unless it moves fewer bits, on %d/%d cells (%s)%s"
         (List.length cells - List.length lost)
         (List.length cells)
         (String.concat ", " (List.map (fun (c, _, _) -> c) cells))
@@ -423,6 +505,7 @@ let () =
       ("bitpack", bitpack);
       ("join", join);
       ("aggregation", aggregation);
+      ("sort", sort_paths);
       ("scale", scale);
       ("service", service);
     ];

@@ -40,7 +40,7 @@ let gen_bit_perm_rowwise (ctx : Ctx.t) (bit : Share.shared) : Share.shared =
   let s0 = Mpc.prefix_sum f0 in
   let s1 = Mpc.prefix_sum b_a in
   let z = Orq_sort.Genbitperm.broadcast_last s0 in
-  let t = Mpc.add z (Mpc.sub s1 s0) in
+  let t = Share.map3_vectors Orq_util.Vec.add_sub z s1 s0 in
   let n = Share.length bit in
   let iw = Orq_util.Ring.index_bits n in
   let prods =

@@ -340,7 +340,11 @@ type total =
       [Prefix] column's local prefix sums, Q = a·P, at the result width;
       a [Rows] total's prefix is the public i + 1, so its Q is local;
     - one Protocol-5 application moves [cols], [last] (one bit) and the
-      Q lanes (arithmetic, at ℓ bits) to their ranks;
+      Q lanes to their ranks, each Q lane at its total's width (a
+      [Prefix] column's result width, the row count's
+      [Ring.index_bits (n + 1)]): a total is needed only modulo 2^w, and
+      the lane's sharing reduces to that locally
+      ({!Orq_shuffle.Shardedperm.apply});
     - each total is Q_i − Q_(i−1), local: a non-end row holds Q = 0 and
       all of them come first.
 
@@ -373,17 +377,17 @@ let compact (ctx : Ctx.t) ~(last : Share.flags) (totals : total list)
   let qs =
     List.map
       (function
-        | Prefix _ ->
+        | Prefix (_, w) ->
             incr j;
-            !prods.(!j - 1)
-        | Rows -> Mpc.mul_pub_vec a (Array.init n (fun i -> i + 1)))
+            (Share.wrap !prods.(!j - 1), w)
+        | Rows ->
+            ( Share.wrap (Mpc.mul_pub_vec a (Array.init n (fun i -> i + 1))),
+              Orq_util.Ring.index_bits (n + 1) ))
       totals
   in
   let moved =
     Orq_shuffle.Permops.apply_elementwise_table ctx
-      (cols
-      @ [ (Share.wrap (Share.unpack_flags last), 1) ]
-      @ List.map (fun q -> (Share.wrap q, ctx.ell)) qs)
+      (cols @ [ (Share.wrap (Share.unpack_flags last), 1) ] @ qs)
       (Option.get !rho)
   in
   let k = List.length cols in

@@ -86,7 +86,7 @@ val last_of_group_bits :
 type total =
   | Prefix of Share.shared * int
       (** an arithmetic column summed per group; its products are charged
-          at the given result width *)
+          and its total moves at the given result width *)
   | Rows  (** the group's row count (local: its prefix is public) *)
 
 val compact :
@@ -97,9 +97,12 @@ val compact :
     daBit per row converts [last]; one fused round ranks the rows on it
     (non-ends first, then the ends in order) and forms Q = last·P for
     each [Prefix] column's prefix sums P; one Protocol-5 application
-    moves [cols] (each at its width), [last] and the Q lanes (at ℓ) to
-    their ranks. Returns the totals (Q_i − Q_(i−1), local) in the order
-    of [totals] — a group's total sits in its end row, a non-end row
+    moves [cols] (each at its width), [last] and the Q lanes to their
+    ranks, a [Prefix] lane at its width and a [Rows] lane at
+    [Ring.index_bits (n + 1)] for [n] rows. Returns the totals
+    (Q_i − Q_(i−1), local) in the order of [totals], each correct modulo
+    2^w for its lane's width w (read them through a conversion at most
+    that wide) — a group's total sits in its end row, a non-end row
     holds zero — the moved [last] and the moved [cols]. Labelled
     ["aggnet"]. The only opening is Protocol 5's shuffled destination
     vector, uniform whatever [last] holds. *)

@@ -309,7 +309,7 @@ let agg_path ?(carry = []) (t : Table.t) ~(keys : string list)
     let sums = List.filter_map (function L_sum _, w -> Some w | _ -> None) lanes in
     let net = Primcost.aggnet kind ~n ~keys:keys_w ~sums:(List.map snd lanes) in
     let cmp =
-      Primcost.aggcompact kind ~ell:ctx.Ctx.ell ~n ~keys:keys_w ~sums
+      Primcost.aggcompact kind ~n ~keys:keys_w ~sums
         ~local:(List.length lanes - List.length sums)
         ~moved:(List.fold_left ( + ) 0 (widths_of t (uniq (keys @ carry))))
     in

@@ -556,9 +556,8 @@ let reshare_unmetered (ctx : Ctx.t) ~mask (s : shared) : shared =
   for k = 0 to ctx.nvec - 1 do
     match s.Share.enc with
     | Arith ->
-        if mask <> Ring.ones then
-          invalid_arg "Mpc.reshare_unmetered: masked arithmetic sharing";
-        Vec.add_into alpha.(k) s.Share.v.(k)
+        if mask = Ring.ones then Vec.add_into alpha.(k) s.Share.v.(k)
+        else Vec.add_mask_into alpha.(k) s.Share.v.(k) mask
     | Bool -> Vec.xor_mask_into alpha.(k) s.Share.v.(k) mask
   done;
   { s with Share.v = alpha }

@@ -166,8 +166,9 @@ val reshare_unmetered : Ctx.t -> mask:int -> shared -> shared
     by the caller (the shuffle protocols account whole-protocol totals). A
     boolean sharing keeps only the share bits under [mask] (the shares a
     party receives at a narrower wire width; GF(2)-linear, so the secret
-    is masked alike); an arithmetic sharing takes [Ring.ones] only and
-    raises [Invalid_argument] otherwise. *)
+    is masked alike); an arithmetic sharing keeps each share modulo
+    [mask + 1] (a power of two), so its secret is defined modulo that
+    only. *)
 
 val reshare_open_unmetered :
   Ctx.t -> mask:int -> Share.chunked -> Orq_util.Vec.t

@@ -214,6 +214,37 @@ let fuse (a : Comm.tally) (b : Comm.tally) =
   { (Comm.add_tally a b) with Comm.t_rounds = max a.t_rounds b.t_rounds }
 
 (* ------------------------------------------------------------------ *)
+(* TableSort's two radix paths                                         *)
+(* ------------------------------------------------------------------ *)
+
+let sum_widths = List.fold_left ( + ) 0
+
+(* One digit of [l] bits: its ranking, then Protocol 5 over [w] bits. *)
+let radix_digit kind ~n ~l ~w =
+  tally_of (Array.append (rank_digit kind ~l ~n) (applyperm kind ~w ~n))
+
+let tablesort_carry kind ~n ~digits ~keys ~payload =
+  let row = sum_widths keys + sum_widths payload in
+  List.fold_left
+    (fun acc l -> Comm.add_tally acc (radix_digit kind ~n ~l ~w:row))
+    Comm.zero_tally digits
+
+let tablesort_sigma kind ~n ~digits ~keys ~payload =
+  let iw = Orq_util.Ring.index_bits n and total = sum_widths digits in
+  let ranks, _ =
+    List.fold_left
+      (fun (acc, ranked) l ->
+        let ranked = ranked + l in
+        (Comm.add_tally acc (radix_digit kind ~n ~l ~w:(total - ranked + iw)), ranked))
+      (Comm.zero_tally, 0) digits
+  in
+  List.fold_left Comm.add_tally ranks
+    [
+      tally_of (applyperm kind ~w:iw ~n);
+      tally_of (applyperm kind ~w:(sum_widths keys + sum_widths payload) ~n);
+    ]
+
+(* ------------------------------------------------------------------ *)
 (* The two GROUP BY paths for invertible aggregates                    *)
 (* ------------------------------------------------------------------ *)
 
@@ -255,13 +286,13 @@ let aggnet kind ~n ~keys ~sums =
          round_of (List.map (fun n -> open_lane kind ~w:1 ~n) ns)
          :: List.map (fun n -> round_of (List.map (fun w -> mul_lane kind ~w ~n) sums)) ns)
 
-let aggcompact kind ~ell ~n ~keys ~sums ~local ~moved =
-  let lanes = List.length sums + local in
+let aggcompact kind ~n ~keys ~sums ~local ~moved =
+  let totals = sum_widths sums + (local * Orq_util.Ring.index_bits (n + 1)) in
   List.fold_left Comm.add_tally
     (if n <= 1 then Comm.zero_tally else eq_composite kind ~ws:keys ~ns:[ n - 1 ])
     [
       tally_of (b2a kind ~w:1 ~n);
       round_of
         (List.map (fun w -> mul_lane kind ~w ~n) (Orq_util.Ring.index_bits n :: sums));
-      tally_of (applyperm kind ~w:(moved + 1 + (ell * lanes)) ~n);
+      tally_of (applyperm kind ~w:(moved + 1 + totals) ~n);
     ]

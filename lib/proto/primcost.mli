@@ -109,6 +109,29 @@ val fuse : Comm.tally -> Comm.tally -> Comm.tally
 (** Two independent tracks run side by side: their rounds overlap (the
     maximum) while their traffic adds. *)
 
+(** {2 TableSort's radix paths}
+
+    The two ways a radix TableSort over [n] rows sorts key columns of
+    widths [keys] and carries payload columns of widths [payload]. Both
+    rank the same [digits] (each digit's width, least significant first:
+    [Radixsort.digits] of the packed key words), so their ranking costs
+    are equal; they differ in what the table applications move. *)
+
+val tablesort_carry :
+  Ctx.kind -> n:int -> digits:int list -> keys:int list -> payload:int list ->
+  Comm.tally
+(** Carry-through: every digit's ranking ({!rank_digit}) then one
+    Protocol-5 application ({!applyperm}) of every key and payload bit. *)
+
+val tablesort_sigma :
+  Ctx.kind -> n:int -> digits:int list -> keys:int list -> payload:int list ->
+  Comm.tally
+(** The sorting-permutation route (Protocol 11): every digit's ranking
+    then one application of the key bits not yet ranked and the
+    [Ring.index_bits n]-bit index; then the inversion of sigma^{-1} (one
+    application of the index) and the final application of every key and
+    payload bit. Two applications more than {!tablesort_carry}. *)
+
 (** {2 GROUP BY paths}
 
     The two physical paths of a GROUP BY whose aggregations are all
@@ -128,12 +151,13 @@ val aggnet : Ctx.kind -> n:int -> keys:int list -> sums:int list -> Comm.tally
     for one row. *)
 
 val aggcompact :
-  Ctx.kind -> ell:int -> n:int -> keys:int list -> sums:int list -> local:int ->
+  Ctx.kind -> n:int -> keys:int list -> sums:int list -> local:int ->
   moved:int -> Comm.tally
 (** Group totals by prefix sums and a one-bit compaction: the
     adjacent-row ladder marking group ends ([Aggnet.last_of_group_bits]),
     then [Aggnet.compact] with one secret lane per [sums] width and
     [local] row-count lanes, carrying [moved] bits per row besides the
-    group-end bit and the ℓ-bit lanes: one bit conversion, one fused
-    round of the index-width ranking and the lane products, and one
+    group-end bit and the total lanes (each [sums] lane at its width, a
+    row-count lane at [Ring.index_bits (n + 1)]): one bit conversion, one
+    fused round of the index-width ranking and the lane products, and one
     Protocol-5 application. *)

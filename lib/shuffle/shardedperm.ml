@@ -120,31 +120,29 @@ let fold_components (ctx : Ctx.t) (c : Share.chunked) (t : t) ~inverse ~mask =
         apply_component ctx acc p ~inverse:false ~owned:(acc != c) ~mask)
       c t.components
 
-(* The share bits a party keeps of column [pos] received at width [w]: a
-   boolean column narrower than the word keeps its low [w] bits. An
-   arithmetic column travels at [ctx.ell] — its shares cannot be reduced
-   in place — except an elementwise-permutation index vector, whose
-   values (< n) live in the [Ring.index_bits n]-bit index ring; it is
-   metered there and left unmasked. Under debug checks every narrowed
-   column, index columns included, is reconstructed and must fit its
-   width, so a wrong declared width fails loudly instead of
-   under-metering the wire. *)
+(* The share bits a party keeps of column [pos] received at width [w]
+   (1 to [ctx.ell]): the low [w] bits of each share. For a boolean
+   column that keeps the value's low [w] bits; for an arithmetic one it
+   keeps the value modulo 2^w, all a [w]-bit lane carries. The one
+   exception is an arithmetic column at the index width of its length,
+   an elementwise-permutation index vector: its values (< n) live in the
+   [Ring.index_bits n]-bit index ring, and it is metered there and left
+   unmasked, so that it reconstructs exactly. Under debug checks every
+   narrowed boolean column and every index vector is reconstructed and
+   must fit its width, so a wrong declared width fails loudly instead of
+   under-metering the wire; a narrowed arithmetic lane is defined modulo
+   2^w only and has nothing to check. *)
+let index_vector (ctx : Ctx.t) ((c : Share.chunked), w) =
+  Share.chunked_enc c = Share.Arith
+  && w < ctx.ell
+  && w = Orq_util.Ring.index_bits (Share.chunked_length c)
+
 let receive_mask (ctx : Ctx.t) pos ((c : Share.chunked), w) =
   let enc = Share.chunked_enc c in
-  let iw = Orq_util.Ring.index_bits (Share.chunked_length c) in
-  (match enc with
-  | Share.Bool ->
-      if w < 1 || w > ctx.ell then
-        invalid_arg
-          (Printf.sprintf "Shardedperm.apply: column %d at width %d" pos w)
-  | Share.Arith ->
-      if w <> ctx.ell && w <> iw then
-        invalid_arg
-          (Printf.sprintf
-             "Shardedperm.apply: arithmetic column %d at width %d (must be \
-              %d, or %d for a permutation index)"
-             pos w ctx.ell iw));
-  if w < ctx.ell && Orq_util.Debug.enabled () then
+  if w < 1 || w > ctx.ell then
+    invalid_arg (Printf.sprintf "Shardedperm.apply: column %d at width %d" pos w);
+  let index = index_vector ctx (c, w) in
+  if w < ctx.ell && (enc = Share.Bool || index) && Orq_util.Debug.enabled () then
     Array.iteri
       (fun i v ->
         if v lsr w <> 0 then
@@ -154,9 +152,8 @@ let receive_mask (ctx : Ctx.t) pos ((c : Share.chunked), w) =
                 width %d"
                pos v i w))
       (Share.reconstruct_c c);
-  match enc with
-  | Share.Bool when w < Orq_util.Ring.word_bits -> Orq_util.Ring.mask w
-  | Share.Bool | Share.Arith -> Orq_util.Ring.ones
+  if index || w >= Orq_util.Ring.word_bits then Orq_util.Ring.ones
+  else Orq_util.Ring.mask w
 
 (* Check the columns' lengths, then their receive masks. *)
 let masks_of (ctx : Ctx.t) (cols : (Share.chunked * int) list) (t : t) =
@@ -230,6 +227,15 @@ let apply_open ?label (ctx : Ctx.t) ~(opened : (Share.chunked * int) list)
     match label with None -> f () | Some l -> Ctx.with_label ctx l f
   in
   let k = List.length opened in
+  (* a narrowed arithmetic lane is defined modulo 2^w only: it cannot open *)
+  List.iteri
+    (fun pos (c, w) ->
+      if Share.chunked_enc c = Share.Arith && w < ctx.ell && not (index_vector ctx (c, w))
+      then
+        invalid_arg
+          (Printf.sprintf "Shardedperm.apply_open: arithmetic lane %d opened at width %d"
+             pos w))
+    opened;
   match (opened, ctx.kind) with
   | [], _ -> ([], labelled (fun () -> apply ctx cols t))
   | _, (Ctx.Sh_dm | Ctx.Mal_hm) ->

@@ -41,12 +41,16 @@ val apply :
       traffic. Under [ORQ_DEBUG_CHECKS] each narrowed column is
       reconstructed first and raises [Invalid_argument] naming its
       position and width if a value does not fit.
-    - An arithmetic column travels at [ctx.ell]: its shares cannot be
-      reduced in place. The one exception is an elementwise-permutation
-      index vector over n rows at {!Orq_util.Ring.index_bits}[ n] (values
-      below n, metered in the index ring, left unmasked; under
-      [ORQ_DEBUG_CHECKS] reconstructed and checked to fit like a narrowed
-      boolean column). Any other width raises [Invalid_argument].
+    - An arithmetic column takes any width [w] in [1, ctx.ell] too. Each
+      receiving party keeps its shares modulo 2^w (the sharing's value
+      modulo 2^w, all a [w]-bit lane carries), so a narrowed lane is
+      defined modulo 2^w only and reads back through a [w]-bit
+      conversion. The exception is an elementwise-permutation index
+      vector over n rows, at {!Orq_util.Ring.index_bits}[ n]: its values
+      are below n, it is metered in the index ring and left unmasked, and
+      under [ORQ_DEBUG_CHECKS] it is reconstructed and checked to fit
+      like a narrowed boolean column. Any width outside [1, ctx.ell]
+      raises [Invalid_argument].
 
     The permute and per-component resharing run chunk at a time, a column
     after another, so a tracked column streams through the
@@ -60,7 +64,9 @@ val apply_open :
 (** [apply_open ctx ~opened cols p] applies [p] to the [opened] and [cols]
     pairs as one application (under {!apply}'s width contract) and opens
     the [opened] lanes, which that application produced; returns the
-    opened vectors and the permuted [cols].
+    opened vectors and the permuted [cols]. An opened arithmetic lane
+    must be at [ctx.ell] or an index vector; a narrowed one raises
+    [Invalid_argument].
 
     Under SH-HM the opening rides the last pass: its two senders send
     their halves of the fresh 2-of-2 split of each opened lane to both

@@ -10,7 +10,9 @@
 
       dest_i = t_0,i + sum_{d >= 1} e_d,i * (t_d,i - t_0,i) - 1.
 
-    Prefix sums and offsets are linear (local on additive shares). The
+    Prefix sums and offsets are linear (local on additive shares): t_d
+    is the running sum of e_d started from C_d, the last element of
+    t_(d-1), so each offset is one scalar per share vector. The
     interactive steps are one fused bit conversion of the L bits, the
     one-hot digit's monomials of degree 2 .. L (one round per degree), and
     the sum as one inner product ({!Mpc.dot}): 2 rounds for a bit, 3 for
@@ -32,10 +34,13 @@ let broadcast_last (s : Share.shared) =
    significant first), every product at [width] bits. The monomials
    m_u = prod_{i in u} a_i come one fused round per degree 2 .. L, each
    m_u = m_{u - top} * a_top; then e_v = sum_{u >= v} (-1)^{|u - v|} m_u,
-   the Möbius transform over supersets: L 2^{L-1} local subtractions. *)
+   the Möbius transform over supersets: L 2^{L-1} local subtractions,
+   in place on the monomials the transform made (the constant and the
+   products; a bit [a_i] is copied by its first subtraction). *)
 let one_hot (ctx : Ctx.t) ~width (a : Share.shared array) : Share.shared array =
   let l = Array.length a in
   let m = Array.make (1 lsl l) (Share.public ctx Share.Arith (Share.length a.(0)) 1) in
+  let owned = Array.init (1 lsl l) (fun u -> Orq_util.Ring.popcount u <> 1) in
   Array.iteri (fun i ai -> m.(1 lsl i) <- ai) a;
   (* the highest set bit of u >= 1 *)
   let top_bit u = Orq_util.Ring.log2_ceil (u + 1) - 1 in
@@ -53,7 +58,15 @@ let one_hot (ctx : Ctx.t) ~width (a : Share.shared array) : Share.shared array =
   done;
   for i = 0 to l - 1 do
     for v = 0 to (1 lsl l) - 1 do
-      if v land (1 lsl i) = 0 then m.(v) <- Mpc.sub m.(v) m.(v lor (1 lsl i))
+      if v land (1 lsl i) = 0 then begin
+        let sup = m.(v lor (1 lsl i)) in
+        if owned.(v) then
+          Array.iter2 Orq_util.Vec.sub_into m.(v).Share.v sup.Share.v
+        else begin
+          m.(v) <- Mpc.sub m.(v) sup;
+          owned.(v) <- true
+        end
+      end
     done
   done;
   m
@@ -77,18 +90,24 @@ let gen_digit_of (ctx : Ctx.t) (bits : Share.shared array) : Share.shared =
   let k_bits = Orq_util.Ring.index_bits (Share.length bits.(0)) in
   let e = one_hot ctx ~width:k_bits bits in
   let k = Array.length e - 1 in
-  let s = Array.map Mpc.prefix_sum e in
-  (* class offsets C_1..C_k: running totals of the class counts *)
-  let c = Array.make k (broadcast_last s.(0)) in
-  for d = 2 to k do
-    c.(d - 1) <- Mpc.add c.(d - 2) (broadcast_last s.(d - 1))
+  (* t_d = C_d + s_d: the running sum of e_d from C_d, which is the last
+     element of t_(d-1) (C_0 = 0), one scalar per share vector *)
+  let t = Array.make (k + 1) (Mpc.prefix_sum e.(0)) in
+  for d = 1 to k do
+    t.(d) <-
+      Share.map2_vectors
+        (fun prev ed ->
+          let n = Array.length prev in
+          Orq_util.Vec.prefix_sum ~init:(if n = 0 then 0 else prev.(n - 1)) ed)
+        t.(d - 1) e.(d)
   done;
-  (* t_d - t_0 = C_d + s_d - s_0, fused into one pass per share vector *)
-  let diffs =
-    Array.init k (fun j ->
-        Share.map3_vectors Orq_util.Vec.add_sub c.(j) s.(j + 1) s.(0))
-  in
-  Mpc.add_pub (Mpc.add s.(0) (Mpc.dot ~width:k_bits ctx (Array.sub e 1 k) diffs)) (-1)
+  (* t_d - t_0, in place *)
+  for d = 1 to k do
+    Array.iter2 Orq_util.Vec.sub_into t.(d).Share.v t.(0).Share.v
+  done;
+  Mpc.add_pub
+    (Mpc.add t.(0) (Mpc.dot ~width:k_bits ctx (Array.sub e 1 k) (Array.sub t 1 k)))
+    (-1)
 
 (** [gen_digit ctx flags] returns the arithmetic elementwise stable sorting
     permutation of the digit whose bits, least significant first, are the

@@ -37,6 +37,18 @@ let digit_bits (kind : Ctx.kind) r =
   | Ctx.Sh_hm | Ctx.Mal_hm -> if r = 4 then 2 else min 3 r
   | Ctx.Sh_dm -> 1
 
+(** [digits kind widths] is the digit schedule of {!sort_c} over every
+    bit of words of [widths] (most significant first): each digit's
+    width, least significant first. *)
+let digits (kind : Ctx.kind) widths =
+  let rec word r =
+    if r = 0 then []
+    else
+      let l = digit_bits kind r in
+      l :: word (r - l)
+  in
+  List.concat_map word (List.rev widths)
+
 (* Bits [lo, lo + l) of the key as packed flag columns, least significant
    first: fused extraction straight into flag lanes, one visit per chunk
    for all [l] bits, repacked bit-granularly into whole columns. *)

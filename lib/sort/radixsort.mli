@@ -15,6 +15,12 @@
 
 open Orq_proto
 
+val digits : Ctx.kind -> int list -> int list
+(** [digits kind widths] is the digit schedule of {!sort_c} over every
+    bit of words of [widths] (most significant first): each digit's width
+    in bits, least significant digit first. A function of the protocol
+    and the public widths only. *)
+
 val sort_c :
   Ctx.t -> ?bits:int -> ?skip:int -> ?keep:bool ->
   (Share.chunked * int) list -> (Share.chunked * int) list ->

@@ -217,6 +217,16 @@ let xor_mask_into (dst : t) (a : t) m =
           ((Array.unsafe_get dst i lxor Array.unsafe_get a i) land m)
       done)
 
+(** [add_mask_into dst a m]: dst <- (dst + a) land m, one pass — the
+    arithmetic twin of {!xor_mask_into}: a share reduced mod 2^w. *)
+let add_mask_into (dst : t) (a : t) m =
+  check2 dst a;
+  Parallel.run_spans (Array.length dst) (fun pos len ->
+      for i = pos to pos + len - 1 do
+        Array.unsafe_set dst i
+          ((Array.unsafe_get dst i + Array.unsafe_get a i) land m)
+      done)
+
 (** [mul_add_into dst a b]: dst += a * b, one pass, no allocation. *)
 let mul_add_into (dst : t) (a : t) (b : t) =
   check3 dst a b;
@@ -434,8 +444,9 @@ let prefix_sum_inplace (a : t) =
         end)
   end
 
-let prefix_sum (a : t) : t =
+let prefix_sum ?(init = 0) (a : t) : t =
   let b = copy a in
+  if Array.length b > 0 then b.(0) <- b.(0) + init;
   prefix_sum_inplace b;
   b
 

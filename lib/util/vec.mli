@@ -58,6 +58,11 @@ val xor_mask_into : t -> t -> int -> unit
 (** [xor_mask_into dst a m]: dst <- (dst ⊕ a) ∧ m in one pass — a
     rerandomization that keeps only the bits selected by [m]. *)
 
+val add_mask_into : t -> t -> int -> unit
+(** [add_mask_into dst a m]: dst <- (dst + a) ∧ m in one pass — the
+    arithmetic twin of {!xor_mask_into}; with [m] = 2^w − 1 it reduces an
+    additive share modulo 2^w. *)
+
 val mul_add_into : t -> t -> t -> unit
 (** [mul_add_into dst a b]: dst += a·b in one pass. *)
 
@@ -99,8 +104,9 @@ val rep3_bool_into : t -> xi:t -> yi:t -> xj:t -> yj:t -> unit
 (** {2 Reductions} *)
 
 val sum : t -> int
-val prefix_sum : t -> t
-(** Running (inclusive) prefix sum in the ring — linear local work;
+val prefix_sum : ?init:int -> t -> t
+(** Running (inclusive) prefix sum in the ring, starting from [init]
+    (default 0): element i is init + a_0 + … + a_i — linear local work;
     additive secret sharing commutes with it, which is what makes
     genBitPerm's destination computation local. Parallelized as a blocked
     two-pass scan; the wrapped-ring result is bit-identical to the

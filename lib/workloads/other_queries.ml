@@ -77,44 +77,48 @@ let cdiff_run (db : G.mpc) =
       [ ("pid", Tablesort.Asc); ("dtime", Tablesort.Asc) ]
   in
   let n = Table.nrows d in
-  let pid = Table.column d "pid" and tm = Table.column d "dtime" in
-  let v = d.Table.valid in
-  let hd s = Orq_proto.Share.sub_range s 0 (n - 1) in
-  let tl s = Orq_proto.Share.sub_range s 1 (n - 1) in
-  (* the pair tests are data-independent: fused round tracks *)
-  let w = Table.width d "dtime" + 1 in
-  let public c = Orq_proto.Share.public ctx Orq_proto.Share.Bool (n - 1) c in
-  let t =
-    Mpc.fuse_rounds ctx
-      [|
-        (fun () -> Orq_circuits.Compare.eq ctx ~w:(Table.width d "pid") (hd pid) (tl pid));
-        (fun () ->
-          Mpc.band_f ctx (Orq_proto.Share.pack_flags (hd v))
-            (Orq_proto.Share.pack_flags (tl v)));
-        (fun () ->
-          let diff = Orq_circuits.Adder.sub ctx ~w (tl tm) (hd tm) in
-          let b =
-            Mpc.fuse_rounds ctx
-              [|
-                (fun () -> Orq_circuits.Compare.ge ctx ~w diff (public 15));
-                (fun () -> Orq_circuits.Compare.le ctx ~w diff (public 56));
-              |]
-          in
-          Mpc.band_f ctx b.(0) b.(1));
-      |]
-  in
-  let mark = Mpc.band_f ctx (Mpc.band_f ctx t.(0) t.(1)) t.(2) in
-  let marker =
-    Orq_proto.Share.flags_concat_many
-      [|
-        Orq_proto.Share.pack_flags
-          (Orq_proto.Share.public ctx Orq_proto.Share.Bool 1 0);
-        mark;
-      |]
-  in
-  let d = Table.and_valid d marker in
-  let d = D.distinct d [ "pid" ] in
-  D.global_aggregate d ~aggs:[ cnt "pid" "patients" ]
+  let patients d = D.global_aggregate d ~aggs:[ cnt "pid" "patients" ] in
+  (* no rows, no adjacent pairs *)
+  if n = 0 then patients d
+  else begin
+    let pid = Table.column d "pid" and tm = Table.column d "dtime" in
+    let v = d.Table.valid in
+    let hd s = Orq_proto.Share.sub_range s 0 (n - 1) in
+    let tl s = Orq_proto.Share.sub_range s 1 (n - 1) in
+    (* the pair tests are data-independent: fused round tracks *)
+    let w = Table.width d "dtime" + 1 in
+    let public c = Orq_proto.Share.public ctx Orq_proto.Share.Bool (n - 1) c in
+    let t =
+      Mpc.fuse_rounds ctx
+        [|
+          (fun () -> Orq_circuits.Compare.eq ctx ~w:(Table.width d "pid") (hd pid) (tl pid));
+          (fun () ->
+            Mpc.band_f ctx (Orq_proto.Share.pack_flags (hd v))
+              (Orq_proto.Share.pack_flags (tl v)));
+          (fun () ->
+            let diff = Orq_circuits.Adder.sub ctx ~w (tl tm) (hd tm) in
+            let b =
+              Mpc.fuse_rounds ctx
+                [|
+                  (fun () -> Orq_circuits.Compare.ge ctx ~w diff (public 15));
+                  (fun () -> Orq_circuits.Compare.le ctx ~w diff (public 56));
+                |]
+            in
+            Mpc.band_f ctx b.(0) b.(1));
+        |]
+    in
+    let mark = Mpc.band_f ctx (Mpc.band_f ctx t.(0) t.(1)) t.(2) in
+    let marker =
+      Orq_proto.Share.flags_concat_many
+        [|
+          Orq_proto.Share.pack_flags
+            (Orq_proto.Share.public ctx Orq_proto.Share.Bool 1 0);
+          mark;
+        |]
+    in
+    let d = Table.and_valid d marker in
+    patients (D.distinct d [ "pid" ])
+  end
 
 let cdiff_ref (db : G.plain) =
   let d = P.filter db.G.diagnosis (fun g r -> g "diag" r = G.diag_cdiff) in

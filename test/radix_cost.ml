@@ -32,5 +32,23 @@ let word kind ~n ~w ~moved =
            ranked + l ))
        (Orq_net.Comm.zero_tally, 0) (schedule kind w))
 
-(* One Protocol-5 application of [w] bits per row over [n] rows. *)
-let apply kind ~n ~w = Primcost.tally_of (Primcost.applyperm kind ~w ~n)
+(* The digits of a radix TableSort on keys of widths [keys]: the key
+   bits pack into 60-bit words cut from the least significant bit (the
+   top word holding the rest), each word ranked by {!schedule}. *)
+let digits kind keys =
+  let total = List.fold_left ( + ) 0 keys in
+  let rec words r = if r <= 60 then [ r ] else 60 :: words (r - 60) in
+  List.concat_map (schedule kind) (words total)
+
+(* The closed forms of a radix TableSort's two paths over [n] rows:
+   (carry-through, sigma route). *)
+let paths kind ~n ~keys ~payload =
+  let digits = digits kind keys in
+  ( Primcost.tablesort_carry kind ~n ~digits ~keys ~payload,
+    Primcost.tablesort_sigma kind ~n ~digits ~keys ~payload )
+
+(* The path the rule takes, priced: carry-through unless the sigma route
+   moves strictly fewer bits. *)
+let chosen kind ~n ~keys ~payload =
+  let carry, sigma = paths kind ~n ~keys ~payload in
+  if sigma.Orq_net.Comm.t_bits < carry.Orq_net.Comm.t_bits then sigma else carry

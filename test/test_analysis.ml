@@ -552,6 +552,72 @@ let test_costmodel_rank_digit () =
         (List.concat_map (fun l -> List.map (fun n -> (l, n)) [ 1; 2; 3; 8; 9; 40; 64; 65 ]) [ 1; 2; 3 ]))
     Ctx.all_kinds
 
+(* TableSort's two radix paths: each path forced through
+   [Tablesort.sort_cols ~radix] meters exactly its closed form
+   ([Primcost.tablesort_carry], [Primcost.tablesort_sigma]) over the digit
+   schedule of the packed key, written out independently in
+   {!Radix_cost.digits} (and equal to [Radixsort.digits]). Shapes: 1-3
+   keys of widths 1..32 (one and two 60-bit words) and 0-4 payload
+   columns, under every protocol. *)
+let test_costmodel_tablesort_paths () =
+  let module T = Orq_core.Tablesort in
+  let shapes =
+    [
+      ([ 1 ], []);
+      ([ 32 ], [ 8; 8; 8; 8 ]);
+      ([ 5; 12 ], [ 1 ]);
+      ([ 1; 32; 32 ], [ 24; 3 ]);
+      ([ 7; 3; 2 ], [ 60; 1; 13 ]);
+      ([ 20 ], [ 2; 64 ]);
+    ]
+  in
+  let tally_t =
+    Alcotest.testable
+      (fun ppf (t : Comm.tally) ->
+        Fmt.pf ppf "%d rounds, %d bits, %d messages" t.Comm.t_rounds t.t_bits t.t_messages)
+      ( = )
+  in
+  List.iter
+    (fun kind ->
+      List.iter
+        (fun n ->
+          List.iter
+            (fun (keys, payload) ->
+              let tag what =
+                Printf.sprintf "%s n=%d keys=[%s] payload=[%s] [%s]" what n
+                  (String.concat ";" (List.map string_of_int keys))
+                  (String.concat ";" (List.map string_of_int payload))
+                  (Ctx.kind_label kind)
+              in
+              let digits = Radix_cost.digits kind keys in
+              Alcotest.(check (list int)) (tag "digits") digits
+                (Orq_sort.Radixsort.digits kind
+                   (List.rev
+                      (let rec words r = if r <= 60 then [ r ] else 60 :: words (r - 60) in
+                       words (List.fold_left ( + ) 0 keys))));
+              let run path =
+                let ctx = Ctx.create ~seed:47 kind in
+                let col i w =
+                  Share.wrap
+                    (Mpc.share_b ctx
+                       (Array.init n (fun r -> ((r * 2654435761) + (i * 40503)) land Orq_util.Ring.mask (min w 62))))
+                in
+                let ks = List.mapi (fun i w -> (col i w, w, T.Asc)) keys in
+                let ps = List.mapi (fun i w -> (col (10 + i) w, w)) payload in
+                let before = Comm.snapshot ctx.Ctx.comm in
+                ignore (T.sort_cols ctx ~radix:path ~keys:ks ps);
+                Comm.since ctx.Ctx.comm before
+              in
+              Alcotest.check tally_t (tag "carry")
+                (Primcost.tablesort_carry kind ~n ~digits ~keys ~payload)
+                (run T.Carry);
+              Alcotest.check tally_t (tag "sigma")
+                (Primcost.tablesort_sigma kind ~n ~digits ~keys ~payload)
+                (run T.Sigma))
+            shapes)
+        [ 2; 7; 300; 3000 ])
+    Ctx.all_kinds
+
 let test_costmodel_agg_paths () =
   let module Aggnet = Orq_core.Aggnet in
   List.iter
@@ -606,11 +672,15 @@ let test_costmodel_agg_paths () =
                     (List.map (fun (k, w) -> (Share.wrap k, w)) keys
                     @ [ (Share.wrap (Mpc.share_b ctx (Array.map (fun v -> v land 0x7f) x)), 7) ])
                 in
-                (List.map Share.reconstruct totals, Share.reconstruct_flags last))
+                (* each total is defined modulo 2^w for its lane's width *)
+                ( List.map2
+                    (fun t w -> Array.map (fun v -> v land Orq_util.Ring.mask w) (Share.reconstruct t))
+                    totals
+                    [ 24; Orq_util.Ring.index_bits (n + 1) ],
+                  Share.reconstruct_flags last ))
           in
-          let ell = (Ctx.create kind).Ctx.ell in
           Alcotest.check tally_t (tag "aggcompact")
-            (Primcost.aggcompact kind ~ell ~n ~keys:keys_w ~sums:[ 24 ] ~local:1
+            (Primcost.aggcompact kind ~n ~keys:keys_w ~sums:[ 24 ] ~local:1
                ~moved:(1 + 10 + 2 + 7))
             cmp;
           (* the runs' sums and sizes, in order *)
@@ -947,6 +1017,8 @@ let suite =
       test_costmodel_rank_digit;
     Alcotest.test_case "cost model: GROUP BY paths" `Quick
       test_costmodel_agg_paths;
+    Alcotest.test_case "cost model: TableSort paths" `Quick
+      test_costmodel_tablesort_paths;
     Alcotest.test_case "certifier: live queries" `Slow test_certify_queries;
     Alcotest.test_case "certifier: whole registry" `Slow test_certify_suite_rows;
     Alcotest.test_case "certifier: rejects shape leak" `Quick

@@ -267,13 +267,21 @@ let test_sort () =
         vals)
     [ (56, 8); (53, 8); (56, 40); (53, 40) ]
 
-(* a 2-key TableSort (the sigma-extraction pipeline), whole vs parked
-   table: equal values and tallies, and parked columns stay parked *)
+(* a 2-key TableSort on each radix path (carry-through, the
+   sigma-extraction pipeline, and the one the rule picks), whole vs
+   parked table: equal values and tallies, and parked columns stay
+   parked *)
 let test_tablesort () =
   for_all_kinds @@ fun kind ->
   List.iter
-    (fun n ->
-      let tag s = Printf.sprintf "%s %s n=%d" s (kind_name kind) n in
+    (fun (n, radix) ->
+      let tag s =
+        Printf.sprintf "%s %s n=%d %s" s (kind_name kind) n
+          (match radix with
+          | None -> "picked"
+          | Some Tablesort.Carry -> "carry"
+          | Some Tablesort.Sigma -> "sigma")
+      in
       let st = Random.State.make [| 9; n |] in
       let col () = Array.init n (fun _ -> Random.State.int st 16) in
       let a = col () and b = col () and c = rand_array st n in
@@ -285,7 +293,7 @@ let test_tablesort () =
         if park then Orq_core.Table.park t;
         let before = Comm.snapshot ctx.Ctx.comm in
         let t' =
-          Tablesort.sort t
+          Tablesort.sort ?radix t
             [ ("a", Tablesort.Asc); ("b", Tablesort.Desc) ]
         in
         let tal = Comm.since ctx.Ctx.comm before in
@@ -305,7 +313,9 @@ let test_tablesort () =
         (List.for_all not tr1);
       Alcotest.(check bool) (tag "parked stays parked") true
         (List.for_all Fun.id tr2))
-    [ 56; 53 ]
+    (List.concat_map
+       (fun n -> List.map (fun r -> (n, r)) [ None; Some Tablesort.Carry; Some Tablesort.Sigma ])
+       [ 56; 53 ])
 
 (* TableSort against a plaintext stable lexicographic sort: 1-4 keys of
    1-40 bits (a key above 32 bits makes the sort a quicksort; more than
@@ -313,20 +323,9 @@ let test_tablesort () =
    quicksort words), mixed directions and many duplicate
    keys, under every protocol. A row-id payload checks stability. The
    parked table (5-row chunks) must give the whole table's values and
-   tally, and an all-radix multi-key sort under SH-HM costs exactly the
-   closed-form rounds ({!radix_rounds}) of its W key bits packed into
-   60-bit words, plus the inversion and the final table application. *)
-(* SH-HM rounds of an all-radix multi-key TableSort over [n] rows whose
-   keys total [total] bits: the key packs into 60-bit words, the top word
-   holding the rest, each word sorted digit by digit ({!Radix_cost}),
-   then two more applications, the inversion and the final one. *)
-let radix_rounds ~n total =
-  let rounds w = (Radix_cost.word Ctx.Sh_hm ~n ~w ~moved:(fun _ -> 1)).Comm.t_rounds in
-  let top = total - (60 * ((total - 1) / 60)) in
-  rounds top
-  + ((total - top) / 60 * rounds 60)
-  + (2 * (Radix_cost.apply Ctx.Sh_hm ~n ~w:1).Comm.t_rounds)
-
+   tally, and an all-radix sort costs exactly the closed form of the
+   radix path the rule takes ({!Radix_cost.chosen}) over its key widths,
+   carrying the validity bit and the 5-bit id. *)
 let qcheck_tablesort_vs_plaintext =
   QCheck.Test.make ~name:"TableSort = plaintext stable sort, whole = chunked"
     ~count:10 QCheck.(int_bound 100_000)
@@ -359,7 +358,6 @@ let qcheck_tablesort_vs_plaintext =
             (Printf.sprintf "k%d" i, w, v, o))
           widths
       in
-      let total = List.fold_left (fun a (_, w, _, _) -> a + w) 0 keys in
       let cmp_rows i j =
         List.fold_left
           (fun c (_, _, v, o) ->
@@ -399,9 +397,7 @@ let qcheck_tablesort_vs_plaintext =
           let ((cols', valid'), tal') =
             with_streaming ~rows:5 (fun () -> run true)
           in
-          let all_radix =
-            nkeys >= 2 && List.for_all (fun (_, w, _, _) -> w <= 32) keys
-          in
+          let all_radix = List.for_all (fun (_, w, _, _) -> w <= 32) keys in
           let fail what =
             QCheck.Test.fail_reportf "%s %s: n=%d widths=[%s]" (kind_name kind)
               what n
@@ -412,9 +408,12 @@ let qcheck_tablesort_vs_plaintext =
           else if cols' <> expected || valid' <> valid then fail "chunked values"
           else if tal <> tal' then fail "chunked tally"
           else if
-            kind = Ctx.Sh_hm && all_radix
-            && tal.Comm.t_rounds <> radix_rounds ~n total
-          then fail (Printf.sprintf "rounds %d" tal.Comm.t_rounds)
+            all_radix
+            && tal
+               <> Radix_cost.chosen kind ~n
+                    ~keys:(List.map (fun (_, w, _, _) -> w) keys)
+                    ~payload:[ 1; 5 ]
+          then fail (Printf.sprintf "tally: %d rounds" tal.Comm.t_rounds)
           else true)
         Ctx.all_kinds)
 

@@ -155,12 +155,10 @@ let test_tablesort_multikey () =
 
 (* Every column moves at its declared width: a TableSort over 1-, 8- and
    24-bit columns (plus the 1-bit validity) costs exactly the closed-form
-   online bits, and the values still sort. Every permutation index (rho,
-   the carried sigma^{-1}, the ranking products) travels at
-   [Ring.index_bits 8] = 3 bits. The single-key sort carries all 34 bits
-   of a row through each digit; the two-key sort ranks the packed 9-bit
-   word (F, M), moving its unranked bits and the 3-bit index, then
-   inverts the index and applies sigma to the 34-bit rows. *)
+   online bits of the radix path the rule takes ({!Radix_cost.chosen}:
+   carry every column through the digits, or rank the packed key with a
+   [Ring.index_bits 8] = 3-bit index, invert it and apply sigma), and the
+   values still sort. *)
 let test_tablesort_width_tally () =
   List.iter
     (fun k ->
@@ -178,14 +176,10 @@ let test_tablesort_width_tally () =
         let t' = Tablesort.sort t specs in
         (t', (Orq_net.Comm.since ctx.Ctx.comm before).Orq_net.Comm.t_bits)
       in
-      let n = 8 and row = 1 + 8 + 24 + 1 in
-      let bits_of (t : Orq_net.Comm.tally) = t.Orq_net.Comm.t_bits in
-      let apply w = bits_of (Radix_cost.apply k ~n ~w) in
-      let single = bits_of (Radix_cost.word k ~n ~w:8 ~moved:(fun _ -> row)) in
-      let multi =
-        bits_of (Radix_cost.word k ~n ~w:9 ~moved:(fun ranked -> 9 - ranked + 3))
-        + apply 3 + apply row
+      let bits_of keys payload =
+        (Radix_cost.chosen k ~n:8 ~keys ~payload).Orq_net.Comm.t_bits
       in
+      let single = bits_of [ 8 ] [ 1; 24; 1 ] and multi = bits_of [ 1; 8 ] [ 24; 1 ] in
       let tag = Ctx.kind_label k in
       let t1, b1 = bits [ ("M", Tablesort.Asc) ] in
       let cols, _ = Table.peek t1 in

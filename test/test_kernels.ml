@@ -65,6 +65,21 @@ let qcheck_add_sub =
   QCheck.Test.make ~name:"add_sub = add a (sub b c)" ~count:50 arr3
     (fun (a, b, c) -> Vec.add_sub a b c = Vec.add a (Vec.sub b c))
 
+let qcheck_add_mask_into =
+  QCheck.Test.make ~name:"add_mask_into = and_scalar (add dst a) m" ~count:50
+    QCheck.(triple (array_of_size (Gen.return 24) int) (array_of_size (Gen.return 24) int) (int_bound 62))
+    (fun (dst, a, w) ->
+      let m = (1 lsl w) - 1 in
+      let expect = Vec.and_scalar (Vec.add dst a) m in
+      let got = Vec.copy dst in
+      Vec.add_mask_into got a m;
+      got = expect)
+
+let qcheck_prefix_sum_init =
+  QCheck.Test.make ~name:"prefix_sum ~init = add_scalar (prefix_sum a) init" ~count:50
+    QCheck.(pair (array_of_size Gen.(0 -- 40) int) int)
+    (fun (a, init) -> Vec.prefix_sum ~init a = Vec.add_scalar (Vec.prefix_sum a) init)
+
 let qcheck_sub_into =
   QCheck.Test.make ~name:"sub_into = sub dst a" ~count:50
     QCheck.(pair (array_of_size (Gen.return 24) int) (array_of_size (Gen.return 24) int))
@@ -331,6 +346,8 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_xor3;
     QCheck_alcotest.to_alcotest qcheck_add_sub;
     QCheck_alcotest.to_alcotest qcheck_sub_into;
+    QCheck_alcotest.to_alcotest qcheck_add_mask_into;
+    QCheck_alcotest.to_alcotest qcheck_prefix_sum_init;
     QCheck_alcotest.to_alcotest qcheck_spread;
     QCheck_alcotest.to_alcotest qcheck_beaver_arith;
     QCheck_alcotest.to_alcotest qcheck_beaver_bool;

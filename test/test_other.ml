@@ -49,9 +49,10 @@ let cross =
     Alcotest.test_case "Patients [SH-DM]" `Slow (check Ctx.Sh_dm "Patients");
   ]
 
-(* Empty inputs: Comorbidity and Password over 0 rows, where every sort,
-   DISTINCT and GROUP BY they run sees an empty table, validate under
-   every protocol, in process and through orq_cli. *)
+(* Empty inputs: Comorbidity, Password and C.Diff over 0 rows, where
+   every sort, DISTINCT and GROUP BY they run sees an empty table (and
+   C.Diff has no adjacent pair), validate under every protocol, in
+   process and through orq_cli. *)
 let check_empty qname () =
   let plain = Other_gen.generate ~seed:31 0 in
   let q = Other_queries.find qname in
@@ -80,7 +81,7 @@ let check_empty qname () =
 let empty_cases =
   List.map
     (fun name -> Alcotest.test_case (name ^ " on 0 rows") `Quick (check_empty name))
-    [ "Comorbidity"; "Password" ]
+    [ "Comorbidity"; "Password"; "C.Diff" ]
 
 (* SecretFlow S1-S5, registered over the TPC-H catalog, validated here
    under SH-DM too (the ABY-based setting they run in). *)

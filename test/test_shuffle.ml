@@ -345,12 +345,21 @@ let test_mixed_width_apply_elementwise () =
         tl64.Orq_net.Comm.t_messages tl.Orq_net.Comm.t_messages)
     kinds
 
-let test_arith_narrow_raises () =
+(* An arithmetic column outside widths 1 .. ell is refused, and a
+   narrowed one (not an index vector) cannot be opened: it is defined
+   modulo 2^w only. *)
+let test_arith_width_refused () =
   for_all_kinds (fun ctx ->
       let x = Share.wrap (Mpc.share_a ctx (Array.init 8 (fun i -> i))) in
       let p = Shardedperm.gen ctx 8 in
-      match Shardedperm.apply ctx [ (x, 12) ] p with
-      | _ -> Alcotest.fail "an arithmetic column at 12 bits was accepted"
+      List.iter
+        (fun w ->
+          match Shardedperm.apply ctx [ (x, w) ] p with
+          | _ -> Alcotest.failf "an arithmetic column at %d bits was accepted" w
+          | exception Invalid_argument _ -> ())
+        [ 0; ctx.Ctx.ell + 1 ];
+      match Shardedperm.apply_open ctx ~opened:[ (x, 12) ] [] p with
+      | _ -> Alcotest.fail "an arithmetic lane opened at 12 bits"
       | exception Invalid_argument _ -> ())
 
 let test_out_of_width_debug () =
@@ -485,31 +494,40 @@ let test_apply_elementwise_index_meter () =
         want.Orq_net.Comm.t_messages tl.Orq_net.Comm.t_messages)
     kinds
 
-(* An arithmetic column passes a sharded permutation at ell or at the
-   index width of its length, and at no other width. *)
-let test_arith_widths_accepted () =
+(* An arithmetic column passes a sharded permutation at every width w
+   from 1 to ell: at ell, and at the index width of its length (an index
+   vector), it arrives exact; at any other width it arrives modulo 2^w,
+   under debug checks too. *)
+let test_arith_widths_mod () =
+  let was = Debug.enabled () in
+  Fun.protect ~finally:(fun () -> Debug.set_checks was) @@ fun () ->
+  Debug.set_checks true;
   for_all_kinds (fun ctx ->
       List.iter
         (fun n ->
-          let x = Share.wrap (Mpc.share_a ctx (Array.init n (fun i -> i))) in
+          let v = Array.init n (fun i -> (i * 2654435761) lxor (i lsl 40)) in
+          let x = Share.wrap (Mpc.share_a ctx v) in
+          let idx = Share.wrap (Mpc.share_a ctx (Array.init n (fun i -> i))) in
           let p = Shardedperm.gen ctx n in
+          let moved = Orq_util.Vec.scatter v (Shardedperm.plaintext p) in
           for w = 1 to ctx.Ctx.ell do
-            let ok = w = ctx.Ctx.ell || w = Ring.index_bits n in
-            match Shardedperm.apply ctx [ (x, w) ] p with
+            let iw = Ring.index_bits n in
+            let col = if w = iw then idx else x in
+            match Shardedperm.apply ctx [ (col, w) ] p with
             | [ y ] ->
-                if not ok then
-                  Alcotest.failf "n=%d: an arithmetic column at %d bits passed"
-                    n w;
-                Alcotest.(check vec)
-                  (Printf.sprintf "n=%d w=%d moved" n w)
-                  (Orq_util.Vec.scatter (Array.init n (fun i -> i))
-                     (Shardedperm.plaintext p))
-                  (Share.reconstruct_c y)
+                let got = Share.reconstruct_c y in
+                if w = iw then
+                  Alcotest.(check vec)
+                    (Printf.sprintf "n=%d w=%d index exact" n w)
+                    (Orq_util.Vec.scatter (Array.init n Fun.id) (Shardedperm.plaintext p))
+                    got
+                else
+                  let m = if w >= Ring.word_bits then Ring.ones else Ring.mask w in
+                  Alcotest.(check vec)
+                    (Printf.sprintf "n=%d w=%d modulo 2^w" n w)
+                    (Array.map (fun u -> u land m) moved)
+                    (Array.map (fun u -> u land m) got)
             | _ -> Alcotest.fail "arity"
-            | exception Invalid_argument _ ->
-                if ok then
-                  Alcotest.failf "n=%d: an arithmetic column at %d bits refused"
-                    n w
           done)
         wrap_ns)
 
@@ -558,15 +576,15 @@ let suite =
       test_perm_protocols_wrap;
     Alcotest.test_case "rho shuffled and opened at the index width" `Quick
       test_apply_elementwise_index_meter;
-    Alcotest.test_case "arithmetic columns at ell or the index width" `Quick
-      test_arith_widths_accepted;
+    Alcotest.test_case "arithmetic columns move mod 2^w" `Quick
+      test_arith_widths_mod;
     QCheck_alcotest.to_alcotest qcheck_perm_protocols_compose_invert;
     Alcotest.test_case "mixed widths: shuffle_table" `Quick
       test_mixed_width_shuffle_table;
     Alcotest.test_case "mixed widths: applyElementwisePerm" `Quick
       test_mixed_width_apply_elementwise;
-    Alcotest.test_case "arithmetic column below ell raises" `Quick
-      test_arith_narrow_raises;
+    Alcotest.test_case "arithmetic width outside 1..ell raises" `Quick
+      test_arith_width_refused;
     Alcotest.test_case "out-of-width column raises under debug checks" `Quick
       test_out_of_width_debug;
   ]

@@ -828,21 +828,14 @@ let grid_cases =
         [ 1; 3 ])
     kinds
 
-(* Online (rounds, bits, messages) of every grid case, recorded from the
-   sort layer before the base sorts lost their descending modes: a
-   descending key sorted as its complement costs what the base sorts'
-   own descending comparisons and digit flips cost. *)
+(* Online (rounds, bits, messages) of every quicksort grid case,
+   recorded from the sort layer before the base sorts lost their
+   descending modes: a descending key sorted as its complement costs what
+   the base sorts' own descending comparisons and digit flips cost. A
+   radix case costs the closed form of the path the rule takes
+   ({!Radix_cost.chosen}), carrying the validity bit and the id. *)
 let grid_tallies =
   [
-    ("SH-DM keys=1 radix asc n=1", (25, 120, 50));
-    ("SH-DM keys=1 radix asc n=7", (25, 1540, 50));
-    ("SH-DM keys=1 radix asc n=300", (25, 156000, 50));
-    ("SH-DM keys=1 radix desc n=1", (25, 120, 50));
-    ("SH-DM keys=1 radix desc n=7", (25, 1540, 50));
-    ("SH-DM keys=1 radix desc n=300", (25, 156000, 50));
-    ("SH-DM keys=1 radix signed n=1", (25, 120, 50));
-    ("SH-DM keys=1 radix signed n=7", (25, 1540, 50));
-    ("SH-DM keys=1 radix signed n=300", (25, 156000, 50));
     ("SH-DM keys=1 quick asc n=1", (0, 0, 0));
     ("SH-DM keys=1 quick asc n=7", (38, 7132, 98));
     ("SH-DM keys=1 quick asc n=300", (137, 1441524, 422));
@@ -852,15 +845,6 @@ let grid_tallies =
     ("SH-DM keys=1 quick signed n=1", (0, 0, 0));
     ("SH-DM keys=1 quick signed n=7", (38, 7630, 98));
     ("SH-DM keys=1 quick signed n=300", (137, 1554486, 422));
-    ("SH-DM keys=3 radix asc n=1", (116, 784, 232));
-    ("SH-DM keys=3 radix asc n=7", (116, 8736, 232));
-    ("SH-DM keys=3 radix asc n=300", (116, 792000, 232));
-    ("SH-DM keys=3 radix desc n=1", (116, 784, 232));
-    ("SH-DM keys=3 radix desc n=7", (116, 8736, 232));
-    ("SH-DM keys=3 radix desc n=300", (116, 792000, 232));
-    ("SH-DM keys=3 radix signed n=1", (116, 784, 232));
-    ("SH-DM keys=3 radix signed n=7", (116, 8736, 232));
-    ("SH-DM keys=3 radix signed n=300", (116, 792000, 232));
     ("SH-DM keys=3 quick asc n=1", (6, 114, 12));
     ("SH-DM keys=3 quick asc n=7", (35, 10248, 86));
     ("SH-DM keys=3 quick asc n=300", (143, 1825188, 434));
@@ -870,15 +854,6 @@ let grid_tallies =
     ("SH-DM keys=3 quick signed n=1", (6, 114, 12));
     ("SH-DM keys=3 quick signed n=7", (44, 10248, 110));
     ("SH-DM keys=3 quick signed n=300", (143, 1749700, 434));
-    ("SH-HM keys=1 radix asc n=1", (13, 136, 55));
-    ("SH-HM keys=1 radix asc n=7", (13, 1638, 55));
-    ("SH-HM keys=1 radix asc n=300", (13, 158400, 55));
-    ("SH-HM keys=1 radix desc n=1", (13, 136, 55));
-    ("SH-HM keys=1 radix desc n=7", (13, 1638, 55));
-    ("SH-HM keys=1 radix desc n=300", (13, 158400, 55));
-    ("SH-HM keys=1 radix signed n=1", (13, 136, 55));
-    ("SH-HM keys=1 radix signed n=7", (13, 1638, 55));
-    ("SH-HM keys=1 radix signed n=300", (13, 158400, 55));
     ("SH-HM keys=1 quick asc n=1", (0, 0, 0));
     ("SH-HM keys=1 quick asc n=7", (27, 6474, 114));
     ("SH-HM keys=1 quick asc n=300", (123, 1071909, 636));
@@ -888,15 +863,6 @@ let grid_tallies =
     ("SH-HM keys=1 quick signed n=1", (0, 0, 0));
     ("SH-HM keys=1 quick signed n=7", (35, 7599, 150));
     ("SH-HM keys=1 quick signed n=300", (115, 1080369, 594));
-    ("SH-HM keys=3 radix asc n=1", (60, 872, 266));
-    ("SH-HM keys=3 radix asc n=7", (60, 9492, 266));
-    ("SH-HM keys=3 radix asc n=300", (60, 842400, 266));
-    ("SH-HM keys=3 radix desc n=1", (60, 872, 266));
-    ("SH-HM keys=3 radix desc n=7", (60, 9492, 266));
-    ("SH-HM keys=3 radix desc n=300", (60, 842400, 266));
-    ("SH-HM keys=3 radix signed n=1", (60, 872, 266));
-    ("SH-HM keys=3 radix signed n=7", (60, 9492, 266));
-    ("SH-HM keys=3 radix signed n=300", (60, 842400, 266));
     ("SH-HM keys=3 quick asc n=1", (6, 334, 28));
     ("SH-HM keys=3 quick asc n=7", (33, 10464, 142));
     ("SH-HM keys=3 quick asc n=300", (129, 1683567, 664));
@@ -906,15 +872,6 @@ let grid_tallies =
     ("SH-HM keys=3 quick signed n=1", (6, 334, 28));
     ("SH-HM keys=3 quick signed n=7", (41, 11382, 178));
     ("SH-HM keys=3 quick signed n=300", (129, 1594842, 664));
-    ("Mal-HM keys=1 radix asc n=1", (17, 4592, 164));
-    ("Mal-HM keys=1 radix asc n=7", (17, 10200, 164));
-    ("Mal-HM keys=1 radix asc n=300", (17, 604096, 164));
-    ("Mal-HM keys=1 radix desc n=1", (17, 4592, 164));
-    ("Mal-HM keys=1 radix desc n=7", (17, 10200, 164));
-    ("Mal-HM keys=1 radix desc n=300", (17, 604096, 164));
-    ("Mal-HM keys=1 radix signed n=1", (17, 4592, 164));
-    ("Mal-HM keys=1 radix signed n=7", (17, 10200, 164));
-    ("Mal-HM keys=1 radix signed n=300", (17, 604096, 164));
     ("Mal-HM keys=1 quick asc n=1", (0, 0, 0));
     ("Mal-HM keys=1 quick asc n=7", (40, 31388, 572));
     ("Mal-HM keys=1 quick asc n=300", (139, 4616480, 2472));
@@ -924,15 +881,6 @@ let grid_tallies =
     ("Mal-HM keys=1 quick signed n=1", (0, 0, 0));
     ("Mal-HM keys=1 quick signed n=7", (49, 36888, 712));
     ("Mal-HM keys=1 quick signed n=300", (139, 4811824, 2472));
-    ("Mal-HM keys=3 radix asc n=1", (80, 21704, 792));
-    ("Mal-HM keys=3 radix asc n=7", (80, 54328, 792));
-    ("Mal-HM keys=3 radix asc n=300", (80, 3227232, 792));
-    ("Mal-HM keys=3 radix desc n=1", (80, 21704, 792));
-    ("Mal-HM keys=3 radix desc n=7", (80, 54328, 792));
-    ("Mal-HM keys=3 radix desc n=300", (80, 3227232, 792));
-    ("Mal-HM keys=3 radix signed n=1", (80, 21704, 792));
-    ("Mal-HM keys=3 radix signed n=7", (80, 54328, 792));
-    ("Mal-HM keys=3 radix signed n=300", (80, 3227232, 792));
     ("Mal-HM keys=3 quick asc n=1", (10, 3376, 64));
     ("Mal-HM keys=3 quick asc n=7", (41, 46712, 496));
     ("Mal-HM keys=3 quick asc n=300", (149, 6481588, 2536));
@@ -945,12 +893,92 @@ let grid_tallies =
   ]
 
 let test_grid () =
+  let id_width n = Orq_core.Dom.width (Orq_core.Dom.v 0 (max 1 (n - 1))) in
   List.iter
     (fun (kind, nk, quick, mode, n) ->
       let tag, got = grid_case kind nk quick mode n in
-      Alcotest.(check (triple int int int)) (tag ^ " tally")
-        (List.assoc tag grid_tallies) got)
+      let want =
+        if quick then List.assoc tag grid_tallies
+        else
+          let t =
+            Radix_cost.chosen kind ~n
+              ~keys:(List.map (fun (w, _, _) -> w) (grid_keys nk quick mode))
+              ~payload:[ 1; id_width n ]
+          in
+          Orq_net.Comm.(t.t_rounds, t.t_bits, t.t_messages)
+      in
+      Alcotest.(check (triple int int int)) (tag ^ " tally") want got)
     grid_cases
+
+(* ---------------- TableSort radix path choice ---------------- *)
+
+(* A random radix TableSort (1-3 keys of 1..32 bits, mixed directions,
+   few distinct values; 0-4 payload columns) run on the path the rule
+   picks and on both forced paths: all three give the plaintext stable
+   sort, the picked run costs what one forced path costs, and it never
+   moves more bits than the other. *)
+let qcheck_tablesort_path =
+  QCheck.Test.make ~name:"TableSort path choice" ~count:20 QCheck.(int_bound 100_000)
+    (fun seed ->
+      let st = Random.State.make [| seed |] in
+      let n = 2 + Random.State.int st 40 in
+      let keys =
+        List.init (1 + Random.State.int st 3) (fun _ ->
+            let w = 1 + Random.State.int st 32 in
+            let pool = Array.init 3 (fun _ -> Random.State.full_int st (1 lsl w)) in
+            ( w,
+              Array.init n (fun _ -> pool.(Random.State.int st 3)),
+              if Random.State.bool st then Tablesort.Asc else Tablesort.Desc ))
+      in
+      let payload =
+        List.init (Random.State.int st 5) (fun _ ->
+            let w = 1 + Random.State.int st 40 in
+            (w, Array.init n (fun _ -> Random.State.full_int st (1 lsl w))))
+      in
+      let order =
+        List.stable_sort
+          (fun i j ->
+            List.fold_left
+              (fun c (_, v, o) ->
+                if c <> 0 then c
+                else if o = Tablesort.Asc then compare v.(i) v.(j)
+                else compare v.(j) v.(i))
+              0 keys)
+          (List.init n Fun.id)
+      in
+      let expected =
+        List.map (fun (_, v, _) -> v) keys @ List.map snd payload
+        |> List.map (fun v -> Array.of_list (List.map (fun i -> v.(i)) order))
+      in
+      List.for_all
+        (fun kind ->
+          let run radix =
+            let ctx = Ctx.create ~seed:71 kind in
+            let share v = Share.wrap (Mpc.share_b ctx v) in
+            let before = Orq_net.Comm.snapshot ctx.Ctx.comm in
+            let k, p =
+              Tablesort.sort_cols ctx ?radix
+                ~keys:(List.map (fun (w, v, o) -> (share v, w, o)) keys)
+                (List.map (fun (w, v) -> (share v, w)) payload)
+            in
+            ( List.map (fun c -> Share.reconstruct (Share.unpark c)) (k @ p),
+              Orq_net.Comm.since ctx.Ctx.comm before )
+          in
+          let vp, picked = run None
+          and vc, carry = run (Some Tablesort.Carry)
+          and vs, sigma = run (Some Tablesort.Sigma) in
+          let bits (t : Orq_net.Comm.tally) = t.Orq_net.Comm.t_bits in
+          let fail what =
+            QCheck.Test.fail_reportf "%s %s: n=%d keys=[%s] payload=[%s]"
+              (Ctx.kind_label kind) what n
+              (String.concat ";" (List.map (fun (w, _, _) -> string_of_int w) keys))
+              (String.concat ";" (List.map (fun (w, _) -> string_of_int w) payload))
+          in
+          if vp <> expected || vc <> expected || vs <> expected then fail "values"
+          else if picked <> carry && picked <> sigma then fail "picked neither path"
+          else if bits picked > min (bits carry) (bits sigma) then fail "picked more bits"
+          else true)
+        kinds)
 
 let suite =
   [
@@ -998,6 +1026,7 @@ let suite =
       test_radix_compose_wrap;
     Alcotest.test_case "TableSort grid: values, stability and tallies" `Quick
       test_grid;
+    QCheck_alcotest.to_alcotest qcheck_tablesort_path;
   ]
 
 let () = Alcotest.run "orq_sort" [ ("sort", suite) ]
