@@ -69,6 +69,8 @@ let word_widths ~bits total =
 
 let sum_widths = List.fold_left ( + ) 0
 
+let key_widths keys = List.map (fun (_, w, _) -> w) keys
+
 (* [pack ~bits keys] is the composite key of the [(column, width, xor)]
    [keys] (most significant first) as ascending Bool words, most
    significant first, each with its width ({!word_widths}): each key is
@@ -81,7 +83,7 @@ let pack ~bits (keys : (Share.chunked * int * int) list) :
   match keys with
   | [ (k, w, c) ] when w <= bits -> [ (xor_c c k, w) ]
   | _ ->
-      let total = sum_widths (List.map (fun (_, w, _) -> w) keys) in
+      let total = sum_widths (key_widths keys) in
       let widths = word_widths ~bits total in
       let nwords = List.length widths in
       let words = Array.make nwords None in
@@ -121,7 +123,7 @@ let unpack ~bits (keys : (Share.chunked * int * int) list)
   | [ (_, w, c) ], [ word ] when w <= bits -> [ xor_c c word ]
   | _ ->
       let words = Array.of_list (List.rev_map Share.unpark words) in
-      let total = sum_widths (List.map (fun (_, w, _) -> w) keys) in
+      let total = sum_widths (key_widths keys) in
       let _, out =
         List.fold_left
           (fun (hi, out) (k, w, c) ->
@@ -250,20 +252,18 @@ let sort_xored (ctx : Ctx.t) (algo : algo option) (radix : radix_path option)
   | (k, _, _) :: _ when Share.chunked_length k = 0 ->
       (List.map (fun (k, _, _) -> k) keys, List.map fst others)
   | (k, _, _) :: _ -> (
-      match algo with
-      | Quicksort -> (
-          match keys with
-          | [ (k, w, c) ] ->
-              let k', others' = quick_carry ctx ~w (xor_c c k) others in
-              ([ xor_c c k' ], others')
-          | _ -> by_sigma ctx Quicksort keys others)
-      | Radixsort -> (
+      match (algo, keys) with
+      | Quicksort, [ (k, w, c) ] ->
+          let k', others' = quick_carry ctx ~w (xor_c c k) others in
+          ([ xor_c c k' ], others')
+      | Quicksort, _ -> by_sigma ctx Quicksort keys others
+      | Radixsort, _ -> (
           let path =
             match radix with
             | Some p -> p
             | None ->
                 radix_path ctx.Ctx.kind ~n:(Share.chunked_length k)
-                  ~keys:(List.map (fun (_, w, _) -> w) keys)
+                  ~keys:(key_widths keys)
                   ~payload:(List.map snd others)
           in
           match path with
