@@ -202,7 +202,7 @@ let run_registered query proto sf n profile validate =
 
 let run list_only query sql proto sf n profile validate =
   (* the joins are priced under the profile the estimate is printed for *)
-  Orq_core.Joincost.set_profile profile;
+  Orq_proto.Primcost.set_profile profile;
   if list_only then begin
     print_endline "available queries:";
     List.iter (fun r -> Printf.printf "  %s\n" r.r_name) runnables;

@@ -213,6 +213,19 @@ let lane_spec (ctx : Ctx.t) ~(find : string -> Column.t)
   | L_min s -> spec (Column.data (find s)) (Aggnet.Min width) seg
   | L_max s -> spec (Column.data (find s)) (Aggnet.Max width) seg
 
+(* The distinct (lane, width) totals among [parts], in first use: what
+   the finish converts through one fused A2B. *)
+let totals_of (parts : part list) =
+  List.fold_left
+    (fun acc p ->
+      let tw = (p.p_lane, Dom.width p.p_dom) in
+      if summed p.p_lane && not (List.mem tw acc) then acc @ [ tw ] else acc)
+    [] parts
+
+(* An AVG's quotient domain: within an unsigned source's domain [sd], a
+   signed one's read at its sum's width [sum_w]. *)
+let quotient_dom (sd : Dom.t) ~sum_w = if Dom.signed sd then Dom.of_width sum_w else sd
+
 (* The finishers shared by [aggregate]'s two paths and [group_join], over
    the table [t] that carries one row per group: each part reads its
    lane's result in [results]; every total converts through one fused
@@ -226,13 +239,7 @@ let finish (t : Table.t) (aggs : agg list) (parts : part list)
     ~(src : string -> Column.t) : Table.t =
   let ctx = Table.ctx t in
   let result p = List.assoc p.p_lane results in
-  let totals =
-    List.fold_left
-      (fun acc p ->
-        let tw = (p.p_lane, Dom.width p.p_dom) in
-        if summed p.p_lane && not (List.mem tw acc) then acc @ [ tw ] else acc)
-      [] parts
-  in
+  let totals = totals_of parts in
   let conv = ref [||] and marked = ref t in
   ignore
     (Mpc.fuse_rounds ctx
@@ -267,10 +274,7 @@ let finish (t : Table.t) (aggs : agg list) (parts : part list)
         | Avg ->
             let s = Table.find t (a.dst ^ "#sum") in
             let c = Table.find t (a.dst ^ "#count") in
-            (* the quotient of the hidden sum: within an unsigned source's
-               domain, a signed one's read at the sum's width *)
-            let sd = (src a.src).Column.dom in
-            let dom = if Dom.signed sd then Dom.of_width s.Column.width else sd in
+            let dom = quotient_dom (src a.src).Column.dom ~sum_w:s.Column.width in
             let q =
               Orq_circuits.Divide.udiv ctx ~qw:(Dom.width dom) ~w:s.Column.width
                 ~wd:c.Column.width (Column.data s) (Column.as_bool ctx c)
@@ -293,30 +297,61 @@ let uniq cols = List.fold_left (fun acc c -> if List.mem c acc then acc else acc
    columns. *)
 let widths_of t cols = 1 :: List.map (Table.width t) cols
 
+(* The public bound on the valid groups of a GROUP BY on [keys] over
+   [t]: the product of the keys' declared domain sizes, saturating at
+   the row count. It reads [Dom] and the row count only. *)
+let group_bound (t : Table.t) (keys : string list) =
+  let n = Table.nrows t in
+  List.fold_left
+    (fun b k ->
+      let d = (Table.find t k).Column.dom in
+      if d.Dom.hi - d.Dom.lo >= n - 1 then n else min n (b * (d.Dom.hi - d.Dom.lo + 1)))
+    (min n 1) keys
+
+(* The finish of [aggs] over [t] as the closed forms price it
+   ({!Primcost.finish}): the totals' widths and each AVG's division
+   shape. *)
+let finish_shape (t : Table.t) (aggs : agg list) (parts : part list) : Primcost.finish =
+  let width dst = Dom.width (List.find (fun p -> p.p_dst = dst) parts).p_dom in
+  {
+    Primcost.f_ell = (Table.ctx t).Ctx.ell;
+    f_totals = List.map snd (totals_of parts);
+    f_divs =
+      List.filter_map
+        (fun a ->
+          match a.fn with
+          | Avg ->
+              let sum_w = width (a.dst ^ "#sum") in
+              let q = quotient_dom (Table.find t a.src).Column.dom ~sum_w in
+              Some (Dom.width q, sum_w, width (a.dst ^ "#count"))
+          | Sum | Count | Min | Max -> None)
+        aggs;
+  }
+
 (** The path {!aggregate} takes, priced from public shape only: the
-    closed forms {!Primcost.aggnet} and {!Primcost.aggcompact} compared
-    as modeled network time under the profile joins are priced under
-    ({!Joincost.profile}), then by rounds and bits; a tie keeps the
-    network. Only an aggregation list of SUMs, COUNTs and AVGs can take
-    the compaction. *)
+    closed forms {!Primcost.aggnet} and {!Primcost.aggcompact}, each
+    with its finish at its own row count, ranked by {!Primcost.rank}; a
+    tie keeps the network. Only an aggregation list of SUMs, COUNTs and
+    AVGs can take the compaction. *)
 let agg_path ?(carry = []) (t : Table.t) ~(keys : string list)
     ~(aggs : agg list) : agg_path =
   let ctx = Table.ctx t and n = Table.nrows t in
-  let _, lanes = plan_aggs ~rows:n ~find:(Table.find t) aggs in
+  let parts, lanes = plan_aggs ~rows:n ~find:(Table.find t) aggs in
   if aggs = [] || not (invertible lanes) then Network
   else begin
     let kind = ctx.Ctx.kind and keys_w = widths_of t keys in
-    let sums = List.filter_map (function L_sum _, w -> Some w | _ -> None) lanes in
-    let net = Primcost.aggnet kind ~n ~keys:keys_w ~sums:(List.map snd lanes) in
+    let sources = List.filter_map (function L_sum s, w -> Some (s, w) | _ -> None) lanes in
+    let conv = List.map (fun (s, _) -> Table.width t s) sources
+    and finish = finish_shape t aggs parts in
+    let net = Primcost.aggnet kind ~n ~keys:keys_w ~conv ~sums:(List.map snd lanes) ~finish in
     let cmp =
-      Primcost.aggcompact kind ~n ~keys:keys_w ~sums
-        ~local:(List.length lanes - List.length sums)
+      Primcost.aggcompact kind ~n ~bound:(group_bound t keys) ~keys:keys_w ~conv
+        ~sums:(List.map snd sources)
+        ~local:(List.length lanes - List.length sources)
         ~moved:(List.fold_left ( + ) 0 (widths_of t (uniq (keys @ carry))))
+        ~finish
     in
-    let rank (c : Orq_net.Comm.tally) =
-      (Orq_net.Netsim.network_time (Joincost.profile ()) c, c.t_rounds, c.t_bits)
-    in
-    if compare (rank cmp) (rank net) < 0 then Compaction else Network
+    if compare (Primcost.rank cmp) (Primcost.rank net) < 0 then Compaction else Network
   end
 
 (** GROUP BY [keys] on a given path: sort on (validity, keys), then the
@@ -392,15 +427,25 @@ let aggregate_by (path : agg_path) ?(carry = []) (t : Table.t)
             ((Share.wrap kept.Table.valid, 1)
             :: List.map (fun (_, c) -> (Column.chunked c, c.Column.width)) kept.Table.cols)
         in
+        (* the group ends come last, valid groups' after every invalid
+           one's: at most [bound] of them are valid, so the public slice
+           of the last [bound] rows keeps every valid group *)
+        let bound = group_bound t keys in
+        let cut c = Share.sub_range_c c (rows - bound) bound in
         let valid, moved = (List.hd moved, List.tl moved) in
         let kept =
           {
             kept with
-            Table.valid = Share.unpark valid;
-            cols = List.map2 (fun (n, c) d -> (n, Column.with_chunked c d)) kept.Table.cols moved;
+            Table.valid = Share.unpark (cut valid);
+            cols = List.map2 (fun (n, c) d -> (n, Column.with_chunked c (cut d))) kept.Table.cols moved;
+            nrows = bound;
           }
         in
-        finish kept aggs parts (results totals) ~last ~src
+        let tail s = Share.sub_range s (rows - bound) bound in
+        finish kept aggs parts
+          (results (List.map tail totals))
+          ~last:(Share.pack_flags (tail (Share.unpack_flags last)))
+          ~src
   in
   parked (Table.add_facts grouped facts)
 

@@ -56,7 +56,11 @@ val aggregate :
     group. Its columns are the keys, the [carry] columns (read from the
     group's last row, so each should depend on the keys) and the results
     in the order of [aggs], on either path; every other input column is
-    dropped before the sort.
+    dropped before the sort. The network path returns n rows. The
+    compaction returns only the public group bound, min(n, the product
+    of the keys' domain sizes) rows: a slice read off [Dom] and n alone
+    that keeps every valid group, since valid rows' keys lie in their
+    domains and valid groups' ends come last.
     AVG divides with its quotient bounded by the width of an unsigned
     source (a signed one keeps the sum width), and the result takes that
     width. Facts ({!Table.fact}): two SUMs in the call whose sources hold
@@ -78,10 +82,11 @@ val agg_path :
   ?carry:string list -> Table.t -> keys:string list -> aggs:agg list -> agg_path
 (** The path {!aggregate} takes: [Network] unless every aggregation is
     SUM, COUNT or AVG; otherwise the cheaper of
-    {!Orq_proto.Primcost.aggnet} and {!Orq_proto.Primcost.aggcompact} as
-    modeled network time under {!Joincost.profile}, then fewer rounds,
-    then fewer bits, a tie keeping the network. Public shape only (rows,
-    protocol, widths), so a shape twin chooses alike. *)
+    {!Orq_proto.Primcost.aggnet} (its finish over n rows) and
+    {!Orq_proto.Primcost.aggcompact} (its finish over the group bound) by
+    {!Orq_proto.Primcost.rank}, a tie keeping the network. Public shape
+    only (rows, protocol, widths, key domains), so a shape twin chooses
+    alike. *)
 
 val aggregate_by :
   agg_path -> ?carry:string list -> Table.t -> keys:string list ->

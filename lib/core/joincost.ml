@@ -27,15 +27,11 @@ type mode = Auto | Force of op
 let mode_label = function Auto -> "auto" | Force o -> op_label o
 
 let the_mode = ref Auto
-
-let the_profile = ref Netsim.lan
 let mode () = !the_mode
 let set_mode m = the_mode := m
-let profile () = !the_profile
-let set_profile p = the_profile := p
 
 let cache_tag () =
-  Printf.sprintf "%s:%s" (mode_label !the_mode) !the_profile.Netsim.label
+  Printf.sprintf "%s:%s" (mode_label !the_mode) (Primcost.profile ()).Netsim.label
 
 type variant = J_inner | J_semi | J_anti
 
@@ -211,7 +207,7 @@ let predict ctx (s : shape) = function
   | Sort -> sort_estimate ctx s
   | Linear -> linear_estimate ctx s
 
-let seconds t = Netsim.network_time !the_profile t
+let seconds t = Netsim.network_time (Primcost.profile ()) t
 
 (* ------------------------------------------------------------------ *)
 (* Applicability and selection                                         *)
@@ -239,10 +235,7 @@ let candidates ctx (s : shape) =
       else None)
     [ Sort; Linear ]
 
-(* Ranked by modeled seconds, then rounds, then bits: a profile that
-   prices every tally at zero (local) still prefers the lighter
-   operator. *)
-let rank (_, t, sec) = (sec, t.Comm.t_rounds, t.Comm.t_bits)
+let rank (_, t, _) = Primcost.rank t
 
 let cheapest cands =
   match cands with
@@ -276,24 +269,37 @@ type decision = {
   jd_cands : (op * Comm.tally * float) list;
 }
 
-let dls_log : decision list ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref [])
+(* [Some] decisions, newest first, while a {!recording} runs on this
+   domain; [None] otherwise, when nothing is kept. *)
+let dls_log : decision list option ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref None)
 
-let reset_log () = Domain.DLS.get dls_log := []
-let log () = List.rev !(Domain.DLS.get dls_log)
+let recording f =
+  let r = Domain.DLS.get dls_log in
+  let outer = !r in
+  r := Some [];
+  Fun.protect
+    ~finally:(fun () -> r := outer)
+    (fun () ->
+      let x = f () in
+      (x, List.rev (Option.value !r ~default:[])))
 
 let choose_logged ctx ~node (s : shape) =
   let cands = candidates ctx s in
   let forced = match !the_mode with Force _ -> true | Auto -> false in
   let chosen = pick ctx s cands in
   let r = Domain.DLS.get dls_log in
-  r :=
-    {
-      jd_node = node;
-      jd_shape = s;
-      jd_chosen = chosen;
-      jd_forced = forced;
-      jd_cands = cands;
-    }
-    :: !r;
+  Option.iter
+    (fun ds ->
+      r :=
+        Some
+          ({
+             jd_node = node;
+             jd_shape = s;
+             jd_chosen = chosen;
+             jd_forced = forced;
+             jd_cands = cands;
+           }
+          :: ds))
+    !r;
   chosen

@@ -22,8 +22,8 @@
     fallback and reports them as a count, not as a decision.
 
     {!set_mode} forces an operator or restores automatic selection;
-    {!set_profile} sets the pacing regime costs are compared under
-    ([orq_cli --profile]). *)
+    {!Orq_proto.Primcost.set_profile} sets the pacing regime costs are
+    compared under ([orq_cli --profile]). *)
 
 open Orq_proto
 module Comm = Orq_net.Comm
@@ -41,12 +41,6 @@ val mode : unit -> mode
 (** The active selection mode (initially [Auto]). *)
 
 val set_mode : mode -> unit
-
-val profile : unit -> Netsim.profile
-(** The pacing profile candidate costs are compared under (initially
-    LAN). *)
-
-val set_profile : Netsim.profile -> unit
 
 val cache_tag : unit -> string
 (** ["<mode>:<profile>"] — the physical-plan component of the service's
@@ -90,10 +84,12 @@ val predict : Ctx.t -> shape -> op -> Comm.tally
 
 (** {2 Decision log}
 
-    Each executed join node records which operator ran and what every
-    candidate was predicted to cost — the observable half of the
-    cost-based decision ([orq_cli query --explain], bench JSON). The log
-    is per-domain, so concurrent service workers never interleave. *)
+    Each join node executed inside a {!recording} records which operator
+    ran and what every candidate was predicted to cost — the observable
+    half of the cost-based decision (the service's and the cluster's
+    Explain, the bench gates). Outside a recording nothing is kept, so
+    the service, party processes and benchmarks hold no log. The log is
+    per-domain, so concurrent service workers never interleave. *)
 
 type decision = {
   jd_node : string;  (** "left⋈right" *)
@@ -105,8 +101,10 @@ type decision = {
           seconds under the active profile *)
 }
 
-val reset_log : unit -> unit
-val log : unit -> decision list
+val recording : (unit -> 'a) -> 'a * decision list
+(** [recording f] runs [f] and returns its result with the decisions of
+    the join nodes it executed on this domain, in order. A recording
+    nested inside another keeps its decisions from the outer one. *)
 
 val choose_logged : Ctx.t -> node:string -> shape -> op
 (** The selection rule, plus a log record — what {!Dataflow}'s join
@@ -115,6 +113,6 @@ val choose_logged : Ctx.t -> node:string -> shape -> op
     an inner/semi/anti variant (inner only when grouped), a composite key
     that packs into one ring word, and nonempty inputs; [Sort] implements
     everything. A forced mode wins when applicable (falling back to
-    [Sort] when not); [Auto] takes the cheapest candidate in modeled
-    network time under {!profile}, ties broken by fewer rounds, then
-    fewer bits. *)
+    [Sort] when not); [Auto] takes the cheapest candidate by
+    {!Orq_proto.Primcost.rank}: modeled network time under the pacing
+    profile, ties broken by fewer rounds, then fewer bits. *)

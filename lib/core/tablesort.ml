@@ -219,11 +219,13 @@ let by_sigma (ctx : Ctx.t) algo (keys : (Share.chunked * int * int) list)
   (List.filteri (fun i _ -> i < nk) all, List.filteri (fun i _ -> i >= nk) all)
 
 (** The radix path a sort of [n] rows on keys of widths [keys] carrying
-    columns of widths [payload] takes under [kind]: carry-through unless
-    the permutation route moves strictly fewer online bits. Both rank the
-    same digits; carry-through always takes two Protocol-5 applications
-    fewer (and under SH-DM two permutation-correlation pairs fewer), so
-    the rule never moves more bits than either path. Public shape only. *)
+    columns of widths [payload] takes under [kind]: the permutation route
+    when it ranks strictly before carry-through by {!Primcost.rank}
+    (modeled network time under the pacing profile, then rounds, then
+    bits), carry-through otherwise. Both rank the same digits;
+    carry-through always takes two Protocol-5 applications fewer, the
+    permutation route moves fewer bits when the payload is wide. Public
+    shape only. *)
 let radix_path (kind : Ctx.kind) ~n ~(keys : int list) ~(payload : int list) =
   let digits =
     Orq_sort.Radixsort.digits kind
@@ -231,7 +233,7 @@ let radix_path (kind : Ctx.kind) ~n ~(keys : int list) ~(payload : int list) =
   in
   let carry = Primcost.tablesort_carry kind ~n ~digits ~keys ~payload
   and sigma = Primcost.tablesort_sigma kind ~n ~digits ~keys ~payload in
-  if sigma.Orq_net.Comm.t_bits < carry.Orq_net.Comm.t_bits then Sigma else Carry
+  if compare (Primcost.rank sigma) (Primcost.rank carry) < 0 then Sigma else Carry
 
 (* {!sort_cols} over [(column, width, xor)] keys: each key sorts
    ascending after the xor with its public word, and comes back as it

@@ -5,7 +5,7 @@
     and unpacks the sorted words ({!Carry}), or extracts the composite
     key's sorting permutation (the carried index column ends as
     sigma^{-1}, which Protocol 8 inverts) and applies it to all columns
-    once ({!Sigma}), whichever moves fewer bits ({!radix_path}).
+    once ({!Sigma}), whichever is priced cheaper ({!radix_path}).
     Quicksort carries a single key's columns and extracts the
     permutation for several keys. Descending keys sort as their w-bit
     complement and signed keys via the order-preserving sign-bit flip,
@@ -25,11 +25,12 @@ type radix_path = Carry | Sigma
 val radix_path :
   Ctx.kind -> n:int -> keys:int list -> payload:int list -> radix_path
 (** The path a radix sort of [n] rows on keys of widths [keys] carrying
-    columns of widths [payload] takes: {!Carry} unless {!Sigma} moves
-    strictly fewer online bits ({!Orq_proto.Primcost.tablesort_carry},
-    {!Orq_proto.Primcost.tablesort_sigma}). Carry-through always takes
-    fewer rounds, so the choice never moves more bits than either path
-    and never pays rounds that do not save bits. Public shape only. *)
+    columns of widths [payload] takes: {!Sigma} when its closed form
+    ({!Orq_proto.Primcost.tablesort_sigma}) ranks strictly before
+    carry-through's ({!Orq_proto.Primcost.tablesort_carry}) by
+    {!Orq_proto.Primcost.rank}: modeled network time under the pacing
+    profile, then rounds, then bits; {!Carry} otherwise. Public shape
+    only. *)
 
 val sort_cols :
   Ctx.t -> ?algo:algo -> ?radix:radix_path ->

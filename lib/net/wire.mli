@@ -88,8 +88,9 @@ type net_stats = {
   n_wall_s : float;  (** coordinator wall-clock of the last query *)
 }
 (** On-the-wire measurements aggregated across a party cluster's mesh for
-    its most recent query — what bench/net.ml compares against the
-    {!Comm} tallies. Served only by party clusters ({!request.Net_stats_req}
+    its most recent query — what the cluster-2pc benchmark workload
+    (bench/e2e/wl_cluster.ml) and test_party compare against the {!Comm}
+    tallies. Served only by party clusters ({!request.Net_stats_req}
     against the plain in-process service yields [Error_r]). *)
 
 type join_cand = {

@@ -290,6 +290,16 @@ let run_query (cfg : config) (b : backend) (ex : Exchange.t) ~qid ~sql
   let fences = Exchange.fence ex ~qid ~tally ~digest in
   (resp, fences)
 
+(* Collect a finished query's garbage while the party waits for the
+   next one. The engine's share vectors hold one word per row, so nearly
+   every vector a query allocates is a large block placed straight in
+   the major heap, and the incremental major GC, paced by allocation,
+   falls behind a stream of short queries: a party's heap reached
+   several times its live set (the shared catalog) on queries' dead
+   vectors. A full collection at each query's end, off the critical
+   path, starts every query from the catalog alone. *)
+let collect_query_garbage () = Gc.full_major ()
+
 (* Aggregate the fences into the coordinator's [Net_stats] answer, and
    enforce the deployment's central invariant: the per-party measured
    bits/messages sum to the metered totals exactly, and every party
@@ -387,13 +397,10 @@ let handle_client_request (cfg : config) (b : backend) (ex : Exchange.t)
       (* the coordinator executes its own share of the query on this
          domain, so its decision log is the cluster's (every party makes
          the identical shape-deterministic choice) *)
-      Orq_core.Joincost.reset_log ();
-      match run sql with
-      | Wire.Result r ->
-          Wire.Explain_r
-            (Service.explain_of_log ~fallbacks:r.Wire.r_fallbacks
-               (Orq_core.Joincost.log ()))
-      | other -> other)
+      match Orq_core.Joincost.recording (fun () -> run sql) with
+      | Wire.Result r, log ->
+          Wire.Explain_r (Service.explain_of_log ~fallbacks:r.Wire.r_fallbacks log)
+      | other, _ -> other)
   | Wire.Net_stats_req -> (
       match co.c_last with
       | Some s -> Wire.Net_stats_r s
@@ -430,7 +437,9 @@ let serve_clients (cfg : config) (b : backend) (ex : Exchange.t) : unit =
              match Wire.recv_request fd with
              | None -> ()
              | Some req ->
+                 let ran = co.c_queries in
                  Wire.send_response fd (handle_client_request cfg b ex co req);
+                 if co.c_queries > ran then collect_query_garbage ();
                  session ()
            in
            session ()
@@ -457,6 +466,7 @@ let follow_coordinator (cfg : config) (b : backend) (ex : Exchange.t) : unit =
     | None -> logf cfg "coordinator left; shutting down"
     | Some (qid, sql, max_rows) ->
         let _resp, _fences = run_query cfg b ex ~qid ~sql ~max_rows in
+        collect_query_garbage ();
         loop ()
   in
   loop ()

@@ -214,6 +214,17 @@ let fuse (a : Comm.tally) (b : Comm.tally) =
   { (Comm.add_tally a b) with Comm.t_rounds = max a.t_rounds b.t_rounds }
 
 (* ------------------------------------------------------------------ *)
+(* Ranking priced candidates                                            *)
+(* ------------------------------------------------------------------ *)
+
+let the_profile = ref Orq_net.Netsim.lan
+let profile () = !the_profile
+let set_profile p = the_profile := p
+
+let rank (t : Comm.tally) =
+  (Orq_net.Netsim.network_time !the_profile t, t.Comm.t_rounds, t.Comm.t_bits)
+
+(* ------------------------------------------------------------------ *)
 (* TableSort's two radix paths                                         *)
 (* ------------------------------------------------------------------ *)
 
@@ -273,26 +284,66 @@ let eq_composite kind ~ws ~ns =
   in
   tree ladders (List.length ws)
 
-let aggnet kind ~n ~keys ~sums =
+(* The source conversions (one full-width B2A each, in sequence) as a
+   track fused with the group-boundary ladder [ladder]. *)
+let with_conv kind ~n ~conv ladder =
+  fuse
+    (tally_of (Array.concat (List.map (fun w -> b2a kind ~w:(min w Orq_util.Ring.word_bits) ~n) conv)))
+    ladder
+
+type finish = { f_ell : int; f_totals : int list; f_divs : (int * int * int) list }
+
+(* The finish over [n] rows: the fused A2B of the totals (one opening
+   round at [ell] bits, then the lockstep prefix levels of
+   [Adder.sub_pub_minuend_many]) beside the one-bit AND of validity with
+   the group ends, then each AVG's [Divide.udiv] in turn: [qw]
+   iterations of a (wd + 2)-bit adder, [qw] and [wd] clamped to [1, w]. *)
+let agg_finish kind ~n f =
+  let a2b =
+    if f.f_totals = [] then Comm.zero_tally
+    else
+      let ms = List.map (fun w -> max 0 (min w Orq_util.Ring.word_bits - 1)) f.f_totals in
+      let depth = List.fold_left (fun d m -> max d (Orq_util.Ring.log2_ceil m)) 0 ms in
+      List.fold_left Comm.add_tally
+        (round_of (List.map (fun _ -> open_lane kind ~w:f.f_ell ~n) f.f_totals))
+        (List.init depth (fun j ->
+             round_of
+               (List.filter_map
+                  (fun m ->
+                    if j < Orq_util.Ring.log2_ceil m then Some (mul_lane kind ~w:(prefix_live ~m j) ~n)
+                    else None)
+                  ms)))
+  in
+  List.fold_left
+    (fun acc (qw, w, wd) ->
+      let wr = max 1 (min wd w) + 2 in
+      List.fold_left Comm.add_tally acc
+        (List.init (max 1 (min qw w)) (fun _ -> tally_of (add kind ~w:wr ~n))))
+    (fuse a2b (tally_of (mul kind ~w:1 ~n)))
+    f.f_divs
+
+let aggnet kind ~n ~keys ~conv ~sums ~finish =
   let n2 = Orq_util.Ring.next_pow2 n in
   let rec levels d = if d < n2 then (n2 - d) :: levels (2 * d) else [] in
   let ns = levels 1 in
-  if ns = [] then Comm.zero_tally
-  else
-    List.fold_left Comm.add_tally
-      (eq_composite kind ~ws:keys ~ns)
-      (if sums = [] then []
-       else
-         round_of (List.map (fun n -> open_lane kind ~w:1 ~n) ns)
-         :: List.map (fun n -> round_of (List.map (fun w -> mul_lane kind ~w ~n) sums)) ns)
+  List.fold_left Comm.add_tally
+    (with_conv kind ~n ~conv
+       (if ns = [] then Comm.zero_tally else eq_composite kind ~ws:keys ~ns))
+    ((if ns = [] || sums = [] then []
+      else
+        round_of (List.map (fun n -> open_lane kind ~w:1 ~n) ns)
+        :: List.map (fun n -> round_of (List.map (fun w -> mul_lane kind ~w ~n) sums)) ns)
+    @ [ agg_finish kind ~n finish ])
 
-let aggcompact kind ~n ~keys ~sums ~local ~moved =
+let aggcompact kind ~n ~bound ~keys ~conv ~sums ~local ~moved ~finish =
   let totals = sum_widths sums + (local * Orq_util.Ring.index_bits (n + 1)) in
   List.fold_left Comm.add_tally
-    (if n <= 1 then Comm.zero_tally else eq_composite kind ~ws:keys ~ns:[ n - 1 ])
+    (with_conv kind ~n ~conv
+       (if n <= 1 then Comm.zero_tally else eq_composite kind ~ws:keys ~ns:[ n - 1 ]))
     [
       tally_of (b2a kind ~w:1 ~n);
       round_of
         (List.map (fun w -> mul_lane kind ~w ~n) (Orq_util.Ring.index_bits n :: sums));
       tally_of (applyperm kind ~w:(moved + 1 + totals) ~n);
+      agg_finish kind ~n:bound finish;
     ]

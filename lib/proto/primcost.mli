@@ -109,6 +109,23 @@ val fuse : Comm.tally -> Comm.tally -> Comm.tally
 (** Two independent tracks run side by side: their rounds overlap (the
     maximum) while their traffic adds. *)
 
+(** {2 Ranking priced candidates}
+
+    Every physical choice the engine makes from closed forms (the join
+    operator, the GROUP BY path, the radix TableSort path) ranks its
+    candidates the same way, under one pacing profile. *)
+
+val profile : unit -> Orq_net.Netsim.profile
+(** The pacing profile candidates are compared under (initially LAN;
+    [orq_cli --profile] sets it). *)
+
+val set_profile : Orq_net.Netsim.profile -> unit
+
+val rank : Comm.tally -> float * int * int
+(** A candidate's rank: its modeled network time under {!profile}, then
+    its rounds, then its bits; the lower ranks first. A profile that
+    prices every tally at zero (local) still prefers the lighter one. *)
+
 (** {2 TableSort's radix paths}
 
     The two ways a radix TableSort over [n] rows sorts key columns of
@@ -136,23 +153,40 @@ val tablesort_sigma :
 
     The two physical paths of a GROUP BY whose aggregations are all
     invertible (SUM, COUNT, AVG), from the table already sorted on
-    (validity, keys) to the group totals; what both paths share (the
-    sort, the sources' conversions, the finishing conversions and
-    divisions) is left out. [keys] are the widths of the key columns,
-    validity included; [sums] the result widths of the summed columns;
-    [n] the rows. *)
+    (validity, keys) to the finished groups: everything [Dataflow]'s
+    [aggregate_by] meters after its sort. [keys] are the widths of the
+    key columns, validity included; [conv] the widths of the summed
+    sources, each converted to arithmetic by one full-width B2A in a
+    track fused with the group-boundary ladder; [sums] the result widths
+    of the summed lanes; [n] the rows. *)
 
-val aggnet : Ctx.kind -> n:int -> keys:int list -> sums:int list -> Comm.tally
+type finish = {
+  f_ell : int;  (** the ring's bits: every total opens at this width *)
+  f_totals : int list;
+      (** the width of each distinct total, all converted by one fused
+          A2B *)
+  f_divs : (int * int * int) list;
+      (** each AVG's [Divide.udiv] as [(qw, w, wd)]: the quotient's,
+          the sum's and the count's widths *)
+}
+(** The finish both paths end with, over one row per group candidate:
+    the fused A2B of the totals beside the one-bit AND of validity with
+    the group ends, then each AVG's division, [qw] iterations of a
+    [(wd + 2)]-bit adder ([qw] and [wd] clamped to [[1, w]]). *)
+
+val aggnet :
+  Ctx.kind -> n:int -> keys:int list -> conv:int list -> sums:int list ->
+  finish:finish -> Comm.tally
 (** The aggregation network (Protocol 1) over Sum lanes ([Aggnet.run]):
     the group-boundary ladders of all ⌈log₂ n⌉ doubling levels as one
     fused batch over the rows padded to a power of two, one fused bit
     conversion of every level's boundaries, then one multiplication
-    round per level (no conversion and no level without a lane). Zero
-    for one row. *)
+    round per level (no conversion and no level without a lane; none of
+    it for one row); then the [finish] over all [n] rows. *)
 
 val aggcompact :
-  Ctx.kind -> n:int -> keys:int list -> sums:int list -> local:int ->
-  moved:int -> Comm.tally
+  Ctx.kind -> n:int -> bound:int -> keys:int list -> conv:int list ->
+  sums:int list -> local:int -> moved:int -> finish:finish -> Comm.tally
 (** Group totals by prefix sums and a one-bit compaction: the
     adjacent-row ladder marking group ends ([Aggnet.last_of_group_bits]),
     then [Aggnet.compact] with one secret lane per [sums] width and
@@ -160,4 +194,5 @@ val aggcompact :
     group-end bit and the total lanes (each [sums] lane at its width, a
     row-count lane at [Ring.index_bits (n + 1)]): one bit conversion, one
     fused round of the index-width ranking and the lane products, and one
-    Protocol-5 application. *)
+    Protocol-5 application; then the [finish] over the last [bound] rows
+    only, the public group bound the compacted table is cut to. *)

@@ -249,7 +249,7 @@ let explain_of_log ~fallbacks (ds : Joincost.decision list) : Wire.explain =
   in
   {
     Wire.e_mode = Joincost.mode_label (Joincost.mode ());
-    e_profile = (Joincost.profile ()).Netsim.label;
+    e_profile = (Primcost.profile ()).Netsim.label;
     e_fallbacks = fallbacks;
     e_joins = List.map dec ds;
   }
@@ -261,14 +261,10 @@ let execute t backends (j : job) : Wire.response =
       ~max_rows:t.cfg.max_rows j.j_sql
   in
   if not j.j_explain then run ()
-  else begin
-    Joincost.reset_log ();
-    match run () with
-    | Wire.Result r ->
-        Wire.Explain_r
-          (explain_of_log ~fallbacks:r.Wire.r_fallbacks (Joincost.log ()))
-    | other -> other
-  end
+  else
+    match Joincost.recording run with
+    | Wire.Result r, log -> Wire.Explain_r (explain_of_log ~fallbacks:r.Wire.r_fallbacks log)
+    | other, _ -> other
 
 let deliver (j : job) (reply : Wire.response) =
   Locked.with_lock j.j_m (fun () ->

@@ -47,8 +47,10 @@ let paths kind ~n ~keys ~payload =
   ( Primcost.tablesort_carry kind ~n ~digits ~keys ~payload,
     Primcost.tablesort_sigma kind ~n ~digits ~keys ~payload )
 
-(* The path the rule takes, priced: carry-through unless the sigma route
-   moves strictly fewer bits. *)
+(* The path the rule takes, priced: the sigma route when it ranks
+   strictly before carry-through by [Primcost.rank] (modeled network
+   time under the pacing profile, then rounds, then bits), carry-through
+   otherwise. *)
 let chosen kind ~n ~keys ~payload =
   let carry, sigma = paths kind ~n ~keys ~payload in
-  if sigma.Orq_net.Comm.t_bits < carry.Orq_net.Comm.t_bits then sigma else carry
+  if compare (Primcost.rank sigma) (Primcost.rank carry) < 0 then sigma else carry

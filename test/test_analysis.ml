@@ -513,12 +513,8 @@ let test_costmodel_arith_mul () =
           ignore (Mpc.mul ctx x x)))
     Ctx.all_kinds
 
-(* The two GROUP BY paths' closed forms against the meter, on a table of
-   n rows in runs of equal (validity, k1, k2) under every protocol: the
-   aggregation network over two Sum lanes ([Aggnet.run]), and the
-   group-end ladder plus the compaction of a summed lane, a row-count
-   lane and a carried column ([Aggnet.compact]), whose totals must be the
-   runs' sums and sizes, in order. *)
+(* The two GROUP BY paths against their closed forms and the compaction
+   against the runs it must total, under every protocol. *)
 let agg_path_ns = [ 2; 5; 17; 64; 300; 3000 ]
 
 (* One digit's ranking ([Genbitperm.gen_digit]) against its closed
@@ -618,10 +614,120 @@ let test_costmodel_tablesort_paths () =
         [ 2; 7; 300; 3000 ])
     Ctx.all_kinds
 
+(* [Dataflow.aggregate_by] on each path, less its sort, against the
+   closed forms [Primcost.aggnet] and [Primcost.aggcompact] (source
+   conversion, ladders, totals, and the finish: the A2B of the totals
+   and AVG's division, at n rows on the network and at the group bound
+   after compaction), over a grid of protocol, row count and key
+   domains, some with a group bound below the row count. Then the
+   compaction alone ([Aggnet.compact]) on a table of n rows in runs of
+   equal (validity, k1, k2): its totals must be the runs' sums and
+   sizes, in order. *)
 let test_costmodel_agg_paths () =
   let module Aggnet = Orq_core.Aggnet in
+  let module Table = Orq_core.Table in
+  let module Column = Orq_core.Column in
+  let module Dataflow = Orq_core.Dataflow in
+  let module Tablesort = Orq_core.Tablesort in
+  let module Dom = Orq_core.Dom in
+  let tally_t =
+    Alcotest.testable
+      (fun ppf (t : Comm.tally) ->
+        Fmt.pf ppf "%d rounds, %d bits, %d messages" t.Comm.t_rounds t.t_bits t.t_messages)
+      ( = )
+  in
   List.iter
     (fun kind ->
+      List.iter
+        (fun (n, doms) ->
+          let table ctx =
+            let t =
+              Table.create ctx "t"
+                ~valid:(Array.init n (fun i -> if i mod 5 = 2 then 0 else 1))
+                ([ ("x", 12, Array.init n (fun i -> (i * 7919) land 0xfff)) ]
+                @ List.mapi
+                    (fun j (d : Dom.t) ->
+                      ( Printf.sprintf "k%d" j,
+                        Dom.width d,
+                        Array.init n (fun i ->
+                            (d.Dom.lo + ((i / (j + 1)) mod (d.Dom.hi - d.Dom.lo + 1)))
+                            land Orq_util.Ring.mask (Dom.width d)) ))
+                    doms)
+            in
+            List.fold_left
+              (fun t (j, d) ->
+                let k = Printf.sprintf "k%d" j in
+                Table.set_col t k (Column.with_dom (Table.find t k) d))
+              t
+              (List.mapi (fun j d -> (j, d)) doms)
+          in
+          let keys = List.mapi (fun j _ -> Printf.sprintf "k%d" j) doms in
+          let aggs =
+            [
+              { Dataflow.src = "x"; dst = "s"; fn = Dataflow.Sum };
+              { Dataflow.src = "x"; dst = "c"; fn = Dataflow.Count };
+              { Dataflow.src = "x"; dst = "a"; fn = Dataflow.Avg };
+            ]
+          in
+          let measure f =
+            let ctx = Ctx.create ~seed:42 kind in
+            let t = table ctx in
+            let before = Comm.snapshot ctx.Ctx.comm in
+            let r = f t in
+            (r, Comm.since ctx.Ctx.comm before)
+          in
+          let _, sort =
+            measure (fun t ->
+                Tablesort.sort ~valid:Tablesort.Asc
+                  (Table.project t (keys @ [ "x" ]))
+                  (List.map (fun k -> (k, Tablesort.Asc)) keys))
+          in
+          let less (t : Comm.tally) =
+            {
+              Comm.t_rounds = t.t_rounds - sort.t_rounds;
+              t_bits = t.t_bits - sort.t_bits;
+              t_messages = t.t_messages - sort.t_messages;
+            }
+          in
+          let bound =
+            List.fold_left (fun b (d : Dom.t) -> b * (d.Dom.hi - d.Dom.lo + 1)) 1 doms
+          in
+          let tag what =
+            Printf.sprintf "%s n=%d bound=%d [%s]" what n bound (Ctx.kind_label kind)
+          in
+          let keys_w = 1 :: List.map Dom.width doms in
+          let rows = Dom.width (Dom.v 0 n) in
+          let sum_w = Dom.width (Dom.sum ~n (Dom.of_width 12)) in
+          let finish =
+            { Primcost.f_ell = 64; f_totals = [ sum_w; rows ]; f_divs = [ (12, sum_w, rows) ] }
+          in
+          List.iter
+            (fun path ->
+              let out, measured = measure (fun t -> Dataflow.aggregate_by path t ~keys ~aggs) in
+              let predicted =
+                match path with
+                | Dataflow.Network ->
+                    Primcost.aggnet kind ~n ~keys:keys_w ~conv:[ 12 ] ~sums:[ sum_w; rows ]
+                      ~finish
+                | Dataflow.Compaction ->
+                    Primcost.aggcompact kind ~n ~bound:(min n bound) ~keys:keys_w ~conv:[ 12 ]
+                      ~sums:[ sum_w ] ~local:1 ~moved:(List.fold_left ( + ) 0 keys_w) ~finish
+              in
+              let label = match path with Dataflow.Network -> "network" | Dataflow.Compaction -> "compaction" in
+              Alcotest.check tally_t (tag label) predicted (less measured);
+              Alcotest.(check int) (tag (label ^ " rows"))
+                (match path with Dataflow.Network -> n | Dataflow.Compaction -> min n bound)
+                (Table.nrows out))
+            [ Dataflow.Network; Dataflow.Compaction ])
+        [
+          (2, [ Dom.v 0 1023; Dom.v 0 3 ]);
+          (5, [ Dom.v 0 2 ]);
+          (17, [ Dom.v 0 2; Dom.v 0 1 ]);
+          (64, [ Dom.v 0 1023; Dom.v 0 3 ]);
+          (64, [ Dom.v (-3) 3 ]);
+          (300, [ Dom.v 0 6; Dom.v 0 24 ]);
+          (300, [ Dom.v 0 2; Dom.v 0 1 ]);
+        ];
       List.iter
         (fun n ->
           let tag what = Printf.sprintf "%s n=%d [%s]" what n (Ctx.kind_label kind) in
@@ -629,60 +735,22 @@ let test_costmodel_agg_paths () =
           let k1 = Array.init n (fun i -> i / 3) in
           let k2 = Array.init n (fun i -> i / 2 land 3) in
           let x = Array.init n (fun i -> (i * 7919) land 0xfff) in
-          let keys_w = [ 1; 10; 2 ] in
-          let measure f =
-            let ctx = Ctx.create ~seed:42 kind in
-            let keys =
-              List.map2 (fun a w -> (Mpc.share_b ctx a, w)) [ v; k1; k2 ] keys_w
-            in
-            let xa = Mpc.share_a ctx x in
-            let before = Comm.snapshot ctx.Ctx.comm in
-            let r = f ctx keys xa in
-            (r, Comm.since ctx.Ctx.comm before)
+          let ctx = Ctx.create ~seed:42 kind in
+          let keys = List.map2 (fun a w -> (Mpc.share_b ctx a, w)) [ v; k1; k2 ] [ 1; 10; 2 ] in
+          let last = Aggnet.last_of_group_bits ctx ~keys in
+          let totals, last, _ =
+            Aggnet.compact ctx ~last
+              [ Aggnet.Prefix (Mpc.share_a ctx x, 24); Aggnet.Rows ]
+              (List.map (fun (k, w) -> (Share.wrap k, w)) keys)
           in
-          let tally_t =
-            Alcotest.testable
-              (fun ppf (t : Comm.tally) ->
-                Fmt.pf ppf "%d rounds, %d bits, %d messages" t.Comm.t_rounds t.t_bits t.t_messages)
-              ( = )
+          (* each total is defined modulo 2^w for its lane's width *)
+          let totals =
+            List.map2
+              (fun t w -> Array.map (fun v -> v land Orq_util.Ring.mask w) (Share.reconstruct t))
+              totals
+              [ 24; Orq_util.Ring.index_bits (n + 1) ]
           in
-          let (), net =
-            measure (fun ctx keys xa ->
-                ignore
-                  (Aggnet.run ctx ~keys
-                     [
-                       { Aggnet.col = xa; func = Aggnet.Sum; keys = Aggnet.Group; width = 24 };
-                       {
-                         Aggnet.col = Share.public ctx Share.Arith n 1;
-                         func = Aggnet.Sum;
-                         keys = Aggnet.Group;
-                         width = 12;
-                       };
-                     ]))
-          in
-          Alcotest.check tally_t (tag "aggnet")
-            (Primcost.aggnet kind ~n ~keys:keys_w ~sums:[ 24; 12 ])
-            net;
-          let (totals, last), cmp =
-            measure (fun ctx keys xa ->
-                let last = Aggnet.last_of_group_bits ctx ~keys in
-                let totals, last, _ =
-                  Aggnet.compact ctx ~last
-                    [ Aggnet.Prefix (xa, 24); Aggnet.Rows ]
-                    (List.map (fun (k, w) -> (Share.wrap k, w)) keys
-                    @ [ (Share.wrap (Mpc.share_b ctx (Array.map (fun v -> v land 0x7f) x)), 7) ])
-                in
-                (* each total is defined modulo 2^w for its lane's width *)
-                ( List.map2
-                    (fun t w -> Array.map (fun v -> v land Orq_util.Ring.mask w) (Share.reconstruct t))
-                    totals
-                    [ 24; Orq_util.Ring.index_bits (n + 1) ],
-                  Share.reconstruct_flags last ))
-          in
-          Alcotest.check tally_t (tag "aggcompact")
-            (Primcost.aggcompact kind ~n ~keys:keys_w ~sums:[ 24 ] ~local:1
-               ~moved:(1 + 10 + 2 + 7))
-            cmp;
+          let last = Share.reconstruct_flags last in
           (* the runs' sums and sizes, in order *)
           let runs = ref [] in
           Array.iteri

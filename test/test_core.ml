@@ -909,6 +909,117 @@ let qcheck_groupby_compaction =
     QCheck.(int_bound 10000)
     (groupby_path_matches Dataflow.Compaction)
 
+(* The compaction keeps only the public group bound B = min(n, the
+   product of the key domains' sizes): under every protocol, on whole
+   and on parked tables (7-row chunks), a GROUP BY by compaction returns
+   min(n, B) rows and one by the network all n, both opening the
+   plaintext groups. The cases: every key combination present (B
+   groups), every row invalid, a bound at or above n (no trim), and a
+   signed key domain (compared as its bit pattern). *)
+let test_groupby_trim () =
+  let module Chunkvec = Orq_util.Chunkvec in
+  let cases =
+    [
+      ("every combination", 40, [ Dom.v 0 2; Dom.v 0 1 ], fun i -> if i mod 9 = 4 then 0 else 1);
+      ("all invalid", 40, [ Dom.v 0 2; Dom.v 0 1 ], fun _ -> 0);
+      ("no trim", 30, [ Dom.v 0 15; Dom.v 0 3 ], fun i -> if i mod 4 = 1 then 0 else 1);
+      ("signed key", 40, [ Dom.v (-2) 2 ], fun i -> if i mod 6 = 0 then 0 else 1);
+    ]
+  in
+  let aggs =
+    [
+      { Dataflow.src = "x"; dst = "s"; fn = Dataflow.Sum };
+      { Dataflow.src = "x"; dst = "c"; fn = Dataflow.Count };
+      { Dataflow.src = "x"; dst = "a"; fn = Dataflow.Avg };
+    ]
+  in
+  List.iter
+    (fun (name, n, doms, valid_at) ->
+      let keys = List.mapi (fun j _ -> Printf.sprintf "k%d" j) doms in
+      let key_vals =
+        List.mapi
+          (fun j (d : Dom.t) ->
+            let size = d.Dom.hi - d.Dom.lo + 1 in
+            (* the first key cycles fastest: all combinations appear *)
+            let stride = if j = 0 then 1 else (List.hd doms).Dom.hi - (List.hd doms).Dom.lo + 1 in
+            Array.init n (fun i -> d.Dom.lo + (i / stride mod size)))
+          doms
+      in
+      let x = Array.init n (fun i -> (i * 7919) land 0xff) in
+      let valid = Array.init n valid_at in
+      let bound = min n (List.fold_left (fun b (d : Dom.t) -> b * (d.Dom.hi - d.Dom.lo + 1)) 1 doms) in
+      let cols = keys @ [ "s"; "c"; "a" ] in
+      let masks = List.map (fun d -> Orq_util.Ring.mask (Dom.width d)) doms in
+      let live = List.filter (fun i -> valid.(i) = 1) (List.init n Fun.id) in
+      let expected =
+        Ptable.group_by
+          (Ptable.of_cols
+             (List.map
+                (fun (c, v) -> (c, Array.of_list (List.map (fun i -> v.(i)) live)))
+                (List.combine keys key_vals @ [ ("x", x) ])))
+          ~keys
+          ~aggs:
+            [
+              { Ptable.src = "x"; dst = "s"; fn = Ptable.Sum };
+              { Ptable.src = "x"; dst = "c"; fn = Ptable.Count };
+              { Ptable.src = "x"; dst = "a"; fn = Ptable.Avg };
+            ]
+        |> fun p ->
+        Ptable.rows_sorted p cols
+        |> List.map (fun row ->
+               List.mapi (fun i v -> if i < List.length masks then v land List.nth masks i else v) row)
+        |> List.sort compare
+      in
+      List.iter
+        (fun kind ->
+          List.iter
+            (fun parked ->
+              let run path =
+                let ctx = Ctx.create ~seed:29 kind in
+                let t =
+                  Table.create ctx "T" ~valid
+                    (("x", 8, x)
+                    :: List.map2
+                         (fun k ((d : Dom.t), v) ->
+                           (k, Dom.width d, Array.map (fun v -> v land Orq_util.Ring.mask (Dom.width d)) v))
+                         keys (List.combine doms key_vals))
+                in
+                let t =
+                  List.fold_left2
+                    (fun t k d -> Table.set_col t k (Column.with_dom (Table.find t k) d))
+                    t keys doms
+                in
+                if parked then Table.park t;
+                Dataflow.aggregate_by path t ~keys ~aggs
+              in
+              let rows0 = Chunkvec.chunk_rows () and on0 = Chunkvec.streaming_enabled () in
+              if parked then begin
+                Chunkvec.set_streaming true;
+                Chunkvec.set_chunk_rows 7
+              end;
+              Fun.protect
+                ~finally:(fun () ->
+                  Chunkvec.set_chunk_rows rows0;
+                  Chunkvec.set_streaming on0)
+                (fun () ->
+                  List.iter
+                    (fun (path, label, rows) ->
+                      let tag what =
+                        Printf.sprintf "%s %s %s%s: %s" name (Ctx.kind_label kind) label
+                          (if parked then " parked" else "") what
+                      in
+                      let g = run path in
+                      Alcotest.(check int) (tag "rows") rows (Table.nrows g);
+                      Alcotest.(check rows_t) (tag "groups") expected
+                        (List.sort compare (Table.valid_rows_sorted g cols)))
+                    [
+                      (Dataflow.Compaction, "compaction", bound);
+                      (Dataflow.Network, "network", n);
+                    ]))
+            [ false; true ])
+        kinds)
+    cases
+
 (* The chooser at the tiny-n crossover: the 5-row region and the 25-row
    nation keep the network under Mal-HM, whose compaction costs more
    rounds than their few levels; region keeps it under every protocol,
@@ -1306,6 +1417,7 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_groupby_vs_plaintext;
     QCheck_alcotest.to_alcotest qcheck_groupby_network;
     QCheck_alcotest.to_alcotest qcheck_groupby_compaction;
+    Alcotest.test_case "GROUP BY by compaction keeps the group bound" `Quick test_groupby_trim;
     Alcotest.test_case "GROUP BY path at the tiny-n crossover" `Quick
       test_agg_path_crossover;
     Alcotest.test_case "GROUP BY paths: tallies invariant" `Quick

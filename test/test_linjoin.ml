@@ -24,9 +24,9 @@ let with_mode m f =
 let forced op f = with_mode (Joincost.Force op) f
 
 let with_profile p f =
-  let old = Joincost.profile () in
-  Joincost.set_profile p;
-  Fun.protect ~finally:(fun () -> Joincost.set_profile old) f
+  let old = Primcost.profile () in
+  Primcost.set_profile p;
+  Fun.protect ~finally:(fun () -> Primcost.set_profile old) f
 
 (* ---------------- fixtures ---------------- *)
 
@@ -170,16 +170,15 @@ let test_linear_semi_anti_duplicates () =
 let test_forced_linear_falls_back_when_inapplicable () =
   let ctx = Ctx.create ~seed:51 Ctx.Sh_hm in
   forced Joincost.Linear (fun () ->
-      Joincost.reset_log ();
       (* a composite key wider than one ring word is out of the linear
          operator's class (the fingerprint domain) *)
       let wide name =
         Table.create ctx name
           [ ("A", 32, [| 1; 2; 3 |]); ("B", 32, [| 4; 5; 6 |]) ]
       in
-      let j = Dataflow.inner_join (wide "l") (wide "r") ~on:[ "A"; "B" ] in
-      ignore j;
-      match Joincost.log () with
+      match
+        snd (Joincost.recording (fun () -> Dataflow.inner_join (wide "l") (wide "r") ~on:[ "A"; "B" ]))
+      with
       | [ d ] ->
           Alcotest.(check string) "fell back to sort" "sort"
             (Joincost.op_label d.Joincost.jd_chosen);
@@ -189,13 +188,12 @@ let test_forced_linear_falls_back_when_inapplicable () =
 let test_decision_log_and_auto_pick () =
   let ctx = Ctx.create ~seed:51 Ctx.Sh_hm in
   with_mode Joincost.Auto (fun () ->
-      Joincost.reset_log ();
-      let j =
-        Dataflow.inner_join (customers ctx) (orders ctx) ~on:[ "CustKey" ]
-          ~copy:[ "Nation" ]
-      in
-      ignore j;
-      match Joincost.log () with
+      match
+        snd
+          (Joincost.recording (fun () ->
+               Dataflow.inner_join (customers ctx) (orders ctx) ~on:[ "CustKey" ]
+                 ~copy:[ "Nation" ]))
+      with
       | [ d ] ->
           Alcotest.(check bool) "not forced" false d.Joincost.jd_forced;
           Alcotest.(check bool) "both candidates priced" true
@@ -261,7 +259,7 @@ let test_predicted_cheapest_is_measured_cheapest () =
       let t_sort = measure Joincost.Sort
       and t_linear = measure Joincost.Linear in
       let measured_cheapest =
-        let seconds = Orq_net.Netsim.network_time (Joincost.profile ()) in
+        let seconds = Orq_net.Netsim.network_time (Primcost.profile ()) in
         if seconds t_linear <= seconds t_sort then
           Joincost.Linear
         else Joincost.Sort
@@ -441,11 +439,11 @@ let test_golden_predictions () =
                 (* the applicable operators are the logged candidates *)
                 let cands =
                   with_mode Joincost.Auto (fun () ->
-                      Joincost.reset_log ();
-                      ignore (Joincost.choose_logged ctx ~node:"golden" shape);
                       List.concat_map
                         (fun d -> List.map (fun (op, _, _) -> op) d.Joincost.jd_cands)
-                        (Joincost.log ()))
+                        (snd
+                           (Joincost.recording (fun () ->
+                                Joincost.choose_logged ctx ~node:"golden" shape))))
                 in
                 List.iter
                   (fun (op, pinned) ->
@@ -501,12 +499,12 @@ let test_tie_prefers_lighter_operator () =
             ("o_orderkey", 16, Array.init m (fun i -> i + 1));
           ]
       in
-      Joincost.reset_log ();
-      ignore
-        (Dataflow.inner_join customer orders ~on:[ "c_custkey" ]
-           ~copy:[ "c_nationkey" ]);
+      let _, log =
+        Joincost.recording (fun () ->
+            Dataflow.inner_join customer orders ~on:[ "c_custkey" ] ~copy:[ "c_nationkey" ])
+      in
       let label = Ctx.kind_label kind in
-      match Joincost.log () with
+      match log with
       | [ d ] ->
           List.iter
             (fun (op, _, sec) ->

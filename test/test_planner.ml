@@ -287,15 +287,11 @@ let tpch_catalog ctx : Sql.catalog =
 let run_grouped_sql sql =
   let ctx = Ctx.create ~seed:63 Ctx.Sh_hm in
   let cat = tpch_catalog ctx in
-  Joincost.reset_log ();
   let before = Orq_net.Comm.snapshot ctx.Ctx.comm in
-  let t, cols, _ = Sql.run cat sql in
+  let (t, cols, _), log = Joincost.recording (fun () -> Sql.run cat sql) in
   let tal = Orq_net.Comm.since ctx.Ctx.comm before in
   let grouped =
-    List.length
-      (List.filter
-         (fun d -> d.Joincost.jd_shape.Joincost.j_group <> None)
-         (Joincost.log ()))
+    List.length (List.filter (fun d -> d.Joincost.jd_shape.Joincost.j_group <> None) log)
   in
   (Table.valid_rows_sorted t cols, tal, grouped)
 

@@ -774,6 +774,28 @@ let explain_ok c sql =
   | Error (code, msg) ->
       Alcotest.failf "explain failed (%s): %s" (Wire.err_label code) msg
 
+(* The join decision log is kept only while an Explain records it: 50
+   unexplained runs of a join query through [Service.execute_sql] leave
+   nothing behind, and every recorded run holds exactly its own one
+   decision. *)
+let test_decision_log_bounded () =
+  let ctx = Ctx.create ~seed:42 Ctx.Sh_hm in
+  let db = Tpch_gen.share ctx (Tpch_gen.generate ~seed:42 0.001) in
+  let sql =
+    "SELECT n_nationkey, r_regionkey FROM region JOIN nation ON r_regionkey = n_regionkey"
+  in
+  let run () = ignore (Service.execute_sql ~ctx ~db ~qseed:7 ~max_rows:100 sql) in
+  let logged () = List.length (snd (Orq_core.Joincost.recording run)) in
+  Alcotest.(check int) "one decision per run" 1 (logged ());
+  for _ = 1 to 50 do
+    run ()
+  done;
+  Alcotest.(check int) "unexplained runs keep nothing" 0
+    (List.length (snd (Orq_core.Joincost.recording ignore)));
+  for i = 1 to 50 do
+    Alcotest.(check int) (Printf.sprintf "recorded run %d" i) 1 (logged ())
+  done
+
 let test_explain () =
   with_server @@ fun _ socket ->
   let c = Client.connect socket in
@@ -889,5 +911,6 @@ let () =
             test_survives_malformed_frame;
           Alcotest.test_case "stats" `Quick test_stats;
           Alcotest.test_case "explain" `Quick test_explain;
+          Alcotest.test_case "decision log stays bounded" `Quick test_decision_log_bounded;
         ] );
     ]

@@ -916,7 +916,7 @@ let test_grid () =
    few distinct values; 0-4 payload columns) run on the path the rule
    picks and on both forced paths: all three give the plaintext stable
    sort, the picked run costs what one forced path costs, and it never
-   moves more bits than the other. *)
+   ranks after the other by [Primcost.rank]. *)
 let qcheck_tablesort_path =
   QCheck.Test.make ~name:"TableSort path choice" ~count:20 QCheck.(int_bound 100_000)
     (fun seed ->
@@ -967,7 +967,7 @@ let qcheck_tablesort_path =
           let vp, picked = run None
           and vc, carry = run (Some Tablesort.Carry)
           and vs, sigma = run (Some Tablesort.Sigma) in
-          let bits (t : Orq_net.Comm.tally) = t.Orq_net.Comm.t_bits in
+          let rank = Orq_proto.Primcost.rank in
           let fail what =
             QCheck.Test.fail_reportf "%s %s: n=%d keys=[%s] payload=[%s]"
               (Ctx.kind_label kind) what n
@@ -976,7 +976,7 @@ let qcheck_tablesort_path =
           in
           if vp <> expected || vc <> expected || vs <> expected then fail "values"
           else if picked <> carry && picked <> sigma then fail "picked neither path"
-          else if bits picked > min (bits carry) (bits sigma) then fail "picked more bits"
+          else if rank picked > min (rank carry) (rank sigma) then fail "picked the costlier path"
           else true)
         kinds)
 
