@@ -290,16 +290,6 @@ let run_query (cfg : config) (b : backend) (ex : Exchange.t) ~qid ~sql
   let fences = Exchange.fence ex ~qid ~tally ~digest in
   (resp, fences)
 
-(* Collect a finished query's garbage while the party waits for the
-   next one. The engine's share vectors hold one word per row, so nearly
-   every vector a query allocates is a large block placed straight in
-   the major heap, and the incremental major GC, paced by allocation,
-   falls behind a stream of short queries: a party's heap reached
-   several times its live set (the shared catalog) on queries' dead
-   vectors. A full collection at each query's end, off the critical
-   path, starts every query from the catalog alone. *)
-let collect_query_garbage () = Gc.full_major ()
-
 (* Aggregate the fences into the coordinator's [Net_stats] answer, and
    enforce the deployment's central invariant: the per-party measured
    bits/messages sum to the metered totals exactly, and every party
@@ -439,7 +429,8 @@ let serve_clients (cfg : config) (b : backend) (ex : Exchange.t) : unit =
              | Some req ->
                  let ran = co.c_queries in
                  Wire.send_response fd (handle_client_request cfg b ex co req);
-                 if co.c_queries > ran then collect_query_garbage ();
+                 (* as in [follow_coordinator] *)
+                 if co.c_queries > ran then Gc.full_major ();
                  session ()
            in
            session ()
@@ -466,7 +457,17 @@ let follow_coordinator (cfg : config) (b : backend) (ex : Exchange.t) : unit =
     | None -> logf cfg "coordinator left; shutting down"
     | Some (qid, sql, max_rows) ->
         let _resp, _fences = run_query cfg b ex ~qid ~sql ~max_rows in
-        collect_query_garbage ();
+        (* A full collection after each query. The engine's share
+           vectors hold one word per row, so nearly every vector a query
+           allocates is a large block placed straight in the major heap,
+           and the incremental major GC, paced by allocation, falls
+           behind a stream of short queries: a party's heap reached
+           several times its live set (the shared catalog) on queries'
+           dead vectors. The collection runs between queries, so it
+           delays the next one by a time that grows with the live heap;
+           its net gain in pass time was measured only on the 2PC
+           cluster benchmark at scale factor 0.002. *)
+        Gc.full_major ();
         loop ()
   in
   loop ()

@@ -618,8 +618,9 @@ let test_costmodel_tablesort_paths () =
    closed forms [Primcost.aggnet] and [Primcost.aggcompact] (source
    conversion, ladders, totals, and the finish: the A2B of the totals
    and AVG's division, at n rows on the network and at the group bound
-   after compaction), over a grid of protocol, row count and key
-   domains, some with a group bound below the row count. Then the
+   after compaction), over a grid of protocol, row count, key domains
+   and an optional carried non-key column, some cells with a group
+   bound below the row count. Then the
    compaction alone ([Aggnet.compact]) on a table of n rows in runs of
    equal (validity, k1, k2): its totals must be the runs' sums and
    sizes, in order. *)
@@ -639,12 +640,15 @@ let test_costmodel_agg_paths () =
   List.iter
     (fun kind ->
       List.iter
-        (fun (n, doms) ->
+        (fun (n, doms, carried) ->
           let table ctx =
             let t =
               Table.create ctx "t"
                 ~valid:(Array.init n (fun i -> if i mod 5 = 2 then 0 else 1))
-                ([ ("x", 12, Array.init n (fun i -> (i * 7919) land 0xfff)) ]
+                ([
+                   ("x", 12, Array.init n (fun i -> (i * 7919) land 0xfff));
+                   ("y", 7, Array.init n (fun i -> (i * 31) land 0x7f));
+                 ]
                 @ List.mapi
                     (fun j (d : Dom.t) ->
                       ( Printf.sprintf "k%d" j,
@@ -662,6 +666,7 @@ let test_costmodel_agg_paths () =
               (List.mapi (fun j d -> (j, d)) doms)
           in
           let keys = List.mapi (fun j _ -> Printf.sprintf "k%d" j) doms in
+          let carry = if carried then [ "y" ] else [] in
           let aggs =
             [
               { Dataflow.src = "x"; dst = "s"; fn = Dataflow.Sum };
@@ -679,7 +684,7 @@ let test_costmodel_agg_paths () =
           let _, sort =
             measure (fun t ->
                 Tablesort.sort ~valid:Tablesort.Asc
-                  (Table.project t (keys @ [ "x" ]))
+                  (Table.project t (keys @ carry @ [ "x" ]))
                   (List.map (fun k -> (k, Tablesort.Asc)) keys))
           in
           let less (t : Comm.tally) =
@@ -693,7 +698,8 @@ let test_costmodel_agg_paths () =
             List.fold_left (fun b (d : Dom.t) -> b * (d.Dom.hi - d.Dom.lo + 1)) 1 doms
           in
           let tag what =
-            Printf.sprintf "%s n=%d bound=%d [%s]" what n bound (Ctx.kind_label kind)
+            Printf.sprintf "%s n=%d bound=%d carry=%b [%s]" what n bound carried
+              (Ctx.kind_label kind)
           in
           let keys_w = 1 :: List.map Dom.width doms in
           let rows = Dom.width (Dom.v 0 n) in
@@ -703,7 +709,9 @@ let test_costmodel_agg_paths () =
           in
           List.iter
             (fun path ->
-              let out, measured = measure (fun t -> Dataflow.aggregate_by path t ~keys ~aggs) in
+              let out, measured =
+                measure (fun t -> Dataflow.aggregate_by path ~carry t ~keys ~aggs)
+              in
               let predicted =
                 match path with
                 | Dataflow.Network ->
@@ -711,7 +719,9 @@ let test_costmodel_agg_paths () =
                       ~finish
                 | Dataflow.Compaction ->
                     Primcost.aggcompact kind ~n ~bound:(min n bound) ~keys:keys_w ~conv:[ 12 ]
-                      ~sums:[ sum_w ] ~local:1 ~moved:(List.fold_left ( + ) 0 keys_w) ~finish
+                      ~sums:[ sum_w ] ~local:1
+                      ~moved:(List.fold_left ( + ) 0 keys_w + if carried then 7 else 0)
+                      ~finish
               in
               let label = match path with Dataflow.Network -> "network" | Dataflow.Compaction -> "compaction" in
               Alcotest.check tally_t (tag label) predicted (less measured);
@@ -720,13 +730,15 @@ let test_costmodel_agg_paths () =
                 (Table.nrows out))
             [ Dataflow.Network; Dataflow.Compaction ])
         [
-          (2, [ Dom.v 0 1023; Dom.v 0 3 ]);
-          (5, [ Dom.v 0 2 ]);
-          (17, [ Dom.v 0 2; Dom.v 0 1 ]);
-          (64, [ Dom.v 0 1023; Dom.v 0 3 ]);
-          (64, [ Dom.v (-3) 3 ]);
-          (300, [ Dom.v 0 6; Dom.v 0 24 ]);
-          (300, [ Dom.v 0 2; Dom.v 0 1 ]);
+          (2, [ Dom.v 0 1023; Dom.v 0 3 ], true);
+          (5, [ Dom.v 0 2 ], false);
+          (17, [ Dom.v 0 2; Dom.v 0 1 ], true);
+          (64, [ Dom.v 0 1023; Dom.v 0 3 ], false);
+          (64, [ Dom.v (-3) 3 ], false);
+          (300, [ Dom.v 0 6; Dom.v 0 24 ], false);
+          (300, [ Dom.v 0 2; Dom.v 0 1 ], true);
+          (3000, [ Dom.v 0 1023; Dom.v 0 3 ], true);
+          (3000, [ Dom.v 0 6; Dom.v 0 24 ], true);
         ];
       List.iter
         (fun n ->
